@@ -132,10 +132,7 @@ fn arrival_stream(
 }
 
 fn sharded_engine<'t>(setup: &'t Setup, workers: usize, trained: bool) -> ShardedServingEngine<'t> {
-    let mut sharded = ShardedServingEngine::new(ShardConfig {
-        workers,
-        ..ShardConfig::default()
-    });
+    let mut sharded = ShardedServingEngine::new(ShardConfig::default().with_workers(workers));
     for (t, (tree, bn)) in setup.trees.iter().zip(&setup.bns).enumerate() {
         let engine = QueryEngine::numeric(tree, bn).expect("calibrates");
         let mat = if trained {
@@ -238,11 +235,11 @@ fn bench_multi_tenant_serving(c: &mut Criterion) {
     let overload_n = if is_quick() { 1024 } else { 2048 };
     let overload_stream = arrival_stream(&setup, &weights, overload_n, 0xaa);
     let fresh_uncached = || {
-        let mut sharded = ShardedServingEngine::new(ShardConfig {
-            workers,
-            cache_capacity: 0,
-            ..ShardConfig::default()
-        });
+        let mut sharded = ShardedServingEngine::new(
+            ShardConfig::default()
+                .with_workers(workers)
+                .with_cache_capacity(0),
+        );
         for (t, (tree, bn)) in setup.trees.iter().zip(&setup.bns).enumerate() {
             let engine = QueryEngine::numeric(tree, bn).expect("calibrates");
             let mat = trained_mat(tree, &engine, &setup.pools[t]);

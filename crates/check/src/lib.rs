@@ -23,7 +23,10 @@
 //!   detached waves before drop joins the workers;
 //! * `epoch_model.rs` — a distilled epoch-swap-during-wave: concurrent
 //!   `publish` (write lock) against pool tasks taking epoch snapshots
-//!   (read lock), asserting snapshots are never torn;
+//!   (read lock), asserting snapshots are never torn; then the real
+//!   `ServingEngine::serve_batch` — the one serve pipeline, fanned out
+//!   over two workers — racing a `publish`, asserting the batch is served
+//!   whole under one epoch and older-epoch cache entries never serve;
 //! * `mutation.rs` (feature `mutation-lost-wakeup`) — re-introduces a
 //!   seeded lost-wakeup ordering bug in the pool's enqueue and proves the
 //!   checker catches it as a deadlock, deterministically replayable by

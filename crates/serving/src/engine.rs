@@ -11,12 +11,14 @@
 //!    the coalescing key is the whole request, so the same targets under
 //!    different evidence are — correctly — different computations;
 //! 2. the unique queries are claimed work-stealing-style by `workers`
-//!    **persistent** pool threads ([`WorkerPool`]), parked between batches
-//!    — or by scoped per-batch threads under [`SpawnMode::Scoped`], the
-//!    spawn-latency baseline;
-//! 3. every worker owns a [`Scratch`], so all intermediate tables of a
-//!    query are recycled into the next one — and with the persistent pool
+//!    **persistent** pool threads ([`WorkerPool`]), parked between batches;
+//! 3. every worker owns a [`Scratch`](peanut_pgm::Scratch), so all
+//!    intermediate tables of a query are recycled into the next one, and
 //!    the scratches survive across batches too.
+//!
+//! The engine itself only resolves a batch to its epoch snapshot; the
+//! steps above are the crate's one serve pipeline (`pipeline.rs`), shared
+//! with the sharded engine and evidence sessions.
 //!
 //! Answers come back in batch order as [`Served`] handles around
 //! `Arc<Answer>` — the warm path (cross-batch cache hits, in-batch
@@ -31,86 +33,28 @@
 //! whose entry carries an older epoch is treated as a miss and the entry is
 //! dropped *lazily* — no global cache flush, no serving pause. Each epoch
 //! also carries a fresh [`WorkloadStats`] accumulator which the per-worker
-//! [`OnlineEngine`]s feed (fresh computations) and the batch fan-out tops
-//! up (duplicate and cached arrivals), so the lifecycle layer can watch the
-//! epoch's *observed* benefit decay under workload drift.
+//! [`OnlineEngine`](peanut_core::OnlineEngine)s feed (fresh computations)
+//! and the batch fan-out tops up (duplicate and cached arrivals), so the
+//! lifecycle layer can watch the epoch's *observed* benefit decay under
+//! workload drift.
 //!
 //! [`publish`]: ServingEngine::publish
 
 use crate::overload::ServeOutcome;
-use crate::pool::{PoolCell, PoolStats, SpawnMode, WorkerPool};
+use crate::pipeline::{fan_out, BatchRun, Target};
+use crate::pool::{PoolCell, PoolStats, WorkerPool};
 use crate::session::SessionCounters;
 use peanut_core::exec::Executor;
 use peanut_core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use peanut_core::sync::{thread, Arc, Mutex, OnceLock, RwLock};
-use peanut_core::{
-    FlatMaterialization, Materialization, OnlineEngine, ServeRequest, WorkloadStats,
-};
+use peanut_core::sync::{thread, Arc, Mutex, RwLock};
+use peanut_core::{FlatMaterialization, Materialization, ServeRequest, WorkloadStats};
 use peanut_junction::cost::QueryCost;
 use peanut_junction::QueryEngine;
-use peanut_pgm::{PgmError, Potential, Scope, Scratch, Size, Var};
+use peanut_pgm::{PgmError, Potential, Size};
 use peanut_store::StoreConfig;
 use std::collections::{HashMap, VecDeque};
 use std::ops::Deref;
-use std::panic::resume_unwind;
 use std::time::{Duration, Instant};
-
-/// One query in the pre-[`ServeRequest`] enum form. The serving surfaces
-/// now take [`ServeRequest`] directly; this enum remains as a builder
-/// convenience and converts losslessly via `From<Query> for ServeRequest`.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum Query {
-    /// `P(scope)`.
-    Marginal(Scope),
-    /// `P(targets | evidence)` (§3.1 joint→conditional reduction).
-    Conditional {
-        /// Target variables.
-        targets: Scope,
-        /// Evidence assignments (disjoint from the targets). Keep this
-        /// sorted by variable — dedup and the answer cache compare queries
-        /// structurally, so construct via [`Query::conditioned`] unless the
-        /// list is already canonical.
-        evidence: Vec<(Var, u32)>,
-    },
-}
-
-impl Query {
-    /// Builds a query from a target scope and an evidence list (empty
-    /// evidence ⇒ marginal). Evidence is canonicalized (sorted by
-    /// variable) so order-insensitive duplicates coalesce and hit the
-    /// cache.
-    pub fn conditioned(targets: Scope, mut evidence: Vec<(Var, u32)>) -> Self {
-        if evidence.is_empty() {
-            Query::Marginal(targets)
-        } else {
-            evidence.sort_unstable();
-            Query::Conditional { targets, evidence }
-        }
-    }
-
-    /// The scope the workload model reasons about: the query scope itself
-    /// for marginals, the joint targets∪evidence scope for conditionals
-    /// (that is the scope the engine answers, and the one materialization
-    /// selection optimizes for).
-    pub fn stat_scope(&self) -> Scope {
-        match self {
-            Query::Marginal(s) => s.clone(),
-            Query::Conditional { targets, evidence } => {
-                let ev = Scope::from_iter(evidence.iter().map(|&(v, _)| v));
-                targets.union(&ev)
-            }
-        }
-    }
-}
-
-impl From<Query> for ServeRequest {
-    fn from(q: Query) -> Self {
-        match q {
-            Query::Marginal(s) => ServeRequest::marginal(s),
-            Query::Conditional { targets, evidence } => ServeRequest::new(targets, evidence),
-        }
-    }
-}
 
 /// A served answer: the distribution plus execution telemetry. Shared
 /// behind `Arc` between in-batch duplicates, the answer cache, and repeat
@@ -197,9 +141,6 @@ pub struct ServingConfig {
     /// distributions over a finite query pool, so repeated queries dominate
     /// steady-state traffic.
     pub cache_capacity: usize,
-    /// How batches fan out: a persistent parked [`WorkerPool`] (default)
-    /// or scoped threads spawned per batch (the spawn-latency baseline).
-    pub spawn: SpawnMode,
 }
 
 impl Default for ServingConfig {
@@ -208,7 +149,6 @@ impl Default for ServingConfig {
             workers: 0,
             dedup: true,
             cache_capacity: 4096,
-            spawn: SpawnMode::Persistent,
         }
     }
 }
@@ -232,10 +172,16 @@ impl ServingConfig {
         self
     }
 
-    /// Sets the fan-out mode (chainable).
-    pub fn with_spawn(mut self, spawn: SpawnMode) -> Self {
-        self.spawn = spawn;
-        self
+    /// The worker count `workers` stands for: itself, or one per
+    /// available core when `0`.
+    pub(crate) fn resolved_workers(&self) -> usize {
+        if self.workers > 0 {
+            self.workers
+        } else {
+            thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        }
     }
 }
 
@@ -360,7 +306,7 @@ pub struct ServingEngine<'t> {
     engine: Arc<QueryEngine<'t>>,
     state: RwLock<EpochState>,
     cfg: ServingConfig,
-    cache: Mutex<AnswerCache>,
+    cache: Arc<Mutex<AnswerCache>>,
     /// Persistent workers, spawned lazily on the first batch that fans
     /// out (or injected via [`with_pool`](Self::with_pool)). Engines that
     /// only ever serve sequentially never spawn a thread.
@@ -395,7 +341,7 @@ impl<'t> ServingEngine<'t> {
                 flat,
             }),
             cfg,
-            cache: Mutex::new(AnswerCache::default()),
+            cache: Arc::new(Mutex::new(AnswerCache::default())),
             pool: PoolCell::new(),
             store: None,
             sessions: SessionCounters::default(),
@@ -524,9 +470,9 @@ impl<'t> ServingEngine<'t> {
 
     /// Pre-spawns the worker pool so the first fanned-out batch does not
     /// pay thread-spawn latency in-band. A no-op for engines that would
-    /// never fan out (one worker, or scoped spawning).
+    /// never fan out (one worker).
     pub fn warm_pool(&self) {
-        self.pool.warm(self.cfg.spawn, self.workers());
+        self.pool.warm(self.workers());
     }
 
     /// Executor for off-path offline work (lifecycle re-selection): the
@@ -535,8 +481,7 @@ impl<'t> ServingEngine<'t> {
     /// re-selection can never head-of-line block query traffic — a scoped
     /// `threads`-wide fan-out otherwise (sequential when 1).
     pub(crate) fn offline_exec(&self, threads: usize) -> Box<dyn Executor + '_> {
-        self.pool
-            .offline_exec(self.cfg.spawn, self.workers(), threads)
+        self.pool.offline_exec(self.workers(), threads)
     }
 
     /// The wrapped query engine.
@@ -606,48 +551,49 @@ impl<'t> ServingEngine<'t> {
         std::mem::replace(&mut state.stats, Arc::new(WorkloadStats::new()))
     }
 
-    /// Epoch snapshot for a batch: the served materialization and its
-    /// observation accumulator, taken atomically. The sharded engine takes
-    /// per-shard snapshots up front so a whole mixed batch is served under
+    /// What a batch arriving now is served against: the shared engine,
+    /// the served materialization and its observation accumulator (taken
+    /// atomically), and the answer cache. The sharded engine takes one
+    /// per routed shard up front so a whole mixed batch is served under
     /// one epoch per tenant.
-    pub(crate) fn epoch_snapshot(&self) -> (Arc<Materialization>, Arc<WorkloadStats>) {
+    pub(crate) fn target(&self) -> Target<'t> {
         let state = self.state.read();
-        (Arc::clone(&state.mat), Arc::clone(&state.stats))
+        Target {
+            engine: Arc::clone(&self.engine),
+            mat: Arc::clone(&state.mat),
+            stats: Arc::clone(&state.stats),
+            cache: (self.cfg.cache_capacity > 0)
+                .then(|| (Arc::clone(&self.cache), self.cfg.cache_capacity)),
+            dedup: self.cfg.dedup,
+            normalize: false,
+        }
     }
 
-    /// Runs `f` under this engine's answer-cache lock (one lock scope per
-    /// shard per mixed batch). Only Arc clones should happen inside.
-    pub(crate) fn with_cache<R>(&self, f: impl FnOnce(&mut AnswerCache) -> R) -> R {
-        f(&mut self.cache.lock())
-    }
-
-    /// The configured answer-cache capacity (`0` = caching disabled).
-    pub(crate) fn cache_capacity(&self) -> usize {
-        self.cfg.cache_capacity
-    }
-
-    /// The shared query engine, by Arc — what a mixed-batch worker borrows
-    /// to build a per-shard [`OnlineEngine`].
-    pub(crate) fn engine_arc(&self) -> &Arc<QueryEngine<'t>> {
-        &self.engine
-    }
-
-    /// The configured fan-out mode (session serving mirrors the batch
-    /// path's spawn choice).
-    pub(crate) fn spawn_mode(&self) -> SpawnMode {
-        self.cfg.spawn
+    /// Serves `batch` against `target` on this engine's workers: plan one
+    /// run, fan out, finish. Outcomes come back in submission order.
+    pub(crate) fn serve_on(
+        &self,
+        target: Target<'_>,
+        batch: &[ServeRequest],
+    ) -> (Vec<ServeOutcome>, BatchStats) {
+        let start = Instant::now();
+        let mut run = BatchRun::new(target, batch.len());
+        let assign: Vec<usize> = batch.iter().map(|q| run.push(q)).collect();
+        run.probe();
+        let work = run.work();
+        let computed = fan_out(&self.pool, self.workers(), work.len(), |w, scratch| {
+            run.compute(work[w], scratch)
+        });
+        let mut bstats = run.finish(computed.into_iter());
+        let outcomes = assign.into_iter().map(|u| run.outcome(u)).collect();
+        bstats.wall = start.elapsed();
+        (outcomes, bstats)
     }
 
     /// The worker count a batch will actually use (before capping by batch
     /// size).
     pub fn workers(&self) -> usize {
-        if self.cfg.workers > 0 {
-            self.cfg.workers
-        } else {
-            thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
+        self.cfg.resolved_workers()
     }
 
     /// Answers a batch of [`ServeRequest`]s. Outcomes come back in
@@ -657,233 +603,15 @@ impl<'t> ServingEngine<'t> {
     /// only later batches. This path never sheds, so every outcome is
     /// [`ServeOutcome::Served`] or [`ServeOutcome::Failed`].
     pub fn serve_batch(&self, batch: &[ServeRequest]) -> (Vec<ServeOutcome>, BatchStats) {
-        let start = Instant::now();
-        // epoch snapshot: the materialization and its stats accumulator
-        let (mat, stats) = self.epoch_snapshot();
-        let epoch = mat.epoch;
-        let mut bstats = BatchStats {
-            queries: batch.len(),
-            epoch,
-            ..BatchStats::default()
-        };
-        if batch.is_empty() {
-            return (Vec::new(), bstats);
-        }
-
-        // coalesce duplicates: assign[i] = index into `uniques`
-        let (uniques, assign): (Vec<&ServeRequest>, Vec<usize>) = if self.cfg.dedup {
-            let mut first_of: HashMap<&ServeRequest, usize> = HashMap::with_capacity(batch.len());
-            let mut uniques = Vec::new();
-            let assign = batch
-                .iter()
-                .map(|q| {
-                    *first_of.entry(q).or_insert_with(|| {
-                        uniques.push(q);
-                        uniques.len() - 1
-                    })
-                })
-                .collect();
-            (uniques, assign)
-        } else {
-            (batch.iter().collect(), (0..batch.len()).collect())
-        };
-        bstats.unique = uniques.len();
-
-        let mut unique_results: Vec<Option<Result<Arc<Answer>, PgmError>>> = Vec::new();
-        unique_results.resize_with(uniques.len(), || None);
-        let mut from_cache = vec![false; uniques.len()];
-
-        // cross-batch cache: serve current-epoch repeats from memory, drop
-        // stale-epoch entries lazily, compute the rest. Only Arc clones
-        // happen under the lock.
-        let mut work: Vec<usize> = Vec::with_capacity(uniques.len());
-        if self.cfg.cache_capacity > 0 {
-            let mut cache = self.cache.lock();
-            for (i, q) in uniques.iter().enumerate() {
-                match cache.lookup(q, epoch) {
-                    CacheLookup::Hit(hit) => {
-                        unique_results[i] = Some(Ok(hit));
-                        from_cache[i] = true;
-                        bstats.cache_hits += 1;
-                    }
-                    CacheLookup::StaleDropped => {
-                        bstats.stale_hits += 1;
-                        work.push(i);
-                    }
-                    CacheLookup::Miss => work.push(i),
-                }
-            }
-        } else {
-            work.extend(0..uniques.len());
-        }
-
-        type WorkerOut = Vec<(usize, Result<Arc<Answer>, PgmError>)>;
-        let n_workers = self.workers().min(work.len()).max(1);
-        if work.len() <= 1 || n_workers == 1 {
-            // in-thread fast path: no fan-out overhead for small batches
-            let online = OnlineEngine::with_stats(&self.engine, &mat, &stats);
-            let mut scratch = Scratch::new();
-            for &i in &work {
-                unique_results[i] =
-                    Some(answer_one(&online, uniques[i], &mut scratch, epoch).map(Arc::new));
-            }
-        } else if self.cfg.spawn == SpawnMode::Persistent {
-            // persistent pool, serving lane (the highest priority — a
-            // queued re-materialization wave is preempted between tasks):
-            // parked workers are woken for the wave; their scratches
-            // persist across batches. run_wave re-raises a task panic
-            // here after the wave drains, so a poisoned batch never
-            // poisons the pool. Each task owns slot `w`, so results land
-            // lock-free instead of contending on one mutex.
-            let slots: Vec<OnceLock<Result<Arc<Answer>, PgmError>>> =
-                (0..work.len()).map(|_| OnceLock::new()).collect();
-            self.pool().run_wave(work.len(), &|w, scratch| {
-                let i = work[w];
-                let online = OnlineEngine::with_stats(&self.engine, &mat, &stats);
-                let r = answer_one(&online, uniques[i], scratch, epoch).map(Arc::new);
-                assert!(slots[w].set(r).is_ok(), "wave claims each index once");
-            });
-            for (w, slot) in slots.into_iter().enumerate() {
-                // lint:allow(hot_panic) — protocol invariant: run_wave does
-                // not return before every claimed index has completed, and
-                // the model-check suite drives exactly that protocol.
-                let r = slot.into_inner().expect("completed wave ran every task");
-                unique_results[work[w]] = Some(r);
-            }
-        } else {
-            // scoped baseline: spawn-per-batch threads (kept for the
-            // spawn-amortization study and as a differential reference)
-            let next = AtomicUsize::new(0);
-            let worker_outs: Vec<WorkerOut> = thread::scope(|s| {
-                let handles: Vec<_> = (0..n_workers)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let online = OnlineEngine::with_stats(&self.engine, &mat, &stats);
-                            let mut scratch = Scratch::new();
-                            let mut out = Vec::new();
-                            loop {
-                                // ordering: work-claiming counter only; the
-                                // scope join publishes the results.
-                                let w = next.fetch_add(1, Ordering::Relaxed);
-                                if w >= work.len() {
-                                    break;
-                                }
-                                let i = work[w];
-                                out.push((
-                                    i,
-                                    answer_one(&online, uniques[i], &mut scratch, epoch)
-                                        .map(Arc::new),
-                                ));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // a worker panic (task panics are not confined on the
-                    // scoped baseline) re-raises on the submitting thread,
-                    // matching the pool path's semantics
-                    .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
-                    .collect()
-            });
-            for (i, r) in worker_outs.into_iter().flatten() {
-                unique_results[i] = Some(r);
-            }
-        }
-
-        if self.cfg.cache_capacity > 0 && !work.is_empty() {
-            // zero-copy admission: the cache shares the caller's Arc
-            let fresh: Vec<(ServeRequest, Arc<Answer>)> = work
-                .iter()
-                .filter_map(|&i| match &unique_results[i] {
-                    Some(Ok(a)) => Some(((*uniques[i]).clone(), Arc::clone(a))),
-                    _ => None,
-                })
-                .collect();
-            let mut cache = self.cache.lock();
-            for (q, a) in fresh {
-                cache.insert(self.cfg.cache_capacity, q, a);
-            }
-        }
-
-        for &i in &work {
-            if let Some(Ok(r)) = &unique_results[i] {
-                bstats.total_ops = bstats.total_ops.saturating_add(r.cost.ops);
-                bstats.shortcuts_used += r.cost.shortcuts_used;
-            }
-        }
-
-        // arrival multiplicities, for the fan-out and the observed-workload
-        // accounting (fresh computations recorded themselves once via the
-        // per-worker OnlineEngine; duplicates and cache hits top up here so
-        // the epoch's stats weigh arrivals, not computations)
-        let mut uses: Vec<u64> = vec![0; uniques.len()];
-        for &u in &assign {
-            uses[u] += 1;
-        }
-        for (i, q) in uniques.iter().enumerate() {
-            if let Some(Ok(a)) = &unique_results[i] {
-                let extra = if from_cache[i] { uses[i] } else { uses[i] - 1 };
-                if extra > 0 {
-                    stats.record_n(&q.stat_scope(), &a.cost, a.baseline_ops, extra);
-                }
-                // evidence contexts weigh arrivals too — the per-worker
-                // OnlineEngine records scopes but knows nothing about
-                // evidence, so conditioned requests log theirs here
-                if !q.is_marginal() {
-                    stats.record_evidence(&q.evidence_scope(), uses[i]);
-                }
-            }
-        }
-
-        // fan back out: every arrival gets a zero-copy handle on the shared
-        // answer (errors are cloned; they carry no tables)
-        let answers = assign
-            .into_iter()
-            .map(
-                // lint:allow(hot_panic) — invariant: every unique index is
-                // either a cache hit or a member of `work`, both filled above.
-                |u| match unique_results[u].as_ref().expect("all uniques computed") {
-                    Ok(a) => ServeOutcome::Served(Served {
-                        answer: Arc::clone(a),
-                        from_cache: from_cache[u],
-                    }),
-                    Err(e) => ServeOutcome::Failed(e.clone()),
-                },
-            )
-            .collect();
-        bstats.wall = start.elapsed();
-        (answers, bstats)
+        self.serve_on(self.target(), batch)
     }
-}
-
-pub(crate) fn answer_one(
-    online: &OnlineEngine<'_, '_>,
-    req: &ServeRequest,
-    scratch: &mut Scratch,
-    epoch: u64,
-) -> Result<Answer, PgmError> {
-    let t = Instant::now();
-    let traced = if req.is_marginal() {
-        online.answer_traced_in(&req.targets, scratch)?
-    } else {
-        online.conditional_traced_in(&req.targets, &req.evidence, scratch)?
-    };
-    Ok(Answer {
-        potential: traced.potential,
-        cost: traced.cost,
-        baseline_ops: traced.baseline_ops,
-        epoch,
-        service_time: t.elapsed(),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use peanut_junction::build_junction_tree;
-    use peanut_pgm::{fixtures, joint};
+    use peanut_pgm::{fixtures, joint, Scope, Var};
 
     fn queries(bn: &peanut_pgm::BayesianNetwork) -> Vec<ServeRequest> {
         let d = bn.domain();
@@ -902,19 +630,6 @@ mod tests {
         let dup = qs[0].clone();
         qs.push(dup);
         qs
-    }
-
-    #[test]
-    fn query_enum_converts_losslessly() {
-        let m: ServeRequest = Query::Marginal(Scope::from_indices(&[2, 5])).into();
-        assert_eq!(m, ServeRequest::marginal(Scope::from_indices(&[2, 5])));
-        let c: ServeRequest =
-            Query::conditioned(Scope::from_indices(&[1]), vec![(Var(3), 1)]).into();
-        assert_eq!(
-            c,
-            ServeRequest::new(Scope::from_indices(&[1]), vec![(Var(3), 1)])
-        );
-        assert_eq!(c.stat_scope(), Scope::from_indices(&[1, 3]));
     }
 
     #[test]

@@ -11,6 +11,16 @@
 //! junction tree — the layer between the paper's single-query online phase
 //! (§4.5–4.6) and the ROADMAP's multi-user serving north star.
 //!
+//! Every serving surface below — [`ServingEngine::serve_batch`],
+//! [`ShardedServingEngine::serve_mixed`], [`EvidenceSession::serve_batch`]
+//! — is one routine behind a different resolver: the entry point decides
+//! what a batch is served against (engine, epoch snapshot, answer cache or
+//! none), and the private `pipeline` module does the rest exactly once —
+//! a `BatchRun` per target (dedup, one cache-lock probe, cache admit,
+//! `BatchStats`, arrival top-up of the epoch's stats) and one `fan_out`
+//! (in-thread for a single task or worker, a serving-lane pool wave
+//! otherwise).
+//!
 //! * [`engine`] — [`ServingEngine`]: owns a calibrated
 //!   [`QueryEngine`](peanut_junction::QueryEngine) and a
 //!   [`Materialization`](peanut_core::Materialization) behind `Arc`, accepts
@@ -73,13 +83,14 @@
 pub mod engine;
 pub mod lifecycle;
 pub mod overload;
+mod pipeline;
 #[allow(unsafe_code)]
 pub mod pool;
 pub mod replay;
 pub mod session;
 pub mod shard;
 
-pub use engine::{Answer, BatchStats, Query, Served, ServingConfig, ServingEngine};
+pub use engine::{Answer, BatchStats, Served, ServingConfig, ServingEngine};
 pub use lifecycle::{
     expected_savings, FleetConfig, FleetController, FleetRebalance, LifecycleConfig,
     RematerializationController, SwapEvent, TenantAllocation,
@@ -87,7 +98,7 @@ pub use lifecycle::{
 pub use overload::{AdmissionConfig, ServeOutcome, ShedReason};
 pub use peanut_core::ServeRequest;
 pub use peanut_store::StoreConfig;
-pub use pool::{Lane, LaneExecutor, PoolStats, SpawnMode, WaveHandle, WorkerPool};
+pub use pool::{Lane, LaneExecutor, PoolStats, WaveHandle, WorkerPool};
 pub use replay::{
     poisson_arrivals, replay, replay_mixed, replay_open_loop, replay_open_loop_mixed,
     workload_queries, OpenLoopConfig, OpenLoopReport, ReplayClock, ReplayConfig, ReplayReport,

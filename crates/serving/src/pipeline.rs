@@ -1,0 +1,273 @@
+//! The one serve pipeline behind every serving surface.
+//!
+//! [`ServingEngine::serve_batch`], [`ShardedServingEngine::serve_mixed`]
+//! and [`EvidenceSession::serve_batch`] differ only in how a request
+//! *resolves* to a [`Target`] — the engine, the epoch's materialization
+//! and stats accumulator, and the answer cache (or none) it is served
+//! against. Everything after that is the same and lives here, once:
+//!
+//! 1. a [`BatchRun`] coalesces one target's arrivals into unique requests
+//!    ([`push`](BatchRun::push)) and probes the target's answer cache
+//!    under one lock ([`probe`](BatchRun::probe));
+//! 2. [`fan_out`] computes what is left — in the calling thread for a
+//!    single task or a single worker, as one serving-lane wave of the
+//!    persistent [`WorkerPool`](crate::pool::WorkerPool) otherwise;
+//! 3. [`finish`](BatchRun::finish) admits the fresh answers to the cache,
+//!    totals the [`BatchStats`] and tops the epoch's [`WorkloadStats`] up
+//!    from computations to arrivals; [`outcome`](BatchRun::outcome) hands
+//!    every arrival a zero-copy handle on its (possibly shared) answer.
+//!
+//! [`ServingEngine::serve_batch`]: crate::engine::ServingEngine::serve_batch
+//! [`ShardedServingEngine::serve_mixed`]: crate::shard::ShardedServingEngine::serve_mixed
+//! [`EvidenceSession::serve_batch`]: crate::session::EvidenceSession::serve_batch
+
+use crate::engine::{Answer, AnswerCache, BatchStats, CacheLookup, Served};
+use crate::overload::ServeOutcome;
+use crate::pool::PoolCell;
+use peanut_core::sync::{Arc, Mutex, OnceLock};
+use peanut_core::{Materialization, OnlineEngine, ServeRequest, WorkloadStats};
+use peanut_junction::QueryEngine;
+use peanut_pgm::{PgmError, Scratch};
+use std::collections::HashMap;
+use std::time::Instant;
+
+/// One unique request's computation: shared by every arrival that
+/// coalesced onto it, and by the cache.
+type Computed = Result<Arc<Answer>, PgmError>;
+
+/// What a batch is served against: one epoch snapshot of one engine.
+/// Every answer of a run carries `mat.epoch`.
+#[derive(Clone)]
+pub(crate) struct Target<'t> {
+    pub(crate) engine: Arc<QueryEngine<'t>>,
+    pub(crate) mat: Arc<Materialization>,
+    pub(crate) stats: Arc<WorkloadStats>,
+    /// The cross-batch answer cache and its capacity; `None` serves
+    /// uncached.
+    pub(crate) cache: Option<(Arc<Mutex<AnswerCache>>, usize)>,
+    /// Coalesce duplicate requests within the batch.
+    pub(crate) dedup: bool,
+    /// Normalize every answer table: set by evidence sessions, whose
+    /// restricted engine holds `P(·, e)` where the caller wants `P(· | e)`.
+    pub(crate) normalize: bool,
+}
+
+/// One target's share of a batch, from arrivals to outcomes.
+pub(crate) struct BatchRun<'a, 't> {
+    target: Target<'t>,
+    first_of: HashMap<&'a ServeRequest, usize>,
+    uniques: Vec<&'a ServeRequest>,
+    /// Arrivals per unique request.
+    uses: Vec<u64>,
+    results: Vec<Option<Computed>>,
+    from_cache: Vec<bool>,
+    /// Unique indices the cache did not answer.
+    work: Vec<usize>,
+    bstats: BatchStats,
+}
+
+impl<'a, 't> BatchRun<'a, 't> {
+    /// An empty run against `target`, sized for `arrivals` requests.
+    pub(crate) fn new(target: Target<'t>, arrivals: usize) -> Self {
+        BatchRun {
+            first_of: HashMap::with_capacity(if target.dedup { arrivals } else { 0 }),
+            uniques: Vec::with_capacity(arrivals),
+            uses: Vec::with_capacity(arrivals),
+            results: Vec::new(),
+            from_cache: Vec::new(),
+            work: Vec::new(),
+            bstats: BatchStats {
+                epoch: target.mat.epoch,
+                ..BatchStats::default()
+            },
+            target,
+        }
+    }
+
+    /// Adds one arrival and returns the index of the unique request it
+    /// is served by. The coalescing key is the whole request, so the same
+    /// targets under different evidence are different computations.
+    pub(crate) fn push(&mut self, req: &'a ServeRequest) -> usize {
+        self.bstats.queries += 1;
+        let next = self.uniques.len();
+        let u = if self.target.dedup {
+            *self.first_of.entry(req).or_insert(next)
+        } else {
+            next
+        };
+        if u == next {
+            self.uniques.push(req);
+            self.uses.push(0);
+        }
+        self.uses[u] += 1;
+        u
+    }
+
+    /// Probes the answer cache for every unique request under one lock
+    /// scope (only `Arc` clones happen inside): current-epoch repeats are
+    /// served from memory, stale-epoch entries drop lazily, the rest
+    /// becomes [`work`](Self::work).
+    pub(crate) fn probe(&mut self) {
+        let n = self.uniques.len();
+        self.bstats.unique = n;
+        self.results.resize_with(n, || None);
+        self.from_cache.resize(n, false);
+        let Some((cache, _)) = &self.target.cache else {
+            self.work.extend(0..n);
+            return;
+        };
+        let mut cache = cache.lock();
+        for (u, q) in self.uniques.iter().enumerate() {
+            match cache.lookup(q, self.bstats.epoch) {
+                CacheLookup::Hit(hit) => {
+                    self.results[u] = Some(Ok(hit));
+                    self.from_cache[u] = true;
+                    self.bstats.cache_hits += 1;
+                }
+                CacheLookup::StaleDropped => {
+                    self.bstats.stale_hits += 1;
+                    self.work.push(u);
+                }
+                CacheLookup::Miss => self.work.push(u),
+            }
+        }
+    }
+
+    /// The unique indices that need computing.
+    pub(crate) fn work(&self) -> &[usize] {
+        &self.work
+    }
+
+    /// Computes unique request `u` — the paper's online routine (Steiner
+    /// tree, shortcut substitution, reduce) through an [`OnlineEngine`]
+    /// that records the computation into the epoch's stats.
+    pub(crate) fn compute(&self, u: usize, scratch: &mut Scratch) -> Computed {
+        let t = Instant::now();
+        let Target {
+            engine, mat, stats, ..
+        } = &self.target;
+        let online = OnlineEngine::with_stats(engine, mat, stats);
+        let req = self.uniques[u];
+        let mut traced = if req.is_marginal() {
+            online.answer_traced_in(&req.targets, scratch)?
+        } else {
+            online.conditional_traced_in(&req.targets, &req.evidence, scratch)?
+        };
+        if self.target.normalize {
+            // contradictory evidence leaves an all-zero table (sum 0),
+            // which normalize passes through untouched
+            traced.potential.normalize();
+        }
+        Ok(Arc::new(Answer {
+            potential: traced.potential,
+            cost: traced.cost,
+            baseline_ops: traced.baseline_ops,
+            epoch: self.bstats.epoch,
+            service_time: t.elapsed(),
+        }))
+    }
+
+    /// Takes the computed answers (one per [`work`](Self::work) entry, in
+    /// order), admits them to the cache, and settles the accounting.
+    /// Returns the run's stats; `wall` is the caller's to set.
+    pub(crate) fn finish(&mut self, computed: impl Iterator<Item = Computed>) -> BatchStats {
+        for (&u, r) in self.work.iter().zip(computed) {
+            if let Ok(a) = &r {
+                self.bstats.total_ops = self.bstats.total_ops.saturating_add(a.cost.ops);
+                self.bstats.shortcuts_used += a.cost.shortcuts_used;
+            }
+            self.results[u] = Some(r);
+        }
+        if let Some((cache, capacity)) = &self.target.cache {
+            // zero-copy admission: the cache shares the arrivals' Arc
+            let fresh: Vec<(ServeRequest, Arc<Answer>)> = self
+                .work
+                .iter()
+                .filter_map(|&u| match &self.results[u] {
+                    Some(Ok(a)) => Some((self.uniques[u].clone(), Arc::clone(a))),
+                    _ => None,
+                })
+                .collect();
+            if !fresh.is_empty() {
+                let mut cache = cache.lock();
+                for (q, a) in fresh {
+                    cache.insert(*capacity, q, a);
+                }
+            }
+        }
+        // fresh computations recorded themselves once via the worker's
+        // OnlineEngine; duplicates and cache hits top up here so the
+        // epoch's stats weigh arrivals, not computations
+        for (u, q) in self.uniques.iter().enumerate() {
+            let Some(Ok(a)) = &self.results[u] else {
+                continue;
+            };
+            let extra = self.uses[u] - u64::from(!self.from_cache[u]);
+            if extra > 0 {
+                self.target
+                    .stats
+                    .record_n(&q.stat_scope(), &a.cost, a.baseline_ops, extra);
+            }
+            // evidence contexts weigh arrivals too — the OnlineEngine
+            // records scopes but knows nothing about evidence
+            if !q.is_marginal() {
+                self.target
+                    .stats
+                    .record_evidence(&q.evidence_scope(), self.uses[u]);
+            }
+        }
+        self.bstats
+    }
+
+    /// The outcome of an arrival served by unique request `u`: a
+    /// zero-copy handle on the shared answer (errors are cloned; they
+    /// carry no tables). Call after [`finish`](Self::finish).
+    pub(crate) fn outcome(&self, u: usize) -> ServeOutcome {
+        // lint:allow(hot_panic) — invariant: `probe` answers every unique
+        // from the cache or lists it in `work`, and `finish` fills those.
+        match self.results[u].as_ref().expect("finished run") {
+            Ok(a) => ServeOutcome::Served(Served {
+                answer: Arc::clone(a),
+                from_cache: self.from_cache[u],
+            }),
+            Err(e) => ServeOutcome::Failed(e.clone()),
+        }
+    }
+}
+
+/// Runs `task(i, scratch)` for every `i in 0..n` and returns the results
+/// in index order. One task, or one worker, runs in the calling thread —
+/// no fan-out overhead for small or warm batches, and an engine that only
+/// ever serves that way never spawns a thread. Anything else is one wave
+/// on the pool's serving lane (the highest priority — a queued
+/// re-materialization wave is preempted between tasks), with the parked
+/// workers' scratches persisting across batches. `run_wave` re-raises a
+/// task panic here after the wave drains, so a poisoned batch never
+/// poisons the pool.
+pub(crate) fn fan_out<R: Send + Sync>(
+    pool: &PoolCell,
+    workers: usize,
+    n: usize,
+    task: impl Fn(usize, &mut Scratch) -> R + Sync,
+) -> Vec<R> {
+    if workers <= 1 || n <= 1 {
+        let mut scratch = Scratch::new();
+        return (0..n).map(|i| task(i, &mut scratch)).collect();
+    }
+    // each task owns slot `i`, so results land lock-free instead of
+    // contending on one mutex
+    let slots: Vec<OnceLock<R>> = (0..n).map(|_| OnceLock::new()).collect();
+    pool.get_or_spawn(workers).run_wave(n, &|i, scratch| {
+        assert!(
+            slots[i].set(task(i, scratch)).is_ok(),
+            "wave claims each index once"
+        );
+    });
+    slots
+        .into_iter()
+        // lint:allow(hot_panic) — protocol invariant: run_wave does not
+        // return before every claimed index has completed, and the
+        // model-check suite drives exactly that protocol.
+        .map(|slot| slot.into_inner().expect("completed wave ran every task"))
+        .collect()
+}

@@ -71,18 +71,6 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-/// How a batch fans its fresh work out across workers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SpawnMode {
-    /// One persistent [`WorkerPool`] per engine, spawned lazily on the
-    /// first multi-task batch and parked between waves (the default).
-    #[default]
-    Persistent,
-    /// Scoped threads spawned per batch — the pre-pool design, kept as the
-    /// spawn-latency baseline the benches measure against.
-    Scoped,
-}
-
 /// Priority lane of a submitted wave. Order is priority: lower-indexed
 /// lanes are always drained first, and workers yield mid-wave (between
 /// tasks) to strictly higher lanes.
@@ -128,7 +116,7 @@ impl std::fmt::Display for Lane {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Worker threads spawned — once, at construction. This is the whole
-    /// spawn bill; the scoped design pays `workers` per wave instead.
+    /// spawn bill; a spawn-per-batch design pays `workers` per wave.
     pub workers: usize,
     /// Waves submitted, all lanes.
     pub waves: u64,
@@ -145,8 +133,8 @@ pub struct PoolStats {
 }
 
 impl PoolStats {
-    /// Tasks served per thread spawn — the spawn-amortization figure. The
-    /// scoped baseline is pinned at (roughly) `tasks / (waves × workers)`;
+    /// Tasks served per thread spawn — the spawn-amortization figure.
+    /// Spawning per batch pins it at (roughly) `tasks / (waves × workers)`;
     /// a persistent pool's grows without bound as the engine stays up.
     pub fn tasks_per_spawn(&self) -> f64 {
         self.tasks as f64 / self.workers.max(1) as f64
@@ -210,15 +198,16 @@ impl PoolCell {
         self.cell.get().map(|p| p.stats())
     }
 
-    /// Whether batches fan out onto a persistent pool at all.
-    pub(crate) fn fans_out(spawn: SpawnMode, workers: usize) -> bool {
-        spawn == SpawnMode::Persistent && workers > 1
+    /// Whether batches fan out onto the pool at all: a single worker
+    /// serves in the calling thread.
+    pub(crate) fn fans_out(workers: usize) -> bool {
+        workers > 1
     }
 
     /// Pre-spawns the pool so the first fanned-out batch does not pay
     /// thread-spawn latency in-band. A no-op when batches never fan out.
-    pub(crate) fn warm(&self, spawn: SpawnMode, workers: usize) {
-        if Self::fans_out(spawn, workers) {
+    pub(crate) fn warm(&self, workers: usize) {
+        if Self::fans_out(workers) {
             self.get_or_spawn(workers);
         }
     }
@@ -227,13 +216,8 @@ impl PoolCell {
     /// the persistent pool's [`Lane::Remat`] when batches fan out — so a
     /// re-selection wave can never head-of-line block serving waves — a
     /// scoped `threads`-wide fan-out otherwise (sequential when 1).
-    pub(crate) fn offline_exec(
-        &self,
-        spawn: SpawnMode,
-        workers: usize,
-        threads: usize,
-    ) -> Box<dyn Executor + '_> {
-        if Self::fans_out(spawn, workers) {
+    pub(crate) fn offline_exec(&self, workers: usize, threads: usize) -> Box<dyn Executor + '_> {
+        if Self::fans_out(workers) {
             Box::new(self.get_or_spawn(workers).lane_executor(Lane::Remat))
         } else if threads > 1 {
             Box::new(ScopedExecutor::new(threads))

@@ -20,7 +20,7 @@
 //! would be in a real server's boot) rather than to the first batch's
 //! latency.
 
-use crate::engine::ServingEngine;
+use crate::engine::{BatchStats, ServingEngine};
 use crate::overload::{AdmissionConfig, ServeOutcome, ShedReason};
 use crate::pool::PoolStats;
 use crate::shard::{ShardedServingEngine, TenantId};
@@ -111,27 +111,27 @@ impl ReplayReport {
     }
 }
 
-/// Streams `queries` through `engine` in batches and aggregates telemetry.
-pub fn replay(
-    engine: &ServingEngine<'_>,
-    queries: &[ServeRequest],
+/// The shared closed-loop drive: offers `items` in `batch_size` chunks,
+/// the next only once the previous one completed. `serve` answers one
+/// chunk and returns the counters every engine reports; what only its
+/// engine reports (epochs, paging) it folds into the report itself.
+/// `pool_stats` reads the engine's (already warmed) pool, so the report
+/// carries the run window's deltas.
+fn closed_loop_drive<T>(
+    items: &[T],
     cfg: &ReplayConfig,
+    pool_stats: &dyn Fn() -> Option<PoolStats>,
+    mut serve: impl FnMut(&[T], &mut ReplayReport) -> (Vec<ServeOutcome>, BatchStats),
 ) -> ReplayReport {
-    let batch_size = cfg.batch_size.max(1);
-    engine.warm_pool();
-    let pool_before = engine.pool_stats().unwrap_or_default();
+    let pool_before = pool_stats().unwrap_or_default();
     let start = Instant::now();
     let mut report = ReplayReport {
-        queries: queries.len(),
+        queries: items.len(),
         ..ReplayReport::default()
     };
-    let mut latencies: Vec<Duration> = Vec::with_capacity(queries.len());
-    for batch in queries.chunks(batch_size) {
-        let (answers, stats) = engine.serve_batch(batch);
-        if report.batches == 0 {
-            report.epochs.0 = stats.epoch;
-        }
-        report.epochs.1 = stats.epoch;
+    let mut latencies: Vec<Duration> = Vec::with_capacity(items.len());
+    for batch in items.chunks(cfg.batch_size.max(1)) {
+        let (answers, stats) = serve(batch, &mut report);
         report.batches += 1;
         report.unique += stats.unique;
         report.cache_hits += stats.cache_hits;
@@ -146,10 +146,7 @@ pub fn replay(
         }
     }
     report.wall = start.elapsed();
-    report.pool = engine
-        .pool_stats()
-        .unwrap_or_default()
-        .delta_since(&pool_before);
+    report.pool = pool_stats().unwrap_or_default().delta_since(&pool_before);
     if report.wall.as_secs_f64() > 0.0 {
         report.throughput_qps = report.queries as f64 / report.wall.as_secs_f64();
     }
@@ -158,6 +155,24 @@ pub fn replay(
     report.latency_p95 = percentile(&latencies, 0.95);
     report.latency_p99 = percentile(&latencies, 0.99);
     report
+}
+
+/// Streams `queries` through `engine` in batches and aggregates telemetry.
+pub fn replay(
+    engine: &ServingEngine<'_>,
+    queries: &[ServeRequest],
+    cfg: &ReplayConfig,
+) -> ReplayReport {
+    engine.warm_pool();
+    let pool_stats = || engine.pool_stats();
+    closed_loop_drive(queries, cfg, &pool_stats, |batch, report| {
+        let (answers, stats) = engine.serve_batch(batch);
+        if report.batches == 0 {
+            report.epochs.0 = stats.epoch;
+        }
+        report.epochs.1 = stats.epoch;
+        (answers, stats)
+    })
 }
 
 /// Streams a multi-tenant arrival stream through a sharded engine in
@@ -169,24 +184,11 @@ pub fn replay_mixed(
     arrivals: &[(TenantId, ServeRequest)],
     cfg: &ReplayConfig,
 ) -> ReplayReport {
-    let batch_size = cfg.batch_size.max(1);
     engine.warm_pool();
-    let pool_before = engine.pool_stats().unwrap_or_default();
-    let start = Instant::now();
-    let mut report = ReplayReport {
-        queries: arrivals.len(),
-        ..ReplayReport::default()
-    };
+    let pool_stats = || engine.pool_stats();
     let mut epochs: Option<(u64, u64)> = None;
-    let mut latencies: Vec<Duration> = Vec::with_capacity(arrivals.len());
-    for batch in arrivals.chunks(batch_size) {
+    let mut report = closed_loop_drive(arrivals, cfg, &pool_stats, |batch, report| {
         let (answers, stats) = engine.serve_mixed(batch);
-        report.batches += 1;
-        report.unique += stats.unique;
-        report.cache_hits += stats.cache_hits;
-        report.stale_hits += stats.stale_hits;
-        report.total_ops = report.total_ops.saturating_add(stats.total_ops);
-        report.shortcuts_used += stats.shortcuts_used;
         report.faults += stats.faults;
         report.page_outs += stats.page_outs;
         report.max_resident = report.max_resident.max(stats.resident);
@@ -196,26 +198,17 @@ pub fn replay_mixed(
             *lo = (*lo).min(b.epoch);
             *hi = (*hi).max(b.epoch);
         }
-        for a in &answers {
-            match a.served() {
-                Some(served) => latencies.push(served.latency()),
-                None => report.errors += 1,
-            }
-        }
-    }
+        let totals = BatchStats {
+            unique: stats.unique,
+            cache_hits: stats.cache_hits,
+            stale_hits: stats.stale_hits,
+            total_ops: stats.total_ops,
+            shortcuts_used: stats.shortcuts_used,
+            ..BatchStats::default()
+        };
+        (answers, totals)
+    });
     report.epochs = epochs.unwrap_or_default();
-    report.wall = start.elapsed();
-    report.pool = engine
-        .pool_stats()
-        .unwrap_or_default()
-        .delta_since(&pool_before);
-    if report.wall.as_secs_f64() > 0.0 {
-        report.throughput_qps = report.queries as f64 / report.wall.as_secs_f64();
-    }
-    latencies.sort_unstable();
-    report.latency_p50 = percentile(&latencies, 0.50);
-    report.latency_p95 = percentile(&latencies, 0.95);
-    report.latency_p99 = percentile(&latencies, 0.99);
     report
 }
 
@@ -374,14 +367,17 @@ impl ClockState {
 
 /// The shared open-loop drive: admission at arrival, deadline shedding
 /// at dispatch, `serve` for the actual compute. `tenant_of` returns the
-/// arriving tenant where per-tenant caps apply (mixed replays).
+/// arriving tenant where per-tenant caps apply (mixed replays);
+/// `pool_stats` is read as in [`closed_loop_drive`].
 fn open_loop_drive(
     n: usize,
     schedule: &[Duration],
     cfg: &OpenLoopConfig,
+    pool_stats: &dyn Fn() -> Option<PoolStats>,
     tenant_of: &dyn Fn(usize) -> Option<TenantId>,
     serve: &mut dyn FnMut(&[usize]) -> BatchResults,
 ) -> (Vec<ServeOutcome>, OpenLoopReport) {
+    let pool_before = pool_stats().unwrap_or_default();
     assert_eq!(n, schedule.len(), "one arrival offset per query");
     assert!(
         schedule.windows(2).all(|w| w[0] <= w[1]),
@@ -486,6 +482,7 @@ fn open_loop_drive(
         }
     }
     report.duration = clock.now();
+    report.pool = pool_stats().unwrap_or_default().delta_since(&pool_before);
     if report.duration.as_secs_f64() > 0.0 {
         report.throughput_qps = report.served as f64 / report.duration.as_secs_f64();
     }
@@ -513,12 +510,12 @@ pub fn replay_open_loop(
     cfg: &OpenLoopConfig,
 ) -> (Vec<ServeOutcome>, OpenLoopReport) {
     engine.warm_pool();
-    let pool_before = engine.pool_stats().unwrap_or_default();
     let mut batch: Vec<ServeRequest> = Vec::new();
-    let (outcomes, mut report) = open_loop_drive(
+    open_loop_drive(
         queries.len(),
         schedule,
         cfg,
+        &|| engine.pool_stats(),
         &|_| None,
         &mut |indices: &[usize]| {
             batch.clear();
@@ -526,12 +523,7 @@ pub fn replay_open_loop(
             let (answers, _) = engine.serve_batch(&batch);
             answers
         },
-    );
-    report.pool = engine
-        .pool_stats()
-        .unwrap_or_default()
-        .delta_since(&pool_before);
-    (outcomes, report)
+    )
 }
 
 /// The multi-tenant open-loop driver: like [`replay_open_loop`] over a
@@ -546,12 +538,12 @@ pub fn replay_open_loop_mixed(
     cfg: &OpenLoopConfig,
 ) -> (Vec<ServeOutcome>, OpenLoopReport) {
     engine.warm_pool();
-    let pool_before = engine.pool_stats().unwrap_or_default();
     let mut batch: Vec<(TenantId, ServeRequest)> = Vec::new();
-    let (outcomes, mut report) = open_loop_drive(
+    open_loop_drive(
         arrivals.len(),
         schedule,
         cfg,
+        &|| engine.pool_stats(),
         &|i| Some(arrivals[i].0),
         &mut |indices: &[usize]| {
             batch.clear();
@@ -559,12 +551,7 @@ pub fn replay_open_loop_mixed(
             let (answers, _) = engine.serve_mixed(&batch);
             answers
         },
-    );
-    report.pool = engine
-        .pool_stats()
-        .unwrap_or_default()
-        .delta_since(&pool_before);
-    (outcomes, report)
+    )
 }
 
 /// Shape of a sampled serving workload (see [`workload_queries`]).

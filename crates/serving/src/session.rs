@@ -16,7 +16,8 @@
 //! shortcuts: materialized shortcut potentials hold prior-joint marginals,
 //! which are simply wrong under an evidence restriction. What the session
 //! records instead — per-target-scope arrivals at baseline cost, plus the
-//! evidence context itself ([`WorkloadStats::record_evidence`]) — is
+//! evidence context itself
+//! ([`WorkloadStats::record_evidence`](peanut_core::WorkloadStats::record_evidence)) — is
 //! exactly the signal the lifecycle layer needs to re-select shortcuts
 //! under the *restricted* distribution.
 //!
@@ -30,16 +31,14 @@
 //! queries fan out on the engine's serving-priority worker lane and are
 //! counted in [`ServingEngine::session_backlog`] while in flight.
 
-use crate::engine::{Answer, BatchStats, Served, ServingEngine};
+use crate::engine::{BatchStats, ServingEngine};
 use crate::overload::ServeOutcome;
-use crate::pool::SpawnMode;
+use crate::pipeline::Target;
 use peanut_core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use peanut_core::sync::{thread, Arc, OnceLock};
-use peanut_core::{Materialization, OnlineEngine, WorkloadStats};
+use peanut_core::sync::Arc;
+use peanut_core::{Materialization, ServeRequest};
 use peanut_junction::QueryEngine;
-use peanut_pgm::{PgmError, Scope, Scratch, Var};
-use std::panic::resume_unwind;
-use std::time::Instant;
+use peanut_pgm::{PgmError, Scope, Var};
 
 /// Session registry counters of one [`ServingEngine`]: all advisory
 /// telemetry, surfaced through the engine accessors below.
@@ -73,19 +72,18 @@ impl Drop for BacklogGuard<'_> {
 /// [`ServingEngine::open_session`]; closing is just dropping it.
 pub struct EvidenceSession<'s, 't> {
     serving: &'s ServingEngine<'t>,
-    /// The session-local engine: the shared tree with the evidence
-    /// absorbed and messages re-propagated, paid once at open.
-    local: QueryEngine<'t>,
-    /// Empty materialization the session answers through — shortcut
-    /// tables hold prior-joint marginals, invalid under the restriction.
-    unmaterialized: Materialization,
+    /// What every batch of this session is served against. The engine is
+    /// session-local: the shared tree with the evidence absorbed and
+    /// messages re-propagated, paid once at open. The materialization is
+    /// empty (shortcut tables hold prior-joint marginals, invalid under
+    /// the restriction) and only carries the open-time epoch. The stats
+    /// are the open-time epoch's accumulator; a publish mid-session
+    /// retires it, and this session keeps feeding the retired window
+    /// (exactly like an in-flight batch would). No answer cache, no
+    /// coalescing, and every answer normalized into `P(· | evidence)`.
+    target: Target<'t>,
     evidence: Vec<(Var, u32)>,
     evidence_scope: Scope,
-    /// The open-time epoch's accumulator; a publish mid-session retires
-    /// it, and this session keeps feeding the retired window (exactly
-    /// like an in-flight batch would).
-    stats: Arc<WorkloadStats>,
-    epoch: u64,
 }
 
 impl<'t> ServingEngine<'t> {
@@ -101,19 +99,23 @@ impl<'t> ServingEngine<'t> {
     ) -> Result<EvidenceSession<'_, 't>, PgmError> {
         evidence.sort_unstable();
         let local = self.engine().restricted_to_evidence(&evidence)?;
-        let (mat, stats) = self.epoch_snapshot();
+        let snapshot = self.target();
         let evidence_scope = Scope::from_iter(evidence.iter().map(|&(v, _)| v));
         // ordering: registry counters are advisory telemetry.
         self.sessions.opened.fetch_add(1, Ordering::Relaxed);
         self.sessions.active.fetch_add(1, Ordering::Relaxed);
         Ok(EvidenceSession {
             serving: self,
-            local,
-            unmaterialized: Materialization::default(),
+            target: Target {
+                engine: Arc::new(local),
+                mat: Arc::new(Materialization::default().with_epoch(snapshot.mat.epoch)),
+                stats: snapshot.stats,
+                cache: None,
+                dedup: false,
+                normalize: true,
+            },
             evidence,
             evidence_scope,
-            stats,
-            epoch: mat.epoch,
         })
     }
 
@@ -151,12 +153,12 @@ impl<'s, 't> EvidenceSession<'s, 't> {
     /// The materialization epoch this session was opened under; every
     /// answer it produces carries this tag, across concurrent publishes.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.target.mat.epoch
     }
 
     /// The session-local restricted engine (for diagnostics/tests).
     pub fn engine(&self) -> &QueryEngine<'t> {
-        &self.local
+        &self.target.engine
     }
 
     /// Serves one marginal `P(targets | evidence)` under the pinned
@@ -176,15 +178,9 @@ impl<'s, 't> EvidenceSession<'s, 't> {
     /// from. Fans out on the engine's serving-priority lane and counts
     /// toward [`ServingEngine::session_backlog`] while in flight.
     pub fn serve_batch(&self, targets: &[Scope]) -> (Vec<ServeOutcome>, BatchStats) {
-        let start = Instant::now();
-        let mut bstats = BatchStats {
-            queries: targets.len(),
-            unique: targets.len(),
-            epoch: self.epoch,
-            ..BatchStats::default()
-        };
         if targets.is_empty() {
-            return (Vec::new(), bstats);
+            // nothing in flight, and no evidence context to record
+            return self.serving.serve_on(self.target.clone(), &[]);
         }
         let backlog = &self.serving.sessions.backlog;
         // ordering: advisory backlog telemetry (released by the guard).
@@ -193,124 +189,22 @@ impl<'s, 't> EvidenceSession<'s, 't> {
             counter: backlog,
             n: targets.len(),
         };
-
-        let mut results: Vec<Option<Result<Answer, PgmError>>> = Vec::new();
-        results.resize_with(targets.len(), || None);
-        let n_workers = self.serving.workers().min(targets.len()).max(1);
-        if targets.len() <= 1 || n_workers == 1 {
-            // in-thread fast path, mirroring the batch engine
-            let online = OnlineEngine::with_stats(&self.local, &self.unmaterialized, &self.stats);
-            let mut scratch = Scratch::new();
-            for (i, t) in targets.iter().enumerate() {
-                results[i] = Some(self.answer_local(&online, t, &mut scratch));
-            }
-        } else if self.serving.spawn_mode() == SpawnMode::Persistent {
-            // serving-priority lane of the shared persistent pool: session
-            // streams are foreground traffic, same as batches
-            let slots: Vec<OnceLock<Result<Answer, PgmError>>> =
-                (0..targets.len()).map(|_| OnceLock::new()).collect();
-            self.serving.pool().run_wave(targets.len(), &|w, scratch| {
-                let online =
-                    OnlineEngine::with_stats(&self.local, &self.unmaterialized, &self.stats);
-                let r = self.answer_local(&online, &targets[w], scratch);
-                assert!(slots[w].set(r).is_ok(), "wave claims each index once");
-            });
-            for (w, slot) in slots.into_iter().enumerate() {
-                // lint:allow(hot_panic) — protocol invariant: run_wave does
-                // not return before every claimed index has completed.
-                results[w] = Some(slot.into_inner().expect("completed wave ran every task"));
-            }
-        } else {
-            // scoped baseline, mirroring the batch engine's fallback
-            let next = AtomicUsize::new(0);
-            let outs: Vec<Vec<(usize, Result<Answer, PgmError>)>> = thread::scope(|s| {
-                let handles: Vec<_> = (0..n_workers)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let online = OnlineEngine::with_stats(
-                                &self.local,
-                                &self.unmaterialized,
-                                &self.stats,
-                            );
-                            let mut scratch = Scratch::new();
-                            let mut out = Vec::new();
-                            loop {
-                                // ordering: work-claiming counter only; the
-                                // scope join publishes the results.
-                                let w = next.fetch_add(1, Ordering::Relaxed);
-                                if w >= targets.len() {
-                                    break;
-                                }
-                                out.push((
-                                    w,
-                                    self.answer_local(&online, &targets[w], &mut scratch),
-                                ));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
-                    .collect()
-            });
-            for (w, r) in outs.into_iter().flatten() {
-                results[w] = Some(r);
-            }
-        }
-
-        let mut served = 0u64;
-        let outcomes: Vec<ServeOutcome> = results
-            .into_iter()
-            .map(|r| {
-                // lint:allow(hot_panic) — invariant: every fan-out path
-                // above fills every index.
-                match r.expect("all targets answered") {
-                    Ok(a) => {
-                        served += 1;
-                        bstats.total_ops = bstats.total_ops.saturating_add(a.cost.ops);
-                        ServeOutcome::Served(Served {
-                            answer: Arc::new(a),
-                            from_cache: false,
-                        })
-                    }
-                    Err(e) => ServeOutcome::Failed(e),
-                }
-            })
+        // target scopes recorded by the run are the *restricted* scopes —
+        // the distribution re-selection should price under for this
+        // traffic
+        let requests: Vec<ServeRequest> = targets
+            .iter()
+            .map(|t| ServeRequest::marginal(t.clone()))
             .collect();
+        let (outcomes, bstats) = self.serving.serve_on(self.target.clone(), &requests);
         // one evidence-context record per served query: the accumulator
         // weighs contexts by the traffic they actually carried, which is
         // what evidence-aware re-selection prices against
-        self.stats.record_evidence(&self.evidence_scope, served);
-        bstats.wall = start.elapsed();
+        let served = outcomes.iter().filter(|o| o.is_served()).count() as u64;
+        self.target
+            .stats
+            .record_evidence(&self.evidence_scope, served);
         (outcomes, bstats)
-    }
-
-    /// Answers one target marginal on the restricted tree and normalizes
-    /// it into `P(targets | evidence)`. Target scopes recorded via the
-    /// per-worker [`OnlineEngine`] are the *restricted* scopes — the
-    /// distribution re-selection should price under for this traffic.
-    fn answer_local(
-        &self,
-        online: &OnlineEngine<'_, 't>,
-        targets: &Scope,
-        scratch: &mut Scratch,
-    ) -> Result<Answer, PgmError> {
-        let t = Instant::now();
-        let traced = online.answer_traced_in(targets, scratch)?;
-        let mut potential = traced.potential;
-        // restricted tables hold P(·, e); normalizing yields P(· | e).
-        // Contradictory evidence leaves an all-zero table (sum 0), which
-        // normalize passes through untouched.
-        potential.normalize();
-        Ok(Answer {
-            potential,
-            cost: traced.cost,
-            baseline_ops: traced.baseline_ops,
-            epoch: self.epoch,
-            service_time: t.elapsed(),
-        })
     }
 }
 

@@ -20,7 +20,7 @@
 //! 3. the remaining work items of *all* shards are flattened into one list
 //!    and claimed work-stealing-style by the shared pool — a worker serves
 //!    whatever tenant's query comes next, reusing one
-//!    [`Scratch`] across tenants, so a traffic spike
+//!    [`Scratch`](peanut_pgm::Scratch) across tenants, so a traffic spike
 //!    on one tenant soaks up the whole pool instead of its private slice.
 //!
 //! Per-tenant epoch state stays fully isolated: a
@@ -40,20 +40,18 @@
 //! always-resident fleet. Fault/page-out telemetry lands in
 //! [`MixedBatchStats`] per batch and in [`PagingStats`] cumulatively.
 
-use crate::engine::{
-    answer_one, Answer, AnswerCache, BatchStats, CacheLookup, Served, ServingConfig, ServingEngine,
-};
+use crate::engine::{BatchStats, ServingConfig, ServingEngine};
 use crate::overload::ServeOutcome;
-use crate::pool::{PoolCell, PoolStats, SpawnMode, WorkerPool};
+use crate::pipeline::{fan_out, BatchRun};
+use crate::pool::{PoolCell, PoolStats, WorkerPool};
 use peanut_core::exec::Executor;
-use peanut_core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use peanut_core::sync::{thread, Arc, OnceLock, RwLock};
-use peanut_core::{Materialization, OnlineEngine, ServeRequest};
+use peanut_core::sync::atomic::{AtomicU64, Ordering};
+use peanut_core::sync::{Arc, RwLock};
+use peanut_core::{Materialization, ServeRequest};
 use peanut_junction::{JunctionTree, QueryEngine};
-use peanut_pgm::{PgmError, Scratch};
+use peanut_pgm::PgmError;
 use peanut_store::{rehydrate_engine, StoreConfig, StoredEpoch};
 use std::collections::HashMap;
-use std::panic::resume_unwind;
 use std::time::{Duration, Instant};
 
 /// Identifies one tenant (one model) of a sharded engine.
@@ -66,19 +64,13 @@ impl std::fmt::Display for TenantId {
     }
 }
 
-/// Fleet-level serving knobs. Per-tenant engines inherit `dedup` and
-/// `cache_capacity`; the worker pool is shared and sized here.
-#[derive(Clone, Copy, Debug)]
+/// Fleet-level serving knobs: the serving options every tenant engine
+/// inherits, plus the resident-set cap.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ShardConfig {
-    /// Shared worker threads; `0` means one per core.
-    pub workers: usize,
-    /// Coalesce duplicate queries within a batch, per tenant.
-    pub dedup: bool,
-    /// Per-tenant answer-cache capacity (`0` disables caching).
-    pub cache_capacity: usize,
-    /// How mixed batches fan out: one persistent [`WorkerPool`] shared by
-    /// every shard (default) or scoped per-batch threads.
-    pub spawn: SpawnMode,
+    /// Per-tenant serving options. `workers` sizes the **shared** pool
+    /// (`0` means one per core); tenant engines themselves run one worker.
+    pub serving: ServingConfig,
     /// Resident-set cap: at most this many tenants keep an engine in RAM;
     /// the least-recently-used beyond it are paged out to the store after
     /// each batch. `0` (default) disables paging. Takes effect only with a
@@ -86,42 +78,23 @@ pub struct ShardConfig {
     pub max_resident: usize,
 }
 
-impl Default for ShardConfig {
-    fn default() -> Self {
-        let d = ServingConfig::default();
-        ShardConfig {
-            workers: d.workers,
-            dedup: d.dedup,
-            cache_capacity: d.cache_capacity,
-            spawn: d.spawn,
-            max_resident: 0,
-        }
-    }
-}
-
 impl ShardConfig {
     /// Sets the shared worker-thread count (chainable). `0` means one per
     /// core.
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+        self.serving.workers = workers;
         self
     }
 
     /// Enables or disables per-tenant coalescing (chainable).
     pub fn with_dedup(mut self, dedup: bool) -> Self {
-        self.dedup = dedup;
+        self.serving.dedup = dedup;
         self
     }
 
     /// Sets the per-tenant answer-cache capacity (chainable).
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-
-    /// Sets the fan-out mode (chainable).
-    pub fn with_spawn(mut self, spawn: SpawnMode) -> Self {
-        self.spawn = spawn;
+        self.serving.cache_capacity = capacity;
         self
     }
 
@@ -284,7 +257,7 @@ impl<'t> ShardedServingEngine<'t> {
     /// does not pay thread-spawn latency in-band. A no-op when mixed
     /// batches would never fan out.
     pub fn warm_pool(&self) {
-        self.pool.warm(self.cfg.spawn, self.workers());
+        self.pool.warm(self.workers());
     }
 
     /// Executor for off-path fleet work (candidate re-selection): the
@@ -292,8 +265,7 @@ impl<'t> ShardedServingEngine<'t> {
     /// (so a fleet re-selection never head-of-line blocks serving waves),
     /// a scoped `threads`-wide fan-out otherwise (sequential when 1).
     pub(crate) fn offline_exec(&self, threads: usize) -> Box<dyn Executor + '_> {
-        self.pool
-            .offline_exec(self.cfg.spawn, self.workers(), threads)
+        self.pool.offline_exec(self.workers(), threads)
     }
 
     /// Registers a tenant: a calibrated engine plus its initial
@@ -402,14 +374,10 @@ impl<'t> ShardedServingEngine<'t> {
     }
 
     /// The per-tenant engine configuration: shards inherit the fleet's
-    /// dedup/cache/spawn knobs but always run one worker — batch fan-out
+    /// dedup/cache knobs but always run one worker — batch fan-out
     /// belongs to the shared pool, not the shard.
     fn tenant_config(&self) -> ServingConfig {
-        ServingConfig::default()
-            .with_workers(1)
-            .with_dedup(self.cfg.dedup)
-            .with_cache_capacity(self.cfg.cache_capacity)
-            .with_spawn(self.cfg.spawn)
+        self.cfg.serving.with_workers(1)
     }
 
     /// Advances the fleet clock by one tick and returns the new value.
@@ -533,13 +501,7 @@ impl<'t> ShardedServingEngine<'t> {
     /// The worker count a mixed batch will actually use (before capping by
     /// the amount of fresh work).
     pub fn workers(&self) -> usize {
-        if self.cfg.workers > 0 {
-            self.cfg.workers
-        } else {
-            thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
+        self.cfg.serving.resolved_workers()
     }
 
     /// Answers a mixed batch of `(tenant, request)` arrivals. Outcomes
@@ -547,7 +509,6 @@ impl<'t> ShardedServingEngine<'t> {
     /// are [`ServeOutcome::Failed`], never a batch error). Duplicates
     /// coalesce *within* a tenant only; every shard keeps its own cache
     /// and epoch. All shards' fresh work is served by one shared pool.
-    #[allow(clippy::type_complexity)]
     pub fn serve_mixed(
         &self,
         batch: &[(TenantId, ServeRequest)],
@@ -560,291 +521,109 @@ impl<'t> ShardedServingEngine<'t> {
         if batch.is_empty() {
             return (Vec::new(), mstats);
         }
-        // ordering: telemetry counters; the end-of-batch deltas attribute
-        // this batch's paging activity (monotone counters never underflow).
-        let faults0 = self.faults.load(Ordering::Relaxed);
-        let fault_errors0 = self.fault_errors.load(Ordering::Relaxed);
-        let page_outs0 = self.page_outs.load(Ordering::Relaxed);
-        let fault_nanos0 = self.fault_nanos.load(Ordering::Relaxed);
+        let paging0 = self.paging_stats();
         let now = self.tick();
 
-        // --- route arrivals to shards, deduplicating per tenant ---
-        // assign[i] = Some((shard slot, unique index within shard))
-        let n_shards = self.shards.len();
-        let mut uniques: Vec<Vec<&ServeRequest>> = vec![Vec::new(); n_shards];
-        let mut first_of: Vec<HashMap<&ServeRequest, usize>> = vec![HashMap::new(); n_shards];
-        let mut assign: Vec<Option<(usize, usize)>> = Vec::with_capacity(batch.len());
-        for (tid, q) in batch {
-            let Some(&slot) = self.index.get(tid) else {
-                mstats.unknown_tenant += 1;
-                assign.push(None);
-                continue;
-            };
-            let u = if self.cfg.dedup {
-                *first_of[slot].entry(q).or_insert_with(|| {
-                    uniques[slot].push(q);
-                    uniques[slot].len() - 1
-                })
-            } else {
-                uniques[slot].push(q);
-                uniques[slot].len() - 1
-            };
-            assign.push(Some((slot, u)));
-        }
+        // --- route arrivals to shards ---
+        // assign[i] = (shard slot, unique index within the shard's run),
+        // the unique index filled in once the shard has a run
+        let mut arrivals = vec![0usize; self.shards.len()];
+        let mut assign: Vec<Option<(usize, usize)>> = batch
+            .iter()
+            .map(|(tid, _)| {
+                let slot = self.index.get(tid).copied();
+                match slot {
+                    Some(slot) => arrivals[slot] += 1,
+                    None => mstats.unknown_tenant += 1,
+                }
+                slot.map(|slot| (slot, 0))
+            })
+            .collect();
 
-        // --- fault routed shards in (paged-out tenants rehydrate) ---
+        // --- one run per routed shard, faulting paged-out tenants in ---
         // A failed fault-in errors every arrival of that tenant, never the
-        // batch: the other shards keep serving.
-        let mut engines: Vec<Option<Arc<ServingEngine<'t>>>> = vec![None; n_shards];
-        let mut fault_failed: Vec<Option<PgmError>> = (0..n_shards).map(|_| None).collect();
-        for slot in 0..n_shards {
-            if uniques[slot].is_empty() {
-                continue;
-            }
-            self.touch(slot, now);
-            match self.shard_engine(slot) {
-                Ok(engine) => engines[slot] = Some(engine),
-                Err(e) => fault_failed[slot] = Some(e),
-            }
-        }
+        // batch: the other shards keep serving. Each run takes its shard's
+        // epoch snapshot up front, so the whole mixed batch is served under
+        // one epoch per tenant.
+        let mut routed: Vec<Option<Result<BatchRun<'_, 't>, PgmError>>> = arrivals
+            .iter()
+            .enumerate()
+            .map(|(slot, &n)| {
+                (n > 0).then(|| {
+                    self.touch(slot, now);
+                    let engine = self.shard_engine(slot)?;
+                    Ok(BatchRun::new(engine.target(), n))
+                })
+            })
+            .collect();
 
-        // --- per-shard epoch snapshots + cache probes ---
-        struct ShardRun<'t> {
-            serving: Arc<ServingEngine<'t>>,
-            mat: Arc<Materialization>,
-            stats: Arc<peanut_core::WorkloadStats>,
-            epoch: u64,
-            results: Vec<Option<Result<Arc<Answer>, PgmError>>>,
-            from_cache: Vec<bool>,
-            bstats: BatchStats,
-        }
-        let mut runs: Vec<Option<ShardRun<'t>>> = Vec::with_capacity(n_shards);
-        let mut work: Vec<(usize, usize)> = Vec::new(); // (shard slot, unique idx)
-        for slot in 0..n_shards {
-            let Some(serving) = engines[slot].as_ref().map(Arc::clone) else {
-                runs.push(None);
-                continue;
-            };
-            let (mat, stats) = serving.epoch_snapshot();
-            let epoch = mat.epoch;
-            let n = uniques[slot].len();
-            let mut results: Vec<Option<Result<Arc<Answer>, PgmError>>> = Vec::new();
-            results.resize_with(n, || None);
-            let mut from_cache = vec![false; n];
-            let mut bstats = BatchStats {
-                unique: n,
-                epoch,
-                ..BatchStats::default()
-            };
-            if serving.cache_capacity() > 0 {
-                serving.with_cache(|cache: &mut AnswerCache| {
-                    for (u, q) in uniques[slot].iter().enumerate() {
-                        match cache.lookup(q, epoch) {
-                            CacheLookup::Hit(hit) => {
-                                results[u] = Some(Ok(hit));
-                                from_cache[u] = true;
-                                bstats.cache_hits += 1;
-                            }
-                            CacheLookup::StaleDropped => {
-                                bstats.stale_hits += 1;
-                                work.push((slot, u));
-                            }
-                            CacheLookup::Miss => work.push((slot, u)),
-                        }
-                    }
-                });
-            } else {
-                work.extend((0..n).map(|u| (slot, u)));
+        // --- per-tenant dedup, then one cache probe per shard ---
+        for ((_, q), a) in batch.iter().zip(&mut assign) {
+            if let Some((slot, u)) = a {
+                if let Some(Ok(run)) = &mut routed[*slot] {
+                    *u = run.push(q);
+                }
             }
-            runs.push(Some(ShardRun {
-                serving,
-                mat,
-                stats,
-                epoch,
-                results,
-                from_cache,
-                bstats,
-            }));
+        }
+        for run in routed.iter_mut().flatten().flatten() {
+            run.probe();
         }
 
         // --- shared-pool fan-out over all shards' fresh work ---
-        type WorkerOut = Vec<(usize, usize, Result<Arc<Answer>, PgmError>)>;
-        let n_workers = self.workers().min(work.len()).max(1);
-        let compute = |slot: usize, u: usize, scratch: &mut Scratch| {
-            // lint:allow(hot_panic) — invariant: `work` only lists shards
-            // that were given a run above.
-            let run = runs[slot].as_ref().expect("worked shard has a run");
-            let online = OnlineEngine::with_stats(run.serving.engine_arc(), &run.mat, &run.stats);
-            answer_one(&online, uniques[slot][u], scratch, run.epoch).map(Arc::new)
-        };
-        if work.len() <= 1 || n_workers == 1 {
-            // in-thread fast path: no fan-out overhead for small/warm batches
-            let mut scratch = Scratch::new();
-            let computed: WorkerOut = work
-                .iter()
-                .map(|&(slot, u)| (slot, u, compute(slot, u, &mut scratch)))
-                .collect();
-            for (slot, u, r) in computed {
-                // lint:allow(hot_panic) — same invariant as `compute`.
-                runs[slot].as_mut().expect("run").results[u] = Some(r);
-            }
-        } else if self.cfg.spawn == SpawnMode::Persistent {
-            // the shared persistent pool serves whatever tenant's query
-            // comes next, on the serving lane so a concurrent fleet
-            // re-selection wave is preempted between tasks; worker
-            // scratches persist across batches and tenants alike. Each
-            // task owns slot `w`, so results land lock-free instead of
-            // contending on one mutex.
-            let out: Vec<OnceLock<Result<Arc<Answer>, PgmError>>> =
-                (0..work.len()).map(|_| OnceLock::new()).collect();
-            self.pool().run_wave(work.len(), &|w, scratch| {
-                let (slot, u) = work[w];
-                let r = compute(slot, u, scratch);
-                assert!(out[w].set(r).is_ok(), "wave claims each index once");
-            });
-            for (w, cell) in out.into_iter().enumerate() {
-                let (slot, u) = work[w];
-                // lint:allow(hot_panic) — protocol invariant: run_wave does
-                // not return before every claimed index has completed.
-                let r = cell.into_inner().expect("completed wave ran every task");
-                runs[slot].as_mut().expect("run").results[u] = Some(r);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let worker_outs: Vec<WorkerOut> = thread::scope(|s| {
-                let handles: Vec<_> = (0..n_workers)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut scratch = Scratch::new();
-                            let mut out: WorkerOut = Vec::new();
-                            loop {
-                                // ordering: work-claiming counter only; the
-                                // scope join publishes the results.
-                                let w = next.fetch_add(1, Ordering::Relaxed);
-                                if w >= work.len() {
-                                    break;
-                                }
-                                let (slot, u) = work[w];
-                                out.push((slot, u, compute(slot, u, &mut scratch)));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // re-raise a worker panic on the submitting thread,
-                    // matching the pool path's semantics
-                    .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
-                    .collect()
-            });
-            for (slot, u, r) in worker_outs.into_iter().flatten() {
-                // lint:allow(hot_panic) — same invariant as `compute`.
-                runs[slot].as_mut().expect("run").results[u] = Some(r);
-            }
-        }
+        // flattened into one list, so a worker serves whatever tenant's
+        // query comes next, reusing one scratch across tenants
+        let work: Vec<(&BatchRun<'_, 't>, usize)> = routed
+            .iter()
+            .flatten()
+            .flatten()
+            .flat_map(|run| run.work().iter().map(move |&u| (run, u)))
+            .collect();
+        let computed = fan_out(&self.pool, self.workers(), work.len(), |w, scratch| {
+            let (run, u) = work[w];
+            run.compute(u, scratch)
+        });
 
         // --- per-shard admission, telemetry and arrival accounting ---
-        let mut uses: Vec<Vec<u64>> = uniques.iter().map(|u| vec![0u64; u.len()]).collect();
-        for a in assign.iter().flatten() {
-            uses[a.0][a.1] += 1;
-        }
-        for (slot, run) in runs.iter_mut().enumerate() {
-            let Some(run) = run else { continue };
-            let fresh: Vec<(ServeRequest, Arc<Answer>)> = (0..uniques[slot].len())
-                .filter(|&u| !run.from_cache[u])
-                .filter_map(|u| match &run.results[u] {
-                    Some(Ok(a)) => Some(((*uniques[slot][u]).clone(), Arc::clone(a))),
-                    _ => None,
-                })
-                .collect();
-            let capacity = run.serving.cache_capacity();
-            if capacity > 0 && !fresh.is_empty() {
-                run.serving.with_cache(|cache: &mut AnswerCache| {
-                    for (q, a) in fresh {
-                        cache.insert(capacity, q, a);
-                    }
-                });
-            }
-            for (u, q) in uniques[slot].iter().enumerate() {
-                if let Some(Ok(a)) = &run.results[u] {
-                    if !run.from_cache[u] {
-                        run.bstats.total_ops = run.bstats.total_ops.saturating_add(a.cost.ops);
-                        run.bstats.shortcuts_used += a.cost.shortcuts_used;
-                    }
-                    // fresh computations recorded themselves once via the
-                    // worker's OnlineEngine; duplicates and cache hits top
-                    // up so this epoch's stats weigh arrivals
-                    let extra = if run.from_cache[u] {
-                        uses[slot][u]
-                    } else {
-                        uses[slot][u] - 1
-                    };
-                    if extra > 0 {
-                        run.stats
-                            .record_n(&q.stat_scope(), &a.cost, a.baseline_ops, extra);
-                    }
-                    // evidence contexts weigh arrivals too (the worker's
-                    // OnlineEngine records scopes, not evidence)
-                    if !q.is_marginal() {
-                        run.stats
-                            .record_evidence(&q.evidence_scope(), uses[slot][u]);
-                    }
-                }
-            }
-            run.bstats.queries = uses[slot].iter().map(|&n| n as usize).sum();
+        let mut computed = computed.into_iter();
+        for (shard, r) in self.shards.iter().zip(&mut routed) {
+            let Some(Ok(run)) = r else { continue };
+            let fresh = run.work().len();
+            let bstats = run.finish(computed.by_ref().take(fresh));
+            mstats.unique += bstats.unique;
+            mstats.cache_hits += bstats.cache_hits;
+            mstats.stale_hits += bstats.stale_hits;
+            mstats.total_ops = mstats.total_ops.saturating_add(bstats.total_ops);
+            mstats.shortcuts_used += bstats.shortcuts_used;
+            mstats.per_tenant.push((shard.id, bstats));
         }
 
         // --- fan back out in arrival order ---
         let answers: Vec<ServeOutcome> = batch
             .iter()
-            .zip(&assign)
-            .map(|((tid, _), a)| match a {
-                None => ServeOutcome::Failed(PgmError::UnknownTenant(tid.0)),
-                Some((slot, _)) if fault_failed[*slot].is_some() => {
-                    // lint:allow(hot_panic) — guarded by the match arm.
-                    ServeOutcome::Failed(fault_failed[*slot].clone().expect("checked above"))
-                }
-                Some((slot, u)) => {
-                    // lint:allow(hot_panic) — invariants: assigned arrivals
-                    // have runs, and every unique is a hit or in `work`.
-                    let run = runs[*slot].as_ref().expect("run");
-                    match run.results[*u].as_ref().expect("all uniques computed") {
-                        Ok(ans) => ServeOutcome::Served(Served {
-                            answer: Arc::clone(ans),
-                            from_cache: run.from_cache[*u],
-                        }),
-                        Err(e) => ServeOutcome::Failed(e.clone()),
-                    }
+            .zip(assign)
+            .map(|((tid, _), a)| {
+                // an assigned arrival's shard is routed, so only unknown
+                // tenants fall through to `None`
+                match a.and_then(|(slot, u)| Some((routed[slot].as_ref()?, u))) {
+                    None => ServeOutcome::Failed(PgmError::UnknownTenant(tid.0)),
+                    Some((Err(e), _)) => ServeOutcome::Failed(e.clone()),
+                    Some((Ok(run), u)) => run.outcome(u),
                 }
             })
             .collect();
-
         mstats.wall = start.elapsed();
-        for (slot, run) in runs.into_iter().enumerate() {
-            let Some(mut run) = run else { continue };
-            run.bstats.wall = mstats.wall;
-            mstats.unique += run.bstats.unique;
-            mstats.cache_hits += run.bstats.cache_hits;
-            mstats.stale_hits += run.bstats.stale_hits;
-            mstats.total_ops = mstats.total_ops.saturating_add(run.bstats.total_ops);
-            mstats.shortcuts_used += run.bstats.shortcuts_used;
-            mstats.per_tenant.push((self.shards[slot].id, run.bstats));
+        for (_, bstats) in &mut mstats.per_tenant {
+            bstats.wall = mstats.wall;
         }
 
         // --- paging: evict past the cap, attribute this batch's activity ---
         self.enforce_residency();
-        // ordering: telemetry counters, delta reads; see the batch start.
-        let faults1 = self.faults.load(Ordering::Relaxed);
-        let fault_errors1 = self.fault_errors.load(Ordering::Relaxed);
-        let page_outs1 = self.page_outs.load(Ordering::Relaxed);
-        // ordering: same — delta read of the fault wall-time counter.
-        let fault_nanos1 = self.fault_nanos.load(Ordering::Relaxed);
-        mstats.faults = faults1.saturating_sub(faults0) as usize;
-        mstats.fault_errors = fault_errors1.saturating_sub(fault_errors0) as usize;
-        mstats.page_outs = page_outs1.saturating_sub(page_outs0) as usize;
-        mstats.fault_wall = Duration::from_nanos(fault_nanos1.saturating_sub(fault_nanos0));
-        mstats.resident = self.resident_len();
+        let paging1 = self.paging_stats();
+        mstats.faults = paging1.faults.saturating_sub(paging0.faults) as usize;
+        mstats.fault_errors = paging1.fault_errors.saturating_sub(paging0.fault_errors) as usize;
+        mstats.page_outs = paging1.page_outs.saturating_sub(paging0.page_outs) as usize;
+        mstats.fault_wall = paging1.fault_wall.saturating_sub(paging0.fault_wall);
+        mstats.resident = paging1.resident;
         (answers, mstats)
     }
 }

@@ -62,10 +62,13 @@ fn train_mat(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Interleave per-tenant batches (with evidence queries and shared
-    /// worker fan-out) and check every arrival against (a) the same tenant
-    /// served alone on a single-threaded engine — byte-identical — and
-    /// (b) a VE oracle on that tenant's model — within 1e-9.
+    /// Interleave per-tenant batches (with evidence queries, in-batch
+    /// duplicates and shared worker fan-out) and check, over a cold pass,
+    /// a warm pass and a post-`publish` pass, every arrival against (a) the
+    /// same tenant served alone on a single-threaded engine — answers
+    /// byte-identical, and every per-tenant counter (`BatchStats`, the
+    /// epoch's `WorkloadStats` snapshot and both scope histograms) equal —
+    /// and (b) a VE oracle on that tenant's model — within 1e-9.
     #[test]
     fn mixed_batch_matches_each_tenant_alone(seed in 0u64..1_000, n in 5usize..9) {
         let cfg_a = DagConfig {
@@ -85,18 +88,28 @@ proptest! {
         ];
 
         // per-tenant batches over each tenant's own model, with evidence
+        // and one forced in-batch duplicate (so dedup has work to do)
         let batches: Vec<Vec<ServeRequest>> = bns
             .iter()
             .enumerate()
-            .map(|(i, bn)| random_batch(bn, 12, seed ^ (i as u64) << 8))
+            .map(|(i, bn)| {
+                let mut batch = random_batch(bn, 12, seed ^ (i as u64) << 8);
+                batch.push(batch[0].clone());
+                batch
+            })
             .collect();
 
-        // sharded engine with materialized shortcuts and shared workers
+        // sharded engine with materialized shortcuts and shared workers,
+        // and each tenant alone on a single-threaded engine
         let mut sharded = ShardedServingEngine::new(ShardConfig::default().with_workers(4));
+        let mut alone: Vec<ServingEngine<'_>> = Vec::new();
         for (i, (tree, bn)) in trees.iter().zip(&bns).enumerate() {
             let engine = QueryEngine::numeric(tree, bn).unwrap();
             let mat = train_mat(tree, &engine, &batches[i], 128);
             sharded.register(TenantId(i as u32), engine, mat).unwrap();
+            let engine = QueryEngine::numeric(tree, bn).unwrap();
+            let mat = train_mat(tree, &engine, &batches[i], 128);
+            alone.push(ServingEngine::new(engine, mat, ServingConfig::default().with_workers(1)));
         }
 
         // interleave the two tenants' arrivals round-robin
@@ -107,47 +120,86 @@ proptest! {
                 [(TenantId(0), a.clone()), (TenantId(1), b.clone())]
             })
             .collect();
-        let (served, stats) = sharded.serve_mixed(&mixed);
-        prop_assert_eq!(stats.arrivals, mixed.len());
 
-        // (a) byte-identical to each tenant served alone, single-threaded
-        for (i, (tree, bn)) in trees.iter().zip(&bns).enumerate() {
-            let engine = QueryEngine::numeric(tree, bn).unwrap();
-            let mat = train_mat(tree, &engine, &batches[i], 128);
-            let alone = ServingEngine::new(engine, mat, ServingConfig::default().with_workers(1));
-            let (alone_answers, _) = alone.serve_batch(&batches[i]);
-            let mixed_answers = served
-                .iter()
-                .zip(&mixed)
-                .filter(|(_, (tid, _))| *tid == TenantId(i as u32))
-                .map(|(a, _)| a);
-            for (m, a) in mixed_answers.zip(&alone_answers) {
-                let (m, a) = (m.served().unwrap(), a.served().unwrap());
-                prop_assert_eq!(m.potential.scope(), a.potential.scope());
-                let m_bits: Vec<u64> = m.potential.values().iter().map(|v| v.to_bits()).collect();
-                let a_bits: Vec<u64> = a.potential.values().iter().map(|v| v.to_bits()).collect();
+        for pass in ["cold", "warm", "post-publish"] {
+            if pass == "post-publish" {
+                // the same swap on both sides: next epoch, fresh stats
+                // window, every cached answer stale
+                for (i, (tree, bn)) in trees.iter().zip(&bns).enumerate() {
+                    let engine = QueryEngine::numeric(tree, bn).unwrap();
+                    let tenant = sharded.tenant(TenantId(i as u32)).unwrap();
+                    tenant.publish(train_mat(tree, &engine, &batches[i], 48));
+                    alone[i].publish(train_mat(tree, &engine, &batches[i], 48));
+                }
+            }
+            let (served, stats) = sharded.serve_mixed(&mixed);
+            prop_assert_eq!(stats.arrivals, mixed.len());
+            prop_assert_eq!(stats.per_tenant.len(), 2);
+
+            // (a) byte-identical to each tenant served alone, and the
+            // same accounting
+            for (i, alone) in alone.iter().enumerate() {
+                let tid = TenantId(i as u32);
+                let (alone_answers, want) = alone.serve_batch(&batches[i]);
+                let mixed_answers = served
+                    .iter()
+                    .zip(&mixed)
+                    .filter(|(_, (t, _))| *t == tid)
+                    .map(|(a, _)| a);
+                for (m, a) in mixed_answers.zip(&alone_answers) {
+                    let (m, a) = (m.served().unwrap(), a.served().unwrap());
+                    prop_assert_eq!(m.potential.scope(), a.potential.scope());
+                    let m_bits: Vec<u64> = m.potential.values().iter().map(|v| v.to_bits()).collect();
+                    let a_bits: Vec<u64> = a.potential.values().iter().map(|v| v.to_bits()).collect();
+                    prop_assert_eq!(
+                        m_bits, a_bits,
+                        "mixed-batch serving must be byte-identical to serving the tenant alone"
+                    );
+                    prop_assert_eq!(m.from_cache, a.from_cache, "{} pass", pass);
+                    prop_assert_eq!(m.epoch, a.epoch, "{} pass", pass);
+                }
+                let (_, got) = stats.per_tenant.iter().find(|(t, _)| *t == tid).unwrap();
                 prop_assert_eq!(
-                    m_bits, a_bits,
-                    "mixed-batch serving must be byte-identical to serving the tenant alone"
+                    (got.queries, got.unique, got.cache_hits, got.stale_hits),
+                    (want.queries, want.unique, want.cache_hits, want.stale_hits),
+                    "{} pass, {}: queries/unique/cache_hits/stale_hits", pass, tid
+                );
+                prop_assert_eq!(
+                    (got.epoch, got.total_ops, got.shortcuts_used),
+                    (want.epoch, want.total_ops, want.shortcuts_used),
+                    "{} pass, {}: epoch/total_ops/shortcuts_used", pass, tid
+                );
+                match pass {
+                    "cold" => prop_assert!(want.unique < want.queries && want.cache_hits == 0),
+                    "warm" => prop_assert_eq!(want.cache_hits, want.unique),
+                    _ => prop_assert_eq!((want.stale_hits, want.epoch), (want.unique, 1)),
+                }
+                let (got, want) = (sharded.tenant(tid).unwrap().stats(), alone.stats());
+                prop_assert_eq!(got.snapshot(), want.snapshot(), "{} pass, {}", pass, tid);
+                prop_assert_eq!(got.scope_counts(), want.scope_counts(), "{} pass, {}", pass, tid);
+                prop_assert_eq!(
+                    got.evidence_scope_counts(),
+                    want.evidence_scope_counts(),
+                    "{} pass, {}", pass, tid
                 );
             }
-        }
 
-        // (b) against the VE oracle on the owning tenant's model
-        for ((tid, q), a) in mixed.iter().zip(&served) {
-            let bn = &bns[tid.0 as usize];
-            let a = a.served().unwrap();
-            let want = if q.is_marginal() {
-                ve_answer(bn, &q.targets).unwrap().0
-            } else {
-                ve_conditional(bn, &q.targets, &q.evidence)
-            };
-            prop_assert!(
-                a.potential.max_abs_diff(&want).unwrap() < 1e-9,
-                "tenant {} diverged from its own model's VE on {:?}",
-                tid,
-                q
-            );
+            // (b) against the VE oracle on the owning tenant's model
+            for ((tid, q), a) in mixed.iter().zip(&served) {
+                let bn = &bns[tid.0 as usize];
+                let a = a.served().unwrap();
+                let want = if q.is_marginal() {
+                    ve_answer(bn, &q.targets).unwrap().0
+                } else {
+                    ve_conditional(bn, &q.targets, &q.evidence)
+                };
+                prop_assert!(
+                    a.potential.max_abs_diff(&want).unwrap() < 1e-9,
+                    "tenant {} diverged from its own model's VE on {:?}",
+                    tid,
+                    q
+                );
+            }
         }
     }
 }

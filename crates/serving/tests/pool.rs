@@ -1,14 +1,12 @@
 //! Pool lifecycle coverage: the persistent worker pool must survive task
 //! panics (subsequent batches still answer correctly vs the VE oracle),
-//! join every worker on drop, and — regardless of spawn mode or worker
-//! count — produce byte-identical answers to the sequential path.
+//! join every worker on drop, and — regardless of worker count — produce
+//! byte-identical answers to the sequential path.
 
 use peanut_core::Materialization;
 use peanut_junction::{build_junction_tree, QueryEngine};
 use peanut_pgm::{fixtures, BayesianNetwork, Scope};
-use peanut_serving::{
-    ServeOutcome, ServeRequest, ServingConfig, ServingEngine, SpawnMode, WorkerPool,
-};
+use peanut_serving::{ServeOutcome, ServeRequest, ServingConfig, ServingEngine, WorkerPool};
 use peanut_ve::ve_answer;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -93,23 +91,21 @@ fn drop_joins_all_workers() {
     assert!(weak.upgrade().is_none(), "drop must join all workers");
 }
 
-/// One worker, two persistent workers, and the scoped baseline must all
-/// produce byte-identical answers — the fan-out is a scheduling decision,
-/// never a numeric one.
+/// One worker and two persistent workers must produce byte-identical
+/// answers — the fan-out is a scheduling decision, never a numeric one.
 #[test]
 fn pool_answers_are_byte_identical_to_sequential() {
     let bn = fixtures::chain(14, 2, 13);
     let tree = build_junction_tree(&bn).unwrap();
     let queries = batch(&bn);
-    let serve = |workers: usize, spawn: SpawnMode| -> Vec<Vec<f64>> {
+    let serve = |workers: usize| -> Vec<Vec<f64>> {
         let engine = QueryEngine::numeric(&tree, &bn).unwrap();
         let serving = ServingEngine::new(
             engine,
             Materialization::default(),
             ServingConfig::default()
                 .with_workers(workers)
-                .with_cache_capacity(0)
-                .with_spawn(spawn),
+                .with_cache_capacity(0),
         );
         let (answers, _) = serving.serve_batch(&queries);
         answers
@@ -117,16 +113,11 @@ fn pool_answers_are_byte_identical_to_sequential() {
             .map(|a| a.served().expect("served").potential.values().to_vec())
             .collect()
     };
-    let sequential = serve(1, SpawnMode::Persistent);
-    let pooled = serve(2, SpawnMode::Persistent);
-    let scoped = serve(2, SpawnMode::Scoped);
+    let sequential = serve(1);
+    let pooled = serve(2);
     assert_eq!(
         sequential, pooled,
         "a fanned-out pool must be byte-identical to the sequential path"
-    );
-    assert_eq!(
-        sequential, scoped,
-        "the scoped baseline must be byte-identical to the sequential path"
     );
 }
 

@@ -13,15 +13,6 @@ use peanut_pgm::{Domain, Scope, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The pre-[`ServeRequest`] tuple form of a conditional query. Kept only
-/// so downstream code migrating to the typed request compiles with a
-/// warning instead of breaking silently.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `peanut_core::ServeRequest` — the typed request every serving surface accepts"
-)]
-pub type ConditionedQuery = (Scope, Vec<(Var, u32)>);
-
 /// Converts `fraction` of the given scopes into conditional queries.
 ///
 /// A selected scope with at least two variables is split: between one

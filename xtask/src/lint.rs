@@ -52,6 +52,8 @@ const HOT_PATHS: &[&str] = &[
     "crates/serving/src/pool.rs",
     "crates/serving/src/engine.rs",
     "crates/serving/src/shard.rs",
+    "crates/serving/src/pipeline.rs",
+    "crates/serving/src/session.rs",
 ];
 
 /// Panicking constructs forbidden on hot paths (R4).
