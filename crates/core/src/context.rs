@@ -49,8 +49,7 @@ pub struct OfflineContext<'t> {
 }
 
 /// Builds the per-query Steiner information used by the usefulness and
-/// benefit computations — both offline (workload queries) and online
-/// (fresh queries at answering time).
+/// benefit computations (offline: one per distinct workload query).
 pub fn build_query_info(
     tree: &JunctionTree,
     rooted: &RootedTree,
@@ -58,6 +57,19 @@ pub fn build_query_info(
     weight: f64,
 ) -> Result<QueryInfo, PgmError> {
     let st = SteinerTree::extract(tree, rooted, query)?;
+    Ok(query_info_of(tree, rooted, query, weight, &st))
+}
+
+/// [`build_query_info`] over an already extracted Steiner tree `st` of
+/// `query` — the online engine extracts it once, to plan, and reuses it
+/// here.
+pub fn query_info_of(
+    tree: &JunctionTree,
+    rooted: &RootedTree,
+    query: &Scope,
+    weight: f64,
+    st: &SteinerTree,
+) -> QueryInfo {
     let steiner = BitSet::from_members(tree.n_cliques(), st.nodes().iter().copied());
     let var_cover = query
         .iter()
@@ -77,7 +89,7 @@ pub fn build_query_info(
             q_children[p] = q_children[p].saturating_add(1);
         }
     }
-    Ok(QueryInfo {
+    QueryInfo {
         scope: query.clone(),
         weight,
         members: st.nodes().to_vec(),
@@ -86,7 +98,7 @@ pub fn build_query_info(
         steiner,
         var_cover,
         q_children,
-    })
+    }
 }
 
 /// Usefulness `δ_S(q)` (Def. 3.1) as a free function so the online engine

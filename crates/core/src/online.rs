@@ -2,13 +2,22 @@
 //! method (PEANUT, PEANUT+, INDSEP): given a query, detect the useful
 //! materialized shortcut potentials, shrink the Steiner tree with them, and
 //! run (or cost) message passing on the reduced tree.
+//!
+//! A plan is a view over the arena and the materialization; nothing is
+//! copied until a kernel writes. [`OnlineEngine::reduce`] extracts the
+//! Steiner tree once, plans it as a [`ReducedTree`] of borrowed clique and
+//! separator tables, and prices each candidate shortcut on a replacement
+//! built from `&rt` that borrows the shortcut's scope and table — a
+//! rejected candidate costs a few index vectors, an accepted one becomes
+//! the plan. The plan borrows the engine and the materialization
+//! (`ReducedTree<'e>`), so it cannot outlive either.
 
-use crate::context::{build_query_info, delta};
+use crate::context::{delta, query_info_of};
 use crate::gwmin::gwmin;
 use crate::shortcut::Shortcut;
 use crate::stats::WorkloadStats;
 use peanut_junction::cost::{marginalization_ops, QueryCost};
-use peanut_junction::{QueryEngine, QueryPlan, ReducedTree};
+use peanut_junction::{NodeLabel, QueryEngine, QueryPlan, ReducedTree, SteinerTree};
 use peanut_pgm::{PgmError, Potential, Scope, Scratch, Size};
 
 /// A shortcut potential chosen for materialization.
@@ -121,9 +130,10 @@ impl<'e, 't> OnlineEngine<'e, 't> {
         self.mat
     }
 
-    /// Builds the shortcut-reduced tree for an out-of-clique query;
-    /// `None` for in-clique queries.
-    pub fn reduce(&self, query: &Scope) -> Result<Option<ReducedTree>, PgmError> {
+    /// Builds the shortcut-reduced plan for an out-of-clique query — a view
+    /// over the engine's tables and the materialization's; `None` for
+    /// in-clique queries.
+    pub fn reduce(&self, query: &Scope) -> Result<Option<ReducedTree<'e>>, PgmError> {
         Ok(self.reduce_traced(query, false)?.0)
     }
 
@@ -135,103 +145,91 @@ impl<'e, 't> OnlineEngine<'e, 't> {
         &self,
         query: &Scope,
         want_baseline: bool,
-    ) -> Result<(Option<ReducedTree>, Size), PgmError> {
-        let tree = self.engine.tree();
-        let rooted = self.engine.rooted();
-        match self.engine.plan(query)? {
+    ) -> Result<(Option<ReducedTree<'e>>, Size), PgmError> {
+        let (engine, mat) = (self.engine, self.mat);
+        let (tree, rooted, domain) = (engine.tree(), engine.rooted(), engine.tree().domain());
+        let st = match engine.plan(query)? {
             QueryPlan::InClique(u) => {
                 let baseline = if want_baseline {
-                    marginalization_ops(tree.clique(u), tree.domain())
+                    marginalization_ops(tree.clique(u), domain)
                 } else {
                     0
                 };
-                Ok((None, baseline))
+                return Ok((None, baseline));
             }
-            QueryPlan::OutOfClique(st) => {
-                let mut rt =
-                    ReducedTree::from_steiner(tree, rooted, &st, self.engine.numeric_state());
-                let baseline = if want_baseline || !self.mat.is_empty() {
-                    rt.cost(query, tree.domain()).ops
-                } else {
-                    0
-                };
-                if self.mat.is_empty() {
-                    return Ok((Some(rt), baseline));
-                }
-                let qi = build_query_info(tree, rooted, query, 1.0)?;
-                // useful shortcuts under Def. 3.1
-                let useful: Vec<usize> = (0..self.mat.shortcuts.len())
-                    .filter(|&i| delta(tree, rooted, &self.mat.shortcuts[i].shortcut, &qi))
-                    .collect();
-                // resolve conflicts between overlapping useful shortcuts
-                let chosen: Vec<usize> = if self.mat.overlapping {
-                    let weights: Vec<f64> = useful
-                        .iter()
-                        .map(|&i| self.mat.shortcuts[i].ratio)
-                        .collect();
-                    let adj: Vec<Vec<usize>> = useful
-                        .iter()
-                        .map(|&i| {
-                            useful
-                                .iter()
-                                .enumerate()
-                                .filter(|&(_, &j)| {
-                                    j != i
-                                        && self.mat.shortcuts[i]
-                                            .shortcut
-                                            .overlaps(&self.mat.shortcuts[j].shortcut)
-                                })
-                                .map(|(jj, _)| jj)
-                                .collect()
-                        })
-                        .collect();
-                    gwmin(&weights, &adj)
-                        .into_iter()
-                        .map(|k| useful[k])
-                        .collect()
-                } else {
-                    useful
-                };
-                // apply replacements in decreasing ratio order, keeping only
-                // those that strictly reduce the operation count
-                let mut order = chosen;
-                order.sort_by(|&a, &b| {
-                    self.mat.shortcuts[b]
-                        .ratio
-                        .partial_cmp(&self.mat.shortcuts[a].ratio)
-                        .expect("finite ratios")
-                        .then(a.cmp(&b))
-                });
-                let domain = tree.domain();
-                let mut cost = baseline;
-                for i in order {
-                    let ms = &self.mat.shortcuts[i];
-                    let region: Vec<usize> = (0..rt.len())
-                        .filter(|&k| match rt.node(k).label {
-                            peanut_junction::NodeLabel::Clique(u) => {
-                                ms.shortcut.node_set().contains(u)
-                            }
-                            peanut_junction::NodeLabel::Shortcut(_) => false,
-                        })
-                        .collect();
-                    if region.is_empty() || region.len() == rt.len() {
-                        continue;
-                    }
-                    let candidate = rt.clone().replace_region(
-                        &region,
-                        ms.shortcut.scope().clone(),
-                        ms.potential.clone(),
-                        i,
-                    )?;
-                    let new_cost = candidate.cost(query, domain).ops;
-                    if new_cost < cost {
-                        rt = candidate;
-                        cost = new_cost;
-                    }
-                }
-                Ok((Some(rt), baseline))
+            QueryPlan::OutOfClique(st) => st,
+        };
+        let mut rt = ReducedTree::from_steiner(tree, rooted, &st, engine.numeric_state());
+        let baseline = if want_baseline || !mat.is_empty() {
+            rt.cost(query, domain).ops
+        } else {
+            0
+        };
+        // apply replacements in decreasing ratio order, keeping only those
+        // that strictly reduce the operation count
+        let mut cost = baseline;
+        for i in self.applicable(query, &st) {
+            let ms = &mat.shortcuts[i];
+            let region: Vec<usize> = (0..rt.len())
+                .filter(|&k| match rt.node(k).label {
+                    NodeLabel::Clique(u) => ms.shortcut.node_set().contains(u),
+                    NodeLabel::Shortcut(_) => false,
+                })
+                .collect();
+            if region.is_empty() || region.len() == rt.len() {
+                continue;
+            }
+            let table = ms.potential.as_ref().map(Potential::view);
+            let candidate = rt.replace_region(&region, ms.shortcut.scope(), table, i)?;
+            let new_cost = candidate.cost(query, domain).ops;
+            if new_cost < cost {
+                rt = candidate;
+                cost = new_cost;
             }
         }
+        Ok((Some(rt), baseline))
+    }
+
+    /// The shortcuts worth trying on a query with Steiner tree `st`, in
+    /// decreasing ratio order: the useful ones (Def. 3.1), thinned to a
+    /// conflict-free set by GWMIN when shortcuts may overlap.
+    fn applicable(&self, query: &Scope, st: &SteinerTree) -> Vec<usize> {
+        let shortcuts = &self.mat.shortcuts;
+        if shortcuts.is_empty() {
+            return Vec::new();
+        }
+        let (tree, rooted) = (self.engine.tree(), self.engine.rooted());
+        let qi = query_info_of(tree, rooted, query, 1.0, st);
+        let useful: Vec<usize> = (0..shortcuts.len())
+            .filter(|&i| delta(tree, rooted, &shortcuts[i].shortcut, &qi))
+            .collect();
+        let mut order = if self.mat.overlapping {
+            let weights: Vec<f64> = useful.iter().map(|&i| shortcuts[i].ratio).collect();
+            let overlap = |i: usize, j: usize| {
+                i != j && shortcuts[i].shortcut.overlaps(&shortcuts[j].shortcut)
+            };
+            let adj: Vec<Vec<usize>> = useful
+                .iter()
+                .map(|&i| {
+                    (0..useful.len())
+                        .filter(|&jj| overlap(i, useful[jj]))
+                        .collect()
+                })
+                .collect();
+            gwmin(&weights, &adj)
+                .into_iter()
+                .map(|k| useful[k])
+                .collect()
+        } else {
+            useful
+        };
+        order.sort_by(|&a, &b| {
+            shortcuts[b]
+                .ratio
+                .total_cmp(&shortcuts[a].ratio)
+                .then(a.cmp(&b))
+        });
+        order
     }
 
     /// Operation count for answering `query` with the materialization.
@@ -337,11 +335,6 @@ impl<'e, 't> OnlineEngine<'e, 't> {
     /// percentages).
     pub fn baseline_cost(&self, query: &Scope) -> Result<QueryCost, PgmError> {
         self.engine.cost(query)
-    }
-
-    /// In-clique marginalization cost helper (exposed for INDSEP parity).
-    pub fn in_clique_cost(&self, u: usize) -> Size {
-        marginalization_ops(self.engine.tree().clique(u), self.engine.tree().domain())
     }
 }
 

@@ -1,0 +1,192 @@
+//! Allocation guard: building a query plan copies no table.
+//!
+//! A plan is a view over the arena and the materialization, so the bytes
+//! allocated inside `ReducedTree::from_steiner(.., Some(ns))` and inside
+//! `OnlineEngine::reduce` are bookkeeping (node lists, a Steiner bitset, a
+//! few index vectors) — bounded by the number of nodes, independent of how
+//! many table entries those nodes hold. This binary carries its own
+//! counting global allocator to keep it that way: when plans still copied
+//! their tables the same measurements read megabytes per query.
+//!
+//! Run with `--nocapture` to see bytes/query and allocations/query.
+
+use peanut_core::{
+    Materialization, MaterializedShortcut, OfflineContext, OnlineEngine, Peanut, PeanutConfig,
+    Shortcut, Workload,
+};
+use peanut_junction::{build_junction_tree, QueryEngine, QueryPlan, ReducedTree};
+use peanut_pgm::{fixtures, BayesianNetwork, Potential, Scope};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Per-query ceiling on plan-construction bytes.
+const BUDGET_BYTES: usize = 64 << 10;
+
+thread_local! {
+    // const-initialized and destructor-free: reading them inside the
+    // allocator neither allocates nor re-enters it
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+    static CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// `System`, plus per-thread byte and call counts while `COUNTING` is set
+/// on the allocating thread (so parallel tests do not see each other).
+struct CountingAlloc;
+
+impl CountingAlloc {
+    fn note(bytes: usize) {
+        if COUNTING.with(Cell::get) {
+            BYTES.with(|b| b.set(b.get() + bytes));
+            CALLS.with(|c| c.set(c.get() + 1));
+        }
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters are plain thread-local
+// cells that never allocate.
+unsafe impl GlobalAlloc for CountingAlloc {
+    // SAFETY: the caller's layout obligations are exactly `System`'s.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::note(layout.size());
+        // SAFETY: forwarded unchanged.
+        unsafe { System.alloc(layout) }
+    }
+    // SAFETY: the caller's layout obligations are exactly `System`'s.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::note(layout.size());
+        // SAFETY: forwarded unchanged.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::note(new_size.saturating_sub(layout.size()));
+        // SAFETY: forwarded unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded unchanged.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Bytes and allocation calls made by `f` on this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    BYTES.with(|b| b.set(0));
+    CALLS.with(|c| c.set(0));
+    COUNTING.with(|c| c.set(true));
+    let out = f();
+    COUNTING.with(|c| c.set(false));
+    (out, BYTES.with(Cell::get), CALLS.with(Cell::get))
+}
+
+/// Plan-construction cost of the chain `x0 → … → x7` at cardinality
+/// `card`, for the end-to-end query `{x0, x7}` whose Steiner tree is the
+/// whole path: `(Steiner table entries, from_steiner bytes, reduce bytes)`.
+/// The materialization holds one hand-made shortcut over the interior of
+/// the path (its table's contents are irrelevant to planning).
+fn chain_plan_bytes(card: u32) -> (usize, usize, usize) {
+    let bn = fixtures::chain(8, card, 5);
+    let tree = build_junction_tree(&bn).unwrap();
+    let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+    let (rooted, ns) = (engine.rooted(), engine.numeric_state().unwrap());
+    let q = Scope::from_indices(&[0, 7]);
+    let QueryPlan::OutOfClique(st) = engine.plan(&q).unwrap() else {
+        panic!("end-to-end chain query is out-of-clique");
+    };
+    assert_eq!(st.len(), tree.n_cliques(), "Steiner tree spans the path");
+    let steiner_entries: usize = st.nodes().iter().map(|&u| ns.clique_table(u).len()).sum();
+
+    let (rt, build_bytes, _) = counted(|| ReducedTree::from_steiner(&tree, rooted, &st, Some(ns)));
+    assert_eq!(rt.len(), st.len());
+    drop(rt);
+
+    // interior of the path: the cliques holding neither query variable
+    let interior: Vec<usize> = (0..tree.n_cliques())
+        .filter(|&u| q.is_disjoint_from(tree.clique(u)))
+        .collect();
+    let shortcut = Shortcut::from_nodes(&tree, rooted, interior).unwrap();
+    let table = Potential::ones(shortcut.scope().clone(), tree.domain()).unwrap();
+    let mat = Materialization {
+        shortcuts: vec![MaterializedShortcut {
+            ratio: 1.0,
+            benefit: 1.0,
+            potential: Some(table),
+            shortcut,
+        }],
+        overlapping: true,
+        epoch: 0,
+    };
+    let online = OnlineEngine::new(&engine, &mat);
+    let (reduced, reduce_bytes, _) = counted(|| online.reduce(&q).unwrap());
+    let reduced = reduced.expect("out-of-clique");
+    assert_eq!(reduced.shortcuts_used(), 1, "the shortcut must be applied");
+    (steiner_entries, build_bytes, reduce_bytes)
+}
+
+#[test]
+fn plan_bytes_do_not_scale_with_table_size() {
+    let (small_entries, small_build, small_reduce) = chain_plan_bytes(40);
+    let (entries, build, reduce) = chain_plan_bytes(400);
+    println!(
+        "chain(8): {small_entries} entries -> from_steiner {small_build} B, reduce {small_reduce} B; \
+         {entries} entries -> from_steiner {build} B, reduce {reduce} B"
+    );
+    assert!(
+        entries >= 1_000_000,
+        "Steiner tables hold {entries} entries"
+    );
+    assert!(build <= BUDGET_BYTES, "from_steiner allocated {build} B");
+    assert!(reduce <= BUDGET_BYTES, "reduce allocated {reduce} B");
+    // 100× the table entries, the same plan bytes
+    assert_eq!(build, small_build, "from_steiner bytes grew with tables");
+    assert_eq!(reduce, small_reduce, "reduce bytes grew with tables");
+}
+
+/// Mean bytes and allocation calls per `reduce` over every variable pair
+/// of a dataset, under the PEANUT+ materialization trained on those pairs.
+fn dataset_reduce_allocs(name: &str, bn: &BayesianNetwork) -> (f64, f64) {
+    let tree = build_junction_tree(bn).unwrap();
+    let engine = QueryEngine::numeric(&tree, bn).unwrap();
+    let n = bn.n_vars() as u32;
+    let pairs: Vec<Scope> = (0..n)
+        .flat_map(|a| (a + 1..n).map(move |b| Scope::from_indices(&[a, b])))
+        .collect();
+    let ctx = OfflineContext::new(&tree, &Workload::from_queries(pairs.iter().cloned())).unwrap();
+    let cfg = PeanutConfig::plus(tree.total_separator_size().max(1) * 10);
+    let (mat, _) = Peanut::offline_numeric(&ctx, &cfg, engine.numeric_state().unwrap()).unwrap();
+    let online = OnlineEngine::new(&engine, &mat);
+    let (mut bytes, mut calls, mut worst) = (0usize, 0usize, 0usize);
+    for q in &pairs {
+        let (rt, b, c) = counted(|| online.reduce(q).unwrap());
+        drop(rt);
+        bytes += b;
+        calls += c;
+        worst = worst.max(b);
+    }
+    let per = |x: usize| x as f64 / pairs.len() as f64;
+    println!(
+        "{name}: reduce allocates {:.0} B and {:.1} calls per query (worst query {worst} B, {} queries)",
+        per(bytes),
+        per(calls),
+        pairs.len()
+    );
+    assert!(
+        worst <= BUDGET_BYTES,
+        "{name}: a reduce allocated {worst} B"
+    );
+    (per(bytes), per(calls))
+}
+
+#[test]
+fn dataset_plans_stay_within_budget() {
+    for name in ["Child", "TPC-H"] {
+        let bn = peanut_datasets::dataset(name).unwrap().build().unwrap();
+        dataset_reduce_allocs(name, &bn);
+    }
+}

@@ -20,7 +20,11 @@ use peanut_pgm::{table_size, Domain, Scope, Size};
 /// node whose product table spans `product_scope`, with `n_incoming`
 /// incoming messages.
 pub fn node_ops(product_scope: &Scope, n_incoming: usize, domain: &Domain) -> Size {
-    let t = table_size(product_scope, domain);
+    node_ops_of_size(table_size(product_scope, domain), n_incoming)
+}
+
+/// [`node_ops`] for a product table already sized at `t` entries.
+pub fn node_ops_of_size(t: Size, n_incoming: usize) -> Size {
     t.saturating_mul(1 + n_incoming as u64).saturating_add(t)
 }
 

@@ -96,9 +96,10 @@ impl<'t> QueryEngine<'t> {
     }
 
     /// The reduced tree a query would be processed on (`None` for in-clique
-    /// queries). The materialization layer takes this and shrinks it with
-    /// shortcut potentials before running it.
-    pub fn reduced_for(&self, query: &Scope) -> Result<Option<ReducedTree>, PgmError> {
+    /// queries): a view borrowing this engine's tree and calibrated tables.
+    /// The materialization layer shrinks such a plan with shortcut
+    /// potentials before running it.
+    pub fn reduced_for(&self, query: &Scope) -> Result<Option<ReducedTree<'_>>, PgmError> {
         match self.plan(query)? {
             QueryPlan::InClique(_) => Ok(None),
             QueryPlan::OutOfClique(st) => Ok(Some(ReducedTree::from_steiner(
@@ -138,10 +139,7 @@ impl<'t> QueryEngine<'t> {
         query: &Scope,
         scratch: &mut Scratch,
     ) -> Result<(Potential, QueryCost), PgmError> {
-        let ns = self
-            .numeric
-            .as_ref()
-            .ok_or_else(|| PgmError::UnknownName("engine is symbolic".into()))?;
+        let ns = self.numeric.as_ref().ok_or(PgmError::SymbolicEngine)?;
         match self.plan(query)? {
             QueryPlan::InClique(u) => {
                 let pot = ns.clique_table(u).marginalize_in(query, scratch)?;
@@ -172,10 +170,7 @@ impl<'t> QueryEngine<'t> {
         &self,
         evidence: &[(Var, u32)],
     ) -> Result<QueryEngine<'t>, PgmError> {
-        let ns = self
-            .numeric
-            .as_ref()
-            .ok_or_else(|| PgmError::UnknownName("engine is symbolic".into()))?;
+        let ns = self.numeric.as_ref().ok_or(PgmError::SymbolicEngine)?;
         let restricted = ns.with_evidence(self.tree, &self.rooted, evidence)?;
         Ok(QueryEngine {
             tree: self.tree,
@@ -349,9 +344,10 @@ mod tests {
             assert!((got.sum() - 1.0).abs() < 1e-9);
         }
         // symbolic engines cannot restrict
-        assert!(QueryEngine::symbolic(&tree)
-            .restricted_to_evidence(&evidence)
-            .is_err());
+        assert!(matches!(
+            QueryEngine::symbolic(&tree).restricted_to_evidence(&evidence),
+            Err(PgmError::SymbolicEngine)
+        ));
     }
 
     #[test]
@@ -360,6 +356,6 @@ mod tests {
         let tree = build_junction_tree(&bn).unwrap();
         let eng = QueryEngine::symbolic(&tree);
         let q = Scope::from_indices(&[0]);
-        assert!(eng.answer(&q).is_err());
+        assert!(matches!(eng.answer(&q), Err(PgmError::SymbolicEngine)));
     }
 }

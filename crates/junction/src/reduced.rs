@@ -1,18 +1,29 @@
 //! The reduced tree: the structure message passing actually runs on.
 //!
-//! A [`ReducedTree`] starts as a copy of a query's Steiner tree and can have
-//! connected regions of nodes replaced by a single *shortcut* node (the
-//! materialization layer performs the replacement). Message passing — both
-//! numeric and size-only — is implemented once, here, for all methods
-//! (plain JT, PEANUT, PEANUT+, INDSEP), which keeps the cost accounting
-//! strictly comparable across them.
+//! A [`ReducedTree`] is a query *plan*: the query's Steiner tree, in which
+//! connected regions of nodes may have been replaced by a single *shortcut*
+//! node (the materialization layer picks the replacements). A plan is a
+//! view over the arena and the materialization; nothing is copied until a
+//! kernel writes: every node borrows its scope from the junction tree or the
+//! shortcut, and its tables as [`TableRef`]s into the calibrated arena slab
+//! or the materialized potential. Building a plan, trying a replacement and
+//! costing it allocate a few index vectors sized by the node count, never
+//! by the tables, and a `ReducedTree<'a>` outlives neither the engine nor
+//! the materialization it was planned against.
+//!
+//! Message passing — both numeric and size-only — is implemented once,
+//! here, for all methods (plain JT, PEANUT, PEANUT+, INDSEP), which keeps
+//! the cost accounting strictly comparable across them.
 
 use crate::calibrate::NumericState;
-use crate::cost::{node_ops, QueryCost};
+use crate::cost::{node_ops, node_ops_of_size, QueryCost};
 use crate::rooted::RootedTree;
 use crate::steiner::SteinerTree;
 use crate::tree::{CliqueId, JunctionTree};
-use peanut_pgm::{PgmError, Potential, Scope, Scratch};
+use peanut_pgm::{
+    divide_views, product_many_views, table_size, Domain, PgmError, Potential, Scope, Scratch,
+    TableRef,
+};
 
 /// Provenance of a reduced-tree node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -23,72 +34,113 @@ pub enum NodeLabel {
     Shortcut(usize),
 }
 
-/// One node of a reduced tree.
-#[derive(Clone, Debug)]
-pub struct RNode {
+/// One node of a reduced tree: borrowed scope and tables plus tree links.
+#[derive(Clone, Copy, Debug)]
+pub struct RNode<'a> {
     /// Variable scope of the node's potential.
-    pub scope: Scope,
+    pub scope: &'a Scope,
     /// Provenance.
     pub label: NodeLabel,
     /// Dense potential (numeric mode only).
-    pub potential: Option<Potential>,
+    potential: Option<TableRef<'a>>,
     /// Separator potential on the edge toward the parent (numeric mode
     /// only; `None` for the root).
-    pub sep_to_parent: Option<Potential>,
+    sep_to_parent: Option<TableRef<'a>>,
     parent: Option<usize>,
-    children: Vec<usize>,
+    /// This node's span of [`ReducedTree::child_list`].
+    children: (usize, usize),
 }
 
-/// A rooted tree of potentials over which one query is answered.
+/// A rooted tree of borrowed potentials over which one query is answered.
 #[derive(Clone, Debug)]
-pub struct ReducedTree {
-    nodes: Vec<RNode>,
+pub struct ReducedTree<'a> {
+    nodes: Vec<RNode<'a>>,
     root: usize,
     shortcuts_used: usize,
+    /// Every node's children, ascending, back to back (see
+    /// [`RNode::children`]).
+    child_list: Vec<usize>,
+    /// Post-order of the nodes: every subtree contiguous, a node's child
+    /// subtrees last child first, the root last. Computed once per tree.
+    order: Vec<usize>,
 }
 
-impl ReducedTree {
-    /// Builds the reduced tree of a Steiner tree. When `numeric` is given it
-    /// must be calibrated; clique and separator potentials are cloned in.
+impl<'a> ReducedTree<'a> {
+    /// Plans a Steiner tree: one node per member clique, each borrowing its
+    /// scope from `tree` and — when `numeric` is given, which must be
+    /// calibrated — its clique and parent-separator tables from the arena.
+    /// No table is copied.
     pub fn from_steiner(
-        tree: &JunctionTree,
+        tree: &'a JunctionTree,
         rooted: &RootedTree,
         st: &SteinerTree,
-        numeric: Option<&NumericState>,
+        numeric: Option<&'a NumericState>,
     ) -> Self {
         let ids = st.nodes();
+        // lint:allow(hot_panic) — Steiner invariant: the root and every
+        // non-root member's parent are members
         let index_of = |u: CliqueId| ids.binary_search(&u).expect("steiner member");
-        let mut nodes: Vec<RNode> = ids
+        let nodes = ids
             .iter()
             .map(|&u| {
-                let is_root = u == st.root();
-                let parent = (!is_root).then(|| index_of(rooted.parent(u).expect("non-root")));
-                let sep_to_parent = match (numeric, is_root) {
-                    (Some(ns), false) => {
-                        let e = rooted.parent_edge(u).expect("non-root");
-                        Some(ns.separator_table(e).to_potential())
-                    }
-                    _ => None,
+                let up = if u == st.root() {
+                    None
+                } else {
+                    rooted.parent(u).zip(rooted.parent_edge(u))
                 };
                 RNode {
-                    scope: tree.clique(u).clone(),
+                    scope: tree.clique(u),
                     label: NodeLabel::Clique(u),
-                    potential: numeric.map(|ns| ns.clique_table(u).to_potential()),
-                    sep_to_parent,
-                    parent,
-                    children: Vec::new(),
+                    potential: numeric.map(|ns| ns.clique_table(u)),
+                    sep_to_parent: numeric.zip(up).map(|(ns, (_, e))| ns.separator_table(e)),
+                    parent: up.map(|(p, _)| index_of(p)),
+                    children: (0, 0),
                 }
             })
             .collect();
-        for i in 0..nodes.len() {
-            if let Some(p) = nodes[i].parent {
-                nodes[p].children.push(i);
+        Self::linked(nodes, index_of(st.root()), 0)
+    }
+
+    /// Completes a tree from its nodes' parent pointers: child lists
+    /// (ascending node index) and the post-order.
+    fn linked(mut nodes: Vec<RNode<'a>>, root: usize, shortcuts_used: usize) -> Self {
+        let n = nodes.len();
+        // counting sort of the non-root nodes by parent: count children,
+        // lay the spans out, then fill them in ascending node order
+        let mut count = vec![0usize; n];
+        for node in &nodes {
+            if let Some(p) = node.parent {
+                count[p] += 1;
             }
         }
+        let mut end = 0;
+        for (node, &c) in nodes.iter_mut().zip(&count) {
+            node.children = (end, end); // grows as the children arrive
+            end += c;
+        }
+        let mut child_list = vec![0usize; end];
+        for i in 0..n {
+            if let Some(p) = nodes[i].parent {
+                child_list[nodes[p].children.1] = i;
+                nodes[p].children.1 += 1;
+            }
+        }
+        // a pre-order that descends into the first child first, reversed
+        let mut order = Vec::with_capacity(n);
+        let mut stack = vec![root];
+        while let Some(u) = stack.pop() {
+            order.push(u);
+            let (lo, hi) = nodes[u].children;
+            stack.extend(child_list[lo..hi].iter().rev());
+        }
+        order.reverse();
+        debug_assert_eq!(order.len(), n, "every node hangs off the root");
         ReducedTree {
             nodes,
-            root: index_of(st.root()),
-            shortcuts_used: 0,
+            root,
+            shortcuts_used,
+            child_list,
+            order,
         }
     }
 
@@ -112,20 +164,21 @@ impl ReducedTree {
 
     /// Node access.
     #[inline]
-    pub fn node(&self, i: usize) -> &RNode {
+    pub fn node(&self, i: usize) -> &RNode<'a> {
         &self.nodes[i]
     }
 
     /// All nodes.
     #[inline]
-    pub fn nodes(&self) -> &[RNode] {
+    pub fn nodes(&self) -> &[RNode<'a>] {
         &self.nodes
     }
 
-    /// Children of node `i`.
+    /// Children of node `i`, ascending.
     #[inline]
     pub fn children(&self, i: usize) -> &[usize] {
-        &self.nodes[i].children
+        let (lo, hi) = self.nodes[i].children;
+        &self.child_list[lo..hi]
     }
 
     /// Parent of node `i`.
@@ -140,155 +193,111 @@ impl ReducedTree {
         self.shortcuts_used
     }
 
-    /// Reduced-tree node indices whose label is the given clique.
-    pub fn index_of_clique(&self, u: CliqueId) -> Option<usize> {
-        self.nodes
-            .iter()
-            .position(|n| n.label == NodeLabel::Clique(u))
-    }
-
-    /// Replaces the connected region `region` (node indices) with a single
-    /// shortcut node of scope `scope`.
+    /// The tree with the connected region `region` (node indices) replaced
+    /// by a single shortcut node of scope `scope`; `self` is left as it is,
+    /// so a caller can price the candidate and drop it.
     ///
-    /// * `potential` — the materialized shortcut table (numeric mode);
+    /// * `potential` — a view of the materialized shortcut table (numeric
+    ///   mode);
     /// * neighbors of the region are re-attached to the new node and keep
     ///   their original edge separators (they are cut separators of the
     ///   shortcut);
     /// * if the region contains the root, the new node becomes the root and
     ///   the tree's answer is computed from the shortcut's joint.
     ///
-    /// Returns the rebuilt tree (the original is consumed to make the
-    /// borrow-flow of repeated replacements explicit).
+    /// Kept nodes keep their relative order and the shortcut node goes
+    /// last; each kept node record (borrowed scope, table views) is copied
+    /// once.
     pub fn replace_region(
-        mut self,
+        &self,
         region: &[usize],
-        scope: Scope,
-        potential: Option<Potential>,
+        scope: &'a Scope,
+        potential: Option<TableRef<'a>>,
         shortcut_id: usize,
-    ) -> Result<ReducedTree, PgmError> {
-        if region.is_empty() {
-            return Err(PgmError::UnknownName("empty replacement region".into()));
-        }
-        let in_region = |i: usize| region.contains(&i);
+    ) -> Result<ReducedTree<'a>, PgmError> {
+        let kept = |i: &usize| !region.contains(i);
         // topmost region node: the one whose parent is outside (or absent)
-        let mut tops: Vec<usize> = region
+        let mut tops = region
             .iter()
-            .copied()
-            .filter(|&i| self.nodes[i].parent.is_none_or(|p| !in_region(p)))
-            .collect();
-        if tops.len() != 1 {
-            return Err(PgmError::UnknownName(format!(
-                "replacement region is not connected: {} tops",
-                tops.len()
-            )));
+            .filter(|&&i| self.nodes[i].parent.as_ref().is_none_or(kept));
+        let (Some(&top), None) = (tops.next(), tops.next()) else {
+            let detail = format!("{} nodes, empty or not connected", region.len());
+            return Err(PgmError::InvalidRegion { detail });
+        };
+        // kept nodes move down over the removed ones; the whole region maps
+        // to the shortcut node, which goes last
+        let mut new_index = vec![0; self.nodes.len()];
+        let mut shortcut_idx = 0;
+        for i in (0..self.nodes.len()).filter(kept) {
+            new_index[i] = shortcut_idx;
+            shortcut_idx += 1;
         }
-        let top = tops.pop().expect("exactly one top");
-        let new_parent = self.nodes[top].parent;
-        let sep_to_parent = self.nodes[top].sep_to_parent.take();
-
-        let mut keep_map = vec![usize::MAX; self.nodes.len()];
-        let mut new_nodes: Vec<RNode> = Vec::with_capacity(self.nodes.len() - region.len() + 1);
-        for (i, n) in self.nodes.iter().enumerate() {
-            if !in_region(i) {
-                keep_map[i] = new_nodes.len();
-                new_nodes.push(n.clone());
-            }
+        for &i in region {
+            new_index[i] = shortcut_idx;
         }
-        let shortcut_idx = new_nodes.len();
-        new_nodes.push(RNode {
+        let moved = |n: &RNode<'a>| RNode {
+            parent: n.parent.map(|p| new_index[p]),
+            ..*n
+        };
+        let mut nodes = Vec::with_capacity(shortcut_idx + 1);
+        nodes.extend(
+            (0..self.nodes.len())
+                .filter(kept)
+                .map(|i| moved(&self.nodes[i])),
+        );
+        nodes.push(RNode {
             scope,
             label: NodeLabel::Shortcut(shortcut_id),
             potential,
-            sep_to_parent,
-            parent: new_parent.map(|p| keep_map[p]),
-            children: Vec::new(),
+            ..moved(&self.nodes[top])
         });
-        // remap parents, then rebuild children lists
-        for (i, n) in new_nodes.iter_mut().enumerate() {
-            if i == shortcut_idx {
-                continue;
-            }
-            n.parent = n.parent.map(|old| {
-                if keep_map[old] == usize::MAX {
-                    shortcut_idx
-                } else {
-                    keep_map[old]
-                }
-            });
-            n.children.clear();
-        }
-        new_nodes[shortcut_idx].children.clear();
-        for i in 0..new_nodes.len() {
-            if let Some(p) = new_nodes[i].parent {
-                new_nodes[p].children.push(i);
-            }
-        }
-        let root = if in_region(self.root) {
-            shortcut_idx
-        } else {
-            keep_map[self.root]
-        };
-        Ok(ReducedTree {
-            nodes: new_nodes,
-            root,
-            shortcuts_used: self.shortcuts_used + 1,
-        })
+        let root = new_index[self.root];
+        Ok(Self::linked(nodes, root, self.shortcuts_used + 1))
     }
 
-    /// Post-order of the node indices (children before parents).
-    fn post_order(&self) -> Vec<usize> {
-        let mut order = Vec::with_capacity(self.nodes.len());
-        let mut stack = vec![(self.root, false)];
-        while let Some((u, expanded)) = stack.pop() {
-            if expanded {
-                order.push(u);
-            } else {
-                stack.push((u, true));
-                for &c in &self.nodes[u].children {
-                    stack.push((c, false));
+    /// The structural pass [`cost`](Self::cost) and
+    /// [`answer_in`](Self::answer_in) share: flag `u * query.len() + i` says
+    /// whether node `u`'s subtree holds the `i`-th query variable.
+    fn carried(&self, query: &Scope) -> Vec<bool> {
+        let k = query.len();
+        let mut held = vec![false; self.nodes.len() * k];
+        for &u in &self.order {
+            let n = &self.nodes[u];
+            for (i, x) in query.iter().enumerate() {
+                held[u * k + i] |= n.scope.contains(x);
+                // children precede parents, so `u`'s flags are final here
+                if let Some(p) = n.parent {
+                    held[p * k + i] |= held[u * k + i];
                 }
             }
         }
-        order
-    }
-
-    /// Scope of the message sent from `u` to its parent:
-    /// `(scope(u) ∩ scope(parent)) ∪ (query vars available in u's subtree)`.
-    fn message_scope(&self, u: usize, query: &Scope, carried: &Scope) -> Scope {
-        let p = self.nodes[u].parent.expect("non-root");
-        let sep = self.nodes[u].scope.intersect(&self.nodes[p].scope);
-        sep.union(&carried.intersect(query))
+        held
     }
 
     /// Size-only message passing: the operation count of answering `query`
     /// on this tree under the cost model of [`crate::cost`].
-    pub fn cost(&self, query: &Scope, domain: &peanut_pgm::Domain) -> QueryCost {
+    ///
+    /// A node's product table spans its own scope plus the query variables
+    /// carried up from below (the separator part of every incoming message
+    /// already lies inside the node's scope), so it is sized by walking the
+    /// query against the scope — no scope is materialized.
+    pub fn cost(&self, query: &Scope, domain: &Domain) -> QueryCost {
+        let held = self.carried(query);
         let mut cost = QueryCost {
             shortcuts_used: self.shortcuts_used,
-            ..QueryCost::default()
+            messages: self.nodes.len() - 1,
+            ops: 0,
         };
-        let mut msg_scope: Vec<Option<Scope>> = vec![None; self.nodes.len()];
-        let mut carried: Vec<Scope> = vec![Scope::empty(); self.nodes.len()];
-        for u in self.post_order() {
-            let n = &self.nodes[u];
-            let mut product_scope = n.scope.clone();
-            let mut n_in = 0usize;
-            let mut carry = n.scope.intersect(query);
-            for &c in &n.children {
-                let m = msg_scope[c].as_ref().expect("child processed");
-                product_scope = product_scope.union(m);
-                carry = carry.union(&carried[c].intersect(query));
-                n_in += 1;
+        for (u, n) in self.nodes.iter().enumerate() {
+            let mut t = table_size(n.scope, domain);
+            for (i, x) in query.iter().enumerate() {
+                if held[u * query.len() + i] && !n.scope.contains(x) {
+                    t = t.saturating_mul(u64::from(domain.card(x)));
+                }
             }
-            carried[u] = carry.clone();
-            if u == self.root {
-                cost.add_node(node_ops(&product_scope, n_in, domain));
-            } else {
-                // +1 incoming factor for the separator division
-                cost.add_node(node_ops(&product_scope, n_in + 1, domain));
-                cost.messages += 1;
-                msg_scope[u] = Some(self.message_scope(u, query, &carry));
-            }
+            // +1 incoming factor for a non-root's separator division
+            let n_in = self.children(u).len() + usize::from(u != self.root);
+            cost.add_node(node_ops_of_size(t, n_in));
         }
         cost
     }
@@ -298,7 +307,7 @@ impl ReducedTree {
     pub fn answer(
         &self,
         query: &Scope,
-        domain: &peanut_pgm::Domain,
+        domain: &Domain,
     ) -> Result<(Potential, QueryCost), PgmError> {
         self.answer_in(query, domain, &mut Scratch::new())
     }
@@ -306,60 +315,57 @@ impl ReducedTree {
     /// [`answer`](Self::answer) with caller-provided kernel scratch: all
     /// intermediate products and consumed messages are recycled into
     /// `scratch`, so a worker answering a stream of queries stops allocating
-    /// after warm-up.
+    /// after warm-up. The view kernels read the borrowed tables in place.
     pub fn answer_in(
         &self,
         query: &Scope,
-        domain: &peanut_pgm::Domain,
+        domain: &Domain,
         scratch: &mut Scratch,
     ) -> Result<(Potential, QueryCost), PgmError> {
+        let held = self.carried(query);
         let mut cost = QueryCost {
             shortcuts_used: self.shortcuts_used,
-            ..QueryCost::default()
+            messages: self.nodes.len() - 1,
+            ops: 0,
         };
-        let mut messages: Vec<Option<Potential>> = vec![None; self.nodes.len()];
-        let mut carried: Vec<Scope> = vec![Scope::empty(); self.nodes.len()];
-        let mut answer = None;
-        for u in self.post_order() {
+        // the post-order keeps subtrees contiguous and runs a node's children
+        // last to first, so its incoming messages are the top of this stack,
+        // the first child's uppermost
+        let mut messages: Vec<Potential> = Vec::new();
+        for &u in &self.order {
             let n = &self.nodes[u];
-            let pot = n
-                .potential
-                .as_ref()
-                .ok_or_else(|| PgmError::UnknownName("numeric mode requires potentials".into()))?;
-            let mut factors: Vec<&Potential> = vec![pot];
-            let mut carry = n.scope.intersect(query);
-            for &c in &n.children {
-                factors.push(messages[c].as_ref().expect("child processed"));
-                carry = carry.union(&carried[c].intersect(query));
-            }
-            let n_in = factors.len() - 1;
-            let product = Potential::product_many_in(&factors, scratch)?;
-            for &c in &n.children {
-                let spent = messages[c].take().expect("child processed");
+            let first = messages.len() - self.children(u).len();
+            let mut factors = vec![n.potential.ok_or(PgmError::SymbolicEngine)?];
+            factors.extend(messages[first..].iter().rev().map(Potential::view));
+            let product = product_many_views(&factors, scratch)?;
+            let n_in = factors.len() - 1 + usize::from(u != self.root);
+            cost.add_node(node_ops(product.scope(), n_in, domain));
+            for spent in messages.drain(first..).rev() {
                 scratch.recycle(spent);
             }
-            carried[u] = carry.clone();
-            if u == self.root {
-                cost.add_node(node_ops(product.scope(), n_in, domain));
-                answer = Some(product.marginalize_in(query, scratch)?);
-                scratch.recycle(product);
-            } else {
-                cost.add_node(node_ops(product.scope(), n_in + 1, domain));
-                cost.messages += 1;
-                let divided = match &n.sep_to_parent {
-                    Some(sep) => {
-                        let d = product.divide_in(sep, scratch)?;
-                        scratch.recycle(product);
-                        d
-                    }
-                    None => product,
-                };
-                let target = self.message_scope(u, query, &carry);
-                messages[u] = Some(divided.marginalize_in(&target, scratch)?);
-                scratch.recycle(divided);
-            }
+            // what goes up: the separator with the parent plus the query
+            // variables held below — from the root, the answer itself
+            let target = match n.parent {
+                Some(p) => {
+                    let sep = n.scope.iter().filter(|&x| self.nodes[p].scope.contains(x));
+                    let below = (0..query.len()).filter(|i| held[u * query.len() + i]);
+                    Scope::from_iter(sep.chain(below.map(|i| query.vars()[i])))
+                }
+                None => query.clone(),
+            };
+            let divided = match n.sep_to_parent {
+                Some(sep) => {
+                    let d = divide_views(product.view(), sep, scratch)?;
+                    scratch.recycle(product);
+                    d
+                }
+                None => product,
+            };
+            messages.push(divided.marginalize_in(&target, scratch)?);
+            scratch.recycle(divided);
         }
-        Ok((answer.expect("root visited"), cost))
+        // lint:allow(hot_panic) — a tree has a root, and it closes the post-order
+        Ok((messages.pop().expect("the root's answer"), cost))
     }
 }
 
@@ -445,14 +451,14 @@ mod tests {
             .expect("interior node exists");
         // cut scope: union of separators to parent and to children
         let p = rt.parent(interior).unwrap();
-        let mut cut_scope = rt.node(interior).scope.intersect(&rt.node(p).scope);
+        let mut cut_scope = rt.node(interior).scope.intersect(rt.node(p).scope);
         for &c in rt.children(interior) {
-            cut_scope = cut_scope.union(&rt.node(c).scope.intersect(&rt.node(interior).scope));
+            cut_scope = cut_scope.union(&rt.node(c).scope.intersect(rt.node(interior).scope));
         }
         let shortcut_pot = joint::marginal(&bn, &cut_scope).unwrap();
-        let (want, base_cost) = rt.clone().answer(&q, d).unwrap();
+        let (want, base_cost) = rt.answer(&q, d).unwrap();
         let rt2 = rt
-            .replace_region(&[interior], cut_scope, Some(shortcut_pot), 0)
+            .replace_region(&[interior], &cut_scope, Some(shortcut_pot.view()), 0)
             .unwrap();
         let (got, red_cost) = rt2.answer(&q, d).unwrap();
         assert!(got.max_abs_diff(&want).unwrap() < 1e-9);
@@ -469,7 +475,7 @@ mod tests {
         let q = Scope::from_iter([d.var("a").unwrap(), d.var("l").unwrap()]);
         let st = SteinerTree::extract(&tree, &rooted, &q).unwrap();
         let rt = ReducedTree::from_steiner(&tree, &rooted, &st, Some(&ns));
-        let (want, _) = rt.clone().answer(&q, d).unwrap();
+        let (want, _) = rt.answer(&q, d).unwrap();
 
         // region = root + its first child (connected, contains r_q)
         let root = rt.root();
@@ -481,7 +487,7 @@ mod tests {
         for &i in &region {
             for &c in rt.children(i) {
                 if !region.contains(&c) {
-                    cut_scope = cut_scope.union(&rt.node(c).scope.intersect(&rt.node(i).scope));
+                    cut_scope = cut_scope.union(&rt.node(c).scope.intersect(rt.node(i).scope));
                 }
             }
         }
@@ -489,7 +495,10 @@ mod tests {
             cut_scope = cut_scope.union(&rt.node(i).scope.intersect(&q));
         }
         let pot = joint::marginal(&bn, &cut_scope).unwrap();
-        let rt2 = rt.replace_region(&region, cut_scope, Some(pot), 3).unwrap();
+        let rt2 = rt
+            .replace_region(&region, &cut_scope, Some(pot.view()), 3)
+            .unwrap();
+        assert_eq!(rt2.root(), rt2.len() - 1, "the shortcut node is the root");
         let (got, cost) = rt2.answer(&q, d).unwrap();
         assert!(got.max_abs_diff(&want).unwrap() < 1e-9);
         assert_eq!(cost.shortcuts_used, 1);
@@ -506,7 +515,49 @@ mod tests {
         // two nodes that are not adjacent
         let a = rt.root();
         let grandchild = rt.children(rt.children(a)[0])[0];
-        let err = rt.replace_region(&[a, grandchild], Scope::empty(), None, 0);
-        assert!(err.is_err());
+        let empty = Scope::empty();
+        let err = rt.replace_region(&[a, grandchild], &empty, None, 0);
+        assert!(matches!(err, Err(PgmError::InvalidRegion { .. })));
+        let err = rt.replace_region(&[], &empty, None, 0);
+        assert!(matches!(err, Err(PgmError::InvalidRegion { .. })));
+    }
+
+    #[test]
+    fn symbolic_tree_cannot_answer() {
+        let bn = fixtures::asia();
+        let (tree, rooted, _) = setup(&bn, None);
+        let q = Scope::from_indices(&[0, 7]);
+        let st = SteinerTree::extract(&tree, &rooted, &q).unwrap();
+        let rt = ReducedTree::from_steiner(&tree, &rooted, &st, None);
+        let err = rt.answer(&q, bn.domain());
+        assert!(matches!(err, Err(PgmError::SymbolicEngine)));
+    }
+
+    /// The post-order keeps every subtree contiguous with a node's children
+    /// last to first — what lets `answer_in` keep its messages on a stack.
+    #[test]
+    fn post_order_is_contiguous_and_child_ordered() {
+        let bn = fixtures::figure1();
+        let (tree, rooted, _) = setup(&bn, None);
+        let d = bn.domain();
+        let q = Scope::from_iter(["a", "f", "h", "l"].iter().map(|n| d.var(n).unwrap()));
+        let st = SteinerTree::extract(&tree, &rooted, &q).unwrap();
+        let rt = ReducedTree::from_steiner(&tree, &rooted, &st, None);
+        assert_eq!(rt.order.len(), rt.len());
+        assert_eq!(*rt.order.last().unwrap(), rt.root());
+        let pos = |u: usize| rt.order.iter().position(|&v| v == u).unwrap();
+        fn size(rt: &ReducedTree<'_>, u: usize) -> usize {
+            1 + rt.children(u).iter().map(|&c| size(rt, c)).sum::<usize>()
+        }
+        for u in 0..rt.len() {
+            // u's subtree occupies the `size` positions ending at u, its
+            // children's subtrees last child first
+            let mut at = pos(u) + 1 - size(&rt, u);
+            for &c in rt.children(u).iter().rev() {
+                at += size(&rt, c);
+                assert_eq!(pos(c) + 1, at, "child {c} of {u}");
+            }
+            assert!(rt.children(u).windows(2).all(|w| w[0] < w[1]));
+        }
     }
 }

@@ -34,6 +34,15 @@ pub enum PgmError {
     UnknownTenant(u32),
     /// A tenant id was registered twice with a sharded engine.
     DuplicateTenant(u32),
+    /// A numeric answer was asked of an engine, query plan or
+    /// materialization that carries no tables (symbolic, size-only mode).
+    SymbolicEngine,
+    /// A set of reduced-tree nodes offered for replacement by a shortcut
+    /// node is not a non-empty connected region of the tree.
+    InvalidRegion {
+        /// What is wrong with the region.
+        detail: String,
+    },
     /// An I/O failure while reading or writing a materialization-store
     /// file (open, read, write, sync).
     StoreIo {
@@ -96,6 +105,12 @@ impl fmt::Display for PgmError {
             }
             PgmError::UnknownTenant(t) => write!(f, "no shard registered for tenant {t}"),
             PgmError::DuplicateTenant(t) => write!(f, "tenant {t} is already registered"),
+            PgmError::SymbolicEngine => {
+                write!(f, "numeric answer requested in symbolic (size-only) mode")
+            }
+            PgmError::InvalidRegion { detail } => {
+                write!(f, "invalid replacement region: {detail}")
+            }
             PgmError::StoreIo { path, msg } => {
                 write!(f, "store I/O failure on {path}: {msg}")
             }
@@ -152,6 +167,16 @@ mod tests {
         };
         assert!(e.to_string().contains('9'));
         assert!(e.to_string().contains('1'));
+    }
+
+    #[test]
+    fn mode_and_region_errors_say_what_happened() {
+        assert!(PgmError::SymbolicEngine.to_string().contains("symbolic"));
+        let e = PgmError::InvalidRegion {
+            detail: "not connected: 2 tops".into(),
+        };
+        assert!(e.to_string().contains("region"));
+        assert!(e.to_string().contains("2 tops"));
     }
 
     #[test]

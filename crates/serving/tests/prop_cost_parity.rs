@@ -44,7 +44,7 @@ fn reference_ops(rt: &ReducedTree, query: &Scope, domain: &Domain) -> u64 {
             (Scope::empty(), carried)
         } else {
             let p = rt.parent(u).expect("non-root");
-            let sep = node_scope.intersect(&rt.node(p).scope);
+            let sep = node_scope.intersect(rt.node(p).scope);
             (sep.union(&carried), carried)
         }
     }

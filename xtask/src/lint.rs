@@ -3,11 +3,11 @@
 //!
 //! * **R1 — unsafe allowlist.** The `unsafe` keyword may appear only in
 //!   the files listed in [`UNSAFE_ALLOWLIST`] (today: the worker pool's
-//!   lifetime-erasure site and the materialization store's audited byte
-//!   module). Anywhere else it is a violation even though
-//!   the crate roots already `#![forbid(unsafe_code)]` — the lint is the
-//!   layer that catches a root attribute being dropped together with the
-//!   unsafe block it guarded.
+//!   lifetime-erasure site, the materialization store's audited byte
+//!   module and the allocation-guard test's counting allocator). Anywhere
+//!   else it is a violation even though the crate roots already
+//!   `#![forbid(unsafe_code)]` — the lint is the layer that catches a root
+//!   attribute being dropped together with the unsafe block it guarded.
 //! * **R2 — `SAFETY:` comments.** Inside allowlisted files, every line
 //!   containing `unsafe` must carry a `SAFETY:` comment on the same line
 //!   or within the [`SAFETY_WINDOW`] lines above it.
@@ -43,17 +43,26 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Files allowed to contain `unsafe` (R1), all subject to R2: the worker
-/// pool's lifetime-erasure site and the materialization store's audited
-/// byte module (mmap + aligned slice reinterpretation).
-const UNSAFE_ALLOWLIST: &[&str] = &["crates/serving/src/pool.rs", "crates/store/src/bytes.rs"];
+/// pool's lifetime-erasure site, the materialization store's audited
+/// byte module (mmap + aligned slice reinterpretation) and the counting
+/// `GlobalAlloc` of the plan allocation-guard test.
+const UNSAFE_ALLOWLIST: &[&str] = &[
+    "crates/serving/src/pool.rs",
+    "crates/store/src/bytes.rs",
+    "crates/core/tests/alloc_budget.rs",
+];
 
-/// Serving hot-path files subject to R4.
+/// Serving hot-path files subject to R4: the serving tier, and the query
+/// path under every request it answers (plan, reduce, message passing).
 const HOT_PATHS: &[&str] = &[
     "crates/serving/src/pool.rs",
     "crates/serving/src/engine.rs",
     "crates/serving/src/shard.rs",
     "crates/serving/src/pipeline.rs",
     "crates/serving/src/session.rs",
+    "crates/core/src/online.rs",
+    "crates/junction/src/reduced.rs",
+    "crates/junction/src/query.rs",
 ];
 
 /// Panicking constructs forbidden on hot paths (R4).
