@@ -29,6 +29,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 const BATCH: usize = 128;
+
+/// Closed-loop replay in [`BATCH`]-query slices.
+fn closed_loop() -> ReplayConfig {
+    ReplayConfig {
+        batch_size: BATCH,
+        ..ReplayConfig::default()
+    }
+}
 const DRIFT_AT: usize = 512;
 const BUDGET: u64 = 4096;
 
@@ -203,11 +211,7 @@ fn bench_drift_serving(c: &mut Criterion) {
         },
     );
     let drift_tail = &setup.stream[DRIFT_AT..];
-    let stale_report = replay(
-        &stale_engine,
-        drift_tail,
-        &ReplayConfig { batch_size: BATCH },
-    );
+    let (_, stale_report) = replay(&stale_engine, drift_tail, None, &closed_loop());
     assert_eq!(stale_report.errors, 0);
     let stale_cost = stale_report.mean_ops_per_computed();
 
@@ -265,7 +269,8 @@ fn bench_drift_serving(c: &mut Criterion) {
                 black_box(replay(
                     &steady,
                     &setup.stream[DRIFT_AT..],
-                    &ReplayConfig { batch_size: BATCH },
+                    None,
+                    &closed_loop(),
                 ))
             })
         });

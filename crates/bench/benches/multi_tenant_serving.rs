@@ -30,15 +30,23 @@ use peanut_core::{Materialization, OfflineContext, Peanut, PeanutConfig, Workloa
 use peanut_junction::{build_junction_tree, JunctionTree, QueryEngine};
 use peanut_pgm::{fixtures, BayesianNetwork, Scope};
 use peanut_serving::{
-    poisson_arrivals, replay_mixed, replay_open_loop_mixed, AdmissionConfig, FleetConfig,
-    FleetController, FleetRebalance, OpenLoopConfig, ReplayClock, ReplayConfig, ServeRequest,
-    ServingConfig, ServingEngine, ShardConfig, ShardedServingEngine, TenantId,
+    poisson_arrivals, replay_mixed, AdmissionConfig, FleetConfig, FleetController, FleetRebalance,
+    ReplayConfig, ServeRequest, ServingConfig, ServingEngine, ShardConfig, ShardedServingEngine,
+    TenantId,
 };
 use peanut_workload::{tenant_queries, zipf_weights, TenantTraffic};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 const BATCH: usize = 128;
+
+/// Closed-loop replay in [`BATCH`]-query slices.
+fn closed_loop() -> ReplayConfig {
+    ReplayConfig {
+        batch_size: BATCH,
+        ..ReplayConfig::default()
+    }
+}
 /// Per-tenant training budget for the throughput study.
 const TENANT_BUDGET: u64 = 1024;
 /// Global budget the fleet controller splits across tenants. Shortcut
@@ -183,7 +191,7 @@ fn bench_multi_tenant_serving(c: &mut Criterion) {
     let t0 = Instant::now();
     let mut mixed_errors = 0;
     for _ in 0..PASSES {
-        let report = replay_mixed(&sharded, &stream, &ReplayConfig { batch_size: BATCH });
+        let (_, report) = replay_mixed(&sharded, &stream, None, &closed_loop());
         mixed_errors += report.errors;
     }
     let mixed_wall = t0.elapsed();
@@ -250,31 +258,36 @@ fn bench_multi_tenant_serving(c: &mut Criterion) {
         sharded
     };
     let probe = fresh_uncached();
-    let closed = replay_mixed(&probe, &overload_stream, &ReplayConfig { batch_size: 32 });
-    assert_eq!(closed.errors, 0);
-    let capacity_qps = closed.throughput_qps;
+    let open_cfg = |admission: AdmissionConfig| ReplayConfig {
+        batch_size: 32,
+        admission,
+        ..ReplayConfig::default()
+    };
+    let (_, capacity) = replay_mixed(
+        &probe,
+        &overload_stream,
+        None,
+        &open_cfg(AdmissionConfig::fifo()),
+    );
+    assert_eq!(capacity.errors, 0);
+    let capacity_qps = capacity.throughput_qps;
     drop(probe);
     let schedule = poisson_arrivals(overload_stream.len(), 3.0 * capacity_qps, 0xfeed);
     let deadline = Duration::from_secs_f64(64.0 / capacity_qps);
-    let open_cfg = |admission: AdmissionConfig| OpenLoopConfig {
-        max_batch: 32,
-        admission,
-        clock: ReplayClock::Wall,
-    };
-    let (_, fifo) = replay_open_loop_mixed(
+    let (_, fifo) = replay_mixed(
         &fresh_uncached(),
         &overload_stream,
-        &schedule,
+        Some(&schedule),
         &open_cfg(AdmissionConfig::fifo()),
     );
     let protected = AdmissionConfig {
         max_tenant_backlog: 64,
         ..AdmissionConfig::default().with_deadline(deadline)
     };
-    let (_, shed) = replay_open_loop_mixed(
+    let (_, shed) = replay_mixed(
         &fresh_uncached(),
         &overload_stream,
-        &schedule,
+        Some(&schedule),
         &open_cfg(protected),
     );
     assert_eq!(fifo.errors + shed.errors, 0, "overload runs are error-free");
@@ -322,7 +335,7 @@ fn bench_multi_tenant_serving(c: &mut Criterion) {
     let spike_tenant = n_tenants() - 1; // the coldest tenant of the Zipf fleet
     let serve_phase = |weights: &[f64], seed: u64| {
         let phase = arrival_stream(&setup, weights, 1024, seed);
-        let report = replay_mixed(&fleet, &phase, &ReplayConfig { batch_size: BATCH });
+        let (_, report) = replay_mixed(&fleet, &phase, None, &closed_loop());
         assert_eq!(report.errors, 0, "fleet serving must be error-free");
     };
     serve_phase(&weights, 7);
@@ -382,15 +395,9 @@ fn bench_multi_tenant_serving(c: &mut Criterion) {
     for workers in worker_sweep() {
         let steady = sharded_engine(&setup, workers, true);
         // warm the caches once: steady state is the recurring stream
-        replay_mixed(&steady, &stream, &ReplayConfig { batch_size: BATCH });
+        replay_mixed(&steady, &stream, None, &closed_loop());
         g.bench_function(format!("mixed_stream_steady_w{}", steady.workers()), |b| {
-            b.iter(|| {
-                black_box(replay_mixed(
-                    &steady,
-                    &stream,
-                    &ReplayConfig { batch_size: BATCH },
-                ))
-            })
+            b.iter(|| black_box(replay_mixed(&steady, &stream, None, &closed_loop())))
         });
     }
     g.finish();

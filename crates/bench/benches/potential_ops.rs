@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the dense factor algebra — the inner loop of every
 //! message-passing operation — plus the kernel-generation acceptance study.
 //!
-//! The criterion groups time the *current* (preallocated, lane-unrolled)
+//! The criterion groups time the *current* (preallocated, lane-walk)
 //! kernels. The acceptance study then races each current kernel against its
 //! pre-arena original (`peanut_pgm::potential::legacy`: append-based stride
 //! walks, `Vec::push`/`extend`) on identical inputs with interleaved

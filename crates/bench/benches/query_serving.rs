@@ -31,9 +31,8 @@ use peanut_junction::{build_junction_tree, JunctionTree, QueryEngine, RootedTree
 use peanut_pgm::Scope;
 use peanut_pgm::{fixtures, BayesianNetwork, Scratch};
 use peanut_serving::{
-    poisson_arrivals, replay, replay_open_loop, workload_queries, AdmissionConfig, OpenLoopConfig,
-    ReplayClock, ReplayConfig, ServeOutcome, ServeRequest, ServingConfig, ServingEngine,
-    WorkloadMix,
+    poisson_arrivals, replay, workload_queries, AdmissionConfig, ReplayConfig, ServeOutcome,
+    ServeRequest, ServingConfig, ServingEngine, WorkloadMix,
 };
 use peanut_workload::QuerySpec;
 use std::hint::black_box;
@@ -168,6 +167,10 @@ fn bench_query_serving(c: &mut Criterion) {
     let engine = std::sync::Arc::new(engine);
     let mat = std::sync::Arc::new(mat);
     let online = OnlineEngine::new(&engine, &mat);
+    let closed = ReplayConfig {
+        batch_size: BATCH,
+        ..ReplayConfig::default()
+    };
 
     let mut g = c.benchmark_group("query_serving");
     g.bench_function(format!("single_thread_loop_{}q", queries.len()), |b| {
@@ -193,15 +196,7 @@ fn bench_query_serving(c: &mut Criterion) {
                 queries.len(),
                 serving.workers()
             ),
-            |b| {
-                b.iter(|| {
-                    black_box(replay(
-                        &serving,
-                        &queries,
-                        &ReplayConfig { batch_size: BATCH },
-                    ))
-                })
-            },
+            |b| b.iter(|| black_box(replay(&serving, &queries, None, &closed))),
         );
     }
     g.finish();
@@ -223,7 +218,7 @@ fn bench_query_serving(c: &mut Criterion) {
                 ..ServingConfig::default()
             },
         );
-        let report = replay(&cold, &queries, &ReplayConfig { batch_size: BATCH });
+        let (_, report) = replay(&cold, &queries, None, &closed);
         assert_eq!(report.errors, 0);
         let speedup = report.throughput_qps / loop_qps;
         println!(
@@ -331,6 +326,11 @@ fn bench_query_serving(c: &mut Criterion) {
         };
         workload_queries(&setup.tree, &rooted, overload_n(), &mix, 7)
     };
+    let open_cfg = |admission: AdmissionConfig| ReplayConfig {
+        batch_size: OVERLOAD_BATCH,
+        admission,
+        ..ReplayConfig::default()
+    };
     for workers in worker_sweep() {
         // caching off: a repeated pool query must cost real compute, both
         // in the capacity measurement and under saturation
@@ -346,34 +346,28 @@ fn bench_query_serving(c: &mut Criterion) {
             )
         };
         let probe = fresh();
-        let closed = replay(
+        let (_, capacity) = replay(
             &probe,
             &overload_queries,
-            &ReplayConfig {
-                batch_size: OVERLOAD_BATCH,
-            },
+            None,
+            &open_cfg(AdmissionConfig::fifo()),
         );
-        assert_eq!(closed.errors, 0);
-        let capacity_qps = closed.throughput_qps;
+        assert_eq!(capacity.errors, 0);
+        let capacity_qps = capacity.throughput_qps;
         let n_workers = probe.workers();
         drop(probe);
         let schedule = poisson_arrivals(overload_queries.len(), 3.0 * capacity_qps, 0xbeef);
         let deadline = Duration::from_secs_f64(64.0 / capacity_qps);
-        let open_cfg = |admission: AdmissionConfig| OpenLoopConfig {
-            max_batch: OVERLOAD_BATCH,
-            admission,
-            clock: ReplayClock::Wall,
-        };
-        let (_, fifo) = replay_open_loop(
+        let (_, fifo) = replay(
             &fresh(),
             &overload_queries,
-            &schedule,
+            Some(&schedule),
             &open_cfg(AdmissionConfig::fifo()),
         );
-        let (_, shed) = replay_open_loop(
+        let (_, shed) = replay(
             &fresh(),
             &overload_queries,
-            &schedule,
+            Some(&schedule),
             &open_cfg(AdmissionConfig::default().with_deadline(deadline)),
         );
         assert_eq!(fifo.errors + shed.errors, 0, "overload runs are error-free");

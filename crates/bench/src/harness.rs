@@ -358,7 +358,9 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Percentile (nearest-rank) of a sample.
+/// Percentile of a sample (`p` in `0..=100`): the element at the rounded
+/// linear position `p/100 · (n − 1)` — the quartile estimator of `fig5`,
+/// not the nearest-rank one the latency reports use.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
     if xs.is_empty() {
         return 0.0;

@@ -17,10 +17,10 @@
 //! * `pool_model.rs` — exhaustively drives the pool protocol on small
 //!   configurations and asserts every interleaving completes with the
 //!   right counts (and prints how many interleavings that covered);
-//! * `lane_model.rs` — the non-blocking front-end: `submit_batch` handles
-//!   (wait, cross-thread wait, panic re-raise through `wait`), priority
-//!   lanes racing each other, and the graceful drain that completes
-//!   detached waves before drop joins the workers;
+//! * `lane_model.rs` — the two priority lanes racing each other in the
+//!   production shape: a re-selection thread blocked in
+//!   `Executor::run_tasks` (remat lane) against `run_wave` (serving
+//!   lane), the mid-wave yield, and panic re-raise on the remat waiter;
 //! * `epoch_model.rs` — a distilled epoch-swap-during-wave: concurrent
 //!   `publish` (write lock) against pool tasks taking epoch snapshots
 //!   (read lock), asserting snapshots are never torn; then the real
@@ -38,8 +38,9 @@
 
 pub use interleave::{explore, explore_random, replay_plan, replay_seed, Config, Outcome};
 
+use peanut_core::exec::Executor;
 use peanut_core::sync::atomic::{AtomicUsize, Ordering};
-use peanut_core::sync::Arc;
+use peanut_core::sync::{thread, Arc};
 use peanut_serving::{Lane, WorkerPool};
 
 /// Builds a pool with `workers` workers inside a model body, runs one
@@ -73,22 +74,32 @@ pub fn pool_counting_wave(workers: usize, total: usize) {
     drop(pool); // join-on-drop: must complete under every interleaving
 }
 
-/// One full pass through the lane/handle protocol inside a model body:
-/// a non-blocking background submission races a blocking serving wave
-/// for the same workers, the handle is waited, and the pool is dropped.
-/// Asserts both waves complete with exact task counts on their own lanes
-/// under every interleaving — the mid-wave lane yield (the advisory
-/// occupancy mask) may or may not fire depending on the schedule, and
-/// must be invisible to completion either way.
-pub fn lane_handle_roundtrip(workers: usize, serving_tasks: usize, background_tasks: usize) {
-    let pool = WorkerPool::new(workers);
+/// One full pass through the two-lane protocol inside a model body, in
+/// the shape production has: a re-selection thread blocked in
+/// [`Executor::run_tasks`] (remat lane) races a blocking serving wave for
+/// the same workers, then the pool is dropped. Asserts both waves complete
+/// with exact task counts on their own lanes under every interleaving —
+/// the mid-wave lane yield (the advisory occupancy mask) may or may not
+/// fire depending on the schedule, and must be invisible to completion
+/// either way.
+pub fn lane_roundtrip(workers: usize, serving_tasks: usize, remat_tasks: usize) {
+    let pool = Arc::new(WorkerPool::new(workers));
     // ordering: every Relaxed below is a model-run hit counter; the
     // scheduler is sequentially consistent anyway.
-    let bg_hits = Arc::new(AtomicUsize::new(0));
-    let b2 = Arc::clone(&bg_hits);
-    let handle = pool.submit_batch(Lane::Background, background_tasks, move |_i, _scratch| {
-        b2.fetch_add(1, Ordering::Relaxed);
-    });
+    let reselect = {
+        let pool = Arc::clone(&pool);
+        thread::spawn(move || {
+            let hits = AtomicUsize::new(0);
+            pool.run_tasks(remat_tasks, &|_i| {
+                hits.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(
+                hits.load(Ordering::Relaxed),
+                remat_tasks,
+                "the remat wave must fully complete when run_tasks returns"
+            );
+        })
+    };
     let sv_hits = AtomicUsize::new(0);
     pool.run_wave(serving_tasks, &|_i, _scratch| {
         sv_hits.fetch_add(1, Ordering::Relaxed);
@@ -98,21 +109,16 @@ pub fn lane_handle_roundtrip(workers: usize, serving_tasks: usize, background_ta
         serving_tasks,
         "the serving wave must fully complete when run_wave returns"
     );
-    handle.wait();
-    assert_eq!(
-        bg_hits.load(Ordering::Relaxed),
-        background_tasks,
-        "the waited background wave must have fully completed"
-    );
+    reselect.join().unwrap();
     let stats = pool.stats();
-    assert_eq!(stats.tasks, (serving_tasks + background_tasks) as u64);
+    assert_eq!(stats.tasks, (serving_tasks + remat_tasks) as u64);
     assert_eq!(
         stats.lane_waves[Lane::Serving.index()],
         u64::from(serving_tasks > 0)
     );
     assert_eq!(
-        stats.lane_waves[Lane::Background.index()],
-        u64::from(background_tasks > 0)
+        stats.lane_waves[Lane::Remat.index()],
+        u64::from(remat_tasks > 0)
     );
-    drop(pool);
+    drop(pool); // last Arc: join-on-drop under every interleaving
 }

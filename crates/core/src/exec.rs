@@ -10,11 +10,10 @@
 //! * the serving tier's persistent `WorkerPool` implements the same trait,
 //!   so a lifecycle re-materialization reuses the already-parked serving
 //!   workers instead of spawning a fresh set per re-selection. The pool
-//!   routes `run_tasks` waves onto its *re-materialization* priority lane
-//!   (and its `LaneExecutor` lets callers pick another lane explicitly),
-//!   so offline fan-out riding this seam can never head-of-line block the
-//!   pool's serving-lane query waves — the barrier contract below is
-//!   unchanged, only the queueing discipline behind it differs.
+//!   routes `run_tasks` waves onto its *re-materialization* priority
+//!   lane, so offline fan-out riding this seam can never head-of-line
+//!   block the pool's serving-lane query waves — the barrier contract
+//!   below is unchanged, only the queueing discipline behind it differs.
 
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::thread;

@@ -4,11 +4,11 @@
 //! junction tree's [`TreeArena`](peanut_junction::TreeArena): every
 //! materialized shortcut table of one [`Materialization`] copied into a
 //! single contiguous `f64` slab, addressed by per-shortcut `(offset, len)`
-//! spans. The epoch lifecycle publishes one of these per artifact, so a
-//! published epoch is a *relocatable* buffer — the seam the planned
-//! zero-copy mmap materialization store plugs into: persist the slab,
-//! map it back, [`unpack_into`](FlatMaterialization::unpack_into) a
-//! freshly selected (table-less) materialization, and serve.
+//! spans — one *relocatable* buffer per epoch. The materialization store
+//! (`peanut-store`) writes the pack into the epoch's file and maps it
+//! back as a [`FlatView`]: span arrays and slab borrowed straight from the
+//! mapping, from which it rebuilds the shortcut tables
+//! ([`FlatView::table`]).
 
 use crate::online::Materialization;
 use peanut_pgm::Size;
@@ -99,9 +99,9 @@ impl FlatMaterialization {
         self.spans[i].map(|(off, len)| &self.slab[off..off + len])
     }
 
-    /// Writes the packed values back into `mat`'s shortcut tables (the
-    /// mmap-load path: reattach a persisted slab to a re-derived
-    /// materialization). Returns `false` without touching anything when the
+    /// Writes the packed values back into `mat`'s shortcut tables
+    /// (reattaching a pack to a re-derived materialization of the same
+    /// shape). Returns `false` without touching anything when the
     /// shapes disagree — wrong shortcut count, a dense/symbolic mismatch,
     /// or a table length drift.
     #[must_use]
@@ -215,46 +215,6 @@ impl<'a> FlatView<'a> {
     /// The borrowed values of shortcut `i`'s table, `None` if symbolic.
     pub fn table(&self, i: usize) -> Option<&'a [f64]> {
         self.span(i).map(|(off, len)| &self.slab[off..off + len])
-    }
-
-    /// Copies the view into an owned [`FlatMaterialization`] (the one
-    /// deliberate copy on a rehydration path that needs to outlive the
-    /// mapping).
-    pub fn to_flat(&self) -> FlatMaterialization {
-        FlatMaterialization {
-            epoch: self.epoch,
-            spans: (0..self.len()).map(|i| self.span(i)).collect(),
-            slab: self.slab.to_vec(),
-        }
-    }
-
-    /// Writes the viewed values into `mat`'s shortcut tables, shape-checked
-    /// exactly like [`FlatMaterialization::unpack_into`]: returns `false`
-    /// without touching anything on any disagreement.
-    #[must_use]
-    pub fn unpack_into(&self, mat: &mut Materialization) -> bool {
-        if mat.shortcuts.len() != self.len() {
-            return false;
-        }
-        let compatible =
-            mat.shortcuts
-                .iter()
-                .enumerate()
-                .all(|(i, s)| match (&s.potential, self.span(i)) {
-                    (Some(p), Some((_, len))) => p.len() == len,
-                    (None, None) => self.span_off[i] == SYMBOLIC_SPAN,
-                    _ => false,
-                });
-        if !compatible {
-            return false;
-        }
-        for (i, s) in mat.shortcuts.iter_mut().enumerate() {
-            if let (Some(p), Some((off, len))) = (&mut s.potential, self.span(i)) {
-                p.values_mut().copy_from_slice(&self.slab[off..off + len]);
-            }
-        }
-        mat.epoch = self.epoch;
-        true
     }
 }
 
@@ -391,29 +351,14 @@ mod tests {
                 other => panic!("table mismatch at {i}: {other:?}"),
             }
         }
-        // unpack through the view restores a blanked materialization
-        let mut blank = mat.clone();
-        for s in &mut blank.shortcuts {
-            if let Some(p) = &mut s.potential {
-                p.values_mut().fill(0.0);
-            }
-        }
-        blank.epoch = 0;
-        assert!(view.unpack_into(&mut blank));
-        assert_eq!(blank.epoch, 7);
-        for (a, b) in blank.shortcuts.iter().zip(&mat.shortcuts) {
-            match (&a.potential, &b.potential) {
-                (Some(pa), Some(pb)) => assert_eq!(pa.values(), pb.values()),
-                (None, None) => {}
-                _ => unreachable!(),
-            }
-        }
-        // ...and the owned copy equals the original pack bitwise
-        let owned = view.to_flat();
-        assert_eq!(owned.epoch(), flat.epoch());
-        assert_eq!(owned.slab().len(), flat.slab().len());
-        for (a, b) in owned.slab().iter().zip(flat.slab()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        // the store rehydrates owned tables through `table`: they come
+        // back bitwise equal to the materialization's own
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (i, m) in mat.shortcuts.iter().enumerate() {
+            assert_eq!(
+                view.table(i).map(bits),
+                m.potential.as_ref().map(|p| bits(p.values()))
+            );
         }
     }
 
@@ -429,13 +374,11 @@ mod tests {
         // an overflowing offset+len must not wrap around
         let view = FlatView::new(3, &[u64::MAX - 1], &[4], &slab).unwrap();
         assert_eq!(view.span(0), None);
-        // a dense-looking mat cannot attach to the corrupt span
-        let mut mat = sample_mat();
-        let (off, len) = spans_of(&FlatMaterialization::pack(&mat));
-        let mut bad_off = off.clone();
-        bad_off[0] = 10_000; // out of the slab
-        let flat = FlatMaterialization::pack(&mat);
-        let view = FlatView::new(7, &bad_off, &len, flat.slab()).unwrap();
-        assert!(!view.unpack_into(&mut mat));
+        // one corrupt span among good ones hides only its own table
+        let flat = FlatMaterialization::pack(&sample_mat());
+        let (mut off, len) = spans_of(&flat);
+        off[0] = 10_000; // out of the slab
+        let view = FlatView::new(7, &off, &len, flat.slab()).unwrap();
+        assert_eq!(view.table(0), None);
     }
 }

@@ -1,185 +1,49 @@
-//! 4-wide `f64` lane primitives for the stride-walk kernels.
+//! Elementwise `f64` lane primitives for the stride-walk kernels.
 //!
-//! Every helper here has two implementations with *identical bit-level
-//! semantics*: a manually unrolled form that builds on stable (the default),
-//! and a `std::simd` form behind the non-default `simd` feature (nightly
-//! only, `portable_simd`). Both process the run in 4-slot blocks with a
-//! scalar tail for lengths that are not a multiple of 4, and neither ever
-//! reorders an accumulation chain — each output slot sees exactly the
-//! per-element IEEE operation sequence the scalar kernels used, so results
-//! are bitwise identical across the three variants (legacy / unrolled /
-//! simd). The differential suites assert this with `f64::to_bits`.
+//! Each helper is one plain loop over equal-length slices, left to the
+//! compiler to vectorize. None ever reorders an accumulation chain — each
+//! output slot sees exactly the per-element IEEE operation sequence the
+//! scalar kernels used, so results are bitwise identical to the `legacy`
+//! reference kernels. The differential suites assert this with
+//! `f64::to_bits`.
 //!
-//! Division follows the Hugin convention `0 / 0 = 0`. The SIMD form must
-//! not simply divide — a 0/0 lane would produce NaN — so it divides the
-//! whole vector and then selects `+0.0` on the lanes where both numerator
-//! and denominator compare equal to zero (which, like the scalar `== 0.0`,
-//! also catches `-0.0`).
-
-#[cfg(feature = "simd")]
-use std::simd::{cmp::SimdPartialEq, f64x4, Select};
+//! Division follows the Hugin convention `0 / 0 = 0` ([`hugin`]).
 
 /// `dst[i] = a[i] * b[i]`.
-#[cfg(not(feature = "simd"))]
 pub(crate) fn mul(dst: &mut [f64], a: &[f64], b: &[f64]) {
     debug_assert!(dst.len() == a.len() && dst.len() == b.len());
-    let mut dc = dst.chunks_exact_mut(4);
-    let mut ac = a.chunks_exact(4);
-    let mut bc = b.chunks_exact(4);
-    for ((d, x), y) in (&mut dc).zip(&mut ac).zip(&mut bc) {
-        d[0] = x[0] * y[0];
-        d[1] = x[1] * y[1];
-        d[2] = x[2] * y[2];
-        d[3] = x[3] * y[3];
-    }
-    for ((d, &x), &y) in dc
-        .into_remainder()
-        .iter_mut()
-        .zip(ac.remainder())
-        .zip(bc.remainder())
-    {
-        *d = x * y;
-    }
-}
-
-/// `dst[i] = a[i] * b[i]`.
-#[cfg(feature = "simd")]
-pub(crate) fn mul(dst: &mut [f64], a: &[f64], b: &[f64]) {
-    debug_assert!(dst.len() == a.len() && dst.len() == b.len());
-    let mut dc = dst.chunks_exact_mut(4);
-    let mut ac = a.chunks_exact(4);
-    let mut bc = b.chunks_exact(4);
-    for ((d, x), y) in (&mut dc).zip(&mut ac).zip(&mut bc) {
-        (f64x4::from_slice(x) * f64x4::from_slice(y)).copy_to_slice(d);
-    }
-    for ((d, &x), &y) in dc
-        .into_remainder()
-        .iter_mut()
-        .zip(ac.remainder())
-        .zip(bc.remainder())
-    {
+    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
         *d = x * y;
     }
 }
 
 /// `dst[i] = a[i] * s` (broadcast multiply).
-#[cfg(not(feature = "simd"))]
 pub(crate) fn mul_scalar(dst: &mut [f64], a: &[f64], s: f64) {
     debug_assert_eq!(dst.len(), a.len());
-    let mut dc = dst.chunks_exact_mut(4);
-    let mut ac = a.chunks_exact(4);
-    for (d, x) in (&mut dc).zip(&mut ac) {
-        d[0] = x[0] * s;
-        d[1] = x[1] * s;
-        d[2] = x[2] * s;
-        d[3] = x[3] * s;
-    }
-    for (d, &x) in dc.into_remainder().iter_mut().zip(ac.remainder()) {
-        *d = x * s;
-    }
-}
-
-/// `dst[i] = a[i] * s` (broadcast multiply).
-#[cfg(feature = "simd")]
-pub(crate) fn mul_scalar(dst: &mut [f64], a: &[f64], s: f64) {
-    debug_assert_eq!(dst.len(), a.len());
-    let sv = f64x4::splat(s);
-    let mut dc = dst.chunks_exact_mut(4);
-    let mut ac = a.chunks_exact(4);
-    for (d, x) in (&mut dc).zip(&mut ac) {
-        (f64x4::from_slice(x) * sv).copy_to_slice(d);
-    }
-    for (d, &x) in dc.into_remainder().iter_mut().zip(ac.remainder()) {
+    for (d, &x) in dst.iter_mut().zip(a) {
         *d = x * s;
     }
 }
 
 /// `dst[i] *= a[i]`.
-#[cfg(not(feature = "simd"))]
 pub(crate) fn mul_assign(dst: &mut [f64], a: &[f64]) {
     debug_assert_eq!(dst.len(), a.len());
-    let mut dc = dst.chunks_exact_mut(4);
-    let mut ac = a.chunks_exact(4);
-    for (d, x) in (&mut dc).zip(&mut ac) {
-        d[0] *= x[0];
-        d[1] *= x[1];
-        d[2] *= x[2];
-        d[3] *= x[3];
-    }
-    for (d, &x) in dc.into_remainder().iter_mut().zip(ac.remainder()) {
-        *d *= x;
-    }
-}
-
-/// `dst[i] *= a[i]`.
-#[cfg(feature = "simd")]
-pub(crate) fn mul_assign(dst: &mut [f64], a: &[f64]) {
-    debug_assert_eq!(dst.len(), a.len());
-    let mut dc = dst.chunks_exact_mut(4);
-    let mut ac = a.chunks_exact(4);
-    for (d, x) in (&mut dc).zip(&mut ac) {
-        (f64x4::from_slice(d) * f64x4::from_slice(x)).copy_to_slice(d);
-    }
-    for (d, &x) in dc.into_remainder().iter_mut().zip(ac.remainder()) {
+    for (d, &x) in dst.iter_mut().zip(a) {
         *d *= x;
     }
 }
 
 /// `dst[i] *= s`.
-#[cfg(not(feature = "simd"))]
 pub(crate) fn mul_assign_scalar(dst: &mut [f64], s: f64) {
-    let mut dc = dst.chunks_exact_mut(4);
-    for d in &mut dc {
-        d[0] *= s;
-        d[1] *= s;
-        d[2] *= s;
-        d[3] *= s;
-    }
-    for d in dc.into_remainder() {
-        *d *= s;
-    }
-}
-
-/// `dst[i] *= s`.
-#[cfg(feature = "simd")]
-pub(crate) fn mul_assign_scalar(dst: &mut [f64], s: f64) {
-    let sv = f64x4::splat(s);
-    let mut dc = dst.chunks_exact_mut(4);
-    for d in &mut dc {
-        (f64x4::from_slice(d) * sv).copy_to_slice(d);
-    }
-    for d in dc.into_remainder() {
+    for d in dst {
         *d *= s;
     }
 }
 
 /// `dst[i] += a[i]`.
-#[cfg(not(feature = "simd"))]
 pub(crate) fn add_assign(dst: &mut [f64], a: &[f64]) {
     debug_assert_eq!(dst.len(), a.len());
-    let mut dc = dst.chunks_exact_mut(4);
-    let mut ac = a.chunks_exact(4);
-    for (d, x) in (&mut dc).zip(&mut ac) {
-        d[0] += x[0];
-        d[1] += x[1];
-        d[2] += x[2];
-        d[3] += x[3];
-    }
-    for (d, &x) in dc.into_remainder().iter_mut().zip(ac.remainder()) {
-        *d += x;
-    }
-}
-
-/// `dst[i] += a[i]`.
-#[cfg(feature = "simd")]
-pub(crate) fn add_assign(dst: &mut [f64], a: &[f64]) {
-    debug_assert_eq!(dst.len(), a.len());
-    let mut dc = dst.chunks_exact_mut(4);
-    let mut ac = a.chunks_exact(4);
-    for (d, x) in (&mut dc).zip(&mut ac) {
-        (f64x4::from_slice(d) + f64x4::from_slice(x)).copy_to_slice(d);
-    }
-    for (d, &x) in dc.into_remainder().iter_mut().zip(ac.remainder()) {
+    for (d, &x) in dst.iter_mut().zip(a) {
         *d += x;
     }
 }
@@ -187,37 +51,9 @@ pub(crate) fn add_assign(dst: &mut [f64], a: &[f64]) {
 /// `dst[i] = hugin(dst[i], den[i])` where `hugin(0, 0) = 0`. In-place:
 /// the divide kernel appends the numerator run (one memcpy) and divides in
 /// the slab, instead of zero-filling a buffer it would fully overwrite.
-#[cfg(not(feature = "simd"))]
 pub(crate) fn div_assign(dst: &mut [f64], den: &[f64]) {
     debug_assert_eq!(dst.len(), den.len());
-    let mut dc = dst.chunks_exact_mut(4);
-    let mut ec = den.chunks_exact(4);
-    for (q, d) in (&mut dc).zip(&mut ec) {
-        q[0] = hugin(q[0], d[0]);
-        q[1] = hugin(q[1], d[1]);
-        q[2] = hugin(q[2], d[2]);
-        q[3] = hugin(q[3], d[3]);
-    }
-    for (q, &d) in dc.into_remainder().iter_mut().zip(ec.remainder()) {
-        *q = hugin(*q, d);
-    }
-}
-
-/// `dst[i] = hugin(dst[i], den[i])` where `hugin(0, 0) = 0`.
-#[cfg(feature = "simd")]
-pub(crate) fn div_assign(dst: &mut [f64], den: &[f64]) {
-    debug_assert_eq!(dst.len(), den.len());
-    let zero = f64x4::splat(0.0);
-    let mut dc = dst.chunks_exact_mut(4);
-    let mut ec = den.chunks_exact(4);
-    for (q, d) in (&mut dc).zip(&mut ec) {
-        let nv = f64x4::from_slice(q);
-        let dv = f64x4::from_slice(d);
-        // a plain nv / dv would put NaN in 0/0 lanes; mask them to +0.0
-        let both_zero = nv.simd_eq(zero) & dv.simd_eq(zero);
-        both_zero.select(zero, nv / dv).copy_to_slice(q);
-    }
-    for (q, &d) in dc.into_remainder().iter_mut().zip(ec.remainder()) {
+    for (q, &d) in dst.iter_mut().zip(den) {
         *q = hugin(*q, d);
     }
 }
@@ -248,7 +84,6 @@ pub(crate) fn seq_sum(run: &[f64]) -> f64 {
 /// breaks the floating-point add latency chain (4 independent chains in
 /// flight) *without* reordering any single chain — each output slot still
 /// accumulates in exactly the legacy order, so the result is bit-identical.
-#[cfg(not(feature = "simd"))]
 pub(crate) fn sum_4_runs(block: &[f64], run_len: usize) -> [f64; 4] {
     debug_assert_eq!(block.len(), 4 * run_len);
     let (r0, rest) = block.split_at(run_len);
@@ -262,20 +97,6 @@ pub(crate) fn sum_4_runs(block: &[f64], run_len: usize) -> [f64; 4] {
         acc[3] += r3[j];
     }
     acc
-}
-
-/// See the stable twin: four lock-step sequential chains, one per lane.
-#[cfg(feature = "simd")]
-pub(crate) fn sum_4_runs(block: &[f64], run_len: usize) -> [f64; 4] {
-    debug_assert_eq!(block.len(), 4 * run_len);
-    let (r0, rest) = block.split_at(run_len);
-    let (r1, rest) = rest.split_at(run_len);
-    let (r2, r3) = rest.split_at(run_len);
-    let mut acc = f64x4::splat(0.0);
-    for j in 0..run_len {
-        acc += f64x4::from_array([r0[j], r1[j], r2[j], r3[j]]);
-    }
-    acc.to_array()
 }
 
 #[cfg(test)]

@@ -1,4 +1,3 @@
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 #![forbid(unsafe_code)]
 //! # peanut-pgm
 //!

@@ -15,9 +15,8 @@
 //! flat junction-tree layout in `peanut-junction`). The slab-writing entry
 //! points [`product_onto`] and [`mul_assign_bcast`] take a `&mut [f64]`
 //! destination directly. Inner runs with unit or broadcast strides execute
-//! as 4-wide `f64` lanes (see `crate::lanes`): manually unrolled on
-//! stable, `std::simd` under the non-default nightly-only `simd` feature,
-//! both bit-identical to the scalar walk.
+//! as the elementwise slice loops of `crate::lanes`, bit-identical to the
+//! scalar walk.
 //!
 //! Every kernel also comes in an `_in` variant taking a [`Scratch`]: a
 //! caller-owned bundle of reusable odometer state and recycled value

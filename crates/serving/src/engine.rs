@@ -263,10 +263,6 @@ impl AnswerCache {
 struct EpochState {
     mat: Arc<Materialization>,
     stats: Arc<WorkloadStats>,
-    /// All dense shortcut tables of `mat` packed into one contiguous slab,
-    /// taken at publish time. This is the relocatable artifact the future
-    /// mmap materialization store persists per epoch.
-    flat: Arc<FlatMaterialization>,
 }
 
 /// Write-behind persistence hook of one serving engine: where epochs go
@@ -332,13 +328,11 @@ impl<'t> ServingEngine<'t> {
         mat: Arc<Materialization>,
         cfg: ServingConfig,
     ) -> Self {
-        let flat = Arc::new(FlatMaterialization::pack(&mat));
         ServingEngine {
             engine,
             state: RwLock::new(EpochState {
                 mat,
                 stats: Arc::new(WorkloadStats::new()),
-                flat,
             }),
             cfg,
             cache: Arc::new(Mutex::new(AnswerCache::default())),
@@ -361,11 +355,6 @@ impl<'t> ServingEngine<'t> {
             persisted: AtomicU64::new(0),
             errors: AtomicUsize::new(0),
         });
-    }
-
-    /// Whether a store is attached.
-    pub fn has_store(&self) -> bool {
-        self.store.is_some()
     }
 
     /// The newest epoch known to be persisted, `None` when no epoch has
@@ -407,10 +396,7 @@ impl<'t> ServingEngine<'t> {
                 msg: "engine has no store attached".into(),
             });
         };
-        let (mat, flat) = {
-            let state = self.state.read();
-            (Arc::clone(&state.mat), Arc::clone(&state.flat))
-        };
+        let mat = self.materialization();
         let Some(ns) = self.engine.numeric_state() else {
             // ordering: telemetry counter only.
             store.errors.fetch_add(1, Ordering::Relaxed);
@@ -423,6 +409,7 @@ impl<'t> ServingEngine<'t> {
                 msg: "symbolic engine has no calibrated slab to persist".into(),
             });
         };
+        let flat = FlatMaterialization::pack(&mat);
         match store
             .cfg
             .save_epoch(store.tenant, &mat, &flat, ns.arena().slab())
@@ -478,10 +465,10 @@ impl<'t> ServingEngine<'t> {
     /// Executor for off-path offline work (lifecycle re-selection): the
     /// persistent pool's re-materialization lane when this engine fans
     /// out — serving-lane waves preempt it between tasks, so a
-    /// re-selection can never head-of-line block query traffic — a scoped
-    /// `threads`-wide fan-out otherwise (sequential when 1).
-    pub(crate) fn offline_exec(&self, threads: usize) -> Box<dyn Executor + '_> {
-        self.pool.offline_exec(self.workers(), threads)
+    /// re-selection can never head-of-line block query traffic — the
+    /// calling thread otherwise.
+    pub(crate) fn offline_exec(&self) -> &dyn Executor {
+        self.pool.offline_exec(self.workers())
     }
 
     /// The wrapped query engine.
@@ -515,12 +502,9 @@ impl<'t> ServingEngine<'t> {
         let epoch = {
             let mut state = self.state.write();
             let epoch = state.mat.epoch + 1;
-            let mat = Arc::new(mat.with_epoch(epoch));
-            let flat = Arc::new(FlatMaterialization::pack(&mat));
             *state = EpochState {
-                mat,
+                mat: Arc::new(mat.with_epoch(epoch)),
                 stats: Arc::new(WorkloadStats::new()),
-                flat,
             };
             epoch
         };
@@ -533,10 +517,10 @@ impl<'t> ServingEngine<'t> {
     }
 
     /// The current epoch's flat pack: every dense shortcut table in one
-    /// relocatable slab, stamped with the served epoch. Published
-    /// atomically with the materialization itself.
+    /// relocatable slab, stamped with the served epoch. Packed on demand
+    /// from one atomic snapshot of the served materialization.
     pub fn flat_materialization(&self) -> Arc<FlatMaterialization> {
-        Arc::clone(&self.state.read().flat)
+        Arc::new(FlatMaterialization::pack(&self.materialization()))
     }
 
     /// Starts a fresh observation window for the current epoch without

@@ -32,11 +32,10 @@
 //! * [`pool`] — the concurrency backbone: a persistent [`WorkerPool`] of
 //!   long-lived workers, spawned once per engine (or shared across a
 //!   sharded engine's shards), parked between waves on a condvar-fronted
-//!   three-[`Lane`] priority queue (serving > re-materialization >
-//!   background), with per-task panic isolation and drain-then-join
-//!   shutdown. Batches are submitted blocking (`run_wave`) or
-//!   non-blocking (`submit_batch` → [`WaveHandle`]); the pool doubles as
-//!   the [`Executor`](peanut_core::Executor) the lifecycle's off-path
+//!   two-[`Lane`] priority queue (serving > re-materialization), with
+//!   per-task panic isolation and drain-then-join shutdown. Batches are
+//!   submitted blocking (`run_wave`); the pool doubles as the
+//!   [`Executor`](peanut_core::Executor) the lifecycle's off-path
 //!   re-selections run on — routed to [`Lane::Remat`] so they can never
 //!   head-of-line block query traffic — and surfaces [`PoolStats`]
 //!   (spawn-amortization telemetry) for the benches.
@@ -59,13 +58,13 @@
 //!   [`StoreConfig`] attached, the registry doubles as an LRU resident
 //!   set: cold tenants page out to mmap-able epoch files and fault back
 //!   in on their next arrival (`peanut-store`).
-//! * [`replay`](mod@replay) — a workload-replay driver: streams
-//!   `peanut_workload` query mixes through an engine batch by batch and
-//!   reports throughput and latency percentiles; [`replay_mixed`] does the
-//!   same for multi-tenant arrival streams. The open-loop drivers
-//!   ([`replay_open_loop`], [`replay_open_loop_mixed`]) replay a timed
-//!   arrival schedule instead, so sojourn percentiles reflect queueing
-//!   under saturation rather than closed-loop service time.
+//! * [`replay`](mod@replay) — the workload-replay driver: [`replay()`]
+//!   streams `peanut_workload` query mixes through an engine and reports
+//!   throughput, service and sojourn percentiles; [`replay_mixed`] does
+//!   the same for multi-tenant arrival streams. Without a schedule the
+//!   loop is closed (the next batch once the previous one completed);
+//!   with a timed arrival schedule it is open, so sojourn percentiles
+//!   reflect queueing under saturation.
 //! * [`overload`] — production overload behavior for the open-loop path:
 //!   per-tenant admission control and deadline-aware shedding, every
 //!   offered query resolving to a typed [`ServeOutcome`] (served / shed
@@ -98,11 +97,10 @@ pub use lifecycle::{
 pub use overload::{AdmissionConfig, ServeOutcome, ShedReason};
 pub use peanut_core::ServeRequest;
 pub use peanut_store::StoreConfig;
-pub use pool::{Lane, LaneExecutor, PoolStats, WaveHandle, WorkerPool};
+pub use pool::{Lane, PoolStats, WorkerPool};
 pub use replay::{
-    poisson_arrivals, replay, replay_mixed, replay_open_loop, replay_open_loop_mixed,
-    workload_queries, OpenLoopConfig, OpenLoopReport, ReplayClock, ReplayConfig, ReplayReport,
-    WorkloadMix,
+    poisson_arrivals, replay, replay_mixed, workload_queries, ReplayClock, ReplayConfig,
+    ReplayReport, WorkloadMix,
 };
 pub use session::EvidenceSession;
 pub use shard::{MixedBatchStats, PagingStats, ShardConfig, ShardedServingEngine, TenantId};

@@ -91,11 +91,6 @@ pub struct LifecycleConfig {
     pub epsilon: f64,
     /// PEANUT (disjoint) or PEANUT+ (overlapping) re-selection.
     pub variant: Variant,
-    /// Worker threads for the offline DP fan-out **when the serving
-    /// engine has no pool to reuse** (it serves sequentially). An engine
-    /// that fans out lends its persistent [`WorkerPool`](crate::WorkerPool)
-    /// to the re-selection instead, and this knob is ignored.
-    pub threads: usize,
 }
 
 impl LifecycleConfig {
@@ -111,7 +106,6 @@ impl LifecycleConfig {
             budget,
             epsilon: 1.2,
             variant: Variant::PeanutPlus,
-            threads: 1,
         }
     }
 
@@ -133,19 +127,6 @@ impl LifecycleConfig {
     /// (chainable).
     pub fn with_decay_threshold(mut self, decay_threshold: f64) -> Self {
         self.decay_threshold = decay_threshold;
-        self
-    }
-
-    /// Sets the re-selection variant (chainable).
-    pub fn with_variant(mut self, variant: Variant) -> Self {
-        self.variant = variant;
-        self
-    }
-
-    /// Sets the offline fan-out thread count used when the engine has no
-    /// pool to lend (chainable).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 }
@@ -350,18 +331,13 @@ impl<'s, 't> RematerializationController<'s, 't> {
         // traffic, not a forever average diluted by old regimes
         self.windows += 1;
         let retired = self.serving.reset_stats();
+        let short = retired.snapshot().observed_savings();
         self.ring.push_back(retired);
         let ring_len = self.cfg.window_ring.max(1);
         while self.ring.len() > ring_len {
             self.ring.pop_front();
         }
 
-        let short = self
-            .ring
-            .back()
-            .expect("just pushed")
-            .snapshot()
-            .observed_savings();
         let long_snap = self.ring_snapshot();
         let long = long_snap.observed_savings();
         let has_reference = self.reference_savings > self.cfg.min_reference_savings;
@@ -401,7 +377,7 @@ impl<'s, 't> RematerializationController<'s, 't> {
             return Ok(None);
         }
         let engine = self.serving.engine();
-        let exec = self.serving.offline_exec(self.cfg.threads);
+        let exec = self.serving.offline_exec();
         let t0 = Instant::now();
         let mat = reselect(
             engine,
@@ -409,7 +385,7 @@ impl<'s, 't> RematerializationController<'s, 't> {
             self.cfg.budget,
             self.cfg.epsilon,
             self.cfg.variant,
-            exec.as_ref(),
+            exec,
         )?;
         let selection = t0.elapsed();
 
@@ -478,10 +454,6 @@ pub struct FleetConfig {
     pub epsilon: f64,
     /// PEANUT (disjoint) or PEANUT+ (overlapping) candidate selection.
     pub variant: Variant,
-    /// Worker threads for each tenant's offline DP fan-out when the
-    /// sharded engine has no pool to reuse (see
-    /// [`LifecycleConfig::threads`]).
-    pub threads: usize,
     /// Cache each tenant's full-budget candidate shortcut set between
     /// rebalances, keyed on the fingerprint of its observed distribution
     /// (on by default). A tenant whose window replays the same query mix
@@ -509,7 +481,6 @@ impl FleetConfig {
             budget,
             epsilon: 1.2,
             variant: Variant::PeanutPlus,
-            threads: 1,
             cache_candidates: true,
             min_savings: 0.01,
             decay_threshold: 0.5,
@@ -526,12 +497,6 @@ impl FleetConfig {
     /// Enables or disables the per-tenant candidate cache (chainable).
     pub fn with_cache_candidates(mut self, cache_candidates: bool) -> Self {
         self.cache_candidates = cache_candidates;
-        self
-    }
-
-    /// Sets the share-drift rebalance trigger (chainable).
-    pub fn with_share_drift(mut self, share_drift: f64) -> Self {
-        self.share_drift = share_drift;
         self
     }
 }
@@ -721,7 +686,7 @@ impl<'s, 't> FleetController<'s, 't> {
             current_ops: f64,
             base_ops: f64,
         }
-        let exec = self.sharded.offline_exec(self.cfg.threads);
+        let exec = self.sharded.offline_exec();
         let t0 = Instant::now();
         let mut candidates: Vec<Candidate<'t>> = Vec::new();
         for ((id, eng, snap), (_, share)) in tenants.iter().zip(&shares) {
@@ -759,7 +724,7 @@ impl<'s, 't> FleetController<'s, 't> {
                         self.cfg.budget,
                         self.cfg.epsilon,
                         self.cfg.variant,
-                        exec.as_ref(),
+                        exec,
                     )?;
                     let overlapping = cand_mat.overlapping;
                     let pool = Arc::new(cand_mat.shortcuts);
@@ -902,7 +867,7 @@ impl<'s, 't> FleetController<'s, 't> {
                 savings = 0.0;
             }
             // keep the online phase's invariant: decreasing ratio order
-            shortcuts.sort_by(|a, b| b.ratio.partial_cmp(&a.ratio).expect("finite ratios"));
+            shortcuts.sort_by(|a, b| b.ratio.total_cmp(&a.ratio));
             let mat = Materialization {
                 shortcuts,
                 overlapping: c.overlapping,
@@ -1529,14 +1494,14 @@ mod tests {
 
         // same budget, same engine, same DP — only the observed
         // distribution differs, and the chosen shortcut set moves with it
-        let exec = serving.offline_exec(1);
+        let exec = serving.offline_exec();
         let mat_joint = reselect(
             serving.engine(),
             &joint_w,
             512,
             1.2,
             Variant::PeanutPlus,
-            exec.as_ref(),
+            exec,
         )
         .unwrap();
         let mat_restricted = reselect(
@@ -1545,7 +1510,7 @@ mod tests {
             512,
             1.2,
             Variant::PeanutPlus,
-            exec.as_ref(),
+            exec,
         )
         .unwrap();
         assert!(

@@ -1,8 +1,8 @@
 //! Overload control: admission limits, deadline-aware shedding, and the
 //! typed per-query outcomes they produce.
 //!
-//! A closed-loop replay (the [`replay`](crate::replay::replay) driver)
-//! can never overload the engine — it offers the next batch only after
+//! A closed-loop replay ([`replay`](crate::replay::replay) without an
+//! arrival schedule) can never overload the engine — it offers the next batch only after
 //! the previous one completed, so measured "latency" is pure service
 //! time and the queue never grows. Real traffic is *open-loop*: arrivals
 //! come on their own schedule, and when offered load exceeds capacity
@@ -26,16 +26,13 @@
 //! Every offered query resolves to exactly one [`ServeOutcome`]:
 //! [`Served`](ServeOutcome::Served) with the answer,
 //! [`Shed`](ServeOutcome::Shed) with a typed [`ShedReason`], or
-//! [`Failed`](ServeOutcome::Failed) with the engine error. The open-loop
-//! drivers in [`replay`](mod@crate::replay) ([`replay_open_loop`],
-//! [`replay_open_loop_mixed`]) consume an [`AdmissionConfig`] and report
+//! [`Failed`](ServeOutcome::Failed) with the engine error. The replay
+//! drivers in [`replay`](mod@crate::replay) consume an
+//! [`AdmissionConfig`] and, on a timed arrival schedule, report
 //! served-query sojourn percentiles next to the shed counts, so the
 //! saturation benches can show shedding holding p99 bounded while the
 //! unbounded-FIFO configuration (the [`AdmissionConfig::fifo`] default)
 //! degrades.
-//!
-//! [`replay_open_loop`]: crate::replay::replay_open_loop
-//! [`replay_open_loop_mixed`]: crate::replay::replay_open_loop_mixed
 
 use crate::engine::Served;
 use crate::shard::TenantId;
@@ -115,7 +112,7 @@ impl ServeOutcome {
     }
 }
 
-/// Overload-control knobs for the open-loop replay drivers.
+/// Overload-control knobs for the replay drivers.
 ///
 /// The default ([`AdmissionConfig::fifo`]) disables everything —
 /// unbounded backlog, no deadline — which is exactly the head-of-line

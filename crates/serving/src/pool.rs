@@ -1,18 +1,16 @@
 //! The persistent worker pool: long-lived workers, parked between waves,
-//! draining a three-lane priority queue.
+//! draining a two-lane priority queue.
 //!
-//! The first serving tier spawned a fresh set of scoped threads per batch.
-//! That is correct and simple, but a server draining *small hot batches* —
-//! a few queries per wave, thousands of waves per second — pays the thread
-//! spawn/join latency on every single wave. A [`WorkerPool`] moves that
-//! cost to construction time:
+//! A server draining *small hot batches* — a few queries per wave,
+//! thousands of waves per second — cannot afford a thread spawn/join per
+//! wave. A [`WorkerPool`] moves that cost to construction time:
 //!
 //! * `workers` OS threads are spawned **once** (per engine, or shared
 //!   across the shards of a sharded engine) and live until the pool drops;
 //! * between waves the workers are **parked** on a condvar — zero CPU,
 //!   woken in microseconds instead of re-spawned in tens of them;
 //! * a wave is a batch of independent index-identified tasks pushed onto
-//!   one of three [`Lane`]s; workers claim task indices from the front
+//!   one of two [`Lane`]s; workers claim task indices from the front
 //!   wave of the highest-priority non-empty lane work-stealing-style
 //!   (an atomic cursor, no per-task queue nodes);
 //! * each worker owns a [`Scratch`] that persists across tasks *and*
@@ -22,47 +20,39 @@
 //!   the thread that waits for the wave, so the pool is never poisoned
 //!   and subsequent waves are unaffected;
 //! * dropping the pool signals shutdown, **drains every queued wave**
-//!   (so detached [`WaveHandle`]s still complete) and joins every worker.
+//!   and joins every worker.
 //!
 //! # Priority lanes
 //!
-//! The queue used to be strict FIFO, which let an off-path
-//! re-materialization wave head-of-line block every serving wave behind
-//! it. Waves now carry a [`Lane`]:
+//! A strict-FIFO queue would let an off-path re-materialization wave
+//! head-of-line block every serving wave behind it, so waves carry a
+//! [`Lane`]:
 //!
-//! * [`Lane::Serving`] — query traffic; always served first;
+//! * [`Lane::Serving`] — query traffic ([`run_wave`](WorkerPool::run_wave));
+//!   always served first;
 //! * [`Lane::Remat`] — the lifecycle controllers' off-path re-selection
-//!   fan-outs (the pool's [`Executor`] impl routes here);
-//! * [`Lane::Background`] — maintenance work nothing waits on.
+//!   fan-outs (the pool's [`Executor`] impl).
 //!
 //! Priority is strict *between* lanes and FIFO *within* a lane, enforced
-//! at **task granularity**: a worker draining a lower-priority wave
+//! at **task granularity**: a worker draining a re-selection wave
 //! re-checks an advisory lane-occupancy mask between tasks and yields to
-//! fresher higher-priority work, so a queued serving wave waits for at
-//! most one in-flight lower-lane task per worker — never for a whole
-//! re-selection wave. Lower lanes can be starved by a saturated serving
-//! lane; that is the intended overload behavior (shed background work,
-//! never queries).
+//! fresher serving work, so a queued serving wave waits for at most one
+//! in-flight re-selection task per worker — never for a whole
+//! re-selection wave. The remat lane can be starved by a saturated
+//! serving lane; that is the intended overload behavior (shed
+//! re-selection, never queries).
 //!
-//! # Submission modes
-//!
-//! [`run_wave`](WorkerPool::run_wave) /
-//! [`run_wave_on`](WorkerPool::run_wave_on) block the submitting thread
-//! until the wave completes — the borrowed-closure path serving batches
-//! use. [`submit_batch`](WorkerPool::submit_batch) is the non-blocking
-//! front-end: it enqueues an *owned* task closure and returns a
-//! [`WaveHandle`] the submitter can [`wait`](WaveHandle::wait) on later
-//! (or drop, detaching the wave — it still runs). The blocking paths must
+//! Both submission paths **block** the submitting thread until the wave
+//! completes — the task closure is borrowed from its stack — and must
 //! **not** be called from inside a pool task (a 1-worker pool would
-//! deadlock waiting for itself); `submit_batch` itself is safe anywhere,
-//! only waiting on the handle from inside a task is not.
+//! deadlock waiting for itself).
 //!
 //! [`PoolStats`] exposes the telemetry the benches assert on: tasks run,
 //! waves served (total and per lane), park/unpark counts, and the spawn
 //! amortization that is the whole point. [`PoolStats::delta_since`]
 //! isolates one measurement window from pool-lifetime totals.
 
-use peanut_core::exec::{Executor, ScopedExecutor, SequentialExecutor};
+use peanut_core::exec::{Executor, SequentialExecutor};
 use peanut_core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use peanut_core::sync::thread::{self, JoinHandle};
 use peanut_core::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -79,35 +69,20 @@ pub enum Lane {
     /// Query traffic — the latency-sensitive lane, always served first.
     #[default]
     Serving,
-    /// Off-path re-materialization (lifecycle/fleet re-selection fan-out).
+    /// Off-path re-materialization (lifecycle/fleet re-selection fan-out);
+    /// starved under overload.
     Remat,
-    /// Maintenance work nothing waits on; starved under overload.
-    Background,
 }
 
 impl Lane {
     /// Number of lanes.
-    pub const COUNT: usize = 3;
-
-    /// Every lane, highest priority first.
-    pub const ALL: [Lane; Lane::COUNT] = [Lane::Serving, Lane::Remat, Lane::Background];
+    pub const COUNT: usize = 2;
 
     /// Queue index; `0` is the highest priority.
     pub const fn index(self) -> usize {
         match self {
             Lane::Serving => 0,
             Lane::Remat => 1,
-            Lane::Background => 2,
-        }
-    }
-}
-
-impl std::fmt::Display for Lane {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Lane::Serving => write!(f, "serving"),
-            Lane::Remat => write!(f, "remat"),
-            Lane::Background => write!(f, "background"),
         }
     }
 }
@@ -213,16 +188,14 @@ impl PoolCell {
     }
 
     /// Executor for off-path offline work (lifecycle/fleet re-selection):
-    /// the persistent pool's [`Lane::Remat`] when batches fan out — so a
-    /// re-selection wave can never head-of-line block serving waves — a
-    /// scoped `threads`-wide fan-out otherwise (sequential when 1).
-    pub(crate) fn offline_exec(&self, workers: usize, threads: usize) -> Box<dyn Executor + '_> {
+    /// the persistent pool — its [`Executor`] impl rides [`Lane::Remat`],
+    /// so a re-selection wave can never head-of-line block serving waves
+    /// — when batches fan out, the calling thread otherwise.
+    pub(crate) fn offline_exec(&self, workers: usize) -> &dyn Executor {
         if Self::fans_out(workers) {
-            Box::new(self.get_or_spawn(workers).lane_executor(Lane::Remat))
-        } else if threads > 1 {
-            Box::new(ScopedExecutor::new(threads))
+            &**self.get_or_spawn(workers)
         } else {
-            Box::new(SequentialExecutor)
+            &SequentialExecutor
         }
     }
 }
@@ -236,41 +209,13 @@ struct TaskPtr(*const (dyn Fn(usize, &mut Scratch) + Sync));
 
 // SAFETY: the pointee is `Sync` (callable from many threads through a
 // shared reference), and `run_wave_on` guarantees it stays alive for every
-// dereference (see `WaveTask::Borrowed`).
+// dereference (see `worker_loop`).
 unsafe impl Send for TaskPtr {}
 unsafe impl Sync for TaskPtr {}
 
-/// An owned, heap-allocated wave body (`submit_batch` submissions).
-type OwnedTask = Box<dyn Fn(usize, &mut Scratch) + Send + Sync>;
-
-/// How a wave carries its task body.
-enum WaveTask {
-    /// `run_wave`/`run_wave_on`: the closure is borrowed from the
-    /// submitting thread's stack. SAFETY: only dereferenced for claimed
-    /// indices `< total`, and the blocking submitter does not return
-    /// before every claimed index has completed — so the pointee outlives
-    /// every dereference.
-    Borrowed(TaskPtr),
-    /// `submit_batch`: the wave owns its closure, so the submitter is free
-    /// to return (or drop the handle) while the wave is still queued.
-    Owned(OwnedTask),
-}
-
-impl WaveTask {
-    fn call(&self, i: usize, scratch: &mut Scratch) {
-        match self {
-            // SAFETY: `i` was claimed (`< total`), so the blocking
-            // submitter is still inside `run_wave_on` waiting on the
-            // completion condvar and the pointee is still alive.
-            WaveTask::Borrowed(p) => unsafe { (*p.0)(i, scratch) },
-            WaveTask::Owned(f) => f(i, scratch),
-        }
-    }
-}
-
 /// One submitted wave: a task closure plus claim/completion state.
 struct Wave {
-    task: WaveTask,
+    task: TaskPtr,
     lane: Lane,
     total: usize,
     next: AtomicUsize,
@@ -321,46 +266,6 @@ impl Shared {
     }
 }
 
-/// A completion handle on a wave submitted via
-/// [`WorkerPool::submit_batch`].
-///
-/// [`wait`](Self::wait) blocks until every task of the wave has completed
-/// and re-raises the first task panic, exactly like the blocking
-/// [`run_wave`](WorkerPool::run_wave) path. Dropping the handle without
-/// waiting *detaches* the wave: it still runs to completion (the pool
-/// drains all queued waves before shutting down), panics are still
-/// counted in [`PoolStats::panics`], but their payloads are discarded
-/// with the wave.
-///
-/// Must not be waited on from inside a pool task running on the same
-/// pool (self-deadlock on a saturated pool); submitting is safe anywhere.
-pub struct WaveHandle {
-    wave: Arc<Wave>,
-}
-
-impl WaveHandle {
-    /// Blocks until the wave has fully completed, then re-raises the
-    /// first task panic (if any) on this thread.
-    pub fn wait(self) {
-        wait_wave(&self.wave);
-    }
-
-    /// Whether every task of the wave has completed (non-blocking).
-    pub fn is_complete(&self) -> bool {
-        *self.wave.done.lock() >= self.wave.total
-    }
-
-    /// The lane the wave was submitted on.
-    pub fn lane(&self) -> Lane {
-        self.wave.lane
-    }
-
-    /// The number of tasks in the wave.
-    pub fn total(&self) -> usize {
-        self.wave.total
-    }
-}
-
 /// Blocks until `wave` completes, then re-raises its first panic.
 fn wait_wave(wave: &Wave) {
     let mut done = wave.done.lock();
@@ -394,13 +299,13 @@ impl WorkerPool {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue {
-                lanes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
+                lanes: [VecDeque::new(), VecDeque::new()],
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
             nonempty: AtomicUsize::new(0),
             waves: AtomicU64::new(0),
-            lane_waves: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
+            lane_waves: [AtomicU64::new(0), AtomicU64::new(0)],
             tasks: AtomicU64::new(0),
             parks: AtomicU64::new(0),
             unparks: AtomicU64::new(0),
@@ -490,12 +395,7 @@ impl WorkerPool {
     }
 
     /// Like [`run_wave`](Self::run_wave) on an explicit [`Lane`].
-    pub fn run_wave_on(
-        &self,
-        lane: Lane,
-        total: usize,
-        task: &(dyn Fn(usize, &mut Scratch) + Sync),
-    ) {
+    fn run_wave_on(&self, lane: Lane, total: usize, task: &(dyn Fn(usize, &mut Scratch) + Sync)) {
         if total == 0 {
             return;
         }
@@ -506,12 +406,12 @@ impl WorkerPool {
         // precisely because it refuses to extend trait-object lifetimes).
         // The invariant that makes the erased `'a` sound — every
         // dereference happens before this function returns — is stated at
-        // `WaveTask::Borrowed` and discharged by the completion wait
-        // below.
+        // the dereference in `worker_loop` and discharged by the
+        // completion wait below.
         //
         // SAFETY: reference-to-pointer of the identical pointee type;
-        // only the lifetime bound changes, and `WaveTask::Borrowed` keeps
-        // every dereference inside `'a`.
+        // only the lifetime bound changes, and `worker_loop` keeps every
+        // dereference inside `'a`.
         let task = unsafe {
             std::mem::transmute::<
                 &(dyn Fn(usize, &mut Scratch) + Sync),
@@ -519,7 +419,7 @@ impl WorkerPool {
             >(task)
         };
         let wave = Arc::new(Wave {
-            task: WaveTask::Borrowed(TaskPtr(task)),
+            task: TaskPtr(task),
             lane,
             total,
             next: AtomicUsize::new(0),
@@ -530,43 +430,6 @@ impl WorkerPool {
         });
         self.enqueue(&wave);
         wait_wave(&wave);
-    }
-
-    /// Enqueues a wave of `total` owned tasks on `lane` and returns
-    /// immediately with a [`WaveHandle`] — the non-blocking front-end.
-    /// The closure is owned by the wave, so the submitter is free to move
-    /// on (or drop the handle, detaching the wave) while workers drain
-    /// it; [`WaveHandle::wait`] joins the completion and re-raises the
-    /// first task panic.
-    ///
-    /// A `total` of zero returns an already-complete handle without
-    /// touching the queue.
-    pub fn submit_batch(
-        &self,
-        lane: Lane,
-        total: usize,
-        task: impl Fn(usize, &mut Scratch) + Send + Sync + 'static,
-    ) -> WaveHandle {
-        let wave = Arc::new(Wave {
-            task: WaveTask::Owned(Box::new(task)),
-            lane,
-            total,
-            next: AtomicUsize::new(0),
-            done: Mutex::new(0),
-            complete: Condvar::new(),
-            panics: AtomicUsize::new(0),
-            first_panic: Mutex::new(None),
-        });
-        if total > 0 {
-            self.enqueue(&wave);
-        }
-        WaveHandle { wave }
-    }
-
-    /// An [`Executor`] view of this pool that fans `run_tasks` calls out
-    /// on `lane` — how callers choose which lane off-path work rides.
-    pub fn lane_executor(&self, lane: Lane) -> LaneExecutor<'_> {
-        LaneExecutor { pool: self, lane }
     }
 }
 
@@ -595,35 +458,13 @@ impl Executor for WorkerPool {
     }
 }
 
-/// An [`Executor`] bound to one [`Lane`] of a [`WorkerPool`] (see
-/// [`WorkerPool::lane_executor`]).
-#[derive(Clone, Copy)]
-pub struct LaneExecutor<'p> {
-    pool: &'p WorkerPool,
-    lane: Lane,
-}
-
-impl LaneExecutor<'_> {
-    /// The lane `run_tasks` waves ride on.
-    pub fn lane(&self) -> Lane {
-        self.lane
-    }
-}
-
-impl Executor for LaneExecutor<'_> {
-    fn run_tasks(&self, total: usize, task: &(dyn Fn(usize) + Sync)) {
-        self.pool
-            .run_wave_on(self.lane, total, &|i, _scratch| task(i));
-    }
-}
-
 fn worker_loop(shared: &Shared) {
     let mut scratch = Scratch::new();
     loop {
         // take (a handle on) the front wave of the highest-priority
         // non-empty lane, or park until one arrives. On shutdown, keep
-        // draining until every lane is empty — queued (possibly detached)
-        // waves must complete before the pool joins.
+        // draining until every lane is empty — queued waves must complete
+        // before the pool joins.
         let wave = {
             let mut q = shared.queue.lock();
             loop {
@@ -659,7 +500,13 @@ fn worker_loop(shared: &Shared) {
             }
             // ordering: telemetry counter, read only by `stats()`.
             shared.tasks.fetch_add(1, Ordering::Relaxed);
-            if catch_unwind(AssertUnwindSafe(|| wave.task.call(i, &mut scratch)))
+            // SAFETY: the closure is borrowed from the submitting thread's
+            // stack. `i` was claimed (`< total`) and is not yet counted in
+            // `done`, so the blocking submitter is still inside
+            // `run_wave_on` waiting on the completion condvar and the
+            // pointee outlives this dereference.
+            let run = || unsafe { (*wave.task.0)(i, &mut scratch) };
+            if catch_unwind(AssertUnwindSafe(run))
                 .map_err(|payload| {
                     // ordering: both flags are re-read only after the wave
                     // completes (synchronized by the `done` mutex below).
@@ -720,7 +567,7 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.workers, 3);
         assert_eq!(stats.waves, 1);
-        assert_eq!(stats.lane_waves, [1, 0, 0]);
+        assert_eq!(stats.lane_waves, [1, 0]);
         assert_eq!(stats.tasks, 64);
         assert_eq!(stats.panics, 0);
     }
@@ -728,7 +575,15 @@ mod tests {
     #[test]
     fn workers_park_between_waves() {
         let pool = WorkerPool::new(2);
+        let parked = || {
+            let s = pool.stats();
+            s.parks.saturating_sub(s.unparks)
+        };
         for _ in 0..5 {
+            // submit only into an idle pool, so every wave has to unpark
+            while parked() < 2 {
+                std::thread::yield_now();
+            }
             pool.run_wave(8, &|_i, _s| {});
         }
         let stats = pool.stats();
@@ -801,18 +656,7 @@ mod tests {
         let mut v = out.into_inner();
         v.sort_unstable();
         assert_eq!(v, (0..19).collect::<Vec<_>>());
-        assert_eq!(pool.stats().lane_waves, [0, 1, 0]);
-    }
-
-    #[test]
-    fn lane_executor_routes_to_its_lane() {
-        let pool = WorkerPool::new(2);
-        let hits = AtomicUsize::new(0);
-        pool.lane_executor(Lane::Background).run_tasks(5, &|_i| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 5);
-        assert_eq!(pool.stats().lane_waves, [0, 0, 1]);
+        assert_eq!(pool.stats().lane_waves, [0, 1]);
     }
 
     #[test]
@@ -823,102 +667,80 @@ mod tests {
     }
 
     #[test]
-    fn submit_batch_handle_waits_for_completion() {
+    fn remat_waiter_reraises_task_panic() {
+        // a re-selection thread blocked in `run_tasks` (remat lane) races
+        // a serving wave: the panic surfaces on the remat waiter only
         let pool = WorkerPool::new(2);
-        let hits = Arc::new(AtomicUsize::new(0));
-        let h2 = Arc::clone(&hits);
-        let handle = pool.submit_batch(Lane::Background, 16, move |_i, _s| {
-            h2.fetch_add(1, Ordering::Relaxed);
+        thread::scope(|s| {
+            let remat = s.spawn(|| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    Executor::run_tasks(&pool, 4, &|i| {
+                        if i == 2 {
+                            panic!("task 2 exploded");
+                        }
+                    });
+                }))
+            });
+            pool.run_wave(4, &|_i, _s| {});
+            let waited = remat.join().expect("the waiter caught the unwind");
+            assert!(waited.is_err(), "the remat waiter must see the panic");
         });
-        assert_eq!(handle.lane(), Lane::Background);
-        assert_eq!(handle.total(), 16);
-        handle.wait();
-        assert_eq!(hits.load(Ordering::Relaxed), 16);
-        assert_eq!(pool.stats().lane_waves, [0, 0, 1]);
-    }
-
-    #[test]
-    fn empty_submit_is_already_complete() {
-        let pool = WorkerPool::new(1);
-        let handle = pool.submit_batch(Lane::Serving, 0, |_i, _s| unreachable!("no tasks"));
-        assert!(handle.is_complete());
-        handle.wait();
-        assert_eq!(pool.stats().waves, 0);
-    }
-
-    #[test]
-    fn detached_waves_drain_before_drop_joins() {
-        let pool = WorkerPool::new(2);
-        let hits = Arc::new(AtomicUsize::new(0));
-        for _ in 0..8 {
-            let h2 = Arc::clone(&hits);
-            drop(pool.submit_batch(Lane::Background, 4, move |_i, _s| {
-                h2.fetch_add(1, Ordering::Relaxed);
-            }));
-        }
-        drop(pool); // graceful shutdown: queued waves must still run
-        assert_eq!(hits.load(Ordering::Relaxed), 8 * 4);
-    }
-
-    #[test]
-    fn handle_wait_reraises_task_panic() {
-        let pool = WorkerPool::new(2);
-        let handle = pool.submit_batch(Lane::Serving, 4, |i, _s| {
-            if i == 2 {
-                panic!("task 2 exploded");
-            }
-        });
-        let err = catch_unwind(AssertUnwindSafe(|| handle.wait()));
-        assert!(err.is_err(), "the waiter must see the panic");
         assert_eq!(pool.stats().panics, 1);
-        // the pool survives, exactly like the blocking path
+        // the pool survives, exactly like the serving path
         pool.run_wave(4, &|_i, _s| {});
-        assert_eq!(pool.stats().waves, 2);
+        let stats = pool.stats();
+        assert_eq!(stats.lane_waves[Lane::Serving.index()], 2);
+        assert_eq!(stats.lane_waves[Lane::Remat.index()], 1);
+        assert_eq!(stats.tasks, 12);
     }
 
     #[test]
     fn serving_preempts_a_queued_background_backlog() {
-        // one worker, wedged inside a background task: everything
-        // submitted meanwhile lands queued. When the wedge lifts, the
-        // serving wave must be drained before the queued background wave
-        // even though it was submitted later.
+        // one worker, wedged inside task 0 of a two-task re-selection
+        // wave, with a second re-selection wave queued behind it. A
+        // serving wave submitted after both must run as soon as the wedge
+        // lifts: before the rest of the yielded wave (mid-wave yield) and
+        // before the queued one (lane priority).
         let pool = WorkerPool::new(1);
-        let started = Arc::new(AtomicUsize::new(0));
-        let release = Arc::new(AtomicUsize::new(0));
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let (s2, r2, o2) = (
-            Arc::clone(&started),
-            Arc::clone(&release),
-            Arc::clone(&order),
-        );
-        let wedge = pool.submit_batch(Lane::Background, 1, move |_i, _s| {
-            s2.fetch_add(1, Ordering::Relaxed);
-            while r2.load(Ordering::Relaxed) == 0 {
+        let started = AtomicUsize::new(0);
+        let release = AtomicUsize::new(0);
+        let order = Mutex::new(Vec::new());
+        let submitted = |lane: Lane| pool.stats().lane_waves[lane.index()];
+        thread::scope(|s| {
+            s.spawn(|| {
+                Executor::run_tasks(&pool, 2, &|i| {
+                    if i == 0 {
+                        started.fetch_add(1, Ordering::Relaxed);
+                        while release.load(Ordering::Relaxed) == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                    order.lock().push(["wedge", "yielded"][i]);
+                });
+            });
+            while started.load(Ordering::Relaxed) == 0 {
                 std::thread::yield_now();
             }
-            o2.lock().push("wedge");
+            // the worker is inside the wedge; queue remat, then serving
+            s.spawn(|| Executor::run_tasks(&pool, 1, &|_i| order.lock().push("remat")));
+            while submitted(Lane::Remat) < 2 {
+                std::thread::yield_now();
+            }
+            s.spawn(|| pool.run_wave(1, &|_i, _s| order.lock().push("serving")));
+            while submitted(Lane::Serving) < 1 {
+                std::thread::yield_now();
+            }
+            release.store(1, Ordering::Relaxed);
         });
-        while started.load(Ordering::Relaxed) == 0 {
-            std::thread::yield_now();
-        }
-        // the worker is inside the wedge; queue background then serving
-        let o3 = Arc::clone(&order);
-        let bg = pool.submit_batch(Lane::Background, 1, move |_i, _s| {
-            o3.lock().push("background");
-        });
-        let o4 = Arc::clone(&order);
-        let serving = pool.submit_batch(Lane::Serving, 1, move |_i, _s| {
-            o4.lock().push("serving");
-        });
-        release.store(1, Ordering::Relaxed);
-        serving.wait();
-        bg.wait();
-        wedge.wait();
         assert_eq!(
             *order.lock(),
-            vec!["wedge", "serving", "background"],
-            "the serving lane must jump ahead of the queued background wave"
+            vec!["wedge", "serving", "yielded", "remat"],
+            "the serving lane must jump ahead of both re-selection waves"
         );
+        let stats = pool.stats();
+        assert_eq!(stats.lane_waves[Lane::Serving.index()], 1);
+        assert_eq!(stats.lane_waves[Lane::Remat.index()], 2);
+        assert_eq!(stats.tasks, 4);
     }
 
     #[test]
@@ -927,12 +749,13 @@ mod tests {
         pool.run_wave(8, &|_i, _s| {});
         let warmup = pool.stats();
         pool.run_wave(8, &|_i, _s| {});
-        pool.run_wave_on(Lane::Background, 3, &|_i, _s| {});
+        Executor::run_tasks(&pool, 3, &|_i| {});
         let delta = pool.stats().delta_since(&warmup);
         assert_eq!(delta.workers, 2);
         assert_eq!(delta.waves, 2);
         assert_eq!(delta.tasks, 11);
-        assert_eq!(delta.lane_waves, [1, 0, 1]);
+        assert_eq!(delta.lane_waves[Lane::Serving.index()], 1);
+        assert_eq!(delta.lane_waves[Lane::Remat.index()], 1);
         // saturating: a foreign (older-pool) snapshot never underflows
         let zero = pool.stats().delta_since(&pool.stats());
         assert_eq!(zero.waves, 0);

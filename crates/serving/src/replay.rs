@@ -1,24 +1,32 @@
-//! Workload replay: stream a query mix through a [`ServingEngine`] batch by
-//! batch and measure what a load test would — throughput, latency
-//! percentiles, operation counts, shortcut hit rates. [`replay_mixed`]
-//! drives a multi-tenant arrival stream through a
-//! [`ShardedServingEngine`] the same way.
+//! Workload replay: stream a query mix through a [`ServingEngine`] (or,
+//! with [`replay_mixed`], a multi-tenant arrival stream through a
+//! [`ShardedServingEngine`]) and measure what a load test would —
+//! throughput, service and sojourn percentiles, operation counts,
+//! shortcut hit rates, shed counts.
 //!
-//! The closed-loop drivers above offer the next batch only once the
-//! previous one completed, so they measure service time and can never
-//! overload the engine. [`replay_open_loop`] / [`replay_open_loop_mixed`]
-//! instead replay a **timed arrival schedule** (for example
-//! [`poisson_arrivals`]) against a backlog the engine drains as fast as
-//! it can: when offered load exceeds capacity the backlog grows, sojourn
-//! times (queueing + service) explode, and the overload controls of
-//! [`AdmissionConfig`] — admission
-//! caps and deadline shedding — are what keep served-query p99 bounded.
-//! That is the regime the saturation benches measure.
+//! There is one drive, over an **arrival schedule**. Every offered query
+//! becomes due at its arrival offset, joins a backlog subject to the
+//! admission caps of [`AdmissionConfig`], and is dispatched from the
+//! front of that backlog in waves of at most
+//! [`batch_size`](ReplayConfig::batch_size), after deadline shedding.
 //!
-//! All drivers pre-warm the engine's persistent worker pool before the
-//! timed run, so the one-time thread spawn is charged to setup (as it
-//! would be in a real server's boot) rather than to the first batch's
-//! latency.
+//! * **Closed loop** (`schedule = None`): every arrival is due at time
+//!   zero, so under the default [`AdmissionConfig::fifo`] the backlog is
+//!   the whole stream and it drains in consecutive `batch_size` slices,
+//!   the next only once the previous one completed. The engine can never
+//!   be overloaded; [`latency_p50`](ReplayReport::latency_p50) & co. are
+//!   pure service time.
+//! * **Open loop** (a timed schedule, for example [`poisson_arrivals`]):
+//!   arrivals come on their own clock. When offered load exceeds capacity
+//!   the backlog grows, sojourn times (queueing + service) explode, and
+//!   the overload controls — admission caps and deadline shedding — are
+//!   what keep served-query p99 bounded. That is the regime the
+//!   saturation benches measure.
+//!
+//! Both replay functions pre-warm the engine's persistent worker pool
+//! before the timed run, so the one-time thread spawn is charged to setup
+//! (as it would be in a real server's boot) rather than to the first
+//! batch's latency.
 
 use crate::engine::{BatchStats, ServingEngine};
 use crate::overload::{AdmissionConfig, ServeOutcome, ShedReason};
@@ -32,40 +40,80 @@ use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
+/// The clock a replay runs against.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum ReplayClock {
+    /// Real time: arrivals in the future are waited out with a sleep,
+    /// sojourns are measured with [`Instant`]. What the benches use.
+    #[default]
+    Wall,
+    /// Deterministic simulated time: serving a dispatched query advances
+    /// the clock by exactly `per_query`, and nothing else advances it
+    /// except idle jumps to the next arrival. Admission and shedding
+    /// decisions become a pure function of (schedule, config), which is
+    /// what the shedding-determinism tests pin down.
+    Virtual {
+        /// Simulated service time charged per dispatched query.
+        per_query: Duration,
+    },
+}
+
 /// Replay knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ReplayConfig {
-    /// Queries per batch (the arrival buffer a server would drain at once).
+    /// Most queries dispatched per wave — the arrival buffer a server
+    /// would drain at once; the backlog beyond it waits for the next wave.
     pub batch_size: usize,
+    /// Overload controls (admission caps, deadline). The default is the
+    /// unprotected FIFO baseline.
+    pub admission: AdmissionConfig,
+    /// Wall or virtual time (see [`ReplayClock`]).
+    pub clock: ReplayClock,
 }
 
 impl Default for ReplayConfig {
     fn default() -> Self {
-        ReplayConfig { batch_size: 64 }
+        ReplayConfig {
+            batch_size: 64,
+            admission: AdmissionConfig::default(),
+            clock: ReplayClock::Wall,
+        }
     }
 }
 
-/// Aggregate report of one replay run.
+/// Aggregate report of one replay run. Per-query resolutions come back
+/// alongside it as [`ServeOutcome`]s.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReplayReport {
-    /// Queries replayed.
+    /// Queries offered by the arrival schedule.
     pub queries: usize,
-    /// Batches served.
-    pub batches: usize,
-    /// Queries that returned an error.
+    /// Queries served to completion.
+    pub served: usize,
+    /// Queries that reached the engine and returned an error.
     pub errors: usize,
+    /// Queries shed at dispatch with a blown deadline.
+    pub shed_deadline: usize,
+    /// Queries refused at arrival by an admission cap.
+    pub shed_admission: usize,
+    /// Dispatch waves served.
+    pub batches: usize,
+    /// Peak backlog length observed right after an admission round (the
+    /// whole stream in a closed loop).
+    pub peak_backlog: usize,
     /// Unique computations after in-batch coalescing.
     pub unique: usize,
     /// Unique queries served from the cross-batch answer cache.
     pub cache_hits: usize,
     /// Cache entries found stale after an epoch swap and lazily dropped.
     pub stale_hits: usize,
-    /// Materialization epochs observed: (first batch, last batch). They
+    /// Materialization epochs observed: (first batch, last batch) on one
+    /// engine, (min, max) across tenants and batches on a fleet. They
     /// differ when a re-materialization was published mid-replay.
     pub epochs: (u64, u64),
-    /// End-to-end wall-clock time.
+    /// Clock time from first arrival to last completion (simulated time
+    /// under [`ReplayClock::Virtual`], real time under `Wall`).
     pub wall: Duration,
-    /// Queries per second over the whole run.
+    /// Served queries per clock second.
     pub throughput_qps: f64,
     /// Median per-query service time (cache hits count as zero, in-batch
     /// duplicates share their computation's time).
@@ -74,6 +122,14 @@ pub struct ReplayReport {
     pub latency_p95: Duration,
     /// 99th-percentile per-query service time.
     pub latency_p99: Duration,
+    /// Median served-query sojourn (queueing + service — what a client
+    /// actually waits; in a closed loop, the time since the replay began).
+    pub sojourn_p50: Duration,
+    /// 95th-percentile served-query sojourn.
+    pub sojourn_p95: Duration,
+    /// 99th-percentile served-query sojourn — the figure shedding keeps
+    /// bounded while the FIFO baseline's grows with the backlog.
+    pub sojourn_p99: Duration,
     /// Summed operation count (cost-model ops) over unique computations.
     pub total_ops: u64,
     /// Summed shortcut uses over unique computations.
@@ -111,193 +167,6 @@ impl ReplayReport {
     }
 }
 
-/// The shared closed-loop drive: offers `items` in `batch_size` chunks,
-/// the next only once the previous one completed. `serve` answers one
-/// chunk and returns the counters every engine reports; what only its
-/// engine reports (epochs, paging) it folds into the report itself.
-/// `pool_stats` reads the engine's (already warmed) pool, so the report
-/// carries the run window's deltas.
-fn closed_loop_drive<T>(
-    items: &[T],
-    cfg: &ReplayConfig,
-    pool_stats: &dyn Fn() -> Option<PoolStats>,
-    mut serve: impl FnMut(&[T], &mut ReplayReport) -> (Vec<ServeOutcome>, BatchStats),
-) -> ReplayReport {
-    let pool_before = pool_stats().unwrap_or_default();
-    let start = Instant::now();
-    let mut report = ReplayReport {
-        queries: items.len(),
-        ..ReplayReport::default()
-    };
-    let mut latencies: Vec<Duration> = Vec::with_capacity(items.len());
-    for batch in items.chunks(cfg.batch_size.max(1)) {
-        let (answers, stats) = serve(batch, &mut report);
-        report.batches += 1;
-        report.unique += stats.unique;
-        report.cache_hits += stats.cache_hits;
-        report.stale_hits += stats.stale_hits;
-        report.total_ops = report.total_ops.saturating_add(stats.total_ops);
-        report.shortcuts_used += stats.shortcuts_used;
-        for a in &answers {
-            match a.served() {
-                Some(served) => latencies.push(served.latency()),
-                None => report.errors += 1,
-            }
-        }
-    }
-    report.wall = start.elapsed();
-    report.pool = pool_stats().unwrap_or_default().delta_since(&pool_before);
-    if report.wall.as_secs_f64() > 0.0 {
-        report.throughput_qps = report.queries as f64 / report.wall.as_secs_f64();
-    }
-    latencies.sort_unstable();
-    report.latency_p50 = percentile(&latencies, 0.50);
-    report.latency_p95 = percentile(&latencies, 0.95);
-    report.latency_p99 = percentile(&latencies, 0.99);
-    report
-}
-
-/// Streams `queries` through `engine` in batches and aggregates telemetry.
-pub fn replay(
-    engine: &ServingEngine<'_>,
-    queries: &[ServeRequest],
-    cfg: &ReplayConfig,
-) -> ReplayReport {
-    engine.warm_pool();
-    let pool_stats = || engine.pool_stats();
-    closed_loop_drive(queries, cfg, &pool_stats, |batch, report| {
-        let (answers, stats) = engine.serve_batch(batch);
-        if report.batches == 0 {
-            report.epochs.0 = stats.epoch;
-        }
-        report.epochs.1 = stats.epoch;
-        (answers, stats)
-    })
-}
-
-/// Streams a multi-tenant arrival stream through a sharded engine in
-/// mixed batches (the buffer a fleet endpoint drains at once) and
-/// aggregates fleet-level telemetry. `epochs` reports the min/max epoch
-/// observed across all tenants and batches.
-pub fn replay_mixed(
-    engine: &ShardedServingEngine<'_>,
-    arrivals: &[(TenantId, ServeRequest)],
-    cfg: &ReplayConfig,
-) -> ReplayReport {
-    engine.warm_pool();
-    let pool_stats = || engine.pool_stats();
-    let mut epochs: Option<(u64, u64)> = None;
-    let mut report = closed_loop_drive(arrivals, cfg, &pool_stats, |batch, report| {
-        let (answers, stats) = engine.serve_mixed(batch);
-        report.faults += stats.faults;
-        report.page_outs += stats.page_outs;
-        report.max_resident = report.max_resident.max(stats.resident);
-        report.fault_wall += stats.fault_wall;
-        for (_, b) in &stats.per_tenant {
-            let (lo, hi) = epochs.get_or_insert((b.epoch, b.epoch));
-            *lo = (*lo).min(b.epoch);
-            *hi = (*hi).max(b.epoch);
-        }
-        let totals = BatchStats {
-            unique: stats.unique,
-            cache_hits: stats.cache_hits,
-            stale_hits: stats.stale_hits,
-            total_ops: stats.total_ops,
-            shortcuts_used: stats.shortcuts_used,
-            ..BatchStats::default()
-        };
-        (answers, totals)
-    });
-    report.epochs = epochs.unwrap_or_default();
-    report
-}
-
-/// Nearest-rank percentile of a **sorted** latency list.
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let rank = ((sorted.len() as f64 * p).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// The clock an open-loop replay runs against.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ReplayClock {
-    /// Real time: arrivals in the future are waited out with a sleep,
-    /// sojourns are measured with [`Instant`]. What the benches use.
-    #[default]
-    Wall,
-    /// Deterministic simulated time: serving a dispatched query advances
-    /// the clock by exactly `per_query`, and nothing else advances it
-    /// except idle jumps to the next arrival. Admission and shedding
-    /// decisions become a pure function of (schedule, config), which is
-    /// what the shedding-determinism tests pin down.
-    Virtual {
-        /// Simulated service time charged per dispatched query.
-        per_query: Duration,
-    },
-}
-
-/// Knobs for the open-loop drivers.
-#[derive(Clone, Copy, Debug)]
-pub struct OpenLoopConfig {
-    /// Most queries dispatched per wave — the drain quantum; the backlog
-    /// beyond it waits for the next wave.
-    pub max_batch: usize,
-    /// Overload controls (admission caps, deadline). The default is the
-    /// unprotected FIFO baseline.
-    pub admission: AdmissionConfig,
-    /// Wall or virtual time (see [`ReplayClock`]).
-    pub clock: ReplayClock,
-}
-
-impl Default for OpenLoopConfig {
-    fn default() -> Self {
-        OpenLoopConfig {
-            max_batch: 64,
-            admission: AdmissionConfig::default(),
-            clock: ReplayClock::Wall,
-        }
-    }
-}
-
-/// Aggregate report of one open-loop replay. Per-query resolutions come
-/// back alongside it as [`ServeOutcome`]s.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OpenLoopReport {
-    /// Queries offered by the arrival schedule.
-    pub offered: usize,
-    /// Queries served to completion.
-    pub served: usize,
-    /// Queries that reached the engine and returned an error.
-    pub errors: usize,
-    /// Queries shed at dispatch with a blown deadline.
-    pub shed_deadline: usize,
-    /// Queries refused at arrival by an admission cap.
-    pub shed_admission: usize,
-    /// Dispatch waves driven.
-    pub batches: usize,
-    /// Peak backlog length observed right after an admission round.
-    pub peak_backlog: usize,
-    /// Clock time from first arrival to last completion (simulated time
-    /// under [`ReplayClock::Virtual`], real time under `Wall`).
-    pub duration: Duration,
-    /// Served queries per clock second.
-    pub throughput_qps: f64,
-    /// Median served-query sojourn (queueing + service — *not* the
-    /// closed-loop service time; this is what a client actually waits).
-    pub sojourn_p50: Duration,
-    /// 95th-percentile served-query sojourn.
-    pub sojourn_p95: Duration,
-    /// 99th-percentile served-query sojourn — the figure shedding keeps
-    /// bounded while the FIFO baseline's grows with the backlog.
-    pub sojourn_p99: Duration,
-    /// Worker-pool counter deltas attributable to this replay
-    /// ([`PoolStats::delta_since`]); all-zero without a pool.
-    pub pool: PoolStats,
-}
-
 /// A Poisson arrival process: `n` absolute arrival offsets with
 /// exponential inter-arrival times at rate `qps`, deterministic in
 /// `seed`. The canonical open-loop schedule — offered load is `qps`
@@ -317,10 +186,7 @@ pub fn poisson_arrivals(n: usize, qps: f64, seed: u64) -> Vec<Duration> {
         .collect()
 }
 
-/// What one dispatched wave's serve call returns.
-type BatchResults = Vec<ServeOutcome>;
-
-/// Clock state for one open-loop drive.
+/// Clock state for one drive.
 enum ClockState {
     Wall(Instant),
     Virtual { now: Duration, per_query: Duration },
@@ -365,42 +231,56 @@ impl ClockState {
     }
 }
 
-/// The shared open-loop drive: admission at arrival, deadline shedding
-/// at dispatch, `serve` for the actual compute. `tenant_of` returns the
-/// arriving tenant where per-tenant caps apply (mixed replays);
-/// `pool_stats` is read as in [`closed_loop_drive`].
-fn open_loop_drive(
-    n: usize,
-    schedule: &[Duration],
-    cfg: &OpenLoopConfig,
+/// The one drive: admission at arrival, deadline shedding at dispatch,
+/// `serve` for the actual compute. `schedule` holds one sorted arrival
+/// offset per item; `None` makes every item due at time zero (the closed
+/// loop). `tenant_of` names the arriving tenant where per-tenant caps
+/// apply (mixed replays). `serve` answers one wave and returns the
+/// counters every engine reports; what only its engine reports (epochs,
+/// paging) it folds into the report itself. `pool_stats` reads the
+/// engine's (already warmed) pool, so the report carries the run window's
+/// deltas.
+fn drive<T: Clone>(
+    items: &[T],
+    schedule: Option<&[Duration]>,
+    cfg: &ReplayConfig,
     pool_stats: &dyn Fn() -> Option<PoolStats>,
-    tenant_of: &dyn Fn(usize) -> Option<TenantId>,
-    serve: &mut dyn FnMut(&[usize]) -> BatchResults,
-) -> (Vec<ServeOutcome>, OpenLoopReport) {
+    tenant_of: &dyn Fn(&T) -> Option<TenantId>,
+    mut serve: impl FnMut(&[T], &mut ReplayReport) -> (Vec<ServeOutcome>, BatchStats),
+) -> (Vec<ServeOutcome>, ReplayReport) {
+    let n = items.len();
+    if let Some(schedule) = schedule {
+        assert_eq!(n, schedule.len(), "one arrival offset per query");
+        assert!(
+            schedule.windows(2).all(|w| w[0] <= w[1]),
+            "arrival schedule must be sorted"
+        );
+    }
+    let arrival = |i: usize| schedule.map_or(Duration::ZERO, |s| s[i]);
+    let batch_size = cfg.batch_size.max(1);
+    let cap = cfg.admission.max_backlog;
+    let tcap = cfg.admission.max_tenant_backlog;
+    // per-tenant load is tracked only under a per-tenant cap
+    let capped_tenant = |i: usize| if tcap > 0 { tenant_of(&items[i]) } else { None };
     let pool_before = pool_stats().unwrap_or_default();
-    assert_eq!(n, schedule.len(), "one arrival offset per query");
-    assert!(
-        schedule.windows(2).all(|w| w[0] <= w[1]),
-        "arrival schedule must be sorted"
-    );
-    let max_batch = cfg.max_batch.max(1);
     let mut outcomes: Vec<Option<ServeOutcome>> = (0..n).map(|_| None).collect();
-    let mut report = OpenLoopReport {
-        offered: n,
-        ..OpenLoopReport::default()
+    let mut report = ReplayReport {
+        queries: n,
+        ..ReplayReport::default()
     };
     let mut clock = ClockState::start(cfg.clock);
-    let mut backlog: VecDeque<(usize, Duration)> = VecDeque::new();
+    let mut backlog: VecDeque<usize> = VecDeque::new();
     let mut tenant_load: HashMap<u32, usize> = HashMap::new();
+    let mut latencies: Vec<Duration> = Vec::with_capacity(n);
     let mut sojourns: Vec<Duration> = Vec::with_capacity(n);
+    let mut wave: Vec<usize> = Vec::with_capacity(batch_size.min(n));
+    let mut gathered: Vec<T> = Vec::new();
     let mut next = 0usize;
     while next < n || !backlog.is_empty() {
         let now = clock.now();
         // admit every due arrival, refusing over admission caps
-        while next < n && schedule[next] <= now {
-            let tenant = tenant_of(next);
-            let cap = cfg.admission.max_backlog;
-            let tcap = cfg.admission.max_tenant_backlog;
+        while next < n && arrival(next) <= now {
+            let tenant = capped_tenant(next);
             let tload = tenant
                 .map(|t| *tenant_load.entry(t.0).or_default())
                 .unwrap_or(0);
@@ -411,7 +291,7 @@ fn open_loop_drive(
                     limit: cap,
                 }));
                 report.shed_admission += 1;
-            } else if tenant.is_some() && tcap > 0 && tload >= tcap {
+            } else if tenant.is_some() && tload >= tcap {
                 outcomes[next] = Some(ServeOutcome::Shed(ShedReason::AdmissionLimit {
                     tenant,
                     backlog: tload,
@@ -419,7 +299,7 @@ fn open_loop_drive(
                 }));
                 report.shed_admission += 1;
             } else {
-                backlog.push_back((next, schedule[next]));
+                backlog.push_back(next);
                 if let Some(t) = tenant {
                     *tenant_load.entry(t.0).or_default() += 1;
                 }
@@ -429,25 +309,24 @@ fn open_loop_drive(
         report.peak_backlog = report.peak_backlog.max(backlog.len());
         if backlog.is_empty() {
             if next < n {
-                clock.advance_to(schedule[next]);
+                clock.advance_to(arrival(next));
             }
             continue;
         }
         // dispatch a wave, shedding queries whose budget queueing already
         // blew — serving them would waste capacity on abandoned answers
-        let mut wave: Vec<(usize, Duration)> = Vec::with_capacity(max_batch.min(backlog.len()));
-        while wave.len() < max_batch {
-            let (i, arrived) = match backlog.pop_front() {
-                Some(entry) => entry,
-                None => break,
+        wave.clear();
+        while wave.len() < batch_size {
+            let Some(i) = backlog.pop_front() else {
+                break;
             };
-            if let Some(t) = tenant_of(i) {
+            if let Some(t) = capped_tenant(i) {
                 if let Some(load) = tenant_load.get_mut(&t.0) {
                     *load = load.saturating_sub(1);
                 }
             }
             if let Some(deadline) = cfg.admission.deadline {
-                let waited = now.saturating_sub(arrived);
+                let waited = now.saturating_sub(arrival(i));
                 if waited > deadline {
                     outcomes[i] = Some(ServeOutcome::Shed(ShedReason::DeadlineBlown {
                         waited,
@@ -457,20 +336,33 @@ fn open_loop_drive(
                     continue;
                 }
             }
-            wave.push((i, arrived));
+            wave.push(i);
         }
-        if wave.is_empty() {
+        let (Some(&lo), Some(&hi)) = (wave.first(), wave.last()) else {
             continue;
-        }
-        let indices: Vec<usize> = wave.iter().map(|&(i, _)| i).collect();
-        let results = serve(&indices);
+        };
+        // a wave nothing was shed out of is one slice of the stream and is
+        // served in place; a gapped one is gathered first
+        let (results, stats) = if hi - lo + 1 == wave.len() {
+            serve(&items[lo..=hi], &mut report)
+        } else {
+            gathered.clear();
+            gathered.extend(wave.iter().map(|&i| items[i].clone()));
+            serve(&gathered, &mut report)
+        };
         clock.charge(wave.len());
         let done = clock.now();
         report.batches += 1;
-        for ((i, arrived), r) in wave.into_iter().zip(results) {
+        report.unique += stats.unique;
+        report.cache_hits += stats.cache_hits;
+        report.stale_hits += stats.stale_hits;
+        report.total_ops = report.total_ops.saturating_add(stats.total_ops);
+        report.shortcuts_used += stats.shortcuts_used;
+        for (&i, r) in wave.iter().zip(results) {
             match &r {
-                ServeOutcome::Served(_) => {
-                    sojourns.push(done.saturating_sub(arrived));
+                ServeOutcome::Served(served) => {
+                    latencies.push(served.latency());
+                    sojourns.push(done.saturating_sub(arrival(i)));
                     report.served += 1;
                 }
                 ServeOutcome::Failed(_) => report.errors += 1,
@@ -481,77 +373,109 @@ fn open_loop_drive(
             outcomes[i] = Some(r);
         }
     }
-    report.duration = clock.now();
+    report.wall = clock.now();
     report.pool = pool_stats().unwrap_or_default().delta_since(&pool_before);
-    if report.duration.as_secs_f64() > 0.0 {
-        report.throughput_qps = report.served as f64 / report.duration.as_secs_f64();
+    if report.wall.as_secs_f64() > 0.0 {
+        report.throughput_qps = report.served as f64 / report.wall.as_secs_f64();
     }
+    latencies.sort_unstable();
+    report.latency_p50 = percentile(&latencies, 0.50);
+    report.latency_p95 = percentile(&latencies, 0.95);
+    report.latency_p99 = percentile(&latencies, 0.99);
     sojourns.sort_unstable();
     report.sojourn_p50 = percentile(&sojourns, 0.50);
     report.sojourn_p95 = percentile(&sojourns, 0.95);
     report.sojourn_p99 = percentile(&sojourns, 0.99);
-    let outcomes = outcomes
-        .into_iter()
-        .map(|o| o.expect("every offered query resolves to exactly one outcome"))
-        .collect();
-    (outcomes, report)
+    assert!(
+        outcomes.iter().all(Option::is_some),
+        "every offered query resolves to exactly one outcome"
+    );
+    (outcomes.into_iter().flatten().collect(), report)
 }
 
-/// Replays `queries` against `engine` on a timed arrival `schedule`
-/// (absolute offsets, sorted — see [`poisson_arrivals`]), applying the
-/// overload controls in `cfg.admission`. Returns one [`ServeOutcome`]
-/// per offered query plus the aggregate report; served-query sojourns
-/// include queueing delay, which is what distinguishes this driver from
-/// the closed-loop [`replay`].
-pub fn replay_open_loop(
+/// Nearest-rank percentile of a **sorted** latency list.
+fn percentile(sorted: &[Duration], p: f64) -> Duration {
+    if sorted.is_empty() {
+        return Duration::ZERO;
+    }
+    let rank = ((sorted.len() as f64 * p).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
+}
+
+/// Replays `queries` against `engine`: closed loop when `schedule` is
+/// `None`, otherwise on the timed arrival `schedule` (absolute offsets,
+/// sorted — see [`poisson_arrivals`]), applying the overload controls in
+/// `cfg.admission`. Returns one [`ServeOutcome`] per offered query plus
+/// the aggregate report.
+pub fn replay(
     engine: &ServingEngine<'_>,
     queries: &[ServeRequest],
-    schedule: &[Duration],
-    cfg: &OpenLoopConfig,
-) -> (Vec<ServeOutcome>, OpenLoopReport) {
+    schedule: Option<&[Duration]>,
+    cfg: &ReplayConfig,
+) -> (Vec<ServeOutcome>, ReplayReport) {
     engine.warm_pool();
-    let mut batch: Vec<ServeRequest> = Vec::new();
-    open_loop_drive(
-        queries.len(),
+    drive(
+        queries,
         schedule,
         cfg,
         &|| engine.pool_stats(),
         &|_| None,
-        &mut |indices: &[usize]| {
-            batch.clear();
-            batch.extend(indices.iter().map(|&i| queries[i].clone()));
-            let (answers, _) = engine.serve_batch(&batch);
-            answers
+        |batch, report| {
+            let (answers, stats) = engine.serve_batch(batch);
+            if report.batches == 0 {
+                report.epochs.0 = stats.epoch;
+            }
+            report.epochs.1 = stats.epoch;
+            (answers, stats)
         },
     )
 }
 
-/// The multi-tenant open-loop driver: like [`replay_open_loop`] over a
-/// mixed `(TenantId, ServeRequest)` arrival stream, with
+/// The multi-tenant replay: like [`replay`] over a mixed
+/// `(TenantId, ServeRequest)` arrival stream served in mixed batches (the
+/// buffer a fleet endpoint drains at once), with
 /// [`max_tenant_backlog`](AdmissionConfig::max_tenant_backlog) enforced
 /// per arriving tenant so one tenant's burst cannot monopolize the
-/// backlog.
-pub fn replay_open_loop_mixed(
+/// backlog. `epochs` reports the min/max epoch observed across all
+/// tenants and batches.
+pub fn replay_mixed(
     engine: &ShardedServingEngine<'_>,
     arrivals: &[(TenantId, ServeRequest)],
-    schedule: &[Duration],
-    cfg: &OpenLoopConfig,
-) -> (Vec<ServeOutcome>, OpenLoopReport) {
+    schedule: Option<&[Duration]>,
+    cfg: &ReplayConfig,
+) -> (Vec<ServeOutcome>, ReplayReport) {
     engine.warm_pool();
-    let mut batch: Vec<(TenantId, ServeRequest)> = Vec::new();
-    open_loop_drive(
-        arrivals.len(),
+    let mut epochs: Option<(u64, u64)> = None;
+    let (outcomes, mut report) = drive(
+        arrivals,
         schedule,
         cfg,
         &|| engine.pool_stats(),
-        &|i| Some(arrivals[i].0),
-        &mut |indices: &[usize]| {
-            batch.clear();
-            batch.extend(indices.iter().map(|&i| arrivals[i].clone()));
-            let (answers, _) = engine.serve_mixed(&batch);
-            answers
+        &|(tenant, _)| Some(*tenant),
+        |batch, report| {
+            let (answers, stats) = engine.serve_mixed(batch);
+            report.faults += stats.faults;
+            report.page_outs += stats.page_outs;
+            report.max_resident = report.max_resident.max(stats.resident);
+            report.fault_wall += stats.fault_wall;
+            for (_, b) in &stats.per_tenant {
+                let (lo, hi) = epochs.get_or_insert((b.epoch, b.epoch));
+                *lo = (*lo).min(b.epoch);
+                *hi = (*hi).max(b.epoch);
+            }
+            let totals = BatchStats {
+                unique: stats.unique,
+                cache_hits: stats.cache_hits,
+                stale_hits: stats.stale_hits,
+                total_ops: stats.total_ops,
+                shortcuts_used: stats.shortcuts_used,
+                ..BatchStats::default()
+            };
+            (answers, totals)
         },
-    )
+    );
+    report.epochs = epochs.unwrap_or_default();
+    (outcomes, report)
 }
 
 /// Shape of a sampled serving workload (see [`workload_queries`]).
@@ -642,20 +566,31 @@ mod tests {
         };
         let queries = workload_queries(&tree, &rooted, 100, &mix, 17);
         assert_eq!(queries.len(), 100);
-        let report = replay(&serving, &queries, &ReplayConfig { batch_size: 32 });
+        let cfg = ReplayConfig {
+            batch_size: 32,
+            ..ReplayConfig::default()
+        };
+        let (outcomes, report) = replay(&serving, &queries, None, &cfg);
+        assert_eq!(outcomes.len(), 100);
         assert_eq!(report.queries, 100);
-        assert_eq!(report.batches, 4);
         assert_eq!(report.errors, 0);
-        assert!(report.unique <= 100);
-        assert!(
-            report.unique < 100,
-            "pool sampling must repeat queries: {} unique",
-            report.unique
+        // the closed loop's counters are a pure function of the seeded
+        // stream: 4 slices of 32, pool sampling repeats queries
+        assert_eq!(report.batches, 4);
+        assert_eq!(report.unique, 57);
+        assert_eq!(report.cache_hits, 34);
+        assert_eq!(report.stale_hits, 0);
+        assert_eq!(report.total_ops, 5100);
+        assert_eq!(report.shortcuts_used, 0);
+        assert_eq!(report.epochs, (0, 0));
+        assert_eq!(
+            (report.faults, report.page_outs, report.max_resident),
+            (0, 0, 0)
         );
+        assert_eq!(report.fault_wall, Duration::ZERO);
         assert!(report.throughput_qps > 0.0);
         assert!(report.latency_p50 <= report.latency_p95);
         assert!(report.latency_p95 <= report.latency_p99);
-        assert!(report.total_ops > 0);
     }
 
     #[test]
@@ -692,16 +627,29 @@ mod tests {
                 .enumerate()
                 .map(|(i, q)| (TenantId((i % 2) as u32), q))
                 .collect();
-        let report = replay_mixed(&sharded, &arrivals, &ReplayConfig { batch_size: 20 });
+        let cfg = ReplayConfig {
+            batch_size: 20,
+            ..ReplayConfig::default()
+        };
+        let (_, report) = replay_mixed(&sharded, &arrivals, None, &cfg);
         assert_eq!(report.queries, 60);
-        assert_eq!(report.batches, 3);
         assert_eq!(report.errors, 0);
+        assert_eq!(report.batches, 3);
+        assert_eq!(report.unique, 38);
+        assert_eq!(report.cache_hits, 17);
+        assert_eq!(report.stale_hits, 0);
+        assert_eq!(report.total_ops, 3764);
+        assert_eq!(report.shortcuts_used, 0);
         assert_eq!(report.epochs, (0, 0));
-        assert!(report.unique <= 60);
-        assert!(report.total_ops > 0);
+        // no store: both tenants stay resident, nothing pages
+        assert_eq!(
+            (report.faults, report.page_outs, report.max_resident),
+            (0, 0, 2)
+        );
+        assert_eq!(report.fault_wall, Duration::ZERO);
         // a second pass over the same stream is served from the caches
-        let warm = replay_mixed(&sharded, &arrivals, &ReplayConfig { batch_size: 20 });
-        assert_eq!(warm.cache_hits, warm.unique);
+        let (_, warm) = replay_mixed(&sharded, &arrivals, None, &cfg);
+        assert_eq!((warm.batches, warm.unique, warm.cache_hits), (3, 38, 38));
         assert_eq!(warm.total_ops, 0);
     }
 

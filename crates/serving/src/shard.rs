@@ -263,9 +263,9 @@ impl<'t> ShardedServingEngine<'t> {
     /// Executor for off-path fleet work (candidate re-selection): the
     /// shared pool's re-materialization lane when mixed batches fan out
     /// (so a fleet re-selection never head-of-line blocks serving waves),
-    /// a scoped `threads`-wide fan-out otherwise (sequential when 1).
-    pub(crate) fn offline_exec(&self, threads: usize) -> Box<dyn Executor + '_> {
-        self.pool.offline_exec(self.workers(), threads)
+    /// the calling thread otherwise.
+    pub(crate) fn offline_exec(&self) -> &dyn Executor {
+        self.pool.offline_exec(self.workers())
     }
 
     /// Registers a tenant: a calibrated engine plus its initial

@@ -2,16 +2,16 @@
 //! (same arrival schedule + seed ⇒ the same set of shed queries),
 //! admission-cap semantics (global and per-tenant), bounded sojourns
 //! under saturation with deadline shedding vs the FIFO baseline, and
-//! lane-starvation freedom (a saturating background lane never stalls a
+//! lane-starvation freedom (saturating re-selection work never stalls a
 //! serving-lane batch beyond its deadline).
 
 use peanut_core::Materialization;
 use peanut_junction::{build_junction_tree, JunctionTree, QueryEngine, RootedTree};
 use peanut_pgm::{fixtures, BayesianNetwork};
 use peanut_serving::{
-    poisson_arrivals, replay_open_loop, replay_open_loop_mixed, workload_queries, AdmissionConfig,
-    Lane, OpenLoopConfig, ReplayClock, ServeOutcome, ServeRequest, ServingConfig, ServingEngine,
-    ShardConfig, ShardedServingEngine, ShedReason, TenantId, WorkerPool, WorkloadMix,
+    poisson_arrivals, replay, replay_mixed, workload_queries, AdmissionConfig, Lane, ReplayClock,
+    ReplayConfig, ServeOutcome, ServeRequest, ServingConfig, ServingEngine, ShardConfig,
+    ShardedServingEngine, ShedReason, TenantId, WorkerPool, WorkloadMix,
 };
 use std::time::{Duration, Instant};
 
@@ -42,9 +42,9 @@ fn shed_indices(outcomes: &[ServeOutcome]) -> Vec<usize> {
 
 /// A saturated virtual-clock replay: offered load is twice the simulated
 /// service capacity, so the FIFO backlog grows without bound.
-fn saturated_cfg(admission: AdmissionConfig) -> OpenLoopConfig {
-    OpenLoopConfig {
-        max_batch: 16,
+fn saturated_cfg(admission: AdmissionConfig) -> ReplayConfig {
+    ReplayConfig {
+        batch_size: 16,
         admission,
         clock: ReplayClock::Virtual {
             per_query: Duration::from_millis(1), // capacity: 1000 q/s
@@ -68,7 +68,7 @@ fn shedding_is_deterministic_on_the_virtual_clock() {
             Materialization::default(),
             ServingConfig::default().with_workers(1),
         );
-        replay_open_loop(&serving, &qs, &schedule, &cfg)
+        replay(&serving, &qs, Some(&schedule), &cfg)
     };
     let (outcomes_a, report_a) = run();
     let (outcomes_b, report_b) = run();
@@ -102,7 +102,7 @@ fn deadline_shedding_bounds_p99_where_fifo_collapses() {
             Materialization::default(),
             ServingConfig::default().with_workers(1),
         );
-        replay_open_loop(&serving, &qs, &schedule, &saturated_cfg(admission))
+        replay(&serving, &qs, Some(&schedule), &saturated_cfg(admission))
     };
     let (fifo_outcomes, fifo) = run(AdmissionConfig::fifo());
     let (shed_outcomes, shed) = run(AdmissionConfig::default().with_deadline(deadline));
@@ -130,9 +130,9 @@ fn deadline_shedding_bounds_p99_where_fifo_collapses() {
     }
 
     // the acceptance shape: shedding bounds p99, FIFO does not. A wave
-    // that started within budget may finish up to max_batch service
+    // that started within budget may finish up to batch_size service
     // quanta later, so the bound is deadline + one full wave.
-    let wave = Duration::from_millis(16); // max_batch × per_query
+    let wave = Duration::from_millis(16); // batch_size × per_query
     assert!(
         shed.sojourn_p99 <= deadline + wave,
         "shed p99 must stay near the budget: {:?}",
@@ -162,7 +162,7 @@ fn global_admission_cap_bounds_the_backlog() {
         ServingConfig::default().with_workers(1),
     );
     let cfg = saturated_cfg(AdmissionConfig::default().with_max_backlog(cap));
-    let (outcomes, report) = replay_open_loop(&serving, &qs, &schedule, &cfg);
+    let (outcomes, report) = replay(&serving, &qs, Some(&schedule), &cfg);
     assert!(report.shed_admission > 0, "3× load must refuse arrivals");
     assert!(
         report.peak_backlog <= cap,
@@ -214,7 +214,7 @@ fn per_tenant_admission_isolates_a_flooding_tenant() {
         .collect();
     let schedule = poisson_arrivals(arrivals.len(), 3000.0, 23);
     let cfg = saturated_cfg(AdmissionConfig::default().with_max_tenant_backlog(8));
-    let (outcomes, report) = replay_open_loop_mixed(&sharded, &arrivals, &schedule, &cfg);
+    let (outcomes, report) = replay_mixed(&sharded, &arrivals, Some(&schedule), &cfg);
     assert!(report.shed_admission > 0, "the flood must hit the cap");
     let shed_of = |t: TenantId| {
         outcomes
@@ -246,54 +246,60 @@ fn per_tenant_admission_isolates_a_flooding_tenant() {
     );
 }
 
-/// A saturating background lane never stalls a serving-lane batch beyond
-/// its deadline: workers yield a background wave between tasks, so a
-/// serving wave waits for at most one in-flight background task per
-/// worker — not for the whole backlog.
+/// Saturating background work never stalls a serving-lane batch beyond
+/// its deadline: a re-selection thread keeps the re-materialization lane
+/// full (`Executor::run_tasks`, the only traffic below the serving lane),
+/// and workers yield its waves between tasks, so a serving wave waits for
+/// at most one in-flight task per worker — not for the whole backlog.
 #[test]
 fn background_saturation_does_not_starve_the_serving_lane() {
+    use peanut_core::exec::Executor;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
     let pool = WorkerPool::new(2);
-    let bg_done = Arc::new(AtomicUsize::new(0));
+    let bg_started = AtomicUsize::new(0);
+    let bg_done = AtomicUsize::new(0);
     const BG_WAVES: usize = 8;
     const BG_TASKS: usize = 16;
     let bg_task_ms = 10u64;
-    // queue ~1.28s of background work (640ms per worker)
-    let handles: Vec<_> = (0..BG_WAVES)
-        .map(|_| {
-            let done = Arc::clone(&bg_done);
-            pool.submit_batch(Lane::Background, BG_TASKS, move |_i, _s| {
-                std::thread::sleep(Duration::from_millis(bg_task_ms));
-                done.fetch_add(1, Ordering::Relaxed);
-            })
-        })
-        .collect();
+    std::thread::scope(|s| {
+        // ~1.28s of background work (640ms per worker), wave after wave
+        s.spawn(|| {
+            for _ in 0..BG_WAVES {
+                pool.run_tasks(BG_TASKS, &|_i| {
+                    bg_started.fetch_add(1, Ordering::Relaxed);
+                    std::thread::sleep(Duration::from_millis(bg_task_ms));
+                    bg_done.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+        });
+        // both workers are inside background tasks
+        while bg_started.load(Ordering::Relaxed) < 2 {
+            std::thread::yield_now();
+        }
 
-    // a serving wave submitted into the saturated pool must complete
-    // within a small multiple of one background task, not the backlog
-    let start = Instant::now();
-    pool.run_wave(8, &|_i, _s| {});
-    let elapsed = start.elapsed();
-    let background_left = BG_WAVES * BG_TASKS - bg_done.load(Ordering::Relaxed);
-    assert!(
-        elapsed < Duration::from_millis(250),
-        "serving wave stalled {elapsed:?} behind the background backlog"
-    );
-    assert!(
-        background_left > 0,
-        "the background backlog must still be pending when serving returns"
-    );
+        // a serving wave submitted into the saturated pool must complete
+        // within a small multiple of one background task, not the backlog
+        let start = Instant::now();
+        pool.run_wave(8, &|_i, _s| {});
+        let elapsed = start.elapsed();
+        let background_left = BG_WAVES * BG_TASKS - bg_done.load(Ordering::Relaxed);
+        assert!(
+            elapsed < Duration::from_millis(250),
+            "serving wave stalled {elapsed:?} behind the background backlog"
+        );
+        assert!(
+            background_left > 0,
+            "the background backlog must still be pending when serving returns"
+        );
+    });
 
-    // nothing is lost: the yielded background waves still run to completion
-    for h in handles {
-        h.wait();
-    }
+    // nothing is lost: the yielded background waves still ran to completion
     assert_eq!(bg_done.load(Ordering::Relaxed), BG_WAVES * BG_TASKS);
     let stats = pool.stats();
     assert_eq!(stats.lane_waves[Lane::Serving.index()], 1);
-    assert_eq!(stats.lane_waves[Lane::Background.index()], BG_WAVES as u64);
+    assert_eq!(stats.lane_waves[Lane::Remat.index()], BG_WAVES as u64);
+    assert_eq!(stats.tasks, (BG_WAVES * BG_TASKS + 8) as u64);
 }
 
 /// The FIFO baseline on the same shape: with no overload controls and no
@@ -311,12 +317,12 @@ fn wall_clock_open_loop_serves_everything_below_capacity() {
         Materialization::default(),
         ServingConfig::default().with_workers(2),
     );
-    let cfg = OpenLoopConfig {
-        max_batch: 16,
+    let cfg = ReplayConfig {
+        batch_size: 16,
         admission: AdmissionConfig::fifo(),
         clock: ReplayClock::Wall,
     };
-    let (outcomes, report) = replay_open_loop(&serving, &qs, &schedule, &cfg);
+    let (outcomes, report) = replay(&serving, &qs, Some(&schedule), &cfg);
     assert_eq!(report.served, qs.len());
     assert_eq!(
         report.shed_deadline + report.shed_admission + report.errors,
@@ -324,7 +330,7 @@ fn wall_clock_open_loop_serves_everything_below_capacity() {
     );
     assert!(outcomes.iter().all(ServeOutcome::is_served));
     assert_eq!(report.batches, 4);
-    assert!(report.duration > Duration::ZERO);
+    assert!(report.wall > Duration::ZERO);
     assert!(
         report.pool.tasks > 0,
         "a 2-worker engine must have fanned out onto the pool: {:?}",

@@ -77,7 +77,11 @@ fn main() {
             .into_iter()
             .map(|(t, q)| (TenantId(t as u32), ServeRequest::marginal(q)))
             .collect();
-        let report = replay_mixed(&sharded, &arrivals, &ReplayConfig { batch_size: 100 });
+        let cfg = ReplayConfig {
+            batch_size: 100,
+            ..ReplayConfig::default()
+        };
+        let (_, report) = replay_mixed(&sharded, &arrivals, None, &cfg);
         assert_eq!(report.errors, 0, "fleet serving must stay clean");
         report
     };

@@ -60,6 +60,8 @@ const HOT_PATHS: &[&str] = &[
     "crates/serving/src/shard.rs",
     "crates/serving/src/pipeline.rs",
     "crates/serving/src/session.rs",
+    "crates/serving/src/overload.rs",
+    "crates/serving/src/replay.rs",
     "crates/core/src/online.rs",
     "crates/junction/src/reduced.rs",
     "crates/junction/src/query.rs",
