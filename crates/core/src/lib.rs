@@ -51,7 +51,7 @@ pub mod workload;
 
 pub use context::OfflineContext;
 pub use exec::{Executor, ScopedExecutor, SequentialExecutor};
-pub use flat::{FlatMaterialization, FlatView, SYMBOLIC_SPAN};
+pub use flat::FlatMaterialization;
 pub use grid::BudgetGrid;
 pub use online::{Materialization, MaterializedShortcut, OnlineEngine, TracedAnswer};
 pub use peanut::{Peanut, PeanutConfig, Variant};

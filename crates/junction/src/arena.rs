@@ -18,9 +18,9 @@
 //! [`TableRef`] views and the span-writing kernels
 //! ([`peanut_pgm::product_onto`], [`peanut_pgm::mul_assign_bcast`]), so a
 //! calibrated tree is one relocatable buffer: the slab can be copied, or
-//! later mapped from disk, and reattached with [`TreeArena::replace_slab`]
+//! read back from disk, and reattached with [`TreeArena::replace_slab`]
 //! without touching any index structure. That relocatability is the seam
-//! the planned zero-copy mmap materialization store plugs into.
+//! the materialization store (`peanut-store`) plugs into.
 
 use crate::tree::{CliqueId, EdgeId, JunctionTree};
 use peanut_pgm::potential::MAX_DENSE_ENTRIES;
@@ -185,7 +185,7 @@ impl TreeArena {
     ///
     /// This is the relocation seam: the index structure never references
     /// slab addresses, only offsets, so values produced elsewhere — a copy,
-    /// a snapshot, eventually an mmap'd file — attach without rebuilding
+    /// a snapshot, a decoded store file — attach without rebuilding
     /// anything. Panics if the lengths differ.
     pub fn replace_slab(&mut self, slab: Vec<f64>) -> Vec<f64> {
         assert_eq!(slab.len(), self.slab.len(), "slab length must match layout");
@@ -237,7 +237,7 @@ mod tests {
         let mut arena = TreeArena::layout(&tree).unwrap();
         let (_, _, vals) = arena.clique_mut(0);
         vals.fill(3.25);
-        // copy the slab elsewhere (stand-in for a snapshot or mmap'd file),
+        // copy the slab elsewhere (stand-in for a snapshot or a store file),
         // reattach, and read the same bytes through the same views
         let copy = arena.slab().to_vec();
         let mut other = TreeArena::layout(&tree).unwrap();

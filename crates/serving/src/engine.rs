@@ -847,24 +847,10 @@ mod tests {
         // the relocatable artifact a per-epoch store would persist
         assert_eq!(flat.epoch(), epoch);
         assert_eq!(flat.len(), 1);
-        let packed = flat.table(0).unwrap();
-        assert_eq!(packed.len(), pot.len());
-        for (a, b) in packed.iter().zip(pot.values()) {
+        assert_eq!(flat.span(0), Some((0, pot.len())));
+        for (a, b) in flat.slab().iter().zip(pot.values()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        // reattaching the slab restores a blanked materialization bitwise
-        let mut blank = (*serving.materialization()).clone();
-        blank.shortcuts[0]
-            .potential
-            .as_mut()
-            .unwrap()
-            .values_mut()
-            .fill(0.0);
-        assert!(flat.unpack_into(&mut blank));
-        assert_eq!(
-            blank.shortcuts[0].potential.as_ref().unwrap().values(),
-            pot.values()
-        );
     }
 
     #[test]

@@ -56,7 +56,7 @@
 //!   `(TenantId, ServeRequest)` batches across one shared worker pool,
 //!   with per-tenant dedup and fully isolated epoch state. With a
 //!   [`StoreConfig`] attached, the registry doubles as an LRU resident
-//!   set: cold tenants page out to mmap-able epoch files and fault back
+//!   set: cold tenants page out to epoch files and fault back
 //!   in on their next arrival (`peanut-store`).
 //! * [`replay`](mod@replay) — the workload-replay driver: [`replay()`]
 //!   streams `peanut_workload` query mixes through an engine and reports

@@ -35,7 +35,7 @@
 //! store, and after every mixed batch the least-recently-used tenants beyond
 //! the cap are paged out — their engine `Arc` dropped, only the junction
 //! tree reference and the store file kept. A paged-out tenant's next arrival
-//! faults it back in by rehydrating the persisted epoch (O(mmap + memcpy),
+//! faults it back in by rehydrating the persisted epoch (one file read,
 //! no calibration, no selection DP) and answers bit-identically to an
 //! always-resident fleet. Fault/page-out telemetry lands in
 //! [`MixedBatchStats`] per batch and in [`PagingStats`] cumulatively.
@@ -443,7 +443,7 @@ impl<'t> ShardedServingEngine<'t> {
                 path: store.dir.display().to_string(),
                 msg: format!("no persisted epoch for {}", shard.id),
             })?;
-        let stored = StoredEpoch::open(&path, store.verify_checksum)?;
+        let stored = StoredEpoch::open(&path, true)?;
         let (engine, mat) = rehydrate_engine(shard.tree, &stored)?;
         let mut serving = ServingEngine::new(engine, mat, self.tenant_config());
         serving.set_store(store.clone(), shard.id.0);

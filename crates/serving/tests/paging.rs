@@ -7,11 +7,12 @@
 //! * a paged-out tenant faults back in on access, resuming its epoch
 //!   sequence (publishes persist write-behind and survive a page-out);
 //! * paging telemetry (faults, page-outs, fault wall time) is reported
-//!   per batch and cumulatively.
+//!   per batch and cumulatively;
+//! * a corrupt epoch file fails only its own tenant, and fails it closed.
 
 use peanut_core::{Materialization, OfflineContext, Peanut, PeanutConfig, Workload};
 use peanut_junction::{build_junction_tree, JunctionTree, QueryEngine};
-use peanut_pgm::{fixtures, BayesianNetwork, Scope};
+use peanut_pgm::{fixtures, BayesianNetwork, PgmError, Potential, Scope};
 use peanut_serving::{
     ServeOutcome, ServeRequest, ShardConfig, ShardedServingEngine, StoreConfig, TenantId,
 };
@@ -246,4 +247,71 @@ fn tenants_view_tracks_residency() {
     assert!(resident.contains(&TenantId(0)));
     assert!(fleet.resident_len() <= 2);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A paged-out tenant whose newest epoch file rotted fails closed: its
+/// arrivals come back `Failed(CorruptStore)`, the failure is counted once,
+/// and every other tenant of the same mixed batch answers exactly as in a
+/// fleet whose store is intact.
+#[test]
+fn corrupt_epoch_file_fails_closed_through_serve_mixed() {
+    let bns = fleet_models(4);
+    let trees: Vec<JunctionTree> = bns
+        .iter()
+        .map(|bn| build_junction_tree(bn).unwrap())
+        .collect();
+    let batches: Vec<Vec<ServeRequest>> = bns
+        .iter()
+        .enumerate()
+        .map(|(i, bn)| tenant_batch(bn, 8, 23 + i as u64))
+        .collect();
+    let (dir, twin_dir) = (temp_dir("corrupt"), temp_dir("corrupt-twin"));
+    let store = StoreConfig::new(&dir);
+    let fleet = build_fleet(&trees, &bns, &batches, Some(store.clone()), 2);
+    let twin = build_fleet(&trees, &bns, &batches, Some(StoreConfig::new(&twin_dir)), 2);
+
+    // one batch per tenant in id order pages tenants 0 and 1 out
+    let mixed: Vec<(TenantId, ServeRequest)> = batches
+        .iter()
+        .enumerate()
+        .flat_map(|(t, qs)| qs.iter().map(move |q| (TenantId(t as u32), q.clone())))
+        .collect();
+    for per_tenant in mixed.chunks(8) {
+        for f in [&fleet, &twin] {
+            assert!(f
+                .serve_mixed(per_tenant)
+                .0
+                .iter()
+                .all(ServeOutcome::is_served));
+        }
+    }
+    assert!(fleet.tenants().iter().all(|(id, _)| id.0 >= 2));
+
+    // bit rot in tenant 0's newest epoch, past the header
+    let (_, path) = store.latest_epoch(0).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = 80 + (bytes.len() - 80) / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let (answers, stats) = fleet.serve_mixed(&mixed);
+    let (twin_answers, twin_stats) = twin.serve_mixed(&mixed);
+    assert_eq!((stats.fault_errors, twin_stats.fault_errors), (1, 0));
+    assert_eq!(fleet.paging_stats().fault_errors, 1);
+    for (((tenant, _), got), want) in mixed.iter().zip(&answers).zip(&twin_answers) {
+        if tenant.0 == 0 {
+            assert!(
+                matches!(got, ServeOutcome::Failed(PgmError::CorruptStore { .. })),
+                "{tenant} must fail closed"
+            );
+            continue;
+        }
+        let (got, want) = (got.served().unwrap(), want.served().unwrap());
+        let bits = |p: &Potential| p.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.potential), bits(&want.potential), "{tenant}");
+        assert_eq!(got.cost.ops, want.cost.ops, "{tenant}");
+    }
+    for d in [dir, twin_dir] {
+        let _ = std::fs::remove_dir_all(&d);
+    }
 }

@@ -1,25 +1,33 @@
-#![deny(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # peanut-store
 //!
-//! Zero-copy persistence for published serving epochs: one mmap-able
-//! file per `(tenant, epoch)` holding everything a tenant needs to serve
-//! — the calibrated [`TreeArena`](peanut_junction::TreeArena) slab, the
+//! Persistence for published serving epochs: one file per
+//! `(tenant, epoch)` holding everything a tenant needs to serve — the
+//! calibrated [`TreeArena`](peanut_junction::TreeArena) slab, the
 //! span-packed [`FlatMaterialization`] slab, and the structural shortcut
 //! descriptions (clique node lists, ratios, benefits) the selection DP
-//! produced. Cold start becomes `open` + a couple of `memcpy`s instead
-//! of re-running initialization, two Hugin calibration passes, and the
-//! selection DP; the sharded serving layer uses the same files to page
-//! cold tenants out of RAM and fault them back in on demand.
+//! produced. Cold start becomes one file read instead of re-running
+//! initialization, two Hugin calibration passes, and the selection DP; the
+//! sharded serving layer uses the same files to page cold tenants out of
+//! RAM and fault them back in on demand.
+//!
+//! ## Read path
+//!
+//! [`StoredEpoch::open`] reads the file once (`fs::read`), validates it,
+//! and decodes every section into owned tables; nothing refers to the
+//! file after `open` returns, so truncating, overwriting or unlinking it
+//! cannot reach an open epoch. `open` is the single place a hostile file
+//! is rejected — [`rehydrate_engine`] only checks the decoded tables
+//! against the tree it is handed. A fault-in is `open` + `rehydrate_engine`
+//! (≈ 0.5 ms for a 300 kB epoch); the byte-serial FNV checksum pass is
+//! about 70 % of that, the table copies of the rehydrate, the read and
+//! the decode the rest.
 //!
 //! ## File format (version 1)
 //!
-//! Everything in the file is an 8-byte word (`u64` or `f64` bits) in
-//! host byte order, so every section is naturally aligned once the base
-//! is — which lets the read side hand out borrowed slices straight from
-//! the mapping ([`bytes::as_u64s`] / [`bytes::as_f64s`]), with `unsafe`
-//! confined to the one audited [`bytes`] module.
+//! Everything in the file is a little-endian 8-byte word (`u64` or `f64`
+//! bits). This module is the only code that knows the layout.
 //!
 //! ```text
 //! word  0  MAGIC        "PNUTSTOR" as a little-endian u64
@@ -38,7 +46,7 @@
 //! u64[nodes_len]       nodes_flat — clique ids, shortcut-major
 //! f64[n_shortcuts]     ratios   (benefit / size, the selection key)
 //! f64[n_shortcuts]     benefits
-//! u64[n_shortcuts]     span_off — SYMBOLIC_SPAN marks a table-less slot
+//! u64[n_shortcuts]     span_off — u64::MAX marks a table-less slot
 //! u64[n_shortcuts]     span_len
 //! f64[mat_slab_len]    flat materialization slab
 //! ```
@@ -49,23 +57,14 @@
 //! that is renamed into place, so a crash mid-write leaves no partial
 //! file under the real name). A wrong version is a typed
 //! [`PgmError::StoreVersion`], every other validation failure a
-//! [`PgmError::CorruptStore`] — loud, never UB, never a silent wrong
-//! answer.
+//! [`PgmError::CorruptStore`] — loud, never a silent wrong answer.
 
-#[allow(unsafe_code)]
-pub mod bytes;
-
-use peanut_core::{
-    FlatMaterialization, FlatView, Materialization, MaterializedShortcut, Shortcut, SYMBOLIC_SPAN,
-};
+use peanut_core::{FlatMaterialization, Materialization, MaterializedShortcut, Shortcut};
 use peanut_junction::{JunctionTree, NumericState, QueryEngine, RootedTree};
 use peanut_pgm::{PgmError, Potential};
 use std::fs;
 use std::io::Write;
-use std::ops::Range;
 use std::path::{Path, PathBuf};
-
-use bytes::MappedBytes;
 
 /// `"PNUTSTOR"` read as a little-endian word — the first word of every
 /// store file.
@@ -76,6 +75,11 @@ pub const VERSION: u64 = 1;
 
 /// Header length in 8-byte words.
 const HEADER_WORDS: usize = 10;
+
+/// `span_off` value of a symbolic (table-less) shortcut slot. Dense spans
+/// carry an offset into the table slab, which `open` bounds-checks, so the
+/// all-ones pattern can never collide with one.
+const SYMBOLIC_SPAN: u64 = u64::MAX;
 
 /// FNV-1a 64-bit over `bytes` — the store's integrity checksum. Chosen
 /// for being dependency-free, endian-agnostic over a byte stream, and
@@ -90,26 +94,19 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Where and how a fleet persists epochs: the directory store files live
-/// in plus read-side validation knobs. Cloned freely (it is a path and a
-/// flag), carried by engines that persist and shards that page.
+/// Where a fleet persists epochs: the directory store files live in.
+/// Cloned freely (it is a path), carried by engines that persist and
+/// shards that page.
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
     /// Directory holding one `.pnut` file per persisted `(tenant, epoch)`.
     pub dir: PathBuf,
-    /// Verify the FNV checksum on every open (default). Turning this off
-    /// skips one pass over the file on fault-in; truncation and shape
-    /// mismatches are still always rejected.
-    pub verify_checksum: bool,
 }
 
 impl StoreConfig {
-    /// A store rooted at `dir`, checksums verified.
+    /// A store rooted at `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        StoreConfig {
-            dir: dir.into(),
-            verify_checksum: true,
-        }
+        StoreConfig { dir: dir.into() }
     }
 
     /// The file path for `(tenant, epoch)`. Epochs are zero-padded so
@@ -209,54 +206,40 @@ pub fn save(
         + n // span_off
         + n // span_len
         + flat.slab().len();
-    let mut words: Vec<u64> = Vec::with_capacity(total_words);
-    let flags = u64::from(mat.overlapping);
-    words.extend_from_slice(&[
+    let mut buf: Vec<u8> = Vec::with_capacity(total_words * 8);
+    let mut put = |w: u64| buf.extend_from_slice(&w.to_le_bytes());
+    let header: [u64; HEADER_WORDS] = [
         MAGIC,
         VERSION,
         0, // checksum, patched below
         mat.epoch,
-        flags,
+        u64::from(mat.overlapping),
         arena_slab.len() as u64,
         n as u64,
         nodes_len as u64,
         flat.slab().len() as u64,
         0, // reserved
-    ]);
-    words.extend(arena_slab.iter().map(|v| v.to_bits()));
+    ];
+    header.into_iter().for_each(&mut put);
+    arena_slab.iter().for_each(|v| put(v.to_bits()));
     // node_first: CSR prefix over the per-shortcut node lists
     let mut acc = 0u64;
-    words.push(0);
+    put(0);
     for s in &mat.shortcuts {
         acc += s.shortcut.nodes().len() as u64;
-        words.push(acc);
+        put(acc);
     }
     for s in &mat.shortcuts {
-        words.extend(s.shortcut.nodes().iter().map(|&u| u as u64));
+        s.shortcut.nodes().iter().for_each(|&u| put(u as u64));
     }
-    words.extend(mat.shortcuts.iter().map(|s| s.ratio.to_bits()));
-    words.extend(mat.shortcuts.iter().map(|s| s.benefit.to_bits()));
-    for i in 0..n {
-        words.push(match flat.span(i) {
-            Some((off, _)) => off as u64,
-            None => SYMBOLIC_SPAN,
-        });
-    }
-    for i in 0..n {
-        words.push(match flat.span(i) {
-            Some((_, len)) => len as u64,
-            None => 0,
-        });
-    }
-    words.extend(flat.slab().iter().map(|v| v.to_bits()));
-    debug_assert_eq!(words.len(), total_words);
-
-    let mut buf: Vec<u8> = Vec::with_capacity(words.len() * 8);
-    for w in &words {
-        buf.extend_from_slice(&w.to_ne_bytes());
-    }
+    mat.shortcuts.iter().for_each(|s| put(s.ratio.to_bits()));
+    mat.shortcuts.iter().for_each(|s| put(s.benefit.to_bits()));
+    (0..n).for_each(|i| put(flat.span(i).map_or(SYMBOLIC_SPAN, |(off, _)| off as u64)));
+    (0..n).for_each(|i| put(flat.span(i).map_or(0, |(_, len)| len as u64)));
+    flat.slab().iter().for_each(|v| put(v.to_bits()));
+    debug_assert_eq!(buf.len(), total_words * 8);
     let checksum = fnv1a64(&buf[3 * 8..]);
-    buf[2 * 8..3 * 8].copy_from_slice(&checksum.to_ne_bytes());
+    buf[2 * 8..3 * 8].copy_from_slice(&checksum.to_le_bytes());
 
     let file_name = path
         .file_name()
@@ -272,51 +255,40 @@ pub fn save(
     Ok(())
 }
 
-/// One open store file, fully validated at open time: magic, version,
-/// exact length against the header, checksum (unless disabled), and CSR
-/// monotonicity. All accessors after a successful open hand out slices
-/// borrowed straight from the backing — zero copies until something is
-/// actually rebuilt.
+/// Little-endian words of `bytes`, whose length is a multiple of 8.
+fn le_words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8 bytes")))
+}
+
+/// One store file, read, fully validated and decoded by
+/// [`open`](Self::open): magic, version, exact length against the header,
+/// checksum (unless skipped), CSR monotonicity and span bounds. The
+/// tables are owned; the file is not referred to again.
 pub struct StoredEpoch {
-    bytes: MappedBytes,
     path: PathBuf,
     epoch: u64,
     overlapping: bool,
-    n_shortcuts: usize,
-    // Section extents, in bytes into the backing. All 8-byte multiples.
-    arena: Range<usize>,
-    node_first: Range<usize>,
-    nodes_flat: Range<usize>,
-    ratios: Range<usize>,
-    benefits: Range<usize>,
-    span_off: Range<usize>,
-    span_len: Range<usize>,
-    mat_slab: Range<usize>,
+    arena: Vec<f64>,
+    node_first: Vec<u64>,
+    nodes_flat: Vec<u64>,
+    ratios: Vec<f64>,
+    benefits: Vec<f64>,
+    /// Per-shortcut `(offset, len)` into `mat_slab`, in bounds; `None`
+    /// for a symbolic (table-less) slot.
+    spans: Vec<Option<(usize, usize)>>,
+    mat_slab: Vec<f64>,
 }
 
 impl StoredEpoch {
-    /// Opens and validates `path`. Zero-copy (mmap) when available,
-    /// owned-read otherwise; behavior is identical either way.
+    /// Reads, validates and decodes `path`. `verify_checksum: false`
+    /// skips only the FNV pass; every structural check still runs.
     pub fn open(path: &Path, verify_checksum: bool) -> Result<StoredEpoch, PgmError> {
-        let bytes = MappedBytes::open(path).map_err(|e| store_io(path, &e))?;
-        Self::validate(bytes, path.to_path_buf(), verify_checksum)
-    }
-
-    /// [`open`](Self::open) forced onto the owned (non-mmap) backing.
-    pub fn open_owned(path: &Path, verify_checksum: bool) -> Result<StoredEpoch, PgmError> {
-        let bytes = MappedBytes::read_owned(path).map_err(|e| store_io(path, &e))?;
-        Self::validate(bytes, path.to_path_buf(), verify_checksum)
-    }
-
-    fn validate(
-        bytes: MappedBytes,
-        path: PathBuf,
-        verify_checksum: bool,
-    ) -> Result<StoredEpoch, PgmError> {
-        let buf = bytes.as_bytes();
+        let buf = fs::read(path).map_err(|e| store_io(path, &e))?;
         if buf.len() < HEADER_WORDS * 8 {
             return Err(corrupt(
-                &path,
+                path,
                 format!(
                     "{} bytes is shorter than the {}-byte header",
                     buf.len(),
@@ -326,26 +298,26 @@ impl StoredEpoch {
         }
         if buf.len() % 8 != 0 {
             return Err(corrupt(
-                &path,
+                path,
                 format!("length {} is not a multiple of 8", buf.len()),
             ));
         }
-        let header = bytes::as_u64s(&buf[..HEADER_WORDS * 8])
-            .ok_or_else(|| corrupt(&path, "misaligned backing"))?;
-        if header[0] != MAGIC {
-            return Err(corrupt(&path, format!("bad magic {:#018x}", header[0])));
+        let mut head = le_words(&buf);
+        let header: [u64; HEADER_WORDS] =
+            std::array::from_fn(|_| head.next().expect("header length checked above"));
+        let [magic, version, checksum, epoch, flags, counts @ ..] = header;
+        let [arena_len, n_shortcuts, nodes_len, mat_slab_len, _reserved] = counts;
+        if magic != MAGIC {
+            return Err(corrupt(path, format!("bad magic {magic:#018x}")));
         }
-        if header[1] != VERSION {
+        if version != VERSION {
             return Err(PgmError::StoreVersion {
-                found: header[1],
+                found: version,
                 expected: VERSION,
             });
         }
-        let [epoch, flags, arena_len, n_shortcuts, nodes_len, mat_slab_len] = [
-            header[3], header[4], header[5], header[6], header[7], header[8],
-        ];
         if flags & !1 != 0 {
-            return Err(corrupt(&path, format!("unknown flags {flags:#x}")));
+            return Err(corrupt(path, format!("unknown flags {flags:#x}")));
         }
         // Exact expected length, in checked u64 arithmetic so corrupt
         // headers cannot overflow their way past the comparison.
@@ -362,7 +334,7 @@ impl StoredEpoch {
         let expected = words.and_then(|w| w.checked_mul(8));
         if expected != Some(buf.len() as u64) {
             return Err(corrupt(
-                &path,
+                path,
                 format!(
                     "file is {} bytes but the header describes {} (truncated or oversized)",
                     buf.len(),
@@ -371,71 +343,69 @@ impl StoredEpoch {
             ));
         }
         if verify_checksum {
-            let want = header[2];
             let got = fnv1a64(&buf[3 * 8..]);
-            if got != want {
+            if got != checksum {
                 return Err(corrupt(
-                    &path,
-                    format!("checksum mismatch: stored {want:#018x}, computed {got:#018x}"),
+                    path,
+                    format!("checksum mismatch: stored {checksum:#018x}, computed {got:#018x}"),
                 ));
             }
         }
-        // Section extents; every count fits usize on this host because it
-        // summed into the (usize) file length above.
+        // Sections, back to back; every count fits usize on this host
+        // because it summed into the (usize) file length above.
         let n = n_shortcuts as usize;
-        let mut at = HEADER_WORDS * 8;
+        let mut rest = &buf[HEADER_WORDS * 8..];
         let mut take = |words: usize| {
-            let r = at..at + words * 8;
-            at += words * 8;
-            r
+            let (section, tail) = rest.split_at(words * 8);
+            rest = tail;
+            section
         };
-        let arena = take(arena_len as usize);
-        let node_first = take(n + 1);
-        let nodes_flat = take(nodes_len as usize);
-        let ratios = take(n);
-        let benefits = take(n);
-        let span_off = take(n);
-        let span_len = take(n);
-        let mat_slab = take(mat_slab_len as usize);
-        debug_assert_eq!(at, buf.len());
+        let u64s = |section: &[u8]| le_words(section).collect::<Vec<u64>>();
+        let f64s = |section: &[u8]| le_words(section).map(f64::from_bits).collect::<Vec<f64>>();
+        let arena = f64s(take(arena_len as usize));
+        let node_first = u64s(take(n + 1));
+        let nodes_flat = u64s(take(nodes_len as usize));
+        let ratios = f64s(take(n));
+        let benefits = f64s(take(n));
+        let (span_off, span_len) = (take(n), take(n));
+        let mat_slab = f64s(take(mat_slab_len as usize));
+        debug_assert!(rest.is_empty());
 
-        let stored = StoredEpoch {
+        // CSR must be monotone and end exactly at nodes_len, or
+        // shortcut_nodes would slice nodes_flat out of range.
+        if node_first[0] != 0
+            || node_first.windows(2).any(|w| w[0] > w[1])
+            || node_first[n] != nodes_len
+        {
+            return Err(corrupt(
+                path,
+                "shortcut node index (node_first) is not a monotone CSR over nodes_flat",
+            ));
+        }
+        let spans = le_words(span_off)
+            .zip(le_words(span_len))
+            .enumerate()
+            .map(|(i, (off, len))| match off.checked_add(len) {
+                _ if off == SYMBOLIC_SPAN => Ok(None),
+                Some(end) if end <= mat_slab_len => Ok(Some((off as usize, len as usize))),
+                _ => Err(corrupt(
+                    path,
+                    format!("shortcut {i} has a dense span outside the table slab"),
+                )),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(StoredEpoch {
+            path: path.to_path_buf(),
             epoch,
             overlapping: flags & 1 != 0,
-            n_shortcuts: n,
             arena,
             node_first,
             nodes_flat,
             ratios,
             benefits,
-            span_off,
-            span_len,
+            spans,
             mat_slab,
-            path,
-            bytes,
-        };
-        // CSR must be monotone and end exactly at nodes_len, or
-        // shortcut_nodes would hand out overlapping / out-of-range slices.
-        let first = stored.node_first_words();
-        if first[0] != 0 || first.windows(2).any(|w| w[0] > w[1]) || first[n] != nodes_len {
-            return Err(corrupt(
-                &stored.path,
-                "shortcut node index (node_first) is not a monotone CSR over nodes_flat",
-            ));
-        }
-        Ok(stored)
-    }
-
-    fn u64s(&self, r: &Range<usize>) -> &[u64] {
-        bytes::as_u64s(&self.bytes.as_bytes()[r.clone()]).expect("sections validated at open")
-    }
-
-    fn f64s(&self, r: &Range<usize>) -> &[f64] {
-        bytes::as_f64s(&self.bytes.as_bytes()[r.clone()]).expect("sections validated at open")
-    }
-
-    fn node_first_words(&self) -> &[u64] {
-        self.u64s(&self.node_first)
+        })
     }
 
     /// The file this epoch was opened from.
@@ -456,66 +426,41 @@ impl StoredEpoch {
 
     /// Number of persisted shortcuts.
     pub fn n_shortcuts(&self) -> usize {
-        self.n_shortcuts
+        self.spans.len()
     }
 
-    /// Whether the backing is a live mapping (false: owned copy).
-    pub fn is_mapped(&self) -> bool {
-        self.bytes.is_mapped()
-    }
-
-    /// The calibrated tree-arena slab, borrowed from the backing.
+    /// The calibrated tree-arena slab.
     pub fn arena_slab(&self) -> &[f64] {
-        self.f64s(&self.arena)
+        &self.arena
     }
 
-    /// Clique ids of shortcut `i`'s subtree, borrowed from the backing.
+    /// Clique ids of shortcut `i`'s subtree.
     pub fn shortcut_nodes(&self, i: usize) -> &[u64] {
-        let first = self.node_first_words();
-        let (a, b) = (first[i] as usize, first[i + 1] as usize);
-        &self.u64s(&self.nodes_flat)[a..b]
+        let (a, b) = (self.node_first[i] as usize, self.node_first[i + 1] as usize);
+        &self.nodes_flat[a..b]
     }
 
     /// Selection ratio of shortcut `i`.
     pub fn ratio(&self, i: usize) -> f64 {
-        self.f64s(&self.ratios)[i]
+        self.ratios[i]
     }
 
     /// Workload benefit of shortcut `i`.
     pub fn benefit(&self, i: usize) -> f64 {
-        self.f64s(&self.benefits)[i]
-    }
-
-    /// Raw span offset of shortcut `i` ([`SYMBOLIC_SPAN`] for a
-    /// table-less slot).
-    pub fn span_off_raw(&self, i: usize) -> u64 {
-        self.u64s(&self.span_off)[i]
-    }
-
-    /// The zero-copy [`FlatView`] over the persisted table pack: span
-    /// arrays and value slab borrowed straight from the backing.
-    pub fn flat_view(&self) -> FlatView<'_> {
-        FlatView::new(
-            self.epoch,
-            self.u64s(&self.span_off),
-            self.u64s(&self.span_len),
-            self.f64s(&self.mat_slab),
-        )
-        .expect("span sections have equal length by construction")
+        self.benefits[i]
     }
 
     /// Rebuilds the owned [`Materialization`] this file was saved from:
     /// structural shortcuts re-derived from the persisted node lists
-    /// (validated against `tree`), dense tables copied out of the pack.
+    /// (validated against `tree`), dense tables copied out of the slab.
     /// Everything numeric is bit-identical to what was saved.
     pub fn rebuild_materialization(
         &self,
         tree: &JunctionTree,
         rooted: &RootedTree,
     ) -> Result<Materialization, PgmError> {
-        let view = self.flat_view();
-        let mut shortcuts = Vec::with_capacity(self.n_shortcuts);
-        for i in 0..self.n_shortcuts {
+        let mut shortcuts = Vec::with_capacity(self.n_shortcuts());
+        for (i, span) in self.spans.iter().enumerate() {
             let mut nodes = Vec::with_capacity(self.shortcut_nodes(i).len());
             for &u in self.shortcut_nodes(i) {
                 let u = usize::try_from(u)
@@ -533,19 +478,14 @@ impl StoredEpoch {
                 nodes.push(u);
             }
             let shortcut = Shortcut::from_nodes(tree, rooted, nodes)?;
-            let potential = match view.table(i) {
-                Some(values) => {
+            let potential = match *span {
+                Some((off, len)) => {
                     let scope = shortcut.scope().clone();
                     let cards = tree.domain().cards_of(&scope);
-                    Some(Potential::new(scope, cards, values.to_vec())?)
+                    let values = self.mat_slab[off..off + len].to_vec();
+                    Some(Potential::new(scope, cards, values)?)
                 }
-                None if self.span_off_raw(i) == SYMBOLIC_SPAN => None,
-                None => {
-                    return Err(corrupt(
-                        &self.path,
-                        format!("shortcut {i} has a dense span outside the table slab"),
-                    ))
-                }
+                None => None,
             };
             shortcuts.push(MaterializedShortcut {
                 shortcut,
@@ -562,8 +502,8 @@ impl StoredEpoch {
     }
 }
 
-/// Rehydrates a full serving artifact from a stored epoch in O(mmap +
-/// memcpy): reattach the calibrated arena slab (skipping initialization
+/// Rehydrates a full serving artifact from a stored epoch in O(memcpy):
+/// reattach the calibrated arena slab (skipping initialization
 /// and both Hugin passes), rebuild the materialization structurally
 /// (skipping the selection DP), and return an engine answering
 /// bit-identically to the one that was persisted.
@@ -580,6 +520,78 @@ pub fn rehydrate_engine<'t>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use peanut_core::OnlineEngine;
+    use peanut_junction::build_junction_tree;
+    use peanut_pgm::{fixtures, Scope, Var};
+
+    /// `tests/data/v1_sprinkler.pnut` is a version-1 file written by an
+    /// earlier build (commit e5bbf7e). It must keep opening, rehydrate to
+    /// the answers of the engine it was saved from, and be what `save`
+    /// writes for the same inputs, byte for byte — the format is version 1
+    /// until `VERSION` says otherwise.
+    #[test]
+    fn golden_v1_file_opens_and_is_reproduced_byte_for_byte() {
+        let golden = Path::new(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/data/v1_sprinkler.pnut"
+        ));
+        let bn = fixtures::sprinkler();
+        let tree = build_junction_tree(&bn).unwrap();
+        let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+        let ns = engine.numeric_state().unwrap();
+        // one single-clique shortcut per clique, every other one symbolic
+        let shortcuts = (0..tree.n_cliques())
+            .map(|u| {
+                let shortcut = Shortcut::from_nodes(&tree, engine.rooted(), vec![u]).unwrap();
+                let potential = (u % 2 == 0)
+                    .then(|| shortcut.materialize(&tree, engine.rooted(), ns).unwrap().0);
+                MaterializedShortcut {
+                    ratio: 0.5 + u as f64,
+                    benefit: 3.25 * (u + 1) as f64,
+                    potential,
+                    shortcut,
+                }
+            })
+            .collect();
+        let mat = Materialization {
+            shortcuts,
+            overlapping: true,
+            epoch: 7,
+        };
+
+        let stored = StoredEpoch::open(golden, true).unwrap();
+        assert_eq!((stored.epoch(), stored.overlapping()), (7, true));
+        assert_eq!(stored.n_shortcuts(), 2);
+        assert_eq!(stored.shortcut_nodes(1), [1]);
+        let (rengine, rmat) = rehydrate_engine(&tree, &stored).unwrap();
+        assert!(rmat.shortcuts[0].potential.is_some() && rmat.shortcuts[1].potential.is_none());
+        let (fresh, rehydrated) = (
+            OnlineEngine::new(&engine, &mat),
+            OnlineEngine::new(&rengine, &rmat),
+        );
+        let bits = |p: &Potential| p.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for a in 0..4 {
+            for b in a..4 {
+                let q = Scope::from_iter([Var(a), Var(b)]);
+                let (x, y) = (fresh.answer(&q).unwrap(), rehydrated.answer(&q).unwrap());
+                assert_eq!(bits(&x.0), bits(&y.0), "query {q}");
+                assert_eq!(x.1.ops, y.1.ops, "query {q}");
+            }
+        }
+
+        let dir = std::env::temp_dir().join(format!("peanut-golden-{}", std::process::id()));
+        let path = StoreConfig::new(&dir)
+            .save_epoch(0, &mat, &FlatMaterialization::pack(&mat), ns.arena().slab())
+            .unwrap();
+        assert_eq!(fs::read(&path).unwrap(), fs::read(golden).unwrap());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn missing_file_is_an_io_error() {
+        let err = StoredEpoch::open(Path::new("/nonexistent/peanut.pnut"), true).err();
+        assert!(matches!(err, Some(PgmError::StoreIo { .. })), "{err:?}");
+    }
 
     #[test]
     fn magic_spells_pnutstor() {
@@ -601,6 +613,5 @@ mod tests {
         let p10 = cfg.epoch_path(3, 10);
         assert!(p9 < p10, "zero-padding must keep lexicographic = numeric");
         assert!(p9.to_string_lossy().ends_with(".pnut"));
-        assert!(cfg.verify_checksum);
     }
 }

@@ -6,8 +6,10 @@
 //!   and on random networks;
 //! * rehydrated answers also agree with a single-threaded VE oracle;
 //! * corrupted, truncated, or wrong-version files fail loudly with the
-//!   typed [`PgmError`] variants — never UB, never a silent wrong answer;
-//! * the owned (non-mmap) backing behaves identically to the mapping.
+//!   typed [`PgmError`] variants — never a silent wrong answer;
+//! * an open epoch owns its tables: truncating, overwriting or unlinking
+//!   the file afterwards cannot reach it, and a crashed save's leftover
+//!   temp file is never mistaken for an epoch.
 
 use peanut_core::{
     FlatMaterialization, Materialization, OfflineContext, OnlineEngine, Peanut, PeanutConfig,
@@ -94,10 +96,7 @@ fn assert_round_trip(
     for (a, b) in stored.arena_slab().iter().zip(slab) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
-    let view = stored.flat_view();
-    assert_eq!(view.len(), flat.len());
     for i in 0..flat.len() {
-        assert_eq!(view.span(i), flat.span(i));
         assert_eq!(stored.ratio(i).to_bits(), mat.shortcuts[i].ratio.to_bits());
         assert_eq!(
             stored.benefit(i).to_bits(),
@@ -114,11 +113,30 @@ fn assert_round_trip(
         );
     }
 
-    // rehydrate and compare answers: bit-identical to the in-RAM engine,
-    // within 1e-9 of the VE oracle
-    let (rengine, rmat) = rehydrate_engine(tree, &stored).unwrap();
+    assert_rehydrates_identically(bn, tree, engine, mat, &stored, seed);
+}
+
+/// Rehydrates `stored` and asserts the tables and every answer are
+/// bit-identical to the in-RAM `(engine, mat)` and within 1e-9 of the VE
+/// oracle.
+fn assert_rehydrates_identically(
+    bn: &BayesianNetwork,
+    tree: &JunctionTree,
+    engine: &QueryEngine<'_>,
+    mat: &Materialization,
+    stored: &StoredEpoch,
+    seed: u64,
+) {
+    let bits = |p: &Potential| p.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let (rengine, rmat) = rehydrate_engine(tree, stored).unwrap();
     assert_eq!(rmat.epoch, mat.epoch);
     assert_eq!(rmat.len(), mat.len());
+    for (a, b) in rmat.shortcuts.iter().zip(&mat.shortcuts) {
+        assert_eq!(
+            a.potential.as_ref().map(bits),
+            b.potential.as_ref().map(bits)
+        );
+    }
     let fresh = OnlineEngine::new(engine, mat);
     let rehydrated = OnlineEngine::new(&rengine, &rmat);
     let spec = QuerySpec {
@@ -168,9 +186,11 @@ fn empty_materialization_round_trips() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// ROADMAP item 4's fault injection: whatever happens to the file after
+/// `open` returned, the open epoch still rehydrates bit-identically.
 #[test]
-fn owned_backing_matches_mapping() {
-    let dir = temp_dir("owned");
+fn open_epoch_outlives_its_file() {
+    let dir = temp_dir("outlives");
     let bn = fixtures::asia();
     let tree = build_junction_tree(&bn).unwrap();
     let engine = QueryEngine::numeric(&tree, &bn).unwrap();
@@ -179,19 +199,16 @@ fn owned_backing_matches_mapping() {
     let slab = engine.numeric_state().unwrap().arena().slab();
     let path = dir.join("epoch.pnut");
     save(&path, &mat, &flat, slab).unwrap();
+    let len = std::fs::metadata(&path).unwrap().len();
 
-    let mapped = StoredEpoch::open(&path, true).unwrap();
-    let owned = StoredEpoch::open_owned(&path, true).unwrap();
-    assert!(!owned.is_mapped());
-    assert_eq!(mapped.epoch(), owned.epoch());
-    assert_eq!(mapped.arena_slab().len(), owned.arena_slab().len());
-    for (a, b) in mapped.arena_slab().iter().zip(owned.arena_slab()) {
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-    for i in 0..mapped.n_shortcuts() {
-        assert_eq!(mapped.flat_view().span(i), owned.flat_view().span(i));
-        assert_eq!(mapped.shortcut_nodes(i), owned.shortcut_nodes(i));
-    }
+    let stored = StoredEpoch::open(&path, true).unwrap();
+    let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    file.set_len(len / 2).unwrap();
+    assert_rehydrates_identically(&bn, &tree, &engine, &mat, &stored, 1);
+    std::fs::write(&path, vec![0xa5u8; len as usize]).unwrap();
+    assert_rehydrates_identically(&bn, &tree, &engine, &mat, &stored, 2);
+    std::fs::remove_file(&path).unwrap();
+    assert_rehydrates_identically(&bn, &tree, &engine, &mat, &stored, 3);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -214,7 +231,25 @@ fn store_config_tracks_the_latest_epoch() {
     assert_eq!(path, cfg.epoch_path(4, 5));
     // other tenants are untouched
     assert!(cfg.latest_epoch(5).is_none());
+
+    // a crashed save leaves `<name>.pnut.tmp` behind: never an epoch, and
+    // no obstacle to saving that epoch for real
+    let stale = dir.join("tenant4-epoch00000000000000000009.pnut.tmp");
+    std::fs::write(&stale, b"torn").unwrap();
+    assert_eq!(cfg.latest_epoch(4).unwrap().0, 5);
+    let mat = Materialization::default().with_epoch(9);
+    let path = cfg
+        .save_epoch(4, &mat, &FlatMaterialization::pack(&mat), slab)
+        .unwrap();
+    assert_eq!(cfg.latest_epoch(4).unwrap(), (9, path.clone()));
+    assert_eq!(StoredEpoch::open(&path, true).unwrap().epoch(), 9);
+    assert!(!stale.exists(), "the save renamed its temp file into place");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Word `w` of a store file (the header's counts are words 5 to 8).
+fn word(bytes: &[u8], w: usize) -> usize {
+    u64::from_le_bytes(bytes[w * 8..w * 8 + 8].try_into().unwrap()) as usize
 }
 
 /// Writes a valid store file for a small fixture and returns its path
@@ -247,9 +282,20 @@ fn corrupted_files_fail_loudly() {
         p
     };
 
-    // truncation: cut anywhere — header comparison rejects it, with or
-    // without checksum verification
-    for cut in [0, 8, 79, 80, bytes.len() / 2, bytes.len() - 8] {
+    // truncation: cut anywhere — in particular at every section boundary
+    // and one word either side — and the header comparison rejects it,
+    // with or without checksum verification
+    let [arena_len, n, nodes_len, mat_slab_len] = [5, 6, 7, 8].map(|w| word(&bytes, w));
+    let mut cuts = vec![0, 8, 79, 80, bytes.len() / 2, bytes.len() - 8];
+    let mut boundary = 0;
+    // header, arena, node_first, nodes_flat, ratios, benefits, span_off,
+    // span_len, table slab
+    for words in [10, arena_len, n + 1, nodes_len, n, n, n, n, mat_slab_len] {
+        boundary += words * 8;
+        cuts.extend([boundary - 8, boundary, boundary + 8]);
+    }
+    assert_eq!(boundary, bytes.len(), "the sections tile the file");
+    for cut in cuts.into_iter().filter(|&cut| cut < bytes.len()) {
         let p = write("trunc.pnut", &bytes[..cut]);
         for verify in [true, false] {
             let err = open_err(&p, verify);
@@ -271,7 +317,7 @@ fn corrupted_files_fail_loudly() {
 
     // unsupported version is its own typed error
     let mut bad = bytes.clone();
-    bad[8..16].copy_from_slice(&(VERSION + 1).to_ne_bytes());
+    bad[8..16].copy_from_slice(&(VERSION + 1).to_le_bytes());
     let p = write("version.pnut", &bad);
     assert_eq!(
         open_err(&p, true),
@@ -307,12 +353,32 @@ fn corrupted_files_fail_loudly() {
         let mut bad = bytes.clone();
         let arena_len = engine.numeric_state().unwrap().arena().slab().len();
         let node_first_at = (10 + arena_len) * 8;
-        bad[node_first_at..node_first_at + 8].copy_from_slice(&u64::MAX.to_ne_bytes());
+        bad[node_first_at..node_first_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         let checksum = peanut_store::fnv1a64(&bad[24..]);
-        bad[16..24].copy_from_slice(&checksum.to_ne_bytes());
+        bad[16..24].copy_from_slice(&checksum.to_le_bytes());
         let p = write("csr.pnut", &bad);
         let err = open_err(&p, true);
         assert!(matches!(err, PgmError::CorruptStore { .. }), "{err}");
+    }
+
+    // a dense span reaching past the table slab is rejected at open too.
+    // The golden file's shortcut 0 is dense; span_off follows node_first,
+    // nodes_flat, ratios and benefits.
+    let golden = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/v1_sprinkler.pnut"
+    ))
+    .unwrap();
+    let [arena_len, n, nodes_len, mat_slab_len] = [5, 6, 7, 8].map(|w| word(&golden, w));
+    let span_off_at = (10 + arena_len + (n + 1) + nodes_len + 2 * n) * 8;
+    for off in [mat_slab_len as u64, u64::MAX - 1] {
+        let mut bad = golden.clone();
+        bad[span_off_at..span_off_at + 8].copy_from_slice(&off.to_le_bytes());
+        let checksum = peanut_store::fnv1a64(&bad[24..]);
+        bad[16..24].copy_from_slice(&checksum.to_le_bytes());
+        let err = open_err(&write("span.pnut", &bad), true);
+        assert!(matches!(err, PgmError::CorruptStore { .. }), "{err}");
+        assert!(err.to_string().contains("span"), "{err}");
     }
 
     // the intact original still opens fine after all of the above

@@ -3,8 +3,8 @@
 //!
 //! * **R1 — unsafe allowlist.** The `unsafe` keyword may appear only in
 //!   the files listed in [`UNSAFE_ALLOWLIST`] (today: the worker pool's
-//!   lifetime-erasure site, the materialization store's audited byte
-//!   module and the allocation-guard test's counting allocator). Anywhere
+//!   lifetime-erasure site and the allocation-guard test's counting
+//!   allocator). Anywhere
 //!   else it is a violation even though the crate roots already
 //!   `#![forbid(unsafe_code)]` — the lint is the layer that catches a root
 //!   attribute being dropped together with the unsafe block it guarded.
@@ -26,10 +26,10 @@
 //!   family macros stay allowed: invariant checks are wanted on hot
 //!   paths, limping on with a violated invariant is not.
 //! * **R5 — crate-root attributes.** Every crate root must open with
-//!   `#![forbid(unsafe_code)]`, except `peanut-serving`'s and
-//!   `peanut-store`'s, which carry `#![deny(unsafe_code)]` +
-//!   `#![deny(unsafe_op_in_unsafe_fn)]` and scope their single
-//!   `#[allow(unsafe_code)]` to the audited module (`pool`, `bytes`).
+//!   `#![forbid(unsafe_code)]`, except `peanut-serving`'s, which carries
+//!   `#![deny(unsafe_code)]` + `#![deny(unsafe_op_in_unsafe_fn)]` and
+//!   scopes its single `#[allow(unsafe_code)]` to the audited `pool`
+//!   module.
 //!
 //! The analysis is deliberately lexical (comment-stripped line scans, no
 //! syn): it must keep working on any Rust the workspace grows, never
@@ -43,12 +43,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Files allowed to contain `unsafe` (R1), all subject to R2: the worker
-/// pool's lifetime-erasure site, the materialization store's audited
-/// byte module (mmap + aligned slice reinterpretation) and the counting
-/// `GlobalAlloc` of the plan allocation-guard test.
+/// pool's lifetime-erasure site and the counting `GlobalAlloc` of the
+/// plan allocation-guard test.
 const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/serving/src/pool.rs",
-    "crates/store/src/bytes.rs",
     "crates/core/tests/alloc_budget.rs",
 ];
 
@@ -174,9 +172,9 @@ fn window_has(lines: &[&str], end: usize, window: usize, marker: &str) -> bool {
 
 /// Whether this path is a crate root the R5 attribute rules apply to.
 fn crate_root_kind(path: &str) -> Option<&'static str> {
-    // these two roots scope an `#[allow(unsafe_code)]` to one audited
-    // module, so they carry the deny pair instead of the forbid
-    if path == "crates/serving/src/lib.rs" || path == "crates/store/src/lib.rs" {
+    // this root scopes an `#[allow(unsafe_code)]` to one audited module,
+    // so it carries the deny pair instead of the forbid
+    if path == "crates/serving/src/lib.rs" {
         return Some("deny-pair");
     }
     let is_root = path == "src/lib.rs"
@@ -572,19 +570,17 @@ mod tests {
         )
         .is_empty());
 
-        // serving and store need the deny pair (forbid would reject the
-        // scoped `#[allow(unsafe_code)]` on their audited modules)
+        // serving needs the deny pair (forbid would reject the scoped
+        // `#[allow(unsafe_code)]` on its audited module)
         assert_eq!(
             rules("crates/serving/src/lib.rs", "#![deny(unsafe_code)]\n"),
             ["R5/crate-root"]
         );
         let ok = "#![deny(unsafe_code)]\n#![deny(unsafe_op_in_unsafe_fn)]\n";
         assert!(rules("crates/serving/src/lib.rs", ok).is_empty());
-        assert_eq!(
-            rules("crates/store/src/lib.rs", "#![forbid(unsafe_code)]\n"),
-            ["R5/crate-root", "R5/crate-root"]
-        );
-        assert!(rules("crates/store/src/lib.rs", ok).is_empty());
+        // every other root, the store's included, takes the forbid
+        assert_eq!(rules("crates/store/src/lib.rs", ok), ["R5/crate-root"]);
+        assert!(rules("crates/store/src/lib.rs", "#![forbid(unsafe_code)]\n").is_empty());
 
         // non-root files carry no attribute obligation
         assert!(rules("crates/core/src/exec.rs", "//! docs\n").is_empty());
