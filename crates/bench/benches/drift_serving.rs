@@ -15,7 +15,7 @@
 //! `query_serving`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use peanut_bench::harness::{is_quick, worker_sweep, BenchSummary};
+use peanut_bench::harness::{is_quick, worker_sweep};
 use peanut_core::{OfflineContext, Peanut, PeanutConfig, Workload};
 use peanut_junction::{build_junction_tree, QueryEngine};
 use peanut_pgm::{fixtures, BayesianNetwork, Scope};
@@ -40,8 +40,8 @@ fn closed_loop() -> ReplayConfig {
 const DRIFT_AT: usize = 512;
 const BUDGET: u64 = 4096;
 
-/// Stream length (`--quick` / `PEANUT_QUICK=1` shrinks it — together with
-/// a smaller observation window — so the CI bench-smoke job stays fast).
+/// Stream length (`--quick` shrinks it — together with a smaller
+/// observation window — so the CI bench-smoke job stays fast).
 fn n_queries() -> usize {
     if is_quick() {
         2048
@@ -243,12 +243,6 @@ fn bench_drift_serving(c: &mut Criterion) {
         "re-materialization must improve drifted-workload cost ≥1.5x \
          (got {improvement:.2}x: stale {stale_cost:.0} vs fresh {fresh_cost:.0})"
     );
-    let mut summary = BenchSummary::new("drift_serving");
-    summary.push("swap_improvement", improvement);
-    match summary.write() {
-        Ok(path) => println!("drift_serving/summary written to {}", path.display()),
-        Err(e) => eprintln!("drift_serving/summary NOT written: {e}"),
-    }
 
     // --- criterion timings: steady drifted serving per worker count ---
     let mut g = c.benchmark_group("drift_serving");

@@ -22,10 +22,10 @@
 //! * zero batch errors throughout.
 //!
 //! `PEANUT_WORKERS=1,2,4` sweeps the shared pool, same flag as the other
-//! serving benches; `--quick` / `PEANUT_QUICK=1` shrinks the run for CI.
+//! serving benches; `--quick` shrinks the run for CI.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use peanut_bench::harness::{is_quick, worker_sweep, BenchSummary};
+use peanut_bench::harness::{is_quick, worker_sweep};
 use peanut_core::{Materialization, OfflineContext, Peanut, PeanutConfig, Workload};
 use peanut_junction::{build_junction_tree, JunctionTree, QueryEngine};
 use peanut_pgm::{fixtures, BayesianNetwork, Scope};
@@ -228,8 +228,6 @@ fn bench_multi_tenant_serving(c: &mut Criterion) {
         "shared-pool mixed-batch serving must beat sequential isolated engines ≥1.1x \
          (got {speedup:.2}x: {mixed_qps:.0} vs {isolated_qps:.0} q/s)"
     );
-    let mut summary = BenchSummary::new("multi_tenant_serving");
-    summary.push("shared_pool_speedup", speedup);
 
     // --- acceptance: fleet overload — per-tenant admission + deadline ---
     // the single-tenant saturation study lives in query_serving; here the
@@ -317,11 +315,6 @@ fn bench_multi_tenant_serving(c: &mut Criterion) {
         "per-tenant admission + deadline shedding must keep fleet served p99 \
          bounded under 3x offered load (got {p99_ratio:.2}x)"
     );
-    summary.push("overload_p99_ratio", p99_ratio);
-    match summary.write() {
-        Ok(path) => println!("multi_tenant_serving/summary written to {}", path.display()),
-        Err(e) => eprintln!("multi_tenant_serving/summary NOT written: {e}"),
-    }
 
     // --- acceptance: the global budget follows a traffic spike ---
     let fleet = sharded_engine(&setup, workers, false);

@@ -8,43 +8,30 @@
 //! scratch reuse even on one core, and additionally through the worker
 //! pool on multi-core hosts.
 //!
-//! A second acceptance study measures the *persistent* worker pool against
-//! a spawn-per-batch strawman on small hot batches (100 waves of 8 fresh
-//! queries): at 2 workers the parked pool must deliver ≥ 1.2× the
-//! strawman's throughput — the spawn-latency shave the pool exists for.
-//! The strawman ([`scoped_wave`]) lives here, not in the serving crate:
-//! it is the control of a finished migration, not part of the system.
-//!
-//! A third, open-loop, study saturates the engine: a Poisson arrival
+//! A second, open-loop, study saturates the engine: a Poisson arrival
 //! process offers ~3× the measured closed-loop capacity, and served-query
 //! sojourn p99 is compared between the unprotected FIFO baseline (backlog
 //! grows without bound, every answer arrives arbitrarily late) and
 //! deadline shedding (queries whose queueing wait blew the budget are
-//! shed, keeping p99 near the deadline). All ratio metrics land in
-//! `results/bench_query_serving.json` for the CI regression guard
-//! (`bench_check`).
+//! shed, keeping p99 near the deadline).
+//!
+//! Both ratios are asserted at two workers (`PEANUT_WORKERS=2`, what CI
+//! runs): cold batched serving ≥ 2× the loop, FIFO p99 ≥ 2× the shed p99.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use peanut_bench::harness::{is_quick, worker_sweep, BenchSummary};
+use peanut_bench::harness::{is_quick, worker_sweep};
 use peanut_core::{OfflineContext, OnlineEngine, Peanut, PeanutConfig, Workload};
 use peanut_junction::{build_junction_tree, JunctionTree, QueryEngine, RootedTree};
-use peanut_pgm::Scope;
 use peanut_pgm::{fixtures, BayesianNetwork, Scratch};
 use peanut_serving::{
-    poisson_arrivals, replay, workload_queries, AdmissionConfig, ReplayConfig, ServeOutcome,
-    ServeRequest, ServingConfig, ServingEngine, WorkloadMix,
+    poisson_arrivals, replay, workload_queries, AdmissionConfig, ReplayConfig, ServeRequest,
+    ServingConfig, ServingEngine, WorkloadMix,
 };
 use peanut_workload::QuerySpec;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 const BATCH: usize = 128;
-/// The small-hot-batch study: this many waves…
-const HOT_WAVES: usize = 100;
-/// …of this many fresh queries each (well under `BATCH`: the regime where
-/// per-batch thread spawning dominates).
-const HOT_BATCH: usize = 8;
 /// Dispatch quantum of the open-loop saturation study: small enough that
 /// the deadline check runs often, large enough to keep the pool fed.
 const OVERLOAD_BATCH: usize = 32;
@@ -59,8 +46,8 @@ fn overload_n() -> usize {
     }
 }
 
-/// Stream length (`--quick` / `PEANUT_QUICK=1` shrinks it so the CI
-/// bench-smoke job finishes in minutes).
+/// Stream length (`--quick` shrinks it so the CI bench-smoke job finishes
+/// in minutes).
 fn n_queries() -> usize {
     if is_quick() {
         256
@@ -132,34 +119,6 @@ fn single_thread_loop(online: &OnlineEngine<'_, '_>, queries: &[ServeRequest]) -
     answered
 }
 
-/// The spawn-per-batch strawman: `workers` scoped threads spawned for this
-/// one batch, each with a fresh scratch, claiming marginal queries off a
-/// shared cursor. Returns how many were answered.
-fn scoped_wave(online: &OnlineEngine<'_, '_>, batch: &[ServeRequest], workers: usize) -> usize {
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut scratch = Scratch::new();
-                    let mut answered = 0;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(q) = batch.get(i) else { break };
-                        let ok = online.answer_traced_in(&q.targets, &mut scratch).is_ok();
-                        answered += usize::from(ok);
-                    }
-                    answered
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("strawman worker"))
-            .sum()
-    })
-}
-
 fn bench_query_serving(c: &mut Criterion) {
     let setup = setup();
     let queries = queries_for(&setup.tree);
@@ -203,7 +162,6 @@ fn bench_query_serving(c: &mut Criterion) {
 
     // explicit acceptance measurement, cache-cold: a fresh engine drains
     // the full stream once vs the same stream through the per-query loop
-    let mut summary = BenchSummary::new("query_serving");
     let t = Instant::now();
     let answered = single_thread_loop(&online, &queries);
     let loop_time = t.elapsed();
@@ -235,75 +193,15 @@ fn bench_query_serving(c: &mut Criterion) {
             report.latency_p50,
             report.latency_p99,
         );
-        summary.push(
-            &format!("serving_speedup_cold_w{}", cold.workers()),
-            speedup,
-        );
+        if cold.workers() == 2 {
+            assert!(
+                speedup >= 2.0,
+                "cold batched serving must beat the per-query loop ≥2x at 2 \
+                 workers (got {speedup:.2}x)"
+            );
+        }
     }
 
-    // --- small-hot-batch acceptance: persistent pool vs scoped spawn ---
-    // a server draining many small waves pays the per-batch thread spawn
-    // in the scoped design on every single wave; the parked pool pays it
-    // once. Caching is disabled so every wave carries fresh work, and the
-    // queries are cheap adjacent-pair marginals — the regime where spawn
-    // latency, not compute, dominates the wall clock.
-    let hot_batch: Vec<ServeRequest> = (0..HOT_BATCH as u32)
-        .map(|a| ServeRequest::marginal(Scope::from_indices(&[a, a + 1])))
-        .collect();
-    for workers in worker_sweep() {
-        let persistent = ServingEngine::from_shared(
-            engine.clone(),
-            mat.clone(),
-            ServingConfig {
-                workers,
-                cache_capacity: 0,
-                ..ServingConfig::default()
-            },
-        );
-        let n_workers = persistent.workers();
-        if n_workers <= 1 {
-            println!(
-                "query_serving/pool_vs_scoped_hot_w1              skipped  \
-                 (1 worker serves in-thread; nothing to spawn or park)"
-            );
-            continue;
-        }
-        // one warmup wave, then the timed waves, for both sides
-        let drive = |wave: &dyn Fn() -> bool| -> Duration {
-            wave();
-            let t = Instant::now();
-            for _ in 0..HOT_WAVES {
-                assert!(wave(), "hot waves must be error-free");
-            }
-            t.elapsed()
-        };
-        let scoped_wall =
-            drive(&|| scoped_wave(&online, &hot_batch, n_workers.min(HOT_BATCH)) == HOT_BATCH);
-        persistent.warm_pool();
-        let pool_wall = drive(&|| {
-            let (answers, _) = persistent.serve_batch(&hot_batch);
-            answers.iter().all(ServeOutcome::is_served)
-        });
-        let ratio = scoped_wall.as_secs_f64() / pool_wall.as_secs_f64();
-        let stats = persistent.pool_stats().expect("pool spawned");
-        println!(
-            "query_serving/pool_vs_scoped_hot_w{:<2}              {ratio:.2}x  \
-             ({HOT_WAVES} waves of {HOT_BATCH} queries: scoped {scoped_wall:.2?} vs \
-             pool {pool_wall:.2?}; {} spawns amortized over {} tasks vs {} scoped spawns)",
-            n_workers,
-            stats.workers,
-            stats.tasks,
-            n_workers.min(HOT_BATCH) * (HOT_WAVES + 1),
-        );
-        summary.push(&format!("pool_vs_scoped_hot_w{n_workers}"), ratio);
-        if n_workers == 2 {
-            assert!(
-                ratio >= 1.2,
-                "the persistent pool must beat scoped spawning ≥1.2x on small \
-                 hot batches at 2 workers (got {ratio:.2}x)"
-            );
-        }
-    }
     // --- open-loop saturation acceptance: deadline shedding vs FIFO ---
     // closed-loop replay can never overload the engine (the next batch is
     // offered only once the previous one finished), so first measure the
@@ -312,8 +210,8 @@ fn bench_query_serving(c: &mut Criterion) {
     // backlog grows without bound and queueing delay leaks into every
     // served query's sojourn; with a deadline the driver sheds queries
     // whose wait already blew the budget, spending the same capacity only
-    // on answers a client is still waiting for. The committed acceptance
-    // metric is the ratio fifo_p99 / shed_p99 of *served*-query sojourns.
+    // on answers a client is still waiting for. The acceptance metric is
+    // the ratio fifo_p99 / shed_p99 of *served*-query sojourns.
     let overload_queries = {
         let rooted = RootedTree::new(&setup.tree);
         let mix = WorkloadMix {
@@ -391,7 +289,6 @@ fn bench_query_serving(c: &mut Criterion) {
             shed.shed_deadline,
             shed.peak_backlog,
         );
-        summary.push(&format!("overload_p99_ratio_w{n_workers}"), ratio);
         if n_workers == 2 {
             assert!(
                 ratio >= 2.0,
@@ -399,10 +296,6 @@ fn bench_query_serving(c: &mut Criterion) {
                  collapses under 3x offered load (got {ratio:.2}x)"
             );
         }
-    }
-    match summary.write() {
-        Ok(path) => println!("query_serving/summary written to {}", path.display()),
-        Err(e) => eprintln!("query_serving/summary NOT written: {e}"),
     }
 }
 

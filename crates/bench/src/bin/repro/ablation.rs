@@ -12,7 +12,7 @@
 use peanut_bench::harness::{mean, run_offline, savings_percent, skewed_counts, Prepared};
 use peanut_core::Variant;
 
-fn main() {
+pub fn run() {
     let (n_train, n_test) = skewed_counts();
     println!("Ablation 1: workload-aware vs workload-agnostic training (PEANUT+, K = b_T)");
     println!(

@@ -5,7 +5,7 @@
 use peanut_bench::harness::{is_quick, mean, run_offline, savings_percent, Prepared};
 use peanut_core::Variant;
 
-fn main() {
+pub fn run() {
     println!("Figure 10: average cost savings (%) vs training-log size N_q");
     let n_test = if is_quick() { 200 } else { 1000 };
     let sizes: &[usize] = if is_quick() {

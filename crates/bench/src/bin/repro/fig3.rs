@@ -11,7 +11,7 @@ use peanut_bench::harness::{is_quick, pearson, Prepared};
 use peanut_junction::QueryEngine;
 use std::time::Instant;
 
-fn main() {
+pub fn run() {
     let n_queries = if is_quick() { 40 } else { 150 };
     println!("Figure 3: running time vs operation count (standard JT algorithm)");
     for name in ["Andes", "Hailfinder", "PathFinder"] {

@@ -8,7 +8,7 @@
 use peanut_bench::harness::{is_quick, run_offline, skewed_counts, Prepared};
 use peanut_core::Variant;
 
-fn main() {
+pub fn run() {
     let (n_train, _) = skewed_counts();
     let targets: Vec<u64> = if is_quick() {
         vec![100, 10_000, 1_000_000]

@@ -23,7 +23,7 @@ fn print_dist(label: &str, budget: u64, savings: &[f64]) {
     );
 }
 
-fn main() {
+pub fn run() {
     let (n_train, n_test) = skewed_counts();
     println!("Figure 5: cost-savings distribution vs materialized budget (skewed workload)");
     for p in Prepared::all() {

@@ -37,7 +37,7 @@ fn series(
         .collect()
 }
 
-fn main() {
+pub fn run() {
     let (n_train, n_test) = skewed_counts();
     println!("Figure 6: average cost savings vs Steiner-tree diameter (skewed workload)");
     for p in Prepared::all() {

@@ -11,7 +11,7 @@ use peanut_core::{OnlineEngine, Variant};
 use peanut_junction::QueryEngine;
 use peanut_ve::VeN;
 
-fn main() {
+pub fn run() {
     let n_q = uniform_count();
     println!("Figure 7: average query cost by |q| (uniform workload)");
     for p in Prepared::all() {

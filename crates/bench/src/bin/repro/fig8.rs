@@ -6,8 +6,9 @@ use peanut_bench::harness::{drifted, evaluate, run_offline, Prepared};
 use peanut_core::Variant;
 
 /// Shared by fig8/fig9: `primary_skewed` selects which workload trains the
-/// materialization and anchors λ.
-pub fn run_drift(primary_skewed: bool) {
+/// materialization and anchors λ; the i-th λ's test mix is drawn with seed
+/// `seed + i`.
+pub fn run_drift(primary_skewed: bool, seed: u64) {
     let n_pool = 500;
     let n_test = 500;
     for p in Prepared::all() {
@@ -27,7 +28,7 @@ pub fn run_drift(primary_skewed: bool) {
             "lambda", "JT", "PEANUT", "PEANUT+"
         );
         for (i, lambda) in [0.0, 0.25, 0.5, 0.75, 1.0].into_iter().enumerate() {
-            let test = drifted(train, other, lambda, n_test, 100 + i as u64);
+            let test = drifted(train, other, lambda, n_test, seed + i as u64);
             let (with_pea, base) = evaluate(&p, &pea, &test);
             let (with_plus, _) = evaluate(&p, &plus, &test);
             println!(
@@ -41,8 +42,8 @@ pub fn run_drift(primary_skewed: bool) {
     }
 }
 
-fn main() {
+pub fn run() {
     println!("Figure 8: robustness to drift, materialization trained on the SKEWED workload");
     println!("(avg cost of Q' = lambda*skewed + (1-lambda)*uniform)");
-    run_drift(true);
+    run_drift(true, 100);
 }

@@ -13,7 +13,7 @@ use peanut_core::{OfflineContext, Peanut, PeanutConfig, Workload};
 use peanut_junction::{build_junction_tree, RootedTree};
 use peanut_workload::{skewed_queries, QuerySpec};
 
-fn main() {
+pub fn run() {
     let (n_train, n_test) = skewed_counts();
     let n_pivots = if is_quick() { 3 } else { 6 };
     println!("Pivot study: spread of plain cost and PEANUT+ savings across pivot choices");

@@ -3,7 +3,7 @@
 
 use peanut_bench::harness::Prepared;
 
-fn main() {
+pub fn run() {
     println!("Table 1: summary statistics of Bayesian networks (ours vs paper)");
     println!(
         "{:<12} {:>7} {:>7} {:>12} {:>14} {:>10} {:>12}",

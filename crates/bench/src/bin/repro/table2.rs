@@ -3,7 +3,7 @@
 
 use peanut_bench::harness::Prepared;
 
-fn main() {
+pub fn run() {
     println!("Table 2: summary statistics of junction trees (ours vs paper)");
     println!(
         "{:<12} {:>9} {:>12} {:>9} {:>12} {:>10} {:>13}",

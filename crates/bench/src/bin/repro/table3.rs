@@ -7,7 +7,7 @@
 use peanut_bench::harness::{run_indsep, run_offline, skewed_counts, Prepared};
 use peanut_core::Variant;
 
-fn main() {
+pub fn run() {
     let (n_train, _) = skewed_counts();
     println!("Table 3: offline running times in seconds, budget K = b_T/10");
     println!(

@@ -18,7 +18,7 @@ fn mb(entries: u64) -> f64 {
     entries as f64 * BYTES_PER_ENTRY / 1e6
 }
 
-fn main() {
+pub fn run() {
     let n_q = uniform_count();
     println!("Table 4: materialization phase — disk space (MB) and time (seconds)");
     println!(

@@ -9,8 +9,6 @@ use peanut_indsep::build_index;
 use peanut_junction::{build_junction_tree, JunctionTree, QueryEngine, RootedTree};
 use peanut_pgm::{BayesianNetwork, Scope, Size};
 use peanut_workload::{mix, skewed_queries, uniform_queries, QuerySpec};
-use std::io::Write;
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// A dataset instantiated and ready for experiments.
@@ -62,29 +60,10 @@ impl Prepared {
     }
 }
 
-/// `--quick` mode (env `PEANUT_QUICK=1` or argv flag): smaller query counts
-/// so the whole suite runs in CI time.
+/// `--quick` mode (the argv flag): smaller query counts so the whole
+/// suite runs in CI time.
 pub fn is_quick() -> bool {
     std::env::args().any(|a| a == "--quick")
-        || quick_env_enabled(std::env::var("PEANUT_QUICK").ok().as_deref())
-}
-
-/// Parses the `PEANUT_QUICK` value: unset, empty, `0`, `false`, `off` and
-/// `no` (case-insensitive) mean a full run; anything else enables quick
-/// mode. The mere *presence* of the variable must not count —
-/// `PEANUT_QUICK=0` is how a caller explicitly asks for the full stream.
-pub fn quick_env_enabled(value: Option<&str>) -> bool {
-    match value {
-        None => false,
-        Some(v) => {
-            let v = v.trim();
-            !(v.is_empty()
-                || v == "0"
-                || v.eq_ignore_ascii_case("false")
-                || v.eq_ignore_ascii_case("off")
-                || v.eq_ignore_ascii_case("no"))
-        }
-    }
 }
 
 /// Query counts for the skewed experiments: (train, test).
@@ -113,162 +92,31 @@ pub fn threads() -> usize {
 }
 
 /// Worker-thread counts for the serving scaling sweeps. One flag drives
-/// every serving bench (`query_serving`, `drift_serving`): set
-/// `PEANUT_WORKERS="1,2,4,8"` (or a single count) to sweep explicit pool
-/// sizes; unset (or unparsable) means `[0]` — one worker per available
-/// core, the serving default.
-pub fn worker_sweep() -> Vec<usize> {
-    match std::env::var("PEANUT_WORKERS") {
-        Ok(s) => {
-            // all-or-nothing: a mistyped token must not silently shrink
-            // the sweep to a different study than the one requested
-            // (split always yields ≥1 token, and empty tokens fail to
-            // parse, so the Ok list is never empty)
-            match s
-                .split(',')
-                .map(|t| t.trim().parse())
-                .collect::<Result<Vec<usize>, _>>()
-            {
-                Ok(v) => v,
-                Err(_) => {
-                    eprintln!(
-                        "PEANUT_WORKERS={s:?} is not a comma-separated list of \
-                         counts; using the per-core default"
-                    );
-                    vec![0]
-                }
-            }
-        }
-        Err(_) => vec![0],
-    }
-}
-
-/// The directory bench artifacts (`.txt` logs, `.json` summaries) land
-/// in. Overridable via `PEANUT_RESULTS_DIR`; defaults to the workspace's
-/// `results/` regardless of the process working directory (cargo runs
-/// benches from the package root, binaries from the caller's cwd).
-pub fn results_dir() -> PathBuf {
-    if let Ok(d) = std::env::var("PEANUT_RESULTS_DIR") {
-        return PathBuf::from(d);
-    }
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench sits two levels under the workspace root")
-        .join("results")
-}
-
-/// A machine-readable summary of one bench run: the ratio metrics the
-/// bench also asserts on, written as flat JSON
-/// (`results/bench_<name>.json`) so the CI regression guard
-/// (`bench_check`) can compare them against committed floors without a
-/// serde dependency.
-pub struct BenchSummary {
-    bench: String,
-    metrics: Vec<(String, f64)>,
-}
-
-impl BenchSummary {
-    /// A summary for the bench called `bench` (keys are namespaced as
-    /// `<bench>.<metric>`).
-    pub fn new(bench: &str) -> Self {
-        BenchSummary {
-            bench: bench.to_string(),
-            metrics: Vec::new(),
-        }
-    }
-
-    /// Records one metric.
-    pub fn push(&mut self, metric: &str, value: f64) {
-        self.metrics
-            .push((format!("{}.{metric}", self.bench), value));
-    }
-
-    /// Writes `results/bench_<name>.json`, creating the directory if
-    /// needed, and returns the path.
-    pub fn write(&self) -> std::io::Result<PathBuf> {
-        self.write_to(&results_dir())
-    }
-
-    /// Like [`write`](Self::write) into an explicit directory.
-    pub fn write_to(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("bench_{}.json", self.bench));
-        let mut f = std::fs::File::create(&path)?;
-        writeln!(f, "{{")?;
-        for (i, (k, v)) in self.metrics.iter().enumerate() {
-            let comma = if i + 1 < self.metrics.len() { "," } else { "" };
-            writeln!(f, "  \"{k}\": {v:.6}{comma}")?;
-        }
-        writeln!(f, "}}")?;
-        Ok(path)
-    }
-}
-
-/// True when `key` is a metric some *current* bench can emit.
+/// every serving bench (`query_serving`, `drift_serving`,
+/// `multi_tenant_serving`): set `PEANUT_WORKERS="1,2,4,8"` (or a single
+/// count) to sweep explicit pool sizes; unset means `[0]` — one worker per
+/// available core, the serving default.
 ///
-/// `bench_check` fails any baseline floor whose key is not in this
-/// registry: without it, renaming a metric silently orphans its floor —
-/// the old key would simply never be measured again and the guard it
-/// encoded would evaporate. Keep this list in sync with the
-/// `BenchSummary::push` calls across `crates/bench/benches/`.
-pub fn is_known_metric(key: &str) -> bool {
-    const EXACT: &[&str] = &[
-        "cold_start.rehydrate_speedup",
-        "drift_serving.swap_improvement",
-        "evidence_sessions.session_speedup",
-        "multi_tenant_serving.shared_pool_speedup",
-        "multi_tenant_serving.overload_p99_ratio",
-        "potential_ops.product_speedup",
-        "potential_ops.product_many_speedup",
-        "potential_ops.marginalize_speedup",
-        "potential_ops.divide_speedup",
-    ];
-    // per-worker-count families: `<prefix><N>` for any integer N
-    const PER_WORKER: &[&str] = &[
-        "query_serving.serving_speedup_cold_w",
-        "query_serving.pool_vs_scoped_hot_w",
-        "query_serving.overload_p99_ratio_w",
-    ];
-    EXACT.contains(&key)
-        || PER_WORKER.iter().any(|p| {
-            key.strip_prefix(p)
-                .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
-        })
+/// # Panics
+/// When the variable is set to anything but a comma-separated list of
+/// counts: a mistyped token must not silently run a different study than
+/// the one requested.
+pub fn worker_sweep() -> Vec<usize> {
+    parse_worker_sweep(std::env::var("PEANUT_WORKERS").ok().as_deref())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Parses a flat `{"key": number, ...}` JSON file as written by
-/// [`BenchSummary::write`] (and by hand for the committed baseline).
-/// Deliberately minimal: objects of string→number pairs only.
-pub fn read_metrics(path: &Path) -> std::io::Result<Vec<(String, f64)>> {
-    let text = std::fs::read_to_string(path)?;
-    let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-    let inner = text
-        .trim()
-        .strip_prefix('{')
-        .and_then(|t| t.strip_suffix('}'))
-        .ok_or_else(|| bad(format!("{}: not a JSON object", path.display())))?;
-    let mut out = Vec::new();
-    for pair in inner.split(',') {
-        let pair = pair.trim();
-        if pair.is_empty() {
-            continue;
-        }
-        let (k, v) = pair
-            .split_once(':')
-            .ok_or_else(|| bad(format!("{}: malformed pair {pair:?}", path.display())))?;
-        let key = k
-            .trim()
-            .strip_prefix('"')
-            .and_then(|k| k.strip_suffix('"'))
-            .ok_or_else(|| bad(format!("{}: unquoted key {k:?}", path.display())))?;
-        let value: f64 = v
-            .trim()
-            .parse()
-            .map_err(|_| bad(format!("{}: non-numeric value {v:?}", path.display())))?;
-        out.push((key.to_string(), value));
-    }
-    Ok(out)
+/// Parses the `PEANUT_WORKERS` value, all or nothing (`split` always
+/// yields ≥ 1 token and an empty token fails to parse, so the `Ok` list is
+/// never empty).
+fn parse_worker_sweep(value: Option<&str>) -> Result<Vec<usize>, String> {
+    let Some(s) = value else {
+        return Ok(vec![0]);
+    };
+    s.split(',')
+        .map(|t| t.trim().parse())
+        .collect::<Result<Vec<usize>, _>>()
+        .map_err(|_| format!("PEANUT_WORKERS={s:?} is not a comma-separated list of counts"))
 }
 
 /// Builds a PEANUT/PEANUT+ materialization, returning it with the offline
@@ -399,9 +247,6 @@ pub fn sci(x: f64) -> String {
     format!("{mant:.2}x10{exp:+}")
 }
 
-/// The `JunctionTree` type re-exported for binaries.
-pub type Tree = JunctionTree;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,90 +264,15 @@ mod tests {
     }
 
     #[test]
-    fn quick_env_parses_the_value_not_the_presence() {
-        // the regression: PEANUT_QUICK=0 (or empty) used to enable quick
-        // mode because only presence was checked
-        assert!(!quick_env_enabled(None));
-        assert!(!quick_env_enabled(Some("0")));
-        assert!(!quick_env_enabled(Some("")));
-        assert!(!quick_env_enabled(Some("  ")));
-        assert!(!quick_env_enabled(Some("false")));
-        assert!(!quick_env_enabled(Some("OFF")));
-        assert!(!quick_env_enabled(Some("no")));
-        assert!(quick_env_enabled(Some("1")));
-        assert!(quick_env_enabled(Some("true")));
-        assert!(quick_env_enabled(Some("yes")));
-    }
-
-    #[test]
-    fn known_metric_registry_matches_bench_emissions() {
-        for key in [
-            "cold_start.rehydrate_speedup",
-            "drift_serving.swap_improvement",
-            "evidence_sessions.session_speedup",
-            "multi_tenant_serving.shared_pool_speedup",
-            "potential_ops.product_speedup",
-            "potential_ops.product_many_speedup",
-            "potential_ops.marginalize_speedup",
-            "potential_ops.divide_speedup",
-            "query_serving.serving_speedup_cold_w2",
-            "query_serving.pool_vs_scoped_hot_w16",
-            "query_serving.overload_p99_ratio_w2",
-            "multi_tenant_serving.overload_p99_ratio",
-        ] {
-            assert!(is_known_metric(key), "{key} should be known");
-        }
-        for key in [
-            "query_serving.serving_speedup_cold_w",   // no worker count
-            "query_serving.serving_speedup_cold_w2x", // trailing garbage
-            "query_serving.renamed_metric",
-            "potential_ops.restrict_speedup", // not emitted
-            "unknown_bench.anything",
-            "",
-        ] {
-            assert!(!is_known_metric(key), "{key} should be unknown");
-        }
-    }
-
-    #[test]
     fn worker_sweep_parses_the_flag() {
-        // no flag set in the test environment: serving default
-        if std::env::var("PEANUT_WORKERS").is_err() {
-            assert_eq!(worker_sweep(), vec![0]);
+        assert_eq!(parse_worker_sweep(None), Ok(vec![0]));
+        assert_eq!(parse_worker_sweep(Some("2")), Ok(vec![2]));
+        assert_eq!(parse_worker_sweep(Some("1,2,4")), Ok(vec![1, 2, 4]));
+        assert_eq!(parse_worker_sweep(Some(" 1 , 2 ")), Ok(vec![1, 2]));
+        for bad in ["1,,4", "two", ""] {
+            let err = parse_worker_sweep(Some(bad)).expect_err(bad);
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
         }
-    }
-
-    #[test]
-    fn bench_summary_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("peanut-summary-{}", std::process::id()));
-        let mut s = BenchSummary::new("demo");
-        s.push("speedup", 1.5);
-        s.push("floor", 0.25);
-        let path = s.write_to(&dir).unwrap();
-        assert_eq!(path.file_name().unwrap(), "bench_demo.json");
-        let metrics = read_metrics(&path).unwrap();
-        assert_eq!(
-            metrics,
-            vec![
-                ("demo.speedup".to_string(), 1.5),
-                ("demo.floor".to_string(), 0.25),
-            ]
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn read_metrics_rejects_garbage() {
-        let dir = std::env::temp_dir().join(format!("peanut-badjson-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.json");
-        std::fs::write(&path, "not json at all").unwrap();
-        assert!(read_metrics(&path).is_err());
-        std::fs::write(&path, "{\"k\": \"string\"}").unwrap();
-        assert!(read_metrics(&path).is_err());
-        std::fs::write(&path, "{}").unwrap();
-        assert_eq!(read_metrics(&path).unwrap(), vec![]);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,11 +1,12 @@
 #![forbid(unsafe_code)]
 //! # peanut-bench
 //!
-//! The reproduction harness: one binary per paper table/figure (see
-//! `src/bin/`) plus the shared plumbing in [`harness`]. The `repro` binary
-//! runs everything and writes `results/*.txt`.
+//! The reproduction harness: the `repro` binary holds one experiment per
+//! paper table/figure (`src/bin/repro/<name>.rs`) over the shared plumbing
+//! in [`harness`]. `repro <name>` prints one experiment, `repro --list`
+//! names them, and a bare `repro` runs them all into `results/<name>.txt`.
 //!
-//! | binary   | reproduces |
+//! | experiment | reproduces |
 //! |----------|------------|
 //! | `table1` | Table 1 — Bayesian-network summary statistics |
 //! | `table2` | Table 2 — junction-tree summary statistics |
@@ -19,10 +20,11 @@
 //! | `fig8`   | Figure 8 — robustness to drift (skewed-trained) |
 //! | `fig9`   | Figure 9 — robustness to drift (uniform-trained) |
 //! | `fig10`  | Figure 10 — impact of the query-log size |
+//! | `ablation` | beyond the paper — workload-awareness, GWMIN and ε ablations |
+//! | `pivot_study` | beyond the paper (§6 future work) — sensitivity to the pivot |
 //!
-//! Beyond the paper, `bench_check` is the CI bench-regression guard: it
-//! compares the ratio metrics the serving benches write to
-//! `results/bench_*.json` against the committed floors in
-//! `results/bench_baseline.json` and fails on any regression.
+//! The criterion benches under `benches/` time the offline and online
+//! phases; the three serving benches additionally `assert!` the acceptance
+//! ratios whose ratio *is* the claim (README, "Acceptance ratios").
 
 pub mod harness;

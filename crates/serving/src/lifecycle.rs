@@ -57,6 +57,20 @@ use peanut_pgm::{PgmError, Scope, Size};
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
+/// Savings at or below this are "no benefit", for both controllers: an
+/// epoch whose reference is under the floor is not drift-checked (there is
+/// nothing to decay), a candidate selection must promise more than the
+/// floor to be published, and a fleet tenant under it keeps an empty
+/// allocation.
+const MIN_SAVINGS: f64 = 0.01;
+/// The fleet rebalances when any tenant's observed savings drop below this
+/// fraction of the savings its current allocation promised.
+const FLEET_DECAY_THRESHOLD: f64 = 0.5;
+/// The fleet rebalances when the tenants' traffic shares move by at least
+/// this much (L1 distance between consecutive share vectors) — the signal
+/// that follows a tenant's traffic spike.
+const SHARE_DRIFT: f64 = 0.25;
+
 /// Drift-detection and re-selection knobs.
 #[derive(Clone, Debug)]
 pub struct LifecycleConfig {
@@ -75,16 +89,6 @@ pub struct LifecycleConfig {
     /// reference_savings` — i.e. the epoch delivers less than this
     /// fraction of the benefit it was selected for.
     pub decay_threshold: f64,
-    /// Savings below this are treated as "no benefit": epochs whose
-    /// reference is under the floor are not drift-checked (there is
-    /// nothing to decay), and a candidate selection must promise more
-    /// than the floor to be published.
-    pub min_reference_savings: f64,
-    /// When the current epoch has an *empty* materialization, attempt a
-    /// first selection from observed traffic once the window fills
-    /// (cold-start bootstrap). Bootstrap does not wait for the ring to
-    /// fill — there is no healthy history to protect.
-    pub bootstrap: bool,
     /// Space budget `K` for re-selection (table entries).
     pub budget: Size,
     /// Budget-grid parameter ε of §4.4.
@@ -101,8 +105,6 @@ impl LifecycleConfig {
             min_window: 512,
             window_ring: 3,
             decay_threshold: 0.5,
-            min_reference_savings: 0.01,
-            bootstrap: true,
             budget,
             epsilon: 1.2,
             variant: Variant::PeanutPlus,
@@ -340,7 +342,7 @@ impl<'s, 't> RematerializationController<'s, 't> {
 
         let long_snap = self.ring_snapshot();
         let long = long_snap.observed_savings();
-        let has_reference = self.reference_savings > self.cfg.min_reference_savings;
+        let has_reference = self.reference_savings > MIN_SAVINGS;
         let short_decayed =
             has_reference && short < self.cfg.decay_threshold * self.reference_savings;
         // both horizons must agree, and the ring must be full: a single
@@ -349,9 +351,11 @@ impl<'s, 't> RematerializationController<'s, 't> {
         let decayed = short_decayed
             && self.ring.len() == ring_len
             && long < self.cfg.decay_threshold * self.reference_savings;
-        let cold_start = self.cfg.bootstrap
-            && self.serving.materialization().is_empty()
-            && self.reference_savings <= self.cfg.min_reference_savings;
+        // cold-start bootstrap: an *empty* materialization gets a first
+        // selection from observed traffic as soon as a window fills, without
+        // waiting for the ring — there is no healthy history to protect
+        let cold_start =
+            self.serving.materialization().is_empty() && self.reference_savings <= MIN_SAVINGS;
         if !decayed && !cold_start {
             if !short_decayed {
                 // a healthy window clears any decline backoff: if traffic
@@ -394,7 +398,7 @@ impl<'s, 't> RematerializationController<'s, 't> {
         // is still delivering.
         let entries = workload_entries(&observed_workload);
         let new_reference = expected_savings(engine, &mat, &entries);
-        if new_reference <= self.cfg.min_reference_savings || new_reference <= long {
+        if new_reference <= MIN_SAVINGS || new_reference <= long {
             self.declined += 1;
             self.backoff = self.declined.min(16);
             return Ok(None);
@@ -460,16 +464,6 @@ pub struct FleetConfig {
     /// — at any traffic volume — skips its offline DP entirely; only
     /// tenants whose distribution actually moved recompute.
     pub cache_candidates: bool,
-    /// Per-tenant expected savings below this floor are treated as "no
-    /// benefit" (the tenant keeps an empty allocation).
-    pub min_savings: f64,
-    /// Rebalance when any tenant's observed savings drop below this
-    /// fraction of the savings its current allocation promised.
-    pub decay_threshold: f64,
-    /// Rebalance when the tenants' traffic shares move by at least this
-    /// much (L1 distance between consecutive share vectors) — the signal
-    /// that follows a tenant's traffic spike.
-    pub share_drift: f64,
 }
 
 impl FleetConfig {
@@ -482,9 +476,6 @@ impl FleetConfig {
             epsilon: 1.2,
             variant: Variant::PeanutPlus,
             cache_candidates: true,
-            min_savings: 0.01,
-            decay_threshold: 0.5,
-            share_drift: 0.25,
         }
     }
 
@@ -614,9 +605,9 @@ impl<'s, 't> FleetController<'s, 't> {
     }
 
     /// One fleet decision round. When the fleet-wide window has filled,
-    /// decide whether a rebalance is warranted (first window, a traffic
-    /// share shift ≥ [`FleetConfig::share_drift`], or a tenant's observed
-    /// benefit decaying); if so, generate per-tenant candidate shortcut
+    /// decide whether a rebalance is warranted (first window, a 25% traffic
+    /// share shift, or a tenant's observed benefit decaying); if so,
+    /// generate per-tenant candidate shortcut
     /// sets at the full global budget, split the budget with a greedy
     /// knapsack on benefit-per-entry (weighted by traffic share), and
     /// publish every tenant whose allocation changed. Rolls every tenant's
@@ -651,14 +642,14 @@ impl<'s, 't> FleetController<'s, 't> {
                     .zip(&shares)
                     .map(|((_, a), (_, b))| (a - b).abs())
                     .sum();
-                l1 >= self.cfg.share_drift
+                l1 >= SHARE_DRIFT
             }
         };
         let decayed = tenants.iter().any(|(id, _, s)| {
             let reference = self.references.get(id).copied().unwrap_or(0.0);
             s.queries > 0
-                && reference > self.cfg.min_savings
-                && s.observed_savings() < self.cfg.decay_threshold * reference
+                && reference > MIN_SAVINGS
+                && s.observed_savings() < FLEET_DECAY_THRESHOLD * reference
         });
         // cold start = traffic on a tenant the controller has never
         // allocated for; a tenant whose last allocation came out *empty*
@@ -854,7 +845,7 @@ impl<'s, 't> FleetController<'s, 't> {
             };
             let mut shortcuts: Vec<peanut_core::MaterializedShortcut> =
                 c.selected.iter().map(|&i| c.pool[i].clone()).collect();
-            if savings <= self.cfg.min_savings && !shortcuts.is_empty() {
+            if savings <= MIN_SAVINGS && !shortcuts.is_empty() {
                 // sub-floor benefit is "no benefit": the tenant keeps an
                 // empty allocation and its entries return to the pool
                 // (spendable at the *next* rebalance)
