@@ -30,11 +30,10 @@ use peanut_core::{Materialization, OfflineContext, Peanut, PeanutConfig, Workloa
 use peanut_junction::{build_junction_tree, JunctionTree, QueryEngine};
 use peanut_pgm::{fixtures, BayesianNetwork, Scope};
 use peanut_serving::{
-    poisson_arrivals, replay_mixed, AdmissionConfig, FleetConfig, FleetController, FleetRebalance,
-    ReplayConfig, ServeRequest, ServingConfig, ServingEngine, ShardConfig, ShardedServingEngine,
-    TenantId,
+    replay_mixed, AdmissionConfig, FleetConfig, FleetController, FleetRebalance, ReplayConfig,
+    ServeRequest, ServingConfig, ServingEngine, ShardConfig, ShardedServingEngine, TenantId,
 };
-use peanut_workload::{tenant_queries, zipf_weights, TenantTraffic};
+use peanut_workload::{poisson_arrivals, tenant_queries, zipf_weights, TenantTraffic};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 

@@ -24,10 +24,9 @@ use peanut_core::{OfflineContext, OnlineEngine, Peanut, PeanutConfig, Workload};
 use peanut_junction::{build_junction_tree, JunctionTree, QueryEngine, RootedTree};
 use peanut_pgm::{fixtures, BayesianNetwork, Scratch};
 use peanut_serving::{
-    poisson_arrivals, replay, workload_queries, AdmissionConfig, ReplayConfig, ServeRequest,
-    ServingConfig, ServingEngine, WorkloadMix,
+    replay, AdmissionConfig, ReplayConfig, ServeRequest, ServingConfig, ServingEngine,
 };
-use peanut_workload::QuerySpec;
+use peanut_workload::{poisson_arrivals, workload_queries, QuerySpec, WorkloadMix};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 

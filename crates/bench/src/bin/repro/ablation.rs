@@ -1,4 +1,5 @@
-//! Ablation studies for the design choices called out in `DESIGN.md`:
+//! Ablation studies for three design choices of the method — not a paper
+//! experiment (see "Deviations from the paper" in `ARCHITECTURE.md`):
 //!
 //! 1. **Workload-awareness** — the paper's central claim: compare PEANUT+
 //!    trained on the true (skewed) workload against the same machinery

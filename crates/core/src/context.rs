@@ -191,8 +191,8 @@ impl<'t> OfflineContext<'t> {
         f
     }
 
-    /// Usefulness `δ_S(q)` (Def. 3.1), in the operational form derived in
-    /// `DESIGN.md`:
+    /// Usefulness `δ_S(q)` (Def. 3.1), in an operational form (listed under
+    /// "Deviations from the paper" in `ARCHITECTURE.md`):
     ///
     /// 1. `I = V(S) ∩ V(T_q)` is non-empty;
     /// 2. some Steiner node outside `I` has its (Steiner-)parent inside `I`

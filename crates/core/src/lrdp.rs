@@ -16,7 +16,10 @@
 //! equivalent post-order branch DP, which is clearer and has the same
 //! `O(n·K²)` complexity (over the budget grid, `O(n·|G|²)`).
 //!
-//! ## Faithfulness notes (see `DESIGN.md` §5)
+//! ## Faithfulness notes
+//!
+//! Summarized under "Deviations from the paper" in `ARCHITECTURE.md`; the
+//! substance is here.
 //!
 //! * Benefits of merged branches are additive *estimates* (shared path
 //!   nodes re-counted). Costs of merged branches compose **multiplicatively**

@@ -3,20 +3,28 @@
 //! materialized shortcut potentials, shrink the Steiner tree with them, and
 //! run (or cost) message passing on the reduced tree.
 //!
-//! A plan is a view over the arena and the materialization; nothing is
-//! copied until a kernel writes. [`OnlineEngine::reduce`] extracts the
-//! Steiner tree once, plans it as a [`ReducedTree`] of borrowed clique and
+//! Every entry point — `answer*`, `conditional*`,
+//! [`reduce`](OnlineEngine::reduce), [`cost`](OnlineEngine::cost) — goes
+//! through one private planning routine, `planned`: it extracts the Steiner
+//! tree once (the only call of `QueryEngine::plan`), answers "in clique
+//! `u`" or plans the tree as a [`ReducedTree`] of borrowed clique and
 //! separator tables, and prices each candidate shortcut on a replacement
 //! built from `&rt` that borrows the shortcut's scope and table — a
 //! rejected candidate costs a few index vectors, an accepted one becomes
-//! the plan. The plan borrows the engine and the materialization
-//! (`ReducedTree<'e>`), so it cannot outlive either.
+//! the plan. The unreduced plan is priced once, when there is a candidate
+//! to compare it with; that count is also the plain-tree baseline a traced
+//! answer reports, so tracing costs no pass of its own.
+//!
+//! A plan is a view over the arena and the materialization; nothing is
+//! copied until a kernel writes, and it cannot outlive either
+//! (`ReducedTree<'e>`). The engine holds no accumulator: what was answered
+//! is observed by the serve pipeline, not here.
 
 use crate::context::{delta, query_info_of};
 use crate::gwmin::gwmin;
 use crate::shortcut::Shortcut;
-use crate::stats::WorkloadStats;
-use peanut_junction::cost::{marginalization_ops, QueryCost};
+use peanut_junction::cost::QueryCost;
+use peanut_junction::tree::CliqueId;
 use peanut_junction::{NodeLabel, QueryEngine, QueryPlan, ReducedTree, SteinerTree};
 use peanut_pgm::{PgmError, Potential, Scope, Scratch, Size};
 
@@ -88,87 +96,43 @@ pub struct TracedAnswer {
     pub baseline_ops: Size,
 }
 
+/// What [`OnlineEngine::planned`] hands every entry point.
+enum Planned<'e> {
+    /// Every query variable lies in this clique: one marginalization.
+    InClique(CliqueId),
+    /// The plan, shortcut-reduced where that pays, and the operation count
+    /// of the *unreduced* plan when shortcuts were priced against it. With
+    /// `None` nothing was priced and the plan's own cost is the baseline.
+    Tree(ReducedTree<'e>, Option<Size>),
+}
+
 /// Query processor that exploits a [`Materialization`].
 pub struct OnlineEngine<'e, 't> {
     engine: &'e QueryEngine<'t>,
     mat: &'e Materialization,
-    stats: Option<&'e WorkloadStats>,
 }
 
 impl<'e, 't> OnlineEngine<'e, 't> {
     /// Wraps a query engine (symbolic or numeric) with a materialization.
     pub fn new(engine: &'e QueryEngine<'t>, mat: &'e Materialization) -> Self {
-        OnlineEngine {
-            engine,
-            mat,
-            stats: None,
-        }
+        OnlineEngine { engine, mat }
     }
 
-    /// Like [`new`](Self::new), but every answered query is also recorded
-    /// into `stats` (scope, charged cost, plain-JT baseline) — the feed of
-    /// the epoch lifecycle's drift detector.
-    pub fn with_stats(
-        engine: &'e QueryEngine<'t>,
-        mat: &'e Materialization,
-        stats: &'e WorkloadStats,
-    ) -> Self {
-        OnlineEngine {
-            engine,
-            mat,
-            stats: Some(stats),
-        }
-    }
-
-    /// The underlying engine.
-    pub fn engine(&self) -> &QueryEngine<'t> {
-        self.engine
-    }
-
-    /// The materialization this engine answers through.
-    pub fn materialization(&self) -> &Materialization {
-        self.mat
-    }
-
-    /// Builds the shortcut-reduced plan for an out-of-clique query — a view
-    /// over the engine's tables and the materialization's; `None` for
-    /// in-clique queries.
-    pub fn reduce(&self, query: &Scope) -> Result<Option<ReducedTree<'e>>, PgmError> {
-        Ok(self.reduce_traced(query, false)?.0)
-    }
-
-    /// [`reduce`](Self::reduce), optionally also returning the baseline
-    /// operation count of the *unreduced* plan (the plain-JT cost). The
-    /// baseline falls out of the reduction for free when shortcuts are
-    /// considered, so tracing adds no work on the materialized path.
-    fn reduce_traced(
-        &self,
-        query: &Scope,
-        want_baseline: bool,
-    ) -> Result<(Option<ReducedTree<'e>>, Size), PgmError> {
+    /// The one planning routine (§4.5–4.6): one Steiner-tree extraction,
+    /// then the applicable shortcuts substituted in decreasing ratio order,
+    /// keeping only those that strictly reduce the operation count.
+    fn planned(&self, query: &Scope) -> Result<Planned<'e>, PgmError> {
         let (engine, mat) = (self.engine, self.mat);
         let (tree, rooted, domain) = (engine.tree(), engine.rooted(), engine.tree().domain());
         let st = match engine.plan(query)? {
-            QueryPlan::InClique(u) => {
-                let baseline = if want_baseline {
-                    marginalization_ops(tree.clique(u), domain)
-                } else {
-                    0
-                };
-                return Ok((None, baseline));
-            }
+            QueryPlan::InClique(u) => return Ok(Planned::InClique(u)),
             QueryPlan::OutOfClique(st) => st,
         };
         let mut rt = ReducedTree::from_steiner(tree, rooted, &st, engine.numeric_state());
-        let baseline = if want_baseline || !mat.is_empty() {
-            rt.cost(query, domain).ops
-        } else {
-            0
-        };
-        // apply replacements in decreasing ratio order, keeping only those
-        // that strictly reduce the operation count
-        let mut cost = baseline;
-        for i in self.applicable(query, &st) {
+        let order = self.applicable(query, &st);
+        let unreduced = (!order.is_empty()).then(|| rt.cost(query, domain).ops);
+        let mut cost = unreduced.unwrap_or(0);
+        for i in order {
             let ms = &mat.shortcuts[i];
             let region: Vec<usize> = (0..rt.len())
                 .filter(|&k| match rt.node(k).label {
@@ -187,7 +151,17 @@ impl<'e, 't> OnlineEngine<'e, 't> {
                 cost = new_cost;
             }
         }
-        Ok((Some(rt), baseline))
+        Ok(Planned::Tree(rt, unreduced))
+    }
+
+    /// Builds the shortcut-reduced plan for an out-of-clique query — a view
+    /// over the engine's tables and the materialization's; `None` for
+    /// in-clique queries.
+    pub fn reduce(&self, query: &Scope) -> Result<Option<ReducedTree<'e>>, PgmError> {
+        Ok(match self.planned(query)? {
+            Planned::InClique(_) => None,
+            Planned::Tree(rt, _) => Some(rt),
+        })
     }
 
     /// The shortcuts worth trying on a query with Steiner tree `st`, in
@@ -234,10 +208,11 @@ impl<'e, 't> OnlineEngine<'e, 't> {
 
     /// Operation count for answering `query` with the materialization.
     pub fn cost(&self, query: &Scope) -> Result<QueryCost, PgmError> {
-        match self.reduce(query)? {
-            None => self.engine.cost(query),
-            Some(rt) => Ok(rt.cost(query, self.engine.tree().domain())),
-        }
+        let tree = self.engine.tree();
+        Ok(match self.planned(query)? {
+            Planned::InClique(u) => QueryCost::in_clique(tree.clique(u), tree.domain()),
+            Planned::Tree(rt, _) => rt.cost(query, tree.domain()),
+        })
     }
 
     /// Numeric answer plus cost (requires a numeric engine and materialized
@@ -252,36 +227,35 @@ impl<'e, 't> OnlineEngine<'e, 't> {
         query: &Scope,
         scratch: &mut Scratch,
     ) -> Result<(Potential, QueryCost), PgmError> {
-        if self.stats.is_some() {
-            let t = self.answer_traced_in(query, scratch)?;
-            return Ok((t.potential, t.cost));
-        }
-        match self.reduce(query)? {
-            None => self.engine.answer_in(query, scratch),
-            Some(rt) => rt.answer_in(query, self.engine.tree().domain(), scratch),
-        }
+        let t = self.answer_traced_in(query, scratch)?;
+        Ok((t.potential, t.cost))
     }
 
     /// Numeric answer together with the plain-JT baseline cost of the same
-    /// query. When the engine carries a [`WorkloadStats`] accumulator
-    /// (see [`with_stats`](Self::with_stats)) the observation is recorded.
+    /// query: the unreduced plan's count where shortcuts were priced
+    /// against it, the answer's own charged cost otherwise (the two are
+    /// equal on a plan nothing was substituted into).
     pub fn answer_traced_in(
         &self,
         query: &Scope,
         scratch: &mut Scratch,
     ) -> Result<TracedAnswer, PgmError> {
-        let (rt, baseline_ops) = self.reduce_traced(query, true)?;
-        let (potential, cost) = match rt {
-            None => self.engine.answer_in(query, scratch)?,
-            Some(rt) => rt.answer_in(query, self.engine.tree().domain(), scratch)?,
+        let tree = self.engine.tree();
+        let ((potential, cost), unreduced) = match self.planned(query)? {
+            Planned::InClique(u) => {
+                let ns = self.engine.numeric_state();
+                let table = ns.ok_or(PgmError::SymbolicEngine)?.clique_table(u);
+                let cost = QueryCost::in_clique(tree.clique(u), tree.domain());
+                ((table.marginalize_in(query, scratch)?, cost), None)
+            }
+            Planned::Tree(rt, unreduced) => {
+                (rt.answer_in(query, tree.domain(), scratch)?, unreduced)
+            }
         };
-        if let Some(stats) = self.stats {
-            stats.record(query, &cost, baseline_ops);
-        }
         Ok(TracedAnswer {
             potential,
             cost,
-            baseline_ops,
+            baseline_ops: unreduced.unwrap_or(cost.ops),
         })
     }
 
@@ -292,25 +266,14 @@ impl<'e, 't> OnlineEngine<'e, 't> {
         targets: &Scope,
         evidence: &[(peanut_pgm::Var, u32)],
     ) -> Result<(Potential, QueryCost), PgmError> {
-        self.conditional_in(targets, evidence, &mut Scratch::new())
+        let t = self.conditional_traced_in(targets, evidence, &mut Scratch::new())?;
+        Ok((t.potential, t.cost))
     }
 
     /// [`conditional`](Self::conditional) with caller-provided kernel
-    /// scratch.
-    pub fn conditional_in(
-        &self,
-        targets: &Scope,
-        evidence: &[(peanut_pgm::Var, u32)],
-        scratch: &mut Scratch,
-    ) -> Result<(Potential, QueryCost), PgmError> {
-        peanut_junction::query::conditional_from_joint(targets, evidence, scratch, |q, s| {
-            self.answer_in(q, s)
-        })
-    }
-
-    /// [`conditional_in`](Self::conditional_in) traced with the plain-JT
-    /// baseline of the underlying joint query (the scope the workload model
-    /// and the drift detector reason about).
+    /// scratch, traced with the plain-JT baseline of the underlying joint
+    /// query (the scope the workload model and the drift detector reason
+    /// about).
     pub fn conditional_traced_in(
         &self,
         targets: &Scope,
@@ -343,52 +306,63 @@ mod tests {
     use super::*;
     use crate::context::OfflineContext;
     use crate::workload::Workload;
-    use peanut_junction::{build_junction_tree, NumericState, RootedTree};
-    use peanut_pgm::{fixtures, joint};
+    use peanut_junction::build_junction_tree;
+    use peanut_pgm::{fixtures, joint, BayesianNetwork};
+
+    /// The Figure-1 network and a numeric engine on its tree — the path
+    /// abd–bc–ce–ef–egh–gil — pivoted at `{b,c}` (leaked: tests only).
+    fn figure1() -> (BayesianNetwork, QueryEngine<'static>) {
+        let bn = fixtures::figure1();
+        let mut tree = build_junction_tree(&bn).unwrap();
+        let bc = named(&bn, "bc");
+        let pivot = tree.cliques().iter().position(|c| *c == bc).unwrap();
+        tree.set_pivot(pivot);
+        let engine = QueryEngine::numeric(Box::leak(Box::new(tree)), &bn).unwrap();
+        (bn, engine)
+    }
+
+    /// The scope of one-letter variable names, e.g. `"egh"`.
+    fn named(bn: &BayesianNetwork, names: &str) -> Scope {
+        let var = |c: char| bn.domain().var(&c.to_string()).unwrap();
+        Scope::from_iter(names.chars().map(var))
+    }
+
+    /// Hand-materializes the shortcut over the named cliques.
+    fn materialized(
+        bn: &BayesianNetwork,
+        engine: &QueryEngine<'_>,
+        cliques: &[&str],
+        benefit: f64,
+    ) -> MaterializedShortcut {
+        let (tree, rooted) = (engine.tree(), engine.rooted());
+        let id = |n: &&str| tree.cliques().iter().position(|c| *c == named(bn, n));
+        let nodes = cliques.iter().map(|n| id(n).unwrap()).collect();
+        let s = Shortcut::from_nodes(tree, rooted, nodes).unwrap();
+        let (pot, _) = s
+            .materialize(tree, rooted, engine.numeric_state().unwrap())
+            .unwrap();
+        MaterializedShortcut {
+            ratio: benefit / s.size() as f64,
+            benefit,
+            potential: Some(pot),
+            shortcut: s,
+        }
+    }
 
     /// Hand-materialize one shortcut on the Figure-1 tree and check the
     /// online engine uses it correctly.
     #[test]
     fn online_engine_applies_useful_shortcut() {
-        let bn = fixtures::figure1();
-        let mut tree = build_junction_tree(&bn).unwrap();
-        let d = bn.domain().clone();
-        let bc = Scope::from_iter([d.var("b").unwrap(), d.var("c").unwrap()]);
-        let pivot = tree.cliques().iter().position(|c| *c == bc).unwrap();
-        tree.set_pivot(pivot);
-        let engine = QueryEngine::numeric(&tree, &bn).unwrap();
-        let rooted = RootedTree::new(&tree);
-        let mut ns = NumericState::initialize(&tree, &bn).unwrap();
-        ns.calibrate(&tree, &rooted).unwrap();
-
-        // shortcut over {egh}: scope {e, g}
-        let egh = tree
-            .cliques()
-            .iter()
-            .position(|c| {
-                c.len() == 3 && c.contains(d.var("g").unwrap()) && c.contains(d.var("h").unwrap())
-            })
-            .unwrap();
-        let s = Shortcut::from_nodes(&tree, &rooted, vec![egh]).unwrap();
-        let (pot, _) = s.materialize(&tree, &rooted, &ns).unwrap();
-        let benefit = 1.0;
+        let (bn, engine) = figure1();
         let mat = Materialization {
-            shortcuts: vec![MaterializedShortcut {
-                ratio: benefit / s.size() as f64,
-                benefit,
-                potential: Some(pot),
-                shortcut: s,
-            }],
+            // scope {e, g}
+            shortcuts: vec![materialized(&bn, &engine, &["egh"], 1.0)],
             overlapping: false,
             epoch: 0,
         };
         let online = OnlineEngine::new(&engine, &mat);
 
-        let q = Scope::from_iter([
-            d.var("b").unwrap(),
-            d.var("i").unwrap(),
-            d.var("f").unwrap(),
-        ]);
+        let q = named(&bn, "bif");
         let base = online.baseline_cost(&q).unwrap();
         let (got, with) = online.answer(&q).unwrap();
         let want = joint::marginal(&bn, &q).unwrap();
@@ -400,47 +374,80 @@ mod tests {
     /// A shortcut that would lose a query variable must not be applied.
     #[test]
     fn lossy_shortcut_not_applied() {
-        let bn = fixtures::figure1();
-        let mut tree = build_junction_tree(&bn).unwrap();
-        let d = bn.domain().clone();
-        let bc = Scope::from_iter([d.var("b").unwrap(), d.var("c").unwrap()]);
-        let pivot = tree.cliques().iter().position(|c| *c == bc).unwrap();
-        tree.set_pivot(pivot);
-        let engine = QueryEngine::numeric(&tree, &bn).unwrap();
-        let rooted = RootedTree::new(&tree);
-        let mut ns = NumericState::initialize(&tree, &bn).unwrap();
-        ns.calibrate(&tree, &rooted).unwrap();
-
-        // shortcut over {ce, ef, egh}: scope {c, e, g} — loses f
-        let names: Vec<usize> = ["ce", "ef", "egh"]
-            .iter()
-            .map(|n| {
-                let sc = Scope::from_iter(n.chars().map(|ch| d.var(&ch.to_string()).unwrap()));
-                tree.cliques().iter().position(|c| *c == sc).unwrap()
-            })
-            .collect();
-        let s = Shortcut::from_nodes(&tree, &rooted, names).unwrap();
-        let (pot, _) = s.materialize(&tree, &rooted, &ns).unwrap();
+        let (bn, engine) = figure1();
         let mat = Materialization {
-            shortcuts: vec![MaterializedShortcut {
-                ratio: 1.0,
-                benefit: 1.0,
-                potential: Some(pot),
-                shortcut: s,
-            }],
+            // scope {c, e, g} — loses f
+            shortcuts: vec![materialized(&bn, &engine, &["ce", "ef", "egh"], 1.0)],
             overlapping: false,
             epoch: 0,
         };
         let online = OnlineEngine::new(&engine, &mat);
-        let q = Scope::from_iter([
-            d.var("b").unwrap(),
-            d.var("i").unwrap(),
-            d.var("f").unwrap(),
-        ]);
+        let q = named(&bn, "bif");
         let (got, cost) = online.answer(&q).unwrap();
         let want = joint::marginal(&bn, &q).unwrap();
         assert!(got.max_abs_diff(&want).unwrap() < 1e-9);
         assert_eq!(cost.shortcuts_used, 0, "lossy shortcut must be skipped");
+    }
+
+    /// Every door runs the same plan: on each 1–3-variable scope of the
+    /// Figure-1 tree, under three hand-built shortcuts that overlap
+    /// pairwise, the traced baseline is the plain tree's cost and
+    /// `answer_in`, `answer_traced_in` and `reduce` + `ReducedTree::answer_in`
+    /// agree to the bit and in cost.
+    #[test]
+    fn every_entry_point_runs_the_same_plan() {
+        let (bn, engine) = figure1();
+        let d = bn.domain();
+        // {egh} ⊂ {ef, egh} share egh; {ef, egh} and {ce, ef} share ef
+        let mat = Materialization {
+            shortcuts: vec![
+                materialized(&bn, &engine, &["egh"], 2.0),
+                materialized(&bn, &engine, &["ef", "egh"], 3.0),
+                materialized(&bn, &engine, &["ce", "ef"], 1.0),
+            ],
+            overlapping: true,
+            epoch: 0,
+        };
+        let online = OnlineEngine::new(&engine, &mat);
+
+        let n = d.len() as u32;
+        let mut scratch = Scratch::new();
+        let (mut in_clique, mut shortcut_hits) = (0, 0);
+        for a in 0..n {
+            for b in a..n {
+                for c in b..n {
+                    let q = Scope::from_indices(&[a, b, c]); // dedups to 1–3 vars
+                    let (plain, cost) = online.answer_in(&q, &mut scratch).unwrap();
+                    let traced = online.answer_traced_in(&q, &mut scratch).unwrap();
+                    assert_eq!(
+                        traced.baseline_ops,
+                        online.baseline_cost(&q).unwrap().ops,
+                        "baseline of {q}"
+                    );
+                    assert_eq!(traced.cost, cost, "cost of {q}");
+                    assert_eq!(online.cost(&q).unwrap(), cost, "symbolic cost of {q}");
+                    let bits = |p: &Potential| -> Vec<u64> {
+                        p.values().iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&traced.potential), bits(&plain), "traced {q}");
+                    match online.reduce(&q).unwrap() {
+                        None => {
+                            in_clique += 1;
+                            assert_eq!((cost.messages, cost.shortcuts_used), (0, 0));
+                        }
+                        Some(rt) => {
+                            let (p, c) = rt.answer_in(&q, d, &mut scratch).unwrap();
+                            assert_eq!(c, cost, "reduced cost of {q}");
+                            assert_eq!(bits(&p), bits(&plain), "reduced {q}");
+                        }
+                    }
+                    shortcut_hits += usize::from(cost.shortcuts_used > 0);
+                    let want = joint::marginal(&bn, &q).unwrap();
+                    assert!(plain.max_abs_diff(&want).unwrap() < 1e-9, "answer of {q}");
+                }
+            }
+        }
+        assert!(in_clique > 0 && shortcut_hits > 0, "test premise");
     }
 
     /// Empty materialization behaves exactly like the plain engine.

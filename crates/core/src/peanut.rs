@@ -195,8 +195,8 @@ impl Peanut {
 
 /// BUDP packs against DP-estimated (additive, grid-rounded) costs; the true
 /// `μ(S)` of merged-branch shortcuts can differ. Enforce the budget on true
-/// sizes by keeping shortcuts in decreasing benefit/size order (documented
-/// deviation in `DESIGN.md` §5: the paper does not address the estimate/true
+/// sizes by keeping shortcuts in decreasing benefit/size order (a deviation,
+/// listed in `ARCHITECTURE.md`: the paper does not address the estimate/true
 /// gap; dropping lowest-ratio items is the conservative repair).
 fn repair_to_budget(mut packing: Vec<ShortcutSolution>, budget: Size) -> Vec<ShortcutSolution> {
     packing.sort_by(|a, b| {

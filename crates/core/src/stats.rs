@@ -11,9 +11,12 @@
 //! [`Workload`] over the *served* distribution to retrain against when the
 //! observed benefit decays (the λ-drift of §5.3, Figures 8–9).
 //!
-//! All counters are lock-free except the per-scope histogram, which takes a
-//! short mutex per recorded query; the accumulator is shared across serving
-//! workers behind an `Arc`.
+//! Observation has one site: the serve pipeline records each answered
+//! unique request once per batch, with its arrival multiplicity
+//! ([`WorkloadStats::record_n`]), after the workers' wave has drained. All
+//! counters are lock-free except the per-scope histograms, which take a
+//! short mutex per record; the accumulator is shared across concurrent
+//! batches and sessions behind an `Arc`.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
@@ -89,22 +92,30 @@ impl StatsSnapshot {
     }
 }
 
+impl std::ops::AddAssign for StatsSnapshot {
+    /// Merges another window's counters into this one (saturating) — how a
+    /// ring of observation windows becomes one long-horizon snapshot.
+    fn add_assign(&mut self, other: StatsSnapshot) {
+        self.queries = self.queries.saturating_add(other.queries);
+        self.shortcut_queries = self.shortcut_queries.saturating_add(other.shortcut_queries);
+        self.shortcuts_used = self.shortcuts_used.saturating_add(other.shortcuts_used);
+        self.observed_ops = self.observed_ops.saturating_add(other.observed_ops);
+        self.baseline_ops = self.baseline_ops.saturating_add(other.baseline_ops);
+        self.evidence_queries = self.evidence_queries.saturating_add(other.evidence_queries);
+    }
+}
+
 impl WorkloadStats {
     /// A fresh, empty accumulator.
     pub fn new() -> Self {
         WorkloadStats::default()
     }
 
-    /// Records one answered query: its scope, the cost actually charged,
-    /// and the plain-junction-tree cost of the same query.
-    pub fn record(&self, scope: &Scope, cost: &QueryCost, baseline_ops: Size) {
-        self.record_n(scope, cost, baseline_ops, 1);
-    }
-
-    /// [`record`](Self::record) with an arrival multiplicity: `n` identical
-    /// arrivals that shared one computation (in-batch duplicates, answer
-    /// cache hits) weigh the observed distribution like `n` separate
-    /// arrivals would.
+    /// Records `n` arrivals of one answered query: its scope, the cost
+    /// actually charged, and the plain-junction-tree cost of the same
+    /// query. Identical arrivals that shared one computation (in-batch
+    /// duplicates, answer cache hits) weigh the observed distribution like
+    /// `n` separate arrivals would.
     pub fn record_n(&self, scope: &Scope, cost: &QueryCost, baseline_ops: Size, n: u64) {
         if n == 0 {
             return;
@@ -162,7 +173,7 @@ impl WorkloadStats {
     /// selection against. Deterministic: entries come out sorted by scope.
     pub fn observed_workload(&self) -> Workload {
         let scopes = self.scopes.lock();
-        Workload::from_weighted(scopes.iter().map(|(s, &c)| (s.clone(), c as f64)))
+        Workload::from_counts(scopes.iter().map(|(s, &c)| (s.clone(), c)))
     }
 
     /// The raw `(scope, arrivals)` histogram, sorted by scope.
@@ -201,14 +212,29 @@ mod tests {
         let stats = WorkloadStats::new();
         let a = Scope::from_indices(&[0, 1]);
         let b = Scope::from_indices(&[2]);
-        stats.record(&a, &cost(25, 1), 100);
-        stats.record(&b, &cost(50, 0), 50);
+        stats.record_n(&a, &cost(25, 1), 100, 1);
+        stats.record_n(&b, &cost(50, 0), 50, 1);
         let s = stats.snapshot();
         assert_eq!(s.queries, 2);
         assert_eq!(s.observed_ops, 75);
         assert_eq!(s.baseline_ops, 150);
         assert!((s.observed_savings() - 0.5).abs() < 1e-12);
         assert!((s.shortcut_hit_rate() - 0.5).abs() < 1e-12);
+        // merging two windows adds every counter
+        let mut two = s;
+        two += s;
+        assert_eq!(
+            two,
+            StatsSnapshot {
+                queries: 4,
+                shortcut_queries: 2,
+                shortcuts_used: 2,
+                observed_ops: 150,
+                baseline_ops: 300,
+                evidence_queries: 0,
+            }
+        );
+        assert_eq!(two.observed_savings(), s.observed_savings());
     }
 
     #[test]
@@ -217,7 +243,7 @@ mod tests {
         let a = Scope::from_indices(&[0]);
         let b = Scope::from_indices(&[1]);
         stats.record_n(&a, &cost(10, 0), 20, 3);
-        stats.record(&b, &cost(10, 0), 20);
+        stats.record_n(&b, &cost(10, 0), 20, 1);
         let w = stats.observed_workload();
         assert_eq!(w.len(), 2);
         let wa = w.entries().iter().find(|e| e.query == a).unwrap().weight;
@@ -262,7 +288,7 @@ mod tests {
                 s.spawn(move || {
                     let scope = Scope::from_indices(&[t]);
                     for _ in 0..100 {
-                        stats.record(&scope, &cost(7, 1), 10);
+                        stats.record_n(&scope, &cost(7, 1), 10, 1);
                     }
                 });
             }

@@ -23,20 +23,27 @@ impl Workload {
     /// Builds a workload from a raw query log; duplicate queries are merged
     /// and weights normalized to probabilities.
     pub fn from_queries<I: IntoIterator<Item = Scope>>(queries: I) -> Self {
-        let mut counts: HashMap<Scope, usize> = HashMap::new();
-        let mut total = 0usize;
-        for q in queries {
-            *counts.entry(q).or_insert(0) += 1;
-            total += 1;
+        Workload::from_counts(queries.into_iter().map(|q| (q, 1)))
+    }
+
+    /// Builds a workload from `(query, arrivals)` counts — an observed
+    /// histogram, or several of them chained: counts of the same query are
+    /// summed and the totals normalized to probabilities (Def. 3.3).
+    /// Deterministic: entries come out sorted by scope.
+    pub fn from_counts<I: IntoIterator<Item = (Scope, u64)>>(counts: I) -> Self {
+        let mut merged: HashMap<Scope, u64> = HashMap::new();
+        let mut total = 0u64;
+        for (q, c) in counts {
+            *merged.entry(q).or_insert(0) += c;
+            total += c;
         }
-        let mut entries: Vec<WorkloadEntry> = counts
+        let mut entries: Vec<WorkloadEntry> = merged
             .into_iter()
             .map(|(query, c)| WorkloadEntry {
                 query,
                 weight: c as f64 / total.max(1) as f64,
             })
             .collect();
-        // deterministic order
         entries.sort_by(|a, b| a.query.cmp(&b.query));
         Workload { entries }
     }
@@ -91,6 +98,15 @@ mod tests {
         let eb = w.entries().iter().find(|e| e.query == b).unwrap();
         assert!((ea.weight - 0.75).abs() < 1e-12);
         assert!((eb.weight - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn counts_of_the_same_query_are_summed() {
+        let (a, b) = (Scope::from_indices(&[0, 1]), Scope::from_indices(&[2]));
+        let w = Workload::from_counts([(b.clone(), 1), (a.clone(), 2), (a.clone(), 1)]);
+        let want = Workload::from_queries([a.clone(), b, a.clone(), a]);
+        assert_eq!(w.entries(), want.entries());
+        assert!(Workload::from_counts([]).is_empty());
     }
 
     #[test]

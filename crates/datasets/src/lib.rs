@@ -4,8 +4,9 @@
 //! Synthetic stand-ins for the paper's eight benchmark Bayesian networks.
 //!
 //! The original model files (bnlearn repository + the TPC-H network of
-//! Tzoumas et al.) are not available in this offline environment, so — per
-//! the substitution policy in `DESIGN.md` §4 — each dataset is generated by
+//! Tzoumas et al.) are not available in this offline environment, so — the
+//! first of the "Deviations from the paper" in `ARCHITECTURE.md` — each
+//! dataset is generated by
 //! the locality-window DAG generator of `peanut-pgm`, parameterized to match
 //! the paper's Table 1 (nodes, edges, max in-degree, ≈ parameter count) and
 //! tuned so the resulting junction trees land near Table 2 (cliques,

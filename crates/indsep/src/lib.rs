@@ -11,9 +11,10 @@
 //! tree structure and the block size. Query processing reuses the shared
 //! online engine of `peanut-core` (conflict graph + GWMIN over the — nested,
 //! hence overlapping — index shortcuts), so operation counts are strictly
-//! comparable with PEANUT/PEANUT+ (substitution documented in `DESIGN.md`:
-//! the original is a disk-based recursive processor; the comparison metric,
-//! message-passing operations saved by shortcut potentials, is preserved).
+//! comparable with PEANUT/PEANUT+. That is a substitution (listed under
+//! "Deviations from the paper" in `ARCHITECTURE.md`): the original is a
+//! disk-based recursive processor; the comparison metric, message-passing
+//! operations saved by shortcut potentials, is preserved.
 
 pub mod index;
 pub mod partition;

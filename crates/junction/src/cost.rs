@@ -78,6 +78,16 @@ pub struct QueryCost {
 }
 
 impl QueryCost {
+    /// Cost of an in-clique query: one marginalization of the clique table
+    /// of scope `clique` — no message, no shortcut.
+    pub fn in_clique(clique: &Scope, domain: &Domain) -> Self {
+        QueryCost {
+            ops: marginalization_ops(clique, domain),
+            messages: 0,
+            shortcuts_used: 0,
+        }
+    }
+
     /// Adds the cost of one processed node.
     pub fn add_node(&mut self, ops: Size) {
         self.ops = self.ops.saturating_add(ops);

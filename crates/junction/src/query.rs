@@ -2,7 +2,7 @@
 //! paper's evaluation (no extra materialization).
 
 use crate::calibrate::NumericState;
-use crate::cost::{marginalization_ops, QueryCost};
+use crate::cost::QueryCost;
 use crate::reduced::ReducedTree;
 use crate::rooted::RootedTree;
 use crate::steiner::SteinerTree;
@@ -115,11 +115,10 @@ impl<'t> QueryEngine<'t> {
     /// algorithm (no shortcut potentials).
     pub fn cost(&self, query: &Scope) -> Result<QueryCost, PgmError> {
         match self.plan(query)? {
-            QueryPlan::InClique(u) => Ok(QueryCost {
-                ops: marginalization_ops(self.tree.clique(u), self.tree.domain()),
-                messages: 0,
-                shortcuts_used: 0,
-            }),
+            QueryPlan::InClique(u) => Ok(QueryCost::in_clique(
+                self.tree.clique(u),
+                self.tree.domain(),
+            )),
             QueryPlan::OutOfClique(st) => {
                 let rt = ReducedTree::from_steiner(self.tree, &self.rooted, &st, None);
                 Ok(rt.cost(query, self.tree.domain()))
@@ -143,14 +142,8 @@ impl<'t> QueryEngine<'t> {
         match self.plan(query)? {
             QueryPlan::InClique(u) => {
                 let pot = ns.clique_table(u).marginalize_in(query, scratch)?;
-                Ok((
-                    pot,
-                    QueryCost {
-                        ops: marginalization_ops(self.tree.clique(u), self.tree.domain()),
-                        messages: 0,
-                        shortcuts_used: 0,
-                    },
-                ))
+                let cost = QueryCost::in_clique(self.tree.clique(u), self.tree.domain());
+                Ok((pot, cost))
             }
             QueryPlan::OutOfClique(st) => {
                 let rt = ReducedTree::from_steiner(self.tree, &self.rooted, &st, Some(ns));

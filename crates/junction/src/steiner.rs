@@ -10,7 +10,8 @@ use peanut_pgm::{PgmError, Scope, Var};
 ///
 /// Covering-clique choice: for each query variable we pick the containing
 /// clique closest to the pivot (ties broken by clique id) — a deterministic
-/// heuristic that favors small trees (documented in `DESIGN.md` §5.4).
+/// heuristic that favors small trees (listed under "Deviations from the
+/// paper" in `ARCHITECTURE.md`).
 #[derive(Clone, Debug)]
 pub struct SteinerTree {
     /// Member cliques, ascending id.

@@ -1,8 +1,9 @@
 //! Seeded random-network generation.
 //!
 //! The paper evaluates on eight published Bayesian networks whose model
-//! files are not available in this offline environment. Per the substitution
-//! policy in `DESIGN.md`, `peanut-datasets` instantiates the generator below
+//! files are not available in this offline environment. Instead (see
+//! "Deviations from the paper" in `ARCHITECTURE.md`), `peanut-datasets`
+//! instantiates the generator below
 //! with per-dataset parameters matched to the paper's Table 1 (node count,
 //! edge count, max in-degree, approximate parameter count).
 //!

@@ -51,6 +51,8 @@ pub(crate) fn add_assign(dst: &mut [f64], a: &[f64]) {
 /// `dst[i] = hugin(dst[i], den[i])` where `hugin(0, 0) = 0`. In-place:
 /// the divide kernel appends the numerator run (one memcpy) and divides in
 /// the slab, instead of zero-filling a buffer it would fully overwrite.
+/// That zero-fill is measured: the indexed-write form over a recycled
+/// buffer cost `direct_large` 13 % throughput (ROADMAP, "Closed").
 pub(crate) fn div_assign(dst: &mut [f64], den: &[f64]) {
     debug_assert_eq!(dst.len(), den.len());
     for (q, &d) in dst.iter_mut().zip(den) {

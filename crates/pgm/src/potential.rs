@@ -494,7 +494,10 @@ pub fn product_many_views(factors: &[TableRef<'_>], scratch: &mut Scratch) -> Re
     let total = checked_len(&cards)? as usize;
     // build by appending (the walks tile the output sequentially): unlike
     // `product_onto` into an arena span, a fresh buffer would have to be
-    // zero-filled before indexed writes, a pure extra pass
+    // zero-filled before indexed writes, a pure extra pass. Measured, not
+    // assumed: folding this twin into `product_onto` over a recycled
+    // buffer is bit-identical and cost `direct_large` 13 % throughput and
+    // 10 % p99 in 4/4 alternating pairs (ROADMAP, "Closed").
     let mut values = scratch.take_buf_empty(total);
     match factors {
         [] => values.resize(total, 1.0),

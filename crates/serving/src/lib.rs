@@ -17,7 +17,8 @@
 //! what a batch is served against (engine, epoch snapshot, answer cache or
 //! none), and the private `pipeline` module does the rest exactly once —
 //! a `BatchRun` per target (dedup, one cache-lock probe, cache admit,
-//! `BatchStats`, arrival top-up of the epoch's stats) and one `fan_out`
+//! `BatchStats`, the one record of the batch into the epoch's stats) and
+//! one `fan_out`
 //! (in-thread for a single task or worker, a serving-lane pool wave
 //! otherwise).
 //!
@@ -98,9 +99,6 @@ pub use overload::{AdmissionConfig, ServeOutcome, ShedReason};
 pub use peanut_core::ServeRequest;
 pub use peanut_store::StoreConfig;
 pub use pool::{Lane, PoolStats, WorkerPool};
-pub use replay::{
-    poisson_arrivals, replay, replay_mixed, workload_queries, ReplayClock, ReplayConfig,
-    ReplayReport, WorkloadMix,
-};
+pub use replay::{replay, replay_mixed, ReplayClock, ReplayConfig, ReplayReport};
 pub use session::EvidenceSession;
 pub use shard::{MixedBatchStats, PagingStats, ShardConfig, ShardedServingEngine, TenantId};

@@ -6,9 +6,9 @@
 //! from that distribution. A [`RematerializationController`] closes the
 //! loop at serving time:
 //!
-//! 1. it watches the current epoch's [`WorkloadStats`] (fed by the
-//!    serving workers' [`OnlineEngine`]s) across a small **ring of
-//!    observation windows**, comparing the *observed* benefit against the
+//! 1. it watches the current epoch's [`WorkloadStats`] (fed by the serve
+//!    pipeline, once per answered request and batch) across a small **ring
+//!    of observation windows**, comparing the *observed* benefit against the
 //!    epoch's *reference* benefit — the savings the selection promised on
 //!    the distribution it was trained on. A swap needs both horizons to
 //!    decay: the most recent window (short horizon) *and* the aggregate of
@@ -17,8 +17,10 @@
 //! 2. when the benefit decays past a configurable fraction of the
 //!    reference ([`LifecycleConfig::decay_threshold`]), it re-runs the
 //!    offline selection (PEANUT / PEANUT+) on the **observed** query
-//!    distribution accumulated over the ring — on the controller's thread,
-//!    while serving keeps draining batches;
+//!    distribution accumulated over the ring (the windows' scope counts
+//!    through [`Workload::from_counts`], the one way counts become a
+//!    workload) — on the controller's thread, while serving keeps
+//!    draining batches;
 //! 3. if the new artifact's expected benefit (recomputed with the cost
 //!    model on the observed distribution) beats what the stale epoch is
 //!    delivering, it [`publish`](ServingEngine::publish)es the new epoch.
@@ -33,14 +35,13 @@
 //! tenant's observed distribution and weighted by the tenant's share of
 //! fleet traffic. When a tenant's traffic spikes, its candidates' weighted
 //! benefit grows and the knapsack shifts budget toward it on the next
-//! rebalance.
+//! rebalance. Every rebalance re-runs the candidate DP of each tenant
+//! that saw traffic.
 //!
 //! Everything both controllers decide is a deterministic function of the
 //! recorded arrivals and their configuration, so a replay of the same
 //! drift schedule with the same seeds and the same `tick()` cadence
 //! produces the same swap points and the same selected shortcut sets.
-//!
-//! [`OnlineEngine`]: peanut_core::OnlineEngine
 
 use crate::engine::ServingEngine;
 use crate::shard::{ShardedServingEngine, TenantId};
@@ -54,7 +55,7 @@ use peanut_core::{
 use peanut_junction::cost::expected_ops;
 use peanut_junction::QueryEngine;
 use peanut_pgm::{PgmError, Scope, Size};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 /// Savings at or below this are "no benefit", for both controllers: an
@@ -165,17 +166,26 @@ pub fn expected_savings(
     mat: &Materialization,
     entries: &[(Scope, f64)],
 ) -> f64 {
-    let with = mean_query_ops(engine, mat, entries);
-    let base = baseline_query_ops(engine, entries);
-    if base > 0.0 {
-        1.0 - with / base
+    let plain = Materialization::default();
+    savings_of(
+        mean_query_ops(engine, mat, entries),
+        mean_query_ops(engine, &plain, entries),
+    )
+}
+
+/// The fraction of `base_ops` (mean operation count on the plain tree)
+/// that answering at `with_ops` saves; zero when there is no baseline.
+fn savings_of(with_ops: f64, base_ops: f64) -> f64 {
+    if base_ops > 0.0 {
+        1.0 - with_ops / base_ops
     } else {
         0.0
     }
 }
 
 /// Probability-weighted mean operation count of `entries` answered through
-/// `mat` (symbolic cost model).
+/// `mat` (symbolic cost model); through the empty materialization this is
+/// the plain junction tree's.
 fn mean_query_ops(
     engine: &QueryEngine<'_>,
     mat: &Materialization,
@@ -183,14 +193,6 @@ fn mean_query_ops(
 ) -> f64 {
     let online = OnlineEngine::new(engine, mat);
     expected_ops(entries, |q| online.cost(q).ok().map(|c| c.ops))
-}
-
-/// Probability-weighted mean operation count of `entries` on the plain
-/// (shortcut-free) junction tree.
-fn baseline_query_ops(engine: &QueryEngine<'_>, entries: &[(Scope, f64)]) -> f64 {
-    let none = Materialization::default();
-    let online = OnlineEngine::new(engine, &none);
-    expected_ops(entries, |q| online.baseline_cost(q).ok().map(|c| c.ops))
 }
 
 fn workload_entries(w: &Workload) -> Vec<(Scope, f64)> {
@@ -292,27 +294,16 @@ impl<'s, 't> RematerializationController<'s, 't> {
     fn ring_snapshot(&self) -> StatsSnapshot {
         let mut agg = StatsSnapshot::default();
         for w in &self.ring {
-            let s = w.snapshot();
-            agg.queries += s.queries;
-            agg.shortcut_queries += s.shortcut_queries;
-            agg.shortcuts_used += s.shortcuts_used;
-            agg.observed_ops = agg.observed_ops.saturating_add(s.observed_ops);
-            agg.baseline_ops = agg.baseline_ops.saturating_add(s.baseline_ops);
+            agg += w.snapshot();
         }
         agg
     }
 
     /// The observed workload accumulated over the whole ring: per-scope
     /// arrival counts of every closed window, merged — the distribution a
-    /// re-selection trains on. Deterministic (sorted by scope).
+    /// re-selection trains on.
     fn ring_workload(&self) -> Workload {
-        let mut counts: HashMap<Scope, u64> = HashMap::new();
-        for w in &self.ring {
-            for (scope, n) in w.scope_counts() {
-                *counts.entry(scope).or_insert(0) += n;
-            }
-        }
-        Workload::from_weighted(counts.into_iter().map(|(s, c)| (s, c as f64)))
+        Workload::from_counts(self.ring.iter().flat_map(|w| w.scope_counts()))
     }
 
     /// One decision round: when the current observation window has filled,
@@ -403,19 +394,19 @@ impl<'s, 't> RematerializationController<'s, 't> {
             self.backoff = self.declined.min(16);
             return Ok(None);
         }
+        let (shortcuts, total_size) = (mat.len(), mat.total_size());
+        let epoch = self.serving.publish(mat);
         let event = SwapEvent {
-            epoch: 0, // stamped below
+            epoch,
             at_arrivals: long_snap.queries,
             observed_savings: long,
             reference_savings: self.reference_savings,
             new_reference_savings: new_reference,
             distinct_scopes: observed_workload.len(),
-            shortcuts: mat.len(),
-            total_size: mat.total_size(),
+            shortcuts,
+            total_size,
             selection,
         };
-        let epoch = self.serving.publish(mat);
-        let event = SwapEvent { epoch, ..event };
         self.reference_savings = new_reference;
         self.declined = 0;
         self.backoff = 0;
@@ -458,12 +449,6 @@ pub struct FleetConfig {
     pub epsilon: f64,
     /// PEANUT (disjoint) or PEANUT+ (overlapping) candidate selection.
     pub variant: Variant,
-    /// Cache each tenant's full-budget candidate shortcut set between
-    /// rebalances, keyed on the fingerprint of its observed distribution
-    /// (on by default). A tenant whose window replays the same query mix
-    /// — at any traffic volume — skips its offline DP entirely; only
-    /// tenants whose distribution actually moved recompute.
-    pub cache_candidates: bool,
 }
 
 impl FleetConfig {
@@ -475,19 +460,12 @@ impl FleetConfig {
             budget,
             epsilon: 1.2,
             variant: Variant::PeanutPlus,
-            cache_candidates: true,
         }
     }
 
     /// Sets the fleet-wide observation-window size (chainable).
     pub fn with_min_window(mut self, min_window: u64) -> Self {
         self.min_window = min_window;
-        self
-    }
-
-    /// Enables or disables the per-tenant candidate cache (chainable).
-    pub fn with_cache_candidates(mut self, cache_candidates: bool) -> Self {
-        self.cache_candidates = cache_candidates;
         self
     }
 }
@@ -536,45 +514,18 @@ pub struct FleetController<'s, 't> {
     last_shares: Option<Vec<(TenantId, f64)>>,
     /// Expected savings each tenant's current allocation promised.
     references: HashMap<TenantId, f64>,
-    /// Per-tenant full-budget candidate pools from earlier rebalances,
-    /// keyed on the observed-distribution fingerprint they were generated
-    /// for ([`FleetConfig::cache_candidates`]).
-    candidates_cache: HashMap<TenantId, CachedCandidates>,
-    /// Tenant re-selections skipped thanks to the candidate cache.
-    cache_hits: u64,
     rebalances: Vec<FleetRebalance>,
 }
 
-/// One tenant's cached candidate pool (see
-/// [`FleetConfig::cache_candidates`]).
-struct CachedCandidates {
-    fingerprint: Vec<(Scope, u64)>,
-    /// Shared with the rebalance that generated it — a cache hit must not
-    /// deep-clone every materialized table just to read the pool.
-    pool: Arc<Vec<peanut_core::MaterializedShortcut>>,
-    overlapping: bool,
-}
-
-/// Canonical fingerprint of an observed distribution: the sorted scope
-/// histogram with counts reduced by their GCD, so windows carrying the
-/// same query *mix* at different traffic volumes fingerprint identically
-/// (the DP's selection depends only on the distribution, never the
-/// volume).
-fn distribution_fingerprint(mut counts: Vec<(Scope, u64)>) -> Vec<(Scope, u64)> {
-    fn gcd(a: u64, b: u64) -> u64 {
-        if b == 0 {
-            a
-        } else {
-            gcd(b, a % b)
-        }
+/// L1 distance between two traffic-share vectors, joined by tenant id: a
+/// tenant on one side only (paging changes the resident set between
+/// ticks) moves by its whole share.
+fn share_l1(prev: &[(TenantId, f64)], now: &[(TenantId, f64)]) -> f64 {
+    let mut moved: BTreeMap<TenantId, f64> = prev.iter().copied().collect();
+    for &(id, share) in now {
+        *moved.entry(id).or_insert(0.0) -= share;
     }
-    let g = counts.iter().fold(0u64, |g, &(_, c)| gcd(g, c));
-    if g > 1 {
-        for c in &mut counts {
-            c.1 /= g;
-        }
-    }
-    counts
+    moved.values().map(|d| d.abs()).sum()
 }
 
 impl<'s, 't> FleetController<'s, 't> {
@@ -587,8 +538,6 @@ impl<'s, 't> FleetController<'s, 't> {
             cfg,
             last_shares: None,
             references: HashMap::new(),
-            candidates_cache: HashMap::new(),
-            cache_hits: 0,
             rebalances: Vec::new(),
         }
     }
@@ -596,12 +545,6 @@ impl<'s, 't> FleetController<'s, 't> {
     /// Every rebalance taken so far.
     pub fn rebalances(&self) -> &[FleetRebalance] {
         &self.rebalances
-    }
-
-    /// Tenant re-selections skipped because the tenant's observed
-    /// distribution fingerprint matched a cached candidate pool.
-    pub fn candidate_cache_hits(&self) -> u64 {
-        self.cache_hits
     }
 
     /// One fleet decision round. When the fleet-wide window has filled,
@@ -634,17 +577,10 @@ impl<'s, 't> FleetController<'s, 't> {
             .map(|(id, _, s)| (*id, s.queries as f64 / total as f64))
             .collect();
 
-        let share_shift = match &self.last_shares {
-            None => true,
-            Some(prev) => {
-                let l1: f64 = prev
-                    .iter()
-                    .zip(&shares)
-                    .map(|((_, a), (_, b))| (a - b).abs())
-                    .sum();
-                l1 >= SHARE_DRIFT
-            }
-        };
+        let share_shift = self
+            .last_shares
+            .as_ref()
+            .is_none_or(|prev| share_l1(prev, &shares) >= SHARE_DRIFT);
         let decayed = tenants.iter().any(|(id, _, s)| {
             let reference = self.references.get(id).copied().unwrap_or(0.0);
             s.queries > 0
@@ -670,7 +606,7 @@ impl<'s, 't> FleetController<'s, 't> {
             engine: Arc<ServingEngine<'tt>>,
             share: f64,
             entries: Vec<(Scope, f64)>,
-            pool: Arc<Vec<peanut_core::MaterializedShortcut>>,
+            pool: Vec<peanut_core::MaterializedShortcut>,
             overlapping: bool,
             selected: Vec<usize>,
             /// Mean per-query ops of the currently selected subset.
@@ -684,67 +620,32 @@ impl<'s, 't> FleetController<'s, 't> {
             if snap.queries == 0 {
                 continue;
             }
-            // one snapshot feeds both the training workload and the cache
-            // key: queries landing mid-tick must not key the cached pool to
-            // a newer distribution than the one it was generated from
-            let counts = eng.stats().scope_counts();
-            let observed =
-                Workload::from_weighted(counts.iter().map(|(s, c)| (s.clone(), *c as f64)));
+            let observed = eng.stats().observed_workload();
             if observed.is_empty() {
                 continue;
             }
-            // candidate generation is the expensive half of a rebalance
-            // (one full-budget offline DP per tenant); a tenant whose
-            // observed distribution is unchanged since its pool was last
-            // generated reuses it verbatim
-            let fingerprint = distribution_fingerprint(counts);
-            let cached = self.cfg.cache_candidates.then(|| {
-                self.candidates_cache
-                    .get(id)
-                    .filter(|c| c.fingerprint == fingerprint)
-            });
-            let (pool, overlapping) = match cached.flatten() {
-                Some(hit) => {
-                    self.cache_hits += 1;
-                    (Arc::clone(&hit.pool), hit.overlapping)
-                }
-                None => {
-                    let cand_mat = reselect(
-                        eng.engine(),
-                        &observed,
-                        self.cfg.budget,
-                        self.cfg.epsilon,
-                        self.cfg.variant,
-                        exec,
-                    )?;
-                    let overlapping = cand_mat.overlapping;
-                    let pool = Arc::new(cand_mat.shortcuts);
-                    if self.cfg.cache_candidates {
-                        self.candidates_cache.insert(
-                            *id,
-                            CachedCandidates {
-                                fingerprint,
-                                pool: Arc::clone(&pool),
-                                overlapping,
-                            },
-                        );
-                    }
-                    (pool, overlapping)
-                }
-            };
+            // candidate generation is the expensive half of a rebalance:
+            // one full-budget offline DP per tenant
+            let cand_mat = reselect(
+                eng.engine(),
+                &observed,
+                self.cfg.budget,
+                self.cfg.epsilon,
+                self.cfg.variant,
+                exec,
+            )?;
             let entries = workload_entries(&observed);
-            let base_ops = baseline_query_ops(eng.engine(), &entries);
-            let none = Materialization::default();
-            let current_ops = mean_query_ops(eng.engine(), &none, &entries);
+            let base_ops = mean_query_ops(eng.engine(), &Materialization::default(), &entries);
             candidates.push(Candidate {
                 tenant: *id,
                 engine: Arc::clone(eng),
                 share: *share,
                 entries,
-                pool,
-                overlapping,
+                pool: cand_mat.shortcuts,
+                overlapping: cand_mat.overlapping,
                 selected: Vec::new(),
-                current_ops,
+                // nothing selected yet: the tenant answers on the plain tree
+                current_ops: base_ops,
                 base_ops,
             });
         }
@@ -838,11 +739,7 @@ impl<'s, 't> FleetController<'s, 't> {
         // --- build, publish-if-changed, record ---
         let mut allocations = Vec::with_capacity(candidates.len());
         for c in &candidates {
-            let mut savings = if c.base_ops > 0.0 {
-                1.0 - c.current_ops / c.base_ops
-            } else {
-                0.0
-            };
+            let mut savings = savings_of(c.current_ops, c.base_ops);
             let mut shortcuts: Vec<peanut_core::MaterializedShortcut> =
                 c.selected.iter().map(|&i| c.pool[i].clone()).collect();
             if savings <= MIN_SAVINGS && !shortcuts.is_empty() {
@@ -929,25 +826,66 @@ mod tests {
             .collect()
     }
 
-    /// Drive a chain-network engine from a training regime into a fully
-    /// drifted one and check the controller swaps exactly once, improving
-    /// the served cost.
-    #[test]
-    fn controller_swaps_on_drift() {
-        let bn = fixtures::chain(20, 2, 13);
-        let tree = build_junction_tree(&bn).unwrap();
-        let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+    /// A calibrated chain of `n` binary variables. The tree is leaked for
+    /// `'static` (tests only): the engines borrow it.
+    fn chain_engine(n: usize, seed: u64) -> QueryEngine<'static> {
+        let bn = fixtures::chain(n, 2, seed);
+        let tree = Box::leak(Box::new(build_junction_tree(&bn).unwrap()));
+        QueryEngine::numeric(tree, &bn).unwrap()
+    }
 
-        // train on deep long-range pairs
-        let train: Vec<ServeRequest> = pair_queries(10, 20, 5);
+    /// The PEANUT+ selection (budget 512, ε = 1) trained on `train`, with
+    /// the training workload it was selected for.
+    fn train_on(engine: &QueryEngine<'_>, train: &[ServeRequest]) -> (Materialization, Workload) {
         let train_w = Workload::from_queries(train.iter().map(|q| q.stat_scope()));
-        let ctx = OfflineContext::new(&tree, &train_w).unwrap();
+        let ctx = OfflineContext::new(engine.tree(), &train_w).unwrap();
         let (mat, _) = Peanut::offline_numeric(
             &ctx,
             &PeanutConfig::plus(512).with_epsilon(1.0),
             engine.numeric_state().unwrap(),
         )
         .unwrap();
+        (mat, train_w)
+    }
+
+    /// A one-worker fleet of unmaterialized tenants `0..`, one per engine.
+    fn fleet_of(engines: Vec<QueryEngine<'static>>) -> ShardedServingEngine<'static> {
+        let mut sharded = ShardedServingEngine::new(ShardConfig::default().with_workers(1));
+        for (i, engine) in engines.into_iter().enumerate() {
+            sharded
+                .register(TenantId(i as u32), engine, Materialization::default())
+                .unwrap();
+        }
+        sharded
+    }
+
+    /// Two 18-variable chain tenants with different CPTs.
+    fn two_tenant_fleet() -> ShardedServingEngine<'static> {
+        fleet_of(vec![chain_engine(18, 13), chain_engine(18, 29)])
+    }
+
+    /// Serves `a` arrivals to tenant 0 and `b` to tenant 1 of a
+    /// [`two_tenant_fleet`], cycling the chains' long-range pairs.
+    fn serve_split(fleet: &ShardedServingEngine<'_>, a: usize, b: usize) {
+        let pool = pair_queries(0, 18, 7);
+        let arrivals = |t: u32, n: usize| {
+            let cycle = pool.iter().cycle().take(n);
+            cycle.map(move |q| (TenantId(t), q.clone()))
+        };
+        let batch: Vec<_> = arrivals(0, a).chain(arrivals(1, b)).collect();
+        let (answers, _) = fleet.serve_mixed(&batch);
+        assert!(answers.iter().all(ServeOutcome::is_served));
+    }
+
+    /// Drive a chain-network engine from a training regime into a fully
+    /// drifted one and check the controller swaps exactly once, improving
+    /// the served cost.
+    #[test]
+    fn controller_swaps_on_drift() {
+        let engine = chain_engine(20, 13);
+        // train on deep long-range pairs
+        let train: Vec<ServeRequest> = pair_queries(10, 20, 5);
+        let (mat, train_w) = train_on(&engine, &train);
         assert!(!mat.is_empty(), "test premise: training selects shortcuts");
 
         let serving = ServingEngine::new(engine, mat, ServingConfig::default().with_workers(1));
@@ -1003,11 +941,8 @@ mod tests {
     /// observed traffic — without waiting for the ring to fill.
     #[test]
     fn controller_bootstraps_cold_start() {
-        let bn = fixtures::chain(16, 2, 13);
-        let tree = build_junction_tree(&bn).unwrap();
-        let engine = QueryEngine::numeric(&tree, &bn).unwrap();
         let serving = ServingEngine::new(
-            engine,
+            chain_engine(16, 13),
             Materialization::default(),
             ServingConfig::default().with_workers(1),
         );
@@ -1041,18 +976,9 @@ mod tests {
     /// decline backoff must keep closing windows without getting stuck.
     #[test]
     fn controller_declines_unhelpable_traffic() {
-        let bn = fixtures::chain(14, 2, 13);
-        let tree = build_junction_tree(&bn).unwrap();
-        let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+        let engine = chain_engine(14, 13);
         let train: Vec<ServeRequest> = pair_queries(0, 14, 5);
-        let train_w = Workload::from_queries(train.iter().map(|q| q.stat_scope()));
-        let ctx = OfflineContext::new(&tree, &train_w).unwrap();
-        let (mat, _) = Peanut::offline_numeric(
-            &ctx,
-            &PeanutConfig::plus(512).with_epsilon(1.0),
-            engine.numeric_state().unwrap(),
-        )
-        .unwrap();
+        let (mat, train_w) = train_on(&engine, &train);
         let serving = ServingEngine::new(engine, mat, ServingConfig::default());
         let mut ctl = RematerializationController::new(
             &serving,
@@ -1083,18 +1009,9 @@ mod tests {
     /// trigger a swap, even with an aggressive threshold.
     #[test]
     fn controller_holds_without_drift() {
-        let bn = fixtures::chain(14, 2, 13);
-        let tree = build_junction_tree(&bn).unwrap();
-        let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+        let engine = chain_engine(14, 13);
         let train: Vec<ServeRequest> = pair_queries(0, 14, 5);
-        let train_w = Workload::from_queries(train.iter().map(|q| q.stat_scope()));
-        let ctx = OfflineContext::new(&tree, &train_w).unwrap();
-        let (mat, _) = Peanut::offline_numeric(
-            &ctx,
-            &PeanutConfig::plus(512).with_epsilon(1.0),
-            engine.numeric_state().unwrap(),
-        )
-        .unwrap();
+        let (mat, train_w) = train_on(&engine, &train);
         let serving = ServingEngine::new(engine, mat, ServingConfig::default());
         let mut ctl = RematerializationController::new(
             &serving,
@@ -1116,18 +1033,9 @@ mod tests {
     /// while the same blip sustained across the ring does.
     #[test]
     fn one_window_blip_does_not_swap() {
-        let bn = fixtures::chain(20, 2, 13);
-        let tree = build_junction_tree(&bn).unwrap();
-        let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+        let engine = chain_engine(20, 13);
         let train: Vec<ServeRequest> = pair_queries(10, 20, 5);
-        let train_w = Workload::from_queries(train.iter().map(|q| q.stat_scope()));
-        let ctx = OfflineContext::new(&tree, &train_w).unwrap();
-        let (mat, _) = Peanut::offline_numeric(
-            &ctx,
-            &PeanutConfig::plus(512).with_epsilon(1.0),
-            engine.numeric_state().unwrap(),
-        )
-        .unwrap();
+        let (mat, train_w) = train_on(&engine, &train);
         assert!(!mat.is_empty(), "test premise");
         let serving = ServingEngine::new(engine, mat, ServingConfig::default().with_workers(1));
         let mut ctl = RematerializationController::new(
@@ -1184,48 +1092,15 @@ mod tests {
     /// the next rebalance (and the total stays within the global budget).
     #[test]
     fn fleet_budget_follows_traffic_spike() {
-        let bn_a = fixtures::chain(18, 2, 13);
-        let bn_b = fixtures::chain(18, 2, 29);
-        let tree_a = build_junction_tree(&bn_a).unwrap();
-        let tree_b = build_junction_tree(&bn_b).unwrap();
-        let mut sharded = ShardedServingEngine::new(ShardConfig::default().with_workers(1));
-        sharded
-            .register(
-                TenantId(0),
-                QueryEngine::numeric(&tree_a, &bn_a).unwrap(),
-                Materialization::default(),
-            )
-            .unwrap();
-        sharded
-            .register(
-                TenantId(1),
-                QueryEngine::numeric(&tree_b, &bn_b).unwrap(),
-                Materialization::default(),
-            )
-            .unwrap();
-
+        let sharded = two_tenant_fleet();
         let global_budget = 192;
         let mut ctl = FleetController::new(
             &sharded,
             FleetConfig::new(global_budget).with_min_window(64),
         );
 
-        let pool_a = pair_queries(0, 18, 7);
-        let pool_b = pair_queries(0, 18, 7);
-        let serve_mix = |a_arrivals: usize, b_arrivals: usize| {
-            let mut batch: Vec<(TenantId, ServeRequest)> = Vec::new();
-            for i in 0..a_arrivals {
-                batch.push((TenantId(0), pool_a[i % pool_a.len()].clone()));
-            }
-            for i in 0..b_arrivals {
-                batch.push((TenantId(1), pool_b[i % pool_b.len()].clone()));
-            }
-            let (answers, _) = sharded.serve_mixed(&batch);
-            assert!(answers.iter().all(ServeOutcome::is_served));
-        };
-
         // phase 1: tenant 0 dominates (75% of traffic)
-        serve_mix(60, 20);
+        serve_split(&sharded, 60, 20);
         let r1 = ctl
             .tick()
             .unwrap()
@@ -1242,7 +1117,7 @@ mod tests {
         let t1_before = alloc(&r1, 1);
 
         // phase 2: tenant 1 spikes to 75% — its share more than doubles
-        serve_mix(20, 60);
+        serve_split(&sharded, 20, 60);
         let r2 = ctl.tick().unwrap().expect("share shift rebalances").clone();
         assert!(r2.total_size <= global_budget);
         let t1_after = alloc(&r2, 1);
@@ -1263,41 +1138,12 @@ mod tests {
     /// budget, so the fleet-wide materialized size never exceeds it.
     #[test]
     fn fleet_reserves_idle_tenants_allocation() {
-        let bn_a = fixtures::chain(18, 2, 13);
-        let bn_b = fixtures::chain(18, 2, 29);
-        let tree_a = build_junction_tree(&bn_a).unwrap();
-        let tree_b = build_junction_tree(&bn_b).unwrap();
-        let mut sharded = ShardedServingEngine::new(ShardConfig::default().with_workers(1));
-        sharded
-            .register(
-                TenantId(0),
-                QueryEngine::numeric(&tree_a, &bn_a).unwrap(),
-                Materialization::default(),
-            )
-            .unwrap();
-        sharded
-            .register(
-                TenantId(1),
-                QueryEngine::numeric(&tree_b, &bn_b).unwrap(),
-                Materialization::default(),
-            )
-            .unwrap();
+        let sharded = two_tenant_fleet();
         let global_budget = 48;
         let mut ctl = FleetController::new(
             &sharded,
             FleetConfig::new(global_budget).with_min_window(32),
         );
-        let pool = pair_queries(0, 18, 7);
-        let serve = |a: usize, b: usize| {
-            let mut batch: Vec<(TenantId, ServeRequest)> = Vec::new();
-            for i in 0..a {
-                batch.push((TenantId(0), pool[i % pool.len()].clone()));
-            }
-            for i in 0..b {
-                batch.push((TenantId(1), pool[i % pool.len()].clone()));
-            }
-            sharded.serve_mixed(&batch);
-        };
         let fleet_size = |sharded: &ShardedServingEngine<'_>| -> u64 {
             sharded
                 .tenants()
@@ -1307,7 +1153,7 @@ mod tests {
         };
 
         // window 1: both tenants active, both allocated
-        serve(40, 40);
+        serve_split(&sharded, 40, 40);
         ctl.tick().unwrap().expect("first window rebalances");
         let idle_alloc = sharded
             .tenant(TenantId(1))
@@ -1319,7 +1165,7 @@ mod tests {
 
         // window 2: tenant 1 goes fully idle; the share shift rebalances
         // tenant 0 only — tenant 1's standing allocation is reserved
-        serve(80, 0);
+        serve_split(&sharded, 80, 0);
         let r2 = ctl.tick().unwrap().expect("share shift rebalances").clone();
         assert!(
             r2.allocations.iter().all(|a| a.tenant == TenantId(0)),
@@ -1343,87 +1189,6 @@ mod tests {
         );
     }
 
-    /// The candidate cache is a pure optimization: a fleet driven through
-    /// identical traffic must produce byte-identical rebalances with and
-    /// without it — and the cached run must actually skip re-selections.
-    #[test]
-    fn fleet_candidate_cache_preserves_rebalance_output() {
-        let bn_a = fixtures::chain(18, 2, 13);
-        let bn_b = fixtures::chain(18, 2, 29);
-        let tree_a = build_junction_tree(&bn_a).unwrap();
-        let tree_b = build_junction_tree(&bn_b).unwrap();
-        let build_fleet = || {
-            let mut sharded = ShardedServingEngine::new(ShardConfig::default().with_workers(1));
-            sharded
-                .register(
-                    TenantId(0),
-                    QueryEngine::numeric(&tree_a, &bn_a).unwrap(),
-                    Materialization::default(),
-                )
-                .unwrap();
-            sharded
-                .register(
-                    TenantId(1),
-                    QueryEngine::numeric(&tree_b, &bn_b).unwrap(),
-                    Materialization::default(),
-                )
-                .unwrap();
-            sharded
-        };
-        let cached_fleet = build_fleet();
-        let plain_fleet = build_fleet();
-        let cfg = |cache: bool| {
-            FleetConfig::new(192)
-                .with_min_window(32)
-                .with_cache_candidates(cache)
-        };
-        let mut cached_ctl = FleetController::new(&cached_fleet, cfg(true));
-        let mut plain_ctl = FleetController::new(&plain_fleet, cfg(false));
-
-        // each phase serves whole multiples of the pool, so every window
-        // observes the *same per-tenant distribution* at shifted volumes:
-        // the share shift forces a rebalance, the distribution fingerprint
-        // stays put, and the cached controller must skip both re-selections
-        let pool = pair_queries(0, 18, 7);
-        let serve = |fleet: &ShardedServingEngine<'_>, a_rounds: usize, b_rounds: usize| {
-            let mut batch: Vec<(TenantId, ServeRequest)> = Vec::new();
-            for _ in 0..a_rounds {
-                batch.extend(pool.iter().map(|q| (TenantId(0), q.clone())));
-            }
-            for _ in 0..b_rounds {
-                batch.extend(pool.iter().map(|q| (TenantId(1), q.clone())));
-            }
-            let (answers, _) = fleet.serve_mixed(&batch);
-            assert!(answers.iter().all(ServeOutcome::is_served));
-        };
-        for (a_rounds, b_rounds) in [(4, 2), (2, 4)] {
-            serve(&cached_fleet, a_rounds, b_rounds);
-            serve(&plain_fleet, a_rounds, b_rounds);
-            let with = cached_ctl.tick().unwrap().expect("rebalance").clone();
-            let without = plain_ctl.tick().unwrap().expect("rebalance").clone();
-            assert_eq!(with.at_arrivals, without.at_arrivals);
-            assert_eq!(with.total_size, without.total_size);
-            assert_eq!(with.allocations.len(), without.allocations.len());
-            for (a, b) in with.allocations.iter().zip(&without.allocations) {
-                assert_eq!(a.tenant, b.tenant);
-                assert_eq!(a.share, b.share);
-                assert_eq!(a.shortcuts, b.shortcuts, "same selected sets");
-                assert_eq!(a.budget_used, b.budget_used);
-                assert_eq!(a.expected_savings, b.expected_savings);
-                assert_eq!(a.published, b.published);
-            }
-        }
-        // the second rebalance re-used both tenants' cached pools…
-        assert_eq!(cached_ctl.candidate_cache_hits(), 2);
-        assert_eq!(plain_ctl.candidate_cache_hits(), 0);
-        // …and the served artifacts are identical shortcut-for-shortcut
-        for t in 0..2u32 {
-            let a = cached_fleet.tenant(TenantId(t)).unwrap().materialization();
-            let b = plain_fleet.tenant(TenantId(t)).unwrap().materialization();
-            assert_eq!(fingerprint(&a), fingerprint(&b));
-        }
-    }
-
     /// Evidence-aware selection: identical logical traffic recorded
     /// through the per-query conditional path (joint `targets ∪ evidence`
     /// scopes) versus through an evidence session (scopes restricted to
@@ -1432,11 +1197,8 @@ mod tests {
     /// offline DP picks a different shortcut set.
     #[test]
     fn evidence_sessions_change_reselection() {
-        let bn = fixtures::chain(20, 2, 13);
-        let tree = build_junction_tree(&bn).unwrap();
-        let engine = QueryEngine::numeric(&tree, &bn).unwrap();
         let serving = ServingEngine::new(
-            engine,
+            chain_engine(20, 13),
             Materialization::default(),
             ServingConfig::default().with_workers(1),
         );
@@ -1458,8 +1220,7 @@ mod tests {
         }
         assert!(serving.stats().snapshot().evidence_fraction() > 0.0);
         let joint_counts = serving.stats().scope_counts();
-        let joint_w =
-            Workload::from_weighted(joint_counts.iter().map(|(s, c)| (s.clone(), *c as f64)));
+        let joint_w = serving.stats().observed_workload();
         serving.reset_stats();
 
         // (b) session path: the evidence is pinned once and the recorded
@@ -1472,11 +1233,7 @@ mod tests {
         drop(session);
         assert!(serving.stats().snapshot().evidence_fraction() > 0.0);
         let restricted_counts = serving.stats().scope_counts();
-        let restricted_w = Workload::from_weighted(
-            restricted_counts
-                .iter()
-                .map(|(s, c)| (s.clone(), *c as f64)),
-        );
+        let restricted_w = serving.stats().observed_workload();
 
         assert_ne!(
             joint_counts, restricted_counts,
@@ -1518,16 +1275,7 @@ mod tests {
     /// A steady fleet (shares stable, no decay) must not rebalance again.
     #[test]
     fn fleet_holds_when_stable() {
-        let bn = fixtures::chain(16, 2, 13);
-        let tree = build_junction_tree(&bn).unwrap();
-        let mut sharded = ShardedServingEngine::new(ShardConfig::default().with_workers(1));
-        sharded
-            .register(
-                TenantId(0),
-                QueryEngine::numeric(&tree, &bn).unwrap(),
-                Materialization::default(),
-            )
-            .unwrap();
+        let sharded = fleet_of(vec![chain_engine(16, 13)]);
         let mut ctl = FleetController::new(&sharded, FleetConfig::new(512).with_min_window(32));
         let pool = pair_queries(0, 16, 6);
         let batch: Vec<(TenantId, ServeRequest)> =
@@ -1547,5 +1295,33 @@ mod tests {
             "stable traffic must not republish"
         );
         assert_eq!(ctl.rebalances().len(), 1);
+    }
+
+    /// The share shift joins the two windows by tenant id: paging changes
+    /// the resident set between ticks, and a positional comparison would
+    /// read a swapped-in tenant as no movement at all.
+    #[test]
+    fn share_shift_joins_tenants_by_id() {
+        let t = |id: u32, share: f64| (TenantId(id), share);
+        // equal sets: the positional L1
+        let l1 = share_l1(&[t(0, 0.75), t(1, 0.25)], &[t(0, 0.25), t(1, 0.75)]);
+        assert_eq!(l1, 1.0);
+        assert_eq!(
+            share_l1(&[t(0, 0.5), t(1, 0.5)], &[t(0, 0.5), t(1, 0.5)]),
+            0.0
+        );
+        // tenant 0 paged out, tenant 2 paged in: half the traffic moved
+        // out and half moved in (positionally: 0)
+        assert_eq!(
+            share_l1(&[t(0, 0.5), t(1, 0.5)], &[t(1, 0.5), t(2, 0.5)]),
+            1.0
+        );
+        // a shrunken resident set: the leaver's share counts too
+        let l1 = share_l1(
+            &[t(0, 0.25), t(1, 0.25), t(2, 0.5)],
+            &[t(0, 0.5), t(1, 0.5)],
+        );
+        assert_eq!(l1, 1.0);
+        assert_eq!(share_l1(&[t(1, 1.0)], &[t(0, 0.5), t(1, 0.5)]), 1.0);
     }
 }

@@ -13,9 +13,11 @@
 //!    single task or a single worker, as one serving-lane wave of the
 //!    persistent [`WorkerPool`](crate::pool::WorkerPool) otherwise;
 //! 3. [`finish`](BatchRun::finish) admits the fresh answers to the cache,
-//!    totals the [`BatchStats`] and tops the epoch's [`WorkloadStats`] up
-//!    from computations to arrivals; [`outcome`](BatchRun::outcome) hands
-//!    every arrival a zero-copy handle on its (possibly shared) answer.
+//!    totals the [`BatchStats`] and — the one place an observation is
+//!    recorded — enters every answered unique request into the epoch's
+//!    [`WorkloadStats`] once, weighted by its arrivals;
+//!    [`outcome`](BatchRun::outcome) hands every arrival a zero-copy handle
+//!    on its (possibly shared) answer.
 //!
 //! [`ServingEngine::serve_batch`]: crate::engine::ServingEngine::serve_batch
 //! [`ShardedServingEngine::serve_mixed`]: crate::shard::ShardedServingEngine::serve_mixed
@@ -139,14 +141,11 @@ impl<'a, 't> BatchRun<'a, 't> {
     }
 
     /// Computes unique request `u` — the paper's online routine (Steiner
-    /// tree, shortcut substitution, reduce) through an [`OnlineEngine`]
-    /// that records the computation into the epoch's stats.
+    /// tree, shortcut substitution, reduce) through an [`OnlineEngine`].
+    /// Touches no shared state: workers of one wave never contend.
     pub(crate) fn compute(&self, u: usize, scratch: &mut Scratch) -> Computed {
         let t = Instant::now();
-        let Target {
-            engine, mat, stats, ..
-        } = &self.target;
-        let online = OnlineEngine::with_stats(engine, mat, stats);
+        let online = OnlineEngine::new(&self.target.engine, &self.target.mat);
         let req = self.uniques[u];
         let mut traced = if req.is_marginal() {
             online.answer_traced_in(&req.targets, scratch)?
@@ -168,8 +167,9 @@ impl<'a, 't> BatchRun<'a, 't> {
     }
 
     /// Takes the computed answers (one per [`work`](Self::work) entry, in
-    /// order), admits them to the cache, and settles the accounting.
-    /// Returns the run's stats; `wall` is the caller's to set.
+    /// order), admits them to the cache, and records the batch into the
+    /// epoch's stats. Returns the run's stats; `wall` is the caller's to
+    /// set.
     pub(crate) fn finish(&mut self, computed: impl Iterator<Item = Computed>) -> BatchStats {
         for (&u, r) in self.work.iter().zip(computed) {
             if let Ok(a) = &r {
@@ -195,25 +195,17 @@ impl<'a, 't> BatchRun<'a, 't> {
                 }
             }
         }
-        // fresh computations recorded themselves once via the worker's
-        // OnlineEngine; duplicates and cache hits top up here so the
-        // epoch's stats weigh arrivals, not computations
+        // every answered unique — computed or cached — is observed here,
+        // once, with its full multiplicity: the epoch's stats weigh
+        // arrivals, not computations, and a failed request is not observed
+        let stats = &self.target.stats;
         for (u, q) in self.uniques.iter().enumerate() {
             let Some(Ok(a)) = &self.results[u] else {
                 continue;
             };
-            let extra = self.uses[u] - u64::from(!self.from_cache[u]);
-            if extra > 0 {
-                self.target
-                    .stats
-                    .record_n(&q.stat_scope(), &a.cost, a.baseline_ops, extra);
-            }
-            // evidence contexts weigh arrivals too — the OnlineEngine
-            // records scopes but knows nothing about evidence
+            stats.record_n(&q.stat_scope(), &a.cost, a.baseline_ops, self.uses[u]);
             if !q.is_marginal() {
-                self.target
-                    .stats
-                    .record_evidence(&q.evidence_scope(), self.uses[u]);
+                stats.record_evidence(&q.evidence_scope(), self.uses[u]);
             }
         }
         self.bstats
@@ -270,4 +262,134 @@ pub(crate) fn fan_out<R: Send + Sync>(
         // model-check suite drives exactly that protocol.
         .map(|slot| slot.into_inner().expect("completed wave ran every task"))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::engine::{Served, ServingConfig, ServingEngine};
+    use peanut_core::{
+        Materialization, MaterializedShortcut, ServeRequest, Shortcut, StatsSnapshot,
+    };
+    use peanut_junction::{build_junction_tree, QueryEngine};
+    use peanut_pgm::{fixtures, Scope, Var};
+
+    /// A Figure-1 engine serving one hand-built shortcut (over the clique
+    /// `{e,g,h}`), so the exact counts below include shortcut hits.
+    fn figure1_serving() -> ServingEngine<'static> {
+        let bn = fixtures::figure1();
+        // leak the tree for 'static; tests only — the engine borrows it
+        let tree = Box::leak(Box::new(build_junction_tree(&bn).unwrap()));
+        let engine = QueryEngine::numeric(tree, &bn).unwrap();
+        let egh = Scope::from_indices(&[4, 6, 7]);
+        let egh = tree.cliques().iter().position(|c| *c == egh).unwrap();
+        let s = Shortcut::from_nodes(tree, engine.rooted(), vec![egh]).unwrap();
+        let (pot, _) = s
+            .materialize(tree, engine.rooted(), engine.numeric_state().unwrap())
+            .unwrap();
+        let mat = Materialization {
+            shortcuts: vec![MaterializedShortcut {
+                ratio: 1.0,
+                benefit: 1.0,
+                potential: Some(pot),
+                shortcut: s,
+            }],
+            overlapping: false,
+            epoch: 0,
+        };
+        ServingEngine::new(engine, mat, ServingConfig::default().with_workers(2))
+    }
+
+    /// One batch holding a fresh unique used 3×, a cached unique used 2×,
+    /// a conditional used 2× and a failing request: the epoch's stats hold
+    /// every *arrival* of every answered request exactly once, and nothing
+    /// of the failed one.
+    #[test]
+    fn a_batch_is_observed_once_per_arrival() {
+        let serving = figure1_serving();
+        let fresh = ServeRequest::marginal(Scope::from_indices(&[1, 5, 8])); // {b,f,i}
+        let cached = ServeRequest::marginal(Scope::from_indices(&[0, 9])); // {a,l}
+        let cond = ServeRequest::new(Scope::from_indices(&[3]), vec![(Var(8), 1)]); // d | i
+        let failing = ServeRequest::marginal(Scope::from_indices(&[99]));
+        serving.serve_batch(std::slice::from_ref(&cached));
+        serving.reset_stats(); // a fresh window; the answer cache stays warm
+
+        let batch = [
+            &fresh, &cached, &cond, &failing, &fresh, &cond, &cached, &fresh,
+        ]
+        .map(Clone::clone);
+        let (outcomes, bstats) = serving.serve_batch(&batch);
+        assert_eq!(
+            (bstats.queries, bstats.unique, bstats.cache_hits),
+            (8, 4, 1)
+        );
+        assert!(outcomes[3].failure().is_some());
+        let of = |i: usize| outcomes[i].served().expect("served");
+        let (f, c, k) = (of(0), of(1), of(2));
+        assert!(!f.from_cache && c.from_cache && !k.from_cache);
+        assert_eq!(f.cost.shortcuts_used, 1, "test premise: the shortcut fires");
+
+        let stats = serving.stats();
+        let uses = [(f, 3u64), (c, 2), (k, 2)];
+        let total = |v: fn(&Served) -> u64| uses.iter().map(|&(a, n)| n * v(a)).sum::<u64>();
+        assert_eq!(
+            stats.snapshot(),
+            StatsSnapshot {
+                queries: 7,
+                shortcut_queries: total(|a| u64::from(a.cost.shortcuts_used > 0)),
+                shortcuts_used: total(|a| a.cost.shortcuts_used as u64),
+                observed_ops: total(|a| a.cost.ops),
+                baseline_ops: total(|a| a.baseline_ops),
+                evidence_queries: 2,
+            }
+        );
+        assert_eq!(
+            stats.scope_counts(),
+            vec![
+                (cached.targets.clone(), 2),
+                (fresh.targets.clone(), 3),
+                (cond.stat_scope(), 2), // the joint {d, i} the conditional ran
+            ]
+        );
+        assert_eq!(
+            stats.evidence_scope_counts(),
+            vec![(Scope::from_indices(&[8]), 2)]
+        );
+    }
+
+    /// The same accounting through an evidence session (no dedup, no
+    /// cache): every served target is one arrival under its restricted
+    /// scope plus one evidence-context record; the failed one is neither.
+    #[test]
+    fn a_session_batch_is_observed_once_per_arrival() {
+        let serving = figure1_serving();
+        let session = serving.open_session(vec![(Var(8), 1)]).unwrap();
+        let (t1, t2) = (Scope::from_indices(&[1, 5]), Scope::from_indices(&[3]));
+        let bad = Scope::from_indices(&[99]);
+        let batch = [&t1, &t2, &bad, &t1, &t2, &t1].map(Clone::clone);
+        let (outcomes, bstats) = session.serve_batch(&batch);
+        assert_eq!(
+            (bstats.queries, bstats.unique, bstats.cache_hits),
+            (6, 6, 0)
+        );
+        assert!(outcomes[2].failure().is_some());
+        let (a1, a2) = (outcomes[0].served().unwrap(), outcomes[1].served().unwrap());
+
+        let stats = serving.stats();
+        assert_eq!(
+            stats.snapshot(),
+            StatsSnapshot {
+                queries: 5,
+                shortcut_queries: 0,
+                shortcuts_used: 0,
+                observed_ops: 3 * a1.cost.ops + 2 * a2.cost.ops,
+                baseline_ops: 3 * a1.baseline_ops + 2 * a2.baseline_ops,
+                evidence_queries: 5,
+            }
+        );
+        assert_eq!(stats.scope_counts(), vec![(t1, 3), (t2, 2)]);
+        assert_eq!(
+            stats.evidence_scope_counts(),
+            vec![(Scope::from_indices(&[8]), 5)]
+        );
+    }
 }

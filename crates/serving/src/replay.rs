@@ -16,7 +16,8 @@
 //!   the next only once the previous one completed. The engine can never
 //!   be overloaded; [`latency_p50`](ReplayReport::latency_p50) & co. are
 //!   pure service time.
-//! * **Open loop** (a timed schedule, for example [`poisson_arrivals`]):
+//! * **Open loop** (a timed schedule, for example
+//!   `peanut_workload::poisson_arrivals`):
 //!   arrivals come on their own clock. When offered load exceeds capacity
 //!   the backlog grows, sojourn times (queueing + service) explode, and
 //!   the overload controls — admission caps and deadline shedding — are
@@ -33,10 +34,6 @@ use crate::overload::{AdmissionConfig, ServeOutcome, ShedReason};
 use crate::pool::PoolStats;
 use crate::shard::{ShardedServingEngine, TenantId};
 use peanut_core::ServeRequest;
-use peanut_junction::{JunctionTree, RootedTree};
-use peanut_workload::{skewed_queries, uniform_queries, with_evidence, QuerySpec};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
@@ -165,25 +162,6 @@ impl ReplayReport {
         }
         self.total_ops as f64 / self.computed() as f64
     }
-}
-
-/// A Poisson arrival process: `n` absolute arrival offsets with
-/// exponential inter-arrival times at rate `qps`, deterministic in
-/// `seed`. The canonical open-loop schedule — offered load is `qps`
-/// regardless of how fast the engine drains.
-pub fn poisson_arrivals(n: usize, qps: f64, seed: u64) -> Vec<Duration> {
-    assert!(qps > 0.0, "arrival rate must be positive");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut t = 0.0f64;
-    (0..n)
-        .map(|_| {
-            // inverse-CDF exponential; gen_range(0.0..1.0) excludes 1.0,
-            // so the log argument stays positive
-            let u: f64 = rng.gen_range(0.0..1.0);
-            t += -(1.0 - u).ln() / qps;
-            Duration::from_secs_f64(t)
-        })
-        .collect()
 }
 
 /// Clock state for one drive.
@@ -404,9 +382,9 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
 
 /// Replays `queries` against `engine`: closed loop when `schedule` is
 /// `None`, otherwise on the timed arrival `schedule` (absolute offsets,
-/// sorted — see [`poisson_arrivals`]), applying the overload controls in
-/// `cfg.admission`. Returns one [`ServeOutcome`] per offered query plus
-/// the aggregate report.
+/// sorted — e.g. `peanut_workload::poisson_arrivals`), applying the
+/// overload controls in `cfg.admission`. Returns one [`ServeOutcome`] per
+/// offered query plus the aggregate report.
 pub fn replay(
     engine: &ServingEngine<'_>,
     queries: &[ServeRequest],
@@ -478,77 +456,14 @@ pub fn replay_mixed(
     (outcomes, report)
 }
 
-/// Shape of a sampled serving workload (see [`workload_queries`]).
-#[derive(Clone, Copy, Debug)]
-pub struct WorkloadMix {
-    /// Per-query variable-count spec.
-    pub spec: QuerySpec,
-    /// Fraction of the pool drawn from the paper's skewed sampler (the
-    /// rest is uniform).
-    pub skew_fraction: f64,
-    /// Fraction of pool queries turned into evidence-conditioned ones.
-    pub evidence_fraction: f64,
-    /// Number of distinct queries in the pool.
-    pub pool_size: usize,
-}
-
-impl Default for WorkloadMix {
-    fn default() -> Self {
-        WorkloadMix {
-            spec: QuerySpec::default(),
-            skew_fraction: 0.7,
-            evidence_fraction: 0.25,
-            pool_size: 64,
-        }
-    }
-}
-
-/// Samples a serving workload following the paper's workload model
-/// (Def. 3.3: a distribution over a *finite* query pool): draws up to
-/// `mix.pool_size` **distinct** requests (duplicate generator draws are
-/// removed) — a skewed/uniform blend with a fraction turned into
-/// evidence-conditioned requests — then samples `n` arrivals from the
-/// pool with replacement. Repeated arrivals are what batch coalescing and
-/// the answer cache exploit. Deterministic in `seed`.
-pub fn workload_queries(
-    tree: &JunctionTree,
-    rooted: &RootedTree,
-    n: usize,
-    mix: &WorkloadMix,
-    seed: u64,
-) -> Vec<ServeRequest> {
-    assert!(
-        (0.0..=1.0).contains(&mix.skew_fraction),
-        "fraction in [0, 1]"
-    );
-    let pool_size = mix.pool_size.clamp(1, n.max(1));
-    let n_skewed = (pool_size as f64 * mix.skew_fraction).round() as usize;
-    let mut scopes = skewed_queries(tree, rooted, n_skewed, mix.spec, seed);
-    scopes.extend(uniform_queries(
-        tree.domain(),
-        pool_size - n_skewed.min(pool_size),
-        mix.spec,
-        seed ^ 0x5eed,
-    ));
-    let mut seen = std::collections::HashSet::new();
-    let pool: Vec<ServeRequest> =
-        with_evidence(tree.domain(), &scopes, mix.evidence_fraction, seed ^ 0xe71d)
-            .into_iter()
-            .filter(|q| seen.insert(q.clone()))
-            .collect();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xa881);
-    (0..n)
-        .map(|_| pool[rng.gen_range(0..pool.len())].clone())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{ServingConfig, ServingEngine};
     use peanut_core::Materialization;
-    use peanut_junction::{build_junction_tree, QueryEngine};
+    use peanut_junction::{build_junction_tree, QueryEngine, RootedTree};
     use peanut_pgm::fixtures;
+    use peanut_workload::{workload_queries, WorkloadMix};
 
     #[test]
     fn replay_reports_consistent_counts() {
@@ -651,21 +566,6 @@ mod tests {
         let (_, warm) = replay_mixed(&sharded, &arrivals, None, &cfg);
         assert_eq!((warm.batches, warm.unique, warm.cache_hits), (3, 38, 38));
         assert_eq!(warm.total_ops, 0);
-    }
-
-    #[test]
-    fn workload_queries_deterministic() {
-        let bn = fixtures::chain(12, 2, 3);
-        let tree = build_junction_tree(&bn).unwrap();
-        let rooted = RootedTree::new(&tree);
-        let mix = WorkloadMix {
-            evidence_fraction: 0.4,
-            pool_size: 16,
-            ..WorkloadMix::default()
-        };
-        let a = workload_queries(&tree, &rooted, 50, &mix, 5);
-        let b = workload_queries(&tree, &rooted, 50, &mix, 5);
-        assert_eq!(a, b);
     }
 
     #[test]

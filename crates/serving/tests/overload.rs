@@ -9,10 +9,11 @@ use peanut_core::Materialization;
 use peanut_junction::{build_junction_tree, JunctionTree, QueryEngine, RootedTree};
 use peanut_pgm::{fixtures, BayesianNetwork};
 use peanut_serving::{
-    poisson_arrivals, replay, replay_mixed, workload_queries, AdmissionConfig, Lane, ReplayClock,
-    ReplayConfig, ServeOutcome, ServeRequest, ServingConfig, ServingEngine, ShardConfig,
-    ShardedServingEngine, ShedReason, TenantId, WorkerPool, WorkloadMix,
+    replay, replay_mixed, AdmissionConfig, Lane, ReplayClock, ReplayConfig, ServeOutcome,
+    ServeRequest, ServingConfig, ServingEngine, ShardConfig, ShardedServingEngine, ShedReason,
+    TenantId, WorkerPool,
 };
+use peanut_workload::{poisson_arrivals, workload_queries, WorkloadMix};
 use std::time::{Duration, Instant};
 
 fn fixture() -> (BayesianNetwork, JunctionTree) {

@@ -11,9 +11,9 @@
 //! cross-method comparison is apples-to-apples.
 //!
 //! The baseline ([`materialize`]) selects `n` marginal tables to cache,
-//! greedily maximizing expected workload savings. This is a documented
-//! simplification of \[4\]'s dynamic program (see `DESIGN.md` §4): the
-//! candidate space (query-covering marginals) and the cost model are the
+//! greedily maximizing expected workload savings. This is a
+//! simplification of \[4\]'s dynamic program (listed under "Deviations
+//! from the paper" in `ARCHITECTURE.md`): the candidate space (query-covering marginals) and the cost model are the
 //! same; only the selection rule is greedy.
 
 pub mod elimination;

@@ -4,8 +4,8 @@
 //! Candidates are the distinct query scopes of the workload (the marginals
 //! the ICDE'21 method caches are exactly the tables that let covered queries
 //! skip elimination). Selection is greedy by marginal expected savings,
-//! re-evaluated after each pick — a documented substitution for \[4\]'s DP
-//! (see `DESIGN.md` §4).
+//! re-evaluated after each pick — a substitution for \[4\]'s DP (listed
+//! under "Deviations from the paper" in `ARCHITECTURE.md`).
 
 use crate::elimination::{ve_answer, ve_cost};
 use peanut_pgm::{table_size, BayesianNetwork, PgmError, Potential, Scope, Size};

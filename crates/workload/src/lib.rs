@@ -13,9 +13,9 @@
 //! * **tenants** — multi-tenant fleet traffic: interleaved per-tenant
 //!   streams with Zipf-skewed arrival rates and independent per-tenant
 //!   drift schedules, the input of the sharded serving layer;
-//! * **sessions** — evidence-session traffic: streams of correlated queries
-//!   served under one pinned evidence assignment, with drift-schedulable
-//!   context mixtures, the input of the stateful evidence-session path.
+//! * **replay** — what a replay driver is fed: a finite request pool
+//!   (skewed / uniform blend, a fraction evidence-conditioned) sampled with
+//!   replacement, and Poisson arrival schedules for open-loop runs.
 //!
 //! Marginal queries are plain [`peanut_pgm::Scope`]s; evidence-conditioned
 //! traffic comes out as typed `peanut_core::ServeRequest`s. Consumers
@@ -24,11 +24,11 @@
 pub mod drift;
 pub mod evidence;
 pub mod gen;
-pub mod session;
+pub mod replay;
 pub mod tenants;
 
 pub use drift::{drifting_queries, mix, DriftSchedule, DriftStream};
 pub use evidence::with_evidence;
 pub use gen::{skewed_queries, uniform_queries, QuerySpec};
-pub use session::{evidence_contexts, session_queries, Session, SessionStream};
+pub use replay::{poisson_arrivals, workload_queries, WorkloadMix};
 pub use tenants::{tenant_queries, zipf_weights, TenantStream, TenantTraffic};

@@ -37,22 +37,6 @@ impl TenantTraffic {
             schedule: DriftSchedule::Constant(1.0),
         }
     }
-
-    /// A tenant whose traffic drifts from `primary` to `secondary` on its
-    /// own schedule.
-    pub fn drifting(
-        weight: f64,
-        primary: Vec<Scope>,
-        secondary: Vec<Scope>,
-        schedule: DriftSchedule,
-    ) -> Self {
-        TenantTraffic {
-            weight,
-            primary,
-            secondary,
-            schedule,
-        }
-    }
 }
 
 /// Zipf-like arrival weights for `n` tenants: tenant `i` gets weight
@@ -111,11 +95,6 @@ impl<'a> TenantStream<'a> {
             cumulative,
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// Arrivals drawn so far for tenant `i` (its drift position).
-    pub fn position(&self, i: usize) -> usize {
-        self.streams[i].position()
     }
 }
 
@@ -209,16 +188,16 @@ mod tests {
         // tenant 0 steps to its secondary pool after 50 of *its own*
         // arrivals, regardless of how many tenant-1 arrivals interleave
         let tenants = vec![
-            TenantTraffic::drifting(
-                1.0,
-                pool(0, 3),
-                pool(20, 23),
-                DriftSchedule::Step {
+            TenantTraffic {
+                weight: 1.0,
+                primary: pool(0, 3),
+                secondary: pool(20, 23),
+                schedule: DriftSchedule::Step {
                     before: 1.0,
                     after: 0.0,
                     at: 50,
                 },
-            ),
+            },
             TenantTraffic::steady(4.0, pool(10, 13)),
         ];
         let arrivals = tenant_queries(&tenants, 2000, 3);

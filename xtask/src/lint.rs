@@ -1,5 +1,6 @@
 //! The concurrency-hygiene lint pass: line-oriented source analysis that
-//! enforces the repo's unsafe/ordering/panic discipline. Five rules:
+//! enforces the repo's unsafe/ordering/panic discipline, and that the
+//! documents its comments cite exist. Six rules:
 //!
 //! * **R1 — unsafe allowlist.** The `unsafe` keyword may appear only in
 //!   the files listed in [`UNSAFE_ALLOWLIST`] (today: the worker pool's
@@ -30,6 +31,11 @@
 //!   `#![deny(unsafe_code)]` + `#![deny(unsafe_op_in_unsafe_fn)]` and
 //!   scopes its single `#[allow(unsafe_code)]` to the audited `pool`
 //!   module.
+//! * **R6 — cited documents exist.** A back-ticked `*.md` path in a `//!`
+//!   or `///` comment must name a file of the repository: by its path from
+//!   the root, or — a bare file name — by the name of any `.md` file in
+//!   it. A doc comment that defers to a document nobody wrote is worse
+//!   than no pointer.
 //!
 //! The analysis is deliberately lexical (comment-stripped line scans, no
 //! syn): it must keep working on any Rust the workspace grows, never
@@ -184,8 +190,35 @@ fn crate_root_kind(path: &str) -> Option<&'static str> {
     is_root.then_some("forbid")
 }
 
-/// Scan one file. Pure function over `(repo-relative path, content)`.
-pub fn scan(path: &str, content: &str) -> Vec<Violation> {
+/// The back-ticked `*.md` paths a doc-comment line cites (R6). Only a
+/// token made of path characters counts: `*.md` or `BENCH_<pr>.md` is a
+/// pattern, not a citation.
+fn cited_md_paths(line: &str) -> impl Iterator<Item = &str> {
+    let t = line.trim_start();
+    let doc = if t.starts_with("//!") || t.starts_with("///") {
+        t
+    } else {
+        ""
+    };
+    let is_path_char = |c: char| c.is_ascii_alphanumeric() || "_-./".contains(c);
+    // odd-numbered pieces of a split on back-ticks sit between a pair
+    doc.split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(move |tok| tok.ends_with(".md") && tok.chars().all(is_path_char))
+}
+
+/// Whether a cited path names one of the repository's `.md` files: by
+/// path from the root, or (no directory part) by file name.
+fn md_resolves(cited: &str, md_files: &[String]) -> bool {
+    md_files
+        .iter()
+        .any(|f| f == cited || (!cited.contains('/') && f.rsplit('/').next() == Some(cited)))
+}
+
+/// Scan one file. Pure function over `(repo-relative path, content)` and
+/// the repo-relative paths of the repository's `.md` files (for R6).
+pub fn scan(path: &str, content: &str, md_files: &[String]) -> Vec<Violation> {
     let mut out = Vec::new();
     if SKIP_FILES.contains(&path) {
         return out;
@@ -263,6 +296,20 @@ pub fn scan(path: &str, content: &str) -> Vec<Violation> {
             prev_site_covered = false;
         }
 
+        // R6: a doc comment may only cite documents that exist
+        for cited in cited_md_paths(raw) {
+            if !md_resolves(cited, md_files) {
+                out.push(Violation {
+                    file: path.to_string(),
+                    line: n,
+                    rule: "R6/dangling-doc-reference",
+                    msg: format!(
+                        "doc comment cites `{cited}`, which is not a file of this repository"
+                    ),
+                });
+            }
+        }
+
         // R4: no panicking constructs on serving hot paths
         if hot_path && !in_cfg_test {
             for pat in HOT_PANIC_PATTERNS {
@@ -312,9 +359,10 @@ pub fn scan(path: &str, content: &str) -> Vec<Violation> {
     out
 }
 
-/// Collect every `.rs` file under `root`, skipping build output and
-/// third-party vendor trees. Returned paths are repo-relative.
-fn collect_rs_files(root: &Path) -> Vec<PathBuf> {
+/// Collect every file with extension `ext` (`".rs"`, `".md"`) under `root`,
+/// skipping build output and third-party vendor trees. Returned paths are
+/// repo-relative.
+fn collect_files(root: &Path, ext: &str) -> Vec<PathBuf> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
@@ -336,7 +384,7 @@ fn collect_rs_files(root: &Path) -> Vec<PathBuf> {
                     continue;
                 }
                 stack.push(path);
-            } else if name.ends_with(".rs") {
+            } else if name.ends_with(ext) {
                 out.push(rel.to_path_buf());
             }
         }
@@ -353,36 +401,50 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Run the full pass; prints violations and returns the exit code.
-pub fn run() -> ExitCode {
-    let root = repo_root();
-    let files = collect_rs_files(&root);
+/// Repo-relative, `/`-separated form of a collected path.
+fn rel_str(rel: &Path) -> String {
+    rel.to_string_lossy().replace('\\', "/")
+}
+
+/// Every violation in the repository under `root`, and the number of
+/// `.rs` files scanned.
+fn scan_repo(root: &Path) -> Result<(Vec<Violation>, usize), String> {
+    let md_files: Vec<String> = collect_files(root, ".md")
+        .iter()
+        .map(|p| rel_str(p))
+        .collect();
+    let files = collect_files(root, ".rs");
     let mut violations = Vec::new();
     for rel in &files {
-        let path = rel.to_string_lossy().replace('\\', "/");
-        let content = match std::fs::read_to_string(root.join(rel)) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("error: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        violations.extend(scan(&path, &content));
+        let path = rel_str(rel);
+        let content = std::fs::read_to_string(root.join(rel))
+            .map_err(|e| format!("cannot read {path}: {e}"))?;
+        violations.extend(scan(&path, &content, &md_files));
     }
+    Ok((violations, files.len()))
+}
+
+/// Run the full pass; prints violations and returns the exit code.
+pub fn run() -> ExitCode {
+    let (violations, n_files) = match scan_repo(&repo_root()) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     for v in &violations {
         eprintln!("{v}");
     }
     if violations.is_empty() {
         println!(
-            "xtask lint: {} files clean (unsafe allowlist, SAFETY:, ordering:, hot-path panics, crate-root attributes)",
-            files.len()
+            "xtask lint: {n_files} files clean (unsafe allowlist, SAFETY:, ordering:, hot-path panics, crate-root attributes, cited documents)"
         );
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "xtask lint: {} violation(s) in {} files",
-            violations.len(),
-            files.len()
+            "xtask lint: {} violation(s) in {n_files} files",
+            violations.len()
         );
         ExitCode::FAILURE
     }
@@ -393,7 +455,14 @@ mod tests {
     use super::*;
 
     fn rules(path: &str, content: &str) -> Vec<&'static str> {
-        scan(path, content).into_iter().map(|v| v.rule).collect()
+        let md_files = [
+            "ARCHITECTURE.md".to_string(),
+            "benchmark/README.md".to_string(),
+        ];
+        scan(path, content, &md_files)
+            .into_iter()
+            .map(|v| v.rule)
+            .collect()
     }
 
     #[test]
@@ -587,16 +656,31 @@ mod tests {
     }
 
     #[test]
+    fn doc_comments_may_only_cite_documents_that_exist() {
+        let dangling = "/// heuristic documented in `DESIGN.md` §5.4\nfn f() {}\n";
+        assert_eq!(
+            rules("crates/junction/src/steiner.rs", dangling),
+            ["R6/dangling-doc-reference"]
+        );
+        // by path from the root, or a bare name by the name of any file
+        let valid = "//! see `ARCHITECTURE.md`, `benchmark/README.md` and `README.md`\n";
+        assert!(rules("crates/core/src/exec.rs", valid).is_empty());
+        // a path is not searched for below the root
+        let misplaced = "//! see `docs/README.md`\n";
+        assert_eq!(
+            rules("crates/core/src/exec.rs", misplaced),
+            ["R6/dangling-doc-reference"]
+        );
+        // patterns, plain comments and code are not citations
+        let not_cited = "/// every `*.md` file\n// see `DESIGN.md`\nlet s = \"`DESIGN.md`\";\n";
+        assert!(rules("crates/core/src/exec.rs", not_cited).is_empty());
+    }
+
+    #[test]
     fn the_repo_itself_is_clean() {
         // the real pass over the real tree: the lint gate must hold on
         // every commit, so its own test suite enforces it too
-        let root = repo_root();
-        let mut all = Vec::new();
-        for rel in collect_rs_files(&root) {
-            let path = rel.to_string_lossy().replace('\\', "/");
-            let content = std::fs::read_to_string(root.join(&rel)).expect("readable source");
-            all.extend(scan(&path, &content));
-        }
+        let (all, _) = scan_repo(&repo_root()).expect("readable source");
         let rendered: Vec<String> = all.iter().map(|v| v.to_string()).collect();
         assert!(
             all.is_empty(),
@@ -607,11 +691,8 @@ mod tests {
 
     #[test]
     fn walker_skips_third_party_vendor_but_not_interleave() {
-        let files = collect_rs_files(&repo_root());
-        let paths: Vec<String> = files
-            .iter()
-            .map(|p| p.to_string_lossy().replace('\\', "/"))
-            .collect();
+        let files = collect_files(&repo_root(), ".rs");
+        let paths: Vec<String> = files.iter().map(|p| rel_str(p)).collect();
         assert!(paths.iter().any(|p| p.starts_with("vendor/interleave/")));
         assert!(!paths.iter().any(|p| p.starts_with("vendor/rand/")
             || p.starts_with("vendor/proptest/")
