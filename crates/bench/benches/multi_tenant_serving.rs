@@ -1,8 +1,8 @@
-//! Multi-tenant sharded serving benchmark: N Bayesian networks behind one
-//! endpoint, Zipf-skewed per-tenant arrival rates, one shared worker pool.
+//! Multi-tenant sharded serving acceptance program: N Bayesian networks
+//! behind one endpoint, Zipf-skewed per-tenant arrival rates, one shared
+//! worker pool.
 //!
-//! Besides criterion timings, the bench prints and asserts the fleet
-//! acceptance numbers:
+//! It prints and asserts the fleet acceptance numbers:
 //!
 //! * serving a recurring mixed arrival stream through the
 //!   [`ShardedServingEngine`] beats `N` isolated per-tenant engines run
@@ -24,17 +24,15 @@
 //! `PEANUT_WORKERS=1,2,4` sweeps the shared pool, same flag as the other
 //! serving benches; `--quick` shrinks the run for CI.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use peanut_bench::harness::{is_quick, worker_sweep};
 use peanut_core::{Materialization, OfflineContext, Peanut, PeanutConfig, Workload};
 use peanut_junction::{build_junction_tree, JunctionTree, QueryEngine};
 use peanut_pgm::{fixtures, BayesianNetwork, Scope};
 use peanut_serving::{
-    replay_mixed, AdmissionConfig, FleetConfig, FleetController, FleetRebalance, ReplayConfig,
+    replay_mixed, AdmissionConfig, FleetController, FleetRebalance, LifecycleConfig, ReplayConfig,
     ServeRequest, ServingConfig, ServingEngine, ShardConfig, ShardedServingEngine, TenantId,
 };
 use peanut_workload::{poisson_arrivals, tenant_queries, zipf_weights, TenantTraffic};
-use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 const BATCH: usize = 128;
@@ -179,7 +177,7 @@ fn isolated_engines<'t>(setup: &'t Setup, workers: usize) -> Vec<ServingEngine<'
         .collect()
 }
 
-fn bench_multi_tenant_serving(c: &mut Criterion) {
+fn main() {
     let setup = setup();
     let workers = *worker_sweep().first().expect("non-empty sweep");
     let weights = zipf_weights(n_tenants(), 1.0);
@@ -319,10 +317,7 @@ fn bench_multi_tenant_serving(c: &mut Criterion) {
     let fleet = sharded_engine(&setup, workers, false);
     let mut ctl = FleetController::new(
         &fleet,
-        FleetConfig {
-            min_window: 512,
-            ..FleetConfig::new(GLOBAL_BUDGET)
-        },
+        LifecycleConfig::new(GLOBAL_BUDGET).with_min_window(512),
     );
     let spike_tenant = n_tenants() - 1; // the coldest tenant of the Zipf fleet
     let serve_phase = |weights: &[f64], seed: u64| {
@@ -381,19 +376,4 @@ fn bench_multi_tenant_serving(c: &mut Criterion) {
         "the fleet controller must shift budget toward the spiking tenant \
          ({budget_before} -> {budget_after} entries)"
     );
-
-    // --- criterion timings: steady mixed serving per worker count ---
-    let mut g = c.benchmark_group("multi_tenant_serving");
-    for workers in worker_sweep() {
-        let steady = sharded_engine(&setup, workers, true);
-        // warm the caches once: steady state is the recurring stream
-        replay_mixed(&steady, &stream, None, &closed_loop());
-        g.bench_function(format!("mixed_stream_steady_w{}", steady.workers()), |b| {
-            b.iter(|| black_box(replay_mixed(&steady, &stream, None, &closed_loop())))
-        });
-    }
-    g.finish();
 }
-
-criterion_group!(benches, bench_multi_tenant_serving);
-criterion_main!(benches);

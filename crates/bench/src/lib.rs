@@ -23,8 +23,10 @@
 //! | `ablation` | beyond the paper — workload-awareness, GWMIN and ε ablations |
 //! | `pivot_study` | beyond the paper (§6 future work) — sensitivity to the pivot |
 //!
-//! The criterion benches under `benches/` time the offline and online
-//! phases; the three serving benches additionally `assert!` the acceptance
-//! ratios whose ratio *is* the claim (README, "Acceptance ratios").
+//! The three `[[bench]]` targets under `benches/` (`query_serving`,
+//! `drift_serving`, `multi_tenant_serving`) are plain `fn main()`
+//! acceptance programs: each prints and `assert!`s the ratios whose ratio
+//! *is* the claim (README, "Acceptance ratios"). What a phase *costs* is
+//! timed by the repository benchmark (`benchmark/`), not here.
 
 pub mod harness;

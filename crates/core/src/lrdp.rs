@@ -715,7 +715,12 @@ mod tests {
         let mut val = HashMap::new();
         let mut cost = HashMap::new();
         for &u in &nodes {
-            let members = rooted.path_to_ancestor(rooted.parent(u).unwrap(), r_s);
+            let mut at = rooted.parent(u).unwrap();
+            let mut members = vec![at];
+            while at != r_s {
+                at = rooted.parent(at).unwrap();
+                members.push(at);
+            }
             let s = Shortcut::from_nodes(ctx.tree(), rooted, members).unwrap();
             val.insert(u, ctx.benefit(&s));
             cost.insert(u, s.size());

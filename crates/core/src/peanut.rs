@@ -105,7 +105,7 @@ impl Peanut {
         let grid = cfg.grid();
         let roots = lrdp_all_on(ctx, &grid, exec);
         let chosen: Vec<ShortcutSolution> = match cfg.variant {
-            Variant::PeanutPlus => greedy_pack(ctx, &roots, cfg.budget),
+            Variant::PeanutPlus => greedy_pack(&roots, cfg.budget),
             Variant::Peanut => {
                 let packing = budp(ctx, &grid, &roots).shortcuts;
                 repair_to_budget(packing, cfg.budget)

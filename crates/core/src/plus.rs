@@ -7,7 +7,6 @@
 //! greedily materializes — overlaps allowed — until the budget is filled.
 //! The online phase then resolves per-query conflicts with GWMIN.
 
-use crate::context::OfflineContext;
 use crate::lrdp::{RootTables, ShortcutSolution};
 use peanut_pgm::Size;
 
@@ -20,11 +19,7 @@ use peanut_pgm::Size;
 /// set). Unlike PEANUT, the **true** sizes are charged against the budget,
 /// so the actual materialized space is controlled exactly (this is why the
 /// paper compares PEANUT+ and INDSEP "at parity budget").
-pub fn greedy_pack(
-    _ctx: &OfflineContext,
-    roots: &[RootTables],
-    budget: Size,
-) -> Vec<ShortcutSolution> {
+pub fn greedy_pack(roots: &[RootTables], budget: Size) -> Vec<ShortcutSolution> {
     let mut pool: Vec<&ShortcutSolution> = roots
         .iter()
         .flat_map(|rt| rt.solutions.iter())
@@ -59,6 +54,7 @@ pub fn greedy_pack(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::OfflineContext;
     use crate::grid::BudgetGrid;
     use crate::lrdp::lrdp_all;
     use crate::workload::Workload;
@@ -88,7 +84,7 @@ mod tests {
         let grid = BudgetGrid::exact(64);
         let roots = lrdp_all(&ctx, &grid, 1);
         for budget in [0u64, 2, 4, 8, 16, 64] {
-            let chosen = greedy_pack(&ctx, &roots, budget);
+            let chosen = greedy_pack(&roots, budget);
             let total: u64 = chosen.iter().map(|s| s.shortcut.size()).sum();
             assert!(total <= budget, "total {total} > budget {budget}");
         }
@@ -103,7 +99,7 @@ mod tests {
         let roots = lrdp_all(&ctx, &grid, 1);
         let mut prev = 0.0;
         for budget in [2u64, 4, 8, 16, 32, 64] {
-            let chosen = greedy_pack(&ctx, &roots, budget);
+            let chosen = greedy_pack(&roots, budget);
             let total: f64 = chosen.iter().map(|s| s.true_benefit).sum();
             assert!(total >= prev - 1e-9);
             prev = total;
@@ -117,7 +113,7 @@ mod tests {
         let ctx = OfflineContext::new(&tree, &w).unwrap();
         let grid = BudgetGrid::exact(128);
         let roots = lrdp_all(&ctx, &grid, 1);
-        let chosen = greedy_pack(&ctx, &roots, 128);
+        let chosen = greedy_pack(&roots, 128);
         // no duplicates
         for (i, a) in chosen.iter().enumerate() {
             for b in &chosen[i + 1..] {

@@ -80,10 +80,10 @@ impl StatsSnapshot {
         self.shortcut_queries as f64 / self.queries as f64
     }
 
-    /// Fraction of recorded queries that carried pinned evidence — the
-    /// signal the lifecycle layer uses to decide whether re-selection
-    /// should price shortcuts under the restricted distributions actually
-    /// served rather than the prior.
+    /// Fraction of recorded queries that carried pinned evidence.
+    /// Telemetry only: re-selection trains on the recorded scope counts
+    /// ([`WorkloadStats::scope_counts`]) and reads neither this nor the
+    /// evidence-context histogram.
     pub fn evidence_fraction(&self) -> f64 {
         if self.queries == 0 {
             return 0.0;

@@ -72,15 +72,6 @@ impl BitSet {
         self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
 
-    /// Number of members of `self ∩ other`.
-    pub fn intersection_len(&self, other: &BitSet) -> usize {
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
     /// Iterates the members in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -130,7 +121,6 @@ mod tests {
         let c = BitSet::from_members(100, [7usize]);
         assert!(a.intersects(&b));
         assert!(!a.intersects(&c));
-        assert_eq!(a.intersection_len(&b), 1);
         assert!(BitSet::new(100).is_empty());
     }
 }

@@ -48,23 +48,6 @@ impl Workload {
         Workload { entries }
     }
 
-    /// Builds from explicit `(query, weight)` pairs (weights are
-    /// renormalized).
-    pub fn from_weighted<I: IntoIterator<Item = (Scope, f64)>>(pairs: I) -> Self {
-        let mut entries: Vec<WorkloadEntry> = pairs
-            .into_iter()
-            .map(|(query, weight)| WorkloadEntry { query, weight })
-            .collect();
-        let total: f64 = entries.iter().map(|e| e.weight).sum();
-        if total > 0.0 {
-            for e in &mut entries {
-                e.weight /= total;
-            }
-        }
-        entries.sort_by(|a, b| a.query.cmp(&b.query));
-        Workload { entries }
-    }
-
     /// The distinct queries with probabilities.
     #[inline]
     pub fn entries(&self) -> &[WorkloadEntry] {
@@ -107,17 +90,6 @@ mod tests {
         let want = Workload::from_queries([a.clone(), b, a.clone(), a]);
         assert_eq!(w.entries(), want.entries());
         assert!(Workload::from_counts([]).is_empty());
-    }
-
-    #[test]
-    fn weighted_renormalizes() {
-        let w = Workload::from_weighted([
-            (Scope::from_indices(&[0]), 2.0),
-            (Scope::from_indices(&[1]), 6.0),
-        ]);
-        let total: f64 = w.entries().iter().map(|e| e.weight).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        assert!((w.entries()[1].weight - 0.75).abs() < 1e-12);
     }
 
     #[test]

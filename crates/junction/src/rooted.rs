@@ -200,17 +200,6 @@ impl RootedTree {
         }
         a
     }
-
-    /// Path from `u` up to (and including) `anc`; panics if `anc` is not an
-    /// ancestor of `u`.
-    pub fn path_to_ancestor(&self, mut u: CliqueId, anc: CliqueId) -> Vec<CliqueId> {
-        let mut path = vec![u];
-        while u != anc {
-            u = self.parent[u].expect("anc must be an ancestor");
-            path.push(u);
-        }
-        path
-    }
 }
 
 #[cfg(test)]
@@ -276,7 +265,6 @@ mod tests {
         assert_eq!(r.lca(3, 4), 1);
         assert_eq!(r.lca(3, 2), 2);
         assert_eq!(r.lca(0, 4), 0);
-        assert_eq!(r.path_to_ancestor(3, 1), vec![3, 2, 1]);
         assert!(r.is_ancestor(1, 3));
         assert!(!r.is_ancestor(2, 4));
         assert!(r.is_ancestor(2, 2));

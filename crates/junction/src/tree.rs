@@ -148,14 +148,6 @@ impl JunctionTree {
         &self.adj_flat[self.adj_first[u] as usize..self.adj_first[u + 1] as usize]
     }
 
-    /// The edge id connecting `u` and `v`, if adjacent.
-    pub fn edge_between(&self, u: CliqueId, v: CliqueId) -> Option<EdgeId> {
-        self.neighbors(u)
-            .iter()
-            .find(|&&(w, _)| w == v)
-            .map(|&(_, e)| e)
-    }
-
     /// Table size `μ(u)` of a clique potential.
     pub fn clique_size(&self, u: CliqueId) -> Size {
         table_size(&self.cliques[u], &self.domain)

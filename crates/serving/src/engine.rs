@@ -32,18 +32,17 @@
 //! answer-cache entry is tagged with the epoch that produced it; a lookup
 //! whose entry carries an older epoch is treated as a miss and the entry is
 //! dropped *lazily* — no global cache flush, no serving pause. Each epoch
-//! also carries a fresh [`WorkloadStats`] accumulator which the per-worker
-//! [`OnlineEngine`](peanut_core::OnlineEngine)s feed (fresh computations)
-//! and the batch fan-out tops up (duplicate and cached arrivals), so the
-//! lifecycle layer can watch the epoch's *observed* benefit decay under
-//! workload drift.
+//! also carries a fresh [`WorkloadStats`] accumulator. Workers write
+//! nothing into it: after the wave the pipeline records every answered
+//! unique request once, weighted by its arrivals (fresh, duplicate and
+//! cached alike), so the lifecycle layer can watch the epoch's *observed*
+//! benefit decay under workload drift.
 //!
 //! [`publish`]: ServingEngine::publish
 
 use crate::overload::ServeOutcome;
 use crate::pipeline::{fan_out, BatchRun, Target};
 use crate::pool::{PoolCell, PoolStats, WorkerPool};
-use crate::session::SessionCounters;
 use peanut_core::exec::Executor;
 use peanut_core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use peanut_core::sync::{thread, Arc, Mutex, RwLock};
@@ -134,8 +133,6 @@ pub struct BatchStats {
 pub struct ServingConfig {
     /// Worker threads; `0` means one per available core.
     pub workers: usize,
-    /// Coalesce duplicate queries within a batch (on by default).
-    pub dedup: bool,
     /// Capacity of the cross-batch answer cache (FIFO eviction); `0`
     /// disables caching. Workloads in the paper's model (Def. 3.3) are
     /// distributions over a finite query pool, so repeated queries dominate
@@ -147,7 +144,6 @@ impl Default for ServingConfig {
     fn default() -> Self {
         ServingConfig {
             workers: 0,
-            dedup: true,
             cache_capacity: 4096,
         }
     }
@@ -157,12 +153,6 @@ impl ServingConfig {
     /// Sets the worker-thread count (chainable). `0` means one per core.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Enables or disables in-batch coalescing (chainable).
-    pub fn with_dedup(mut self, dedup: bool) -> Self {
-        self.dedup = dedup;
         self
     }
 
@@ -304,14 +294,11 @@ pub struct ServingEngine<'t> {
     cfg: ServingConfig,
     cache: Arc<Mutex<AnswerCache>>,
     /// Persistent workers, spawned lazily on the first batch that fans
-    /// out (or injected via [`with_pool`](Self::with_pool)). Engines that
-    /// only ever serve sequentially never spawn a thread.
+    /// out. Engines that only ever serve sequentially never spawn a
+    /// thread.
     pool: PoolCell,
     /// Optional epoch persistence ([`set_store`](Self::set_store)).
     store: Option<EngineStore>,
-    /// Evidence-session registry counters (open/active/backlog), shared
-    /// with the [`crate::session`] module.
-    pub(crate) sessions: SessionCounters,
 }
 
 impl<'t> ServingEngine<'t> {
@@ -338,7 +325,6 @@ impl<'t> ServingEngine<'t> {
             cache: Arc::new(Mutex::new(AnswerCache::default())),
             pool: PoolCell::new(),
             store: None,
-            sessions: SessionCounters::default(),
         }
     }
 
@@ -427,20 +413,6 @@ impl<'t> ServingEngine<'t> {
                 Err(e)
             }
         }
-    }
-
-    /// Like [`new`](Self::new), but serving on an externally owned
-    /// [`WorkerPool`] instead of spawning a private one — several engines
-    /// can park on the same workers.
-    pub fn with_pool(
-        engine: QueryEngine<'t>,
-        mat: Materialization,
-        cfg: ServingConfig,
-        pool: Arc<WorkerPool>,
-    ) -> Self {
-        let serving = Self::new(engine, mat, cfg);
-        assert!(serving.pool.set(pool).is_ok(), "fresh engine has no pool");
-        serving
     }
 
     /// The engine's persistent worker pool, spawning it on first use
@@ -548,7 +520,7 @@ impl<'t> ServingEngine<'t> {
             stats: Arc::clone(&state.stats),
             cache: (self.cfg.cache_capacity > 0)
                 .then(|| (Arc::clone(&self.cache), self.cfg.cache_capacity)),
-            dedup: self.cfg.dedup,
+            dedup: true,
             normalize: false,
         }
     }
@@ -582,10 +554,10 @@ impl<'t> ServingEngine<'t> {
 
     /// Answers a batch of [`ServeRequest`]s. Outcomes come back in
     /// submission order; duplicate requests share one computation (and its
-    /// telemetry) when deduping is on. The whole batch is served under one
-    /// epoch snapshot — a concurrent [`publish`](Self::publish) affects
-    /// only later batches. This path never sheds, so every outcome is
-    /// [`ServeOutcome::Served`] or [`ServeOutcome::Failed`].
+    /// telemetry). The whole batch is served under one epoch snapshot — a
+    /// concurrent [`publish`](Self::publish) affects only later batches.
+    /// This path never sheds, so every outcome is [`ServeOutcome::Served`]
+    /// or [`ServeOutcome::Failed`].
     pub fn serve_batch(&self, batch: &[ServeRequest]) -> (Vec<ServeOutcome>, BatchStats) {
         self.serve_on(self.target(), batch)
     }
@@ -649,26 +621,6 @@ mod tests {
             assert!(a.cost.ops > 0);
             assert!(a.baseline_ops >= a.cost.ops);
         }
-    }
-
-    #[test]
-    fn dedup_off_computes_every_query() {
-        let bn = fixtures::sprinkler();
-        let tree = build_junction_tree(&bn).unwrap();
-        let engine = QueryEngine::numeric(&tree, &bn).unwrap();
-        let serving = ServingEngine::new(
-            engine,
-            Materialization::default(),
-            ServingConfig::default()
-                .with_workers(1)
-                .with_dedup(false)
-                .with_cache_capacity(0),
-        );
-        let q = ServeRequest::marginal(Scope::from_indices(&[0, 3]));
-        let batch = vec![q.clone(), q.clone(), q];
-        let (answers, stats) = serving.serve_batch(&batch);
-        assert_eq!(stats.unique, 3);
-        assert_eq!(answers.len(), 3);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //!   [`Executor`](peanut_core::Executor) the lifecycle's off-path
 //!   re-selections run on — routed to [`Lane::Remat`] so they can never
 //!   head-of-line block query traffic — and surfaces [`PoolStats`]
-//!   (spawn-amortization telemetry) for the benches.
+//!   (wave, task and park counters).
 //! * [`session`](mod@session) — stateful evidence sessions: an
 //!   [`EvidenceSession`] pins an evidence assignment once
 //!   ([`ServingEngine::open_session`]), absorbing it into a session-local
@@ -47,9 +47,10 @@
 //!   plain target marginals against it — amortizing the evidence cost the
 //!   per-query conditional path re-pays on every request. Sessions
 //!   snapshot their epoch at open (publish-isolated), fan out on the
-//!   serving-priority lane, and feed observed evidence contexts into the
-//!   epoch's [`WorkloadStats`](peanut_core::WorkloadStats) so re-selection
-//!   prices shortcuts under the restricted distribution.
+//!   serving-priority lane, and record the *restricted* target scopes
+//!   into the epoch's [`WorkloadStats`](peanut_core::WorkloadStats), which
+//!   is what re-selection trains on (the evidence contexts recorded
+//!   beside them are telemetry).
 //! * [`shard`] — multi-tenant sharded serving: a
 //!   [`ShardedServingEngine`] registry of
 //!   tenants (each a calibrated tree with its own epoch-versioned
@@ -92,7 +93,7 @@ pub mod shard;
 
 pub use engine::{Answer, BatchStats, Served, ServingConfig, ServingEngine};
 pub use lifecycle::{
-    expected_savings, FleetConfig, FleetController, FleetRebalance, LifecycleConfig,
+    expected_savings, FleetController, FleetRebalance, LifecycleConfig,
     RematerializationController, SwapEvent, TenantAllocation,
 };
 pub use overload::{AdmissionConfig, ServeOutcome, ShedReason};

@@ -14,13 +14,12 @@
 //!    decay: the most recent window (short horizon) *and* the aggregate of
 //!    the whole ring (long horizon), so a one-window traffic blip never
 //!    triggers a re-selection;
-//! 2. when the benefit decays past a configurable fraction of the
-//!    reference ([`LifecycleConfig::decay_threshold`]), it re-runs the
-//!    offline selection (PEANUT / PEANUT+) on the **observed** query
-//!    distribution accumulated over the ring (the windows' scope counts
-//!    through [`Workload::from_counts`], the one way counts become a
-//!    workload) — on the controller's thread, while serving keeps
-//!    draining batches;
+//! 2. when the benefit decays below half of the reference, it re-runs
+//!    the offline selection (PEANUT+ at the paper's ε = 1.2) on the
+//!    **observed** query distribution accumulated over the ring (the
+//!    windows' scope counts through [`Workload::from_counts`], the one way
+//!    counts become a workload) — on the controller's thread, while
+//!    serving keeps draining batches;
 //! 3. if the new artifact's expected benefit (recomputed with the cost
 //!    model on the observed distribution) beats what the stale epoch is
 //!    delivering, it [`publish`](ServingEngine::publish)es the new epoch.
@@ -49,13 +48,13 @@ use peanut_core::exec::Executor;
 use peanut_core::sync::atomic::{AtomicBool, Ordering};
 use peanut_core::sync::{thread, Arc};
 use peanut_core::{
-    Materialization, OfflineContext, OnlineEngine, Peanut, PeanutConfig, StatsSnapshot, Variant,
-    Workload, WorkloadStats,
+    Materialization, OfflineContext, OnlineEngine, Peanut, PeanutConfig, StatsSnapshot, Workload,
+    WorkloadStats,
 };
 use peanut_junction::cost::expected_ops;
 use peanut_junction::QueryEngine;
 use peanut_pgm::{PgmError, Scope, Size};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
 /// Savings at or below this are "no benefit", for both controllers: an
@@ -64,51 +63,43 @@ use std::time::{Duration, Instant};
 /// floor to be published, and a fleet tenant under it keeps an empty
 /// allocation.
 const MIN_SAVINGS: f64 = 0.01;
-/// The fleet rebalances when any tenant's observed savings drop below this
-/// fraction of the savings its current allocation promised.
-const FLEET_DECAY_THRESHOLD: f64 = 0.5;
+/// An epoch (or a fleet tenant's allocation) has decayed when the observed
+/// savings drop below this fraction of the savings it was selected for.
+const DECAY_THRESHOLD: f64 = 0.5;
+/// Closed windows the controller keeps (short- vs long-horizon
+/// comparison). A swap requires the ring to be full and *both* the latest
+/// window and the ring aggregate to be decayed, so a single anomalous
+/// window cannot trigger a re-selection.
+const WINDOW_RING: usize = 3;
 /// The fleet rebalances when the tenants' traffic shares move by at least
 /// this much (L1 distance between consecutive share vectors) — the signal
 /// that follows a tenant's traffic spike.
 const SHARE_DRIFT: f64 = 0.25;
 
-/// Drift-detection and re-selection knobs.
+/// What a lifecycle controller is told: how much traffic a decision needs
+/// and how much space a selection may use. Everything else — PEANUT+ at
+/// ε = 1.2, a ring of three windows, a swap at half the promised benefit —
+/// is fixed.
 #[derive(Clone, Debug)]
 pub struct LifecycleConfig {
-    /// Arrivals an observation window must hold before it is closed and
-    /// pushed into the ring. Detection always judges the most recent
-    /// `min_window`-or-more arrivals (short horizon) against the ring
-    /// aggregate (long horizon) — a forever-cumulative average would
-    /// dilute a drift signal with pre-drift history.
+    /// Arrivals an observation window must hold before a decision is
+    /// taken: per engine for a [`RematerializationController`] (detection
+    /// judges the most recent `min_window`-or-more arrivals against the
+    /// ring aggregate — a forever-cumulative average would dilute a drift
+    /// signal with pre-drift history), summed over the tenants for a
+    /// [`FleetController`].
     pub min_window: u64,
-    /// Closed windows the controller keeps (short- vs long-horizon
-    /// comparison). A swap requires the ring to be full and *both* the
-    /// latest window and the ring aggregate to be decayed, so a single
-    /// anomalous window cannot trigger a re-selection. Clamped to ≥ 1.
-    pub window_ring: usize,
-    /// Re-materialize when `observed_savings < decay_threshold ×
-    /// reference_savings` — i.e. the epoch delivers less than this
-    /// fraction of the benefit it was selected for.
-    pub decay_threshold: f64,
-    /// Space budget `K` for re-selection (table entries).
+    /// Space budget `K` for re-selection (table entries); the **global**
+    /// budget a [`FleetController`] splits across its tenants.
     pub budget: Size,
-    /// Budget-grid parameter ε of §4.4.
-    pub epsilon: f64,
-    /// PEANUT (disjoint) or PEANUT+ (overlapping) re-selection.
-    pub variant: Variant,
 }
 
 impl LifecycleConfig {
-    /// Sensible defaults around a budget: PEANUT+ at the paper's ε = 1.2,
-    /// window 512 with a ring of 3, trigger at half the promised benefit.
+    /// A window of 512 arrivals around a budget.
     pub fn new(budget: Size) -> Self {
         LifecycleConfig {
             min_window: 512,
-            window_ring: 3,
-            decay_threshold: 0.5,
             budget,
-            epsilon: 1.2,
-            variant: Variant::PeanutPlus,
         }
     }
 
@@ -116,20 +107,6 @@ impl LifecycleConfig {
     /// knob on the serving configs).
     pub fn with_min_window(mut self, min_window: u64) -> Self {
         self.min_window = min_window;
-        self
-    }
-
-    /// Sets the ring of closed windows kept for drift detection
-    /// (chainable).
-    pub fn with_window_ring(mut self, window_ring: usize) -> Self {
-        self.window_ring = window_ring;
-        self
-    }
-
-    /// Sets the benefit-decay fraction that triggers re-selection
-    /// (chainable).
-    pub fn with_decay_threshold(mut self, decay_threshold: f64) -> Self {
-        self.decay_threshold = decay_threshold;
         self
     }
 }
@@ -202,7 +179,8 @@ fn workload_entries(w: &Workload) -> Vec<(Scope, f64)> {
         .collect()
 }
 
-/// Runs the offline selection on an observed workload, numeric when the
+/// Runs the offline selection — PEANUT+ at the paper's ε = 1.2
+/// ([`PeanutConfig::plus`]) — on an observed workload, numeric when the
 /// engine is calibrated, symbolic otherwise. The LRDP fan-out and the
 /// numeric table builds run on `exec` — the serving tier's persistent
 /// worker pool when the engine fans out, so a re-selection reuses parked
@@ -214,17 +192,10 @@ fn reselect(
     engine: &QueryEngine<'_>,
     observed: &Workload,
     budget: Size,
-    epsilon: f64,
-    variant: Variant,
     exec: &dyn Executor,
 ) -> Result<Materialization, PgmError> {
     let ctx = OfflineContext::new(engine.tree(), observed)?;
-    let pcfg = PeanutConfig {
-        budget,
-        epsilon,
-        threads: 1,
-        variant,
-    };
+    let pcfg = PeanutConfig::plus(budget);
     Ok(match engine.numeric_state() {
         Some(ns) => Peanut::offline_numeric_with(&ctx, &pcfg, ns, exec)?.0,
         None => Peanut::offline_with(&ctx, &pcfg, exec),
@@ -237,7 +208,7 @@ pub struct RematerializationController<'s, 't> {
     serving: &'s ServingEngine<'t>,
     cfg: LifecycleConfig,
     reference_savings: f64,
-    /// The last `window_ring` closed observation windows, oldest first.
+    /// The last [`WINDOW_RING`] closed observation windows, oldest first.
     /// Each is a retired accumulator (in-flight stragglers may still top
     /// one up right after it is retired; the ring only needs window-scale
     /// accuracy).
@@ -326,22 +297,20 @@ impl<'s, 't> RematerializationController<'s, 't> {
         let retired = self.serving.reset_stats();
         let short = retired.snapshot().observed_savings();
         self.ring.push_back(retired);
-        let ring_len = self.cfg.window_ring.max(1);
-        while self.ring.len() > ring_len {
+        if self.ring.len() > WINDOW_RING {
             self.ring.pop_front();
         }
 
         let long_snap = self.ring_snapshot();
         let long = long_snap.observed_savings();
         let has_reference = self.reference_savings > MIN_SAVINGS;
-        let short_decayed =
-            has_reference && short < self.cfg.decay_threshold * self.reference_savings;
+        let short_decayed = has_reference && short < DECAY_THRESHOLD * self.reference_savings;
         // both horizons must agree, and the ring must be full: a single
         // anomalous window inside otherwise-healthy traffic changes the
         // aggregate too little to trip the long horizon
         let decayed = short_decayed
-            && self.ring.len() == ring_len
-            && long < self.cfg.decay_threshold * self.reference_savings;
+            && self.ring.len() == WINDOW_RING
+            && long < DECAY_THRESHOLD * self.reference_savings;
         // cold-start bootstrap: an *empty* materialization gets a first
         // selection from observed traffic as soon as a window fills, without
         // waiting for the ring — there is no healthy history to protect
@@ -374,14 +343,7 @@ impl<'s, 't> RematerializationController<'s, 't> {
         let engine = self.serving.engine();
         let exec = self.serving.offline_exec();
         let t0 = Instant::now();
-        let mat = reselect(
-            engine,
-            &observed_workload,
-            self.cfg.budget,
-            self.cfg.epsilon,
-            self.cfg.variant,
-            exec,
-        )?;
+        let mat = reselect(engine, &observed_workload, self.cfg.budget, exec)?;
         let selection = t0.elapsed();
 
         // Publish only when the candidate's expected benefit on the
@@ -436,40 +398,6 @@ impl<'s, 't> RematerializationController<'s, 't> {
 // Fleet-level lifecycle: one global budget across all tenants
 // ---------------------------------------------------------------------------
 
-/// Knobs of the fleet-level budget controller.
-#[derive(Clone, Debug)]
-pub struct FleetConfig {
-    /// Fleet-wide arrivals (summed over tenants) an observation window
-    /// must hold before a rebalance decision is taken.
-    pub min_window: u64,
-    /// The **global** space budget `K` (table entries) split across all
-    /// tenants by the greedy knapsack.
-    pub budget: Size,
-    /// Budget-grid parameter ε of §4.4 for the per-tenant candidate DPs.
-    pub epsilon: f64,
-    /// PEANUT (disjoint) or PEANUT+ (overlapping) candidate selection.
-    pub variant: Variant,
-}
-
-impl FleetConfig {
-    /// Defaults around a global budget: PEANUT+ at ε = 1.2, fleet window
-    /// 1024, rebalance on a 25% share shift or half-lost benefit.
-    pub fn new(budget: Size) -> Self {
-        FleetConfig {
-            min_window: 1024,
-            budget,
-            epsilon: 1.2,
-            variant: Variant::PeanutPlus,
-        }
-    }
-
-    /// Sets the fleet-wide observation-window size (chainable).
-    pub fn with_min_window(mut self, min_window: u64) -> Self {
-        self.min_window = min_window;
-        self
-    }
-}
-
 /// One tenant's share of a fleet rebalance.
 #[derive(Clone, Debug)]
 pub struct TenantAllocation {
@@ -506,14 +434,20 @@ pub struct FleetRebalance {
 }
 
 /// Ticks every tenant of a [`ShardedServingEngine`] and splits a global
-/// materialization budget across them by observed benefit.
+/// materialization budget ([`LifecycleConfig::budget`]) across them by
+/// observed benefit, once [`LifecycleConfig::min_window`] arrivals have
+/// come in fleet-wide.
 pub struct FleetController<'s, 't> {
     sharded: &'s ShardedServingEngine<'t>,
-    cfg: FleetConfig,
+    cfg: LifecycleConfig,
     /// Traffic shares at the last rebalance, in registry order.
     last_shares: Option<Vec<(TenantId, f64)>>,
     /// Expected savings each tenant's current allocation promised.
     references: HashMap<TenantId, f64>,
+    /// Table entries each tenant's materialization held when a tick last
+    /// saw it resident — what a tenant paged out since then still serves
+    /// from the store, and still owes the global budget.
+    allocated: HashMap<TenantId, Size>,
     rebalances: Vec<FleetRebalance>,
 }
 
@@ -532,12 +466,13 @@ impl<'s, 't> FleetController<'s, 't> {
     /// Wraps a sharded engine. Tenants' current materializations are
     /// treated as unreferenced (first filled window always rebalances),
     /// which doubles as the fleet's cold start.
-    pub fn new(sharded: &'s ShardedServingEngine<'t>, cfg: FleetConfig) -> Self {
+    pub fn new(sharded: &'s ShardedServingEngine<'t>, cfg: LifecycleConfig) -> Self {
         FleetController {
             sharded,
             cfg,
             last_shares: None,
             references: HashMap::new(),
+            allocated: HashMap::new(),
             rebalances: Vec::new(),
         }
     }
@@ -561,12 +496,15 @@ impl<'s, 't> FleetController<'s, 't> {
     pub fn tick(&mut self) -> Result<Option<&FleetRebalance>, PgmError> {
         // fleet snapshot, registry order (resident tenants only: a fleet
         // with paging ticks its hot set; paged-out tenants have no traffic
-        // to observe and keep serving their persisted allocation)
+        // to observe and keep serving their persisted allocation, at the
+        // size remembered from the last tick that saw them)
         let mut tenants: Vec<(TenantId, Arc<ServingEngine<'t>>, StatsSnapshot)> = Vec::new();
         let mut total: u64 = 0;
         for (id, eng) in self.sharded.tenants() {
             let snap = eng.stats().snapshot();
             total += snap.queries;
+            self.allocated
+                .insert(id, eng.materialization().total_size());
             tenants.push((id, eng, snap));
         }
         if total < self.cfg.min_window.max(1) {
@@ -585,7 +523,7 @@ impl<'s, 't> FleetController<'s, 't> {
             let reference = self.references.get(id).copied().unwrap_or(0.0);
             s.queries > 0
                 && reference > MIN_SAVINGS
-                && s.observed_savings() < FLEET_DECAY_THRESHOLD * reference
+                && s.observed_savings() < DECAY_THRESHOLD * reference
         });
         // cold start = traffic on a tenant the controller has never
         // allocated for; a tenant whose last allocation came out *empty*
@@ -626,14 +564,7 @@ impl<'s, 't> FleetController<'s, 't> {
             }
             // candidate generation is the expensive half of a rebalance:
             // one full-budget offline DP per tenant
-            let cand_mat = reselect(
-                eng.engine(),
-                &observed,
-                self.cfg.budget,
-                self.cfg.epsilon,
-                self.cfg.variant,
-                exec,
-            )?;
+            let cand_mat = reselect(eng.engine(), &observed, self.cfg.budget, exec)?;
             let entries = workload_entries(&observed);
             let base_ops = mean_query_ops(eng.engine(), &Materialization::default(), &entries);
             candidates.push(Candidate {
@@ -650,20 +581,16 @@ impl<'s, 't> FleetController<'s, 't> {
             });
         }
 
-        // Tenants that saw no traffic this window keep serving whatever
-        // they were last allocated; that standing allocation is charged
-        // against the global budget up front, so the knapsack only spends
-        // what is actually free fleet-wide.
-        let rebalanced: std::collections::HashSet<TenantId> =
-            candidates.iter().map(|c| c.tenant).collect();
+        // Tenants that saw no traffic this window — resident or paged out
+        // — keep serving whatever they were last allocated; that standing
+        // allocation is charged against the global budget up front, so the
+        // knapsack only spends what is actually free fleet-wide.
+        let rebalanced: HashSet<TenantId> = candidates.iter().map(|c| c.tenant).collect();
         let reserved: Size = self
-            .sharded
-            .tenants()
-            .into_iter()
+            .allocated
+            .iter()
             .filter(|(id, _)| !rebalanced.contains(id))
-            .fold(0u64, |a, (_, eng)| {
-                a.saturating_add(eng.materialization().total_size())
-            });
+            .fold(0u64, |a, (_, &size)| a.saturating_add(size));
 
         // Pricing a trial subset only needs the symbolic cost model, so
         // trials carry no dense tables (the knapsack would otherwise deep-
@@ -768,6 +695,7 @@ impl<'s, 't> FleetController<'s, 't> {
                 Some(c.engine.publish(mat.clone()))
             };
             self.references.insert(c.tenant, savings);
+            self.allocated.insert(c.tenant, mat.total_size());
             allocations.push(TenantAllocation {
                 tenant: c.tenant,
                 share: c.share,
@@ -892,9 +820,7 @@ mod tests {
         let mut ctl = RematerializationController::new(
             &serving,
             &train_w,
-            LifecycleConfig::new(512)
-                .with_min_window(32)
-                .with_window_ring(2),
+            LifecycleConfig::new(512).with_min_window(32),
         );
         assert!(ctl.reference_savings() > 0.0);
 
@@ -983,9 +909,7 @@ mod tests {
         let mut ctl = RematerializationController::new(
             &serving,
             &train_w,
-            LifecycleConfig::new(512)
-                .with_min_window(8)
-                .with_window_ring(2),
+            LifecycleConfig::new(512).with_min_window(8),
         );
         assert!(ctl.reference_savings() > 0.0, "test premise");
         // single-variable in-clique queries: cost == baseline, always
@@ -1006,7 +930,7 @@ mod tests {
     }
 
     /// A window of traffic the current epoch already serves well must not
-    /// trigger a swap, even with an aggressive threshold.
+    /// trigger a swap.
     #[test]
     fn controller_holds_without_drift() {
         let engine = chain_engine(14, 13);
@@ -1016,9 +940,7 @@ mod tests {
         let mut ctl = RematerializationController::new(
             &serving,
             &train_w,
-            LifecycleConfig::new(512)
-                .with_min_window(16)
-                .with_decay_threshold(0.9),
+            LifecycleConfig::new(512).with_min_window(16),
         );
         for _ in 0..6 {
             serving.serve_batch(&train);
@@ -1041,9 +963,7 @@ mod tests {
         let mut ctl = RematerializationController::new(
             &serving,
             &train_w,
-            LifecycleConfig::new(512)
-                .with_min_window(8)
-                .with_window_ring(3),
+            LifecycleConfig::new(512).with_min_window(8),
         );
         // one batch = one observation window (5 queries < 2×min_window)
         let blip: Vec<ServeRequest> = pair_queries(0, 10, 5)
@@ -1096,7 +1016,7 @@ mod tests {
         let global_budget = 192;
         let mut ctl = FleetController::new(
             &sharded,
-            FleetConfig::new(global_budget).with_min_window(64),
+            LifecycleConfig::new(global_budget).with_min_window(64),
         );
 
         // phase 1: tenant 0 dominates (75% of traffic)
@@ -1142,7 +1062,7 @@ mod tests {
         let global_budget = 48;
         let mut ctl = FleetController::new(
             &sharded,
-            FleetConfig::new(global_budget).with_min_window(32),
+            LifecycleConfig::new(global_budget).with_min_window(32),
         );
         let fleet_size = |sharded: &ShardedServingEngine<'_>| -> u64 {
             sharded
@@ -1187,6 +1107,75 @@ mod tests {
             idle_alloc,
             "the idle tenant's allocation must be untouched"
         );
+    }
+
+    /// The same invariant under paging: a tenant that was allocated, went
+    /// idle and was paged out still serves that allocation once it faults
+    /// back in, so later rebalances must keep charging it — with one
+    /// resident slot the controller only ever sees the tenant being served.
+    #[test]
+    fn fleet_reserves_paged_out_tenants_allocation() {
+        let dir = std::env::temp_dir().join(format!("peanut-fleet-paged-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ShardConfig::default().with_workers(1).with_max_resident(1);
+        let mut sharded = ShardedServingEngine::new(cfg);
+        sharded.set_store(peanut_store::StoreConfig::new(&dir));
+        for (t, seed) in [13, 29, 31].into_iter().enumerate() {
+            sharded
+                .register(
+                    TenantId(t as u32),
+                    chain_engine(18, seed),
+                    Materialization::default(),
+                )
+                .unwrap();
+        }
+        let global_budget = 48;
+        let mut ctl = FleetController::new(
+            &sharded,
+            LifecycleConfig::new(global_budget).with_min_window(32),
+        );
+
+        // one window per tenant, in turn: serving the next tenant pages
+        // the previous one out before the controller ticks
+        let pool = pair_queries(0, 18, 7);
+        let mut allocated = Vec::new();
+        for t in 0..3u32 {
+            let batch: Vec<_> = pool
+                .iter()
+                .cycle()
+                .take(40)
+                .map(|q| (TenantId(t), q.clone()))
+                .collect();
+            let (answers, _) = sharded.serve_mixed(&batch);
+            assert!(answers.iter().all(ServeOutcome::is_served));
+            assert_eq!(sharded.resident_len(), 1);
+            let r = ctl.tick().unwrap().expect("share shift rebalances");
+            assert!(
+                r.allocations.iter().all(|a| a.tenant == TenantId(t)),
+                "only the resident tenant is re-allocated"
+            );
+            assert!(r.total_size <= global_budget);
+            allocated.push(r.allocations.iter().map(|a| a.budget_used).sum::<Size>());
+        }
+        assert!(
+            allocated[0] > global_budget / 3,
+            "test premise: one tenant's appetite contends for the budget: {allocated:?}"
+        );
+
+        // what the fleet serves once everyone has faulted back in
+        let served: Vec<Size> = (0..3u32)
+            .map(|t| {
+                let tenant = sharded.tenant(TenantId(t)).expect("faults in");
+                tenant.materialization().total_size()
+            })
+            .collect();
+        assert_eq!(served, allocated, "paging must not change an allocation");
+        assert!(
+            served.iter().sum::<Size>() <= global_budget,
+            "paged-out tenants' allocations must count against the budget: \
+             fleet {served:?} > budget {global_budget}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Evidence-aware selection: identical logical traffic recorded
@@ -1243,24 +1232,8 @@ mod tests {
         // same budget, same engine, same DP — only the observed
         // distribution differs, and the chosen shortcut set moves with it
         let exec = serving.offline_exec();
-        let mat_joint = reselect(
-            serving.engine(),
-            &joint_w,
-            512,
-            1.2,
-            Variant::PeanutPlus,
-            exec,
-        )
-        .unwrap();
-        let mat_restricted = reselect(
-            serving.engine(),
-            &restricted_w,
-            512,
-            1.2,
-            Variant::PeanutPlus,
-            exec,
-        )
-        .unwrap();
+        let mat_joint = reselect(serving.engine(), &joint_w, 512, exec).unwrap();
+        let mat_restricted = reselect(serving.engine(), &restricted_w, 512, exec).unwrap();
         assert!(
             !mat_joint.is_empty() || !mat_restricted.is_empty(),
             "test premise: at least one distribution selects shortcuts"
@@ -1276,7 +1249,7 @@ mod tests {
     #[test]
     fn fleet_holds_when_stable() {
         let sharded = fleet_of(vec![chain_engine(16, 13)]);
-        let mut ctl = FleetController::new(&sharded, FleetConfig::new(512).with_min_window(32));
+        let mut ctl = FleetController::new(&sharded, LifecycleConfig::new(512).with_min_window(32));
         let pool = pair_queries(0, 16, 6);
         let batch: Vec<(TenantId, ServeRequest)> =
             pool.iter().map(|q| (TenantId(0), q.clone())).collect();

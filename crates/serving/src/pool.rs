@@ -47,9 +47,8 @@
 //! **not** be called from inside a pool task (a 1-worker pool would
 //! deadlock waiting for itself).
 //!
-//! [`PoolStats`] exposes the telemetry the benches assert on: tasks run,
-//! waves served (total and per lane), park/unpark counts, and the spawn
-//! amortization that is the whole point. [`PoolStats::delta_since`]
+//! [`PoolStats`] exposes the pool's telemetry: tasks run, waves served
+//! (total and per lane) and park/unpark counts. [`PoolStats::delta_since`]
 //! isolates one measurement window from pool-lifetime totals.
 
 use peanut_core::exec::{Executor, SequentialExecutor};
@@ -108,13 +107,6 @@ pub struct PoolStats {
 }
 
 impl PoolStats {
-    /// Tasks served per thread spawn — the spawn-amortization figure.
-    /// Spawning per batch pins it at (roughly) `tasks / (waves × workers)`;
-    /// a persistent pool's grows without bound as the engine stays up.
-    pub fn tasks_per_spawn(&self) -> f64 {
-        self.tasks as f64 / self.workers.max(1) as f64
-    }
-
     /// The counter deltas accumulated since `earlier` (an older snapshot
     /// of the **same** pool): what happened in the window between the two
     /// snapshots. Replay reports use this so a steady-state measurement
@@ -156,11 +148,6 @@ pub(crate) struct PoolCell {
 impl PoolCell {
     pub(crate) fn new() -> Self {
         PoolCell::default()
-    }
-
-    /// Installs an externally owned pool; fails if one is already set.
-    pub(crate) fn set(&self, pool: Arc<WorkerPool>) -> Result<(), Arc<WorkerPool>> {
-        self.cell.set(pool)
     }
 
     /// The pool, spawning `workers` threads on first use.
@@ -593,7 +580,6 @@ mod tests {
             stats.parks >= stats.waves,
             "workers must park between waves: {stats:?}"
         );
-        assert_eq!(stats.tasks_per_spawn(), 20.0);
     }
 
     #[test]

@@ -153,15 +153,6 @@ impl ReplayReport {
     pub fn computed(&self) -> usize {
         self.unique.saturating_sub(self.cache_hits)
     }
-
-    /// Mean operation count per freshly computed unique query — the
-    /// cost-model figure the drift experiments compare across epochs.
-    pub fn mean_ops_per_computed(&self) -> f64 {
-        if self.computed() == 0 {
-            return 0.0;
-        }
-        self.total_ops as f64 / self.computed() as f64
-    }
 }
 
 /// Clock state for one drive.

@@ -15,11 +15,12 @@
 //! Sessions deliberately answer on the *plain* restricted tree, without
 //! shortcuts: materialized shortcut potentials hold prior-joint marginals,
 //! which are simply wrong under an evidence restriction. What the session
-//! records instead — per-target-scope arrivals at baseline cost, plus the
-//! evidence context itself
-//! ([`WorkloadStats::record_evidence`](peanut_core::WorkloadStats::record_evidence)) — is
-//! exactly the signal the lifecycle layer needs to re-select shortcuts
-//! under the *restricted* distribution.
+//! records instead is per-target-scope arrivals at baseline cost: the
+//! *restricted* scopes are what the lifecycle layer's re-selection trains
+//! on (it reads the scope counts only). The evidence context itself is
+//! recorded too
+//! ([`WorkloadStats::record_evidence`](peanut_core::WorkloadStats::record_evidence)),
+//! as telemetry — no selection reads it.
 //!
 //! # Epoch-swap semantics
 //!
@@ -28,44 +29,15 @@
 //! [`publish`](ServingEngine::publish) never touches an in-flight
 //! session: its answers keep their open-time epoch tag until the session
 //! is dropped. Sessions opened after the swap see the new epoch. Session
-//! queries fan out on the engine's serving-priority worker lane and are
-//! counted in [`ServingEngine::session_backlog`] while in flight.
+//! queries fan out on the engine's serving-priority worker lane.
 
 use crate::engine::{BatchStats, ServingEngine};
 use crate::overload::ServeOutcome;
 use crate::pipeline::Target;
-use peanut_core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use peanut_core::sync::Arc;
 use peanut_core::{Materialization, ServeRequest};
 use peanut_junction::QueryEngine;
 use peanut_pgm::{PgmError, Scope, Var};
-
-/// Session registry counters of one [`ServingEngine`]: all advisory
-/// telemetry, surfaced through the engine accessors below.
-#[derive(Default)]
-pub(crate) struct SessionCounters {
-    /// Sessions opened over the engine's lifetime.
-    pub(crate) opened: AtomicU64,
-    /// Sessions currently open (decremented on drop).
-    pub(crate) active: AtomicUsize,
-    /// Session queries currently in flight, the session share of the
-    /// engine's admission backlog.
-    pub(crate) backlog: AtomicUsize,
-}
-
-/// Decrements the session backlog when a serve wave finishes — or
-/// unwinds, so a panicking batch cannot wedge the admission signal.
-struct BacklogGuard<'a> {
-    counter: &'a AtomicUsize,
-    n: usize,
-}
-
-impl Drop for BacklogGuard<'_> {
-    fn drop(&mut self) {
-        // ordering: advisory backlog telemetry only.
-        self.counter.fetch_sub(self.n, Ordering::Relaxed);
-    }
-}
 
 /// One open evidence session: an owned evidence-restricted, re-calibrated
 /// engine plus the epoch snapshot it was opened under. Created by
@@ -101,9 +73,6 @@ impl<'t> ServingEngine<'t> {
         let local = self.engine().restricted_to_evidence(&evidence)?;
         let snapshot = self.target();
         let evidence_scope = Scope::from_iter(evidence.iter().map(|&(v, _)| v));
-        // ordering: registry counters are advisory telemetry.
-        self.sessions.opened.fetch_add(1, Ordering::Relaxed);
-        self.sessions.active.fetch_add(1, Ordering::Relaxed);
         Ok(EvidenceSession {
             serving: self,
             target: Target {
@@ -117,25 +86,6 @@ impl<'t> ServingEngine<'t> {
             evidence,
             evidence_scope,
         })
-    }
-
-    /// Sessions currently open on this engine.
-    pub fn active_sessions(&self) -> usize {
-        // ordering: advisory telemetry.
-        self.sessions.active.load(Ordering::Relaxed)
-    }
-
-    /// Sessions opened over this engine's lifetime.
-    pub fn sessions_opened(&self) -> u64 {
-        // ordering: advisory telemetry.
-        self.sessions.opened.load(Ordering::Relaxed)
-    }
-
-    /// Session queries currently in flight — the session share of the
-    /// engine's backlog, for admission accounting next to batch traffic.
-    pub fn session_backlog(&self) -> usize {
-        // ordering: advisory telemetry.
-        self.sessions.backlog.load(Ordering::Relaxed)
     }
 }
 
@@ -175,20 +125,8 @@ impl<'s, 't> EvidenceSession<'s, 't> {
     /// `P(targets | evidence)` computed on the session-local restricted
     /// tree — no joint over `targets ∪ vars(e)` is ever formed, which is
     /// where the amortization over the per-query conditional path comes
-    /// from. Fans out on the engine's serving-priority lane and counts
-    /// toward [`ServingEngine::session_backlog`] while in flight.
+    /// from. Fans out on the engine's serving-priority lane.
     pub fn serve_batch(&self, targets: &[Scope]) -> (Vec<ServeOutcome>, BatchStats) {
-        if targets.is_empty() {
-            // nothing in flight, and no evidence context to record
-            return self.serving.serve_on(self.target.clone(), &[]);
-        }
-        let backlog = &self.serving.sessions.backlog;
-        // ordering: advisory backlog telemetry (released by the guard).
-        backlog.fetch_add(targets.len(), Ordering::Relaxed);
-        let _backlog = BacklogGuard {
-            counter: backlog,
-            n: targets.len(),
-        };
         // target scopes recorded by the run are the *restricted* scopes —
         // the distribution re-selection should price under for this
         // traffic
@@ -198,20 +136,12 @@ impl<'s, 't> EvidenceSession<'s, 't> {
             .collect();
         let (outcomes, bstats) = self.serving.serve_on(self.target.clone(), &requests);
         // one evidence-context record per served query: the accumulator
-        // weighs contexts by the traffic they actually carried, which is
-        // what evidence-aware re-selection prices against
+        // weighs contexts by the traffic they actually carried
         let served = outcomes.iter().filter(|o| o.is_served()).count() as u64;
         self.target
             .stats
             .record_evidence(&self.evidence_scope, served);
         (outcomes, bstats)
-    }
-}
-
-impl Drop for EvidenceSession<'_, '_> {
-    fn drop(&mut self) {
-        // ordering: advisory registry telemetry.
-        self.serving.sessions.active.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -260,25 +190,6 @@ mod tests {
                 "session diverged from conditional path: {diff}"
             );
         }
-    }
-
-    #[test]
-    fn session_registry_counts_open_close_and_backlog_drains() {
-        let bn = fixtures::sprinkler();
-        let serving = serving_for(&bn);
-        assert_eq!(serving.active_sessions(), 0);
-        {
-            let s1 = serving.open_session(vec![(Var(0), 1)]).unwrap();
-            let s2 = serving.open_session(vec![(Var(3), 0)]).unwrap();
-            assert_eq!(serving.active_sessions(), 2);
-            assert_eq!(serving.sessions_opened(), 2);
-            let (o, _) = s1.serve_batch(&[Scope::from_indices(&[1]), Scope::from_indices(&[2])]);
-            assert!(o.iter().all(ServeOutcome::is_served));
-            assert!(s2.serve_one(&Scope::from_indices(&[1])).is_served());
-            assert_eq!(serving.session_backlog(), 0, "backlog drains after serve");
-        }
-        assert_eq!(serving.active_sessions(), 0, "drop closes the session");
-        assert_eq!(serving.sessions_opened(), 2);
     }
 
     #[test]

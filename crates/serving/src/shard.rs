@@ -86,12 +86,6 @@ impl ShardConfig {
         self
     }
 
-    /// Enables or disables per-tenant coalescing (chainable).
-    pub fn with_dedup(mut self, dedup: bool) -> Self {
-        self.serving.dedup = dedup;
-        self
-    }
-
     /// Sets the per-tenant answer-cache capacity (chainable).
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.serving.cache_capacity = capacity;
@@ -374,8 +368,8 @@ impl<'t> ShardedServingEngine<'t> {
     }
 
     /// The per-tenant engine configuration: shards inherit the fleet's
-    /// dedup/cache knobs but always run one worker — batch fan-out
-    /// belongs to the shared pool, not the shard.
+    /// cache capacity but always run one worker — batch fan-out belongs
+    /// to the shared pool, not the shard.
     fn tenant_config(&self) -> ServingConfig {
         self.cfg.serving.with_workers(1)
     }

@@ -178,11 +178,6 @@ impl<'a> DriftStream<'a> {
     pub fn position(&self) -> usize {
         self.next_arrival
     }
-
-    /// λ the next arrival will be drawn with.
-    pub fn current_lambda(&self) -> f64 {
-        self.schedule.lambda_at(self.next_arrival)
-    }
 }
 
 impl Iterator for DriftStream<'_> {
@@ -341,7 +336,6 @@ mod tests {
         let all = drifting_queries(&a, &b, &schedule, 80, 7);
         let mut stream = DriftStream::new(&a, &b, schedule.clone(), 7);
         assert_eq!(stream.position(), 0);
-        assert!((stream.current_lambda() - 0.8).abs() < 1e-12);
         let first: Vec<Scope> = stream.by_ref().take(30).collect();
         assert_eq!(stream.position(), 30);
         let rest: Vec<Scope> = stream.take(50).collect();

@@ -19,7 +19,7 @@ use peanut::junction::{build_junction_tree, QueryEngine};
 use peanut::materialize::Materialization;
 use peanut::pgm::{fixtures, Scope};
 use peanut::serving::{
-    replay_mixed, FleetConfig, FleetController, ReplayConfig, ServeRequest, ShardConfig,
+    replay_mixed, FleetController, LifecycleConfig, ReplayConfig, ServeRequest, ShardConfig,
     ShardedServingEngine, TenantId,
 };
 use peanut::workload::{tenant_queries, zipf_weights, TenantTraffic};
@@ -64,7 +64,7 @@ fn main() {
 
     let mut ctl = FleetController::new(
         &sharded,
-        FleetConfig::new(GLOBAL_BUDGET).with_min_window(600),
+        LifecycleConfig::new(GLOBAL_BUDGET).with_min_window(600),
     );
 
     let serve_window = |weights: &[f64], seed: u64| {

@@ -107,7 +107,7 @@ const SKIP_DIR_NAMES: &[&str] = &["target", ".git"];
 /// Vendored third-party crates exempt from the lint (not our code).
 /// `vendor/interleave` is deliberately NOT here: the model checker is
 /// first-party and held to the same discipline.
-const SKIP_DIR_PATHS: &[&str] = &["vendor/rand", "vendor/proptest", "vendor/criterion"];
+const SKIP_DIR_PATHS: &[&str] = &["vendor/rand", "vendor/proptest"];
 
 pub struct Violation {
     pub file: String,
@@ -694,9 +694,9 @@ mod tests {
         let files = collect_files(&repo_root(), ".rs");
         let paths: Vec<String> = files.iter().map(|p| rel_str(p)).collect();
         assert!(paths.iter().any(|p| p.starts_with("vendor/interleave/")));
-        assert!(!paths.iter().any(|p| p.starts_with("vendor/rand/")
-            || p.starts_with("vendor/proptest/")
-            || p.starts_with("vendor/criterion/")));
+        assert!(!paths
+            .iter()
+            .any(|p| p.starts_with("vendor/rand/") || p.starts_with("vendor/proptest/")));
         assert!(paths.contains(&"crates/serving/src/pool.rs".to_string()));
     }
 }
