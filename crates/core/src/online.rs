@@ -450,6 +450,29 @@ mod tests {
         assert!(in_clique > 0 && shortcut_hits > 0, "test premise");
     }
 
+    /// Evidence listed twice is one pin — through a shortcut-reduced plan
+    /// too — and two values for one variable leave an all-zero answer.
+    #[test]
+    fn repeated_evidence_answers_like_the_single_pair() {
+        let (bn, engine) = figure1();
+        let mat = Materialization {
+            shortcuts: vec![materialized(&bn, &engine, &["egh"], 1.0)],
+            overlapping: false,
+            epoch: 0,
+        };
+        let online = OnlineEngine::new(&engine, &mat);
+        let (targets, i) = (named(&bn, "bf"), bn.domain().var("i").unwrap());
+        let (once, cost) = online.conditional(&targets, &[(i, 1)]).unwrap();
+        let (twice, cost_twice) = online.conditional(&targets, &[(i, 1), (i, 1)]).unwrap();
+        assert_eq!(cost.shortcuts_used, 1, "test premise");
+        assert_eq!(cost, cost_twice);
+        assert_eq!(once.scope(), twice.scope());
+        let bits = |p: &Potential| p.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&once), bits(&twice));
+        let (none, _) = online.conditional(&targets, &[(i, 0), (i, 1)]).unwrap();
+        assert!(none.values().iter().all(|&v| v == 0.0));
+    }
+
     /// Empty materialization behaves exactly like the plain engine.
     #[test]
     fn empty_materialization_is_plain_jt() {

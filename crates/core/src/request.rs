@@ -8,7 +8,8 @@
 //! the single canonical form: hashable (so in-batch dedup and the
 //! cross-batch answer cache key on the *evidence context* as well as the
 //! targets), and canonicalized at construction (evidence sorted by
-//! variable) so order-insensitive duplicates coalesce.
+//! variable, a repeated pair kept once) so order-insensitive duplicates
+//! coalesce.
 
 use peanut_pgm::{Scope, Var};
 
@@ -17,15 +18,17 @@ use peanut_pgm::{Scope, Var};
 /// plain marginal query `P(targets)`; otherwise `P(targets | evidence)`.
 ///
 /// Construct via [`ServeRequest::marginal`] or [`ServeRequest::new`] —
-/// the latter sorts the evidence by variable so structurally equal
-/// requests compare, hash and cache identically regardless of the order
-/// the client listed the evidence in.
+/// the latter sorts the evidence by variable and drops repeated pairs so
+/// structurally equal requests compare, hash and cache identically
+/// regardless of how the client listed the evidence.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ServeRequest {
     /// Target variables of the distribution being asked for.
     pub targets: Scope,
-    /// Evidence assignments, sorted by variable and disjoint from the
-    /// targets (overlap is rejected per-request at serve time, not here).
+    /// Evidence assignments, sorted by variable, each pair once, and
+    /// disjoint from the targets (overlap is rejected per-request at serve
+    /// time, not here). Two values for one variable stay: that is a
+    /// contradiction, answered with an all-zero table.
     pub evidence: Vec<(Var, u32)>,
 }
 
@@ -39,9 +42,11 @@ impl ServeRequest {
     }
 
     /// A request with evidence, canonicalized: the evidence list is sorted
-    /// by variable so equal requests coalesce under dedup and cache keys.
+    /// by variable and a pair listed twice is kept once, so equal requests
+    /// coalesce under dedup and cache keys.
     pub fn new(targets: Scope, mut evidence: Vec<(Var, u32)>) -> Self {
         evidence.sort_unstable();
+        evidence.dedup();
         ServeRequest { targets, evidence }
     }
 
@@ -91,6 +96,13 @@ mod tests {
         assert!(!a.is_marginal());
         assert_eq!(a.evidence_scope(), Scope::from_indices(&[2, 5]));
         assert_eq!(a.stat_scope(), Scope::from_indices(&[0, 1, 2, 5]));
+        // a pair listed twice is the same request; two values for one
+        // variable are not folded
+        let twice = ServeRequest::new(t.clone(), vec![(Var(5), 1), (Var(2), 0), (Var(5), 1)]);
+        assert_eq!(twice, a);
+        assert!(set.contains(&twice));
+        let clash = ServeRequest::new(t, vec![(Var(5), 1), (Var(5), 0)]);
+        assert_eq!(clash.evidence, vec![(Var(5), 0), (Var(5), 1)]);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Allocation guard: building a query plan copies no table.
+//! Allocation guard: building a query plan copies no table, and running
+//! it builds no product.
 //!
 //! A plan is a view over the arena and the materialization, so the bytes
 //! allocated inside `ReducedTree::from_steiner(.., Some(ns))` and inside
@@ -6,7 +7,10 @@
 //! few index vectors) — bounded by the number of nodes, independent of how
 //! many table entries those nodes hold. This binary carries its own
 //! counting global allocator to keep it that way: when plans still copied
-//! their tables the same measurements read megabytes per query.
+//! their tables the same measurements read megabytes per query. Answering
+//! is held to the same kind of line: a message is summed straight out of
+//! its factors, so the bytes a query allocates follow its messages, not the
+//! product tables the cost model counts.
 //!
 //! Run with `--nocapture` to see bytes/query and allocations/query.
 
@@ -15,7 +19,7 @@ use peanut_core::{
     Shortcut, Workload,
 };
 use peanut_junction::{build_junction_tree, QueryEngine, QueryPlan, ReducedTree};
-use peanut_pgm::{fixtures, BayesianNetwork, Potential, Scope};
+use peanut_pgm::{fixtures, BayesianNetwork, Potential, Scope, Scratch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -189,4 +193,33 @@ fn dataset_plans_stay_within_budget() {
         let bn = peanut_datasets::dataset(name).unwrap().build().unwrap();
         dataset_reduce_allocs(name, &bn);
     }
+}
+
+/// On the chain `x0 → … → x7` at cardinality 100 the end-to-end query
+/// `{x0, x7}` multiplies every interior clique `{x_i, x_i+1}` with a message
+/// that carries an end variable: a product of `T = 100³` entries per node.
+/// Answering from a cold `Scratch` allocates the messages (`100²` entries)
+/// and bookkeeping — a fraction of one product's `8·T` bytes.
+#[test]
+fn answering_never_materializes_the_product() {
+    let card = 100u32;
+    let bn = fixtures::chain(8, card, 5);
+    let tree = build_junction_tree(&bn).unwrap();
+    let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+    let q = Scope::from_indices(&[0, 7]);
+    let rt = engine.reduced_for(&q).unwrap().expect("out-of-clique");
+    let t = (card as usize).pow(3);
+    assert!(t >= 1 << 16);
+    let ((_, cost), bytes, calls) = counted(|| {
+        rt.answer_in(&q, tree.domain(), &mut Scratch::new())
+            .unwrap()
+    });
+    println!("chain(8) at {card}: products of {t} entries, answer_in allocated {bytes} B in {calls} calls");
+    // an interior node is charged T·(1 + 2) + T: such products are in the plan
+    assert!(cost.ops as usize >= 4 * t, "no product of {t} entries");
+    assert!(
+        bytes < 8 * t / 4,
+        "answer_in allocated {bytes} B against products of {} B",
+        8 * t
+    );
 }

@@ -7,7 +7,10 @@
 //! clone per candidate shortcut, Scope-union cost accounting, and message
 //! passing through the owned `Potential::{product_many_in, divide_in,
 //! marginalize_in}` wrappers. It touches only surface that predates the
-//! view refactor, so the same file passes on the commit before it.
+//! view refactor. One thing follows the engine: a message is summed onto
+//! its target *before* it is divided by the parent separator (the same two
+//! calls the other way round — the engine's fused kernel never builds the
+//! product the division used to run over).
 //!
 //! For every query the engine's answer must equal the model's entry by
 //! entry under `f64::to_bits`, `QueryCost` and `baseline_ops` must be
@@ -213,12 +216,12 @@ impl RefTree {
             } else {
                 cost.add_node(node_ops(product.scope(), n_in + 1, domain));
                 cost.messages += 1;
-                let divided = match &n.sep_to_parent {
-                    Some(sep) => product.divide_in(sep, scratch).unwrap(),
-                    None => product,
-                };
                 let target = self.message_scope(u, query, &carry);
-                messages[u] = Some(divided.marginalize_in(&target, scratch).unwrap());
+                let summed = product.marginalize_in(&target, scratch).unwrap();
+                messages[u] = Some(match &n.sep_to_parent {
+                    Some(sep) => summed.divide_in(sep, scratch).unwrap(),
+                    None => summed,
+                });
             }
         }
         (answer.expect("root visited"), cost)

@@ -1,18 +1,23 @@
 //! The operation-count cost model shared by all methods (paper §5.1).
 //!
 //! Processing a node `v` of a (possibly shortcut-reduced) Steiner tree
-//! materializes the product table over
-//! `U_v = scope(v) ∪ ⋃ scope(incoming messages)` and then marginalizes it
-//! onto the outgoing target. We charge
+//! multiplies its potential with the incoming messages over
+//! `U_v = scope(v) ∪ ⋃ scope(incoming messages)` and marginalizes the
+//! product onto the outgoing target. We charge
 //!
 //! ```text
 //! ops(v) = |table(U_v)| · (1 + #incoming)   // multiplications
 //!        + |table(U_v)|                      // marginalization pass
 //! ```
 //!
-//! The paper validates exactly this style of counting against wall-clock
-//! time (Figure 3, Pearson ≈ 0.99); our `fig3` binary reproduces the
-//! correlation on this engine.
+//! That is the paper's count, not the bytes touched: numeric message
+//! passing (`ReducedTree::answer_in`) sums each entry of the product into
+//! the message as it is multiplied, so the table over `U_v` is never
+//! stored, and the division by the parent separator — the `+1` incoming
+//! factor of a non-root — runs over the message. The count still visits
+//! every entry of `U_v`, and the paper validates exactly this style of
+//! counting against wall-clock time (Figure 3, Pearson ≈ 0.99); `repro
+//! fig3` reproduces the correlation on this engine.
 
 use peanut_pgm::{table_size, Domain, Scope, Size};
 

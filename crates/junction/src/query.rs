@@ -208,11 +208,32 @@ where
     }
     let q = targets.union(&ev_scope);
     let (joint, cost) = answer_joint(&q, scratch)?;
+    // every pair is checked, also one that repeats a variable and so never
+    // reaches a restriction
+    for &(var, value) in evidence {
+        match joint.card_of(var) {
+            Some(card) if value >= card => {
+                return Err(PgmError::ValueOutOfRange { var, value, card })
+            }
+            _ => {}
+        }
+    }
     let mut restricted = joint;
-    for &(v, value) in evidence {
+    let mut contradicted = false;
+    for (i, &(v, value)) in evidence.iter().enumerate() {
+        // a variable pinned before: the same value again changes nothing,
+        // another one leaves no consistent entry — an all-zero answer, as
+        // on a tree the evidence was absorbed into
+        if let Some(&(_, pinned)) = evidence[..i].iter().find(|&&(u, _)| u == v) {
+            contradicted |= pinned != value;
+            continue;
+        }
         let next = restricted.restrict_in(v, value, scratch)?;
         scratch.recycle(restricted);
         restricted = next;
+    }
+    if contradicted {
+        restricted.values_mut().fill(0.0);
     }
     restricted.normalize();
     Ok((restricted, cost))
@@ -340,6 +361,35 @@ mod tests {
         assert!(matches!(
             QueryEngine::symbolic(&tree).restricted_to_evidence(&evidence),
             Err(PgmError::SymbolicEngine)
+        ));
+    }
+
+    #[test]
+    fn repeated_evidence_is_one_pin_and_a_contradiction_is_all_zero() {
+        let bn = fixtures::figure1();
+        let tree = build_junction_tree(&bn).unwrap();
+        let eng = QueryEngine::numeric(&tree, &bn).unwrap();
+        let d = bn.domain();
+        let (a, l) = (d.var("a").unwrap(), Scope::singleton(d.var("l").unwrap()));
+        let (once, cost) = eng.conditional(&l, &[(a, 1)]).unwrap();
+        let (twice, cost_twice) = eng.conditional(&l, &[(a, 1), (a, 1)]).unwrap();
+        assert_eq!(cost, cost_twice);
+        assert_eq!(once.scope(), twice.scope());
+        let bits = |p: &Potential| p.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&once), bits(&twice));
+        // the restricted-tree door answers the same list, to rounding
+        let restricted = eng.restricted_to_evidence(&[(a, 1), (a, 1)]).unwrap();
+        let (mut via_tree, _) = restricted.answer(&l).unwrap();
+        via_tree.normalize();
+        assert!(via_tree.max_abs_diff(&once).unwrap() < 1e-12);
+        // two values for one variable: nothing is consistent with both
+        let (none, _) = eng.conditional(&l, &[(a, 0), (a, 1)]).unwrap();
+        assert_eq!(none.scope(), &l);
+        assert!(none.values().iter().all(|&v| v == 0.0));
+        // a repeat does not excuse a bad value
+        assert!(matches!(
+            eng.conditional(&l, &[(a, 1), (a, 9)]),
+            Err(PgmError::ValueOutOfRange { .. })
         ));
     }
 

@@ -13,16 +13,20 @@
 //!
 //! Message passing — both numeric and size-only — is implemented once,
 //! here, for all methods (plain JT, PEANUT, PEANUT+, INDSEP), which keeps
-//! the cost accounting strictly comparable across them.
+//! the cost accounting strictly comparable across them. The two share the
+//! per-node charge ([`crate::cost`], on the size of the node's product);
+//! the numeric pass never builds that product: each message is one fused
+//! product→marginalize pass over the node's factors, divided by the parent
+//! separator afterwards, over the message's entries.
 
 use crate::calibrate::NumericState;
-use crate::cost::{node_ops, node_ops_of_size, QueryCost};
+use crate::cost::{node_ops_of_size, QueryCost};
 use crate::rooted::RootedTree;
 use crate::steiner::SteinerTree;
 use crate::tree::{CliqueId, JunctionTree};
 use peanut_pgm::{
-    divide_views, product_many_views, table_size, Domain, PgmError, Potential, Scope, Scratch,
-    TableRef,
+    divide_views, product_marginalize_views, table_size, Domain, PgmError, Potential, Scope,
+    Scratch, Size, TableRef,
 };
 
 /// Provenance of a reduced-tree node.
@@ -274,13 +278,26 @@ impl<'a> ReducedTree<'a> {
         held
     }
 
-    /// Size-only message passing: the operation count of answering `query`
-    /// on this tree under the cost model of [`crate::cost`].
-    ///
-    /// A node's product table spans its own scope plus the query variables
+    /// What node `u` is charged (paper §5.1), given [`carried`](Self::carried)'s
+    /// flags: its product spans its own scope plus the query variables
     /// carried up from below (the separator part of every incoming message
     /// already lies inside the node's scope), so it is sized by walking the
-    /// query against the scope — no scope is materialized.
+    /// query against the scope — no scope is materialized, and no table.
+    fn node_cost(&self, u: usize, query: &Scope, held: &[bool], domain: &Domain) -> Size {
+        let n = &self.nodes[u];
+        let mut t = table_size(n.scope, domain);
+        for (i, x) in query.iter().enumerate() {
+            if held[u * query.len() + i] && !n.scope.contains(x) {
+                t = t.saturating_mul(u64::from(domain.card(x)));
+            }
+        }
+        // +1 incoming factor for a non-root's separator division
+        let n_in = self.children(u).len() + usize::from(u != self.root);
+        node_ops_of_size(t, n_in)
+    }
+
+    /// Size-only message passing: the operation count of answering `query`
+    /// on this tree under the cost model of [`crate::cost`].
     pub fn cost(&self, query: &Scope, domain: &Domain) -> QueryCost {
         let held = self.carried(query);
         let mut cost = QueryCost {
@@ -288,16 +305,8 @@ impl<'a> ReducedTree<'a> {
             messages: self.nodes.len() - 1,
             ops: 0,
         };
-        for (u, n) in self.nodes.iter().enumerate() {
-            let mut t = table_size(n.scope, domain);
-            for (i, x) in query.iter().enumerate() {
-                if held[u * query.len() + i] && !n.scope.contains(x) {
-                    t = t.saturating_mul(u64::from(domain.card(x)));
-                }
-            }
-            // +1 incoming factor for a non-root's separator division
-            let n_in = self.children(u).len() + usize::from(u != self.root);
-            cost.add_node(node_ops_of_size(t, n_in));
+        for u in 0..self.nodes.len() {
+            cost.add_node(self.node_cost(u, query, &held, domain));
         }
         cost
     }
@@ -312,10 +321,17 @@ impl<'a> ReducedTree<'a> {
         self.answer_in(query, domain, &mut Scratch::new())
     }
 
-    /// [`answer`](Self::answer) with caller-provided kernel scratch: all
-    /// intermediate products and consumed messages are recycled into
-    /// `scratch`, so a worker answering a stream of queries stops allocating
-    /// after warm-up. The view kernels read the borrowed tables in place.
+    /// [`answer`](Self::answer) with caller-provided kernel scratch:
+    /// consumed messages are recycled into `scratch`, so a worker answering
+    /// a stream of queries stops allocating after warm-up. The view kernels
+    /// read the borrowed tables in place.
+    ///
+    /// A node's message is its potential times the incoming messages,
+    /// summed onto what goes up, in one fused pass that never builds the
+    /// product; the division by the parent separator then runs on the
+    /// message — the separator lies inside the message's scope, so dividing
+    /// after the sum is the same quantity over far fewer entries. The cost
+    /// charged is still the paper's count on the product's size.
     pub fn answer_in(
         &self,
         query: &Scope,
@@ -334,15 +350,7 @@ impl<'a> ReducedTree<'a> {
         let mut messages: Vec<Potential> = Vec::new();
         for &u in &self.order {
             let n = &self.nodes[u];
-            let first = messages.len() - self.children(u).len();
-            let mut factors = vec![n.potential.ok_or(PgmError::SymbolicEngine)?];
-            factors.extend(messages[first..].iter().rev().map(Potential::view));
-            let product = product_many_views(&factors, scratch)?;
-            let n_in = factors.len() - 1 + usize::from(u != self.root);
-            cost.add_node(node_ops(product.scope(), n_in, domain));
-            for spent in messages.drain(first..).rev() {
-                scratch.recycle(spent);
-            }
+            cost.add_node(self.node_cost(u, query, &held, domain));
             // what goes up: the separator with the parent plus the query
             // variables held below — from the root, the answer itself
             let target = match n.parent {
@@ -353,16 +361,18 @@ impl<'a> ReducedTree<'a> {
                 }
                 None => query.clone(),
             };
-            let divided = match n.sep_to_parent {
-                Some(sep) => {
-                    let d = divide_views(product.view(), sep, scratch)?;
-                    scratch.recycle(product);
-                    d
-                }
-                None => product,
-            };
-            messages.push(divided.marginalize_in(&target, scratch)?);
-            scratch.recycle(divided);
+            let first = messages.len() - self.children(u).len();
+            let mut factors = vec![n.potential.ok_or(PgmError::SymbolicEngine)?];
+            factors.extend(messages[first..].iter().rev().map(Potential::view));
+            let mut message = product_marginalize_views(&factors, &target, scratch)?;
+            for spent in messages.drain(first..).rev() {
+                scratch.recycle(spent);
+            }
+            if let Some(sep) = n.sep_to_parent {
+                let divided = divide_views(message.view(), sep, scratch)?;
+                scratch.recycle(std::mem::replace(&mut message, divided));
+            }
+            messages.push(message);
         }
         // lint:allow(hot_panic) — a tree has a root, and it closes the post-order
         Ok((messages.pop().expect("the root's answer"), cost))

@@ -12,7 +12,9 @@
 //! singleton/empty-scope and zero-cell edge cases.
 
 use crate::domain::Domain;
-use crate::potential::{legacy, product_onto, Potential, Scratch};
+use crate::potential::{
+    legacy, product_many_views, product_marginalize_views, product_onto, Potential, Scratch,
+};
 use crate::scope::Scope;
 use crate::var::Var;
 use proptest::prelude::*;
@@ -20,7 +22,12 @@ use proptest::prelude::*;
 /// A domain of `n` variables with cardinalities in 2..=4 (odd cards give
 /// tail lanes).
 fn domain_strategy(n: usize) -> impl Strategy<Value = Domain> {
-    prop::collection::vec(2u32..=4, n).prop_map(|cards| {
+    domain_from(2, n)
+}
+
+/// The same with cardinalities in `least..=4`: from 1, unit axes turn up.
+fn domain_from(least: u32, n: usize) -> impl Strategy<Value = Domain> {
+    prop::collection::vec(least..=4, n).prop_map(|cards| {
         let mut d = Domain::new();
         for (i, c) in cards.into_iter().enumerate() {
             d.add(&format!("v{i}"), c).unwrap();
@@ -122,6 +129,69 @@ proptest! {
         }
     }
 
+    /// The fused kernel is the two-pass form, bit for bit: same multiply
+    /// chain per entry, same additions per result slot in the same order.
+    #[test]
+    fn fused_bit_identical(
+        d in domain_from(1, 6),
+        scopes in prop::collection::vec(scope_strategy(6), 1..=4),
+        keep in scope_strategy(6),
+        seed in 0u64..10_000,
+    ) {
+        let pots: Vec<Potential> = scopes
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| potential_with_zeros(&d, s, seed + i as u64))
+            .collect();
+        let views: Vec<_> = pots.iter().map(Potential::view).collect();
+        let mut s1 = Scratch::new();
+        let mut s2 = Scratch::new();
+        let got = product_marginalize_views(&views, &keep, &mut s1).unwrap();
+        let product = product_many_views(&views, &mut s2).unwrap();
+        let want = product.marginalize_in(&keep, &mut s2).unwrap();
+        prop_assert_eq!(got.scope(), &product.scope().intersect(&keep));
+        assert_bit_identical(&got, &want);
+    }
+
+    /// The one reorder message passing makes: dividing by a separator whose
+    /// scope lies inside the target commutes with the sum. On calibrated-style
+    /// tables (the separator is the table's own marginal, so it is zero only
+    /// where the table is) sum-then-divide and divide-then-sum agree to
+    /// rounding, and exactly — `0.0` — on the Hugin `0/0` cells.
+    #[test]
+    fn division_commutes_with_the_sum(
+        d in domain_strategy(6),
+        rest in scope_strategy(6),
+        target in scope_strategy(6),
+        sep_mask in scope_strategy(6),
+        seed in 0u64..10_000,
+    ) {
+        let sep = target.intersect(&sep_mask);
+        let scope = rest.union(&target);
+        // a table that vanishes wherever a factor over the separator does
+        let table = potential_with_zeros(&d, scope.clone(), seed)
+            .product(&potential_with_zeros(&d, sep.clone(), seed + 1))
+            .unwrap();
+        let phi = table.marginalize(&sep).unwrap();
+        let divide_then_sum = table.divide(&phi).unwrap().marginalize(&target).unwrap();
+        let sum_then_divide = table.marginalize(&target).unwrap().divide(&phi).unwrap();
+        prop_assert_eq!(sum_then_divide.scope(), divide_then_sum.scope());
+        // the denominator of every result slot, and the entries summed into it
+        let den = Potential::ones(target, &d).unwrap().product(&phi).unwrap();
+        let summed = (table.len() / den.len()) as f64;
+        for ((&a, &b), &den) in (sum_then_divide.values().iter())
+            .zip(divide_then_sum.values())
+            .zip(den.values())
+        {
+            if den == 0.0 {
+                prop_assert_eq!(a.to_bits(), 0.0f64.to_bits());
+                prop_assert_eq!(b.to_bits(), 0.0f64.to_bits());
+            } else {
+                prop_assert!((a - b).abs() <= 4.0 * summed * f64::EPSILON * a.max(b), "{a} vs {b}");
+            }
+        }
+    }
+
     /// Marginalization: block-4 accumulator path + lane adds vs scalar walk.
     #[test]
     fn marginalize_bit_identical(
@@ -175,6 +245,42 @@ proptest! {
         let mut s2 = Scratch::new();
         let got = f.restrict_in(v, value, &mut s1).unwrap();
         let want = legacy::restrict_in(&f, v, value, &mut s2).unwrap();
+        assert_bit_identical(&got, &want);
+    }
+}
+
+/// The fused kernel on shapes the random 2..=4 cardinalities never reach:
+/// summed-out runs longer than one chunk, rows of result slots wider than
+/// one block, blocks that span rows, and an empty target.
+#[test]
+fn fused_long_runs_and_wide_rows_bit_identical() {
+    let d = Domain::from_pairs([("a", 5), ("b", 1300), ("c", 3), ("e", 150)]).unwrap();
+    let table = |ix: &[u32], seed| potential_with_zeros(&d, Scope::from_indices(ix), seed);
+    let (ab, b, ac, bc, ce, ae) = (
+        table(&[0, 1], 1),
+        table(&[1], 2),
+        table(&[0, 2], 3),
+        table(&[1, 2], 4),
+        table(&[2, 3], 5),
+        table(&[0, 3], 6),
+    );
+    let cases: [(&[&Potential], &[u32]); 8] = [
+        (&[&ab, &b], &[0]),          // five chains of 1300, four in lock-step
+        (&[&ab, &b], &[1]),          // a row of 1300 slots, block by block
+        (&[&ab, &b], &[]),           // one chain over everything
+        (&[&ac, &bc], &[0, 2]),      // blocks of four slots across rows of three
+        (&[&bc, &ce], &[1, 3]),      // short runs under rows of 150
+        (&[&ac, &ce], &[0, 2, 3]),   // nothing summed out
+        (&[&ac, &ce, &ae], &[0]),    // three factors, a chain per slot
+        (&[&ab, &bc, &ae], &[1, 3]), // three factors across slots
+    ];
+    for (factors, keep) in cases {
+        let views: Vec<_> = factors.iter().map(|f| f.view()).collect();
+        let keep = Scope::from_indices(keep);
+        let mut s = Scratch::new();
+        let got = product_marginalize_views(&views, &keep, &mut s).unwrap();
+        let product = product_many_views(&views, &mut s).unwrap();
+        let want = product.marginalize_in(&keep, &mut s).unwrap();
         assert_bit_identical(&got, &want);
     }
 }

@@ -77,26 +77,26 @@ pub(crate) fn seq_sum(run: &[f64]) -> f64 {
     run.iter().sum()
 }
 
-/// Sums four consecutive equal-length runs of `block` into four independent
-/// accumulators: `out[k] = Σ_j block[k·run_len + j]`, each chain strictly
-/// sequential in `j`.
+/// Adds `N` consecutive equal-length runs of `block` onto `N` independent
+/// accumulators: `out[k] = acc[k] + Σ_j block[k·run_len + j]`, each chain
+/// strictly sequential in `j` (and free to go on in a later call).
 ///
 /// This is the marginalization fast path: when consecutive source runs feed
-/// consecutive target slots, four runs are processed in lock-step, which
-/// breaks the floating-point add latency chain (4 independent chains in
+/// consecutive target slots, the runs are processed in lock-step, which
+/// breaks the floating-point add latency chain (`N` independent chains in
 /// flight) *without* reordering any single chain — each output slot still
 /// accumulates in exactly the legacy order, so the result is bit-identical.
-pub(crate) fn sum_4_runs(block: &[f64], run_len: usize) -> [f64; 4] {
-    debug_assert_eq!(block.len(), 4 * run_len);
-    let (r0, rest) = block.split_at(run_len);
-    let (r1, rest) = rest.split_at(run_len);
-    let (r2, r3) = rest.split_at(run_len);
-    let mut acc = [0.0f64; 4];
+pub(crate) fn sum_runs<const N: usize>(
+    mut acc: [f64; N],
+    block: &[f64],
+    run_len: usize,
+) -> [f64; N] {
+    debug_assert_eq!(block.len(), N * run_len);
+    let runs: [&[f64]; N] = std::array::from_fn(|k| &block[k * run_len..(k + 1) * run_len]);
     for j in 0..run_len {
-        acc[0] += r0[j];
-        acc[1] += r1[j];
-        acc[2] += r2[j];
-        acc[3] += r3[j];
+        for (sum, run) in acc.iter_mut().zip(runs) {
+            *sum += run[j];
+        }
     }
     acc
 }
@@ -186,10 +186,17 @@ mod tests {
     fn sum_4_runs_is_bitwise_sequential_per_lane() {
         for run_len in [1, 2, 3, 5, 9] {
             let block = seq(4 * run_len, 6);
-            let got = sum_4_runs(&block, run_len);
+            let got = sum_runs([0.0; 4], &block, run_len);
+            // three chains carried over from a first call
+            let carried = sum_runs([got[1], got[2], got[3]], &block[..3 * run_len], run_len);
             for k in 0..4 {
-                let want: f64 = block[k * run_len..(k + 1) * run_len].iter().sum();
+                let run = &block[k * run_len..(k + 1) * run_len];
+                let want: f64 = run.iter().sum();
                 assert_eq!(got[k].to_bits(), want.to_bits(), "lane {k}");
+                if k < 3 {
+                    let want = run.iter().fold(got[k + 1], |a, &v| a + v);
+                    assert_eq!(carried[k].to_bits(), want.to_bits(), "carried lane {k}");
+                }
             }
         }
     }

@@ -16,7 +16,10 @@
 //! points [`product_onto`] and [`mul_assign_bcast`] take a `&mut [f64]`
 //! destination directly. Inner runs with unit or broadcast strides execute
 //! as the elementwise slice loops of `crate::lanes`, bit-identical to the
-//! scalar walk.
+//! scalar walk. Query-time message passing uses none of the three-step
+//! product → divide → marginalize sequence: [`product_marginalize_views`]
+//! sums a product onto its target without storing it, bit-identical to the
+//! two kernels it replaces.
 //!
 //! Every kernel also comes in an `_in` variant taking a [`Scratch`]: a
 //! caller-owned bundle of reusable odometer state and recycled value
@@ -385,7 +388,7 @@ impl<'a> TableRef<'a> {
     ///
     /// Source runs whose target step is 0 and whose consecutive runs feed
     /// consecutive target slots are processed four runs at a time with four
-    /// independent accumulator chains (`lanes::sum_4_runs`) — same bits,
+    /// independent accumulator chains (`lanes::sum_runs`) — same bits,
     /// no cross-run add latency chain.
     pub fn marginalize_in(&self, keep: &Scope, scratch: &mut Scratch) -> Result<Potential> {
         let target_scope = self.scope.intersect(keep);
@@ -429,7 +432,7 @@ impl<'a> TableRef<'a> {
                 let mut t = t0 as usize;
                 let mut c = 0usize;
                 while c + 4 <= c1 {
-                    let s = lanes::sum_4_runs(&src[pos..pos + 4 * inner], inner);
+                    let s = lanes::sum_runs([0.0; 4], &src[pos..pos + 4 * inner], inner);
                     values[t] += s[0];
                     values[t + 1] += s[1];
                     values[t + 2] += s[2];
@@ -486,12 +489,7 @@ impl<'a> TableRef<'a> {
 /// Pointwise product of table views; the owned-result form of
 /// [`product_onto`]. The result scope is the union of all view scopes.
 pub fn product_many_views(factors: &[TableRef<'_>], scratch: &mut Scratch) -> Result<Potential> {
-    let mut scope = Scope::empty();
-    for f in factors {
-        scope = scope.union(f.scope);
-    }
-    let cards = resolve_cards(&scope, factors)?;
-    let total = checked_len(&cards)? as usize;
+    let (scope, cards, total) = product_axes(factors)?;
     // build by appending (the walks tile the output sequentially): unlike
     // `product_onto` into an arena span, a fresh buffer would have to be
     // zero-filled before indexed writes, a pure extra pass. Measured, not
@@ -767,6 +765,428 @@ pub fn divide_views(
     })
 }
 
+/// The product of `factors` marginalized onto `keep`, in one pass: **bit
+/// for bit** what [`product_many_views`] followed by
+/// [`TableRef::marginalize_in`] returns, without the product table.
+///
+/// The product is never stored, so the order it is visited in is free as
+/// long as every result slot sees its additions in the two-pass order. The
+/// kernel goes by result slot: for a block of neighbouring slots it walks
+/// the summed-out axes of the product in row-major order, multiplies the
+/// factors' entries left to right (as the product kernel does) and adds
+/// them up per slot — a trailing stretch of summed-out axes as one chain
+/// added to the slot's total once per stretch (what the marginalization's
+/// coalesced walk does), anything else entry by entry. The chains of a
+/// block's slots advance side by side; each stays sequential.
+///
+/// The product's size is still checked: a query whose product exceeds the
+/// dense limit fails with the same `TableTooLarge`.
+pub fn product_marginalize_views(
+    factors: &[TableRef<'_>],
+    keep: &Scope,
+    scratch: &mut Scratch,
+) -> Result<Potential> {
+    match factors {
+        [] => return Ok(Potential::scalar(1.0)),
+        [f] => return f.marginalize_in(keep, scratch),
+        _ => {}
+    }
+    // the product is never built, but one over the dense limit is refused
+    let (scope, cards, _) = product_axes(factors)?;
+    let target_scope = scope.intersect(keep);
+    let t_cards: Vec<u32> = (scope.iter().zip(&cards))
+        .filter(|(v, _)| target_scope.contains(*v))
+        .map(|(_, &c)| c)
+        .collect();
+    let total = checked_len(&t_cards)? as usize;
+    let mut values = scratch.take_buf_empty(total);
+
+    let Scratch {
+        digits,
+        bases,
+        work,
+        fused: plan,
+        ..
+    } = scratch;
+    plan.build(&scope, &cards, &target_scope, factors);
+    let (k, w) = (factors.len(), plan.width);
+    digits.clear();
+    digits.resize(plan.n_axes(), 0);
+    bases.clear();
+    bases.resize(2 * k, 0);
+    let runs = 4 * RUN_CHUNK.min(plan.group[0] as usize);
+    work.resize(2 * plan.block + plan.block.max(runs), 0.0);
+    let (k_digits, digits) = digits.split_at_mut(plan.kept.len() / w - 1);
+    let (k_bases, bases) = bases.split_at_mut(k);
+    let mut at = 0; // along the innermost kept axis
+    let mut more = true;
+    while more {
+        let n = plan.next_block(&mut at, &mut more, k_digits, k_bases);
+        let (totals, rest) = work.split_at_mut(n);
+        plan.sum_slots(factors, totals, rest, digits, bases);
+        // onto +0.0, as the two-pass form adds onto its zeroed table
+        values.extend(totals.iter().map(|&sum| 0.0 + sum));
+    }
+    debug_assert_eq!(values.len(), total);
+    Ok(Potential {
+        scope: target_scope,
+        cards: t_cards,
+        values,
+    })
+}
+
+/// Result slots [`product_marginalize_views`] sums side by side at most.
+const WIDE_LANES: usize = 128;
+
+/// Entries of a product run it computes at a time along a summed-out run:
+/// four lock-step runs of this length are 16 KiB, so the only part of the
+/// product that ever exists sits in L1.
+const RUN_CHUNK: usize = 512;
+
+/// A run this long pays for the set-up of the loop over it.
+const LONG_RUN: u64 = 16;
+
+/// The iteration plan of [`product_marginalize_views`], rebuilt per call in
+/// storage a [`Scratch`] keeps. The product's non-unit axes fall in three
+/// parts — `kept` (result axes), `group` (the summed-out axes after the
+/// last kept one: one add chain per result slot and `upper` position) and
+/// `upper` (the summed-out axes before it) — each coalesced on its own and
+/// stored innermost axis first, one row `[card, step in factor 0, …, step
+/// in factor k-1]` per axis. `kept` and `group` always have a first row, a
+/// unit one if need be.
+#[derive(Debug, Default)]
+struct FusedPlan {
+    /// Row length: one more than the number of factors.
+    width: usize,
+    kept: Vec<u64>,
+    upper: Vec<u64>,
+    group: Vec<u64>,
+    /// Per factor, while building: axes not yet placed, stride of the next.
+    cursors: Vec<(usize, u64)>,
+    /// The direction product runs are computed in, the one that is long
+    /// and, if there is a choice, contiguous: across the slots of a block,
+    /// or else, four slots in lock-step, along the inner run of `group`.
+    across: bool,
+    /// Whether a block stays within one row of the innermost kept axis:
+    /// where that row is long and every factor steps by 0 or 1 along it.
+    /// Otherwise `across` is for a short inner run, and any run of slots.
+    one_row: bool,
+    /// Result slots per block at most.
+    block: usize,
+    /// Per factor (`block` apart), where each slot of the current block
+    /// starts in it.
+    offsets: Vec<u64>,
+    /// Per factor, the step between those offsets where they have one: the
+    /// block lies in one row of the innermost kept axis, or they are all
+    /// the same (0) or consecutive (1).
+    regular: Vec<Option<usize>>,
+}
+
+impl FusedPlan {
+    fn build(&mut self, scope: &Scope, cards: &[u32], target: &Scope, factors: &[TableRef<'_>]) {
+        let w = factors.len() + 1;
+        self.width = w;
+        self.kept.clear();
+        self.upper.clear();
+        self.group.clear();
+        self.cursors.clear();
+        self.cursors
+            .extend(factors.iter().map(|f| (f.scope.len(), 1)));
+        let mut kept_left = target.len();
+        // still after the last kept axis (one that iterates: not a unit one)
+        let mut trailing = true;
+        for (&v, &card) in scope.vars().iter().zip(cards).rev() {
+            let card = card as u64;
+            let is_kept = kept_left > 0 && target.vars()[kept_left - 1] == v;
+            kept_left -= usize::from(is_kept);
+            trailing &= !(is_kept && card > 1);
+            let part = if is_kept {
+                &mut self.kept
+            } else if trailing {
+                &mut self.group
+            } else {
+                &mut self.upper
+            };
+            part.push(card);
+            for (f, (left, stride)) in factors.iter().zip(&mut self.cursors) {
+                if *left > 0 && f.scope.vars()[*left - 1] == v {
+                    part.push(*stride);
+                    *stride *= card;
+                    *left -= 1;
+                } else {
+                    part.push(0);
+                }
+            }
+            // a unit axis iterates nothing; an axis whose every step carries
+            // on from the row inside it lengthens that row
+            let n = part.len();
+            let fold = card == 1 || {
+                n >= 2 * w && {
+                    let (inside, row) = part[n - 2 * w..].split_at(w);
+                    (row[1..].iter().zip(&inside[1..])).all(|(&s, &i)| s == i * inside[0])
+                }
+            };
+            if fold {
+                part.truncate(n - w);
+                if card != 1 {
+                    part[n - 2 * w] *= card;
+                }
+            }
+        }
+        if self.group.is_empty() {
+            // nothing is summed out after the last kept axis: every entry is
+            // added to its slot on its own, i.e. one chain over all of `upper`
+            std::mem::swap(&mut self.group, &mut self.upper);
+        }
+        for part in [&mut self.kept, &mut self.group] {
+            if part.is_empty() {
+                part.push(1);
+                part.resize(w, 0);
+            }
+        }
+        self.one_row = self.kept[0] >= LONG_RUN && self.kept[1..w].iter().all(|&step| step <= 1);
+        self.across = self.one_row || self.group[0] < LONG_RUN;
+        self.block = if self.across { WIDE_LANES } else { 4 };
+        self.offsets.resize(factors.len() * self.block, 0);
+    }
+
+    /// Lays out the next block of result slots in `offsets` and `regular`,
+    /// and returns how many. `at` is the position along the innermost kept
+    /// axis, `digits` and `bases` the odometer over the kept axes outside
+    /// it; `more` turns false with the last slot.
+    fn next_block(
+        &mut self,
+        at: &mut u64,
+        more: &mut bool,
+        digits: &mut [u64],
+        bases: &mut [u64],
+    ) -> usize {
+        let (block, one_row) = (self.block, self.one_row);
+        let (lane, kept_outer) = self.kept.split_at(self.width);
+        let (mut n, mut rows) = (0, 0);
+        while *more && n < block {
+            let take = (lane[0] - *at).min((block - n) as u64) as usize;
+            for ((offsets, &base), &step) in (self.offsets.chunks_exact_mut(block))
+                .zip(bases.iter())
+                .zip(&lane[1..])
+            {
+                for (offset, i) in offsets[n..n + take].iter_mut().zip(*at..) {
+                    *offset = base + i * step;
+                }
+            }
+            n += take;
+            rows += 1;
+            *at += take as u64;
+            if *at == lane[0] {
+                *at = 0;
+                *more = odometer_step(kept_outer, self.width, digits, bases);
+                if one_row {
+                    break;
+                }
+            }
+        }
+        self.regular.clear();
+        if rows == 1 {
+            self.regular
+                .extend(lane[1..].iter().map(|&step| Some(step as usize)));
+        } else {
+            self.regular
+                .extend(self.offsets.chunks_exact(block).map(|offsets| {
+                    let (offsets, first) = (&offsets[..n], offsets[0]);
+                    if offsets.iter().all(|&o| o == first) {
+                        Some(0)
+                    } else if offsets.iter().zip(first..).all(|(&o, unit)| o == unit) {
+                        Some(1)
+                    } else {
+                        None
+                    }
+                }));
+        }
+        n
+    }
+
+    /// Odometer digits the three parts need: every row but the two first.
+    fn n_axes(&self) -> usize {
+        (self.kept.len() + self.upper.len() + self.group.len()) / self.width - 2
+    }
+
+    /// The totals of the `totals.len()` result slots of the current block:
+    /// for each slot, over the positions of `upper`, the sum of one
+    /// sequential chain over `group`. `work` is working space, `digits` are
+    /// `upper`'s then `group`'s, and `bases` the factors' offsets along the
+    /// two; they come back zero.
+    fn sum_slots(
+        &self,
+        factors: &[TableRef<'_>],
+        totals: &mut [f64],
+        work: &mut [f64],
+        digits: &mut [u64],
+        bases: &mut [u64],
+    ) {
+        let w = self.width;
+        let n = totals.len();
+        let (run, group_outer) = self.group.split_at(w);
+        let (len, steps) = (run[0] as usize, &run[1..]);
+        let (u_digits, g_digits) = digits.split_at_mut(self.upper.len() / w);
+        let (chain, runs) = work.split_at_mut(n);
+        let slots = |op: usize| &self.offsets[op * self.block..op * self.block + n];
+        // with nothing in `upper` a slot's one chain is its total
+        let two_level = !self.upper.is_empty();
+        totals.fill(0.0);
+        loop {
+            let sums = if two_level {
+                chain.fill(0.0);
+                &mut *chain
+            } else {
+                &mut *totals
+            };
+            loop {
+                if self.across {
+                    let products = &mut runs[..n];
+                    for j in 0..len as u64 {
+                        product_run(products, factors, |op| {
+                            let start = bases[op] + j * steps[op];
+                            match self.regular[op] {
+                                Some(step) => (slots(op)[0] + start, Stride::Step(step)),
+                                None => (start, Stride::Offsets(slots(op))),
+                            }
+                        });
+                        lanes::add_assign(sums, products);
+                    }
+                } else {
+                    for j0 in (0..len).step_by(RUN_CHUNK) {
+                        let m = RUN_CHUNK.min(len - j0);
+                        for (lane, run) in runs[..n * m].chunks_exact_mut(m).enumerate() {
+                            product_run(run, factors, |op| {
+                                let start = slots(op)[lane] + bases[op] + j0 as u64 * steps[op];
+                                (start, Stride::Step(steps[op] as usize))
+                            });
+                        }
+                        match n {
+                            4 => add_runs::<4>(sums, runs, m),
+                            3 => add_runs::<3>(sums, runs, m),
+                            2 => add_runs::<2>(sums, runs, m),
+                            _ => add_runs::<1>(sums, runs, m),
+                        }
+                    }
+                }
+                if !odometer_step(group_outer, w, g_digits, bases) {
+                    break;
+                }
+            }
+            if !two_level {
+                break;
+            }
+            for (sum, &chain) in totals.iter_mut().zip(chain.iter()) {
+                *sum += chain;
+            }
+            if !odometer_step(&self.upper, w, u_digits, bases) {
+                break;
+            }
+        }
+    }
+}
+
+/// Carries the `N` chains of `chain` on over `N` runs of `run_len` entries
+/// laid back to back in `runs`, in lock-step.
+fn add_runs<const N: usize>(chain: &mut [f64], runs: &[f64], run_len: usize) {
+    let carried = std::array::from_fn(|lane| chain[lane]);
+    let sums = lanes::sum_runs::<N>(carried, &runs[..N * run_len], run_len);
+    chain.copy_from_slice(&sums);
+}
+
+/// How the entries of one factor that a product run multiplies lie in it.
+#[derive(Clone, Copy)]
+enum Stride<'a> {
+    /// A fixed distance apart: 0 is one entry for the whole run.
+    Step(usize),
+    /// At these offsets from the run's start.
+    Offsets(&'a [u64]),
+}
+
+/// A run of the product: `out[j] = Π_i factors[i][entry j of factor i]`,
+/// multiplied left to right, where `at(i)` says where factor `i`'s entries
+/// start and how they lie.
+fn product_run<'a>(
+    out: &mut [f64],
+    factors: &[TableRef<'_>],
+    at: impl Fn(usize) -> (u64, Stride<'a>),
+) {
+    let n = out.len();
+    // the first two factors in one pass where both runs are plain
+    let ((oa, stride_a), (ob, stride_b)) = (at(0), at(1));
+    let (a, b) = (
+        &factors[0].values[oa as usize..],
+        &factors[1].values[ob as usize..],
+    );
+    let done = match (stride_a, stride_b) {
+        (Stride::Step(1), Stride::Step(0)) => {
+            lanes::mul_scalar(out, &a[..n], b[0]);
+            2
+        }
+        (Stride::Step(0), Stride::Step(1)) => {
+            lanes::mul_scalar(out, &b[..n], a[0]);
+            2
+        }
+        (Stride::Step(1), Stride::Step(1)) => {
+            lanes::mul(out, &a[..n], &b[..n]);
+            2
+        }
+        _ => 0,
+    };
+    for (i, f) in factors.iter().enumerate().skip(done) {
+        let (start, stride) = at(i);
+        let (a, o) = (f.values, start as usize);
+        match (i, stride) {
+            (0, Stride::Step(0)) => out.fill(a[o]),
+            (0, Stride::Step(1)) => out.copy_from_slice(&a[o..o + n]),
+            (0, Stride::Step(step)) => {
+                for (j, slot) in out.iter_mut().enumerate() {
+                    *slot = a[o + j * step];
+                }
+            }
+            (0, Stride::Offsets(offsets)) => {
+                for (slot, &off) in out.iter_mut().zip(offsets) {
+                    *slot = a[o + off as usize];
+                }
+            }
+            (_, Stride::Step(0)) => lanes::mul_assign_scalar(out, a[o]),
+            (_, Stride::Step(1)) => lanes::mul_assign(out, &a[o..o + n]),
+            (_, Stride::Step(step)) => {
+                for (j, slot) in out.iter_mut().enumerate() {
+                    *slot *= a[o + j * step];
+                }
+            }
+            (_, Stride::Offsets(offsets)) => {
+                for (slot, &off) in out.iter_mut().zip(offsets) {
+                    *slot *= a[o + off as usize];
+                }
+            }
+        }
+    }
+}
+
+/// Steps an odometer over `rows` (innermost first, `[card, step per
+/// operand…]` each, `width` long) to its next position, moving the operand
+/// offsets `bases` along; `false` once the rows are exhausted, with
+/// `digits` and `bases` back where they started.
+fn odometer_step(rows: &[u64], width: usize, digits: &mut [u64], bases: &mut [u64]) -> bool {
+    for (row, digit) in rows.chunks_exact(width).zip(digits) {
+        *digit += 1;
+        for (base, step) in bases.iter_mut().zip(&row[1..]) {
+            *base += step;
+        }
+        if *digit < row[0] {
+            return true;
+        }
+        *digit = 0;
+        for (base, step) in bases.iter_mut().zip(&row[1..]) {
+            *base -= step * row[0];
+        }
+    }
+    false
+}
+
 /// Evidence restriction on a view: fixes `var = value` and drops the axis.
 fn restrict_view(
     p: TableRef<'_>,
@@ -840,6 +1260,18 @@ fn steps_of(result: &Scope, f_scope: &Scope, f_cards: &[u32]) -> Result<Vec<u64>
         .collect())
 }
 
+/// The table the product of `factors` spans: the union of their scopes, its
+/// cardinalities (shared variables must agree) and its — checked — length.
+fn product_axes(factors: &[TableRef<'_>]) -> Result<(Scope, Vec<u32>, usize)> {
+    let mut scope = Scope::empty();
+    for f in factors {
+        scope = scope.union(f.scope);
+    }
+    let cards = resolve_cards(&scope, factors)?;
+    let total = checked_len(&cards)? as usize;
+    Ok((scope, cards, total))
+}
+
 fn resolve_cards(scope: &Scope, factors: &[TableRef<'_>]) -> Result<Vec<u32>> {
     let mut cards = Vec::with_capacity(scope.len());
     for v in scope.iter() {
@@ -866,14 +1298,18 @@ fn resolve_cards(scope: &Scope, factors: &[TableRef<'_>]) -> Result<Vec<u32>> {
 
 /// Reusable scratch state for the stride-walk kernels.
 ///
-/// Holds the odometer digit/offset vectors and a pool of recycled `f64`
-/// buffers. One `Scratch` is single-threaded state: give each worker its
-/// own. Creating one is free (no allocation until first use), so the
-/// non-`_in` kernel methods just instantiate a fresh one per call.
+/// Holds the odometer digit/offset vectors, the fused kernel's plan and
+/// working space, and a pool of recycled `f64` buffers. One `Scratch` is
+/// single-threaded state: give each worker its own. Creating one is free
+/// (no allocation until first use), so the non-`_in` kernel methods just
+/// instantiate a fresh one per call.
 #[derive(Debug, Default)]
 pub struct Scratch {
     digits: Vec<u64>,
     bases: Vec<u64>,
+    /// Slot totals, chains and product runs of the fused kernel: a few KiB.
+    work: Vec<f64>,
+    fused: FusedPlan,
     pool: Vec<Vec<f64>>,
 }
 

@@ -623,6 +623,38 @@ mod tests {
         }
     }
 
+    /// Evidence listed twice is the same request — one cache key through
+    /// `ServeRequest::new`, the same bits however it was built — and two
+    /// values for one variable are served as an all-zero table.
+    #[test]
+    fn repeated_evidence_is_served_like_the_single_pair() {
+        let bn = fixtures::figure1();
+        let tree = build_junction_tree(&bn).unwrap();
+        let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+        let serving =
+            ServingEngine::new(engine, Materialization::default(), ServingConfig::default());
+        let d = bn.domain();
+        let (a, l) = (d.var("a").unwrap(), Scope::singleton(d.var("l").unwrap()));
+        let batch = vec![
+            ServeRequest::new(l.clone(), vec![(a, 1)]),
+            ServeRequest::new(l.clone(), vec![(a, 1), (a, 1)]),
+            ServeRequest {
+                targets: l.clone(),
+                evidence: vec![(a, 1), (a, 1)],
+            },
+            ServeRequest::new(l, vec![(a, 1), (a, 0)]),
+        ];
+        let (answers, stats) = serving.serve_batch(&batch);
+        assert_eq!(stats.unique, 3, "the canonical form coalesces");
+        let bits = |o: &ServeOutcome| -> Vec<u64> {
+            let p = &o.served().expect("served").potential;
+            p.values().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&answers[0]), bits(&answers[1]));
+        assert_eq!(bits(&answers[0]), bits(&answers[2]));
+        assert!(bits(&answers[3]).iter().all(|&b| b == 0));
+    }
+
     #[test]
     fn errors_are_reported_per_query() {
         let bn = fixtures::sprinkler();

@@ -70,6 +70,7 @@ impl<'t> ServingEngine<'t> {
         mut evidence: Vec<(Var, u32)>,
     ) -> Result<EvidenceSession<'_, 't>, PgmError> {
         evidence.sort_unstable();
+        evidence.dedup();
         let local = self.engine().restricted_to_evidence(&evidence)?;
         let snapshot = self.target();
         let evidence_scope = Scope::from_iter(evidence.iter().map(|&(v, _)| v));
@@ -90,7 +91,7 @@ impl<'t> ServingEngine<'t> {
 }
 
 impl<'s, 't> EvidenceSession<'s, 't> {
-    /// The pinned evidence assignment (sorted by variable).
+    /// The pinned evidence assignment (sorted by variable, each pair once).
     pub fn evidence(&self) -> &[(Var, u32)] {
         &self.evidence
     }
@@ -204,6 +205,23 @@ mod tests {
             .unwrap();
         let a = s.serve_one(&Scope::from_indices(&[2]));
         assert_eq!(a.served().unwrap().potential.sum(), 0.0);
+    }
+
+    #[test]
+    fn repeated_evidence_opens_the_same_session() {
+        let bn = fixtures::figure1();
+        let serving = serving_for(&bn);
+        let d = bn.domain();
+        let (a, l) = (d.var("a").unwrap(), Scope::singleton(d.var("l").unwrap()));
+        let once = serving.open_session(vec![(a, 1)]).unwrap();
+        let twice = serving.open_session(vec![(a, 1), (a, 1)]).unwrap();
+        assert_eq!(twice.evidence(), once.evidence());
+        let bits = |s: &EvidenceSession<'_, '_>| -> Vec<u64> {
+            let answer = s.serve_one(&l);
+            let p = &answer.served().expect("served").potential;
+            p.values().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&once), bits(&twice));
     }
 
     #[test]
