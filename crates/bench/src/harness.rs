@@ -91,34 +91,6 @@ pub fn threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Worker-thread counts for the serving scaling sweeps. One flag drives
-/// every serving bench (`query_serving`, `drift_serving`,
-/// `multi_tenant_serving`): set `PEANUT_WORKERS="1,2,4,8"` (or a single
-/// count) to sweep explicit pool sizes; unset means `[0]` — one worker per
-/// available core, the serving default.
-///
-/// # Panics
-/// When the variable is set to anything but a comma-separated list of
-/// counts: a mistyped token must not silently run a different study than
-/// the one requested.
-pub fn worker_sweep() -> Vec<usize> {
-    parse_worker_sweep(std::env::var("PEANUT_WORKERS").ok().as_deref())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Parses the `PEANUT_WORKERS` value, all or nothing (`split` always
-/// yields ≥ 1 token and an empty token fails to parse, so the `Ok` list is
-/// never empty).
-fn parse_worker_sweep(value: Option<&str>) -> Result<Vec<usize>, String> {
-    let Some(s) = value else {
-        return Ok(vec![0]);
-    };
-    s.split(',')
-        .map(|t| t.trim().parse())
-        .collect::<Result<Vec<usize>, _>>()
-        .map_err(|_| format!("PEANUT_WORKERS={s:?} is not a comma-separated list of counts"))
-}
-
 /// Builds a PEANUT/PEANUT+ materialization, returning it with the offline
 /// wall-clock seconds.
 pub fn run_offline(
@@ -261,18 +233,6 @@ mod tests {
         assert!((pearson(&xs, &ys) - 1.0).abs() < 1e-12);
         let zs = [8.0, 6.0, 4.0, 2.0];
         assert!((pearson(&xs, &zs) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn worker_sweep_parses_the_flag() {
-        assert_eq!(parse_worker_sweep(None), Ok(vec![0]));
-        assert_eq!(parse_worker_sweep(Some("2")), Ok(vec![2]));
-        assert_eq!(parse_worker_sweep(Some("1,2,4")), Ok(vec![1, 2, 4]));
-        assert_eq!(parse_worker_sweep(Some(" 1 , 2 ")), Ok(vec![1, 2]));
-        for bad in ["1,,4", "two", ""] {
-            let err = parse_worker_sweep(Some(bad)).expect_err(bad);
-            assert!(err.contains(&format!("{bad:?}")), "{err}");
-        }
     }
 
     #[test]

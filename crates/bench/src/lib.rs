@@ -23,10 +23,11 @@
 //! | `ablation` | beyond the paper — workload-awareness, GWMIN and ε ablations |
 //! | `pivot_study` | beyond the paper (§6 future work) — sensitivity to the pivot |
 //!
-//! The three `[[bench]]` targets under `benches/` (`query_serving`,
-//! `drift_serving`, `multi_tenant_serving`) are plain `fn main()`
-//! acceptance programs: each prints and `assert!`s the ratios whose ratio
-//! *is* the claim (README, "Acceptance ratios"). What a phase *costs* is
-//! timed by the repository benchmark (`benchmark/`), not here.
+//! This crate is the paper layer only — operation counts on the symbolic
+//! engine (`fig3` alone runs numeric queries) — and does not depend on the
+//! serving stack. What a serving phase *costs* is timed by the repository
+//! benchmark (`benchmark/`); what the serving stack *claims* is asserted
+//! exactly by tier-1 tests in `crates/serving` (README, "Acceptance
+//! ratios").
 
 pub mod harness;

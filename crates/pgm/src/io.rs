@@ -134,27 +134,27 @@ pub fn read_network<R: BufRead>(input: &mut R) -> Result<BayesianNetwork> {
             .split_whitespace()
             .map(|n| b.domain().var(n))
             .collect::<Result<_>>()?;
-        let n_rows: usize = parents
-            .iter()
-            .map(|&p| b.domain().card(p) as usize)
-            .product::<usize>()
-            .max(1);
-        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n_rows);
-        for _ in 0..n_rows {
-            let Some(row_line) = it.next() else {
-                return Err(PgmError::UnknownName(format!(
-                    "cpt {child_name}: expected {n_rows} rows"
-                )));
-            };
-            let row: Vec<f64> = row_line
-                .split_whitespace()
-                .map(|t| {
-                    t.parse::<f64>()
-                        .map_err(|_| PgmError::UnknownName(format!("bad number {t:?}")))
-                })
-                .collect::<Result<_>>()?;
-            rows.push(row);
+        // the row count is a product of cardinalities the file chose:
+        // never allocate for it, and refuse one the file cannot hold
+        let n_rows = b.cpt_rows(child, &parents)?;
+        if n_rows > it.len() {
+            return Err(PgmError::UnknownName(format!(
+                "cpt {child_name}: expected {n_rows} rows"
+            )));
         }
+        let rows: Vec<Vec<f64>> = it
+            .by_ref()
+            .take(n_rows)
+            .map(|row_line| {
+                row_line
+                    .split_whitespace()
+                    .map(|t| {
+                        t.parse::<f64>()
+                            .map_err(|_| PgmError::UnknownName(format!("bad number {t:?}")))
+                    })
+                    .collect()
+            })
+            .collect::<Result<_>>()?;
         let row_refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
         b.cpt(child, &parents, &row_refs)?;
     }
@@ -226,6 +226,16 @@ mod tests {
 
     #[test]
     fn malformed_inputs_rejected() {
+        // a row count no file could hold: 4^31 rows from one repeated
+        // parent, 4^32 (overflows `usize`), (2^32 - 1)^2 from two variables
+        let repeated = |n: usize| {
+            format!(
+                "network t\nvariable x 2\nvariable p 4\ncpt x | {}\n0.5 0.5\nend",
+                "p ".repeat(n)
+            )
+        };
+        let huge_cards = "network t\nvariable a 4294967295\nvariable b 4294967295\n\
+                          variable x 2\ncpt x | a b\n0.5 0.5\nend";
         for text in [
             "",                                               // empty
             "nonsense",                                       // bad header
@@ -234,6 +244,12 @@ mod tests {
             "network t\nvariable a 2\ncpt b |\n1 0\nend",     // unknown var
             "network t\nvariable a 2\ncpt a |\nend",          // missing row
             "network t\nvariable a 2\ncpt a |\n0.5 0.5",      // missing end
+            &repeated(31),
+            &repeated(32),
+            huge_cards,
+            "network t\nvariable a 2\ncpt a |\nnan nan\nend", // not numbers
+            "network t\nvariable a 2\ncpt a |\ninf -inf\nend", // not finite
+            "network t\nvariable a 2\ncpt a |\n-0.5 1.5\nend", // sums to 1, negative
         ] {
             assert!(
                 read_network(&mut std::io::Cursor::new(text)).is_err(),

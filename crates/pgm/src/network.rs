@@ -126,7 +126,8 @@ impl BayesianNetwork {
         for v in self.domain.all_vars() {
             let summed = self.cpts[v.index()].sum_out(&Scope::singleton(v))?;
             for (row, &s) in summed.values().iter().enumerate() {
-                if (s - 1.0).abs() > 1e-6 {
+                // a NaN sum must fail, and `NaN > 1e-6` is false
+                if s.is_nan() || (s - 1.0).abs() > 1e-6 {
                     return Err(PgmError::UnnormalizedCpt {
                         var: v,
                         row,
@@ -187,6 +188,25 @@ impl NetworkBuilder {
         &self.domain
     }
 
+    /// Validates a CPT's family — known variables, no duplicate parent,
+    /// the child not its own parent — and returns how many rows (parent
+    /// assignments) its table has. The product is checked: `read_network`
+    /// sizes its row loop with it, from cardinalities a file chose.
+    pub(crate) fn cpt_rows(&self, child: Var, parents: &[Var]) -> Result<usize> {
+        self.domain.try_card(child)?;
+        let scope = Scope::from_iter(parents.iter().copied());
+        if scope.contains(child) || scope.len() != parents.len() {
+            return Err(PgmError::BadCptScope { var: child });
+        }
+        let mut n_rows = 1usize;
+        for &p in parents {
+            n_rows = n_rows
+                .checked_mul(self.domain.try_card(p)? as usize)
+                .ok_or(PgmError::BadCptScope { var: child })?;
+        }
+        Ok(n_rows)
+    }
+
     /// Sets the CPT `P(child | parents)`.
     ///
     /// `rows` is indexed by the parent assignment in the *given* parent order
@@ -194,20 +214,12 @@ impl NetworkBuilder {
     /// the child's values. This human-friendly layout is rewritten into the
     /// sorted-scope [`Potential`] layout internally.
     pub fn cpt(&mut self, child: Var, parents: &[Var], rows: &[&[f64]]) -> Result<()> {
-        let child_card = self.domain.try_card(child)?;
-        let parent_cards: Vec<u32> = parents
-            .iter()
-            .map(|&p| self.domain.try_card(p))
-            .collect::<Result<_>>()?;
-        let n_rows: usize = parent_cards.iter().product::<u32>().max(1) as usize;
-        if rows.len() != n_rows {
+        if rows.len() != self.cpt_rows(child, parents)? {
             return Err(PgmError::BadCptScope { var: child });
         }
+        let child_card = self.domain.card(child);
+        let parent_cards: Vec<u32> = parents.iter().map(|&p| self.domain.card(p)).collect();
         let mut scope = Scope::from_iter(parents.iter().copied());
-        if scope.contains(child) || scope.len() != parents.len() {
-            // child listed as its own parent, or duplicate parents
-            return Err(PgmError::BadCptScope { var: child });
-        }
         scope.insert(child);
         let mut table = Potential::zeros(scope.clone(), &self.domain)?;
 
@@ -235,7 +247,10 @@ impl NetworkBuilder {
                 let idx = table.index_of(&full);
                 table.values_mut()[idx] = p;
             }
-            if (sum - 1.0).abs() > 1e-6 {
+            // a distribution: every entry finite and non-negative. The sum
+            // alone cannot tell: `-0.5 1.5` sums to 1, and NaN compares false
+            let valid = row.iter().all(|p| p.is_finite() && *p >= 0.0);
+            if !(valid && (sum - 1.0).abs() <= 1e-6) {
                 return Err(PgmError::UnnormalizedCpt {
                     var: child,
                     row: row_idx,
@@ -377,10 +392,22 @@ mod tests {
     fn unnormalized_row_rejected() {
         let mut b = NetworkBuilder::new();
         let a = b.var("a", 2);
-        assert!(matches!(
-            b.cpt(a, &[], &[&[0.4, 0.4]]),
-            Err(PgmError::UnnormalizedCpt { .. })
-        ));
+        // the last three sum to 1 or to NaN: a row is a distribution only
+        // if every entry is a finite, non-negative number
+        for row in [
+            [0.4, 0.4],
+            [f64::NAN, f64::NAN],
+            [f64::INFINITY, f64::NEG_INFINITY],
+            [-0.5, 1.5],
+        ] {
+            assert!(
+                matches!(
+                    b.cpt(a, &[], &[&row]),
+                    Err(PgmError::UnnormalizedCpt { .. })
+                ),
+                "accepted {row:?}"
+            );
+        }
     }
 
     #[test]

@@ -306,19 +306,10 @@ impl<'t> ServingEngine<'t> {
     /// materialization (served as whatever epoch it is stamped with,
     /// 0 for a freshly selected one).
     pub fn new(engine: QueryEngine<'t>, mat: Materialization, cfg: ServingConfig) -> Self {
-        Self::from_shared(Arc::new(engine), Arc::new(mat), cfg)
-    }
-
-    /// Shares an already-`Arc`ed engine and materialization.
-    pub fn from_shared(
-        engine: Arc<QueryEngine<'t>>,
-        mat: Arc<Materialization>,
-        cfg: ServingConfig,
-    ) -> Self {
         ServingEngine {
-            engine,
+            engine: Arc::new(engine),
             state: RwLock::new(EpochState {
-                mat,
+                mat: Arc::new(mat),
                 stats: Arc::new(WorkloadStats::new()),
             }),
             cfg,

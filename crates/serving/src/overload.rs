@@ -29,8 +29,8 @@
 //! [`Failed`](ServeOutcome::Failed) with the engine error. The replay
 //! drivers in [`replay`](mod@crate::replay) consume an
 //! [`AdmissionConfig`] and, on a timed arrival schedule, report
-//! served-query sojourn percentiles next to the shed counts, so the
-//! saturation benches can show shedding holding p99 bounded while the
+//! the served-query sojourn p99 next to the shed counts, so the
+//! saturation tests can show shedding holding p99 bounded while the
 //! unbounded-FIFO configuration (the [`AdmissionConfig::fifo`] default)
 //! degrades.
 
@@ -116,8 +116,8 @@ impl ServeOutcome {
 ///
 /// The default ([`AdmissionConfig::fifo`]) disables everything —
 /// unbounded backlog, no deadline — which is exactly the head-of-line
-/// FIFO baseline whose p99 collapses under saturation; the benches
-/// measure shedding configurations against it.
+/// FIFO baseline whose p99 collapses under saturation; the overload
+/// tests measure shedding configurations against it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AdmissionConfig {
     /// Maximum queries waiting in the backlog before arrivals are

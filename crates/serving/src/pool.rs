@@ -324,7 +324,7 @@ impl WorkerPool {
     /// Snapshot of the pool's counters.
     pub fn stats(&self) -> PoolStats {
         // ordering: every counter load below is independent telemetry;
-        // the snapshot is advisory (benches and tests assert window-scale
+        // the snapshot is advisory (tests assert window-scale
         // totals after joins), so Relaxed suffices throughout.
         let mut lane_waves = [0u64; Lane::COUNT];
         for (out, ctr) in lane_waves.iter_mut().zip(self.shared.lane_waves.iter()) {

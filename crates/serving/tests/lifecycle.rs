@@ -7,60 +7,24 @@
 //!   epochs (epoch-tagged lazy invalidation);
 //! * the re-materialization controller is deterministic: the same drift
 //!   schedule and seeds produce the same swap points and the same
-//!   selected shortcut sets.
+//!   selected shortcut sets;
+//! * a swap on a drifted stream cuts the per-query operation count by the
+//!   exact factor the stale epoch loses.
 
-use peanut_core::{Materialization, OfflineContext, Peanut, PeanutConfig, Workload};
+mod common;
+
+use common::{random_batch, train_mat, ve_conditional};
+use peanut_core::{OfflineContext, Peanut, PeanutConfig, Workload};
 use peanut_junction::{build_junction_tree, QueryEngine};
 use peanut_pgm::generate::{generate_network, DagConfig};
-use peanut_pgm::{fixtures, BayesianNetwork, Potential, Scope, Var};
+use peanut_pgm::{fixtures, BayesianNetwork, Scope};
 use peanut_serving::{
-    LifecycleConfig, RematerializationController, ServeOutcome, ServeRequest, ServingConfig,
-    ServingEngine,
+    replay, LifecycleConfig, RematerializationController, ReplayConfig, ServeOutcome, ServeRequest,
+    ServingConfig, ServingEngine,
 };
 use peanut_ve::ve_answer;
-use peanut_workload::{drifting_queries, uniform_queries, with_evidence, DriftSchedule, QuerySpec};
+use peanut_workload::{drifting_queries, DriftSchedule};
 use proptest::prelude::*;
-
-/// Oracle: `P(targets | evidence)` via single-threaded VE.
-fn ve_conditional(bn: &BayesianNetwork, targets: &Scope, evidence: &[(Var, u32)]) -> Potential {
-    let ev_scope = Scope::from_iter(evidence.iter().map(|&(v, _)| v));
-    let q = targets.union(&ev_scope);
-    let (mut joint, _) = ve_answer(bn, &q).unwrap();
-    for &(v, val) in evidence {
-        joint = joint.restrict(v, val).unwrap();
-    }
-    joint.normalize();
-    joint
-}
-
-fn random_batch(bn: &BayesianNetwork, n: usize, seed: u64) -> Vec<ServeRequest> {
-    let spec = QuerySpec {
-        min_vars: 1,
-        max_vars: 4,
-    };
-    let scopes = uniform_queries(bn.domain(), n, spec, seed);
-    with_evidence(bn.domain(), &scopes, 0.4, seed ^ 0xf00d)
-}
-
-fn train_mat(
-    tree: &peanut_junction::JunctionTree,
-    engine: &QueryEngine<'_>,
-    batch: &[ServeRequest],
-    budget: u64,
-) -> Materialization {
-    let train: Vec<Scope> = batch.iter().map(|q| q.stat_scope()).collect();
-    if train.is_empty() || budget == 0 {
-        return Materialization::default();
-    }
-    let ctx = OfflineContext::new(tree, &Workload::from_queries(train)).unwrap();
-    Peanut::offline_numeric(
-        &ctx,
-        &PeanutConfig::plus(budget).with_epsilon(1.0),
-        engine.numeric_state().unwrap(),
-    )
-    .unwrap()
-    .0
-}
 
 fn check_against_ve(bn: &BayesianNetwork, batch: &[ServeRequest], answers: &[ServeOutcome]) {
     for (q, a) in batch.iter().zip(answers) {
@@ -205,4 +169,93 @@ fn controller_is_deterministic() {
     let (_, mat3, epoch3) = drift_run(43);
     assert!(epoch3 >= 1);
     assert!(!mat3.is_empty());
+}
+
+/// What a swap buys, in the paper's unit. Traffic steps from one arm of a
+/// mid-pivoted chain to the other at arrival 512; the controller, ticked
+/// after every 128-request batch, publishes exactly one re-selection, and
+/// the drifted regime costs 220 ops per computed query on the stale epoch
+/// against 120 on the fresh one — the stale figure equal to what an
+/// engine that never swaps pays for the same drifted tail.
+#[test]
+fn swap_improves_drifted_cost_exactly() {
+    const BATCH: usize = 128;
+    const DRIFT_AT: usize = 512;
+    let bn = fixtures::chain(32, 2, 13);
+    let mut tree = build_junction_tree(&bn).unwrap();
+    // both arms far enough from the pivot for shortcuts to pay off equally
+    tree.set_pivot(tree.n_cliques() / 2);
+    // long-range pairs over a band: shortcuts for one arm are useless for
+    // the other
+    let band = |lo: u32, hi: u32| -> Vec<Scope> {
+        [6u32, 8]
+            .into_iter()
+            .flat_map(|span| (lo..hi - span).map(move |a| Scope::from_indices(&[a, a + span])))
+            .collect()
+    };
+    let (deep, shallow) = (band(21, 32), band(0, 11));
+    let schedule = DriftSchedule::Step {
+        before: 1.0,
+        after: 0.0,
+        at: DRIFT_AT,
+    };
+    let stream: Vec<ServeRequest> = drifting_queries(&deep, &shallow, &schedule, 2048, 77)
+        .into_iter()
+        .map(ServeRequest::marginal)
+        .collect();
+    let train_w = Workload::from_queries(deep.iter().cloned());
+    let trained = || {
+        let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+        let ctx = OfflineContext::new(&tree, &train_w).unwrap();
+        let (mat, _) = Peanut::offline_numeric(
+            &ctx,
+            &PeanutConfig::plus(4096),
+            engine.numeric_state().unwrap(),
+        )
+        .unwrap();
+        ServingEngine::new(engine, mat, ServingConfig::default().with_workers(1))
+    };
+
+    // control: the drifted tail on an engine that keeps the stale epoch
+    let cfg = ReplayConfig {
+        batch_size: BATCH,
+        ..ReplayConfig::default()
+    };
+    let (_, stale) = replay(&trained(), &stream[DRIFT_AT..], None, &cfg);
+    assert_eq!(stale.errors, 0);
+    assert_eq!((stale.total_ops, stale.computed()), (1_760, 8));
+
+    for _ in 0..2 {
+        let serving = trained();
+        let mut ctl = RematerializationController::new(
+            &serving,
+            &train_w,
+            LifecycleConfig::new(4096).with_min_window(128),
+        );
+        // (ops, computed) of the drifted batches, by the epoch serving them
+        let mut drifted = [(0u64, 0usize); 2];
+        for (i, batch) in stream.chunks(BATCH).enumerate() {
+            let (answers, stats) = serving.serve_batch(batch);
+            assert!(answers.iter().all(ServeOutcome::is_served));
+            if i >= DRIFT_AT / BATCH {
+                let on_epoch = &mut drifted[stats.epoch as usize];
+                on_epoch.0 += stats.total_ops;
+                on_epoch.1 += stats.unique - stats.cache_hits;
+            }
+            ctl.tick().unwrap();
+        }
+        // one swap, three drifted windows after the step
+        let swaps: Vec<(u64, u64)> = ctl
+            .swaps()
+            .iter()
+            .map(|e| (e.epoch, e.at_arrivals))
+            .collect();
+        assert_eq!(swaps, [(1, 384)]);
+        let [on_stale, on_fresh] = drifted;
+        assert_eq!(on_stale, (stale.total_ops, stale.computed()));
+        assert_eq!(on_fresh, (960, 8));
+        // 220 vs 120 ops per computed query: 1.83×
+        let per_query = |(ops, n): (u64, usize)| ops as f64 / n as f64;
+        assert!(per_query(on_stale) >= 1.5 * per_query(on_fresh));
+    }
 }

@@ -7,57 +7,18 @@
 //! * one tenant's epoch swap never invalidates another tenant's cache
 //!   entries (and never changes its answers).
 
-use peanut_core::{Materialization, OfflineContext, Peanut, PeanutConfig, Workload};
+mod common;
+
+use common::{random_batch, train_mat, ve_conditional};
+use peanut_core::Materialization;
 use peanut_junction::{build_junction_tree, QueryEngine};
 use peanut_pgm::generate::{generate_network, DagConfig};
-use peanut_pgm::{fixtures, BayesianNetwork, Potential, Scope, Var};
+use peanut_pgm::{fixtures, Scope};
 use peanut_serving::{
     ServeRequest, ServingConfig, ServingEngine, ShardConfig, ShardedServingEngine, TenantId,
 };
 use peanut_ve::ve_answer;
-use peanut_workload::{uniform_queries, with_evidence, QuerySpec};
 use proptest::prelude::*;
-
-/// Oracle: `P(targets | evidence)` via single-threaded VE.
-fn ve_conditional(bn: &BayesianNetwork, targets: &Scope, evidence: &[(Var, u32)]) -> Potential {
-    let ev_scope = Scope::from_iter(evidence.iter().map(|&(v, _)| v));
-    let q = targets.union(&ev_scope);
-    let (mut joint, _) = ve_answer(bn, &q).unwrap();
-    for &(v, val) in evidence {
-        joint = joint.restrict(v, val).unwrap();
-    }
-    joint.normalize();
-    joint
-}
-
-fn random_batch(bn: &BayesianNetwork, n: usize, seed: u64) -> Vec<ServeRequest> {
-    let spec = QuerySpec {
-        min_vars: 1,
-        max_vars: 4,
-    };
-    let scopes = uniform_queries(bn.domain(), n, spec, seed);
-    with_evidence(bn.domain(), &scopes, 0.4, seed ^ 0xf00d)
-}
-
-fn train_mat(
-    tree: &peanut_junction::JunctionTree,
-    engine: &QueryEngine<'_>,
-    batch: &[ServeRequest],
-    budget: u64,
-) -> Materialization {
-    let train: Vec<Scope> = batch.iter().map(|q| q.stat_scope()).collect();
-    if train.is_empty() || budget == 0 {
-        return Materialization::default();
-    }
-    let ctx = OfflineContext::new(tree, &Workload::from_queries(train)).unwrap();
-    Peanut::offline_numeric(
-        &ctx,
-        &PeanutConfig::plus(budget).with_epsilon(1.0),
-        engine.numeric_state().unwrap(),
-    )
-    .unwrap()
-    .0
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]

@@ -1,19 +1,22 @@
 //! Overload-control coverage: shedding determinism on the virtual clock
 //! (same arrival schedule + seed ⇒ the same set of shed queries),
 //! admission-cap semantics (global and per-tenant), bounded sojourns
-//! under saturation with deadline shedding vs the FIFO baseline, and
+//! under saturation with deadline shedding vs the FIFO baseline (one
+//! engine, and a Zipf fleet with per-tenant caps), and
 //! lane-starvation freedom (saturating re-selection work never stalls a
 //! serving-lane batch beyond its deadline).
 
 use peanut_core::Materialization;
 use peanut_junction::{build_junction_tree, JunctionTree, QueryEngine, RootedTree};
-use peanut_pgm::{fixtures, BayesianNetwork};
+use peanut_pgm::{fixtures, BayesianNetwork, Scope};
 use peanut_serving::{
     replay, replay_mixed, AdmissionConfig, Lane, ReplayClock, ReplayConfig, ServeOutcome,
     ServeRequest, ServingConfig, ServingEngine, ShardConfig, ShardedServingEngine, ShedReason,
     TenantId, WorkerPool,
 };
-use peanut_workload::{poisson_arrivals, workload_queries, WorkloadMix};
+use peanut_workload::{
+    poisson_arrivals, tenant_queries, workload_queries, zipf_weights, TenantTraffic, WorkloadMix,
+};
 use std::time::{Duration, Instant};
 
 fn fixture() -> (BayesianNetwork, JunctionTree) {
@@ -245,6 +248,75 @@ fn per_tenant_admission_isolates_a_flooding_tenant() {
         served_of(quiet) > 0,
         "the quiet tenant must keep being served through the flood"
     );
+}
+
+/// The fleet shape of the same claim: four tenants with Zipf(1.0) shares
+/// behind one pool, offered 3× the simulated capacity. The unprotected
+/// FIFO serves everything arbitrarily late; a per-tenant backlog cap (so
+/// the hot tenant's flood cannot monopolize the queue) plus a deadline
+/// keep served p99 bounded. On the virtual clock every figure is a pure
+/// function of (stream, schedule, config), so they are pinned exactly.
+#[test]
+fn fleet_protection_bounds_p99_where_fifo_collapses() {
+    const TENANTS: usize = 4;
+    let bns: Vec<BayesianNetwork> = (0..TENANTS)
+        .map(|t| fixtures::chain(24, 2, 13 + 4 * t as u64))
+        .collect();
+    let trees: Vec<JunctionTree> = bns
+        .iter()
+        .map(|bn| build_junction_tree(bn).unwrap())
+        .collect();
+    // per-tenant pools of long-range pairs, Zipf-skewed arrival shares
+    let pool: Vec<Scope> = [5u32, 7]
+        .into_iter()
+        .flat_map(|span| (0..24 - span).map(move |a| Scope::from_indices(&[a, a + span])))
+        .collect();
+    let traffic: Vec<TenantTraffic> = zipf_weights(TENANTS, 1.0)
+        .into_iter()
+        .map(|w| TenantTraffic::steady(w, pool.clone()))
+        .collect();
+    let arrivals: Vec<(TenantId, ServeRequest)> = tenant_queries(&traffic, 1024, 0xaa)
+        .into_iter()
+        .map(|(t, q)| (TenantId(t as u32), ServeRequest::marginal(q)))
+        .collect();
+    let schedule = poisson_arrivals(arrivals.len(), 3000.0, 0xfeed);
+    let run = |admission: AdmissionConfig| {
+        let mut fleet = ShardedServingEngine::new(
+            ShardConfig::default()
+                .with_workers(1)
+                .with_cache_capacity(0),
+        );
+        for (t, (tree, bn)) in trees.iter().zip(&bns).enumerate() {
+            let engine = QueryEngine::numeric(tree, bn).unwrap();
+            fleet
+                .register(TenantId(t as u32), engine, Materialization::default())
+                .unwrap();
+        }
+        let cfg = ReplayConfig {
+            batch_size: 32,
+            ..saturated_cfg(admission)
+        };
+        replay_mixed(&fleet, &arrivals, Some(&schedule), &cfg).1
+    };
+    let protected = AdmissionConfig::default()
+        .with_max_tenant_backlog(64)
+        .with_deadline(Duration::from_millis(64));
+    for _ in 0..2 {
+        let (fifo, shed) = (run(AdmissionConfig::fifo()), run(protected));
+        assert_eq!(fifo.errors + shed.errors, 0);
+        assert_eq!(
+            (fifo.served, fifo.shed_deadline, fifo.shed_admission),
+            (1024, 0, 0)
+        );
+        assert_eq!(
+            (shed.served, shed.shed_deadline, shed.shed_admission),
+            (420, 414, 190)
+        );
+        assert_eq!(fifo.sojourn_p99, Duration::from_nanos(684_159_825));
+        assert_eq!(shed.sojourn_p99, Duration::from_nanos(95_891_920));
+        // 7.13×; the claim is ≥ 1.5×
+        assert!(2 * fifo.sojourn_p99 >= 3 * shed.sojourn_p99);
+    }
 }
 
 /// Saturating background work never stalls a serving-lane batch beyond

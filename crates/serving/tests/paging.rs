@@ -10,13 +10,15 @@
 //!   per batch and cumulatively;
 //! * a corrupt epoch file fails only its own tenant, and fails it closed.
 
-use peanut_core::{Materialization, OfflineContext, Peanut, PeanutConfig, Workload};
+mod common;
+
+use common::{random_batch, train_mat};
+use peanut_core::Materialization;
 use peanut_junction::{build_junction_tree, JunctionTree, QueryEngine};
-use peanut_pgm::{fixtures, BayesianNetwork, PgmError, Potential, Scope};
+use peanut_pgm::{fixtures, BayesianNetwork, PgmError, Potential};
 use peanut_serving::{
     ServeOutcome, ServeRequest, ShardConfig, ShardedServingEngine, StoreConfig, TenantId,
 };
-use peanut_workload::{uniform_queries, with_evidence, QuerySpec};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("peanut-paging-{tag}-{}", std::process::id()));
@@ -28,31 +30,6 @@ fn fleet_models(n: usize) -> Vec<BayesianNetwork> {
     (0..n)
         .map(|i| fixtures::chain(8 + i % 3, 2, 13 + 2 * i as u64))
         .collect()
-}
-
-fn tenant_batch(bn: &BayesianNetwork, n: usize, seed: u64) -> Vec<ServeRequest> {
-    let spec = QuerySpec {
-        min_vars: 1,
-        max_vars: 3,
-    };
-    let scopes = uniform_queries(bn.domain(), n, spec, seed);
-    with_evidence(bn.domain(), &scopes, 0.3, seed ^ 0xf00d)
-}
-
-fn train_mat(
-    tree: &JunctionTree,
-    engine: &QueryEngine<'_>,
-    batch: &[ServeRequest],
-) -> Materialization {
-    let train: Vec<Scope> = batch.iter().map(|q| q.stat_scope()).collect();
-    let ctx = OfflineContext::new(tree, &Workload::from_queries(train)).unwrap();
-    Peanut::offline_numeric(
-        &ctx,
-        &PeanutConfig::plus(256).with_epsilon(1.0),
-        engine.numeric_state().unwrap(),
-    )
-    .unwrap()
-    .0
 }
 
 /// Registers `trees.len()` tenants, each with a trained materialization,
@@ -74,7 +51,7 @@ fn build_fleet<'a>(
     }
     for (i, (tree, bn)) in trees.iter().zip(bns).enumerate() {
         let engine = QueryEngine::numeric(tree, bn).unwrap();
-        let mat = train_mat(tree, &engine, &batches[i]);
+        let mat = train_mat(tree, &engine, &batches[i], 256);
         fleet.register(TenantId(i as u32), engine, mat).unwrap();
     }
     fleet
@@ -94,7 +71,7 @@ fn capped_fleet_replays_bit_identically_to_uncapped() {
     let batches: Vec<Vec<ServeRequest>> = bns
         .iter()
         .enumerate()
-        .map(|(i, bn)| tenant_batch(bn, 10, 41 + i as u64))
+        .map(|(i, bn)| random_batch(bn, 10, 41 + i as u64))
         .collect();
 
     let dir = temp_dir("replay");
@@ -170,7 +147,7 @@ fn publish_survives_a_page_out() {
     let batches: Vec<Vec<ServeRequest>> = bns
         .iter()
         .enumerate()
-        .map(|(i, bn)| tenant_batch(bn, 8, 7 + i as u64))
+        .map(|(i, bn)| random_batch(bn, 8, 7 + i as u64))
         .collect();
     let dir = temp_dir("publish");
     let fleet = build_fleet(&trees, &bns, &batches, Some(StoreConfig::new(&dir)), 1);
@@ -221,7 +198,7 @@ fn tenants_view_tracks_residency() {
     let batches: Vec<Vec<ServeRequest>> = bns
         .iter()
         .enumerate()
-        .map(|(i, bn)| tenant_batch(bn, 8, 90 + i as u64))
+        .map(|(i, bn)| random_batch(bn, 8, 90 + i as u64))
         .collect();
     let dir = temp_dir("view");
     let fleet = build_fleet(&trees, &bns, &batches, Some(StoreConfig::new(&dir)), 2);
@@ -263,7 +240,7 @@ fn corrupt_epoch_file_fails_closed_through_serve_mixed() {
     let batches: Vec<Vec<ServeRequest>> = bns
         .iter()
         .enumerate()
-        .map(|(i, bn)| tenant_batch(bn, 8, 23 + i as u64))
+        .map(|(i, bn)| random_batch(bn, 8, 23 + i as u64))
         .collect();
     let (dir, twin_dir) = (temp_dir("corrupt"), temp_dir("corrupt-twin"));
     let store = StoreConfig::new(&dir);

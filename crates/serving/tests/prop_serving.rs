@@ -3,35 +3,14 @@
 //! and random query batches — including evidence-restricted queries and
 //! batches answered through materialized shortcut potentials.
 
-use peanut_core::{Materialization, OfflineContext, Peanut, PeanutConfig, Workload};
+mod common;
+
+use common::{random_batch, train_mat, ve_conditional};
 use peanut_junction::{build_junction_tree, QueryEngine};
 use peanut_pgm::generate::{generate_network, DagConfig};
-use peanut_pgm::{BayesianNetwork, Potential, Scope, Var};
 use peanut_serving::{ServeRequest, ServingConfig, ServingEngine};
 use peanut_ve::ve_answer;
-use peanut_workload::{uniform_queries, with_evidence, QuerySpec};
 use proptest::prelude::*;
-
-/// Oracle: `P(targets | evidence)` via single-threaded VE.
-fn ve_conditional(bn: &BayesianNetwork, targets: &Scope, evidence: &[(Var, u32)]) -> Potential {
-    let ev_scope = Scope::from_iter(evidence.iter().map(|&(v, _)| v));
-    let q = targets.union(&ev_scope);
-    let (mut joint, _) = ve_answer(bn, &q).unwrap();
-    for &(v, val) in evidence {
-        joint = joint.restrict(v, val).unwrap();
-    }
-    joint.normalize();
-    joint
-}
-
-fn random_batch(bn: &BayesianNetwork, n: usize, seed: u64) -> Vec<ServeRequest> {
-    let spec = QuerySpec {
-        min_vars: 1,
-        max_vars: 4,
-    };
-    let scopes = uniform_queries(bn.domain(), n, spec, seed);
-    with_evidence(bn.domain(), &scopes, 0.4, seed ^ 0xf00d)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -54,23 +33,9 @@ proptest! {
 
         // materialize shortcuts against the marginal part of the batch so
         // the shortcut-reduced path is exercised, not just plain JT
-        let train: Vec<Scope> = batch
-            .iter()
-            .filter(|q| q.is_marginal())
-            .map(|q| q.targets.clone())
-            .collect();
-        let mat = if train.is_empty() || budget == 0 {
-            Materialization::default()
-        } else {
-            let ctx = OfflineContext::new(&tree, &Workload::from_queries(train)).unwrap();
-            let (mat, _) = Peanut::offline_numeric(
-                &ctx,
-                &PeanutConfig::plus(budget).with_epsilon(1.0),
-                engine.numeric_state().unwrap(),
-            )
-            .unwrap();
-            mat
-        };
+        let marginals: Vec<ServeRequest> =
+            batch.iter().filter(|q| q.is_marginal()).cloned().collect();
+        let mat = train_mat(&tree, &engine, &marginals, budget);
 
         let serving = ServingEngine::new(engine, mat, ServingConfig::default().with_workers(4));
         let (answers, stats) = serving.serve_batch(&batch);

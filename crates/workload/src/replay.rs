@@ -1,7 +1,7 @@
 //! What a replay is fed: a finite request pool sampled with replacement
 //! ([`workload_queries`]) and open-loop arrival schedules
 //! ([`poisson_arrivals`]) — the inputs of `peanut-serving`'s replay
-//! drivers and of the serving benches.
+//! drivers.
 
 use crate::evidence::with_evidence;
 use crate::gen::{skewed_queries, uniform_queries, QuerySpec};
