@@ -17,16 +17,14 @@ pub struct QueryInfo {
     pub weight: f64,
     /// Steiner-tree membership over clique ids.
     pub steiner: BitSet,
-    /// `r_q`: Steiner node closest to the pivot.
-    pub root: usize,
-    /// Steiner members, ascending (for iteration).
-    pub members: Vec<usize>,
     /// Per query variable: how many Steiner cliques contain it.
     pub var_cover: Vec<(Var, u32)>,
     /// True when the query is in-clique (single Steiner node).
     pub single_node: bool,
     /// Per clique: number of Steiner children (0 for non-members).
     q_children: Vec<u8>,
+    /// What [`delta`] reads.
+    cover: SteinerCover,
 }
 
 impl QueryInfo {
@@ -35,6 +33,60 @@ impl QueryInfo {
     #[inline]
     pub fn steiner_children(&self, u: usize) -> u32 {
         self.q_children[u] as u32
+    }
+}
+
+/// The query's half of usefulness (Def. 3.1) as bit rows over clique ids,
+/// laid out once per query in one vector: row 0 is `V(T_q) ∖ {r_q}`, row
+/// `1 + i` is `cover_x` of the `i`-th query variable `x` — the Steiner
+/// cliques holding it. A shortcut brings the other half ([`Shortcut::node_set`],
+/// [`Shortcut::frontier_set`], `X_S`), and [`useful`](Self::useful) is word
+/// operations between the two.
+#[derive(Clone, Debug)]
+pub struct SteinerCover {
+    rows: Vec<u64>,
+    stride: usize,
+}
+
+impl SteinerCover {
+    /// Lays out the rows for `query`, whose Steiner tree is `st`.
+    pub fn new(tree: &JunctionTree, query: &Scope, st: &SteinerTree) -> Self {
+        let stride = tree.n_cliques().div_ceil(64);
+        let mut rows = vec![0u64; (1 + query.len()) * stride];
+        for &u in st.nodes() {
+            let (word, bit) = (u / 64, 1u64 << (u % 64));
+            if u != st.root() {
+                rows[word] |= bit;
+            }
+            for (i, x) in query.iter().enumerate() {
+                if tree.clique(u).contains(x) {
+                    rows[(1 + i) * stride + word] |= bit;
+                }
+            }
+        }
+        SteinerCover { rows, stride }
+    }
+
+    fn row(&self, r: usize) -> &[u64] {
+        &self.rows[r * self.stride..][..self.stride]
+    }
+
+    /// Usefulness `δ_S(q)` of `s` for the `query` these rows were laid out
+    /// for — see [`OfflineContext::delta`] for the three conditions.
+    ///
+    /// Condition 2 is `D(S) ∩ (V(T_q) ∖ {r_q}) ≠ ∅`: a Steiner node outside
+    /// `V(S)` with its parent inside is a member of `D(S)`, and it is not
+    /// `r_q`, whose parent is no Steiner node. It implies condition 1 (that
+    /// parent is in both trees) and fails on a one-node Steiner tree.
+    /// Condition 3 is, per query variable, `x ∈ X_S ∨ cover_x ⊄ V(S)`.
+    pub fn useful(&self, s: &Shortcut, query: &Scope) -> bool {
+        let (inside, frontier) = (s.node_set().words(), s.frontier_set().words());
+        let leaves_below = frontier.iter().zip(self.row(0)).any(|(d, t)| d & t != 0);
+        leaves_below
+            && query.iter().enumerate().all(|(i, x)| {
+                let cover = self.row(1 + i);
+                s.scope().contains(x) || cover.iter().zip(inside).any(|(c, v)| c & !v != 0)
+            })
     }
 }
 
@@ -57,83 +109,39 @@ pub fn build_query_info(
     weight: f64,
 ) -> Result<QueryInfo, PgmError> {
     let st = SteinerTree::extract(tree, rooted, query)?;
-    Ok(query_info_of(tree, rooted, query, weight, &st))
-}
-
-/// [`build_query_info`] over an already extracted Steiner tree `st` of
-/// `query` — the online engine extracts it once, to plan, and reuses it
-/// here.
-pub fn query_info_of(
-    tree: &JunctionTree,
-    rooted: &RootedTree,
-    query: &Scope,
-    weight: f64,
-    st: &SteinerTree,
-) -> QueryInfo {
     let steiner = BitSet::from_members(tree.n_cliques(), st.nodes().iter().copied());
+    let cover = SteinerCover::new(tree, query, &st);
+    let covering = |i: usize| cover.row(1 + i).iter().map(|w| w.count_ones()).sum();
     let var_cover = query
         .iter()
-        .map(|x| {
-            let cnt = st
-                .nodes()
-                .iter()
-                .filter(|&&u| tree.clique(u).contains(x))
-                .count() as u32;
-            (x, cnt)
-        })
+        .enumerate()
+        .map(|(i, x)| (x, covering(i)))
         .collect();
     let mut q_children = vec![0u8; tree.n_cliques()];
     for &w in st.nodes() {
-        if w != st.root() {
-            let p = rooted.parent(w).expect("steiner non-root has parent");
+        // a non-root Steiner node's parent is a Steiner node
+        if let Some(p) = rooted.parent(w).filter(|_| w != st.root()) {
             q_children[p] = q_children[p].saturating_add(1);
         }
     }
-    QueryInfo {
+    Ok(QueryInfo {
         scope: query.clone(),
         weight,
-        members: st.nodes().to_vec(),
-        root: st.root(),
         single_node: st.len() == 1,
+        cover,
         steiner,
         var_cover,
         q_children,
-    }
+    })
 }
 
-/// Usefulness `δ_S(q)` (Def. 3.1) as a free function so the online engine
-/// can evaluate it for fresh queries; see
-/// [`OfflineContext::delta`] for the condition derivation.
-pub fn delta(tree: &JunctionTree, rooted: &RootedTree, s: &Shortcut, qi: &QueryInfo) -> bool {
-    if qi.single_node {
-        return false;
-    }
-    if !s.node_set().intersects(&qi.steiner) {
-        return false;
-    }
-    let below_edge = qi.members.iter().any(|&w| {
-        !s.node_set().contains(w)
-            && rooted
-                .parent(w)
-                .is_some_and(|p| s.node_set().contains(p) && qi.steiner.contains(p))
-    });
-    if !below_edge {
-        return false;
-    }
-    for &(x, cnt_q) in &qi.var_cover {
-        if s.scope().contains(x) {
-            continue;
-        }
-        let cnt_in_i = qi
-            .members
-            .iter()
-            .filter(|&&u| s.node_set().contains(u) && tree.clique(u).contains(x))
-            .count() as u32;
-        if cnt_q == cnt_in_i {
-            return false;
-        }
-    }
-    true
+/// Usefulness `δ_S(q)` (Def. 3.1) as a free function — the offline benefit
+/// and the online filter both end in [`SteinerCover::useful`]; see
+/// [`OfflineContext::delta`] for the condition derivation. The tree is not
+/// consulted: `s` and `qi` were built over it and carry what the test needs
+/// as bits.
+pub fn delta(_tree: &JunctionTree, _rooted: &RootedTree, s: &Shortcut, qi: &QueryInfo) -> bool {
+    qi.cover.useful(s, &qi.scope)
 }
 
 impl<'t> OfflineContext<'t> {
@@ -253,6 +261,118 @@ mod tests {
 
     fn id(names: &[(String, usize)], n: &str) -> usize {
         names.iter().find(|(s, _)| s == n).unwrap().1
+    }
+
+    /// Def. 3.1 by walking the Steiner members and counting, per query
+    /// variable, the covering cliques inside `V(S)` — the form
+    /// [`SteinerCover::useful`] replaced, kept as its reference.
+    fn delta_by_walking(
+        tree: &JunctionTree,
+        rooted: &RootedTree,
+        s: &Shortcut,
+        qi: &QueryInfo,
+    ) -> bool {
+        let members: Vec<usize> = qi.steiner.iter().collect();
+        if qi.single_node || !s.node_set().intersects(&qi.steiner) {
+            return false;
+        }
+        let below_edge = members.iter().any(|&w| {
+            !s.node_set().contains(w)
+                && rooted
+                    .parent(w)
+                    .is_some_and(|p| s.node_set().contains(p) && qi.steiner.contains(p))
+        });
+        below_edge
+            && qi.var_cover.iter().all(|&(x, cnt_q)| {
+                let inside =
+                    |u: &&usize| s.node_set().contains(**u) && tree.clique(**u).contains(x);
+                s.scope().contains(x) || cnt_q != members.iter().filter(inside).count() as u32
+            })
+    }
+
+    /// The bit form of δ against the member-walking form, on generated
+    /// trees under random pivots × random connected regions × random
+    /// 1–5-variable queries, with the shapes the bit form could get wrong
+    /// counted: regions above `r_q`, regions holding the pivot, one-clique
+    /// regions, the whole tree, in-clique queries.
+    #[test]
+    fn bit_delta_agrees_with_member_walk() {
+        use peanut_pgm::generate::{generate_network, DagConfig};
+        use proptest::test_runner::TestRng;
+        let (mut useful, mut useless, mut in_clique) = (0, 0, 0);
+        let (mut above_root, mut with_pivot, mut single, mut whole) = (0, 0, 0, 0);
+        for seed in 0..40u64 {
+            let n = 8 + seed as usize % 9;
+            let cfg = DagConfig {
+                n_nodes: n,
+                n_edges: n - 1 + n / 4,
+                max_in_degree: 3,
+                window: 3,
+                cardinalities: vec![2, 3],
+            };
+            let Ok(bn) = generate_network(&cfg, seed) else {
+                continue;
+            };
+            let mut rng = TestRng::seed_from_u64(seed);
+            let mut tree = build_junction_tree(&bn).unwrap();
+            let n_cliques = tree.n_cliques();
+            tree.set_pivot(rng.sample(0..n_cliques));
+            let rooted = RootedTree::new(&tree);
+            let queries: Vec<QueryInfo> = (0..16)
+                .map(|_| {
+                    let k = rng.sample(1..6usize);
+                    let picks: Vec<u32> = (0..k).map(|_| rng.sample(0..n as u32)).collect();
+                    build_query_info(&tree, &rooted, &Scope::from_indices(&picks), 1.0).unwrap()
+                })
+                .collect();
+            for round in 0..16 {
+                // grow a connected region from a random clique, every fourth
+                // from the pivot; round 0 is one clique, round 1 the tree
+                let start = match round % 4 {
+                    3 => tree.pivot(),
+                    _ => rng.sample(0..n_cliques),
+                };
+                let steps = if round == 0 {
+                    0
+                } else {
+                    rng.sample(0..n_cliques)
+                };
+                let mut region = vec![start];
+                for _ in 0..steps {
+                    let from = region[rng.sample(0..region.len())];
+                    let (next, _) = tree.neighbors(from)[rng.sample(0..tree.neighbors(from).len())];
+                    if !region.contains(&next) {
+                        region.push(next);
+                    }
+                }
+                if round == 1 {
+                    region = (0..n_cliques).collect();
+                }
+                let s = Shortcut::from_nodes(&tree, &rooted, region.clone()).unwrap();
+                single += usize::from(s.nodes().len() == 1);
+                whole += usize::from(s.nodes().len() == n_cliques);
+                with_pivot += usize::from(s.node_set().contains(tree.pivot()));
+                for qi in &queries {
+                    let got = delta(&tree, &rooted, &s, qi);
+                    assert_eq!(
+                        got,
+                        delta_by_walking(&tree, &rooted, &s, qi),
+                        "seed {seed}, region {region:?}, query {}",
+                        qi.scope
+                    );
+                    *(if got { &mut useful } else { &mut useless }) += 1;
+                    in_clique += usize::from(qi.single_node);
+                    let r_q = qi.steiner.iter().min_by_key(|&u| rooted.depth(u)).unwrap();
+                    above_root += usize::from(
+                        s.node_set().contains(r_q) && rooted.depth(s.root()) < rooted.depth(r_q),
+                    );
+                }
+            }
+        }
+        let seen = [
+            useful, useless, in_clique, above_root, with_pivot, single, whole,
+        ];
+        assert!(seen.iter().all(|&c| c >= 20), "coverage {seen:?}");
     }
 
     #[test]

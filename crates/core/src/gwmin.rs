@@ -6,37 +6,57 @@
 /// take the vertex maximizing `w(v) / (deg(v) + 1)` among the remaining
 /// vertices, then delete it and its neighbors.
 ///
-/// `adj[i]` lists the neighbors of vertex `i`; `weights[i] ≥ 0`. Returns the
-/// chosen vertex indices in selection order. GWMIN guarantees a total
-/// weight of at least `Σ_v w(v)/(deg(v)+1)`.
+/// `adj[i]` lists the neighbors of vertex `i` (a simple undirected graph:
+/// `j ∈ adj[i]` iff `i ∈ adj[j]`); `weights[i] ≥ 0`. Returns the chosen
+/// vertex indices in selection order. GWMIN guarantees a total weight of at
+/// least `Σ_v w(v)/(deg(v)+1)`.
 pub fn gwmin(weights: &[f64], adj: &[Vec<usize>]) -> Vec<usize> {
+    debug_assert_eq!(adj.len(), weights.len());
+    gwmin_by(weights, |i, j| adj[i].contains(&j))
+}
+
+/// [`gwmin`] on the graph whose edges `conflict(i, j)` reports, asked once
+/// per pair `i < j`.
+///
+/// The graph is held as an `n × ⌈n/64⌉` bit matrix in one vector, and a
+/// live vertex's degree is `popcount(row & alive)` — its number of live
+/// neighbors, so deleting a vertex is clearing a bit and nothing is kept
+/// up to date.
+pub fn gwmin_by(weights: &[f64], mut conflict: impl FnMut(usize, usize) -> bool) -> Vec<usize> {
     let n = weights.len();
-    debug_assert_eq!(adj.len(), n);
-    let mut alive = vec![true; n];
-    let mut degree: Vec<usize> = adj.iter().map(Vec::len).collect();
+    let stride = n.div_ceil(64);
+    let mut rows = vec![0u64; n * stride];
+    for i in 0..n {
+        for j in i + 1..n {
+            if conflict(i, j) {
+                rows[i * stride + j / 64] |= 1 << (j % 64);
+                rows[j * stride + i / 64] |= 1 << (i % 64);
+            }
+        }
+    }
+    let mut alive = vec![u64::MAX; stride];
+    if n % 64 != 0 {
+        alive[stride - 1] = (1 << (n % 64)) - 1;
+    }
     let mut chosen = Vec::new();
     loop {
         let mut best: Option<(f64, usize)> = None;
-        for v in 0..n {
-            if !alive[v] {
-                continue;
-            }
-            let score = weights[v] / (degree[v] + 1) as f64;
-            // ties broken by lower index for determinism
-            if best.is_none_or(|(bs, bv)| score > bs || (score == bs && v < bv)) {
+        for v in (0..n).filter(|v| alive[v / 64] >> (v % 64) & 1 == 1) {
+            let row = &rows[v * stride..][..stride];
+            let live = |(r, a): (&u64, &u64)| (r & a).count_ones();
+            let degree: u32 = row.iter().zip(&alive).map(live).sum();
+            let score = weights[v] / f64::from(degree + 1);
+            // vertices come in ascending order, so a tie stays with the
+            // lower index
+            if best.is_none_or(|(bs, _)| score > bs) {
                 best = Some((score, v));
             }
         }
         let Some((_, v)) = best else { break };
         chosen.push(v);
-        alive[v] = false;
-        for &u in &adj[v] {
-            if alive[u] {
-                alive[u] = false;
-                for &w in &adj[u] {
-                    degree[w] = degree[w].saturating_sub(1);
-                }
-            }
+        alive[v / 64] &= !(1 << (v % 64));
+        for (a, r) in alive.iter_mut().zip(&rows[v * stride..][..stride]) {
+            *a &= !r;
         }
     }
     chosen
@@ -45,6 +65,72 @@ pub fn gwmin(weights: &[f64], adj: &[Vec<usize>]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+
+    /// GWMIN over neighbor lists with decrement bookkeeping — the form
+    /// [`gwmin_by`] replaced, kept as its reference.
+    fn gwmin_lists(weights: &[f64], adj: &[Vec<usize>]) -> Vec<usize> {
+        let n = weights.len();
+        let mut alive = vec![true; n];
+        let mut degree: Vec<usize> = adj.iter().map(Vec::len).collect();
+        let mut chosen = Vec::new();
+        loop {
+            let mut best: Option<(f64, usize)> = None;
+            for v in 0..n {
+                if !alive[v] {
+                    continue;
+                }
+                let score = weights[v] / (degree[v] + 1) as f64;
+                if best.is_none_or(|(bs, bv)| score > bs || (score == bs && v < bv)) {
+                    best = Some((score, v));
+                }
+            }
+            let Some((_, v)) = best else { break };
+            chosen.push(v);
+            alive[v] = false;
+            for &u in &adj[v] {
+                if alive[u] {
+                    alive[u] = false;
+                    for &w in &adj[u] {
+                        degree[w] = degree[w].saturating_sub(1);
+                    }
+                }
+            }
+        }
+        chosen
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The bit-row core picks the same vertices in the same order as
+        /// the list form: at the word boundaries, with scores that tie
+        /// (weights from a handful of values, zero included) and with
+        /// isolated vertices (every third vertex of a sparse graph).
+        #[test]
+        fn bit_rows_choose_as_lists_do(seed in 0u64..1 << 32, size in 0usize..10, density in 0u32..4) {
+            let n = [0, 1, 63, 64, 65, 130, 7, 20, 33, 100][size];
+            let mut rng = TestRng::seed_from_u64(seed);
+            let weights: Vec<f64> =
+                (0..n).map(|_| [0.0, 0.5, 1.0, 1.0, 2.0, 3.0][rng.sample(0..6usize)]).collect();
+            let mut adj = vec![Vec::new(); n];
+            for i in 0..n {
+                for j in i + 1..n {
+                    let isolated = density == 0 && (i % 3 == 0 || j % 3 == 0);
+                    if !isolated && rng.sample(0..[n.max(1), 8, 3, 2][density as usize]) == 0 {
+                        adj[i].push(j);
+                        adj[j].push(i);
+                    }
+                }
+            }
+            let want = gwmin_lists(&weights, &adj);
+            prop_assert_eq!(gwmin(&weights, &adj), want.clone());
+            for (i, &a) in want.iter().enumerate() {
+                prop_assert!(want[i + 1..].iter().all(|b| !adj[a].contains(b)));
+            }
+        }
+    }
 
     #[test]
     fn empty_graph() {

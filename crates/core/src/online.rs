@@ -8,25 +8,30 @@
 //! through one private planning routine, `planned`: it extracts the Steiner
 //! tree once (the only call of `QueryEngine::plan`), answers "in clique
 //! `u`" or plans the tree as a [`ReducedTree`] of borrowed clique and
-//! separator tables, and prices each candidate shortcut on a replacement
-//! built from `&rt` that borrows the shortcut's scope and table — a
-//! rejected candidate costs a few index vectors, an accepted one becomes
-//! the plan. The unreduced plan is priced once, when there is a candidate
-//! to compare it with; that count is also the plain-tree baseline a traced
-//! answer reports, so tracing costs no pass of its own.
+//! separator tables, and builds at most one more tree, the one that runs.
+//! Usefulness is word operations between the shortcut's bitsets and the
+//! query's [`SteinerCover`]; the conflict graph of the useful shortcuts is
+//! built for every materialization and thinned by GWMIN; each survivor is
+//! priced *in place* — a substitution changes what its own region is
+//! charged and nothing else (`substituted`) — so a rejected candidate costs
+//! no allocation, and the accepted ones are contracted together
+//! ([`ReducedTree::contract`]). The unreduced plan is priced once, node by
+//! node, when there is a candidate to compare it with; that count is also
+//! the plain-tree baseline a traced answer reports, so tracing costs no
+//! pass of its own.
 //!
 //! A plan is a view over the arena and the materialization; nothing is
 //! copied until a kernel writes, and it cannot outlive either
 //! (`ReducedTree<'e>`). The engine holds no accumulator: what was answered
 //! is observed by the serve pipeline, not here.
 
-use crate::context::{delta, query_info_of};
-use crate::gwmin::gwmin;
+use crate::context::SteinerCover;
+use crate::gwmin::gwmin_by;
 use crate::shortcut::Shortcut;
-use peanut_junction::cost::QueryCost;
+use peanut_junction::cost::{node_ops_of_size, QueryCost};
 use peanut_junction::tree::CliqueId;
 use peanut_junction::{NodeLabel, QueryEngine, QueryPlan, ReducedTree, SteinerTree};
-use peanut_pgm::{PgmError, Potential, Scope, Scratch, Size};
+use peanut_pgm::{Domain, PgmError, Potential, Scope, Scratch, Size};
 
 /// A shortcut potential chosen for materialization.
 #[derive(Clone, Debug)]
@@ -47,8 +52,11 @@ pub struct MaterializedShortcut {
 pub struct Materialization {
     /// Materialized shortcuts, in decreasing ratio order.
     pub shortcuts: Vec<MaterializedShortcut>,
-    /// Whether shortcuts may overlap (PEANUT+ / INDSEP) — if so, the online
-    /// phase must run GWMIN on the per-query conflict graph.
+    /// Whether the method that selected the shortcuts lets them share
+    /// cliques (PEANUT+ / INDSEP). Metadata — stored, reported, carried
+    /// across epochs: the online phase builds each query's conflict graph
+    /// from the shortcuts themselves, so a wrong value here cannot make it
+    /// substitute two shortcuts over one clique.
     pub overlapping: bool,
     /// Lifecycle version of this artifact. A freshly selected
     /// materialization is epoch 0; a serving stack that hot-swaps
@@ -120,7 +128,10 @@ impl<'e, 't> OnlineEngine<'e, 't> {
 
     /// The one planning routine (§4.5–4.6): one Steiner-tree extraction,
     /// then the applicable shortcuts substituted in decreasing ratio order,
-    /// keeping only those that strictly reduce the operation count.
+    /// keeping only those that strictly reduce the operation count. Sums
+    /// are exact (`u128`) and compared as charged — saturated to [`Size`] —
+    /// so a plan whose count saturates is weighed as a full pass over each
+    /// candidate tree would weigh it.
     fn planned(&self, query: &Scope) -> Result<Planned<'e>, PgmError> {
         let (engine, mat) = (self.engine, self.mat);
         let (tree, rooted, domain) = (engine.tree(), engine.rooted(), engine.tree().domain());
@@ -128,30 +139,42 @@ impl<'e, 't> OnlineEngine<'e, 't> {
             QueryPlan::InClique(u) => return Ok(Planned::InClique(u)),
             QueryPlan::OutOfClique(st) => st,
         };
-        let mut rt = ReducedTree::from_steiner(tree, rooted, &st, engine.numeric_state());
+        let rt = ReducedTree::from_steiner(tree, rooted, &st, engine.numeric_state());
         let order = self.applicable(query, &st);
-        let unreduced = (!order.is_empty()).then(|| rt.cost(query, domain).ops);
-        let mut cost = unreduced.unwrap_or(0);
+        if order.is_empty() {
+            return Ok(Planned::Tree(rt, None));
+        }
+        let (held, ops) = rt.node_costs(query, domain);
+        let unreduced: u128 = ops.iter().map(|&c| u128::from(c)).sum();
+        let mut cost = unreduced;
+        let mut region_of = vec![None; rt.len()];
+        let mut accepted = Vec::new();
         for i in order {
             let ms = &mat.shortcuts[i];
-            let region: Vec<usize> = (0..rt.len())
-                .filter(|&k| match rt.node(k).label {
-                    NodeLabel::Clique(u) => ms.shortcut.node_set().contains(u),
-                    NodeLabel::Shortcut(_) => false,
-                })
-                .collect();
-            if region.is_empty() || region.len() == rt.len() {
+            let Some(new_cost) = substituted(&rt, query, domain, (&held, &ops), cost, &ms.shortcut)
+            else {
                 continue;
-            }
-            let table = ms.potential.as_ref().map(Potential::view);
-            let candidate = rt.replace_region(&region, ms.shortcut.scope(), table, i)?;
-            let new_cost = candidate.cost(query, domain).ops;
-            if new_cost < cost {
-                rt = candidate;
+            };
+            if charged(new_cost) < charged(cost) {
+                for k in (0..rt.len()).filter(|&k| in_region(&rt, &ms.shortcut, k)) {
+                    region_of[k] = Some(accepted.len());
+                }
+                let table = ms.potential.as_ref().map(Potential::view);
+                accepted.push((ms.shortcut.scope(), table, i));
                 cost = new_cost;
             }
         }
-        Ok(Planned::Tree(rt, unreduced))
+        let rt = if accepted.is_empty() {
+            rt
+        } else {
+            rt.contract(&region_of, &accepted)?
+        };
+        debug_assert_eq!(
+            rt.cost(query, domain).ops,
+            charged(cost),
+            "price of {query}"
+        );
+        Ok(Planned::Tree(rt, Some(charged(unreduced))))
     }
 
     /// Builds the shortcut-reduced plan for an out-of-clique query — a view
@@ -165,38 +188,28 @@ impl<'e, 't> OnlineEngine<'e, 't> {
     }
 
     /// The shortcuts worth trying on a query with Steiner tree `st`, in
-    /// decreasing ratio order: the useful ones (Def. 3.1), thinned to a
-    /// conflict-free set by GWMIN when shortcuts may overlap.
+    /// decreasing ratio order: the useful ones (Def. 3.1), thinned by GWMIN
+    /// to a set no two of which share a clique. The conflict graph is built
+    /// from the shortcuts' own clique sets, whatever the materialization
+    /// says about overlap; without an edge GWMIN keeps every vertex.
     fn applicable(&self, query: &Scope, st: &SteinerTree) -> Vec<usize> {
         let shortcuts = &self.mat.shortcuts;
         if shortcuts.is_empty() {
             return Vec::new();
         }
-        let (tree, rooted) = (self.engine.tree(), self.engine.rooted());
-        let qi = query_info_of(tree, rooted, query, 1.0, st);
-        let useful: Vec<usize> = (0..shortcuts.len())
-            .filter(|&i| delta(tree, rooted, &shortcuts[i].shortcut, &qi))
-            .collect();
-        let mut order = if self.mat.overlapping {
-            let weights: Vec<f64> = useful.iter().map(|&i| shortcuts[i].ratio).collect();
-            let overlap = |i: usize, j: usize| {
-                i != j && shortcuts[i].shortcut.overlaps(&shortcuts[j].shortcut)
-            };
-            let adj: Vec<Vec<usize>> = useful
-                .iter()
-                .map(|&i| {
-                    (0..useful.len())
-                        .filter(|&jj| overlap(i, useful[jj]))
-                        .collect()
-                })
-                .collect();
-            gwmin(&weights, &adj)
-                .into_iter()
-                .map(|k| useful[k])
-                .collect()
-        } else {
-            useful
+        let cover = SteinerCover::new(self.engine.tree(), query, st);
+        let mut useful = Vec::with_capacity(shortcuts.len());
+        useful
+            .extend((0..shortcuts.len()).filter(|&i| cover.useful(&shortcuts[i].shortcut, query)));
+        let weights: Vec<f64> = useful.iter().map(|&i| shortcuts[i].ratio).collect();
+        let overlap = |a: usize, b: usize| {
+            let (a, b) = (&shortcuts[useful[a]], &shortcuts[useful[b]]);
+            a.shortcut.overlaps(&b.shortcut)
         };
+        let mut order: Vec<usize> = gwmin_by(&weights, overlap)
+            .into_iter()
+            .map(|k| useful[k])
+            .collect();
         order.sort_by(|&a, &b| {
             shortcuts[b]
                 .ratio
@@ -301,12 +314,69 @@ impl<'e, 't> OnlineEngine<'e, 't> {
     }
 }
 
+/// What a plan whose nodes' charges sum to `exact` is charged: the
+/// saturating sum [`ReducedTree::cost`] reports.
+fn charged(exact: u128) -> Size {
+    Size::try_from(exact).unwrap_or(Size::MAX)
+}
+
+/// True when node `k` of `rt` is a clique of `s`.
+fn in_region(rt: &ReducedTree<'_>, s: &Shortcut, k: usize) -> bool {
+    matches!(rt.node(k).label, NodeLabel::Clique(u) if s.node_set().contains(u))
+}
+
+/// The exact operation count of the plan that charges `cost` once the
+/// cliques of `s` are contracted into its shortcut node, priced on the
+/// unreduced plan `rt` and its [`node_costs`](ReducedTree::node_costs)
+/// `(held, ops)`; `None` when `s` covers no node of `rt` or all of them.
+///
+/// Locality: by running intersection and condition 3 of usefulness a query
+/// variable held in a region clique is in `X_S`, and one in `X_S` is held in
+/// a region clique (its shallowest clique lies in `V(S)` or above `r_S`,
+/// which then holds it too) — so the shortcut node carries exactly what the
+/// region's top carried, and no flag and no child count outside the region
+/// moves. GWMIN's survivors share no clique, so this stays true of the
+/// regions still to be priced after others were accepted: the new count is
+/// `cost − Σ ops[region] + ops(shortcut node)`.
+fn substituted(
+    rt: &ReducedTree<'_>,
+    query: &Scope,
+    domain: &Domain,
+    (held, ops): (&[bool], &[Size]),
+    cost: u128,
+    s: &Shortcut,
+) -> Option<u128> {
+    let inside = |k: usize| in_region(rt, s, k);
+    let (mut size, mut removed, mut n_in, mut top) = (0, 0u128, 0, rt.root());
+    for u in (0..rt.len()).filter(|&u| inside(u)) {
+        size += 1;
+        removed += u128::from(ops[u]);
+        n_in += rt.children(u).iter().filter(|&&c| !inside(c)).count();
+        if !rt.parent(u).is_some_and(inside) {
+            top = u;
+        }
+    }
+    if size == 0 || size == rt.len() {
+        return None;
+    }
+    // μ(S) · Π card(carried ∖ X_S), over the outside children plus the
+    // separator division of a non-root
+    let mut t = s.size();
+    for (i, x) in query.iter().enumerate() {
+        if held[top * query.len() + i] && !s.scope().contains(x) {
+            t = t.saturating_mul(u64::from(domain.card(x)));
+        }
+    }
+    let node = node_ops_of_size(t, n_in + usize::from(top != rt.root()));
+    Some(cost - removed + u128::from(node))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::OfflineContext;
     use crate::workload::Workload;
-    use peanut_junction::build_junction_tree;
+    use peanut_junction::{build_junction_tree, JunctionTree};
     use peanut_pgm::{fixtures, joint, BayesianNetwork};
 
     /// The Figure-1 network and a numeric engine on its tree — the path
@@ -448,6 +518,276 @@ mod tests {
             }
         }
         assert!(in_clique > 0 && shortcut_hits > 0, "test premise");
+    }
+
+    /// The planning loop `planned` replaced, kept as its reference: every
+    /// applicable shortcut gets a candidate tree — `replace_region` on the
+    /// plan so far — and a full cost pass. On the way it holds the in-place
+    /// price of each candidate, taken on the unreduced plan, to that pass.
+    /// Returns the plan and how many candidates were priced and accepted.
+    fn sequential_plan<'e>(
+        online: &OnlineEngine<'e, '_>,
+        query: &Scope,
+    ) -> Option<(ReducedTree<'e>, usize, usize)> {
+        let (engine, mat) = (online.engine, online.mat);
+        let (tree, domain) = (engine.tree(), engine.tree().domain());
+        let QueryPlan::OutOfClique(st) = engine.plan(query).unwrap() else {
+            return None;
+        };
+        let unreduced =
+            ReducedTree::from_steiner(tree, engine.rooted(), &st, engine.numeric_state());
+        let (held, ops) = unreduced.node_costs(query, domain);
+        let mut exact: u128 = ops.iter().map(|&c| u128::from(c)).sum();
+        let mut rt = unreduced.clone();
+        let mut cost = rt.cost(query, domain).ops;
+        assert_eq!(charged(exact), cost);
+        let (mut priced, mut accepted) = (0, 0);
+        for i in online.applicable(query, &st) {
+            let ms = &mat.shortcuts[i];
+            let in_place = substituted(
+                &unreduced,
+                query,
+                domain,
+                (&held, &ops),
+                exact,
+                &ms.shortcut,
+            );
+            let region: Vec<usize> = (0..rt.len())
+                .filter(|&k| in_region(&rt, &ms.shortcut, k))
+                .collect();
+            if region.is_empty() || region.len() == rt.len() {
+                assert_eq!(
+                    in_place, None,
+                    "{query}: shortcut {i} covers nothing or all"
+                );
+                continue;
+            }
+            let table = ms.potential.as_ref().map(Potential::view);
+            let candidate = rt
+                .replace_region(&region, ms.shortcut.scope(), table, i)
+                .unwrap();
+            let new_cost = candidate.cost(query, domain).ops;
+            let in_place = in_place.expect("a proper region has a price");
+            assert_eq!(
+                charged(in_place),
+                new_cost,
+                "{query}: price of shortcut {i} after {accepted} substitutions"
+            );
+            priced += 1;
+            if new_cost < cost {
+                (rt, cost, exact) = (candidate, new_cost, in_place);
+                accepted += 1;
+            }
+        }
+        Some((rt, priced, accepted))
+    }
+
+    /// `planned` builds the tree the sequential loop arrives at.
+    fn assert_plans_as_reference(online: &OnlineEngine<'_, '_>, query: &Scope) -> (usize, usize) {
+        let got = online.reduce(query).unwrap();
+        let Some((want, priced, accepted)) = sequential_plan(online, query) else {
+            assert!(got.is_none(), "{query}: in-clique");
+            return (0, 0);
+        };
+        let got = got.expect("out-of-clique");
+        assert_eq!(got.len(), want.len(), "{query}: nodes");
+        assert_eq!(got.root(), want.root(), "{query}: root");
+        assert_eq!(got.shortcuts_used(), want.shortcuts_used(), "{query}");
+        for k in 0..got.len() {
+            assert_eq!(
+                got.node(k).label,
+                want.node(k).label,
+                "{query}: label of {k}"
+            );
+            assert_eq!(got.parent(k), want.parent(k), "{query}: parent of {k}");
+            assert_eq!(
+                got.children(k),
+                want.children(k),
+                "{query}: children of {k}"
+            );
+            assert!(
+                std::ptr::eq(got.node(k).scope, want.node(k).scope),
+                "{query}: scope of {k}"
+            );
+        }
+        let domain = online.engine.tree().domain();
+        assert_eq!(
+            online.cost(query).unwrap(),
+            want.cost(query, domain),
+            "{query}"
+        );
+        (priced, accepted)
+    }
+
+    /// The locality claim: for every query and every applicable shortcut
+    /// the in-place price is the full pass over the candidate tree — before
+    /// and after other substitutions were accepted — and the one
+    /// contraction is the tree the sequential loop builds. Generated trees
+    /// under random pivots, pools of shortcuts over random connected regions
+    /// (overlapping, nested, with tied ratios), either value of the flag.
+    #[test]
+    fn in_place_prices_and_one_contraction_match_the_sequential_loop() {
+        use peanut_pgm::generate::{generate_network, DagConfig};
+        use proptest::test_runner::TestRng;
+        let (mut priced, mut accepted, mut plans_with_two) = (0, 0, 0);
+        for seed in 0..48u64 {
+            let n = 10 + seed as usize % 10;
+            let cfg = DagConfig {
+                n_nodes: n,
+                n_edges: n - 1 + n / 5,
+                max_in_degree: 2,
+                window: 3,
+                cardinalities: vec![2, 3, 4],
+            };
+            let Ok(bn) = generate_network(&cfg, seed) else {
+                continue;
+            };
+            let mut rng = TestRng::seed_from_u64(seed);
+            let mut tree = build_junction_tree(&bn).unwrap();
+            tree.set_pivot(rng.sample(0..tree.n_cliques()));
+            let engine = QueryEngine::symbolic(&tree);
+            let shortcuts = (0..rng.sample(2..12usize))
+                .map(|_| {
+                    let mut region = vec![rng.sample(0..tree.n_cliques())];
+                    for _ in 0..rng.sample(0..5usize) {
+                        let from = region[rng.sample(0..region.len())];
+                        let around = tree.neighbors(from);
+                        region.push(around[rng.sample(0..around.len())].0);
+                    }
+                    let shortcut = Shortcut::from_nodes(&tree, engine.rooted(), region).unwrap();
+                    let ratio = [0.5, 1.0, 1.0, 2.0, 4.0][rng.sample(0..5usize)];
+                    MaterializedShortcut {
+                        benefit: ratio * shortcut.size() as f64,
+                        ratio,
+                        potential: None,
+                        shortcut,
+                    }
+                })
+                .collect();
+            let mat = Materialization {
+                shortcuts,
+                overlapping: seed % 2 == 0,
+                epoch: 0,
+            };
+            let online = OnlineEngine::new(&engine, &mat);
+            for _ in 0..24 {
+                let k = rng.sample(1..6usize);
+                let picks: Vec<u32> = (0..k).map(|_| rng.sample(0..n as u32)).collect();
+                let (p, a) = assert_plans_as_reference(&online, &Scope::from_indices(&picks));
+                priced += p;
+                accepted += a;
+                plans_with_two += usize::from(a >= 2);
+            }
+        }
+        let seen = [priced, accepted, priced - accepted, plans_with_two];
+        assert!(seen.iter().all(|&c| c >= 50), "coverage {seen:?}");
+    }
+
+    /// A materialization whose flag says "disjoint" over shortcuts that
+    /// share a clique — hand-built, or merged from two pools — plans and
+    /// answers as the same shortcuts honestly flagged: the conflict graph
+    /// comes from the shortcuts. (Trusting the flag, the second
+    /// substitution replaced what was left of its region by a node of its
+    /// full scope: a count for a plan no engine can run.)
+    #[test]
+    fn the_overlapping_flag_does_not_steer_the_planner() {
+        let bn = fixtures::chain(12, 3, 5);
+        let tree = build_junction_tree(&bn).unwrap();
+        let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+        let over = |vars: [u32; 4], benefit: f64| {
+            let has = |pair: &[u32]| {
+                tree.cliques()
+                    .iter()
+                    .position(|c| *c == Scope::from_indices(pair))
+            };
+            let nodes = vars.windows(2).map(|pair| has(pair).unwrap()).collect();
+            let s = Shortcut::from_nodes(&tree, engine.rooted(), nodes).unwrap();
+            let ns = engine.numeric_state().unwrap();
+            let (pot, _) = s.materialize(&tree, engine.rooted(), ns).unwrap();
+            MaterializedShortcut {
+                ratio: benefit / s.size() as f64,
+                benefit,
+                potential: Some(pot),
+                shortcut: s,
+            }
+        };
+        // {x3x4, x4x5, x5x6} and {x5x6, x6x7, x7x8} share x5x6
+        let shortcuts = vec![over([3, 4, 5, 6], 9.0), over([5, 6, 7, 8], 3.0)];
+        assert!(shortcuts[0].shortcut.overlaps(&shortcuts[1].shortcut));
+        let q = Scope::from_indices(&[0, 11]);
+        let want = joint::marginal(&bn, &q).unwrap();
+        let mut costs = Vec::new();
+        for overlapping in [true, false] {
+            let mat = Materialization {
+                shortcuts: shortcuts.clone(),
+                overlapping,
+                epoch: 0,
+            };
+            let online = OnlineEngine::new(&engine, &mat);
+            let (got, cost) = online.answer(&q).unwrap();
+            assert!(
+                got.max_abs_diff(&want).unwrap() < 1e-9,
+                "flag {overlapping}"
+            );
+            assert_eq!(online.cost(&q).unwrap(), cost, "flag {overlapping}");
+            assert_eq!(cost.shortcuts_used, 1, "flag {overlapping}");
+            assert!(cost.ops < online.baseline_cost(&q).unwrap().ops);
+            costs.push(cost);
+        }
+        assert_eq!(costs[0], costs[1]);
+    }
+
+    /// A plan whose count saturates is weighed as the sequential loop
+    /// weighed it: sums are exact and compared as charged, so a substitution
+    /// that leaves another saturated node in the plan is not an improvement
+    /// (`u64::MAX` is not below `u64::MAX`) and is declined, and one that
+    /// removes every saturated node is taken.
+    #[test]
+    fn a_saturated_count_plans_as_the_sequential_loop() {
+        let big = 1 << 22;
+        let cards = [2, 2, 2, 2, 2, 2, big, big, big, big, big, big];
+        let names: Vec<String> = (0..cards.len()).map(|i| format!("v{i}")).collect();
+        let domain = Domain::from_pairs(names.iter().map(String::as_str).zip(cards)).unwrap();
+        // the path {0,1} – {1,6,7,8,2} – {2,3} – {3,9,10,11,4} – {4,5}: the
+        // second and fourth cliques hold 2⁶⁸ entries each
+        let cliques = [
+            &[0, 1][..],
+            &[1, 6, 7, 8, 2],
+            &[2, 3],
+            &[3, 9, 10, 11, 4],
+            &[4, 5],
+        ];
+        let cliques = cliques.iter().map(|c| Scope::from_indices(c)).collect();
+        let tree = JunctionTree::from_cliques(domain, cliques).unwrap();
+        let engine = QueryEngine::symbolic(&tree);
+        let over = |nodes: Vec<usize>, ratio: f64| {
+            let shortcut = Shortcut::from_nodes(&tree, engine.rooted(), nodes).unwrap();
+            MaterializedShortcut {
+                benefit: ratio,
+                ratio,
+                potential: None,
+                shortcut,
+            }
+        };
+        let q = Scope::from_indices(&[0, 5]);
+        assert_eq!(engine.cost(&q).unwrap().ops, Size::MAX, "test premise");
+        for (shortcuts, used) in [
+            (vec![over(vec![1], 2.0), over(vec![3], 1.0)], 0),
+            (vec![over(vec![1, 2, 3], 1.0)], 1),
+            (vec![over(vec![1, 2, 3], 4.0), over(vec![1], 1.0)], 1),
+        ] {
+            let mat = Materialization {
+                shortcuts,
+                overlapping: true,
+                epoch: 0,
+            };
+            let online = OnlineEngine::new(&engine, &mat);
+            let (priced, accepted) = assert_plans_as_reference(&online, &q);
+            assert!(priced >= 1 && accepted == used);
+            let cost = online.cost(&q).unwrap();
+            assert_eq!(cost.shortcuts_used, used);
+            assert_eq!(cost.ops == Size::MAX, used == 0);
+        }
     }
 
     /// Evidence listed twice is one pin — through a shortcut-reduced plan

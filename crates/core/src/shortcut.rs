@@ -18,6 +18,9 @@ pub struct Shortcut {
     node_set: BitSet,
     /// `r_S`: the member closest to the pivot.
     root: usize,
+    /// `D(S)`: the cliques outside `V(S)` whose parent is inside, as a
+    /// bitset — the lower ends of the downward cut edges.
+    frontier_set: BitSet,
     /// `cut(S)`: edge ids with exactly one endpoint in `V(S)`.
     cut: Vec<usize>,
     /// `X_S`: union of the cut separators' scopes.
@@ -37,27 +40,28 @@ impl Shortcut {
         nodes.sort_unstable();
         nodes.dedup();
         if nodes.is_empty() {
-            return Err(PgmError::UnknownName("empty shortcut subtree".into()));
+            let detail = "empty shortcut subtree".into();
+            return Err(PgmError::InvalidRegion { detail });
         }
         let node_set = BitSet::from_members(tree.n_cliques(), nodes.iter().copied());
         // connectivity + root: exactly one member whose parent is not a
         // member (or which is the global root)
-        let mut tops: Vec<usize> = nodes
+        let mut tops = nodes
             .iter()
             .copied()
-            .filter(|&u| rooted.parent(u).is_none_or(|p| !node_set.contains(p)))
-            .collect();
-        if tops.len() != 1 {
-            return Err(PgmError::UnknownName(format!(
+            .filter(|&u| rooted.parent(u).is_none_or(|p| !node_set.contains(p)));
+        let (Some(root), None) = (tops.next(), tops.next()) else {
+            let detail = format!(
                 "shortcut subtree is not connected ({} components)",
-                tops.len()
-            )));
-        }
-        let root = tops.pop().expect("single top");
+                2 + tops.count()
+            );
+            return Err(PgmError::InvalidRegion { detail });
+        };
 
         // cut: the root's parent edge plus every member-to-nonmember child
-        // edge
+        // edge, whose lower ends are D(S)
         let mut cut = Vec::new();
+        let mut frontier_set = BitSet::new(tree.n_cliques());
         let mut scope = Scope::empty();
         if let Some(e) = rooted.parent_edge(root) {
             cut.push(e);
@@ -66,6 +70,7 @@ impl Shortcut {
         for &u in &nodes {
             for &(w, e) in tree.neighbors(u) {
                 if rooted.parent(w) == Some(u) && !node_set.contains(w) {
+                    frontier_set.insert(w);
                     cut.push(e);
                     scope = scope.union(tree.separator(e));
                 }
@@ -77,6 +82,7 @@ impl Shortcut {
             nodes,
             node_set,
             root,
+            frontier_set,
             cut,
             scope,
             size,
@@ -93,6 +99,14 @@ impl Shortcut {
     #[inline]
     pub fn node_set(&self) -> &BitSet {
         &self.node_set
+    }
+
+    /// The frontier `D(S)` as a bitset: a query's Steiner tree leaves `V(S)`
+    /// downward exactly through these cliques, which is what usefulness
+    /// (Def. 3.1) tests.
+    #[inline]
+    pub fn frontier_set(&self) -> &BitSet {
+        &self.frontier_set
     }
 
     /// `r_S`.
@@ -126,16 +140,11 @@ impl Shortcut {
     }
 
     /// The frontier `D(S)`: cliques outside `V(S)` whose parent is inside —
-    /// the roots of the subtrees BUDP may keep packing below `S`.
-    pub fn frontier(&self, rooted: &RootedTree) -> Vec<usize> {
-        let mut d: Vec<usize> = self
-            .nodes
-            .iter()
-            .flat_map(|&u| rooted.children(u).iter().copied())
-            .filter(|&w| !self.node_set.contains(w))
-            .collect();
-        d.sort_unstable();
-        d
+    /// the roots of the subtrees BUDP may keep packing below `S` —
+    /// ascending. Read off [`frontier_set`](Self::frontier_set), which the
+    /// constructor recorded against the same rooted tree.
+    pub fn frontier(&self, _rooted: &RootedTree) -> Vec<usize> {
+        self.frontier_set.iter().collect()
     }
 
     /// Materializes the joint `P(X_S)` from a calibrated tree by message
@@ -221,8 +230,10 @@ mod tests {
             clique_named(&tree, d, &["a", "b", "d"]),
             clique_named(&tree, d, &["g", "i", "l"]),
         ];
-        assert!(Shortcut::from_nodes(&tree, &rooted, nodes).is_err());
-        assert!(Shortcut::from_nodes(&tree, &rooted, vec![]).is_err());
+        for nodes in [nodes, vec![]] {
+            let err = Shortcut::from_nodes(&tree, &rooted, nodes);
+            assert!(matches!(err, Err(PgmError::InvalidRegion { .. })));
+        }
     }
 
     #[test]
@@ -269,5 +280,6 @@ mod tests {
         assert!(!s1.overlaps(&s3));
         // frontier of {ce, ef}: children outside = egh
         assert_eq!(s1.frontier(&rooted), vec![egh]);
+        assert!(s1.frontier_set().contains(egh) && s1.frontier_set().len() == 1);
     }
 }

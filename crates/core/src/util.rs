@@ -72,6 +72,14 @@ impl BitSet {
         self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
 
+    /// The members as `⌈capacity / 64⌉` words, bit `i % 64` of word
+    /// `i / 64` for member `i` — for set algebra against rows of a bit
+    /// matrix laid out the same way.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Iterates the members in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -112,6 +120,7 @@ mod tests {
         let s = BitSet::from_members(200, [5usize, 191, 63, 64]);
         let v: Vec<usize> = s.iter().collect();
         assert_eq!(v, vec![5, 63, 64, 191]);
+        assert_eq!(s.words(), [1 << 5 | 1 << 63, 1, 1 << 63, 0]);
     }
 
     #[test]

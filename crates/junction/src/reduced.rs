@@ -6,10 +6,12 @@
 //! view over the arena and the materialization; nothing is copied until a
 //! kernel writes: every node borrows its scope from the junction tree or the
 //! shortcut, and its tables as [`TableRef`]s into the calibrated arena slab
-//! or the materialized potential. Building a plan, trying a replacement and
-//! costing it allocate a few index vectors sized by the node count, never
-//! by the tables, and a `ReducedTree<'a>` outlives neither the engine nor
-//! the materialization it was planned against.
+//! or the materialized potential. Building a plan and pricing it node by
+//! node ([`ReducedTree::node_costs`], what a caller weighs substitutions
+//! with) allocate a few index vectors sized by the node count, never by the
+//! tables; [`ReducedTree::contract`] builds the one tree with every chosen
+//! region replaced. A `ReducedTree<'a>` outlives neither the engine nor the
+//! materialization it was planned against.
 //!
 //! Message passing — both numeric and size-only — is implemented once,
 //! here, for all methods (plain JT, PEANUT, PEANUT+, INDSEP), which keeps
@@ -198,20 +200,8 @@ impl<'a> ReducedTree<'a> {
     }
 
     /// The tree with the connected region `region` (node indices) replaced
-    /// by a single shortcut node of scope `scope`; `self` is left as it is,
-    /// so a caller can price the candidate and drop it.
-    ///
-    /// * `potential` — a view of the materialized shortcut table (numeric
-    ///   mode);
-    /// * neighbors of the region are re-attached to the new node and keep
-    ///   their original edge separators (they are cut separators of the
-    ///   shortcut);
-    /// * if the region contains the root, the new node becomes the root and
-    ///   the tree's answer is computed from the shortcut's joint.
-    ///
-    /// Kept nodes keep their relative order and the shortcut node goes
-    /// last; each kept node record (borrowed scope, table views) is copied
-    /// once.
+    /// by a single shortcut node of scope `scope` — the one-region case of
+    /// [`contract`](Self::contract), which see; `self` is left as it is.
     pub fn replace_region(
         &self,
         region: &[usize],
@@ -219,44 +209,92 @@ impl<'a> ReducedTree<'a> {
         potential: Option<TableRef<'a>>,
         shortcut_id: usize,
     ) -> Result<ReducedTree<'a>, PgmError> {
-        let kept = |i: &usize| !region.contains(i);
-        // topmost region node: the one whose parent is outside (or absent)
-        let mut tops = region
-            .iter()
-            .filter(|&&i| self.nodes[i].parent.as_ref().is_none_or(kept));
-        let (Some(&top), None) = (tops.next(), tops.next()) else {
-            let detail = format!("{} nodes, empty or not connected", region.len());
-            return Err(PgmError::InvalidRegion { detail });
-        };
-        // kept nodes move down over the removed ones; the whole region maps
-        // to the shortcut node, which goes last
-        let mut new_index = vec![0; self.nodes.len()];
-        let mut shortcut_idx = 0;
-        for i in (0..self.nodes.len()).filter(kept) {
-            new_index[i] = shortcut_idx;
-            shortcut_idx += 1;
-        }
+        let mut region_of = vec![None; self.nodes.len()];
         for &i in region {
-            new_index[i] = shortcut_idx;
+            region_of[i] = Some(0);
         }
-        let moved = |n: &RNode<'a>| RNode {
-            parent: n.parent.map(|p| new_index[p]),
-            ..*n
+        self.contract(&region_of, &[(scope, potential, shortcut_id)])
+    }
+
+    /// The tree with every region replaced by one shortcut node, in a single
+    /// build: `region_of[i]` names the region node `i` belongs to (`None`:
+    /// the node is kept), and region `j` — which must be connected, i.e.
+    /// have exactly one node whose parent is outside it — becomes a node of
+    /// scope, table view (numeric mode) and shortcut id `shortcuts[j]`.
+    /// `self` is left as it is.
+    ///
+    /// * neighbors of a region are re-attached to its node and keep their
+    ///   original edge separators (they are cut separators of the
+    ///   shortcut), and the node takes over the separator above the
+    ///   region's top;
+    /// * if a region contains the root, its node becomes the root and the
+    ///   tree's answer is computed from the shortcut's joint.
+    ///
+    /// Kept nodes keep their relative order and the shortcut nodes follow
+    /// in the order of `shortcuts` — the tree that replacing the regions one
+    /// at a time, in that order, arrives at. Each kept node record
+    /// (borrowed scope, table views) is copied once.
+    pub fn contract(
+        &self,
+        region_of: &[Option<usize>],
+        shortcuts: &[(&'a Scope, Option<TableRef<'a>>, usize)],
+    ) -> Result<ReducedTree<'a>, PgmError> {
+        let n = self.nodes.len();
+        if region_of.len() != n || region_of.iter().flatten().any(|&j| j >= shortcuts.len()) {
+            let detail = format!(
+                "labels for {} nodes and {} shortcuts on a tree of {n}",
+                region_of.len(),
+                shortcuts.len()
+            );
+            return Err(PgmError::InvalidRegion { detail });
+        }
+        let kept = region_of.iter().filter(|r| r.is_none()).count();
+        // kept nodes move down over the removed ones; region `j` maps to the
+        // `j`-th node after them
+        let mut next = 0;
+        let new_index: Vec<usize> = region_of
+            .iter()
+            .map(|r| match r {
+                Some(j) => kept + j,
+                None => {
+                    next += 1;
+                    next - 1
+                }
+            })
+            .collect();
+        let moved = |node: &RNode<'a>| RNode {
+            parent: node.parent.map(|p| new_index[p]),
+            ..*node
         };
-        let mut nodes = Vec::with_capacity(shortcut_idx + 1);
+        let mut nodes = Vec::with_capacity(kept + shortcuts.len());
         nodes.extend(
-            (0..self.nodes.len())
-                .filter(kept)
+            (0..n)
+                .filter(|&i| region_of[i].is_none())
                 .map(|i| moved(&self.nodes[i])),
         );
-        nodes.push(RNode {
-            scope,
-            label: NodeLabel::Shortcut(shortcut_id),
-            potential,
-            ..moved(&self.nodes[top])
-        });
+        for (j, &(scope, potential, shortcut_id)) in shortcuts.iter().enumerate() {
+            let inside = |i: usize| region_of[i] == Some(j);
+            // topmost region node: the one whose parent is outside (or absent)
+            let mut tops =
+                (0..n).filter(|&i| inside(i) && !self.nodes[i].parent.is_some_and(inside));
+            let (Some(top), None) = (tops.next(), tops.next()) else {
+                let size = (0..n).filter(|&i| inside(i)).count();
+                let detail = format!("{size} nodes, empty or not connected");
+                return Err(PgmError::InvalidRegion { detail });
+            };
+            nodes.push(RNode {
+                scope,
+                label: NodeLabel::Shortcut(shortcut_id),
+                potential,
+                ..moved(&self.nodes[top])
+            });
+        }
         let root = new_index[self.root];
-        Ok(Self::linked(nodes, root, self.shortcuts_used + 1))
+        Ok(Self::linked(
+            nodes,
+            root,
+            self.shortcuts_used + shortcuts.len(),
+        ))
     }
 
     /// The structural pass [`cost`](Self::cost) and
@@ -294,6 +332,20 @@ impl<'a> ReducedTree<'a> {
         // +1 incoming factor for a non-root's separator division
         let n_in = self.children(u).len() + usize::from(u != self.root);
         node_ops_of_size(t, n_in)
+    }
+
+    /// The pricing pass, node by node: `(held, ops)` where `ops[u]` is what
+    /// node `u` is charged for `query` — [`cost`](Self::cost) is their
+    /// saturating sum — and flag `held[u * query.len() + i]` says whether
+    /// `u`'s subtree holds the `i`-th query variable, i.e. whether `u`'s
+    /// product carries it. Whoever weighs a substitution reprices the nodes
+    /// it touches from these and leaves the rest of the sum alone.
+    pub fn node_costs(&self, query: &Scope, domain: &Domain) -> (Vec<bool>, Vec<Size>) {
+        let held = self.carried(query);
+        let ops = (0..self.nodes.len())
+            .map(|u| self.node_cost(u, query, &held, domain))
+            .collect();
+        (held, ops)
     }
 
     /// Size-only message passing: the operation count of answering `query`
@@ -530,6 +582,105 @@ mod tests {
         assert!(matches!(err, Err(PgmError::InvalidRegion { .. })));
         let err = rt.replace_region(&[], &empty, None, 0);
         assert!(matches!(err, Err(PgmError::InvalidRegion { .. })));
+    }
+
+    /// Every field of two trees: node records (label, links, which scope
+    /// and which tables they borrow), root, child lists, post-order.
+    fn assert_same_tree(got: &ReducedTree<'_>, want: &ReducedTree<'_>) {
+        assert_eq!(got.len(), want.len());
+        let at = |t: Option<TableRef<'_>>| t.map(|t| t.values().as_ptr());
+        for (i, (g, w)) in got.nodes.iter().zip(&want.nodes).enumerate() {
+            assert_eq!(g.label, w.label, "label of {i}");
+            assert_eq!(g.parent, w.parent, "parent of {i}");
+            assert_eq!(got.children(i), want.children(i), "children of {i}");
+            assert!(std::ptr::eq(g.scope, w.scope), "scope of {i}");
+            assert_eq!(at(g.potential), at(w.potential), "table of {i}");
+            assert_eq!(at(g.sep_to_parent), at(w.sep_to_parent), "separator of {i}");
+        }
+        assert_eq!(got.root, want.root);
+        assert_eq!(got.shortcuts_used, want.shortcuts_used);
+        assert_eq!(got.child_list, want.child_list);
+        assert_eq!(got.order, want.order);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// One contraction of several disjoint regions is the tree that
+        /// `replace_region`, one region at a time in the same order, arrives
+        /// at — field by field — on generated trees and random regions (the
+        /// root's, single nodes, whole subtrees, everything).
+        #[test]
+        fn contraction_is_the_sequential_chain(seed in 0u64..10_000, n in 8usize..18) {
+            use peanut_pgm::generate::{generate_network, DagConfig};
+            use proptest::test_runner::TestRng;
+            let cfg = DagConfig {
+                n_nodes: n,
+                n_edges: n - 1 + n / 4,
+                max_in_degree: 2,
+                window: 3,
+                cardinalities: vec![2],
+            };
+            let Ok(bn) = generate_network(&cfg, seed) else { return Ok(()) };
+            let mut rng = TestRng::seed_from_u64(seed);
+            let (tree, rooted, ns) = setup(&bn, None);
+            let picks: Vec<u32> = (0..4).map(|_| rng.sample(0..n as u32)).collect();
+            let q = Scope::from_indices(&picks);
+            let st = SteinerTree::extract(&tree, &rooted, &q).unwrap();
+            let rt = ReducedTree::from_steiner(&tree, &rooted, &st, Some(&ns));
+
+            // up to three disjoint connected regions, grown along tree edges
+            let mut region_of = vec![None; rt.len()];
+            let mut shortcuts = Vec::new();
+            for j in 0..rng.sample(1..4usize) {
+                let free: Vec<usize> = (0..rt.len()).filter(|&i| region_of[i].is_none()).collect();
+                if free.is_empty() {
+                    break;
+                }
+                let mut region = vec![free[rng.sample(0..free.len())]];
+                region_of[region[0]] = Some(j);
+                for _ in 0..rng.sample(0..rt.len()) {
+                    let from = region[rng.sample(0..region.len())];
+                    let around: Vec<usize> = rt.children(from).iter().copied().chain(rt.parent(from)).collect();
+                    let next = around[rng.sample(0..around.len())];
+                    if region_of[next].is_none() {
+                        region_of[next] = Some(j);
+                        region.push(next);
+                    }
+                }
+                // any scope and table will do: contraction only places them
+                let u = j % tree.n_cliques();
+                shortcuts.push((tree.clique(u), Some(ns.clique_table(u)), 10 + j));
+            }
+
+            let mut chain = rt.clone();
+            for (j, &(scope, table, id)) in shortcuts.iter().enumerate() {
+                let member = |label: NodeLabel| {
+                    (0..rt.len()).any(|i| region_of[i] == Some(j) && rt.nodes[i].label == label)
+                };
+                let region: Vec<usize> = (0..chain.len()).filter(|&k| member(chain.nodes[k].label)).collect();
+                chain = chain.replace_region(&region, scope, table, id).unwrap();
+            }
+            assert_same_tree(&rt.contract(&region_of, &shortcuts).unwrap(), &chain);
+        }
+    }
+
+    /// A region label without a shortcut to stand for it, or labels for
+    /// another tree's nodes, are refused like a disconnected region.
+    #[test]
+    fn contraction_rejects_labels_that_do_not_fit() {
+        let bn = fixtures::chain(7, 2, 0);
+        let (tree, rooted, _) = setup(&bn, None);
+        let q = Scope::from_indices(&[0, 6]);
+        let st = SteinerTree::extract(&tree, &rooted, &q).unwrap();
+        let rt = ReducedTree::from_steiner(&tree, &rooted, &st, None);
+        let mut region_of = vec![None; rt.len()];
+        region_of[0] = Some(1);
+        let one = [(tree.clique(0), None, 0)];
+        for labels in [&region_of[..], &region_of[1..]] {
+            let err = rt.contract(labels, &one);
+            assert!(matches!(err, Err(PgmError::InvalidRegion { .. })));
+        }
     }
 
     #[test]

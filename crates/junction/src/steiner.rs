@@ -69,6 +69,8 @@ impl SteinerTree {
                 if u == root {
                     break;
                 }
+                // lint:allow(hot_panic) — `root` is the terminals' LCA, an
+                // ancestor of `t`: the walk up from `t` meets it before the pivot
                 u = rooted.parent(u).expect("root is an ancestor");
             }
         }

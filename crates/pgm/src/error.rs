@@ -37,8 +37,9 @@ pub enum PgmError {
     /// A numeric answer was asked of an engine, query plan or
     /// materialization that carries no tables (symbolic, size-only mode).
     SymbolicEngine,
-    /// A set of reduced-tree nodes offered for replacement by a shortcut
-    /// node is not a non-empty connected region of the tree.
+    /// A set of tree nodes offered as a shortcut's subtree — cliques to
+    /// build one over, or reduced-tree nodes to replace by one — is not a
+    /// non-empty connected region of the tree.
     InvalidRegion {
         /// What is wrong with the region.
         detail: String,

@@ -67,6 +67,10 @@ const HOT_PATHS: &[&str] = &[
     "crates/serving/src/overload.rs",
     "crates/serving/src/replay.rs",
     "crates/core/src/online.rs",
+    "crates/core/src/context.rs",
+    "crates/core/src/gwmin.rs",
+    "crates/core/src/shortcut.rs",
+    "crates/junction/src/steiner.rs",
     "crates/junction/src/reduced.rs",
     "crates/junction/src/query.rs",
 ];
