@@ -73,7 +73,7 @@ pub fn budp(ctx: &OfflineContext, grid: &BudgetGrid, roots: &[RootTables]) -> Bu
                 continue;
             }
             let alloc = sol.min_index;
-            let frontier = sol.shortcut.frontier(rooted);
+            let frontier: Vec<usize> = sol.shortcut.frontier_set().iter().collect();
             let ftables: Vec<&[f64]> = frontier.iter().map(|d| h[*d].as_slice()).collect();
             let fcomb = Combine::run(&ftables, grid, Compose::Add);
             for ci in alloc..m {

@@ -139,14 +139,6 @@ impl Shortcut {
         self.node_set.intersects(&other.node_set)
     }
 
-    /// The frontier `D(S)`: cliques outside `V(S)` whose parent is inside —
-    /// the roots of the subtrees BUDP may keep packing below `S` —
-    /// ascending. Read off [`frontier_set`](Self::frontier_set), which the
-    /// constructor recorded against the same rooted tree.
-    pub fn frontier(&self, _rooted: &RootedTree) -> Vec<usize> {
-        self.frontier_set.iter().collect()
-    }
-
     /// Materializes the joint `P(X_S)` from a calibrated tree by message
     /// passing inside `T_S`, returning the table and the operation count of
     /// computing it (charged to the offline phase).
@@ -244,7 +236,7 @@ mod tests {
         assert!(s.scope().is_empty());
         assert_eq!(s.size(), 1);
         assert!(s.cut().is_empty());
-        assert!(s.frontier(&rooted).is_empty());
+        assert!(s.frontier_set().is_empty());
     }
 
     #[test]
@@ -279,7 +271,6 @@ mod tests {
         assert!(s1.overlaps(&s2));
         assert!(!s1.overlaps(&s3));
         // frontier of {ce, ef}: children outside = egh
-        assert_eq!(s1.frontier(&rooted), vec![egh]);
-        assert!(s1.frontier_set().contains(egh) && s1.frontier_set().len() == 1);
+        assert_eq!(s1.frontier_set().iter().collect::<Vec<_>>(), vec![egh]);
     }
 }

@@ -14,7 +14,7 @@
 //! Observation has one site: the serve pipeline records each answered
 //! unique request once per batch, with its arrival multiplicity
 //! ([`WorkloadStats::record_n`]), after the workers' wave has drained. All
-//! counters are lock-free except the per-scope histograms, which take a
+//! counters are lock-free except the per-scope histogram, which takes a
 //! short mutex per record; the accumulator is shared across concurrent
 //! batches and sessions behind an `Arc`.
 
@@ -37,9 +37,7 @@ pub struct WorkloadStats {
     shortcuts_used: AtomicU64,
     observed_ops: AtomicU64,
     baseline_ops: AtomicU64,
-    evidence_queries: AtomicU64,
     scopes: Mutex<HashMap<Scope, u64>>,
-    evidence_scopes: Mutex<HashMap<Scope, u64>>,
 }
 
 /// A consistent-enough point-in-time copy of the counters (individual loads
@@ -56,9 +54,6 @@ pub struct StatsSnapshot {
     pub observed_ops: u64,
     /// Total operation count the plain junction tree would have charged.
     pub baseline_ops: u64,
-    /// Recorded queries that carried pinned evidence (per-query
-    /// conditionals and evidence-session arrivals alike).
-    pub evidence_queries: u64,
 }
 
 impl StatsSnapshot {
@@ -79,17 +74,6 @@ impl StatsSnapshot {
         }
         self.shortcut_queries as f64 / self.queries as f64
     }
-
-    /// Fraction of recorded queries that carried pinned evidence.
-    /// Telemetry only: re-selection trains on the recorded scope counts
-    /// ([`WorkloadStats::scope_counts`]) and reads neither this nor the
-    /// evidence-context histogram.
-    pub fn evidence_fraction(&self) -> f64 {
-        if self.queries == 0 {
-            return 0.0;
-        }
-        self.evidence_queries as f64 / self.queries as f64
-    }
 }
 
 impl std::ops::AddAssign for StatsSnapshot {
@@ -101,7 +85,6 @@ impl std::ops::AddAssign for StatsSnapshot {
         self.shortcuts_used = self.shortcuts_used.saturating_add(other.shortcuts_used);
         self.observed_ops = self.observed_ops.saturating_add(other.observed_ops);
         self.baseline_ops = self.baseline_ops.saturating_add(other.baseline_ops);
-        self.evidence_queries = self.evidence_queries.saturating_add(other.evidence_queries);
     }
 }
 
@@ -136,21 +119,6 @@ impl WorkloadStats {
         *scopes.entry(scope.clone()).or_insert(0) += n;
     }
 
-    /// Records the evidence context of `n` arrivals: the assignment's
-    /// variable scope enters the per-evidence-scope histogram and the
-    /// evidence-query counter. Serving calls this once per
-    /// evidence-conditioned arrival (sessions: once per query served under
-    /// the pinned assignment), so the histogram weighs evidence contexts
-    /// by the traffic actually served under them.
-    pub fn record_evidence(&self, evidence_scope: &Scope, n: u64) {
-        if n == 0 || evidence_scope.is_empty() {
-            return;
-        }
-        self.evidence_queries.fetch_add(n, Ordering::Relaxed);
-        let mut scopes = self.evidence_scopes.lock();
-        *scopes.entry(evidence_scope.clone()).or_insert(0) += n;
-    }
-
     /// Point-in-time copy of the aggregate counters.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
@@ -159,7 +127,6 @@ impl WorkloadStats {
             shortcuts_used: self.shortcuts_used.load(Ordering::Relaxed),
             observed_ops: self.observed_ops.load(Ordering::Relaxed),
             baseline_ops: self.baseline_ops.load(Ordering::Relaxed),
-            evidence_queries: self.evidence_queries.load(Ordering::Relaxed),
         }
     }
 
@@ -179,16 +146,6 @@ impl WorkloadStats {
     /// The raw `(scope, arrivals)` histogram, sorted by scope.
     pub fn scope_counts(&self) -> Vec<(Scope, u64)> {
         let scopes = self.scopes.lock();
-        let mut v: Vec<(Scope, u64)> = scopes.iter().map(|(s, &c)| (s.clone(), c)).collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
-    }
-
-    /// The `(evidence scope, arrivals)` histogram, sorted by scope: which
-    /// evidence contexts the epoch actually served, weighted by query
-    /// volume. Empty when traffic was pure marginals.
-    pub fn evidence_scope_counts(&self) -> Vec<(Scope, u64)> {
-        let scopes = self.evidence_scopes.lock();
         let mut v: Vec<(Scope, u64)> = scopes.iter().map(|(s, &c)| (s.clone(), c)).collect();
         v.sort_by(|a, b| a.0.cmp(&b.0));
         v
@@ -231,7 +188,6 @@ mod tests {
                 shortcuts_used: 2,
                 observed_ops: 150,
                 baseline_ops: 300,
-                evidence_queries: 0,
             }
         );
         assert_eq!(two.observed_savings(), s.observed_savings());
@@ -249,24 +205,6 @@ mod tests {
         let wa = w.entries().iter().find(|e| e.query == a).unwrap().weight;
         assert!((wa - 0.75).abs() < 1e-12);
         assert_eq!(stats.snapshot().observed_ops, 40);
-    }
-
-    #[test]
-    fn evidence_contexts_are_weighed_by_arrivals() {
-        let stats = WorkloadStats::new();
-        let t = Scope::from_indices(&[0]);
-        let e1 = Scope::from_indices(&[5]);
-        let e2 = Scope::from_indices(&[5, 6]);
-        stats.record_n(&t, &cost(10, 0), 20, 4);
-        stats.record_evidence(&e1, 3);
-        stats.record_evidence(&e2, 1);
-        stats.record_evidence(&e1, 0); // no-op
-        stats.record_evidence(&Scope::from_indices(&[]), 5); // marginals don't count
-        let s = stats.snapshot();
-        assert_eq!(s.evidence_queries, 4);
-        assert!((s.evidence_fraction() - 1.0).abs() < 1e-12);
-        let counts = stats.evidence_scope_counts();
-        assert_eq!(counts, vec![(e1, 3), (e2, 1)]);
     }
 
     #[test]

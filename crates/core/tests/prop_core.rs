@@ -47,7 +47,7 @@ proptest! {
         let size: u64 = s.scope().iter().map(|v| tree.domain().card(v) as u64).product();
         prop_assert_eq!(s.size(), size);
         // frontier nodes are children of members, outside the region
-        for d in s.frontier(&rooted) {
+        for d in s.frontier_set().iter() {
             prop_assert!(!s.nodes().contains(&d));
             prop_assert!(s.nodes().contains(&rooted.parent(d).unwrap()));
         }

@@ -12,9 +12,7 @@
 //! singleton/empty-scope and zero-cell edge cases.
 
 use crate::domain::Domain;
-use crate::potential::{
-    legacy, product_many_views, product_marginalize_views, product_onto, Potential, Scratch,
-};
+use crate::potential::{legacy, product_marginalize_views, product_onto, Potential, Scratch};
 use crate::scope::Scope;
 use crate::var::Var;
 use proptest::prelude::*;
@@ -144,10 +142,11 @@ proptest! {
             .map(|(i, s)| potential_with_zeros(&d, s, seed + i as u64))
             .collect();
         let views: Vec<_> = pots.iter().map(Potential::view).collect();
+        let refs: Vec<&Potential> = pots.iter().collect();
         let mut s1 = Scratch::new();
         let mut s2 = Scratch::new();
         let got = product_marginalize_views(&views, &keep, &mut s1).unwrap();
-        let product = product_many_views(&views, &mut s2).unwrap();
+        let product = Potential::product_many_in(&refs, &mut s2).unwrap();
         let want = product.marginalize_in(&keep, &mut s2).unwrap();
         prop_assert_eq!(got.scope(), &product.scope().intersect(&keep));
         assert_bit_identical(&got, &want);
@@ -279,7 +278,7 @@ fn fused_long_runs_and_wide_rows_bit_identical() {
         let keep = Scope::from_indices(keep);
         let mut s = Scratch::new();
         let got = product_marginalize_views(&views, &keep, &mut s).unwrap();
-        let product = product_many_views(&views, &mut s).unwrap();
+        let product = Potential::product_many_in(factors, &mut s).unwrap();
         let want = product.marginalize_in(&keep, &mut s).unwrap();
         assert_bit_identical(&got, &want);
     }

@@ -3,30 +3,35 @@
 //! A [`Potential`] maps every configuration of its [`Scope`] to a
 //! non-negative real. The junction-tree algorithm is, at its heart, a
 //! sequence of potential products, marginalizations and divisions; this
-//! module implements those with precomputed *stride walks*: adjacent result
-//! axes whose operand strides are mutually compatible are coalesced into a
-//! single axis, so every kernel runs as an odometer over a handful of outer
-//! axes with a tight contiguous (or constant-stride) inner loop — no
-//! per-entry index recomputation, no hashing, no per-entry function calls.
+//! module implements those with one kind of *stride walk*: the walked
+//! table's axes, innermost first, as rows `[card, step in operand 0, …]`,
+//! where an axis on which every operand's step carries on from the row
+//! inside it (outer step = inner step × inner card) is folded into that
+//! row. Every kernel then runs a tight contiguous (or constant-stride)
+//! loop along the first row and steps an odometer (`odometer_step`) over
+//! the rest — no per-entry index recomputation, no hashing, no per-entry
+//! function calls. One routine builds every walk's rows (`push_axis`).
 //!
 //! The kernels operate on *views* ([`TableRef`]: a scope, cardinalities and
 //! a value slice) rather than owned tables, so the same code runs over a
 //! `Potential`'s own buffer or over a span of a contiguous arena slab (the
 //! flat junction-tree layout in `peanut-junction`). The slab-writing entry
 //! points [`product_onto`] and [`mul_assign_bcast`] take a `&mut [f64]`
-//! destination directly. Inner runs with unit or broadcast strides execute
-//! as the elementwise slice loops of `crate::lanes`, bit-identical to the
-//! scalar walk. Query-time message passing uses none of the three-step
-//! product → divide → marginalize sequence: [`product_marginalize_views`]
-//! sums a product onto its target without storing it, bit-identical to the
-//! two kernels it replaces.
+//! destination directly; an owned product is `product_onto` into a pooled
+//! buffer. Inner runs with unit or broadcast strides execute as the
+//! elementwise slice loops of `crate::lanes`, bit-identical to the scalar
+//! walk. Query-time message passing uses none of the three-step product →
+//! divide → marginalize sequence: [`product_marginalize_views`] sums a
+//! product onto its target without storing it, bit-identical to the two
+//! kernels it replaces.
 //!
 //! Every kernel also comes in an `_in` variant taking a [`Scratch`]: a
-//! caller-owned bundle of reusable odometer state and recycled value
-//! buffers. Serving workers and calibration passes thread one `Scratch`
-//! through thousands of factor operations and amortize all transient
-//! allocation away; the plain methods delegate to the `_in` forms with a
-//! fresh (empty, allocation-free) scratch.
+//! caller-owned bundle of the walk's rows, odometer state and recycled
+//! value buffers. Serving workers and calibration passes thread one
+//! `Scratch` through thousands of factor operations: once it is warm a
+//! kernel allocates nothing but its result's own scope and cardinalities.
+//! The plain methods delegate to the `_in` forms with a fresh (empty,
+//! allocation-free) scratch.
 //!
 //! Alongside the dense representation, [`table_size`] computes the *symbolic*
 //! size of a table over a scope. The paper's cost model (§5.1) and its
@@ -236,7 +241,14 @@ impl Potential {
     /// buffers (odometer state + recycled value storage).
     pub fn product_many_in(factors: &[&Potential], scratch: &mut Scratch) -> Result<Potential> {
         let views: Vec<TableRef<'_>> = factors.iter().map(|f| f.view()).collect();
-        product_many_views(&views, scratch)
+        let (scope, cards, total) = product_axes(&views)?;
+        let mut values = scratch.take_buf(total);
+        product_onto(&scope, &cards, &mut values, &views, scratch)?;
+        Ok(Potential {
+            scope,
+            cards,
+            values,
+        })
     }
 
     /// Pointwise product with another factor.
@@ -246,7 +258,7 @@ impl Potential {
 
     /// [`product`](Self::product) with caller-provided scratch.
     pub fn product_in(&self, other: &Potential, scratch: &mut Scratch) -> Result<Potential> {
-        product_many_views(&[self.view(), other.view()], scratch)
+        Potential::product_many_in(&[self, other], scratch)
     }
 
     /// Marginalizes (sums) the potential onto `keep ∩ scope`.
@@ -392,83 +404,40 @@ impl<'a> TableRef<'a> {
     /// no cross-run add latency chain.
     pub fn marginalize_in(&self, keep: &Scope, scratch: &mut Scratch) -> Result<Potential> {
         let target_scope = self.scope.intersect(keep);
-        let positions: Vec<usize> = self
-            .scope
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| target_scope.contains(*v))
-            .map(|(i, _)| i)
-            .collect();
-        let t_cards: Vec<u32> = positions.iter().map(|&i| self.cards[i]).collect();
+        let t_cards = cards_within(&target_scope, self.scope, self.cards);
         let total = checked_len(&t_cards)?;
-        let t_strides = strides_of(&t_cards);
-        // step of each source axis within the target table (0 when summed out)
-        let mut steps = vec![0u64; self.scope.len()];
-        for (t_axis, &s_axis) in positions.iter().enumerate() {
-            steps[s_axis] = t_strides[t_axis];
-        }
-        let walk = Walk::plan(self.cards, std::slice::from_ref(&steps));
+        // the source in row-major order; the one operand is the target
+        scratch.plan_walk(self.scope, self.cards, &[(&target_scope, &t_cards[..])])?;
         let mut values = scratch.take_buf(total as usize);
         let src = self.values;
-        let st = walk.inner_steps[0];
-        let peelable = st == 0
-            && !walk.outer_cards.is_empty()
-            && *walk.outer_steps[0].last().expect("outer nonempty") == 1;
-        if peelable {
-            // Fast path: the innermost outer axis advances the target by 1,
-            // so its sweep maps consecutive source runs to consecutive
-            // target slots — sum four runs in lock-step. The remaining
-            // outer axes run through a manual odometer identical to
-            // `for_each_run`'s.
-            let c1 = *walk.outer_cards.last().expect("outer nonempty") as usize;
-            let inner = walk.inner_len;
-            let n_up = walk.outer_cards.len() - 1;
-            scratch.digits.clear();
-            scratch.digits.resize(n_up, 0);
-            let digits = &mut scratch.digits;
-            let mut t0: u64 = 0;
-            let mut pos = 0usize;
-            'sweeps: loop {
-                let mut t = t0 as usize;
-                let mut c = 0usize;
-                while c + 4 <= c1 {
-                    let s = lanes::sum_runs([0.0; 4], &src[pos..pos + 4 * inner], inner);
-                    values[t] += s[0];
-                    values[t + 1] += s[1];
-                    values[t + 2] += s[2];
-                    values[t + 3] += s[3];
-                    t += 4;
-                    c += 4;
-                    pos += 4 * inner;
-                }
-                while c < c1 {
-                    values[t] += lanes::seq_sum(&src[pos..pos + inner]);
-                    t += 1;
-                    c += 1;
-                    pos += inner;
-                }
-                for ax in (0..n_up).rev() {
-                    digits[ax] += 1;
-                    t0 += walk.outer_steps[0][ax];
-                    if digits[ax] < walk.outer_cards[ax] {
-                        continue 'sweeps;
+        let (inner, st) = (scratch.rows[0] as usize, scratch.rows[1]);
+        if st == 0 && scratch.rows.get(3) == Some(&1) {
+            // Fast path: the row outside the inner run advances the target
+            // by 1, so its sweep maps consecutive source runs to
+            // consecutive target slots — sum four runs in lock-step.
+            let sweep = scratch.rows[2] as usize * inner;
+            scratch.walk(2, |pos, bases| {
+                let mut t = bases[0] as usize;
+                let mut quads = src[pos..pos + sweep].chunks_exact(4 * inner);
+                for quad in &mut quads {
+                    let sums = lanes::sum_runs([0.0; 4], quad, inner);
+                    for (slot, sum) in values[t..t + 4].iter_mut().zip(sums) {
+                        *slot += sum;
                     }
-                    digits[ax] = 0;
-                    t0 -= walk.outer_steps[0][ax] * walk.outer_cards[ax];
+                    t += 4;
                 }
-                break;
-            }
+                for run in quads.remainder().chunks_exact(inner) {
+                    values[t] += lanes::seq_sum(run);
+                    t += 1;
+                }
+            });
         } else {
-            walk.for_each_run(scratch, |src_pos, bases| {
-                let run = &src[src_pos..src_pos + walk.inner_len];
+            scratch.walk(1, |pos, bases| {
+                let run = &src[pos..pos + inner];
                 let mut t = bases[0] as usize;
                 match st {
-                    0 => {
-                        values[t] += lanes::seq_sum(run);
-                    }
-                    1 => {
-                        lanes::add_assign(&mut values[t..t + walk.inner_len], run);
-                    }
+                    0 => values[t] += lanes::seq_sum(run),
+                    1 => lanes::add_assign(&mut values[t..t + inner], run),
                     _ => {
                         for &v in run {
                             values[t] += v;
@@ -484,101 +453,6 @@ impl<'a> TableRef<'a> {
             values,
         })
     }
-}
-
-/// Pointwise product of table views; the owned-result form of
-/// [`product_onto`]. The result scope is the union of all view scopes.
-pub fn product_many_views(factors: &[TableRef<'_>], scratch: &mut Scratch) -> Result<Potential> {
-    let (scope, cards, total) = product_axes(factors)?;
-    // build by appending (the walks tile the output sequentially): unlike
-    // `product_onto` into an arena span, a fresh buffer would have to be
-    // zero-filled before indexed writes, a pure extra pass. Measured, not
-    // assumed: folding this twin into `product_onto` over a recycled
-    // buffer is bit-identical and cost `direct_large` 13 % throughput and
-    // 10 % p99 in 4/4 alternating pairs (ROADMAP, "Closed").
-    let mut values = scratch.take_buf_empty(total);
-    match factors {
-        [] => values.resize(total, 1.0),
-        [f] => append_bcast(&mut values, &scope, &cards, *f, scratch)?,
-        [a, b] => {
-            let steps = vec![
-                steps_of(&scope, a.scope, a.cards)?,
-                steps_of(&scope, b.scope, b.cards)?,
-            ];
-            let walk = Walk::plan(&cards, &steps);
-            let (av, bv) = (a.values, b.values);
-            let (sa, sb) = (walk.inner_steps[0], walk.inner_steps[1]);
-            walk.for_each_run(scratch, |pos, bases| {
-                debug_assert_eq!(values.len(), pos);
-                let (mut oa, mut ob) = (bases[0] as usize, bases[1] as usize);
-                match (sa, sb) {
-                    (1, 0) => {
-                        let s = bv[ob];
-                        values.extend(av[oa..oa + walk.inner_len].iter().map(|&v| v * s));
-                    }
-                    (0, 1) => {
-                        let s = av[oa];
-                        values.extend(bv[ob..ob + walk.inner_len].iter().map(|&v| s * v));
-                    }
-                    (1, 1) => {
-                        let ar = &av[oa..oa + walk.inner_len];
-                        let br = &bv[ob..ob + walk.inner_len];
-                        values.extend(ar.iter().zip(br).map(|(&x, &y)| x * y));
-                    }
-                    _ => {
-                        for _ in 0..walk.inner_len {
-                            values.push(av[oa] * bv[ob]);
-                            oa += sa as usize;
-                            ob += sb as usize;
-                        }
-                    }
-                }
-            });
-        }
-        _ => {
-            // copy the first factor, then one multiply-assign pass per
-            // remaining factor (same left-to-right chain per entry)
-            append_bcast(&mut values, &scope, &cards, factors[0], scratch)?;
-            for f in &factors[1..] {
-                mul_assign_bcast(&scope, &cards, &mut values, *f, scratch)?;
-            }
-        }
-    }
-    Ok(Potential {
-        scope,
-        cards,
-        values,
-    })
-}
-
-/// Appends the broadcast of view `f` over (`scope`, `cards`) onto `values`:
-/// the growing twin of [`copy_bcast`] for freshly allocated buffers.
-fn append_bcast(
-    values: &mut Vec<f64>,
-    scope: &Scope,
-    cards: &[u32],
-    f: TableRef<'_>,
-    scratch: &mut Scratch,
-) -> Result<()> {
-    let steps = steps_of(scope, f.scope, f.cards)?;
-    let walk = Walk::plan(cards, std::slice::from_ref(&steps));
-    let a = f.values;
-    let sa = walk.inner_steps[0];
-    walk.for_each_run(scratch, |pos, bases| {
-        debug_assert_eq!(values.len(), pos);
-        let mut oa = bases[0] as usize;
-        match sa {
-            0 => values.resize(pos + walk.inner_len, a[oa]),
-            1 => values.extend_from_slice(&a[oa..oa + walk.inner_len]),
-            _ => {
-                for _ in 0..walk.inner_len {
-                    values.push(a[oa]);
-                    oa += sa as usize;
-                }
-            }
-        }
-    });
-    Ok(())
 }
 
 /// Writes the pointwise product of `factors` into `dst`, a row-major table
@@ -603,24 +477,16 @@ pub fn product_onto(
         [] => dst.fill(1.0),
         [f] => copy_bcast(scope, cards, dst, *f, scratch)?,
         [a, b] => {
-            let steps = vec![
-                steps_of(scope, a.scope, a.cards)?,
-                steps_of(scope, b.scope, b.cards)?,
-            ];
-            let walk = Walk::plan(cards, &steps);
+            scratch.plan_walk(scope, cards, &[(a.scope, a.cards), (b.scope, b.cards)])?;
             let (av, bv) = (a.values, b.values);
-            let (sa, sb) = (walk.inner_steps[0], walk.inner_steps[1]);
-            walk.for_each_run(scratch, |pos, bases| {
-                let out = &mut dst[pos..pos + walk.inner_len];
+            let (len, sa, sb) = (scratch.rows[0] as usize, scratch.rows[1], scratch.rows[2]);
+            scratch.walk(1, |pos, bases| {
+                let out = &mut dst[pos..pos + len];
                 let (mut oa, mut ob) = (bases[0] as usize, bases[1] as usize);
                 match (sa, sb) {
-                    (1, 0) => lanes::mul_scalar(out, &av[oa..oa + walk.inner_len], bv[ob]),
-                    (0, 1) => lanes::mul_scalar(out, &bv[ob..ob + walk.inner_len], av[oa]),
-                    (1, 1) => lanes::mul(
-                        out,
-                        &av[oa..oa + walk.inner_len],
-                        &bv[ob..ob + walk.inner_len],
-                    ),
+                    (1, 0) => lanes::mul_scalar(out, &av[oa..oa + len], bv[ob]),
+                    (0, 1) => lanes::mul_scalar(out, &bv[ob..ob + len], av[oa]),
+                    (1, 1) => lanes::mul(out, &av[oa..oa + len], &bv[ob..ob + len]),
                     _ => {
                         for slot in out {
                             *slot = av[oa] * bv[ob];
@@ -653,16 +519,15 @@ fn copy_bcast(
     f: TableRef<'_>,
     scratch: &mut Scratch,
 ) -> Result<()> {
-    let steps = steps_of(scope, f.scope, f.cards)?;
-    let walk = Walk::plan(cards, std::slice::from_ref(&steps));
+    scratch.plan_walk(scope, cards, &[(f.scope, f.cards)])?;
     let a = f.values;
-    let sa = walk.inner_steps[0];
-    walk.for_each_run(scratch, |pos, bases| {
-        let out = &mut dst[pos..pos + walk.inner_len];
+    let (len, sa) = (scratch.rows[0] as usize, scratch.rows[1]);
+    scratch.walk(1, |pos, bases| {
+        let out = &mut dst[pos..pos + len];
         let mut oa = bases[0] as usize;
         match sa {
             0 => out.fill(a[oa]),
-            1 => out.copy_from_slice(&a[oa..oa + walk.inner_len]),
+            1 => out.copy_from_slice(&a[oa..oa + len]),
             _ => {
                 for slot in out {
                     *slot = a[oa];
@@ -685,16 +550,15 @@ pub fn mul_assign_bcast(
     f: TableRef<'_>,
     scratch: &mut Scratch,
 ) -> Result<()> {
-    let steps = steps_of(scope, f.scope, f.cards)?;
-    let walk = Walk::plan(cards, std::slice::from_ref(&steps));
+    scratch.plan_walk(scope, cards, &[(f.scope, f.cards)])?;
     let a = f.values;
-    let sa = walk.inner_steps[0];
-    walk.for_each_run(scratch, |pos, bases| {
-        let out = &mut dst[pos..pos + walk.inner_len];
+    let (len, sa) = (scratch.rows[0] as usize, scratch.rows[1]);
+    scratch.walk(1, |pos, bases| {
+        let out = &mut dst[pos..pos + len];
         let mut oa = bases[0] as usize;
         match sa {
             0 => lanes::mul_assign_scalar(out, a[oa]),
-            1 => lanes::mul_assign(out, &a[oa..oa + walk.inner_len]),
+            1 => lanes::mul_assign(out, &a[oa..oa + len]),
             _ => {
                 for slot in out {
                     *slot *= a[oa];
@@ -713,23 +577,14 @@ pub fn divide_views(
     den: TableRef<'_>,
     scratch: &mut Scratch,
 ) -> Result<Potential> {
-    if !den.scope.is_subset_of(num.scope) {
-        return Err(PgmError::ScopeNotContained {
-            sub: den.scope.to_string(),
-            sup: num.scope.to_string(),
-        });
-    }
-    let steps = steps_of(num.scope, den.scope, den.cards)?;
-    let walk = Walk::plan(num.cards, std::slice::from_ref(&steps));
+    scratch.plan_walk(num.scope, num.cards, &[(den.scope, den.cards)])?;
     // the walk tiles the output sequentially, so append instead of
     // zero-filling a buffer every run would overwrite anyway
     let mut values = scratch.take_buf_empty(num.values.len());
-    let src = num.values;
-    let div = den.values;
-    let st = walk.inner_steps[0];
-    walk.for_each_run(scratch, |pos, bases| {
-        debug_assert_eq!(values.len(), pos);
-        let run = &src[pos..pos + walk.inner_len];
+    let (src, div) = (num.values, den.values);
+    let (len, st) = (scratch.rows[0] as usize, scratch.rows[1]);
+    scratch.walk(1, |pos, bases| {
+        let run = &src[pos..pos + len];
         let mut o = bases[0] as usize;
         match st {
             0 => {
@@ -746,9 +601,8 @@ pub fn divide_views(
                 }
             }
             1 => {
-                let start = values.len();
                 values.extend_from_slice(run);
-                lanes::div_assign(&mut values[start..], &div[o..o + walk.inner_len]);
+                lanes::div_assign(&mut values[pos..], &div[o..o + len]);
             }
             _ => {
                 for &v in run {
@@ -766,7 +620,7 @@ pub fn divide_views(
 }
 
 /// The product of `factors` marginalized onto `keep`, in one pass: **bit
-/// for bit** what [`product_many_views`] followed by
+/// for bit** what [`Potential::product_many`] followed by
 /// [`TableRef::marginalize_in`] returns, without the product table.
 ///
 /// The product is never stored, so the order it is visited in is free as
@@ -794,21 +648,19 @@ pub fn product_marginalize_views(
     // the product is never built, but one over the dense limit is refused
     let (scope, cards, _) = product_axes(factors)?;
     let target_scope = scope.intersect(keep);
-    let t_cards: Vec<u32> = (scope.iter().zip(&cards))
-        .filter(|(v, _)| target_scope.contains(*v))
-        .map(|(_, &c)| c)
-        .collect();
+    let t_cards = cards_within(&target_scope, &scope, &cards);
     let total = checked_len(&t_cards)? as usize;
     let mut values = scratch.take_buf_empty(total);
 
     let Scratch {
+        cursors,
         digits,
         bases,
         work,
         fused: plan,
         ..
     } = scratch;
-    plan.build(&scope, &cards, &target_scope, factors);
+    plan.build(&scope, &cards, &target_scope, factors, cursors);
     let (k, w) = (factors.len(), plan.width);
     digits.clear();
     digits.resize(plan.n_axes(), 0);
@@ -861,8 +713,6 @@ struct FusedPlan {
     kept: Vec<u64>,
     upper: Vec<u64>,
     group: Vec<u64>,
-    /// Per factor, while building: axes not yet placed, stride of the next.
-    cursors: Vec<(usize, u64)>,
     /// The direction product runs are computed in, the one that is long
     /// and, if there is a choice, contiguous: across the slots of a block,
     /// or else, four slots in lock-step, along the inner run of `group`.
@@ -883,20 +733,31 @@ struct FusedPlan {
 }
 
 impl FusedPlan {
-    fn build(&mut self, scope: &Scope, cards: &[u32], target: &Scope, factors: &[TableRef<'_>]) {
+    /// Plans the product of `factors` over (`scope`, `cards`) summed onto
+    /// `target`, with the walk's own cursors (`Scratch::cursors`). Kept out
+    /// of the kernel's body: inlined, it cost the summing loops 6 % on
+    /// TPC-H's plain-tree queries (a scratch A/B of `answer_in`).
+    #[inline(never)]
+    fn build(
+        &mut self,
+        scope: &Scope,
+        cards: &[u32],
+        target: &Scope,
+        factors: &[TableRef<'_>],
+        cursors: &mut Vec<(usize, u64)>,
+    ) {
         let w = factors.len() + 1;
         self.width = w;
         self.kept.clear();
         self.upper.clear();
         self.group.clear();
-        self.cursors.clear();
-        self.cursors
-            .extend(factors.iter().map(|f| (f.scope.len(), 1)));
+        cursors.clear();
+        cursors.extend(factors.iter().map(|f| (f.scope.len(), 1)));
+        let operands = || factors.iter().map(|f| (f.scope, f.cards));
         let mut kept_left = target.len();
         // still after the last kept axis (one that iterates: not a unit one)
         let mut trailing = true;
         for (&v, &card) in scope.vars().iter().zip(cards).rev() {
-            let card = card as u64;
             let is_kept = kept_left > 0 && target.vars()[kept_left - 1] == v;
             kept_left -= usize::from(is_kept);
             trailing &= !(is_kept && card > 1);
@@ -907,36 +768,13 @@ impl FusedPlan {
             } else {
                 &mut self.upper
             };
-            part.push(card);
-            for (f, (left, stride)) in factors.iter().zip(&mut self.cursors) {
-                if *left > 0 && f.scope.vars()[*left - 1] == v {
-                    part.push(*stride);
-                    *stride *= card;
-                    *left -= 1;
-                } else {
-                    part.push(0);
-                }
-            }
-            // a unit axis iterates nothing; an axis whose every step carries
-            // on from the row inside it lengthens that row
-            let n = part.len();
-            let fold = card == 1 || {
-                n >= 2 * w && {
-                    let (inside, row) = part[n - 2 * w..].split_at(w);
-                    (row[1..].iter().zip(&inside[1..])).all(|(&s, &i)| s == i * inside[0])
-                }
-            };
-            if fold {
-                part.truncate(n - w);
-                if card != 1 {
-                    part[n - 2 * w] *= card;
-                }
-            }
+            push_axis(part, v, card, operands(), cursors);
         }
         if self.group.is_empty() {
             // nothing is summed out after the last kept axis: every entry is
             // added to its slot on its own, i.e. one chain over all of `upper`
-            std::mem::swap(&mut self.group, &mut self.upper);
+            // (moved over, not swapped: each keeps its own warm capacity)
+            self.group.append(&mut self.upper);
         }
         for part in [&mut self.kept, &mut self.group] {
             if part.is_empty() {
@@ -1166,6 +1004,46 @@ fn product_run<'a>(
     }
 }
 
+/// Pushes the row `[card, step per operand…]` of the axis of `v` onto
+/// `rows`: a walk's rows, innermost first, built outwards. Each operand's
+/// step is read off its cursor — `(axes of its scope not yet placed,
+/// stride of the next)` — which moves on if `v` is that next axis. The row
+/// is folded into the one inside it where it iterates nothing (card 1) or
+/// carries that row on: every step is the inside step times the inside
+/// card. The one merge rule of every walk in this module.
+fn push_axis<'a>(
+    rows: &mut Vec<u64>,
+    v: Var,
+    card: u32,
+    operands: impl Iterator<Item = (&'a Scope, &'a [u32])>,
+    cursors: &mut [(usize, u64)],
+) {
+    let (w, card) = (cursors.len() + 1, card as u64);
+    rows.push(card);
+    for ((scope, cards), (left, stride)) in operands.zip(cursors) {
+        if *left > 0 && scope.vars()[*left - 1] == v {
+            rows.push(*stride);
+            *stride *= cards[*left - 1] as u64;
+            *left -= 1;
+        } else {
+            rows.push(0);
+        }
+    }
+    let n = rows.len();
+    let fold = card == 1 || {
+        n >= 2 * w && {
+            let (inside, row) = rows[n - 2 * w..].split_at(w);
+            (row[1..].iter().zip(&inside[1..])).all(|(&s, &i)| s == i * inside[0])
+        }
+    };
+    if fold {
+        rows.truncate(n - w);
+        if card != 1 {
+            rows[n - 2 * w] *= card;
+        }
+    }
+}
+
 /// Steps an odometer over `rows` (innermost first, `[card, step per
 /// operand…]` each, `width` long) to its next position, moving the operand
 /// offsets `bases` along; `false` once the rows are exhausted, with
@@ -1203,8 +1081,7 @@ fn restrict_view(
     scope.remove(var);
     let mut cards = p.cards.to_vec();
     cards.remove(axis);
-    let strides = strides_of(p.cards);
-    let stride = strides[axis];
+    let stride: u64 = p.cards[axis + 1..].iter().map(|&c| c as u64).product();
     let mut values = scratch.take_buf_empty(p.values.len() / card as usize);
     // outer: blocks above the axis; inner: contiguous run below it
     let inner = stride as usize;
@@ -1216,6 +1093,14 @@ fn restrict_view(
         start += block;
     }
     Potential::new(scope, cards, values)
+}
+
+/// The cardinalities of `sub`'s variables, read off (`scope`, `cards`).
+fn cards_within(sub: &Scope, scope: &Scope, cards: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(sub.len());
+    let kept = scope.iter().zip(cards).filter(|(v, _)| sub.contains(*v));
+    out.extend(kept.map(|(_, &c)| c));
+    out
 }
 
 fn checked_len(cards: &[u32]) -> Result<u64> {
@@ -1240,26 +1125,6 @@ fn strides_of(cards: &[u32]) -> Vec<u64> {
     strides
 }
 
-/// For each axis of the `result` scope, the stride of that variable inside
-/// the table over (`f_scope`, `f_cards`) — zero when the table does not
-/// mention it. Errors if `f_scope` is not contained in `result`.
-fn steps_of(result: &Scope, f_scope: &Scope, f_cards: &[u32]) -> Result<Vec<u64>> {
-    if !f_scope.is_subset_of(result) {
-        return Err(PgmError::ScopeNotContained {
-            sub: f_scope.to_string(),
-            sup: result.to_string(),
-        });
-    }
-    let f_strides = strides_of(f_cards);
-    Ok(result
-        .iter()
-        .map(|v| match f_scope.position(v) {
-            Some(p) => f_strides[p],
-            None => 0,
-        })
-        .collect())
-}
-
 /// The table the product of `factors` spans: the union of their scopes, its
 /// cardinalities (shared variables must agree) and its — checked — length.
 fn product_axes(factors: &[TableRef<'_>]) -> Result<(Scope, Vec<u32>, usize)> {
@@ -1275,36 +1140,37 @@ fn product_axes(factors: &[TableRef<'_>]) -> Result<(Scope, Vec<u32>, usize)> {
 fn resolve_cards(scope: &Scope, factors: &[TableRef<'_>]) -> Result<Vec<u32>> {
     let mut cards = Vec::with_capacity(scope.len());
     for v in scope.iter() {
-        let mut found: Option<u32> = None;
-        for f in factors {
-            if let Some(c) = f.card_of(v) {
-                match found {
-                    None => found = Some(c),
-                    Some(prev) if prev != c => {
-                        return Err(PgmError::CardinalityMismatch {
-                            var: v,
-                            left: prev,
-                            right: c,
-                        })
-                    }
-                    _ => {}
-                }
-            }
+        let mut seen = factors.iter().filter_map(|f| f.card_of(v));
+        // a variable of the factors' union is some factor's
+        let left = seen.next().ok_or(PgmError::UnknownVar(v))?;
+        if let Some(right) = seen.find(|&c| c != left) {
+            return Err(PgmError::CardinalityMismatch {
+                var: v,
+                left,
+                right,
+            });
         }
-        cards.push(found.expect("scope var must appear in some factor"));
+        cards.push(left);
     }
     Ok(cards)
 }
 
 /// Reusable scratch state for the stride-walk kernels.
 ///
-/// Holds the odometer digit/offset vectors, the fused kernel's plan and
-/// working space, and a pool of recycled `f64` buffers. One `Scratch` is
-/// single-threaded state: give each worker its own. Creating one is free
-/// (no allocation until first use), so the non-`_in` kernel methods just
-/// instantiate a fresh one per call.
+/// Holds the current walk's rows and the odometer stepping them, the fused
+/// kernel's plan and working space, and a pool of recycled `f64` buffers.
+/// One `Scratch` is single-threaded state: give each worker its own.
+/// Creating one is free (no allocation until first use), so the non-`_in`
+/// kernel methods just instantiate a fresh one per call.
 #[derive(Debug, Default)]
 pub struct Scratch {
+    /// The walk of an elementwise kernel or a marginalization: rows
+    /// `[card, step per operand…]`, innermost first, the first one the
+    /// inner run (`plan_walk`).
+    rows: Vec<u64>,
+    /// Per operand, while a walk is planned: axes not yet placed, stride
+    /// of the next (`push_axis`).
+    cursors: Vec<(usize, u64)>,
     digits: Vec<u64>,
     bases: Vec<u64>,
     /// Slot totals, chains and product runs of the fused kernel: a few KiB.
@@ -1317,6 +1183,59 @@ impl Scratch {
     /// An empty scratch (allocates nothing).
     pub fn new() -> Self {
         Scratch::default()
+    }
+
+    /// Plans the walk of the table over (`scope`, `cards`) in row-major
+    /// order into `rows`, one step column per operand (a scope contained in
+    /// `scope`, and its cardinalities); a unit row where nothing iterates.
+    fn plan_walk(
+        &mut self,
+        scope: &Scope,
+        cards: &[u32],
+        operands: &[(&Scope, &[u32])],
+    ) -> Result<()> {
+        let (rows, cursors) = (&mut self.rows, &mut self.cursors);
+        rows.clear();
+        cursors.clear();
+        cursors.extend(operands.iter().map(|(s, _)| (s.len(), 1)));
+        for (&v, &card) in scope.vars().iter().zip(cards).rev() {
+            push_axis(rows, v, card, operands.iter().copied(), cursors);
+        }
+        // a cursor stops for good at a variable `scope` lacks
+        for (&(sub, _), &(left, _)) in operands.iter().zip(cursors.iter()) {
+            if left > 0 {
+                return Err(PgmError::ScopeNotContained {
+                    sub: sub.to_string(),
+                    sup: scope.to_string(),
+                });
+            }
+        }
+        if rows.is_empty() {
+            rows.push(1);
+            rows.resize(operands.len() + 1, 0);
+        }
+        Ok(())
+    }
+
+    /// Steps an odometer over the rows [`plan_walk`](Self::plan_walk) left
+    /// from row `from` outwards, calling `visit` at every position, in
+    /// row-major order, with the walked table's offset and the operands'.
+    fn walk(&mut self, from: usize, mut visit: impl FnMut(usize, &[u64])) {
+        let w = self.cursors.len() + 1;
+        let (inside, rows) = self.rows.split_at(from * w);
+        let step: u64 = inside.iter().step_by(w).product();
+        self.digits.clear();
+        self.digits.resize(rows.len() / w, 0);
+        self.bases.clear();
+        self.bases.resize(w - 1, 0);
+        let mut pos = 0;
+        loop {
+            visit(pos, &self.bases);
+            pos += step as usize;
+            if !odometer_step(rows, w, &mut self.digits, &mut self.bases) {
+                return;
+            }
+        }
     }
 
     /// Returns a potential's value buffer to the pool so a later kernel call
@@ -1381,331 +1300,10 @@ impl Scratch {
     }
 }
 
-/// A precomputed stride walk: the row-major iteration space of a table,
-/// with axes coalesced wherever every tracked operand's stride is
-/// compatible, split into outer odometer axes and one inner run.
-///
-/// For each operand `op`, visiting result entry `i` (row-major) touches
-/// operand offset `base(outer digits) + j · inner_steps[op]` where `j` is
-/// the position inside the current inner run.
-struct Walk {
-    /// Coalesced outer axis cardinalities (outer → inner).
-    outer_cards: Vec<u64>,
-    /// Per-operand steps along the outer axes: `outer_steps[op][ax]`.
-    outer_steps: Vec<Vec<u64>>,
-    /// Length of the innermost coalesced run.
-    inner_len: usize,
-    /// Per-operand step along the inner run.
-    inner_steps: Vec<u64>,
-}
-
-impl Walk {
-    /// Plans the walk over a table with axis cardinalities `cards`, tracking
-    /// one offset per operand; `op_steps[op][axis]` is the operand's stride
-    /// along each result axis (0 = broadcast).
-    fn plan(cards: &[u32], op_steps: &[Vec<u64>]) -> Walk {
-        let k = op_steps.len();
-        let mut gcards: Vec<u64> = Vec::with_capacity(cards.len());
-        let mut gsteps: Vec<Vec<u64>> = vec![Vec::with_capacity(cards.len()); k];
-        for (ax, &card32) in cards.iter().enumerate() {
-            let card = card32 as u64;
-            if card == 1 {
-                continue; // unit axes contribute nothing to iteration
-            }
-            let mergeable = !gcards.is_empty()
-                && (0..k)
-                    .all(|op| *gsteps[op].last().expect("group open") == op_steps[op][ax] * card);
-            if mergeable {
-                *gcards.last_mut().expect("group open") *= card;
-                for op in 0..k {
-                    *gsteps[op].last_mut().expect("group open") = op_steps[op][ax];
-                }
-            } else {
-                gcards.push(card);
-                for op in 0..k {
-                    gsteps[op].push(op_steps[op][ax]);
-                }
-            }
-        }
-        match gcards.pop() {
-            Some(inner) => Walk {
-                inner_len: inner as usize,
-                inner_steps: gsteps
-                    .iter_mut()
-                    .map(|s| s.pop().expect("aligned"))
-                    .collect(),
-                outer_cards: gcards,
-                outer_steps: gsteps,
-            },
-            None => Walk {
-                inner_len: 1,
-                inner_steps: vec![0; k],
-                outer_cards: Vec::new(),
-                outer_steps: vec![Vec::new(); k],
-            },
-        }
-    }
-
-    /// Invokes `f(run_start, operand_bases)` once per inner run, in
-    /// row-major order; `run_start` advances by `inner_len` per call.
-    #[inline]
-    fn for_each_run(&self, scratch: &mut Scratch, mut f: impl FnMut(usize, &[u64])) {
-        let n_outer = self.outer_cards.len();
-        let k = self.inner_steps.len();
-        scratch.digits.clear();
-        scratch.digits.resize(n_outer, 0);
-        scratch.bases.clear();
-        scratch.bases.resize(k, 0);
-        let digits = &mut scratch.digits;
-        let bases = &mut scratch.bases;
-        let mut pos = 0usize;
-        'runs: loop {
-            f(pos, bases);
-            pos += self.inner_len;
-            for ax in (0..n_outer).rev() {
-                digits[ax] += 1;
-                for (op, base) in bases.iter_mut().enumerate() {
-                    *base += self.outer_steps[op][ax];
-                }
-                if digits[ax] < self.outer_cards[ax] {
-                    continue 'runs;
-                }
-                digits[ax] = 0;
-                for (op, base) in bases.iter_mut().enumerate() {
-                    *base -= self.outer_steps[op][ax] * self.outer_cards[ax];
-                }
-            }
-            return;
-        }
-    }
-}
-
-/// The pre-arena kernels, preserved as the differential baseline.
-///
-/// These are the append-based stride-walk implementations exactly as they
-/// shipped before the flat-arena refactor: no lane primitives, `Vec::push`
-/// and `extend` instead of preallocated slice writes. The differential
-/// suites run the new kernels against them and assert bitwise identity
-/// (`f64::to_bits`). Compiled only for this crate's own tests and under the
-/// `legacy-kernels` feature (enabled by the differential suites in the
-/// junction, bench and umbrella crates).
+/// The pre-arena kernels, preserved as the differential baseline
+/// (`potential/legacy.rs`).
 #[cfg(any(test, feature = "legacy-kernels"))]
-pub mod legacy {
-    use super::*;
-
-    /// Original `product_many_in`: append-based stride walk.
-    pub fn product_many_in(factors: &[&Potential], scratch: &mut Scratch) -> Result<Potential> {
-        let mut scope = Scope::empty();
-        for f in factors {
-            scope = scope.union(&f.scope);
-        }
-        let views: Vec<TableRef<'_>> = factors.iter().map(|f| f.view()).collect();
-        let cards = resolve_cards(&scope, &views)?;
-        let total = checked_len(&cards)?;
-        let steps: Vec<Vec<u64>> = factors
-            .iter()
-            .map(|f| steps_of(&scope, &f.scope, &f.cards))
-            .collect::<Result<_>>()?;
-        let walk = Walk::plan(&cards, &steps);
-        // the walk visits runs in row-major order covering every output
-        // entry exactly once, so the kernels append (no zero-fill pass)
-        let mut values = scratch.take_buf_empty(total as usize);
-
-        match factors.len() {
-            0 => values.resize(total as usize, 1.0),
-            1 => {
-                let a = &factors[0].values;
-                let sa = walk.inner_steps[0];
-                walk.for_each_run(scratch, |_, bases| {
-                    let mut oa = bases[0] as usize;
-                    if sa == 1 {
-                        values.extend_from_slice(&a[oa..oa + walk.inner_len]);
-                    } else {
-                        for _ in 0..walk.inner_len {
-                            values.push(a[oa]);
-                            oa += sa as usize;
-                        }
-                    }
-                });
-            }
-            2 => {
-                let a = &factors[0].values;
-                let b = &factors[1].values;
-                let (sa, sb) = (walk.inner_steps[0], walk.inner_steps[1]);
-                walk.for_each_run(scratch, |_, bases| {
-                    let (mut oa, mut ob) = (bases[0] as usize, bases[1] as usize);
-                    match (sa, sb) {
-                        (1, 0) => {
-                            let s = b[ob];
-                            values.extend(a[oa..oa + walk.inner_len].iter().map(|&x| x * s));
-                        }
-                        (0, 1) => {
-                            let s = a[oa];
-                            values.extend(b[ob..ob + walk.inner_len].iter().map(|&x| x * s));
-                        }
-                        (1, 1) => {
-                            values.extend(
-                                a[oa..oa + walk.inner_len]
-                                    .iter()
-                                    .zip(&b[ob..ob + walk.inner_len])
-                                    .map(|(&x, &y)| x * y),
-                            );
-                        }
-                        _ => {
-                            for _ in 0..walk.inner_len {
-                                values.push(a[oa] * b[ob]);
-                                oa += sa as usize;
-                                ob += sb as usize;
-                            }
-                        }
-                    }
-                });
-            }
-            _ => {
-                walk.for_each_run(scratch, |_, bases| {
-                    for i in 0..walk.inner_len {
-                        let mut prod = 1.0;
-                        for (f, (&base, &step)) in
-                            factors.iter().zip(bases.iter().zip(&walk.inner_steps))
-                        {
-                            prod *= f.values[(base + i as u64 * step) as usize];
-                        }
-                        values.push(prod);
-                    }
-                });
-            }
-        }
-        debug_assert_eq!(values.len() as u64, total);
-        Ok(Potential {
-            scope,
-            cards,
-            values,
-        })
-    }
-
-    /// Original two-factor product.
-    pub fn product_in(a: &Potential, b: &Potential, scratch: &mut Scratch) -> Result<Potential> {
-        product_many_in(&[a, b], scratch)
-    }
-
-    /// Original `marginalize_in`: scalar accumulation chains only.
-    pub fn marginalize_in(p: &Potential, keep: &Scope, scratch: &mut Scratch) -> Result<Potential> {
-        let target_scope = p.scope.intersect(keep);
-        let positions: Vec<usize> = p
-            .scope
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| target_scope.contains(*v))
-            .map(|(i, _)| i)
-            .collect();
-        let t_cards: Vec<u32> = positions.iter().map(|&i| p.cards[i]).collect();
-        let total = checked_len(&t_cards)?;
-        let t_strides = strides_of(&t_cards);
-        // step of each source axis within the target table (0 when summed out)
-        let mut steps = vec![0u64; p.scope.len()];
-        for (t_axis, &s_axis) in positions.iter().enumerate() {
-            steps[s_axis] = t_strides[t_axis];
-        }
-        let walk = Walk::plan(&p.cards, std::slice::from_ref(&steps));
-        let mut values = scratch.take_buf(total as usize);
-        let src = &p.values;
-        let st = walk.inner_steps[0];
-        walk.for_each_run(scratch, |src_pos, bases| {
-            let run = &src[src_pos..src_pos + walk.inner_len];
-            let mut t = bases[0] as usize;
-            match st {
-                0 => {
-                    values[t] += run.iter().sum::<f64>();
-                }
-                1 => {
-                    for (slot, &v) in values[t..t + walk.inner_len].iter_mut().zip(run) {
-                        *slot += v;
-                    }
-                }
-                _ => {
-                    for &v in run {
-                        values[t] += v;
-                        t += st as usize;
-                    }
-                }
-            }
-        });
-        Ok(Potential {
-            scope: target_scope,
-            cards: t_cards,
-            values,
-        })
-    }
-
-    /// Original `divide_in`: append-based, scalar Hugin division.
-    pub fn divide_in(p: &Potential, other: &Potential, scratch: &mut Scratch) -> Result<Potential> {
-        if !other.scope.is_subset_of(&p.scope) {
-            return Err(PgmError::ScopeNotContained {
-                sub: other.scope.to_string(),
-                sup: p.scope.to_string(),
-            });
-        }
-        let steps = steps_of(&p.scope, &other.scope, &other.cards)?;
-        let walk = Walk::plan(&p.cards, std::slice::from_ref(&steps));
-        let mut values = scratch.take_buf_empty(p.values.len());
-        let src = &p.values;
-        let div = &other.values;
-        let st = walk.inner_steps[0];
-        walk.for_each_run(scratch, |pos, bases| {
-            let run = &src[pos..pos + walk.inner_len];
-            let mut o = bases[0] as usize;
-            if st == 0 {
-                let d = div[o];
-                values.extend(
-                    run.iter()
-                        .map(|&v| if d == 0.0 && v == 0.0 { 0.0 } else { v / d }),
-                );
-            } else {
-                for &v in run {
-                    let d = div[o];
-                    values.push(if d == 0.0 && v == 0.0 { 0.0 } else { v / d });
-                    o += st as usize;
-                }
-            }
-        });
-        Ok(Potential {
-            scope: p.scope.clone(),
-            cards: p.cards.clone(),
-            values,
-        })
-    }
-
-    /// Original `restrict_in`: block-strided contiguous copies.
-    pub fn restrict_in(
-        p: &Potential,
-        var: Var,
-        value: u32,
-        scratch: &mut Scratch,
-    ) -> Result<Potential> {
-        let axis = p.scope.position(var).ok_or(PgmError::UnknownVar(var))?;
-        let card = p.cards[axis];
-        if value >= card {
-            return Err(PgmError::ValueOutOfRange { var, value, card });
-        }
-        let mut scope = p.scope.clone();
-        scope.remove(var);
-        let mut cards = p.cards.clone();
-        cards.remove(axis);
-        let strides = p.strides();
-        let stride = strides[axis];
-        let mut values = scratch.take_buf_empty(p.values.len() / card as usize);
-        // outer: blocks above the axis; inner: contiguous run below it
-        let inner = stride as usize;
-        let block = inner * card as usize;
-        let base = value as u64 * stride;
-        let mut start = base as usize;
-        while start < p.values.len() {
-            values.extend_from_slice(&p.values[start..start + inner]);
-            start += block;
-        }
-        Potential::new(scope, cards, values)
-    }
-}
+pub mod legacy;
 
 #[cfg(test)]
 mod tests {

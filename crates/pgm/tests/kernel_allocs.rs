@@ -1,0 +1,160 @@
+//! Allocation guard for the kernels: on a warm `Scratch` (its walk rows
+//! and odometer sized, its pool holding a recycled result) a kernel call
+//! allocates its result's own scope and cardinalities and nothing else.
+//! Counted by a global allocator of this binary's own, the pattern of
+//! `crates/core/tests/alloc_budget.rs`. Run with `--nocapture` to see what
+//! message passing allocates per query.
+
+use peanut_junction::{build_junction_tree, QueryEngine};
+use peanut_pgm::{
+    divide_views, mul_assign_bcast, product_marginalize_views, product_onto, Domain, Potential,
+    Scope, Scratch,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    // const-initialized and destructor-free: reading them inside the
+    // allocator neither allocates nor re-enters it
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// `System`, plus a per-thread count of allocating calls while `COUNTING`
+/// is set on the allocating thread (so parallel tests do not see each
+/// other).
+struct CountingAlloc;
+
+fn note() {
+    if COUNTING.with(Cell::get) {
+        CALLS.with(|c| c.set(c.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters are plain thread-local
+// cells that never allocate.
+unsafe impl GlobalAlloc for CountingAlloc {
+    // SAFETY: the caller's layout obligations are exactly `System`'s.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: forwarded unchanged.
+        unsafe { System.alloc(layout) }
+    }
+    // SAFETY: the caller's layout obligations are exactly `System`'s.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: forwarded unchanged.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: forwarded unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded unchanged.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocator calls `f` makes on this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    CALLS.with(|c| c.set(0));
+    COUNTING.with(|c| c.set(true));
+    let out = f();
+    COUNTING.with(|c| c.set(false));
+    (out, CALLS.with(Cell::get))
+}
+
+/// Allocator calls of the second of two identical calls.
+fn warm_calls(mut f: impl FnMut()) -> usize {
+    f();
+    counted(f).1
+}
+
+#[test]
+fn a_warm_kernel_allocates_only_its_result() {
+    let d = Domain::from_pairs([("a", 3), ("b", 3), ("c", 3), ("e", 3)]).unwrap();
+    let table = |ix: &[u32]| {
+        let scope = Scope::from_indices(ix);
+        let n = (3u32.pow(ix.len() as u32)) as usize;
+        let values = (0..n).map(|i| 0.5 + i as f64).collect();
+        Potential::new(scope.clone(), d.cards_of(&scope), values).unwrap()
+    };
+    let (full, abc, be) = (table(&[0, 1, 2, 3]), table(&[0, 1, 2]), table(&[1, 3]));
+    let (scope, cards) = (full.scope(), full.cards());
+    let mut s = Scratch::new();
+    let mut dst = vec![0.0; full.len()];
+
+    let mul_assign = warm_calls(|| {
+        mul_assign_bcast(scope, cards, &mut dst, be.view(), &mut s).unwrap();
+    });
+    let product = warm_calls(|| {
+        product_onto(scope, cards, &mut dst, &[abc.view(), be.view()], &mut s).unwrap();
+    });
+    let divide = warm_calls(|| {
+        let q = divide_views(full.view(), be.view(), &mut s).unwrap();
+        s.recycle(q);
+    });
+    // onto {b, e}: the inner run adds onto the target; onto {a, c}: the
+    // inner run is summed out and the row outside it is the target's
+    // innermost axis, four runs in lock-step
+    let marginalize = [[1, 3], [0, 2]].map(|keep| {
+        let keep = Scope::from_indices(&keep);
+        warm_calls(|| {
+            let m = full.marginalize_in(&keep, &mut s).unwrap();
+            s.recycle(m);
+        })
+    });
+    let keep = Scope::from_indices(&[0, 3]);
+    let fused = warm_calls(|| {
+        let m = product_marginalize_views(&[abc.view(), be.view()], &keep, &mut s).unwrap();
+        s.recycle(m);
+    });
+    // each read 6, 10, 8 and [9, 9] when every call planned a fresh walk
+    assert_eq!(mul_assign, 0, "mul_assign_bcast");
+    assert_eq!(product, 0, "two-factor product_onto");
+    // the result's scope and cardinalities
+    assert_eq!(divide, 2, "divide_views");
+    assert_eq!(marginalize, [2, 2], "marginalize_in");
+    // plus the product's scope (one union per factor) and cardinalities,
+    // which size-check a product that is never built
+    assert_eq!(fused, 5, "product_marginalize_views");
+}
+
+/// What message passing allocates per query: `ReducedTree::answer_in` over
+/// every out-of-clique variable pair of Child on the plain tree, one warm
+/// `Scratch` recycling each answer. Printed for the ledger, not asserted.
+#[test]
+fn child_answer_in_allocations() {
+    let bn = peanut_datasets::dataset("Child").unwrap().build().unwrap();
+    let tree = build_junction_tree(&bn).unwrap();
+    let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+    let n = bn.n_vars() as u32;
+    let mut s = Scratch::new();
+    let (mut queries, mut nodes, mut calls) = (0usize, 0usize, 0usize);
+    for q in (0..n).flat_map(|a| (a + 1..n).map(move |b| Scope::from_indices(&[a, b]))) {
+        let Some(rt) = engine.reduced_for(&q).unwrap() else {
+            continue;
+        };
+        let (answer, c) = counted(|| rt.answer_in(&q, tree.domain(), &mut s).unwrap().0);
+        s.recycle(answer);
+        queries += 1;
+        nodes += rt.len();
+        calls += c;
+    }
+    assert!(queries > 0);
+    println!(
+        "Child: answer_in makes {:.1} allocator calls per out-of-clique query, {:.2} per node \
+         ({queries} queries, {:.1} nodes each)",
+        calls as f64 / queries as f64,
+        calls as f64 / nodes as f64,
+        nodes as f64 / queries as f64
+    );
+}

@@ -1181,9 +1181,8 @@ mod tests {
     /// Evidence-aware selection: identical logical traffic recorded
     /// through the per-query conditional path (joint `targets ∪ evidence`
     /// scopes) versus through an evidence session (scopes restricted to
-    /// the targets, plus an explicit evidence-context histogram) trains
-    /// the re-selection on *different* observed distributions — and the
-    /// offline DP picks a different shortcut set.
+    /// the targets) trains the re-selection on *different* observed
+    /// distributions — and the offline DP picks a different shortcut set.
     #[test]
     fn evidence_sessions_change_reselection() {
         let serving = ServingEngine::new(
@@ -1207,8 +1206,11 @@ mod tests {
             let (answers, _) = serving.serve_batch(&conds);
             assert!(answers.iter().all(ServeOutcome::is_served));
         }
-        assert!(serving.stats().snapshot().evidence_fraction() > 0.0);
         let joint_counts = serving.stats().scope_counts();
+        assert!(
+            joint_counts.iter().all(|(s, _)| s.contains(Var(19))),
+            "test premise: every conditional ran on a joint reaching the evidence"
+        );
         let joint_w = serving.stats().observed_workload();
         serving.reset_stats();
 
@@ -1220,8 +1222,12 @@ mod tests {
             assert!(answers.iter().all(ServeOutcome::is_served));
         }
         drop(session);
-        assert!(serving.stats().snapshot().evidence_fraction() > 0.0);
         let restricted_counts = serving.stats().scope_counts();
+        assert_eq!(
+            restricted_counts,
+            targets.iter().map(|t| (t.clone(), 8)).collect::<Vec<_>>(),
+            "test premise: the session served the bare targets, each batch once"
+        );
         let restricted_w = serving.stats().observed_workload();
 
         assert_ne!(

@@ -204,9 +204,6 @@ impl<'a, 't> BatchRun<'a, 't> {
                 continue;
             };
             stats.record_n(&q.stat_scope(), &a.cost, a.baseline_ops, self.uses[u]);
-            if !q.is_marginal() {
-                stats.record_evidence(&q.evidence_scope(), self.uses[u]);
-            }
         }
         self.bstats
     }
@@ -339,7 +336,6 @@ mod tests {
                 shortcuts_used: total(|a| a.cost.shortcuts_used as u64),
                 observed_ops: total(|a| a.cost.ops),
                 baseline_ops: total(|a| a.baseline_ops),
-                evidence_queries: 2,
             }
         );
         assert_eq!(
@@ -350,15 +346,11 @@ mod tests {
                 (cond.stat_scope(), 2), // the joint {d, i} the conditional ran
             ]
         );
-        assert_eq!(
-            stats.evidence_scope_counts(),
-            vec![(Scope::from_indices(&[8]), 2)]
-        );
     }
 
     /// The same accounting through an evidence session (no dedup, no
     /// cache): every served target is one arrival under its restricted
-    /// scope plus one evidence-context record; the failed one is neither.
+    /// scope; the failed one is not observed.
     #[test]
     fn a_session_batch_is_observed_once_per_arrival() {
         let serving = figure1_serving();
@@ -383,13 +375,8 @@ mod tests {
                 shortcuts_used: 0,
                 observed_ops: 3 * a1.cost.ops + 2 * a2.cost.ops,
                 baseline_ops: 3 * a1.baseline_ops + 2 * a2.baseline_ops,
-                evidence_queries: 5,
             }
         );
         assert_eq!(stats.scope_counts(), vec![(t1, 3), (t2, 2)]);
-        assert_eq!(
-            stats.evidence_scope_counts(),
-            vec![(Scope::from_indices(&[8]), 5)]
-        );
     }
 }

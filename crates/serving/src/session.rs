@@ -17,10 +17,7 @@
 //! which are simply wrong under an evidence restriction. What the session
 //! records instead is per-target-scope arrivals at baseline cost: the
 //! *restricted* scopes are what the lifecycle layer's re-selection trains
-//! on (it reads the scope counts only). The evidence context itself is
-//! recorded too
-//! ([`WorkloadStats::record_evidence`](peanut_core::WorkloadStats::record_evidence)),
-//! as telemetry — no selection reads it.
+//! on (it reads the scope counts only).
 //!
 //! # Epoch-swap semantics
 //!
@@ -55,7 +52,6 @@ pub struct EvidenceSession<'s, 't> {
     /// coalescing, and every answer normalized into `P(· | evidence)`.
     target: Target<'t>,
     evidence: Vec<(Var, u32)>,
-    evidence_scope: Scope,
 }
 
 impl<'t> ServingEngine<'t> {
@@ -73,7 +69,6 @@ impl<'t> ServingEngine<'t> {
         evidence.dedup();
         let local = self.engine().restricted_to_evidence(&evidence)?;
         let snapshot = self.target();
-        let evidence_scope = Scope::from_iter(evidence.iter().map(|&(v, _)| v));
         Ok(EvidenceSession {
             serving: self,
             target: Target {
@@ -85,7 +80,6 @@ impl<'t> ServingEngine<'t> {
                 normalize: true,
             },
             evidence,
-            evidence_scope,
         })
     }
 }
@@ -94,11 +88,6 @@ impl<'s, 't> EvidenceSession<'s, 't> {
     /// The pinned evidence assignment (sorted by variable, each pair once).
     pub fn evidence(&self) -> &[(Var, u32)] {
         &self.evidence
-    }
-
-    /// The scope of the pinned evidence variables.
-    pub fn evidence_scope(&self) -> &Scope {
-        &self.evidence_scope
     }
 
     /// The materialization epoch this session was opened under; every
@@ -135,14 +124,7 @@ impl<'s, 't> EvidenceSession<'s, 't> {
             .iter()
             .map(|t| ServeRequest::marginal(t.clone()))
             .collect();
-        let (outcomes, bstats) = self.serving.serve_on(self.target.clone(), &requests);
-        // one evidence-context record per served query: the accumulator
-        // weighs contexts by the traffic they actually carried
-        let served = outcomes.iter().filter(|o| o.is_served()).count() as u64;
-        self.target
-            .stats
-            .record_evidence(&self.evidence_scope, served);
-        (outcomes, bstats)
+        self.serving.serve_on(self.target.clone(), &requests)
     }
 }
 
@@ -225,7 +207,7 @@ mod tests {
     }
 
     #[test]
-    fn session_records_restricted_scopes_and_evidence_contexts() {
+    fn session_records_restricted_scopes() {
         let bn = fixtures::chain(8, 2, 3);
         let serving = serving_for(&bn);
         let session = serving.open_session(vec![(Var(7), 1)]).unwrap();
@@ -235,14 +217,10 @@ mod tests {
         let stats = serving.stats();
         let snap = stats.snapshot();
         assert_eq!(snap.queries, 2);
-        assert_eq!(snap.evidence_queries, 2);
-        assert!((snap.evidence_fraction() - 1.0).abs() < 1e-12);
         // the recorded scope is the *restricted* target scope, not the
         // joint targets∪evidence scope the per-query path would log
         let counts = stats.scope_counts();
         assert_eq!(counts, vec![(t, 2)]);
-        let ev = stats.evidence_scope_counts();
-        assert_eq!(ev, vec![(Scope::from_indices(&[7]), 2)]);
     }
 
     #[test]

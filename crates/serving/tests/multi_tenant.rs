@@ -138,11 +138,6 @@ proptest! {
                 let (got, want) = (sharded.tenant(tid).unwrap().stats(), alone.stats());
                 prop_assert_eq!(got.snapshot(), want.snapshot(), "{} pass, {}", pass, tid);
                 prop_assert_eq!(got.scope_counts(), want.scope_counts(), "{} pass, {}", pass, tid);
-                prop_assert_eq!(
-                    got.evidence_scope_counts(),
-                    want.evidence_scope_counts(),
-                    "{} pass, {}", pass, tid
-                );
             }
 
             // (b) against the VE oracle on the owning tenant's model

@@ -1,13 +1,17 @@
 //! The variable-elimination engine, in symbolic (size-only) and numeric
 //! modes.
 //!
-//! Eliminating a variable `x` gathers all factors mentioning `x`,
-//! materializes their product table over the scope union `U`, and sums `x`
-//! out. Following the workspace-wide cost model, this charges
-//! `|table(U)| · k + |table(U)|` operations for `k` gathered factors; the
-//! final combination onto the query scope is charged the same way.
+//! Eliminating a variable `x` gathers all factors mentioning `x` and sums
+//! `x` out of their product over the scope union `U`. Following the
+//! workspace-wide cost model, this charges `|table(U)| · k + |table(U)|`
+//! operations for `k` gathered factors; the final combination onto the
+//! query scope is charged the same way. The numeric engine never stores
+//! the product table: each step is one fused product → marginalize pass.
 
-use peanut_pgm::{table_size, BayesianNetwork, Domain, PgmError, Potential, Scope, Size, Var};
+use peanut_pgm::{
+    product_marginalize_views, table_size, BayesianNetwork, Domain, PgmError, Potential, Scope,
+    Size, TableRef, Var,
+};
 
 /// Result of planning a VE run symbolically.
 #[derive(Clone, Debug)]
@@ -71,10 +75,7 @@ pub fn ve_cost(bn: &BayesianNetwork, query: &Scope) -> EliminationRun {
         if with_x.is_empty() {
             continue;
         }
-        let mut u = Scope::empty();
-        for s in &with_x {
-            u = u.union(s);
-        }
+        let mut u = union_of(&with_x);
         ops = ops.saturating_add(ops_of(&u, with_x.len(), domain));
         peak = peak.max(table_size(&u, domain));
         u.remove(x);
@@ -82,10 +83,7 @@ pub fn ve_cost(bn: &BayesianNetwork, query: &Scope) -> EliminationRun {
     }
     // final combination onto the query
     if !scopes.is_empty() {
-        let mut u = Scope::empty();
-        for s in &scopes {
-            u = u.union(s);
-        }
+        let u = union_of(&scopes);
         ops = ops.saturating_add(ops_of(&u, scopes.len(), domain));
         peak = peak.max(table_size(&u, domain));
     }
@@ -113,21 +111,25 @@ pub fn ve_answer(bn: &BayesianNetwork, query: &Scope) -> Result<(Potential, Size
         if with_x.is_empty() {
             continue;
         }
-        let refs: Vec<&Potential> = with_x.iter().collect();
-        let product = Potential::product_many_in(&refs, &mut scratch)?;
-        ops = ops.saturating_add(ops_of(product.scope(), refs.len(), domain));
-        factors.push(
-            product.marginalize_in(&product.scope().minus(&Scope::singleton(x)), &mut scratch)?,
-        );
-        scratch.recycle(product);
+        // the product over `u` is charged, summed out in one pass, never stored
+        let u = union_of(with_x.iter().map(Potential::scope));
+        ops = ops.saturating_add(ops_of(&u, with_x.len(), domain));
+        let views: Vec<TableRef<'_>> = with_x.iter().map(Potential::view).collect();
+        let keep = u.minus(&Scope::singleton(x));
+        factors.push(product_marginalize_views(&views, &keep, &mut scratch)?);
         for spent in with_x {
             scratch.recycle(spent);
         }
     }
-    let refs: Vec<&Potential> = factors.iter().collect();
-    let product = Potential::product_many_in(&refs, &mut scratch)?;
-    ops = ops.saturating_add(ops_of(product.scope(), refs.len(), domain));
-    Ok((product.marginalize_in(query, &mut scratch)?, ops))
+    let u = union_of(factors.iter().map(Potential::scope));
+    ops = ops.saturating_add(ops_of(&u, factors.len(), domain));
+    let views: Vec<TableRef<'_>> = factors.iter().map(Potential::view).collect();
+    Ok((product_marginalize_views(&views, query, &mut scratch)?, ops))
+}
+
+/// The scope of the product of factors over `scopes`.
+fn union_of<'a>(scopes: impl IntoIterator<Item = &'a Scope>) -> Scope {
+    scopes.into_iter().fold(Scope::empty(), |u, s| u.union(s))
 }
 
 #[cfg(test)]

@@ -49,15 +49,17 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Files allowed to contain `unsafe` (R1), all subject to R2: the worker
-/// pool's lifetime-erasure site and the counting `GlobalAlloc` of the
-/// plan allocation-guard test.
+/// pool's lifetime-erasure site and the counting `GlobalAlloc`s of the
+/// plan and kernel allocation-guard tests.
 const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/serving/src/pool.rs",
     "crates/core/tests/alloc_budget.rs",
+    "crates/pgm/tests/kernel_allocs.rs",
 ];
 
 /// Serving hot-path files subject to R4: the serving tier, and the query
-/// path under every request it answers (plan, reduce, message passing).
+/// path under every request it answers (plan, reduce, message passing and
+/// the kernels it runs on).
 const HOT_PATHS: &[&str] = &[
     "crates/serving/src/pool.rs",
     "crates/serving/src/engine.rs",
@@ -73,6 +75,8 @@ const HOT_PATHS: &[&str] = &[
     "crates/junction/src/steiner.rs",
     "crates/junction/src/reduced.rs",
     "crates/junction/src/query.rs",
+    "crates/pgm/src/potential.rs",
+    "crates/pgm/src/lanes.rs",
 ];
 
 /// Panicking constructs forbidden on hot paths (R4).
