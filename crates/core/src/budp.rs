@@ -17,8 +17,8 @@
 //! returned packing's estimated cost never exceeds `K`.
 
 use crate::context::OfflineContext;
-use crate::grid::BudgetGrid;
-use crate::lrdp::{Combine, Compose, RootTables, ShortcutSolution};
+use crate::grid::{BudgetGrid, Compose};
+use crate::lrdp::{Combine, RootTables, ShortcutSolution};
 use std::collections::HashMap;
 
 /// The packing chosen by BUDP.

@@ -23,6 +23,9 @@ pub struct QueryInfo {
     pub single_node: bool,
     /// Per clique: number of Steiner children (0 for non-members).
     q_children: Vec<u8>,
+    /// Per clique `u`: [`OfflineContext::contrib`]`(u, q)`, which every
+    /// LRDP root's walk reads at every node it visits.
+    contribs: Vec<f64>,
     /// What [`delta`] reads.
     cover: SteinerCover,
 }
@@ -96,8 +99,44 @@ pub struct OfflineContext<'t> {
     tree: &'t JunctionTree,
     rooted: RootedTree,
     queries: Vec<QueryInfo>,
-    /// `μ(u)` per clique.
+    contributions: Contributions,
+}
+
+/// What Def. 3.2's per-node contributions are made of, once per tree:
+/// `μ(u)` per clique, and per variable `x` the cliques `u` whose subtree
+/// holds it (`x ∈ X_{T_u}`).
+struct Contributions {
     mu: Vec<Size>,
+    held_below: Vec<BitSet>,
+}
+
+impl Contributions {
+    fn new(tree: &JunctionTree, rooted: &RootedTree) -> Self {
+        let n = tree.n_cliques();
+        let mut held_below = vec![BitSet::new(n); tree.domain().len()];
+        for u in 0..n {
+            for x in rooted.subtree_scope(u).iter() {
+                held_below[x.index()].insert(u);
+            }
+        }
+        Contributions {
+            mu: (0..n).map(|u| tree.clique_size(u)).collect(),
+            held_below,
+        }
+    }
+
+    /// `μ(u) · Π_{x ∈ X_{T_u} ∩ q} α(x)` for every clique `u`, each product
+    /// taken in query order.
+    fn of(&self, tree: &JunctionTree, query: &Scope) -> Vec<f64> {
+        let mut contribs: Vec<f64> = self.mu.iter().map(|&m| m as f64).collect();
+        for x in query.iter() {
+            let card = tree.domain().card(x) as f64;
+            for u in self.held_below[x.index()].iter() {
+                contribs[u] *= card;
+            }
+        }
+        contribs
+    }
 }
 
 /// Builds the per-query Steiner information used by the usefulness and
@@ -107,6 +146,18 @@ pub fn build_query_info(
     rooted: &RootedTree,
     query: &Scope,
     weight: f64,
+) -> Result<QueryInfo, PgmError> {
+    let contributions = Contributions::new(tree, rooted);
+    query_info(tree, rooted, query, weight, &contributions)
+}
+
+/// [`build_query_info`] with the tree's [`Contributions`] at hand.
+fn query_info(
+    tree: &JunctionTree,
+    rooted: &RootedTree,
+    query: &Scope,
+    weight: f64,
+    contributions: &Contributions,
 ) -> Result<QueryInfo, PgmError> {
     let st = SteinerTree::extract(tree, rooted, query)?;
     let steiner = BitSet::from_members(tree.n_cliques(), st.nodes().iter().copied());
@@ -132,6 +183,7 @@ pub fn build_query_info(
         steiner,
         var_cover,
         q_children,
+        contribs: contributions.of(tree, query),
     })
 }
 
@@ -148,17 +200,17 @@ impl<'t> OfflineContext<'t> {
     /// Builds the context: extracts one Steiner tree per distinct query.
     pub fn new(tree: &'t JunctionTree, workload: &Workload) -> Result<Self, PgmError> {
         let rooted = RootedTree::new(tree);
+        let contributions = Contributions::new(tree, &rooted);
         let queries = workload
             .entries()
             .iter()
-            .map(|entry| build_query_info(tree, &rooted, &entry.query, entry.weight))
+            .map(|entry| query_info(tree, &rooted, &entry.query, entry.weight, &contributions))
             .collect::<Result<Vec<_>, _>>()?;
-        let mu = (0..tree.n_cliques()).map(|u| tree.clique_size(u)).collect();
         Ok(OfflineContext {
             tree,
             rooted,
             queries,
-            mu,
+            contributions,
         })
     }
 
@@ -183,20 +235,15 @@ impl<'t> OfflineContext<'t> {
     /// `μ(u)`.
     #[inline]
     pub fn mu(&self, u: usize) -> Size {
-        self.mu[u]
+        self.contributions.mu[u]
     }
 
     /// The per-node benefit contribution of Def. 3.2:
-    /// `μ(u) · Π_{w ∈ X_{T_u} ∩ q} α(w)`.
+    /// `μ(u) · Π_{w ∈ X_{T_u} ∩ q} α(w)`, stored per clique when `qi` was
+    /// built.
+    #[inline]
     pub fn contrib(&self, u: usize, qi: &QueryInfo) -> f64 {
-        let sub = self.rooted.subtree_scope(u);
-        let mut f = self.mu[u] as f64;
-        for x in qi.scope.iter() {
-            if sub.contains(x) {
-                f *= self.tree.domain().card(x) as f64;
-            }
-        }
-        f
+        qi.contribs[u]
     }
 
     /// Usefulness `δ_S(q)` (Def. 3.1), in an operational form (listed under
@@ -450,6 +497,71 @@ mod tests {
         let b2 = ctx_flat.benefit_for_query(&s, qi2);
         assert!((b_flat - (0.5 * b1 + 0.5 * b2)).abs() < 1e-9);
         assert!((b_skew - (0.75 * b1 + 0.25 * b2)).abs() < 1e-9);
+    }
+
+    /// The stored contribution is Def. 3.2 computed on the spot, the form
+    /// every LRDP node visit used to run — bit for bit, for every (query,
+    /// clique) pair on generated trees under random pivots and the
+    /// fixtures.
+    #[test]
+    fn stored_contrib_is_the_definition() {
+        use peanut_pgm::generate::{generate_network, DagConfig};
+        use proptest::test_runner::TestRng;
+        let by_definition = |ctx: &OfflineContext, u: usize, qi: &QueryInfo| {
+            let sub = ctx.rooted().subtree_scope(u);
+            let mut f = ctx.mu(u) as f64;
+            for x in qi.scope.iter() {
+                if sub.contains(x) {
+                    f *= ctx.tree().domain().card(x) as f64;
+                }
+            }
+            f
+        };
+        let mut nets = vec![
+            fixtures::figure1(),
+            fixtures::asia(),
+            fixtures::chain(9, 3, 2),
+        ];
+        for seed in 0..12u64 {
+            let n = 8 + seed as usize;
+            let cfg = DagConfig {
+                n_nodes: n,
+                n_edges: n - 1 + n / 3,
+                max_in_degree: 3,
+                window: 4,
+                cardinalities: vec![2, 3, 4],
+            };
+            nets.extend(generate_network(&cfg, seed));
+        }
+        let mut pairs = 0;
+        for (seed, bn) in nets.iter().enumerate() {
+            let mut rng = TestRng::seed_from_u64(seed as u64);
+            let mut tree = build_junction_tree(bn).unwrap();
+            tree.set_pivot(rng.sample(0..tree.n_cliques()));
+            let n = bn.domain().len() as u32;
+            let queries: Vec<Scope> = (0..12)
+                .map(|_| {
+                    let picks: Vec<u32> = (0..rng.sample(1..5usize))
+                        .map(|_| rng.sample(0..n))
+                        .collect();
+                    Scope::from_indices(&picks)
+                })
+                .collect();
+            let ctx = OfflineContext::new(&tree, &Workload::from_queries(queries)).unwrap();
+            for qi in ctx.queries() {
+                for u in 0..tree.n_cliques() {
+                    let want = by_definition(&ctx, u, qi);
+                    assert_eq!(
+                        ctx.contrib(u, qi).to_bits(),
+                        want.to_bits(),
+                        "clique {u}, {}",
+                        qi.scope
+                    );
+                    pairs += 1;
+                }
+            }
+        }
+        assert!(pairs > 1_000, "{pairs} pairs");
     }
 
     #[test]

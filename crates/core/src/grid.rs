@@ -43,6 +43,7 @@ impl BudgetGrid {
                 if v >= k {
                     break;
                 }
+                // lint:allow(hot_panic) — `values` starts with 0
                 if v > *values.last().expect("non-empty") {
                     values.push(v);
                 }
@@ -83,6 +84,7 @@ impl BudgetGrid {
     /// The maximum budget `K`.
     #[inline]
     pub fn max(&self) -> Size {
+        // lint:allow(hot_panic) — every constructor pushes 0
         *self.values.last().expect("grid non-empty")
     }
 
@@ -122,6 +124,54 @@ impl BudgetGrid {
     /// cost 1 (no table is smaller than one entry).
     pub fn combine_mul(&self, i: usize, j: usize) -> Option<usize> {
         self.round_up(self.values[i].max(1).saturating_mul(self.values[j].max(1)))
+    }
+
+    /// [`combine`](Self::combine) (`Add`) or [`combine_mul`](Self::combine_mul)
+    /// (`Mul`) of `i` with a `j` that only grows from call to call, without
+    /// a search: both combinations grow with `j` and are at least
+    /// `values[i]`, so their round-up index is found by a cursor that
+    /// starts at `i` and only moves forward.
+    pub(crate) fn combined(&self, i: usize, mode: Compose) -> Combined<'_> {
+        Combined {
+            values: &self.values,
+            base: self.values[i],
+            mode,
+            at: i,
+        }
+    }
+}
+
+/// How branch/packing costs compose: multiplicative within a single
+/// shortcut (scope unions), additive across disjoint shortcuts (storage).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Compose {
+    /// Storage of separate tables adds.
+    Add,
+    /// Scope unions multiply table sizes.
+    Mul,
+}
+
+/// The cursor of [`BudgetGrid::combined`].
+pub(crate) struct Combined<'g> {
+    values: &'g [Size],
+    base: Size,
+    mode: Compose,
+    at: usize,
+}
+
+impl Combined<'_> {
+    /// The grid index of the base point combined with point `j`, `None`
+    /// past `K`; `j` must not be smaller than at the previous call.
+    #[inline]
+    pub(crate) fn with(&mut self, j: usize) -> Option<usize> {
+        let want = match self.mode {
+            Compose::Add => self.base.saturating_add(self.values[j]),
+            Compose::Mul => self.base.max(1).saturating_mul(self.values[j].max(1)),
+        };
+        while self.values.get(self.at).is_some_and(|&v| v < want) {
+            self.at += 1;
+        }
+        (self.at < self.values.len()).then_some(self.at)
     }
 }
 
@@ -199,5 +249,35 @@ mod tests {
         assert_eq!(g.values(), &[0]);
         let g = BudgetGrid::exact(0);
         assert_eq!(g.values(), &[0]);
+    }
+
+    /// The cursor is the binary search it replaces: for every base point,
+    /// over every point in ascending order and over every third one (the DP
+    /// skips infeasible points), on geometric and small exact grids.
+    #[test]
+    fn cursor_equals_combine_for_every_pair() {
+        let mut grids: Vec<BudgetGrid> = [0, 1, 2, 5, 40].map(BudgetGrid::exact).to_vec();
+        for eps in [1.2, 2.0] {
+            for k in [0, 1, 2, 10_000, 100_000_000] {
+                grids.push(BudgetGrid::geometric(k, eps));
+            }
+        }
+        for g in &grids {
+            for i in 0..g.len() {
+                for step in [1, 3] {
+                    let mut add = g.combined(i, Compose::Add);
+                    let mut mul = g.combined(i, Compose::Mul);
+                    for j in (0..g.len()).step_by(step) {
+                        assert_eq!(add.with(j), g.combine(i, j), "{:?} + at {i}, {j}", g.max());
+                        assert_eq!(
+                            mul.with(j),
+                            g.combine_mul(i, j),
+                            "{:?} × at {i}, {j}",
+                            g.max()
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -38,9 +38,10 @@
 
 use crate::context::OfflineContext;
 use crate::exec::{Executor, ScopedExecutor};
-use crate::grid::BudgetGrid;
+use crate::grid::{BudgetGrid, Compose};
 use crate::shortcut::Shortcut;
 use crate::sync::OnceLock;
+use peanut_junction::RootedTree;
 use peanut_pgm::{Size, Var};
 use std::collections::HashMap;
 
@@ -102,6 +103,7 @@ pub fn lrdp_all_on(
     });
     slots
         .into_iter()
+        // lint:allow(hot_panic) — `run_tasks` returns once every task ran
         .map(|s| s.into_inner().expect("executor ran every root"))
         .collect()
 }
@@ -110,7 +112,7 @@ pub fn lrdp_all_on(
 pub fn lrdp(ctx: &OfflineContext, r_s: usize, grid: &BudgetGrid) -> RootTables {
     let rooted = ctx.rooted();
     let m = grid.len();
-    let sub_nodes = rooted.subtree_nodes(r_s).to_vec();
+    let sub_nodes = rooted.subtree_nodes(r_s);
     if rooted.children(r_s).is_empty() {
         // leaf root: no candidate has an edge to cut below r_s
         return RootTables {
@@ -120,10 +122,14 @@ pub fn lrdp(ctx: &OfflineContext, r_s: usize, grid: &BudgetGrid) -> RootTables {
             per_budget: vec![None; m],
         };
     }
+    // per-node state lives at the node's position in `sub_nodes`, the
+    // contiguous stretch of the DFS order that starts at r_s
+    let base = rooted.dfs_pos(r_s);
+    let at = |w: usize| rooted.dfs_pos(w) - base;
 
     // ---- pass 1: per-node path values b_Q(v), c(v) -------------------
-    let mut cut_val: HashMap<usize, f64> = HashMap::with_capacity(sub_nodes.len());
-    let mut cut_cost_idx: HashMap<usize, Option<usize>> = HashMap::with_capacity(sub_nodes.len());
+    let mut cut_val = vec![0.0f64; sub_nodes.len()];
+    let mut cut_cost_idx: Vec<Option<usize>> = vec![None; sub_nodes.len()];
     {
         let mut state = PathState::new(ctx);
         state.push(r_s);
@@ -136,8 +142,8 @@ pub fn lrdp(ctx: &OfflineContext, r_s: usize, grid: &BudgetGrid) -> RootTables {
                 *next += 1;
                 // path currently ends at u = π_w: value/cost of S_w
                 let (val, cost) = state.read();
-                cut_val.insert(w, val);
-                cut_cost_idx.insert(w, grid.round_up(cost));
+                cut_val[at(w)] = val;
+                cut_cost_idx[at(w)] = grid.round_up(cost);
                 state.push(w);
                 stack.push((w, 0));
             } else {
@@ -149,21 +155,18 @@ pub fn lrdp(ctx: &OfflineContext, r_s: usize, grid: &BudgetGrid) -> RootTables {
 
     // ---- pass 2: post-order branch DP ---------------------------------
     // D[w][ci]: best additive value of w's branch decision within budget
-    // grid[ci]; NEG_INFINITY when infeasible.
-    let mut d: HashMap<usize, Vec<f64>> = HashMap::with_capacity(sub_nodes.len());
-    let mut choice: HashMap<usize, Vec<Choice>> = HashMap::with_capacity(sub_nodes.len());
-    let mut combines: HashMap<usize, Combine> = HashMap::new();
+    // grid[ci]; NEG_INFINITY when infeasible. r_s's own slots stay empty.
+    let mut d: Vec<Vec<f64>> = vec![Vec::new(); sub_nodes.len()];
+    let mut choice: Vec<Vec<Choice>> = vec![Vec::new(); sub_nodes.len()];
+    let mut combines: Vec<Option<Combine>> = (0..sub_nodes.len()).map(|_| None).collect();
 
-    for &w in sub_nodes.iter().rev() {
-        if w == r_s {
-            continue;
-        }
+    for (i, &w) in sub_nodes.iter().enumerate().skip(1).rev() {
         let kids = rooted.children(w);
         let mut table = vec![f64::NEG_INFINITY; m];
         let mut ch = vec![Choice::None; m];
         // option 1: explicit cut at (w, π_w)
-        if let Some(start) = cut_cost_idx[&w] {
-            let val = cut_val[&w];
+        if let Some(start) = cut_cost_idx[i] {
+            let val = cut_val[i];
             for ci in start..m {
                 if val > table[ci] {
                     table[ci] = val;
@@ -173,7 +176,7 @@ pub fn lrdp(ctx: &OfflineContext, r_s: usize, grid: &BudgetGrid) -> RootTables {
         }
         // option 2: extend into w — requires ≥1 explicit cut deeper
         if !kids.is_empty() {
-            let child_tables: Vec<&[f64]> = kids.iter().map(|c| d[c].as_slice()).collect();
+            let child_tables: Vec<&[f64]> = kids.iter().map(|&c| d[at(c)].as_slice()).collect();
             let comb = Combine::run(&child_tables, grid, Compose::Mul);
             for ci in 0..m {
                 if comb.req[ci] > table[ci] {
@@ -181,19 +184,25 @@ pub fn lrdp(ctx: &OfflineContext, r_s: usize, grid: &BudgetGrid) -> RootTables {
                     ch[ci] = Choice::Extend;
                 }
             }
-            combines.insert(w, comb);
+            combines[i] = Some(comb);
         }
-        d.insert(w, table);
-        choice.insert(w, ch);
+        d[i] = table;
+        choice[i] = ch;
     }
 
     // ---- top level: combine r_s's children, at least one explicit cut --
     let kids = rooted.children(r_s);
-    let child_tables: Vec<&[f64]> = kids.iter().map(|c| d[c].as_slice()).collect();
+    let child_tables: Vec<&[f64]> = kids.iter().map(|&c| d[at(c)].as_slice()).collect();
     let top = Combine::run(&child_tables, grid, Compose::Mul);
     let dp_value = top.req.clone();
 
     // ---- reconstruction ------------------------------------------------
+    let decisions = Decisions {
+        rooted,
+        base,
+        choice,
+        combines,
+    };
     let mut solutions: Vec<ShortcutSolution> = Vec::new();
     let mut per_budget: Vec<Option<usize>> = vec![None; m];
     let mut seen: HashMap<Vec<usize>, usize> = HashMap::new();
@@ -204,7 +213,7 @@ pub fn lrdp(ctx: &OfflineContext, r_s: usize, grid: &BudgetGrid) -> RootTables {
         let mut cut_nodes: Vec<usize> = Vec::new();
         let taken = top.backtrack(true, ci, kids);
         for (w, ci_w) in taken {
-            collect_cuts(w, ci_w, &choice, &combines, rooted, &mut cut_nodes);
+            decisions.collect_cuts(w, ci_w, &mut cut_nodes);
         }
         if cut_nodes.is_empty() {
             continue;
@@ -217,6 +226,7 @@ pub fn lrdp(ctx: &OfflineContext, r_s: usize, grid: &BudgetGrid) -> RootTables {
                 let mut members: Vec<usize> = Vec::new();
                 let mut marked = vec![false; ctx.tree().n_cliques()];
                 for &cn in &cut_nodes {
+                    // lint:allow(hot_panic) — cut nodes are strict descendants of r_s
                     let mut u = rooted.parent(cn).expect("cut node below r_s");
                     loop {
                         if marked[u] {
@@ -227,9 +237,11 @@ pub fn lrdp(ctx: &OfflineContext, r_s: usize, grid: &BudgetGrid) -> RootTables {
                         if u == r_s {
                             break;
                         }
+                        // lint:allow(hot_panic) — the walk up stops at r_s
                         u = rooted.parent(u).expect("within subtree");
                     }
                 }
+                // lint:allow(hot_panic) — paths up to one root are connected
                 let shortcut = Shortcut::from_nodes(ctx.tree(), rooted, members)
                     .expect("reconstructed member set is connected");
                 let true_benefit = ctx.benefit(&shortcut);
@@ -256,22 +268,28 @@ pub fn lrdp(ctx: &OfflineContext, r_s: usize, grid: &BudgetGrid) -> RootTables {
     }
 }
 
-fn collect_cuts(
-    w: usize,
-    ci: usize,
-    choice: &HashMap<usize, Vec<Choice>>,
-    combines: &HashMap<usize, Combine>,
-    rooted: &peanut_junction::RootedTree,
-    out: &mut Vec<usize>,
-) {
-    match choice[&w][ci] {
-        Choice::None => unreachable!("backtrack reached an infeasible state"),
-        Choice::Cut => out.push(w),
-        Choice::Extend => {
-            let comb = &combines[&w];
-            for (c, ci_c) in comb.backtrack(true, ci, rooted.children(w)) {
-                collect_cuts(c, ci_c, choice, combines, rooted, out);
+/// Pass 2's decisions for the nodes below r_s, each at its position in
+/// r_s's stretch of the DFS order (`base` is r_s's).
+struct Decisions<'r> {
+    rooted: &'r RootedTree,
+    base: usize,
+    choice: Vec<Vec<Choice>>,
+    combines: Vec<Option<Combine>>,
+}
+
+impl Decisions<'_> {
+    /// The explicit cut nodes of `w`'s branch decision at grid index `ci`.
+    fn collect_cuts(&self, w: usize, ci: usize, out: &mut Vec<usize>) {
+        let i = self.rooted.dfs_pos(w) - self.base;
+        match (self.choice[i][ci], &self.combines[i]) {
+            (Choice::Cut, _) => out.push(w),
+            (Choice::Extend, Some(comb)) => {
+                for (c, ci_c) in comb.backtrack(true, ci, self.rooted.children(w)) {
+                    self.collect_cuts(c, ci_c, out);
+                }
             }
+            // lint:allow(hot_panic) — backtracking follows feasible cells only
+            _ => unreachable!("backtrack reached an infeasible state"),
         }
     }
 }
@@ -281,17 +299,6 @@ enum Choice {
     None,
     Cut,
     Extend,
-}
-
-/// How branch/packing costs compose in a [`Combine`] run: multiplicative
-/// within a single shortcut (scope unions), additive across disjoint
-/// shortcuts (storage).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Compose {
-    /// Storage of separate tables adds.
-    Add,
-    /// Scope unions multiply table sizes.
-    Mul,
 }
 
 /// Backpointer of one combine-layer cell.
@@ -319,7 +326,7 @@ pub(crate) struct Combine {
 }
 
 impl Combine {
-    #[allow(clippy::needless_range_loop)] // prev_ci indexes `free` and feeds grid.combine*
+    #[allow(clippy::needless_range_loop)] // prev_ci indexes `free` and feeds grid.combined
     pub(crate) fn run(children: &[&[f64]], grid: &BudgetGrid, mode: Compose) -> Combine {
         let m = grid.len();
         let mut free = vec![0.0f64; m];
@@ -344,15 +351,12 @@ impl Combine {
                 if !free[prev_ci].is_finite() {
                     continue;
                 }
+                let mut combined = grid.combined(prev_ci, mode);
                 for (child_ci, &cv) in table.iter().enumerate() {
                     if !cv.is_finite() {
                         continue;
                     }
-                    let combined = match mode {
-                        Compose::Add => grid.combine(prev_ci, child_ci),
-                        Compose::Mul => grid.combine_mul(prev_ci, child_ci),
-                    };
-                    let Some(t) = combined else {
+                    let Some(t) = combined.with(child_ci) else {
                         break; // larger child_ci only grows the combination
                     };
                     let cand = free[prev_ci] + cv;
@@ -408,6 +412,7 @@ impl Combine {
                 self.free_ptr[k - 1][ci]
             };
             match ptr {
+                // lint:allow(hot_panic) — a feasible cell never points at a dead one
                 CombPtr::Dead => unreachable!("backtrack entered an infeasible cell"),
                 CombPtr::Inherit => {
                     ci -= 1;
@@ -493,6 +498,7 @@ impl<'c, 't> PathState<'c, 't> {
         // cut-scope bookkeeping
         if parent_on_path.is_some() {
             // edge (parent, u) becomes internal (or external again on pop)
+            // lint:allow(hot_panic) — a node with a parent on the path has one
             let e = rooted.parent_edge(u).expect("u below r_s");
             for x in ctx.tree().separator(e).iter() {
                 self.cut_cnt[x.index()] = self.cut_cnt[x.index()].wrapping_add_signed(-sign as i32);
@@ -504,6 +510,7 @@ impl<'c, 't> PathState<'c, 't> {
             }
         }
         for &w in rooted.children(u) {
+            // lint:allow(hot_panic) — a child hangs off its parent edge
             let e = rooted.parent_edge(w).expect("child edge");
             for x in ctx.tree().separator(e).iter() {
                 self.cut_cnt[x.index()] = self.cut_cnt[x.index()].wrapping_add_signed(sign as i32);
@@ -525,6 +532,7 @@ impl<'c, 't> PathState<'c, 't> {
     /// `(b_Q, c)` of the shortcut whose subtree is the current path.
     fn read(&self) -> (f64, Size) {
         let ctx = self.ctx;
+        // lint:allow(hot_panic) — read only between a push and its pop
         let top = *self.path.last().expect("path non-empty");
         // cost: μ over variables present in any cut separator
         let mut cost: Size = 1;

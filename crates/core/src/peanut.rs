@@ -9,9 +9,7 @@ use crate::grid::BudgetGrid;
 use crate::lrdp::{lrdp_all_on, ShortcutSolution};
 use crate::online::{Materialization, MaterializedShortcut};
 use crate::plus::greedy_pack;
-use crate::sync::atomic::{AtomicBool, Ordering};
-use crate::sync::OnceLock;
-use peanut_junction::NumericState;
+use peanut_junction::{region_joints, NumericState};
 use peanut_pgm::{PgmError, Size};
 
 /// Which packing strategy to run.
@@ -60,7 +58,16 @@ impl PeanutConfig {
     }
 
     /// Sets the approximation level.
+    ///
+    /// # Panics
+    ///
+    /// On a non-finite `eps`: a NaN would select the exact grid, whose
+    /// `K + 1` points per node a serving-sized budget cannot afford.
     pub fn with_epsilon(mut self, eps: f64) -> Self {
+        assert!(
+            eps.is_finite(),
+            "grid parameter ε must be finite, got {eps}"
+        );
         self.epsilon = eps;
         self
     }
@@ -120,7 +127,7 @@ impl Peanut {
                 shortcut: sol.shortcut,
             })
             .collect();
-        shortcuts.sort_by(|a, b| b.ratio.partial_cmp(&a.ratio).expect("finite"));
+        shortcuts.sort_by(|a, b| b.ratio.total_cmp(&a.ratio));
         Materialization {
             shortcuts,
             overlapping: cfg.variant == Variant::PeanutPlus,
@@ -139,10 +146,10 @@ impl Peanut {
         Self::offline_numeric_with(ctx, cfg, numeric, &ScopedExecutor::new(cfg.threads))
     }
 
-    /// Like [`offline_numeric`](Self::offline_numeric), but both the
-    /// per-root LRDP fan-out *and* the numeric materialization of the
-    /// chosen tables (independent per shortcut) run on the given
-    /// [`Executor`].
+    /// Like [`offline_numeric`](Self::offline_numeric), but the per-root
+    /// LRDP fan-out runs on the given [`Executor`]. The chosen tables are
+    /// built together on the calling thread ([`region_joints`]): nested
+    /// regions share most of their messages, and each is computed once.
     pub fn offline_numeric_with(
         ctx: &OfflineContext,
         cfg: &PeanutConfig,
@@ -150,43 +157,15 @@ impl Peanut {
         exec: &dyn Executor,
     ) -> Result<(Materialization, Size), PgmError> {
         let mut mat = Self::offline_with(ctx, cfg, exec);
-        type Built = Result<(peanut_pgm::Potential, Size), PgmError>;
-        // each task owns slot `i` (no result lock, no reassembly sort);
-        // after the first failure remaining tasks skip their builds, so a
-        // sequential executor short-circuits like the pre-executor code
-        // and a parallel one wastes at most the in-flight tables
-        let slots: Vec<OnceLock<Built>> =
-            (0..mat.shortcuts.len()).map(|_| OnceLock::new()).collect();
-        let failed = AtomicBool::new(false);
-        {
-            let shortcuts = &mat.shortcuts;
-            exec.run_tasks(shortcuts.len(), &|i| {
-                // ordering: advisory short-circuit, both flag accesses below —
-                // a stale read just builds one more table; correctness never
-                // depends on seeing the flag, so Relaxed is enough.
-                if failed.load(Ordering::Relaxed) {
-                    return;
-                }
-                let r = shortcuts[i]
-                    .shortcut
-                    .materialize(ctx.tree(), ctx.rooted(), numeric);
-                if r.is_err() {
-                    failed.store(true, Ordering::Relaxed);
-                }
-                assert!(slots[i].set(r).is_ok(), "executor runs each build once");
-            });
-        }
-        let mut built: Vec<Option<Built>> = slots.into_iter().map(OnceLock::into_inner).collect();
-        if let Some(err_at) = built.iter().position(|r| matches!(r, Some(Err(_)))) {
-            let Some(Err(e)) = built.swap_remove(err_at) else {
-                unreachable!("position matched an Err")
-            };
-            return Err(e);
-        }
+        let regions: Vec<_> = mat
+            .shortcuts
+            .iter()
+            .map(|m| (m.shortcut.nodes(), m.shortcut.root(), m.shortcut.scope()))
+            .collect();
+        let built = region_joints(ctx.tree(), ctx.rooted(), numeric, &regions)?;
         let mut ops: Size = 0;
-        for (i, r) in built.into_iter().enumerate() {
-            let (pot, cost) = r.expect("no failure ⇒ every build ran")?;
-            mat.shortcuts[i].potential = Some(pot);
+        for (m, (table, cost)) in mat.shortcuts.iter_mut().zip(built) {
+            m.potential = Some(table);
             ops = ops.saturating_add(cost);
         }
         Ok((mat, ops))
@@ -202,7 +181,7 @@ fn repair_to_budget(mut packing: Vec<ShortcutSolution>, budget: Size) -> Vec<Sho
     packing.sort_by(|a, b| {
         let ra = a.true_benefit / a.shortcut.size().max(1) as f64;
         let rb = b.true_benefit / b.shortcut.size().max(1) as f64;
-        rb.partial_cmp(&ra).expect("finite ratios")
+        rb.total_cmp(&ra)
     });
     let mut used: Size = 0;
     let mut kept = Vec::with_capacity(packing.len());
@@ -337,6 +316,21 @@ mod tests {
             costs[0],
             costs[1]
         );
+    }
+
+    /// A NaN ε would select the exact grid, K + 1 points per node: refused
+    /// where it is set, by name, as are infinities; ε ≤ 1 stays the exact
+    /// grid.
+    #[test]
+    fn non_finite_epsilon_is_refused() {
+        for eps in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let set = std::panic::catch_unwind(|| PeanutConfig::plus(28_000).with_epsilon(eps));
+            let msg = set.expect_err("a non-finite ε must panic");
+            let msg = msg.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains('ε') && msg.contains(&eps.to_string()), "{msg}");
+        }
+        let cfg = PeanutConfig::plus(4).with_epsilon(0.5);
+        assert_eq!(cfg.grid(), BudgetGrid::exact(4));
     }
 
     #[test]

@@ -28,8 +28,7 @@ pub fn greedy_pack(roots: &[RootTables], budget: Size) -> Vec<ShortcutSolution> 
     pool.sort_by(|a, b| {
         let ra = a.true_benefit / a.shortcut.size() as f64;
         let rb = b.true_benefit / b.shortcut.size() as f64;
-        rb.partial_cmp(&ra)
-            .expect("finite ratios")
+        rb.total_cmp(&ra)
             .then_with(|| a.shortcut.nodes().cmp(b.shortcut.nodes()))
     });
     let mut used: Size = 0;

@@ -6,7 +6,7 @@
 //! `μ(S) = ∏_{x ∈ X_S} α(x)` table entries.
 
 use crate::util::BitSet;
-use peanut_junction::{JunctionTree, NumericState, ReducedTree, RootedTree, SteinerTree};
+use peanut_junction::{region_joints, JunctionTree, NumericState, RootedTree};
 use peanut_pgm::{PgmError, Potential, Scope, Size};
 
 /// A shortcut potential: subtree, cut, scope and size (§3.2).
@@ -141,21 +141,18 @@ impl Shortcut {
 
     /// Materializes the joint `P(X_S)` from a calibrated tree by message
     /// passing inside `T_S`, returning the table and the operation count of
-    /// computing it (charged to the offline phase).
+    /// computing it (charged to the offline phase) — the one-region case of
+    /// [`region_joints`], which builds several shortcuts' tables at once.
     pub fn materialize(
         &self,
         tree: &JunctionTree,
         rooted: &RootedTree,
         numeric: &NumericState,
     ) -> Result<(Potential, Size), PgmError> {
-        let st = SteinerTree::from_parts(self.nodes.clone(), self.root);
-        let rt = ReducedTree::from_steiner(tree, rooted, &st, Some(numeric));
-        // note: the subtree root's own sep-to-parent division must NOT be
-        // applied here — from_steiner marks the region root as the reduced
-        // root, so no division happens at it, and `answer` with query = X_S
-        // yields exactly P(X_S).
-        let (pot, cost) = rt.answer(&self.scope, tree.domain())?;
-        Ok((pot, cost.ops))
+        let region = (self.nodes.as_slice(), self.root, &self.scope);
+        let mut built = region_joints(tree, rooted, numeric, &[region])?;
+        // lint:allow(hot_panic) — one region in, one table out
+        Ok(built.pop().expect("the region's table"))
     }
 }
 

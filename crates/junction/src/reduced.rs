@@ -19,7 +19,9 @@
 //! per-node charge ([`crate::cost`], on the size of the node's product);
 //! the numeric pass never builds that product: each message is one fused
 //! product→marginalize pass over the node's factors, divided by the parent
-//! separator afterwards, over the message's entries.
+//! separator afterwards, over the message's entries. The same numeric pass
+//! builds the joint of a region ([`region_joints`]), where a batch of
+//! regions shares the messages their subtrees have in common.
 
 use crate::calibrate::NumericState;
 use crate::cost::{node_ops_of_size, QueryCost};
@@ -28,11 +30,12 @@ use crate::steiner::SteinerTree;
 use crate::tree::{CliqueId, JunctionTree};
 use peanut_pgm::{
     divide_views, product_marginalize_views, table_size, Domain, PgmError, Potential, Scope,
-    Scratch, Size, TableRef,
+    Scratch, Size, TableRef, Var,
 };
+use std::collections::HashMap;
 
 /// Provenance of a reduced-tree node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum NodeLabel {
     /// An original junction-tree clique.
     Clique(CliqueId),
@@ -82,14 +85,25 @@ impl<'a> ReducedTree<'a> {
         st: &SteinerTree,
         numeric: Option<&'a NumericState>,
     ) -> Self {
-        let ids = st.nodes();
+        Self::from_members(tree, rooted, st.nodes(), st.root(), numeric)
+    }
+
+    /// [`from_steiner`](Self::from_steiner) over the connected subtree
+    /// `ids` (ascending) whose member closest to the pivot is `root`.
+    fn from_members(
+        tree: &'a JunctionTree,
+        rooted: &RootedTree,
+        ids: &[CliqueId],
+        root: CliqueId,
+        numeric: Option<&'a NumericState>,
+    ) -> Self {
         // lint:allow(hot_panic) — Steiner invariant: the root and every
         // non-root member's parent are members
         let index_of = |u: CliqueId| ids.binary_search(&u).expect("steiner member");
         let nodes = ids
             .iter()
             .map(|&u| {
-                let up = if u == st.root() {
+                let up = if u == root {
                     None
                 } else {
                     rooted.parent(u).zip(rooted.parent_edge(u))
@@ -104,7 +118,7 @@ impl<'a> ReducedTree<'a> {
                 }
             })
             .collect();
-        Self::linked(nodes, index_of(st.root()), 0)
+        Self::linked(nodes, index_of(root), 0)
     }
 
     /// Completes a tree from its nodes' parent pointers: child lists
@@ -390,19 +404,41 @@ impl<'a> ReducedTree<'a> {
         domain: &Domain,
         scratch: &mut Scratch,
     ) -> Result<(Potential, QueryCost), PgmError> {
+        self.pass(query, domain, scratch, &mut Recycled)
+    }
+
+    /// The numeric pass [`answer_in`](Self::answer_in) and [`region_joints`]
+    /// share; `memo` decides where sent messages go and which need not be
+    /// sent at all. Every node is charged, sent or not.
+    fn pass<M: Messages>(
+        &self,
+        query: &Scope,
+        domain: &Domain,
+        scratch: &mut Scratch,
+        memo: &mut M,
+    ) -> Result<(Potential, QueryCost), PgmError> {
         let held = self.carried(query);
         let mut cost = QueryCost {
             shortcuts_used: self.shortcuts_used,
             messages: self.nodes.len() - 1,
             ops: 0,
         };
+        memo.recall(self, query, &held);
         // the post-order keeps subtrees contiguous and runs a node's children
         // last to first, so its incoming messages are the top of this stack,
         // the first child's uppermost
-        let mut messages: Vec<Potential> = Vec::new();
+        let mut messages: Vec<M::Sent> = Vec::new();
         for &u in &self.order {
             let n = &self.nodes[u];
             cost.add_node(self.node_cost(u, query, &held, domain));
+            match memo.step(u) {
+                Step::Send => {}
+                Step::Known(sent) => {
+                    messages.push(sent);
+                    continue;
+                }
+                Step::Skip => continue,
+            }
             // what goes up: the separator with the parent plus the query
             // variables held below — from the root, the answer itself
             let target = match n.parent {
@@ -414,21 +450,215 @@ impl<'a> ReducedTree<'a> {
                 None => query.clone(),
             };
             let first = messages.len() - self.children(u).len();
-            let mut factors = vec![n.potential.ok_or(PgmError::SymbolicEngine)?];
-            factors.extend(messages[first..].iter().rev().map(Potential::view));
-            let mut message = product_marginalize_views(&factors, &target, scratch)?;
+            let mut message = {
+                let mut factors = vec![n.potential.ok_or(PgmError::SymbolicEngine)?];
+                factors.extend(messages[first..].iter().rev().map(|m| memo.view(m)));
+                product_marginalize_views(&factors, &target, scratch)?
+            };
             for spent in messages.drain(first..).rev() {
-                scratch.recycle(spent);
+                memo.spend(spent, scratch);
+            }
+            // the root closes the post-order, and its message is the answer
+            if u == self.root {
+                return Ok((message, cost));
             }
             if let Some(sep) = n.sep_to_parent {
                 let divided = divide_views(message.view(), sep, scratch)?;
                 scratch.recycle(std::mem::replace(&mut message, divided));
             }
-            messages.push(message);
+            messages.push(memo.send(u, message));
         }
         // lint:allow(hot_panic) — a tree has a root, and it closes the post-order
-        Ok((messages.pop().expect("the root's answer"), cost))
+        unreachable!("the root's answer")
     }
+}
+
+/// The joint `P(X_S)` of each region over a calibrated tree, with the
+/// operations charged for building it. A region is `(members, root,
+/// scope)`: a connected subtree of the rooted tree (member cliques
+/// ascending), its member closest to the pivot, and the scope `X_S` of the
+/// separators that cut it out. Its table is the answer to `X_S` on the
+/// region's own plan — rooted at `root`, so no division above it — and it
+/// is charged the whole plan, as [`ReducedTree::cost`] prices it.
+///
+/// The regions share one kernel scratch and one message memo, both dropped
+/// on return: a message is computed once and reused by every later region
+/// whose key matches — the clique, the region's cliques in its subtree and
+/// the region's scope variables held there. Those fix the message's parent
+/// separator, its children in their order and what each child carries, so
+/// a reused message is bit for bit the one a region's own pass would
+/// compute. The memo is consulted top-down, so one hit skips its whole
+/// subtree; a region's root message, the table itself, is never reused.
+/// Each table is copied out at its exact size.
+pub fn region_joints(
+    tree: &JunctionTree,
+    rooted: &RootedTree,
+    numeric: &NumericState,
+    regions: &[(&[CliqueId], CliqueId, &Scope)],
+) -> Result<Vec<(Potential, Size)>, PgmError> {
+    let mut memo = MessageMemo::default();
+    let mut scratch = Scratch::new();
+    regions
+        .iter()
+        .map(|&(members, root, scope)| {
+            let closed = members.windows(2).all(|w| w[0] < w[1])
+                && members.binary_search(&root).is_ok()
+                && members.iter().all(|&u| {
+                    u == root
+                        || rooted
+                            .parent(u)
+                            .is_some_and(|p| members.binary_search(&p).is_ok())
+                });
+            if !closed {
+                let detail = format!("{} cliques under {root}, not a subtree", members.len());
+                return Err(PgmError::InvalidRegion { detail });
+            }
+            let plan = ReducedTree::from_members(tree, rooted, members, root, Some(numeric));
+            let (joint, cost) = plan.pass(scope, tree.domain(), &mut scratch, &mut memo)?;
+            // the kernel may have written into a larger pooled buffer, and
+            // the table outlives the call (a whole epoch): keep a copy that
+            // holds only its entries
+            let table = joint.clone();
+            scratch.recycle(joint);
+            Ok((table, cost.ops))
+        })
+        .collect()
+}
+
+/// What a numeric pass does at a node (see [`Messages::step`]).
+#[derive(Clone, Copy)]
+enum Step<S> {
+    /// Compute the node's message and send it.
+    Send,
+    /// Take this message, already sent for the node's whole subtree.
+    Known(S),
+    /// Nothing: an ancestor's message was taken.
+    Skip,
+}
+
+/// Where a numeric pass keeps the messages it sends, and which it need not
+/// send. The query path recycles each message once its parent consumed it
+/// ([`Recycled`]); a batch of region builds keeps them for the call
+/// ([`MessageMemo`]).
+trait Messages {
+    /// A sent message as the pass's stack holds it.
+    type Sent;
+    /// Decides, before a pass over `tree`, what [`step`](Self::step) says.
+    fn recall(&mut self, tree: &ReducedTree<'_>, query: &Scope, held: &[bool]);
+    /// What the pass does at node `u`.
+    fn step(&self, u: usize) -> Step<Self::Sent>;
+    /// The table of a sent message.
+    fn view<'s>(&'s self, sent: &'s Self::Sent) -> TableRef<'s>;
+    /// Keeps node `u`'s message, the root's excepted.
+    fn send(&mut self, u: usize, message: Potential) -> Self::Sent;
+    /// Lets go of a message its parent has consumed.
+    fn spend(&mut self, sent: Self::Sent, scratch: &mut Scratch);
+}
+
+/// The query path's [`Messages`]: every message is sent, and recycled into
+/// the scratch once consumed.
+struct Recycled;
+
+impl Messages for Recycled {
+    type Sent = Potential;
+
+    fn recall(&mut self, _: &ReducedTree<'_>, _: &Scope, _: &[bool]) {}
+
+    #[inline]
+    fn step(&self, _: usize) -> Step<Potential> {
+        Step::Send
+    }
+
+    #[inline]
+    fn view<'s>(&'s self, sent: &'s Potential) -> TableRef<'s> {
+        sent.view()
+    }
+
+    #[inline]
+    fn send(&mut self, _: usize, message: Potential) -> Potential {
+        message
+    }
+
+    #[inline]
+    fn spend(&mut self, sent: Potential, scratch: &mut Scratch) {
+        scratch.recycle(sent);
+    }
+}
+
+/// What a memoized message is filed under: the labels of the node's
+/// subtree in post-order (the node last; the set fixes the order), and the
+/// query variables held in it.
+type MemoKey = (Vec<NodeLabel>, Vec<Var>);
+
+/// [`region_joints`]' [`Messages`]: every non-root message of the call,
+/// filed by [`MemoKey`].
+#[derive(Default)]
+struct MessageMemo {
+    filed: HashMap<MemoKey, usize>,
+    sent: Vec<Potential>,
+    /// The current pass, per node: its step, and the key its message is
+    /// filed under once sent.
+    steps: Vec<Step<usize>>,
+    keys: Vec<Option<MemoKey>>,
+}
+
+impl Messages for MessageMemo {
+    type Sent = usize;
+
+    fn recall(&mut self, tree: &ReducedTree<'_>, query: &Scope, held: &[bool]) {
+        let (n, k) = (tree.len(), query.len());
+        self.steps.clear();
+        self.steps.resize(n, Step::Send);
+        self.keys.clear();
+        self.keys.resize(n, None);
+        // subtree sizes: children precede parents in the post-order, where
+        // a subtree is the span ending at its root
+        let mut size = vec![1usize; n];
+        for &u in &tree.order {
+            if let Some(p) = tree.nodes[u].parent {
+                size[p] += size[u];
+            }
+        }
+        // top-down, so a known message skips its subtree unlooked-at
+        for (at, &u) in tree.order.iter().enumerate().rev() {
+            let Some(p) = tree.nodes[u].parent else {
+                continue; // the root is always sent, and never filed
+            };
+            if !matches!(self.steps[p], Step::Send) {
+                self.steps[u] = Step::Skip;
+                continue;
+            }
+            let span = &tree.order[at + 1 - size[u]..=at];
+            let labels = span.iter().map(|&v| tree.nodes[v].label).collect();
+            let vars = (0..k).filter(|&i| held[u * k + i]).map(|i| query.vars()[i]);
+            let key = (labels, vars.collect());
+            match self.filed.get(&key) {
+                Some(&i) => self.steps[u] = Step::Known(i),
+                None => self.keys[u] = Some(key),
+            }
+        }
+    }
+
+    #[inline]
+    fn step(&self, u: usize) -> Step<usize> {
+        self.steps[u]
+    }
+
+    fn view<'s>(&'s self, sent: &'s usize) -> TableRef<'s> {
+        self.sent[*sent].view()
+    }
+
+    fn send(&mut self, u: usize, message: Potential) -> usize {
+        let i = self.sent.len();
+        self.sent.push(message);
+        if let Some(key) = self.keys[u].take() {
+            self.filed.insert(key, i);
+        }
+        i
+    }
+
+    /// Messages stay for the call: a later region may take them.
+    fn spend(&mut self, _: usize, _: &mut Scratch) {}
 }
 
 #[cfg(test)]
@@ -680,6 +910,129 @@ mod tests {
         for labels in [&region_of[..], &region_of[1..]] {
             let err = rt.contract(labels, &one);
             assert!(matches!(err, Err(PgmError::InvalidRegion { .. })));
+        }
+    }
+
+    /// The scope `X_S` of the separators that cut `members` out of the tree.
+    fn cut_scope(
+        tree: &JunctionTree,
+        rooted: &RootedTree,
+        members: &[usize],
+        root: usize,
+    ) -> Scope {
+        let up = rooted.parent_edge(root).into_iter();
+        let down = members
+            .iter()
+            .flat_map(|&u| rooted.children(u))
+            .filter(|w| !members.contains(w));
+        let edges = up.chain(down.map(|&w| rooted.parent_edge(w).unwrap()));
+        edges.fold(Scope::empty(), |s, e| s.union(tree.separator(e)))
+    }
+
+    /// The tables of a batch, as `region_joints` builds them, and the
+    /// messages it computed: the ones it filed plus one answer per region.
+    fn batch(
+        tree: &JunctionTree,
+        rooted: &RootedTree,
+        ns: &NumericState,
+        regions: &[&(Vec<usize>, usize, Scope)],
+    ) -> (Vec<Potential>, usize) {
+        let (mut memo, mut scratch) = (MessageMemo::default(), Scratch::new());
+        let tables = regions
+            .iter()
+            .map(|(members, root, scope)| {
+                let plan = ReducedTree::from_members(tree, rooted, members, *root, Some(ns));
+                plan.pass(scope, tree.domain(), &mut scratch, &mut memo)
+                    .unwrap()
+                    .0
+            })
+            .collect();
+        (tables, memo.sent.len() + regions.len())
+    }
+
+    /// The memo fires exactly where the key says it may: with `T = S ∪
+    /// {parent(r_S)}` built first, `S` costs one kernel — its own root's;
+    /// with `S` first, `T` costs two — its root's and `r_S`'s, which was
+    /// `S`'s root and so never filed. The same cliques asked for one more
+    /// variable share nothing that carries it. Every table is the one its
+    /// own pass computes, bit for bit.
+    #[test]
+    fn memo_reuses_every_message_below_a_shared_root() {
+        let bn = fixtures::chain(9, 3, 4);
+        let (tree, rooted, ns) = setup(&bn, Some(2));
+        let bits = |p: &Potential| p.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let assert_own = |(members, root, scope): &(Vec<usize>, usize, Scope), got: &Potential| {
+            let st = SteinerTree::from_parts(members.clone(), *root);
+            let plan = ReducedTree::from_steiner(&tree, &rooted, &st, Some(&ns));
+            let (want, _) = plan.answer(scope, bn.domain()).unwrap();
+            assert_eq!(got.scope(), want.scope());
+            assert_eq!(bits(got), bits(&want));
+        };
+        let mut checked = 0;
+        for r in 0..tree.n_cliques() {
+            let Some(p) = rooted.parent(r) else { continue };
+            // r with two levels below it, and the same under r's parent
+            let below = |u: usize| rooted.depth(u) <= rooted.depth(r) + 2;
+            let mut s: Vec<usize> = rooted
+                .subtree_nodes(r)
+                .iter()
+                .copied()
+                .filter(|&u| below(u))
+                .collect();
+            if s.len() < 3 {
+                continue;
+            }
+            s.sort_unstable();
+            let mut t = s.clone();
+            t.push(p);
+            t.sort_unstable();
+            let s = (s.clone(), r, cut_scope(&tree, &rooted, &s, r));
+            let t = (t.clone(), p, cut_scope(&tree, &rooted, &t, p));
+            let (_, alone_s) = batch(&tree, &rooted, &ns, &[&s]);
+            let (_, alone_t) = batch(&tree, &rooted, &ns, &[&t]);
+            assert_eq!((alone_s, alone_t), (s.0.len(), t.0.len()));
+            let (t_first, kernels) = batch(&tree, &rooted, &ns, &[&t, &s]);
+            assert_eq!(kernels, alone_t + 1, "S after T under {p}");
+            let (s_first, kernels) = batch(&tree, &rooted, &ns, &[&s, &t]);
+            assert_eq!(kernels, alone_s + 2, "T after S under {p}");
+            for (region, got) in [
+                (&t, &t_first[0]),
+                (&s, &t_first[1]),
+                (&s, &s_first[0]),
+                (&t, &s_first[1]),
+            ] {
+                assert_own(region, got);
+            }
+            // a variable below r_S that X_S lacks: held in one key, not the other
+            let r_scope = tree.clique(r);
+            let mut deep = s.0.iter().flat_map(|&u| tree.clique(u).iter());
+            let x = deep
+                .find(|&x| !r_scope.contains(x) && !s.2.contains(x))
+                .unwrap();
+            let wider = (s.0.clone(), r, s.2.union(&Scope::from_iter([x])));
+            let (both, _) = batch(&tree, &rooted, &ns, &[&s, &wider]);
+            assert_own(&s, &both[0]);
+            assert_own(&wider, &both[1]);
+            checked += 1;
+        }
+        assert!(checked >= 3, "{checked} nested pairs");
+        // a region that is no subtree is refused, not planned: its root
+        // outside it, its members out of order, a member off the pivot's
+        // side of its root
+        let empty = Scope::empty();
+        let pivot = tree.pivot();
+        let child = rooted.children(pivot)[0];
+        let bad: [(&[usize], usize, &Scope); 3] = [
+            (&[child], pivot, &empty),
+            (&[child, pivot], child, &empty),
+            (&[pivot.min(child), pivot.max(child)], child, &empty),
+        ];
+        for region in bad {
+            let err = region_joints(&tree, &rooted, &ns, &[region]);
+            assert!(
+                matches!(err, Err(PgmError::InvalidRegion { .. })),
+                "{region:?}"
+            );
         }
     }
 

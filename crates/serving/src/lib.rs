@@ -49,8 +49,7 @@
 //!   snapshot their epoch at open (publish-isolated), fan out on the
 //!   serving-priority lane, and record the *restricted* target scopes
 //!   into the epoch's [`WorkloadStats`](peanut_core::WorkloadStats), which
-//!   is what re-selection trains on (the evidence contexts recorded
-//!   beside them are telemetry).
+//!   is what re-selection trains on.
 //! * [`shard`] — multi-tenant sharded serving: a
 //!   [`ShardedServingEngine`] registry of
 //!   tenants (each a calibrated tree with its own epoch-versioned

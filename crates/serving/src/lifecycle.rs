@@ -181,13 +181,15 @@ fn workload_entries(w: &Workload) -> Vec<(Scope, f64)> {
 
 /// Runs the offline selection — PEANUT+ at the paper's ε = 1.2
 /// ([`PeanutConfig::plus`]) — on an observed workload, numeric when the
-/// engine is calibrated, symbolic otherwise. The LRDP fan-out and the
-/// numeric table builds run on `exec` — the serving tier's persistent
-/// worker pool when the engine fans out, so a re-selection reuses parked
-/// workers instead of spawning its own. The pool routes this work to its
-/// re-materialization lane, where concurrent serving-lane waves preempt
-/// it between tasks: a drift-triggered re-selection stretches (it yields
-/// the workers to queries) instead of stalling the query path.
+/// engine is calibrated, symbolic otherwise. The LRDP fan-out runs on
+/// `exec` — the serving tier's persistent worker pool when the engine fans
+/// out, so a re-selection reuses parked workers instead of spawning its
+/// own. The pool routes this work to its re-materialization lane, where
+/// concurrent serving-lane waves preempt it between tasks: a
+/// drift-triggered re-selection stretches (it yields the workers to
+/// queries) instead of stalling the query path. The chosen tables are
+/// built together on the calling thread, sharing the messages their
+/// regions have in common.
 fn reselect(
     engine: &QueryEngine<'_>,
     observed: &Workload,

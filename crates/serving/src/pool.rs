@@ -436,9 +436,9 @@ impl Drop for WorkerPool {
 }
 
 /// The serving pool doubles as the offline phase's executor, so a
-/// lifecycle re-materialization (LRDP roots, numeric table builds) reuses
-/// the already-parked serving workers — on [`Lane::Remat`], where it can
-/// never head-of-line block serving waves.
+/// lifecycle re-materialization's LRDP roots reuse the already-parked
+/// serving workers — on [`Lane::Remat`], where they can never head-of-line
+/// block serving waves.
 impl Executor for WorkerPool {
     fn run_tasks(&self, total: usize, task: &(dyn Fn(usize) + Sync)) {
         self.run_wave_on(Lane::Remat, total, &|i, _scratch| task(i));

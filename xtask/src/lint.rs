@@ -57,9 +57,10 @@ const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/pgm/tests/kernel_allocs.rs",
 ];
 
-/// Serving hot-path files subject to R4: the serving tier, and the query
-/// path under every request it answers (plan, reduce, message passing and
-/// the kernels it runs on).
+/// Serving hot-path files subject to R4: the serving tier, the query path
+/// under every request it answers (plan, reduce, message passing and the
+/// kernels it runs on), and the selection a controller tick runs while its
+/// caller waits.
 const HOT_PATHS: &[&str] = &[
     "crates/serving/src/pool.rs",
     "crates/serving/src/engine.rs",
@@ -70,6 +71,10 @@ const HOT_PATHS: &[&str] = &[
     "crates/serving/src/replay.rs",
     "crates/core/src/online.rs",
     "crates/core/src/context.rs",
+    "crates/core/src/lrdp.rs",
+    "crates/core/src/peanut.rs",
+    "crates/core/src/plus.rs",
+    "crates/core/src/grid.rs",
     "crates/core/src/gwmin.rs",
     "crates/core/src/shortcut.rs",
     "crates/junction/src/steiner.rs",
