@@ -34,7 +34,12 @@
 //! an LRU **resident set**: registration persists each tenant's epoch to the
 //! store, and after every mixed batch the least-recently-used tenants beyond
 //! the cap are paged out — their engine `Arc` dropped, only the junction
-//! tree reference and the store file kept. A paged-out tenant's next arrival
+//! tree reference and the store file kept. A batch is served at once, so
+//! every tenant it touched is equally recent; among those the tenant with
+//! fewer arrivals in the batch is the colder one, and a full tie goes to
+//! registry order. Under skewed traffic, where nearly every batch touches
+//! every tenant, this keeps the busy tenants (and their answer caches)
+//! resident. A paged-out tenant's next arrival
 //! faults it back in by rehydrating the persisted epoch (one file read,
 //! no calibration, no selection DP) and answers bit-identically to an
 //! always-resident fleet. Fault/page-out telemetry lands in
@@ -73,8 +78,10 @@ pub struct ShardConfig {
     pub serving: ServingConfig,
     /// Resident-set cap: at most this many tenants keep an engine in RAM;
     /// the least-recently-used beyond it are paged out to the store after
-    /// each batch. `0` (default) disables paging. Takes effect only with a
-    /// store attached ([`set_store`](ShardedServingEngine::set_store)).
+    /// each batch — among tenants last touched by the same batch, those
+    /// with fewer arrivals in it first, then in registry order. `0`
+    /// (default) disables paging. Takes effect only with a store attached
+    /// ([`set_store`](ShardedServingEngine::set_store)).
     pub max_resident: usize,
 }
 
@@ -159,8 +166,17 @@ struct TenantShard<'t> {
     tree: &'t JunctionTree,
     /// The engine while resident; `None` while paged out to the store.
     resident: RwLock<Option<Arc<ServingEngine<'t>>>>,
-    /// Fleet-clock tick of the last access (LRU eviction order).
+    /// [`stamp`] of the last access: its fleet-clock tick, then the
+    /// arrivals it brought. The smallest stamp is evicted first.
     last_used: AtomicU64,
+}
+
+/// An eviction-order stamp: the fleet-clock `tick` of an access in the
+/// high 32 bits, the arrivals it brought (saturating) in the low 32. As a
+/// `u64` it orders by tick, then by arrivals; the tick field holds 2³²
+/// batches and lone accesses before it wraps.
+fn stamp(tick: u64, arrivals: usize) -> u64 {
+    (tick << 32) | u64::from(u32::try_from(arrivals).unwrap_or(u32::MAX))
 }
 
 /// A registry of per-tenant serving engines sharing one worker pool.
@@ -197,7 +213,10 @@ pub struct ShardedServingEngine<'t> {
     /// Epoch persistence + paging backend; `None` keeps every tenant
     /// resident forever (the pre-store behavior).
     store: Option<StoreConfig>,
-    /// Logical fleet clock: one tick per access, feeds `last_used`.
+    /// Logical fleet clock, feeding `last_used`: one tick per mixed batch
+    /// (shared by every tenant it routes to, whose stamps then order by
+    /// their arrivals in it) and one per lone [`tenant`](Self::tenant)
+    /// access.
     clock: AtomicU64,
     faults: AtomicU64,
     fault_errors: AtomicU64,
@@ -296,7 +315,7 @@ impl<'t> ShardedServingEngine<'t> {
                 tree,
                 resident: RwLock::new(Some(Arc::new(serving))),
                 // ordering: registration happens under `&mut self`.
-                last_used: AtomicU64::new(self.clock.load(Ordering::Relaxed)),
+                last_used: AtomicU64::new(stamp(self.clock.load(Ordering::Relaxed), 0)),
             },
         );
         self.index.clear();
@@ -323,7 +342,7 @@ impl<'t> ShardedServingEngine<'t> {
     /// in [`PagingStats::fault_errors`]).
     pub fn tenant(&self, id: TenantId) -> Option<Arc<ServingEngine<'t>>> {
         let &slot = self.index.get(&id)?;
-        self.touch(slot, self.tick());
+        self.touch(slot, self.tick(), 1);
         let engine = self.shard_engine(slot).ok()?;
         self.enforce_residency();
         Some(engine)
@@ -380,11 +399,14 @@ impl<'t> ShardedServingEngine<'t> {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Records an access to `slot` at clock value `now`.
-    fn touch(&self, slot: usize, now: u64) {
+    /// Records an access to `slot` at clock value `tick` that brought
+    /// `arrivals` arrivals.
+    fn touch(&self, slot: usize, tick: u64, arrivals: usize) {
         // ordering: advisory recency stamp read by the evictor; a stale
         // read evicts a slightly-warmer tenant, never corrupts state.
-        self.shards[slot].last_used.store(now, Ordering::Relaxed);
+        self.shards[slot]
+            .last_used
+            .store(stamp(tick, arrivals), Ordering::Relaxed);
     }
 
     /// The engine of `slot`, faulting it in from the store when paged
@@ -467,7 +489,9 @@ impl<'t> ShardedServingEngine<'t> {
     }
 
     /// Evicts least-recently-used tenants until the resident set fits
-    /// [`ShardConfig::max_resident`]. A no-op without a store or a cap. A
+    /// [`ShardConfig::max_resident`]: the smallest stamp first — the
+    /// oldest tick, then the fewest arrivals under it, then registry
+    /// order. A no-op without a store or a cap. A
     /// tenant whose persist fails stays resident (never drop the only
     /// copy); the error is counted in [`PagingStats::fault_errors`].
     pub fn enforce_residency(&self) {
@@ -544,7 +568,7 @@ impl<'t> ShardedServingEngine<'t> {
             .enumerate()
             .map(|(slot, &n)| {
                 (n > 0).then(|| {
-                    self.touch(slot, now);
+                    self.touch(slot, now, n);
                     let engine = self.shard_engine(slot)?;
                     Ok(BatchRun::new(engine.target(), n))
                 })

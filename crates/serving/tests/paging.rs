@@ -6,6 +6,8 @@
 //!   more than `max_resident` tenants in RAM;
 //! * a paged-out tenant faults back in on access, resuming its epoch
 //!   sequence (publishes persist write-behind and survive a page-out);
+//! * among the tenants one batch touched, eviction keeps those with the
+//!   most arrivals in it;
 //! * paging telemetry (faults, page-outs, fault wall time) is reported
 //!   per batch and cumulatively;
 //! * a corrupt epoch file fails only its own tenant, and fails it closed.
@@ -224,6 +226,64 @@ fn tenants_view_tracks_residency() {
     assert!(resident.contains(&TenantId(0)));
     assert!(fleet.resident_len() <= 2);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A batch is served at once, so every tenant it touches is equally
+/// recent; eviction then keeps the tenant with the most arrivals in it,
+/// whichever registry position it holds. A later lone access by id is
+/// newer than the batch and keeps its tenant. Answers stay bit-identical
+/// to an uncapped fleet throughout.
+#[test]
+fn eviction_keeps_the_busiest_tenant_of_a_batch() {
+    let bns = fleet_models(3);
+    let trees: Vec<JunctionTree> = bns
+        .iter()
+        .map(|bn| build_junction_tree(bn).unwrap())
+        .collect();
+    let batches: Vec<Vec<ServeRequest>> = bns
+        .iter()
+        .enumerate()
+        .map(|(i, bn)| random_batch(bn, 5, 61 + i as u64))
+        .collect();
+    let bits = |p: &Potential| p.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    // arrivals 5 / 1 / 2 for tenants 0 / 1 / 2, then with the ids reversed
+    for (counts, busy) in [([5, 1, 2], TenantId(0)), ([2, 1, 5], TenantId(2))] {
+        let dir = temp_dir(&format!("busy{}", busy.0));
+        let capped = build_fleet(&trees, &bns, &batches, Some(StoreConfig::new(&dir)), 1);
+        let uncapped = build_fleet(&trees, &bns, &batches, None, 0);
+        // interleaved, so the busy tenant is neither first nor last to arrive
+        let mixed: Vec<(TenantId, ServeRequest)> = (0..5)
+            .flat_map(|k| (0..3).map(move |t| (k, t)))
+            .filter(|&(k, t)| k < counts[t])
+            .map(|(k, t)| (TenantId(t as u32), batches[t][k].clone()))
+            .collect();
+        let resident =
+            || -> Vec<TenantId> { capped.tenants().into_iter().map(|(id, _)| id).collect() };
+        let assert_uncapped_answers = |answers: &[ServeOutcome]| {
+            for (c, p) in answers.iter().zip(&uncapped.serve_mixed(&mixed).0) {
+                let (c, p) = (c.served().unwrap(), p.served().unwrap());
+                assert_eq!(bits(&c.potential), bits(&p.potential));
+                assert_eq!(c.cost.ops, p.cost.ops);
+            }
+        };
+
+        let (answers, stats) = capped.serve_mixed(&mixed);
+        assert_eq!((stats.arrivals, stats.page_outs), (8, 2));
+        assert_eq!(resident(), vec![busy], "arrivals {counts:?}");
+        assert_uncapped_answers(&answers);
+
+        assert!(capped.tenant(TenantId(1)).is_some());
+        assert_eq!(
+            resident(),
+            vec![TenantId(1)],
+            "a lone access outranks the batch"
+        );
+        let (answers, stats) = capped.serve_mixed(&mixed);
+        assert_eq!(stats.faults, 2);
+        assert_eq!(resident(), vec![busy]);
+        assert_uncapped_answers(&answers);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// A paged-out tenant whose newest epoch file rotted fails closed: its

@@ -6,10 +6,12 @@
 //!   and on random networks;
 //! * rehydrated answers also agree with a single-threaded VE oracle;
 //! * corrupted, truncated, or wrong-version files fail loudly with the
-//!   typed [`PgmError`] variants — never a silent wrong answer;
+//!   typed [`PgmError`] variants — never a silent wrong answer; every
+//!   single-bit flip of a version-1 or version-2 file is refused;
 //! * an open epoch owns its tables: truncating, overwriting or unlinking
-//!   the file afterwards cannot reach it, and a crashed save's leftover
-//!   temp file is never mistaken for an epoch.
+//!   the file afterwards cannot reach it, a crashed save's leftover
+//!   temp file is never mistaken for an epoch, and a save that fails
+//!   removes its own.
 
 use peanut_core::{
     FlatMaterialization, Materialization, OfflineContext, OnlineEngine, Peanut, PeanutConfig,
@@ -247,9 +249,40 @@ fn store_config_tracks_the_latest_epoch() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A save that fails after its temp file exists — here `rename` onto a
+/// directory, `EISDIR` — removes the temp file and returns the failure.
+#[test]
+fn failed_save_leaves_no_temp_file() {
+    let dir = temp_dir("failed-save");
+    let path = dir.join("epoch.pnut");
+    std::fs::create_dir_all(&path).unwrap();
+    let bn = fixtures::sprinkler();
+    let tree = build_junction_tree(&bn).unwrap();
+    let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+    let mat = Materialization::default().with_epoch(1);
+    let slab = engine.numeric_state().unwrap().arena().slab();
+    let err = save(&path, &mat, &FlatMaterialization::pack(&mat), slab).unwrap_err();
+    assert!(matches!(err, PgmError::StoreIo { .. }), "{err}");
+    assert!(
+        !dir.join("epoch.pnut.tmp").exists(),
+        "temp file left behind"
+    );
+    assert!(path.is_dir(), "the directory in the way is untouched");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Word `w` of a store file (the header's counts are words 5 to 8).
 fn word(bytes: &[u8], w: usize) -> usize {
     u64::from_le_bytes(bytes[w * 8..w * 8 + 8].try_into().unwrap()) as usize
+}
+
+/// The committed version-1 file `tests/data/v1_sprinkler.pnut`.
+fn golden_v1() -> Vec<u8> {
+    std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/v1_sprinkler.pnut"
+    ))
+    .unwrap()
 }
 
 /// Writes a valid store file for a small fixture and returns its path
@@ -354,7 +387,7 @@ fn corrupted_files_fail_loudly() {
         let arena_len = engine.numeric_state().unwrap().arena().slab().len();
         let node_first_at = (10 + arena_len) * 8;
         bad[node_first_at..node_first_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let checksum = peanut_store::fnv1a64(&bad[24..]);
+        let checksum = peanut_store::lane_checksum(&bad[24..]);
         bad[16..24].copy_from_slice(&checksum.to_le_bytes());
         let p = write("csr.pnut", &bad);
         let err = open_err(&p, true);
@@ -363,12 +396,9 @@ fn corrupted_files_fail_loudly() {
 
     // a dense span reaching past the table slab is rejected at open too.
     // The golden file's shortcut 0 is dense; span_off follows node_first,
-    // nodes_flat, ratios and benefits.
-    let golden = std::fs::read(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/data/v1_sprinkler.pnut"
-    ))
-    .unwrap();
+    // nodes_flat, ratios and benefits. It is a version-1 file, so it is
+    // re-sealed with the version-1 checksum.
+    let golden = golden_v1();
     let [arena_len, n, nodes_len, mat_slab_len] = [5, 6, 7, 8].map(|w| word(&golden, w));
     let span_off_at = (10 + arena_len + (n + 1) + nodes_len + 2 * n) * 8;
     for off in [mat_slab_len as u64, u64::MAX - 1] {
@@ -383,6 +413,70 @@ fn corrupted_files_fail_loudly() {
 
     // the intact original still opens fine after all of the above
     assert!(StoredEpoch::open(&path, true).is_ok());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Both checksums catch what they claim: every single-bit flip of the
+/// version-1 golden file and of a fresh version-2 save is refused. From
+/// word 2 on the refusal names the checksum, which `open` verifies before
+/// it trusts any word the checksum covers; a flip in the magic or the
+/// version word is refused as what it is.
+#[test]
+fn every_single_bit_flip_is_refused() {
+    let dir = temp_dir("bitflip");
+    let (_, fresh) = valid_file(&dir);
+    let golden = golden_v1();
+    assert_eq!((word(&golden, 1), word(&fresh, 1)), (1, VERSION as usize));
+    let p = dir.join("flipped.pnut");
+    for bytes in [golden, fresh] {
+        for bit in 0..bytes.len() * 8 {
+            let mut bad = bytes.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&p, &bad).unwrap();
+            let err = open_err(&p, true);
+            let named = match bit / 64 {
+                0 => err.to_string().contains("magic"),
+                1 => matches!(err, PgmError::StoreVersion { .. }),
+                _ => {
+                    matches!(err, PgmError::CorruptStore { .. })
+                        && err.to_string().contains("checksum")
+                }
+            };
+            assert!(named, "v{} bit {bit}: {err}", word(&bytes, 1));
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The lane checksum's tail: epochs whose checksummed word count (every
+/// word after word 2) is not a multiple of four save, verify and
+/// round-trip like the rest — one, two and three tail words each.
+#[test]
+fn ragged_lane_tails_round_trip() {
+    let dir = temp_dir("lane-tail");
+    let bn = fixtures::asia();
+    let tree = build_junction_tree(&bn).unwrap();
+    let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+    let full = select_mat(&bn, &tree, &engine, 512, 5);
+    let mut tails = Vec::new();
+    // every prefix of the selection is a smaller epoch of its own
+    for k in 0..=full.shortcuts.len() {
+        let mat = Materialization {
+            shortcuts: full.shortcuts[..k].to_vec(),
+            overlapping: full.overlapping,
+            epoch: k as u64 + 1,
+        };
+        let path = dir.join(format!("prefix{k}.pnut"));
+        assert_round_trip(&bn, &tree, &engine, &mat, &path, k as u64);
+        let words = std::fs::metadata(&path).unwrap().len() / 8;
+        tails.push((words - 3) % 4);
+    }
+    for tail in 1..4 {
+        assert!(
+            tails.contains(&tail),
+            "no epoch with {tail} tail words: {tails:?}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

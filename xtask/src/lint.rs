@@ -59,8 +59,9 @@ const UNSAFE_ALLOWLIST: &[&str] = &[
 
 /// Serving hot-path files subject to R4: the serving tier, the query path
 /// under every request it answers (plan, reduce, message passing and the
-/// kernels it runs on), and the selection a controller tick runs while its
-/// caller waits.
+/// kernels it runs on), the selection a controller tick runs while its
+/// caller waits, and the store a fault-in opens and rehydrates from inside
+/// `serve_mixed`.
 const HOT_PATHS: &[&str] = &[
     "crates/serving/src/pool.rs",
     "crates/serving/src/engine.rs",
@@ -82,6 +83,7 @@ const HOT_PATHS: &[&str] = &[
     "crates/junction/src/query.rs",
     "crates/pgm/src/potential.rs",
     "crates/pgm/src/lanes.rs",
+    "crates/store/src/lib.rs",
 ];
 
 /// Panicking constructs forbidden on hot paths (R4).
