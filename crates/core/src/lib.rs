@@ -55,7 +55,7 @@ pub use flat::FlatMaterialization;
 pub use grid::BudgetGrid;
 pub use online::{Materialization, MaterializedShortcut, OnlineEngine, TracedAnswer};
 pub use peanut::{Peanut, PeanutConfig, Variant};
-pub use request::ServeRequest;
+pub use request::{ByHash, PassThrough, ServeRequest};
 pub use shortcut::Shortcut;
 pub use stats::{StatsSnapshot, WorkloadStats};
 pub use workload::Workload;

@@ -11,19 +11,28 @@
 //! [`Workload`] over the *served* distribution to retrain against when the
 //! observed benefit decays (the λ-drift of §5.3, Figures 8–9).
 //!
-//! Observation has one site: the serve pipeline records each answered
-//! unique request once per batch, with its arrival multiplicity
-//! ([`WorkloadStats::record_n`]), after the workers' wave has drained. All
-//! counters are lock-free except the per-scope histogram, which takes a
-//! short mutex per record; the accumulator is shared across concurrent
-//! batches and sessions behind an `Arc`.
+//! Observation has one site: the serve pipeline records a batch's answered
+//! unique requests in **one call** per batch ([`WorkloadStats::record`]),
+//! each with its arrival multiplicity, after the workers' wave has drained.
+//! The call takes the histogram mutex once and updates each counter once;
+//! the counters saturate, like [`StatsSnapshot`]'s `+=`. The accumulator is
+//! shared across concurrent batches and sessions behind an `Arc`.
+//!
+//! The histogram files each scope under its hash by the accumulator's
+//! keyed [`hasher`](WorkloadStats::hasher), which the pipeline already
+//! computed for the request (a marginal hashes as its target scope; see
+//! [`request`](crate::request)). A scope already filed is found by that
+//! `u64` and compared, never cloned; two scopes under one hash keep
+//! separate, exact counts.
 
+use crate::request::ByHash;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
 use crate::workload::Workload;
 use peanut_junction::cost::QueryCost;
 use peanut_pgm::{Scope, Size};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::hash::RandomState;
 
 // ordering: every atomic below is an independent monotone counter; readers
 // only need window-scale accuracy (see `StatsSnapshot`), and the per-scope
@@ -37,7 +46,44 @@ pub struct WorkloadStats {
     shortcuts_used: AtomicU64,
     observed_ops: AtomicU64,
     baseline_ops: AtomicU64,
-    scopes: Mutex<HashMap<Scope, u64>>,
+    hasher: RandomState,
+    scopes: Mutex<Histogram>,
+}
+
+/// Arrivals per scope, filed by the scope's keyed hash.
+#[derive(Debug, Default)]
+struct Histogram {
+    by_hash: ByHash<(Scope, u64)>,
+    /// Scopes whose hash slot holds a different scope, each with its own
+    /// count.
+    collided: Vec<(u64, Scope, u64)>,
+}
+
+impl Histogram {
+    fn add(&mut self, h: u64, scope: &Scope, n: u64) {
+        let count = match self.by_hash.entry(h) {
+            Entry::Occupied(e) if e.get().0 == *scope => &mut e.into_mut().1,
+            Entry::Vacant(e) => &mut e.insert((scope.clone(), 0)).1,
+            // a different scope holds this hash: count this one beside it
+            Entry::Occupied(_) => {
+                let c = &mut self.collided;
+                let i = match c.iter().position(|(ch, s, _)| *ch == h && s == scope) {
+                    Some(i) => i,
+                    None => {
+                        c.push((h, scope.clone(), 0));
+                        c.len() - 1
+                    }
+                };
+                &mut c[i].2
+            }
+        };
+        *count = count.saturating_add(n);
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&Scope, u64)> {
+        let filed = self.by_hash.values().map(|(s, c)| (s, *c));
+        filed.chain(self.collided.iter().map(|(_, s, c)| (s, *c)))
+    }
 }
 
 /// A consistent-enough point-in-time copy of the counters (individual loads
@@ -88,35 +134,71 @@ impl std::ops::AddAssign for StatsSnapshot {
     }
 }
 
+/// One answered request as [`WorkloadStats::record`] takes it: its scope's
+/// hash under the accumulator's [`hasher`](WorkloadStats::hasher), the
+/// scope, the cost actually charged, the plain-junction-tree cost of the
+/// same query, and its arrivals.
+pub type Record<'a> = (u64, &'a Scope, &'a QueryCost, Size, u64);
+
 impl WorkloadStats {
-    /// A fresh, empty accumulator.
+    /// A fresh, empty accumulator with a hasher of its own.
     pub fn new() -> Self {
         WorkloadStats::default()
     }
 
-    /// Records `n` arrivals of one answered query: its scope, the cost
-    /// actually charged, and the plain-junction-tree cost of the same
-    /// query. Identical arrivals that shared one computation (in-batch
-    /// duplicates, answer cache hits) weigh the observed distribution like
-    /// `n` separate arrivals would.
-    pub fn record_n(&self, scope: &Scope, cost: &QueryCost, baseline_ops: Size, n: u64) {
-        if n == 0 {
-            return;
+    /// A fresh, empty accumulator that files scopes with `hasher` — the
+    /// one its serving engine hashes requests with.
+    pub fn with_hasher(hasher: RandomState) -> Self {
+        WorkloadStats {
+            hasher,
+            ..WorkloadStats::default()
         }
-        self.queries.fetch_add(n, Ordering::Relaxed);
-        if cost.shortcuts_used > 0 {
-            self.shortcut_queries.fetch_add(n, Ordering::Relaxed);
-            self.shortcuts_used.fetch_add(
-                (cost.shortcuts_used as u64).saturating_mul(n),
-                Ordering::Relaxed,
-            );
+    }
+
+    /// The keyed hasher the histogram files scopes under.
+    pub fn hasher(&self) -> &RandomState {
+        &self.hasher
+    }
+
+    /// Records one batch's answered requests. Identical arrivals that
+    /// shared one computation (in-batch duplicates, answer cache hits)
+    /// come as one record and weigh the observed distribution like that
+    /// many separate arrivals would. Takes the histogram lock once and
+    /// updates each counter once; every counter saturates at `u64::MAX`.
+    pub fn record<'a>(&self, records: impl IntoIterator<Item = Record<'a>>) {
+        let mut sum = StatsSnapshot::default();
+        {
+            let mut scopes = self.scopes.lock();
+            for (h, scope, cost, baseline_ops, n) in records {
+                if n == 0 {
+                    continue;
+                }
+                let shortcuts = cost.shortcuts_used as u64;
+                sum += StatsSnapshot {
+                    queries: n,
+                    shortcut_queries: if shortcuts > 0 { n } else { 0 },
+                    shortcuts_used: shortcuts.saturating_mul(n),
+                    observed_ops: cost.ops.saturating_mul(n),
+                    baseline_ops: baseline_ops.saturating_mul(n),
+                };
+                scopes.add(h, scope, n);
+            }
         }
-        self.observed_ops
-            .fetch_add(cost.ops.saturating_mul(n), Ordering::Relaxed);
-        self.baseline_ops
-            .fetch_add(baseline_ops.saturating_mul(n), Ordering::Relaxed);
-        let mut scopes = self.scopes.lock();
-        *scopes.entry(scope.clone()).or_insert(0) += n;
+        for (counter, n) in [
+            (&self.queries, sum.queries),
+            (&self.shortcut_queries, sum.shortcut_queries),
+            (&self.shortcuts_used, sum.shortcuts_used),
+            (&self.observed_ops, sum.observed_ops),
+            (&self.baseline_ops, sum.baseline_ops),
+        ] {
+            if n > 0 {
+                // `fetch_update` with a closure that always returns `Some`
+                // cannot fail
+                let _ = counter.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                    Some(v.saturating_add(n))
+                });
+            }
+        }
     }
 
     /// Point-in-time copy of the aggregate counters.
@@ -132,7 +214,8 @@ impl WorkloadStats {
 
     /// Number of distinct scopes recorded so far.
     pub fn distinct_scopes(&self) -> usize {
-        self.scopes.lock().len()
+        let scopes = self.scopes.lock();
+        scopes.by_hash.len() + scopes.collided.len()
     }
 
     /// The *observed* workload: the recorded scope frequencies as an
@@ -140,13 +223,13 @@ impl WorkloadStats {
     /// selection against. Deterministic: entries come out sorted by scope.
     pub fn observed_workload(&self) -> Workload {
         let scopes = self.scopes.lock();
-        Workload::from_counts(scopes.iter().map(|(s, &c)| (s.clone(), c)))
+        Workload::from_counts(scopes.iter().map(|(s, c)| (s.clone(), c)))
     }
 
     /// The raw `(scope, arrivals)` histogram, sorted by scope.
     pub fn scope_counts(&self) -> Vec<(Scope, u64)> {
         let scopes = self.scopes.lock();
-        let mut v: Vec<(Scope, u64)> = scopes.iter().map(|(s, &c)| (s.clone(), c)).collect();
+        let mut v: Vec<(Scope, u64)> = scopes.iter().map(|(s, c)| (s.clone(), c)).collect();
         v.sort_by(|a, b| a.0.cmp(&b.0));
         v
     }
@@ -155,6 +238,7 @@ impl WorkloadStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::BuildHasher;
 
     fn cost(ops: u64, shortcuts: usize) -> QueryCost {
         QueryCost {
@@ -164,13 +248,20 @@ mod tests {
         }
     }
 
+    /// Records `n` arrivals of one query as a batch of its own, hashed by
+    /// the accumulator's hasher.
+    fn record_n(stats: &WorkloadStats, scope: &Scope, cost: &QueryCost, baseline: Size, n: u64) {
+        let h = stats.hasher().hash_one(scope);
+        stats.record([(h, scope, cost, baseline, n)]);
+    }
+
     #[test]
     fn savings_and_hit_rate() {
         let stats = WorkloadStats::new();
         let a = Scope::from_indices(&[0, 1]);
         let b = Scope::from_indices(&[2]);
-        stats.record_n(&a, &cost(25, 1), 100, 1);
-        stats.record_n(&b, &cost(50, 0), 50, 1);
+        record_n(&stats, &a, &cost(25, 1), 100, 1);
+        record_n(&stats, &b, &cost(50, 0), 50, 1);
         let s = stats.snapshot();
         assert_eq!(s.queries, 2);
         assert_eq!(s.observed_ops, 75);
@@ -198,13 +289,51 @@ mod tests {
         let stats = WorkloadStats::new();
         let a = Scope::from_indices(&[0]);
         let b = Scope::from_indices(&[1]);
-        stats.record_n(&a, &cost(10, 0), 20, 3);
-        stats.record_n(&b, &cost(10, 0), 20, 1);
+        record_n(&stats, &a, &cost(10, 0), 20, 3);
+        record_n(&stats, &b, &cost(10, 0), 20, 1);
         let w = stats.observed_workload();
         assert_eq!(w.len(), 2);
         let wa = w.entries().iter().find(|e| e.query == a).unwrap().weight;
         assert!((wa - 0.75).abs() < 1e-12);
         assert_eq!(stats.snapshot().observed_ops, 40);
+    }
+
+    /// A plan whose count overflows is charged `Size::MAX`; a second such
+    /// record keeps every counter at `u64::MAX` instead of wrapping it
+    /// back to `u64::MAX − 1` — within one batch and across batches.
+    #[test]
+    fn counters_saturate_instead_of_wrapping() {
+        let stats = WorkloadStats::new();
+        let a = Scope::from_indices(&[0]);
+        let h = stats.hasher().hash_one(&a);
+        let huge = cost(Size::MAX, 1);
+        stats.record([(h, &a, &huge, Size::MAX, 1), (h, &a, &huge, Size::MAX, 1)]);
+        record_n(&stats, &a, &huge, Size::MAX, 1);
+        let s = stats.snapshot();
+        assert_eq!((s.observed_ops, s.baseline_ops), (u64::MAX, u64::MAX));
+        assert_eq!(s.queries, 3);
+        assert_eq!(stats.scope_counts(), vec![(a, 3)]);
+    }
+
+    /// Two different scopes filed under one hash keep separate, exact
+    /// counts, and a repeat finds its own slot whichever of the two it is.
+    #[test]
+    fn colliding_scopes_keep_exact_counts() {
+        let stats = WorkloadStats::new();
+        let (a, b, c) = (
+            Scope::from_indices(&[0]),
+            Scope::from_indices(&[1]),
+            Scope::from_indices(&[2]),
+        );
+        let k = cost(1, 0);
+        stats.record([(7, &a, &k, 1, 2), (7, &b, &k, 1, 3), (7, &c, &k, 1, 1)]);
+        stats.record([(7, &b, &k, 1, 1), (7, &a, &k, 1, 1), (7, &c, &k, 1, 0)]);
+        assert_eq!(stats.scope_counts(), vec![(a, 3), (b, 4), (c, 1)]);
+        assert_eq!(stats.distinct_scopes(), 3);
+        assert_eq!(stats.snapshot().queries, 8);
+        let w = stats.observed_workload();
+        assert_eq!(w.len(), 3);
+        assert!((w.entries()[1].weight - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -226,7 +355,7 @@ mod tests {
                 s.spawn(move || {
                     let scope = Scope::from_indices(&[t]);
                     for _ in 0..100 {
-                        stats.record_n(&scope, &cost(7, 1), 10, 1);
+                        record_n(stats, &scope, &cost(7, 1), 10, 1);
                     }
                 });
             }

@@ -9,7 +9,11 @@
 //! 1. duplicate requests inside a batch are coalesced and computed once
 //!    (workloads sample pools with replacement, so real batches repeat);
 //!    the coalescing key is the whole request, so the same targets under
-//!    different evidence are — correctly — different computations;
+//!    different evidence are — correctly — different computations. Each
+//!    arrival is hashed once, with the engine's keyed hasher; the dedup
+//!    map, the answer cache and the epoch's scope histogram all file
+//!    under that hash and compare the request itself on a match
+//!    ([`peanut_core::request`] says how a request hashes);
 //! 2. the unique queries are claimed work-stealing-style by `workers`
 //!    **persistent** pool threads ([`WorkerPool`]), parked between batches;
 //! 3. every worker owns a [`Scratch`](peanut_pgm::Scratch), so all
@@ -46,12 +50,13 @@ use crate::pool::{PoolCell, PoolStats, WorkerPool};
 use peanut_core::exec::Executor;
 use peanut_core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use peanut_core::sync::{thread, Arc, Mutex, RwLock};
-use peanut_core::{FlatMaterialization, Materialization, ServeRequest, WorkloadStats};
+use peanut_core::{ByHash, FlatMaterialization, Materialization, ServeRequest, WorkloadStats};
 use peanut_junction::cost::QueryCost;
 use peanut_junction::QueryEngine;
 use peanut_pgm::{PgmError, Potential, Size};
 use peanut_store::StoreConfig;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::hash::RandomState;
 use std::ops::Deref;
 use std::time::{Duration, Instant};
 
@@ -175,16 +180,28 @@ impl ServingConfig {
     }
 }
 
-/// Bounded FIFO map of fully computed answers. Entries are tagged with the
-/// epoch of the answer they hold; lookups under a newer epoch drop the
-/// entry lazily instead of flushing the cache on swap. The eviction queue
-/// carries the insert-time epoch so a dangling queue entry (whose map slot
-/// was dropped or replaced by a newer epoch) is skipped, never evicting a
-/// fresher entry by key collision.
+/// Bounded FIFO map of fully computed answers, filed under each request's
+/// keyed hash (the one [`BatchRun`] computed at push). Entries are tagged
+/// with the epoch of the answer they hold; lookups under a newer epoch drop
+/// the entry lazily instead of flushing the cache on swap. Every entry
+/// keeps its request, compared on lookup, so a request whose hash collides
+/// with a cached one misses instead of reading its answer. The eviction
+/// queue carries each insert's stamp, so a dangling queue entry (whose
+/// slot was dropped or refilled since) is skipped, never evicting a
+/// fresher entry, whichever request holds the slot now.
 #[derive(Default)]
 pub(crate) struct AnswerCache {
-    map: HashMap<ServeRequest, Arc<Answer>>,
-    order: VecDeque<(ServeRequest, u64)>,
+    map: ByHash<CacheEntry>,
+    /// `(hash, stamp)` per insert, oldest first.
+    order: VecDeque<(u64, u64)>,
+    /// The last insert's stamp.
+    stamp: u64,
+}
+
+struct CacheEntry {
+    req: ServeRequest,
+    answer: Arc<Answer>,
+    stamp: u64,
 }
 
 pub(crate) enum CacheLookup {
@@ -194,13 +211,14 @@ pub(crate) enum CacheLookup {
 }
 
 impl AnswerCache {
-    pub(crate) fn lookup(&mut self, q: &ServeRequest, epoch: u64) -> CacheLookup {
-        match self.map.get(q) {
-            Some(hit) if hit.epoch == epoch => CacheLookup::Hit(Arc::clone(hit)),
-            Some(hit) if hit.epoch < epoch => {
+    pub(crate) fn lookup(&mut self, h: u64, q: &ServeRequest, epoch: u64) -> CacheLookup {
+        match self.map.get(&h) {
+            Some(e) if e.req != *q => CacheLookup::Miss,
+            Some(e) if e.answer.epoch == epoch => CacheLookup::Hit(Arc::clone(&e.answer)),
+            Some(e) if e.answer.epoch < epoch => {
                 // stale epoch: lazy invalidation (its order entry dangles
-                // and is skipped at eviction time by the epoch check)
-                self.map.remove(q);
+                // and is skipped at eviction time by the stamp check)
+                self.map.remove(&h);
                 CacheLookup::StaleDropped
             }
             // a *newer* epoch than this batch's snapshot (the batch raced
@@ -212,26 +230,27 @@ impl AnswerCache {
     }
 
     /// Pops the oldest queue entry, evicting its map entry unless the
-    /// queue entry dangles (the slot was stale-dropped or re-inserted at
-    /// a newer epoch). Returns false when the queue is empty.
+    /// queue entry dangles (the slot was stale-dropped or refilled since).
+    /// Returns false when the queue is empty.
     fn evict_front(&mut self) -> bool {
-        let Some((old, ep)) = self.order.pop_front() else {
+        let Some((h, stamp)) = self.order.pop_front() else {
             return false;
         };
-        if self.map.get(&old).is_some_and(|e| e.epoch == ep) {
-            self.map.remove(&old);
+        if self.map.get(&h).is_some_and(|e| e.stamp == stamp) {
+            self.map.remove(&h);
         }
         true
     }
 
-    pub(crate) fn insert(&mut self, capacity: usize, q: ServeRequest, a: Arc<Answer>) {
+    /// Admits `a` for request `q` under its hash `h`. A slot holding an
+    /// answer of the same or a newer epoch keeps it — whichever request it
+    /// is for: a colliding request then stays uncached.
+    pub(crate) fn insert(&mut self, capacity: usize, h: u64, q: ServeRequest, a: Arc<Answer>) {
         if capacity == 0 {
             return;
         }
-        if let Some(existing) = self.map.get(&q) {
-            if existing.epoch >= a.epoch {
-                return;
-            }
+        if self.map.get(&h).is_some_and(|e| e.answer.epoch >= a.epoch) {
+            return;
         }
         while self.map.len() >= capacity && self.evict_front() {}
         // The queue accumulates dangling entries (stale drops, same-key
@@ -242,8 +261,14 @@ impl AnswerCache {
         // the front (evicting the odd live entry early, FIFO-fairly) is
         // cheap and keeps memory proportional to capacity, not uptime.
         while self.order.len() >= capacity.saturating_mul(2).max(8) && self.evict_front() {}
-        self.order.push_back((q.clone(), a.epoch));
-        self.map.insert(q, a);
+        self.stamp += 1;
+        self.order.push_back((h, self.stamp));
+        let entry = CacheEntry {
+            req: q,
+            answer: a,
+            stamp: self.stamp,
+        };
+        self.map.insert(h, entry);
     }
 }
 
@@ -292,6 +317,10 @@ pub struct ServingEngine<'t> {
     engine: Arc<QueryEngine<'t>>,
     state: RwLock<EpochState>,
     cfg: ServingConfig,
+    /// The one keyed hasher of this engine: every request it serves is
+    /// hashed with it once, and the answer cache and every epoch's
+    /// accumulator file under that hash.
+    hasher: RandomState,
     cache: Arc<Mutex<AnswerCache>>,
     /// Persistent workers, spawned lazily on the first batch that fans
     /// out. Engines that only ever serve sequentially never spawn a
@@ -306,13 +335,15 @@ impl<'t> ServingEngine<'t> {
     /// materialization (served as whatever epoch it is stamped with,
     /// 0 for a freshly selected one).
     pub fn new(engine: QueryEngine<'t>, mat: Materialization, cfg: ServingConfig) -> Self {
+        let hasher = RandomState::new();
         ServingEngine {
             engine: Arc::new(engine),
             state: RwLock::new(EpochState {
                 mat: Arc::new(mat),
-                stats: Arc::new(WorkloadStats::new()),
+                stats: Arc::new(WorkloadStats::with_hasher(hasher.clone())),
             }),
             cfg,
+            hasher,
             cache: Arc::new(Mutex::new(AnswerCache::default())),
             pool: PoolCell::new(),
             store: None,
@@ -467,7 +498,7 @@ impl<'t> ServingEngine<'t> {
             let epoch = state.mat.epoch + 1;
             *state = EpochState {
                 mat: Arc::new(mat.with_epoch(epoch)),
-                stats: Arc::new(WorkloadStats::new()),
+                stats: self.fresh_stats(),
             };
             epoch
         };
@@ -494,8 +525,14 @@ impl<'t> ServingEngine<'t> {
     /// (Batches already in flight keep recording into the retired window;
     /// the next window only misses those stragglers.)
     pub fn reset_stats(&self) -> Arc<WorkloadStats> {
-        let mut state = self.state.write();
-        std::mem::replace(&mut state.stats, Arc::new(WorkloadStats::new()))
+        let fresh = self.fresh_stats();
+        std::mem::replace(&mut self.state.write().stats, fresh)
+    }
+
+    /// An empty accumulator that files scopes under this engine's hasher,
+    /// so the pipeline's request hashes are its histogram keys.
+    fn fresh_stats(&self) -> Arc<WorkloadStats> {
+        Arc::new(WorkloadStats::with_hasher(self.hasher.clone()))
     }
 
     /// What a batch arriving now is served against: the shared engine,
@@ -559,6 +596,7 @@ mod tests {
     use super::*;
     use peanut_junction::build_junction_tree;
     use peanut_pgm::{fixtures, joint, Scope, Var};
+    use std::hash::BuildHasher;
 
     fn queries(bn: &peanut_pgm::BayesianNetwork) -> Vec<ServeRequest> {
         let d = bn.domain();
@@ -716,13 +754,55 @@ mod tests {
         let mut newer = (*answers[0].served().unwrap().answer).clone();
         newer.epoch = 1;
 
+        let h = serving.hasher.hash_one(&q);
         let mut cache = AnswerCache::default();
-        cache.insert(4, q.clone(), Arc::new(newer));
-        assert!(matches!(cache.lookup(&q, 0), CacheLookup::Miss));
-        assert!(cache.map.contains_key(&q), "newer entry must survive");
-        assert!(matches!(cache.lookup(&q, 1), CacheLookup::Hit(_)));
-        assert!(matches!(cache.lookup(&q, 2), CacheLookup::StaleDropped));
-        assert!(!cache.map.contains_key(&q), "older entry drops lazily");
+        cache.insert(4, h, q.clone(), Arc::new(newer));
+        assert!(matches!(cache.lookup(h, &q, 0), CacheLookup::Miss));
+        assert!(cache.map.contains_key(&h), "newer entry must survive");
+        assert!(matches!(cache.lookup(h, &q, 1), CacheLookup::Hit(_)));
+        assert!(matches!(cache.lookup(h, &q, 2), CacheLookup::StaleDropped));
+        assert!(!cache.map.contains_key(&h), "older entry drops lazily");
+    }
+
+    /// Two different requests filed under one hash: neither reads the
+    /// other's entry, a colliding insert does not displace a live answer,
+    /// and the FIFO eviction of one never drops the other's live entry —
+    /// not even when both were admitted under the same epoch.
+    #[test]
+    fn colliding_requests_only_ever_miss() {
+        let bn = fixtures::sprinkler();
+        let tree = build_junction_tree(&bn).unwrap();
+        let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+        let serving =
+            ServingEngine::new(engine, Materialization::default(), ServingConfig::default());
+        let a = ServeRequest::marginal(Scope::from_indices(&[0]));
+        let b = ServeRequest::marginal(Scope::from_indices(&[1]));
+        let (answers, _) = serving.serve_batch(&[a.clone(), b.clone()]);
+        let at = |u: usize, epoch: u64| {
+            let served = (*answers[u].served().unwrap().answer).clone();
+            Arc::new(Answer { epoch, ..served })
+        };
+        let answers_for = |l: CacheLookup, q: &ServeRequest| match l {
+            CacheLookup::Hit(hit) => hit.potential.scope() == &q.targets,
+            _ => false,
+        };
+        const H: u64 = 7;
+        let mut cache = AnswerCache::default();
+        cache.insert(4, H, a.clone(), at(0, 1));
+        assert!(matches!(cache.lookup(H, &b, 1), CacheLookup::Miss));
+        cache.insert(4, H, b.clone(), at(1, 1));
+        assert!(answers_for(cache.lookup(H, &a, 1), &a), "a keeps its slot");
+        assert!(matches!(cache.lookup(H, &b, 1), CacheLookup::Miss));
+
+        // a goes stale and drops; a batch still on epoch 1 then admits b
+        // under the same hash and epoch a's dangling queue entry carries
+        assert!(matches!(cache.lookup(H, &a, 2), CacheLookup::StaleDropped));
+        cache.insert(4, H, b.clone(), at(1, 1));
+        assert!(cache.evict_front(), "pops a's dangling entry");
+        assert!(answers_for(cache.lookup(H, &b, 1), &b), "b stays live");
+        assert!(matches!(cache.lookup(H, &a, 1), CacheLookup::Miss));
+        assert!(cache.evict_front(), "pops b's own entry");
+        assert!(cache.map.is_empty());
     }
 
     #[test]

@@ -6,16 +6,20 @@
 //! and stats accumulator, and the answer cache (or none) it is served
 //! against. Everything after that is the same and lives here, once:
 //!
-//! 1. a [`BatchRun`] coalesces one target's arrivals into unique requests
-//!    ([`push`](BatchRun::push)) and probes the target's answer cache
-//!    under one lock ([`probe`](BatchRun::probe));
+//! 1. a [`BatchRun`] hashes each arrival once, with the hasher of the
+//!    target's stats accumulator (for an engine, its one keyed hasher),
+//!    coalesces one target's arrivals into unique requests by that hash
+//!    ([`push`](BatchRun::push)), and probes the target's answer cache
+//!    under one lock with the same hashes ([`probe`](BatchRun::probe));
 //! 2. [`fan_out`] computes what is left — in the calling thread for a
 //!    single task or a single worker, as one serving-lane wave of the
 //!    persistent [`WorkerPool`](crate::pool::WorkerPool) otherwise;
 //! 3. [`finish`](BatchRun::finish) admits the fresh answers to the cache,
 //!    totals the [`BatchStats`] and — the one place an observation is
 //!    recorded — enters every answered unique request into the epoch's
-//!    [`WorkloadStats`] once, weighted by its arrivals;
+//!    [`WorkloadStats`] once, weighted by its arrivals, in one call: one
+//!    histogram lock per batch, a marginal filed under the hash it was
+//!    pushed with, a conditional under its joint scope's;
 //!    [`outcome`](BatchRun::outcome) hands every arrival a zero-copy handle
 //!    on its (possibly shared) answer.
 //!
@@ -27,10 +31,11 @@ use crate::engine::{Answer, AnswerCache, BatchStats, CacheLookup, Served};
 use crate::overload::ServeOutcome;
 use crate::pool::PoolCell;
 use peanut_core::sync::{Arc, Mutex, OnceLock};
-use peanut_core::{Materialization, OnlineEngine, ServeRequest, WorkloadStats};
+use peanut_core::{ByHash, Materialization, OnlineEngine, ServeRequest, WorkloadStats};
 use peanut_junction::QueryEngine;
-use peanut_pgm::{PgmError, Scratch};
-use std::collections::HashMap;
+use peanut_pgm::{PgmError, Scope, Scratch};
+use std::collections::hash_map::Entry;
+use std::hash::BuildHasher;
 use std::time::Instant;
 
 /// One unique request's computation: shared by every arrival that
@@ -57,8 +62,11 @@ pub(crate) struct Target<'t> {
 /// One target's share of a batch, from arrivals to outcomes.
 pub(crate) struct BatchRun<'a, 't> {
     target: Target<'t>,
-    first_of: HashMap<&'a ServeRequest, usize>,
+    /// The first unique filed under each request hash.
+    first_of: ByHash<usize>,
     uniques: Vec<&'a ServeRequest>,
+    /// Each unique's request hash, under the target accumulator's hasher.
+    hashes: Vec<u64>,
     /// Arrivals per unique request.
     uses: Vec<u64>,
     results: Vec<Option<Computed>>,
@@ -72,8 +80,12 @@ impl<'a, 't> BatchRun<'a, 't> {
     /// An empty run against `target`, sized for `arrivals` requests.
     pub(crate) fn new(target: Target<'t>, arrivals: usize) -> Self {
         BatchRun {
-            first_of: HashMap::with_capacity(if target.dedup { arrivals } else { 0 }),
+            first_of: ByHash::with_capacity_and_hasher(
+                if target.dedup { arrivals } else { 0 },
+                Default::default(),
+            ),
             uniques: Vec::with_capacity(arrivals),
+            hashes: Vec::with_capacity(arrivals),
             uses: Vec::with_capacity(arrivals),
             results: Vec::new(),
             from_cache: Vec::new(),
@@ -88,17 +100,31 @@ impl<'a, 't> BatchRun<'a, 't> {
 
     /// Adds one arrival and returns the index of the unique request it
     /// is served by. The coalescing key is the whole request, so the same
-    /// targets under different evidence are different computations.
+    /// targets under different evidence are different computations; it is
+    /// hashed here, once per arrival.
     pub(crate) fn push(&mut self, req: &'a ServeRequest) -> usize {
+        let h = self.target.stats.hasher().hash_one(req);
+        self.push_hashed(req, h)
+    }
+
+    /// [`push`](Self::push) with the request's hash `h` given. An arrival
+    /// whose hash is filed under a *different* request (a collision) opens
+    /// a unique of its own: a recomputation, never a shared answer.
+    fn push_hashed(&mut self, req: &'a ServeRequest, h: u64) -> usize {
         self.bstats.queries += 1;
         let next = self.uniques.len();
         let u = if self.target.dedup {
-            *self.first_of.entry(req).or_insert(next)
+            match self.first_of.entry(h) {
+                Entry::Occupied(e) if self.uniques[*e.get()] == req => *e.get(),
+                Entry::Occupied(_) => next,
+                Entry::Vacant(e) => *e.insert(next),
+            }
         } else {
             next
         };
         if u == next {
             self.uniques.push(req);
+            self.hashes.push(h);
             self.uses.push(0);
         }
         self.uses[u] += 1;
@@ -119,8 +145,8 @@ impl<'a, 't> BatchRun<'a, 't> {
             return;
         };
         let mut cache = cache.lock();
-        for (u, q) in self.uniques.iter().enumerate() {
-            match cache.lookup(q, self.bstats.epoch) {
+        for (u, (q, &h)) in self.uniques.iter().zip(&self.hashes).enumerate() {
+            match cache.lookup(h, q, self.bstats.epoch) {
                 CacheLookup::Hit(hit) => {
                     self.results[u] = Some(Ok(hit));
                     self.from_cache[u] = true;
@@ -180,31 +206,48 @@ impl<'a, 't> BatchRun<'a, 't> {
         }
         if let Some((cache, capacity)) = &self.target.cache {
             // zero-copy admission: the cache shares the arrivals' Arc
-            let fresh: Vec<(ServeRequest, Arc<Answer>)> = self
+            let fresh: Vec<(u64, ServeRequest, Arc<Answer>)> = self
                 .work
                 .iter()
                 .filter_map(|&u| match &self.results[u] {
-                    Some(Ok(a)) => Some((self.uniques[u].clone(), Arc::clone(a))),
+                    Some(Ok(a)) => Some((self.hashes[u], self.uniques[u].clone(), Arc::clone(a))),
                     _ => None,
                 })
                 .collect();
             if !fresh.is_empty() {
                 let mut cache = cache.lock();
-                for (q, a) in fresh {
-                    cache.insert(*capacity, q, a);
+                for (h, q, a) in fresh {
+                    cache.insert(*capacity, h, q, a);
                 }
             }
         }
         // every answered unique — computed or cached — is observed here,
         // once, with its full multiplicity: the epoch's stats weigh
-        // arrivals, not computations, and a failed request is not observed
+        // arrivals, not computations, and a failed request is not observed.
+        // A marginal is filed under its request hash (it hashes as its
+        // targets); a conditional under its joint scope, hashed once here.
         let stats = &self.target.stats;
-        for (u, q) in self.uniques.iter().enumerate() {
-            let Some(Ok(a)) = &self.results[u] else {
-                continue;
-            };
-            stats.record_n(&q.stat_scope(), &a.cost, a.baseline_ops, self.uses[u]);
-        }
+        let answered = |u: usize| match &self.results[u] {
+            Some(Ok(a)) => Some(a),
+            _ => None,
+        };
+        let uniques = 0..self.uniques.len();
+        let joints: Vec<(usize, u64, Scope)> = uniques
+            .clone()
+            .filter(|&u| !self.uniques[u].is_marginal() && answered(u).is_some())
+            .map(|u| {
+                let joint = self.uniques[u].stat_scope();
+                (u, stats.hasher().hash_one(&joint), joint)
+            })
+            .collect();
+        let marginals = uniques
+            .filter(|&u| self.uniques[u].is_marginal())
+            .map(|u| (u, self.hashes[u], &self.uniques[u].targets));
+        let observed = marginals.chain(joints.iter().map(|(u, h, s)| (*u, *h, s)));
+        stats.record(observed.filter_map(|(u, h, scope)| {
+            let a = answered(u)?;
+            Some((h, scope, &a.cost, a.baseline_ops, self.uses[u]))
+        }));
         self.bstats
     }
 
@@ -263,12 +306,14 @@ pub(crate) fn fan_out<R: Send + Sync>(
 
 #[cfg(test)]
 mod tests {
+    use super::BatchRun;
     use crate::engine::{Served, ServingConfig, ServingEngine};
+    use crate::overload::ServeOutcome;
     use peanut_core::{
         Materialization, MaterializedShortcut, ServeRequest, Shortcut, StatsSnapshot,
     };
     use peanut_junction::{build_junction_tree, QueryEngine};
-    use peanut_pgm::{fixtures, Scope, Var};
+    use peanut_pgm::{fixtures, Scope, Scratch, Var};
 
     /// A Figure-1 engine serving one hand-built shortcut (over the clique
     /// `{e,g,h}`), so the exact counts below include shortcut hits.
@@ -297,41 +342,45 @@ mod tests {
     }
 
     /// One batch holding a fresh unique used 3×, a cached unique used 2×,
-    /// a conditional used 2× and a failing request: the epoch's stats hold
-    /// every *arrival* of every answered request exactly once, and nothing
-    /// of the failed one.
+    /// a conditional used 2×, the marginal on the conditional's joint scope
+    /// used 2× and a failing request: the epoch's stats hold every
+    /// *arrival* of every answered request exactly once, nothing of the
+    /// failed one, and one histogram entry for the joint scope whichever
+    /// door filed it.
     #[test]
     fn a_batch_is_observed_once_per_arrival() {
         let serving = figure1_serving();
         let fresh = ServeRequest::marginal(Scope::from_indices(&[1, 5, 8])); // {b,f,i}
         let cached = ServeRequest::marginal(Scope::from_indices(&[0, 9])); // {a,l}
         let cond = ServeRequest::new(Scope::from_indices(&[3]), vec![(Var(8), 1)]); // d | i
+        let joint = ServeRequest::marginal(Scope::from_indices(&[3, 8])); // {d,i}
         let failing = ServeRequest::marginal(Scope::from_indices(&[99]));
+        assert_eq!(cond.stat_scope(), joint.targets);
         serving.serve_batch(std::slice::from_ref(&cached));
         serving.reset_stats(); // a fresh window; the answer cache stays warm
 
         let batch = [
-            &fresh, &cached, &cond, &failing, &fresh, &cond, &cached, &fresh,
+            &fresh, &cached, &cond, &failing, &joint, &fresh, &cond, &cached, &fresh, &joint,
         ]
         .map(Clone::clone);
         let (outcomes, bstats) = serving.serve_batch(&batch);
         assert_eq!(
             (bstats.queries, bstats.unique, bstats.cache_hits),
-            (8, 4, 1)
+            (10, 5, 1)
         );
         assert!(outcomes[3].failure().is_some());
         let of = |i: usize| outcomes[i].served().expect("served");
-        let (f, c, k) = (of(0), of(1), of(2));
-        assert!(!f.from_cache && c.from_cache && !k.from_cache);
+        let (f, c, k, j) = (of(0), of(1), of(2), of(4));
+        assert!(!f.from_cache && c.from_cache && !k.from_cache && !j.from_cache);
         assert_eq!(f.cost.shortcuts_used, 1, "test premise: the shortcut fires");
 
         let stats = serving.stats();
-        let uses = [(f, 3u64), (c, 2), (k, 2)];
+        let uses = [(f, 3u64), (c, 2), (k, 2), (j, 2)];
         let total = |v: fn(&Served) -> u64| uses.iter().map(|&(a, n)| n * v(a)).sum::<u64>();
         assert_eq!(
             stats.snapshot(),
             StatsSnapshot {
-                queries: 7,
+                queries: 9,
                 shortcut_queries: total(|a| u64::from(a.cost.shortcuts_used > 0)),
                 shortcuts_used: total(|a| a.cost.shortcuts_used as u64),
                 observed_ops: total(|a| a.cost.ops),
@@ -343,9 +392,59 @@ mod tests {
             vec![
                 (cached.targets.clone(), 2),
                 (fresh.targets.clone(), 3),
-                (cond.stat_scope(), 2), // the joint {d, i} the conditional ran
+                // the conditional's joint {d, i} and the marginal on it
+                (joint.targets.clone(), 4),
             ]
         );
+    }
+
+    /// Serves `batch` the way `serve_on` does, on the calling thread, but
+    /// files each request under the hash given beside it.
+    fn serve_hashed(
+        serving: &ServingEngine<'_>,
+        batch: &[(ServeRequest, u64)],
+    ) -> Vec<ServeOutcome> {
+        let mut run = BatchRun::new(serving.target(), batch.len());
+        let assign: Vec<usize> = batch.iter().map(|(q, h)| run.push_hashed(q, *h)).collect();
+        run.probe();
+        let mut scratch = Scratch::new();
+        let computed: Vec<_> = run
+            .work()
+            .iter()
+            .map(|&u| run.compute(u, &mut scratch))
+            .collect();
+        run.finish(computed.into_iter());
+        assign.into_iter().map(|u| run.outcome(u)).collect()
+    }
+
+    /// Two different requests under one hash neither coalesce in a batch
+    /// nor read each other's cache entry, and the histogram keeps their
+    /// scopes apart with exact counts.
+    #[test]
+    fn colliding_requests_neither_coalesce_nor_share_an_answer() {
+        let serving = figure1_serving();
+        let a = ServeRequest::marginal(Scope::from_indices(&[0, 9]));
+        let b = ServeRequest::marginal(Scope::from_indices(&[1, 5]));
+        let (want, _) = serving.serve_batch(&[a.clone(), b.clone()]);
+        let bits = |o: &ServeOutcome| -> Vec<u64> {
+            let p = &o.served().expect("served").potential;
+            p.values().iter().map(|v| v.to_bits()).collect()
+        };
+        serving.reset_stats();
+        let batch = [&a, &b, &a, &b].map(|q| (q.clone(), 7));
+        for pass in 0..2 {
+            let got = serve_hashed(&serving, &batch);
+            for (o, w) in got.iter().zip([&want[0], &want[1], &want[0], &want[1]]) {
+                assert_eq!(bits(o), bits(w), "pass {pass}: an answer crossed over");
+            }
+            let from_cache: Vec<bool> =
+                got.iter().map(|o| o.served().unwrap().from_cache).collect();
+            // a holds the hash's slot from the first pass on; b never reads it
+            let a_cached = pass == 1;
+            assert_eq!(from_cache, [a_cached, false, a_cached, false]);
+        }
+        let counts = serving.stats().scope_counts();
+        assert_eq!(counts, vec![(a.targets.clone(), 4), (b.targets.clone(), 4)]);
     }
 
     /// The same accounting through an evidence session (no dedup, no

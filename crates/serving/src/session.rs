@@ -48,7 +48,8 @@ pub struct EvidenceSession<'s, 't> {
     /// the restriction) and only carries the open-time epoch. The stats
     /// are the open-time epoch's accumulator; a publish mid-session
     /// retires it, and this session keeps feeding the retired window
-    /// (exactly like an in-flight batch would). No answer cache, no
+    /// (exactly like an in-flight batch would) and hashing its requests
+    /// with that accumulator's hasher, the engine's. No answer cache, no
     /// coalescing, and every answer normalized into `P(· | evidence)`.
     target: Target<'t>,
     evidence: Vec<(Var, u32)>,

@@ -57,7 +57,8 @@ const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/pgm/tests/kernel_allocs.rs",
 ];
 
-/// Serving hot-path files subject to R4: the serving tier, the query path
+/// Serving hot-path files subject to R4: the serving tier, the request
+/// hashing and the observation site every batch runs, the query path
 /// under every request it answers (plan, reduce, message passing and the
 /// kernels it runs on), the selection a controller tick runs while its
 /// caller waits, and the store a fault-in opens and rehydrates from inside
@@ -70,6 +71,8 @@ const HOT_PATHS: &[&str] = &[
     "crates/serving/src/session.rs",
     "crates/serving/src/overload.rs",
     "crates/serving/src/replay.rs",
+    "crates/core/src/request.rs",
+    "crates/core/src/stats.rs",
     "crates/core/src/online.rs",
     "crates/core/src/context.rs",
     "crates/core/src/lrdp.rs",
@@ -613,7 +616,7 @@ mod tests {
         assert!(rules("crates/serving/src/engine.rs", escaped).is_empty());
 
         // the same code off the hot path is fine
-        assert!(rules("crates/core/src/stats.rs", bare).is_empty());
+        assert!(rules("crates/core/src/exec.rs", bare).is_empty());
 
         // and test modules inside hot-path files are exempt
         let tests = "#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n";
