@@ -7,10 +7,17 @@
 //! clone per candidate shortcut, Scope-union cost accounting, and message
 //! passing through the owned `Potential::{product_many_in, divide_in,
 //! marginalize_in}` wrappers. It touches only surface that predates the
-//! view refactor. One thing follows the engine: a message is summed onto
-//! its target *before* it is divided by the parent separator (the same two
-//! calls the other way round — the engine's fused kernel never builds the
-//! product the division used to run over).
+//! view refactor. Two things follow the engine:
+//! * a message is summed onto its target *before* it is divided by the
+//!   parent separator (the same two calls the other way round — the
+//!   engine's fused kernel never builds the product the division used to
+//!   run over);
+//! * the answer is computed toward the member where the count is smallest:
+//!   the model re-roots its reduced tree at every member by brute force
+//!   (parent links reversed, each separator handed to the new child),
+//!   prices each rooting with its own Scope-union count and keeps the
+//!   first cheapest in pre-order — `r_q` on a tie. The count it reports
+//!   stays the one toward `r_q`.
 //!
 //! For every query the engine's answer must equal the model's entry by
 //! entry under `f64::to_bits`, `QueryCost` and `baseline_ops` must be
@@ -141,6 +148,48 @@ impl RefTree {
         }
     }
 
+    /// The same tree rooted at `root`: the parent links on the path up to
+    /// the old root reversed, each edge's separator moved to the endpoint
+    /// that is now the child, child lists rebuilt in index order.
+    fn rerooted(&self, root: usize) -> RefTree {
+        let mut t = self.clone();
+        let mut path = vec![root];
+        while let Some(p) = self.nodes[*path.last().unwrap()].parent {
+            path.push(p);
+        }
+        t.nodes[root].parent = None;
+        t.nodes[root].sep_to_parent = None;
+        for w in path.windows(2) {
+            let (child, parent) = (w[0], w[1]);
+            t.nodes[parent].parent = Some(child);
+            t.nodes[parent].sep_to_parent = self.nodes[child].sep_to_parent.clone();
+        }
+        for n in &mut t.nodes {
+            n.children.clear();
+        }
+        for i in 0..t.nodes.len() {
+            if let Some(p) = t.nodes[i].parent {
+                t.nodes[p].children.push(i);
+            }
+        }
+        t.root = root;
+        t
+    }
+
+    /// The rooting the answer is computed on: every member tried, the
+    /// first cheapest in pre-order (children ascending, `r_q` first) kept.
+    fn cheapest_rooting(&self, query: &Scope, domain: &Domain) -> RefTree {
+        let mut best = (self.cost(query, domain).ops, self.clone());
+        for m in self.post_order().into_iter().rev() {
+            let t = self.rerooted(m);
+            let ops = t.cost(query, domain).ops;
+            if ops < best.0 {
+                best = (ops, t);
+            }
+        }
+        best.1
+    }
+
     fn post_order(&self) -> Vec<usize> {
         let mut order = Vec::new();
         let mut stack = vec![(self.root, false)];
@@ -190,12 +239,8 @@ impl RefTree {
         cost
     }
 
-    fn answer(&self, query: &Scope, domain: &Domain) -> (Potential, QueryCost) {
+    fn answer(&self, query: &Scope) -> Potential {
         let scratch = &mut Scratch::new();
-        let mut cost = QueryCost {
-            shortcuts_used: self.shortcuts_used,
-            ..QueryCost::default()
-        };
         let mut messages: Vec<Option<Potential>> = vec![None; self.nodes.len()];
         let mut carried: Vec<Scope> = vec![Scope::empty(); self.nodes.len()];
         let mut answer = None;
@@ -207,15 +252,11 @@ impl RefTree {
                 factors.push(messages[c].as_ref().expect("child done"));
                 carry = carry.union(&carried[c].intersect(query));
             }
-            let n_in = factors.len() - 1;
             let product = Potential::product_many_in(&factors, scratch).unwrap();
             carried[u] = carry.clone();
             if u == self.root {
-                cost.add_node(node_ops(product.scope(), n_in, domain));
                 answer = Some(product.marginalize_in(query, scratch).unwrap());
             } else {
-                cost.add_node(node_ops(product.scope(), n_in + 1, domain));
-                cost.messages += 1;
                 let target = self.message_scope(u, query, &carry);
                 let summed = product.marginalize_in(&target, scratch).unwrap();
                 messages[u] = Some(match &n.sep_to_parent {
@@ -224,7 +265,7 @@ impl RefTree {
                 });
             }
         }
-        (answer.expect("root visited"), cost)
+        answer.expect("root visited")
     }
 
     fn shortcut_ids(&self) -> Vec<usize> {
@@ -379,7 +420,7 @@ fn check_network(name: &str, bn: &BayesianNetwork, queries: &[Scope], oracle_eve
             let what = format!("{name}/{variant}/{q}");
             let (reference, baseline) = reference_reduce(&engine, &mat, q);
             let (want, want_cost) = match &reference {
-                Some(rt) => rt.answer(q, domain),
+                Some(rt) => (rt.cheapest_rooting(q, domain).answer(q), rt.cost(q, domain)),
                 None => {
                     let QueryPlan::InClique(u) = engine.plan(q).unwrap() else {
                         panic!("{what}: reference says in-clique");

@@ -1,26 +1,27 @@
 //! A selection's tables built together — one message memo across the
 //! batch ([`region_joints`]) — are the tables built one at a time.
 //!
-//! The reference is the per-shortcut build as it stood before the batch:
-//! the shortcut's subtree planned as a Steiner tree rooted at `r_S` and
-//! answered for `X_S` over a fresh `Scratch`. On generated networks and
+//! The reference is the per-shortcut build: the shortcut's region alone
+//! through `region_joints` — its subtree's pass toward `r_S` for `X_S`
+//! over a fresh `Scratch` and memo, so nothing is shared. (A plan's
+//! `answer` is no reference: it runs toward the member where the query's
+//! count is smallest, which need not be `r_S`.) On generated networks and
 //! fixtures, with PEANUT+ selections at several budgets (so regions nest
 //! and overlap), every table must equal the reference entry by entry under
 //! `f64::to_bits`, with the same scope, and be charged the same operations.
 
 use peanut_core::{OfflineContext, Peanut, PeanutConfig, Shortcut, Workload};
-use peanut_junction::{build_junction_tree, region_joints, QueryEngine, ReducedTree, SteinerTree};
+use peanut_junction::{build_junction_tree, region_joints, QueryEngine};
 use peanut_pgm::generate::{generate_network, DagConfig};
 use peanut_pgm::{fixtures, BayesianNetwork, Potential, Scope, Size};
 use proptest::test_runner::TestRng;
 
 /// The one-at-a-time build.
 fn reference(engine: &QueryEngine<'_>, s: &Shortcut) -> (Potential, Size) {
-    let (tree, rooted) = (engine.tree(), engine.rooted());
-    let st = SteinerTree::from_parts(s.nodes().to_vec(), s.root());
-    let plan = ReducedTree::from_steiner(tree, rooted, &st, engine.numeric_state());
-    let (table, cost) = plan.answer(s.scope(), tree.domain()).unwrap();
-    (table, cost.ops)
+    let ns = engine.numeric_state().unwrap();
+    let region = (s.nodes(), s.root(), s.scope());
+    let mut built = region_joints(engine.tree(), engine.rooted(), ns, &[region]).unwrap();
+    built.pop().unwrap()
 }
 
 fn bits(p: &Potential) -> Vec<u64> {

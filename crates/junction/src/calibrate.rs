@@ -56,17 +56,20 @@ impl NumericState {
     pub fn calibrate(&mut self, tree: &JunctionTree, rooted: &RootedTree) -> Result<(), PgmError> {
         let mut scratch = Scratch::new();
         // collect: children before parents
+        // (a node has a parent edge exactly when it has a parent)
         let order: Vec<CliqueId> = rooted.dfs_order().to_vec();
         for &u in order.iter().rev() {
-            let Some(p) = rooted.parent(u) else { continue };
-            let e = rooted.parent_edge(u).expect("non-root has parent edge");
+            let Some((p, e)) = rooted.parent(u).zip(rooted.parent_edge(u)) else {
+                continue;
+            };
             self.pass_message(tree, u, p, e, &mut scratch)?;
         }
         // distribute: parents before children
         for &u in &order {
             for &c in rooted.children(u) {
-                let e = rooted.parent_edge(c).expect("child has parent edge");
-                self.pass_message(tree, u, c, e, &mut scratch)?;
+                if let Some(e) = rooted.parent_edge(c) {
+                    self.pass_message(tree, u, c, e, &mut scratch)?;
+                }
             }
         }
         self.calibrated = true;
@@ -151,7 +154,7 @@ impl NumericState {
                 .find(|&u| tree.clique(u).contains(v))
                 .ok_or(PgmError::UnknownVar(v))?;
             let (scope, cards, values) = restricted.arena.clique_mut(u);
-            let axis = scope.position(v).expect("clique contains evidence var");
+            let axis = scope.position(v).ok_or(PgmError::UnknownVar(v))?;
             // row-major, last variable fastest: the kept entries for
             // `v = value` form one `inner`-wide slice per `block`
             let inner: usize = cards[axis + 1..].iter().map(|&c| c as usize).product();
@@ -283,14 +286,16 @@ pub mod legacy_state {
             let mut scratch = Scratch::new();
             let order: Vec<CliqueId> = rooted.dfs_order().to_vec();
             for &u in order.iter().rev() {
-                let Some(p) = rooted.parent(u) else { continue };
-                let e = rooted.parent_edge(u).expect("non-root has parent edge");
+                let Some((p, e)) = rooted.parent(u).zip(rooted.parent_edge(u)) else {
+                    continue;
+                };
                 self.pass_message(tree, u, p, e, &mut scratch)?;
             }
             for &u in &order {
                 for &c in rooted.children(u) {
-                    let e = rooted.parent_edge(c).expect("child has parent edge");
-                    self.pass_message(tree, u, c, e, &mut scratch)?;
+                    if let Some(e) = rooted.parent_edge(c) {
+                        self.pass_message(tree, u, c, e, &mut scratch)?;
+                    }
                 }
             }
             Ok(())

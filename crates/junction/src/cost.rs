@@ -16,8 +16,16 @@
 //! stored, and the division by the parent separator — the `+1` incoming
 //! factor of a non-root — runs over the message. The count still visits
 //! every entry of `U_v`, and the paper validates exactly this style of
-//! counting against wall-clock time (Figure 3, Pearson ≈ 0.99); `repro
-//! fig3` reproduces the correlation on this engine.
+//! counting against wall-clock time (Figure 3, Pearson ≈ 0.99).
+//!
+//! Nor is it the count of the pass that runs. A query is charged toward
+//! its Steiner root `r_q`, as the paper roots it, and everything that reads
+//! the charge — plan pricing, baselines, savings, serving stats — reads
+//! that count. `ReducedTree::answer_in` runs its pass toward the member
+//! where the same count is smallest (every node's `#incoming` is its
+//! degree whatever the root; only the query variables each product
+//! carries move), so wall-clock time follows that minimum; `repro fig3`
+//! reports the correlation against both.
 
 use peanut_pgm::{table_size, Domain, Scope, Size};
 

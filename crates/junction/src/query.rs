@@ -126,7 +126,10 @@ impl<'t> QueryEngine<'t> {
         }
     }
 
-    /// Numeric answer `P(query)` plus its cost. Requires numeric mode.
+    /// Numeric answer `P(query)` plus its cost — [`cost`](Self::cost)'s, the
+    /// count toward `r_q`, though an out-of-clique pass runs toward the
+    /// Steiner member where that count is smallest
+    /// ([`ReducedTree::answer_in`]). Requires numeric mode.
     pub fn answer(&self, query: &Scope) -> Result<(Potential, QueryCost), PgmError> {
         self.answer_in(query, &mut Scratch::new())
     }
@@ -157,8 +160,9 @@ impl<'t> QueryEngine<'t> {
     /// marginal answered on it and normalized is `P(targets | e)` — without
     /// ever forming the joint over `targets ∪ vars(evidence)`. The two
     /// recalibration passes are paid here, once; a stream of queries under
-    /// the same pinned evidence then runs at plain-marginal cost. Requires
-    /// numeric mode.
+    /// the same pinned evidence then runs as plain marginals: each charged
+    /// its plain count toward `r_q`, each pass run toward its cheapest
+    /// Steiner member. Requires numeric mode.
     pub fn restricted_to_evidence(
         &self,
         evidence: &[(Var, u32)],

@@ -16,12 +16,32 @@
 //! Message passing — both numeric and size-only — is implemented once,
 //! here, for all methods (plain JT, PEANUT, PEANUT+, INDSEP), which keeps
 //! the cost accounting strictly comparable across them. The two share the
-//! per-node charge ([`crate::cost`], on the size of the node's product);
-//! the numeric pass never builds that product: each message is one fused
-//! product→marginalize pass over the node's factors, divided by the parent
-//! separator afterwards, over the message's entries. The same numeric pass
-//! builds the joint of a region ([`region_joints`]), where a batch of
-//! regions shares the messages their subtrees have in common.
+//! per-node charge ([`crate::cost`], on the size of the node's product)
+//! and one structural walk per query that counts, per node, the query
+//! variables its subtree holds; the numeric pass never builds that
+//! product: each message is one fused product→marginalize pass over the
+//! node's factors, divided by the parent separator afterwards, over the
+//! message's entries. The same numeric pass builds the joint of a region
+//! ([`region_joints`]), where a batch of regions shares the messages their
+//! subtrees have in common.
+//!
+//! # Where a query's pass runs to
+//!
+//! A plan is rooted at `r_q`, the member closest to the pivot, and charged
+//! there: [`ReducedTree::cost`] and the [`QueryCost`] every answer reports
+//! are the paper's count toward `r_q`. The answer does not depend on the
+//! root, and every query variable widens each product on its way to it, so
+//! [`ReducedTree::answer_in`] runs its pass toward the member where that
+//! count is smallest. Every node's incoming-factor count is its degree
+//! whatever the root, so moving the root across one edge `u → c` changes
+//! only what `u` and `c` are charged — `u` then carries the query variables
+//! held outside `c`'s subtree — and one pre-order walk over the counts
+//! prices every rooting. A tie keeps `r_q`, so an answer whose count does
+//! not strictly fall is the pass toward `r_q`, bit for bit; otherwise the
+//! plan is re-hung from the cheaper member (the parent links on the path
+//! between the two roots turn around, each edge's separator going to the
+//! endpoint that is now the child). [`region_joints`] keeps each region's
+//! own root.
 
 use crate::calibrate::NumericState;
 use crate::cost::{node_ops_of_size, QueryCost};
@@ -213,6 +233,40 @@ impl<'a> ReducedTree<'a> {
         self.shortcuts_used
     }
 
+    /// Incoming factors of node `u`'s product: one message per child, and
+    /// a non-root's separator division — its degree, whatever the root.
+    #[inline]
+    fn degree(&self, u: usize) -> usize {
+        self.children(u).len() + usize::from(self.nodes[u].parent.is_some())
+    }
+
+    /// The same plan hung from node `root`: the parent links on the path
+    /// from `root` up to the current root turn around, and each edge's
+    /// separator goes to the endpoint that is now the child. Every node
+    /// keeps its index, scope, label and table.
+    fn rehung(&self, root: usize) -> ReducedTree<'a> {
+        let mut nodes = self.nodes.clone();
+        let (mut below, mut u) = ((None, None), root);
+        loop {
+            let node = &mut nodes[u];
+            let up = (node.parent, node.sep_to_parent);
+            (node.parent, node.sep_to_parent) = below;
+            let Some(p) = up.0 else { break };
+            below = (Some(u), up.1);
+            u = p;
+        }
+        Self::linked(nodes, root, self.shortcuts_used)
+    }
+
+    /// What answering on this plan is charged, given its count `ops`.
+    fn charged(&self, ops: Size) -> QueryCost {
+        QueryCost {
+            shortcuts_used: self.shortcuts_used,
+            messages: self.nodes.len() - 1,
+            ops,
+        }
+    }
+
     /// The tree with the connected region `region` (node indices) replaced
     /// by a single shortcut node of scope `scope` — the one-region case of
     /// [`contract`](Self::contract), which see; `self` is left as it is.
@@ -311,43 +365,6 @@ impl<'a> ReducedTree<'a> {
         ))
     }
 
-    /// The structural pass [`cost`](Self::cost) and
-    /// [`answer_in`](Self::answer_in) share: flag `u * query.len() + i` says
-    /// whether node `u`'s subtree holds the `i`-th query variable.
-    fn carried(&self, query: &Scope) -> Vec<bool> {
-        let k = query.len();
-        let mut held = vec![false; self.nodes.len() * k];
-        for &u in &self.order {
-            let n = &self.nodes[u];
-            for (i, x) in query.iter().enumerate() {
-                held[u * k + i] |= n.scope.contains(x);
-                // children precede parents, so `u`'s flags are final here
-                if let Some(p) = n.parent {
-                    held[p * k + i] |= held[u * k + i];
-                }
-            }
-        }
-        held
-    }
-
-    /// What node `u` is charged (paper §5.1), given [`carried`](Self::carried)'s
-    /// flags: its product spans its own scope plus the query variables
-    /// carried up from below (the separator part of every incoming message
-    /// already lies inside the node's scope), so it is sized by walking the
-    /// query against the scope — no scope is materialized, and no table.
-    fn node_cost(&self, u: usize, query: &Scope, held: &[bool], domain: &Domain) -> Size {
-        let n = &self.nodes[u];
-        let mut t = table_size(n.scope, domain);
-        for (i, x) in query.iter().enumerate() {
-            if held[u * query.len() + i] && !n.scope.contains(x) {
-                t = t.saturating_mul(u64::from(domain.card(x)));
-            }
-        }
-        // +1 incoming factor for a non-root's separator division
-        let n_in = self.children(u).len() + usize::from(u != self.root);
-        node_ops_of_size(t, n_in)
-    }
-
     /// The pricing pass, node by node: `(held, ops)` where `ops[u]` is what
     /// node `u` is charged for `query` — [`cost`](Self::cost) is their
     /// saturating sum — and flag `held[u * query.len() + i]` says whether
@@ -355,26 +372,20 @@ impl<'a> ReducedTree<'a> {
     /// product carries it. Whoever weighs a substitution reprices the nodes
     /// it touches from these and leaves the rest of the sum alone.
     pub fn node_costs(&self, query: &Scope, domain: &Domain) -> (Vec<bool>, Vec<Size>) {
-        let held = self.carried(query);
-        let ops = (0..self.nodes.len())
-            .map(|u| self.node_cost(u, query, &held, domain))
+        let tally = Tally::new(self, query, domain);
+        let k = query.len();
+        let held = (0..self.nodes.len() * k)
+            .map(|j| tally.holds(j / k, j % k))
             .collect();
+        let ops = (0..self.nodes.len()).map(|u| tally.charge(u)).collect();
         (held, ops)
     }
 
     /// Size-only message passing: the operation count of answering `query`
-    /// on this tree under the cost model of [`crate::cost`].
+    /// on this tree under the cost model of [`crate::cost`] — the paper's
+    /// count, toward this plan's root `r_q`.
     pub fn cost(&self, query: &Scope, domain: &Domain) -> QueryCost {
-        let held = self.carried(query);
-        let mut cost = QueryCost {
-            shortcuts_used: self.shortcuts_used,
-            messages: self.nodes.len() - 1,
-            ops: 0,
-        };
-        for u in 0..self.nodes.len() {
-            cost.add_node(self.node_cost(u, query, &held, domain));
-        }
-        cost
+        self.charged(Tally::new(self, query, domain).ops)
     }
 
     /// Numeric message passing: the joint `P(query)` plus the identical
@@ -392,6 +403,10 @@ impl<'a> ReducedTree<'a> {
     /// a stream of queries stops allocating after warm-up. The view kernels
     /// read the borrowed tables in place.
     ///
+    /// The pass runs toward the member where the paper's count is smallest
+    /// (module docs, "Where a query's pass runs to"); the cost reported is
+    /// the count toward `r_q`, [`cost`](Self::cost)'s, whichever root ran.
+    ///
     /// A node's message is its potential times the incoming messages,
     /// summed onto what goes up, in one fused pass that never builds the
     /// product; the division by the parent separator then runs on the
@@ -404,33 +419,37 @@ impl<'a> ReducedTree<'a> {
         domain: &Domain,
         scratch: &mut Scratch,
     ) -> Result<(Potential, QueryCost), PgmError> {
-        self.pass(query, domain, scratch, &mut Recycled)
+        let mut tally = Tally::new(self, query, domain);
+        let cost = self.charged(tally.ops);
+        let root = tally.cheapest_root(self, query, domain);
+        let answer = if root == self.root {
+            self.pass(query, &tally, scratch, &mut Recycled)?
+        } else {
+            let plan = self.rehung(root);
+            tally.recount(&plan, query);
+            plan.pass(query, &tally, scratch, &mut Recycled)?
+        };
+        Ok((answer, cost))
     }
 
-    /// The numeric pass [`answer_in`](Self::answer_in) and [`region_joints`]
-    /// share; `memo` decides where sent messages go and which need not be
-    /// sent at all. Every node is charged, sent or not.
+    /// The numeric pass toward this plan's root that
+    /// [`answer_in`](Self::answer_in) and [`region_joints`] share, given
+    /// the counts of this rooting; `memo` decides where sent messages go
+    /// and which need not be sent at all.
     fn pass<M: Messages>(
         &self,
         query: &Scope,
-        domain: &Domain,
+        tally: &Tally,
         scratch: &mut Scratch,
         memo: &mut M,
-    ) -> Result<(Potential, QueryCost), PgmError> {
-        let held = self.carried(query);
-        let mut cost = QueryCost {
-            shortcuts_used: self.shortcuts_used,
-            messages: self.nodes.len() - 1,
-            ops: 0,
-        };
-        memo.recall(self, query, &held);
+    ) -> Result<Potential, PgmError> {
+        memo.recall(self, query, tally);
         // the post-order keeps subtrees contiguous and runs a node's children
         // last to first, so its incoming messages are the top of this stack,
         // the first child's uppermost
         let mut messages: Vec<M::Sent> = Vec::new();
         for &u in &self.order {
             let n = &self.nodes[u];
-            cost.add_node(self.node_cost(u, query, &held, domain));
             match memo.step(u) {
                 Step::Send => {}
                 Step::Known(sent) => {
@@ -444,7 +463,7 @@ impl<'a> ReducedTree<'a> {
             let target = match n.parent {
                 Some(p) => {
                     let sep = n.scope.iter().filter(|&x| self.nodes[p].scope.contains(x));
-                    let below = (0..query.len()).filter(|i| held[u * query.len() + i]);
+                    let below = (0..query.len()).filter(|&i| tally.holds(u, i));
                     Scope::from_iter(sep.chain(below.map(|i| query.vars()[i])))
                 }
                 None => query.clone(),
@@ -460,7 +479,7 @@ impl<'a> ReducedTree<'a> {
             }
             // the root closes the post-order, and its message is the answer
             if u == self.root {
-                return Ok((message, cost));
+                return Ok(message);
             }
             if let Some(sep) = n.sep_to_parent {
                 let divided = divide_views(message.view(), sep, scratch)?;
@@ -470,6 +489,149 @@ impl<'a> ReducedTree<'a> {
         }
         // lint:allow(hot_panic) — a tree has a root, and it closes the post-order
         unreachable!("the root's answer")
+    }
+}
+
+/// One query's structural walk over a plan, in one buffer: row `u` holds
+/// node `u`'s table size, its charge (paper §5.1) toward the plan's root,
+/// its price once [`cheapest_root`](Tally::cheapest_root) ran, and per
+/// query variable how many nodes of `u`'s subtree hold it.
+struct Tally {
+    /// Words per row: [`HELD`] plus one count per query variable.
+    width: usize,
+    rows: Vec<Size>,
+    /// The count toward the plan's root: the charges' saturating sum.
+    ops: Size,
+}
+
+/// Word offsets within a [`Tally`] row.
+const SIZE: usize = 0;
+const CHARGE: usize = 1;
+const PRICE: usize = 2;
+const HELD: usize = 3;
+
+impl Tally {
+    /// Counts, sizes and charges every node of `plan` for `query`.
+    fn new(plan: &ReducedTree<'_>, query: &Scope, domain: &Domain) -> Tally {
+        let width = HELD + query.len();
+        let mut tally = Tally {
+            width,
+            rows: vec![0; plan.len() * width],
+            ops: 0,
+        };
+        tally.recount(plan, query);
+        for (u, node) in plan.nodes.iter().enumerate() {
+            let row = &mut tally.rows[u * width..(u + 1) * width];
+            // the product spans the node's scope plus the query variables
+            // carried up from below (the separator part of every incoming
+            // message already lies inside the scope): sized by walking the
+            // query against the scope, no scope built and no table
+            row[SIZE] = table_size(node.scope, domain);
+            let mut product = row[SIZE];
+            for (i, x) in query.iter().enumerate() {
+                if row[HELD + i] > 0 && !node.scope.contains(x) {
+                    product = product.saturating_mul(u64::from(domain.card(x)));
+                }
+            }
+            row[CHARGE] = node_ops_of_size(product, plan.degree(u));
+            tally.ops = tally.ops.saturating_add(row[CHARGE]);
+        }
+        tally
+    }
+
+    /// Counts the query variables each node's subtree holds under `plan`'s
+    /// rooting — the plan counted, or the same nodes re-hung; sizes,
+    /// charges and prices stay.
+    fn recount(&mut self, plan: &ReducedTree<'_>, query: &Scope) {
+        let width = self.width;
+        for row in self.rows.chunks_exact_mut(width) {
+            row[HELD..].fill(0);
+        }
+        // children precede parents, so `u`'s counts are whole here
+        for &u in &plan.order {
+            let node = &plan.nodes[u];
+            for (i, x) in query.iter().enumerate() {
+                let held = self.rows[u * width + HELD + i] + Size::from(node.scope.contains(x));
+                self.rows[u * width + HELD + i] = held;
+                if let Some(p) = node.parent {
+                    self.rows[p * width + HELD + i] += held;
+                }
+            }
+        }
+    }
+
+    /// Whether node `u`'s subtree holds the `i`-th query variable.
+    #[inline]
+    fn holds(&self, u: usize, i: usize) -> bool {
+        self.rows[u * self.width + HELD + i] > 0
+    }
+
+    /// What node `u` is charged toward the plan's root.
+    #[inline]
+    fn charge(&self, u: usize) -> Size {
+        self.rows[u * self.width + CHARGE]
+    }
+
+    /// The node of `plan` a pass for `query` is cheapest toward, every
+    /// rooting priced in one pre-order walk: the first cheapest in
+    /// pre-order, which starts at the plan's root, so a tie keeps it.
+    ///
+    /// Toward `m`, nodes off the path from the plan's root to `m` keep
+    /// their charges; a node `u` on it is charged as if its product carried
+    /// the query variables held outside the subtree of its successor on the
+    /// path, and `m` as if it carried every one. With `rest(m)` the price
+    /// toward `m` less `m`'s own charge there, a child `c` of `u` has
+    /// `rest(c) = rest(u) − charge(c) + across(u, c)`, `across` being `u`'s
+    /// charge with the root past `c`: the walk carries `rest` down in the
+    /// `PRICE` words and leaves each node's price there.
+    fn cheapest_root(&mut self, plan: &ReducedTree<'_>, query: &Scope, domain: &Domain) -> usize {
+        let (width, rows) = (self.width, &mut self.rows);
+        // the root's counts: everything the plan holds
+        let total = plan.root * width + HELD;
+        rows[plan.root * width + PRICE] = self.ops.saturating_sub(rows[plan.root * width + CHARGE]);
+        let mut best = (self.ops, plan.root);
+        for &u in plan.order.iter().rev() {
+            let (node, children) = (&plan.nodes[u], plan.children(u));
+            let size = rows[u * width + SIZE];
+            // `u`'s product as the root, and across the edge to each child,
+            // built up in the child's `PRICE` word
+            let mut as_root = size;
+            for &c in children {
+                rows[c * width + PRICE] = size;
+            }
+            for (i, x) in query.iter().enumerate() {
+                let held = rows[total + i];
+                if held == 0 || node.scope.contains(x) {
+                    continue;
+                }
+                let card = u64::from(domain.card(x));
+                as_root = as_root.saturating_mul(card);
+                for &c in children {
+                    if rows[c * width + HELD + i] < held {
+                        rows[c * width + PRICE] = rows[c * width + PRICE].saturating_mul(card);
+                    }
+                }
+            }
+            let (degree, rest) = (plan.degree(u), rows[u * width + PRICE]);
+            for &c in children {
+                let across = node_ops_of_size(rows[c * width + PRICE], degree);
+                let kept = rest.saturating_sub(rows[c * width + CHARGE]);
+                rows[c * width + PRICE] = kept.saturating_add(across);
+            }
+            let price = rest.saturating_add(node_ops_of_size(as_root, degree));
+            rows[u * width + PRICE] = price;
+            if price < best.0 {
+                best = (price, u);
+            }
+        }
+        best.1
+    }
+
+    /// The count of a pass toward node `u`, once
+    /// [`cheapest_root`](Self::cheapest_root) ran.
+    #[cfg(test)]
+    fn price(&self, u: usize) -> Size {
+        self.rows[u * self.width + PRICE]
     }
 }
 
@@ -514,13 +676,14 @@ pub fn region_joints(
                 return Err(PgmError::InvalidRegion { detail });
             }
             let plan = ReducedTree::from_members(tree, rooted, members, root, Some(numeric));
-            let (joint, cost) = plan.pass(scope, tree.domain(), &mut scratch, &mut memo)?;
+            let tally = Tally::new(&plan, scope, tree.domain());
+            let joint = plan.pass(scope, &tally, &mut scratch, &mut memo)?;
             // the kernel may have written into a larger pooled buffer, and
             // the table outlives the call (a whole epoch): keep a copy that
             // holds only its entries
             let table = joint.clone();
             scratch.recycle(joint);
-            Ok((table, cost.ops))
+            Ok((table, tally.ops))
         })
         .collect()
 }
@@ -544,7 +707,7 @@ trait Messages {
     /// A sent message as the pass's stack holds it.
     type Sent;
     /// Decides, before a pass over `tree`, what [`step`](Self::step) says.
-    fn recall(&mut self, tree: &ReducedTree<'_>, query: &Scope, held: &[bool]);
+    fn recall(&mut self, tree: &ReducedTree<'_>, query: &Scope, tally: &Tally);
     /// What the pass does at node `u`.
     fn step(&self, u: usize) -> Step<Self::Sent>;
     /// The table of a sent message.
@@ -562,7 +725,7 @@ struct Recycled;
 impl Messages for Recycled {
     type Sent = Potential;
 
-    fn recall(&mut self, _: &ReducedTree<'_>, _: &Scope, _: &[bool]) {}
+    fn recall(&mut self, _: &ReducedTree<'_>, _: &Scope, _: &Tally) {}
 
     #[inline]
     fn step(&self, _: usize) -> Step<Potential> {
@@ -605,7 +768,7 @@ struct MessageMemo {
 impl Messages for MessageMemo {
     type Sent = usize;
 
-    fn recall(&mut self, tree: &ReducedTree<'_>, query: &Scope, held: &[bool]) {
+    fn recall(&mut self, tree: &ReducedTree<'_>, query: &Scope, tally: &Tally) {
         let (n, k) = (tree.len(), query.len());
         self.steps.clear();
         self.steps.resize(n, Step::Send);
@@ -630,7 +793,9 @@ impl Messages for MessageMemo {
             }
             let span = &tree.order[at + 1 - size[u]..=at];
             let labels = span.iter().map(|&v| tree.nodes[v].label).collect();
-            let vars = (0..k).filter(|&i| held[u * k + i]).map(|i| query.vars()[i]);
+            let vars = (0..k)
+                .filter(|&i| tally.holds(u, i))
+                .map(|i| query.vars()[i]);
             let key = (labels, vars.collect());
             match self.filed.get(&key) {
                 Some(&i) => self.steps[u] = Step::Known(i),
@@ -942,9 +1107,8 @@ mod tests {
             .iter()
             .map(|(members, root, scope)| {
                 let plan = ReducedTree::from_members(tree, rooted, members, *root, Some(ns));
-                plan.pass(scope, tree.domain(), &mut scratch, &mut memo)
-                    .unwrap()
-                    .0
+                let tally = Tally::new(&plan, scope, tree.domain());
+                plan.pass(scope, &tally, &mut scratch, &mut memo).unwrap()
             })
             .collect();
         (tables, memo.sent.len() + regions.len())
@@ -954,19 +1118,17 @@ mod tests {
     /// {parent(r_S)}` built first, `S` costs one kernel — its own root's;
     /// with `S` first, `T` costs two — its root's and `r_S`'s, which was
     /// `S`'s root and so never filed. The same cliques asked for one more
-    /// variable share nothing that carries it. Every table is the one its
-    /// own pass computes, bit for bit.
+    /// variable share nothing that carries it. Every table is the one a
+    /// build of its region alone computes, bit for bit.
     #[test]
     fn memo_reuses_every_message_below_a_shared_root() {
         let bn = fixtures::chain(9, 3, 4);
         let (tree, rooted, ns) = setup(&bn, Some(2));
-        let bits = |p: &Potential| p.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let assert_own = |(members, root, scope): &(Vec<usize>, usize, Scope), got: &Potential| {
-            let st = SteinerTree::from_parts(members.clone(), *root);
-            let plan = ReducedTree::from_steiner(&tree, &rooted, &st, Some(&ns));
-            let (want, _) = plan.answer(scope, bn.domain()).unwrap();
+            let alone = region_joints(&tree, &rooted, &ns, &[(members, *root, scope)]).unwrap();
+            let want = &alone[0].0;
             assert_eq!(got.scope(), want.scope());
-            assert_eq!(bits(got), bits(&want));
+            assert_eq!(bits(got), bits(want));
         };
         let mut checked = 0;
         for r in 0..tree.n_cliques() {
@@ -1072,6 +1234,174 @@ mod tests {
                 assert_eq!(pos(c) + 1, at, "child {c} of {u}");
             }
             assert!(rt.children(u).windows(2).all(|w| w[0] < w[1]));
+        }
+    }
+
+    fn bits(p: &Potential) -> Vec<u64> {
+        p.values().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The numeric pass toward `plan`'s own root.
+    fn pass_at_root(plan: &ReducedTree<'_>, q: &Scope, d: &Domain) -> Potential {
+        let tally = Tally::new(plan, q, d);
+        plan.pass(q, &tally, &mut Scratch::new(), &mut Recycled)
+            .unwrap()
+    }
+
+    /// Checks every rooting of `plan` for `q` against the root choice, and
+    /// returns whether the pass moved off `r_q`:
+    /// * the plan re-hung from each member `m` is charged the price the
+    ///   walk gave `m`, and `r_q`'s price is the plan's count;
+    /// * the chosen root's price is the minimum, and a tie keeps `r_q`;
+    /// * every rooting answers within 1e-12 of the pass toward `r_q`, which
+    ///   is within 1e-9 of the network's joint;
+    /// * `answer_in` reports the count toward `r_q`, and is the pass toward
+    ///   `r_q` bit for bit when the count does not strictly fall.
+    fn check_rootings(bn: &peanut_pgm::BayesianNetwork, plan: &ReducedTree<'_>, q: &Scope) -> bool {
+        let d = bn.domain();
+        let mut tally = Tally::new(plan, q, d);
+        let chosen = tally.cheapest_root(plan, q, d);
+        let prices: Vec<Size> = (0..plan.len()).map(|m| tally.price(m)).collect();
+        let at_root = pass_at_root(plan, q, d);
+        let want = joint::marginal(bn, q).unwrap();
+        assert!(at_root.max_abs_diff(&want).unwrap() < 1e-9, "{q} at r_q");
+        for (m, &price) in prices.iter().enumerate() {
+            let hung = plan.rehung(m);
+            assert_eq!(hung.root(), m);
+            assert_eq!(hung.cost(q, d).ops, price, "{q} toward {m}");
+            let diff = pass_at_root(&hung, q, d).max_abs_diff(&at_root).unwrap();
+            assert!(diff < 1e-12, "{q} toward {m}: off by {diff}");
+        }
+        let cost = plan.cost(q, d);
+        assert_eq!(prices[plan.root()], cost.ops);
+        let least = *prices.iter().min().unwrap();
+        assert_eq!(prices[chosen], least, "{q}: {prices:?}");
+        if prices[plan.root()] == least {
+            assert_eq!(chosen, plan.root(), "{q}: a tie moved the root");
+        }
+        let (got, got_cost) = plan.answer_in(q, d, &mut Scratch::new()).unwrap();
+        assert_eq!(got_cost, cost);
+        assert!(got.max_abs_diff(&want).unwrap() < 1e-9);
+        if chosen == plan.root() {
+            assert_eq!(bits(&got), bits(&at_root), "{q}");
+        }
+        chosen != plan.root()
+    }
+
+    /// A shortcut for the connected region `region` of `plan`: the scope
+    /// of the separators that cut it out plus the query variables inside
+    /// it, and that scope's table from the network's joint.
+    fn cut_out(
+        bn: &peanut_pgm::BayesianNetwork,
+        plan: &ReducedTree<'_>,
+        region: &[usize],
+        q: &Scope,
+    ) -> (Scope, Potential) {
+        let mut scope = Scope::empty();
+        for &i in region {
+            let node = plan.node(i).scope;
+            let outside = plan.children(i).iter().copied().chain(plan.parent(i));
+            for j in outside.filter(|j| !region.contains(j)) {
+                scope = scope.union(&node.intersect(plan.node(j).scope));
+            }
+            scope = scope.union(&node.intersect(q));
+        }
+        let table = joint::marginal(bn, &scope).unwrap();
+        (scope, table)
+    }
+
+    /// A re-hung plan is the plan `from_steiner` builds over the same
+    /// members rooted there, field by field: same links, same separators.
+    #[test]
+    fn rehung_plan_is_the_plan_rooted_there() {
+        for (bn, names) in [
+            (fixtures::figure1(), vec!["b", "i", "f"]),
+            (fixtures::figure1(), vec!["a", "f", "h", "l"]),
+            (fixtures::asia(), vec!["visit_asia", "bronchitis"]),
+        ] {
+            let (tree, rooted, ns) = setup(&bn, None);
+            let q = Scope::from_iter(names.iter().map(|n| bn.domain().var(n).unwrap()));
+            let st = SteinerTree::extract(&tree, &rooted, &q).unwrap();
+            let rt = ReducedTree::from_steiner(&tree, &rooted, &st, Some(&ns));
+            assert!(rt.len() >= 3, "{names:?}");
+            for (m, &u) in st.nodes().iter().enumerate() {
+                let there = RootedTree::rooted_at(&tree, u);
+                let members = SteinerTree::from_parts(st.nodes().to_vec(), u);
+                let want = ReducedTree::from_steiner(&tree, &there, &members, Some(&ns));
+                assert_same_tree(&rt.rehung(m), &want);
+            }
+        }
+    }
+
+    /// Over every pair and triple of Figure 1's variables on the plain
+    /// tree: the root choice holds up to every rooting, and some answers
+    /// do move off `r_q`.
+    #[test]
+    fn answers_run_toward_the_cheapest_root() {
+        let bn = fixtures::figure1();
+        let (tree, rooted, ns) = setup(&bn, None);
+        let n = bn.n_vars() as u32;
+        let (mut checked, mut moved) = (0, 0);
+        for a in 0..n {
+            for b in a + 1..n {
+                for q in [
+                    Scope::from_indices(&[a, b]),
+                    Scope::from_indices(&[a, b, (a + b + 1) % n]),
+                ] {
+                    let st = SteinerTree::extract(&tree, &rooted, &q).unwrap();
+                    let rt = ReducedTree::from_steiner(&tree, &rooted, &st, Some(&ns));
+                    moved += usize::from(check_rootings(&bn, &rt, &q));
+                    checked += 1;
+                }
+            }
+        }
+        assert!(moved > 0 && moved < checked, "{moved} of {checked} moved");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// On generated networks, 2–5-variable queries, plain plans and
+        /// plans with a region contracted into a shortcut: the root the
+        /// walk picks is the brute-force minimum over every member, each
+        /// price is the re-hung plan's own count, and every rooting gives
+        /// the same answer.
+        #[test]
+        fn cheapest_root_is_the_brute_force_minimum(seed in 0u64..10_000, n in 7usize..11) {
+            use peanut_pgm::generate::{generate_network, DagConfig};
+            use proptest::test_runner::TestRng;
+            let cfg = DagConfig {
+                n_nodes: n,
+                n_edges: n - 1 + n / 3,
+                max_in_degree: 3,
+                window: 3,
+                cardinalities: vec![2, 3],
+            };
+            let Ok(bn) = generate_network(&cfg, seed) else { return Ok(()) };
+            let mut rng = TestRng::seed_from_u64(seed);
+            let (tree, rooted, ns) = setup(&bn, None);
+            let picks: Vec<u32> = (0..rng.sample(2..6usize)).map(|_| rng.sample(0..n as u32)).collect();
+            let q = Scope::from_indices(&picks);
+            let st = SteinerTree::extract(&tree, &rooted, &q).unwrap();
+            let rt = ReducedTree::from_steiner(&tree, &rooted, &st, Some(&ns));
+            check_rootings(&bn, &rt, &q);
+            if rt.len() < 3 {
+                return Ok(());
+            }
+            // a connected region short of the whole plan, grown from a
+            // random node along tree edges
+            let mut region = vec![rng.sample(0..rt.len())];
+            for _ in 0..rng.sample(0..rt.len() - 1) {
+                let from = region[rng.sample(0..region.len())];
+                let around: Vec<usize> = rt.children(from).iter().copied().chain(rt.parent(from)).collect();
+                let next = around[rng.sample(0..around.len())];
+                if !region.contains(&next) && region.len() + 1 < rt.len() {
+                    region.push(next);
+                }
+            }
+            let (scope, table) = cut_out(&bn, &rt, &region, &q);
+            let contracted = rt.replace_region(&region, &scope, Some(table.view()), 0).unwrap();
+            check_rootings(&bn, &contracted, &q);
         }
     }
 }

@@ -10,7 +10,10 @@
 //! [`ServingEngine::open_session`] amortizes it: the engine absorbs the
 //! evidence into a clone of the calibrated tree **once**
 //! ([`QueryEngine::restricted_to_evidence`]), re-calibrates, and every
-//! subsequent query is a plain marginal over just its targets.
+//! subsequent query is a plain marginal over just its targets — a
+//! message pass over its Steiner tree toward the member where the paper's
+//! count is smallest, charged the count toward `r_q` like any answer
+//! (`peanut_junction::reduced`, "Where a query's pass runs to").
 //!
 //! Sessions deliberately answer on the *plain* restricted tree, without
 //! shortcuts: materialized shortcut potentials hold prior-joint marginals,

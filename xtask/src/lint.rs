@@ -60,8 +60,9 @@ const UNSAFE_ALLOWLIST: &[&str] = &[
 /// Serving hot-path files subject to R4: the serving tier, the request
 /// hashing and the observation site every batch runs, the query path
 /// under every request it answers (plan, reduce, message passing and the
-/// kernels it runs on), the selection a controller tick runs while its
-/// caller waits, and the store a fault-in opens and rehydrates from inside
+/// kernels it runs on), the evidence absorption and recalibration every
+/// session open runs, the selection a controller tick runs while its caller
+/// waits, and the store a fault-in opens and rehydrates from inside
 /// `serve_mixed`.
 const HOT_PATHS: &[&str] = &[
     "crates/serving/src/pool.rs",
@@ -83,6 +84,7 @@ const HOT_PATHS: &[&str] = &[
     "crates/core/src/shortcut.rs",
     "crates/junction/src/steiner.rs",
     "crates/junction/src/reduced.rs",
+    "crates/junction/src/calibrate.rs",
     "crates/junction/src/query.rs",
     "crates/pgm/src/potential.rs",
     "crates/pgm/src/lanes.rs",
