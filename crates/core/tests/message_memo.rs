@@ -1,0 +1,189 @@
+//! The engine's message memo never changes an answer.
+//!
+//! A numeric `QueryEngine` keeps the directed messages its passes send,
+//! and every later pass of a plan the engine extracted takes them instead
+//! of recomputing them (`peanut_junction::reduced`, "The message memo").
+//! The reference is a fresh engine per request: the same calibrated slab
+//! reattached (`QueryEngine::from_calibrated`), whose memo is empty, so its
+//! pass computes every message. On generated networks, under random
+//! materializations — so plans include contracted ones — a stream of
+//! 1–5-variable marginals and conditionals through one engine must answer
+//! exactly as the fresh engines do: every entry equal under `f64::to_bits`,
+//! the same `QueryCost`. The stream runs three times, under one
+//! materialization, then another, then the first again — the memo outlives
+//! epochs, and a message of a subtree that held a shortcut under one epoch
+//! must not be what a plain subtree of the next takes. One more case
+//! answers the stream on two threads sharing the engine; CI runs this file
+//! under ThreadSanitizer too.
+
+use peanut_core::{Materialization, MaterializedShortcut, OnlineEngine, Shortcut};
+use peanut_junction::{build_junction_tree, JunctionTree, NumericState, QueryEngine};
+use peanut_pgm::generate::{generate_network, DagConfig};
+use peanut_pgm::{BayesianNetwork, Potential, Scope, Var};
+use proptest::prelude::*;
+use proptest::test_runner::TestRng;
+
+/// One request: targets and evidence (empty: a marginal).
+type Request = (Scope, Vec<(Var, u32)>);
+
+fn generated(seed: u64, n: usize) -> Option<BayesianNetwork> {
+    let cfg = DagConfig {
+        n_nodes: n,
+        n_edges: n - 1 + n / 3,
+        max_in_degree: 3,
+        window: 4,
+        cardinalities: vec![2, 3, 4],
+    };
+    generate_network(&cfg, seed).ok()
+}
+
+/// Up to eight shortcuts over random connected regions, each with its
+/// table built from `engine`'s calibrated tables, at random ratios.
+fn random_materialization(engine: &QueryEngine<'_>, rng: &mut TestRng) -> Materialization {
+    let (tree, rooted) = (engine.tree(), engine.rooted());
+    let ns = engine.numeric_state().unwrap();
+    let shortcuts = (0..rng.sample(1..9usize))
+        .filter_map(|_| {
+            let mut region = vec![rng.sample(0..tree.n_cliques())];
+            for _ in 0..rng.sample(0..4usize) {
+                let from = region[rng.sample(0..region.len())];
+                let around = tree.neighbors(from);
+                region.push(around[rng.sample(0..around.len())].0);
+            }
+            let shortcut = Shortcut::from_nodes(tree, rooted, region).ok()?;
+            let (table, _) = shortcut.materialize(tree, rooted, ns).unwrap();
+            let ratio = [0.5, 1.0, 2.0, 4.0][rng.sample(0..4usize)];
+            Some(MaterializedShortcut {
+                benefit: ratio * shortcut.size() as f64,
+                ratio,
+                potential: Some(table),
+                shortcut,
+            })
+        })
+        .collect();
+    Materialization {
+        shortcuts,
+        overlapping: true,
+        epoch: 0,
+    }
+}
+
+/// `count` requests of 1–5 target variables, a third of them conditioned
+/// on one or two other variables.
+fn stream(bn: &BayesianNetwork, count: usize, rng: &mut TestRng) -> Vec<Request> {
+    let n = bn.n_vars() as u32;
+    (0..count)
+        .map(|_| {
+            let picks: Vec<u32> = (0..rng.sample(1..6usize))
+                .map(|_| rng.sample(0..n))
+                .collect();
+            let targets = Scope::from_indices(&picks);
+            let mut evidence = Vec::new();
+            if rng.sample(0..3u32) == 0 {
+                for _ in 0..rng.sample(1..3usize) {
+                    let v = Var(rng.sample(0..n));
+                    if !targets.contains(v) && evidence.iter().all(|&(u, _)| u != v) {
+                        evidence.push((v, rng.sample(0..bn.domain().card(v))));
+                    }
+                }
+            }
+            (targets, evidence)
+        })
+        .collect()
+}
+
+fn bits(p: &Potential) -> Vec<u64> {
+    p.values().iter().map(|v| v.to_bits()).collect()
+}
+
+/// What `online` answers for `request`: the potential's bits, its cost.
+fn answer(online: &OnlineEngine<'_, '_>, (targets, evidence): &Request) -> (Vec<u64>, String) {
+    let (p, cost) = if evidence.is_empty() {
+        online.answer(targets).unwrap()
+    } else {
+        online.conditional(targets, evidence).unwrap()
+    };
+    (bits(&p), format!("{cost:?}"))
+}
+
+/// The answer of an engine with an empty memo over `engine`'s tables.
+fn fresh_answer(
+    tree: &JunctionTree,
+    engine: &QueryEngine<'_>,
+    mat: &Materialization,
+    request: &Request,
+) -> (Vec<u64>, String) {
+    let slab = engine.numeric_state().unwrap().arena().slab();
+    let fresh = QueryEngine::from_calibrated(
+        tree,
+        NumericState::from_calibrated_slab(tree, slab).unwrap(),
+    );
+    assert_eq!(fresh.memo_usage().0, 0);
+    answer(&OnlineEngine::new(&fresh, mat), request)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn a_warm_engine_answers_as_a_fresh_one(seed in 0u64..10_000, n in 8usize..14) {
+        let Some(bn) = generated(seed, n) else { return Ok(()) };
+        let mut rng = TestRng::seed_from_u64(seed);
+        let tree = build_junction_tree(&bn).unwrap();
+        let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+        let epochs = [random_materialization(&engine, &mut rng), random_materialization(&engine, &mut rng)];
+        let requests = stream(&bn, 24, &mut rng);
+        for (round, mat) in [&epochs[0], &epochs[1], &epochs[0]].into_iter().enumerate() {
+            let online = OnlineEngine::new(&engine, mat);
+            for request in &requests {
+                let want = fresh_answer(&tree, &engine, mat, request);
+                prop_assert_eq!(answer(&online, request), want, "round {}: {:?}", round, request);
+            }
+        }
+        let (held, cap) = engine.memo_usage();
+        prop_assert!(held <= cap, "{} entries over a cap of {}", held, cap);
+    }
+}
+
+/// Two threads answer one stream, in opposite orders, on one engine whose
+/// memo starts empty: each answer is the fresh engine's. The network and
+/// materialization are fixed so the premise holds — shortcuts are used,
+/// and the memo files messages.
+#[test]
+fn two_threads_sharing_a_memo_answer_as_fresh_engines() {
+    let (bn, seed) = (0..64u64)
+        .find_map(|seed| Some((generated(seed, 14)?, seed)))
+        .unwrap();
+    let mut rng = TestRng::seed_from_u64(seed);
+    let tree = build_junction_tree(&bn).unwrap();
+    let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+    let mat = random_materialization(&engine, &mut rng);
+    let requests = stream(&bn, 96, &mut rng);
+    let want: Vec<_> = requests
+        .iter()
+        .map(|r| fresh_answer(&tree, &engine, &mat, r))
+        .collect();
+    let online = OnlineEngine::new(&engine, &mat);
+    let contracted = requests
+        .iter()
+        .filter(|(t, _)| online.cost(t).unwrap().shortcuts_used > 0)
+        .count();
+    assert!(contracted > 0, "test premise: some plan is contracted");
+    std::thread::scope(|s| {
+        for reversed in [false, true] {
+            let (online, requests, want) = (&online, &requests, &want);
+            s.spawn(move || {
+                let order: Vec<usize> = if reversed {
+                    (0..requests.len()).rev().collect()
+                } else {
+                    (0..requests.len()).collect()
+                };
+                for i in order {
+                    assert_eq!(answer(online, &requests[i]), want[i], "{:?}", requests[i]);
+                }
+            });
+        }
+    });
+    let (held, cap) = engine.memo_usage();
+    assert!(0 < held && held <= cap, "{held} entries, cap {cap}");
+}

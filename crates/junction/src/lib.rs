@@ -26,6 +26,7 @@ pub mod arena;
 pub mod build;
 pub mod calibrate;
 pub mod cost;
+mod memo;
 pub mod moral;
 pub mod query;
 pub mod reduced;

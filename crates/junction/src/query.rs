@@ -3,19 +3,21 @@
 
 use crate::calibrate::NumericState;
 use crate::cost::QueryCost;
+use crate::memo::MessageMemo;
 use crate::reduced::ReducedTree;
 use crate::rooted::RootedTree;
 use crate::steiner::SteinerTree;
 use crate::tree::{CliqueId, JunctionTree};
 use peanut_pgm::{BayesianNetwork, PgmError, Potential, Scope, Scratch, Var};
 
-/// How a query will be processed.
+/// How a query will be processed: over its Steiner tree `T`, or — for
+/// [`QueryEngine::plan_reduced`] — that tree and its plan.
 #[derive(Clone, Debug)]
-pub enum QueryPlan {
+pub enum QueryPlan<T = SteinerTree> {
     /// All query variables lie in one clique: direct marginalization.
     InClique(CliqueId),
     /// Out-of-clique: message passing over a Steiner tree.
-    OutOfClique(SteinerTree),
+    OutOfClique(T),
 }
 
 /// A junction tree prepared for query answering.
@@ -24,20 +26,34 @@ pub enum QueryPlan {
 /// Without potentials the engine runs in *symbolic* mode: it computes exact
 /// operation counts but cannot produce numeric answers (this is how the
 /// paper evaluates the datasets whose calibration is infeasible).
+///
+/// A numeric engine also keeps the directed messages its answers send, for
+/// its lifetime, in a bounded memo (`crate::reduced`, "The message memo").
+/// The memo belongs to the calibrated tables: an engine restricted to
+/// evidence or rebuilt from a slab starts with an empty one.
 pub struct QueryEngine<'t> {
     tree: &'t JunctionTree,
     rooted: RootedTree,
     numeric: Option<NumericState>,
+    memo: MessageMemo,
 }
 
 impl<'t> QueryEngine<'t> {
+    /// An engine over `numeric`'s tables (none: symbolic), with an empty
+    /// message memo sized to them.
+    fn over(tree: &'t JunctionTree, rooted: RootedTree, numeric: Option<NumericState>) -> Self {
+        let slab = numeric.as_ref().map_or(0, |ns| ns.arena().slab().len());
+        QueryEngine {
+            tree,
+            rooted,
+            numeric,
+            memo: MessageMemo::new(slab),
+        }
+    }
+
     /// Symbolic engine (size-only).
     pub fn symbolic(tree: &'t JunctionTree) -> Self {
-        QueryEngine {
-            rooted: RootedTree::new(tree),
-            tree,
-            numeric: None,
-        }
+        Self::over(tree, RootedTree::new(tree), None)
     }
 
     /// Numeric engine: initializes and calibrates dense potentials.
@@ -45,11 +61,7 @@ impl<'t> QueryEngine<'t> {
         let rooted = RootedTree::new(tree);
         let mut ns = NumericState::initialize(tree, bn)?;
         ns.calibrate(tree, &rooted)?;
-        Ok(QueryEngine {
-            tree,
-            rooted,
-            numeric: Some(ns),
-        })
+        Ok(Self::over(tree, rooted, Some(ns)))
     }
 
     /// Numeric engine over an **already calibrated** state — the store
@@ -59,11 +71,7 @@ impl<'t> QueryEngine<'t> {
     /// [`NumericState::from_calibrated_slab`]).
     pub fn from_calibrated(tree: &'t JunctionTree, ns: NumericState) -> Self {
         debug_assert!(ns.is_calibrated(), "rehydration requires calibrated state");
-        QueryEngine {
-            rooted: RootedTree::new(tree),
-            tree,
-            numeric: Some(ns),
-        }
+        Self::over(tree, RootedTree::new(tree), Some(ns))
     }
 
     /// The underlying tree (the full `'t` borrow, so callers can retain it
@@ -85,6 +93,12 @@ impl<'t> QueryEngine<'t> {
         self.numeric.as_ref()
     }
 
+    /// The table entries the message memo holds, and the most it may hold:
+    /// a fixed multiple of the calibrated slab (`(0, 0)` when symbolic).
+    pub fn memo_usage(&self) -> (usize, usize) {
+        self.memo.usage()
+    }
+
     /// Classifies a query (paper §3.1): in-clique vs out-of-clique.
     pub fn plan(&self, query: &Scope) -> Result<QueryPlan, PgmError> {
         let st = SteinerTree::extract(self.tree, &self.rooted, query)?;
@@ -95,10 +109,35 @@ impl<'t> QueryEngine<'t> {
         }
     }
 
+    /// [`plan`](Self::plan), with an out-of-clique query's Steiner tree
+    /// planned as [`reduced_for`](Self::reduced_for) plans it — except that
+    /// this plan is the engine's own, bound to `query` and the engine's
+    /// message memo: answering `query` on it, or on a contraction of it,
+    /// takes and files messages there (`crate::reduced`, "The message
+    /// memo"). This engine's doors run these plans, and the online phase
+    /// shrinks them with shortcut potentials before running them.
+    pub fn plan_reduced(
+        &self,
+        query: &Scope,
+    ) -> Result<QueryPlan<(SteinerTree, ReducedTree<'_>)>, PgmError> {
+        Ok(match self.plan(query)? {
+            QueryPlan::InClique(u) => QueryPlan::InClique(u),
+            QueryPlan::OutOfClique(st) => {
+                let ns = self.numeric.as_ref();
+                let rt = ReducedTree::from_steiner(self.tree, &self.rooted, &st, ns);
+                // a symbolic plan never answers: nothing to bind
+                let rt = match ns {
+                    Some(_) => rt.with_memo(&self.memo, query),
+                    None => rt,
+                };
+                QueryPlan::OutOfClique((st, rt))
+            }
+        })
+    }
+
     /// The reduced tree a query would be processed on (`None` for in-clique
-    /// queries): a view borrowing this engine's tree and calibrated tables.
-    /// The materialization layer shrinks such a plan with shortcut
-    /// potentials before running it.
+    /// queries): a view borrowing this engine's tree and calibrated tables,
+    /// which runs without the message memo.
     pub fn reduced_for(&self, query: &Scope) -> Result<Option<ReducedTree<'_>>, PgmError> {
         match self.plan(query)? {
             QueryPlan::InClique(_) => Ok(None),
@@ -129,7 +168,8 @@ impl<'t> QueryEngine<'t> {
     /// Numeric answer `P(query)` plus its cost — [`cost`](Self::cost)'s, the
     /// count toward `r_q`, though an out-of-clique pass runs toward the
     /// Steiner member where that count is smallest
-    /// ([`ReducedTree::answer_in`]). Requires numeric mode.
+    /// ([`ReducedTree::answer_in`]), through the message memo. Requires
+    /// numeric mode.
     pub fn answer(&self, query: &Scope) -> Result<(Potential, QueryCost), PgmError> {
         self.answer_in(query, &mut Scratch::new())
     }
@@ -142,16 +182,13 @@ impl<'t> QueryEngine<'t> {
         scratch: &mut Scratch,
     ) -> Result<(Potential, QueryCost), PgmError> {
         let ns = self.numeric.as_ref().ok_or(PgmError::SymbolicEngine)?;
-        match self.plan(query)? {
+        match self.plan_reduced(query)? {
             QueryPlan::InClique(u) => {
                 let pot = ns.clique_table(u).marginalize_in(query, scratch)?;
                 let cost = QueryCost::in_clique(self.tree.clique(u), self.tree.domain());
                 Ok((pot, cost))
             }
-            QueryPlan::OutOfClique(st) => {
-                let rt = ReducedTree::from_steiner(self.tree, &self.rooted, &st, Some(ns));
-                rt.answer_in(query, self.tree.domain(), scratch)
-            }
+            QueryPlan::OutOfClique((_, rt)) => rt.answer_in(query, self.tree.domain(), scratch),
         }
     }
 
@@ -162,18 +199,16 @@ impl<'t> QueryEngine<'t> {
     /// recalibration passes are paid here, once; a stream of queries under
     /// the same pinned evidence then runs as plain marginals: each charged
     /// its plain count toward `r_q`, each pass run toward its cheapest
-    /// Steiner member. Requires numeric mode.
+    /// Steiner member. The restricted engine's message memo starts empty:
+    /// none of this engine's messages holds for its tables. Requires
+    /// numeric mode.
     pub fn restricted_to_evidence(
         &self,
         evidence: &[(Var, u32)],
     ) -> Result<QueryEngine<'t>, PgmError> {
         let ns = self.numeric.as_ref().ok_or(PgmError::SymbolicEngine)?;
         let restricted = ns.with_evidence(self.tree, &self.rooted, evidence)?;
-        Ok(QueryEngine {
-            tree: self.tree,
-            rooted: self.rooted.clone(),
-            numeric: Some(restricted),
-        })
+        Ok(Self::over(self.tree, self.rooted.clone(), Some(restricted)))
     }
 
     /// Conditional distribution `P(targets | evidence)` via the paper's
@@ -404,5 +439,140 @@ mod tests {
         let eng = QueryEngine::symbolic(&tree);
         let q = Scope::from_indices(&[0]);
         assert!(matches!(eng.answer(&q), Err(PgmError::SymbolicEngine)));
+        assert_eq!(eng.memo_usage(), (0, 0));
+    }
+
+    fn bits(p: &Potential) -> Vec<u64> {
+        p.values().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every pair and triple of consecutive variables of `bn`.
+    fn scopes(bn: &BayesianNetwork) -> Vec<Scope> {
+        let n = bn.n_vars() as u32;
+        let pairs = (0..n).flat_map(|a| (a + 1..n).map(move |b| Scope::from_indices(&[a, b])));
+        let triples = (0..n.saturating_sub(2)).map(|a| Scope::from_indices(&[a, a + 1, a + 2]));
+        pairs.chain(triples).collect()
+    }
+
+    /// An engine over `engine`'s tables whose memo is empty.
+    fn cold<'t>(engine: &QueryEngine<'t>) -> QueryEngine<'t> {
+        let slab = engine.numeric_state().unwrap().arena().slab();
+        let ns = NumericState::from_calibrated_slab(engine.tree(), slab).unwrap();
+        QueryEngine::from_calibrated(engine.tree(), ns)
+    }
+
+    /// The memo belongs to the tables: an engine warmed by a stream answers
+    /// as cold engines over the same tables do, and the session it opens
+    /// starts with an empty memo and answers bit for bit as the session a
+    /// cold engine opens.
+    #[test]
+    fn a_warm_engine_and_its_sessions_answer_as_cold_ones() {
+        let bn = fixtures::chain(10, 3, 4);
+        let tree = build_junction_tree(&bn).unwrap();
+        let warm = QueryEngine::numeric(&tree, &bn).unwrap();
+        let scopes = scopes(&bn);
+        for q in &scopes {
+            warm.answer(q).unwrap();
+        }
+        let (held, cap) = warm.memo_usage();
+        assert!(0 < held && held <= cap, "{held} entries, cap {cap}");
+        for q in &scopes {
+            let (got, cost) = warm.answer(q).unwrap();
+            let (want, want_cost) = cold(&warm).answer(q).unwrap();
+            assert_eq!(bits(&got), bits(&want), "{q}");
+            assert_eq!(cost, want_cost, "{q}");
+        }
+        let evidence = [(Var(9), 1), (Var(3), 0)];
+        let session = warm.restricted_to_evidence(&evidence).unwrap();
+        let reference = cold(&warm).restricted_to_evidence(&evidence).unwrap();
+        assert_eq!(session.memo_usage().0, 0);
+        for q in &scopes {
+            let (got, _) = session.answer(q).unwrap();
+            let (want, _) = reference.answer(q).unwrap();
+            assert_eq!(bits(&got), bits(&want), "{q} | e");
+        }
+    }
+
+    /// Only a plan bound to its own query reads the memo, and nothing else
+    /// fills it. A constant table planted under every key a pass for
+    /// `{x0, x7}` could look up changes what the engine answers for it;
+    /// the same plan answered for `{x0}`, the plans `reduced_for` and
+    /// `from_steiner` build (one over members that are no Steiner tree) and
+    /// `region_joints` answer as on a clean engine, and file nothing.
+    #[test]
+    fn only_a_bound_plan_reads_the_memo() {
+        use crate::reduced::region_joints;
+        let bn = fixtures::chain(8, 3, 5);
+        let tree = build_junction_tree(&bn).unwrap();
+        let d = bn.domain();
+        let clean = QueryEngine::numeric(&tree, &bn).unwrap();
+        let planted = cold(&clean);
+        let (q, x0) = (Scope::from_indices(&[0, 7]), Scope::from_indices(&[0]));
+        for &(a, b) in tree.edges() {
+            for (u, p) in [(a, b), (b, a)] {
+                for held in [&[][..], &[0], &[7], &[0, 7]] {
+                    let sep = tree.clique(u).intersect(tree.clique(p));
+                    let scope = sep.union(&Scope::from_indices(held));
+                    let table = Potential::filled(scope, d, 0.5).unwrap();
+                    let mut key = vec![u as u32, p as u32];
+                    key.extend(held);
+                    planted.memo.plant(key, table);
+                }
+            }
+        }
+        let (got, _) = planted.answer(&q).unwrap();
+        let (want, _) = clean.answer(&q).unwrap();
+        assert_ne!(
+            bits(&got),
+            bits(&want),
+            "the bound plan takes what was planted"
+        );
+
+        let filled = planted.memo_usage();
+        let QueryPlan::OutOfClique((st, bound)) = planted.plan_reduced(&q).unwrap() else {
+            panic!("{q} is out of clique");
+        };
+        let clean_plan = clean.reduced_for(&q).unwrap().unwrap();
+        let answer = |rt: &ReducedTree<'_>, q: &Scope| bits(&rt.answer(q, d).unwrap().0);
+        assert_eq!(answer(&bound, &x0), answer(&clean_plan, &x0));
+        let unbound = planted.reduced_for(&q).unwrap().unwrap();
+        assert_eq!(answer(&unbound, &q), bits(&want));
+        let (ns, rooted) = (planted.numeric_state(), planted.rooted());
+        let everything = SteinerTree::from_parts((0..tree.n_cliques()).collect(), tree.pivot());
+        for members in [&st, &everything] {
+            let external = ReducedTree::from_steiner(&tree, rooted, members, ns);
+            let reference =
+                ReducedTree::from_steiner(&tree, rooted, members, clean.numeric_state());
+            assert_eq!(answer(&external, &q), answer(&reference, &q));
+        }
+        let all: Vec<usize> = (0..tree.n_cliques()).collect();
+        let region = [(&all[..], tree.pivot(), &q)];
+        let built = region_joints(&tree, rooted, ns.unwrap(), &region).unwrap();
+        let want_built = region_joints(&tree, rooted, clean.numeric_state().unwrap(), &region);
+        assert_eq!(bits(&built[0].0), bits(&want_built.unwrap()[0].0));
+        assert_eq!(planted.memo_usage(), filled, "only the bound plan files");
+    }
+
+    /// A stream that would file more than the cap leaves the memo within
+    /// it, answering as an engine with room to spare does.
+    #[test]
+    fn the_memo_holds_no_more_than_its_cap() {
+        let bn = fixtures::chain(12, 4, 2);
+        let tree = build_junction_tree(&bn).unwrap();
+        let roomy = QueryEngine::numeric(&tree, &bn).unwrap();
+        let mut tight = cold(&roomy);
+        tight.memo = MessageMemo::with_cap(100);
+        for q in scopes(&bn) {
+            let (got, _) = tight.answer(&q).unwrap();
+            let (want, _) = roomy.answer(&q).unwrap();
+            assert_eq!(bits(&got), bits(&want), "{q}");
+        }
+        let (held, cap) = tight.memo_usage();
+        assert!(
+            0 < held && held <= cap && cap == 100,
+            "{held} entries, cap {cap}"
+        );
+        let (filed, cap) = roomy.memo_usage();
+        assert!(100 < filed && filed <= cap, "{filed} entries, cap {cap}");
     }
 }

@@ -42,9 +42,34 @@
 //! between the two roots turn around, each edge's separator going to the
 //! endpoint that is now the child). [`region_joints`] keeps each region's
 //! own root.
+//!
+//! # The message memo
+//!
+//! A numeric [`QueryEngine`](crate::QueryEngine) keeps the directed
+//! messages its passes send, for its lifetime (`crate::memo`), and the
+//! plans it extracts itself consult it: the plans of its own doors and of
+//! [`QueryEngine::plan_reduced`](crate::QueryEngine::plan_reduced), which
+//! the online phase contracts and runs. Such a plan is bound to the query
+//! it is the Steiner tree of; answered for that query, its pass looks up,
+//! top-down and under one lock, every node whose subtree holds only cliques
+//! and whose parent is a clique, by `(clique, parent clique, query
+//! variables held below)`. A message found there is taken, and its whole
+//! subtree is skipped. A message not found is computed; if its subtree's
+//! kernels walked enough product entries per message entry and the memo has
+//! room, a copy is filed once the pass is done. A node whose subtree holds a
+//! shortcut is always computed, since its message depends on the epoch's
+//! tables; so is one whose parent is a shortcut, whose scope then decides
+//! the message's target. Why a taken message is bit for bit the one the
+//! pass would compute is in the memo module's docs. A plan built
+//! with [`ReducedTree::from_steiner`] need not be a Steiner tree, so it
+//! runs without the memo, and so does a bound plan answered for another
+//! query. [`region_joints`] keeps its own memo for the call, keyed by the
+//! subtree's labels. The charge is untouched: a taken message is still
+//! counted in `QueryCost.ops`.
 
 use crate::calibrate::NumericState;
 use crate::cost::{node_ops_of_size, QueryCost};
+use crate::memo::{self, MessageMemo};
 use crate::rooted::RootedTree;
 use crate::steiner::SteinerTree;
 use crate::tree::{CliqueId, JunctionTree};
@@ -53,6 +78,7 @@ use peanut_pgm::{
     Scratch, Size, TableRef, Var,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Provenance of a reduced-tree node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -92,6 +118,9 @@ pub struct ReducedTree<'a> {
     /// Post-order of the nodes: every subtree contiguous, a node's child
     /// subtrees last child first, the root last. Computed once per tree.
     order: Vec<usize>,
+    /// The engine's message memo and the one query this plan may use it
+    /// for (module docs, "The message memo").
+    memo: Option<(&'a MessageMemo, Scope)>,
 }
 
 impl<'a> ReducedTree<'a> {
@@ -181,7 +210,15 @@ impl<'a> ReducedTree<'a> {
             shortcuts_used,
             child_list,
             order,
+            memo: None,
         }
+    }
+
+    /// This plan bound to the engine's `memo` for `query`, whose Steiner
+    /// tree it must be.
+    pub(crate) fn with_memo(mut self, memo: &'a MessageMemo, query: &Scope) -> Self {
+        self.memo = Some((memo, query.clone()));
+        self
     }
 
     /// Number of nodes.
@@ -358,11 +395,10 @@ impl<'a> ReducedTree<'a> {
             });
         }
         let root = new_index[self.root];
-        Ok(Self::linked(
-            nodes,
-            root,
-            self.shortcuts_used + shortcuts.len(),
-        ))
+        let mut contracted = Self::linked(nodes, root, self.shortcuts_used + shortcuts.len());
+        // the kept nodes are the Steiner tree's, so the binding holds
+        contracted.memo = self.memo.clone();
+        Ok(contracted)
     }
 
     /// The pricing pass, node by node: `(held, ops)` where `ops[u]` is what
@@ -406,6 +442,8 @@ impl<'a> ReducedTree<'a> {
     /// The pass runs toward the member where the paper's count is smallest
     /// (module docs, "Where a query's pass runs to"); the cost reported is
     /// the count toward `r_q`, [`cost`](Self::cost)'s, whichever root ran.
+    /// On a plan the engine bound to `query`, the pass takes and files
+    /// messages in the engine's memo (module docs, "The message memo").
     ///
     /// A node's message is its potential times the incoming messages,
     /// summed onto what goes up, in one fused pass that never builds the
@@ -422,12 +460,22 @@ impl<'a> ReducedTree<'a> {
         let mut tally = Tally::new(self, query, domain);
         let cost = self.charged(tally.ops);
         let root = tally.cheapest_root(self, query, domain);
-        let answer = if root == self.root {
-            self.pass(query, &tally, scratch, &mut Recycled)?
+        let rehung;
+        let plan = if root == self.root {
+            self
         } else {
-            let plan = self.rehung(root);
-            tally.recount(&plan, query);
-            plan.pass(query, &tally, scratch, &mut Recycled)?
+            rehung = self.rehung(root);
+            tally.recount(&rehung, query);
+            &rehung
+        };
+        let answer = match &self.memo {
+            Some((memo, bound)) if bound == query => {
+                let mut memoized = Memoized::new(memo, domain);
+                let answer = plan.pass(query, &tally, scratch, &mut memoized)?;
+                memoized.file();
+                answer
+            }
+            _ => plan.pass(query, &tally, scratch, &mut Recycled)?,
         };
         Ok((answer, cost))
     }
@@ -448,6 +496,8 @@ impl<'a> ReducedTree<'a> {
         // last to first, so its incoming messages are the top of this stack,
         // the first child's uppermost
         let mut messages: Vec<M::Sent> = Vec::new();
+        // one factor list for the pass, emptied and lent to each node
+        let mut spare: Vec<TableRef<'static>> = Vec::new();
         for &u in &self.order {
             let n = &self.nodes[u];
             match memo.step(u) {
@@ -470,9 +520,12 @@ impl<'a> ReducedTree<'a> {
             };
             let first = messages.len() - self.children(u).len();
             let mut message = {
-                let mut factors = vec![n.potential.ok_or(PgmError::SymbolicEngine)?];
+                let mut factors = relent(std::mem::take(&mut spare));
+                factors.push(n.potential.ok_or(PgmError::SymbolicEngine)?);
                 factors.extend(messages[first..].iter().rev().map(|m| memo.view(m)));
-                product_marginalize_views(&factors, &target, scratch)?
+                let message = product_marginalize_views(&factors, &target, scratch);
+                spare = relent(factors);
+                message?
             };
             for spent in messages.drain(first..).rev() {
                 memo.spend(spent, scratch);
@@ -490,6 +543,13 @@ impl<'a> ReducedTree<'a> {
         // lint:allow(hot_panic) — a tree has a root, and it closes the post-order
         unreachable!("the root's answer")
     }
+}
+
+/// `factors` emptied, on the same allocation, as a list of views of any
+/// lifetime: the in-place `collect` of an emptied vector keeps its buffer.
+fn relent<'b>(mut factors: Vec<TableRef<'_>>) -> Vec<TableRef<'b>> {
+    factors.clear();
+    factors.into_iter().map_while(|_| None).collect()
 }
 
 /// One query's structural walk over a plan, in one buffer: row `u` holds
@@ -558,6 +618,12 @@ impl Tally {
                 }
             }
         }
+    }
+
+    /// Entries of node `u`'s table.
+    #[inline]
+    fn size(&self, u: usize) -> Size {
+        self.rows[u * self.width + SIZE]
     }
 
     /// Whether node `u`'s subtree holds the `i`-th query variable.
@@ -658,7 +724,7 @@ pub fn region_joints(
     numeric: &NumericState,
     regions: &[(&[CliqueId], CliqueId, &Scope)],
 ) -> Result<Vec<(Potential, Size)>, PgmError> {
-    let mut memo = MessageMemo::default();
+    let mut memo = LabelMemo::default();
     let mut scratch = Scratch::new();
     regions
         .iter()
@@ -700,9 +766,10 @@ enum Step<S> {
 }
 
 /// Where a numeric pass keeps the messages it sends, and which it need not
-/// send. The query path recycles each message once its parent consumed it
-/// ([`Recycled`]); a batch of region builds keeps them for the call
-/// ([`MessageMemo`]).
+/// send. A query's pass recycles each message once its parent consumed it
+/// ([`Recycled`]), through the engine's memo on a bound plan
+/// ([`Memoized`]); a batch of region builds keeps them for the call
+/// ([`LabelMemo`]).
 trait Messages {
     /// A sent message as the pass's stack holds it.
     type Sent;
@@ -756,7 +823,7 @@ type MemoKey = (Vec<NodeLabel>, Vec<Var>);
 /// [`region_joints`]' [`Messages`]: every non-root message of the call,
 /// filed by [`MemoKey`].
 #[derive(Default)]
-struct MessageMemo {
+struct LabelMemo {
     filed: HashMap<MemoKey, usize>,
     sent: Vec<Potential>,
     /// The current pass, per node: its step, and the key its message is
@@ -765,7 +832,7 @@ struct MessageMemo {
     keys: Vec<Option<MemoKey>>,
 }
 
-impl Messages for MessageMemo {
+impl Messages for LabelMemo {
     type Sent = usize;
 
     fn recall(&mut self, tree: &ReducedTree<'_>, query: &Scope, tally: &Tally) {
@@ -824,6 +891,173 @@ impl Messages for MessageMemo {
 
     /// Messages stay for the call: a later region may take them.
     fn spend(&mut self, _: usize, _: &mut Scratch) {}
+}
+
+/// A bound plan's [`Messages`] (module docs, "The message memo"): a message
+/// the engine's memo holds is taken, one it lacks is sent, recycled once
+/// consumed and — if it qualifies — filed by [`file`](Self::file).
+struct Memoized<'m> {
+    memo: &'m MessageMemo,
+    domain: &'m Domain,
+    /// The current pass, per node.
+    slots: Vec<Slot>,
+    /// The keys of the nodes whose messages the memo may hold, back to back.
+    keys: Vec<u32>,
+    /// The messages taken from the memo.
+    taken: Vec<Arc<Potential>>,
+    /// What to file: keys and copies of the messages.
+    filing: Vec<(Box<[u32]>, Potential)>,
+    /// Entries the memo has room for, less what is to be filed.
+    room: usize,
+}
+
+/// One node of a [`Memoized`] pass.
+#[derive(Clone, Copy)]
+struct Slot {
+    step: Step<usize>,
+    /// Product entries the kernels of the node's subtree walk.
+    walked: Size,
+    /// Whether the node's subtree holds only cliques.
+    plain: bool,
+    /// The node's key in [`Memoized::keys`], when the memo may file its
+    /// message.
+    key: Option<(usize, usize)>,
+}
+
+/// A message on a [`Memoized`] pass's stack.
+enum Sent {
+    /// Computed by this pass.
+    Fresh(Potential),
+    /// The `i`-th taken message.
+    Taken(usize),
+}
+
+impl<'m> Memoized<'m> {
+    fn new(memo: &'m MessageMemo, domain: &'m Domain) -> Self {
+        Memoized {
+            memo,
+            domain,
+            slots: Vec::new(),
+            keys: Vec::new(),
+            taken: Vec::new(),
+            filing: Vec::new(),
+            room: 0,
+        }
+    }
+
+    /// Files what the pass computed that qualified.
+    fn file(self) {
+        if !self.filing.is_empty() {
+            self.memo.file(self.filing);
+        }
+    }
+}
+
+impl Messages for Memoized<'_> {
+    type Sent = Sent;
+
+    fn recall(&mut self, tree: &ReducedTree<'_>, query: &Scope, tally: &Tally) {
+        let slot = Slot {
+            step: Step::Send,
+            walked: 0,
+            plain: true,
+            key: None,
+        };
+        self.slots.clear();
+        self.slots.resize(tree.len(), slot);
+        // children precede parents: what each subtree walks, and whether
+        // it holds only cliques
+        for &u in &tree.order {
+            let node = &tree.nodes[u];
+            let mut product = tally.size(u);
+            for (i, x) in query.iter().enumerate() {
+                if tally.holds(u, i) && !node.scope.contains(x) {
+                    product = product.saturating_mul(u64::from(self.domain.card(x)));
+                }
+            }
+            let slot = &mut self.slots[u];
+            slot.walked = slot.walked.saturating_add(product);
+            slot.plain &= matches!(node.label, NodeLabel::Clique(_));
+            let (walked, plain) = (slot.walked, slot.plain);
+            if let Some(p) = node.parent {
+                let up = &mut self.slots[p];
+                up.walked = up.walked.saturating_add(walked);
+                up.plain &= plain;
+            }
+        }
+        // a poisoned memo is a miss everywhere, and files nothing
+        let Some(shelf) = self.memo.open() else {
+            return;
+        };
+        self.room = shelf.room;
+        // top-down, so a taken message skips its subtree unlooked-at
+        for &u in tree.order.iter().rev() {
+            let node = &tree.nodes[u];
+            let Some(p) = node.parent else {
+                continue; // the root's message is the answer
+            };
+            if !matches!(self.slots[p].step, Step::Send) {
+                self.slots[u].step = Step::Skip;
+                continue;
+            }
+            let (NodeLabel::Clique(c), NodeLabel::Clique(pc)) = (node.label, tree.nodes[p].label)
+            else {
+                continue;
+            };
+            if !self.slots[u].plain {
+                continue;
+            }
+            let start = self.keys.len();
+            let held = (0..query.len()).filter(|&i| tally.holds(u, i));
+            memo::push_key(&mut self.keys, c, pc, held.map(|i| query.vars()[i]));
+            match shelf.get(&self.keys[start..]) {
+                Some(message) => {
+                    self.slots[u].step = Step::Known(self.taken.len());
+                    self.taken.push(message);
+                }
+                None => self.slots[u].key = Some((start, self.keys.len())),
+            }
+        }
+    }
+
+    #[inline]
+    fn step(&self, u: usize) -> Step<Sent> {
+        match self.slots[u].step {
+            Step::Send => Step::Send,
+            Step::Known(i) => Step::Known(Sent::Taken(i)),
+            Step::Skip => Step::Skip,
+        }
+    }
+
+    #[inline]
+    fn view<'s>(&'s self, sent: &'s Sent) -> TableRef<'s> {
+        match sent {
+            Sent::Fresh(message) => message.view(),
+            Sent::Taken(i) => self.taken[*i].view(),
+        }
+    }
+
+    fn send(&mut self, u: usize, message: Potential) -> Sent {
+        let Slot { walked, key, .. } = self.slots[u];
+        if let Some((start, end)) = key {
+            let entries = message.len();
+            if entries <= self.room && memo::admits(walked, entries) {
+                self.room -= entries;
+                // a copy at its exact size: the message's own buffer may be a
+                // larger pooled one, and goes back to the scratch
+                self.filing
+                    .push((self.keys[start..end].into(), message.clone()));
+            }
+        }
+        Sent::Fresh(message)
+    }
+
+    #[inline]
+    fn spend(&mut self, sent: Sent, scratch: &mut Scratch) {
+        if let Sent::Fresh(message) = sent {
+            scratch.recycle(message);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1102,7 +1336,7 @@ mod tests {
         ns: &NumericState,
         regions: &[&(Vec<usize>, usize, Scope)],
     ) -> (Vec<Potential>, usize) {
-        let (mut memo, mut scratch) = (MessageMemo::default(), Scratch::new());
+        let (mut memo, mut scratch) = (LabelMemo::default(), Scratch::new());
         let tables = regions
             .iter()
             .map(|(members, root, scope)| {

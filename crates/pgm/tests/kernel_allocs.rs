@@ -130,7 +130,10 @@ fn a_warm_kernel_allocates_only_its_result() {
 
 /// What message passing allocates per query: `ReducedTree::answer_in` over
 /// every out-of-clique variable pair of Child on the plain tree, one warm
-/// `Scratch` recycling each answer. Printed for the ledger, not asserted.
+/// `Scratch` recycling each answer. Printed for the ledger, not asserted:
+/// 59.3 calls per query (8.31 per node) since the pass lends one factor
+/// list to every node, 71.4 (10.01) when each node built its own. The plan
+/// comes from `reduced_for`, so the engine's message memo is not involved.
 #[test]
 fn child_answer_in_allocations() {
     let bn = peanut_datasets::dataset("Child").unwrap().build().unwrap();

@@ -4,7 +4,8 @@
 //!   **bit-identically** — arena slab, table pack, shortcut structure,
 //!   and every answer (marginal and evidence-conditioned), on fixtures
 //!   and on random networks;
-//! * rehydrated answers also agree with a single-threaded VE oracle;
+//! * rehydrated answers also agree with a single-threaded VE oracle, and a
+//!   rehydrated engine starts with an empty message memo;
 //! * corrupted, truncated, or wrong-version files fail loudly with the
 //!   typed [`PgmError`] variants — never a silent wrong answer; every
 //!   single-bit flip of a version-1 or version-2 file is refused;
@@ -120,7 +121,7 @@ fn assert_round_trip(
 
 /// Rehydrates `stored` and asserts the tables and every answer are
 /// bit-identical to the in-RAM `(engine, mat)` and within 1e-9 of the VE
-/// oracle.
+/// oracle, and that the rehydrated engine's message memo starts empty.
 fn assert_rehydrates_identically(
     bn: &BayesianNetwork,
     tree: &JunctionTree,
@@ -131,6 +132,7 @@ fn assert_rehydrates_identically(
 ) {
     let bits = |p: &Potential| p.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let (rengine, rmat) = rehydrate_engine(tree, stored).unwrap();
+    assert_eq!(rengine.memo_usage(), (0, engine.memo_usage().1));
     assert_eq!(rmat.epoch, mat.epoch);
     assert_eq!(rmat.len(), mat.len());
     for (a, b) in rmat.shortcuts.iter().zip(&mat.shortcuts) {
@@ -173,6 +175,26 @@ fn fixture_epochs_round_trip_bit_identically() {
         let path = dir.join(format!("fixture{i}.pnut"));
         assert_round_trip(&bn, &tree, &engine, &mat, &path, 11 * i as u64);
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// However warm the persisted engine's message memo, the rehydrated engine
+/// starts with an empty one and answers bit for bit as the warm one does.
+#[test]
+fn a_rehydrated_engine_starts_with_an_empty_memo() {
+    let dir = temp_dir("memo");
+    let bn = fixtures::chain(10, 3, 4);
+    let tree = build_junction_tree(&bn).unwrap();
+    let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+    let mat = select_mat(&bn, &tree, &engine, 256, 5);
+    let online = OnlineEngine::new(&engine, &mat);
+    for a in 0..10 {
+        for b in a + 1..10 {
+            online.answer(&Scope::from_indices(&[a, b])).unwrap();
+        }
+    }
+    assert!(engine.memo_usage().0 > 0, "test premise: a warm memo");
+    assert_round_trip(&bn, &tree, &engine, &mat, &dir.join("warm.pnut"), 5);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -84,6 +84,7 @@ const HOT_PATHS: &[&str] = &[
     "crates/core/src/shortcut.rs",
     "crates/junction/src/steiner.rs",
     "crates/junction/src/reduced.rs",
+    "crates/junction/src/memo.rs",
     "crates/junction/src/calibrate.rs",
     "crates/junction/src/query.rs",
     "crates/pgm/src/potential.rs",
