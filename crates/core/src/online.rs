@@ -6,12 +6,12 @@
 //! Every entry point — `answer*`, `conditional*`,
 //! [`reduce`](OnlineEngine::reduce), [`cost`](OnlineEngine::cost) — goes
 //! through one private planning routine, `planned`: it extracts the Steiner
-//! tree once (the only call of `QueryEngine::plan_reduced`), answers "in
-//! clique `u`" or plans the tree as a [`ReducedTree`] of borrowed clique and
-//! separator tables, and builds at most one more tree, the one that runs.
-//! The plan is the engine's own, bound to the query: its answer takes and
-//! files messages of plain subtrees in the engine's message memo, which
-//! outlives every epoch (`peanut_junction::reduced`, "The message memo").
+//! tree once, answers "in clique `u`" or plans the tree as a
+//! [`ReducedTree`] of borrowed clique and separator tables, and builds at
+//! most one more tree, the one that runs. Its answer takes and files
+//! messages of plain subtrees in the memo of the engine's calibrated
+//! tables, which outlives every epoch (`peanut_junction::reduced`, "The
+//! message memo").
 //! Usefulness is word operations between the shortcut's bitsets and the
 //! query's [`SteinerCover`]; the conflict graph of the useful shortcuts is
 //! built for every materialization and thinned by GWMIN; each survivor is
@@ -138,10 +138,12 @@ impl<'e, 't> OnlineEngine<'e, 't> {
     fn planned(&self, query: &Scope) -> Result<Planned<'e>, PgmError> {
         let (engine, mat) = (self.engine, self.mat);
         let domain = engine.tree().domain();
-        let (st, rt) = match engine.plan_reduced(query)? {
+        let st = match engine.plan(query)? {
             QueryPlan::InClique(u) => return Ok(Planned::InClique(u)),
-            QueryPlan::OutOfClique(planned) => planned,
+            QueryPlan::OutOfClique(st) => st,
         };
+        let ns = engine.numeric_state();
+        let rt = ReducedTree::from_steiner(engine.tree(), engine.rooted(), &st, ns);
         let order = self.applicable(query, &st);
         if order.is_empty() {
             return Ok(Planned::Tree(rt, None));

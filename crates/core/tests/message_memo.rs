@@ -12,11 +12,15 @@
 //! the same `QueryCost`. The stream runs three times, under one
 //! materialization, then another, then the first again — the memo outlives
 //! epochs, and a message of a subtree that held a shortcut under one epoch
-//! must not be what a plain subtree of the next takes. One more case
-//! answers the stream on two threads sharing the engine; CI runs this file
-//! under ThreadSanitizer too.
+//! must not be what a plain subtree of the next takes. Two more cases
+//! share the engine's tables between threads: two answering the stream,
+//! and a selection's table builds racing one answering it; CI runs this
+//! file under ThreadSanitizer too.
 
-use peanut_core::{Materialization, MaterializedShortcut, OnlineEngine, Shortcut};
+use peanut_core::{
+    Materialization, MaterializedShortcut, OfflineContext, OnlineEngine, Peanut, PeanutConfig,
+    Shortcut, Workload,
+};
 use peanut_junction::{build_junction_tree, JunctionTree, NumericState, QueryEngine};
 use peanut_pgm::generate::{generate_network, DagConfig};
 use peanut_pgm::{BayesianNetwork, Potential, Scope, Var};
@@ -186,4 +190,51 @@ fn two_threads_sharing_a_memo_answer_as_fresh_engines() {
     });
     let (held, cap) = engine.memo_usage();
     assert!(0 < held && held <= cap, "{held} entries, cap {cap}");
+}
+
+/// A re-selection builds its tables over the engine's tables while another
+/// thread answers the stream on them, as the lifecycle does on a serving
+/// engine: both share the memo, and the tables, their charge and every
+/// answer are what builds and answers over fresh tables give.
+#[test]
+fn a_selection_racing_queries_builds_and_answers_as_fresh_ones() {
+    let (bn, seed) = (0..64u64)
+        .find_map(|seed| Some((generated(seed, 14)?, seed)))
+        .unwrap();
+    let mut rng = TestRng::seed_from_u64(seed);
+    let tree = build_junction_tree(&bn).unwrap();
+    let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+    let slab = engine.numeric_state().unwrap().arena().slab();
+    let fresh = || NumericState::from_calibrated_slab(&tree, slab).unwrap();
+    let mat = random_materialization(&QueryEngine::from_calibrated(&tree, fresh()), &mut rng);
+    let requests = stream(&bn, 96, &mut rng);
+    let workload = Workload::from_queries(requests.iter().map(|(t, _)| t.clone()));
+    let ctx = OfflineContext::new(&tree, &workload).unwrap();
+    let cfg = PeanutConfig::plus(tree.total_separator_size() * 10);
+    let (want_mat, want_ops) = Peanut::offline_numeric(&ctx, &cfg, &fresh()).unwrap();
+    assert!(!want_mat.is_empty(), "test premise: tables to build");
+    let want: Vec<_> = requests
+        .iter()
+        .map(|r| fresh_answer(&tree, &engine, &mat, r))
+        .collect();
+    let online = OnlineEngine::new(&engine, &mat);
+    let (built, ops) = std::thread::scope(|s| {
+        let selection =
+            s.spawn(|| Peanut::offline_numeric(&ctx, &cfg, engine.numeric_state().unwrap()));
+        for (request, want) in requests.iter().zip(&want) {
+            assert_eq!(&answer(&online, request), want, "{request:?}");
+        }
+        selection.join().unwrap().unwrap()
+    });
+    assert_eq!(ops, want_ops, "charged ops");
+    assert_eq!(built.len(), want_mat.len());
+    for (got, want) in built.shortcuts.iter().zip(&want_mat.shortcuts) {
+        assert_eq!(got.shortcut.nodes(), want.shortcut.nodes());
+        let (got, want) = (
+            got.potential.as_ref().unwrap(),
+            want.potential.as_ref().unwrap(),
+        );
+        assert_eq!(got.scope(), want.scope());
+        assert_eq!(bits(got), bits(want), "{:?}", want.scope());
+    }
 }

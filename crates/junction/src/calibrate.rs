@@ -7,6 +7,7 @@
 //! therefore produces a single relocatable buffer — see [`crate::arena`].
 
 use crate::arena::TreeArena;
+use crate::memo::MessageMemo;
 use crate::rooted::RootedTree;
 use crate::tree::{CliqueId, EdgeId, JunctionTree};
 use peanut_pgm::{
@@ -14,7 +15,8 @@ use peanut_pgm::{
 };
 
 /// Dense clique and separator potentials attached to a junction tree,
-/// stored as spans of one flat arena slab.
+/// stored as spans of one flat arena slab, with the message memo every
+/// numeric pass over them shares (`crate::memo`).
 ///
 /// Creation fails with [`PgmError::TableTooLarge`] when any clique exceeds
 /// the dense-materialization limit; callers then fall back to the symbolic
@@ -24,6 +26,9 @@ use peanut_pgm::{
 pub struct NumericState {
     arena: TreeArena,
     calibrated: bool,
+    /// Messages of these tables; empty wherever the tables are made, a
+    /// clone's included.
+    memo: MessageMemo,
 }
 
 impl NumericState {
@@ -46,14 +51,16 @@ impl NumericState {
             arena.separator_values_mut(e).fill(1.0);
         }
         Ok(NumericState {
+            memo: MessageMemo::new(arena.slab().len()),
             arena,
             calibrated: false,
         })
     }
 
     /// Runs the two Hugin passes (collect toward the pivot, then distribute
-    /// back). Idempotent once calibrated.
+    /// back), and empties the message memo. Idempotent once calibrated.
     pub fn calibrate(&mut self, tree: &JunctionTree, rooted: &RootedTree) -> Result<(), PgmError> {
+        self.memo = MessageMemo::new(self.arena.slab().len());
         let mut scratch = Scratch::new();
         // collect: children before parents
         // (a node has a parent edge exactly when it has a parent)
@@ -189,6 +196,7 @@ impl NumericState {
         }
         arena.replace_slab(slab.to_vec());
         Ok(NumericState {
+            memo: MessageMemo::new(arena.slab().len()),
             arena,
             calibrated: true,
         })
@@ -204,6 +212,20 @@ impl NumericState {
     #[inline]
     pub fn arena(&self) -> &TreeArena {
         &self.arena
+    }
+
+    /// The message memo of these tables.
+    #[inline]
+    pub(crate) fn memo(&self) -> &MessageMemo {
+        &self.memo
+    }
+
+    /// These tables with an empty memo of `cap` entries, for tests that
+    /// overrun it.
+    #[cfg(test)]
+    pub(crate) fn with_memo_cap(mut self, cap: usize) -> Self {
+        self.memo = MessageMemo::with_cap(cap);
+        self
     }
 
     /// Calibrated clique table (the joint marginal `P(X_u)`) as a borrowed

@@ -1,29 +1,30 @@
-//! The message memo a numeric [`QueryEngine`](crate::QueryEngine) keeps for
-//! its lifetime: directed messages of its calibrated tree, computed once and
-//! taken by every later query whose pass would send them again.
+//! The message memo a calibrated [`NumericState`](crate::NumericState)
+//! owns: directed messages of its tables, computed once by any numeric pass
+//! over them and taken by every later pass that would send them again —
+//! the engine's doors, the online phase's contracted plans, a caller's
+//! `from_steiner` plan and `region_joints` alike.
 //!
-//! A message is filed under `(clique, parent clique, query variables held
-//! below)`. On a plan that is the Steiner tree of the query it answers, that
-//! key fixes everything the message is made of. A Steiner tree is the union
-//! of the paths from its terminals, and each query variable's terminal is
-//! chosen by the variable alone ([`SteinerTree`](crate::SteinerTree)). So
-//! the part of the plan below the edge `u → p` is the union of the paths to
-//! `u` from the terminals of the held variables that lie on `u`'s side —
-//! the same cliques for every query that holds the same variables there.
-//! Children are ordered by clique id, and the target is the separator plus
-//! the held variables. A taken message is therefore bit for bit the one the
-//! pass would compute. The reduced-tree pass decides which plans and nodes
-//! qualify (`crate::reduced`, "The message memo"); this module stores.
+//! A message to clique `p` is filed under `[p, member count, members…,
+//! held…]`: the cliques of the sending subtree in the plan's post-order
+//! (the sender last), and the query variables held below, ascending. The
+//! key names every clique the message is made of. A connected set of
+//! cliques induces one subtree of the junction tree, so the members and the
+//! sender fix the subtree's edges, its separators and its rooting; children
+//! are ordered by clique id in every plan; and each member's target — its
+//! parent separator plus the held variables its own subtree holds — is the
+//! held set cut down to that subtree. With the tables unchanged, a taken
+//! message is therefore bit for bit the one the pass would compute, on any
+//! plan over them. The reduced-tree pass decides which nodes qualify
+//! (`crate::reduced`, "The message memo"); this module stores.
 //!
 //! The memo is bounded and never evicts. It holds at most [`MEMO_SLABS`]
 //! times the calibrated slab's entries. It files a message only when the
 //! kernels of its subtree walked at least [`MIN_WALK_PER_ENTRY`] times its
-//! entries, and only while the message fits in what is left. A
-//! message of an all-clique subtree depends on the calibrated tables alone.
-//! So it stays valid across materialization epochs, and lives exactly as
-//! long as the tables: an engine restricted to evidence, rehydrated or
-//! faulted in starts with an empty memo, and page-out drops it with the
-//! engine.
+//! entries, and only while the message fits in what is left. It lives
+//! exactly as long as the tables: a state starts with an empty memo
+//! wherever its tables are made — initialized, calibrated, reattached from
+//! a slab or cloned — so a state restricted to evidence, rehydrated or
+//! faulted in starts empty, and page-out drops it with the engine.
 //!
 //! One `Mutex` guards it; a pass takes it once for its lookups and once for
 //! what it files. A poisoned lock reads as a miss and files nothing.
@@ -40,7 +41,7 @@ const MEMO_SLABS: usize = 8;
 /// this many product entries per entry of the message.
 const MIN_WALK_PER_ENTRY: Size = 4;
 
-/// An engine's directed messages, filed by key (module docs).
+/// A state's directed messages, filed by key (module docs).
 pub(crate) struct MessageMemo {
     /// Entries the memo may hold.
     cap: usize,
@@ -50,7 +51,7 @@ pub(crate) struct MessageMemo {
 /// What the lock guards.
 #[derive(Default)]
 struct Filed {
-    /// `[clique, parent clique, held variables…]` → the divided message.
+    /// Key (module docs) → the divided message.
     messages: HashMap<Box<[u32]>, Arc<Potential>>,
     /// Table entries of `messages`.
     entries: usize,
@@ -59,8 +60,13 @@ struct Filed {
 impl MessageMemo {
     /// An empty memo for a calibrated slab of `slab_entries` entries.
     pub(crate) fn new(slab_entries: usize) -> Self {
+        Self::with_cap(slab_entries.saturating_mul(MEMO_SLABS))
+    }
+
+    /// An empty memo that may hold `cap` entries.
+    pub(crate) fn with_cap(cap: usize) -> Self {
         MessageMemo {
-            cap: slab_entries.saturating_mul(MEMO_SLABS),
+            cap,
             filed: Mutex::default(),
         }
     }
@@ -96,15 +102,6 @@ impl MessageMemo {
         }
     }
 
-    /// A memo whose cap is `cap` entries, for tests that overrun it.
-    #[cfg(test)]
-    pub(crate) fn with_cap(cap: usize) -> Self {
-        MessageMemo {
-            cap,
-            filed: Mutex::default(),
-        }
-    }
-
     /// Files `message` under `key` whatever it holds, for tests that
     /// check who reads the memo.
     #[cfg(test)]
@@ -113,6 +110,14 @@ impl MessageMemo {
             filed.entries += message.len();
             filed.messages.insert(key.into(), Arc::new(message));
         }
+    }
+}
+
+/// A clone's tables are a copy about to be changed or kept apart: it starts
+/// with an empty memo of the same cap.
+impl Clone for MessageMemo {
+    fn clone(&self) -> Self {
+        Self::with_cap(self.cap)
     }
 }
 
@@ -140,16 +145,21 @@ impl Shelf<'_> {
     }
 }
 
-/// Appends the key of the message `clique → parent` carrying `held` (the
-/// query variables held below, ascending) to `keys`.
+/// Appends to `keys` the key of the message to clique `parent` from the
+/// subtree of cliques `members` (post-order, the sender last) carrying
+/// `held`, the query variables held below (ascending).
 pub(crate) fn push_key(
     keys: &mut Vec<u32>,
-    clique: usize,
     parent: usize,
+    members: impl Iterator<Item = usize>,
     held: impl Iterator<Item = Var>,
 ) {
-    // clique ids are far below 2³²
-    keys.extend([clique as u32, parent as u32]);
+    // clique ids are far below 2³²; the count keeps members and variables
+    // apart
+    let start = keys.len();
+    keys.extend([parent as u32, 0]);
+    keys.extend(members.map(|u| u as u32));
+    keys[start + 1] = (keys.len() - start - 2) as u32;
     keys.extend(held.map(|x| x.0));
 }
 

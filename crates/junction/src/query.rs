@@ -3,21 +3,19 @@
 
 use crate::calibrate::NumericState;
 use crate::cost::QueryCost;
-use crate::memo::MessageMemo;
 use crate::reduced::ReducedTree;
 use crate::rooted::RootedTree;
 use crate::steiner::SteinerTree;
 use crate::tree::{CliqueId, JunctionTree};
 use peanut_pgm::{BayesianNetwork, PgmError, Potential, Scope, Scratch, Var};
 
-/// How a query will be processed: over its Steiner tree `T`, or — for
-/// [`QueryEngine::plan_reduced`] — that tree and its plan.
+/// How a query will be processed.
 #[derive(Clone, Debug)]
-pub enum QueryPlan<T = SteinerTree> {
+pub enum QueryPlan {
     /// All query variables lie in one clique: direct marginalization.
     InClique(CliqueId),
-    /// Out-of-clique: message passing over a Steiner tree.
-    OutOfClique(T),
+    /// Out-of-clique: message passing over the Steiner tree.
+    OutOfClique(SteinerTree),
 }
 
 /// A junction tree prepared for query answering.
@@ -27,33 +25,25 @@ pub enum QueryPlan<T = SteinerTree> {
 /// operation counts but cannot produce numeric answers (this is how the
 /// paper evaluates the datasets whose calibration is infeasible).
 ///
-/// A numeric engine also keeps the directed messages its answers send, for
-/// its lifetime, in a bounded memo (`crate::reduced`, "The message memo").
-/// The memo belongs to the calibrated tables: an engine restricted to
-/// evidence or rebuilt from a slab starts with an empty one.
+/// The calibrated tables carry a bounded memo of the directed messages
+/// every numeric pass over them sends (`crate::reduced`, "The message
+/// memo"), so an engine's answers share messages for as long as it lives.
+/// An engine restricted to evidence or rebuilt from a slab starts with an
+/// empty one.
 pub struct QueryEngine<'t> {
     tree: &'t JunctionTree,
     rooted: RootedTree,
     numeric: Option<NumericState>,
-    memo: MessageMemo,
 }
 
 impl<'t> QueryEngine<'t> {
-    /// An engine over `numeric`'s tables (none: symbolic), with an empty
-    /// message memo sized to them.
-    fn over(tree: &'t JunctionTree, rooted: RootedTree, numeric: Option<NumericState>) -> Self {
-        let slab = numeric.as_ref().map_or(0, |ns| ns.arena().slab().len());
-        QueryEngine {
-            tree,
-            rooted,
-            numeric,
-            memo: MessageMemo::new(slab),
-        }
-    }
-
     /// Symbolic engine (size-only).
     pub fn symbolic(tree: &'t JunctionTree) -> Self {
-        Self::over(tree, RootedTree::new(tree), None)
+        QueryEngine {
+            tree,
+            rooted: RootedTree::new(tree),
+            numeric: None,
+        }
     }
 
     /// Numeric engine: initializes and calibrates dense potentials.
@@ -61,7 +51,11 @@ impl<'t> QueryEngine<'t> {
         let rooted = RootedTree::new(tree);
         let mut ns = NumericState::initialize(tree, bn)?;
         ns.calibrate(tree, &rooted)?;
-        Ok(Self::over(tree, rooted, Some(ns)))
+        Ok(QueryEngine {
+            tree,
+            rooted,
+            numeric: Some(ns),
+        })
     }
 
     /// Numeric engine over an **already calibrated** state — the store
@@ -71,7 +65,11 @@ impl<'t> QueryEngine<'t> {
     /// [`NumericState::from_calibrated_slab`]).
     pub fn from_calibrated(tree: &'t JunctionTree, ns: NumericState) -> Self {
         debug_assert!(ns.is_calibrated(), "rehydration requires calibrated state");
-        Self::over(tree, RootedTree::new(tree), Some(ns))
+        QueryEngine {
+            tree,
+            rooted: RootedTree::new(tree),
+            numeric: Some(ns),
+        }
     }
 
     /// The underlying tree (the full `'t` borrow, so callers can retain it
@@ -96,7 +94,7 @@ impl<'t> QueryEngine<'t> {
     /// The table entries the message memo holds, and the most it may hold:
     /// a fixed multiple of the calibrated slab (`(0, 0)` when symbolic).
     pub fn memo_usage(&self) -> (usize, usize) {
-        self.memo.usage()
+        self.numeric.as_ref().map_or((0, 0), |ns| ns.memo().usage())
     }
 
     /// Classifies a query (paper §3.1): in-clique vs out-of-clique.
@@ -109,35 +107,9 @@ impl<'t> QueryEngine<'t> {
         }
     }
 
-    /// [`plan`](Self::plan), with an out-of-clique query's Steiner tree
-    /// planned as [`reduced_for`](Self::reduced_for) plans it — except that
-    /// this plan is the engine's own, bound to `query` and the engine's
-    /// message memo: answering `query` on it, or on a contraction of it,
-    /// takes and files messages there (`crate::reduced`, "The message
-    /// memo"). This engine's doors run these plans, and the online phase
-    /// shrinks them with shortcut potentials before running them.
-    pub fn plan_reduced(
-        &self,
-        query: &Scope,
-    ) -> Result<QueryPlan<(SteinerTree, ReducedTree<'_>)>, PgmError> {
-        Ok(match self.plan(query)? {
-            QueryPlan::InClique(u) => QueryPlan::InClique(u),
-            QueryPlan::OutOfClique(st) => {
-                let ns = self.numeric.as_ref();
-                let rt = ReducedTree::from_steiner(self.tree, &self.rooted, &st, ns);
-                // a symbolic plan never answers: nothing to bind
-                let rt = match ns {
-                    Some(_) => rt.with_memo(&self.memo, query),
-                    None => rt,
-                };
-                QueryPlan::OutOfClique((st, rt))
-            }
-        })
-    }
-
     /// The reduced tree a query would be processed on (`None` for in-clique
     /// queries): a view borrowing this engine's tree and calibrated tables,
-    /// which runs without the message memo.
+    /// whose answers go through their message memo.
     pub fn reduced_for(&self, query: &Scope) -> Result<Option<ReducedTree<'_>>, PgmError> {
         match self.plan(query)? {
             QueryPlan::InClique(_) => Ok(None),
@@ -182,13 +154,16 @@ impl<'t> QueryEngine<'t> {
         scratch: &mut Scratch,
     ) -> Result<(Potential, QueryCost), PgmError> {
         let ns = self.numeric.as_ref().ok_or(PgmError::SymbolicEngine)?;
-        match self.plan_reduced(query)? {
+        match self.plan(query)? {
             QueryPlan::InClique(u) => {
                 let pot = ns.clique_table(u).marginalize_in(query, scratch)?;
                 let cost = QueryCost::in_clique(self.tree.clique(u), self.tree.domain());
                 Ok((pot, cost))
             }
-            QueryPlan::OutOfClique((_, rt)) => rt.answer_in(query, self.tree.domain(), scratch),
+            QueryPlan::OutOfClique(st) => {
+                let rt = ReducedTree::from_steiner(self.tree, &self.rooted, &st, Some(ns));
+                rt.answer_in(query, self.tree.domain(), scratch)
+            }
         }
     }
 
@@ -199,16 +174,20 @@ impl<'t> QueryEngine<'t> {
     /// recalibration passes are paid here, once; a stream of queries under
     /// the same pinned evidence then runs as plain marginals: each charged
     /// its plain count toward `r_q`, each pass run toward its cheapest
-    /// Steiner member. The restricted engine's message memo starts empty:
-    /// none of this engine's messages holds for its tables. Requires
-    /// numeric mode.
+    /// Steiner member. The restricted tables' message memo starts empty:
+    /// none of this engine's messages holds for them. Requires numeric
+    /// mode.
     pub fn restricted_to_evidence(
         &self,
         evidence: &[(Var, u32)],
     ) -> Result<QueryEngine<'t>, PgmError> {
         let ns = self.numeric.as_ref().ok_or(PgmError::SymbolicEngine)?;
         let restricted = ns.with_evidence(self.tree, &self.rooted, evidence)?;
-        Ok(Self::over(self.tree, self.rooted.clone(), Some(restricted)))
+        Ok(QueryEngine {
+            tree: self.tree,
+            rooted: self.rooted.clone(),
+            numeric: Some(restricted),
+        })
     }
 
     /// Conditional distribution `P(targets | evidence)` via the paper's
@@ -493,75 +472,108 @@ mod tests {
         }
     }
 
-    /// Only a plan bound to its own query reads the memo, and nothing else
-    /// fills it. A constant table planted under every key a pass for
-    /// `{x0, x7}` could look up changes what the engine answers for it;
-    /// the same plan answered for `{x0}`, the plans `reduced_for` and
-    /// `from_steiner` build (one over members that are no Steiner tree) and
-    /// `region_joints` answer as on a clean engine, and file nothing.
+    /// The cliques on `u`'s side of the edge to `p`, in a plan's post-order:
+    /// children last to first, `u` last.
+    fn post_order(tree: &JunctionTree, u: usize, p: usize, out: &mut Vec<u32>) {
+        let mut children: Vec<usize> = tree.neighbors(u).iter().map(|&(c, _)| c).collect();
+        children.sort_unstable();
+        for &c in children.iter().rev().filter(|&&c| c != p) {
+            post_order(tree, c, u, out);
+        }
+        out.push(u as u32);
+    }
+
+    /// Every plan over a state's tables reads its memo, and no plan over
+    /// other tables does. A constant table planted under every key a pass
+    /// for `{x0, x7}` could look up changes what the engine's door, the
+    /// plans `from_steiner` builds (the Steiner tree, every clique, and
+    /// every clique rooted at a far leaf) and `region_joints` answer for
+    /// it; a clone of the state, a copy reattached from its slab and the
+    /// state restricted to evidence answer as clean tables do.
     #[test]
-    fn only_a_bound_plan_reads_the_memo() {
+    fn every_plan_over_the_tables_and_no_other_reads_the_memo() {
         use crate::reduced::region_joints;
         let bn = fixtures::chain(8, 3, 5);
         let tree = build_junction_tree(&bn).unwrap();
         let d = bn.domain();
         let clean = QueryEngine::numeric(&tree, &bn).unwrap();
         let planted = cold(&clean);
-        let (q, x0) = (Scope::from_indices(&[0, 7]), Scope::from_indices(&[0]));
+        let ns = planted.numeric_state().unwrap();
+        let q = Scope::from_indices(&[0, 7]);
         for &(a, b) in tree.edges() {
             for (u, p) in [(a, b), (b, a)] {
                 for held in [&[][..], &[0], &[7], &[0, 7]] {
                     let sep = tree.clique(u).intersect(tree.clique(p));
                     let scope = sep.union(&Scope::from_indices(held));
                     let table = Potential::filled(scope, d, 0.5).unwrap();
-                    let mut key = vec![u as u32, p as u32];
+                    let mut members = Vec::new();
+                    post_order(&tree, u, p, &mut members);
+                    let mut key = vec![p as u32, members.len() as u32];
+                    key.extend(members);
                     key.extend(held);
-                    planted.memo.plant(key, table);
+                    ns.memo().plant(key, table);
                 }
             }
         }
-        let (got, _) = planted.answer(&q).unwrap();
-        let (want, _) = clean.answer(&q).unwrap();
+        let want = bits(&clean.answer(&q).unwrap().0);
         assert_ne!(
-            bits(&got),
-            bits(&want),
-            "the bound plan takes what was planted"
+            bits(&planted.answer(&q).unwrap().0),
+            want,
+            "the engine's door"
         );
-
-        let filled = planted.memo_usage();
-        let QueryPlan::OutOfClique((st, bound)) = planted.plan_reduced(&q).unwrap() else {
-            panic!("{q} is out of clique");
-        };
-        let clean_plan = clean.reduced_for(&q).unwrap().unwrap();
-        let answer = |rt: &ReducedTree<'_>, q: &Scope| bits(&rt.answer(q, d).unwrap().0);
-        assert_eq!(answer(&bound, &x0), answer(&clean_plan, &x0));
-        let unbound = planted.reduced_for(&q).unwrap().unwrap();
-        assert_eq!(answer(&unbound, &q), bits(&want));
-        let (ns, rooted) = (planted.numeric_state(), planted.rooted());
-        let everything = SteinerTree::from_parts((0..tree.n_cliques()).collect(), tree.pivot());
-        for members in [&st, &everything] {
-            let external = ReducedTree::from_steiner(&tree, rooted, members, ns);
-            let reference =
-                ReducedTree::from_steiner(&tree, rooted, members, clean.numeric_state());
-            assert_eq!(answer(&external, &q), answer(&reference, &q));
-        }
+        let answer = |rt: &ReducedTree<'_>| bits(&rt.answer(&q, d).unwrap().0);
+        let st = SteinerTree::extract(&tree, planted.rooted(), &q).unwrap();
+        let rt = ReducedTree::from_steiner(&tree, planted.rooted(), &st, Some(ns));
+        assert_ne!(answer(&rt), want, "the Steiner tree");
         let all: Vec<usize> = (0..tree.n_cliques()).collect();
-        let region = [(&all[..], tree.pivot(), &q)];
-        let built = region_joints(&tree, rooted, ns.unwrap(), &region).unwrap();
-        let want_built = region_joints(&tree, rooted, clean.numeric_state().unwrap(), &region);
-        assert_eq!(bits(&built[0].0), bits(&want_built.unwrap()[0].0));
-        assert_eq!(planted.memo_usage(), filled, "only the bound plan files");
+        let far = (0..tree.n_cliques())
+            .find(|&u| u != tree.pivot() && tree.neighbors(u).len() == 1)
+            .unwrap();
+        for (rooted, root) in [
+            (planted.rooted().clone(), tree.pivot()),
+            (RootedTree::rooted_at(&tree, far), far),
+        ] {
+            let members = SteinerTree::from_parts(all.clone(), root);
+            let rt = ReducedTree::from_steiner(&tree, &rooted, &members, Some(ns));
+            assert_ne!(answer(&rt), want, "every clique, rooted at {root}");
+            let region = [(&all[..], root, &q)];
+            let built = region_joints(&tree, &rooted, ns, &region).unwrap();
+            let clean_ns = clean.numeric_state().unwrap();
+            let clean_built = region_joints(&tree, &rooted, clean_ns, &region).unwrap();
+            assert_ne!(
+                bits(&built[0].0),
+                bits(&clean_built[0].0),
+                "a region at {root}"
+            );
+        }
+
+        let clone = QueryEngine::from_calibrated(&tree, ns.clone());
+        assert_eq!(bits(&clone.answer(&q).unwrap().0), want, "a clone");
+        assert_eq!(
+            bits(&cold(&planted).answer(&q).unwrap().0),
+            want,
+            "a slab copy"
+        );
+        let evidence = [(Var(3), 1)];
+        let session = planted.restricted_to_evidence(&evidence).unwrap();
+        let reference = clean.restricted_to_evidence(&evidence).unwrap();
+        assert_eq!(
+            bits(&session.answer(&q).unwrap().0),
+            bits(&reference.answer(&q).unwrap().0),
+            "tables restricted to evidence"
+        );
     }
 
     /// A stream that would file more than the cap leaves the memo within
-    /// it, answering as an engine with room to spare does.
+    /// it, answering as tables with room to spare do.
     #[test]
     fn the_memo_holds_no_more_than_its_cap() {
         let bn = fixtures::chain(12, 4, 2);
         let tree = build_junction_tree(&bn).unwrap();
         let roomy = QueryEngine::numeric(&tree, &bn).unwrap();
-        let mut tight = cold(&roomy);
-        tight.memo = MessageMemo::with_cap(100);
+        let slab = roomy.numeric_state().unwrap().arena().slab();
+        let ns = NumericState::from_calibrated_slab(&tree, slab).unwrap();
+        let tight = QueryEngine::from_calibrated(&tree, ns.with_memo_cap(100));
         for q in scopes(&bn) {
             let (got, _) = tight.answer(&q).unwrap();
             let (want, _) = roomy.answer(&q).unwrap();
@@ -574,5 +586,43 @@ mod tests {
         );
         let (filed, cap) = roomy.memo_usage();
         assert!(100 < filed && filed <= cap, "{filed} entries, cap {cap}");
+    }
+
+    /// The memo starts empty wherever tables are made. Messages filed over
+    /// initialized tables are gone once `calibrate` changes them, so the
+    /// calibrated state answers as a cold one; a clone of warm tables and
+    /// the tables restricted to evidence hold nothing.
+    #[test]
+    fn calibrating_or_copying_the_tables_empties_the_memo() {
+        let bn = fixtures::chain(10, 3, 4);
+        let tree = build_junction_tree(&bn).unwrap();
+        let rooted = RootedTree::new(&tree);
+        let mut ns = NumericState::initialize(&tree, &bn).unwrap();
+        let scopes = scopes(&bn);
+        for q in &scopes {
+            let st = SteinerTree::extract(&tree, &rooted, q).unwrap();
+            let rt = ReducedTree::from_steiner(&tree, &rooted, &st, Some(&ns));
+            if rt.len() > 1 {
+                rt.answer(q, tree.domain()).unwrap();
+            }
+        }
+        assert!(
+            ns.memo().usage().0 > 0,
+            "test premise: uncalibrated messages"
+        );
+        ns.calibrate(&tree, &rooted).unwrap();
+        let warm = QueryEngine::from_calibrated(&tree, ns);
+        assert_eq!(warm.memo_usage().0, 0);
+        for q in &scopes {
+            let (got, cost) = warm.answer(q).unwrap();
+            let (want, want_cost) = cold(&warm).answer(q).unwrap();
+            assert_eq!(bits(&got), bits(&want), "{q}");
+            assert_eq!(cost, want_cost, "{q}");
+        }
+        assert!(warm.memo_usage().0 > 0, "test premise: a warm memo");
+        let copy = QueryEngine::from_calibrated(&tree, warm.numeric_state().unwrap().clone());
+        assert_eq!(copy.memo_usage(), (0, warm.memo_usage().1));
+        let session = warm.restricted_to_evidence(&[(Var(4), 2)]).unwrap();
+        assert_eq!(session.memo_usage().0, 0);
     }
 }

@@ -22,8 +22,8 @@
 //! product: each message is one fused product→marginalize pass over the
 //! node's factors, divided by the parent separator afterwards, over the
 //! message's entries. The same numeric pass builds the joint of a region
-//! ([`region_joints`]), where a batch of regions shares the messages their
-//! subtrees have in common.
+//! ([`region_joints`]), and every pass over one state's tables shares its
+//! message memo ("The message memo" below).
 //!
 //! # Where a query's pass runs to
 //!
@@ -45,39 +45,35 @@
 //!
 //! # The message memo
 //!
-//! A numeric [`QueryEngine`](crate::QueryEngine) keeps the directed
-//! messages its passes send, for its lifetime (`crate::memo`), and the
-//! plans it extracts itself consult it: the plans of its own doors and of
-//! [`QueryEngine::plan_reduced`](crate::QueryEngine::plan_reduced), which
-//! the online phase contracts and runs. Such a plan is bound to the query
-//! it is the Steiner tree of; answered for that query, its pass looks up,
-//! top-down and under one lock, every node whose subtree holds only cliques
-//! and whose parent is a clique, by `(clique, parent clique, query
-//! variables held below)`. A message found there is taken, and its whole
-//! subtree is skipped. A message not found is computed; if its subtree's
-//! kernels walked enough product entries per message entry and the memo has
-//! room, a copy is filed once the pass is done. A node whose subtree holds a
+//! The calibrated tables a plan borrows come with a memo of the directed
+//! messages sent over them (`crate::memo`), and every numeric pass takes
+//! and files messages there: the engine's doors, the online phase's
+//! contracted plans, a caller's [`ReducedTree::from_steiner`] plan and
+//! [`region_joints`]. Under one lock and top-down, a pass looks up every
+//! node whose subtree holds only cliques and whose parent is a clique, by
+//! the parent, the subtree's cliques in post-order and the query variables
+//! held below. A message found there is taken, and its whole subtree is
+//! skipped. A message not found is computed; if its subtree's kernels
+//! walked enough product entries per message entry and the memo has room,
+//! a copy is filed once the pass is done. A node whose subtree holds a
 //! shortcut is always computed, since its message depends on the epoch's
 //! tables; so is one whose parent is a shortcut, whose scope then decides
-//! the message's target. Why a taken message is bit for bit the one the
-//! pass would compute is in the memo module's docs. A plan built
-//! with [`ReducedTree::from_steiner`] need not be a Steiner tree, so it
-//! runs without the memo, and so does a bound plan answered for another
-//! query. [`region_joints`] keeps its own memo for the call, keyed by the
-//! subtree's labels. The charge is untouched: a taken message is still
-//! counted in `QueryCost.ops`.
+//! the message's target. The key names every clique a message is made of,
+//! so a taken message is bit for bit the one the pass would compute on any
+//! plan over the same tables (the memo module's docs). A plan's root
+//! message, the answer or a region's table, is never filed. The charge is
+//! untouched: a taken message is still counted in `QueryCost.ops`.
 
 use crate::calibrate::NumericState;
 use crate::cost::{node_ops_of_size, QueryCost};
-use crate::memo::{self, MessageMemo};
+use crate::memo::{self, MessageMemo, Shelf};
 use crate::rooted::RootedTree;
 use crate::steiner::SteinerTree;
 use crate::tree::{CliqueId, JunctionTree};
 use peanut_pgm::{
     divide_views, product_marginalize_views, table_size, Domain, PgmError, Potential, Scope,
-    Scratch, Size, TableRef, Var,
+    Scratch, Size, TableRef,
 };
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Provenance of a reduced-tree node.
@@ -118,9 +114,9 @@ pub struct ReducedTree<'a> {
     /// Post-order of the nodes: every subtree contiguous, a node's child
     /// subtrees last child first, the root last. Computed once per tree.
     order: Vec<usize>,
-    /// The engine's message memo and the one query this plan may use it
-    /// for (module docs, "The message memo").
-    memo: Option<(&'a MessageMemo, Scope)>,
+    /// The message memo of the calibrated tables the plan borrows (none: a
+    /// size-only plan; module docs, "The message memo").
+    memo: Option<&'a MessageMemo>,
 }
 
 impl<'a> ReducedTree<'a> {
@@ -167,12 +163,17 @@ impl<'a> ReducedTree<'a> {
                 }
             })
             .collect();
-        Self::linked(nodes, index_of(root), 0)
+        Self::linked(nodes, index_of(root), 0, numeric.map(NumericState::memo))
     }
 
     /// Completes a tree from its nodes' parent pointers: child lists
     /// (ascending node index) and the post-order.
-    fn linked(mut nodes: Vec<RNode<'a>>, root: usize, shortcuts_used: usize) -> Self {
+    fn linked(
+        mut nodes: Vec<RNode<'a>>,
+        root: usize,
+        shortcuts_used: usize,
+        memo: Option<&'a MessageMemo>,
+    ) -> Self {
         let n = nodes.len();
         // counting sort of the non-root nodes by parent: count children,
         // lay the spans out, then fill them in ascending node order
@@ -210,15 +211,8 @@ impl<'a> ReducedTree<'a> {
             shortcuts_used,
             child_list,
             order,
-            memo: None,
+            memo,
         }
-    }
-
-    /// This plan bound to the engine's `memo` for `query`, whose Steiner
-    /// tree it must be.
-    pub(crate) fn with_memo(mut self, memo: &'a MessageMemo, query: &Scope) -> Self {
-        self.memo = Some((memo, query.clone()));
-        self
     }
 
     /// Number of nodes.
@@ -292,7 +286,7 @@ impl<'a> ReducedTree<'a> {
             below = (Some(u), up.1);
             u = p;
         }
-        Self::linked(nodes, root, self.shortcuts_used)
+        Self::linked(nodes, root, self.shortcuts_used, self.memo)
     }
 
     /// What answering on this plan is charged, given its count `ops`.
@@ -395,10 +389,8 @@ impl<'a> ReducedTree<'a> {
             });
         }
         let root = new_index[self.root];
-        let mut contracted = Self::linked(nodes, root, self.shortcuts_used + shortcuts.len());
-        // the kept nodes are the Steiner tree's, so the binding holds
-        contracted.memo = self.memo.clone();
-        Ok(contracted)
+        let used = self.shortcuts_used + shortcuts.len();
+        Ok(Self::linked(nodes, root, used, self.memo))
     }
 
     /// The pricing pass, node by node: `(held, ops)` where `ops[u]` is what
@@ -442,8 +434,9 @@ impl<'a> ReducedTree<'a> {
     /// The pass runs toward the member where the paper's count is smallest
     /// (module docs, "Where a query's pass runs to"); the cost reported is
     /// the count toward `r_q`, [`cost`](Self::cost)'s, whichever root ran.
-    /// On a plan the engine bound to `query`, the pass takes and files
-    /// messages in the engine's memo (module docs, "The message memo").
+    /// The pass takes and files messages in the memo of the tables the
+    /// plan borrows (module docs, "The message memo"); a size-only plan
+    /// fails with [`PgmError::SymbolicEngine`].
     ///
     /// A node's message is its potential times the incoming messages,
     /// summed onto what goes up, in one fused pass that never builds the
@@ -457,6 +450,7 @@ impl<'a> ReducedTree<'a> {
         domain: &Domain,
         scratch: &mut Scratch,
     ) -> Result<(Potential, QueryCost), PgmError> {
+        let memo = self.memo.ok_or(PgmError::SymbolicEngine)?;
         let mut tally = Tally::new(self, query, domain);
         let cost = self.charged(tally.ops);
         let root = tally.cheapest_root(self, query, domain);
@@ -468,42 +462,33 @@ impl<'a> ReducedTree<'a> {
             tally.recount(&rehung, query);
             &rehung
         };
-        let answer = match &self.memo {
-            Some((memo, bound)) if bound == query => {
-                let mut memoized = Memoized::new(memo, domain);
-                let answer = plan.pass(query, &tally, scratch, &mut memoized)?;
-                memoized.file();
-                answer
-            }
-            _ => plan.pass(query, &tally, scratch, &mut Recycled)?,
-        };
-        Ok((answer, cost))
+        Ok((plan.pass(memo, query, &tally, domain, scratch)?, cost))
     }
 
     /// The numeric pass toward this plan's root that
     /// [`answer_in`](Self::answer_in) and [`region_joints`] share, given
-    /// the counts of this rooting; `memo` decides where sent messages go
-    /// and which need not be sent at all.
-    fn pass<M: Messages>(
+    /// the counts of this rooting, through `memo`.
+    fn pass(
         &self,
+        memo: &MessageMemo,
         query: &Scope,
         tally: &Tally,
+        domain: &Domain,
         scratch: &mut Scratch,
-        memo: &mut M,
     ) -> Result<Potential, PgmError> {
-        memo.recall(self, query, tally);
+        let mut recall = Recall::new(self, memo, query, tally, domain);
         // the post-order keeps subtrees contiguous and runs a node's children
         // last to first, so its incoming messages are the top of this stack,
         // the first child's uppermost
-        let mut messages: Vec<M::Sent> = Vec::new();
+        let mut messages: Vec<Sent> = Vec::new();
         // one factor list for the pass, emptied and lent to each node
         let mut spare: Vec<TableRef<'static>> = Vec::new();
         for &u in &self.order {
             let n = &self.nodes[u];
-            match memo.step(u) {
+            match &recall.slots[u].step {
                 Step::Send => {}
-                Step::Known(sent) => {
-                    messages.push(sent);
+                Step::Known(message) => {
+                    messages.push(Sent::Taken(Arc::clone(message)));
                     continue;
                 }
                 Step::Skip => continue,
@@ -522,23 +507,27 @@ impl<'a> ReducedTree<'a> {
             let mut message = {
                 let mut factors = relent(std::mem::take(&mut spare));
                 factors.push(n.potential.ok_or(PgmError::SymbolicEngine)?);
-                factors.extend(messages[first..].iter().rev().map(|m| memo.view(m)));
+                factors.extend(messages[first..].iter().rev().map(Sent::view));
                 let message = product_marginalize_views(&factors, &target, scratch);
                 spare = relent(factors);
                 message?
             };
             for spent in messages.drain(first..).rev() {
-                memo.spend(spent, scratch);
+                if let Sent::Fresh(spent) = spent {
+                    scratch.recycle(spent);
+                }
             }
             // the root closes the post-order, and its message is the answer
             if u == self.root {
+                recall.file();
                 return Ok(message);
             }
             if let Some(sep) = n.sep_to_parent {
                 let divided = divide_views(message.view(), sep, scratch)?;
                 scratch.recycle(std::mem::replace(&mut message, divided));
             }
-            messages.push(memo.send(u, message));
+            recall.keep(u, &message);
+            messages.push(Sent::Fresh(message));
         }
         // lint:allow(hot_panic) — a tree has a root, and it closes the post-order
         unreachable!("the root's answer")
@@ -709,22 +698,17 @@ impl Tally {
 /// region's own plan — rooted at `root`, so no division above it — and it
 /// is charged the whole plan, as [`ReducedTree::cost`] prices it.
 ///
-/// The regions share one kernel scratch and one message memo, both dropped
-/// on return: a message is computed once and reused by every later region
-/// whose key matches — the clique, the region's cliques in its subtree and
-/// the region's scope variables held there. Those fix the message's parent
-/// separator, its children in their order and what each child carries, so
-/// a reused message is bit for bit the one a region's own pass would
-/// compute. The memo is consulted top-down, so one hit skips its whole
-/// subtree; a region's root message, the table itself, is never reused.
-/// Each table is copied out at its exact size.
+/// The regions share one kernel scratch, and every pass takes and files
+/// messages in `numeric`'s memo (module docs, "The message memo"): a later
+/// region takes what an earlier one, an earlier selection or a query over
+/// the same tables filed. A region's root message, the table itself, is
+/// never filed. Each table is copied out at its exact size.
 pub fn region_joints(
     tree: &JunctionTree,
     rooted: &RootedTree,
     numeric: &NumericState,
     regions: &[(&[CliqueId], CliqueId, &Scope)],
 ) -> Result<Vec<(Potential, Size)>, PgmError> {
-    let mut memo = LabelMemo::default();
     let mut scratch = Scratch::new();
     regions
         .iter()
@@ -743,7 +727,7 @@ pub fn region_joints(
             }
             let plan = ReducedTree::from_members(tree, rooted, members, root, Some(numeric));
             let tally = Tally::new(&plan, scope, tree.domain());
-            let joint = plan.pass(scope, &tally, &mut scratch, &mut memo)?;
+            let joint = plan.pass(numeric.memo(), scope, &tally, tree.domain(), &mut scratch)?;
             // the kernel may have written into a larger pooled buffer, and
             // the table outlives the call (a whole epoch): keep a copy that
             // holds only its entries
@@ -754,290 +738,151 @@ pub fn region_joints(
         .collect()
 }
 
-/// What a numeric pass does at a node (see [`Messages::step`]).
-#[derive(Clone, Copy)]
-enum Step<S> {
+/// What a numeric pass does at a node.
+#[derive(Clone)]
+enum Step {
     /// Compute the node's message and send it.
     Send,
-    /// Take this message, already sent for the node's whole subtree.
-    Known(S),
+    /// Take this message from the memo: its whole subtree is known.
+    Known(Arc<Potential>),
     /// Nothing: an ancestor's message was taken.
     Skip,
 }
 
-/// Where a numeric pass keeps the messages it sends, and which it need not
-/// send. A query's pass recycles each message once its parent consumed it
-/// ([`Recycled`]), through the engine's memo on a bound plan
-/// ([`Memoized`]); a batch of region builds keeps them for the call
-/// ([`LabelMemo`]).
-trait Messages {
-    /// A sent message as the pass's stack holds it.
-    type Sent;
-    /// Decides, before a pass over `tree`, what [`step`](Self::step) says.
-    fn recall(&mut self, tree: &ReducedTree<'_>, query: &Scope, tally: &Tally);
-    /// What the pass does at node `u`.
-    fn step(&self, u: usize) -> Step<Self::Sent>;
-    /// The table of a sent message.
-    fn view<'s>(&'s self, sent: &'s Self::Sent) -> TableRef<'s>;
-    /// Keeps node `u`'s message, the root's excepted.
-    fn send(&mut self, u: usize, message: Potential) -> Self::Sent;
-    /// Lets go of a message its parent has consumed.
-    fn spend(&mut self, sent: Self::Sent, scratch: &mut Scratch);
+/// A message on a pass's stack.
+enum Sent {
+    /// Computed by this pass, recycled once consumed.
+    Fresh(Potential),
+    /// Taken from the memo.
+    Taken(Arc<Potential>),
 }
 
-/// The query path's [`Messages`]: every message is sent, and recycled into
-/// the scratch once consumed.
-struct Recycled;
-
-impl Messages for Recycled {
-    type Sent = Potential;
-
-    fn recall(&mut self, _: &ReducedTree<'_>, _: &Scope, _: &Tally) {}
-
+impl Sent {
     #[inline]
-    fn step(&self, _: usize) -> Step<Potential> {
-        Step::Send
-    }
-
-    #[inline]
-    fn view<'s>(&'s self, sent: &'s Potential) -> TableRef<'s> {
-        sent.view()
-    }
-
-    #[inline]
-    fn send(&mut self, _: usize, message: Potential) -> Potential {
-        message
-    }
-
-    #[inline]
-    fn spend(&mut self, sent: Potential, scratch: &mut Scratch) {
-        scratch.recycle(sent);
-    }
-}
-
-/// What a memoized message is filed under: the labels of the node's
-/// subtree in post-order (the node last; the set fixes the order), and the
-/// query variables held in it.
-type MemoKey = (Vec<NodeLabel>, Vec<Var>);
-
-/// [`region_joints`]' [`Messages`]: every non-root message of the call,
-/// filed by [`MemoKey`].
-#[derive(Default)]
-struct LabelMemo {
-    filed: HashMap<MemoKey, usize>,
-    sent: Vec<Potential>,
-    /// The current pass, per node: its step, and the key its message is
-    /// filed under once sent.
-    steps: Vec<Step<usize>>,
-    keys: Vec<Option<MemoKey>>,
-}
-
-impl Messages for LabelMemo {
-    type Sent = usize;
-
-    fn recall(&mut self, tree: &ReducedTree<'_>, query: &Scope, tally: &Tally) {
-        let (n, k) = (tree.len(), query.len());
-        self.steps.clear();
-        self.steps.resize(n, Step::Send);
-        self.keys.clear();
-        self.keys.resize(n, None);
-        // subtree sizes: children precede parents in the post-order, where
-        // a subtree is the span ending at its root
-        let mut size = vec![1usize; n];
-        for &u in &tree.order {
-            if let Some(p) = tree.nodes[u].parent {
-                size[p] += size[u];
-            }
-        }
-        // top-down, so a known message skips its subtree unlooked-at
-        for (at, &u) in tree.order.iter().enumerate().rev() {
-            let Some(p) = tree.nodes[u].parent else {
-                continue; // the root is always sent, and never filed
-            };
-            if !matches!(self.steps[p], Step::Send) {
-                self.steps[u] = Step::Skip;
-                continue;
-            }
-            let span = &tree.order[at + 1 - size[u]..=at];
-            let labels = span.iter().map(|&v| tree.nodes[v].label).collect();
-            let vars = (0..k)
-                .filter(|&i| tally.holds(u, i))
-                .map(|i| query.vars()[i]);
-            let key = (labels, vars.collect());
-            match self.filed.get(&key) {
-                Some(&i) => self.steps[u] = Step::Known(i),
-                None => self.keys[u] = Some(key),
-            }
+    fn view(&self) -> TableRef<'_> {
+        match self {
+            Sent::Fresh(message) => message.view(),
+            Sent::Taken(message) => message.view(),
         }
     }
-
-    #[inline]
-    fn step(&self, u: usize) -> Step<usize> {
-        self.steps[u]
-    }
-
-    fn view<'s>(&'s self, sent: &'s usize) -> TableRef<'s> {
-        self.sent[*sent].view()
-    }
-
-    fn send(&mut self, u: usize, message: Potential) -> usize {
-        let i = self.sent.len();
-        self.sent.push(message);
-        if let Some(key) = self.keys[u].take() {
-            self.filed.insert(key, i);
-        }
-        i
-    }
-
-    /// Messages stay for the call: a later region may take them.
-    fn spend(&mut self, _: usize, _: &mut Scratch) {}
 }
 
-/// A bound plan's [`Messages`] (module docs, "The message memo"): a message
-/// the engine's memo holds is taken, one it lacks is sent, recycled once
-/// consumed and — if it qualifies — filed by [`file`](Self::file).
-struct Memoized<'m> {
+/// One pass's dealings with the memo (module docs, "The message memo"):
+/// what it does at each node, and the copies it files once done.
+struct Recall<'m> {
     memo: &'m MessageMemo,
-    domain: &'m Domain,
-    /// The current pass, per node.
     slots: Vec<Slot>,
-    /// The keys of the nodes whose messages the memo may hold, back to back.
+    /// The keys of the nodes whose messages the memo may file, back to back.
     keys: Vec<u32>,
-    /// The messages taken from the memo.
-    taken: Vec<Arc<Potential>>,
     /// What to file: keys and copies of the messages.
     filing: Vec<(Box<[u32]>, Potential)>,
     /// Entries the memo has room for, less what is to be filed.
     room: usize,
 }
 
-/// One node of a [`Memoized`] pass.
-#[derive(Clone, Copy)]
+/// One node of a pass.
+#[derive(Clone)]
 struct Slot {
-    step: Step<usize>,
+    step: Step,
+    /// Nodes in the node's subtree.
+    size: usize,
     /// Product entries the kernels of the node's subtree walk.
     walked: Size,
     /// Whether the node's subtree holds only cliques.
     plain: bool,
-    /// The node's key in [`Memoized::keys`], when the memo may file its
+    /// The node's key in [`Recall::keys`], when the memo may file its
     /// message.
     key: Option<(usize, usize)>,
 }
 
-/// A message on a [`Memoized`] pass's stack.
-enum Sent {
-    /// Computed by this pass.
-    Fresh(Potential),
-    /// The `i`-th taken message.
-    Taken(usize),
-}
-
-impl<'m> Memoized<'m> {
-    fn new(memo: &'m MessageMemo, domain: &'m Domain) -> Self {
-        Memoized {
-            memo,
-            domain,
-            slots: Vec::new(),
-            keys: Vec::new(),
-            taken: Vec::new(),
-            filing: Vec::new(),
-            room: 0,
-        }
-    }
-
-    /// Files what the pass computed that qualified.
-    fn file(self) {
-        if !self.filing.is_empty() {
-            self.memo.file(self.filing);
-        }
-    }
-}
-
-impl Messages for Memoized<'_> {
-    type Sent = Sent;
-
-    fn recall(&mut self, tree: &ReducedTree<'_>, query: &Scope, tally: &Tally) {
+impl<'m> Recall<'m> {
+    /// Decides, before a pass over `plan` for `query`, what the pass does
+    /// at each node: everything the memo holds is taken.
+    fn new(
+        plan: &ReducedTree<'_>,
+        memo: &'m MessageMemo,
+        query: &Scope,
+        tally: &Tally,
+        domain: &Domain,
+    ) -> Self {
         let slot = Slot {
             step: Step::Send,
+            size: 1,
             walked: 0,
             plain: true,
             key: None,
         };
-        self.slots.clear();
-        self.slots.resize(tree.len(), slot);
-        // children precede parents: what each subtree walks, and whether
-        // it holds only cliques
-        for &u in &tree.order {
-            let node = &tree.nodes[u];
+        let mut slots = vec![slot; plan.len()];
+        // children precede parents: each subtree's size, what its kernels
+        // walk, and whether it holds only cliques
+        for &u in &plan.order {
+            let node = &plan.nodes[u];
             let mut product = tally.size(u);
             for (i, x) in query.iter().enumerate() {
                 if tally.holds(u, i) && !node.scope.contains(x) {
-                    product = product.saturating_mul(u64::from(self.domain.card(x)));
+                    product = product.saturating_mul(u64::from(domain.card(x)));
                 }
             }
-            let slot = &mut self.slots[u];
+            let slot = &mut slots[u];
             slot.walked = slot.walked.saturating_add(product);
             slot.plain &= matches!(node.label, NodeLabel::Clique(_));
-            let (walked, plain) = (slot.walked, slot.plain);
+            let (size, walked, plain) = (slot.size, slot.walked, slot.plain);
             if let Some(p) = node.parent {
-                let up = &mut self.slots[p];
+                let up = &mut slots[p];
+                up.size += size;
                 up.walked = up.walked.saturating_add(walked);
                 up.plain &= plain;
             }
         }
-        // a poisoned memo is a miss everywhere, and files nothing
-        let Some(shelf) = self.memo.open() else {
-            return;
+        let mut recall = Recall {
+            memo,
+            slots,
+            keys: Vec::new(),
+            filing: Vec::new(),
+            room: 0,
         };
-        self.room = shelf.room;
-        // top-down, so a taken message skips its subtree unlooked-at
-        for &u in tree.order.iter().rev() {
-            let node = &tree.nodes[u];
-            let Some(p) = node.parent else {
+        // a poisoned memo is a miss everywhere, and files nothing
+        if let Some(shelf) = memo.open() {
+            recall.room = shelf.room;
+            recall.look_up(plan, query, tally, &shelf);
+        }
+        recall
+    }
+
+    /// Looks up every node that qualifies, top-down, so a taken message
+    /// skips its subtree unlooked-at.
+    fn look_up(&mut self, plan: &ReducedTree<'_>, query: &Scope, tally: &Tally, shelf: &Shelf<'_>) {
+        let clique = |v: &usize| match plan.nodes[*v].label {
+            NodeLabel::Clique(c) => Some(c),
+            NodeLabel::Shortcut(_) => None,
+        };
+        for (at, &u) in plan.order.iter().enumerate().rev() {
+            let Some(p) = plan.nodes[u].parent else {
                 continue; // the root's message is the answer
             };
             if !matches!(self.slots[p].step, Step::Send) {
                 self.slots[u].step = Step::Skip;
                 continue;
             }
-            let (NodeLabel::Clique(c), NodeLabel::Clique(pc)) = (node.label, tree.nodes[p].label)
-            else {
+            let (Some(parent), true) = (clique(&p), self.slots[u].plain) else {
                 continue;
             };
-            if !self.slots[u].plain {
-                continue;
-            }
-            let start = self.keys.len();
+            // the subtree is the span of the post-order ending at `u`
+            let members = plan.order[at + 1 - self.slots[u].size..=at].iter();
             let held = (0..query.len()).filter(|&i| tally.holds(u, i));
-            memo::push_key(&mut self.keys, c, pc, held.map(|i| query.vars()[i]));
+            let start = self.keys.len();
+            let held = held.map(|i| query.vars()[i]);
+            memo::push_key(&mut self.keys, parent, members.filter_map(clique), held);
             match shelf.get(&self.keys[start..]) {
-                Some(message) => {
-                    self.slots[u].step = Step::Known(self.taken.len());
-                    self.taken.push(message);
-                }
+                Some(message) => self.slots[u].step = Step::Known(message),
                 None => self.slots[u].key = Some((start, self.keys.len())),
             }
         }
     }
 
-    #[inline]
-    fn step(&self, u: usize) -> Step<Sent> {
-        match self.slots[u].step {
-            Step::Send => Step::Send,
-            Step::Known(i) => Step::Known(Sent::Taken(i)),
-            Step::Skip => Step::Skip,
-        }
-    }
-
-    #[inline]
-    fn view<'s>(&'s self, sent: &'s Sent) -> TableRef<'s> {
-        match sent {
-            Sent::Fresh(message) => message.view(),
-            Sent::Taken(i) => self.taken[*i].view(),
-        }
-    }
-
-    fn send(&mut self, u: usize, message: Potential) -> Sent {
+    /// Node `u`'s message was computed: a copy is to be filed if its key
+    /// may be, the memo has room and the subtree walked enough for it.
+    fn keep(&mut self, u: usize, message: &Potential) {
         let Slot { walked, key, .. } = self.slots[u];
         if let Some((start, end)) = key {
             let entries = message.len();
@@ -1049,13 +894,12 @@ impl Messages for Memoized<'_> {
                     .push((self.keys[start..end].into(), message.clone()));
             }
         }
-        Sent::Fresh(message)
     }
 
-    #[inline]
-    fn spend(&mut self, sent: Sent, scratch: &mut Scratch) {
-        if let Sent::Fresh(message) = sent {
-            scratch.recycle(message);
+    /// Files what the pass kept.
+    fn file(self) {
+        if !self.filing.is_empty() {
+            self.memo.file(self.filing);
         }
     }
 }
@@ -1328,38 +1172,38 @@ mod tests {
         edges.fold(Scope::empty(), |s, e| s.union(tree.separator(e)))
     }
 
-    /// The tables of a batch, as `region_joints` builds them, and the
-    /// messages it computed: the ones it filed plus one answer per region.
-    fn batch(
+    /// The kernels a pass for `region` over `ns` runs — the nodes the memo
+    /// leaves it to compute — and the table it builds.
+    fn build(
         tree: &JunctionTree,
         rooted: &RootedTree,
         ns: &NumericState,
-        regions: &[&(Vec<usize>, usize, Scope)],
-    ) -> (Vec<Potential>, usize) {
-        let (mut memo, mut scratch) = (LabelMemo::default(), Scratch::new());
-        let tables = regions
-            .iter()
-            .map(|(members, root, scope)| {
-                let plan = ReducedTree::from_members(tree, rooted, members, *root, Some(ns));
-                let tally = Tally::new(&plan, scope, tree.domain());
-                plan.pass(scope, &tally, &mut scratch, &mut memo).unwrap()
-            })
-            .collect();
-        (tables, memo.sent.len() + regions.len())
+        (members, root, scope): &(Vec<usize>, usize, Scope),
+    ) -> (usize, Potential) {
+        let d = tree.domain();
+        let plan = ReducedTree::from_members(tree, rooted, members, *root, Some(ns));
+        let tally = Tally::new(&plan, scope, d);
+        let recall = Recall::new(&plan, ns.memo(), scope, &tally, d);
+        let sends = recall.slots.iter().filter(|s| matches!(s.step, Step::Send));
+        let kernels = sends.count();
+        let table = plan.pass(ns.memo(), scope, &tally, d, &mut Scratch::new());
+        (kernels, table.unwrap())
     }
 
-    /// The memo fires exactly where the key says it may: with `T = S ∪
-    /// {parent(r_S)}` built first, `S` costs one kernel — its own root's;
-    /// with `S` first, `T` costs two — its root's and `r_S`'s, which was
-    /// `S`'s root and so never filed. The same cliques asked for one more
-    /// variable share nothing that carries it. Every table is the one a
-    /// build of its region alone computes, bit for bit.
+    /// The memo fires exactly where the key says it may: over tables that
+    /// built `T = S ∪ {parent(r_S)}`, `S` costs one kernel — its own root's;
+    /// over tables that built `S`, `T` costs two — its root's and `r_S`'s,
+    /// which was `S`'s root and so never filed. The same cliques asked for
+    /// one more variable share nothing that carries it. Every table is the
+    /// one a build of its region alone over fresh tables computes, bit for
+    /// bit, and the fresh tables — clones — never share a memo.
     #[test]
     fn memo_reuses_every_message_below_a_shared_root() {
         let bn = fixtures::chain(9, 3, 4);
         let (tree, rooted, ns) = setup(&bn, Some(2));
         let assert_own = |(members, root, scope): &(Vec<usize>, usize, Scope), got: &Potential| {
-            let alone = region_joints(&tree, &rooted, &ns, &[(members, *root, scope)]).unwrap();
+            let region = [(&members[..], *root, scope)];
+            let alone = region_joints(&tree, &rooted, &ns.clone(), &region).unwrap();
             let want = &alone[0].0;
             assert_eq!(got.scope(), want.scope());
             assert_eq!(bits(got), bits(want));
@@ -1384,21 +1228,20 @@ mod tests {
             t.sort_unstable();
             let s = (s.clone(), r, cut_scope(&tree, &rooted, &s, r));
             let t = (t.clone(), p, cut_scope(&tree, &rooted, &t, p));
-            let (_, alone_s) = batch(&tree, &rooted, &ns, &[&s]);
-            let (_, alone_t) = batch(&tree, &rooted, &ns, &[&t]);
-            assert_eq!((alone_s, alone_t), (s.0.len(), t.0.len()));
-            let (t_first, kernels) = batch(&tree, &rooted, &ns, &[&t, &s]);
-            assert_eq!(kernels, alone_t + 1, "S after T under {p}");
-            let (s_first, kernels) = batch(&tree, &rooted, &ns, &[&s, &t]);
-            assert_eq!(kernels, alone_s + 2, "T after S under {p}");
-            for (region, got) in [
-                (&t, &t_first[0]),
-                (&s, &t_first[1]),
-                (&s, &s_first[0]),
-                (&t, &s_first[1]),
-            ] {
-                assert_own(region, got);
-            }
+            let t_first = ns.clone();
+            let (kernels, t_table) = build(&tree, &rooted, &t_first, &t);
+            assert_eq!(kernels, t.0.len(), "T alone under {p}");
+            let (kernels, s_table) = build(&tree, &rooted, &t_first, &s);
+            assert_eq!(kernels, 1, "S after T under {p}");
+            assert_own(&t, &t_table);
+            assert_own(&s, &s_table);
+            let s_first = ns.clone();
+            let (kernels, s_table) = build(&tree, &rooted, &s_first, &s);
+            assert_eq!(kernels, s.0.len(), "S alone under {p}");
+            let (kernels, t_table) = build(&tree, &rooted, &s_first, &t);
+            assert_eq!(kernels, 2, "T after S under {p}");
+            assert_own(&s, &s_table);
+            assert_own(&t, &t_table);
             // a variable below r_S that X_S lacks: held in one key, not the other
             let r_scope = tree.clique(r);
             let mut deep = s.0.iter().flat_map(|&u| tree.clique(u).iter());
@@ -1406,12 +1249,12 @@ mod tests {
                 .find(|&x| !r_scope.contains(x) && !s.2.contains(x))
                 .unwrap();
             let wider = (s.0.clone(), r, s.2.union(&Scope::from_iter([x])));
-            let (both, _) = batch(&tree, &rooted, &ns, &[&s, &wider]);
-            assert_own(&s, &both[0]);
-            assert_own(&wider, &both[1]);
+            let (_, wider_table) = build(&tree, &rooted, &s_first, &wider);
+            assert_own(&wider, &wider_table);
             checked += 1;
         }
         assert!(checked >= 3, "{checked} nested pairs");
+        assert_eq!(ns.memo().usage().0, 0, "no clone filed into the source");
         // a region that is no subtree is refused, not planned: its root
         // outside it, its members out of order, a member off the pivot's
         // side of its root
@@ -1429,6 +1272,66 @@ mod tests {
                 matches!(err, Err(PgmError::InvalidRegion { .. })),
                 "{region:?}"
             );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The key is exact on any plan over the tables. On generated
+        /// networks, over initialized tables — where a subtree free of query
+        /// variables still sends a message other than ones — and over
+        /// calibrated ones, queries answered on their Steiner trees, on
+        /// those grown by a neighbouring clique and on every clique, and
+        /// builds of random regions, all through one memo, answer and build
+        /// as each does over a clone of the tables, bit for bit.
+        #[test]
+        fn any_plan_over_the_tables_takes_only_its_own_messages(seed in 0u64..10_000, n in 8usize..13) {
+            use peanut_pgm::generate::{generate_network, DagConfig};
+            use proptest::test_runner::TestRng;
+            let cfg = DagConfig {
+                n_nodes: n,
+                n_edges: n - 1 + n / 3,
+                max_in_degree: 3,
+                window: 4,
+                cardinalities: vec![2, 3],
+            };
+            let Ok(bn) = generate_network(&cfg, seed) else { return Ok(()) };
+            let mut rng = TestRng::seed_from_u64(seed);
+            let (tree, rooted, calibrated) = setup(&bn, None);
+            let initialized = NumericState::initialize(&tree, &bn).unwrap();
+            let (d, all) = (bn.domain(), (0..tree.n_cliques()).collect::<Vec<_>>());
+            for ns in [&initialized, &calibrated] {
+                for _ in 0..12 {
+                    let picks: Vec<u32> = (0..rng.sample(2..5usize)).map(|_| rng.sample(0..n as u32)).collect();
+                    let q = Scope::from_indices(&picks);
+                    let st = SteinerTree::extract(&tree, &rooted, &q).unwrap();
+                    let at = st.nodes()[rng.sample(0..st.len())];
+                    let next = tree.neighbors(at)[rng.sample(0..tree.neighbors(at).len())].0;
+                    let mut grown = st.nodes().to_vec();
+                    if !grown.contains(&next) {
+                        grown.push(next);
+                        grown.sort_unstable();
+                    }
+                    let top = |m: &[usize]| *m.iter().min_by_key(|&&u| rooted.depth(u)).unwrap();
+                    for members in [st.nodes(), &grown[..], &all[..]] {
+                        let answer = |ns: &NumericState| {
+                            let plan = ReducedTree::from_members(&tree, &rooted, members, top(members), Some(ns));
+                            bits(&plan.answer(&q, d).unwrap().0)
+                        };
+                        proptest::prop_assert_eq!(answer(ns), answer(&ns.clone()), "{} on {:?}", q, members);
+                    }
+                    let r = rng.sample(0..tree.n_cliques());
+                    let deep = rooted.depth(r) + rng.sample(0..3usize);
+                    let mut region: Vec<usize> = rooted.subtree_nodes(r).iter().copied().filter(|&u| rooted.depth(u) <= deep).collect();
+                    region.sort_unstable();
+                    let scope = cut_scope(&tree, &rooted, &region, r).union(&q);
+                    let regions = [(&region[..], r, &scope)];
+                    let built = region_joints(&tree, &rooted, ns, &regions).unwrap();
+                    let want = region_joints(&tree, &rooted, &ns.clone(), &regions).unwrap();
+                    proptest::prop_assert_eq!(bits(&built[0].0), bits(&want[0].0), "{:?} for {}", region, scope);
+                }
+            }
         }
     }
 
@@ -1475,11 +1378,12 @@ mod tests {
         p.values().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// The numeric pass toward `plan`'s own root.
+    /// The numeric pass toward `plan`'s own root, every message computed:
+    /// a memo with no room neither holds nor files one.
     fn pass_at_root(plan: &ReducedTree<'_>, q: &Scope, d: &Domain) -> Potential {
         let tally = Tally::new(plan, q, d);
-        plan.pass(q, &tally, &mut Scratch::new(), &mut Recycled)
-            .unwrap()
+        let memo = MessageMemo::with_cap(0);
+        plan.pass(&memo, q, &tally, d, &mut Scratch::new()).unwrap()
     }
 
     /// Checks every rooting of `plan` for `q` against the root choice, and

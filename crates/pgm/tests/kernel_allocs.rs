@@ -5,7 +5,7 @@
 //! `crates/core/tests/alloc_budget.rs`. Run with `--nocapture` to see what
 //! message passing allocates per query.
 
-use peanut_junction::{build_junction_tree, QueryEngine};
+use peanut_junction::{build_junction_tree, NumericState, QueryEngine};
 use peanut_pgm::{
     divide_views, mul_assign_bcast, product_marginalize_views, product_onto, Domain, Potential,
     Scope, Scratch,
@@ -130,34 +130,67 @@ fn a_warm_kernel_allocates_only_its_result() {
 
 /// What message passing allocates per query: `ReducedTree::answer_in` over
 /// every out-of-clique variable pair of Child on the plain tree, one warm
-/// `Scratch` recycling each answer. Printed for the ledger, not asserted:
-/// 59.3 calls per query (8.31 per node) since the pass lends one factor
-/// list to every node, 71.4 (10.01) when each node built its own. The plan
-/// comes from `reduced_for`, so the engine's message memo is not involved.
+/// `Scratch` recycling each answer. The plans come from `reduced_for`, so
+/// every pass goes through the message memo of the tables it borrows.
+/// *Cold* answers each pair over a fresh copy of the tables, whose memo is
+/// empty: every message is computed, and a copy of each admitted one is
+/// filed. *Warm* answers the pairs again over tables that answered them
+/// all once. Printed for the ledger, not asserted: cold 90.5 calls per
+/// query (12.68 per node), warm 18.8 (2.63), over 157 queries of 7.1
+/// nodes. A pass without the memo made 59.3 (8.31) once it lent one factor
+/// list to every node, 71.4 (10.01) when each node built its own.
 #[test]
 fn child_answer_in_allocations() {
     let bn = peanut_datasets::dataset("Child").unwrap().build().unwrap();
     let tree = build_junction_tree(&bn).unwrap();
     let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+    let slab = engine.numeric_state().unwrap().arena().slab();
     let n = bn.n_vars() as u32;
+    let pairs: Vec<Scope> = (0..n)
+        .flat_map(|a| (a + 1..n).map(move |b| Scope::from_indices(&[a, b])))
+        .collect();
     let mut s = Scratch::new();
-    let (mut queries, mut nodes, mut calls) = (0usize, 0usize, 0usize);
-    for q in (0..n).flat_map(|a| (a + 1..n).map(move |b| Scope::from_indices(&[a, b]))) {
-        let Some(rt) = engine.reduced_for(&q).unwrap() else {
-            continue;
-        };
-        let (answer, c) = counted(|| rt.answer_in(&q, tree.domain(), &mut s).unwrap().0);
-        s.recycle(answer);
-        queries += 1;
-        nodes += rt.len();
-        calls += c;
-    }
-    assert!(queries > 0);
+    // (queries, nodes, calls) of answering every out-of-clique pair, each
+    // over fresh tables or all over the engine's
+    let mut stream = |cold: bool| {
+        let (mut queries, mut nodes, mut calls) = (0usize, 0usize, 0usize);
+        for q in &pairs {
+            let fresh;
+            let over = if cold {
+                let ns = NumericState::from_calibrated_slab(&tree, slab).unwrap();
+                fresh = QueryEngine::from_calibrated(&tree, ns);
+                &fresh
+            } else {
+                &engine
+            };
+            let Some(rt) = over.reduced_for(q).unwrap() else {
+                continue;
+            };
+            let (answer, c) = counted(|| rt.answer_in(q, tree.domain(), &mut s).unwrap().0);
+            s.recycle(answer);
+            queries += 1;
+            nodes += rt.len();
+            calls += c;
+        }
+        (queries, nodes, calls)
+    };
+    let cold = stream(true);
+    stream(false);
+    let warm = stream(false);
+    assert!(cold.0 > 0 && cold.0 == warm.0);
+    let per = |(queries, nodes, calls): (usize, usize, usize)| {
+        let (q, n, c) = (queries as f64, nodes as f64, calls as f64);
+        format!(
+            "{:.1} allocator calls per query ({:.2} per node)",
+            c / q,
+            c / n
+        )
+    };
     println!(
-        "Child: answer_in makes {:.1} allocator calls per out-of-clique query, {:.2} per node \
-         ({queries} queries, {:.1} nodes each)",
-        calls as f64 / queries as f64,
-        calls as f64 / nodes as f64,
-        nodes as f64 / queries as f64
+        "Child: answer_in makes {} cold, {} warm ({} out-of-clique queries, {:.1} nodes each)",
+        per(cold),
+        per(warm),
+        cold.0,
+        cold.1 as f64 / cold.0 as f64
     );
 }

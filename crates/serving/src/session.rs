@@ -22,12 +22,13 @@
 //! *restricted* scopes are what the lifecycle layer's re-selection trains
 //! on (it reads the scope counts only).
 //!
-//! The restricted engine keeps its own message memo
+//! The restricted tables carry their own message memo
 //! (`peanut_junction::reduced`, "The message memo"), empty at open: the
-//! serving engine's memo holds messages of the unrestricted tables, none of
-//! which is a message of the session's. Within the session, a query takes
-//! what earlier queries of the same session filed, bit for bit what it
-//! would compute; the memo is dropped with the session.
+//! memo belongs to the tables it was filled from, and the serving engine's
+//! holds messages of the unrestricted ones, none of which is a message of
+//! the session's. Within the session, a query takes what earlier queries of
+//! the same session filed, bit for bit what it would compute; the memo is
+//! dropped with the session.
 //!
 //! # Epoch-swap semantics
 //!
