@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # peanut-bench
 //!
 //! The reproduction harness: the `repro` binary holds one experiment per

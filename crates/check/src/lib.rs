@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Model-check harness for the serving stack's concurrency protocols.
 //!
 //! This crate compiles `peanut-core` and `peanut-serving` with the

@@ -19,7 +19,7 @@
 use crate::context::OfflineContext;
 use crate::grid::{BudgetGrid, Compose};
 use crate::lrdp::{Combine, RootTables, ShortcutSolution};
-use std::collections::HashMap;
+use peanut_junction::RootedTree;
 
 /// The packing chosen by BUDP.
 #[derive(Clone, Debug, Default)]
@@ -47,10 +47,14 @@ pub fn budp(ctx: &OfflineContext, grid: &BudgetGrid, roots: &[RootTables]) -> Bu
     let m = grid.len();
     debug_assert_eq!(roots.len(), n);
 
-    let mut h: Vec<Vec<f64>> = vec![Vec::new(); n];
-    let mut choice: Vec<Vec<NodeChoice>> = vec![Vec::new(); n];
-    let mut child_combines: Vec<Option<Combine>> = (0..n).map(|_| None).collect();
-    let mut frontier_combines: HashMap<(usize, usize), (Vec<usize>, Combine)> = HashMap::new();
+    let mut d = Decisions {
+        rooted,
+        grid,
+        roots,
+        h: vec![Vec::new(); n],
+        choice: vec![Vec::new(); n],
+        child_combines: (0..n).map(|_| None).collect(),
+    };
 
     // bottom-up over the pivot-rooted DFS order
     let order: Vec<usize> = rooted.dfs_order().to_vec();
@@ -61,10 +65,9 @@ pub fn budp(ctx: &OfflineContext, grid: &BudgetGrid, roots: &[RootTables]) -> Bu
 
         // case (i): children packings
         if !kids.is_empty() {
-            let tables: Vec<&[f64]> = kids.iter().map(|c| h[*c].as_slice()).collect();
-            let comb = Combine::run(&tables, grid, Compose::Add);
+            let comb = packings_over(&d.h, kids, grid);
             table.copy_from_slice(&comb.free);
-            child_combines[v] = Some(comb);
+            d.child_combines[v] = Some(comb);
         }
 
         // case (ii): a shortcut rooted at v plus frontier packings
@@ -74,8 +77,7 @@ pub fn budp(ctx: &OfflineContext, grid: &BudgetGrid, roots: &[RootTables]) -> Bu
             }
             let alloc = sol.min_index;
             let frontier: Vec<usize> = sol.shortcut.frontier_set().iter().collect();
-            let ftables: Vec<&[f64]> = frontier.iter().map(|d| h[*d].as_slice()).collect();
-            let fcomb = Combine::run(&ftables, grid, Compose::Add);
+            let fcomb = packings_over(&d.h, &frontier, grid);
             for ci in alloc..m {
                 let remaining = grid.value(ci) - grid.value(alloc);
                 let rem = grid
@@ -87,7 +89,6 @@ pub fn budp(ctx: &OfflineContext, grid: &BudgetGrid, roots: &[RootTables]) -> Bu
                     ch[ci] = NodeChoice::Shortcut { sol: si, rem };
                 }
             }
-            frontier_combines.insert((v, si), (frontier, fcomb));
         }
 
         // monotone by construction? case (ii) entries may dip below a
@@ -99,84 +100,64 @@ pub fn budp(ctx: &OfflineContext, grid: &BudgetGrid, roots: &[RootTables]) -> Bu
                 ch[ci] = ch[ci - 1];
             }
         }
-        h[v] = table;
-        choice[v] = ch;
+        d.h[v] = table;
+        d.choice[v] = ch;
     }
 
     // reconstruction from the pivot at the full budget
     let pivot = rooted.root();
     let mut result = BudpResult {
         shortcuts: Vec::new(),
-        dp_benefit: h[pivot][m - 1],
+        dp_benefit: d.h[pivot][m - 1],
     };
-    reconstruct(
-        ctx,
-        grid,
-        roots,
-        &h,
-        &choice,
-        &child_combines,
-        &frontier_combines,
-        pivot,
-        m - 1,
-        &mut result.shortcuts,
-    );
+    d.collect(pivot, m - 1, &mut result.shortcuts);
     result
 }
 
-#[allow(clippy::too_many_arguments, clippy::only_used_in_recursion)]
-fn reconstruct(
-    ctx: &OfflineContext,
-    grid: &BudgetGrid,
-    roots: &[RootTables],
-    h: &[Vec<f64>],
-    choice: &[Vec<NodeChoice>],
-    child_combines: &[Option<Combine>],
-    frontier_combines: &HashMap<(usize, usize), (Vec<usize>, Combine)>,
-    v: usize,
-    ci: usize,
-    out: &mut Vec<ShortcutSolution>,
-) {
-    if h[v][ci] <= 0.0 {
-        return; // nothing materialized in this subtree
-    }
-    let rooted = ctx.rooted();
-    match choice[v][ci] {
-        NodeChoice::Children => {
-            let Some(comb) = &child_combines[v] else {
-                return;
-            };
-            for (c, ci_c) in comb.backtrack(false, ci, rooted.children(v)) {
-                reconstruct(
-                    ctx,
-                    grid,
-                    roots,
-                    h,
-                    choice,
-                    child_combines,
-                    frontier_combines,
-                    c,
-                    ci_c,
-                    out,
-                );
-            }
+/// The best packings over the disjoint subtrees rooted at `nodes`, per
+/// budget split: a knapsack of their final `h` tables.
+fn packings_over(h: &[Vec<f64>], nodes: &[usize], grid: &BudgetGrid) -> Combine {
+    let tables: Vec<&[f64]> = nodes.iter().map(|&d| h[d].as_slice()).collect();
+    Combine::run(&tables, grid, Compose::Add)
+}
+
+/// BUDP's decisions: the final tables, each node's choice per budget and
+/// its children's combine. A chosen shortcut's frontier combine is not
+/// kept: reconstruction visits a handful of them, and recomputes each from
+/// the same final `h` tables it was built from.
+struct Decisions<'r> {
+    rooted: &'r RootedTree,
+    grid: &'r BudgetGrid,
+    roots: &'r [RootTables],
+    h: Vec<Vec<f64>>,
+    choice: Vec<Vec<NodeChoice>>,
+    child_combines: Vec<Option<Combine>>,
+}
+
+impl Decisions<'_> {
+    /// The shortcuts of the packing chosen for subtree(`v`) at grid index
+    /// `ci`.
+    fn collect(&self, v: usize, ci: usize, out: &mut Vec<ShortcutSolution>) {
+        if self.h[v][ci] <= 0.0 {
+            return; // nothing materialized in this subtree
         }
-        NodeChoice::Shortcut { sol, rem } => {
-            out.push(roots[v].solutions[sol].clone());
-            let (frontier, fcomb) = &frontier_combines[&(v, sol)];
-            for (d, ci_d) in fcomb.backtrack(false, rem, frontier) {
-                reconstruct(
-                    ctx,
-                    grid,
-                    roots,
-                    h,
-                    choice,
-                    child_combines,
-                    frontier_combines,
-                    d,
-                    ci_d,
-                    out,
-                );
+        match self.choice[v][ci] {
+            NodeChoice::Children => {
+                let Some(comb) = &self.child_combines[v] else {
+                    return;
+                };
+                for (c, ci_c) in comb.backtrack(false, ci, self.rooted.children(v)) {
+                    self.collect(c, ci_c, out);
+                }
+            }
+            NodeChoice::Shortcut { sol, rem } => {
+                let sol = &self.roots[v].solutions[sol];
+                out.push(sol.clone());
+                let frontier: Vec<usize> = sol.shortcut.frontier_set().iter().collect();
+                let fcomb = packings_over(&self.h, &frontier, self.grid);
+                for (d, ci_d) in fcomb.backtrack(false, rem, &frontier) {
+                    self.collect(d, ci_d, out);
+                }
             }
         }
     }

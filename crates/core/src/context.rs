@@ -2,6 +2,8 @@
 //! Steiner information, per-node benefit contributions, usefulness
 //! (Def. 3.1) and benefit (Defs. 3.2–3.3).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::shortcut::Shortcut;
 use crate::util::BitSet;
 use crate::workload::Workload;

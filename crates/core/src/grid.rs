@@ -14,6 +14,8 @@
 //! under-fill the budget, never exceed it. This conservatism is what
 //! produces the actual-vs-target budget gap of the paper's Figure 4.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use peanut_pgm::Size;
 
 /// A sorted set of admissible budget values, always containing `0` and `K`.
@@ -43,7 +45,7 @@ impl BudgetGrid {
                 if v >= k {
                     break;
                 }
-                // lint:allow(hot_panic) — `values` starts with 0
+                #[expect(clippy::expect_used, reason = "`values` starts with 0")]
                 if v > *values.last().expect("non-empty") {
                     values.push(v);
                 }
@@ -84,7 +86,7 @@ impl BudgetGrid {
     /// The maximum budget `K`.
     #[inline]
     pub fn max(&self) -> Size {
-        // lint:allow(hot_panic) — every constructor pushes 0
+        #[expect(clippy::expect_used, reason = "every constructor pushes 0")]
         *self.values.last().expect("grid non-empty")
     }
 

@@ -2,6 +2,8 @@
 //! Togasaki and Yamazaki (2003), used by PEANUT+'s online phase to pick a
 //! non-conflicting set of overlapping shortcut potentials (§4.6).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 /// Selects an independent set of the conflict graph greedily: repeatedly
 /// take the vertex maximizing `w(v) / (deg(v) + 1)` among the remaining
 /// vertices, then delete it and its neighbors.

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # peanut-core
 //!
 //! The paper's contribution: **workload-aware materialization of junction

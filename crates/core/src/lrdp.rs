@@ -36,6 +36,8 @@
 //!   clique of the junction tree in `V(S)` (there is no edge below a leaf to
 //!   cut).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::context::OfflineContext;
 use crate::exec::{Executor, ScopedExecutor};
 use crate::grid::{BudgetGrid, Compose};
@@ -101,9 +103,9 @@ pub fn lrdp_all_on(
         let tables = lrdp(ctx, r, grid);
         assert!(slots[r].set(tables).is_ok(), "executor runs each root once");
     });
+    #[expect(clippy::expect_used, reason = "`run_tasks` returns once every task ran")]
     slots
         .into_iter()
-        // lint:allow(hot_panic) — `run_tasks` returns once every task ran
         .map(|s| s.into_inner().expect("executor ran every root"))
         .collect()
 }
@@ -226,8 +228,12 @@ pub fn lrdp(ctx: &OfflineContext, r_s: usize, grid: &BudgetGrid) -> RootTables {
                 let mut members: Vec<usize> = Vec::new();
                 let mut marked = vec![false; ctx.tree().n_cliques()];
                 for &cn in &cut_nodes {
-                    // lint:allow(hot_panic) — cut nodes are strict descendants of r_s
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "cut nodes are strict descendants of r_s"
+                    )]
                     let mut u = rooted.parent(cn).expect("cut node below r_s");
+                    #[expect(clippy::expect_used, reason = "the walk up stops at r_s")]
                     loop {
                         if marked[u] {
                             break;
@@ -237,11 +243,10 @@ pub fn lrdp(ctx: &OfflineContext, r_s: usize, grid: &BudgetGrid) -> RootTables {
                         if u == r_s {
                             break;
                         }
-                        // lint:allow(hot_panic) — the walk up stops at r_s
                         u = rooted.parent(u).expect("within subtree");
                     }
                 }
-                // lint:allow(hot_panic) — paths up to one root are connected
+                #[expect(clippy::expect_used, reason = "paths up to one root are connected")]
                 let shortcut = Shortcut::from_nodes(ctx.tree(), rooted, members)
                     .expect("reconstructed member set is connected");
                 let true_benefit = ctx.benefit(&shortcut);
@@ -288,7 +293,7 @@ impl Decisions<'_> {
                     self.collect_cuts(c, ci_c, out);
                 }
             }
-            // lint:allow(hot_panic) — backtracking follows feasible cells only
+            #[expect(clippy::unreachable, reason = "backtracking follows feasible cells only")]
             _ => unreachable!("backtrack reached an infeasible state"),
         }
     }
@@ -412,7 +417,10 @@ impl Combine {
                 self.free_ptr[k - 1][ci]
             };
             match ptr {
-                // lint:allow(hot_panic) — a feasible cell never points at a dead one
+                #[expect(
+                    clippy::unreachable,
+                    reason = "a feasible cell never points at a dead one"
+                )]
                 CombPtr::Dead => unreachable!("backtrack entered an infeasible cell"),
                 CombPtr::Inherit => {
                     ci -= 1;
@@ -498,7 +506,7 @@ impl<'c, 't> PathState<'c, 't> {
         // cut-scope bookkeeping
         if parent_on_path.is_some() {
             // edge (parent, u) becomes internal (or external again on pop)
-            // lint:allow(hot_panic) — a node with a parent on the path has one
+            #[expect(clippy::expect_used, reason = "a node with a parent on the path has one")]
             let e = rooted.parent_edge(u).expect("u below r_s");
             for x in ctx.tree().separator(e).iter() {
                 self.cut_cnt[x.index()] = self.cut_cnt[x.index()].wrapping_add_signed(-sign as i32);
@@ -510,7 +518,7 @@ impl<'c, 't> PathState<'c, 't> {
             }
         }
         for &w in rooted.children(u) {
-            // lint:allow(hot_panic) — a child hangs off its parent edge
+            #[expect(clippy::expect_used, reason = "a child hangs off its parent edge")]
             let e = rooted.parent_edge(w).expect("child edge");
             for x in ctx.tree().separator(e).iter() {
                 self.cut_cnt[x.index()] = self.cut_cnt[x.index()].wrapping_add_signed(sign as i32);
@@ -532,7 +540,7 @@ impl<'c, 't> PathState<'c, 't> {
     /// `(b_Q, c)` of the shortcut whose subtree is the current path.
     fn read(&self) -> (f64, Size) {
         let ctx = self.ctx;
-        // lint:allow(hot_panic) — read only between a push and its pop
+        #[expect(clippy::expect_used, reason = "read only between a push and its pop")]
         let top = *self.path.last().expect("path non-empty");
         // cost: μ over variables present in any cut separator
         let mut cost: Size = 1;

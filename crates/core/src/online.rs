@@ -28,6 +28,8 @@
 //! (`ReducedTree<'e>`). The engine holds no accumulator: what was answered
 //! is observed by the serve pipeline, not here.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::context::SteinerCover;
 use crate::gwmin::gwmin_by;
 use crate::shortcut::Shortcut;

@@ -2,6 +2,8 @@
 //! materialization selection (plus optional numeric materialization of the
 //! chosen tables) producing a [`Materialization`] for the online engine.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::budp::budp;
 use crate::context::OfflineContext;
 use crate::exec::{Executor, ScopedExecutor};

@@ -7,6 +7,8 @@
 //! greedily materializes — overlaps allowed — until the budget is filled.
 //! The online phase then resolves per-query conflicts with GWMIN.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::lrdp::{RootTables, ShortcutSolution};
 use peanut_pgm::Size;
 

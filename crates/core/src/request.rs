@@ -23,6 +23,8 @@
 //! Every such map compares the request (or scope) itself on a hash match:
 //! a collision costs a recomputation, never a wrong answer.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use peanut_pgm::{Scope, Var};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};

@@ -5,6 +5,8 @@
 //! `T_S` out of `T` (its scope `X_S`), and materializing it costs
 //! `μ(S) = ∏_{x ∈ X_S} α(x)` table entries.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::util::BitSet;
 use peanut_junction::{region_joints, JunctionTree, NumericState, RootedTree};
 use peanut_pgm::{PgmError, Potential, Scope, Size};
@@ -151,7 +153,7 @@ impl Shortcut {
     ) -> Result<(Potential, Size), PgmError> {
         let region = (self.nodes.as_slice(), self.root, &self.scope);
         let mut built = region_joints(tree, rooted, numeric, &[region])?;
-        // lint:allow(hot_panic) — one region in, one table out
+        #[expect(clippy::expect_used, reason = "one region in, one table out")]
         Ok(built.pop().expect("the region's table"))
     }
 }

@@ -25,6 +25,8 @@
 //! `u64` and compared, never cloned; two scopes under one hash keep
 //! separate, exact counts.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::request::ByHash;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;

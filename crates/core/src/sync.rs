@@ -23,8 +23,8 @@
 //! The serving protocols confine panics at the task boundary
 //! (`catch_unwind` in the pool) and never rely on lock poisoning to detect
 //! them; a poisoned std lock is recovered via `PoisonError::into_inner`.
-//! This keeps `unwrap`/`expect` off the serving hot paths, which the
-//! `cargo xtask lint` pass forbids.
+//! This keeps `unwrap`/`expect` off the serving hot paths, whose files
+//! deny them.
 //!
 //! `Arc`, `Weak` and `OnceLock` are re-exported from `std` unconditionally:
 //! they are not blocking primitives, and the model checker does not need to

@@ -14,6 +14,9 @@
 //!
 //! Run with `--nocapture` to see bytes/query and allocations/query.
 
+// the counting allocator below is this binary's one unsafe site
+#![allow(unsafe_code)]
+
 use peanut_core::{
     Materialization, MaterializedShortcut, OfflineContext, OnlineEngine, Peanut, PeanutConfig,
     Shortcut, Workload,

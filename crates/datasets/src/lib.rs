@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # peanut-datasets
 //!
 //! Synthetic stand-ins for the paper's eight benchmark Bayesian networks.

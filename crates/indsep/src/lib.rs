@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # peanut-indsep
 //!
 //! The **INDSEP** baseline of Kanagal & Deshpande (SIGMOD 2009), as used in

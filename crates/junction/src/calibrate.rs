@@ -6,6 +6,8 @@
 //! per-table spans, written in place by the span kernels. Calibrating
 //! therefore produces a single relocatable buffer — see [`crate::arena`].
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::arena::TreeArena;
 use crate::memo::MessageMemo;
 use crate::rooted::RootedTree;

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # peanut-junction
 //!
 //! Junction-tree substrate for the PEANUT reproduction: everything between a

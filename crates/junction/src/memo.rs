@@ -29,6 +29,8 @@
 //! One `Mutex` guards it; a pass takes it once for its lookups and once for
 //! what it files. A poisoned lock reads as a miss and files nothing.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use peanut_pgm::{Potential, Size, Var};
 use std::collections::HashMap;
 use std::fmt;

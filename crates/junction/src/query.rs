@@ -1,6 +1,8 @@
 //! High-level query API over a junction tree: the plain **JT** method of the
 //! paper's evaluation (no extra materialization).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::calibrate::NumericState;
 use crate::cost::QueryCost;
 use crate::reduced::ReducedTree;
@@ -364,6 +366,9 @@ mod tests {
         let d = bn.domain();
         let evidence = vec![(d.var("a").unwrap(), 1u32), (d.var("i").unwrap(), 0u32)];
         let restricted = eng.restricted_to_evidence(&evidence).unwrap();
+        // the second oracle: the recalibrated tree is consistent again
+        let ns = restricted.numeric_state().unwrap();
+        assert!(ns.local_consistency_error(&tree).unwrap() <= 1e-9);
         for pair in [["b", "f"], ["d", "l"], ["g", "h"], ["c", "e"]] {
             let targets = Scope::from_iter(pair.iter().map(|n| d.var(n).unwrap()));
             let (mut got, _) = restricted.answer(&targets).unwrap();
@@ -404,6 +409,11 @@ mod tests {
         let (none, _) = eng.conditional(&l, &[(a, 0), (a, 1)]).unwrap();
         assert_eq!(none.scope(), &l);
         assert!(none.values().iter().all(|&v| v == 0.0));
+        // ...and the restricted tree's all-zero tables are still consistent
+        let contradicted = eng.restricted_to_evidence(&[(a, 0), (a, 1)]).unwrap();
+        let ns = contradicted.numeric_state().unwrap();
+        assert!(ns.clique_table(0).values().iter().all(|&v| v == 0.0));
+        assert!(ns.local_consistency_error(&tree).unwrap() <= 1e-9);
         // a repeat does not excuse a bad value
         assert!(matches!(
             eng.conditional(&l, &[(a, 1), (a, 9)]),

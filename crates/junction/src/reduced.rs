@@ -64,6 +64,8 @@
 //! message, the answer or a region's table, is never filed. The charge is
 //! untouched: a taken message is still counted in `QueryCost.ops`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::calibrate::NumericState;
 use crate::cost::{node_ops_of_size, QueryCost};
 use crate::memo::{self, MessageMemo, Shelf};
@@ -142,8 +144,10 @@ impl<'a> ReducedTree<'a> {
         root: CliqueId,
         numeric: Option<&'a NumericState>,
     ) -> Self {
-        // lint:allow(hot_panic) — Steiner invariant: the root and every
-        // non-root member's parent are members
+        #[expect(
+            clippy::expect_used,
+            reason = "Steiner invariant: the root and every non-root member's parent are members"
+        )]
         let index_of = |u: CliqueId| ids.binary_search(&u).expect("steiner member");
         let nodes = ids
             .iter()
@@ -529,8 +533,10 @@ impl<'a> ReducedTree<'a> {
             recall.keep(u, &message);
             messages.push(Sent::Fresh(message));
         }
-        // lint:allow(hot_panic) — a tree has a root, and it closes the post-order
-        unreachable!("the root's answer")
+        #[expect(clippy::unreachable, reason = "a tree has a root, and it closes the post-order")]
+        {
+            unreachable!("the root's answer")
+        }
     }
 }
 

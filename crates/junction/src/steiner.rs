@@ -1,5 +1,7 @@
 //! Steiner-tree extraction for out-of-clique queries.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::rooted::RootedTree;
 use crate::tree::{CliqueId, JunctionTree};
 use peanut_pgm::{PgmError, Scope, Var};
@@ -61,6 +63,11 @@ impl SteinerTree {
         let mut marked = vec![false; tree.n_cliques()];
         for &t in &terminals {
             let mut u = t;
+            #[expect(
+                clippy::expect_used,
+                reason = "`root` is the terminals' LCA, an ancestor of `t`: the walk up from \
+                          `t` meets it before the pivot"
+            )]
             loop {
                 if marked[u] {
                     break;
@@ -69,8 +76,6 @@ impl SteinerTree {
                 if u == root {
                     break;
                 }
-                // lint:allow(hot_panic) — `root` is the terminals' LCA, an
-                // ancestor of `t`: the walk up from `t` meets it before the pivot
                 u = rooted.parent(u).expect("root is an ancestor");
             }
         }

@@ -9,6 +9,8 @@
 //!
 //! Division follows the Hugin convention `0 / 0 = 0` ([`hugin`]).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 /// `dst[i] = a[i] * b[i]`.
 pub(crate) fn mul(dst: &mut [f64], a: &[f64], b: &[f64]) {
     debug_assert!(dst.len() == a.len() && dst.len() == b.len());

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # peanut-pgm
 //!
 //! Discrete probabilistic-graphical-model substrate for the PEANUT

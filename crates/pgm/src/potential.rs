@@ -39,6 +39,8 @@
 //! Barley) only ever need sizes, so everything above this layer can run in a
 //! size-only mode that never allocates tables.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::domain::Domain;
 use crate::error::PgmError;
 use crate::lanes;
@@ -1303,6 +1305,8 @@ impl Scratch {
 /// The pre-arena kernels, preserved as the differential baseline
 /// (`potential/legacy.rs`).
 #[cfg(any(test, feature = "legacy-kernels"))]
+// a test reference, never on a serving path: the hot-path deny stops here
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 pub mod legacy;
 
 #[cfg(test)]

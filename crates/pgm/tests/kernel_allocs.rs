@@ -5,6 +5,9 @@
 //! `crates/core/tests/alloc_budget.rs`. Run with `--nocapture` to see what
 //! message passing allocates per query.
 
+// the counting allocator below is this binary's one unsafe site
+#![allow(unsafe_code)]
+
 use peanut_junction::{build_junction_tree, NumericState, QueryEngine};
 use peanut_pgm::{
     divide_views, mul_assign_bcast, product_marginalize_views, product_onto, Domain, Potential,

@@ -44,6 +44,8 @@
 //!
 //! [`publish`]: ServingEngine::publish
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::overload::ServeOutcome;
 use crate::pipeline::{fan_out, BatchRun, Target};
 use crate::pool::{PoolCell, PoolStats, WorkerPool};
@@ -167,16 +169,16 @@ impl ServingConfig {
         self
     }
 
-    /// The worker count `workers` stands for: itself, or one per
-    /// available core when `0`.
-    pub(crate) fn resolved_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            thread::available_parallelism()
+    /// `workers` resolved (one per available core when `0`). Engines call
+    /// this once: each `available_parallelism` call re-reads the affinity
+    /// mask and the cgroup quota.
+    pub(crate) fn resolved(mut self) -> Self {
+        if self.workers == 0 {
+            self.workers = thread::available_parallelism()
                 .map(|n| n.get())
-                .unwrap_or(1)
+                .unwrap_or(1);
         }
+        self
     }
 }
 
@@ -342,7 +344,7 @@ impl<'t> ServingEngine<'t> {
                 mat: Arc::new(mat),
                 stats: Arc::new(WorkloadStats::with_hasher(hasher.clone())),
             }),
-            cfg,
+            cfg: cfg.resolved(),
             hasher,
             cache: Arc::new(Mutex::new(AnswerCache::default())),
             pool: PoolCell::new(),
@@ -577,7 +579,7 @@ impl<'t> ServingEngine<'t> {
     /// The worker count a batch will actually use (before capping by batch
     /// size).
     pub fn workers(&self) -> usize {
-        self.cfg.resolved_workers()
+        self.cfg.workers
     }
 
     /// Answers a batch of [`ServeRequest`]s. Outcomes come back in
@@ -646,6 +648,24 @@ mod tests {
             assert!(a.cost.ops > 0);
             assert!(a.baseline_ops >= a.cost.ops);
         }
+    }
+
+    /// `workers: 0` is resolved once, when an engine is built: the stored
+    /// configuration holds the core count, so no batch asks the OS again.
+    #[test]
+    fn zero_workers_resolve_once_at_construction() {
+        let bn = fixtures::sprinkler();
+        let tree = build_junction_tree(&bn).unwrap();
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+        let serving = ServingEngine::new(engine, Materialization::default(), Default::default());
+        assert_eq!(serving.cfg.workers, cores);
+        let fleet = crate::ShardedServingEngine::new(crate::ShardConfig::default());
+        assert_eq!(fleet.workers(), cores);
+        assert_eq!(
+            ServingConfig::default().with_workers(3).resolved().workers,
+            3
+        );
     }
 
     /// Evidence listed twice is the same request — one cache key through

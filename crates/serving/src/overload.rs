@@ -34,6 +34,8 @@
 //! unbounded-FIFO configuration (the [`AdmissionConfig::fifo`] default)
 //! degrades.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::engine::Served;
 use crate::shard::TenantId;
 use peanut_pgm::PgmError;

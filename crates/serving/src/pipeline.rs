@@ -27,6 +27,8 @@
 //! [`ShardedServingEngine::serve_mixed`]: crate::shard::ShardedServingEngine::serve_mixed
 //! [`EvidenceSession::serve_batch`]: crate::session::EvidenceSession::serve_batch
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::engine::{Answer, AnswerCache, BatchStats, CacheLookup, Served};
 use crate::overload::ServeOutcome;
 use crate::pool::PoolCell;
@@ -255,8 +257,11 @@ impl<'a, 't> BatchRun<'a, 't> {
     /// zero-copy handle on the shared answer (errors are cloned; they
     /// carry no tables). Call after [`finish`](Self::finish).
     pub(crate) fn outcome(&self, u: usize) -> ServeOutcome {
-        // lint:allow(hot_panic) — invariant: `probe` answers every unique
-        // from the cache or lists it in `work`, and `finish` fills those.
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: `probe` answers every unique from the cache or lists it in \
+                      `work`, and `finish` fills those"
+        )]
         match self.results[u].as_ref().expect("finished run") {
             Ok(a) => ServeOutcome::Served(Served {
                 answer: Arc::clone(a),
@@ -295,11 +300,13 @@ pub(crate) fn fan_out<R: Send + Sync>(
             "wave claims each index once"
         );
     });
+    #[expect(
+        clippy::expect_used,
+        reason = "protocol invariant: run_wave does not return before every claimed index has \
+                  completed, and the model-check suite drives exactly that protocol"
+    )]
     slots
         .into_iter()
-        // lint:allow(hot_panic) — protocol invariant: run_wave does not
-        // return before every claimed index has completed, and the
-        // model-check suite drives exactly that protocol.
         .map(|slot| slot.into_inner().expect("completed wave ran every task"))
         .collect()
 }

@@ -51,6 +51,8 @@
 //! (total and per lane) and park/unpark counts. [`PoolStats::delta_since`]
 //! isolates one measurement window from pool-lifetime totals.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use peanut_core::exec::{Executor, SequentialExecutor};
 use peanut_core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use peanut_core::sync::thread::{self, JoinHandle};
@@ -198,6 +200,9 @@ struct TaskPtr(*const (dyn Fn(usize, &mut Scratch) + Sync));
 // shared reference), and `run_wave_on` guarantees it stays alive for every
 // dereference (see `worker_loop`).
 unsafe impl Send for TaskPtr {}
+// SAFETY: a shared `&TaskPtr` only hands out copies of the pointer; the
+// one use of one, calling the pointee, needs only a shared reference to a
+// `Sync` closure, kept alive by `run_wave_on` as for `Send` above.
 unsafe impl Sync for TaskPtr {}
 
 /// One submitted wave: a task closure plus claim/completion state.
@@ -301,11 +306,13 @@ impl WorkerPool {
         let handles = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "construction-time only; a failed OS spawn leaves no pool to serve with"
+                )]
                 thread::Builder::new()
                     .name(format!("peanut-worker-{i}"))
                     .spawn(move || worker_loop(&shared))
-                    // lint:allow(hot_panic) — construction-time only; a
-                    // failed OS spawn leaves no pool to serve with.
                     .expect("spawn pool worker")
             })
             .collect();
@@ -428,8 +435,11 @@ impl Drop for WorkerPool {
         }
         self.shared.work_ready.notify_all();
         for h in self.handles.lock().drain(..) {
-            // lint:allow(hot_panic) — shutdown only, and unreachable: the
-            // worker loop confines task panics with `catch_unwind`.
+            #[expect(
+                clippy::expect_used,
+                reason = "shutdown only, and unreachable: the worker loop confines task panics \
+                          with `catch_unwind`"
+            )]
             h.join().expect("pool worker joined");
         }
     }
@@ -648,7 +658,7 @@ mod tests {
     #[test]
     fn empty_wave_is_a_no_op() {
         let pool = WorkerPool::new(2);
-        pool.run_wave(0, &|_i, _s| unreachable!("no tasks"));
+        pool.run_wave(0, &|_i, _s| panic!("no tasks"));
         assert_eq!(pool.stats().waves, 0);
     }
 

@@ -29,6 +29,8 @@
 //! (as it would be in a real server's boot) rather than to the first
 //! batch's latency.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::engine::{BatchStats, ServingEngine};
 use crate::overload::{AdmissionConfig, ServeOutcome, ShedReason};
 use crate::pool::PoolStats;

@@ -39,6 +39,8 @@
 //! is dropped. Sessions opened after the swap see the new epoch. Session
 //! queries fan out on the engine's serving-priority worker lane.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::engine::{BatchStats, ServingEngine};
 use crate::overload::ServeOutcome;
 use crate::pipeline::Target;
@@ -117,8 +119,10 @@ impl<'s, 't> EvidenceSession<'s, 't> {
     /// context.
     pub fn serve_one(&self, targets: &Scope) -> ServeOutcome {
         let (mut outcomes, _) = self.serve_batch(std::slice::from_ref(targets));
-        // lint:allow(hot_panic) — serve_batch returns one outcome per
-        // target by construction.
+        #[expect(
+            clippy::expect_used,
+            reason = "serve_batch returns one outcome per target by construction"
+        )]
         outcomes.pop().expect("one outcome per target")
     }
 

@@ -45,6 +45,8 @@
 //! always-resident fleet. Fault/page-out telemetry lands in
 //! [`MixedBatchStats`] per batch and in [`PagingStats`] cumulatively.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::engine::{BatchStats, ServingConfig, ServingEngine};
 use crate::overload::ServeOutcome;
 use crate::pipeline::{fan_out, BatchRun};
@@ -230,7 +232,10 @@ impl<'t> ShardedServingEngine<'t> {
         ShardedServingEngine {
             shards: Vec::new(),
             index: HashMap::new(),
-            cfg,
+            cfg: ShardConfig {
+                serving: cfg.serving.resolved(),
+                ..cfg
+            },
             pool: PoolCell::new(),
             store: None,
             clock: AtomicU64::new(0),
@@ -519,7 +524,7 @@ impl<'t> ShardedServingEngine<'t> {
     /// The worker count a mixed batch will actually use (before capping by
     /// the amount of fresh work).
     pub fn workers(&self) -> usize {
-        self.cfg.serving.resolved_workers()
+        self.cfg.serving.workers
     }
 
     /// Answers a mixed batch of `(tenant, request)` arrivals. Outcomes

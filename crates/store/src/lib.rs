@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # peanut-store
 //!
@@ -66,6 +65,8 @@
 //! them with [`fnv1a64`] over the same bytes, and `save` writes version 2
 //! only. Nothing else differs: a version-2 file is the version-1 file of
 //! the same epoch with words 1 and 2 replaced.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use peanut_core::{FlatMaterialization, Materialization, MaterializedShortcut, Shortcut};
 use peanut_junction::{JunctionTree, NumericState, QueryEngine, RootedTree};
@@ -321,7 +322,7 @@ pub fn save(
 /// not a word and is skipped.
 fn le_words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
     bytes.chunks_exact(8).map(|c| {
-        // lint:allow(hot_panic) — `chunks_exact(8)` yields 8-byte chunks only
+        #[expect(clippy::expect_used, reason = "`chunks_exact(8)` yields 8-byte chunks only")]
         u64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8 bytes"))
     })
 }

@@ -4,8 +4,9 @@
 //!   **bit-identically** — arena slab, table pack, shortcut structure,
 //!   and every answer (marginal and evidence-conditioned), on fixtures
 //!   and on random networks;
-//! * rehydrated answers also agree with a single-threaded VE oracle, and a
-//!   rehydrated engine starts with an empty message memo;
+//! * rehydrated answers also agree with a single-threaded VE oracle, the
+//!   rehydrated tables are locally consistent, and a rehydrated engine
+//!   starts with an empty message memo;
 //! * corrupted, truncated, or wrong-version files fail loudly with the
 //!   typed [`PgmError`] variants — never a silent wrong answer; every
 //!   single-bit flip of a version-1 or version-2 file is refused;
@@ -133,6 +134,9 @@ fn assert_rehydrates_identically(
     let bits = |p: &Potential| p.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let (rengine, rmat) = rehydrate_engine(tree, stored).unwrap();
     assert_eq!(rengine.memo_usage(), (0, engine.memo_usage().1));
+    // the second oracle: the rehydrated tables are a consistent tree
+    let ns = rengine.numeric_state().unwrap();
+    assert!(ns.local_consistency_error(tree).unwrap() <= 1e-9);
     assert_eq!(rmat.epoch, mat.epoch);
     assert_eq!(rmat.len(), mat.len());
     for (a, b) in rmat.shortcuts.iter().zip(&mat.shortcuts) {

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # peanut-ve
 //!
 //! Variable elimination and the **VE-n** baseline: workload-aware

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # peanut-workload
 //!
 //! Query-workload generation following the paper's §5.1:

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # peanut
 //!
 //! Umbrella crate of the PEANUT reproduction (*Workload-Aware

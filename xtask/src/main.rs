@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Repo automation. `cargo xtask lint` runs the concurrency-hygiene
 //! static analysis pass over every Rust source in the workspace — see
 //! [`lint`] for the rules. Exits non-zero on any violation, so CI can
