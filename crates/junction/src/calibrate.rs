@@ -53,7 +53,7 @@ impl NumericState {
             arena.separator_values_mut(e).fill(1.0);
         }
         Ok(NumericState {
-            memo: MessageMemo::new(arena.slab().len()),
+            memo: MessageMemo::new(),
             arena,
             calibrated: false,
         })
@@ -62,7 +62,7 @@ impl NumericState {
     /// Runs the two Hugin passes (collect toward the pivot, then distribute
     /// back), and empties the message memo. Idempotent once calibrated.
     pub fn calibrate(&mut self, tree: &JunctionTree, rooted: &RootedTree) -> Result<(), PgmError> {
-        self.memo = MessageMemo::new(self.arena.slab().len());
+        self.memo = MessageMemo::new();
         let mut scratch = Scratch::new();
         // collect: children before parents
         // (a node has a parent edge exactly when it has a parent)
@@ -198,7 +198,7 @@ impl NumericState {
         }
         arena.replace_slab(slab.to_vec());
         Ok(NumericState {
-            memo: MessageMemo::new(arena.slab().len()),
+            memo: MessageMemo::new(),
             arena,
             calibrated: true,
         })
@@ -245,7 +245,8 @@ impl NumericState {
     }
 
     /// Maximum disagreement between adjacent cliques on their separator
-    /// marginal — zero (up to float error) iff calibrated.
+    /// marginal — zero (up to float error) iff calibrated; NaN when a
+    /// compared entry is NaN.
     pub fn local_consistency_error(&self, tree: &JunctionTree) -> Result<f64, PgmError> {
         let mut scratch = Scratch::new();
         let mut worst = 0.0f64;
@@ -253,8 +254,14 @@ impl NumericState {
             let sep = tree.separator(e);
             let mu = self.arena.clique(u).marginalize_in(sep, &mut scratch)?;
             let mv = self.arena.clique(v).marginalize_in(sep, &mut scratch)?;
-            worst = worst.max(mu.max_abs_diff(&mv)?);
-            worst = worst.max(mu.max_abs_diff(&self.arena.separator(e).to_potential())?);
+            let phi = self.arena.separator(e).to_potential();
+            for diff in [mu.max_abs_diff(&mv)?, mu.max_abs_diff(&phi)?] {
+                // `f64::max` would drop it
+                if diff.is_nan() {
+                    return Ok(f64::NAN);
+                }
+                worst = worst.max(diff);
+            }
         }
         Ok(worst)
     }
@@ -382,6 +389,20 @@ mod tests {
             let (tree, _, st) = calibrated(&bn);
             assert!(st.local_consistency_error(&tree).unwrap() < 1e-9);
         }
+    }
+
+    /// A NaN clique table is not consistent, whatever its neighbours hold.
+    #[test]
+    fn a_nan_clique_table_is_inconsistent() {
+        let (tree, _, mut st) = calibrated(&fixtures::asia());
+        for u in [0, tree.n_cliques() - 1] {
+            let mut poisoned = st.clone();
+            poisoned.arena.clique_mut(u).2.fill(f64::NAN);
+            let err = poisoned.local_consistency_error(&tree).unwrap();
+            assert!(err.is_nan(), "clique {u}: {err}");
+        }
+        st.arena.clique_mut(0).2[0] = f64::NAN;
+        assert!(st.local_consistency_error(&tree).unwrap().is_nan());
     }
 
     #[test]

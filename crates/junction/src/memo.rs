@@ -17,10 +17,13 @@
 //! plan over them. The reduced-tree pass decides which nodes qualify
 //! (`crate::reduced`, "The message memo"); this module stores.
 //!
-//! The memo is bounded and never evicts. It holds at most [`MEMO_SLABS`]
-//! times the calibrated slab's entries. It files a message only when the
-//! kernels of its subtree walked at least [`MIN_WALK_PER_ENTRY`] times its
-//! entries, and only while the message fits in what is left. It lives
+//! The memo is bounded and never evicts. It holds at most [`MEMO_ENTRIES`]
+//! table entries, whatever the size of the tables: what a stream files
+//! follows its separators and its traffic, not the calibrated slab, so one
+//! constant bounds every state alike — each session, resident tenant and
+//! rehydrated engine. It files a message only when the kernels of its
+//! subtree walked at least [`MIN_WALK_PER_ENTRY`] times its entries, and
+//! only while the message fits in what is left. It lives
 //! exactly as long as the tables: a state starts with an empty memo
 //! wherever its tables are made — initialized, calibrated, reattached from
 //! a slab or cloned — so a state restricted to evidence, rehydrated or
@@ -36,8 +39,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// The memo holds at most this many times the calibrated slab's entries.
-const MEMO_SLABS: usize = 8;
+/// The memo holds at most this many table entries: 8 MiB of message values.
+pub(crate) const MEMO_ENTRIES: usize = 1 << 20;
 
 /// A message is filed only if the kernels of its subtree walked at least
 /// this many product entries per entry of the message.
@@ -60,9 +63,9 @@ struct Filed {
 }
 
 impl MessageMemo {
-    /// An empty memo for a calibrated slab of `slab_entries` entries.
-    pub(crate) fn new(slab_entries: usize) -> Self {
-        Self::with_cap(slab_entries.saturating_mul(MEMO_SLABS))
+    /// An empty memo that may hold [`MEMO_ENTRIES`] entries.
+    pub(crate) fn new() -> Self {
+        Self::with_cap(MEMO_ENTRIES)
     }
 
     /// An empty memo that may hold `cap` entries.

@@ -94,7 +94,7 @@ impl<'t> QueryEngine<'t> {
     }
 
     /// The table entries the message memo holds, and the most it may hold:
-    /// a fixed multiple of the calibrated slab (`(0, 0)` when symbolic).
+    /// one constant for every table set (`(0, 0)` when symbolic).
     pub fn memo_usage(&self) -> (usize, usize) {
         self.numeric.as_ref().map_or((0, 0), |ns| ns.memo().usage())
     }
@@ -601,7 +601,8 @@ mod tests {
     /// The memo starts empty wherever tables are made. Messages filed over
     /// initialized tables are gone once `calibrate` changes them, so the
     /// calibrated state answers as a cold one; a clone of warm tables and
-    /// the tables restricted to evidence hold nothing.
+    /// the tables restricted to evidence hold nothing. Every one of them,
+    /// and an engine over a tree of another size, has the same cap.
     #[test]
     fn calibrating_or_copying_the_tables_empties_the_memo() {
         let bn = fixtures::chain(10, 3, 4);
@@ -630,9 +631,19 @@ mod tests {
             assert_eq!(cost, want_cost, "{q}");
         }
         assert!(warm.memo_usage().0 > 0, "test premise: a warm memo");
+        let cap = 1 << 20;
         let copy = QueryEngine::from_calibrated(&tree, warm.numeric_state().unwrap().clone());
-        assert_eq!(copy.memo_usage(), (0, warm.memo_usage().1));
+        assert_eq!(copy.memo_usage(), (0, cap));
         let session = warm.restricted_to_evidence(&[(Var(4), 2)]).unwrap();
-        assert_eq!(session.memo_usage().0, 0);
+        assert_eq!(session.memo_usage(), (0, cap));
+        assert_eq!(warm.memo_usage().1, cap);
+        assert_eq!(cold(&warm).memo_usage(), (0, cap));
+        // one bound whatever the slab
+        let other_bn = fixtures::chain(6, 2, 3);
+        let other_tree = build_junction_tree(&other_bn).unwrap();
+        let other = QueryEngine::numeric(&other_tree, &other_bn).unwrap();
+        let slab_len = |e: &QueryEngine<'_>| e.numeric_state().unwrap().arena().slab().len();
+        assert_ne!(slab_len(&other), slab_len(&warm), "test premise");
+        assert_eq!(other.memo_usage().1, cap);
     }
 }

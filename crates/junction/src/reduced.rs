@@ -73,7 +73,7 @@ use crate::rooted::RootedTree;
 use crate::steiner::SteinerTree;
 use crate::tree::{CliqueId, JunctionTree};
 use peanut_pgm::{
-    divide_views, product_marginalize_views, table_size, Domain, PgmError, Potential, Scope,
+    div_assign_bcast, product_marginalize_views, table_size, Domain, PgmError, Potential, Scope,
     Scratch, Size, TableRef,
 };
 use std::sync::Arc;
@@ -445,9 +445,10 @@ impl<'a> ReducedTree<'a> {
     /// A node's message is its potential times the incoming messages,
     /// summed onto what goes up, in one fused pass that never builds the
     /// product; the division by the parent separator then runs on the
-    /// message — the separator lies inside the message's scope, so dividing
-    /// after the sum is the same quantity over far fewer entries. The cost
-    /// charged is still the paper's count on the product's size.
+    /// message, in its own buffer — the separator lies inside the message's
+    /// scope, so dividing after the sum is the same quantity over far fewer
+    /// entries. The cost charged is still the paper's count on the
+    /// product's size.
     pub fn answer_in(
         &self,
         query: &Scope,
@@ -527,8 +528,8 @@ impl<'a> ReducedTree<'a> {
                 return Ok(message);
             }
             if let Some(sep) = n.sep_to_parent {
-                let divided = divide_views(message.view(), sep, scratch)?;
-                scratch.recycle(std::mem::replace(&mut message, divided));
+                let (scope, cards, values) = message.parts_mut();
+                div_assign_bcast(scope, cards, values, sep, scratch)?;
             }
             recall.keep(u, &message);
             messages.push(Sent::Fresh(message));

@@ -12,7 +12,10 @@
 //! singleton/empty-scope and zero-cell edge cases.
 
 use crate::domain::Domain;
-use crate::potential::{legacy, product_marginalize_views, product_onto, Potential, Scratch};
+use crate::potential::{
+    div_assign_bcast, divide_views, legacy, product_marginalize_views, product_onto, Potential,
+    Scratch,
+};
 use crate::scope::Scope;
 use crate::var::Var;
 use proptest::prelude::*;
@@ -227,6 +230,25 @@ proptest! {
         prop_assert!(!got.values().iter().any(|v| v.is_nan()));
     }
 
+    /// The in-place division writes the same bits into the numerator's own
+    /// buffer, on the same cases.
+    #[test]
+    fn div_assign_bcast_bit_identical(
+        d in domain_strategy(6),
+        s1 in scope_strategy(6),
+        s2 in scope_strategy(6),
+        seed in 0u64..10_000,
+    ) {
+        let f = potential_with_zeros(&d, s1, seed);
+        let g = potential_with_zeros(&d, s2, seed + 3);
+        let mut got = f.product(&g).unwrap();
+        let mut s = Scratch::new();
+        let want = legacy::divide_in(&got, &g, &mut s).unwrap();
+        let (scope, cards, values) = got.parts_mut();
+        div_assign_bcast(scope, cards, values, g.view(), &mut s).unwrap();
+        assert_bit_identical(&got, &want);
+    }
+
     /// Evidence restriction slices the same bytes.
     #[test]
     fn restrict_bit_identical(
@@ -280,6 +302,46 @@ fn fused_long_runs_and_wide_rows_bit_identical() {
         let got = product_marginalize_views(&views, &keep, &mut s).unwrap();
         let product = Potential::product_many_in(factors, &mut s).unwrap();
         let want = product.marginalize_in(&keep, &mut s).unwrap();
+        assert_bit_identical(&got, &want);
+    }
+}
+
+/// The in-place division on hand-picked denominators: one broadcast over
+/// each inner run (step 0), one read contiguously (step 1) and one read in
+/// runs with a jump between them, each holding `0.0` and `-0.0` under
+/// zero, negative-zero and non-zero numerators. Bit for bit what the
+/// legacy kernel and `divide_views` return.
+#[test]
+fn div_assign_bcast_on_zero_denominators_bit_identical() {
+    let d = Domain::from_pairs([("a", 3), ("b", 3), ("c", 2)]).unwrap();
+    let table = |ix: &[u32], values: Vec<f64>| {
+        let scope = Scope::from_indices(ix);
+        Potential::new(scope.clone(), d.cards_of(&scope), values).unwrap()
+    };
+    let num = table(
+        &[0, 1, 2],
+        (0..18)
+            .map(|i| match i % 4 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 1.5 + i as f64,
+                _ => -0.25 * i as f64,
+            })
+            .collect(),
+    );
+    let dens = [
+        table(&[0], vec![0.0, -0.0, 2.0]),
+        table(&[1, 2], vec![0.0, -0.0, 3.0, 0.0, 0.5, -0.0]),
+        table(&[0, 2], vec![-0.0, 0.0, 4.0, 0.0, -0.0, 0.75]),
+    ];
+    let mut s = Scratch::new();
+    for den in &dens {
+        let want = legacy::divide_in(&num, den, &mut s).unwrap();
+        let quotient = divide_views(num.view(), den.view(), &mut s).unwrap();
+        assert_bit_identical(&quotient, &want);
+        let mut got = num.clone();
+        let (scope, cards, values) = got.parts_mut();
+        div_assign_bcast(scope, cards, values, den.view(), &mut s).unwrap();
         assert_bit_identical(&got, &want);
     }
 }

@@ -45,8 +45,8 @@ pub use domain::Domain;
 pub use error::PgmError;
 pub use network::{BayesianNetwork, NetworkBuilder};
 pub use potential::{
-    divide_views, mul_assign_bcast, product_marginalize_views, product_onto, table_size, Potential,
-    Scratch, Size, TableRef,
+    div_assign_bcast, divide_views, mul_assign_bcast, product_marginalize_views, product_onto,
+    table_size, Potential, Scratch, Size, TableRef,
 };
 pub use scope::Scope;
 pub use var::Var;

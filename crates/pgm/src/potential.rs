@@ -15,10 +15,11 @@
 //! The kernels operate on *views* ([`TableRef`]: a scope, cardinalities and
 //! a value slice) rather than owned tables, so the same code runs over a
 //! `Potential`'s own buffer or over a span of a contiguous arena slab (the
-//! flat junction-tree layout in `peanut-junction`). The slab-writing entry
-//! points [`product_onto`] and [`mul_assign_bcast`] take a `&mut [f64]`
-//! destination directly; an owned product is `product_onto` into a pooled
-//! buffer. Inner runs with unit or broadcast strides execute as the
+//! flat junction-tree layout in `peanut-junction`). The in-place entry
+//! points [`product_onto`], [`mul_assign_bcast`] and [`div_assign_bcast`]
+//! take a `&mut [f64]` destination directly; an owned product is
+//! `product_onto` into a pooled buffer, an owned quotient a copy divided in
+//! place. Inner runs with unit or broadcast strides execute as the
 //! elementwise slice loops of `crate::lanes`, bit-identical to the scalar
 //! walk. Query-time message passing uses none of the three-step product →
 //! divide → marginalize sequence: [`product_marginalize_views`] sums a
@@ -154,6 +155,12 @@ impl Potential {
     #[inline]
     pub fn values_mut(&mut self) -> &mut [f64] {
         &mut self.values
+    }
+
+    /// Scope, cardinalities and mutable values, for the in-place kernels.
+    #[inline]
+    pub fn parts_mut(&mut self) -> (&Scope, &[u32], &mut [f64]) {
+        (&self.scope, &self.cards, &mut self.values)
     }
 
     /// A borrowed view of this table (the form the kernels operate on).
@@ -305,7 +312,8 @@ impl Potential {
         restrict_view(self.view(), var, value, scratch)
     }
 
-    /// Largest absolute difference between two same-scope potentials.
+    /// Largest absolute difference between two same-scope potentials; NaN
+    /// when either holds a NaN entry.
     pub fn max_abs_diff(&self, other: &Potential) -> Result<f64> {
         if self.scope != other.scope {
             return Err(PgmError::ScopeNotContained {
@@ -313,12 +321,16 @@ impl Potential {
                 sup: self.scope.to_string(),
             });
         }
+        // `f64::max` would drop a NaN difference; here it wins and stays
         Ok(self
             .values
             .iter()
             .zip(&other.values)
             .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max))
+            .fold(
+                0.0,
+                |worst, d| if d > worst || d.is_nan() { d } else { worst },
+            ))
     }
 }
 
@@ -572,21 +584,22 @@ pub fn mul_assign_bcast(
     Ok(())
 }
 
-/// Pointwise division `num / den` with the Hugin convention `0 / 0 = 0`;
-/// `den`'s scope must be contained in `num`'s.
-pub fn divide_views(
-    num: TableRef<'_>,
+/// Divides `dst` pointwise by view `den` over (`scope`, `cards`), with the
+/// Hugin convention `0 / 0 = 0`: `dst[i] /= den[project(i)]`. The in-place
+/// form message passing uses to divide a message by its parent separator
+/// in the message's own buffer.
+pub fn div_assign_bcast(
+    scope: &Scope,
+    cards: &[u32],
+    dst: &mut [f64],
     den: TableRef<'_>,
     scratch: &mut Scratch,
-) -> Result<Potential> {
-    scratch.plan_walk(num.scope, num.cards, &[(den.scope, den.cards)])?;
-    // the walk tiles the output sequentially, so append instead of
-    // zero-filling a buffer every run would overwrite anyway
-    let mut values = scratch.take_buf_empty(num.values.len());
-    let (src, div) = (num.values, den.values);
+) -> Result<()> {
+    scratch.plan_walk(scope, cards, &[(den.scope, den.cards)])?;
+    let div = den.values;
     let (len, st) = (scratch.rows[0] as usize, scratch.rows[1]);
     scratch.walk(1, |pos, bases| {
-        let run = &src[pos..pos + len];
+        let run = &mut dst[pos..pos + len];
         let mut o = bases[0] as usize;
         match st {
             0 => {
@@ -594,26 +607,41 @@ pub fn divide_views(
                 if d == 0.0 {
                     // rare: a zero (or negative-zero) broadcast denominator
                     // needs the Hugin 0/0 guard on every cell
-                    values.extend(run.iter().map(|&v| lanes::hugin(v, d)));
+                    for q in run {
+                        *q = lanes::hugin(*q, d);
+                    }
                 } else {
                     // hoisting the d == 0.0 test off the hot path leaves a
                     // pure division stream (bitwise: hugin(v, d) = v / d
                     // whenever d != 0)
-                    values.extend(run.iter().map(|&v| v / d));
+                    for q in run {
+                        *q /= d;
+                    }
                 }
             }
-            1 => {
-                values.extend_from_slice(run);
-                lanes::div_assign(&mut values[pos..], &div[o..o + len]);
-            }
+            1 => lanes::div_assign(run, &div[o..o + len]),
             _ => {
-                for &v in run {
-                    values.push(lanes::hugin(v, div[o]));
+                for q in run {
+                    *q = lanes::hugin(*q, div[o]);
                     o += st as usize;
                 }
             }
         }
     });
+    Ok(())
+}
+
+/// Pointwise division `num / den` with the Hugin convention `0 / 0 = 0`;
+/// `den`'s scope must be contained in `num`'s: a copy of `num` divided by
+/// [`div_assign_bcast`].
+pub fn divide_views(
+    num: TableRef<'_>,
+    den: TableRef<'_>,
+    scratch: &mut Scratch,
+) -> Result<Potential> {
+    let mut values = scratch.take_buf_empty(num.values.len());
+    values.extend_from_slice(num.values);
+    div_assign_bcast(num.scope, num.cards, &mut values, den, scratch)?;
     Ok(Potential {
         scope: num.scope.clone(),
         cards: num.cards.to_vec(),
@@ -1559,6 +1587,21 @@ mod tests {
         assert!(p1.max_abs_diff(&p2).unwrap() < 1e-12);
         let p3 = Potential::product_many(&[&f, &g, &h]).unwrap();
         assert!(p1.max_abs_diff(&p3).unwrap() < 1e-12);
+    }
+
+    /// A NaN entry on either side, first or last, is a difference no
+    /// bound passes.
+    #[test]
+    fn max_abs_diff_sees_a_nan_entry() {
+        let d = dom();
+        let f = pot(&d, &[1], &[1., 2., 3.]);
+        for i in [0, 2] {
+            let mut g = f.clone();
+            g.values_mut()[i] = f64::NAN;
+            assert!(f.max_abs_diff(&g).unwrap().is_nan(), "entry {i}");
+            assert!(g.max_abs_diff(&f).unwrap().is_nan(), "entry {i}");
+        }
+        assert_eq!(f.max_abs_diff(&f).unwrap(), 0.0);
     }
 
     #[test]

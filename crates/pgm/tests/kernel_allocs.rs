@@ -10,8 +10,8 @@
 
 use peanut_junction::{build_junction_tree, NumericState, QueryEngine};
 use peanut_pgm::{
-    divide_views, mul_assign_bcast, product_marginalize_views, product_onto, Domain, Potential,
-    Scope, Scratch,
+    div_assign_bcast, divide_views, mul_assign_bcast, product_marginalize_views, product_onto,
+    Domain, Potential, Scope, Scratch,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -105,6 +105,9 @@ fn a_warm_kernel_allocates_only_its_result() {
         let q = divide_views(full.view(), be.view(), &mut s).unwrap();
         s.recycle(q);
     });
+    let div_assign = warm_calls(|| {
+        div_assign_bcast(scope, cards, &mut dst, be.view(), &mut s).unwrap();
+    });
     // onto {b, e}: the inner run adds onto the target; onto {a, c}: the
     // inner run is summed out and the row outside it is the target's
     // innermost axis, four runs in lock-step
@@ -122,6 +125,7 @@ fn a_warm_kernel_allocates_only_its_result() {
     });
     // each read 6, 10, 8 and [9, 9] when every call planned a fresh walk
     assert_eq!(mul_assign, 0, "mul_assign_bcast");
+    assert_eq!(div_assign, 0, "div_assign_bcast");
     assert_eq!(product, 0, "two-factor product_onto");
     // the result's scope and cardinalities
     assert_eq!(divide, 2, "divide_views");
@@ -138,10 +142,12 @@ fn a_warm_kernel_allocates_only_its_result() {
 /// *Cold* answers each pair over a fresh copy of the tables, whose memo is
 /// empty: every message is computed, and a copy of each admitted one is
 /// filed. *Warm* answers the pairs again over tables that answered them
-/// all once. Printed for the ledger, not asserted: cold 90.5 calls per
-/// query (12.68 per node), warm 18.8 (2.63), over 157 queries of 7.1
-/// nodes. A pass without the memo made 59.3 (8.31) once it lent one factor
-/// list to every node, 71.4 (10.01) when each node built its own.
+/// all once. Printed for the ledger, not asserted: cold 78.2 calls per
+/// query (10.97 per node), warm 18.2 (2.56), over 157 queries of 7.1
+/// nodes, with each message divided in its own buffer; 90.5 (12.68) and
+/// 18.8 (2.63) when the division allocated a quotient. A pass without the
+/// memo made 59.3 (8.31) once it lent one factor list to every node, 71.4
+/// (10.01) when each node built its own.
 #[test]
 fn child_answer_in_allocations() {
     let bn = peanut_datasets::dataset("Child").unwrap().build().unwrap();
