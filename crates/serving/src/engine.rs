@@ -32,15 +32,17 @@
 //!
 //! The materialization is not fixed at construction: [`publish`]
 //! (`ServingEngine::publish`) atomically swaps in a new one, stamped with
-//! the next epoch, while batches keep draining. Every answer and every
-//! answer-cache entry is tagged with the epoch that produced it; a lookup
-//! whose entry carries an older epoch is treated as a miss and the entry is
-//! dropped *lazily* — no global cache flush, no serving pause. Each epoch
-//! also carries a fresh [`WorkloadStats`] accumulator. Workers write
-//! nothing into it: after the wave the pipeline records every answered
-//! unique request once, weighted by its arrivals (fresh, duplicate and
-//! cached alike), so the lifecycle layer can watch the epoch's *observed*
-//! benefit decay under workload drift.
+//! the next epoch, while batches keep draining. An epoch is one value —
+//! the materialization, its observation accumulator, its answer cache and
+//! whether its store file is written — swapped whole under the write
+//! lock, so serving never pauses. A batch serves, caches and observes
+//! under the one epoch it took at arrival, so a cached answer is always of
+//! the epoch whose cache holds it; every answer also carries its epoch.
+//! The [`WorkloadStats`] accumulator starts empty with each epoch.
+//! Workers write nothing into it: after the wave the pipeline records
+//! every answered unique request once, weighted by its arrivals (fresh,
+//! duplicate and cached alike), so the lifecycle layer can watch the
+//! epoch's *observed* benefit decay under workload drift.
 //!
 //! [`publish`]: ServingEngine::publish
 
@@ -50,7 +52,7 @@ use crate::overload::ServeOutcome;
 use crate::pipeline::{fan_out, BatchRun, Target};
 use crate::pool::{PoolCell, PoolStats, WorkerPool};
 use peanut_core::exec::Executor;
-use peanut_core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use peanut_core::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use peanut_core::sync::{thread, Arc, Mutex, RwLock};
 use peanut_core::{ByHash, FlatMaterialization, Materialization, ServeRequest, WorkloadStats};
 use peanut_junction::cost::QueryCost;
@@ -75,8 +77,7 @@ pub struct Answer {
     /// charged for the same query — the baseline the epoch's observed
     /// benefit is measured against.
     pub baseline_ops: Size,
-    /// Materialization epoch this answer was computed under. Cache entries
-    /// from older epochs are lazily invalidated after a swap.
+    /// Materialization epoch this answer was computed under.
     pub epoch: u64,
     /// Time spent computing this answer when it was first computed —
     /// shared by every arrival that reuses the computation.
@@ -123,8 +124,6 @@ pub struct BatchStats {
     pub unique: usize,
     /// Unique queries served from the cross-batch answer cache.
     pub cache_hits: usize,
-    /// Cache entries found stale (older epoch) and lazily dropped.
-    pub stale_hits: usize,
     /// Materialization epoch the batch was served under.
     pub epoch: u64,
     /// Wall-clock time of the whole batch.
@@ -183,103 +182,80 @@ impl ServingConfig {
 }
 
 /// Bounded FIFO map of fully computed answers, filed under each request's
-/// keyed hash (the one [`BatchRun`] computed at push). Entries are tagged
-/// with the epoch of the answer they hold; lookups under a newer epoch drop
-/// the entry lazily instead of flushing the cache on swap. Every entry
-/// keeps its request, compared on lookup, so a request whose hash collides
-/// with a cached one misses instead of reading its answer. The eviction
-/// queue carries each insert's stamp, so a dangling queue entry (whose
-/// slot was dropped or refilled since) is skipped, never evicting a
-/// fresher entry, whichever request holds the slot now.
-#[derive(Default)]
+/// keyed hash (the one [`BatchRun`] computed at push). A cache belongs to
+/// one epoch ([`EpochState`]): a publish swaps in an empty one, so every
+/// entry is an answer of the epoch that owns the cache. Every entry keeps
+/// its request, compared on lookup, so a request whose hash collides with
+/// a cached one misses instead of reading its answer. Nothing leaves the
+/// map but the oldest entry on eviction, so the queue and the map hold the
+/// same hashes.
 pub(crate) struct AnswerCache {
-    map: ByHash<CacheEntry>,
-    /// `(hash, stamp)` per insert, oldest first.
-    order: VecDeque<(u64, u64)>,
-    /// The last insert's stamp.
-    stamp: u64,
-}
-
-struct CacheEntry {
-    req: ServeRequest,
-    answer: Arc<Answer>,
-    stamp: u64,
-}
-
-pub(crate) enum CacheLookup {
-    Hit(Arc<Answer>),
-    StaleDropped,
-    Miss,
+    map: ByHash<(ServeRequest, Arc<Answer>)>,
+    /// Hashes in insertion order, oldest first.
+    order: VecDeque<u64>,
+    capacity: usize,
 }
 
 impl AnswerCache {
-    pub(crate) fn lookup(&mut self, h: u64, q: &ServeRequest, epoch: u64) -> CacheLookup {
-        match self.map.get(&h) {
-            Some(e) if e.req != *q => CacheLookup::Miss,
-            Some(e) if e.answer.epoch == epoch => CacheLookup::Hit(Arc::clone(&e.answer)),
-            Some(e) if e.answer.epoch < epoch => {
-                // stale epoch: lazy invalidation (its order entry dangles
-                // and is skipped at eviction time by the stamp check)
-                self.map.remove(&h);
-                CacheLookup::StaleDropped
-            }
-            // a *newer* epoch than this batch's snapshot (the batch raced
-            // a publish): miss for us, but the entry is current for every
-            // following batch — it must not be evicted
-            Some(_) => CacheLookup::Miss,
-            None => CacheLookup::Miss,
+    /// An empty cache holding at most `capacity` answers.
+    fn new(capacity: usize) -> Self {
+        AnswerCache {
+            map: ByHash::default(),
+            order: VecDeque::new(),
+            capacity,
         }
     }
 
-    /// Pops the oldest queue entry, evicting its map entry unless the
-    /// queue entry dangles (the slot was stale-dropped or refilled since).
-    /// Returns false when the queue is empty.
-    fn evict_front(&mut self) -> bool {
-        let Some((h, stamp)) = self.order.pop_front() else {
-            return false;
-        };
-        if self.map.get(&h).is_some_and(|e| e.stamp == stamp) {
-            self.map.remove(&h);
-        }
-        true
+    /// The answer cached for request `q` under its hash `h`.
+    pub(crate) fn lookup(&self, h: u64, q: &ServeRequest) -> Option<Arc<Answer>> {
+        let (req, answer) = self.map.get(&h)?;
+        (req == q).then(|| Arc::clone(answer))
     }
 
-    /// Admits `a` for request `q` under its hash `h`. A slot holding an
-    /// answer of the same or a newer epoch keeps it — whichever request it
-    /// is for: a colliding request then stays uncached.
-    pub(crate) fn insert(&mut self, capacity: usize, h: u64, q: ServeRequest, a: Arc<Answer>) {
-        if capacity == 0 {
+    /// Admits `a` for request `q` under its hash `h`, evicting the oldest
+    /// entries past capacity. A slot already filled keeps its answer —
+    /// whichever request it is for: a colliding request then stays
+    /// uncached.
+    pub(crate) fn insert(&mut self, h: u64, q: ServeRequest, a: Arc<Answer>) {
+        if self.map.contains_key(&h) {
             return;
         }
-        if self.map.get(&h).is_some_and(|e| e.answer.epoch >= a.epoch) {
-            return;
+        while self.map.len() >= self.capacity {
+            let Some(oldest) = self.order.pop_front() else {
+                return;
+            };
+            self.map.remove(&oldest);
         }
-        while self.map.len() >= capacity && self.evict_front() {}
-        // The queue accumulates dangling entries (stale drops, same-key
-        // re-inserts at a newer epoch) that the loop above only drains
-        // once the map saturates — which a small working set under
-        // repeated epoch swaps never does. Bound the queue itself: past
-        // 2× capacity at least half of it is dangling, so popping from
-        // the front (evicting the odd live entry early, FIFO-fairly) is
-        // cheap and keeps memory proportional to capacity, not uptime.
-        while self.order.len() >= capacity.saturating_mul(2).max(8) && self.evict_front() {}
-        self.stamp += 1;
-        self.order.push_back((h, self.stamp));
-        let entry = CacheEntry {
-            req: q,
-            answer: a,
-            stamp: self.stamp,
-        };
-        self.map.insert(h, entry);
+        self.order.push_back(h);
+        self.map.insert(h, (q, a));
     }
 }
 
-/// One epoch's swappable state: the materialization and the accumulator
-/// observing traffic served under it. Replaced as a unit by
-/// [`ServingEngine::publish`].
+/// One epoch, swapped as a unit by [`ServingEngine::publish`]: the
+/// materialization, the accumulator observing traffic served under it,
+/// the answer cache of its answers (`None` when caching is off) and
+/// whether its store file is written.
 struct EpochState {
     mat: Arc<Materialization>,
     stats: Arc<WorkloadStats>,
+    cache: Option<Arc<Mutex<AnswerCache>>>,
+    /// Set once this epoch's `mat` is on disk.
+    persisted: AtomicBool,
+}
+
+impl EpochState {
+    /// A fresh epoch serving `mat`: an accumulator filing under `hasher`
+    /// (so the pipeline's request hashes are its histogram keys), an empty
+    /// cache of `cache_capacity` answers, nothing on disk yet.
+    fn new(mat: Materialization, hasher: &RandomState, cache_capacity: usize) -> Self {
+        EpochState {
+            mat: Arc::new(mat),
+            stats: Arc::new(WorkloadStats::with_hasher(hasher.clone())),
+            cache: (cache_capacity > 0)
+                .then(|| Arc::new(Mutex::new(AnswerCache::new(cache_capacity)))),
+            persisted: AtomicBool::new(false),
+        }
+    }
 }
 
 /// Write-behind persistence hook of one serving engine: where epochs go
@@ -288,9 +264,6 @@ struct EpochState {
 struct EngineStore {
     cfg: StoreConfig,
     tenant: u32,
-    /// High-water mark of persisted epochs, stored as `epoch + 1` so `0`
-    /// means "nothing persisted yet".
-    persisted: AtomicU64,
     /// Publishes whose best-effort persist failed (telemetry; the epoch
     /// keeps serving from RAM).
     errors: AtomicUsize,
@@ -323,7 +296,6 @@ pub struct ServingEngine<'t> {
     /// hashed with it once, and the answer cache and every epoch's
     /// accumulator file under that hash.
     hasher: RandomState,
-    cache: Arc<Mutex<AnswerCache>>,
     /// Persistent workers, spawned lazily on the first batch that fans
     /// out. Engines that only ever serve sequentially never spawn a
     /// thread.
@@ -337,16 +309,13 @@ impl<'t> ServingEngine<'t> {
     /// materialization (served as whatever epoch it is stamped with,
     /// 0 for a freshly selected one).
     pub fn new(engine: QueryEngine<'t>, mat: Materialization, cfg: ServingConfig) -> Self {
+        let cfg = cfg.resolved();
         let hasher = RandomState::new();
         ServingEngine {
             engine: Arc::new(engine),
-            state: RwLock::new(EpochState {
-                mat: Arc::new(mat),
-                stats: Arc::new(WorkloadStats::with_hasher(hasher.clone())),
-            }),
-            cfg: cfg.resolved(),
+            state: RwLock::new(EpochState::new(mat, &hasher, cfg.cache_capacity)),
+            cfg,
             hasher,
-            cache: Arc::new(Mutex::new(AnswerCache::default())),
             pool: PoolCell::new(),
             store: None,
         }
@@ -362,19 +331,21 @@ impl<'t> ServingEngine<'t> {
         self.store = Some(EngineStore {
             cfg,
             tenant,
-            persisted: AtomicU64::new(0),
             errors: AtomicUsize::new(0),
         });
     }
 
-    /// The newest epoch known to be persisted, `None` when no epoch has
-    /// been written (or no store is attached).
+    /// The served epoch if its store file is written, `None` while it is
+    /// not (or no store is attached).
     pub fn persisted_epoch(&self) -> Option<u64> {
-        // ordering: advisory high-water mark; the store file itself was
-        // durably renamed into place before this was bumped.
-        self.store
-            .as_ref()
-            .and_then(|s| s.persisted.load(Ordering::Acquire).checked_sub(1))
+        self.store.as_ref()?;
+        let state = self.state.read();
+        // ordering: Acquire pairs with the Release in `persist_current`;
+        // the store file was renamed into place before the flag was set.
+        state
+            .persisted
+            .load(Ordering::Acquire)
+            .then_some(state.mat.epoch)
     }
 
     /// Publishes whose write-behind persist failed.
@@ -385,15 +356,13 @@ impl<'t> ServingEngine<'t> {
             .map_or(0, |s| s.errors.load(Ordering::Relaxed))
     }
 
-    /// Marks `epoch` as already persisted — the rehydration path uses
+    /// Marks the served epoch as on disk — the rehydration path uses
     /// this so a freshly faulted-in tenant is not re-written on its next
     /// page-out.
-    pub(crate) fn mark_persisted(&self, epoch: u64) {
-        if let Some(s) = &self.store {
-            // ordering: Release pairs with the Acquire in persisted_epoch;
-            // the file this records already exists on disk.
-            s.persisted.store(epoch + 1, Ordering::Release);
-        }
+    pub(crate) fn mark_persisted(&self) {
+        // ordering: Release pairs with the Acquire in persisted_epoch;
+        // the file this records already exists on disk.
+        self.state.read().persisted.store(true, Ordering::Release);
     }
 
     /// Persists the currently served epoch to the attached store,
@@ -425,10 +394,15 @@ impl<'t> ServingEngine<'t> {
             .save_epoch(store.tenant, &mat, &flat, ns.arena().slab())
         {
             Ok(_) => {
-                // ordering: Release pairs with the Acquire in
-                // persisted_epoch — the rename above happens-before any
-                // reader that observes the new mark.
-                store.persisted.store(mat.epoch + 1, Ordering::Release);
+                let state = self.state.read();
+                // epochs only grow, so a publish since the snapshot leaves
+                // the new epoch's flag unset: its `mat` is not on disk
+                if state.mat.epoch == mat.epoch {
+                    // ordering: Release pairs with the Acquire in
+                    // persisted_epoch — the rename above happens-before
+                    // any reader that observes the flag.
+                    state.persisted.store(true, Ordering::Release);
+                }
                 Ok(mat.epoch)
             }
             Err(e) => {
@@ -491,19 +465,19 @@ impl<'t> ServingEngine<'t> {
 
     /// Atomically publishes a new materialization as the next epoch and
     /// returns that epoch. Serving never pauses: in-flight batches finish
-    /// on the snapshot they took, their answers enter the cache tagged with
-    /// the old epoch, and later lookups drop those entries lazily. The
-    /// observation accumulator starts fresh for the new epoch.
+    /// on the snapshot they took and file their answers in the retired
+    /// epoch's cache, while the new epoch starts with an empty cache and a
+    /// fresh observation accumulator.
     pub fn publish(&self, mat: Materialization) -> u64 {
-        let epoch = {
+        let (epoch, retired) = {
             let mut state = self.state.write();
             let epoch = state.mat.epoch + 1;
-            *state = EpochState {
-                mat: Arc::new(mat.with_epoch(epoch)),
-                stats: self.fresh_stats(),
-            };
-            epoch
+            let next =
+                EpochState::new(mat.with_epoch(epoch), &self.hasher, self.cfg.cache_capacity);
+            (epoch, std::mem::replace(&mut *state, next))
         };
+        // the retired epoch's cache is freed outside the write lock
+        drop(retired);
         if self.store.is_some() {
             // write-behind: failures are counted (persist_errors) and the
             // epoch serves from RAM regardless
@@ -527,19 +501,13 @@ impl<'t> ServingEngine<'t> {
     /// (Batches already in flight keep recording into the retired window;
     /// the next window only misses those stragglers.)
     pub fn reset_stats(&self) -> Arc<WorkloadStats> {
-        let fresh = self.fresh_stats();
+        let fresh = Arc::new(WorkloadStats::with_hasher(self.hasher.clone()));
         std::mem::replace(&mut self.state.write().stats, fresh)
     }
 
-    /// An empty accumulator that files scopes under this engine's hasher,
-    /// so the pipeline's request hashes are its histogram keys.
-    fn fresh_stats(&self) -> Arc<WorkloadStats> {
-        Arc::new(WorkloadStats::with_hasher(self.hasher.clone()))
-    }
-
-    /// What a batch arriving now is served against: the shared engine,
-    /// the served materialization and its observation accumulator (taken
-    /// atomically), and the answer cache. The sharded engine takes one
+    /// What a batch arriving now is served against: the shared engine and
+    /// the served epoch's materialization, observation accumulator and
+    /// answer cache, taken atomically. The sharded engine takes one
     /// per routed shard up front so a whole mixed batch is served under
     /// one epoch per tenant.
     pub(crate) fn target(&self) -> Target<'t> {
@@ -548,9 +516,7 @@ impl<'t> ServingEngine<'t> {
             engine: Arc::clone(&self.engine),
             mat: Arc::clone(&state.mat),
             stats: Arc::clone(&state.stats),
-            cache: (self.cfg.cache_capacity > 0)
-                .then(|| (Arc::clone(&self.cache), self.cfg.cache_capacity)),
-            dedup: true,
+            cache: state.cache.clone(),
             normalize: false,
         }
     }
@@ -598,7 +564,6 @@ mod tests {
     use super::*;
     use peanut_junction::build_junction_tree;
     use peanut_pgm::{fixtures, joint, Scope, Var};
-    use std::hash::BuildHasher;
 
     fn queries(bn: &peanut_pgm::BayesianNetwork) -> Vec<ServeRequest> {
         let d = bn.domain();
@@ -742,6 +707,12 @@ mod tests {
         }
     }
 
+    /// Entries in the served epoch's answer cache.
+    fn cached(serving: &ServingEngine<'_>) -> usize {
+        let state = serving.state.read();
+        state.cache.as_ref().map_or(0, |c| c.lock().map.len())
+    }
+
     #[test]
     fn cache_eviction_respects_capacity() {
         let bn = fixtures::sprinkler();
@@ -756,38 +727,43 @@ mod tests {
             .map(|i| ServeRequest::marginal(Scope::from_indices(&[i])))
             .collect();
         serving.serve_batch(&qs);
-        let cached = serving.cache.lock().map.len();
-        assert!(cached <= 2, "capacity bound violated: {cached}");
+        let n = cached(&serving);
+        assert!(n <= 2, "capacity bound violated: {n}");
     }
 
+    /// A batch that took its snapshot before a publish is served, cached
+    /// and observed under the retired epoch: its answers land in the
+    /// retired cache only, and the new epoch's cache stays empty.
     #[test]
-    fn older_snapshot_lookup_preserves_newer_entries() {
-        // a batch that raced a publish still holds the old epoch; its
-        // lookups must not evict entries the new epoch already cached
+    fn a_pre_publish_run_files_only_in_the_retired_cache() {
         let bn = fixtures::sprinkler();
         let tree = build_junction_tree(&bn).unwrap();
         let engine = QueryEngine::numeric(&tree, &bn).unwrap();
         let serving =
             ServingEngine::new(engine, Materialization::default(), ServingConfig::default());
-        let q = ServeRequest::marginal(Scope::from_indices(&[0, 2]));
-        let (answers, _) = serving.serve_batch(std::slice::from_ref(&q));
-        let mut newer = (*answers[0].served().unwrap().answer).clone();
-        newer.epoch = 1;
+        let batch = [
+            ServeRequest::marginal(Scope::from_indices(&[0, 2])),
+            ServeRequest::marginal(Scope::from_indices(&[1])),
+        ];
+        let before = serving.target();
+        let retired = before.cache.clone().expect("caching is on");
+        assert_eq!(serving.publish(Materialization::default()), 1);
 
-        let h = serving.hasher.hash_one(&q);
-        let mut cache = AnswerCache::default();
-        cache.insert(4, h, q.clone(), Arc::new(newer));
-        assert!(matches!(cache.lookup(h, &q, 0), CacheLookup::Miss));
-        assert!(cache.map.contains_key(&h), "newer entry must survive");
-        assert!(matches!(cache.lookup(h, &q, 1), CacheLookup::Hit(_)));
-        assert!(matches!(cache.lookup(h, &q, 2), CacheLookup::StaleDropped));
-        assert!(!cache.map.contains_key(&h), "older entry drops lazily");
+        let (answers, stats) = serving.serve_on(before, &batch);
+        assert_eq!((stats.epoch, stats.cache_hits), (0, 0));
+        assert!(answers.iter().all(|o| o.served().unwrap().epoch == 0));
+        assert_eq!(retired.lock().map.len(), 2, "filed in the retired cache");
+        assert_eq!(cached(&serving), 0, "the new epoch's cache is untouched");
+
+        let (answers, stats) = serving.serve_batch(&batch);
+        assert_eq!((stats.epoch, stats.cache_hits), (1, 0));
+        assert!(answers.iter().all(|o| o.served().unwrap().epoch == 1));
+        assert_eq!(cached(&serving), 2);
     }
 
     /// Two different requests filed under one hash: neither reads the
-    /// other's entry, a colliding insert does not displace a live answer,
-    /// and the FIFO eviction of one never drops the other's live entry —
-    /// not even when both were admitted under the same epoch.
+    /// other's entry, and a colliding insert does not displace a live
+    /// answer.
     #[test]
     fn colliding_requests_only_ever_miss() {
         let bn = fixtures::sprinkler();
@@ -798,38 +774,20 @@ mod tests {
         let a = ServeRequest::marginal(Scope::from_indices(&[0]));
         let b = ServeRequest::marginal(Scope::from_indices(&[1]));
         let (answers, _) = serving.serve_batch(&[a.clone(), b.clone()]);
-        let at = |u: usize, epoch: u64| {
-            let served = (*answers[u].served().unwrap().answer).clone();
-            Arc::new(Answer { epoch, ..served })
-        };
-        let answers_for = |l: CacheLookup, q: &ServeRequest| match l {
-            CacheLookup::Hit(hit) => hit.potential.scope() == &q.targets,
-            _ => false,
-        };
+        let answer = |u: usize| Arc::clone(&answers[u].served().unwrap().answer);
         const H: u64 = 7;
-        let mut cache = AnswerCache::default();
-        cache.insert(4, H, a.clone(), at(0, 1));
-        assert!(matches!(cache.lookup(H, &b, 1), CacheLookup::Miss));
-        cache.insert(4, H, b.clone(), at(1, 1));
-        assert!(answers_for(cache.lookup(H, &a, 1), &a), "a keeps its slot");
-        assert!(matches!(cache.lookup(H, &b, 1), CacheLookup::Miss));
-
-        // a goes stale and drops; a batch still on epoch 1 then admits b
-        // under the same hash and epoch a's dangling queue entry carries
-        assert!(matches!(cache.lookup(H, &a, 2), CacheLookup::StaleDropped));
-        cache.insert(4, H, b.clone(), at(1, 1));
-        assert!(cache.evict_front(), "pops a's dangling entry");
-        assert!(answers_for(cache.lookup(H, &b, 1), &b), "b stays live");
-        assert!(matches!(cache.lookup(H, &a, 1), CacheLookup::Miss));
-        assert!(cache.evict_front(), "pops b's own entry");
-        assert!(cache.map.is_empty());
+        let mut cache = AnswerCache::new(4);
+        cache.insert(H, a.clone(), answer(0));
+        assert!(cache.lookup(H, &b).is_none());
+        cache.insert(H, b.clone(), answer(1));
+        let hit = cache.lookup(H, &a).expect("a keeps its slot");
+        assert_eq!(hit.potential.scope(), &a.targets);
+        assert!(cache.lookup(H, &b).is_none());
+        assert_eq!((cache.map.len(), cache.order.len()), (1, 1));
     }
 
     #[test]
-    fn cache_order_queue_stays_bounded_across_swaps() {
-        // a working set far below capacity under repeated epoch swaps:
-        // every swap strands the map entries, and without a queue bound
-        // the dangling order entries would grow with uptime
+    fn cache_map_stays_within_capacity_across_publishes() {
         let bn = fixtures::sprinkler();
         let tree = build_junction_tree(&bn).unwrap();
         let engine = QueryEngine::numeric(&tree, &bn).unwrap();
@@ -838,24 +796,21 @@ mod tests {
             Materialization::default(),
             ServingConfig::default().with_cache_capacity(4),
         );
-        let batch = vec![
-            ServeRequest::marginal(Scope::from_indices(&[0, 2])),
-            ServeRequest::marginal(Scope::from_indices(&[1, 3])),
-        ];
+        // six distinct requests, two more than the cache holds
+        let batch: Vec<ServeRequest> = [&[0][..], &[1], &[2], &[3], &[0, 1], &[2, 3]]
+            .into_iter()
+            .map(|s| ServeRequest::marginal(Scope::from_indices(s)))
+            .collect();
         for _ in 0..20 {
             serving.serve_batch(&batch);
+            assert_eq!(cached(&serving), 4, "a full cache holds its capacity");
             serving.publish(Materialization::default());
+            assert_eq!(cached(&serving), 0, "a publish swaps in an empty cache");
         }
-        serving.serve_batch(&batch);
-        let order_len = serving.cache.lock().order.len();
-        assert!(
-            order_len <= 8,
-            "eviction queue must stay bounded by capacity, got {order_len}"
-        );
     }
 
     #[test]
-    fn publish_bumps_epoch_and_invalidates_lazily() {
+    fn publish_bumps_epoch_and_swaps_in_an_empty_cache() {
         let bn = fixtures::figure1();
         let tree = build_junction_tree(&bn).unwrap();
         let engine = QueryEngine::numeric(&tree, &bn).unwrap();
@@ -868,10 +823,9 @@ mod tests {
         let epoch = serving.publish(Materialization::default());
         assert_eq!(epoch, 1);
         assert_eq!(serving.epoch(), 1);
-        // entries from epoch 0 are still in the cache, but must not serve
+        // epoch 0's answers went with its cache
         let (second, s2) = serving.serve_batch(&batch);
-        assert_eq!(s2.cache_hits, 0, "pre-swap entries must not hit");
-        assert_eq!(s2.stale_hits, s2.unique, "stale entries dropped lazily");
+        assert_eq!(s2.cache_hits, 0, "pre-swap answers must not hit");
         for (a, b) in first.iter().zip(&second) {
             let (a, b) = (a.served().unwrap(), b.served().unwrap());
             assert_eq!(a.epoch, 0);
@@ -879,10 +833,9 @@ mod tests {
             assert!(!b.from_cache);
             assert_eq!(a.potential.values(), b.potential.values());
         }
-        // third pass hits the re-populated epoch-1 entries
+        // third pass hits the epoch-1 entries
         let (_, s3) = serving.serve_batch(&batch);
         assert_eq!(s3.cache_hits, s3.unique);
-        assert_eq!(s3.stale_hits, 0);
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //! 3. if the new artifact's expected benefit (recomputed with the cost
 //!    model on the observed distribution) beats what the stale epoch is
 //!    delivering, it [`publish`](ServingEngine::publish)es the new epoch.
-//!    The swap is a pointer exchange: no serving pause, no cache flush —
-//!    stale cache entries die lazily by their epoch tag.
+//!    The swap is one exchange of the whole epoch state: no serving
+//!    pause, and the new epoch starts with an empty answer cache of its
+//!    own.
 //!
 //! A [`FleetController`] lifts the same loop to a
 //! [`ShardedServingEngine`]: it ticks *all* tenants at once and splits one

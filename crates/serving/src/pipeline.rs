@@ -29,7 +29,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-use crate::engine::{Answer, AnswerCache, BatchStats, CacheLookup, Served};
+use crate::engine::{Answer, AnswerCache, BatchStats, Served};
 use crate::overload::ServeOutcome;
 use crate::pool::PoolCell;
 use peanut_core::sync::{Arc, Mutex, OnceLock};
@@ -51,11 +51,8 @@ pub(crate) struct Target<'t> {
     pub(crate) engine: Arc<QueryEngine<'t>>,
     pub(crate) mat: Arc<Materialization>,
     pub(crate) stats: Arc<WorkloadStats>,
-    /// The cross-batch answer cache and its capacity; `None` serves
-    /// uncached.
-    pub(crate) cache: Option<(Arc<Mutex<AnswerCache>>, usize)>,
-    /// Coalesce duplicate requests within the batch.
-    pub(crate) dedup: bool,
+    /// The epoch's cross-batch answer cache; `None` serves uncached.
+    pub(crate) cache: Option<Arc<Mutex<AnswerCache>>>,
     /// Normalize every answer table: set by evidence sessions, whose
     /// restricted engine holds `P(·, e)` where the caller wants `P(· | e)`.
     pub(crate) normalize: bool,
@@ -82,10 +79,7 @@ impl<'a, 't> BatchRun<'a, 't> {
     /// An empty run against `target`, sized for `arrivals` requests.
     pub(crate) fn new(target: Target<'t>, arrivals: usize) -> Self {
         BatchRun {
-            first_of: ByHash::with_capacity_and_hasher(
-                if target.dedup { arrivals } else { 0 },
-                Default::default(),
-            ),
+            first_of: ByHash::with_capacity_and_hasher(arrivals, Default::default()),
             uniques: Vec::with_capacity(arrivals),
             hashes: Vec::with_capacity(arrivals),
             uses: Vec::with_capacity(arrivals),
@@ -115,14 +109,10 @@ impl<'a, 't> BatchRun<'a, 't> {
     fn push_hashed(&mut self, req: &'a ServeRequest, h: u64) -> usize {
         self.bstats.queries += 1;
         let next = self.uniques.len();
-        let u = if self.target.dedup {
-            match self.first_of.entry(h) {
-                Entry::Occupied(e) if self.uniques[*e.get()] == req => *e.get(),
-                Entry::Occupied(_) => next,
-                Entry::Vacant(e) => *e.insert(next),
-            }
-        } else {
-            next
+        let u = match self.first_of.entry(h) {
+            Entry::Occupied(e) if self.uniques[*e.get()] == req => *e.get(),
+            Entry::Occupied(_) => next,
+            Entry::Vacant(e) => *e.insert(next),
         };
         if u == next {
             self.uniques.push(req);
@@ -133,32 +123,27 @@ impl<'a, 't> BatchRun<'a, 't> {
         u
     }
 
-    /// Probes the answer cache for every unique request under one lock
-    /// scope (only `Arc` clones happen inside): current-epoch repeats are
-    /// served from memory, stale-epoch entries drop lazily, the rest
-    /// becomes [`work`](Self::work).
+    /// Probes the epoch's answer cache for every unique request under one
+    /// lock scope (only `Arc` clones happen inside): repeats are served
+    /// from memory, the rest becomes [`work`](Self::work).
     pub(crate) fn probe(&mut self) {
         let n = self.uniques.len();
         self.bstats.unique = n;
         self.results.resize_with(n, || None);
         self.from_cache.resize(n, false);
-        let Some((cache, _)) = &self.target.cache else {
+        let Some(cache) = &self.target.cache else {
             self.work.extend(0..n);
             return;
         };
-        let mut cache = cache.lock();
+        let cache = cache.lock();
         for (u, (q, &h)) in self.uniques.iter().zip(&self.hashes).enumerate() {
-            match cache.lookup(h, q, self.bstats.epoch) {
-                CacheLookup::Hit(hit) => {
+            match cache.lookup(h, q) {
+                Some(hit) => {
                     self.results[u] = Some(Ok(hit));
                     self.from_cache[u] = true;
                     self.bstats.cache_hits += 1;
                 }
-                CacheLookup::StaleDropped => {
-                    self.bstats.stale_hits += 1;
-                    self.work.push(u);
-                }
-                CacheLookup::Miss => self.work.push(u),
+                None => self.work.push(u),
             }
         }
     }
@@ -206,7 +191,7 @@ impl<'a, 't> BatchRun<'a, 't> {
             }
             self.results[u] = Some(r);
         }
-        if let Some((cache, capacity)) = &self.target.cache {
+        if let Some(cache) = &self.target.cache {
             // zero-copy admission: the cache shares the arrivals' Arc
             let fresh: Vec<(u64, ServeRequest, Arc<Answer>)> = self
                 .work
@@ -219,7 +204,7 @@ impl<'a, 't> BatchRun<'a, 't> {
             if !fresh.is_empty() {
                 let mut cache = cache.lock();
                 for (h, q, a) in fresh {
-                    cache.insert(*capacity, h, q, a);
+                    cache.insert(h, q, a);
                 }
             }
         }
@@ -316,6 +301,7 @@ mod tests {
     use super::BatchRun;
     use crate::engine::{Served, ServingConfig, ServingEngine};
     use crate::overload::ServeOutcome;
+    use peanut_core::sync::Arc;
     use peanut_core::{
         Materialization, MaterializedShortcut, ServeRequest, Shortcut, StatsSnapshot,
     };
@@ -454,9 +440,10 @@ mod tests {
         assert_eq!(counts, vec![(a.targets.clone(), 4), (b.targets.clone(), 4)]);
     }
 
-    /// The same accounting through an evidence session (no dedup, no
-    /// cache): every served target is one arrival under its restricted
-    /// scope; the failed one is not observed.
+    /// The same accounting through an evidence session (no cache):
+    /// duplicate targets coalesce onto one shared answer, every served
+    /// target is one arrival under its restricted scope, and the failed one
+    /// is not observed.
     #[test]
     fn a_session_batch_is_observed_once_per_arrival() {
         let serving = figure1_serving();
@@ -467,10 +454,14 @@ mod tests {
         let (outcomes, bstats) = session.serve_batch(&batch);
         assert_eq!(
             (bstats.queries, bstats.unique, bstats.cache_hits),
-            (6, 6, 0)
+            (6, 3, 0)
         );
         assert!(outcomes[2].failure().is_some());
         let (a1, a2) = (outcomes[0].served().unwrap(), outcomes[1].served().unwrap());
+        for (i, first) in [(3, a1), (4, a2), (5, a1)] {
+            let dup = outcomes[i].served().unwrap();
+            assert!(Arc::ptr_eq(&dup.answer, &first.answer), "arrival {i}");
+        }
 
         let stats = serving.stats();
         assert_eq!(

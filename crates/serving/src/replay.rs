@@ -103,8 +103,6 @@ pub struct ReplayReport {
     pub unique: usize,
     /// Unique queries served from the cross-batch answer cache.
     pub cache_hits: usize,
-    /// Cache entries found stale after an epoch swap and lazily dropped.
-    pub stale_hits: usize,
     /// Materialization epochs observed: (first batch, last batch) on one
     /// engine, (min, max) across tenants and batches on a fleet. They
     /// differ when a re-materialization was published mid-replay.
@@ -321,7 +319,6 @@ fn drive<T: Clone>(
         report.batches += 1;
         report.unique += stats.unique;
         report.cache_hits += stats.cache_hits;
-        report.stale_hits += stats.stale_hits;
         report.total_ops = report.total_ops.saturating_add(stats.total_ops);
         report.shortcuts_used += stats.shortcuts_used;
         for (&i, r) in wave.iter().zip(results) {
@@ -429,7 +426,6 @@ pub fn replay_mixed(
             let totals = BatchStats {
                 unique: stats.unique,
                 cache_hits: stats.cache_hits,
-                stale_hits: stats.stale_hits,
                 total_ops: stats.total_ops,
                 shortcuts_used: stats.shortcuts_used,
                 ..BatchStats::default()
@@ -481,7 +477,6 @@ mod tests {
         assert_eq!(report.batches, 4);
         assert_eq!(report.unique, 57);
         assert_eq!(report.cache_hits, 34);
-        assert_eq!(report.stale_hits, 0);
         assert_eq!(report.total_ops, 5100);
         assert_eq!(report.shortcuts_used, 0);
         assert_eq!(report.epochs, (0, 0));
@@ -596,7 +591,6 @@ mod tests {
         assert_eq!(report.batches, 3);
         assert_eq!(report.unique, 38);
         assert_eq!(report.cache_hits, 17);
-        assert_eq!(report.stale_hits, 0);
         assert_eq!(report.total_ops, 3764);
         assert_eq!(report.shortcuts_used, 0);
         assert_eq!(report.epochs, (0, 0));

@@ -62,8 +62,9 @@ pub struct EvidenceSession<'s, 't> {
     /// are the open-time epoch's accumulator; a publish mid-session
     /// retires it, and this session keeps feeding the retired window
     /// (exactly like an in-flight batch would) and hashing its requests
-    /// with that accumulator's hasher, the engine's. No answer cache, no
-    /// coalescing, and every answer normalized into `P(· | evidence)`.
+    /// with that accumulator's hasher, the engine's. No answer cache;
+    /// duplicate targets of a batch coalesce onto one computation, and
+    /// every answer is normalized into `P(· | evidence)`.
     target: Target<'t>,
     evidence: Vec<(Var, u32)>,
 }
@@ -90,7 +91,6 @@ impl<'t> ServingEngine<'t> {
                 mat: Arc::new(Materialization::default().with_epoch(snapshot.mat.epoch)),
                 stats: snapshot.stats,
                 cache: None,
-                dedup: false,
                 normalize: true,
             },
             evidence,

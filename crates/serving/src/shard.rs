@@ -14,9 +14,9 @@
 //! 1. arrivals are routed to their shard and deduplicated **per tenant**
 //!    (two tenants asking the same request are different computations over
 //!    different models — answers never cross shards);
-//! 2. each shard's unique queries probe that shard's epoch-tagged answer
-//!    cache (one lock scope per shard, stale entries drop lazily exactly as
-//!    in single-tenant serving);
+//! 2. each shard's unique queries probe the answer cache of that shard's
+//!    served epoch (one lock scope per shard, exactly as in single-tenant
+//!    serving);
 //! 3. the remaining work items of *all* shards are flattened into one list
 //!    and claimed work-stealing-style by the shared pool — a worker serves
 //!    whatever tenant's query comes next, reusing one
@@ -25,7 +25,7 @@
 //!
 //! Per-tenant epoch state stays fully isolated: a
 //! [`publish`](crate::ServingEngine::publish) on one tenant bumps only that
-//! tenant's epoch and invalidates only that tenant's cache entries.
+//! tenant's epoch and swaps in an empty cache for that tenant only.
 //!
 //! # Cold-tenant paging
 //!
@@ -119,8 +119,6 @@ pub struct MixedBatchStats {
     pub unique: usize,
     /// Unique queries served from a shard's answer cache.
     pub cache_hits: usize,
-    /// Cache entries found stale (older epoch) and lazily dropped.
-    pub stale_hits: usize,
     /// Summed operation count over freshly computed queries, all shards.
     pub total_ops: u64,
     /// Summed shortcut uses over freshly computed queries, all shards.
@@ -458,7 +456,7 @@ impl<'t> ShardedServingEngine<'t> {
                 msg: format!("{} is paged out but the fleet has no store", shard.id),
             });
         };
-        let (epoch, path) = store
+        let (_, path) = store
             .latest_epoch(shard.id.0)
             .ok_or_else(|| PgmError::StoreIo {
                 path: store.dir.display().to_string(),
@@ -470,7 +468,7 @@ impl<'t> ShardedServingEngine<'t> {
         serving.set_store(store.clone(), shard.id.0);
         // the file we just rehydrated from is this epoch's persisted form;
         // the next page-out must not rewrite it
-        serving.mark_persisted(epoch);
+        serving.mark_persisted();
         Ok(Arc::new(serving))
     }
 
@@ -484,7 +482,7 @@ impl<'t> ShardedServingEngine<'t> {
         let Some(engine) = resident.as_ref() else {
             return Ok(false);
         };
-        if engine.persisted_epoch() != Some(engine.epoch()) {
+        if engine.persisted_epoch().is_none() {
             engine.persist_current()?;
         }
         *resident = None;
@@ -614,7 +612,6 @@ impl<'t> ShardedServingEngine<'t> {
             let bstats = run.finish(computed.by_ref().take(fresh));
             mstats.unique += bstats.unique;
             mstats.cache_hits += bstats.cache_hits;
-            mstats.stale_hits += bstats.stale_hits;
             mstats.total_ops = mstats.total_ops.saturating_add(bstats.total_ops);
             mstats.shortcuts_used += bstats.shortcuts_used;
             mstats.per_tenant.push((shard.id, bstats));
@@ -779,10 +776,10 @@ mod tests {
 
         let (second, stats) = sharded.serve_mixed(&batch);
         let by_tenant: HashMap<TenantId, BatchStats> = stats.per_tenant.iter().cloned().collect();
-        // tenant 0: all stale, recomputed under epoch 1
+        // tenant 0: the new epoch's cache starts empty, so everything is
+        // recomputed under epoch 1
         let t0 = &by_tenant[&TenantId(0)];
         assert_eq!(t0.cache_hits, 0);
-        assert_eq!(t0.stale_hits, t0.unique);
         // tenant 1: untouched, fully cached, zero-copy
         let t1 = &by_tenant[&TenantId(1)];
         assert_eq!(t1.cache_hits, t1.unique);

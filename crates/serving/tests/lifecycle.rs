@@ -4,7 +4,7 @@
 //!   differential against single-threaded VE within 1e-9, on random
 //!   networks and random (evidence-bearing) batches;
 //! * pre-swap answer-cache entries are never served for post-swap
-//!   epochs (epoch-tagged lazy invalidation);
+//!   epochs (each epoch has its own cache, swapped with it);
 //! * the re-materialization controller is deterministic: the same drift
 //!   schedule and seeds produce the same swap points and the same
 //!   selected shortcut sets;

@@ -10,6 +10,7 @@
 //!   most arrivals in it;
 //! * paging telemetry (faults, page-outs, fault wall time) is reported
 //!   per batch and cumulatively;
+//! * a failed write-behind persist is retried by the tenant's page-out;
 //! * a corrupt epoch file fails only its own tenant, and fails it closed.
 
 mod common;
@@ -184,6 +185,48 @@ fn publish_survives_a_page_out() {
     );
     assert_eq!(t0.publish(Materialization::default()), 2);
     assert!(fleet.paging_stats().faults >= 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A write-behind persist that fails leaves the new epoch marked as not
+/// on disk, and the tenant's next page-out writes it before dropping the
+/// engine, so the fault-in resumes at that epoch.
+#[test]
+fn a_failed_persist_is_retried_at_page_out() {
+    let bns = fleet_models(2);
+    let trees: Vec<JunctionTree> = bns
+        .iter()
+        .map(|bn| build_junction_tree(bn).unwrap())
+        .collect();
+    let batches: Vec<Vec<ServeRequest>> = bns
+        .iter()
+        .enumerate()
+        .map(|(i, bn)| random_batch(bn, 4, 31 + i as u64))
+        .collect();
+    let dir = temp_dir("retry");
+    let store = StoreConfig::new(&dir);
+    let fleet = build_fleet(&trees, &bns, &batches, Some(store.clone()), 1);
+    let t0 = fleet.tenant(TenantId(0)).unwrap();
+    assert_eq!(t0.persisted_epoch(), Some(0), "registration persists");
+
+    // a regular file where the store directory was fails every write
+    let aside = dir.with_extension("aside");
+    std::fs::rename(&dir, &aside).unwrap();
+    std::fs::write(&dir, b"not a directory").unwrap();
+    assert_eq!(t0.publish(Materialization::default()), 1);
+    assert_eq!(t0.persisted_epoch(), None, "epoch 1 is not on disk");
+    assert_eq!(t0.persist_errors(), 1);
+    std::fs::remove_file(&dir).unwrap();
+    std::fs::rename(&aside, &dir).unwrap();
+
+    // touching tenant 1 under a cap of 1 pages tenant 0 out
+    fleet.tenant(TenantId(1)).unwrap();
+    assert_eq!(fleet.resident_len(), 1);
+    assert_eq!(fleet.paging_stats().fault_errors, 0);
+    assert_eq!(t0.persisted_epoch(), Some(1), "the page-out wrote epoch 1");
+    assert_eq!(store.latest_epoch(0).map(|(e, _)| e), Some(1));
+    drop(t0);
+    assert_eq!(fleet.tenant(TenantId(0)).unwrap().epoch(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -9,8 +9,8 @@
 //! of §5.3, Figures 8–9, as a live stream). The controller watches the
 //! epoch's observed benefit collapse, re-runs the offline selection on the
 //! *observed* query distribution, and hot-publishes the next epoch —
-//! serving never pauses, and stale answer-cache entries die lazily by
-//! their epoch tag.
+//! serving never pauses, and the new epoch starts with an answer cache of
+//! its own.
 //!
 //! Run with: `cargo run --release --example serving_lifecycle`
 
