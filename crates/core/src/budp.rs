@@ -117,8 +117,7 @@ pub fn budp(ctx: &OfflineContext, grid: &BudgetGrid, roots: &[RootTables]) -> Bu
 /// The best packings over the disjoint subtrees rooted at `nodes`, per
 /// budget split: a knapsack of their final `h` tables.
 fn packings_over(h: &[Vec<f64>], nodes: &[usize], grid: &BudgetGrid) -> Combine {
-    let tables: Vec<&[f64]> = nodes.iter().map(|&d| h[d].as_slice()).collect();
-    Combine::run(&tables, grid, Compose::Add)
+    Combine::run(nodes.iter().map(|&d| h[d].as_slice()), grid, Compose::Add)
 }
 
 /// BUDP's decisions: the final tables, each node's choice per budget and

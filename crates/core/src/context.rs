@@ -1,16 +1,25 @@
 //! Offline precomputation shared by LRDP, BUDP and PEANUT+: per-query
 //! Steiner information, per-node benefit contributions, usefulness
 //! (Def. 3.1) and benefit (Defs. 3.2–3.3).
+//!
+//! What is per query ([`QueryInfo`]) is what the usefulness test reads.
+//! What LRDP's path walk reads at every step is laid out by clique instead
+//! (`Columns`): the contributions of one clique to every query, and the
+//! queries whose Steiner tree holds it.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use crate::shortcut::Shortcut;
-use crate::util::BitSet;
+use crate::util::{ones, BitSet};
 use crate::workload::Workload;
 use peanut_junction::{JunctionTree, RootedTree, SteinerTree};
 use peanut_pgm::{PgmError, Scope, Size, Var};
 
-/// Precomputed Steiner data for one distinct workload query.
+/// Precomputed Steiner data for one distinct workload query: what the
+/// usefulness test (Def. 3.1) reads. The per-clique numbers LRDP's path
+/// walk reads — Def. 3.2's contributions and where its Steiner tree
+/// branches — live in the [`OfflineContext`], clique-major over all
+/// queries.
 #[derive(Clone, Debug)]
 pub struct QueryInfo {
     /// The query variables.
@@ -23,22 +32,8 @@ pub struct QueryInfo {
     pub var_cover: Vec<(Var, u32)>,
     /// True when the query is in-clique (single Steiner node).
     pub single_node: bool,
-    /// Per clique: number of Steiner children (0 for non-members).
-    q_children: Vec<u8>,
-    /// Per clique `u`: [`OfflineContext::contrib`]`(u, q)`, which every
-    /// LRDP root's walk reads at every node it visits.
-    contribs: Vec<f64>,
     /// What [`delta`] reads.
     cover: SteinerCover,
-}
-
-impl QueryInfo {
-    /// Number of Steiner-tree children of clique `u` within this query's
-    /// Steiner tree.
-    #[inline]
-    pub fn steiner_children(&self, u: usize) -> u32 {
-        self.q_children[u] as u32
-    }
 }
 
 /// The query's half of usefulness (Def. 3.1) as bit rows over clique ids,
@@ -76,6 +71,11 @@ impl SteinerCover {
         &self.rows[r * self.stride..][..self.stride]
     }
 
+    /// Whether Steiner clique `u` holds the `i`-th query variable.
+    fn holds(&self, i: usize, u: usize) -> bool {
+        self.row(1 + i)[u / 64] >> (u % 64) & 1 == 1
+    }
+
     /// Usefulness `δ_S(q)` of `s` for the `query` these rows were laid out
     /// for — see [`OfflineContext::delta`] for the three conditions.
     ///
@@ -101,7 +101,8 @@ pub struct OfflineContext<'t> {
     tree: &'t JunctionTree,
     rooted: RootedTree,
     queries: Vec<QueryInfo>,
-    contributions: Contributions,
+    mu: Vec<Size>,
+    columns: Columns,
 }
 
 /// What Def. 3.2's per-node contributions are made of, once per tree:
@@ -129,37 +130,188 @@ impl Contributions {
 
     /// `μ(u) · Π_{x ∈ X_{T_u} ∩ q} α(x)` for every clique `u`, each product
     /// taken in query order.
-    fn of(&self, tree: &JunctionTree, query: &Scope) -> Vec<f64> {
-        let mut contribs: Vec<f64> = self.mu.iter().map(|&m| m as f64).collect();
+    fn column(&self, tree: &JunctionTree, query: &Scope, col: &mut [f64]) {
+        for (c, &m) in col.iter_mut().zip(&self.mu) {
+            *c = m as f64;
+        }
         for x in query.iter() {
             let card = tree.domain().card(x) as f64;
             for u in self.held_below[x.index()].iter() {
-                contribs[u] *= card;
+                col[u] *= card;
             }
         }
-        contribs
     }
 }
 
-/// Builds the per-query Steiner information used by the usefulness and
-/// benefit computations (offline: one per distinct workload query).
+/// The workload read clique by clique: what LRDP's path walk reads when it
+/// pushes or pops a clique and when it reads at one, laid out so that a
+/// step touches that clique's entries and no per-query row. Query `k` is
+/// the `k`-th of [`OfflineContext::queries`]; its variable *slots* are its
+/// positions `j` in the flat `(k, j)` order over every query's scope.
+///
+/// A clique's *members* are the queries whose Steiner tree holds it and has
+/// more than one node (an in-clique query never counts in a path value).
+pub(crate) struct Columns {
+    n_queries: usize,
+    /// Words per clique row of query bits.
+    words: usize,
+    /// `contrib(u, q_k)` at `u · |Q| + k`.
+    contrib: Vec<f64>,
+    /// Clique rows of query bits: bit `k` of `holds` is set when `q_k` is a
+    /// member, of `branches` when it is one with a Steiner child at the
+    /// clique, of `forks` when it has two or more.
+    holds: Vec<u64>,
+    branches: Vec<u64>,
+    forks: Vec<u64>,
+    /// Clique `u`'s members, in ascending query order, are members
+    /// `member_start[u]..member_start[u + 1]`; member `i` holds the slots
+    /// `held[held_start[i]..held_start[i + 1]]`, those of its query's
+    /// variables the clique contains.
+    member_start: Vec<u32>,
+    held_start: Vec<u32>,
+    held: Vec<u32>,
+    /// Query `k`'s slots are `var_start[k]..var_start[k + 1]`.
+    var_start: Vec<u32>,
+}
+
+impl Columns {
+    fn new(
+        tree: &JunctionTree,
+        rooted: &RootedTree,
+        queries: &[QueryInfo],
+        contributions: &Contributions,
+    ) -> Self {
+        let (n, nq) = (tree.n_cliques(), queries.len());
+        let words = nq.div_ceil(64);
+        let mut var_start = Vec::with_capacity(nq + 1);
+        let mut slots = 0u32;
+        for qi in queries {
+            var_start.push(slots);
+            slots += qi.scope.len() as u32;
+        }
+        var_start.push(slots);
+        // Def. 3.2 a column per query, as the row form computed it, eight
+        // queries at a time so that each clique's row is written in whole
+        // cache lines
+        const BLOCK: usize = 8;
+        let mut contrib = vec![0.0; n * nq];
+        let mut block = vec![0.0; BLOCK * n];
+        for (b0, chunk) in queries.chunks(BLOCK).enumerate() {
+            for (col, qi) in block.chunks_exact_mut(n.max(1)).zip(chunk) {
+                contributions.column(tree, &qi.scope, col);
+            }
+            for u in 0..n {
+                let row = &mut contrib[u * nq + b0 * BLOCK..][..chunk.len()];
+                for (b, c) in row.iter_mut().enumerate() {
+                    *c = block[b * n + u];
+                }
+            }
+        }
+        let mut holds = vec![0u64; n * words];
+        let mut branches = vec![0u64; n * words];
+        let mut forks = vec![0u64; n * words];
+        for (k, qi) in queries.iter().enumerate() {
+            if qi.single_node {
+                continue;
+            }
+            let (word, bit) = (k / 64, 1u64 << (k % 64));
+            for w in qi.steiner.iter() {
+                holds[w * words + word] |= bit;
+                // a Steiner node whose parent is one is that parent's
+                // Steiner child: the first marks a branch, the second a fork
+                if let Some(p) = rooted.parent(w).filter(|&p| qi.steiner.contains(p)) {
+                    let at = p * words + word;
+                    if branches[at] & bit == 0 {
+                        branches[at] |= bit;
+                    } else {
+                        forks[at] |= bit;
+                    }
+                }
+            }
+        }
+        let (mut member_start, mut held_start, mut held) = (vec![0u32], vec![0u32], Vec::new());
+        for u in 0..n {
+            for k in ones(holds[u * words..][..words].iter().copied()) {
+                let cover = &queries[k].cover;
+                let slots = (0..queries[k].scope.len()).filter(|&j| cover.holds(j, u));
+                held.extend(slots.map(|j| var_start[k] + j as u32));
+                held_start.push(held.len() as u32);
+            }
+            member_start.push(held_start.len() as u32 - 1);
+        }
+        Columns {
+            n_queries: nq,
+            words,
+            contrib,
+            holds,
+            branches,
+            forks,
+            member_start,
+            held_start,
+            held,
+            var_start,
+        }
+    }
+
+    /// Number of distinct queries.
+    #[inline]
+    pub(crate) fn n_queries(&self) -> usize {
+        self.n_queries
+    }
+
+    /// Number of query-variable slots.
+    #[inline]
+    pub(crate) fn n_slots(&self) -> usize {
+        self.var_start[self.n_queries] as usize
+    }
+
+    /// `contrib(u, q_k)` for every `k`, in query order.
+    #[inline]
+    pub(crate) fn contrib_column(&self, u: usize) -> &[f64] {
+        &self.contrib[u * self.n_queries..][..self.n_queries]
+    }
+
+    /// Bit `k` set when `q_k` is a member of clique `u`.
+    #[inline]
+    pub(crate) fn holds(&self, u: usize) -> &[u64] {
+        &self.holds[u * self.words..][..self.words]
+    }
+
+    /// Bit `k` set when `q_k` has a Steiner child at clique `u`.
+    #[inline]
+    pub(crate) fn branches(&self, u: usize) -> &[u64] {
+        &self.branches[u * self.words..][..self.words]
+    }
+
+    /// Bit `k` set when `q_k` has two or more Steiner children at `u`.
+    #[inline]
+    pub(crate) fn forks(&self, u: usize) -> &[u64] {
+        &self.forks[u * self.words..][..self.words]
+    }
+
+    /// Clique `u`'s members, in ascending query order, each with the
+    /// slots of its query's variables that `u` contains.
+    pub(crate) fn members(&self, u: usize) -> impl Iterator<Item = (usize, &[u32])> {
+        let span = self.member_start[u] as usize..self.member_start[u + 1] as usize;
+        let held =
+            span.map(|i| &self.held[self.held_start[i] as usize..self.held_start[i + 1] as usize]);
+        ones(self.holds(u).iter().copied()).zip(held)
+    }
+
+    /// Query `k`'s slots, one per variable of its scope, in scope order.
+    #[inline]
+    pub(crate) fn slots(&self, k: usize) -> std::ops::Range<usize> {
+        self.var_start[k] as usize..self.var_start[k + 1] as usize
+    }
+}
+
+/// Builds the per-query Steiner information the usefulness test reads
+/// (offline: one per distinct workload query).
 pub fn build_query_info(
     tree: &JunctionTree,
     rooted: &RootedTree,
     query: &Scope,
     weight: f64,
-) -> Result<QueryInfo, PgmError> {
-    let contributions = Contributions::new(tree, rooted);
-    query_info(tree, rooted, query, weight, &contributions)
-}
-
-/// [`build_query_info`] with the tree's [`Contributions`] at hand.
-fn query_info(
-    tree: &JunctionTree,
-    rooted: &RootedTree,
-    query: &Scope,
-    weight: f64,
-    contributions: &Contributions,
 ) -> Result<QueryInfo, PgmError> {
     let st = SteinerTree::extract(tree, rooted, query)?;
     let steiner = BitSet::from_members(tree.n_cliques(), st.nodes().iter().copied());
@@ -170,13 +322,6 @@ fn query_info(
         .enumerate()
         .map(|(i, x)| (x, covering(i)))
         .collect();
-    let mut q_children = vec![0u8; tree.n_cliques()];
-    for &w in st.nodes() {
-        // a non-root Steiner node's parent is a Steiner node
-        if let Some(p) = rooted.parent(w).filter(|_| w != st.root()) {
-            q_children[p] = q_children[p].saturating_add(1);
-        }
-    }
     Ok(QueryInfo {
         scope: query.clone(),
         weight,
@@ -184,8 +329,6 @@ fn query_info(
         cover,
         steiner,
         var_cover,
-        q_children,
-        contribs: contributions.of(tree, query),
     })
 }
 
@@ -199,20 +342,23 @@ pub fn delta(_tree: &JunctionTree, _rooted: &RootedTree, s: &Shortcut, qi: &Quer
 }
 
 impl<'t> OfflineContext<'t> {
-    /// Builds the context: extracts one Steiner tree per distinct query.
+    /// Builds the context: extracts one Steiner tree per distinct query and
+    /// lays the workload out clique by clique.
     pub fn new(tree: &'t JunctionTree, workload: &Workload) -> Result<Self, PgmError> {
         let rooted = RootedTree::new(tree);
-        let contributions = Contributions::new(tree, &rooted);
         let queries = workload
             .entries()
             .iter()
-            .map(|entry| query_info(tree, &rooted, &entry.query, entry.weight, &contributions))
+            .map(|entry| build_query_info(tree, &rooted, &entry.query, entry.weight))
             .collect::<Result<Vec<_>, _>>()?;
+        let contributions = Contributions::new(tree, &rooted);
+        let columns = Columns::new(tree, &rooted, &queries, &contributions);
         Ok(OfflineContext {
             tree,
             rooted,
             queries,
-            contributions,
+            mu: contributions.mu,
+            columns,
         })
     }
 
@@ -237,15 +383,22 @@ impl<'t> OfflineContext<'t> {
     /// `μ(u)`.
     #[inline]
     pub fn mu(&self, u: usize) -> Size {
-        self.contributions.mu[u]
+        self.mu[u]
     }
 
-    /// The per-node benefit contribution of Def. 3.2:
-    /// `μ(u) · Π_{w ∈ X_{T_u} ∩ q} α(w)`, stored per clique when `qi` was
-    /// built.
+    /// The per-node benefit contribution of Def. 3.2 for the `k`-th
+    /// distinct query `q`: `μ(u) · Π_{w ∈ X_{T_u} ∩ q} α(w)`. Stored
+    /// clique-major when the context was built, so the contributions of one
+    /// clique to every query are one contiguous run.
     #[inline]
-    pub fn contrib(&self, u: usize, qi: &QueryInfo) -> f64 {
-        qi.contribs[u]
+    pub fn contrib(&self, u: usize, k: usize) -> f64 {
+        self.columns.contrib_column(u)[k]
+    }
+
+    /// The workload laid out clique by clique, for LRDP's path walk.
+    #[inline]
+    pub(crate) fn columns(&self) -> &Columns {
+        &self.columns
     }
 
     /// Usefulness `δ_S(q)` (Def. 3.1), in an operational form (listed under
@@ -262,19 +415,20 @@ impl<'t> OfflineContext<'t> {
         delta(self.tree, &self.rooted, s, qi)
     }
 
-    /// `B(S, q)` (Def. 3.2).
-    pub fn benefit_for_query(&self, s: &Shortcut, qi: &QueryInfo) -> f64 {
-        if !self.delta(s, qi) {
+    /// `B(S, q)` (Def. 3.2) of the `k`-th distinct query.
+    pub fn benefit_for_query(&self, s: &Shortcut, k: usize) -> f64 {
+        if !self.delta(s, &self.queries[k]) {
             return 0.0;
         }
-        s.nodes().iter().map(|&u| self.contrib(u, qi)).sum()
+        s.nodes().iter().map(|&u| self.contrib(u, k)).sum()
     }
 
     /// `B(S, Q)` (Def. 3.3): the workload-weighted benefit.
     pub fn benefit(&self, s: &Shortcut) -> f64 {
         self.queries
             .iter()
-            .map(|qi| qi.weight * self.benefit_for_query(s, qi))
+            .enumerate()
+            .map(|(k, qi)| qi.weight * self.benefit_for_query(s, k))
             .sum()
     }
 }
@@ -493,10 +647,18 @@ mod tests {
         // change the total when each query's B(S, q) is equal
         let b_skew = ctx_skew.benefit(&s);
         let b_flat = ctx_flat.benefit(&s);
-        let qi1 = ctx_flat.queries().iter().find(|qi| qi.scope == q1).unwrap();
-        let qi2 = ctx_flat.queries().iter().find(|qi| qi.scope == q2).unwrap();
-        let b1 = ctx_flat.benefit_for_query(&s, qi1);
-        let b2 = ctx_flat.benefit_for_query(&s, qi2);
+        let k1 = ctx_flat
+            .queries()
+            .iter()
+            .position(|qi| qi.scope == q1)
+            .unwrap();
+        let k2 = ctx_flat
+            .queries()
+            .iter()
+            .position(|qi| qi.scope == q2)
+            .unwrap();
+        let b1 = ctx_flat.benefit_for_query(&s, k1);
+        let b2 = ctx_flat.benefit_for_query(&s, k2);
         assert!((b_flat - (0.5 * b1 + 0.5 * b2)).abs() < 1e-9);
         assert!((b_skew - (0.75 * b1 + 0.25 * b2)).abs() < 1e-9);
     }
@@ -550,11 +712,11 @@ mod tests {
                 })
                 .collect();
             let ctx = OfflineContext::new(&tree, &Workload::from_queries(queries)).unwrap();
-            for qi in ctx.queries() {
+            for (k, qi) in ctx.queries().iter().enumerate() {
                 for u in 0..tree.n_cliques() {
                     let want = by_definition(&ctx, u, qi);
                     assert_eq!(
-                        ctx.contrib(u, qi).to_bits(),
+                        ctx.contrib(u, k).to_bits(),
                         want.to_bits(),
                         "clique {u}, {}",
                         qi.scope
@@ -576,12 +738,11 @@ mod tests {
         let w = Workload::from_queries([q]);
         let ctx = OfflineContext::new(&tree, &w).unwrap();
         let egh = id(&names, "egh");
-        let qi = &ctx.queries()[0];
-        let c = ctx.contrib(egh, qi);
+        let c = ctx.contrib(egh, 0);
         // μ(egh) = 8, α(i) = α(l) = 2 ⇒ 32
         assert_eq!(c, 32.0);
         // a clique with no query vars below contributes just μ
         let abd = id(&names, "abd");
-        assert_eq!(ctx.contrib(abd, qi), 8.0);
+        assert_eq!(ctx.contrib(abd, 0), 8.0);
     }
 }

@@ -82,19 +82,24 @@ impl BitSet {
 
     /// Iterates the members in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut w = w;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let b = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(wi * 64 + b)
-                }
-            })
-        })
+        ones(self.words.iter().copied())
     }
+}
+
+/// The positions of the set bits of `words`, bit `i` of word `w` being
+/// position `64·w + i`, in ascending order.
+pub(crate) fn ones(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.enumerate().flat_map(|(wi, mut w)| {
+        std::iter::from_fn(move || {
+            if w == 0 {
+                None
+            } else {
+                let b = w.trailing_zeros() as usize;
+                w &= w - 1;
+                Some(wi * 64 + b)
+            }
+        })
+    })
 }
 
 #[cfg(test)]

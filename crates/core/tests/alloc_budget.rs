@@ -10,7 +10,10 @@
 //! their tables the same measurements read megabytes per query. Answering
 //! is held to the same kind of line: a message is summed straight out of
 //! its factors, so the bytes a query allocates follow its messages, not the
-//! product tables the cost model counts.
+//! product tables the cost model counts. The offline selection is held to
+//! a count of allocator calls: LRDP's walk reads flat per-clique columns
+//! and its branch DP reuses flat tables, so a selection allocates per
+//! tree node, not per query and per combined child.
 //!
 //! Run with `--nocapture` to see bytes/query and allocations/query.
 
@@ -204,6 +207,40 @@ fn dataset_plans_stay_within_budget() {
             "{name}: {calls:.1} allocator calls per reduce"
         );
         assert!(worst <= 16 << 10, "{name}: a reduce allocated {worst} B");
+    }
+}
+
+/// Allocator calls of one symbolic PEANUT+ selection (`10·b_T`) trained on
+/// every variable pair of a dataset.
+fn dataset_selection_allocs(name: &str, bn: &BayesianNetwork) -> usize {
+    let tree = build_junction_tree(bn).unwrap();
+    let n = bn.n_vars() as u32;
+    let pairs = (0..n).flat_map(|a| (a + 1..n).map(move |b| Scope::from_indices(&[a, b])));
+    let ctx = OfflineContext::new(&tree, &Workload::from_queries(pairs)).unwrap();
+    let cfg = PeanutConfig::plus(tree.total_separator_size().max(1) * 10);
+    let (mat, _, calls) = counted(|| Peanut::offline(&ctx, &cfg));
+    println!(
+        "{name}: Peanut::offline made {calls} allocator calls ({} distinct queries, {} cliques, {} shortcuts)",
+        ctx.queries().len(),
+        tree.n_cliques(),
+        mat.shortcuts.len()
+    );
+    calls
+}
+
+#[test]
+fn dataset_selection_stays_within_budget() {
+    // LRDP's path walk reads the context's clique columns and its branch
+    // DP keeps flat tables: when every step visited every query through
+    // per-query rows and each combined child cost four fresh vectors these
+    // read 6,041 / 109,213 / 31,922
+    for (name, ceiling) in [("Child", 4_000), ("HeparII", 20_000), ("TPC-H", 14_000)] {
+        let bn = peanut_datasets::dataset(name).unwrap().build().unwrap();
+        let calls = dataset_selection_allocs(name, &bn);
+        assert!(
+            calls <= ceiling,
+            "{name}: {calls} allocator calls per selection"
+        );
     }
 }
 

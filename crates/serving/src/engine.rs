@@ -615,6 +615,49 @@ mod tests {
         }
     }
 
+    /// A selection fanned out on the serving pool's re-materialization
+    /// lane, whose root tasks all read one offline context, is the
+    /// selection the scoped executor makes, bit for bit.
+    #[test]
+    fn offline_selection_on_the_pool_matches_the_scoped_executor() {
+        use peanut_core::exec::ScopedExecutor;
+        use peanut_core::{OfflineContext, Peanut, PeanutConfig, Workload};
+        use peanut_pgm::generate::{generate_network, DagConfig};
+        let cfg = DagConfig {
+            n_nodes: 16,
+            n_edges: 20,
+            max_in_degree: 3,
+            window: 3,
+            cardinalities: vec![2, 3],
+        };
+        let bn = generate_network(&cfg, 7).unwrap();
+        let tree = build_junction_tree(&bn).unwrap();
+        assert!(tree.n_cliques() >= 4, "the root fan-out needs 4 cliques");
+        let n = bn.n_vars() as u32;
+        let pairs = (0..n).flat_map(|a| (a + 1..n).map(move |b| Scope::from_indices(&[a, b])));
+        let ctx = OfflineContext::new(&tree, &Workload::from_queries(pairs)).unwrap();
+        let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+        let serving = ServingEngine::new(
+            engine,
+            Materialization::default(),
+            ServingConfig::default().with_workers(3),
+        );
+        for pcfg in [
+            PeanutConfig::plus(tree.total_separator_size() * 10),
+            PeanutConfig::disjoint(tree.total_separator_size() * 10),
+        ] {
+            let on_pool = Peanut::offline_with(&ctx, &pcfg, serving.offline_exec());
+            let scoped = Peanut::offline_with(&ctx, &pcfg, &ScopedExecutor::new(1));
+            assert!(!scoped.shortcuts.is_empty());
+            assert_eq!(on_pool.shortcuts.len(), scoped.shortcuts.len());
+            for (a, b) in on_pool.shortcuts.iter().zip(&scoped.shortcuts) {
+                assert_eq!(a.shortcut.nodes(), b.shortcut.nodes());
+                assert_eq!(a.benefit.to_bits(), b.benefit.to_bits());
+                assert_eq!(a.ratio.to_bits(), b.ratio.to_bits());
+            }
+        }
+    }
+
     /// `workers: 0` is resolved once, when an engine is built: the stored
     /// configuration holds the core count, so no batch asks the OS again.
     #[test]
