@@ -10,8 +10,10 @@
 //! [`ReducedTree`] of borrowed clique and separator tables, and builds at
 //! most one more tree, the one that runs. Its answer takes and files
 //! messages of plain subtrees in the memo of the engine's calibrated
-//! tables, which outlives every epoch (`peanut_junction::reduced`, "The
-//! message memo").
+//! tables, which outlives every epoch — a branch sending into a shortcut
+//! included, whose message is the one a plain plan sends into the
+//! shortcut's region, so a contracted plan and the plain tree share it
+//! (`peanut_junction::reduced`, "The message memo").
 //! Usefulness is word operations between the shortcut's bitsets and the
 //! query's [`SteinerCover`]; the conflict graph of the useful shortcuts is
 //! built for every materialization and thinned by GWMIN; each survivor is

@@ -15,7 +15,9 @@
 //! must not be what a plain subtree of the next takes. Two more cases
 //! share the engine's tables between threads: two answering the stream,
 //! and a selection's table builds racing one answering it; CI runs this
-//! file under ThreadSanitizer too.
+//! file under ThreadSanitizer too. A last case replays the all-pairs stream
+//! of Child and TPC-H under PEANUT+, where warm contracted plans take the
+//! messages their branches send into shortcuts.
 
 use peanut_core::{
     Materialization, MaterializedShortcut, OfflineContext, OnlineEngine, Peanut, PeanutConfig,
@@ -236,5 +238,47 @@ fn a_selection_racing_queries_builds_and_answers_as_fresh_ones() {
         );
         assert_eq!(got.scope(), want.scope());
         assert_eq!(bits(got), bits(want), "{:?}", want.scope());
+    }
+}
+
+/// A real dataset's stream replayed: PEANUT+ at `10·b_T` selected on
+/// every variable pair, then the pairs answered twice through one engine. On the second pass the memo
+/// holds what the first filed — messages into shortcuts among them — and
+/// every eighth answer is checked against a fresh engine over the same
+/// calibrated slab: the same bits, the same cost.
+#[test]
+fn a_dataset_stream_replayed_answers_as_fresh_engines() {
+    for name in ["Child", "TPC-H"] {
+        let bn = peanut_datasets::dataset(name).unwrap().build().unwrap();
+        let tree = build_junction_tree(&bn).unwrap();
+        let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+        let n = bn.n_vars() as u32;
+        let pairs: Vec<Request> = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (Scope::from_indices(&[a, b]), Vec::new())))
+            .collect();
+        let workload = Workload::from_queries(pairs.iter().map(|(t, _)| t.clone()));
+        let ctx = OfflineContext::new(&tree, &workload).unwrap();
+        let cfg = PeanutConfig::plus(tree.total_separator_size() * 10);
+        let ns = engine.numeric_state().unwrap();
+        let (mat, _) = Peanut::offline_numeric(&ctx, &cfg, ns).unwrap();
+        let online = OnlineEngine::new(&engine, &mat);
+        for request in &pairs {
+            answer(&online, request);
+        }
+        let (filed, _) = engine.memo_usage();
+        assert!(filed > 0, "{name}: test premise: the first pass files");
+        let mut contracted = 0;
+        for (i, request) in pairs.iter().enumerate() {
+            let got = answer(&online, request);
+            if i % 8 == 0 {
+                let want = fresh_answer(&tree, &engine, &mat, request);
+                assert_eq!(got, want, "{name}: {request:?}");
+                contracted += usize::from(online.cost(&request.0).unwrap().shortcuts_used > 0);
+            }
+        }
+        assert!(
+            contracted > 0,
+            "{name}: test premise: some plan is contracted"
+        );
     }
 }

@@ -14,8 +14,14 @@
 //! parent separator plus the held variables its own subtree holds — is the
 //! held set cut down to that subtree. With the tables unchanged, a taken
 //! message is therefore bit for bit the one the pass would compute, on any
-//! plan over them. The reduced-tree pass decides which nodes qualify
-//! (`crate::reduced`, "The message memo"); this module stores.
+//! plan over them. That holds for a sender into a shortcut too: `p` is then
+//! the region's clique at the other end of the sender's junction-tree edge
+//! `e`. By running intersection the sender meets the shortcut's scope `X_S`
+//! in the cut separator `S_e`, which is what it meets `p` in, and it
+//! divides by `S_e`'s table either way — the target, the factor order and
+//! the division of the plain plan's message to `p`. The reduced-tree pass
+//! decides which nodes qualify and checks that premise (`crate::reduced`,
+//! "The message memo"); this module stores.
 //!
 //! The memo is bounded and never evicts. It holds at most [`MEMO_ENTRIES`]
 //! table entries, whatever the size of the tables: what a stream files

@@ -50,19 +50,27 @@
 //! and files messages there: the engine's doors, the online phase's
 //! contracted plans, a caller's [`ReducedTree::from_steiner`] plan and
 //! [`region_joints`]. Under one lock and top-down, a pass looks up every
-//! node whose subtree holds only cliques and whose parent is a clique, by
-//! the parent, the subtree's cliques in post-order and the query variables
-//! held below. A message found there is taken, and its whole subtree is
-//! skipped. A message not found is computed; if its subtree's kernels
-//! walked enough product entries per message entry and the memo has room,
-//! a copy is filed once the pass is done. A node whose subtree holds a
-//! shortcut is always computed, since its message depends on the epoch's
-//! tables; so is one whose parent is a shortcut, whose scope then decides
-//! the message's target. The key names every clique a message is made of,
-//! so a taken message is bit for bit the one the pass would compute on any
-//! plan over the same tables (the memo module's docs). A plan's root
-//! message, the answer or a region's table, is never filed. The charge is
-//! untouched: a taken message is still counted in `QueryCost.ops`.
+//! non-root node whose subtree holds only cliques, by the clique at the far
+//! end of its junction-tree edge, the subtree's cliques in post-order and
+//! the query variables held below. Every node records that edge: a clique
+//! its own, a shortcut node the one above its region's top, and re-hanging
+//! a plan turns the edges on the path around with their separators. Under
+//! a clique the far end is the parent. Under a shortcut it is a clique of
+//! the shortcut's region, and the message is the one a plain plan sends
+//! there: running intersection makes the sender's scope meet the
+//! shortcut's scope in that edge's separator, whose table the sender keeps
+//! — the same target, factors and division. A sender whose scope meets the
+//! shortcut's in more than that separator is computed. A message found is
+//! taken, and its whole subtree is skipped. A message not found is
+//! computed; if its subtree's kernels walked enough product entries per
+//! message entry and the memo has room, a copy is filed once the pass is
+//! done. A node whose subtree holds a shortcut is always computed, since
+//! its message depends on the epoch's tables. The key names every clique a
+//! message is made of, so a taken message is bit for bit the one the pass
+//! would compute on any plan over the same tables (the memo module's docs).
+//! A plan's root message, the answer or a region's table, is never filed.
+//! The charge is untouched: a taken message is still counted in
+//! `QueryCost.ops`.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
@@ -99,6 +107,10 @@ pub struct RNode<'a> {
     /// Separator potential on the edge toward the parent (numeric mode
     /// only; `None` for the root).
     sep_to_parent: Option<TableRef<'a>>,
+    /// The junction-tree edge toward the parent, as its cliques on this
+    /// side and on the parent's side (the root: its own clique twice) — for
+    /// a shortcut node, the edge above its top clique.
+    edge: (u32, u32),
     parent: Option<usize>,
     /// This node's span of [`ReducedTree::child_list`].
     children: (usize, usize),
@@ -162,6 +174,7 @@ impl<'a> ReducedTree<'a> {
                     label: NodeLabel::Clique(u),
                     potential: numeric.map(|ns| ns.clique_table(u)),
                     sep_to_parent: numeric.zip(up).map(|(ns, (_, e))| ns.separator_table(e)),
+                    edge: (u as u32, up.map_or(u, |(p, _)| p) as u32),
                     parent: up.map(|(p, _)| index_of(p)),
                     children: (0, 0),
                 }
@@ -277,17 +290,20 @@ impl<'a> ReducedTree<'a> {
 
     /// The same plan hung from node `root`: the parent links on the path
     /// from `root` up to the current root turn around, and each edge's
-    /// separator goes to the endpoint that is now the child. Every node
-    /// keeps its index, scope, label and table.
+    /// separator and its junction-tree edge, turned around, go to the
+    /// endpoint that is now the child. Every node keeps its index, scope,
+    /// label and table.
     fn rehung(&self, root: usize) -> ReducedTree<'a> {
         let mut nodes = self.nodes.clone();
-        let (mut below, mut u) = ((None, None), root);
+        let near = nodes[root].edge.0;
+        let (mut below, mut u) = ((None, None, (near, near)), root);
         loop {
             let node = &mut nodes[u];
-            let up = (node.parent, node.sep_to_parent);
-            (node.parent, node.sep_to_parent) = below;
+            let up = (node.parent, node.sep_to_parent, node.edge);
+            (node.parent, node.sep_to_parent, node.edge) = below;
             let Some(p) = up.0 else { break };
-            below = (Some(u), up.1);
+            let (near, far) = up.2;
+            below = (Some(u), up.1, (far, near));
             u = p;
         }
         Self::linked(nodes, root, self.shortcuts_used, self.memo)
@@ -328,8 +344,8 @@ impl<'a> ReducedTree<'a> {
     ///
     /// * neighbors of a region are re-attached to its node and keep their
     ///   original edge separators (they are cut separators of the
-    ///   shortcut), and the node takes over the separator above the
-    ///   region's top;
+    ///   shortcut) and junction-tree edges, and the node takes over the
+    ///   separator and the edge above the region's top;
     /// * if a region contains the root, its node becomes the root and the
     ///   tree's answer is computed from the shortcut's joint.
     ///
@@ -871,15 +887,28 @@ impl<'m> Recall<'m> {
                 self.slots[u].step = Step::Skip;
                 continue;
             }
-            let (Some(parent), true) = (clique(&p), self.slots[u].plain) else {
+            if !self.slots[u].plain {
                 continue;
-            };
+            }
+            // the message goes to the clique at the far end of the edge: the
+            // parent, or one in a shortcut's region. Under a shortcut it is
+            // the plain plan's message when the shortcut's scope meets the
+            // sender in just that edge's separator, as running intersection
+            // gives any shortcut cut out of the tree; otherwise it is computed
+            let (node, up) = (&plan.nodes[u], &plan.nodes[p]);
+            let far = node.edge.1 as usize;
+            let cut = node.scope.iter().filter(|&x| up.scope.contains(x));
+            match clique(&p) {
+                Some(parent) => debug_assert_eq!(parent, far),
+                None if node.sep_to_parent.is_some_and(|t| t.scope().iter().eq(cut)) => {}
+                None => continue,
+            }
             // the subtree is the span of the post-order ending at `u`
             let members = plan.order[at + 1 - self.slots[u].size..=at].iter();
             let held = (0..query.len()).filter(|&i| tally.holds(u, i));
             let start = self.keys.len();
             let held = held.map(|i| query.vars()[i]);
-            memo::push_key(&mut self.keys, parent, members.filter_map(clique), held);
+            memo::push_key(&mut self.keys, far, members.filter_map(clique), held);
             match shelf.get(&self.keys[start..]) {
                 Some(message) => self.slots[u].step = Step::Known(message),
                 None => self.slots[u].key = Some((start, self.keys.len())),
@@ -1065,7 +1094,8 @@ mod tests {
     }
 
     /// Every field of two trees: node records (label, links, which scope
-    /// and which tables they borrow), root, child lists, post-order.
+    /// and which tables they borrow, the edge above), root, child lists,
+    /// post-order.
     fn assert_same_tree(got: &ReducedTree<'_>, want: &ReducedTree<'_>) {
         assert_eq!(got.len(), want.len());
         let at = |t: Option<TableRef<'_>>| t.map(|t| t.values().as_ptr());
@@ -1076,6 +1106,7 @@ mod tests {
             assert!(std::ptr::eq(g.scope, w.scope), "scope of {i}");
             assert_eq!(at(g.potential), at(w.potential), "table of {i}");
             assert_eq!(at(g.sep_to_parent), at(w.sep_to_parent), "separator of {i}");
+            assert_eq!(g.edge, w.edge, "edge of {i}");
         }
         assert_eq!(got.root, want.root);
         assert_eq!(got.shortcuts_used, want.shortcuts_used);
@@ -1340,6 +1371,208 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The pass toward `plan`'s own root over `ns`'s memo: per node, the
+    /// message the memo gives it (none: computed or skipped), and the
+    /// answer.
+    fn pass_taking(
+        plan: &ReducedTree<'_>,
+        ns: &NumericState,
+        q: &Scope,
+        d: &Domain,
+    ) -> (Vec<Option<Arc<Potential>>>, Potential) {
+        let tally = Tally::new(plan, q, d);
+        let recall = Recall::new(plan, ns.memo(), q, &tally, d);
+        let taken = recall.slots.iter().map(|slot| match &slot.step {
+            Step::Known(message) => Some(Arc::clone(message)),
+            Step::Send | Step::Skip => None,
+        });
+        let taken = taken.collect();
+        let answer = plan.pass(ns.memo(), q, &tally, d, &mut Scratch::new());
+        (taken, answer.unwrap())
+    }
+
+    /// What `ns`'s memo holds for the message node `i` of the plain plan
+    /// `plain` sends its parent, under the key the memo module documents,
+    /// built from `plain` alone: the parent's clique, the subtree's cliques
+    /// in post-order, the query variables they hold.
+    fn filed(
+        ns: &NumericState,
+        plain: &ReducedTree<'_>,
+        i: usize,
+        q: &Scope,
+    ) -> Option<Arc<Potential>> {
+        let clique = |v: usize| match plain.nodes[v].label {
+            NodeLabel::Clique(c) => c,
+            NodeLabel::Shortcut(_) => panic!("a plain plan"),
+        };
+        let below = |v: usize| std::iter::successors(Some(v), |&w| plain.parent(w)).any(|w| w == i);
+        let members: Vec<usize> = plain.order.iter().copied().filter(|&v| below(v)).collect();
+        let scopes = || members.iter().map(|&v| plain.nodes[v].scope);
+        let held = q
+            .iter()
+            .filter(|&x| scopes().any(|scope| scope.contains(x)));
+        let mut key = Vec::new();
+        let parent = clique(plain.parent(i).unwrap());
+        memo::push_key(&mut key, parent, members.iter().map(|&v| clique(v)), held);
+        ns.memo().open().unwrap().get(&key)
+    }
+
+    /// The senders into the shortcut node of `contracted` — `plain` with
+    /// one region contracted, both hung from the same clique — and where
+    /// each sits in `plain`: every plain sender.
+    fn senders_into_shortcut(
+        plain: &ReducedTree<'_>,
+        contracted: &ReducedTree<'_>,
+    ) -> Vec<(usize, usize)> {
+        let s = (0..contracted.len())
+            .find(|&v| matches!(contracted.nodes[v].label, NodeLabel::Shortcut(_)))
+            .unwrap();
+        let plain_of = |v: usize| {
+            let label = contracted.nodes[v].label;
+            (0..plain.len())
+                .find(|&w| plain.nodes[w].label == label)
+                .unwrap()
+        };
+        let only_cliques = |c: usize| {
+            let inside = |v: usize| {
+                std::iter::successors(Some(v), |&w| contracted.parent(w)).any(|w| w == c)
+            };
+            (0..contracted.len())
+                .filter(|&v| inside(v))
+                .all(|v| matches!(contracted.nodes[v].label, NodeLabel::Clique(_)))
+        };
+        let children = contracted.children(s).iter().copied();
+        children
+            .filter(|&c| only_cliques(c))
+            .map(|c| (c, plain_of(c)))
+            .collect()
+    }
+
+    /// Checks, each time through a fresh memo (a clone's), that a message
+    /// into a shortcut is the plain plan's: after `plain` runs, each sender
+    /// into the shortcut of `contracted` takes exactly what `plain` filed
+    /// for it under its plain key, and after `contracted` runs, `plain`
+    /// takes what `contracted` filed there. Either way every answer is a
+    /// clone's, bit for bit. Returns how many senders were taken in each
+    /// order.
+    fn check_shortcut_senders(
+        ns: &NumericState,
+        plain: &ReducedTree<'_>,
+        contracted: &ReducedTree<'_>,
+        q: &Scope,
+        d: &Domain,
+    ) -> [usize; 2] {
+        let senders = senders_into_shortcut(plain, contracted);
+        let alone = |plan: &ReducedTree<'_>| bits(&pass_taking(plan, &ns.clone(), q, d).1);
+        let want = [alone(plain), alone(contracted)];
+        let mut taken = [0; 2];
+        for (k, (first, then)) in [(plain, contracted), (contracted, plain)]
+            .into_iter()
+            .enumerate()
+        {
+            let tables = ns.clone();
+            let (_, first_answer) = pass_taking(first, &tables, q, d);
+            let (got, then_answer) = pass_taking(then, &tables, q, d);
+            for &(c, p) in &senders {
+                let at = [c, p][k];
+                match (filed(&tables, plain, p, q), &got[at]) {
+                    (Some(want), Some(got)) => {
+                        assert!(Arc::ptr_eq(&want, got), "{q}: sender {at}");
+                        taken[k] += 1;
+                    }
+                    (None, None) => {}
+                    (want, got) => {
+                        let (filed, took) = (want.is_some(), got.is_some());
+                        panic!("{q}: sender {at}: filed {filed}, taken {took}");
+                    }
+                }
+            }
+            assert_eq!(bits(&first_answer), want[k], "{q}");
+            assert_eq!(bits(&then_answer), want[1 - k], "{q}");
+        }
+        taken
+    }
+
+    /// A message into a shortcut is a plain message. On a chain and on
+    /// Figure 1, for every interior region of one or two nodes contracted
+    /// into its shortcut, hung from the plan's root and from each leaf,
+    /// the senders into the shortcut take what the plain plan filed under
+    /// its key, and the plain plan takes what they filed — each by the key
+    /// of the clique at the far end of the edge. A shortcut whose scope
+    /// meets a sender in more than that edge's separator leaves the sender
+    /// to compute its message.
+    #[test]
+    fn a_message_into_a_shortcut_is_the_plain_plans() {
+        let (mut taken, mut rehung_taken, mut wide_filed) = ([0; 2], [0; 2], 0);
+        for (bn, names) in [
+            (fixtures::chain(9, 3, 4), vec!["x0", "x8"]),
+            (fixtures::figure1(), vec!["a", "l"]),
+            (fixtures::figure1(), vec!["b", "i", "f"]),
+        ] {
+            let (tree, rooted, ns) = setup(&bn, None);
+            let d = bn.domain();
+            let q = Scope::from_iter(names.iter().map(|n| d.var(n).unwrap()));
+            let st = SteinerTree::extract(&tree, &rooted, &q).unwrap();
+            let plain = ReducedTree::from_steiner(&tree, &rooted, &st, Some(&ns));
+            let interior =
+                (0..plain.len()).filter(|&i| i != plain.root() && !plain.children(i).is_empty());
+            let regions = interior.flat_map(|i| {
+                let up = plain.parent(i).filter(|&p| p != plain.root());
+                [vec![i]].into_iter().chain(up.map(|p| vec![i, p]))
+            });
+            for region in regions.collect::<Vec<_>>() {
+                let (scope, table) = cut_out(&bn, &plain, &region, &q);
+                let contracted = plain
+                    .replace_region(&region, &scope, Some(table.view()), 0)
+                    .unwrap();
+                let [a, b] = check_shortcut_senders(&ns, &plain, &contracted, &q, d);
+                taken = [taken[0] + a, taken[1] + b];
+                let leaves = (0..plain.len())
+                    .filter(|&i| plain.children(i).is_empty() && !region.contains(&i));
+                for leaf in leaves {
+                    let label = plain.nodes[leaf].label;
+                    let there = (0..contracted.len())
+                        .find(|&v| contracted.nodes[v].label == label)
+                        .unwrap();
+                    let [a, b] = check_shortcut_senders(
+                        &ns,
+                        &plain.rehung(leaf),
+                        &contracted.rehung(there),
+                        &q,
+                        d,
+                    );
+                    rehung_taken = [rehung_taken[0] + a, rehung_taken[1] + b];
+                }
+                // a scope that also holds a sender's own variable
+                for (c, p) in senders_into_shortcut(&plain, &contracted) {
+                    let node = &contracted.nodes[c];
+                    let sep = node.sep_to_parent.unwrap().scope();
+                    let Some(x) = node.scope.iter().find(|&x| !sep.contains(x)) else {
+                        continue;
+                    };
+                    let wide = scope.union(&Scope::from_iter([x]));
+                    let table = joint::marginal(&bn, &wide).unwrap();
+                    let contracted = plain
+                        .replace_region(&region, &wide, Some(table.view()), 0)
+                        .unwrap();
+                    let tables = ns.clone();
+                    let (_, want) = pass_taking(&contracted, &ns.clone(), &q, d);
+                    pass_taking(&plain, &tables, &q, d);
+                    let (got, answer) = pass_taking(&contracted, &tables, &q, d);
+                    assert!(got[c].is_none(), "{q}: sender {c} under a wider scope");
+                    wide_filed += usize::from(filed(&tables, &plain, p, &q).is_some());
+                    assert_eq!(bits(&answer), bits(&want), "{q}");
+                }
+            }
+        }
+        assert!(taken.iter().all(|&n| n > 0), "{taken:?}");
+        assert!(rehung_taken.iter().all(|&n| n > 0), "{rehung_taken:?}");
+        assert!(
+            wide_filed > 0,
+            "a plain message left untaken under a wider scope"
+        );
     }
 
     #[test]
