@@ -10,13 +10,18 @@
 //! Steiner members `m` of the same tree rooted at `m`. Both correlations
 //! are reported; the second is the one that tests the cost model.
 //!
+//! Each run is timed on an engine over a fresh clone of the calibrated
+//! tables, made before the clock starts. A clone's message memo starts
+//! empty, so no pass takes a message an earlier run or query filed: on one
+//! shared engine the later runs would time memo hits, not the count.
+//!
 //! Queries whose intermediate tables exceed the dense-materialization cap
 //! are skipped (these are the paper's ">1 minute" outliers); the count is
 //! reported.
 
 use peanut_bench::harness::{is_quick, pearson, Prepared};
-use peanut_junction::{QueryEngine, QueryPlan, ReducedTree, RootedTree, SteinerTree};
-use peanut_pgm::Scope;
+use peanut_junction::QueryEngine;
+use peanut_pgm::{PgmError, Scope};
 use std::time::Instant;
 
 pub fn run() {
@@ -31,39 +36,32 @@ pub fn run() {
                 continue;
             }
         };
+        let ns = engine.numeric_state().expect("a numeric engine");
         let queries = p.skewed(n_queries, 33);
         let mut ops_v = Vec::new();
         let mut executed_v = Vec::new();
         let mut time_v = Vec::new();
         let mut skipped = 0usize;
         for q in &queries {
-            // best-of-3 wall time per query to suppress scheduler noise on
-            // the sub-millisecond ones
-            let mut best: Option<(f64, u64)> = None;
-            let mut failed = false;
-            for _ in 0..3 {
+            // best-of-3 wall time per query, each on a cold memo, to
+            // suppress scheduler noise on the sub-millisecond ones
+            let runs = (0..3).map(|_| {
+                let cold = QueryEngine::from_calibrated(&p.tree, ns.clone());
                 let t0 = Instant::now();
-                match engine.answer(q) {
-                    Ok((_, cost)) => {
-                        let dt = t0.elapsed().as_secs_f64();
-                        if best.is_none_or(|(b, _)| dt < b) {
-                            best = Some((dt, cost.ops));
-                        }
-                    }
-                    Err(_) => {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            match (failed, best) {
-                (false, Some((dt, ops))) => {
-                    ops_v.push(ops as f64);
-                    executed_v.push(executed_ops(&engine, q).unwrap_or(ops) as f64);
-                    time_v.push(dt);
-                }
-                _ => skipped += 1,
-            }
+                let (_, cost) = cold.answer(q)?;
+                Ok::<_, PgmError>((t0.elapsed().as_secs_f64(), cost.ops))
+            });
+            let Ok(runs) = runs.collect::<Result<Vec<_>, _>>() else {
+                skipped += 1;
+                continue;
+            };
+            let (dt, ops) = runs
+                .into_iter()
+                .min_by(|a, b| a.0.total_cmp(&b.0))
+                .unwrap_or_default();
+            ops_v.push(ops as f64);
+            executed_v.push(executed_ops(&engine, q).unwrap_or(ops) as f64);
+            time_v.push(dt);
         }
         let r = pearson(&ops_v, &time_v);
         let r_executed = pearson(&executed_v, &time_v);
@@ -85,21 +83,10 @@ pub fn run() {
 }
 
 /// The count of the pass the engine runs for an out-of-clique `q`: the
-/// cheapest rooting of its Steiner tree (`None` in clique, where the two
-/// counts are one marginalization).
+/// cheapest rooting of its plan (`None` in clique, where the two counts are
+/// one marginalization).
 fn executed_ops(engine: &QueryEngine<'_>, q: &Scope) -> Option<u64> {
-    let QueryPlan::OutOfClique(st) = engine.plan(q).ok()? else {
-        return None;
-    };
-    let tree = engine.tree();
-    st.nodes()
-        .iter()
-        .map(|&m| {
-            let rooted = RootedTree::rooted_at(tree, m);
-            let members = SteinerTree::from_parts(st.nodes().to_vec(), m);
-            ReducedTree::from_steiner(tree, &rooted, &members, None)
-                .cost(q, tree.domain())
-                .ops
-        })
-        .min()
+    let rt = engine.reduced_for(q).ok()??;
+    let d = engine.tree().domain();
+    Some(rt.anatomy(q, d).cheapest_root(&rt, q, d).1)
 }

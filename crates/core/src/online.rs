@@ -21,9 +21,9 @@
 //! charged and nothing else (`substituted`) — so a rejected candidate costs
 //! no allocation, and the accepted ones are contracted together
 //! ([`ReducedTree::contract`]). The unreduced plan is priced once, node by
-//! node, when there is a candidate to compare it with; that count is also
-//! the plain-tree baseline a traced answer reports, so tracing costs no
-//! pass of its own.
+//! node ([`ReducedTree::anatomy`]), when there is a candidate to compare it
+//! with; that count is also the plain-tree baseline a traced answer
+//! reports, so tracing costs no pass of its own.
 //!
 //! A plan is a view over the arena and the materialization; nothing is
 //! copied until a kernel writes, and it cannot outlive either
@@ -37,7 +37,7 @@ use crate::gwmin::gwmin_by;
 use crate::shortcut::Shortcut;
 use peanut_junction::cost::{node_ops_of_size, QueryCost};
 use peanut_junction::tree::CliqueId;
-use peanut_junction::{NodeLabel, QueryEngine, QueryPlan, ReducedTree, SteinerTree};
+use peanut_junction::{NodeLabel, QueryAnatomy, QueryEngine, QueryPlan, ReducedTree, SteinerTree};
 use peanut_pgm::{Domain, PgmError, Potential, Scope, Scratch, Size};
 
 /// A shortcut potential chosen for materialization.
@@ -152,18 +152,18 @@ impl<'e, 't> OnlineEngine<'e, 't> {
         if order.is_empty() {
             return Ok(Planned::Tree(rt, None));
         }
-        let (held, ops) = rt.node_costs(query, domain);
-        let unreduced: u128 = ops.iter().map(|&c| u128::from(c)).sum();
+        let anatomy = rt.anatomy(query, domain);
+        let unreduced: u128 = (0..rt.len()).map(|u| u128::from(anatomy.charge(u))).sum();
         let mut cost = unreduced;
         let mut region_of = vec![None; rt.len()];
         let mut accepted = Vec::new();
         for i in order {
             let ms = &mat.shortcuts[i];
-            let Some(new_cost) = substituted(&rt, query, domain, (&held, &ops), cost, &ms.shortcut)
+            let Some(new_cost) = substituted(&rt, query, domain, &anatomy, cost, &ms.shortcut)
             else {
                 continue;
             };
-            if charged(new_cost) < charged(cost) {
+            if saturated(new_cost) < saturated(cost) {
                 for k in (0..rt.len()).filter(|&k| in_region(&rt, &ms.shortcut, k)) {
                     region_of[k] = Some(accepted.len());
                 }
@@ -179,10 +179,10 @@ impl<'e, 't> OnlineEngine<'e, 't> {
         };
         debug_assert_eq!(
             rt.cost(query, domain).ops,
-            charged(cost),
+            saturated(cost),
             "price of {query}"
         );
-        Ok(Planned::Tree(rt, Some(charged(unreduced))))
+        Ok(Planned::Tree(rt, Some(saturated(unreduced))))
     }
 
     /// Builds the shortcut-reduced plan for an out-of-clique query — a view
@@ -324,7 +324,7 @@ impl<'e, 't> OnlineEngine<'e, 't> {
 
 /// What a plan whose nodes' charges sum to `exact` is charged: the
 /// saturating sum [`ReducedTree::cost`] reports.
-fn charged(exact: u128) -> Size {
+fn saturated(exact: u128) -> Size {
     Size::try_from(exact).unwrap_or(Size::MAX)
 }
 
@@ -335,8 +335,8 @@ fn in_region(rt: &ReducedTree<'_>, s: &Shortcut, k: usize) -> bool {
 
 /// The exact operation count of the plan that charges `cost` once the
 /// cliques of `s` are contracted into its shortcut node, priced on the
-/// unreduced plan `rt` and its [`node_costs`](ReducedTree::node_costs)
-/// `(held, ops)`; `None` when `s` covers no node of `rt` or all of them.
+/// unreduced plan `rt` and its [`anatomy`](ReducedTree::anatomy); `None`
+/// when `s` covers no node of `rt` or all of them.
 ///
 /// Locality: by running intersection and condition 3 of usefulness a query
 /// variable held in a region clique is in `X_S`, and one in `X_S` is held in
@@ -350,7 +350,7 @@ fn substituted(
     rt: &ReducedTree<'_>,
     query: &Scope,
     domain: &Domain,
-    (held, ops): (&[bool], &[Size]),
+    anatomy: &QueryAnatomy,
     cost: u128,
     s: &Shortcut,
 ) -> Option<u128> {
@@ -358,7 +358,7 @@ fn substituted(
     let (mut size, mut removed, mut n_in, mut top) = (0, 0u128, 0, rt.root());
     for u in (0..rt.len()).filter(|&u| inside(u)) {
         size += 1;
-        removed += u128::from(ops[u]);
+        removed += u128::from(anatomy.charge(u));
         n_in += rt.children(u).iter().filter(|&&c| !inside(c)).count();
         if !rt.parent(u).is_some_and(inside) {
             top = u;
@@ -369,12 +369,7 @@ fn substituted(
     }
     // μ(S) · Π card(carried ∖ X_S), over the outside children plus the
     // separator division of a non-root
-    let mut t = s.size();
-    for (i, x) in query.iter().enumerate() {
-        if held[top * query.len() + i] && !s.scope().contains(x) {
-            t = t.saturating_mul(u64::from(domain.card(x)));
-        }
-    }
+    let t = anatomy.carried(top, s.size(), s.scope(), query, domain);
     let node = node_ops_of_size(t, n_in + usize::from(top != rt.root()));
     Some(cost - removed + u128::from(node))
 }
@@ -544,22 +539,17 @@ mod tests {
         };
         let unreduced =
             ReducedTree::from_steiner(tree, engine.rooted(), &st, engine.numeric_state());
-        let (held, ops) = unreduced.node_costs(query, domain);
-        let mut exact: u128 = ops.iter().map(|&c| u128::from(c)).sum();
+        let anatomy = unreduced.anatomy(query, domain);
+        let mut exact: u128 = (0..unreduced.len())
+            .map(|u| u128::from(anatomy.charge(u)))
+            .sum();
         let mut rt = unreduced.clone();
         let mut cost = rt.cost(query, domain).ops;
-        assert_eq!(charged(exact), cost);
+        assert_eq!(saturated(exact), cost);
         let (mut priced, mut accepted) = (0, 0);
         for i in online.applicable(query, &st) {
             let ms = &mat.shortcuts[i];
-            let in_place = substituted(
-                &unreduced,
-                query,
-                domain,
-                (&held, &ops),
-                exact,
-                &ms.shortcut,
-            );
+            let in_place = substituted(&unreduced, query, domain, &anatomy, exact, &ms.shortcut);
             let region: Vec<usize> = (0..rt.len())
                 .filter(|&k| in_region(&rt, &ms.shortcut, k))
                 .collect();
@@ -577,7 +567,7 @@ mod tests {
             let new_cost = candidate.cost(query, domain).ops;
             let in_place = in_place.expect("a proper region has a price");
             assert_eq!(
-                charged(in_place),
+                saturated(in_place),
                 new_cost,
                 "{query}: price of shortcut {i} after {accepted} substitutions"
             );

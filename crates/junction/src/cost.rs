@@ -21,11 +21,11 @@
 //! Nor is it the count of the pass that runs. A query is charged toward
 //! its Steiner root `r_q`, as the paper roots it, and everything that reads
 //! the charge — plan pricing, baselines, savings, serving stats — reads
-//! that count. `ReducedTree::answer_in` runs its pass toward the member
-//! where the same count is smallest (every node's `#incoming` is its
-//! degree whatever the root; only the query variables each product
-//! carries move), so wall-clock time follows that minimum; `repro fig3`
-//! reports the correlation against both.
+//! that count, a fold over the plan's `QueryAnatomy`. `answer_in` runs its
+//! pass toward the member where the same count is smallest (`#incoming` is
+//! a node's degree whatever the root; only what each product carries
+//! moves), the anatomy's `cheapest_root`, so wall time follows that
+//! executed count; `repro fig3` reports the correlation against both.
 
 use peanut_pgm::{table_size, Domain, Scope, Size};
 
@@ -84,7 +84,8 @@ where
 pub struct QueryCost {
     /// Total operation count.
     pub ops: Size,
-    /// Number of messages sent (tree edges traversed).
+    /// The plan's edge count, the paper's message count: every message,
+    /// whether the pass computed it or took it from the memo.
     pub messages: usize,
     /// Number of shortcut potentials exploited.
     pub shortcuts_used: usize,

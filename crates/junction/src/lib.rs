@@ -38,7 +38,7 @@ pub use arena::TreeArena;
 pub use build::build_junction_tree;
 pub use calibrate::NumericState;
 pub use query::{QueryEngine, QueryPlan};
-pub use reduced::{region_joints, NodeLabel, ReducedTree};
+pub use reduced::{region_joints, NodeLabel, QueryAnatomy, ReducedTree};
 pub use rooted::RootedTree;
 pub use steiner::SteinerTree;
 pub use tree::JunctionTree;

@@ -7,11 +7,11 @@
 //! kernel writes: every node borrows its scope from the junction tree or the
 //! shortcut, and its tables as [`TableRef`]s into the calibrated arena slab
 //! or the materialized potential. Building a plan and pricing it node by
-//! node ([`ReducedTree::node_costs`], what a caller weighs substitutions
-//! with) allocate a few index vectors sized by the node count, never by the
-//! tables; [`ReducedTree::contract`] builds the one tree with every chosen
-//! region replaced. A `ReducedTree<'a>` outlives neither the engine nor the
-//! materialization it was planned against.
+//! node ([`ReducedTree::anatomy`], the [`QueryAnatomy`] a caller weighs
+//! substitutions with) allocate a few index vectors sized by the node
+//! count, never by the tables; [`ReducedTree::contract`] builds the one
+//! tree with every chosen region replaced. A `ReducedTree<'a>` outlives
+//! neither the engine nor the materialization it was planned against.
 //!
 //! Message passing — both numeric and size-only — is implemented once,
 //! here, for all methods (plain JT, PEANUT, PEANUT+, INDSEP), which keeps
@@ -309,15 +309,6 @@ impl<'a> ReducedTree<'a> {
         Self::linked(nodes, root, self.shortcuts_used, self.memo)
     }
 
-    /// What answering on this plan is charged, given its count `ops`.
-    fn charged(&self, ops: Size) -> QueryCost {
-        QueryCost {
-            shortcuts_used: self.shortcuts_used,
-            messages: self.nodes.len() - 1,
-            ops,
-        }
-    }
-
     /// The tree with the connected region `region` (node indices) replaced
     /// by a single shortcut node of scope `scope` — the one-region case of
     /// [`contract`](Self::contract), which see; `self` is left as it is.
@@ -413,27 +404,19 @@ impl<'a> ReducedTree<'a> {
         Ok(Self::linked(nodes, root, used, self.memo))
     }
 
-    /// The pricing pass, node by node: `(held, ops)` where `ops[u]` is what
-    /// node `u` is charged for `query` — [`cost`](Self::cost) is their
-    /// saturating sum — and flag `held[u * query.len() + i]` says whether
-    /// `u`'s subtree holds the `i`-th query variable, i.e. whether `u`'s
-    /// product carries it. Whoever weighs a substitution reprices the nodes
-    /// it touches from these and leaves the rest of the sum alone.
-    pub fn node_costs(&self, query: &Scope, domain: &Domain) -> (Vec<bool>, Vec<Size>) {
-        let tally = Tally::new(self, query, domain);
-        let k = query.len();
-        let held = (0..self.nodes.len() * k)
-            .map(|j| tally.holds(j / k, j % k))
-            .collect();
-        let ops = (0..self.nodes.len()).map(|u| tally.charge(u)).collect();
-        (held, ops)
+    /// The pricing pass, node by node: what each node is charged for
+    /// `query` toward this plan's root and what its product carries.
+    /// Whoever weighs a substitution reprices the nodes it touches from it
+    /// and leaves the rest of the sum alone.
+    pub fn anatomy(&self, query: &Scope, domain: &Domain) -> QueryAnatomy {
+        QueryAnatomy::new(self, query, domain)
     }
 
     /// Size-only message passing: the operation count of answering `query`
     /// on this tree under the cost model of [`crate::cost`] — the paper's
     /// count, toward this plan's root `r_q`.
     pub fn cost(&self, query: &Scope, domain: &Domain) -> QueryCost {
-        self.charged(Tally::new(self, query, domain).ops)
+        self.anatomy(query, domain).cost()
     }
 
     /// Numeric message passing: the joint `P(query)` plus the identical
@@ -472,18 +455,18 @@ impl<'a> ReducedTree<'a> {
         scratch: &mut Scratch,
     ) -> Result<(Potential, QueryCost), PgmError> {
         let memo = self.memo.ok_or(PgmError::SymbolicEngine)?;
-        let mut tally = Tally::new(self, query, domain);
-        let cost = self.charged(tally.ops);
-        let root = tally.cheapest_root(self, query, domain);
+        let mut anatomy = self.anatomy(query, domain);
+        let cost = anatomy.cost();
+        let (root, _) = anatomy.cheapest_root(self, query, domain);
         let rehung;
         let plan = if root == self.root {
             self
         } else {
             rehung = self.rehung(root);
-            tally.recount(&rehung, query);
+            anatomy.recount(&rehung, query);
             &rehung
         };
-        Ok((plan.pass(memo, query, &tally, domain, scratch)?, cost))
+        Ok((plan.pass(memo, query, &anatomy, domain, scratch)?, cost))
     }
 
     /// The numeric pass toward this plan's root that
@@ -493,11 +476,11 @@ impl<'a> ReducedTree<'a> {
         &self,
         memo: &MessageMemo,
         query: &Scope,
-        tally: &Tally,
+        anatomy: &QueryAnatomy,
         domain: &Domain,
         scratch: &mut Scratch,
     ) -> Result<Potential, PgmError> {
-        let mut recall = Recall::new(self, memo, query, tally, domain);
+        let mut recall = Recall::new(self, memo, query, anatomy, domain);
         // the post-order keeps subtrees contiguous and runs a node's children
         // last to first, so its incoming messages are the top of this stack,
         // the first child's uppermost
@@ -519,7 +502,7 @@ impl<'a> ReducedTree<'a> {
             let target = match n.parent {
                 Some(p) => {
                     let sep = n.scope.iter().filter(|&x| self.nodes[p].scope.contains(x));
-                    let below = (0..query.len()).filter(|&i| tally.holds(u, i));
+                    let below = (0..query.len()).filter(|&i| anatomy.holds(u, i));
                     Scope::from_iter(sep.chain(below.map(|i| query.vars()[i])))
                 }
                 None => query.clone(),
@@ -564,51 +547,72 @@ fn relent<'b>(mut factors: Vec<TableRef<'_>>) -> Vec<TableRef<'b>> {
     factors.into_iter().map_while(|_| None).collect()
 }
 
-/// One query's structural walk over a plan, in one buffer: row `u` holds
-/// node `u`'s table size, its charge (paper §5.1) toward the plan's root,
-/// its price once [`cheapest_root`](Tally::cheapest_root) ran, and per
+/// One query's structural walk over a plan (paper §5.1), in one buffer:
+/// row `u` holds node `u`'s table size, its charge toward the plan's root,
+/// its price once [`cheapest_root`](Self::cheapest_root) ran, and per
 /// query variable how many nodes of `u`'s subtree hold it.
-struct Tally {
+#[derive(Debug)]
+pub struct QueryAnatomy {
     /// Words per row: [`HELD`] plus one count per query variable.
     width: usize,
     rows: Vec<Size>,
-    /// The count toward the plan's root: the charges' saturating sum.
-    ops: Size,
+    shortcuts_used: usize,
 }
 
-/// Word offsets within a [`Tally`] row.
+/// Word offsets within a [`QueryAnatomy`] row.
 const SIZE: usize = 0;
 const CHARGE: usize = 1;
 const PRICE: usize = 2;
 const HELD: usize = 3;
 
-impl Tally {
+impl QueryAnatomy {
     /// Counts, sizes and charges every node of `plan` for `query`.
-    fn new(plan: &ReducedTree<'_>, query: &Scope, domain: &Domain) -> Tally {
+    fn new(plan: &ReducedTree<'_>, query: &Scope, domain: &Domain) -> QueryAnatomy {
         let width = HELD + query.len();
-        let mut tally = Tally {
+        let mut anatomy = QueryAnatomy {
             width,
             rows: vec![0; plan.len() * width],
-            ops: 0,
+            shortcuts_used: plan.shortcuts_used,
         };
-        tally.recount(plan, query);
+        anatomy.recount(plan, query);
         for (u, node) in plan.nodes.iter().enumerate() {
-            let row = &mut tally.rows[u * width..(u + 1) * width];
-            // the product spans the node's scope plus the query variables
-            // carried up from below (the separator part of every incoming
-            // message already lies inside the scope): sized by walking the
-            // query against the scope, no scope built and no table
-            row[SIZE] = table_size(node.scope, domain);
-            let mut product = row[SIZE];
-            for (i, x) in query.iter().enumerate() {
-                if row[HELD + i] > 0 && !node.scope.contains(x) {
-                    product = product.saturating_mul(u64::from(domain.card(x)));
-                }
-            }
-            row[CHARGE] = node_ops_of_size(product, plan.degree(u));
-            tally.ops = tally.ops.saturating_add(row[CHARGE]);
+            let size = table_size(node.scope, domain);
+            let product = anatomy.carried(u, size, node.scope, query, domain);
+            anatomy.rows[u * width + SIZE] = size;
+            anatomy.rows[u * width + CHARGE] = node_ops_of_size(product, plan.degree(u));
         }
-        tally
+        anatomy
+    }
+
+    /// What answering on the plan is charged: the charges' saturating sum,
+    /// one message per edge.
+    pub fn cost(&self) -> QueryCost {
+        let n = self.rows.len() / self.width;
+        QueryCost {
+            ops: (0..n).fold(0, |ops: Size, u| ops.saturating_add(self.charge(u))),
+            messages: n - 1,
+            shortcuts_used: self.shortcuts_used,
+        }
+    }
+
+    /// Entries of node `u`'s product, given its table of `size` entries
+    /// over `scope`: times each query variable held below that `scope`
+    /// lacks (an incoming separator already lies inside it). No table.
+    pub fn carried(
+        &self,
+        u: usize,
+        size: Size,
+        scope: &Scope,
+        query: &Scope,
+        domain: &Domain,
+    ) -> Size {
+        let mut product = size;
+        for (i, x) in query.iter().enumerate() {
+            if self.holds(u, i) && !scope.contains(x) {
+                product = product.saturating_mul(u64::from(domain.card(x)));
+            }
+        }
+        product
     }
 
     /// Counts the query variables each node's subtree holds under `plan`'s
@@ -646,13 +650,14 @@ impl Tally {
 
     /// What node `u` is charged toward the plan's root.
     #[inline]
-    fn charge(&self, u: usize) -> Size {
+    pub fn charge(&self, u: usize) -> Size {
         self.rows[u * self.width + CHARGE]
     }
 
-    /// The node of `plan` a pass for `query` is cheapest toward, every
-    /// rooting priced in one pre-order walk: the first cheapest in
-    /// pre-order, which starts at the plan's root, so a tie keeps it.
+    /// The node of `plan` a pass for `query` is cheapest toward and that
+    /// pass's count, the executed count, every rooting priced in one
+    /// pre-order walk: the first cheapest in pre-order, which starts at the
+    /// plan's root, so a tie keeps it.
     ///
     /// Toward `m`, nodes off the path from the plan's root to `m` keep
     /// their charges; a node `u` on it is charged as if its product carried
@@ -662,12 +667,18 @@ impl Tally {
     /// `rest(c) = rest(u) − charge(c) + across(u, c)`, `across` being `u`'s
     /// charge with the root past `c`: the walk carries `rest` down in the
     /// `PRICE` words and leaves each node's price there.
-    fn cheapest_root(&mut self, plan: &ReducedTree<'_>, query: &Scope, domain: &Domain) -> usize {
+    pub fn cheapest_root(
+        &mut self,
+        plan: &ReducedTree<'_>,
+        query: &Scope,
+        domain: &Domain,
+    ) -> (usize, Size) {
+        let ops = self.cost().ops;
         let (width, rows) = (self.width, &mut self.rows);
         // the root's counts: everything the plan holds
         let total = plan.root * width + HELD;
-        rows[plan.root * width + PRICE] = self.ops.saturating_sub(rows[plan.root * width + CHARGE]);
-        let mut best = (self.ops, plan.root);
+        rows[plan.root * width + PRICE] = ops.saturating_sub(rows[plan.root * width + CHARGE]);
+        let mut best = (ops, plan.root);
         for &u in plan.order.iter().rev() {
             let (node, children) = (&plan.nodes[u], plan.children(u));
             let size = rows[u * width + SIZE];
@@ -702,7 +713,7 @@ impl Tally {
                 best = (price, u);
             }
         }
-        best.1
+        (best.1, best.0)
     }
 
     /// The count of a pass toward node `u`, once
@@ -749,14 +760,14 @@ pub fn region_joints(
                 return Err(PgmError::InvalidRegion { detail });
             }
             let plan = ReducedTree::from_members(tree, rooted, members, root, Some(numeric));
-            let tally = Tally::new(&plan, scope, tree.domain());
-            let joint = plan.pass(numeric.memo(), scope, &tally, tree.domain(), &mut scratch)?;
+            let anatomy = plan.anatomy(scope, tree.domain());
+            let joint = plan.pass(numeric.memo(), scope, &anatomy, tree.domain(), &mut scratch)?;
             // the kernel may have written into a larger pooled buffer, and
             // the table outlives the call (a whole epoch): keep a copy that
             // holds only its entries
             let table = joint.clone();
             scratch.recycle(joint);
-            Ok((table, tally.ops))
+            Ok((table, anatomy.cost().ops))
         })
         .collect()
 }
@@ -825,7 +836,7 @@ impl<'m> Recall<'m> {
         plan: &ReducedTree<'_>,
         memo: &'m MessageMemo,
         query: &Scope,
-        tally: &Tally,
+        anatomy: &QueryAnatomy,
         domain: &Domain,
     ) -> Self {
         let slot = Slot {
@@ -840,12 +851,7 @@ impl<'m> Recall<'m> {
         // walk, and whether it holds only cliques
         for &u in &plan.order {
             let node = &plan.nodes[u];
-            let mut product = tally.size(u);
-            for (i, x) in query.iter().enumerate() {
-                if tally.holds(u, i) && !node.scope.contains(x) {
-                    product = product.saturating_mul(u64::from(domain.card(x)));
-                }
-            }
+            let product = anatomy.carried(u, anatomy.size(u), node.scope, query, domain);
             let slot = &mut slots[u];
             slot.walked = slot.walked.saturating_add(product);
             slot.plain &= matches!(node.label, NodeLabel::Clique(_));
@@ -867,14 +873,20 @@ impl<'m> Recall<'m> {
         // a poisoned memo is a miss everywhere, and files nothing
         if let Some(shelf) = memo.open() {
             recall.room = shelf.room;
-            recall.look_up(plan, query, tally, &shelf);
+            recall.look_up(plan, query, anatomy, &shelf);
         }
         recall
     }
 
     /// Looks up every node that qualifies, top-down, so a taken message
     /// skips its subtree unlooked-at.
-    fn look_up(&mut self, plan: &ReducedTree<'_>, query: &Scope, tally: &Tally, shelf: &Shelf<'_>) {
+    fn look_up(
+        &mut self,
+        plan: &ReducedTree<'_>,
+        query: &Scope,
+        anatomy: &QueryAnatomy,
+        shelf: &Shelf<'_>,
+    ) {
         let clique = |v: &usize| match plan.nodes[*v].label {
             NodeLabel::Clique(c) => Some(c),
             NodeLabel::Shortcut(_) => None,
@@ -905,7 +917,7 @@ impl<'m> Recall<'m> {
             }
             // the subtree is the span of the post-order ending at `u`
             let members = plan.order[at + 1 - self.slots[u].size..=at].iter();
-            let held = (0..query.len()).filter(|&i| tally.holds(u, i));
+            let held = (0..query.len()).filter(|&i| anatomy.holds(u, i));
             let start = self.keys.len();
             let held = held.map(|i| query.vars()[i]);
             memo::push_key(&mut self.keys, far, members.filter_map(clique), held);
@@ -1220,11 +1232,11 @@ mod tests {
     ) -> (usize, Potential) {
         let d = tree.domain();
         let plan = ReducedTree::from_members(tree, rooted, members, *root, Some(ns));
-        let tally = Tally::new(&plan, scope, d);
-        let recall = Recall::new(&plan, ns.memo(), scope, &tally, d);
+        let anatomy = plan.anatomy(scope, d);
+        let recall = Recall::new(&plan, ns.memo(), scope, &anatomy, d);
         let sends = recall.slots.iter().filter(|s| matches!(s.step, Step::Send));
         let kernels = sends.count();
-        let table = plan.pass(ns.memo(), scope, &tally, d, &mut Scratch::new());
+        let table = plan.pass(ns.memo(), scope, &anatomy, d, &mut Scratch::new());
         (kernels, table.unwrap())
     }
 
@@ -1382,14 +1394,14 @@ mod tests {
         q: &Scope,
         d: &Domain,
     ) -> (Vec<Option<Arc<Potential>>>, Potential) {
-        let tally = Tally::new(plan, q, d);
-        let recall = Recall::new(plan, ns.memo(), q, &tally, d);
+        let anatomy = plan.anatomy(q, d);
+        let recall = Recall::new(plan, ns.memo(), q, &anatomy, d);
         let taken = recall.slots.iter().map(|slot| match &slot.step {
             Step::Known(message) => Some(Arc::clone(message)),
             Step::Send | Step::Skip => None,
         });
         let taken = taken.collect();
-        let answer = plan.pass(ns.memo(), q, &tally, d, &mut Scratch::new());
+        let answer = plan.pass(ns.memo(), q, &anatomy, d, &mut Scratch::new());
         (taken, answer.unwrap())
     }
 
@@ -1621,25 +1633,36 @@ mod tests {
     /// The numeric pass toward `plan`'s own root, every message computed:
     /// a memo with no room neither holds nor files one.
     fn pass_at_root(plan: &ReducedTree<'_>, q: &Scope, d: &Domain) -> Potential {
-        let tally = Tally::new(plan, q, d);
+        let anatomy = plan.anatomy(q, d);
         let memo = MessageMemo::with_cap(0);
-        plan.pass(&memo, q, &tally, d, &mut Scratch::new()).unwrap()
+        plan.pass(&memo, q, &anatomy, d, &mut Scratch::new())
+            .unwrap()
     }
 
     /// Checks every rooting of `plan` for `q` against the root choice, and
     /// returns whether the pass moved off `r_q`:
     /// * the plan re-hung from each member `m` is charged the price the
     ///   walk gave `m`, and `r_q`'s price is the plan's count;
-    /// * the chosen root's price is the minimum, and a tie keeps `r_q`;
+    /// * the chosen root's price is the minimum, returned as the executed
+    ///   count, and a tie keeps `r_q`;
+    /// * on a plain plan, that count is the least over the members `m` of
+    ///   the count of the plan `from_steiner` builds rooted at `m`;
+    /// * the anatomy folds to the plan's cost;
     /// * every rooting answers within 1e-12 of the pass toward `r_q`, which
     ///   is within 1e-9 of the network's joint;
     /// * `answer_in` reports the count toward `r_q`, and is the pass toward
     ///   `r_q` bit for bit when the count does not strictly fall.
-    fn check_rootings(bn: &peanut_pgm::BayesianNetwork, plan: &ReducedTree<'_>, q: &Scope) -> bool {
+    fn check_rootings(
+        bn: &peanut_pgm::BayesianNetwork,
+        tree: &JunctionTree,
+        plan: &ReducedTree<'_>,
+        q: &Scope,
+    ) -> bool {
         let d = bn.domain();
-        let mut tally = Tally::new(plan, q, d);
-        let chosen = tally.cheapest_root(plan, q, d);
-        let prices: Vec<Size> = (0..plan.len()).map(|m| tally.price(m)).collect();
+        let mut anatomy = plan.anatomy(q, d);
+        assert_eq!(anatomy.cost(), plan.cost(q, d), "{q}");
+        let (chosen, executed) = anatomy.cheapest_root(plan, q, d);
+        let prices: Vec<Size> = (0..plan.len()).map(|m| anatomy.price(m)).collect();
         let at_root = pass_at_root(plan, q, d);
         let want = joint::marginal(bn, q).unwrap();
         assert!(at_root.max_abs_diff(&want).unwrap() < 1e-9, "{q} at r_q");
@@ -1654,6 +1677,22 @@ mod tests {
         assert_eq!(prices[plan.root()], cost.ops);
         let least = *prices.iter().min().unwrap();
         assert_eq!(prices[chosen], least, "{q}: {prices:?}");
+        assert_eq!(executed, least, "{q}");
+        let clique = |node: &RNode<'_>| match node.label {
+            NodeLabel::Clique(c) => Some(c),
+            NodeLabel::Shortcut(_) => None,
+        };
+        if let Some(members) = plan.nodes.iter().map(clique).collect::<Option<Vec<_>>>() {
+            let toward = |m: CliqueId| {
+                let rooted = RootedTree::rooted_at(tree, m);
+                let st = SteinerTree::from_parts(members.clone(), m);
+                ReducedTree::from_steiner(tree, &rooted, &st, None)
+                    .cost(q, d)
+                    .ops
+            };
+            let brute = members.iter().map(|&m| toward(m)).min();
+            assert_eq!(Some(executed), brute, "{q}: executed count");
+        }
         if prices[plan.root()] == least {
             assert_eq!(chosen, plan.root(), "{q}: a tie moved the root");
         }
@@ -1728,7 +1767,7 @@ mod tests {
                 ] {
                     let st = SteinerTree::extract(&tree, &rooted, &q).unwrap();
                     let rt = ReducedTree::from_steiner(&tree, &rooted, &st, Some(&ns));
-                    moved += usize::from(check_rootings(&bn, &rt, &q));
+                    moved += usize::from(check_rootings(&bn, &tree, &rt, &q));
                     checked += 1;
                 }
             }
@@ -1762,7 +1801,7 @@ mod tests {
             let q = Scope::from_indices(&picks);
             let st = SteinerTree::extract(&tree, &rooted, &q).unwrap();
             let rt = ReducedTree::from_steiner(&tree, &rooted, &st, Some(&ns));
-            check_rootings(&bn, &rt, &q);
+            check_rootings(&bn, &tree, &rt, &q);
             if rt.len() < 3 {
                 return Ok(());
             }
@@ -1779,7 +1818,7 @@ mod tests {
             }
             let (scope, table) = cut_out(&bn, &rt, &region, &q);
             let contracted = rt.replace_region(&region, &scope, Some(table.view()), 0).unwrap();
-            check_rootings(&bn, &contracted, &q);
+            check_rootings(&bn, &tree, &contracted, &q);
         }
     }
 }
