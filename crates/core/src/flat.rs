@@ -110,11 +110,7 @@ mod tests {
                 }
             })
             .collect();
-        Materialization {
-            shortcuts,
-            overlapping: false,
-            epoch: 7,
-        }
+        Materialization::new(shortcuts, false).with_epoch(7)
     }
 
     #[test]

@@ -12,8 +12,12 @@
 //! messages of plain subtrees in the memo of the engine's calibrated
 //! tables, which outlives every epoch — a branch sending into a shortcut
 //! included, whose message is the one a plain plan sends into the
-//! shortcut's region, so a contracted plan and the plain tree share it
-//! (`peanut_junction::reduced`, "The message memo").
+//! shortcut's region, so a contracted plan and the plain tree share it.
+//! A contracted plan carries the materialization's own memo too, and
+//! takes and files there every message whose subtree holds a shortcut:
+//! those are made of the epoch's shortcut tables, so they live and die
+//! with the epoch ([`Materialization`]; `peanut_junction::reduced`, "The
+//! message memo").
 //! Usefulness is word operations between the shortcut's bitsets and the
 //! query's [`SteinerCover`]; the conflict graph of the useful shortcuts is
 //! built for every materialization and thinned by GWMIN; each survivor is
@@ -37,7 +41,9 @@ use crate::gwmin::gwmin_by;
 use crate::shortcut::Shortcut;
 use peanut_junction::cost::{node_ops_of_size, QueryCost};
 use peanut_junction::tree::CliqueId;
-use peanut_junction::{NodeLabel, QueryAnatomy, QueryEngine, QueryPlan, ReducedTree, SteinerTree};
+use peanut_junction::{
+    MessageMemo, NodeLabel, QueryAnatomy, QueryEngine, QueryPlan, ReducedTree, SteinerTree,
+};
 use peanut_pgm::{Domain, PgmError, Potential, Scope, Scratch, Size};
 
 /// A shortcut potential chosen for materialization.
@@ -54,7 +60,18 @@ pub struct MaterializedShortcut {
 }
 
 /// The outcome of an offline phase: the set of materialized shortcut
-/// potentials.
+/// potentials, and the memo of the messages made of their tables.
+///
+/// The memo keeps every message a contracted plan sends from a subtree that
+/// holds a shortcut node (`peanut_junction::reduced`, "The message memo"),
+/// keyed by the cliques and the shortcuts' positions here. So it must be
+/// read only by plans over the tables its shortcuts were built from — the
+/// calibrated tables and these shortcut tables — or a bit-identical copy
+/// (a clone, a slab reattached, a rehydrated epoch). It lives and dies with
+/// this value: [`new`](Self::new), [`Default`] and a clone start empty, so
+/// a published epoch starts empty and a retired one drops its messages. A
+/// caller that edits `shortcuts` after answering builds a new
+/// `Materialization` rather than reusing this one.
 #[derive(Clone, Debug, Default)]
 pub struct Materialization {
     /// Materialized shortcuts, in decreasing ratio order.
@@ -70,9 +87,22 @@ pub struct Materialization {
     /// materializations stamps each published artifact with the next epoch
     /// so downstream caches can tell stale answers from current ones.
     pub epoch: u64,
+    /// Messages of subtrees holding a shortcut (type docs).
+    memo: MessageMemo,
 }
 
 impl Materialization {
+    /// Materializes `shortcuts` (decreasing ratio order) as epoch 0, with
+    /// an empty memo.
+    pub fn new(shortcuts: Vec<MaterializedShortcut>, overlapping: bool) -> Self {
+        Materialization {
+            shortcuts,
+            overlapping,
+            epoch: 0,
+            memo: MessageMemo::new(),
+        }
+    }
+
     /// Stamps the lifecycle epoch (builder-style).
     pub fn with_epoch(mut self, epoch: u64) -> Self {
         self.epoch = epoch;
@@ -94,6 +124,11 @@ impl Materialization {
     /// True when nothing is materialized.
     pub fn is_empty(&self) -> bool {
         self.shortcuts.is_empty()
+    }
+
+    /// The table entries the memo holds and its cap.
+    pub fn memo_usage(&self) -> (usize, usize) {
+        self.memo.usage()
     }
 }
 
@@ -176,6 +211,7 @@ impl<'e, 't> OnlineEngine<'e, 't> {
             rt
         } else {
             rt.contract(&region_of, &accepted)?
+                .with_shortcut_memo(&mat.memo)
         };
         debug_assert_eq!(
             rt.cost(query, domain).ops,
@@ -427,12 +463,8 @@ mod tests {
     #[test]
     fn online_engine_applies_useful_shortcut() {
         let (bn, engine) = figure1();
-        let mat = Materialization {
-            // scope {e, g}
-            shortcuts: vec![materialized(&bn, &engine, &["egh"], 1.0)],
-            overlapping: false,
-            epoch: 0,
-        };
+        // scope {e, g}
+        let mat = Materialization::new(vec![materialized(&bn, &engine, &["egh"], 1.0)], false);
         let online = OnlineEngine::new(&engine, &mat);
 
         let q = named(&bn, "bif");
@@ -448,12 +480,9 @@ mod tests {
     #[test]
     fn lossy_shortcut_not_applied() {
         let (bn, engine) = figure1();
-        let mat = Materialization {
-            // scope {c, e, g} — loses f
-            shortcuts: vec![materialized(&bn, &engine, &["ce", "ef", "egh"], 1.0)],
-            overlapping: false,
-            epoch: 0,
-        };
+        // scope {c, e, g} — loses f
+        let shortcuts = vec![materialized(&bn, &engine, &["ce", "ef", "egh"], 1.0)];
+        let mat = Materialization::new(shortcuts, false);
         let online = OnlineEngine::new(&engine, &mat);
         let q = named(&bn, "bif");
         let (got, cost) = online.answer(&q).unwrap();
@@ -472,15 +501,14 @@ mod tests {
         let (bn, engine) = figure1();
         let d = bn.domain();
         // {egh} ⊂ {ef, egh} share egh; {ef, egh} and {ce, ef} share ef
-        let mat = Materialization {
-            shortcuts: vec![
+        let mat = Materialization::new(
+            vec![
                 materialized(&bn, &engine, &["egh"], 2.0),
                 materialized(&bn, &engine, &["ef", "egh"], 3.0),
                 materialized(&bn, &engine, &["ce", "ef"], 1.0),
             ],
-            overlapping: true,
-            epoch: 0,
-        };
+            true,
+        );
         let online = OnlineEngine::new(&engine, &mat);
 
         let n = d.len() as u32;
@@ -662,11 +690,7 @@ mod tests {
                     }
                 })
                 .collect();
-            let mat = Materialization {
-                shortcuts,
-                overlapping: seed % 2 == 0,
-                epoch: 0,
-            };
+            let mat = Materialization::new(shortcuts, seed % 2 == 0);
             let online = OnlineEngine::new(&engine, &mat);
             for _ in 0..24 {
                 let k = rng.sample(1..6usize);
@@ -716,11 +740,7 @@ mod tests {
         let want = joint::marginal(&bn, &q).unwrap();
         let mut costs = Vec::new();
         for overlapping in [true, false] {
-            let mat = Materialization {
-                shortcuts: shortcuts.clone(),
-                overlapping,
-                epoch: 0,
-            };
+            let mat = Materialization::new(shortcuts.clone(), overlapping);
             let online = OnlineEngine::new(&engine, &mat);
             let (got, cost) = online.answer(&q).unwrap();
             assert!(
@@ -774,11 +794,7 @@ mod tests {
             (vec![over(vec![1, 2, 3], 1.0)], 1),
             (vec![over(vec![1, 2, 3], 4.0), over(vec![1], 1.0)], 1),
         ] {
-            let mat = Materialization {
-                shortcuts,
-                overlapping: true,
-                epoch: 0,
-            };
+            let mat = Materialization::new(shortcuts, true);
             let online = OnlineEngine::new(&engine, &mat);
             let (priced, accepted) = assert_plans_as_reference(&online, &q);
             assert!(priced >= 1 && accepted == used);
@@ -793,11 +809,7 @@ mod tests {
     #[test]
     fn repeated_evidence_answers_like_the_single_pair() {
         let (bn, engine) = figure1();
-        let mat = Materialization {
-            shortcuts: vec![materialized(&bn, &engine, &["egh"], 1.0)],
-            overlapping: false,
-            epoch: 0,
-        };
+        let mat = Materialization::new(vec![materialized(&bn, &engine, &["egh"], 1.0)], false);
         let online = OnlineEngine::new(&engine, &mat);
         let (targets, i) = (named(&bn, "bf"), bn.domain().var("i").unwrap());
         let (once, cost) = online.conditional(&targets, &[(i, 1)]).unwrap();

@@ -130,11 +130,7 @@ impl Peanut {
             })
             .collect();
         shortcuts.sort_by(|a, b| b.ratio.total_cmp(&a.ratio));
-        Materialization {
-            shortcuts,
-            overlapping: cfg.variant == Variant::PeanutPlus,
-            epoch: 0,
-        }
+        Materialization::new(shortcuts, cfg.variant == Variant::PeanutPlus)
     }
 
     /// Runs the offline phase and materializes the chosen tables from a

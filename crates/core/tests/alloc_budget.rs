@@ -122,16 +122,15 @@ fn chain_plan_bytes(card: u32) -> (usize, usize, usize) {
         .collect();
     let shortcut = Shortcut::from_nodes(&tree, rooted, interior).unwrap();
     let table = Potential::ones(shortcut.scope().clone(), tree.domain()).unwrap();
-    let mat = Materialization {
-        shortcuts: vec![MaterializedShortcut {
+    let mat = Materialization::new(
+        vec![MaterializedShortcut {
             ratio: 1.0,
             benefit: 1.0,
             potential: Some(table),
             shortcut,
         }],
-        overlapping: true,
-        epoch: 0,
-    };
+        true,
+    );
     let online = OnlineEngine::new(&engine, &mat);
     let (reduced, reduce_bytes, _) = counted(|| online.reduce(&q).unwrap());
     let reduced = reduced.expect("out-of-clique");

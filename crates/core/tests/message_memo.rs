@@ -1,23 +1,26 @@
 //! The engine's message memo never changes an answer.
 //!
-//! A numeric `QueryEngine` keeps the directed messages its passes send,
-//! and every later pass of a plan the engine extracted takes them instead
-//! of recomputing them (`peanut_junction::reduced`, "The message memo").
+//! A numeric `QueryEngine` keeps the directed messages its passes send, a
+//! `Materialization` those whose subtree holds one of its shortcuts, and
+//! every later pass of a plan the engine extracted takes them instead of
+//! recomputing them (`peanut_junction::reduced`, "The message memo").
 //! The reference is a fresh engine per request: the same calibrated slab
-//! reattached (`QueryEngine::from_calibrated`), whose memo is empty, so its
-//! pass computes every message. On generated networks, under random
+//! reattached (`QueryEngine::from_calibrated`) under a clone of the
+//! materialization, both memos empty, so its pass computes every message. On generated networks, under random
 //! materializations — so plans include contracted ones — a stream of
 //! 1–5-variable marginals and conditionals through one engine must answer
 //! exactly as the fresh engines do: every entry equal under `f64::to_bits`,
 //! the same `QueryCost`. The stream runs three times, under one
-//! materialization, then another, then the first again — the memo outlives
-//! epochs, and a message of a subtree that held a shortcut under one epoch
-//! must not be what a plain subtree of the next takes. Two more cases
+//! materialization, then another, then the first again — the engine's memo
+//! outlives epochs, and a message of a subtree that held a shortcut under
+//! one epoch must not be what a plain subtree of the next takes, while the
+//! first materialization's memo is warm on its return. Two more cases
 //! share the engine's tables between threads: two answering the stream,
 //! and a selection's table builds racing one answering it; CI runs this
 //! file under ThreadSanitizer too. A last case replays the all-pairs stream
 //! of Child and TPC-H under PEANUT+, where warm contracted plans take the
-//! messages their branches send into shortcuts.
+//! messages their branches send into shortcuts and the messages of their
+//! subtrees that hold one.
 
 use peanut_core::{
     Materialization, MaterializedShortcut, OfflineContext, OnlineEngine, Peanut, PeanutConfig,
@@ -67,11 +70,7 @@ fn random_materialization(engine: &QueryEngine<'_>, rng: &mut TestRng) -> Materi
             })
         })
         .collect();
-    Materialization {
-        shortcuts,
-        overlapping: true,
-        epoch: 0,
-    }
+    Materialization::new(shortcuts, true)
 }
 
 /// `count` requests of 1–5 target variables, a third of them conditioned
@@ -112,7 +111,8 @@ fn answer(online: &OnlineEngine<'_, '_>, (targets, evidence): &Request) -> (Vec<
     (bits(&p), format!("{cost:?}"))
 }
 
-/// The answer of an engine with an empty memo over `engine`'s tables.
+/// The answer of an engine with an empty memo over `engine`'s tables,
+/// under a clone of `mat`, whose memo is empty too.
 fn fresh_answer(
     tree: &JunctionTree,
     engine: &QueryEngine<'_>,
@@ -124,8 +124,9 @@ fn fresh_answer(
         tree,
         NumericState::from_calibrated_slab(tree, slab).unwrap(),
     );
-    assert_eq!(fresh.memo_usage().0, 0);
-    answer(&OnlineEngine::new(&fresh, mat), request)
+    let cold = mat.clone();
+    assert_eq!((fresh.memo_usage().0, cold.memo_usage().0), (0, 0));
+    answer(&OnlineEngine::new(&fresh, &cold), request)
 }
 
 proptest! {
@@ -242,10 +243,12 @@ fn a_selection_racing_queries_builds_and_answers_as_fresh_ones() {
 }
 
 /// A real dataset's stream replayed: PEANUT+ at `10·b_T` selected on
-/// every variable pair, then the pairs answered twice through one engine. On the second pass the memo
-/// holds what the first filed — messages into shortcuts among them — and
-/// every eighth answer is checked against a fresh engine over the same
-/// calibrated slab: the same bits, the same cost.
+/// every variable pair, then the pairs answered twice through one engine.
+/// On the second pass the memos hold what the first filed — messages into
+/// shortcuts among them in the engine's, messages of subtrees holding a
+/// shortcut in the materialization's — and every eighth answer is checked
+/// against a fresh engine over the same calibrated slab: the same bits,
+/// the same cost.
 #[test]
 fn a_dataset_stream_replayed_answers_as_fresh_engines() {
     for name in ["Child", "TPC-H"] {
@@ -267,6 +270,11 @@ fn a_dataset_stream_replayed_answers_as_fresh_engines() {
         }
         let (filed, _) = engine.memo_usage();
         assert!(filed > 0, "{name}: test premise: the first pass files");
+        let (filed, _) = mat.memo_usage();
+        assert!(
+            filed > 0,
+            "{name}: test premise: the first pass files shortcut-holding messages"
+        );
         let mut contracted = 0;
         for (i, request) in pairs.iter().enumerate() {
             let got = answer(&online, request);

@@ -151,11 +151,7 @@ pub fn build_index(
 
     Ok(IndsepIndex {
         nodes,
-        materialization: Materialization {
-            shortcuts,
-            overlapping: true,
-            epoch: 0,
-        },
+        materialization: Materialization::new(shortcuts, true),
         skipped_oversize: skipped,
         levels: level,
     })

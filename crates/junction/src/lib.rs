@@ -37,6 +37,7 @@ pub mod triangulate;
 pub use arena::TreeArena;
 pub use build::build_junction_tree;
 pub use calibrate::NumericState;
+pub use memo::MessageMemo;
 pub use query::{QueryEngine, QueryPlan};
 pub use reduced::{region_joints, NodeLabel, QueryAnatomy, ReducedTree};
 pub use rooted::RootedTree;

@@ -1,42 +1,61 @@
-//! The message memo a calibrated [`NumericState`](crate::NumericState)
-//! owns: directed messages of its tables, computed once by any numeric pass
-//! over them and taken by every later pass that would send them again —
-//! the engine's doors, the online phase's contracted plans, a caller's
-//! `from_steiner` plan and `region_joints` alike.
+//! The message memos: directed messages, computed once by any numeric pass
+//! and taken by every later pass that would send them again — the engine's
+//! doors, the online phase's contracted plans, a caller's `from_steiner`
+//! plan and `region_joints` alike.
+//!
+//! A memo has one of two owners. A calibrated
+//! [`NumericState`](crate::NumericState) owns the memo of messages made only
+//! of its cliques. An epoch's materialization (`peanut_core`) owns the memo
+//! of messages whose sending subtree holds a shortcut node, made of its
+//! shortcut tables as well: it lives and dies with the epoch — a clone or a
+//! new materialization starts empty, so a publish starts empty and a
+//! retired epoch drops its messages.
 //!
 //! A message to clique `p` is filed under `[p, member count, members…,
-//! held…]`: the cliques of the sending subtree in the plan's post-order
-//! (the sender last), and the query variables held below, ascending. The
-//! key names every clique the message is made of. A connected set of
-//! cliques induces one subtree of the junction tree, so the members and the
-//! sender fix the subtree's edges, its separators and its rooting; children
-//! are ordered by clique id in every plan; and each member's target — its
-//! parent separator plus the held variables its own subtree holds — is the
-//! held set cut down to that subtree. With the tables unchanged, a taken
-//! message is therefore bit for bit the one the pass would compute, on any
-//! plan over them. That holds for a sender into a shortcut too: `p` is then
+//! held…]`: the members of the sending subtree in the plan's post-order
+//! (the sender last), and the query variables held below, ascending. A
+//! member is a clique id, or a shortcut node's id tagged with
+//! [`SHORTCUT_TAG`] — bit 31, above every clique id — the id being the
+//! shortcut's position in its materialization. The key names every clique
+//! and every shortcut the message is made of. A connected set of cliques
+//! induces one subtree of the junction tree, so the members and the sender
+//! fix the subtree's edges, its separators and its rooting; a shortcut node
+//! stands for its region, which a clique outside it meets in at most one
+//! edge, so that holds of a subtree with shortcut nodes too. Children are
+//! ordered by node index in every plan: kept cliques by clique id, then the
+//! shortcut nodes, which a contraction appends after the kept nodes in
+//! accepted (ratio) order — and the post-order in the key records that
+//! order. Each member's target — its parent separator plus the held
+//! variables its own subtree holds — is the held set cut down to that
+//! subtree. With the tables unchanged, a taken message is therefore bit for
+//! bit the one the pass would compute, on any plan over them: a clique-only
+//! message on any plan over the state's tables, a shortcut-holding one on
+//! any plan over those tables and the one materialization that owns the
+//! memo. That holds for a sender into a shortcut too: `p` is then
 //! the region's clique at the other end of the sender's junction-tree edge
 //! `e`. By running intersection the sender meets the shortcut's scope `X_S`
 //! in the cut separator `S_e`, which is what it meets `p` in, and it
 //! divides by `S_e`'s table either way — the target, the factor order and
-//! the division of the plain plan's message to `p`. The reduced-tree pass
-//! decides which nodes qualify and checks that premise (`crate::reduced`,
-//! "The message memo"); this module stores.
+//! the division of the message a plan without that shortcut sends to `p`.
+//! The reduced-tree pass decides which nodes qualify, which memo each goes
+//! to, and checks that premise (`crate::reduced`, "The message memo"); this
+//! module stores.
 //!
-//! The memo is bounded and never evicts. It holds at most [`MEMO_ENTRIES`]
+//! A memo is bounded and never evicts. It holds at most [`MEMO_ENTRIES`]
 //! table entries, whatever the size of the tables: what a stream files
 //! follows its separators and its traffic, not the calibrated slab, so one
-//! constant bounds every state alike — each session, resident tenant and
-//! rehydrated engine. It files a message only when the kernels of its
-//! subtree walked at least [`MIN_WALK_PER_ENTRY`] times its entries, and
-//! only while the message fits in what is left. It lives
+//! constant bounds every memo alike — each session, resident tenant,
+//! rehydrated engine and epoch. It files a message only when the kernels of
+//! its subtree walked at least [`MIN_WALK_PER_ENTRY`] times its entries,
+//! and only while the message fits in what is left. A state's memo lives
 //! exactly as long as the tables: a state starts with an empty memo
 //! wherever its tables are made — initialized, calibrated, reattached from
 //! a slab or cloned — so a state restricted to evidence, rehydrated or
 //! faulted in starts empty, and page-out drops it with the engine.
 //!
-//! One `Mutex` guards it; a pass takes it once for its lookups and once for
-//! what it files. A poisoned lock reads as a miss and files nothing.
+//! One `Mutex` guards each memo; a pass takes each it deals with once for
+//! its lookups, never both at a time, and once for what it files. A
+//! poisoned lock reads as a miss and files nothing.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
@@ -45,15 +64,19 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// The memo holds at most this many table entries: 8 MiB of message values.
+/// A memo holds at most this many table entries: 8 MiB of message values.
 pub(crate) const MEMO_ENTRIES: usize = 1 << 20;
 
 /// A message is filed only if the kernels of its subtree walked at least
 /// this many product entries per entry of the message.
 const MIN_WALK_PER_ENTRY: Size = 4;
 
-/// A state's directed messages, filed by key (module docs).
-pub(crate) struct MessageMemo {
+/// Set on a key member that is a shortcut node's id (module docs).
+pub(crate) const SHORTCUT_TAG: usize = 1 << 31;
+
+/// Directed messages, filed by key: a calibrated state's, or an epoch's
+/// materialization's (module docs).
+pub struct MessageMemo {
     /// Entries the memo may hold.
     cap: usize,
     filed: Mutex<Filed>,
@@ -69,8 +92,8 @@ struct Filed {
 }
 
 impl MessageMemo {
-    /// An empty memo that may hold [`MEMO_ENTRIES`] entries.
-    pub(crate) fn new() -> Self {
+    /// An empty memo that may hold 2²⁰ entries.
+    pub fn new() -> Self {
         Self::with_cap(MEMO_ENTRIES)
     }
 
@@ -83,7 +106,7 @@ impl MessageMemo {
     }
 
     /// The entries held and the cap.
-    pub(crate) fn usage(&self) -> (usize, usize) {
+    pub fn usage(&self) -> (usize, usize) {
         let held = self.filed.lock().map_or(0, |f| f.entries);
         (held, self.cap)
     }
@@ -124,6 +147,12 @@ impl MessageMemo {
     }
 }
 
+impl Default for MessageMemo {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// A clone's tables are a copy about to be changed or kept apart: it starts
 /// with an empty memo of the same cap.
 impl Clone for MessageMemo {
@@ -157,16 +186,17 @@ impl Shelf<'_> {
 }
 
 /// Appends to `keys` the key of the message to clique `parent` from the
-/// subtree of cliques `members` (post-order, the sender last) carrying
-/// `held`, the query variables held below (ascending).
+/// subtree of `members` (post-order, the sender last; cliques, and
+/// shortcut nodes tagged) carrying `held`, the query variables held below
+/// (ascending).
 pub(crate) fn push_key(
     keys: &mut Vec<u32>,
     parent: usize,
     members: impl Iterator<Item = usize>,
     held: impl Iterator<Item = Var>,
 ) {
-    // clique ids are far below 2³²; the count keeps members and variables
-    // apart
+    // clique ids are far below 2³¹, the tag above them; the count keeps
+    // members and variables apart
     let start = keys.len();
     keys.extend([parent as u32, 0]);
     keys.extend(members.map(|u| u as u32));

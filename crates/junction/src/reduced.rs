@@ -49,34 +49,42 @@
 //! messages sent over them (`crate::memo`), and every numeric pass takes
 //! and files messages there: the engine's doors, the online phase's
 //! contracted plans, a caller's [`ReducedTree::from_steiner`] plan and
-//! [`region_joints`]. Under one lock and top-down, a pass looks up every
-//! non-root node whose subtree holds only cliques, by the clique at the far
-//! end of its junction-tree edge, the subtree's cliques in post-order and
-//! the query variables held below. Every node records that edge: a clique
-//! its own, a shortcut node the one above its region's top, and re-hanging
-//! a plan turns the edges on the path around with their separators. Under
-//! a clique the far end is the parent. Under a shortcut it is a clique of
-//! the shortcut's region, and the message is the one a plain plan sends
-//! there: running intersection makes the sender's scope meet the
-//! shortcut's scope in that edge's separator, whose table the sender keeps
-//! — the same target, factors and division. A sender whose scope meets the
-//! shortcut's in more than that separator is computed. A message found is
-//! taken, and its whole subtree is skipped. A message not found is
-//! computed; if its subtree's kernels walked enough product entries per
-//! message entry and the memo has room, a copy is filed once the pass is
-//! done. A node whose subtree holds a shortcut is always computed, since
-//! its message depends on the epoch's tables. The key names every clique a
+//! [`region_joints`]. A plan whose shortcut nodes borrow a
+//! materialization's tables may carry that materialization's memo too
+//! ([`ReducedTree::with_shortcut_memo`]), which keeps the messages whose
+//! sending subtree holds a shortcut node. A pass looks up every non-root
+//! node top-down, by the clique at the far end of its junction-tree edge,
+//! the subtree's members in post-order — cliques, and shortcut nodes by
+//! their tagged ids — and the query variables held below: a node whose
+//! subtree holds a shortcut in the materialization's memo, then, under
+//! that memo's lock released, a node whose subtree holds only cliques in
+//! the tables' memo. Every ancestor of a node of the first kind is of that
+//! kind, so each lock is taken once and never while the other is held.
+//! Every node records its edge: a clique its own, a shortcut node the one
+//! above its region's top, and re-hanging a plan turns the edges on the
+//! path around with their separators. Under a clique the far end is the
+//! parent. Under a shortcut it is a clique of the shortcut's region, and
+//! the message is the one a plan without that shortcut sends there:
+//! running intersection makes the sender's scope meet the shortcut's scope
+//! in that edge's separator, whose table the sender keeps — the same
+//! target, factors and division. A sender whose scope meets the shortcut's
+//! in more than that separator is computed. A message found is taken, and
+//! its whole subtree is skipped. A message not found is computed; if its
+//! subtree's kernels walked enough product entries per message entry and
+//! its memo has room, a copy is filed there once the pass is done. A plan
+//! that carries no materialization memo computes every message whose
+//! subtree holds a shortcut. The key names every clique and shortcut a
 //! message is made of, so a taken message is bit for bit the one the pass
-//! would compute on any plan over the same tables (the memo module's docs).
-//! A plan's root message, the answer or a region's table, is never filed.
-//! The charge is untouched: a taken message is still counted in
+//! would compute on any plan over the same tables (the memo module's
+//! docs). A plan's root message, the answer or a region's table, is never
+//! filed. The charge is untouched: a taken message is still counted in
 //! `QueryCost.ops`.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use crate::calibrate::NumericState;
 use crate::cost::{node_ops_of_size, QueryCost};
-use crate::memo::{self, MessageMemo, Shelf};
+use crate::memo::{self, MessageMemo};
 use crate::rooted::RootedTree;
 use crate::steiner::SteinerTree;
 use crate::tree::{CliqueId, JunctionTree};
@@ -131,6 +139,10 @@ pub struct ReducedTree<'a> {
     /// The message memo of the calibrated tables the plan borrows (none: a
     /// size-only plan; module docs, "The message memo").
     memo: Option<&'a MessageMemo>,
+    /// The memo of the materialization the shortcut nodes' tables come
+    /// from, for messages whose subtree holds one (none: those are
+    /// computed).
+    shortcut_memo: Option<&'a MessageMemo>,
 }
 
 impl<'a> ReducedTree<'a> {
@@ -180,16 +192,18 @@ impl<'a> ReducedTree<'a> {
                 }
             })
             .collect();
-        Self::linked(nodes, index_of(root), 0, numeric.map(NumericState::memo))
+        let memos = (numeric.map(NumericState::memo), None);
+        Self::linked(nodes, index_of(root), 0, memos)
     }
 
     /// Completes a tree from its nodes' parent pointers: child lists
-    /// (ascending node index) and the post-order.
+    /// (ascending node index) and the post-order. `memos` are the tables'
+    /// and the materialization's.
     fn linked(
         mut nodes: Vec<RNode<'a>>,
         root: usize,
         shortcuts_used: usize,
-        memo: Option<&'a MessageMemo>,
+        (memo, shortcut_memo): (Option<&'a MessageMemo>, Option<&'a MessageMemo>),
     ) -> Self {
         let n = nodes.len();
         // counting sort of the non-root nodes by parent: count children,
@@ -229,7 +243,18 @@ impl<'a> ReducedTree<'a> {
             child_list,
             order,
             memo,
+            shortcut_memo,
         }
+    }
+
+    /// The plan with its shortcut nodes' messages, and every message whose
+    /// subtree holds one, taken from and filed in `memo`: the memo of the
+    /// materialization whose tables the shortcut nodes borrow, which no
+    /// plan over other shortcut tables may read (module docs, "The message
+    /// memo"). A re-hung or further contracted plan keeps it.
+    pub fn with_shortcut_memo(mut self, memo: &'a MessageMemo) -> Self {
+        self.shortcut_memo = Some(memo);
+        self
     }
 
     /// Number of nodes.
@@ -306,7 +331,12 @@ impl<'a> ReducedTree<'a> {
             below = (Some(u), up.1, (far, near));
             u = p;
         }
-        Self::linked(nodes, root, self.shortcuts_used, self.memo)
+        Self::linked(nodes, root, self.shortcuts_used, self.memos())
+    }
+
+    /// The tables' memo and the materialization's.
+    fn memos(&self) -> (Option<&'a MessageMemo>, Option<&'a MessageMemo>) {
+        (self.memo, self.shortcut_memo)
     }
 
     /// The tree with the connected region `region` (node indices) replaced
@@ -401,7 +431,7 @@ impl<'a> ReducedTree<'a> {
         }
         let root = new_index[self.root];
         let used = self.shortcuts_used + shortcuts.len();
-        Ok(Self::linked(nodes, root, used, self.memo))
+        Ok(Self::linked(nodes, root, used, self.memos()))
     }
 
     /// The pricing pass, node by node: what each node is charged for
@@ -801,13 +831,22 @@ impl Sent {
     }
 }
 
-/// One pass's dealings with the memo (module docs, "The message memo"):
+/// One pass's dealings with the memos (module docs, "The message memo"):
 /// what it does at each node, and the copies it files once done.
 struct Recall<'m> {
-    memo: &'m MessageMemo,
     slots: Vec<Slot>,
-    /// The keys of the nodes whose messages the memo may file, back to back.
+    /// The keys of the nodes whose messages a memo may file, back to back.
     keys: Vec<u32>,
+    /// Where messages go, indexed by [`Slot::plain`]: those of subtrees
+    /// holding a shortcut to the materialization's memo — when the plan
+    /// holds a shortcut and carries it — and those of plain subtrees to
+    /// the tables'.
+    owners: [Option<Owner<'m>>; 2],
+}
+
+/// A memo as one pass deals with it.
+struct Owner<'m> {
+    memo: &'m MessageMemo,
     /// What to file: keys and copies of the messages.
     filing: Vec<(Box<[u32]>, Potential)>,
     /// Entries the memo has room for, less what is to be filed.
@@ -824,16 +863,16 @@ struct Slot {
     walked: Size,
     /// Whether the node's subtree holds only cliques.
     plain: bool,
-    /// The node's key in [`Recall::keys`], when the memo may file its
+    /// The node's key in [`Recall::keys`], when a memo may file its
     /// message.
     key: Option<(usize, usize)>,
 }
 
 impl<'m> Recall<'m> {
     /// Decides, before a pass over `plan` for `query`, what the pass does
-    /// at each node: everything the memo holds is taken.
+    /// at each node: everything the memos hold is taken.
     fn new(
-        plan: &ReducedTree<'_>,
+        plan: &ReducedTree<'m>,
         memo: &'m MessageMemo,
         query: &Scope,
         anatomy: &QueryAnatomy,
@@ -864,34 +903,44 @@ impl<'m> Recall<'m> {
             }
         }
         let mut recall = Recall {
-            memo,
             slots,
             keys: Vec::new(),
-            filing: Vec::new(),
-            room: 0,
+            owners: [None, None],
         };
-        // a poisoned memo is a miss everywhere, and files nothing
-        if let Some(shelf) = memo.open() {
-            recall.room = shelf.room;
-            recall.look_up(plan, query, anatomy, &shelf);
+        // every ancestor of a node whose subtree holds a shortcut holds it
+        // too, so those nodes are decided first, top-down, and the plain
+        // subtrees hanging off them after: one memo locked at a time
+        let holds_shortcut = !recall.slots[plan.root].plain;
+        if let Some(shortcut_memo) = plan.shortcut_memo.filter(|_| holds_shortcut) {
+            recall.owners[0] = Some(recall.look_up(plan, query, anatomy, shortcut_memo, false));
         }
+        recall.owners[1] = Some(recall.look_up(plan, query, anatomy, memo, true));
         recall
     }
 
-    /// Looks up every node that qualifies, top-down, so a taken message
-    /// skips its subtree unlooked-at.
+    /// Decides the nodes whose subtree holds only cliques (`plain`), or
+    /// those whose subtree holds a shortcut, through `memo` locked once:
+    /// top-down, so a taken message skips its subtree unlooked-at. Returns
+    /// `memo` as the pass files in it.
     fn look_up(
         &mut self,
         plan: &ReducedTree<'_>,
         query: &Scope,
         anatomy: &QueryAnatomy,
-        shelf: &Shelf<'_>,
-    ) {
-        let clique = |v: &usize| match plan.nodes[*v].label {
-            NodeLabel::Clique(c) => Some(c),
-            NodeLabel::Shortcut(_) => None,
+        memo: &'m MessageMemo,
+        plain: bool,
+    ) -> Owner<'m> {
+        // a poisoned memo is a miss everywhere, and files nothing
+        let shelf = memo.open();
+        let room = shelf.as_ref().map_or(0, |shelf| shelf.room);
+        let tagged = |v: &usize| match plan.nodes[*v].label {
+            NodeLabel::Clique(c) => c,
+            NodeLabel::Shortcut(i) => memo::SHORTCUT_TAG | i,
         };
         for (at, &u) in plan.order.iter().enumerate().rev() {
+            if self.slots[u].plain != plain {
+                continue;
+            }
             let Some(p) = plan.nodes[u].parent else {
                 continue; // the root's message is the answer
             };
@@ -899,55 +948,66 @@ impl<'m> Recall<'m> {
                 self.slots[u].step = Step::Skip;
                 continue;
             }
-            if !self.slots[u].plain {
-                continue;
-            }
+            let Some(shelf) = &shelf else { continue };
             // the message goes to the clique at the far end of the edge: the
             // parent, or one in a shortcut's region. Under a shortcut it is
-            // the plain plan's message when the shortcut's scope meets the
+            // the message sent there when the shortcut's scope meets the
             // sender in just that edge's separator, as running intersection
             // gives any shortcut cut out of the tree; otherwise it is computed
             let (node, up) = (&plan.nodes[u], &plan.nodes[p]);
             let far = node.edge.1 as usize;
             let cut = node.scope.iter().filter(|&x| up.scope.contains(x));
-            match clique(&p) {
-                Some(parent) => debug_assert_eq!(parent, far),
-                None if node.sep_to_parent.is_some_and(|t| t.scope().iter().eq(cut)) => {}
-                None => continue,
+            match up.label {
+                NodeLabel::Clique(parent) => debug_assert_eq!(parent, far),
+                NodeLabel::Shortcut(_)
+                    if node.sep_to_parent.is_some_and(|t| t.scope().iter().eq(cut)) => {}
+                NodeLabel::Shortcut(_) => continue,
             }
             // the subtree is the span of the post-order ending at `u`
             let members = plan.order[at + 1 - self.slots[u].size..=at].iter();
             let held = (0..query.len()).filter(|&i| anatomy.holds(u, i));
             let start = self.keys.len();
             let held = held.map(|i| query.vars()[i]);
-            memo::push_key(&mut self.keys, far, members.filter_map(clique), held);
+            memo::push_key(&mut self.keys, far, members.map(tagged), held);
             match shelf.get(&self.keys[start..]) {
                 Some(message) => self.slots[u].step = Step::Known(message),
                 None => self.slots[u].key = Some((start, self.keys.len())),
             }
         }
-    }
-
-    /// Node `u`'s message was computed: a copy is to be filed if its key
-    /// may be, the memo has room and the subtree walked enough for it.
-    fn keep(&mut self, u: usize, message: &Potential) {
-        let Slot { walked, key, .. } = self.slots[u];
-        if let Some((start, end)) = key {
-            let entries = message.len();
-            if entries <= self.room && memo::admits(walked, entries) {
-                self.room -= entries;
-                // a copy at its exact size: the message's own buffer may be a
-                // larger pooled one, and goes back to the scratch
-                self.filing
-                    .push((self.keys[start..end].into(), message.clone()));
-            }
+        Owner {
+            memo,
+            filing: Vec::new(),
+            room,
         }
     }
 
-    /// Files what the pass kept.
+    /// Node `u`'s message was computed: a copy is to be filed in its owner
+    /// if its key may be, the owner has room and the subtree walked enough
+    /// for it.
+    fn keep(&mut self, u: usize, message: &Potential) {
+        let Slot {
+            walked, key, plain, ..
+        } = self.slots[u];
+        let (Some((start, end)), Some(owner)) = (key, &mut self.owners[usize::from(plain)]) else {
+            return;
+        };
+        let entries = message.len();
+        if entries <= owner.room && memo::admits(walked, entries) {
+            owner.room -= entries;
+            // a copy at its exact size: the message's own buffer may be a
+            // larger pooled one, and goes back to the scratch
+            owner
+                .filing
+                .push((self.keys[start..end].into(), message.clone()));
+        }
+    }
+
+    /// Files what the pass kept, in one memo at a time.
     fn file(self) {
-        if !self.filing.is_empty() {
-            self.memo.file(self.filing);
+        for owner in self.owners.into_iter().flatten() {
+            if !owner.filing.is_empty() {
+                owner.memo.file(owner.filing);
+            }
         }
     }
 }
@@ -1406,28 +1466,14 @@ mod tests {
     }
 
     /// What `ns`'s memo holds for the message node `i` of the plain plan
-    /// `plain` sends its parent, under the key the memo module documents,
-    /// built from `plain` alone: the parent's clique, the subtree's cliques
-    /// in post-order, the query variables they hold.
+    /// `plain` sends its parent, under the key the memo module documents.
     fn filed(
         ns: &NumericState,
         plain: &ReducedTree<'_>,
         i: usize,
         q: &Scope,
     ) -> Option<Arc<Potential>> {
-        let clique = |v: usize| match plain.nodes[v].label {
-            NodeLabel::Clique(c) => c,
-            NodeLabel::Shortcut(_) => panic!("a plain plan"),
-        };
-        let below = |v: usize| std::iter::successors(Some(v), |&w| plain.parent(w)).any(|w| w == i);
-        let members: Vec<usize> = plain.order.iter().copied().filter(|&v| below(v)).collect();
-        let scopes = || members.iter().map(|&v| plain.nodes[v].scope);
-        let held = q
-            .iter()
-            .filter(|&x| scopes().any(|scope| scope.contains(x)));
-        let mut key = Vec::new();
-        let parent = clique(plain.parent(i).unwrap());
-        memo::push_key(&mut key, parent, members.iter().map(|&v| clique(v)), held);
+        let key = documented_key(plain, plain, &[], i, q);
         ns.memo().open().unwrap().get(&key)
     }
 
@@ -1584,6 +1630,309 @@ mod tests {
         assert!(
             wide_filed > 0,
             "a plain message left untaken under a wider scope"
+        );
+    }
+
+    /// The key the memo module documents for the message node `u` of
+    /// `plan` sends — `plain` itself, or `plain` with `regions[i]`
+    /// contracted into shortcut `i`, both hung from one clique: the clique
+    /// at the far end of `u`'s junction-tree edge, read off `plain`, then
+    /// the members of `u`'s subtree in `plan`'s post-order, a shortcut
+    /// node's id with bit 31 set, then the query variables they hold.
+    fn documented_key(
+        plain: &ReducedTree<'_>,
+        plan: &ReducedTree<'_>,
+        regions: &[Vec<usize>],
+        u: usize,
+        q: &Scope,
+    ) -> Vec<u32> {
+        let label = plan.nodes[u].label;
+        let top = match label {
+            NodeLabel::Clique(_) => (0..plain.len())
+                .find(|&w| plain.nodes[w].label == label)
+                .unwrap(),
+            NodeLabel::Shortcut(i) => {
+                let inside = |w: usize| regions[i].contains(&w);
+                *regions[i]
+                    .iter()
+                    .find(|&&w| !plain.parent(w).is_some_and(inside))
+                    .unwrap()
+            }
+        };
+        let NodeLabel::Clique(far) = plain.nodes[plain.parent(top).unwrap()].label else {
+            panic!("a plain plan");
+        };
+        let below = |v: usize| std::iter::successors(Some(v), |&w| plan.parent(w)).any(|w| w == u);
+        let members: Vec<usize> = plan.order.iter().copied().filter(|&v| below(v)).collect();
+        let id = |v: usize| match plan.nodes[v].label {
+            NodeLabel::Clique(c) => c,
+            NodeLabel::Shortcut(i) => 1 << 31 | i,
+        };
+        let scopes = || members.iter().map(|&v| plan.nodes[v].scope);
+        let held = q
+            .iter()
+            .filter(|&x| scopes().any(|scope| scope.contains(x)));
+        let mut key = Vec::new();
+        memo::push_key(&mut key, far, members.iter().map(|&v| id(v)), held);
+        key
+    }
+
+    /// Whether node `u`'s subtree in `plan` holds only cliques.
+    fn holds_only_cliques(plan: &ReducedTree<'_>, u: usize) -> bool {
+        (0..plan.len())
+            .filter(|&v| std::iter::successors(Some(v), |&w| plan.parent(w)).any(|w| w == u))
+            .all(|v| matches!(plan.nodes[v].label, NodeLabel::Clique(_)))
+    }
+
+    /// Whether a pass from empty memos files the message non-root node `u`
+    /// of `plan` sends, as the module documents: into a clique, or into a
+    /// shortcut whose scope meets it in just its separator's, and with its
+    /// subtree's kernels walking enough product entries per message entry.
+    fn is_filed(plan: &ReducedTree<'_>, u: usize, q: &Scope, d: &Domain) -> bool {
+        let (node, up) = (&plan.nodes[u], &plan.nodes[plan.parent(u).unwrap()]);
+        let cut = node.scope.intersect(up.scope);
+        if matches!(up.label, NodeLabel::Shortcut(_)) && node.sep_to_parent.unwrap().scope() != &cut
+        {
+            return false;
+        }
+        let anatomy = plan.anatomy(q, d);
+        let below = |v: usize| std::iter::successors(Some(v), |&w| plan.parent(w)).any(|w| w == u);
+        let subtree: Vec<usize> = (0..plan.len()).filter(|&v| below(v)).collect();
+        let walked = subtree.iter().fold(0, |walked: Size, &v| {
+            let scope = plan.nodes[v].scope;
+            walked + anatomy.carried(v, table_size(scope, d), scope, q, d)
+        });
+        let held = q
+            .iter()
+            .filter(|&x| subtree.iter().any(|&v| plan.nodes[v].scope.contains(x)));
+        let target = cut.union(&Scope::from_iter(held));
+        memo::admits(walked, table_size(&target, d) as usize)
+    }
+
+    /// Checks the materialization's memo on `contracted` — `plain` with
+    /// `regions` contracted into shortcuts `0, 1, …`, both hung from one
+    /// clique — over a clone of `ns`:
+    /// * after one pass, every shortcut-holding sender's message is in the
+    ///   plan's materialization memo under its documented key exactly when
+    ///   the module says it is filed, and never in the tables' memo;
+    /// * a second pass takes exactly the topmost messages either memo
+    ///   holds, the same `Arc`s, and answers as a pass over a clone's
+    ///   empty memos, bit for bit;
+    /// * the plan carrying another, empty, memo takes no shortcut-holding
+    ///   message, and answers the same.
+    ///
+    /// Returns how many shortcut-holding messages were filed and taken.
+    fn check_materialization_memo(
+        ns: &NumericState,
+        plain: &ReducedTree<'_>,
+        contracted: &ReducedTree<'_>,
+        regions: &[Vec<usize>],
+        q: &Scope,
+        d: &Domain,
+    ) -> [usize; 2] {
+        let cold = MessageMemo::new();
+        let (_, alone) = pass_taking(
+            &contracted.clone().with_shortcut_memo(&cold),
+            &ns.clone(),
+            q,
+            d,
+        );
+        let want = bits(&alone);
+        let (memo, tables) = (MessageMemo::new(), ns.clone());
+        let plan = contracted.clone().with_shortcut_memo(&memo);
+        let (_, first) = pass_taking(&plan, &tables, q, d);
+        assert_eq!(bits(&first), want, "{q}");
+        let mut filed = 0;
+        let mut held = vec![None; plan.len()];
+        for u in (0..plan.len()).filter(|&u| u != plan.root()) {
+            let key = documented_key(plain, &plan, regions, u, q);
+            let in_tables = tables.memo().open().unwrap().get(&key);
+            if holds_only_cliques(&plan, u) {
+                held[u] = in_tables;
+                continue;
+            }
+            assert!(in_tables.is_none(), "{q}: sender {u} in the tables' memo");
+            held[u] = memo.open().unwrap().get(&key);
+            assert_eq!(
+                held[u].is_some(),
+                is_filed(&plan, u, q, d),
+                "{q}: sender {u}"
+            );
+            filed += usize::from(held[u].is_some());
+        }
+        let (got, second) = pass_taking(&plan, &tables, q, d);
+        let mut taken = 0;
+        for u in 0..plan.len() {
+            let mut above = std::iter::successors(plan.parent(u), |&w| plan.parent(w));
+            let topmost = !above.any(|w| held[w].is_some());
+            match (&held[u], &got[u]) {
+                (Some(want), Some(got)) if topmost => {
+                    assert!(Arc::ptr_eq(want, got), "{q}: sender {u}");
+                    taken += usize::from(!holds_only_cliques(&plan, u));
+                }
+                (_, None) if !topmost || held[u].is_none() => {}
+                (want, got) => {
+                    let (held, took) = (want.is_some(), got.is_some());
+                    panic!("{q}: sender {u}: held {held}, taken {took}, topmost {topmost}");
+                }
+            }
+        }
+        assert_eq!(bits(&second), want, "{q}");
+        let other = MessageMemo::new();
+        let (got, answer) = pass_taking(
+            &contracted.clone().with_shortcut_memo(&other),
+            &tables,
+            q,
+            d,
+        );
+        for (u, got) in got.iter().enumerate() {
+            assert!(
+                got.is_none() || holds_only_cliques(&plan, u),
+                "{q}: sender {u} from another memo"
+            );
+        }
+        assert_eq!(bits(&answer), want, "{q}");
+        [filed, taken]
+    }
+
+    /// `plain` with `regions[i]` contracted into shortcut `i` of scope and
+    /// table `tables[i]` — every region, or `only` the one.
+    fn contracted_with<'a>(
+        plain: &ReducedTree<'a>,
+        regions: &[Vec<usize>],
+        tables: &'a [(Scope, Potential)],
+        only: Option<usize>,
+    ) -> ReducedTree<'a> {
+        let mut region_of = vec![None; plain.len()];
+        let mut shortcuts = Vec::new();
+        for (i, region) in regions.iter().enumerate() {
+            if only.is_none_or(|k| k == i) {
+                region
+                    .iter()
+                    .for_each(|&w| region_of[w] = Some(shortcuts.len()));
+                shortcuts.push((&tables[i].0, Some(tables[i].1.view()), i));
+            }
+        }
+        plain.contract(&region_of, &shortcuts).unwrap()
+    }
+
+    /// A message whose subtree holds a shortcut is memoized with the
+    /// materialization the shortcut comes from. On a chain and on Figure 1,
+    /// with one interior region contracted and with two, hung from the
+    /// plan's root and from each leaf, `check_materialization_memo` holds.
+    /// A sender holding one shortcut into the other takes what the plan
+    /// with only the first filed for it, unless the other's scope meets it
+    /// in more than its separator: then it is computed.
+    #[test]
+    fn a_message_holding_a_shortcut_is_filed_with_its_materialization() {
+        let (mut filed, mut rehung_filed, mut shared, mut wide_filed) = ([0; 2], [0; 2], 0, 0);
+        for (bn, names) in [
+            (fixtures::chain(9, 3, 4), vec!["x0", "x8"]),
+            (fixtures::figure1(), vec!["a", "l"]),
+            (fixtures::figure1(), vec!["b", "i", "f"]),
+        ] {
+            let (tree, rooted, ns) = setup(&bn, None);
+            let d = bn.domain();
+            let q = Scope::from_iter(names.iter().map(|n| d.var(n).unwrap()));
+            let st = SteinerTree::extract(&tree, &rooted, &q).unwrap();
+            let plain = ReducedTree::from_steiner(&tree, &rooted, &st, Some(&ns));
+            let interior: Vec<usize> = (0..plain.len())
+                .filter(|&i| i != plain.root() && !plain.children(i).is_empty())
+                .collect();
+            let ones = interior.iter().map(|&i| vec![vec![i]]);
+            let twos = interior.iter().flat_map(|&i| {
+                interior
+                    .iter()
+                    .filter(move |&&j| j > i)
+                    .map(move |&j| vec![vec![i], vec![j]])
+            });
+            for regions in ones.chain(twos).collect::<Vec<_>>() {
+                let tables: Vec<(Scope, Potential)> = regions
+                    .iter()
+                    .map(|r| cut_out(&bn, &plain, r, &q))
+                    .collect();
+                let contracted = contracted_with(&plain, &regions, &tables, None);
+                let [f, t] = check_materialization_memo(&ns, &plain, &contracted, &regions, &q, d);
+                let k = regions.len() - 1;
+                filed[k] += f;
+                assert_eq!(t > 0, f > 0, "{q}: {regions:?}");
+                let leaves = (0..plain.len()).filter(|&i| {
+                    plain.children(i).is_empty() && !regions.iter().any(|r| r.contains(&i))
+                });
+                for leaf in leaves {
+                    let label = plain.nodes[leaf].label;
+                    let there = (0..contracted.len())
+                        .find(|&v| contracted.nodes[v].label == label)
+                        .unwrap();
+                    let [f, t] = check_materialization_memo(
+                        &ns,
+                        &plain.rehung(leaf),
+                        &contracted.rehung(there),
+                        &regions,
+                        &q,
+                        d,
+                    );
+                    rehung_filed[k] += f;
+                    assert_eq!(t > 0, f > 0, "{q}: {regions:?} from {leaf}");
+                }
+                // a sender holding one shortcut into the other, after the
+                // plan with only the first ran over the same memos
+                let into = |c: usize| match contracted.nodes[contracted.parent(c)?].label {
+                    NodeLabel::Shortcut(i) if !holds_only_cliques(&contracted, c) => Some(i),
+                    _ => None,
+                };
+                for (c, i) in (0..contracted.len()).filter_map(|c| Some((c, into(c)?))) {
+                    let node = &contracted.nodes[c];
+                    let sep = node.sep_to_parent.unwrap().scope();
+                    let key = documented_key(&plain, &contracted, &regions, c, &q);
+                    let wider = node.scope.iter().find(|&x| !sep.contains(x)).map(|x| {
+                        let mut wider = tables.clone();
+                        let scope = wider[i].0.union(&Scope::from_iter([x]));
+                        wider[i] = (scope.clone(), joint::marginal(&bn, &scope).unwrap());
+                        wider
+                    });
+                    let wide = wider.iter().map(|wider| (wider, true));
+                    for (tables, wide) in std::iter::once((&tables, false)).chain(wide) {
+                        let (memo, state) = (MessageMemo::new(), ns.clone());
+                        let first = contracted_with(&plain, &regions, tables, Some(1 - i))
+                            .with_shortcut_memo(&memo);
+                        pass_taking(&first, &state, &q, d);
+                        let held = memo.open().unwrap().get(&key);
+                        let both = contracted_with(&plain, &regions, tables, None);
+                        let (_, want) = pass_taking(
+                            &both.clone().with_shortcut_memo(&MessageMemo::new()),
+                            &ns.clone(),
+                            &q,
+                            d,
+                        );
+                        let (got, answer) =
+                            pass_taking(&both.with_shortcut_memo(&memo), &state, &q, d);
+                        assert_eq!(bits(&answer), bits(&want), "{q}");
+                        match (held, &got[c]) {
+                            (Some(_), None) if wide => wide_filed += 1,
+                            (Some(held), Some(got)) if !wide => {
+                                assert!(Arc::ptr_eq(&held, got), "{q}: sender {c}");
+                                shared += 1;
+                            }
+                            (None, None) => {}
+                            (held, got) => {
+                                let (held, took) = (held.is_some(), got.is_some());
+                                panic!("{q}: sender {c}, wide {wide}: held {held}, taken {took}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(filed.iter().all(|&n| n > 0), "{filed:?}");
+        assert!(rehung_filed.iter().all(|&n| n > 0), "{rehung_filed:?}");
+        assert!(
+            shared > 0,
+            "no shortcut-holding message shared across plans"
+        );
+        assert!(
+            wide_filed > 0,
+            "no filed message left untaken under a wider scope"
         );
     }
 

@@ -892,16 +892,15 @@ mod tests {
         ns.calibrate(&tree, &rooted).unwrap();
         let s = Shortcut::from_nodes(&tree, &rooted, vec![0]).unwrap();
         let (pot, _) = s.materialize(&tree, &rooted, &ns).unwrap();
-        let mat = Materialization {
-            shortcuts: vec![peanut_core::MaterializedShortcut {
+        let mat = Materialization::new(
+            vec![peanut_core::MaterializedShortcut {
                 ratio: 1.0,
                 benefit: 1.0,
                 potential: Some(pot.clone()),
                 shortcut: s,
             }],
-            overlapping: false,
-            epoch: 0,
-        };
+            false,
+        );
 
         let engine = QueryEngine::numeric(&tree, &bn).unwrap();
         let serving =

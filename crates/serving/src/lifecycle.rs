@@ -599,9 +599,8 @@ impl<'s, 't> FleetController<'s, 't> {
         // trials carry no dense tables (the knapsack would otherwise deep-
         // clone every already-selected potential per evaluation).
         let price = |c: &Candidate<'t>, si: usize| -> (f64, f64) {
-            let trial = Materialization {
-                shortcuts: c
-                    .selected
+            let trial = Materialization::new(
+                c.selected
                     .iter()
                     .chain(std::iter::once(&si))
                     .map(|&i| {
@@ -614,9 +613,8 @@ impl<'s, 't> FleetController<'s, 't> {
                         }
                     })
                     .collect(),
-                overlapping: c.overlapping,
-                epoch: 0,
-            };
+                c.overlapping,
+            );
             let ops = mean_query_ops(c.engine.engine(), &trial, &c.entries);
             // ops saved per fleet arrival
             (c.share * (c.current_ops - ops), ops)
@@ -686,11 +684,7 @@ impl<'s, 't> FleetController<'s, 't> {
             }
             // keep the online phase's invariant: decreasing ratio order
             shortcuts.sort_by(|a, b| b.ratio.total_cmp(&a.ratio));
-            let mat = Materialization {
-                shortcuts,
-                overlapping: c.overlapping,
-                epoch: 0,
-            };
+            let mat = Materialization::new(shortcuts, c.overlapping);
             let current = c.engine.materialization();
             let published = if fingerprint(&mat) == fingerprint(&current) {
                 None

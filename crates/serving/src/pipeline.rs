@@ -321,16 +321,15 @@ mod tests {
         let (pot, _) = s
             .materialize(tree, engine.rooted(), engine.numeric_state().unwrap())
             .unwrap();
-        let mat = Materialization {
-            shortcuts: vec![MaterializedShortcut {
+        let mat = Materialization::new(
+            vec![MaterializedShortcut {
                 ratio: 1.0,
                 benefit: 1.0,
                 potential: Some(pot),
                 shortcut: s,
             }],
-            overlapping: false,
-            epoch: 0,
-        };
+            false,
+        );
         ServingEngine::new(engine, mat, ServingConfig::default().with_workers(2))
     }
 

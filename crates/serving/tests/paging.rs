@@ -11,6 +11,8 @@
 //! * paging telemetry (faults, page-outs, fault wall time) is reported
 //!   per batch and cumulatively;
 //! * a failed write-behind persist is retried by the tenant's page-out;
+//! * an epoch's message memo starts empty at a publish and at a fault-in,
+//!   and a retired epoch's materialization keeps what it filed;
 //! * a corrupt epoch file fails only its own tenant, and fails it closed.
 
 mod common;
@@ -394,4 +396,72 @@ fn corrupt_epoch_file_fails_closed_through_serve_mixed() {
     for d in [dir, twin_dir] {
         let _ = std::fs::remove_dir_all(&d);
     }
+}
+
+/// An epoch's message memo lives and dies with its materialization: a
+/// publish starts the new epoch empty while the retired epoch's
+/// materialization keeps what it filed, and a tenant paged out and
+/// faulted back in starts empty too.
+#[test]
+fn an_epochs_message_memo_starts_empty_at_publish_and_fault_in() {
+    let bns: Vec<BayesianNetwork> = (0..2).map(|i| fixtures::chain(12, 3, 5 + i)).collect();
+    let trees: Vec<JunctionTree> = bns
+        .iter()
+        .map(|bn| build_junction_tree(bn).unwrap())
+        .collect();
+    let batches: Vec<Vec<ServeRequest>> = bns
+        .iter()
+        .enumerate()
+        .map(|(i, bn)| random_batch(bn, 48, 29 + i as u64))
+        .collect();
+    let dir = temp_dir("memo");
+    let fleet = build_fleet(&trees, &bns, &batches, Some(StoreConfig::new(&dir)), 1);
+    let served = |batch: &[ServeRequest]| {
+        let t0 = fleet.tenant(TenantId(0)).unwrap();
+        let (outcomes, _) = t0.serve_batch(batch);
+        assert!(outcomes.iter().all(|o| o.served().is_some()));
+        t0
+    };
+
+    let t0 = served(&batches[0]);
+    let retired = t0.materialization();
+    let (held, _) = retired.memo_usage();
+    assert!(
+        held > 0,
+        "test premise: the epoch files shortcut-holding messages"
+    );
+    t0.publish((*retired).clone());
+    assert_eq!(
+        t0.materialization().memo_usage().0,
+        0,
+        "a publish starts empty"
+    );
+    assert_eq!(
+        retired.memo_usage().0,
+        held,
+        "the retired epoch keeps its own"
+    );
+    served(&batches[0]);
+    assert!(
+        t0.materialization().memo_usage().0 > 0,
+        "the new epoch files"
+    );
+    drop(t0);
+
+    // touching tenant 1 under a cap of 1 pages tenant 0 out
+    fleet.tenant(TenantId(1)).unwrap();
+    let faults = fleet.paging_stats().faults;
+    let t0 = fleet.tenant(TenantId(0)).unwrap();
+    assert_eq!(
+        fleet.paging_stats().faults,
+        faults + 1,
+        "tenant 0 faulted in"
+    );
+    assert_eq!(t0.epoch(), 1);
+    assert_eq!(
+        t0.materialization().memo_usage().0,
+        0,
+        "a fault-in starts empty"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

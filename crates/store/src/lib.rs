@@ -567,11 +567,7 @@ impl StoredEpoch {
                 ratio: self.ratio(i),
             });
         }
-        Ok(Materialization {
-            shortcuts,
-            overlapping: self.overlapping,
-            epoch: self.epoch,
-        })
+        Ok(Materialization::new(shortcuts, self.overlapping).with_epoch(self.epoch))
     }
 }
 
@@ -627,11 +623,7 @@ mod tests {
                 }
             })
             .collect();
-        let mat = Materialization {
-            shortcuts,
-            overlapping: true,
-            epoch: 7,
-        };
+        let mat = Materialization::new(shortcuts, true).with_epoch(7);
 
         let stored = StoredEpoch::open(golden, true).unwrap();
         assert_eq!((stored.epoch(), stored.overlapping()), (7, true));

@@ -487,11 +487,8 @@ fn ragged_lane_tails_round_trip() {
     let mut tails = Vec::new();
     // every prefix of the selection is a smaller epoch of its own
     for k in 0..=full.shortcuts.len() {
-        let mat = Materialization {
-            shortcuts: full.shortcuts[..k].to_vec(),
-            overlapping: full.overlapping,
-            epoch: k as u64 + 1,
-        };
+        let mat = Materialization::new(full.shortcuts[..k].to_vec(), full.overlapping)
+            .with_epoch(k as u64 + 1);
         let path = dir.join(format!("prefix{k}.pnut"));
         assert_round_trip(&bn, &tree, &engine, &mat, &path, k as u64);
         let words = std::fs::metadata(&path).unwrap().len() / 8;

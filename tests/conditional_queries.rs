@@ -114,16 +114,15 @@ fn evidence_inside_shortcut_scope() {
     let (pot, _) = s.materialize(&tree, &rooted, &ns).unwrap();
     let shortcut_scope = s.scope().clone();
     assert!(shortcut_scope.contains(d.var("g").unwrap()), "test premise");
-    let mat = peanut::materialize::Materialization {
-        shortcuts: vec![MaterializedShortcut {
+    let mat = peanut::materialize::Materialization::new(
+        vec![MaterializedShortcut {
             ratio: 1.0,
             benefit: 1.0,
             potential: Some(pot),
             shortcut: s,
         }],
-        overlapping: false,
-        epoch: 0,
-    };
+        false,
+    );
     let online = OnlineEngine::new(&engine, &mat);
 
     // evidence on g (inside the shortcut scope), targets far away: the
