@@ -2,8 +2,9 @@
 //! processing Q′ = λ·skewed + (1−λ)·uniform for JT, PEANUT and PEANUT+
 //! materialized on the *skewed* workload (K = 10·b_T, ε = 1.2).
 
-use peanut_bench::harness::{drifted, evaluate, run_offline, Prepared};
+use peanut_bench::harness::{evaluate, run_offline, Prepared};
 use peanut_core::Variant;
+use peanut_workload::mix;
 
 /// Shared by fig8/fig9: `primary_skewed` selects which workload trains the
 /// materialization and anchors λ; the i-th λ's test mix is drawn with seed
@@ -28,7 +29,7 @@ pub fn run_drift(primary_skewed: bool, seed: u64) {
             "lambda", "JT", "PEANUT", "PEANUT+"
         );
         for (i, lambda) in [0.0, 0.25, 0.5, 0.75, 1.0].into_iter().enumerate() {
-            let test = drifted(train, other, lambda, n_test, seed + i as u64);
+            let test = mix(train, other, lambda, n_test, seed + i as u64);
             let (with_pea, base) = evaluate(&p, &pea, &test);
             let (with_plus, _) = evaluate(&p, &plus, &test);
             println!(

@@ -8,7 +8,7 @@ use peanut_datasets::DatasetSpec;
 use peanut_indsep::build_index;
 use peanut_junction::{build_junction_tree, JunctionTree, QueryEngine, RootedTree};
 use peanut_pgm::{BayesianNetwork, Scope, Size};
-use peanut_workload::{mix, skewed_queries, uniform_queries, QuerySpec};
+use peanut_workload::{skewed_queries, uniform_queries, QuerySpec};
 use std::time::Instant;
 
 /// A dataset instantiated and ready for experiments.
@@ -150,17 +150,6 @@ pub fn savings_percent(prepared: &Prepared, mat: &Materialization, test: &[Scope
             }
         })
         .collect()
-}
-
-/// Mixes two query pools: λ from `primary`, 1−λ from `secondary` (§5.3).
-pub fn drifted(
-    primary: &[Scope],
-    secondary: &[Scope],
-    lambda: f64,
-    n: usize,
-    seed: u64,
-) -> Vec<Scope> {
-    mix(primary, secondary, lambda, n, seed)
 }
 
 /// The INDSEP block-size candidates of §5.1.

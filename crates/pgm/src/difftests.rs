@@ -13,8 +13,8 @@
 
 use crate::domain::Domain;
 use crate::potential::{
-    div_assign_bcast, divide_views, legacy, product_marginalize_views, product_onto, Potential,
-    Scratch,
+    div_assign_bcast, divide_views, legacy, mul_assign_bcast, product_marginalize_views,
+    product_onto, Potential, Scratch,
 };
 use crate::scope::Scope;
 use crate::var::Var;
@@ -246,6 +246,25 @@ proptest! {
         let want = legacy::divide_in(&got, &g, &mut s).unwrap();
         let (scope, cards, values) = got.parts_mut();
         div_assign_bcast(scope, cards, values, g.view(), &mut s).unwrap();
+        assert_bit_identical(&got, &want);
+    }
+
+    /// The in-place multiply writes the legacy two-factor product's bits
+    /// into the first factor's own buffer, zero and negative-zero entries
+    /// on both sides included.
+    #[test]
+    fn mul_assign_bcast_bit_identical(
+        d in domain_from(1, 6),
+        s1 in scope_strategy(6),
+        s2 in scope_strategy(6),
+        seed in 0u64..10_000,
+    ) {
+        let g = potential_with_zeros(&d, s2.clone(), seed + 3);
+        let mut got = potential_with_zeros(&d, s1.union(&s2), seed);
+        let mut s = Scratch::new();
+        let want = legacy::product_in(&got, &g, &mut s).unwrap();
+        let (scope, cards, values) = got.parts_mut();
+        mul_assign_bcast(scope, cards, values, g.view(), &mut s).unwrap();
         assert_bit_identical(&got, &want);
     }
 

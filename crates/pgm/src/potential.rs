@@ -7,8 +7,8 @@
 //! table's axes, innermost first, as rows `[card, step in operand 0, …]`,
 //! where an axis on which every operand's step carries on from the row
 //! inside it (outer step = inner step × inner card) is folded into that
-//! row. Every kernel then runs a tight contiguous (or constant-stride)
-//! loop along the first row and steps an odometer (`odometer_step`) over
+//! row. Every kernel then runs a tight contiguous (or broadcast) loop
+//! along the first row and steps an odometer (`odometer_step`) over
 //! the rest — no per-entry index recomputation, no hashing, no per-entry
 //! function calls. One routine builds every walk's rows (`push_axis`).
 //!
@@ -17,14 +17,16 @@
 //! `Potential`'s own buffer or over a span of a contiguous arena slab (the
 //! flat junction-tree layout in `peanut-junction`). The in-place entry
 //! points [`product_onto`], [`mul_assign_bcast`] and [`div_assign_bcast`]
-//! take a `&mut [f64]` destination directly; an owned product is
-//! `product_onto` into a pooled buffer, an owned quotient a copy divided in
-//! place. Inner runs with unit or broadcast strides execute as the
-//! elementwise slice loops of `crate::lanes`, bit-identical to the scalar
-//! walk. Query-time message passing uses none of the three-step product →
-//! divide → marginalize sequence: [`product_marginalize_views`] sums a
-//! product onto its target without storing it, bit-identical to the two
-//! kernels it replaces.
+//! take a `&mut [f64]` destination directly and share one run loop
+//! (`bcast_runs`); a product is a copy of its first factor with each later
+//! one multiplied in, an owned product `product_onto` into a pooled buffer,
+//! an owned quotient a copy divided in place. Every inner run is unit-stride
+//! or broadcast (`Scratch::plan_walk`) and executes as an elementwise slice
+//! loop of `crate::lanes`, bit-identical to the scalar walk. Query-time
+//! message passing uses none of the three-step product → divide →
+//! marginalize sequence: [`product_marginalize_views`] sums a product onto
+//! its target without storing it, bit-identical to the two kernels it
+//! replaces.
 //!
 //! Every kernel also comes in an `_in` variant taking a [`Scratch`]: a
 //! caller-owned bundle of the walk's rows, odometer state and recycled
@@ -447,17 +449,11 @@ impl<'a> TableRef<'a> {
             });
         } else {
             scratch.walk(1, |pos, bases| {
-                let run = &src[pos..pos + inner];
-                let mut t = bases[0] as usize;
-                match st {
-                    0 => values[t] += lanes::seq_sum(run),
-                    1 => lanes::add_assign(&mut values[t..t + inner], run),
-                    _ => {
-                        for &v in run {
-                            values[t] += v;
-                            t += st as usize;
-                        }
-                    }
+                let (run, t) = (&src[pos..pos + inner], bases[0] as usize);
+                if st == 0 {
+                    values[t] += lanes::seq_sum(run);
+                } else {
+                    lanes::add_assign(&mut values[t..t + inner], run);
                 }
             });
         }
@@ -487,69 +483,25 @@ pub fn product_onto(
         dst.len() as u64,
         cards.iter().fold(1u64, |n, &c| n * c as u64)
     );
-    match factors {
-        [] => dst.fill(1.0),
-        [f] => copy_bcast(scope, cards, dst, *f, scratch)?,
-        [a, b] => {
-            scratch.plan_walk(scope, cards, &[(a.scope, a.cards), (b.scope, b.cards)])?;
-            let (av, bv) = (a.values, b.values);
-            let (len, sa, sb) = (scratch.rows[0] as usize, scratch.rows[1], scratch.rows[2]);
-            scratch.walk(1, |pos, bases| {
-                let out = &mut dst[pos..pos + len];
-                let (mut oa, mut ob) = (bases[0] as usize, bases[1] as usize);
-                match (sa, sb) {
-                    (1, 0) => lanes::mul_scalar(out, &av[oa..oa + len], bv[ob]),
-                    (0, 1) => lanes::mul_scalar(out, &bv[ob..ob + len], av[oa]),
-                    (1, 1) => lanes::mul(out, &av[oa..oa + len], &bv[ob..ob + len]),
-                    _ => {
-                        for slot in out {
-                            *slot = av[oa] * bv[ob];
-                            oa += sa as usize;
-                            ob += sb as usize;
-                        }
-                    }
-                }
-            });
-        }
-        _ => {
-            // copy the first factor, then one multiply-assign pass per
-            // remaining factor: each entry sees the same left-to-right
-            // product chain the per-entry walk computed
-            copy_bcast(scope, cards, dst, factors[0], scratch)?;
-            for f in &factors[1..] {
-                mul_assign_bcast(scope, cards, dst, *f, scratch)?;
-            }
-        }
+    let Some((first, rest)) = factors.split_first() else {
+        dst.fill(1.0);
+        return Ok(());
+    };
+    // copy the first factor, then one multiply-assign pass per later
+    // factor: each entry sees the same left-to-right product chain the
+    // per-entry walk computed
+    bcast_runs(
+        scope,
+        cards,
+        dst,
+        *first,
+        scratch,
+        <[f64]>::fill,
+        <[f64]>::copy_from_slice,
+    )?;
+    for f in rest {
+        mul_assign_bcast(scope, cards, dst, *f, scratch)?;
     }
-    Ok(())
-}
-
-/// Broadcast-copies view `f` into `dst` over (`scope`, `cards`):
-/// `dst[i] = f[project(i)]`.
-fn copy_bcast(
-    scope: &Scope,
-    cards: &[u32],
-    dst: &mut [f64],
-    f: TableRef<'_>,
-    scratch: &mut Scratch,
-) -> Result<()> {
-    scratch.plan_walk(scope, cards, &[(f.scope, f.cards)])?;
-    let a = f.values;
-    let (len, sa) = (scratch.rows[0] as usize, scratch.rows[1]);
-    scratch.walk(1, |pos, bases| {
-        let out = &mut dst[pos..pos + len];
-        let mut oa = bases[0] as usize;
-        match sa {
-            0 => out.fill(a[oa]),
-            1 => out.copy_from_slice(&a[oa..oa + len]),
-            _ => {
-                for slot in out {
-                    *slot = a[oa];
-                    oa += sa as usize;
-                }
-            }
-        }
-    });
     Ok(())
 }
 
@@ -564,24 +516,15 @@ pub fn mul_assign_bcast(
     f: TableRef<'_>,
     scratch: &mut Scratch,
 ) -> Result<()> {
-    scratch.plan_walk(scope, cards, &[(f.scope, f.cards)])?;
-    let a = f.values;
-    let (len, sa) = (scratch.rows[0] as usize, scratch.rows[1]);
-    scratch.walk(1, |pos, bases| {
-        let out = &mut dst[pos..pos + len];
-        let mut oa = bases[0] as usize;
-        match sa {
-            0 => lanes::mul_assign_scalar(out, a[oa]),
-            1 => lanes::mul_assign(out, &a[oa..oa + len]),
-            _ => {
-                for slot in out {
-                    *slot *= a[oa];
-                    oa += sa as usize;
-                }
-            }
-        }
-    });
-    Ok(())
+    bcast_runs(
+        scope,
+        cards,
+        dst,
+        f,
+        scratch,
+        lanes::mul_assign_scalar,
+        lanes::mul_assign,
+    )
 }
 
 /// Divides `dst` pointwise by view `den` over (`scope`, `cards`), with the
@@ -595,37 +538,43 @@ pub fn div_assign_bcast(
     den: TableRef<'_>,
     scratch: &mut Scratch,
 ) -> Result<()> {
-    scratch.plan_walk(scope, cards, &[(den.scope, den.cards)])?;
-    let div = den.values;
-    let (len, st) = (scratch.rows[0] as usize, scratch.rows[1]);
+    let scalar = |run: &mut [f64], d: f64| {
+        if d == 0.0 {
+            // rare: a zero (or negative-zero) broadcast denominator needs
+            // the Hugin 0/0 guard on every cell
+            run.iter_mut().for_each(|q| *q = lanes::hugin(*q, d));
+        } else {
+            // hoisting the d == 0.0 test off the hot path leaves a pure
+            // division stream (bitwise: hugin(v, d) = v / d whenever d != 0)
+            run.iter_mut().for_each(|q| *q /= d);
+        }
+    };
+    bcast_runs(scope, cards, dst, den, scratch, scalar, lanes::div_assign)
+}
+
+/// The one run loop of the elementwise kernels: walks `dst`, a table over
+/// (`scope`, `cards`), inner run by inner run against view `f`, whose
+/// scope `scope` contains. A run over which `f` holds still (inner step 0)
+/// goes to `scalar` with that one entry; one that reads an equal-length
+/// run of `f` (inner step 1) goes to `zip`. Those are the only two shapes
+/// [`Scratch::plan_walk`] plans for a contained operand.
+fn bcast_runs(
+    scope: &Scope,
+    cards: &[u32],
+    dst: &mut [f64],
+    f: TableRef<'_>,
+    scratch: &mut Scratch,
+    scalar: impl Fn(&mut [f64], f64),
+    zip: impl Fn(&mut [f64], &[f64]),
+) -> Result<()> {
+    scratch.plan_walk(scope, cards, &[(f.scope, f.cards)])?;
+    let (a, len, step) = (f.values, scratch.rows[0] as usize, scratch.rows[1]);
     scratch.walk(1, |pos, bases| {
-        let run = &mut dst[pos..pos + len];
-        let mut o = bases[0] as usize;
-        match st {
-            0 => {
-                let d = div[o];
-                if d == 0.0 {
-                    // rare: a zero (or negative-zero) broadcast denominator
-                    // needs the Hugin 0/0 guard on every cell
-                    for q in run {
-                        *q = lanes::hugin(*q, d);
-                    }
-                } else {
-                    // hoisting the d == 0.0 test off the hot path leaves a
-                    // pure division stream (bitwise: hugin(v, d) = v / d
-                    // whenever d != 0)
-                    for q in run {
-                        *q /= d;
-                    }
-                }
-            }
-            1 => lanes::div_assign(run, &div[o..o + len]),
-            _ => {
-                for q in run {
-                    *q = lanes::hugin(*q, div[o]);
-                    o += st as usize;
-                }
-            }
+        let (out, o) = (&mut dst[pos..pos + len], bases[0] as usize);
+        if step == 0 {
+            scalar(out, a[o]);
+        } else {
+            zip(out, &a[o..o + len]);
         }
     });
     Ok(())
@@ -1218,6 +1167,13 @@ impl Scratch {
     /// Plans the walk of the table over (`scope`, `cards`) in row-major
     /// order into `rows`, one step column per operand (a scope contained in
     /// `scope`, and its cardinalities); a unit row where nothing iterates.
+    ///
+    /// Every operand's step along the inner run is 0 or 1, which is why the
+    /// kernels have no strided arm. Both scopes are sorted, so the first
+    /// axis that iterates (card > 1) is either absent from the operand
+    /// (step 0) or the operand's innermost axis with an iterating card, all
+    /// of its axes below being unit axes (step 1); folding only widens the
+    /// run, never changes its steps. Operand cards must agree with `cards`.
     fn plan_walk(
         &mut self,
         scope: &Scope,
@@ -1244,6 +1200,7 @@ impl Scratch {
             rows.push(1);
             rows.resize(operands.len() + 1, 0);
         }
+        debug_assert!(rows[1..=operands.len()].iter().all(|&step| step <= 1));
         Ok(())
     }
 
@@ -1684,5 +1641,31 @@ mod tests {
         assert_eq!(v.card_of(Var(1)), Some(3));
         let back = v.to_potential();
         assert_eq!(back, f);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The invariant the elementwise kernels' two run shapes rest on:
+        /// along the inner run every contained operand steps by 0 or 1,
+        /// unit axes (card 1) anywhere in the scope included.
+        #[test]
+        fn plan_walk_gives_every_operand_an_inner_step_of_at_most_one(
+            cards in proptest::collection::vec(1u32..=4, 8),
+            in_scope in proptest::collection::vec(proptest::bool::ANY, 8),
+            masks in proptest::collection::vec(proptest::collection::vec(proptest::bool::ANY, 8), 1..=3),
+        ) {
+            let pick = |mask: &[bool]| {
+                Scope::from_iter((0..8).filter(|&i| in_scope[i] && mask[i]).map(|i| Var(i as u32)))
+            };
+            let cards_of = |s: &Scope| s.iter().map(|v| cards[v.0 as usize]).collect::<Vec<_>>();
+            let scope = pick(&[true; 8]);
+            let subs: Vec<_> = masks.iter().map(|m| pick(m)).map(|s| (cards_of(&s), s)).collect();
+            let operands: Vec<_> = subs.iter().map(|(c, s)| (s, &c[..])).collect();
+            let mut scratch = Scratch::new();
+            scratch.plan_walk(&scope, &cards_of(&scope), &operands).unwrap();
+            let steps = &scratch.rows[1..=operands.len()];
+            proptest::prop_assert!(steps.iter().all(|&step| step <= 1), "{scope} {steps:?}");
+        }
     }
 }

@@ -58,7 +58,6 @@ use peanut_core::{Materialization, ServeRequest};
 use peanut_junction::{JunctionTree, QueryEngine};
 use peanut_pgm::PgmError;
 use peanut_store::{rehydrate_engine, StoreConfig, StoredEpoch};
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Identifies one tenant (one model) of a sharded engine.
@@ -204,8 +203,8 @@ fn stamp(tick: u64, arrivals: usize) -> u64 {
 /// assert_eq!(stats.per_tenant.len(), 1);
 /// ```
 pub struct ShardedServingEngine<'t> {
+    /// Sorted by id, so a tenant's slot is a binary search.
     shards: Vec<TenantShard<'t>>,
-    index: HashMap<TenantId, usize>,
     cfg: ShardConfig,
     /// The **one** persistent pool every shard's fresh work fans out on,
     /// spawned lazily on the first mixed batch that needs it.
@@ -229,7 +228,6 @@ impl<'t> ShardedServingEngine<'t> {
     pub fn new(cfg: ShardConfig) -> Self {
         ShardedServingEngine {
             shards: Vec::new(),
-            index: HashMap::new(),
             cfg: ShardConfig {
                 serving: cfg.serving.resolved(),
                 ..cfg
@@ -299,18 +297,17 @@ impl<'t> ShardedServingEngine<'t> {
         engine: QueryEngine<'t>,
         mat: Materialization,
     ) -> Result<(), PgmError> {
-        if self.index.contains_key(&id) {
+        // keep the registry sorted by id so every fleet-level iteration
+        // (controller ticks, telemetry) is deterministic
+        let Err(at) = self.shards.binary_search_by_key(&id, |s| s.id) else {
             return Err(PgmError::DuplicateTenant(id.0));
-        }
+        };
         let tree = engine.tree();
         let mut serving = ServingEngine::new(engine, mat, self.tenant_config());
         if let Some(store) = &self.store {
             serving.set_store(store.clone(), id.0);
             serving.persist_current()?;
         }
-        // keep the registry sorted by id so every fleet-level iteration
-        // (controller ticks, telemetry) is deterministic
-        let at = self.shards.partition_point(|s| s.id < id);
         self.shards.insert(
             at,
             TenantShard {
@@ -321,10 +318,6 @@ impl<'t> ShardedServingEngine<'t> {
                 last_used: AtomicU64::new(stamp(self.clock.load(Ordering::Relaxed), 0)),
             },
         );
-        self.index.clear();
-        for (i, s) in self.shards.iter().enumerate() {
-            self.index.insert(s.id, i);
-        }
         Ok(())
     }
 
@@ -338,13 +331,18 @@ impl<'t> ShardedServingEngine<'t> {
         self.shards.is_empty()
     }
 
+    /// The registry slot of tenant `id`, if registered.
+    fn slot(&self, id: TenantId) -> Option<usize> {
+        self.shards.binary_search_by_key(&id, |s| s.id).ok()
+    }
+
     /// The per-tenant serving engine (epoch state, stats, cache — and
     /// [`publish`](ServingEngine::publish) for tenant-local swaps),
     /// faulting it in from the store when paged out. `None` for unknown
     /// tenants — and for paged-out tenants whose fault-in failed (counted
     /// in [`PagingStats::fault_errors`]).
     pub fn tenant(&self, id: TenantId) -> Option<Arc<ServingEngine<'t>>> {
-        let &slot = self.index.get(&id)?;
+        let slot = self.slot(id)?;
         self.touch(slot, self.tick(), 1);
         let engine = self.shard_engine(slot).ok()?;
         self.enforce_residency();
@@ -552,7 +550,7 @@ impl<'t> ShardedServingEngine<'t> {
         let mut assign: Vec<Option<(usize, usize)>> = batch
             .iter()
             .map(|(tid, _)| {
-                let slot = self.index.get(tid).copied();
+                let slot = self.slot(*tid);
                 match slot {
                     Some(slot) => arrivals[slot] += 1,
                     None => mstats.unknown_tenant += 1,
@@ -653,6 +651,7 @@ mod tests {
     use super::*;
     use peanut_junction::build_junction_tree;
     use peanut_pgm::{fixtures, joint, Scope};
+    use std::collections::HashMap;
 
     fn two_tenant_engine<'a>(
         trees: &'a [peanut_junction::JunctionTree],

@@ -54,10 +54,11 @@
 //!
 //! The header states exactly how long the file must be; `open` rejects
 //! any length mismatch, so truncation can never read garbage. The
-//! checksum catches bit rot and torn writes (writes go to a temp file
-//! that is renamed into place, so a crash mid-write leaves no partial
-//! file under the real name); `open` verifies it before it trusts any
-//! word it covers. A wrong version is a typed
+//! checksum catches bit rot and torn writes (each save writes its own
+//! temp file, `<file>.<pid>.<n>.tmp`, and renames it into place, so a
+//! crash mid-write leaves no partial file under the real name and two
+//! saves of one epoch never share one); `open` verifies it before it
+//! trusts any word it covers. A wrong version is a typed
 //! [`PgmError::StoreVersion`], every other validation failure a
 //! [`PgmError::CorruptStore`] — loud, never a silent wrong answer.
 //!
@@ -74,6 +75,10 @@ use peanut_pgm::{PgmError, Potential};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Saves started by this process: the `n` of a temp file name.
+static TEMP_FILES: AtomicU64 = AtomicU64::new(0);
 
 /// `"PNUTSTOR"` read as a little-endian word — the first word of every
 /// store file.
@@ -302,7 +307,12 @@ pub fn save(
         .ok_or_else(|| corrupt(path, "store path has no file name"))?
         .to_string_lossy()
         .into_owned();
-    let tmp = path.with_file_name(format!("{file_name}.tmp"));
+    // each save its own temp file: two persists of one epoch racing each
+    // other must not truncate one another's bytes or rename them away
+    // ordering: the counter only makes names unique; nothing is published
+    // through it
+    let n = TEMP_FILES.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_file_name(format!("{file_name}.{}.{n}.tmp", std::process::id()));
     let mut f = fs::File::create(&tmp).map_err(|e| store_io(&tmp, &e))?;
     let synced = f.write_all(&buf).and_then(|()| f.sync_all());
     drop(f);

@@ -260,9 +260,9 @@ fn store_config_tracks_the_latest_epoch() {
     // other tenants are untouched
     assert!(cfg.latest_epoch(5).is_none());
 
-    // a crashed save leaves `<name>.pnut.tmp` behind: never an epoch, and
-    // no obstacle to saving that epoch for real
-    let stale = dir.join("tenant4-epoch00000000000000000009.pnut.tmp");
+    // a crashed save leaves `<name>.pnut.<pid>.<n>.tmp` behind: never an
+    // epoch, and no obstacle to saving that epoch for real
+    let stale = dir.join("tenant4-epoch00000000000000000009.pnut.1.0.tmp");
     std::fs::write(&stale, b"torn").unwrap();
     assert_eq!(cfg.latest_epoch(4).unwrap().0, 5);
     let mat = Materialization::default().with_epoch(9);
@@ -271,7 +271,49 @@ fn store_config_tracks_the_latest_epoch() {
         .unwrap();
     assert_eq!(cfg.latest_epoch(4).unwrap(), (9, path.clone()));
     assert_eq!(StoredEpoch::open(&path, true).unwrap().epoch(), 9);
-    assert!(!stale.exists(), "the save renamed its temp file into place");
+    assert_eq!(
+        std::fs::read(&stale).unwrap(),
+        b"torn",
+        "a save writes only its own temp file"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Two threads persisting one epoch at once, as a publish's write-behind
+/// persist and a page-out's may, each of 300 saves started together by a
+/// barrier: each save writes its own temp file, so neither truncates nor
+/// renames away the other's. Every save succeeds, the file verifies, and
+/// no temp file is left.
+#[test]
+fn concurrent_saves_of_one_epoch_all_succeed() {
+    let dir = temp_dir("concurrent");
+    let cfg = StoreConfig::new(&dir);
+    let bn = fixtures::sprinkler();
+    let tree = build_junction_tree(&bn).unwrap();
+    let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+    let slab = engine.numeric_state().unwrap().arena().slab();
+    let mat = Materialization::default().with_epoch(2);
+    let flat = FlatMaterialization::pack(&mat);
+    // both threads start every save together
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                for i in 0..300 {
+                    start.wait();
+                    let saved = cfg.save_epoch(0, &mat, &flat, slab);
+                    assert!(saved.is_ok(), "save {i}: {saved:?}");
+                }
+            });
+        }
+    });
+    let path = cfg.epoch_path(0, 2);
+    assert_eq!(StoredEpoch::open(&path, true).unwrap().epoch(), 2);
+    let names: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(names, [path.file_name().unwrap()], "temp files left behind");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -289,10 +331,11 @@ fn failed_save_leaves_no_temp_file() {
     let slab = engine.numeric_state().unwrap().arena().slab();
     let err = save(&path, &mat, &FlatMaterialization::pack(&mat), slab).unwrap_err();
     assert!(matches!(err, PgmError::StoreIo { .. }), "{err}");
-    assert!(
-        !dir.join("epoch.pnut.tmp").exists(),
-        "temp file left behind"
-    );
+    let names: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(names, ["epoch.pnut"], "temp file left behind");
     assert!(path.is_dir(), "the directory in the way is untouched");
     std::fs::remove_dir_all(&dir).ok();
 }

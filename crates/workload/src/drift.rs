@@ -12,24 +12,11 @@ use rand::{Rng, SeedableRng};
 /// and from `secondary` otherwise (sampling the pools with replacement).
 ///
 /// `λ = 1` reproduces the training distribution; `λ = 0` is a full drift to
-/// the other workload.
+/// the other workload. The first `n` arrivals of a
+/// [`DriftSchedule::Constant`] stream.
 pub fn mix(primary: &[Scope], secondary: &[Scope], lambda: f64, n: usize, seed: u64) -> Vec<Scope> {
-    assert!((0.0..=1.0).contains(&lambda), "lambda must be in [0, 1]");
-    assert!(
-        !primary.is_empty() && !secondary.is_empty(),
-        "both pools must be non-empty"
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let pool = if rng.gen_range(0.0..1.0) < lambda {
-                primary
-            } else {
-                secondary
-            };
-            pool[rng.gen_range(0..pool.len())].clone()
-        })
-        .collect()
+    let schedule = DriftSchedule::Constant(lambda);
+    drifting_queries(primary, secondary, &schedule, n, seed)
 }
 
 /// How the mixing coefficient λ evolves over a query stream: λ(i) is the
@@ -61,15 +48,10 @@ pub enum DriftSchedule {
         /// First arrival of the new regime.
         at: usize,
     },
-    /// Piecewise-linear: `(arrival, λ)` knots in increasing arrival order;
-    /// λ interpolates linearly between consecutive knots, holds the first
-    /// knot's value before it and the last knot's value after it.
-    Piecewise(Vec<(usize, f64)>),
 }
 
 impl DriftSchedule {
-    /// Checks every configured λ lies in `[0, 1]` and piecewise knots are
-    /// non-empty and strictly increasing; panics otherwise.
+    /// Checks every configured λ lies in `[0, 1]`; panics otherwise.
     /// [`DriftStream::new`] calls this up front, so a malformed schedule
     /// fails at construction rather than at some later draw.
     pub fn validate(&self) {
@@ -85,16 +67,6 @@ impl DriftSchedule {
             DriftSchedule::Step { before, after, .. } => {
                 check(*before);
                 check(*after);
-            }
-            DriftSchedule::Piecewise(knots) => {
-                assert!(!knots.is_empty(), "piecewise schedule needs knots");
-                assert!(
-                    knots.windows(2).all(|w| w[0].0 < w[1].0),
-                    "piecewise knots must be strictly increasing"
-                );
-                for &(_, l) in knots {
-                    check(l);
-                }
             }
         }
     }
@@ -119,20 +91,6 @@ impl DriftSchedule {
                 } else {
                     *after
                 }
-            }
-            DriftSchedule::Piecewise(knots) => {
-                assert!(!knots.is_empty(), "piecewise schedule needs knots");
-                if i <= knots[0].0 {
-                    return knots[0].1;
-                }
-                for w in knots.windows(2) {
-                    let ((x0, l0), (x1, l1)) = (w[0], w[1]);
-                    if i <= x1 {
-                        let t = (i - x0) as f64 / (x1 - x0) as f64;
-                        return l0 + (l1 - l0) * t;
-                    }
-                }
-                knots.last().expect("non-empty").1
             }
         }
     }
@@ -268,20 +226,7 @@ mod tests {
         assert_eq!(step.lambda_at(9), 0.9);
         assert_eq!(step.lambda_at(10), 0.1);
 
-        let pw = DriftSchedule::Piecewise(vec![(10, 1.0), (20, 0.5), (40, 0.5), (60, 0.0)]);
-        assert_eq!(pw.lambda_at(0), 1.0);
-        assert!((pw.lambda_at(15) - 0.75).abs() < 1e-12);
-        assert_eq!(pw.lambda_at(30), 0.5);
-        assert!((pw.lambda_at(50) - 0.25).abs() < 1e-12);
-        assert_eq!(pw.lambda_at(100), 0.0);
-
         assert_eq!(DriftSchedule::Constant(0.3).lambda_at(7), 0.3);
-    }
-
-    #[test]
-    #[should_panic(expected = "increasing")]
-    fn piecewise_rejects_unordered_knots() {
-        DriftSchedule::Piecewise(vec![(20, 0.5), (10, 1.0)]).validate();
     }
 
     #[test]

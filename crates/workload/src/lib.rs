@@ -7,8 +7,9 @@
 //!   producing long Steiner trees);
 //! * **uniform** — variables sampled uniformly at random;
 //! * **drift** — the λ-mixtures used by the robustness experiments
-//!   (Figures 8–9), plus streaming λ-schedules (piecewise/linear drift over
-//!   a served query stream) for the re-materialization lifecycle;
+//!   (Figures 8–9), plus streaming λ-schedules (constant, linear or step
+//!   drift over a served query stream) for the re-materialization
+//!   lifecycle;
 //! * **tenants** — multi-tenant fleet traffic: interleaved per-tenant
 //!   streams with Zipf-skewed arrival rates and independent per-tenant
 //!   drift schedules, the input of the sharded serving layer;
