@@ -317,7 +317,8 @@ impl<'e, 't> OnlineEngine<'e, 't> {
     }
 
     /// Conditional distribution `P(targets | evidence)` answered through the
-    /// materialization (§3.1 joint→conditional reduction).
+    /// materialization (§3.1 joint→conditional reduction); evidence of
+    /// probability zero fails with [`PgmError::ImpossibleEvidence`].
     pub fn conditional(
         &self,
         targets: &Scope,
@@ -805,7 +806,7 @@ mod tests {
     }
 
     /// Evidence listed twice is one pin — through a shortcut-reduced plan
-    /// too — and two values for one variable leave an all-zero answer.
+    /// too — and two values for one variable are impossible evidence.
     #[test]
     fn repeated_evidence_answers_like_the_single_pair() {
         let (bn, engine) = figure1();
@@ -819,8 +820,10 @@ mod tests {
         assert_eq!(once.scope(), twice.scope());
         let bits = |p: &Potential| p.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&once), bits(&twice));
-        let (none, _) = online.conditional(&targets, &[(i, 0), (i, 1)]).unwrap();
-        assert!(none.values().iter().all(|&v| v == 0.0));
+        assert!(matches!(
+            online.conditional(&targets, &[(i, 0), (i, 1)]),
+            Err(PgmError::ImpossibleEvidence(_))
+        ));
     }
 
     /// Empty materialization behaves exactly like the plain engine.

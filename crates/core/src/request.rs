@@ -44,7 +44,8 @@ pub struct ServeRequest {
     /// Evidence assignments, sorted by variable, each pair once, and
     /// disjoint from the targets (overlap is rejected per-request at serve
     /// time, not here). Two values for one variable stay: that is a
-    /// contradiction, answered with an all-zero table.
+    /// contradiction, failed at serve time as
+    /// [`PgmError::ImpossibleEvidence`](peanut_pgm::PgmError::ImpossibleEvidence).
     pub evidence: Vec<(Var, u32)>,
 }
 

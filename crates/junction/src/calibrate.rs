@@ -129,9 +129,9 @@ impl NumericState {
     /// `targets ∪ vars(evidence)`.
     ///
     /// Impossible evidence (probability zero under the model, or two pairs
-    /// contradicting each other on one variable) is not an error: the
-    /// result's tables are all zero, matching the per-query conditional
-    /// path, and downstream normalization is a no-op on zero tables.
+    /// contradicting each other on one variable) fails with
+    /// [`PgmError::ImpossibleEvidence`], as on the per-query conditional
+    /// path: the propagated tables would hold no mass to condition on.
     /// Unknown variables and out-of-range values fail with
     /// [`PgmError::UnknownVar`] / [`PgmError::ValueOutOfRange`].
     pub fn with_evidence(
@@ -175,6 +175,10 @@ impl NumericState {
             }
         }
         restricted.calibrate(tree, rooted)?;
+        // every calibrated clique of the (connected) tree sums to P(e)
+        if restricted.clique_table(0).values().iter().sum::<f64>() <= 0.0 {
+            return Err(PgmError::ImpossibleEvidence(evidence.to_vec()));
+        }
         Ok(restricted)
     }
 
@@ -495,15 +499,12 @@ mod tests {
             // all mass sits on the evidence-consistent entries
             assert!((got.sum() - mass).abs() < 1e-12, "clique {u} stray mass");
         }
-        // contradictory evidence on one variable zeroes the whole tree
-        let zero = st
-            .with_evidence(
-                &tree,
-                &rooted,
-                &[(d.var("a").unwrap(), 0), (d.var("a").unwrap(), 1)],
-            )
-            .unwrap();
-        assert!(zero.arena().slab().iter().all(|&v| v == 0.0));
+        // contradictory evidence on one variable leaves no mass
+        let contradiction = [(d.var("a").unwrap(), 0), (d.var("a").unwrap(), 1)];
+        assert!(matches!(
+            st.with_evidence(&tree, &rooted, &contradiction),
+            Err(PgmError::ImpossibleEvidence(e)) if e == contradiction
+        ));
         // validation failures are typed
         assert!(matches!(
             st.with_evidence(&tree, &rooted, &[(Var(9999), 0)]),

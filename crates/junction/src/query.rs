@@ -178,7 +178,8 @@ impl<'t> QueryEngine<'t> {
     /// its plain count toward `r_q`, each pass run toward its cheapest
     /// Steiner member. The restricted tables' message memo starts empty:
     /// none of this engine's messages holds for them. Requires numeric
-    /// mode.
+    /// mode; evidence of probability zero fails with
+    /// [`PgmError::ImpossibleEvidence`].
     pub fn restricted_to_evidence(
         &self,
         evidence: &[(Var, u32)],
@@ -194,7 +195,10 @@ impl<'t> QueryEngine<'t> {
 
     /// Conditional distribution `P(targets | evidence)` via the paper's
     /// §3.1 reduction: answer the joint over `targets ∪ vars(evidence)`,
-    /// restrict it to the evidence values and renormalize.
+    /// restrict it to the evidence values and renormalize. Evidence of
+    /// probability zero — the restricted joint sums to 0, or two pairs
+    /// give one variable two values — fails with
+    /// [`PgmError::ImpossibleEvidence`].
     pub fn conditional(
         &self,
         targets: &Scope,
@@ -242,8 +246,7 @@ where
     let mut contradicted = false;
     for (i, &(v, value)) in evidence.iter().enumerate() {
         // a variable pinned before: the same value again changes nothing,
-        // another one leaves no consistent entry — an all-zero answer, as
-        // on a tree the evidence was absorbed into
+        // another one leaves no consistent entry
         if let Some(&(_, pinned)) = evidence[..i].iter().find(|&&(u, _)| u == v) {
             contradicted |= pinned != value;
             continue;
@@ -252,10 +255,12 @@ where
         scratch.recycle(restricted);
         restricted = next;
     }
-    if contradicted {
-        restricted.values_mut().fill(0.0);
+    // the restricted joint sums to P(evidence): nothing to condition on
+    // when that is zero
+    if contradicted || restricted.normalize() <= 0.0 {
+        scratch.recycle(restricted);
+        return Err(PgmError::ImpossibleEvidence(evidence.to_vec()));
     }
-    restricted.normalize();
     Ok((restricted, cost))
 }
 
@@ -388,7 +393,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_evidence_is_one_pin_and_a_contradiction_is_all_zero() {
+    fn repeated_evidence_is_one_pin_and_a_contradiction_is_an_error() {
         let bn = fixtures::figure1();
         let tree = build_junction_tree(&bn).unwrap();
         let eng = QueryEngine::numeric(&tree, &bn).unwrap();
@@ -405,15 +410,17 @@ mod tests {
         let (mut via_tree, _) = restricted.answer(&l).unwrap();
         via_tree.normalize();
         assert!(via_tree.max_abs_diff(&once).unwrap() < 1e-12);
-        // two values for one variable: nothing is consistent with both
-        let (none, _) = eng.conditional(&l, &[(a, 0), (a, 1)]).unwrap();
-        assert_eq!(none.scope(), &l);
-        assert!(none.values().iter().all(|&v| v == 0.0));
-        // ...and the restricted tree's all-zero tables are still consistent
-        let contradicted = eng.restricted_to_evidence(&[(a, 0), (a, 1)]).unwrap();
-        let ns = contradicted.numeric_state().unwrap();
-        assert!(ns.clique_table(0).values().iter().all(|&v| v == 0.0));
-        assert!(ns.local_consistency_error(&tree).unwrap() <= 1e-9);
+        // two values for one variable: nothing is consistent with both,
+        // at either door
+        let contradiction = vec![(a, 0), (a, 1)];
+        assert_eq!(
+            eng.conditional(&l, &contradiction).unwrap_err(),
+            PgmError::ImpossibleEvidence(contradiction.clone())
+        );
+        assert_eq!(
+            eng.restricted_to_evidence(&contradiction).err(),
+            Some(PgmError::ImpossibleEvidence(contradiction))
+        );
         // a repeat does not excuse a bad value
         assert!(matches!(
             eng.conditional(&l, &[(a, 1), (a, 9)]),

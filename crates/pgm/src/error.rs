@@ -30,6 +30,10 @@ pub enum PgmError {
     InfeasibleGenerator(String),
     /// A value assignment was out of range for the variable's cardinality.
     ValueOutOfRange { var: Var, value: u32, card: u32 },
+    /// Evidence of probability zero under the model — a zero-probability
+    /// assignment, or two values for one variable: no distribution is
+    /// conditioned on it.
+    ImpossibleEvidence(Vec<(Var, u32)>),
     /// A serving request named a tenant no shard is registered for.
     UnknownTenant(u32),
     /// A tenant id was registered twice with a sharded engine.
@@ -103,6 +107,9 @@ impl fmt::Display for PgmError {
                     f,
                     "value {value} out of range for {var} with cardinality {card}"
                 )
+            }
+            PgmError::ImpossibleEvidence(evidence) => {
+                write!(f, "evidence {evidence:?} has probability zero")
             }
             PgmError::UnknownTenant(t) => write!(f, "no shard registered for tenant {t}"),
             PgmError::DuplicateTenant(t) => write!(f, "tenant {t} is already registered"),

@@ -228,8 +228,9 @@ impl Potential {
         self.values.iter().sum()
     }
 
-    /// Scales all entries so they sum to one. No-op on an all-zero table.
-    pub fn normalize(&mut self) {
+    /// Scales all entries so they sum to one and returns the sum it
+    /// divided by. No-op on an all-zero table (the returned sum is 0).
+    pub fn normalize(&mut self) -> f64 {
         let s = self.sum();
         if s > 0.0 {
             let inv = 1.0 / s;
@@ -237,6 +238,7 @@ impl Potential {
                 *v *= inv;
             }
         }
+        s
     }
 
     /// Pointwise product of any number of factors.

@@ -678,7 +678,7 @@ mod tests {
 
     /// Evidence listed twice is the same request — one cache key through
     /// `ServeRequest::new`, the same bits however it was built — and two
-    /// values for one variable are served as an all-zero table.
+    /// values for one variable fail as impossible evidence.
     #[test]
     fn repeated_evidence_is_served_like_the_single_pair() {
         let bn = fixtures::figure1();
@@ -705,7 +705,10 @@ mod tests {
         };
         assert_eq!(bits(&answers[0]), bits(&answers[1]));
         assert_eq!(bits(&answers[0]), bits(&answers[2]));
-        assert!(bits(&answers[3]).iter().all(|&b| b == 0));
+        assert!(matches!(
+            answers[3].failure(),
+            Some(PgmError::ImpossibleEvidence(_))
+        ));
     }
 
     #[test]

@@ -70,9 +70,10 @@
 //!   observation windows, re-runs the offline selection on the observed
 //!   distribution when the workload drifts, and hot-publishes the next
 //!   epoch without pausing serving. A
-//!   [`FleetController`] lifts the loop to the
-//!   sharded engine, splitting one global budget across tenants by
-//!   observed benefit (greedy knapsack over candidate shortcut sets).
+//!   [`FleetController`] applies the same rule to every tenant of the
+//!   sharded engine, reading each tenant's benefit in its share of fleet
+//!   traffic, and splits one global budget across tenants by observed
+//!   benefit (greedy knapsack over candidate shortcut sets).
 
 pub mod engine;
 pub mod lifecycle;

@@ -7,36 +7,31 @@
 //! loop at serving time:
 //!
 //! 1. it watches the current epoch's [`WorkloadStats`] (fed by the serve
-//!    pipeline, once per answered request and batch) across a small **ring
-//!    of observation windows**, comparing the *observed* benefit against the
-//!    epoch's *reference* benefit — the savings the selection promised on
-//!    the distribution it was trained on. A swap needs both horizons to
-//!    decay: the most recent window (short horizon) *and* the aggregate of
-//!    the whole ring (long horizon), so a one-window traffic blip never
-//!    triggers a re-selection;
-//! 2. when the benefit decays below half of the reference, it re-runs
-//!    the offline selection (PEANUT+ at the paper's ε = 1.2) on the
-//!    **observed** query distribution accumulated over the ring (the
-//!    windows' scope counts through [`Workload::from_counts`], the one way
-//!    counts become a workload) — on the controller's thread, while
-//!    serving keeps draining batches;
-//! 3. if the new artifact's expected benefit (recomputed with the cost
-//!    model on the observed distribution) beats what the stale epoch is
-//!    delivering, it [`publish`](ServingEngine::publish)es the new epoch.
-//!    The swap is one exchange of the whole epoch state: no serving
-//!    pause, and the new epoch starts with an empty answer cache of its
-//!    own.
+//!    pipeline) across a **ring of observation windows**, comparing the
+//!    *observed* benefit against the *reference* — the savings the
+//!    selection promised on its training distribution. A swap needs the
+//!    most recent window (short horizon) *and* the whole ring's aggregate
+//!    (long horizon) to decay, so a one-window blip never triggers one;
+//! 2. below half of the reference, it re-runs the offline selection
+//!    (PEANUT+ at the paper's ε = 1.2) on the **observed** distribution
+//!    accumulated over the ring (scope counts through
+//!    [`Workload::from_counts`]) on the controller's thread, while serving
+//!    keeps draining batches;
+//! 3. if the new artifact's expected benefit on the observed distribution
+//!    beats what the stale epoch delivers, it
+//!    [`publish`](ServingEngine::publish)es the new epoch: one exchange of
+//!    the whole epoch state, no serving pause, a fresh answer cache.
 //!
-//! A [`FleetController`] lifts the same loop to a
-//! [`ShardedServingEngine`]: it ticks *all* tenants at once and splits one
-//! **global** materialization budget across them by observed benefit — a
-//! greedy knapsack over the per-tenant candidate shortcut sets, each
-//! candidate priced with the cost model ([`expected_ops`]) on that
-//! tenant's observed distribution and weighted by the tenant's share of
-//! fleet traffic. When a tenant's traffic spikes, its candidates' weighted
-//! benefit grows and the knapsack shifts budget toward it on the next
-//! rebalance. Every rebalance re-runs the candidate DP of each tenant
-//! that saw traffic.
+//! A [`FleetController`] runs the same rule per tenant of a
+//! [`ShardedServingEngine`], with savings read in **traffic units**: a
+//! window's observed savings × the tenant's share of the fleet arrivals
+//! that closed it, against share × expected savings at the last
+//! selection. An engine's share is exactly 1; a tenant whose share halves
+//! decays, which is what rebalances the fleet when another tenant's
+//! traffic spikes. When any ring is due, one **global** budget is split
+//! across the tenants by a greedy knapsack over their candidate shortcut
+//! sets, each priced with the cost model ([`expected_ops`]) on the
+//! tenant's observed distribution and weighted by its traffic share.
 //!
 //! Everything both controllers decide is a deterministic function of the
 //! recorded arrivals and their configuration, so a replay of the same
@@ -55,27 +50,18 @@ use peanut_core::{
 use peanut_junction::cost::expected_ops;
 use peanut_junction::QueryEngine;
 use peanut_pgm::{PgmError, Scope, Size};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
-/// Savings at or below this are "no benefit", for both controllers: an
-/// epoch whose reference is under the floor is not drift-checked (there is
-/// nothing to decay), a candidate selection must promise more than the
-/// floor to be published, and a fleet tenant under it keeps an empty
-/// allocation.
+/// Savings at or below this are "no benefit": a ring whose reference is
+/// under the floor is not drift-checked (nothing to decay), and a
+/// selection must promise more to be published or allocated.
 const MIN_SAVINGS: f64 = 0.01;
-/// An epoch (or a fleet tenant's allocation) has decayed when the observed
-/// savings drop below this fraction of the savings it was selected for.
+/// A ring has decayed when the observed savings drop below this fraction
+/// of the savings its last selection promised.
 const DECAY_THRESHOLD: f64 = 0.5;
-/// Closed windows the controller keeps (short- vs long-horizon
-/// comparison). A swap requires the ring to be full and *both* the latest
-/// window and the ring aggregate to be decayed, so a single anomalous
-/// window cannot trigger a re-selection.
+/// Closed windows a ring keeps (short- vs long-horizon comparison).
 const WINDOW_RING: usize = 3;
-/// The fleet rebalances when the tenants' traffic shares move by at least
-/// this much (L1 distance between consecutive share vectors) — the signal
-/// that follows a tenant's traffic spike.
-const SHARE_DRIFT: f64 = 0.25;
 
 /// What a lifecycle controller is told: how much traffic a decision needs
 /// and how much space a selection may use. Everything else — PEANUT+ at
@@ -84,11 +70,10 @@ const SHARE_DRIFT: f64 = 0.25;
 #[derive(Clone, Debug)]
 pub struct LifecycleConfig {
     /// Arrivals an observation window must hold before a decision is
-    /// taken: per engine for a [`RematerializationController`] (detection
-    /// judges the most recent `min_window`-or-more arrivals against the
-    /// ring aggregate — a forever-cumulative average would dilute a drift
-    /// signal with pre-drift history), summed over the tenants for a
-    /// [`FleetController`].
+    /// taken (at least one): per engine for a
+    /// [`RematerializationController`] (a forever-cumulative average would
+    /// dilute a drift signal with pre-drift history), summed over the
+    /// tenants for a [`FleetController`].
     pub min_window: u64,
     /// Space budget `K` for re-selection (table entries); the **global**
     /// budget a [`FleetController`] splits across its tenants.
@@ -183,14 +168,10 @@ fn workload_entries(w: &Workload) -> Vec<(Scope, f64)> {
 /// Runs the offline selection — PEANUT+ at the paper's ε = 1.2
 /// ([`PeanutConfig::plus`]) — on an observed workload, numeric when the
 /// engine is calibrated, symbolic otherwise. The LRDP fan-out runs on
-/// `exec` — the serving tier's persistent worker pool when the engine fans
-/// out, so a re-selection reuses parked workers instead of spawning its
-/// own. The pool routes this work to its re-materialization lane, where
-/// concurrent serving-lane waves preempt it between tasks: a
-/// drift-triggered re-selection stretches (it yields the workers to
-/// queries) instead of stalling the query path. The chosen tables are
-/// built together on the calling thread, sharing the messages their
-/// regions have in common.
+/// `exec`, the serving pool's re-materialization lane, where serving-lane
+/// waves preempt it between tasks: a re-selection stretches instead of
+/// stalling the query path. The chosen tables are built together on the
+/// calling thread, sharing the messages their regions have in common.
 fn reselect(
     engine: &QueryEngine<'_>,
     observed: &Workload,
@@ -205,26 +186,119 @@ fn reselect(
     })
 }
 
+/// The one decision rule of both controllers, held once per engine and
+/// once per fleet tenant: a ring of the last [`WINDOW_RING`] closed
+/// windows judged in traffic units (module doc) against the last
+/// selection's reference, a cold start, and a backoff after declines.
+#[derive(Default)]
+struct DecayRing {
+    /// Closed windows, oldest first: the retired accumulator (in-flight
+    /// stragglers may still top it up; the ring only needs window-scale
+    /// accuracy), its arrivals, and the arrivals that closed it — its own
+    /// for an engine, the whole fleet's for a tenant.
+    ring: VecDeque<(Arc<WorkloadStats>, u64, u64)>,
+    /// Traffic share × expected savings at the last selection.
+    reference: f64,
+    /// Windows closed so far (decisions taken, re-selections or not).
+    windows: u64,
+    /// Consecutive re-selections that produced nothing publishable.
+    declined: u32,
+    /// Due windows to sit out before re-selecting again (linear backoff:
+    /// unhelpable traffic must not re-run the offline DP every window).
+    backoff: u32,
+}
+
+impl DecayRing {
+    /// Closes a window that held `arrivals` of the `closed_by` that filled
+    /// it. A re-selection is due when the window (short horizon) and the
+    /// full ring's aggregate (long horizon) have both decayed — one
+    /// anomalous window moves the aggregate too little — or, with no
+    /// reference to protect, when the window saw traffic and `cold` (an
+    /// empty materialization, or a fleet that never rebalanced). Returns
+    /// the ring aggregate when one is due and no backoff sits it out.
+    fn close(
+        &mut self,
+        stats: Arc<WorkloadStats>,
+        arrivals: u64,
+        closed_by: u64,
+        cold: bool,
+    ) -> Option<StatsSnapshot> {
+        self.windows += 1;
+        let short = stats.snapshot().observed_savings() * (arrivals as f64 / closed_by as f64);
+        self.ring.push_back((stats, arrivals, closed_by));
+        if self.ring.len() > WINDOW_RING {
+            self.ring.pop_front();
+        }
+        let (long, share) = self.long();
+        let threshold = DECAY_THRESHOLD * self.reference;
+        let has_reference = self.reference > MIN_SAVINGS;
+        let short_decayed = has_reference && short < threshold;
+        let decayed = short_decayed
+            && self.ring.len() == WINDOW_RING
+            && long.observed_savings() * share < threshold;
+        let cold_start = cold && arrivals > 0 && !has_reference;
+        if !decayed && !cold_start {
+            if !short_decayed {
+                // a healthy window clears any decline backoff: if traffic
+                // shifts again, the next decay deserves a fresh attempt
+                self.declined = 0;
+                self.backoff = 0;
+            }
+            return None;
+        }
+        if self.backoff > 0 {
+            // recent re-selections found nothing publishable for traffic
+            // like this; sit this window out instead of re-running the
+            // offline DP on what is almost surely the same distribution
+            self.backoff -= 1;
+            return None;
+        }
+        Some(long)
+    }
+
+    /// Aggregate counters over the ring (long horizon) and the ring's
+    /// share of the arrivals that closed its windows.
+    fn long(&self) -> (StatsSnapshot, f64) {
+        let (mut agg, mut arrivals, mut closed_by) = (StatsSnapshot::default(), 0u64, 0u64);
+        for (stats, n, of) in &self.ring {
+            agg += stats.snapshot();
+            (arrivals, closed_by) = (arrivals + n, closed_by + of);
+        }
+        (agg, arrivals as f64 / closed_by as f64)
+    }
+
+    /// The observed workload accumulated over the whole ring: per-scope
+    /// arrival counts of every closed window, merged — the distribution a
+    /// re-selection trains on.
+    fn workload(&self) -> Workload {
+        Workload::from_counts(self.ring.iter().flat_map(|(w, ..)| w.scope_counts()))
+    }
+
+    /// A re-selection found nothing publishable: back off linearly.
+    fn decline(&mut self) {
+        self.declined += 1;
+        self.backoff = self.declined.min(16);
+    }
+
+    /// A selection now serves `reference` (traffic units); the windows
+    /// before it describe what it replaced, so drift detection starts over
+    /// from its own observations.
+    fn select(&mut self, reference: f64) {
+        self.reference = reference;
+        self.declined = 0;
+        self.backoff = 0;
+        self.ring.clear();
+    }
+}
+
 /// Watches a [`ServingEngine`]'s observed benefit and hot-swaps the
 /// materialization when the workload drifts.
 pub struct RematerializationController<'s, 't> {
     serving: &'s ServingEngine<'t>,
     cfg: LifecycleConfig,
-    reference_savings: f64,
-    /// The last [`WINDOW_RING`] closed observation windows, oldest first.
-    /// Each is a retired accumulator (in-flight stragglers may still top
-    /// one up right after it is retired; the ring only needs window-scale
-    /// accuracy).
-    ring: VecDeque<Arc<WorkloadStats>>,
+    /// The engine's decision; its share of its own arrivals is always 1.
+    decay: DecayRing,
     swaps: Vec<SwapEvent>,
-    /// Observation windows closed so far (decisions taken, swaps or not).
-    windows: u64,
-    /// Consecutive re-selections that produced nothing publishable.
-    declined: u32,
-    /// Decayed windows to sit out before attempting re-selection again
-    /// (linear backoff after declines: permanently unhelpable traffic
-    /// must not re-run the offline DP every single window).
-    backoff: u32,
 }
 
 impl<'s, 't> RematerializationController<'s, 't> {
@@ -232,26 +306,26 @@ impl<'s, 't> RematerializationController<'s, 't> {
     /// materialization was selected on; its expected savings become the
     /// reference the observed benefit is compared against.
     pub fn new(serving: &'s ServingEngine<'t>, training: &Workload, cfg: LifecycleConfig) -> Self {
-        let reference_savings = expected_savings(
+        let reference = expected_savings(
             serving.engine(),
             &serving.materialization(),
             &workload_entries(training),
         );
+        let decay = DecayRing {
+            reference,
+            ..DecayRing::default()
+        };
         RematerializationController {
             serving,
             cfg,
-            reference_savings,
-            ring: VecDeque::new(),
+            decay,
             swaps: Vec::new(),
-            windows: 0,
-            declined: 0,
-            backoff: 0,
         }
     }
 
     /// The reference savings the current epoch is held against.
     pub fn reference_savings(&self) -> f64 {
-        self.reference_savings
+        self.decay.reference
     }
 
     /// Every swap published so far.
@@ -261,23 +335,7 @@ impl<'s, 't> RematerializationController<'s, 't> {
 
     /// Observation windows closed so far (every decision, swap or not).
     pub fn windows(&self) -> u64 {
-        self.windows
-    }
-
-    /// Aggregate counters over the ring of closed windows (long horizon).
-    fn ring_snapshot(&self) -> StatsSnapshot {
-        let mut agg = StatsSnapshot::default();
-        for w in &self.ring {
-            agg += w.snapshot();
-        }
-        agg
-    }
-
-    /// The observed workload accumulated over the whole ring: per-scope
-    /// arrival counts of every closed window, merged — the distribution a
-    /// re-selection trains on.
-    fn ring_workload(&self) -> Workload {
-        Workload::from_counts(self.ring.iter().flat_map(|w| w.scope_counts()))
+        self.decay.windows
     }
 
     /// One decision round: when the current observation window has filled,
@@ -290,59 +348,23 @@ impl<'s, 't> RematerializationController<'s, 't> {
     /// Deterministic: the decision depends only on the recorded arrivals
     /// and the configuration, never on wall-clock time.
     pub fn tick(&mut self) -> Result<Option<SwapEvent>, PgmError> {
-        let snap = self.serving.stats().snapshot();
-        if snap.queries < self.cfg.min_window {
+        let arrivals = self.serving.stats().snapshot().queries;
+        if arrivals < self.cfg.min_window.max(1) {
             return Ok(None);
         }
         // the window closes either way: detection must judge recent
         // traffic, not a forever average diluted by old regimes
-        self.windows += 1;
+        let cold = self.serving.materialization().is_empty();
         let retired = self.serving.reset_stats();
-        let short = retired.snapshot().observed_savings();
-        self.ring.push_back(retired);
-        if self.ring.len() > WINDOW_RING {
-            self.ring.pop_front();
-        }
-
-        let long_snap = self.ring_snapshot();
+        let Some(long_snap) = self.decay.close(retired, arrivals, arrivals, cold) else {
+            return Ok(None);
+        };
         let long = long_snap.observed_savings();
-        let has_reference = self.reference_savings > MIN_SAVINGS;
-        let short_decayed = has_reference && short < DECAY_THRESHOLD * self.reference_savings;
-        // both horizons must agree, and the ring must be full: a single
-        // anomalous window inside otherwise-healthy traffic changes the
-        // aggregate too little to trip the long horizon
-        let decayed = short_decayed
-            && self.ring.len() == WINDOW_RING
-            && long < DECAY_THRESHOLD * self.reference_savings;
-        // cold-start bootstrap: an *empty* materialization gets a first
-        // selection from observed traffic as soon as a window fills, without
-        // waiting for the ring — there is no healthy history to protect
-        let cold_start =
-            self.serving.materialization().is_empty() && self.reference_savings <= MIN_SAVINGS;
-        if !decayed && !cold_start {
-            if !short_decayed {
-                // a healthy window clears any decline backoff: if traffic
-                // shifts again, the next decay deserves a fresh attempt
-                self.declined = 0;
-                self.backoff = 0;
-            }
-            return Ok(None);
-        }
-        if self.backoff > 0 {
-            // recent re-selections found nothing publishable for traffic
-            // like this; sit this window out instead of re-running the
-            // offline DP on what is almost surely the same distribution
-            self.backoff -= 1;
-            return Ok(None);
-        }
 
-        // Re-select on the distribution observed across the ring — off the
-        // serving path: batches keep draining on other threads while the
-        // DP runs here.
-        let observed_workload = self.ring_workload();
-        if observed_workload.is_empty() {
-            return Ok(None);
-        }
+        // Re-select on the distribution observed across the ring (never
+        // empty: its latest window holds arrivals) — off the serving path:
+        // batches keep draining on other threads while the DP runs here.
+        let observed_workload = self.decay.workload();
         let engine = self.serving.engine();
         let exec = self.serving.offline_exec();
         let t0 = Instant::now();
@@ -355,8 +377,7 @@ impl<'s, 't> RematerializationController<'s, 't> {
         let entries = workload_entries(&observed_workload);
         let new_reference = expected_savings(engine, &mat, &entries);
         if new_reference <= MIN_SAVINGS || new_reference <= long {
-            self.declined += 1;
-            self.backoff = self.declined.min(16);
+            self.decay.decline();
             return Ok(None);
         }
         let (shortcuts, total_size) = (mat.len(), mat.total_size());
@@ -365,19 +386,14 @@ impl<'s, 't> RematerializationController<'s, 't> {
             epoch,
             at_arrivals: long_snap.queries,
             observed_savings: long,
-            reference_savings: self.reference_savings,
+            reference_savings: self.decay.reference,
             new_reference_savings: new_reference,
             distinct_scopes: observed_workload.len(),
             shortcuts,
             total_size,
             selection,
         };
-        self.reference_savings = new_reference;
-        self.declined = 0;
-        self.backoff = 0;
-        // pre-swap windows describe the retired epoch; the new epoch's
-        // drift detection must start from its own observations
-        self.ring.clear();
+        self.decay.select(new_reference);
         self.swaps.push(event.clone());
         Ok(Some(event))
     }
@@ -397,23 +413,21 @@ impl<'s, 't> RematerializationController<'s, 't> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Fleet-level lifecycle: one global budget across all tenants
-// ---------------------------------------------------------------------------
+// --- Fleet-level lifecycle: one global budget across all tenants ---
 
 /// One tenant's share of a fleet rebalance.
 #[derive(Clone, Debug)]
 pub struct TenantAllocation {
     /// The tenant.
     pub tenant: TenantId,
-    /// Its share of fleet arrivals in the deciding window.
+    /// Its share of fleet arrivals over the windows it was selected on.
     pub share: f64,
     /// Shortcut potentials allocated to it.
     pub shortcuts: usize,
     /// Table entries of its allocation (its slice of the global budget).
     pub budget_used: Size,
     /// Expected savings of the allocation on the tenant's observed
-    /// distribution (the tenant's new reference).
+    /// distribution (times `share`, the tenant's new reference).
     pub expected_savings: f64,
     /// The epoch published for this tenant, when its materialization
     /// actually changed (`None` = the allocation was already being served).
@@ -427,7 +441,7 @@ pub struct FleetRebalance {
     pub at_arrivals: u64,
     /// Total table entries materialized fleet-wide (≤ the global budget):
     /// the fresh allocations of this rebalance plus the standing
-    /// allocations of tenants that saw no traffic this window.
+    /// allocations of tenants that saw no traffic since their last one.
     pub total_size: Size,
     /// Per-tenant outcome, in registry (id) order.
     pub allocations: Vec<TenantAllocation>,
@@ -439,43 +453,26 @@ pub struct FleetRebalance {
 /// Ticks every tenant of a [`ShardedServingEngine`] and splits a global
 /// materialization budget ([`LifecycleConfig::budget`]) across them by
 /// observed benefit, once [`LifecycleConfig::min_window`] arrivals have
-/// come in fleet-wide.
+/// come in fleet-wide and some tenant's ring is due.
 pub struct FleetController<'s, 't> {
     sharded: &'s ShardedServingEngine<'t>,
     cfg: LifecycleConfig,
-    /// Traffic shares at the last rebalance, in registry order.
-    last_shares: Option<Vec<(TenantId, f64)>>,
-    /// Expected savings each tenant's current allocation promised.
-    references: HashMap<TenantId, f64>,
-    /// Table entries each tenant's materialization held when a tick last
-    /// saw it resident — what a tenant paged out since then still serves
-    /// from the store, and still owes the global budget.
-    allocated: HashMap<TenantId, Size>,
+    /// Each tenant's decision, and the table entries its materialization
+    /// held when a tick last saw it resident — what a paged-out tenant
+    /// still serves from the store, and owes the global budget.
+    tenants: BTreeMap<TenantId, (DecayRing, Size)>,
     rebalances: Vec<FleetRebalance>,
-}
-
-/// L1 distance between two traffic-share vectors, joined by tenant id: a
-/// tenant on one side only (paging changes the resident set between
-/// ticks) moves by its whole share.
-fn share_l1(prev: &[(TenantId, f64)], now: &[(TenantId, f64)]) -> f64 {
-    let mut moved: BTreeMap<TenantId, f64> = prev.iter().copied().collect();
-    for &(id, share) in now {
-        *moved.entry(id).or_insert(0.0) -= share;
-    }
-    moved.values().map(|d| d.abs()).sum()
 }
 
 impl<'s, 't> FleetController<'s, 't> {
     /// Wraps a sharded engine. Tenants' current materializations are
-    /// treated as unreferenced (first filled window always rebalances),
-    /// which doubles as the fleet's cold start.
+    /// treated as unreferenced (the first filled window always
+    /// rebalances), which doubles as the fleet's cold start.
     pub fn new(sharded: &'s ShardedServingEngine<'t>, cfg: LifecycleConfig) -> Self {
         FleetController {
             sharded,
             cfg,
-            last_shares: None,
-            references: HashMap::new(),
-            allocated: HashMap::new(),
+            tenants: BTreeMap::new(),
             rebalances: Vec::new(),
         }
     }
@@ -486,58 +483,35 @@ impl<'s, 't> FleetController<'s, 't> {
     }
 
     /// One fleet decision round. When the fleet-wide window has filled,
-    /// decide whether a rebalance is warranted (first window, a 25% traffic
-    /// share shift, or a tenant's observed benefit decaying); if so,
-    /// generate per-tenant candidate shortcut
-    /// sets at the full global budget, split the budget with a greedy
-    /// knapsack on benefit-per-entry (weighted by traffic share), and
-    /// publish every tenant whose allocation changed. Rolls every tenant's
-    /// observation window after any decision.
+    /// every resident tenant closes its window into its ring. When any
+    /// ring is due, generate per-tenant candidate shortcut sets at the full
+    /// global budget, split the budget with a greedy knapsack on weighted
+    /// benefit per entry, and publish every tenant whose allocation
+    /// changed. An empty allocation counts as a declined re-selection.
     ///
     /// Deterministic: tenants are visited in registry order and every
     /// decision depends only on recorded arrivals and configuration.
     pub fn tick(&mut self) -> Result<Option<&FleetRebalance>, PgmError> {
-        // fleet snapshot, registry order (resident tenants only: a fleet
-        // with paging ticks its hot set; paged-out tenants have no traffic
-        // to observe and keep serving their persisted allocation, at the
-        // size remembered from the last tick that saw them)
-        let mut tenants: Vec<(TenantId, Arc<ServingEngine<'t>>, StatsSnapshot)> = Vec::new();
-        let mut total: u64 = 0;
-        for (id, eng) in self.sharded.tenants() {
-            let snap = eng.stats().snapshot();
-            total += snap.queries;
-            self.allocated
-                .insert(id, eng.materialization().total_size());
-            tenants.push((id, eng, snap));
+        // resident tenants only, registry order: paged-out tenants have no
+        // traffic and keep serving the allocation remembered for them
+        let resident = self.sharded.tenants();
+        let mut arrivals = Vec::with_capacity(resident.len());
+        for (id, eng) in &resident {
+            arrivals.push(eng.stats().snapshot().queries);
+            self.tenants.entry(*id).or_default().1 = eng.materialization().total_size();
         }
+        let total: u64 = arrivals.iter().sum();
         if total < self.cfg.min_window.max(1) {
             return Ok(None);
         }
-        let shares: Vec<(TenantId, f64)> = tenants
-            .iter()
-            .map(|(id, _, s)| (*id, s.queries as f64 / total as f64))
-            .collect();
-
-        let share_shift = self
-            .last_shares
-            .as_ref()
-            .is_none_or(|prev| share_l1(prev, &shares) >= SHARE_DRIFT);
-        let decayed = tenants.iter().any(|(id, _, s)| {
-            let reference = self.references.get(id).copied().unwrap_or(0.0);
-            s.queries > 0
-                && reference > MIN_SAVINGS
-                && s.observed_savings() < DECAY_THRESHOLD * reference
-        });
-        // cold start = traffic on a tenant the controller has never
-        // allocated for; a tenant whose last allocation came out *empty*
-        // (sub-floor benefit, recorded in `references`) is not cold —
-        // re-running the fleet DP every window for unhelpable traffic
-        // would be pure churn
-        let cold = tenants.iter().any(|(id, eng, s)| {
-            s.queries > 0 && eng.materialization().is_empty() && !self.references.contains_key(id)
-        });
-        if !share_shift && !decayed && !cold {
-            self.roll_windows();
+        let first = self.rebalances.is_empty();
+        let mut due = false;
+        for ((id, eng), &n) in resident.iter().zip(&arrivals) {
+            let ring = &mut self.tenants.get_mut(id).expect("entered above").0;
+            let cold = first || eng.materialization().is_empty();
+            due |= ring.close(eng.reset_stats(), n, total, cold).is_some();
+        }
+        if !due {
             return Ok(None);
         }
 
@@ -557,12 +531,13 @@ impl<'s, 't> FleetController<'s, 't> {
         let exec = self.sharded.offline_exec();
         let t0 = Instant::now();
         let mut candidates: Vec<Candidate<'t>> = Vec::new();
-        for ((id, eng, snap), (_, share)) in tenants.iter().zip(&shares) {
-            if snap.queries == 0 {
-                continue;
-            }
-            let observed = eng.stats().observed_workload();
+        for (id, eng) in &resident {
+            let ring = &mut self.tenants.get_mut(id).expect("entered above").0;
+            let observed = ring.workload();
             if observed.is_empty() {
+                // no traffic since its last selection: a share of 0 has
+                // nothing to decay, and its standing allocation stays
+                ring.select(0.0);
                 continue;
             }
             // candidate generation is the expensive half of a rebalance:
@@ -573,7 +548,7 @@ impl<'s, 't> FleetController<'s, 't> {
             candidates.push(Candidate {
                 tenant: *id,
                 engine: Arc::clone(eng),
-                share: *share,
+                share: ring.long().1,
                 entries,
                 pool: cand_mat.shortcuts,
                 overlapping: cand_mat.overlapping,
@@ -584,16 +559,15 @@ impl<'s, 't> FleetController<'s, 't> {
             });
         }
 
-        // Tenants that saw no traffic this window — resident or paged out
-        // — keep serving whatever they were last allocated; that standing
-        // allocation is charged against the global budget up front, so the
-        // knapsack only spends what is actually free fleet-wide.
-        let rebalanced: HashSet<TenantId> = candidates.iter().map(|c| c.tenant).collect();
+        // Tenants without candidates — idle or paged out — keep serving
+        // whatever they were last allocated; that standing allocation is
+        // charged against the global budget up front, so the knapsack only
+        // spends what is actually free fleet-wide.
         let reserved: Size = self
-            .allocated
+            .tenants
             .iter()
-            .filter(|(id, _)| !rebalanced.contains(id))
-            .fold(0u64, |a, (_, &size)| a.saturating_add(size));
+            .filter(|(id, _)| !candidates.iter().any(|c| c.tenant == **id))
+            .fold(0u64, |a, (_, &(_, size))| a.saturating_add(size));
 
         // Pricing a trial subset only needs the symbolic cost model, so
         // trials carry no dense tables (the knapsack would otherwise deep-
@@ -670,55 +644,42 @@ impl<'s, 't> FleetController<'s, 't> {
             let mut savings = savings_of(c.current_ops, c.base_ops);
             let mut shortcuts: Vec<peanut_core::MaterializedShortcut> =
                 c.selected.iter().map(|&i| c.pool[i].clone()).collect();
-            if savings <= MIN_SAVINGS && !shortcuts.is_empty() {
+            // keep the online phase's invariant: decreasing ratio order
+            shortcuts.sort_by(|a, b| b.ratio.total_cmp(&a.ratio));
+            let mut mat = Materialization::new(shortcuts, c.overlapping);
+            if savings <= MIN_SAVINGS {
                 // sub-floor benefit is "no benefit": the tenant keeps an
                 // empty allocation and its entries return to the pool
                 // (spendable at the *next* rebalance)
-                used = used.saturating_sub(
-                    shortcuts
-                        .iter()
-                        .fold(0u64, |a, s| a.saturating_add(s.shortcut.size())),
-                );
-                shortcuts.clear();
+                used = used.saturating_sub(mat.total_size());
+                mat = Materialization::new(Vec::new(), c.overlapping);
                 savings = 0.0;
             }
-            // keep the online phase's invariant: decreasing ratio order
-            shortcuts.sort_by(|a, b| b.ratio.total_cmp(&a.ratio));
-            let mat = Materialization::new(shortcuts, c.overlapping);
-            let current = c.engine.materialization();
-            let published = if fingerprint(&mat) == fingerprint(&current) {
-                None
+            let (ring, allocated) = self.tenants.get_mut(&c.tenant).expect("entered above");
+            *allocated = mat.total_size();
+            if mat.is_empty() {
+                // nothing worth its entries: a decline, as for an engine
+                ring.decline();
             } else {
-                Some(c.engine.publish(mat.clone()))
-            };
-            self.references.insert(c.tenant, savings);
-            self.allocated.insert(c.tenant, mat.total_size());
+                ring.select(c.share * savings);
+            }
             allocations.push(TenantAllocation {
                 tenant: c.tenant,
                 share: c.share,
                 shortcuts: mat.len(),
                 budget_used: mat.total_size(),
                 expected_savings: savings,
-                published,
+                published: (fingerprint(&mat) != fingerprint(&c.engine.materialization()))
+                    .then(|| c.engine.publish(mat)),
             });
         }
-        let rebalance = FleetRebalance {
+        self.rebalances.push(FleetRebalance {
             at_arrivals: total,
             total_size: used,
             allocations,
             selection: t0.elapsed(),
-        };
-        self.last_shares = Some(shares);
-        self.roll_windows();
-        self.rebalances.push(rebalance);
+        });
         Ok(self.rebalances.last())
-    }
-
-    /// Starts a fresh observation window on every tenant.
-    fn roll_windows(&self) {
-        for (_, eng) in self.sharded.tenants() {
-            eng.reset_stats();
-        }
     }
 }
 
@@ -1033,9 +994,14 @@ mod tests {
         };
         let t1_before = alloc(&r1, 1);
 
-        // phase 2: tenant 1 spikes to 75% — its share more than doubles
-        serve_split(&sharded, 20, 60);
-        let r2 = ctl.tick().unwrap().expect("share shift rebalances").clone();
+        // phase 2: tenant 1 spikes to 75% — its share more than doubles,
+        // and tenant 0's ring decays once the spike fills it
+        let r2 = (0..WINDOW_RING)
+            .find_map(|_| {
+                serve_split(&sharded, 20, 60);
+                ctl.tick().unwrap().cloned()
+            })
+            .expect("share shift rebalances");
         assert!(r2.total_size <= global_budget);
         let t1_after = alloc(&r2, 1);
         assert!(
@@ -1080,10 +1046,15 @@ mod tests {
         assert!(idle_alloc > 0, "test premise: tenant 1 got an allocation");
         assert!(fleet_size(&sharded) <= global_budget);
 
-        // window 2: tenant 1 goes fully idle; the share shift rebalances
-        // tenant 0 only — tenant 1's standing allocation is reserved
-        serve_split(&sharded, 80, 0);
-        let r2 = ctl.tick().unwrap().expect("share shift rebalances").clone();
+        // windows 2..: tenant 1 goes fully idle; once its ring decays the
+        // fleet rebalances tenant 0 only — tenant 1's standing allocation
+        // is reserved
+        let r2 = (0..WINDOW_RING)
+            .find_map(|_| {
+                serve_split(&sharded, 80, 0);
+                ctl.tick().unwrap().cloned()
+            })
+            .expect("share shift rebalances");
         assert!(
             r2.allocations.iter().all(|a| a.tenant == TenantId(0)),
             "only the active tenant is re-allocated"
@@ -1273,31 +1244,78 @@ mod tests {
         assert_eq!(ctl.rebalances().len(), 1);
     }
 
-    /// The share shift joins the two windows by tenant id: paging changes
-    /// the resident set between ticks, and a positional comparison would
-    /// read a swapped-in tenant as no movement at all.
+    /// With `min_window` 0 an idle engine still closes no window: an
+    /// empty window would take a ring slot from real traffic.
     #[test]
-    fn share_shift_joins_tenants_by_id() {
-        let t = |id: u32, share: f64| (TenantId(id), share);
-        // equal sets: the positional L1
-        let l1 = share_l1(&[t(0, 0.75), t(1, 0.25)], &[t(0, 0.25), t(1, 0.75)]);
-        assert_eq!(l1, 1.0);
-        assert_eq!(
-            share_l1(&[t(0, 0.5), t(1, 0.5)], &[t(0, 0.5), t(1, 0.5)]),
-            0.0
+    fn idle_engine_closes_no_window_at_min_window_zero() {
+        let serving = ServingEngine::new(
+            chain_engine(8, 13),
+            Materialization::default(),
+            ServingConfig::default().with_workers(1),
         );
-        // tenant 0 paged out, tenant 2 paged in: half the traffic moved
-        // out and half moved in (positionally: 0)
-        assert_eq!(
-            share_l1(&[t(0, 0.5), t(1, 0.5)], &[t(1, 0.5), t(2, 0.5)]),
-            1.0
+        let mut ctl = RematerializationController::new(
+            &serving,
+            &Workload::default(),
+            LifecycleConfig::new(64).with_min_window(0),
         );
-        // a shrunken resident set: the leaver's share counts too
-        let l1 = share_l1(
-            &[t(0, 0.25), t(1, 0.25), t(2, 0.5)],
-            &[t(0, 0.5), t(1, 0.5)],
-        );
-        assert_eq!(l1, 1.0);
-        assert_eq!(share_l1(&[t(1, 1.0)], &[t(0, 0.5), t(1, 0.5)]), 1.0);
+        for _ in 0..4 {
+            assert!(ctl.tick().unwrap().is_none());
+        }
+        assert_eq!(ctl.windows(), 0);
+    }
+
+    /// The fleet's ring: one spiked window between steady ones moves
+    /// every tenant's share but decays no ring's long horizon, so nothing
+    /// is rebalanced or republished.
+    #[test]
+    fn fleet_one_window_blip_does_not_rebalance() {
+        let sharded = two_tenant_fleet();
+        let mut ctl = FleetController::new(&sharded, LifecycleConfig::new(192).with_min_window(64));
+        serve_split(&sharded, 40, 40);
+        ctl.tick().unwrap().expect("first window rebalances");
+        let epochs = |s: &ShardedServingEngine<'_>| -> Vec<u64> {
+            s.tenants().iter().map(|(_, e)| e.epoch()).collect()
+        };
+        let before = epochs(&sharded);
+        for split in [(40, 40), (40, 40), (10, 70), (40, 40), (40, 40), (40, 40)] {
+            serve_split(&sharded, split.0, split.1);
+            assert!(
+                ctl.tick().unwrap().is_none(),
+                "{split:?} must not rebalance"
+            );
+        }
+        assert_eq!(ctl.rebalances().len(), 1);
+        assert_eq!(epochs(&sharded), before, "a blip must not republish");
+    }
+
+    /// The fleet version of `controller_declines_unhelpable_traffic`: a
+    /// tenant whose allocation comes out empty is a declined re-selection,
+    /// retried with the engine's linear backoff, never published.
+    #[test]
+    fn fleet_declines_unhelpable_traffic() {
+        let sharded = fleet_of(vec![chain_engine(14, 13)]);
+        let mut ctl = FleetController::new(&sharded, LifecycleConfig::new(512).with_min_window(8));
+        // single-variable in-clique queries: cost == baseline, always
+        let flat: Vec<(TenantId, ServeRequest)> = (0..14u32)
+            .map(|v| {
+                (
+                    TenantId(0),
+                    ServeRequest::marginal(Scope::from_indices(&[v])),
+                )
+            })
+            .collect();
+        for _ in 0..12 {
+            sharded.serve_mixed(&flat);
+            if let Some(r) = ctl.tick().unwrap() {
+                assert!(r.allocations.iter().all(|a| a.published.is_none()));
+            }
+        }
+        assert_eq!(ctl.tenants[&TenantId(0)].0.windows, 12);
+        // attempts at windows 1, 3, 6 and 10: one more window sat out
+        // after each decline
+        assert_eq!(ctl.rebalances().len(), 4);
+        let tenant = sharded.tenant(TenantId(0)).unwrap();
+        assert_eq!(tenant.epoch(), 0);
+        assert!(tenant.materialization().is_empty());
     }
 }

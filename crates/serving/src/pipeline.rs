@@ -166,8 +166,8 @@ impl<'a, 't> BatchRun<'a, 't> {
             online.conditional_traced_in(&req.targets, &req.evidence, scratch)?
         };
         if self.target.normalize {
-            // contradictory evidence leaves an all-zero table (sum 0),
-            // which normalize passes through untouched
+            // a session only opens on evidence of positive probability, so
+            // the restricted answer has mass to normalize
             traced.potential.normalize();
         }
         Ok(Arc::new(Answer {

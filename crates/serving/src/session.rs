@@ -73,9 +73,10 @@ impl<'t> ServingEngine<'t> {
     /// Opens an evidence session: absorbs `evidence` into a session-local
     /// clone of the calibrated tree and re-propagates **once**, so the
     /// marginal stream served through [`EvidenceSession::serve_batch`]
-    /// never re-pays the evidence. Contradictory evidence is not an error
-    /// (the restricted tables are all-zero and every answer sums to 0);
-    /// unknown variables and out-of-range values are.
+    /// never re-pays the evidence. Evidence of probability zero (under the
+    /// model, or two values for one variable) fails closed with
+    /// [`PgmError::ImpossibleEvidence`], as do unknown variables and
+    /// out-of-range values with their own errors.
     pub fn open_session(
         &self,
         mut evidence: Vec<(Var, u32)>,
@@ -192,17 +193,15 @@ mod tests {
     }
 
     #[test]
-    fn session_rejects_bad_evidence_but_not_contradictions() {
+    fn session_rejects_bad_and_contradictory_evidence() {
         let bn = fixtures::sprinkler();
         let serving = serving_for(&bn);
         assert!(serving.open_session(vec![(Var(99), 0)]).is_err());
-        // same variable pinned to two values: a contradiction, served as
-        // all-zero tables rather than an error (Hugin semantics)
-        let s = serving
-            .open_session(vec![(Var(1), 0), (Var(1), 1)])
-            .unwrap();
-        let a = s.serve_one(&Scope::from_indices(&[2]));
-        assert_eq!(a.served().unwrap().potential.sum(), 0.0);
+        // same variable pinned to two values: a contradiction, no session
+        assert!(matches!(
+            serving.open_session(vec![(Var(1), 0), (Var(1), 1)]),
+            Err(PgmError::ImpossibleEvidence(_))
+        ));
     }
 
     #[test]

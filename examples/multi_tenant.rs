@@ -8,10 +8,13 @@
 //! interleaved arrival stream with Zipf-skewed per-tenant rates. A
 //! [`FleetController`] watches all tenants at once and splits the global
 //! budget across them by observed benefit (a greedy knapsack over
-//! per-tenant candidate shortcut sets, weighted by traffic share). When
-//! one tenant's traffic spikes, the next rebalance shifts budget toward
-//! it — and only the re-allocated tenants' epochs move; everyone else's
-//! caches stay warm.
+//! per-tenant candidate shortcut sets, weighted by traffic share). Each
+//! tenant's benefit is read in its share of fleet traffic over a ring of
+//! three windows, as a single engine's controller reads its own: when one
+//! tenant's traffic spikes and stays up, the others' shares — and so
+//! their benefit — halve, their rings decay, and the rebalance shifts
+//! budget toward the spiking tenant. Only the re-allocated tenants' epochs
+//! move; everyone else's caches stay warm.
 //!
 //! Run with: `cargo run --release --example multi_tenant`
 
@@ -125,14 +128,15 @@ fn main() {
     println!("steady window: shares unchanged, controller holds (no republish)\n");
 
     // --- phase 2: the cold tenant spikes to the top of the fleet ---
+    // sustained until the cooling tenants' rings (three windows) decay
     let mut spiked = weights.clone();
     spiked[N_TENANTS - 1] *= 10.0;
-    serve_window(&spiked, 19);
-    let r2 = ctl
-        .tick()
-        .expect("fleet tick")
-        .expect("the share shift forces a rebalance")
-        .clone();
+    let r2 = (19..22)
+        .find_map(|seed| {
+            serve_window(&spiked, seed);
+            ctl.tick().expect("fleet tick").cloned()
+        })
+        .expect("the sustained share shift forces a rebalance");
     print_rebalance("phase 2 (tenant#2 spiked)", &r2);
 
     let alloc = |r: &peanut::serving::FleetRebalance, t: u32| {

@@ -2,8 +2,14 @@
 //! through both the plain engine and the materialization-aware one.
 
 use peanut::junction::{build_junction_tree, QueryEngine};
-use peanut::materialize::{OfflineContext, OnlineEngine, Peanut, PeanutConfig, Workload};
-use peanut::pgm::{fixtures, joint, Scope, Var};
+use peanut::materialize::{
+    Materialization, OfflineContext, OnlineEngine, Peanut, PeanutConfig, Workload,
+};
+use peanut::pgm::{fixtures, joint, PgmError, Scope, Var};
+use peanut::serving::{
+    ServeOutcome, ServeRequest, ServingConfig, ServingEngine, ShardConfig, ShardedServingEngine,
+    TenantId,
+};
 
 /// Brute-force conditional: P(t | e) from the full joint.
 fn oracle_conditional(
@@ -168,24 +174,82 @@ fn overlapping_targets_and_evidence_rejected() {
 }
 
 #[test]
-fn impossible_evidence_yields_zero_table() {
+fn impossible_evidence_is_an_error() {
     // P(wet=1) = 0 given sprinkler=0, rain=0 in the sprinkler network has a
-    // deterministic CPT row; conditioning on a zero-probability event
-    // produces an all-zero (unnormalizable) table rather than NaNs.
+    // deterministic CPT row; there is no distribution conditioned on a
+    // zero-probability event, so the answer is a typed error, never NaNs.
     let bn = fixtures::sprinkler();
     let tree = build_junction_tree(&bn).unwrap();
     let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+    let targets = Scope::singleton(bn.domain().var("cloudy").unwrap());
+    let evidence = sprinkler_impossible(&bn);
+    assert_eq!(
+        engine.conditional(&targets, &evidence).unwrap_err(),
+        PgmError::ImpossibleEvidence(evidence)
+    );
+}
+
+fn is_impossible<T>(r: Result<T, PgmError>) -> bool {
+    matches!(r, Err(PgmError::ImpossibleEvidence(_)))
+}
+
+/// Sprinkler off, no rain, wet grass: probability zero in `sprinkler`.
+fn sprinkler_impossible(bn: &peanut::pgm::BayesianNetwork) -> Vec<(Var, u32)> {
     let d = bn.domain();
-    let targets = Scope::singleton(d.var("cloudy").unwrap());
-    let evidence = vec![
+    vec![
         (d.var("sprinkler").unwrap(), 0u32),
         (d.var("rain").unwrap(), 0u32),
-        (d.var("wet").unwrap(), 1u32), // impossible: P(wet=1|s=0,r=0) = 0
-    ];
-    let (got, _) = engine.conditional(&targets, &evidence).unwrap();
-    assert!(got.values().iter().all(|v| v.is_finite()));
-    assert!(
-        got.sum().abs() < 1e-12,
-        "all-zero table for impossible evidence"
+        (d.var("wet").unwrap(), 1u32),
+    ]
+}
+
+/// Zero-probability evidence fails closed at every door that takes
+/// evidence, whether it is impossible under the model or contradicts
+/// itself on one variable.
+#[test]
+fn impossible_evidence_fails_at_every_door() {
+    let bn = fixtures::sprinkler();
+    let tree = build_junction_tree(&bn).unwrap();
+    let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+    let cloudy = Scope::singleton(bn.domain().var("cloudy").unwrap());
+    let rain = bn.domain().var("rain").unwrap();
+    let impossible = sprinkler_impossible(&bn);
+    let contradiction = vec![(rain, 0u32), (rain, 1)];
+
+    let train = Workload::from_queries(vec![Scope::from_indices(&[0, 3])]);
+    let ctx = OfflineContext::new(&tree, &train).unwrap();
+    let ns = engine.numeric_state().unwrap();
+    let (mat, _) = Peanut::offline_numeric(&ctx, &PeanutConfig::plus(64), ns).unwrap();
+    let online = OnlineEngine::new(&engine, &mat);
+    for evidence in [&impossible, &contradiction] {
+        assert!(is_impossible(engine.conditional(&cloudy, evidence)));
+        assert!(is_impossible(online.conditional(&cloudy, evidence)));
+    }
+
+    let requests: Vec<ServeRequest> = [&impossible, &contradiction]
+        .into_iter()
+        .map(|e| ServeRequest::new(cloudy.clone(), e.clone()))
+        .collect();
+    let failed = |o: &ServeOutcome| matches!(o.failure(), Some(PgmError::ImpossibleEvidence(_)));
+    let serving = ServingEngine::new(
+        QueryEngine::numeric(&tree, &bn).unwrap(),
+        mat,
+        ServingConfig::default().with_workers(1),
     );
+    let (answers, _) = serving.serve_batch(&requests);
+    assert!(answers.iter().all(failed));
+    assert!(is_impossible(serving.open_session(impossible.clone())));
+    assert!(is_impossible(serving.open_session(contradiction.clone())));
+
+    let mut sharded = ShardedServingEngine::new(ShardConfig::default().with_workers(1));
+    sharded
+        .register(
+            TenantId(0),
+            QueryEngine::numeric(&tree, &bn).unwrap(),
+            Materialization::default(),
+        )
+        .unwrap();
+    let mixed: Vec<_> = requests.into_iter().map(|r| (TenantId(0), r)).collect();
+    let (answers, _) = sharded.serve_mixed(&mixed);
+    assert!(answers.iter().all(failed));
 }
