@@ -1,14 +1,11 @@
-//! Ablation studies for three design choices of the method — not a paper
+//! Ablation studies for two design choices of the method — not a paper
 //! experiment (see "Deviations from the paper" in `ARCHITECTURE.md`):
 //!
 //! 1. **Workload-awareness** — the paper's central claim: compare PEANUT+
 //!    trained on the true (skewed) workload against the same machinery
 //!    trained on an uninformative uniform workload, evaluated on skewed
 //!    test queries.
-//! 2. **Online conflict resolution** — GWMIN over overlapping shortcuts vs
-//!    naive first-fit in ratio order (disjointness enforced greedily at
-//!    materialization time instead).
-//! 3. **Grid resolution** — ε sweep of solution quality at fixed budget.
+//! 2. **Grid resolution** — ε sweep of solution quality at fixed budget.
 
 use peanut_bench::harness::{mean, run_offline, savings_percent, skewed_counts, Prepared};
 use peanut_core::Variant;

@@ -6,7 +6,7 @@
 //! optimization and evaluation; INDSEP block 10³; PEANUT/PEANUT+ target
 //! budget 1000·b_T, ε = 1.2; VE-n with n = 5.
 
-use peanut_bench::harness::{mean, run_indsep, run_offline, uniform_count, Prepared};
+use peanut_bench::harness::{run_indsep, run_offline, uniform_count, Prepared};
 use peanut_core::{OnlineEngine, Variant};
 use peanut_junction::QueryEngine;
 use peanut_ve::VeN;
@@ -83,6 +83,5 @@ pub fn run() {
             peanut_bench::harness::sci(totals[3]),
             peanut_bench::harness::sci(totals[4]),
         );
-        let _ = mean(&[]);
     }
 }

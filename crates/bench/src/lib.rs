@@ -19,7 +19,7 @@
 //! | `fig8`   | Figure 8 — robustness to drift (skewed-trained) |
 //! | `fig9`   | Figure 9 — robustness to drift (uniform-trained) |
 //! | `fig10`  | Figure 10 — impact of the query-log size |
-//! | `ablation` | beyond the paper — workload-awareness, GWMIN and ε ablations |
+//! | `ablation` | beyond the paper — workload-awareness and ε ablations |
 //! | `pivot_study` | beyond the paper (§6 future work) — sensitivity to the pivot |
 //!
 //! This crate is the paper layer only — operation counts on the symbolic

@@ -165,7 +165,8 @@ impl Decisions<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lrdp::lrdp_all;
+    use crate::exec::SequentialExecutor;
+    use crate::lrdp::lrdp_all_on;
     use crate::workload::Workload;
     use peanut_junction::build_junction_tree;
     use peanut_pgm::{fixtures, Scope};
@@ -179,7 +180,7 @@ mod tests {
         let w = Workload::from_queries(queries);
         let ctx = OfflineContext::new(&tree, &w).unwrap();
         let grid = BudgetGrid::exact(k);
-        let roots = lrdp_all(&ctx, &grid, 1);
+        let roots = lrdp_all_on(&ctx, &grid, &SequentialExecutor);
         let res = budp(&ctx, &grid, &roots);
         (res, tree)
     }
@@ -226,7 +227,7 @@ mod tests {
         let w = Workload::from_queries(queries);
         let ctx = OfflineContext::new(&tree, &w).unwrap();
         let grid = BudgetGrid::exact(32);
-        let roots = lrdp_all(&ctx, &grid, 1);
+        let roots = lrdp_all_on(&ctx, &grid, &SequentialExecutor);
         let res = budp(&ctx, &grid, &roots);
         let best_single = roots
             .iter()

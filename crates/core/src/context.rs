@@ -1,11 +1,13 @@
-//! Offline precomputation shared by LRDP, BUDP and PEANUT+: per-query
-//! Steiner information, per-node benefit contributions, usefulness
-//! (Def. 3.1) and benefit (Defs. 3.2–3.3).
+//! Offline precomputation shared by LRDP, BUDP and PEANUT+: per-node
+//! benefit contributions (Def. 3.2), usefulness (Def. 3.1) and benefit
+//! (Def. 3.3).
 //!
-//! What is per query ([`QueryInfo`]) is what the usefulness test reads.
-//! What LRDP's path walk reads at every step is laid out by clique instead
-//! (`Columns`): the contributions of one clique to every query, and the
-//! queries whose Steiner tree holds it.
+//! Per query the context keeps what the usefulness test reads: the scope
+//! and its [`SteinerCover`], the input the online phase builds too. What
+//! LRDP's path walk reads at every step is laid out by clique instead
+//! (`Columns`): the contributions of one clique to every query, the
+//! queries whose Steiner tree holds it, and each query's weight and cover
+//! counts.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
@@ -14,27 +16,6 @@ use crate::util::{ones, BitSet};
 use crate::workload::Workload;
 use peanut_junction::{JunctionTree, RootedTree, SteinerTree};
 use peanut_pgm::{PgmError, Scope, Size, Var};
-
-/// Precomputed Steiner data for one distinct workload query: what the
-/// usefulness test (Def. 3.1) reads. The per-clique numbers LRDP's path
-/// walk reads — Def. 3.2's contributions and where its Steiner tree
-/// branches — live in the [`OfflineContext`], clique-major over all
-/// queries.
-#[derive(Clone, Debug)]
-pub struct QueryInfo {
-    /// The query variables.
-    pub scope: Scope,
-    /// `Pr_Q(q)`.
-    pub weight: f64,
-    /// Steiner-tree membership over clique ids.
-    pub steiner: BitSet,
-    /// Per query variable: how many Steiner cliques contain it.
-    pub var_cover: Vec<(Var, u32)>,
-    /// True when the query is in-clique (single Steiner node).
-    pub single_node: bool,
-    /// What [`delta`] reads.
-    cover: SteinerCover,
-}
 
 /// The query's half of usefulness (Def. 3.1) as bit rows over clique ids,
 /// laid out once per query in one vector: row 0 is `V(T_q) ∖ {r_q}`, row
@@ -76,8 +57,22 @@ impl SteinerCover {
         self.row(1 + i)[u / 64] >> (u % 64) & 1 == 1
     }
 
-    /// Usefulness `δ_S(q)` of `s` for the `query` these rows were laid out
-    /// for — see [`OfflineContext::delta`] for the three conditions.
+    /// How many Steiner cliques hold the `i`-th query variable.
+    fn count(&self, i: usize) -> u32 {
+        self.row(1 + i).iter().map(|w| w.count_ones()).sum()
+    }
+
+    /// Usefulness `δ_S(q)` (Def. 3.1) of `s` for the `query` these rows
+    /// were laid out for, in an operational form (listed under "Deviations
+    /// from the paper" in `ARCHITECTURE.md`):
+    ///
+    /// 1. `I = V(S) ∩ V(T_q)` is non-empty;
+    /// 2. some Steiner node outside `I` has its (Steiner-)parent inside `I`
+    ///    — equivalently, conditions (i)/(ii) of the paper: at least two cut
+    ///    separators lie on some leaf→`r_q` path when `r_q ∉ V(S)`, at least
+    ///    one when `r_q ∈ V(S)`;
+    /// 3. no query variable is lost: each query variable is either in the
+    ///    shortcut scope `X_S` or covered by a Steiner clique outside `I`.
     ///
     /// Condition 2 is `D(S) ∩ (V(T_q) ∖ {r_q}) ≠ ∅`: a Steiner node outside
     /// `V(S)` with its parent inside is a member of `D(S)`, and it is not
@@ -100,8 +95,8 @@ impl SteinerCover {
 pub struct OfflineContext<'t> {
     tree: &'t JunctionTree,
     rooted: RootedTree,
-    queries: Vec<QueryInfo>,
-    mu: Vec<Size>,
+    /// Per distinct query, in workload order: the usefulness input.
+    queries: Vec<(Scope, SteinerCover)>,
     columns: Columns,
 }
 
@@ -146,8 +141,8 @@ impl Contributions {
 /// The workload read clique by clique: what LRDP's path walk reads when it
 /// pushes or pops a clique and when it reads at one, laid out so that a
 /// step touches that clique's entries and no per-query row. Query `k` is
-/// the `k`-th of [`OfflineContext::queries`]; its variable *slots* are its
-/// positions `j` in the flat `(k, j)` order over every query's scope.
+/// the `k`-th workload entry; its variable *slots* are its positions `j` in
+/// the flat `(k, j)` order over every query's scope.
 ///
 /// A clique's *members* are the queries whose Steiner tree holds it and has
 /// more than one node (an in-clique query never counts in a path value).
@@ -157,6 +152,8 @@ pub(crate) struct Columns {
     words: usize,
     /// `contrib(u, q_k)` at `u · |Q| + k`.
     contrib: Vec<f64>,
+    /// `Pr_Q(q_k)` at `k`.
+    weight: Vec<f64>,
     /// Clique rows of query bits: bit `k` of `holds` is set when `q_k` is a
     /// member, of `branches` when it is one with a Steiner child at the
     /// clique, of `forks` when it has two or more.
@@ -172,33 +169,39 @@ pub(crate) struct Columns {
     held: Vec<u32>,
     /// Query `k`'s slots are `var_start[k]..var_start[k + 1]`.
     var_start: Vec<u32>,
+    /// Per slot: its variable and how many Steiner cliques of its query
+    /// hold it.
+    cover: Vec<(Var, u32)>,
 }
 
 impl Columns {
+    /// Lays out the workload's queries, each with its Steiner tree and
+    /// cover, clique by clique.
     fn new(
         tree: &JunctionTree,
         rooted: &RootedTree,
-        queries: &[QueryInfo],
-        contributions: &Contributions,
+        workload: &Workload,
+        steiner: &[SteinerTree],
+        queries: &[(Scope, SteinerCover)],
     ) -> Self {
         let (n, nq) = (tree.n_cliques(), queries.len());
         let words = nq.div_ceil(64);
         let mut var_start = Vec::with_capacity(nq + 1);
-        let mut slots = 0u32;
-        for qi in queries {
-            var_start.push(slots);
-            slots += qi.scope.len() as u32;
+        let mut cover = Vec::new();
+        for (scope, sc) in queries {
+            var_start.push(cover.len() as u32);
+            cover.extend(scope.iter().enumerate().map(|(i, x)| (x, sc.count(i))));
         }
-        var_start.push(slots);
-        // Def. 3.2 a column per query, as the row form computed it, eight
-        // queries at a time so that each clique's row is written in whole
-        // cache lines
+        var_start.push(cover.len() as u32);
+        // Def. 3.2 a column per query, eight queries at a time so that each
+        // clique's row is written in whole cache lines
         const BLOCK: usize = 8;
+        let contributions = Contributions::new(tree, rooted);
         let mut contrib = vec![0.0; n * nq];
         let mut block = vec![0.0; BLOCK * n];
         for (b0, chunk) in queries.chunks(BLOCK).enumerate() {
-            for (col, qi) in block.chunks_exact_mut(n.max(1)).zip(chunk) {
-                contributions.column(tree, &qi.scope, col);
+            for (col, (scope, _)) in block.chunks_exact_mut(n.max(1)).zip(chunk) {
+                contributions.column(tree, scope, col);
             }
             for u in 0..n {
                 let row = &mut contrib[u * nq + b0 * BLOCK..][..chunk.len()];
@@ -210,16 +213,13 @@ impl Columns {
         let mut holds = vec![0u64; n * words];
         let mut branches = vec![0u64; n * words];
         let mut forks = vec![0u64; n * words];
-        for (k, qi) in queries.iter().enumerate() {
-            if qi.single_node {
-                continue;
-            }
+        for (k, st) in steiner.iter().enumerate().filter(|(_, st)| st.len() > 1) {
             let (word, bit) = (k / 64, 1u64 << (k % 64));
-            for w in qi.steiner.iter() {
+            for &w in st.nodes() {
                 holds[w * words + word] |= bit;
                 // a Steiner node whose parent is one is that parent's
                 // Steiner child: the first marks a branch, the second a fork
-                if let Some(p) = rooted.parent(w).filter(|&p| qi.steiner.contains(p)) {
+                if let Some(p) = rooted.parent(w).filter(|&p| st.contains(p)) {
                     let at = p * words + word;
                     if branches[at] & bit == 0 {
                         branches[at] |= bit;
@@ -232,8 +232,8 @@ impl Columns {
         let (mut member_start, mut held_start, mut held) = (vec![0u32], vec![0u32], Vec::new());
         for u in 0..n {
             for k in ones(holds[u * words..][..words].iter().copied()) {
-                let cover = &queries[k].cover;
-                let slots = (0..queries[k].scope.len()).filter(|&j| cover.holds(j, u));
+                let (scope, sc) = &queries[k];
+                let slots = (0..scope.len()).filter(|&j| sc.holds(j, u));
                 held.extend(slots.map(|j| var_start[k] + j as u32));
                 held_start.push(held.len() as u32);
             }
@@ -243,6 +243,7 @@ impl Columns {
             n_queries: nq,
             words,
             contrib,
+            weight: workload.entries().iter().map(|e| e.weight).collect(),
             holds,
             branches,
             forks,
@@ -250,6 +251,7 @@ impl Columns {
             held_start,
             held,
             var_start,
+            cover,
         }
     }
 
@@ -262,13 +264,19 @@ impl Columns {
     /// Number of query-variable slots.
     #[inline]
     pub(crate) fn n_slots(&self) -> usize {
-        self.var_start[self.n_queries] as usize
+        self.cover.len()
     }
 
     /// `contrib(u, q_k)` for every `k`, in query order.
     #[inline]
     pub(crate) fn contrib_column(&self, u: usize) -> &[f64] {
         &self.contrib[u * self.n_queries..][..self.n_queries]
+    }
+
+    /// `Pr_Q(q_k)`.
+    #[inline]
+    pub(crate) fn weight(&self, k: usize) -> f64 {
+        self.weight[k]
     }
 
     /// Bit `k` set when `q_k` is a member of clique `u`.
@@ -303,42 +311,13 @@ impl Columns {
     pub(crate) fn slots(&self, k: usize) -> std::ops::Range<usize> {
         self.var_start[k] as usize..self.var_start[k + 1] as usize
     }
-}
 
-/// Builds the per-query Steiner information the usefulness test reads
-/// (offline: one per distinct workload query).
-pub fn build_query_info(
-    tree: &JunctionTree,
-    rooted: &RootedTree,
-    query: &Scope,
-    weight: f64,
-) -> Result<QueryInfo, PgmError> {
-    let st = SteinerTree::extract(tree, rooted, query)?;
-    let steiner = BitSet::from_members(tree.n_cliques(), st.nodes().iter().copied());
-    let cover = SteinerCover::new(tree, query, &st);
-    let covering = |i: usize| cover.row(1 + i).iter().map(|w| w.count_ones()).sum();
-    let var_cover = query
-        .iter()
-        .enumerate()
-        .map(|(i, x)| (x, covering(i)))
-        .collect();
-    Ok(QueryInfo {
-        scope: query.clone(),
-        weight,
-        single_node: st.len() == 1,
-        cover,
-        steiner,
-        var_cover,
-    })
-}
-
-/// Usefulness `δ_S(q)` (Def. 3.1) as a free function — the offline benefit
-/// and the online filter both end in [`SteinerCover::useful`]; see
-/// [`OfflineContext::delta`] for the condition derivation. The tree is not
-/// consulted: `s` and `qi` were built over it and carry what the test needs
-/// as bits.
-pub fn delta(_tree: &JunctionTree, _rooted: &RootedTree, s: &Shortcut, qi: &QueryInfo) -> bool {
-    qi.cover.useful(s, &qi.scope)
+    /// Slot `slot`'s variable and how many Steiner cliques of its query
+    /// hold it.
+    #[inline]
+    pub(crate) fn cover(&self, slot: usize) -> (Var, u32) {
+        self.cover[slot]
+    }
 }
 
 impl<'t> OfflineContext<'t> {
@@ -346,18 +325,26 @@ impl<'t> OfflineContext<'t> {
     /// lays the workload out clique by clique.
     pub fn new(tree: &'t JunctionTree, workload: &Workload) -> Result<Self, PgmError> {
         let rooted = RootedTree::new(tree);
-        let queries = workload
-            .entries()
+        let entries = workload.entries();
+        let steiner = entries
             .iter()
-            .map(|entry| build_query_info(tree, &rooted, &entry.query, entry.weight))
+            .map(|entry| SteinerTree::extract(tree, &rooted, &entry.query))
             .collect::<Result<Vec<_>, _>>()?;
-        let contributions = Contributions::new(tree, &rooted);
-        let columns = Columns::new(tree, &rooted, &queries, &contributions);
+        let queries: Vec<_> = entries
+            .iter()
+            .zip(&steiner)
+            .map(|(entry, st)| {
+                (
+                    entry.query.clone(),
+                    SteinerCover::new(tree, &entry.query, st),
+                )
+            })
+            .collect();
+        let columns = Columns::new(tree, &rooted, workload, &steiner, &queries);
         Ok(OfflineContext {
             tree,
             rooted,
             queries,
-            mu: contributions.mu,
             columns,
         })
     }
@@ -372,18 +359,6 @@ impl<'t> OfflineContext<'t> {
     #[inline]
     pub fn rooted(&self) -> &RootedTree {
         &self.rooted
-    }
-
-    /// The distinct queries.
-    #[inline]
-    pub fn queries(&self) -> &[QueryInfo] {
-        &self.queries
-    }
-
-    /// `μ(u)`.
-    #[inline]
-    pub fn mu(&self, u: usize) -> Size {
-        self.mu[u]
     }
 
     /// The per-node benefit contribution of Def. 3.2 for the `k`-th
@@ -401,34 +376,20 @@ impl<'t> OfflineContext<'t> {
         &self.columns
     }
 
-    /// Usefulness `δ_S(q)` (Def. 3.1), in an operational form (listed under
-    /// "Deviations from the paper" in `ARCHITECTURE.md`):
-    ///
-    /// 1. `I = V(S) ∩ V(T_q)` is non-empty;
-    /// 2. some Steiner node outside `I` has its (Steiner-)parent inside `I`
-    ///    — equivalently, conditions (i)/(ii) of the paper: at least two cut
-    ///    separators lie on some leaf→`r_q` path when `r_q ∉ V(S)`, at least
-    ///    one when `r_q ∈ V(S)`;
-    /// 3. no query variable is lost: each query variable is either in the
-    ///    shortcut scope `X_S` or covered by a Steiner clique outside `I`.
-    pub fn delta(&self, s: &Shortcut, qi: &QueryInfo) -> bool {
-        delta(self.tree, &self.rooted, s, qi)
-    }
-
-    /// `B(S, q)` (Def. 3.2) of the `k`-th distinct query.
-    pub fn benefit_for_query(&self, s: &Shortcut, k: usize) -> f64 {
-        if !self.delta(s, &self.queries[k]) {
-            return 0.0;
-        }
-        s.nodes().iter().map(|&u| self.contrib(u, k)).sum()
-    }
-
-    /// `B(S, Q)` (Def. 3.3): the workload-weighted benefit.
+    /// `B(S, Q)` (Def. 3.3): the workload-weighted benefit, each query's
+    /// `B(S, q)` (Def. 3.2) zero unless [`SteinerCover::useful`].
     pub fn benefit(&self, s: &Shortcut) -> f64 {
         self.queries
             .iter()
             .enumerate()
-            .map(|(k, qi)| qi.weight * self.benefit_for_query(s, k))
+            .map(|(k, (scope, cover))| {
+                let b = if cover.useful(s, scope) {
+                    s.nodes().iter().map(|&u| self.contrib(u, k)).sum()
+                } else {
+                    0.0
+                };
+                self.columns.weight(k) * b
+            })
             .sum()
     }
 }
@@ -468,29 +429,39 @@ mod tests {
 
     /// Def. 3.1 by walking the Steiner members and counting, per query
     /// variable, the covering cliques inside `V(S)` — the form
-    /// [`SteinerCover::useful`] replaced, kept as its reference.
+    /// [`SteinerCover::useful`] replaced, kept as its reference. It reads
+    /// the Steiner tree `st` of `query` and nothing the cover laid out.
     fn delta_by_walking(
         tree: &JunctionTree,
         rooted: &RootedTree,
         s: &Shortcut,
-        qi: &QueryInfo,
+        query: &Scope,
+        st: &SteinerTree,
     ) -> bool {
-        let members: Vec<usize> = qi.steiner.iter().collect();
-        if qi.single_node || !s.node_set().intersects(&qi.steiner) {
+        let members = st.nodes();
+        let steiner = BitSet::from_members(tree.n_cliques(), members.iter().copied());
+        if st.len() == 1 || !s.node_set().intersects(&steiner) {
             return false;
         }
         let below_edge = members.iter().any(|&w| {
             !s.node_set().contains(w)
                 && rooted
                     .parent(w)
-                    .is_some_and(|p| s.node_set().contains(p) && qi.steiner.contains(p))
+                    .is_some_and(|p| s.node_set().contains(p) && steiner.contains(p))
         });
+        let holding = |x: Var| members.iter().filter(move |&&u| tree.clique(u).contains(x));
         below_edge
-            && qi.var_cover.iter().all(|&(x, cnt_q)| {
-                let inside =
-                    |u: &&usize| s.node_set().contains(**u) && tree.clique(**u).contains(x);
-                s.scope().contains(x) || cnt_q != members.iter().filter(inside).count() as u32
+            && query.iter().all(|x| {
+                let inside = holding(x).filter(|&&u| s.node_set().contains(u)).count();
+                s.scope().contains(x) || holding(x).count() != inside
             })
+    }
+
+    /// Usefulness of `s` for the context's `k`-th query, read through the
+    /// test the context's benefit runs.
+    fn useful(ctx: &OfflineContext, s: &Shortcut, k: usize) -> bool {
+        let (scope, cover) = &ctx.queries[k];
+        cover.useful(s, scope)
     }
 
     /// The bit form of δ against the member-walking form, on generated
@@ -521,11 +492,13 @@ mod tests {
             let n_cliques = tree.n_cliques();
             tree.set_pivot(rng.sample(0..n_cliques));
             let rooted = RootedTree::new(&tree);
-            let queries: Vec<QueryInfo> = (0..16)
+            let queries: Vec<(Scope, SteinerTree)> = (0..16)
                 .map(|_| {
                     let k = rng.sample(1..6usize);
                     let picks: Vec<u32> = (0..k).map(|_| rng.sample(0..n as u32)).collect();
-                    build_query_info(&tree, &rooted, &Scope::from_indices(&picks), 1.0).unwrap()
+                    let q = Scope::from_indices(&picks);
+                    let st = SteinerTree::extract(&tree, &rooted, &q).unwrap();
+                    (q, st)
                 })
                 .collect();
             for round in 0..16 {
@@ -555,17 +528,16 @@ mod tests {
                 single += usize::from(s.nodes().len() == 1);
                 whole += usize::from(s.nodes().len() == n_cliques);
                 with_pivot += usize::from(s.node_set().contains(tree.pivot()));
-                for qi in &queries {
-                    let got = delta(&tree, &rooted, &s, qi);
+                for (q, st) in &queries {
+                    let got = SteinerCover::new(&tree, q, st).useful(&s, q);
                     assert_eq!(
                         got,
-                        delta_by_walking(&tree, &rooted, &s, qi),
-                        "seed {seed}, region {region:?}, query {}",
-                        qi.scope
+                        delta_by_walking(&tree, &rooted, &s, q, st),
+                        "seed {seed}, region {region:?}, query {q}"
                     );
                     *(if got { &mut useful } else { &mut useless }) += 1;
-                    in_clique += usize::from(qi.single_node);
-                    let r_q = qi.steiner.iter().min_by_key(|&u| rooted.depth(u)).unwrap();
+                    in_clique += usize::from(st.len() == 1);
+                    let r_q = st.root();
                     above_root += usize::from(
                         s.node_set().contains(r_q) && rooted.depth(s.root()) < rooted.depth(r_q),
                     );
@@ -594,16 +566,15 @@ mod tests {
         let ctx = OfflineContext::new(&tree, &w).unwrap();
         let region = vec![id(&names, "ce"), id(&names, "ef"), id(&names, "egh")];
         let s = Shortcut::from_nodes(&tree, ctx.rooted(), region).unwrap();
-        let qi = &ctx.queries()[0];
         // f ∈ {e,f} is inside the region and NOT in X_S = {c,e,g} ⇒ not
         // useful for this query (f would be lost)!
-        assert!(!ctx.delta(&s, qi));
+        assert!(!useful(&ctx, &s, 0));
 
         // The region {ce, egh} is not connected in our tree (egh hangs off
         // ef), but {egh} alone is: scope {e, g}; f is outside it, b outside,
         // i covered by gil outside ⇒ useful.
         let s2 = Shortcut::from_nodes(&tree, ctx.rooted(), vec![id(&names, "egh")]).unwrap();
-        assert!(ctx.delta(&s2, qi));
+        assert!(useful(&ctx, &s2, 0));
         assert!(ctx.benefit(&s2) > 0.0);
     }
 
@@ -615,7 +586,7 @@ mod tests {
         let w = Workload::from_queries([q]);
         let ctx = OfflineContext::new(&tree, &w).unwrap();
         let s = Shortcut::from_nodes(&tree, ctx.rooted(), vec![id(&names, "egh")]).unwrap();
-        assert!(!ctx.delta(&s, &ctx.queries()[0]));
+        assert!(!useful(&ctx, &s, 0));
         assert_eq!(ctx.benefit(&s), 0.0);
     }
 
@@ -628,7 +599,7 @@ mod tests {
         let w = Workload::from_queries([q]);
         let ctx = OfflineContext::new(&tree, &w).unwrap();
         let s = Shortcut::from_nodes(&tree, ctx.rooted(), vec![id(&names, "egh")]).unwrap();
-        assert!(!ctx.delta(&s, &ctx.queries()[0]));
+        assert!(!useful(&ctx, &s, 0));
     }
 
     #[test]
@@ -647,18 +618,12 @@ mod tests {
         // change the total when each query's B(S, q) is equal
         let b_skew = ctx_skew.benefit(&s);
         let b_flat = ctx_flat.benefit(&s);
-        let k1 = ctx_flat
-            .queries()
-            .iter()
-            .position(|qi| qi.scope == q1)
-            .unwrap();
-        let k2 = ctx_flat
-            .queries()
-            .iter()
-            .position(|qi| qi.scope == q2)
-            .unwrap();
-        let b1 = ctx_flat.benefit_for_query(&s, k1);
-        let b2 = ctx_flat.benefit_for_query(&s, k2);
+        // B(S, q) of one query is the benefit of a workload of it alone
+        let alone = |q: &Scope| {
+            let w = Workload::from_queries([q.clone()]);
+            OfflineContext::new(&tree, &w).unwrap().benefit(&s)
+        };
+        let (b1, b2) = (alone(&q1), alone(&q2));
         assert!((b_flat - (0.5 * b1 + 0.5 * b2)).abs() < 1e-9);
         assert!((b_skew - (0.75 * b1 + 0.25 * b2)).abs() < 1e-9);
     }
@@ -671,10 +636,10 @@ mod tests {
     fn stored_contrib_is_the_definition() {
         use peanut_pgm::generate::{generate_network, DagConfig};
         use proptest::test_runner::TestRng;
-        let by_definition = |ctx: &OfflineContext, u: usize, qi: &QueryInfo| {
+        let by_definition = |ctx: &OfflineContext, u: usize, q: &Scope| {
             let sub = ctx.rooted().subtree_scope(u);
-            let mut f = ctx.mu(u) as f64;
-            for x in qi.scope.iter() {
+            let mut f = ctx.tree().clique_size(u) as f64;
+            for x in q.iter() {
                 if sub.contains(x) {
                     f *= ctx.tree().domain().card(x) as f64;
                 }
@@ -711,15 +676,16 @@ mod tests {
                     Scope::from_indices(&picks)
                 })
                 .collect();
-            let ctx = OfflineContext::new(&tree, &Workload::from_queries(queries)).unwrap();
-            for (k, qi) in ctx.queries().iter().enumerate() {
+            let w = Workload::from_queries(queries);
+            let ctx = OfflineContext::new(&tree, &w).unwrap();
+            for (k, entry) in w.entries().iter().enumerate() {
                 for u in 0..tree.n_cliques() {
-                    let want = by_definition(&ctx, u, qi);
+                    let want = by_definition(&ctx, u, &entry.query);
                     assert_eq!(
                         ctx.contrib(u, k).to_bits(),
                         want.to_bits(),
                         "clique {u}, {}",
-                        qi.scope
+                        entry.query
                     );
                     pairs += 1;
                 }

@@ -7,8 +7,8 @@
 //! * [`shortcut`] — shortcut potentials: subtree, cut separators, scope
 //!   `X_S`, size `μ(S)`, numeric materialization;
 //! * [`context`] — the offline precomputation shared by both DPs: per-query
-//!   Steiner information, per-node benefit contributions, usefulness
-//!   (Def. 3.1) and benefit (Defs. 3.2–3.3);
+//!   Steiner covers, per-node benefit contributions, usefulness (Def. 3.1)
+//!   and benefit (Defs. 3.2–3.3);
 //! * [`grid`] — budget grids: the exact pseudo-polynomial range and the
 //!   strongly-polynomial geometric grid `{0, ⌊ε⌋, ⌊ε²⌋, …, K}` (§4.4);
 //! * [`lrdp`] — the left-to-right DP for the single-optimal-shortcut problem

@@ -37,14 +37,17 @@
 //!   branches off the path for with word operations on three rows;
 //! * a read visits only the queries on the path that branch at an internal
 //!   path node or at the top, found word by word from the live counters'
-//!   bits and the top's branch row.
+//!   bits and the top's branch row; it checks each one's variable slots
+//!   against the per-slot cover counts (how many of the query's Steiner
+//!   cliques hold the variable) and weighs its sum by the query's weight
+//!   `Pr_Q(q)`, both read from the columns, not from any per-query record.
 //!
 //! The bits cannot move: each query's sum takes the same `± contrib` terms
 //! in the same push/pop order, every counter reaches the same value, and a
 //! read adds its terms `w_q · Σ contrib` in ascending query order — the
 //! order the row form summed them in, skipping only terms it skipped. A
-//! test keeps the row form as the reference and compares every read by
-//! bits.
+//! test keeps the row form, built from the workload on its own, as the
+//! reference and compares every read by bits.
 //!
 //! ## Faithfulness notes
 //!
@@ -69,7 +72,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use crate::context::OfflineContext;
-use crate::exec::{Executor, ScopedExecutor};
+use crate::exec::Executor;
 use crate::grid::{BudgetGrid, Compose};
 use crate::shortcut::Shortcut;
 use crate::sync::OnceLock;
@@ -106,18 +109,12 @@ pub struct RootTables {
     pub per_budget: Vec<Option<usize>>,
 }
 
-/// Runs LRDP for every clique as `r_S`, optionally fanning out across
-/// threads (the roots are independent). Spawn-per-call; see
-/// [`lrdp_all_on`] for running on an externally owned executor (e.g. the
-/// serving tier's persistent worker pool).
-pub fn lrdp_all(ctx: &OfflineContext, grid: &BudgetGrid, threads: usize) -> Vec<RootTables> {
-    lrdp_all_on(ctx, grid, &ScopedExecutor::new(threads))
-}
-
-/// Runs LRDP for every clique as `r_S` on the given [`Executor`]. Tiny
-/// trees skip the fan-out entirely — the DP per root is cheaper than any
-/// dispatch. Output is deterministic (sorted by root) regardless of task
-/// completion order.
+/// Runs LRDP for every clique as `r_S` on the given [`Executor`] (the roots
+/// are independent): a [`ScopedExecutor`](crate::ScopedExecutor) spawns
+/// threads per call, the serving tier's persistent worker pool lends its
+/// own. Tiny trees skip the fan-out entirely — the DP per root is cheaper
+/// than any dispatch. Output is deterministic (sorted by root) regardless
+/// of task completion order.
 pub fn lrdp_all_on(
     ctx: &OfflineContext,
     grid: &BudgetGrid,
@@ -657,16 +654,12 @@ impl<'c> PathState<'c> {
             .zip(cols.branches(top))
             .map(|((&on, &b), &t)| on & (b | t));
         for k in ones(candidates) {
-            let qi = &ctx.queries()[k];
-            let covered = qi
-                .var_cover
-                .iter()
-                .zip(cols.slots(k))
-                .all(|(&(x, cnt_q), slot)| {
-                    self.cut_cnt[x.index()] > 0 || cnt_q > self.var_in_i[slot]
-                });
+            let covered = cols.slots(k).all(|slot| {
+                let (x, cnt_q) = cols.cover(slot);
+                self.cut_cnt[x.index()] > 0 || cnt_q > self.var_in_i[slot]
+            });
             if covered {
-                val += qi.weight * self.sum_contrib[k];
+                val += cols.weight(k) * self.sum_contrib[k];
             }
         }
         (val, cost)
@@ -676,17 +669,30 @@ impl<'c> PathState<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{ScopedExecutor, SequentialExecutor};
     use crate::workload::Workload;
-    use peanut_junction::{build_junction_tree, JunctionTree};
+    use peanut_junction::{build_junction_tree, JunctionTree, SteinerTree};
     use peanut_pgm::generate::{generate_network, DagConfig};
     use peanut_pgm::{fixtures, Scope};
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
 
+    /// One distinct query in row form, built from the workload on its own:
+    /// its Steiner membership, and per variable how many Steiner cliques
+    /// hold it.
+    struct Row {
+        scope: Scope,
+        weight: f64,
+        steiner: BitSet,
+        var_cover: Vec<(Var, u32)>,
+        single_node: bool,
+    }
+
     /// The path state in row form — every step visits every distinct query
     /// — kept as the reference the column form must equal bit for bit.
     struct RowPath<'c, 't> {
         ctx: &'c OfflineContext<'t>,
+        queries: Vec<Row>,
         /// Per query, per clique: number of Steiner children.
         q_children: Vec<Vec<u32>>,
         cnt_i: Vec<u32>,
@@ -698,14 +704,35 @@ mod tests {
     }
 
     impl<'c, 't> RowPath<'c, 't> {
-        fn new(ctx: &'c OfflineContext<'t>) -> Self {
-            let nq = ctx.queries().len();
-            let rooted = ctx.rooted();
-            let q_children = ctx
-                .queries()
+        fn new(ctx: &'c OfflineContext<'t>, workload: &Workload) -> Self {
+            let (tree, rooted) = (ctx.tree(), ctx.rooted());
+            let queries: Vec<Row> = workload
+                .entries()
+                .iter()
+                .map(|entry| {
+                    let st = SteinerTree::extract(tree, rooted, &entry.query).unwrap();
+                    let var_cover = entry
+                        .query
+                        .iter()
+                        .map(|x| {
+                            let held = st.nodes().iter().filter(|&&u| tree.clique(u).contains(x));
+                            (x, held.count() as u32)
+                        })
+                        .collect();
+                    Row {
+                        scope: entry.query.clone(),
+                        weight: entry.weight,
+                        steiner: BitSet::from_members(tree.n_cliques(), st.nodes().iter().copied()),
+                        var_cover,
+                        single_node: st.len() == 1,
+                    }
+                })
+                .collect();
+            let nq = queries.len();
+            let q_children = queries
                 .iter()
                 .map(|qi| {
-                    let mut ch = vec![0u32; ctx.tree().n_cliques()];
+                    let mut ch = vec![0u32; tree.n_cliques()];
                     for w in qi.steiner.iter() {
                         if let Some(p) = rooted.parent(w).filter(|&p| qi.steiner.contains(p)) {
                             ch[p] += 1;
@@ -719,13 +746,13 @@ mod tests {
                 cnt_i: vec![0; nq],
                 cnt_b: vec![0; nq],
                 sum_contrib: vec![0.0; nq],
-                var_in_i: ctx
-                    .queries()
+                var_in_i: queries
                     .iter()
                     .map(|qi| vec![0u32; qi.scope.len()])
                     .collect(),
-                cut_cnt: vec![0; ctx.tree().domain().len()],
+                cut_cnt: vec![0; tree.domain().len()],
                 path: Vec::new(),
+                queries,
                 ctx,
             }
         }
@@ -734,7 +761,7 @@ mod tests {
             let ctx = self.ctx;
             let rooted = ctx.rooted();
             let parent_on_path = self.path.last().copied();
-            for (k, qi) in ctx.queries().iter().enumerate() {
+            for (k, qi) in self.queries.iter().enumerate() {
                 let in_q_u = qi.steiner.contains(u);
                 if let Some(p) = parent_on_path {
                     if qi.steiner.contains(p) {
@@ -796,7 +823,7 @@ mod tests {
                 }
             }
             let mut val = 0.0;
-            for (k, qi) in ctx.queries().iter().enumerate() {
+            for (k, qi) in self.queries.iter().enumerate() {
                 if qi.single_node || self.cnt_i[k] == 0 {
                     continue;
                 }
@@ -827,6 +854,7 @@ mod tests {
     /// and the number of reads.
     fn row_path_values(
         ctx: &OfflineContext,
+        workload: &Workload,
         r_s: usize,
         grid: &BudgetGrid,
     ) -> (Vec<f64>, Vec<Option<usize>>, usize) {
@@ -834,7 +862,7 @@ mod tests {
         let base = rooted.dfs_pos(r_s);
         let len = rooted.subtree_nodes(r_s).len();
         let (mut cut_val, mut cut_cost_idx) = (vec![0.0f64; len], vec![None; len]);
-        let (mut row, mut col) = (RowPath::new(ctx), PathState::new(ctx));
+        let (mut row, mut col) = (RowPath::new(ctx, workload), PathState::new(ctx));
         row.push(r_s);
         col.push(r_s);
         let mut reads = 0;
@@ -946,7 +974,7 @@ mod tests {
                         prop_assert!(got.solutions.is_empty());
                         continue;
                     }
-                    let (val, cost, reads) = row_path_values(&ctx, r_s, &grid);
+                    let (val, cost, reads) = row_path_values(&ctx, &w, r_s, &grid);
                     prop_assert_eq!(reads + 1, ctx.rooted().subtree_nodes(r_s).len());
                     assert_same_tables(&got, &select(&ctx, r_s, &grid, &val, &cost));
                 }
@@ -1085,8 +1113,8 @@ mod tests {
         let pairs = (0..n).flat_map(|a| (a + 1..n).map(move |b| Scope::from_indices(&[a, b])));
         let ctx = OfflineContext::new(&tree, &Workload::from_queries(pairs)).unwrap();
         let grid = BudgetGrid::geometric(tree.total_separator_size() * 10, 1.2);
-        let one = lrdp_all(&ctx, &grid, 1);
-        let four = lrdp_all(&ctx, &grid, 4);
+        let one = lrdp_all_on(&ctx, &grid, &SequentialExecutor);
+        let four = lrdp_all_on(&ctx, &grid, &ScopedExecutor::new(4));
         assert_eq!(one.len(), tree.n_cliques());
         assert_eq!(four.len(), one.len());
         for (g, w) in four.iter().zip(&one) {
@@ -1262,7 +1290,8 @@ mod tests {
                 .collect();
             for (a_i, &a) in chosen.iter().enumerate() {
                 for &b in &chosen[a_i + 1..] {
-                    if rooted.is_ancestor(a, b) || rooted.is_ancestor(b, a) {
+                    let below = |a: usize, b: usize| rooted.subtree_nodes(a).contains(&b);
+                    if below(a, b) || below(b, a) {
                         continue 'subsets;
                     }
                 }

@@ -553,8 +553,8 @@ mod tests {
     }
 
     /// The planning loop `planned` replaced, kept as its reference: every
-    /// applicable shortcut gets a candidate tree — `replace_region` on the
-    /// plan so far — and a full cost pass. On the way it holds the in-place
+    /// applicable shortcut gets a candidate tree — the plan so far with the
+    /// shortcut's region contracted — and a full cost pass. On the way it holds the in-place
     /// price of each candidate, taken on the unreduced plan, to that pass.
     /// Returns the plan and how many candidates were priced and accepted.
     fn sequential_plan<'e>(
@@ -579,10 +579,11 @@ mod tests {
         for i in online.applicable(query, &st) {
             let ms = &mat.shortcuts[i];
             let in_place = substituted(&unreduced, query, domain, &anatomy, exact, &ms.shortcut);
-            let region: Vec<usize> = (0..rt.len())
-                .filter(|&k| in_region(&rt, &ms.shortcut, k))
+            let region_of: Vec<Option<usize>> = (0..rt.len())
+                .map(|k| in_region(&rt, &ms.shortcut, k).then_some(0))
                 .collect();
-            if region.is_empty() || region.len() == rt.len() {
+            let size = region_of.iter().flatten().count();
+            if size == 0 || size == rt.len() {
                 assert_eq!(
                     in_place, None,
                     "{query}: shortcut {i} covers nothing or all"
@@ -590,9 +591,8 @@ mod tests {
                 continue;
             }
             let table = ms.potential.as_ref().map(Potential::view);
-            let candidate = rt
-                .replace_region(&region, ms.shortcut.scope(), table, i)
-                .unwrap();
+            let shortcut = [(ms.shortcut.scope(), table, i)];
+            let candidate = rt.contract(&region_of, &shortcut).unwrap();
             let new_cost = candidate.cost(query, domain).ops;
             let in_place = in_place.expect("a proper region has a price");
             assert_eq!(

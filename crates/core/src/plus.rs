@@ -56,8 +56,9 @@ pub fn greedy_pack(roots: &[RootTables], budget: Size) -> Vec<ShortcutSolution> 
 mod tests {
     use super::*;
     use crate::context::OfflineContext;
+    use crate::exec::SequentialExecutor;
     use crate::grid::BudgetGrid;
-    use crate::lrdp::lrdp_all;
+    use crate::lrdp::lrdp_all_on;
     use crate::workload::Workload;
     use peanut_junction::build_junction_tree;
     use peanut_pgm::{fixtures, Scope};
@@ -83,7 +84,7 @@ mod tests {
         let w = Workload::from_queries(queries);
         let ctx = OfflineContext::new(&tree, &w).unwrap();
         let grid = BudgetGrid::exact(64);
-        let roots = lrdp_all(&ctx, &grid, 1);
+        let roots = lrdp_all_on(&ctx, &grid, &SequentialExecutor);
         for budget in [0u64, 2, 4, 8, 16, 64] {
             let chosen = greedy_pack(&roots, budget);
             let total: u64 = chosen.iter().map(|s| s.shortcut.size()).sum();
@@ -97,7 +98,7 @@ mod tests {
         let w = Workload::from_queries(queries);
         let ctx = OfflineContext::new(&tree, &w).unwrap();
         let grid = BudgetGrid::exact(64);
-        let roots = lrdp_all(&ctx, &grid, 1);
+        let roots = lrdp_all_on(&ctx, &grid, &SequentialExecutor);
         let mut prev = 0.0;
         for budget in [2u64, 4, 8, 16, 32, 64] {
             let chosen = greedy_pack(&roots, budget);
@@ -113,7 +114,7 @@ mod tests {
         let w = Workload::from_queries(queries);
         let ctx = OfflineContext::new(&tree, &w).unwrap();
         let grid = BudgetGrid::exact(128);
-        let roots = lrdp_all(&ctx, &grid, 1);
+        let roots = lrdp_all_on(&ctx, &grid, &SequentialExecutor);
         let chosen = greedy_pack(&roots, 128);
         // no duplicates
         for (i, a) in chosen.iter().enumerate() {

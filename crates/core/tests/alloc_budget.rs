@@ -215,12 +215,13 @@ fn dataset_selection_allocs(name: &str, bn: &BayesianNetwork) -> usize {
     let tree = build_junction_tree(bn).unwrap();
     let n = bn.n_vars() as u32;
     let pairs = (0..n).flat_map(|a| (a + 1..n).map(move |b| Scope::from_indices(&[a, b])));
-    let ctx = OfflineContext::new(&tree, &Workload::from_queries(pairs)).unwrap();
+    let w = Workload::from_queries(pairs);
+    let ctx = OfflineContext::new(&tree, &w).unwrap();
     let cfg = PeanutConfig::plus(tree.total_separator_size().max(1) * 10);
     let (mat, _, calls) = counted(|| Peanut::offline(&ctx, &cfg));
     println!(
         "{name}: Peanut::offline made {calls} allocator calls ({} distinct queries, {} cliques, {} shortcuts)",
-        ctx.queries().len(),
+        w.len(),
         tree.n_cliques(),
         mat.shortcuts.len()
     );

@@ -24,7 +24,7 @@
 //! equal, and the multiset of shortcut ids in the reduced tree must be
 //! equal; variable elimination is the outer oracle.
 
-use peanut_core::context::{build_query_info, delta};
+use peanut_core::context::SteinerCover;
 use peanut_core::gwmin::gwmin;
 use peanut_core::{Materialization, OfflineContext, OnlineEngine, Peanut, PeanutConfig, Workload};
 use peanut_junction::cost::{marginalization_ops, node_ops, QueryCost};
@@ -294,16 +294,16 @@ fn reference_reduce(
     mat: &Materialization,
     query: &Scope,
 ) -> (Option<RefTree>, Size) {
-    let (tree, rooted, domain) = (engine.tree(), engine.rooted(), engine.tree().domain());
+    let (tree, domain) = (engine.tree(), engine.tree().domain());
     let st = match engine.plan(query).unwrap() {
         QueryPlan::InClique(u) => return (None, marginalization_ops(tree.clique(u), domain)),
         QueryPlan::OutOfClique(st) => st,
     };
     let mut rt = RefTree::from_steiner(engine, &st);
     let baseline = rt.cost(query, domain).ops;
-    let qi = build_query_info(tree, rooted, query, 1.0).unwrap();
+    let cover = SteinerCover::new(tree, query, &st);
     let useful: Vec<usize> = (0..mat.shortcuts.len())
-        .filter(|&i| delta(tree, rooted, &mat.shortcuts[i].shortcut, &qi))
+        .filter(|&i| cover.useful(&mat.shortcuts[i].shortcut, query))
         .collect();
     let mut order: Vec<usize> = if mat.overlapping {
         let weights: Vec<f64> = useful.iter().map(|&i| mat.shortcuts[i].ratio).collect();

@@ -1,10 +1,10 @@
 //! Property tests for the materialization core on random networks.
 
 use peanut_core::budp::budp;
-use peanut_core::lrdp::lrdp_all;
+use peanut_core::lrdp::lrdp_all_on;
 use peanut_core::{
     BudgetGrid, Materialization, MaterializedShortcut, OfflineContext, OnlineEngine, Peanut,
-    PeanutConfig, Shortcut, Workload,
+    PeanutConfig, SequentialExecutor, Shortcut, Workload,
 };
 use peanut_junction::{build_junction_tree, QueryEngine, RootedTree};
 use peanut_pgm::generate::{generate_network, DagConfig};
@@ -68,7 +68,7 @@ proptest! {
         let w = Workload::from_queries(queries.clone());
         let ctx = OfflineContext::new(&tree, &w).unwrap();
         let grid = BudgetGrid::exact(k);
-        let roots = lrdp_all(&ctx, &grid, 1);
+        let roots = lrdp_all_on(&ctx, &grid, &SequentialExecutor);
         let res = budp(&ctx, &grid, &roots);
         let est: u64 = res.shortcuts.iter().map(|s| s.dp_cost).sum();
         prop_assert!(est <= k);

@@ -168,19 +168,6 @@ impl TreeArena {
         &self.slab
     }
 
-    /// `(offset, len)` span of a clique table within the slab.
-    #[inline]
-    pub fn clique_span(&self, u: CliqueId) -> (usize, usize) {
-        (self.span_off[u], self.span_len[u])
-    }
-
-    /// `(offset, len)` span of a separator table within the slab.
-    #[inline]
-    pub fn separator_span(&self, e: EdgeId) -> (usize, usize) {
-        let i = self.n_cliques + e;
-        (self.span_off[i], self.span_len[i])
-    }
-
     /// Swaps in a new value slab (same length), returning the old one.
     ///
     /// This is the relocation seam: the index structure never references
@@ -207,15 +194,16 @@ mod tests {
         assert_eq!(arena.n_cliques(), tree.n_cliques());
         assert_eq!(arena.n_separators(), tree.edges().len());
         // spans tile the slab back to back: cliques first, then separators
+        let span = |i: usize| (arena.span_off[i], arena.span_len[i]);
         let mut expect_off = 0;
         for u in 0..arena.n_cliques() {
-            let (off, len) = arena.clique_span(u);
+            let (off, len) = span(u);
             assert_eq!(off, expect_off);
             assert_eq!(len, arena.clique(u).len());
             expect_off += len;
         }
         for e in 0..arena.n_separators() {
-            let (off, len) = arena.separator_span(e);
+            let (off, len) = span(arena.n_cliques() + e);
             assert_eq!(off, expect_off);
             assert_eq!(len, arena.separator(e).len());
             expect_off += len;

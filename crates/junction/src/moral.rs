@@ -59,17 +59,19 @@ impl MoralGraph {
     pub fn neighbors(&self, v: Var) -> &BTreeSet<Var> {
         &self.adj[v.index()]
     }
-
-    /// Adjacency test.
-    pub fn has_edge(&self, a: Var, b: Var) -> bool {
-        self.adj[a.index()].contains(&b)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use peanut_pgm::fixtures;
+
+    impl MoralGraph {
+        /// Adjacency test.
+        fn has_edge(&self, a: Var, b: Var) -> bool {
+            self.neighbors(a).contains(&b)
+        }
+    }
 
     #[test]
     fn sprinkler_moralization_marries_parents() {

@@ -550,8 +550,7 @@ mod tests {
             (planted.rooted().clone(), tree.pivot()),
             (RootedTree::rooted_at(&tree, far), far),
         ] {
-            let members = SteinerTree::from_parts(all.clone(), root);
-            let rt = ReducedTree::from_steiner(&tree, &rooted, &members, Some(ns));
+            let rt = ReducedTree::from_members(&tree, &rooted, &all, root, Some(ns));
             assert_ne!(answer(&rt), want, "every clique, rooted at {root}");
             let region = [(&all[..], root, &q)];
             let built = region_joints(&tree, &rooted, ns, &region).unwrap();

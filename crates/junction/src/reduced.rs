@@ -161,7 +161,7 @@ impl<'a> ReducedTree<'a> {
 
     /// [`from_steiner`](Self::from_steiner) over the connected subtree
     /// `ids` (ascending) whose member closest to the pivot is `root`.
-    fn from_members(
+    pub(crate) fn from_members(
         tree: &'a JunctionTree,
         rooted: &RootedTree,
         ids: &[CliqueId],
@@ -337,23 +337,6 @@ impl<'a> ReducedTree<'a> {
     /// The tables' memo and the materialization's.
     fn memos(&self) -> (Option<&'a MessageMemo>, Option<&'a MessageMemo>) {
         (self.memo, self.shortcut_memo)
-    }
-
-    /// The tree with the connected region `region` (node indices) replaced
-    /// by a single shortcut node of scope `scope` — the one-region case of
-    /// [`contract`](Self::contract), which see; `self` is left as it is.
-    pub fn replace_region(
-        &self,
-        region: &[usize],
-        scope: &'a Scope,
-        potential: Option<TableRef<'a>>,
-        shortcut_id: usize,
-    ) -> Result<ReducedTree<'a>, PgmError> {
-        let mut region_of = vec![None; self.nodes.len()];
-        for &i in region {
-            region_of[i] = Some(0);
-        }
-        self.contract(&region_of, &[(scope, potential, shortcut_id)])
     }
 
     /// The tree with every region replaced by one shortcut node, in a single
@@ -1100,8 +1083,9 @@ mod tests {
         }
         let shortcut_pot = joint::marginal(&bn, &cut_scope).unwrap();
         let (want, base_cost) = rt.answer(&q, d).unwrap();
+        let shortcut = [(&cut_scope, Some(shortcut_pot.view()), 0)];
         let rt2 = rt
-            .replace_region(&[interior], &cut_scope, Some(shortcut_pot.view()), 0)
+            .contract(&one_region(&rt, &[interior]), &shortcut)
             .unwrap();
         let (got, red_cost) = rt2.answer(&q, d).unwrap();
         assert!(got.max_abs_diff(&want).unwrap() < 1e-9);
@@ -1138,9 +1122,8 @@ mod tests {
             cut_scope = cut_scope.union(&rt.node(i).scope.intersect(&q));
         }
         let pot = joint::marginal(&bn, &cut_scope).unwrap();
-        let rt2 = rt
-            .replace_region(&region, &cut_scope, Some(pot.view()), 3)
-            .unwrap();
+        let shortcut = [(&cut_scope, Some(pot.view()), 3)];
+        let rt2 = rt.contract(&one_region(&rt, &region), &shortcut).unwrap();
         assert_eq!(rt2.root(), rt2.len() - 1, "the shortcut node is the root");
         let (got, cost) = rt2.answer(&q, d).unwrap();
         assert!(got.max_abs_diff(&want).unwrap() < 1e-9);
@@ -1159,10 +1142,21 @@ mod tests {
         let a = rt.root();
         let grandchild = rt.children(rt.children(a)[0])[0];
         let empty = Scope::empty();
-        let err = rt.replace_region(&[a, grandchild], &empty, None, 0);
+        let shortcut = [(&empty, None, 0)];
+        let err = rt.contract(&one_region(&rt, &[a, grandchild]), &shortcut);
         assert!(matches!(err, Err(PgmError::InvalidRegion { .. })));
-        let err = rt.replace_region(&[], &empty, None, 0);
+        let err = rt.contract(&one_region(&rt, &[]), &shortcut);
         assert!(matches!(err, Err(PgmError::InvalidRegion { .. })));
+    }
+
+    /// Labels for [`ReducedTree::contract`] that put `region`'s nodes of
+    /// `rt` in region 0 and keep the rest.
+    fn one_region(rt: &ReducedTree<'_>, region: &[usize]) -> Vec<Option<usize>> {
+        let mut region_of = vec![None; rt.len()];
+        for &i in region {
+            region_of[i] = Some(0);
+        }
+        region_of
     }
 
     /// Every field of two trees: node records (label, links, which scope
@@ -1190,7 +1184,7 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
         /// One contraction of several disjoint regions is the tree that
-        /// `replace_region`, one region at a time in the same order, arrives
+        /// contracting one region at a time, in the same order, arrives
         /// at — field by field — on generated trees and random regions (the
         /// root's, single nodes, whole subtrees, everything).
         #[test]
@@ -1242,7 +1236,7 @@ mod tests {
                     (0..rt.len()).any(|i| region_of[i] == Some(j) && rt.nodes[i].label == label)
                 };
                 let region: Vec<usize> = (0..chain.len()).filter(|&k| member(chain.nodes[k].label)).collect();
-                chain = chain.replace_region(&region, scope, table, id).unwrap();
+                chain = chain.contract(&one_region(&chain, &region), &[(scope, table, id)]).unwrap();
             }
             assert_same_tree(&rt.contract(&region_of, &shortcuts).unwrap(), &chain);
         }
@@ -1582,8 +1576,9 @@ mod tests {
             });
             for region in regions.collect::<Vec<_>>() {
                 let (scope, table) = cut_out(&bn, &plain, &region, &q);
+                let shortcut = [(&scope, Some(table.view()), 0)];
                 let contracted = plain
-                    .replace_region(&region, &scope, Some(table.view()), 0)
+                    .contract(&one_region(&plain, &region), &shortcut)
                     .unwrap();
                 let [a, b] = check_shortcut_senders(&ns, &plain, &contracted, &q, d);
                 taken = [taken[0] + a, taken[1] + b];
@@ -1612,8 +1607,9 @@ mod tests {
                     };
                     let wide = scope.union(&Scope::from_iter([x]));
                     let table = joint::marginal(&bn, &wide).unwrap();
+                    let shortcut = [(&wide, Some(table.view()), 0)];
                     let contracted = plain
-                        .replace_region(&region, &wide, Some(table.view()), 0)
+                        .contract(&one_region(&plain, &region), &shortcut)
                         .unwrap();
                     let tables = ns.clone();
                     let (_, want) = pass_taking(&contracted, &ns.clone(), &q, d);
@@ -2034,8 +2030,7 @@ mod tests {
         if let Some(members) = plan.nodes.iter().map(clique).collect::<Option<Vec<_>>>() {
             let toward = |m: CliqueId| {
                 let rooted = RootedTree::rooted_at(tree, m);
-                let st = SteinerTree::from_parts(members.clone(), m);
-                ReducedTree::from_steiner(tree, &rooted, &st, None)
+                ReducedTree::from_members(tree, &rooted, &members, m, None)
                     .cost(q, d)
                     .ops
             };
@@ -2092,8 +2087,7 @@ mod tests {
             assert!(rt.len() >= 3, "{names:?}");
             for (m, &u) in st.nodes().iter().enumerate() {
                 let there = RootedTree::rooted_at(&tree, u);
-                let members = SteinerTree::from_parts(st.nodes().to_vec(), u);
-                let want = ReducedTree::from_steiner(&tree, &there, &members, Some(&ns));
+                let want = ReducedTree::from_members(&tree, &there, st.nodes(), u, Some(&ns));
                 assert_same_tree(&rt.rehung(m), &want);
             }
         }
@@ -2166,7 +2160,8 @@ mod tests {
                 }
             }
             let (scope, table) = cut_out(&bn, &rt, &region, &q);
-            let contracted = rt.replace_region(&region, &scope, Some(table.view()), 0).unwrap();
+            let shortcut = [(&scope, Some(table.view()), 0)];
+            let contracted = rt.contract(&one_region(&rt, &region), &shortcut).unwrap();
             check_rootings(&bn, &tree, &contracted, &q);
         }
     }

@@ -141,12 +141,6 @@ impl RootedTree {
         self.parent.is_empty()
     }
 
-    /// True when `u` is a leaf.
-    #[inline]
-    pub fn is_leaf(&self, u: CliqueId) -> bool {
-        self.children[u].is_empty()
-    }
-
     /// Nodes in DFS pre-order (the "left-to-right" order of LRDP).
     #[inline]
     pub fn dfs_order(&self) -> &[CliqueId] {
@@ -176,13 +170,6 @@ impl RootedTree {
     pub fn subtree_nodes(&self, u: CliqueId) -> &[CliqueId] {
         let start = self.dfs_pos[u];
         &self.dfs_order[start..start + self.subtree_size[u]]
-    }
-
-    /// True when `anc` is an ancestor of (or equal to) `node`.
-    pub fn is_ancestor(&self, anc: CliqueId, node: CliqueId) -> bool {
-        let pos = self.dfs_pos[node];
-        let start = self.dfs_pos[anc];
-        pos >= start && pos < start + self.subtree_size[anc]
     }
 
     /// Lowest common ancestor by depth walking (trees here are small; no
@@ -232,9 +219,9 @@ mod tests {
         assert_eq!(r.parent(4), Some(1));
         assert_eq!(r.depth(3), 3);
         assert_eq!(r.depth(4), 2);
-        assert!(r.is_leaf(3));
-        assert!(r.is_leaf(4));
-        assert!(!r.is_leaf(1));
+        assert!(r.children(3).is_empty());
+        assert!(r.children(4).is_empty());
+        assert!(!r.children(1).is_empty());
     }
 
     #[test]
@@ -265,9 +252,9 @@ mod tests {
         assert_eq!(r.lca(3, 4), 1);
         assert_eq!(r.lca(3, 2), 2);
         assert_eq!(r.lca(0, 4), 0);
-        assert!(r.is_ancestor(1, 3));
-        assert!(!r.is_ancestor(2, 4));
-        assert!(r.is_ancestor(2, 2));
+        assert!(r.subtree_nodes(1).contains(&3));
+        assert!(!r.subtree_nodes(2).contains(&4));
+        assert!(r.subtree_nodes(2).contains(&2));
     }
 
     #[test]

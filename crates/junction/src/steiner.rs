@@ -83,17 +83,6 @@ impl SteinerTree {
         Ok(SteinerTree { nodes, root })
     }
 
-    /// Assembles a Steiner-tree value from parts. The caller must guarantee
-    /// that `nodes` is a connected subtree (w.r.t. the rooted junction tree)
-    /// and `root` its member closest to the pivot; the materialization layer
-    /// uses this to run message passing inside a shortcut's subtree.
-    pub fn from_parts(mut nodes: Vec<CliqueId>, root: CliqueId) -> Self {
-        nodes.sort_unstable();
-        nodes.dedup();
-        debug_assert!(nodes.binary_search(&root).is_ok());
-        SteinerTree { nodes, root }
-    }
-
     /// Member cliques, ascending id.
     #[inline]
     pub fn nodes(&self) -> &[CliqueId] {

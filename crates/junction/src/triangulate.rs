@@ -105,40 +105,40 @@ pub fn triangulate(g: &MoralGraph, domain: &Domain) -> Triangulation {
     }
 }
 
-/// True when `order` is a *perfect elimination order* for the graph obtained
-/// from `g` plus `fill_ins` — i.e. the filled graph is chordal. Used by
-/// tests.
-pub fn is_chordal_completion(g: &MoralGraph, t: &Triangulation) -> bool {
-    let n = g.n_vars();
-    let mut adj: Vec<BTreeSet<Var>> = (0..n).map(|i| g.neighbors(Var(i as u32)).clone()).collect();
-    for &(a, b) in &t.fill_ins {
-        adj[a.index()].insert(b);
-        adj[b.index()].insert(a);
-    }
-    let mut eliminated = vec![false; n];
-    for &v in &t.order {
-        let later: Vec<Var> = adj[v.index()]
-            .iter()
-            .copied()
-            .filter(|u| !eliminated[u.index()])
-            .collect();
-        for (i, &a) in later.iter().enumerate() {
-            for &b in &later[i + 1..] {
-                if !adj[a.index()].contains(&b) {
-                    return false;
-                }
-            }
-        }
-        eliminated[v.index()] = true;
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use peanut_pgm::fixtures;
     use peanut_pgm::BayesianNetwork;
+
+    /// True when `order` is a *perfect elimination order* for the graph obtained
+    /// from `g` plus `fill_ins` — i.e. the filled graph is chordal.
+    fn is_chordal_completion(g: &MoralGraph, t: &Triangulation) -> bool {
+        let n = g.n_vars();
+        let mut adj: Vec<BTreeSet<Var>> =
+            (0..n).map(|i| g.neighbors(Var(i as u32)).clone()).collect();
+        for &(a, b) in &t.fill_ins {
+            adj[a.index()].insert(b);
+            adj[b.index()].insert(a);
+        }
+        let mut eliminated = vec![false; n];
+        for &v in &t.order {
+            let later: Vec<Var> = adj[v.index()]
+                .iter()
+                .copied()
+                .filter(|u| !eliminated[u.index()])
+                .collect();
+            for (i, &a) in later.iter().enumerate() {
+                for &b in &later[i + 1..] {
+                    if !adj[a.index()].contains(&b) {
+                        return false;
+                    }
+                }
+            }
+            eliminated[v.index()] = true;
+        }
+        true
+    }
 
     fn tri_of(bn: &BayesianNetwork) -> (MoralGraph, Triangulation) {
         let g = MoralGraph::from_network(bn);

@@ -57,7 +57,8 @@
 //! checksum catches bit rot and torn writes (each save writes its own
 //! temp file, `<file>.<pid>.<n>.tmp`, and renames it into place, so a
 //! crash mid-write leaves no partial file under the real name and two
-//! saves of one epoch never share one); `open` verifies it before it
+//! saves of one epoch never share one; the directory is synced after the
+//! rename, so a saved epoch survives a crash); `open` verifies it before it
 //! trusts any word it covers. A wrong version is a typed
 //! [`PgmError::StoreVersion`], every other validation failure a
 //! [`PgmError::CorruptStore`] — loud, never a silent wrong answer.
@@ -212,7 +213,12 @@ impl StoreConfig {
         arena_slab: &[f64],
     ) -> Result<PathBuf, PgmError> {
         let path = self.epoch_path(tenant, flat.epoch());
-        fs::create_dir_all(&self.dir).map_err(|e| store_io(&self.dir, &e))?;
+        if !self.dir.is_dir() {
+            fs::create_dir_all(&self.dir).map_err(|e| store_io(&self.dir, &e))?;
+            // the new directory's own entry, or a crash can lose it with
+            // every epoch saved in it
+            sync_dir(parent_dir(&self.dir))?;
+        }
         save(&path, mat, flat, arena_slab)?;
         Ok(path)
     }
@@ -225,6 +231,21 @@ fn store_io(path: &Path, e: &std::io::Error) -> PgmError {
     }
 }
 
+/// The directory that holds `path` (`.` for a bare file name).
+fn parent_dir(path: &Path) -> &Path {
+    path.parent()
+        .filter(|dir| !dir.as_os_str().is_empty())
+        .unwrap_or(Path::new("."))
+}
+
+/// Makes the entries of `dir` durable: a file created or renamed into it
+/// survives a crash once this returns.
+fn sync_dir(dir: &Path) -> Result<(), PgmError> {
+    fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| store_io(dir, &e))
+}
+
 fn corrupt(path: &Path, detail: impl Into<String>) -> PgmError {
     PgmError::CorruptStore {
         path: path.display().to_string(),
@@ -233,10 +254,11 @@ fn corrupt(path: &Path, detail: impl Into<String>) -> PgmError {
 }
 
 /// Serializes one epoch — the materialization's structure, its flat
-/// table pack, and the calibrated arena slab — to `path`, atomically
-/// (temp file + rename). The three artifacts must describe the same
-/// epoch: `flat` must be the pack of `mat`, `arena_slab` the calibrated
-/// slab of the tree `mat` was selected on.
+/// table pack, and the calibrated arena slab — to `path`, atomically and
+/// durably (temp file synced, renamed, directory synced). The three
+/// artifacts must describe the same epoch: `flat` must be the pack of
+/// `mat`, `arena_slab` the calibrated slab of the tree `mat` was selected
+/// on.
 pub fn save(
     path: &Path,
     mat: &Materialization,
@@ -318,7 +340,10 @@ pub fn save(
     drop(f);
     let saved = synced
         .map_err(|e| store_io(&tmp, &e))
-        .and_then(|()| fs::rename(&tmp, path).map_err(|e| store_io(path, &e)));
+        .and_then(|()| fs::rename(&tmp, path).map_err(|e| store_io(path, &e)))
+        // the rename is durable only once the directory is: a caller may
+        // drop its last in-memory copy when this returns
+        .and_then(|()| sync_dir(parent_dir(path)));
     if saved.is_err() {
         // best effort: a failed persist must not leave a whole epoch of
         // garbage on a disk that may already be full; the error returned
