@@ -26,6 +26,11 @@
 //!   `ServingEngine::serve_batch` — the one serve pipeline, fanned out
 //!   over two workers — racing a `publish`, asserting the batch is served
 //!   whole under one epoch and older-epoch cache entries never serve;
+//! * `paging_model.rs` — the real `ShardedServingEngine` with a store and
+//!   a resident-set cap of 1: a mixed batch, a fault-in that pages the
+//!   other tenant out, and a publish on a held engine race, asserting the
+//!   cap holds once the calls return, a paged-out epoch is on disk, and a
+//!   cache resumed at fault-in serves only answers of its engine's epoch;
 //! * `mutation.rs` (feature `mutation-lost-wakeup`) — re-introduces a
 //!   seeded lost-wakeup ordering bug in the pool's enqueue and proves the
 //!   checker catches it as a deadlock, deterministically replayable by

@@ -42,7 +42,9 @@
 //! Workers write nothing into it: after the wave the pipeline records
 //! every answered unique request once, weighted by its arrivals (fresh,
 //! duplicate and cached alike), so the lifecycle layer can watch the
-//! epoch's *observed* benefit decay under workload drift.
+//! epoch's *observed* benefit decay under workload drift. A fleet's
+//! page-out parks an epoch's cache and accumulator, and the engine a
+//! fault-in rebuilds for that same epoch resumes them (`shard.rs`).
 //!
 //! [`publish`]: ServingEngine::publish
 
@@ -258,6 +260,18 @@ impl EpochState {
     }
 }
 
+/// What a page-out keeps of an epoch, its **front**: the epoch number,
+/// its observation window and its answer cache. Both file under the
+/// engine's keyed hasher, which the window carries. The tables (the
+/// calibrated slab, the shortcut tables, both message memos) are not
+/// part of it: the store file holds them. A fault-in that rehydrates
+/// this same epoch resumes the front ([`ServingEngine::resume`]).
+pub(crate) struct ParkedEpoch {
+    epoch: u64,
+    stats: Arc<WorkloadStats>,
+    cache: Option<Arc<Mutex<AnswerCache>>>,
+}
+
 /// Write-behind persistence hook of one serving engine: where epochs go
 /// on [`publish`](ServingEngine::publish) and explicit
 /// [`persist_current`](ServingEngine::persist_current) calls.
@@ -311,13 +325,58 @@ impl<'t> ServingEngine<'t> {
     pub fn new(engine: QueryEngine<'t>, mat: Materialization, cfg: ServingConfig) -> Self {
         let cfg = cfg.resolved();
         let hasher = RandomState::new();
+        let state = EpochState::new(mat, &hasher, cfg.cache_capacity);
+        Self::with_state(engine, state, cfg, hasher)
+    }
+
+    /// An engine serving the rehydrated `mat` that resumes `parked` when
+    /// it is the front of `mat`'s own epoch: every answer in the cache is
+    /// then an answer of that epoch, filed under the hashes this engine
+    /// computes. Any other front is dropped, as a publish drops it.
+    pub(crate) fn resume(
+        engine: QueryEngine<'t>,
+        mat: Materialization,
+        cfg: ServingConfig,
+        parked: &ParkedEpoch,
+    ) -> Self {
+        if mat.epoch != parked.epoch {
+            return Self::new(engine, mat, cfg);
+        }
+        let state = EpochState {
+            mat: Arc::new(mat),
+            stats: Arc::clone(&parked.stats),
+            cache: parked.cache.clone(),
+            persisted: AtomicBool::new(false),
+        };
+        Self::with_state(engine, state, cfg.resolved(), parked.stats.hasher().clone())
+    }
+
+    /// An engine serving `state`, whose accumulator files under `hasher`.
+    fn with_state(
+        engine: QueryEngine<'t>,
+        state: EpochState,
+        cfg: ServingConfig,
+        hasher: RandomState,
+    ) -> Self {
         ServingEngine {
             engine: Arc::new(engine),
-            state: RwLock::new(EpochState::new(mat, &hasher, cfg.cache_capacity)),
+            state: RwLock::new(state),
             cfg,
             hasher,
             pool: PoolCell::new(),
             store: None,
+        }
+    }
+
+    /// The served epoch's front, for a page-out to park: it shares the
+    /// window and the cache, so a batch still draining on this engine
+    /// files into the parked ones.
+    pub(crate) fn park(&self) -> ParkedEpoch {
+        let state = self.state.read();
+        ParkedEpoch {
+            epoch: state.mat.epoch,
+            stats: Arc::clone(&state.stats),
+            cache: state.cache.clone(),
         }
     }
 

@@ -492,8 +492,10 @@ impl<'s, 't> FleetController<'s, 't> {
     /// Deterministic: tenants are visited in registry order and every
     /// decision depends only on recorded arrivals and configuration.
     pub fn tick(&mut self) -> Result<Option<&FleetRebalance>, PgmError> {
-        // resident tenants only, registry order: paged-out tenants have no
-        // traffic and keep serving the allocation remembered for them
+        // resident tenants only, registry order: a paged-out tenant's window
+        // is parked with its epoch, and its arrivals count at the first tick
+        // that finds it resident again; until then it keeps the allocation
+        // remembered for it
         let resident = self.sharded.tenants();
         let mut arrivals = Vec::with_capacity(resident.len());
         for (id, eng) in &resident {

@@ -33,21 +33,31 @@
 //! and [`max_resident`](ShardConfig::max_resident) set, the registry becomes
 //! an LRU **resident set**: registration persists each tenant's epoch to the
 //! store, and after every mixed batch the least-recently-used tenants beyond
-//! the cap are paged out — their engine `Arc` dropped, only the junction
-//! tree reference and the store file kept. A batch is served at once, so
-//! every tenant it touched is equally recent; among those the tenant with
-//! fewer arrivals in the batch is the colder one, and a full tie goes to
-//! registry order. Under skewed traffic, where nearly every batch touches
-//! every tenant, this keeps the busy tenants (and their answer caches)
-//! resident. A paged-out tenant's next arrival
-//! faults it back in by rehydrating the persisted epoch (one file read,
-//! no calibration, no selection DP) and answers bit-identically to an
-//! always-resident fleet. Fault/page-out telemetry lands in
+//! the cap are paged out. A batch is served at once, so every tenant it
+//! touched is equally recent; among those the tenant with fewer arrivals
+//! in the batch is the colder one, and a full tie goes to registry order.
+//! Under skewed traffic, where nearly every batch touches every tenant,
+//! this keeps the busy tenants resident.
+//!
+//! A page-out drops the tenant's **tables** — the calibrated slab, the
+//! shortcut tables and both message memos, all of which the store file
+//! holds — and parks its epoch's **front**: the epoch number, the answer
+//! cache (at most [`cache_capacity`](ServingConfig::cache_capacity)
+//! answers) and the observation window, both filed under the engine's
+//! keyed hasher. A paged-out tenant holds that front and its junction
+//! tree reference. Its next arrival faults it back in by rehydrating the
+//! persisted epoch (one file read, no calibration, no selection DP), and
+//! it answers bit-identically to an always-resident fleet. When the file
+//! it rehydrates is the parked epoch, the engine resumes the front: the
+//! epoch's answers hit again, and its window keeps the arrivals served
+//! before the page-out. A newer file (a publish on an engine handle held
+//! across the page-out) drops the front, as a publish drops it.
+//! Fault/page-out telemetry lands in
 //! [`MixedBatchStats`] per batch and in [`PagingStats`] cumulatively.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-use crate::engine::{BatchStats, ServingConfig, ServingEngine};
+use crate::engine::{BatchStats, ParkedEpoch, ServingConfig, ServingEngine};
 use crate::overload::ServeOutcome;
 use crate::pipeline::{fan_out, BatchRun};
 use crate::pool::{PoolCell, PoolStats, WorkerPool};
@@ -163,11 +173,30 @@ struct TenantShard<'t> {
     /// The tenant's calibrated model structure — kept while the engine is
     /// paged out, so a fault-in can rehydrate against it.
     tree: &'t JunctionTree,
-    /// The engine while resident; `None` while paged out to the store.
-    resident: RwLock<Option<Arc<ServingEngine<'t>>>>,
+    /// The engine while resident, its epoch's front while paged out.
+    resident: RwLock<Residency<'t>>,
     /// [`stamp`] of the last access: its fleet-clock tick, then the
     /// arrivals it brought. The smallest stamp is evicted first.
     last_used: AtomicU64,
+}
+
+/// What a tenant holds in RAM.
+enum Residency<'t> {
+    /// The whole engine.
+    Resident(Arc<ServingEngine<'t>>),
+    /// Paged out: the tables are in the store only, and the epoch's front
+    /// waits for the next fault-in.
+    Parked(ParkedEpoch),
+}
+
+impl<'t> Residency<'t> {
+    /// The engine, if resident.
+    fn engine(&self) -> Option<&Arc<ServingEngine<'t>>> {
+        match self {
+            Residency::Resident(engine) => Some(engine),
+            Residency::Parked(_) => None,
+        }
+    }
 }
 
 /// An eviction-order stamp: the fleet-clock `tick` of an access in the
@@ -313,7 +342,7 @@ impl<'t> ShardedServingEngine<'t> {
             TenantShard {
                 id,
                 tree,
-                resident: RwLock::new(Some(Arc::new(serving))),
+                resident: RwLock::new(Residency::Resident(Arc::new(serving))),
                 // ordering: registration happens under `&mut self`.
                 last_used: AtomicU64::new(stamp(self.clock.load(Ordering::Relaxed), 0)),
             },
@@ -352,11 +381,15 @@ impl<'t> ShardedServingEngine<'t> {
     /// All **resident** tenants with their engines, in id order. Paged-out
     /// tenants are skipped — fleet-level iteration (controller ticks,
     /// telemetry) works the hot set, not the archive; ask for a cold
-    /// tenant by id ([`tenant`](Self::tenant)) to fault it in.
+    /// tenant by id ([`tenant`](Self::tenant)) to fault it in. A skipped
+    /// tenant holds only its parked epoch front: at most
+    /// [`cache_capacity`](ServingConfig::cache_capacity) answers and its
+    /// observation window, which keeps the arrivals it counted until the
+    /// tenant is resident again.
     pub fn tenants(&self) -> Vec<(TenantId, Arc<ServingEngine<'t>>)> {
         self.shards
             .iter()
-            .filter_map(|s| s.resident.read().as_ref().map(|e| (s.id, Arc::clone(e))))
+            .filter_map(|s| s.resident.read().engine().map(|e| (s.id, Arc::clone(e))))
             .collect()
     }
 
@@ -364,7 +397,7 @@ impl<'t> ShardedServingEngine<'t> {
     pub fn resident_len(&self) -> usize {
         self.shards
             .iter()
-            .filter(|s| s.resident.read().is_some())
+            .filter(|s| s.resident.read().engine().is_some())
             .count()
     }
 
@@ -414,17 +447,18 @@ impl<'t> ShardedServingEngine<'t> {
     /// out. Fault-ins and their wall time land in the paging counters.
     fn shard_engine(&self, slot: usize) -> Result<Arc<ServingEngine<'t>>, PgmError> {
         let shard = &self.shards[slot];
-        if let Some(engine) = shard.resident.read().as_ref() {
+        if let Some(engine) = shard.resident.read().engine() {
             return Ok(Arc::clone(engine));
         }
         let mut resident = shard.resident.write();
         // double-check: another thread may have faulted it in while we
         // waited for the write lock
-        if let Some(engine) = resident.as_ref() {
-            return Ok(Arc::clone(engine));
-        }
+        let parked = match &*resident {
+            Residency::Resident(engine) => return Ok(Arc::clone(engine)),
+            Residency::Parked(parked) => parked,
+        };
         let t0 = Instant::now();
-        let faulted = self.fault_in(shard);
+        let faulted = self.fault_in(shard, parked);
         // ordering: telemetry counters only.
         self.fault_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -432,7 +466,7 @@ impl<'t> ShardedServingEngine<'t> {
             Ok(engine) => {
                 // ordering: telemetry counter only.
                 self.faults.fetch_add(1, Ordering::Relaxed);
-                *resident = Some(Arc::clone(&engine));
+                *resident = Residency::Resident(Arc::clone(&engine));
                 Ok(engine)
             }
             Err(e) => {
@@ -446,8 +480,14 @@ impl<'t> ShardedServingEngine<'t> {
     /// Rehydrates a paged-out tenant's newest persisted epoch: reattach
     /// the calibrated slab, rebuild the materialization structurally, and
     /// wire the fresh engine back to the store — no calibration pass, no
-    /// selection DP.
-    fn fault_in(&self, shard: &TenantShard<'t>) -> Result<Arc<ServingEngine<'t>>, PgmError> {
+    /// selection DP. The engine resumes the `parked` front when the file
+    /// is that front's epoch ([`ServingEngine::resume`]). A failed
+    /// fault-in leaves the front parked.
+    fn fault_in(
+        &self,
+        shard: &TenantShard<'t>,
+        parked: &ParkedEpoch,
+    ) -> Result<Arc<ServingEngine<'t>>, PgmError> {
         let Some(store) = &self.store else {
             return Err(PgmError::StoreIo {
                 path: "<unconfigured>".into(),
@@ -462,7 +502,7 @@ impl<'t> ShardedServingEngine<'t> {
             })?;
         let stored = StoredEpoch::open(&path, true)?;
         let (engine, mat) = rehydrate_engine(shard.tree, &stored)?;
-        let mut serving = ServingEngine::new(engine, mat, self.tenant_config());
+        let mut serving = ServingEngine::resume(engine, mat, self.tenant_config(), parked);
         serving.set_store(store.clone(), shard.id.0);
         // the file we just rehydrated from is this epoch's persisted form;
         // the next page-out must not rewrite it
@@ -471,19 +511,22 @@ impl<'t> ShardedServingEngine<'t> {
     }
 
     /// Pages `slot` out: persists its current epoch if the store does not
-    /// already hold it, then drops the engine. Returns whether the slot
-    /// was resident. Publishes already persist write-behind, so the
-    /// common page-out is a pure pointer drop.
+    /// already hold it, then drops the engine's tables and parks its
+    /// epoch's front ([`ParkedEpoch`]). Returns whether the slot was
+    /// resident. Publishes already persist write-behind, so the common
+    /// page-out writes nothing: it swaps the engine `Arc` for the front,
+    /// which shares the epoch's cache and window.
     fn page_out(&self, slot: usize) -> Result<bool, PgmError> {
         let shard = &self.shards[slot];
         let mut resident = shard.resident.write();
-        let Some(engine) = resident.as_ref() else {
+        let Residency::Resident(engine) = &*resident else {
             return Ok(false);
         };
         if engine.persisted_epoch().is_none() {
             engine.persist_current()?;
         }
-        *resident = None;
+        let parked = engine.park();
+        *resident = Residency::Parked(parked);
         // ordering: telemetry counter only.
         self.page_outs.fetch_add(1, Ordering::Relaxed);
         Ok(true)
@@ -505,7 +548,7 @@ impl<'t> ShardedServingEngine<'t> {
                 .shards
                 .iter()
                 .enumerate()
-                .filter(|(slot, s)| !skip.contains(slot) && s.resident.read().is_some())
+                .filter(|(slot, s)| !skip.contains(slot) && s.resident.read().engine().is_some())
                 // ordering: advisory recency stamp; see `touch`.
                 .min_by_key(|(_, s)| s.last_used.load(Ordering::Relaxed));
             let Some((slot, _)) = coldest else { break };

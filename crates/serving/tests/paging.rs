@@ -13,6 +13,9 @@
 //! * a failed write-behind persist is retried by the tenant's page-out;
 //! * an epoch's message memo starts empty at a publish and at a fault-in,
 //!   and a retired epoch's materialization keeps what it filed;
+//! * a page-out parks the epoch's answer cache and observation window: a
+//!   fault-in of the same epoch resumes both, bit for bit, while a
+//!   fault-in of a newer epoch starts with an empty cache;
 //! * a corrupt epoch file fails only its own tenant, and fails it closed.
 
 mod common;
@@ -463,5 +466,132 @@ fn an_epochs_message_memo_starts_empty_at_publish_and_fault_in() {
         0,
         "a fault-in starts empty"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two tenants' models, trees and request batches.
+fn two_tenants(
+    seed: u64,
+) -> (
+    Vec<BayesianNetwork>,
+    Vec<JunctionTree>,
+    Vec<Vec<ServeRequest>>,
+) {
+    let bns = fleet_models(2);
+    let trees = bns
+        .iter()
+        .map(|bn| build_junction_tree(bn).unwrap())
+        .collect();
+    let batches = bns
+        .iter()
+        .enumerate()
+        .map(|(i, bn)| random_batch(bn, 12, seed + i as u64))
+        .collect();
+    (bns, trees, batches)
+}
+
+/// Tenant 0's batch as a mixed batch.
+fn tenant0(batch: &[ServeRequest]) -> Vec<(TenantId, ServeRequest)> {
+    batch.iter().map(|q| (TenantId(0), q.clone())).collect()
+}
+
+fn bits(o: &ServeOutcome) -> Vec<u64> {
+    let served = o.served().expect("served");
+    served
+        .potential
+        .values()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// A page-out parks the epoch's answer cache, and a fault-in that
+/// rehydrates the same epoch resumes it: the repeated batch hits on every
+/// unique request and answers with the very tables the first serve
+/// computed.
+#[test]
+fn a_fault_in_of_the_same_epoch_resumes_its_answers() {
+    let (bns, trees, batches) = two_tenants(71);
+    let dir = temp_dir("resume");
+    let fleet = build_fleet(&trees, &bns, &batches, Some(StoreConfig::new(&dir)), 1);
+    let mixed = tenant0(&batches[0]);
+    let (first, stats) = fleet.serve_mixed(&mixed);
+    assert_eq!(stats.cache_hits, 0);
+
+    // touching tenant 1 under a cap of 1 pages tenant 0 out
+    fleet.tenant(TenantId(1)).unwrap();
+    assert!(fleet.tenants().iter().all(|(id, _)| *id == TenantId(1)));
+
+    let (again, stats) = fleet.serve_mixed(&mixed);
+    assert_eq!(stats.faults, 1, "tenant 0 faulted in");
+    assert_eq!(
+        stats.cache_hits, stats.unique,
+        "the parked answers hit after the fault-in"
+    );
+    assert_eq!(stats.total_ops, 0, "nothing was recomputed");
+    for (a, b) in first.iter().zip(&again) {
+        assert_eq!(bits(a), bits(b));
+        let (a, b) = (a.served().unwrap(), b.served().unwrap());
+        assert!(b.from_cache);
+        assert_eq!((a.epoch, b.epoch), (0, 0));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A publish on an engine handle held across the page-out persists epoch
+/// e+1, so the fault-in rehydrates e+1: the parked front of epoch e is
+/// dropped, and the newer epoch starts with an empty cache.
+#[test]
+fn a_fault_in_of_a_newer_epoch_starts_its_cache_empty() {
+    let (bns, trees, batches) = two_tenants(83);
+    let dir = temp_dir("newer");
+    let fleet = build_fleet(&trees, &bns, &batches, Some(StoreConfig::new(&dir)), 1);
+    let mixed = tenant0(&batches[0]);
+    let held = fleet.tenant(TenantId(0)).unwrap();
+    let (first, _) = fleet.serve_mixed(&mixed);
+
+    fleet.tenant(TenantId(1)).unwrap();
+    assert_eq!(fleet.resident_len(), 1, "tenant 0 is paged out");
+    let mat = (*held.materialization()).clone();
+    assert_eq!(held.publish(mat), 1);
+    assert_eq!(held.persisted_epoch(), Some(1), "epoch 1 is on disk");
+    drop(held);
+
+    let (again, stats) = fleet.serve_mixed(&mixed);
+    assert_eq!(stats.faults, 1, "tenant 0 faulted in");
+    assert_eq!(stats.cache_hits, 0, "epoch 0's answers are gone");
+    assert_eq!(fleet.tenant(TenantId(0)).unwrap().epoch(), 1);
+    for (a, b) in first.iter().zip(&again) {
+        assert_eq!(bits(a), bits(b), "the same tables answer alike");
+        let b = b.served().unwrap();
+        assert!(!b.from_cache);
+        assert_eq!(b.epoch, 1);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The observation window is parked with the cache: arrivals served
+/// before a page-out still count once the same epoch faults back in, so
+/// a controller tick that falls after the fault-in reads them.
+#[test]
+fn the_observation_window_survives_a_page_out() {
+    let (bns, trees, batches) = two_tenants(97);
+    let dir = temp_dir("window");
+    let fleet = build_fleet(&trees, &bns, &batches, Some(StoreConfig::new(&dir)), 1);
+    let mixed = tenant0(&batches[0]);
+    let n = 2 * mixed.len() as u64;
+    fleet.serve_mixed(&mixed);
+    fleet.serve_mixed(&mixed);
+
+    fleet.tenant(TenantId(1)).unwrap();
+    assert!(fleet.tenants().iter().all(|(id, _)| *id == TenantId(1)));
+    let faults = fleet.paging_stats().faults;
+    let t0 = fleet.tenant(TenantId(0)).unwrap();
+    assert_eq!(
+        fleet.paging_stats().faults,
+        faults + 1,
+        "tenant 0 faulted in"
+    );
+    assert_eq!(t0.stats().snapshot().queries, n);
     let _ = std::fs::remove_dir_all(&dir);
 }
