@@ -15,6 +15,8 @@
 //!   and while calls overlap it exceeds the cap by at most the one slot a
 //!   racing fault-in holds until its own call evicts;
 //! * a paged-out tenant's newest epoch is on disk;
+//! * once every call returned, tenant 0 serves the newest epoch on disk:
+//!   a publish the page-out retired is served at the next access;
 //! * a resumed cache holds only answers of the engine's own epoch: after
 //!   the race, tenant 0 faults in and every answer it serves, cached or
 //!   not, is stamped with the epoch it serves.
@@ -86,9 +88,8 @@ fn fault_in_page_out_and_publish_race_under_the_cap() {
         let resident: Vec<TenantId> = fleet.tenants().into_iter().map(|(id, _)| id).collect();
         for (t, newest) in [(0, 1), (1, 0)] {
             if !resident.contains(&TenantId(t)) {
-                assert_eq!(
-                    store.latest_epoch(t).map(|(e, _)| e),
-                    Some(newest),
+                assert!(
+                    store.epoch_path(t, newest).exists(),
                     "paged-out tenant#{t}'s newest epoch is on disk"
                 );
             }
@@ -121,6 +122,10 @@ fn fault_in_page_out_and_publish_race_under_the_cap() {
         STALE.load(Ordering::Relaxed),
     );
     assert!(resumed > 0, "some fault-in must resume a parked cache");
+    assert_eq!(
+        stale, 0,
+        "tenant 0 served an epoch older than the store's newest"
+    );
     println!(
         "paging race bound=2: {} interleavings ({resumed} resuming a parked cache, {stale} with \
          tenant 0 on an epoch older than the store's newest), longest trail {} decisions",

@@ -33,18 +33,20 @@
 //! The materialization is not fixed at construction: [`publish`]
 //! (`ServingEngine::publish`) atomically swaps in a new one, stamped with
 //! the next epoch, while batches keep draining. An epoch is one value —
-//! the materialization, its observation accumulator, its answer cache and
-//! whether its store file is written — swapped whole under the write
-//! lock, so serving never pauses. A batch serves, caches and observes
-//! under the one epoch it took at arrival, so a cached answer is always of
-//! the epoch whose cache holds it; every answer also carries its epoch.
-//! The [`WorkloadStats`] accumulator starts empty with each epoch.
-//! Workers write nothing into it: after the wave the pipeline records
-//! every answered unique request once, weighted by its arrivals (fresh,
-//! duplicate and cached alike), so the lifecycle layer can watch the
-//! epoch's *observed* benefit decay under workload drift. A fleet's
-//! page-out parks an epoch's cache and accumulator, and the engine a
-//! fault-in rebuilds for that same epoch resumes them (`shard.rs`).
+//! the materialization, its observation accumulator and its answer cache
+//! — swapped whole under the write lock, so serving never pauses. A batch
+//! serves, caches and observes under the one epoch it took at arrival, so
+//! a cached answer is always of the epoch whose cache holds it; every
+//! answer also carries its epoch. The [`WorkloadStats`] accumulator starts
+//! empty with each epoch. Workers write nothing into it: after the wave
+//! the pipeline records every answered unique request once, weighted by
+//! its arrivals (fresh, duplicate and cached alike), so the lifecycle
+//! layer can watch the epoch's *observed* benefit decay under workload
+//! drift. A fleet's page-out parks an epoch's cache and accumulator, and
+//! the engine a fault-in rebuilds for that same epoch resumes them
+//! (`shard.rs`). What is on disk is the tenant's, not the epoch's: one
+//! record of the newest epoch saved, shared by every engine built for the
+//! tenant.
 //!
 //! [`publish`]: ServingEngine::publish
 
@@ -54,7 +56,7 @@ use crate::overload::ServeOutcome;
 use crate::pipeline::{fan_out, BatchRun, Target};
 use crate::pool::{PoolCell, PoolStats, WorkerPool};
 use peanut_core::exec::Executor;
-use peanut_core::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use peanut_core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use peanut_core::sync::{thread, Arc, Mutex, RwLock};
 use peanut_core::{ByHash, FlatMaterialization, Materialization, ServeRequest, WorkloadStats};
 use peanut_junction::cost::QueryCost;
@@ -64,6 +66,7 @@ use peanut_store::StoreConfig;
 use std::collections::VecDeque;
 use std::hash::RandomState;
 use std::ops::Deref;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// A served answer: the distribution plus execution telemetry. Shared
@@ -234,28 +237,24 @@ impl AnswerCache {
 }
 
 /// One epoch, swapped as a unit by [`ServingEngine::publish`]: the
-/// materialization, the accumulator observing traffic served under it,
-/// the answer cache of its answers (`None` when caching is off) and
-/// whether its store file is written.
+/// materialization, the accumulator observing traffic served under it
+/// and the answer cache of its answers (`None` when caching is off).
 struct EpochState {
     mat: Arc<Materialization>,
     stats: Arc<WorkloadStats>,
     cache: Option<Arc<Mutex<AnswerCache>>>,
-    /// Set once this epoch's `mat` is on disk.
-    persisted: AtomicBool,
 }
 
 impl EpochState {
     /// A fresh epoch serving `mat`: an accumulator filing under `hasher`
-    /// (so the pipeline's request hashes are its histogram keys), an empty
-    /// cache of `cache_capacity` answers, nothing on disk yet.
+    /// (so the pipeline's request hashes are its histogram keys) and an
+    /// empty cache of `cache_capacity` answers.
     fn new(mat: Materialization, hasher: &RandomState, cache_capacity: usize) -> Self {
         EpochState {
             mat: Arc::new(mat),
             stats: Arc::new(WorkloadStats::with_hasher(hasher.clone())),
             cache: (cache_capacity > 0)
                 .then(|| Arc::new(Mutex::new(AnswerCache::new(cache_capacity)))),
-            persisted: AtomicBool::new(false),
         }
     }
 }
@@ -264,23 +263,46 @@ impl EpochState {
 /// its observation window and its answer cache. Both file under the
 /// engine's keyed hasher, which the window carries. The tables (the
 /// calibrated slab, the shortcut tables, both message memos) are not
-/// part of it: the store file holds them. A fault-in that rehydrates
+/// part of it: the store file holds them, and the tenant's record, parked
+/// with the front, says which file that is. A fault-in that rehydrates
 /// this same epoch resumes the front ([`ServingEngine::resume`]).
+#[derive(Clone)]
 pub(crate) struct ParkedEpoch {
     epoch: u64,
     stats: Arc<WorkloadStats>,
     cache: Option<Arc<Mutex<AnswerCache>>>,
+    store: Arc<EngineStore>,
 }
 
-/// Write-behind persistence hook of one serving engine: where epochs go
-/// on [`publish`](ServingEngine::publish) and explicit
-/// [`persist_current`](ServingEngine::persist_current) calls.
+impl ParkedEpoch {
+    /// The file a fault-in rehydrates: the newest epoch the tenant's
+    /// record holds, the parked one or one a retired handle published.
+    pub(crate) fn path(&self) -> PathBuf {
+        // a page-out parks only once the record holds an epoch
+        let epoch = self.store.newest().unwrap_or(self.epoch);
+        self.store.cfg.epoch_path(self.store.tenant, epoch)
+    }
+}
+
+/// A tenant's one record of what it has on disk, shared by every engine
+/// built for the tenant: where its epochs are saved, the newest one saved
+/// and the saves that failed.
 struct EngineStore {
     cfg: StoreConfig,
     tenant: u32,
-    /// Publishes whose best-effort persist failed (telemetry; the epoch
-    /// keeps serving from RAM).
+    /// One past the newest epoch durably saved (after the rename and the
+    /// directory sync); `0` while none is. Only grows.
+    saved: AtomicU64,
+    /// Persists that failed (telemetry; the epoch keeps serving from RAM).
     errors: AtomicUsize,
+}
+
+impl EngineStore {
+    /// The newest epoch durably saved, if any.
+    fn newest(&self) -> Option<u64> {
+        // ordering: Acquire pairs with the AcqRel in `persist_current`.
+        self.saved.load(Ordering::Acquire).checked_sub(1)
+    }
 }
 
 /// Batched concurrent query processor over a calibrated tree and a
@@ -314,8 +336,9 @@ pub struct ServingEngine<'t> {
     /// out. Engines that only ever serve sequentially never spawn a
     /// thread.
     pool: PoolCell,
-    /// Optional epoch persistence ([`set_store`](Self::set_store)).
-    store: Option<EngineStore>,
+    /// The tenant's on-disk record, if persistence is attached
+    /// ([`set_store`](Self::set_store)).
+    store: Option<Arc<EngineStore>>,
 }
 
 impl<'t> ServingEngine<'t> {
@@ -329,26 +352,29 @@ impl<'t> ServingEngine<'t> {
         Self::with_state(engine, state, cfg, hasher)
     }
 
-    /// An engine serving the rehydrated `mat` that resumes `parked` when
-    /// it is the front of `mat`'s own epoch: every answer in the cache is
-    /// then an answer of that epoch, filed under the hashes this engine
-    /// computes. Any other front is dropped, as a publish drops it.
+    /// An engine serving the rehydrated `mat` on the record `parked`
+    /// carries, resuming `parked` when it is the front of `mat`'s own
+    /// epoch: every answer in the cache is then an answer of that epoch,
+    /// filed under the hashes this engine computes. Any other front is
+    /// dropped, as a publish drops it.
     pub(crate) fn resume(
         engine: QueryEngine<'t>,
         mat: Materialization,
         cfg: ServingConfig,
         parked: &ParkedEpoch,
     ) -> Self {
-        if mat.epoch != parked.epoch {
-            return Self::new(engine, mat, cfg);
-        }
-        let state = EpochState {
-            mat: Arc::new(mat),
-            stats: Arc::clone(&parked.stats),
-            cache: parked.cache.clone(),
-            persisted: AtomicBool::new(false),
+        let mut serving = if mat.epoch == parked.epoch {
+            let state = EpochState {
+                mat: Arc::new(mat),
+                stats: Arc::clone(&parked.stats),
+                cache: parked.cache.clone(),
+            };
+            Self::with_state(engine, state, cfg.resolved(), parked.stats.hasher().clone())
+        } else {
+            Self::new(engine, mat, cfg)
         };
-        Self::with_state(engine, state, cfg.resolved(), parked.stats.hasher().clone())
+        serving.store = Some(Arc::clone(&parked.store));
+        serving
     }
 
     /// An engine serving `state`, whose accumulator files under `hasher`.
@@ -368,16 +394,28 @@ impl<'t> ServingEngine<'t> {
         }
     }
 
-    /// The served epoch's front, for a page-out to park: it shares the
-    /// window and the cache, so a batch still draining on this engine
-    /// files into the parked ones.
-    pub(crate) fn park(&self) -> ParkedEpoch {
+    /// The served epoch's front and the tenant's record, for a page-out to
+    /// park, once the record holds the served epoch (saved here if not).
+    /// It shares the window and the cache, so a batch still draining on
+    /// this engine files into the parked ones.
+    pub(crate) fn park(&self) -> Result<ParkedEpoch, PgmError> {
+        let store = Arc::clone(self.record()?);
+        if self.persisted_epoch().is_none() {
+            self.persist_current()?;
+        }
         let state = self.state.read();
-        ParkedEpoch {
+        Ok(ParkedEpoch {
             epoch: state.mat.epoch,
             stats: Arc::clone(&state.stats),
             cache: state.cache.clone(),
-        }
+            store,
+        })
+    }
+
+    /// Whether the tenant's record holds a newer epoch than this engine
+    /// serves: another engine of the tenant published and saved it.
+    pub(crate) fn is_stale(&self) -> bool {
+        self.store.as_ref().and_then(|s| s.newest()) > Some(self.epoch())
     }
 
     /// Attaches epoch persistence: every [`publish`](Self::publish) (and
@@ -387,27 +425,31 @@ impl<'t> ServingEngine<'t> {
     /// [`persist_errors`](Self::persist_errors) and the epoch keeps
     /// serving from RAM.
     pub fn set_store(&mut self, cfg: StoreConfig, tenant: u32) {
-        self.store = Some(EngineStore {
+        self.store = Some(Arc::new(EngineStore {
             cfg,
             tenant,
+            saved: AtomicU64::new(0),
             errors: AtomicUsize::new(0),
-        });
+        }));
     }
 
-    /// The served epoch if its store file is written, `None` while it is
-    /// not (or no store is attached).
+    /// The tenant's record, or the error of an engine without a store.
+    fn record(&self) -> Result<&Arc<EngineStore>, PgmError> {
+        self.store.as_ref().ok_or_else(|| PgmError::StoreIo {
+            path: "<unconfigured>".into(),
+            msg: "engine has no store attached".into(),
+        })
+    }
+
+    /// The served epoch if the tenant's record holds it or a newer epoch,
+    /// `None` while it does not (or no store is attached).
     pub fn persisted_epoch(&self) -> Option<u64> {
-        self.store.as_ref()?;
-        let state = self.state.read();
-        // ordering: Acquire pairs with the Release in `persist_current`;
-        // the store file was renamed into place before the flag was set.
-        state
-            .persisted
-            .load(Ordering::Acquire)
-            .then_some(state.mat.epoch)
+        let epoch = self.epoch();
+        (self.store.as_ref()?.newest()? >= epoch).then_some(epoch)
     }
 
-    /// Publishes whose write-behind persist failed.
+    /// The tenant's persists that failed, on this engine and on every
+    /// engine built for the tenant before it.
     pub fn persist_errors(&self) -> usize {
         // ordering: telemetry counter, advisory read.
         self.store
@@ -415,25 +457,11 @@ impl<'t> ServingEngine<'t> {
             .map_or(0, |s| s.errors.load(Ordering::Relaxed))
     }
 
-    /// Marks the served epoch as on disk — the rehydration path uses
-    /// this so a freshly faulted-in tenant is not re-written on its next
-    /// page-out.
-    pub(crate) fn mark_persisted(&self) {
-        // ordering: Release pairs with the Acquire in persisted_epoch;
-        // the file this records already exists on disk.
-        self.state.read().persisted.store(true, Ordering::Release);
-    }
-
     /// Persists the currently served epoch to the attached store,
     /// returning the epoch written. Errors are typed ([`PgmError`]) and
     /// also counted in [`persist_errors`](Self::persist_errors).
     pub fn persist_current(&self) -> Result<u64, PgmError> {
-        let Some(store) = &self.store else {
-            return Err(PgmError::StoreIo {
-                path: "<unconfigured>".into(),
-                msg: "engine has no store attached".into(),
-            });
-        };
+        let store = self.record()?;
         let mat = self.materialization();
         let Some(ns) = self.engine.numeric_state() else {
             // ordering: telemetry counter only.
@@ -453,15 +481,13 @@ impl<'t> ServingEngine<'t> {
             .save_epoch(store.tenant, &mat, &flat, ns.arena().slab())
         {
             Ok(_) => {
-                let state = self.state.read();
-                // epochs only grow, so a publish since the snapshot leaves
-                // the new epoch's flag unset: its `mat` is not on disk
-                if state.mat.epoch == mat.epoch {
-                    // ordering: Release pairs with the Acquire in
-                    // persisted_epoch — the rename above happens-before
-                    // any reader that observes the flag.
-                    state.persisted.store(true, Ordering::Release);
-                }
+                // ordering: AcqRel pairs with the Acquire in `newest` — the
+                // rename above happens-before any reader of this epoch.
+                let _ = store
+                    .saved
+                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |saved| {
+                        Some(saved.max(mat.epoch + 1))
+                    });
                 Ok(mat.epoch)
             }
             Err(e) => {

@@ -44,14 +44,17 @@
 //! holds — and parks its epoch's **front**: the epoch number, the answer
 //! cache (at most [`cache_capacity`](ServingConfig::cache_capacity)
 //! answers) and the observation window, both filed under the engine's
-//! keyed hasher. A paged-out tenant holds that front and its junction
-//! tree reference. Its next arrival faults it back in by rehydrating the
-//! persisted epoch (one file read, no calibration, no selection DP), and
-//! it answers bit-identically to an always-resident fleet. When the file
-//! it rehydrates is the parked epoch, the engine resumes the front: the
-//! epoch's answers hit again, and its window keeps the arrivals served
-//! before the page-out. A newer file (a publish on an engine handle held
-//! across the page-out) drops the front, as a publish drops it.
+//! keyed hasher, with the tenant's one record of what it has on disk,
+//! shared by every engine built for the tenant. A paged-out tenant's next
+//! arrival faults it back in by rehydrating the newest epoch the record
+//! holds (one file read, no directory listing, no calibration, no
+//! selection DP), and it answers bit-identically to an always-resident
+//! fleet. When that is the
+//! parked epoch, the engine resumes the front: the epoch's answers hit
+//! again, and its window keeps the arrivals served before the page-out.
+//! A newer one (a publish on an engine handle held across the page-out)
+//! drops the front, as a publish drops it, and a resident engine older
+//! than its record is rebuilt the same way at its next access.
 //! Fault/page-out telemetry lands in
 //! [`MixedBatchStats`] per batch and in [`PagingStats`] cumulatively.
 
@@ -443,22 +446,24 @@ impl<'t> ShardedServingEngine<'t> {
             .store(stamp(tick, arrivals), Ordering::Relaxed);
     }
 
-    /// The engine of `slot`, faulting it in from the store when paged
-    /// out. Fault-ins and their wall time land in the paging counters.
+    /// The engine of `slot`, faulting it in from the store when paged out
+    /// or older than the tenant's record (a publish on a handle a page-out
+    /// retired). Fault-ins and their wall time land in the paging counters.
     fn shard_engine(&self, slot: usize) -> Result<Arc<ServingEngine<'t>>, PgmError> {
         let shard = &self.shards[slot];
-        if let Some(engine) = shard.resident.read().engine() {
+        if let Some(engine) = shard.resident.read().engine().filter(|e| !e.is_stale()) {
             return Ok(Arc::clone(engine));
         }
         let mut resident = shard.resident.write();
         // double-check: another thread may have faulted it in while we
         // waited for the write lock
         let parked = match &*resident {
-            Residency::Resident(engine) => return Ok(Arc::clone(engine)),
-            Residency::Parked(parked) => parked,
+            Residency::Resident(engine) if !engine.is_stale() => return Ok(Arc::clone(engine)),
+            Residency::Resident(engine) => engine.park()?,
+            Residency::Parked(parked) => parked.clone(),
         };
         let t0 = Instant::now();
-        let faulted = self.fault_in(shard, parked);
+        let faulted = self.fault_in(shard.tree, &parked);
         // ordering: telemetry counters only.
         self.fault_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -477,56 +482,39 @@ impl<'t> ShardedServingEngine<'t> {
         }
     }
 
-    /// Rehydrates a paged-out tenant's newest persisted epoch: reattach
-    /// the calibrated slab, rebuild the materialization structurally, and
-    /// wire the fresh engine back to the store — no calibration pass, no
-    /// selection DP. The engine resumes the `parked` front when the file
-    /// is that front's epoch ([`ServingEngine::resume`]). A failed
-    /// fault-in leaves the front parked.
+    /// Rehydrates the newest epoch the tenant's record, carried by the
+    /// `parked` front, holds: reattach the calibrated slab and the record,
+    /// rebuild the materialization structurally — no calibration pass, no
+    /// selection DP — and resume the front when the file is its epoch
+    /// ([`ServingEngine::resume`]). A failed fault-in leaves it parked.
     fn fault_in(
         &self,
-        shard: &TenantShard<'t>,
+        tree: &'t JunctionTree,
         parked: &ParkedEpoch,
     ) -> Result<Arc<ServingEngine<'t>>, PgmError> {
-        let Some(store) = &self.store else {
-            return Err(PgmError::StoreIo {
-                path: "<unconfigured>".into(),
-                msg: format!("{} is paged out but the fleet has no store", shard.id),
-            });
-        };
-        let (_, path) = store
-            .latest_epoch(shard.id.0)
-            .ok_or_else(|| PgmError::StoreIo {
-                path: store.dir.display().to_string(),
-                msg: format!("no persisted epoch for {}", shard.id),
-            })?;
-        let stored = StoredEpoch::open(&path, true)?;
-        let (engine, mat) = rehydrate_engine(shard.tree, &stored)?;
-        let mut serving = ServingEngine::resume(engine, mat, self.tenant_config(), parked);
-        serving.set_store(store.clone(), shard.id.0);
-        // the file we just rehydrated from is this epoch's persisted form;
-        // the next page-out must not rewrite it
-        serving.mark_persisted();
-        Ok(Arc::new(serving))
+        let stored = StoredEpoch::open(&parked.path(), true)?;
+        let (engine, mat) = rehydrate_engine(tree, &stored)?;
+        Ok(Arc::new(ServingEngine::resume(
+            engine,
+            mat,
+            self.tenant_config(),
+            parked,
+        )))
     }
 
-    /// Pages `slot` out: persists its current epoch if the store does not
-    /// already hold it, then drops the engine's tables and parks its
-    /// epoch's front ([`ParkedEpoch`]). Returns whether the slot was
-    /// resident. Publishes already persist write-behind, so the common
-    /// page-out writes nothing: it swaps the engine `Arc` for the front,
-    /// which shares the epoch's cache and window.
+    /// Pages `slot` out: saves its current epoch unless the tenant's
+    /// record holds it, then drops the engine's tables and parks its
+    /// epoch's front with the record ([`ParkedEpoch`]). Returns whether the
+    /// slot was resident. Publishes already persist write-behind, so the
+    /// common page-out writes nothing: it swaps the engine `Arc` for the
+    /// front, which shares the epoch's cache and window.
     fn page_out(&self, slot: usize) -> Result<bool, PgmError> {
         let shard = &self.shards[slot];
         let mut resident = shard.resident.write();
         let Residency::Resident(engine) = &*resident else {
             return Ok(false);
         };
-        if engine.persisted_epoch().is_none() {
-            engine.persist_current()?;
-        }
-        let parked = engine.park();
-        *resident = Residency::Parked(parked);
+        *resident = Residency::Parked(engine.park()?);
         // ordering: telemetry counter only.
         self.page_outs.fetch_add(1, Ordering::Relaxed);
         Ok(true)

@@ -10,7 +10,10 @@
 //!   most arrivals in it;
 //! * paging telemetry (faults, page-outs, fault wall time) is reported
 //!   per batch and cumulatively;
-//! * a failed write-behind persist is retried by the tenant's page-out;
+//! * a failed write-behind persist is retried by the tenant's page-out,
+//!   and the tenant's failed-persist count survives the page cycle;
+//! * a fault-in reads back only the epochs its own fleet saved, so a
+//!   store directory an earlier fleet used changes no answer;
 //! * an epoch's message memo starts empty at a publish and at a fault-in,
 //!   and a retired epoch's materialization keeps what it filed;
 //! * a page-out parks the epoch's answer cache and observation window: a
@@ -195,7 +198,8 @@ fn publish_survives_a_page_out() {
 
 /// A write-behind persist that fails leaves the new epoch marked as not
 /// on disk, and the tenant's next page-out writes it before dropping the
-/// engine, so the fault-in resumes at that epoch.
+/// engine, so the fault-in resumes at that epoch. The failure stays
+/// counted: the count belongs to the tenant, not to one engine.
 #[test]
 fn a_failed_persist_is_retried_at_page_out() {
     let bns = fleet_models(2);
@@ -229,9 +233,71 @@ fn a_failed_persist_is_retried_at_page_out() {
     assert_eq!(fleet.resident_len(), 1);
     assert_eq!(fleet.paging_stats().fault_errors, 0);
     assert_eq!(t0.persisted_epoch(), Some(1), "the page-out wrote epoch 1");
-    assert_eq!(store.latest_epoch(0).map(|(e, _)| e), Some(1));
+    assert!(store.epoch_path(0, 1).exists());
     drop(t0);
-    assert_eq!(fleet.tenant(TenantId(0)).unwrap().epoch(), 1);
+    let t0 = fleet.tenant(TenantId(0)).unwrap();
+    assert_eq!(t0.epoch(), 1);
+    assert_eq!(t0.persist_errors(), 1, "the count survives the page cycle");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store directory an earlier fleet saved epochs 0 to 3 of another
+/// model in: a new fleet's tenant pages out and faults back in at its
+/// own epoch 0, and answers bit for bit as before the page cycle, never
+/// from the earlier fleet's tables.
+#[test]
+fn a_reused_store_directory_changes_no_answer() {
+    let dir = temp_dir("reused");
+    let store = StoreConfig::new(&dir);
+    let other = fixtures::chain(9, 2, 3);
+    let other_tree = build_junction_tree(&other).unwrap();
+    {
+        let earlier = fixtures::chain(8, 2, 1);
+        let tree = build_junction_tree(&earlier).unwrap();
+        let mut fleet = ShardedServingEngine::new(ShardConfig::default().with_workers(1));
+        fleet.set_store(store.clone());
+        let engine = QueryEngine::numeric(&tree, &earlier).unwrap();
+        fleet
+            .register(TenantId(0), engine, Materialization::default())
+            .unwrap();
+        let t0 = fleet.tenant(TenantId(0)).unwrap();
+        for epoch in 1..=3 {
+            assert_eq!(t0.publish(Materialization::default()), epoch);
+        }
+        assert!(store.epoch_path(0, 3).exists());
+    }
+
+    let bn = fixtures::chain(8, 2, 2);
+    let tree = build_junction_tree(&bn).unwrap();
+    // no answer cache, so every answer after the fault-in is computed
+    // from the rehydrated tables
+    let mut fleet = ShardedServingEngine::new(
+        ShardConfig::default()
+            .with_workers(1)
+            .with_cache_capacity(0)
+            .with_max_resident(1),
+    );
+    fleet.set_store(store);
+    for (t, (tree, bn)) in [(&tree, &bn), (&other_tree, &other)]
+        .into_iter()
+        .enumerate()
+    {
+        let engine = QueryEngine::numeric(tree, bn).unwrap();
+        fleet
+            .register(TenantId(t as u32), engine, Materialization::default())
+            .unwrap();
+    }
+    let mixed = tenant0(&random_batch(&bn, 12, 5));
+    let (before, _) = fleet.serve_mixed(&mixed);
+    fleet.tenant(TenantId(1)).unwrap();
+    assert!(fleet.tenants().iter().all(|(id, _)| *id == TenantId(1)));
+
+    let (after, stats) = fleet.serve_mixed(&mixed);
+    assert_eq!((stats.faults, stats.fault_errors), (1, 0));
+    for (a, b) in before.iter().zip(&after) {
+        assert_eq!(bits(a), bits(b), "the tenant's own tables answer");
+        assert_eq!(b.served().unwrap().epoch, 0);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -373,7 +439,7 @@ fn corrupt_epoch_file_fails_closed_through_serve_mixed() {
     assert!(fleet.tenants().iter().all(|(id, _)| id.0 >= 2));
 
     // bit rot in tenant 0's newest epoch, past the header
-    let (_, path) = store.latest_epoch(0).unwrap();
+    let path = store.epoch_path(0, 0);
     let mut bytes = std::fs::read(&path).unwrap();
     let mid = 80 + (bytes.len() - 80) / 2;
     bytes[mid] ^= 0x10;

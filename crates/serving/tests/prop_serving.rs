@@ -192,9 +192,8 @@ fn check_every_door(seed: u64, n: usize, budget: u64) {
     );
 
     // the persisted epoch, rehydrated
-    let (_, path) = store
-        .latest_epoch(0)
-        .expect("tenant 0 persisted at registration");
+    let path = store.epoch_path(0, 0);
+    assert!(path.exists(), "tenant 0 persisted at registration");
     let stored = StoredEpoch::open(&path, true).unwrap();
     let (rehydrated, stored_mat) = rehydrate_engine(&tree, &stored).unwrap();
     let online = OnlineEngine::new(&rehydrated, &stored_mat);

@@ -158,7 +158,9 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Where a fleet persists epochs: the directory store files live in.
 /// Cloned freely (it is a path), carried by engines that persist and
-/// shards that page.
+/// shards that page. A store directory belongs to one fleet at a time: a
+/// fleet reads back only the epochs it saved itself, and a save overwrites
+/// an earlier fleet's file of the same `(tenant, epoch)`.
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
     /// Directory holding one `.pnut` file per persisted `(tenant, epoch)`.
@@ -176,31 +178,6 @@ impl StoreConfig {
     pub fn epoch_path(&self, tenant: u32, epoch: u64) -> PathBuf {
         self.dir
             .join(format!("tenant{tenant}-epoch{epoch:020}.pnut"))
-    }
-
-    /// The newest persisted epoch for `tenant`, scanning the store
-    /// directory. `None` when the tenant has no persisted epoch (or the
-    /// directory does not exist yet).
-    pub fn latest_epoch(&self, tenant: u32) -> Option<(u64, PathBuf)> {
-        let prefix = format!("tenant{tenant}-epoch");
-        let mut best: Option<(u64, PathBuf)> = None;
-        for entry in fs::read_dir(&self.dir).ok()?.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            let Some(rest) = name.strip_prefix(&prefix) else {
-                continue;
-            };
-            let Some(digits) = rest.strip_suffix(".pnut") else {
-                continue;
-            };
-            let Ok(epoch) = digits.parse::<u64>() else {
-                continue;
-            };
-            if best.as_ref().is_none_or(|(e, _)| epoch > *e) {
-                best = Some((epoch, entry.path()));
-            }
-        }
-        best
     }
 
     /// Persists one epoch for `tenant`, creating the store directory on
@@ -561,7 +538,8 @@ impl StoredEpoch {
     /// Rebuilds the owned [`Materialization`] this file was saved from:
     /// structural shortcuts re-derived from the persisted node lists
     /// (validated against `tree`), dense tables copied out of the slab.
-    /// Everything numeric is bit-identical to what was saved.
+    /// Everything numeric is bit-identical to what was saved; what does
+    /// not fit `tree` is a [`PgmError::CorruptStore`] naming this file.
     pub fn rebuild_materialization(
         &self,
         tree: &JunctionTree,
@@ -585,13 +563,14 @@ impl StoredEpoch {
                     })?;
                 nodes.push(u);
             }
-            let shortcut = Shortcut::from_nodes(tree, rooted, nodes)?;
+            let in_file = |e: PgmError| corrupt(&self.path, format!("shortcut {i}: {e}"));
+            let shortcut = Shortcut::from_nodes(tree, rooted, nodes).map_err(in_file)?;
             let potential = match *span {
                 Some((off, len)) => {
                     let scope = shortcut.scope().clone();
                     let cards = tree.domain().cards_of(&scope);
                     let values = self.mat_slab[off..off + len].to_vec();
-                    Some(Potential::new(scope, cards, values)?)
+                    Some(Potential::new(scope, cards, values).map_err(in_file)?)
                 }
                 None => None,
             };
@@ -610,12 +589,17 @@ impl StoredEpoch {
 /// reattach the calibrated arena slab (skipping initialization
 /// and both Hugin passes), rebuild the materialization structurally
 /// (skipping the selection DP), and return an engine answering
-/// bit-identically to the one that was persisted.
+/// bit-identically to the one that was persisted. A file that does not
+/// fit `tree` is a [`PgmError::CorruptStore`] naming that file.
 pub fn rehydrate_engine<'t>(
     tree: &'t JunctionTree,
     stored: &StoredEpoch,
 ) -> Result<(QueryEngine<'t>, Materialization), PgmError> {
-    let ns = NumericState::from_calibrated_slab(tree, stored.arena_slab())?;
+    let ns =
+        NumericState::from_calibrated_slab(tree, stored.arena_slab()).map_err(|e| match e {
+            PgmError::CorruptStore { detail, .. } => corrupt(stored.path(), detail),
+            e => e,
+        })?;
     let engine = QueryEngine::from_calibrated(tree, ns);
     let mat = stored.rebuild_materialization(tree, engine.rooted())?;
     Ok((engine, mat))

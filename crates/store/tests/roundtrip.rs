@@ -13,11 +13,13 @@
 //! * an open epoch owns its tables: truncating, overwriting or unlinking
 //!   the file afterwards cannot reach it, a crashed save's leftover
 //!   temp file is never mistaken for an epoch, and a save that fails
-//!   removes its own.
+//!   removes its own;
+//! * a file that does not fit the tree it is rehydrated against fails as
+//!   `CorruptStore` naming that file.
 
 use peanut_core::{
-    FlatMaterialization, Materialization, OfflineContext, OnlineEngine, Peanut, PeanutConfig,
-    Workload,
+    FlatMaterialization, Materialization, MaterializedShortcut, OfflineContext, OnlineEngine,
+    Peanut, PeanutConfig, Shortcut, Workload,
 };
 use peanut_junction::{build_junction_tree, JunctionTree, QueryEngine};
 use peanut_pgm::generate::{generate_network, DagConfig};
@@ -240,36 +242,39 @@ fn open_epoch_outlives_its_file() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Each `(tenant, epoch)` is saved at its own path. A crashed save
+/// leaves `<name>.pnut.<pid>.<n>.tmp` behind: never an epoch, left
+/// untouched by later saves, and no obstacle to saving that epoch for
+/// real.
 #[test]
-fn store_config_tracks_the_latest_epoch() {
-    let dir = temp_dir("latest");
+fn store_config_saves_each_epoch_at_its_own_path() {
+    let dir = temp_dir("paths");
     let cfg = StoreConfig::new(&dir);
-    assert!(cfg.latest_epoch(4).is_none());
     let bn = fixtures::sprinkler();
     let tree = build_junction_tree(&bn).unwrap();
     let engine = QueryEngine::numeric(&tree, &bn).unwrap();
     let slab = engine.numeric_state().unwrap().arena().slab();
-    for epoch in [1u64, 5, 3] {
+    let save_at = |epoch: u64| {
         let mat = Materialization::default().with_epoch(epoch);
-        let flat = FlatMaterialization::pack(&mat);
-        cfg.save_epoch(4, &mat, &flat, slab).unwrap();
+        cfg.save_epoch(4, &mat, &FlatMaterialization::pack(&mat), slab)
+            .unwrap()
+    };
+    for epoch in [1u64, 5, 3] {
+        let path = save_at(epoch);
+        assert_eq!(path, cfg.epoch_path(4, epoch));
+        assert!(path.exists());
     }
-    let (epoch, path) = cfg.latest_epoch(4).unwrap();
-    assert_eq!(epoch, 5);
-    assert_eq!(path, cfg.epoch_path(4, 5));
     // other tenants are untouched
-    assert!(cfg.latest_epoch(5).is_none());
+    assert!(!cfg.epoch_path(5, 5).exists());
 
-    // a crashed save leaves `<name>.pnut.<pid>.<n>.tmp` behind: never an
-    // epoch, and no obstacle to saving that epoch for real
     let stale = dir.join("tenant4-epoch00000000000000000009.pnut.1.0.tmp");
     std::fs::write(&stale, b"torn").unwrap();
-    assert_eq!(cfg.latest_epoch(4).unwrap().0, 5);
-    let mat = Materialization::default().with_epoch(9);
-    let path = cfg
-        .save_epoch(4, &mat, &FlatMaterialization::pack(&mat), slab)
-        .unwrap();
-    assert_eq!(cfg.latest_epoch(4).unwrap(), (9, path.clone()));
+    assert!(
+        !cfg.epoch_path(4, 9).exists(),
+        "a temp file is not an epoch"
+    );
+    let path = save_at(9);
+    assert_eq!(path, cfg.epoch_path(4, 9));
     assert_eq!(StoredEpoch::open(&path, true).unwrap().epoch(), 9);
     assert_eq!(
         std::fs::read(&stale).unwrap(),
@@ -558,6 +563,75 @@ fn rehydration_validates_against_the_tree() {
         panic!("rehydration against the wrong tree must fail");
     };
     assert!(matches!(err, PgmError::CorruptStore { .. }), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A file that does not fit the tree it is rehydrated against names
+/// itself: an arena slab of another tree's length, and a shortcut node
+/// list that is not a connected subtree, are both `CorruptStore` errors
+/// whose path is the file.
+#[test]
+fn rehydration_errors_name_their_file() {
+    let dir = temp_dir("named");
+    let bn = fixtures::chain(8, 2, 1);
+    let tree = build_junction_tree(&bn).unwrap();
+    let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+    let rooted = engine.rooted();
+    let ns = engine.numeric_state().unwrap();
+    // one two-clique shortcut: a clique and its parent
+    let (child, parent) = (0..tree.n_cliques())
+        .find_map(|u| Some((u, rooted.parent(u)?)))
+        .unwrap();
+    let shortcut = Shortcut::from_nodes(&tree, rooted, vec![child, parent]).unwrap();
+    let mat = Materialization::new(
+        vec![MaterializedShortcut {
+            shortcut,
+            potential: None,
+            benefit: 1.0,
+            ratio: 1.0,
+        }],
+        true,
+    );
+    let path = dir.join("chain8.pnut");
+    save(
+        &path,
+        &mat,
+        &FlatMaterialization::pack(&mat),
+        ns.arena().slab(),
+    )
+    .unwrap();
+    let named = |err: PgmError| match err {
+        PgmError::CorruptStore { path: named, .. } => named == path.display().to_string(),
+        _ => false,
+    };
+
+    // another tree: chain(9, …) has a longer arena slab
+    let longer = build_junction_tree(&fixtures::chain(9, 2, 1)).unwrap();
+    let stored = StoredEpoch::open(&path, true).unwrap();
+    let Err(err) = rehydrate_engine(&longer, &stored) else {
+        panic!("rehydration against chain(9, …) must fail");
+    };
+    assert!(named(err.clone()), "{err:?}");
+
+    // the same tree, the shortcut's parent clique swapped for one that
+    // leaves its node list disconnected
+    let apart = (0..tree.n_cliques())
+        .find(|&w| Shortcut::from_nodes(&tree, rooted, vec![child, w]).is_err())
+        .unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let nodes_at = (10 + word(&bytes, 5) + 2) * 8;
+    assert_eq!(word(&bytes[nodes_at..], 0), child.min(parent));
+    assert_eq!(word(&bytes[nodes_at..], 1), child.max(parent));
+    let slot = nodes_at + if parent > child { 8 } else { 0 };
+    bytes[slot..slot + 8].copy_from_slice(&(apart as u64).to_le_bytes());
+    let checksum = peanut_store::lane_checksum(&bytes[24..]);
+    bytes[16..24].copy_from_slice(&checksum.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    let stored = StoredEpoch::open(&path, true).unwrap();
+    let Err(err) = rehydrate_engine(&tree, &stored) else {
+        panic!("a disconnected node list must fail");
+    };
+    assert!(named(err.clone()), "{err:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
