@@ -17,40 +17,46 @@
 //! Calibration reads and writes the slab in place through
 //! [`TableRef`] views and the span-writing kernels
 //! ([`peanut_pgm::product_onto`], [`peanut_pgm::mul_assign_bcast`]), so a
-//! calibrated tree is one relocatable buffer: the slab can be copied, or
-//! read back from disk, and reattached with [`TreeArena::replace_slab`]
-//! without touching any index structure. That relocatability is the seam
-//! the materialization store (`peanut-store`) plugs into.
+//! calibrated tree is one relocatable buffer: the index arrays never
+//! reference slab addresses, only offsets. They sit behind an `Arc`, next
+//! to the owned slab, so a slab produced elsewhere — a copy, a decoded
+//! store file — attaches to an existing layout without rebuilding
+//! anything. That is the relocation seam the materialization store
+//! (`peanut-store`) plugs into: an engine rebuilt from a slab read back
+//! from disk
+//! ([`QueryEngine::with_calibrated_slab`](crate::QueryEngine::with_calibrated_slab))
+//! moves the slab in and shares the layout of the engine it was rebuilt
+//! from, so a fleet's fault-in lays nothing out.
 
 use crate::tree::{CliqueId, EdgeId, JunctionTree};
 use peanut_pgm::potential::MAX_DENSE_ENTRIES;
 use peanut_pgm::{PgmError, Scope, TableRef};
+use std::sync::Arc;
 
-/// Contiguous flat storage for all clique and separator tables of one
-/// junction tree. Cliques occupy table slots `0..n_cliques`, separators the
-/// `n_cliques..n_cliques + n_separators` that follow.
-#[derive(Clone, Debug)]
-pub struct TreeArena {
+/// The index arrays of a tree's arena: per-table scopes, cardinalities and
+/// slab spans. Nothing writes them after [`of`](Self::of), so every arena
+/// laid out for one tree can share one copy.
+#[derive(Debug)]
+pub(crate) struct ArenaLayout {
     /// Per-table scopes, cliques first, then separators.
     scopes: Vec<Scope>,
     /// CSR offsets into `cards_flat`; `card_first.len() == n_tables + 1`.
     card_first: Vec<u32>,
     cards_flat: Vec<u32>,
-    /// Per-table `(offset, len)` spans into `slab`.
+    /// Per-table `(offset, len)` spans into the slab.
     span_off: Vec<usize>,
     span_len: Vec<usize>,
     n_cliques: usize,
-    /// One contiguous value buffer holding every table back to back.
-    slab: Vec<f64>,
+    /// Slab length: the spans tile `0..len` back to back.
+    len: usize,
 }
 
-impl TreeArena {
-    /// Lays out an arena for `tree`: clique spans first, separator spans
-    /// after, every span zero-filled. Fails with
-    /// [`PgmError::TableTooLarge`] when any single table exceeds the dense
-    /// materialization limit (the symbolic-pipeline fallback, as for
-    /// TPC-H/Munin/Barley in the paper).
-    pub fn layout(tree: &JunctionTree) -> Result<Self, PgmError> {
+impl ArenaLayout {
+    /// Lays out the tables of `tree`: clique spans first, separator spans
+    /// after. Fails with [`PgmError::TableTooLarge`] when any single table
+    /// exceeds the dense materialization limit (the symbolic-pipeline
+    /// fallback, as for TPC-H/Munin/Barley in the paper).
+    pub(crate) fn of(tree: &JunctionTree) -> Result<Self, PgmError> {
         let n_cliques = tree.n_cliques();
         let n_seps = tree.edges().len();
         let n_tables = n_cliques + n_seps;
@@ -79,42 +85,89 @@ impl TreeArena {
             span_len.push(entries as usize);
             off += entries as usize;
         }
-        Ok(TreeArena {
+        Ok(ArenaLayout {
             scopes,
             card_first,
             cards_flat,
             span_off,
             span_len,
             n_cliques,
-            slab: vec![0.0; off],
+            len: off,
         })
-    }
-
-    /// Number of clique tables.
-    #[inline]
-    pub fn n_cliques(&self) -> usize {
-        self.n_cliques
-    }
-
-    /// Number of separator tables.
-    #[inline]
-    pub fn n_separators(&self) -> usize {
-        self.scopes.len() - self.n_cliques
     }
 
     #[inline]
     fn cards_of(&self, i: usize) -> &[u32] {
         &self.cards_flat[self.card_first[i] as usize..self.card_first[i + 1] as usize]
     }
+}
+
+/// Contiguous flat storage for all clique and separator tables of one
+/// junction tree. Cliques occupy table slots `0..n_cliques`, separators the
+/// `n_cliques..n_cliques + n_separators` that follow.
+#[derive(Clone, Debug)]
+pub struct TreeArena {
+    /// The index arrays, shared by every arena laid out for the tree.
+    layout: Arc<ArenaLayout>,
+    /// One contiguous value buffer holding every table back to back.
+    slab: Vec<f64>,
+}
+
+impl TreeArena {
+    /// An arena over `layout` holding `slab` — moved in, not copied. A slab
+    /// of another length fails with [`PgmError::CorruptStore`] rather than
+    /// attaching values to the wrong spans.
+    pub(crate) fn with_slab(layout: Arc<ArenaLayout>, slab: Vec<f64>) -> Result<Self, PgmError> {
+        if slab.len() != layout.len {
+            return Err(PgmError::CorruptStore {
+                path: "<calibrated slab>".into(),
+                detail: format!(
+                    "arena slab length {} does not match the tree's layout ({} entries)",
+                    slab.len(),
+                    layout.len
+                ),
+            });
+        }
+        Ok(TreeArena { layout, slab })
+    }
+
+    /// An all-zero arena for `tree`, the buffer initialization multiplies
+    /// the CPTs into.
+    pub(crate) fn zeroed(tree: &JunctionTree) -> Result<Self, PgmError> {
+        let layout = ArenaLayout::of(tree)?;
+        let slab = vec![0.0; layout.len];
+        Ok(TreeArena {
+            layout: Arc::new(layout),
+            slab,
+        })
+    }
+
+    /// The shared index arrays.
+    #[inline]
+    pub(crate) fn layout(&self) -> &Arc<ArenaLayout> {
+        &self.layout
+    }
+
+    /// Number of clique tables.
+    #[inline]
+    pub fn n_cliques(&self) -> usize {
+        self.layout.n_cliques
+    }
+
+    /// Number of separator tables.
+    #[inline]
+    pub fn n_separators(&self) -> usize {
+        self.layout.scopes.len() - self.layout.n_cliques
+    }
 
     /// Borrowed view of table slot `i` (clique order, then separator order).
     #[inline]
     fn table(&self, i: usize) -> TableRef<'_> {
-        let off = self.span_off[i];
+        let off = self.layout.span_off[i];
         TableRef::new(
-            &self.scopes[i],
-            self.cards_of(i),
-            &self.slab[off..off + self.span_len[i]],
+            &self.layout.scopes[i],
+            self.layout.cards_of(i),
+            &self.slab[off..off + self.layout.span_len[i]],
         )
     }
 
@@ -124,41 +177,41 @@ impl TreeArena {
     /// no slab splitting.
     #[inline]
     fn table_mut(&mut self, i: usize) -> (&Scope, &[u32], &mut [f64]) {
-        let off = self.span_off[i];
-        let len = self.span_len[i];
+        let layout = &*self.layout;
+        let off = layout.span_off[i];
         (
-            &self.scopes[i],
-            &self.cards_flat[self.card_first[i] as usize..self.card_first[i + 1] as usize],
-            &mut self.slab[off..off + len],
+            &layout.scopes[i],
+            layout.cards_of(i),
+            &mut self.slab[off..off + layout.span_len[i]],
         )
     }
 
     /// Borrowed view of a clique table.
     #[inline]
     pub fn clique(&self, u: CliqueId) -> TableRef<'_> {
-        debug_assert!(u < self.n_cliques);
+        debug_assert!(u < self.n_cliques());
         self.table(u)
     }
 
     /// Borrowed view of a separator table.
     #[inline]
     pub fn separator(&self, e: EdgeId) -> TableRef<'_> {
-        self.table(self.n_cliques + e)
+        self.table(self.n_cliques() + e)
     }
 
     /// Scope, cardinalities and mutable values of a clique table.
     #[inline]
     pub fn clique_mut(&mut self, u: CliqueId) -> (&Scope, &[u32], &mut [f64]) {
-        debug_assert!(u < self.n_cliques);
+        debug_assert!(u < self.n_cliques());
         self.table_mut(u)
     }
 
     /// Mutable values of a separator table.
     #[inline]
     pub fn separator_values_mut(&mut self, e: EdgeId) -> &mut [f64] {
-        let i = self.n_cliques + e;
-        let off = self.span_off[i];
-        &mut self.slab[off..off + self.span_len[i]]
+        let i = self.n_cliques() + e;
+        let off = self.layout.span_off[i];
+        &mut self.slab[off..off + self.layout.span_len[i]]
     }
 
     /// The whole value slab (cliques first, separators after) — one
@@ -166,17 +219,6 @@ impl TreeArena {
     #[inline]
     pub fn slab(&self) -> &[f64] {
         &self.slab
-    }
-
-    /// Swaps in a new value slab (same length), returning the old one.
-    ///
-    /// This is the relocation seam: the index structure never references
-    /// slab addresses, only offsets, so values produced elsewhere — a copy,
-    /// a snapshot, a decoded store file — attach without rebuilding
-    /// anything. Panics if the lengths differ.
-    pub fn replace_slab(&mut self, slab: Vec<f64>) -> Vec<f64> {
-        assert_eq!(slab.len(), self.slab.len(), "slab length must match layout");
-        std::mem::replace(&mut self.slab, slab)
     }
 }
 
@@ -190,11 +232,11 @@ mod tests {
     fn layout_is_contiguous_and_ordered() {
         let bn = fixtures::asia();
         let tree = build_junction_tree(&bn).unwrap();
-        let arena = TreeArena::layout(&tree).unwrap();
+        let arena = TreeArena::zeroed(&tree).unwrap();
         assert_eq!(arena.n_cliques(), tree.n_cliques());
         assert_eq!(arena.n_separators(), tree.edges().len());
         // spans tile the slab back to back: cliques first, then separators
-        let span = |i: usize| (arena.span_off[i], arena.span_len[i]);
+        let span = |i: usize| (arena.layout.span_off[i], arena.layout.span_len[i]);
         let mut expect_off = 0;
         for u in 0..arena.n_cliques() {
             let (off, len) = span(u);
@@ -222,22 +264,27 @@ mod tests {
     fn replace_slab_relocates_values() {
         let bn = fixtures::sprinkler();
         let tree = build_junction_tree(&bn).unwrap();
-        let mut arena = TreeArena::layout(&tree).unwrap();
+        let mut arena = TreeArena::zeroed(&tree).unwrap();
         let (_, _, vals) = arena.clique_mut(0);
         vals.fill(3.25);
-        // copy the slab elsewhere (stand-in for a snapshot or a store file),
-        // reattach, and read the same bytes through the same views
+        // copy the slab elsewhere (stand-in for a snapshot or a store file)
+        // and attach it to the same layout: the same bytes read through the
+        // same views, and the index arrays are shared, not rebuilt
         let copy = arena.slab().to_vec();
-        let mut other = TreeArena::layout(&tree).unwrap();
-        assert!(other.clique(0).values().iter().all(|&v| v == 0.0));
-        let old = other.replace_slab(copy);
-        assert!(old.iter().all(|&v| v == 0.0));
+        let other = TreeArena::with_slab(Arc::clone(arena.layout()), copy).unwrap();
+        assert!(Arc::ptr_eq(other.layout(), arena.layout()));
         assert!(other.clique(0).values().iter().all(|&v| v == 3.25));
+        // a slab of another length attaches nowhere
+        let short = vec![0.0; arena.slab().len() - 1];
+        assert!(matches!(
+            TreeArena::with_slab(Arc::clone(arena.layout()), short),
+            Err(PgmError::CorruptStore { .. })
+        ));
     }
 
     #[test]
     fn oversized_clique_rejected() {
-        use peanut_pgm::{Domain, PgmError, Scope};
+        use peanut_pgm::Domain;
         let mut dm = Domain::new();
         for i in 0..8 {
             dm.add(&format!("v{i}"), 1000).unwrap();
@@ -245,7 +292,7 @@ mod tests {
         let full: Scope = dm.full_scope();
         let tree = crate::tree::JunctionTree::from_cliques(dm, vec![full]).unwrap();
         assert!(matches!(
-            TreeArena::layout(&tree),
+            ArenaLayout::of(&tree),
             Err(PgmError::TableTooLarge { .. })
         ));
     }

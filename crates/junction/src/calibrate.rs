@@ -8,13 +8,14 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-use crate::arena::TreeArena;
+use crate::arena::{ArenaLayout, TreeArena};
 use crate::memo::MessageMemo;
 use crate::rooted::RootedTree;
 use crate::tree::{CliqueId, EdgeId, JunctionTree};
 use peanut_pgm::{
     divide_views, mul_assign_bcast, product_onto, BayesianNetwork, PgmError, Scratch, TableRef, Var,
 };
+use std::sync::Arc;
 
 /// Dense clique and separator potentials attached to a junction tree,
 /// stored as spans of one flat arena slab, with the message memo every
@@ -39,7 +40,7 @@ impl NumericState {
     /// all-ones, multiplying CPTs directly into the arena spans.
     pub fn initialize(tree: &JunctionTree, bn: &BayesianNetwork) -> Result<Self, PgmError> {
         let mut scratch = Scratch::new();
-        let mut arena = TreeArena::layout(tree)?;
+        let mut arena = TreeArena::zeroed(tree)?;
         for u in 0..tree.n_cliques() {
             let factors: Vec<TableRef<'_>> = tree
                 .assigned_factors(u)
@@ -183,29 +184,27 @@ impl NumericState {
     }
 
     /// Reattaches an already-calibrated value slab to a freshly laid-out
-    /// arena — the store rehydration path: no CPT products, no Hugin
-    /// passes, one `memcpy` of the persisted slab. The slab must come from
-    /// a tree with the identical layout (same cliques, same domain); a
-    /// length mismatch fails with [`PgmError::CorruptStore`] rather than
-    /// attaching values to the wrong spans.
+    /// arena — no CPT products, no Hugin passes, one `memcpy` of `slab`.
+    /// The slab must come from a tree with the identical layout (same
+    /// cliques, same domain); a length mismatch fails with
+    /// [`PgmError::CorruptStore`] rather than attaching values to the wrong
+    /// spans. A rebuild that already has a layout moves its slab onto it
+    /// ([`QueryEngine::with_calibrated_slab`](crate::QueryEngine::with_calibrated_slab)).
     pub fn from_calibrated_slab(tree: &JunctionTree, slab: &[f64]) -> Result<Self, PgmError> {
-        let mut arena = TreeArena::layout(tree)?;
-        if slab.len() != arena.slab().len() {
-            return Err(PgmError::CorruptStore {
-                path: "<calibrated slab>".into(),
-                detail: format!(
-                    "arena slab length {} does not match the tree's layout ({} entries)",
-                    slab.len(),
-                    arena.slab().len()
-                ),
-            });
-        }
-        arena.replace_slab(slab.to_vec());
-        Ok(NumericState {
+        let layout = Arc::new(ArenaLayout::of(tree)?);
+        Ok(Self::calibrated(TreeArena::with_slab(
+            layout,
+            slab.to_vec(),
+        )?))
+    }
+
+    /// Calibrated tables held in `arena`, with an empty memo.
+    pub(crate) fn calibrated(arena: TreeArena) -> Self {
+        NumericState {
             memo: MessageMemo::new(),
             arena,
             calibrated: true,
-        })
+        }
     }
 
     /// True once [`calibrate`](Self::calibrate) has run.

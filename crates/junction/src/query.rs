@@ -3,6 +3,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
+use crate::arena::{ArenaLayout, TreeArena};
 use crate::calibrate::NumericState;
 use crate::cost::QueryCost;
 use crate::reduced::ReducedTree;
@@ -10,6 +11,7 @@ use crate::rooted::RootedTree;
 use crate::steiner::SteinerTree;
 use crate::tree::{CliqueId, JunctionTree};
 use peanut_pgm::{BayesianNetwork, PgmError, Potential, Scope, Scratch, Var};
+use std::sync::Arc;
 
 /// How a query will be processed.
 #[derive(Clone, Debug)]
@@ -22,10 +24,16 @@ pub enum QueryPlan {
 
 /// A junction tree prepared for query answering.
 ///
-/// Owns the rooted view and (optionally) the calibrated dense potentials.
+/// Holds the rooted view and (optionally) the calibrated dense potentials.
 /// Without potentials the engine runs in *symbolic* mode: it computes exact
 /// operation counts but cannot produce numeric answers (this is how the
 /// paper evaluates the datasets whose calibration is infeasible).
+///
+/// The rooting and the tables' arena layout are what a tree fixes, so they
+/// sit behind `Arc`s: an engine rebuilt from this one
+/// ([`with_calibrated_slab`](Self::with_calibrated_slab), evidence
+/// restriction) shares them instead of recomputing them, and so does one
+/// rebuilt from a table-less copy ([`without_tables`](Self::without_tables)).
 ///
 /// The calibrated tables carry a bounded memo of the directed messages
 /// every numeric pass over them sends (`crate::reduced`, "The message
@@ -34,18 +42,18 @@ pub enum QueryPlan {
 /// empty one.
 pub struct QueryEngine<'t> {
     tree: &'t JunctionTree,
-    rooted: RootedTree,
+    rooted: Arc<RootedTree>,
     numeric: Option<NumericState>,
+    /// The arena layout a table-less copy of a numeric engine keeps
+    /// ([`without_tables`](Self::without_tables)); `None` otherwise, a
+    /// numeric engine's layout being its tables'.
+    layout: Option<Arc<ArenaLayout>>,
 }
 
 impl<'t> QueryEngine<'t> {
     /// Symbolic engine (size-only).
     pub fn symbolic(tree: &'t JunctionTree) -> Self {
-        QueryEngine {
-            tree,
-            rooted: RootedTree::new(tree),
-            numeric: None,
-        }
+        Self::rooted_with(tree, None)
     }
 
     /// Numeric engine: initializes and calibrates dense potentials.
@@ -55,22 +63,70 @@ impl<'t> QueryEngine<'t> {
         ns.calibrate(tree, &rooted)?;
         Ok(QueryEngine {
             tree,
-            rooted,
+            rooted: Arc::new(rooted),
             numeric: Some(ns),
+            layout: None,
         })
     }
 
-    /// Numeric engine over an **already calibrated** state — the store
-    /// rehydration path. Skips initialization and the two Hugin passes
-    /// entirely; the caller vouches that `ns` holds this tree's calibrated
-    /// tables (e.g. a persisted arena slab reattached via
-    /// [`NumericState::from_calibrated_slab`]).
+    /// Numeric engine over an **already calibrated** state. Skips
+    /// initialization and the two Hugin passes entirely; the caller vouches
+    /// that `ns` holds this tree's calibrated tables (e.g. a persisted arena
+    /// slab reattached via [`NumericState::from_calibrated_slab`]).
     pub fn from_calibrated(tree: &'t JunctionTree, ns: NumericState) -> Self {
         debug_assert!(ns.is_calibrated(), "rehydration requires calibrated state");
+        Self::rooted_with(tree, Some(ns))
+    }
+
+    /// `tree` rooted at its pivot, holding `numeric`.
+    fn rooted_with(tree: &'t JunctionTree, numeric: Option<NumericState>) -> Self {
         QueryEngine {
             tree,
-            rooted: RootedTree::new(tree),
-            numeric: Some(ns),
+            rooted: Arc::new(RootedTree::new(tree)),
+            numeric,
+            layout: None,
+        }
+    }
+
+    /// This engine without its tables: a symbolic engine over the same tree
+    /// that shares the rooting and keeps the tables' arena layout, so
+    /// [`with_calibrated_slab`](Self::with_calibrated_slab) on it rebuilds
+    /// only the tables. Copies nothing.
+    pub fn without_tables(&self) -> QueryEngine<'t> {
+        QueryEngine {
+            tree: self.tree,
+            rooted: Arc::clone(&self.rooted),
+            numeric: None,
+            layout: self.layout_handle().cloned(),
+        }
+    }
+
+    /// The store rehydration path: a numeric engine over this engine's tree
+    /// holding `slab` — moved in, not copied — as its calibrated tables,
+    /// with an empty message memo. It shares this engine's rooting and
+    /// arena layout; only an engine that never had tables lays the arena
+    /// out, from the tree. The caller vouches that `slab` is calibrated; a
+    /// slab whose length does not fit the layout fails with
+    /// [`PgmError::CorruptStore`].
+    pub fn with_calibrated_slab(&self, slab: Vec<f64>) -> Result<QueryEngine<'t>, PgmError> {
+        let layout = match self.layout_handle() {
+            Some(layout) => Arc::clone(layout),
+            None => Arc::new(ArenaLayout::of(self.tree)?),
+        };
+        let arena = TreeArena::with_slab(layout, slab)?;
+        Ok(QueryEngine {
+            tree: self.tree,
+            rooted: Arc::clone(&self.rooted),
+            numeric: Some(NumericState::calibrated(arena)),
+            layout: None,
+        })
+    }
+
+    /// The arena layout of this engine's tables, or of the tables it had.
+    fn layout_handle(&self) -> Option<&Arc<ArenaLayout>> {
+        match &self.numeric {
+            Some(ns) => Some(ns.arena().layout()),
+            None => self.layout.as_ref(),
         }
     }
 
@@ -188,8 +244,9 @@ impl<'t> QueryEngine<'t> {
         let restricted = ns.with_evidence(self.tree, &self.rooted, evidence)?;
         Ok(QueryEngine {
             tree: self.tree,
-            rooted: self.rooted.clone(),
+            rooted: Arc::clone(&self.rooted),
             numeric: Some(restricted),
+            layout: None,
         })
     }
 

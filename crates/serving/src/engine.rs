@@ -58,7 +58,9 @@ use crate::pool::{PoolCell, PoolStats, WorkerPool};
 use peanut_core::exec::Executor;
 use peanut_core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use peanut_core::sync::{thread, Arc, Mutex, RwLock};
-use peanut_core::{ByHash, FlatMaterialization, Materialization, ServeRequest, WorkloadStats};
+use peanut_core::{
+    ByHash, FlatMaterialization, Materialization, ServeRequest, Shortcut, WorkloadStats,
+};
 use peanut_junction::cost::QueryCost;
 use peanut_junction::QueryEngine;
 use peanut_pgm::{PgmError, Potential, Size};
@@ -261,26 +263,38 @@ impl EpochState {
 
 /// What a page-out keeps of an epoch, its **front**: the epoch number,
 /// its observation window and its answer cache. Both file under the
-/// engine's keyed hasher, which the window carries. The tables (the
-/// calibrated slab, the shortcut tables, both message memos) are not
-/// part of it: the store file holds them, and the tenant's record, parked
-/// with the front, says which file that is. A fault-in that rehydrates
-/// this same epoch resumes the front ([`ServingEngine::resume`]).
-#[derive(Clone)]
-pub(crate) struct ParkedEpoch {
+/// engine's keyed hasher, which the window carries. With the front it
+/// keeps the structure a page cycle cannot change: the engine without its
+/// tables (the tree's rooting and arena layout,
+/// [`QueryEngine::without_tables`]) and the epoch's shortcut structures.
+/// The tables (the calibrated slab, the shortcut tables, both message
+/// memos) are not part of it: the store file holds them, and the tenant's
+/// record, parked with the front, says which file that is. A fault-in
+/// rebuilds only those tables on the kept structure, and resumes the
+/// front when it rehydrates this same epoch ([`ServingEngine::resume`]).
+pub(crate) struct ParkedEpoch<'t> {
     epoch: u64,
     stats: Arc<WorkloadStats>,
     cache: Option<Arc<Mutex<AnswerCache>>>,
     store: Arc<EngineStore>,
+    frame: QueryEngine<'t>,
+    /// The parked epoch's shortcuts, in its order; a fault-in takes them.
+    shortcuts: Vec<Shortcut>,
 }
 
-impl ParkedEpoch {
+impl<'t> ParkedEpoch<'t> {
     /// The file a fault-in rehydrates: the newest epoch the tenant's
     /// record holds, the parked one or one a retired handle published.
     pub(crate) fn path(&self) -> PathBuf {
         // a page-out parks only once the record holds an epoch
         let epoch = self.store.newest().unwrap_or(self.epoch);
         self.store.cfg.epoch_path(self.store.tenant, epoch)
+    }
+
+    /// The structure a rehydrate builds on: the table-less engine, and the
+    /// parked shortcut structures, handed over (a second call gets none).
+    pub(crate) fn take_structure(&mut self) -> (&QueryEngine<'t>, Vec<Shortcut>) {
+        (&self.frame, std::mem::take(&mut self.shortcuts))
     }
 }
 
@@ -361,7 +375,7 @@ impl<'t> ServingEngine<'t> {
         engine: QueryEngine<'t>,
         mat: Materialization,
         cfg: ServingConfig,
-        parked: &ParkedEpoch,
+        parked: &ParkedEpoch<'t>,
     ) -> Self {
         let mut serving = if mat.epoch == parked.epoch {
             let state = EpochState {
@@ -398,7 +412,7 @@ impl<'t> ServingEngine<'t> {
     /// park, once the record holds the served epoch (saved here if not).
     /// It shares the window and the cache, so a batch still draining on
     /// this engine files into the parked ones.
-    pub(crate) fn park(&self) -> Result<ParkedEpoch, PgmError> {
+    pub(crate) fn park(&self) -> Result<ParkedEpoch<'t>, PgmError> {
         let store = Arc::clone(self.record()?);
         if self.persisted_epoch().is_none() {
             self.persist_current()?;
@@ -409,6 +423,13 @@ impl<'t> ServingEngine<'t> {
             stats: Arc::clone(&state.stats),
             cache: state.cache.clone(),
             store,
+            frame: self.engine.without_tables(),
+            shortcuts: state
+                .mat
+                .shortcuts
+                .iter()
+                .map(|s| s.shortcut.clone())
+                .collect(),
         })
     }
 

@@ -45,16 +45,23 @@
 //! cache (at most [`cache_capacity`](ServingConfig::cache_capacity)
 //! answers) and the observation window, both filed under the engine's
 //! keyed hasher, with the tenant's one record of what it has on disk,
-//! shared by every engine built for the tenant. A paged-out tenant's next
-//! arrival faults it back in by rehydrating the newest epoch the record
-//! holds (one file read, no directory listing, no calibration, no
-//! selection DP), and it answers bit-identically to an always-resident
-//! fleet. When that is the
-//! parked epoch, the engine resumes the front: the epoch's answers hit
-//! again, and its window keeps the arrivals served before the page-out.
-//! A newer one (a publish on an engine handle held across the page-out)
-//! drops the front, as a publish drops it, and a resident engine older
-//! than its record is rebuilt the same way at its next access.
+//! shared by every engine built for the tenant. The front also keeps the
+//! structure no page cycle changes: the tree's rooting and arena layout
+//! (shared, not copied) and the epoch's shortcut structures, without
+//! their tables. A paged-out tenant's next arrival faults it back in by
+//! rehydrating the newest epoch the record holds (one file read, no
+//! directory listing, no calibration, no selection DP). The fault-in
+//! rebuilds only the tables, each decoded once from the file into the
+//! `Vec` that serves it; a persisted shortcut whose node list is the kept
+//! one's at its position is taken from the front, every other one is
+//! derived from the file and validated against the tree. The tenant
+//! answers bit-identically to an always-resident fleet. When the file is
+//! the parked epoch, the engine resumes the front: the epoch's answers
+//! hit again, and its window keeps the arrivals served before the
+//! page-out. A newer one (a publish on an engine handle held across the
+//! page-out) drops the front, as a publish drops it, and a resident
+//! engine older than its record is rebuilt the same way at its next
+//! access.
 //! Fault/page-out telemetry lands in
 //! [`MixedBatchStats`] per batch and in [`PagingStats`] cumulatively.
 
@@ -68,9 +75,9 @@ use peanut_core::exec::Executor;
 use peanut_core::sync::atomic::{AtomicU64, Ordering};
 use peanut_core::sync::{Arc, RwLock};
 use peanut_core::{Materialization, ServeRequest};
-use peanut_junction::{JunctionTree, QueryEngine};
+use peanut_junction::QueryEngine;
 use peanut_pgm::PgmError;
-use peanut_store::{rehydrate_engine, StoreConfig, StoredEpoch};
+use peanut_store::{StoreConfig, StoredEpoch};
 use std::time::{Duration, Instant};
 
 /// Identifies one tenant (one model) of a sharded engine.
@@ -139,7 +146,9 @@ pub struct MixedBatchStats {
     pub wall: Duration,
     /// Tenants faulted in from the store during this batch.
     pub faults: usize,
-    /// Fault-ins that failed (all of the tenant's arrivals errored).
+    /// Fault-ins that failed (all of the tenant's arrivals errored), and
+    /// page-outs after the batch whose persist failed (the tenant stayed
+    /// resident).
     pub fault_errors: usize,
     /// Tenants paged out at the end of this batch.
     pub page_outs: usize,
@@ -163,7 +172,8 @@ pub struct PagingStats {
     pub max_resident: usize,
     /// Tenants faulted in from the store since construction.
     pub faults: u64,
-    /// Fault-ins that failed.
+    /// Fault-ins that failed, and page-outs whose persist failed (the
+    /// tenant stayed resident).
     pub fault_errors: u64,
     /// Tenants paged out since construction.
     pub page_outs: u64,
@@ -173,9 +183,6 @@ pub struct PagingStats {
 
 struct TenantShard<'t> {
     id: TenantId,
-    /// The tenant's calibrated model structure — kept while the engine is
-    /// paged out, so a fault-in can rehydrate against it.
-    tree: &'t JunctionTree,
     /// The engine while resident, its epoch's front while paged out.
     resident: RwLock<Residency<'t>>,
     /// [`stamp`] of the last access: its fleet-clock tick, then the
@@ -189,7 +196,7 @@ enum Residency<'t> {
     Resident(Arc<ServingEngine<'t>>),
     /// Paged out: the tables are in the store only, and the epoch's front
     /// waits for the next fault-in.
-    Parked(ParkedEpoch),
+    Parked(ParkedEpoch<'t>),
 }
 
 impl<'t> Residency<'t> {
@@ -334,7 +341,6 @@ impl<'t> ShardedServingEngine<'t> {
         let Err(at) = self.shards.binary_search_by_key(&id, |s| s.id) else {
             return Err(PgmError::DuplicateTenant(id.0));
         };
-        let tree = engine.tree();
         let mut serving = ServingEngine::new(engine, mat, self.tenant_config());
         if let Some(store) = &self.store {
             serving.set_store(store.clone(), id.0);
@@ -344,7 +350,6 @@ impl<'t> ShardedServingEngine<'t> {
             at,
             TenantShard {
                 id,
-                tree,
                 resident: RwLock::new(Residency::Resident(Arc::new(serving))),
                 // ordering: registration happens under `&mut self`.
                 last_used: AtomicU64::new(stamp(self.clock.load(Ordering::Relaxed), 0)),
@@ -457,13 +462,17 @@ impl<'t> ShardedServingEngine<'t> {
         let mut resident = shard.resident.write();
         // double-check: another thread may have faulted it in while we
         // waited for the write lock
-        let parked = match &*resident {
+        let mut retired;
+        let parked = match &mut *resident {
             Residency::Resident(engine) if !engine.is_stale() => return Ok(Arc::clone(engine)),
-            Residency::Resident(engine) => engine.park()?,
-            Residency::Parked(parked) => parked.clone(),
+            Residency::Resident(engine) => {
+                retired = engine.park()?;
+                &mut retired
+            }
+            Residency::Parked(parked) => parked,
         };
         let t0 = Instant::now();
-        let faulted = self.fault_in(shard.tree, &parked);
+        let faulted = self.fault_in(parked);
         // ordering: telemetry counters only.
         self.fault_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -483,17 +492,18 @@ impl<'t> ShardedServingEngine<'t> {
     }
 
     /// Rehydrates the newest epoch the tenant's record, carried by the
-    /// `parked` front, holds: reattach the calibrated slab and the record,
-    /// rebuild the materialization structurally — no calibration pass, no
-    /// selection DP — and resume the front when the file is its epoch
-    /// ([`ServingEngine::resume`]). A failed fault-in leaves it parked.
-    fn fault_in(
-        &self,
-        tree: &'t JunctionTree,
-        parked: &ParkedEpoch,
-    ) -> Result<Arc<ServingEngine<'t>>, PgmError> {
+    /// `parked` front, holds. Only the tables are rebuilt: the file's
+    /// calibrated slab and shortcut tables move onto the structure the
+    /// front kept — the rooting, the arena layout and the parked epoch's
+    /// shortcut structures, which the file's node lists are checked
+    /// against ([`StoredEpoch::rehydrate`]) — with no calibration pass and
+    /// no selection DP. The front is resumed when the file is its epoch
+    /// ([`ServingEngine::resume`]). A failed fault-in leaves it parked;
+    /// its shortcut structures are then derived from the file next time.
+    fn fault_in(&self, parked: &mut ParkedEpoch<'t>) -> Result<Arc<ServingEngine<'t>>, PgmError> {
         let stored = StoredEpoch::open(&parked.path(), true)?;
-        let (engine, mat) = rehydrate_engine(tree, &stored)?;
+        let (frame, kept) = parked.take_structure();
+        let (engine, mat) = stored.rehydrate(frame, kept)?;
         Ok(Arc::new(ServingEngine::resume(
             engine,
             mat,

@@ -28,7 +28,8 @@ use peanut_core::Materialization;
 use peanut_junction::{build_junction_tree, JunctionTree, QueryEngine};
 use peanut_pgm::{fixtures, BayesianNetwork, PgmError, Potential};
 use peanut_serving::{
-    ServeOutcome, ServeRequest, ShardConfig, ShardedServingEngine, StoreConfig, TenantId,
+    ServeOutcome, ServeRequest, ServingConfig, ServingEngine, ShardConfig, ShardedServingEngine,
+    StoreConfig, TenantId,
 };
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -659,5 +660,245 @@ fn the_observation_window_survives_a_page_out() {
         "tenant 0 faulted in"
     );
     assert_eq!(t0.stats().snapshot().queries, n);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A publish on a handle held across the page-out brings a different
+/// shortcut set than the one the front parked: the fault-in derives the
+/// shortcuts whose node lists differ from the file, and answers bit for
+/// bit like an always-resident engine serving that materialization.
+#[test]
+fn a_fault_in_derives_a_new_shortcut_set_from_the_file() {
+    let (bns, trees, batches) = two_tenants(89);
+    let dir = temp_dir("new-set");
+    let fleet = build_fleet(&trees, &bns, &batches, Some(StoreConfig::new(&dir)), 1);
+    let held = fleet.tenant(TenantId(0)).unwrap();
+    let parked = held.materialization();
+    fleet.tenant(TenantId(1)).unwrap();
+    assert_eq!(fleet.resident_len(), 1, "tenant 0 is paged out");
+
+    // another workload and budget select another shortcut set
+    let resident = QueryEngine::numeric(&trees[0], &bns[0]).unwrap();
+    let other = random_batch(&bns[0], 24, 5);
+    let mat = train_mat(&trees[0], &resident, &other, 64);
+    let nodes = |m: &Materialization| {
+        m.shortcuts
+            .iter()
+            .map(|s| s.shortcut.nodes().to_vec())
+            .collect::<Vec<_>>()
+    };
+    assert!(!mat.shortcuts.is_empty());
+    assert_ne!(nodes(&mat), nodes(&parked), "the shortcut sets differ");
+    assert_eq!(held.publish(mat.clone()), 1);
+    drop(held);
+
+    let mixed = tenant0(&batches[0]);
+    let (got, stats) = fleet.serve_mixed(&mixed);
+    assert_eq!(stats.faults, 1, "tenant 0 faulted in");
+    let faulted = fleet.tenant(TenantId(0)).unwrap();
+    assert_eq!(faulted.epoch(), 1);
+    assert_eq!(nodes(&faulted.materialization()), nodes(&mat));
+    let always = ServingEngine::new(resident, mat, ServingConfig::default().with_workers(1));
+    let (want, _) = always.serve_batch(&batches[0]);
+    for (a, b) in got.iter().zip(&want) {
+        assert_eq!(bits(a), bits(b));
+        let (a, b) = (a.served().unwrap(), b.served().unwrap());
+        assert_eq!(a.cost.ops, b.cost.ops);
+        assert_eq!(a.cost.shortcuts_used, b.cost.shortcuts_used);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The parked epoch's file, rewritten so that a shortcut's node list names
+/// a clique the tree does not have and re-checksummed, passes `open`; the
+/// fault-in checks the list against the tree instead of trusting the
+/// structure the front kept, and the tenant's arrivals fail closed as
+/// `CorruptStore` naming the file.
+#[test]
+fn an_out_of_range_clique_in_a_parked_file_fails_closed() {
+    let (bns, trees, batches) = two_tenants(101);
+    let dir = temp_dir("out-of-range");
+    let store = StoreConfig::new(&dir);
+    let fleet = build_fleet(&trees, &bns, &batches, Some(store.clone()), 1);
+    assert!(!fleet
+        .tenant(TenantId(0))
+        .unwrap()
+        .materialization()
+        .shortcuts
+        .is_empty());
+    fleet.tenant(TenantId(1)).unwrap();
+    assert_eq!(fleet.resident_len(), 1, "tenant 0 is paged out");
+
+    // header words 5 and 6: arena slab length, shortcut count; the node
+    // lists follow the slab and the n + 1 CSR offsets
+    let path = store.epoch_path(0, 0);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let word = |b: &[u8], w: usize| u64::from_le_bytes(b[w * 8..w * 8 + 8].try_into().unwrap());
+    let first_node = 10 + word(&bytes, 5) as usize + word(&bytes, 6) as usize + 1;
+    let bad = trees[0].n_cliques() as u64 + 5;
+    bytes[first_node * 8..first_node * 8 + 8].copy_from_slice(&bad.to_le_bytes());
+    let checksum = peanut_store::lane_checksum(&bytes[24..]);
+    bytes[16..24].copy_from_slice(&checksum.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    let (answers, stats) = fleet.serve_mixed(&tenant0(&batches[0]));
+    assert_eq!(stats.fault_errors, 1);
+    let file = path.display().to_string();
+    for a in &answers {
+        assert!(
+            matches!(a, ServeOutcome::Failed(PgmError::CorruptStore { path, detail })
+                if *path == file && detail.contains(&format!("clique {bad}"))),
+            "{a:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Set in the child [`under_file_size_limit`] starts.
+#[cfg(target_os = "linux")]
+const FILE_LIMIT_ENV: &str = "PEANUT_TEST_FILE_SIZE_LIMIT";
+
+/// Runs this binary's test `name` again in a child whose file-size limit
+/// is `blocks` 512-byte blocks, with `SIGXFSZ` ignored, so a write past the
+/// limit fails with `EFBIG` instead of killing it. The child's output is
+/// piped, so the limit never reaches a log file it would print to.
+#[cfg(target_os = "linux")]
+fn under_file_size_limit(name: &str, blocks: u64) {
+    let exe = std::env::current_exe().unwrap();
+    let script =
+        format!("trap '' XFSZ; ulimit -f {blocks}; exec \"$0\" --exact {name} --nocapture");
+    let out = std::process::Command::new("sh")
+        .args(["-c", &script])
+        .arg(&exe)
+        .env(FILE_LIMIT_ENV, "1")
+        .output()
+        .unwrap();
+    let text = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{name} under the limit:\n{text}");
+    assert!(text.contains("1 passed"), "{name} did not run:\n{text}");
+}
+
+/// The file-size limit of [`a_publish_past_the_disk_limit_keeps_serving_from_ram`].
+#[cfg(target_os = "linux")]
+const FLEET_LIMIT_BLOCKS: u64 = 64;
+
+/// Tenant 0 of the short-write test: a chain whose every interval of
+/// cliques is a materialized shortcut, so the published epoch's file is
+/// several times the size of the calibrated slab alone.
+#[cfg(target_os = "linux")]
+fn every_interval(tree: &JunctionTree, engine: &QueryEngine<'_>) -> Materialization {
+    use peanut_core::{MaterializedShortcut, Shortcut};
+    let ns = engine.numeric_state().unwrap();
+    let n = tree.n_cliques();
+    let shortcuts = (0..n)
+        .flat_map(|a| (a..n).map(move |b| (a, b)))
+        .map(|(a, b)| {
+            let shortcut = Shortcut::from_nodes(tree, engine.rooted(), (a..=b).collect()).unwrap();
+            let potential = Some(shortcut.materialize(tree, engine.rooted(), ns).unwrap().0);
+            MaterializedShortcut {
+                ratio: 1.0,
+                benefit: 1.0,
+                potential,
+                shortcut,
+            }
+        })
+        .collect();
+    Materialization::new(shortcuts, true)
+}
+
+/// ROADMAP item 8's short write, injected: under a file-size limit the
+/// registration epochs save, and a publish whose file exceeds the limit
+/// fails to persist (`EFBIG`). The tenant keeps serving that epoch from
+/// RAM with answers equal to VE, the failure is counted once and the epoch
+/// is not recorded as on disk; the page-out that follows cannot save it
+/// either, so it fails, is counted, and the tenant stays resident.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_publish_past_the_disk_limit_keeps_serving_from_ram() {
+    let bns = vec![fixtures::chain(8, 20, 5), fixtures::sprinkler()];
+    let trees: Vec<JunctionTree> = bns
+        .iter()
+        .map(|bn| build_junction_tree(bn).unwrap())
+        .collect();
+    let limit = FLEET_LIMIT_BLOCKS * 512;
+    if std::env::var_os(FILE_LIMIT_ENV).is_none() {
+        // unlimited: the sizes the child relies on, so that a layout
+        // change cannot void the test
+        let dir = temp_dir("short-write-sizes");
+        let store = StoreConfig::new(&dir);
+        let size = |tenant: u32, mat: &Materialization, engine: &QueryEngine<'_>| {
+            let slab = engine.numeric_state().unwrap().arena().slab();
+            let flat = peanut_core::FlatMaterialization::pack(mat);
+            let path = store.save_epoch(tenant, mat, &flat, slab).unwrap();
+            std::fs::metadata(path).unwrap().len()
+        };
+        let engines: Vec<QueryEngine<'_>> = trees
+            .iter()
+            .zip(&bns)
+            .map(|(tree, bn)| QueryEngine::numeric(tree, bn).unwrap())
+            .collect();
+        let empty = Materialization::default();
+        let intervals = every_interval(&trees[0], &engines[0]);
+        let sizes = [
+            size(0, &empty, &engines[0]),
+            size(1, &empty, &engines[1]),
+            size(2, &intervals, &engines[0]),
+        ];
+        assert_eq!(sizes, [23_448, 248, 75_168]);
+        assert!(sizes[0] < limit && sizes[1] < limit && sizes[2] > limit);
+        let _ = std::fs::remove_dir_all(&dir);
+        return under_file_size_limit(
+            "a_publish_past_the_disk_limit_keeps_serving_from_ram",
+            FLEET_LIMIT_BLOCKS,
+        );
+    }
+
+    let dir = temp_dir("short-write");
+    let store = StoreConfig::new(&dir);
+    let mut fleet =
+        ShardedServingEngine::new(ShardConfig::default().with_workers(1).with_max_resident(1));
+    fleet.set_store(store.clone());
+    for (i, (tree, bn)) in trees.iter().zip(&bns).enumerate() {
+        let engine = QueryEngine::numeric(tree, bn).unwrap();
+        fleet
+            .register(TenantId(i as u32), engine, Materialization::default())
+            .unwrap();
+    }
+    let t0 = fleet.tenant(TenantId(0)).unwrap();
+    assert_eq!(t0.persisted_epoch(), Some(0), "registration saves");
+    assert_eq!(fleet.resident_len(), 1, "tenant 1 is paged out");
+
+    let intervals = every_interval(&trees[0], t0.engine());
+    assert_eq!(t0.publish(intervals), 1);
+    assert_eq!(t0.persist_errors(), 1);
+    assert_eq!(t0.persisted_epoch(), None, "epoch 1 is not on disk");
+    assert!(!store.epoch_path(0, 1).exists());
+    let leftovers = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter(|e| e.as_ref().unwrap().path().extension() == Some("tmp".as_ref()))
+        .count();
+    assert_eq!(leftovers, 0, "the failed save removed its temp file");
+
+    let batch = random_batch(&bns[0], 16, 9);
+    let check = |outcomes: &[ServeOutcome]| {
+        for (q, o) in batch.iter().zip(outcomes) {
+            let served = o.served().expect("served from RAM");
+            assert_eq!(served.epoch, 1);
+            let want = common::ve_conditional(&bns[0], &q.targets, &q.evidence);
+            assert!(served.potential.max_abs_diff(&want).unwrap() < 1e-9);
+        }
+    };
+    let (outcomes, stats) = fleet.serve_mixed(&tenant0(&batch));
+    check(&outcomes);
+    assert!(stats.shortcuts_used > 0, "the published shortcuts answer");
+
+    // tenant 1 faults in and tenant 0, the colder one, cannot be saved
+    let (_, stats) = fleet.serve_mixed(&[(TenantId(1), batch[0].clone())]);
+    assert_eq!(stats.fault_errors, 1, "the failed page-out is counted");
+    assert_eq!(fleet.paging_stats().fault_errors, 1);
+    assert!(fleet.tenants().iter().any(|(id, _)| *id == TenantId(0)));
+    assert_eq!(t0.persist_errors(), 2);
+    let (outcomes, _) = fleet.serve_mixed(&tenant0(&batch));
+    check(&outcomes);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -14,16 +14,26 @@
 //! ## Read path
 //!
 //! [`StoredEpoch::open`] reads the file once (`fs::read`), validates it,
-//! and decodes every section into owned tables; nothing refers to the
-//! file after `open` returns, so truncating, overwriting or unlinking it
-//! cannot reach an open epoch. `open` is the single place a hostile file
-//! is rejected — [`rehydrate_engine`] only checks the decoded tables
-//! against the tree it is handed. A fault-in is `open` + `rehydrate_engine`.
-//! The checksum reads the file a word at a time in four independent
-//! lanes ([`lane_checksum`]): about 80 µs for a 648 kB epoch on a 2-vCPU
-//! x86-64 host, where the byte-serial FNV-1a of version 1 took 1.0 ms
-//! and was 70 % of a fault-in. What is left of a fault-in is the read,
-//! the checksum, the decode and the table copies of the rehydrate.
+//! and decodes every table once, straight from the file bytes into the
+//! `Vec` that will serve it: the calibrated slab, and each shortcut table
+//! on its own (there is no intermediate table slab). Nothing refers to
+//! the file after `open` returns, so truncating, overwriting or unlinking
+//! it cannot reach an open epoch. `open` is the single place a hostile
+//! file is rejected — a rehydrate only checks the decoded tables and node
+//! lists against the tree it is handed. The checksum reads the file a
+//! word at a time in four independent lanes ([`lane_checksum`]): about
+//! 80 µs for a 648 kB epoch on a 2-vCPU x86-64 host, where the
+//! byte-serial FNV-1a of version 1 took 1.0 ms and was 70 % of a
+//! fault-in.
+//!
+//! [`StoredEpoch::rehydrate`] moves those tables into a serving engine
+//! and materialization built on a structure the caller already holds:
+//! the tree's rooting and arena layout, and shortcut structures whose
+//! node lists the file's are compared with. A fleet's fault-in is `open`,
+//! then `rehydrate` on what the tenant's parked front kept, so it rebuilds
+//! only the tables; a cold start ([`rehydrate_engine`]) is the same
+//! routine with that structure built from the tree. What is left of a
+//! fault-in is the read, the checksum and the one decode of each table.
 //!
 //! ## File format (version 2)
 //!
@@ -71,7 +81,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use peanut_core::{FlatMaterialization, Materialization, MaterializedShortcut, Shortcut};
-use peanut_junction::{JunctionTree, NumericState, QueryEngine, RootedTree};
+use peanut_junction::{JunctionTree, QueryEngine};
 use peanut_pgm::{PgmError, Potential};
 use std::fs;
 use std::io::Write;
@@ -341,8 +351,10 @@ fn le_words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
 
 /// One store file, read, fully validated and decoded by
 /// [`open`](Self::open): magic, version, checksum (unless skipped), exact
-/// length against the header, CSR monotonicity and span bounds. The
-/// tables are owned; the file is not referred to again.
+/// length against the header, CSR monotonicity and span bounds. Every
+/// table is decoded once, straight from the file bytes into the `Vec` a
+/// rehydrated engine serves it from; the file is not referred to again.
+#[derive(Clone)]
 pub struct StoredEpoch {
     path: PathBuf,
     epoch: u64,
@@ -352,10 +364,8 @@ pub struct StoredEpoch {
     nodes_flat: Vec<u64>,
     ratios: Vec<f64>,
     benefits: Vec<f64>,
-    /// Per-shortcut `(offset, len)` into `mat_slab`, in bounds; `None`
-    /// for a symbolic (table-less) slot.
-    spans: Vec<Option<(usize, usize)>>,
-    mat_slab: Vec<f64>,
+    /// Per-shortcut dense table; `None` for a symbolic (table-less) slot.
+    tables: Vec<Option<Vec<f64>>>,
 }
 
 impl StoredEpoch {
@@ -453,7 +463,7 @@ impl StoredEpoch {
         let ratios = f64s(take(n));
         let benefits = f64s(take(n));
         let (span_off, span_len) = (take(n), take(n));
-        let mat_slab = f64s(take(mat_slab_len as usize));
+        let mat_slab = take(mat_slab_len as usize);
         debug_assert!(rest.is_empty());
 
         // CSR must be monotone and end exactly at nodes_len, or
@@ -467,6 +477,7 @@ impl StoredEpoch {
                 "shortcut node index (node_first) is not a monotone CSR over nodes_flat",
             ));
         }
+        // every span is checked before any table is decoded
         let spans = le_words(span_off)
             .zip(le_words(span_len))
             .enumerate()
@@ -479,6 +490,10 @@ impl StoredEpoch {
                 )),
             })
             .collect::<Result<Vec<_>, _>>()?;
+        let tables = spans
+            .into_iter()
+            .map(|span| span.map(|(off, len)| f64s(&mat_slab[off * 8..(off + len) * 8])))
+            .collect();
         Ok(StoredEpoch {
             path: path.to_path_buf(),
             epoch,
@@ -488,8 +503,7 @@ impl StoredEpoch {
             nodes_flat,
             ratios,
             benefits,
-            spans,
-            mat_slab,
+            tables,
         })
     }
 
@@ -511,7 +525,7 @@ impl StoredEpoch {
 
     /// Number of persisted shortcuts.
     pub fn n_shortcuts(&self) -> usize {
-        self.spans.len()
+        self.tables.len()
     }
 
     /// The calibrated tree-arena slab.
@@ -535,41 +549,76 @@ impl StoredEpoch {
         self.benefits[i]
     }
 
-    /// Rebuilds the owned [`Materialization`] this file was saved from:
-    /// structural shortcuts re-derived from the persisted node lists
-    /// (validated against `tree`), dense tables copied out of the slab.
-    /// Everything numeric is bit-identical to what was saved; what does
-    /// not fit `tree` is a [`PgmError::CorruptStore`] naming this file.
-    pub fn rebuild_materialization(
-        &self,
-        tree: &JunctionTree,
-        rooted: &RootedTree,
-    ) -> Result<Materialization, PgmError> {
-        let mut shortcuts = Vec::with_capacity(self.n_shortcuts());
-        for (i, span) in self.spans.iter().enumerate() {
-            let mut nodes = Vec::with_capacity(self.shortcut_nodes(i).len());
-            for &u in self.shortcut_nodes(i) {
-                let u = usize::try_from(u)
-                    .ok()
-                    .filter(|&u| u < tree.n_cliques())
-                    .ok_or_else(|| {
-                        corrupt(
-                            &self.path,
-                            format!(
-                                "shortcut {i} references clique {u}, tree has {}",
-                                tree.n_cliques()
-                            ),
-                        )
-                    })?;
-                nodes.push(u);
-            }
-            let in_file = |e: PgmError| corrupt(&self.path, format!("shortcut {i}: {e}"));
-            let shortcut = Shortcut::from_nodes(tree, rooted, nodes).map_err(in_file)?;
-            let potential = match *span {
-                Some((off, len)) => {
+    /// Rebuilds the serving artifact this file was saved from, on the
+    /// structure `frame` fixes: an engine over `frame`'s tree, rooting and
+    /// arena layout holding this file's calibrated slab
+    /// ([`QueryEngine::with_calibrated_slab`]), and the [`Materialization`]
+    /// with this file's tables. Both move out of `self`; nothing is copied.
+    ///
+    /// A persisted shortcut whose node list equals the one of `kept` at
+    /// its position is taken from `kept` — the structure `frame`'s tree
+    /// derived for those nodes before. Every other one is derived from its
+    /// node list ([`Shortcut::from_nodes`]) and validated against the tree.
+    /// Everything numeric is bit-identical to what was saved; what does not
+    /// fit the tree is a [`PgmError::CorruptStore`] naming this file.
+    pub fn rehydrate<'t>(
+        self,
+        frame: &QueryEngine<'t>,
+        kept: Vec<Shortcut>,
+    ) -> Result<(QueryEngine<'t>, Materialization), PgmError> {
+        let StoredEpoch {
+            path,
+            epoch,
+            overlapping,
+            arena,
+            node_first,
+            nodes_flat,
+            ratios,
+            benefits,
+            tables,
+        } = self;
+        let engine = frame.with_calibrated_slab(arena).map_err(|e| match e {
+            PgmError::CorruptStore { detail, .. } => corrupt(&path, detail),
+            e => e,
+        })?;
+        let tree = engine.tree();
+        let mut kept = kept.into_iter();
+        let mut shortcuts = Vec::with_capacity(tables.len());
+        for (i, table) in tables.into_iter().enumerate() {
+            let persisted = &nodes_flat[node_first[i] as usize..node_first[i + 1] as usize];
+            let in_file = |e: PgmError| corrupt(&path, format!("shortcut {i}: {e}"));
+            let same = |s: &Shortcut| {
+                s.nodes()
+                    .iter()
+                    .map(|&u| u as u64)
+                    .eq(persisted.iter().copied())
+            };
+            let shortcut = match kept.next().filter(same) {
+                Some(shortcut) => shortcut,
+                None => {
+                    let mut nodes = Vec::with_capacity(persisted.len());
+                    for &u in persisted {
+                        let u = usize::try_from(u)
+                            .ok()
+                            .filter(|&u| u < tree.n_cliques())
+                            .ok_or_else(|| {
+                                corrupt(
+                                    &path,
+                                    format!(
+                                        "shortcut {i} references clique {u}, tree has {}",
+                                        tree.n_cliques()
+                                    ),
+                                )
+                            })?;
+                        nodes.push(u);
+                    }
+                    Shortcut::from_nodes(tree, engine.rooted(), nodes).map_err(in_file)?
+                }
+            };
+            let potential = match table {
+                Some(values) => {
                     let scope = shortcut.scope().clone();
                     let cards = tree.domain().cards_of(&scope);
-                    let values = self.mat_slab[off..off + len].to_vec();
                     Some(Potential::new(scope, cards, values).map_err(in_file)?)
                 }
                 None => None,
@@ -577,32 +626,30 @@ impl StoredEpoch {
             shortcuts.push(MaterializedShortcut {
                 shortcut,
                 potential,
-                benefit: self.benefit(i),
-                ratio: self.ratio(i),
+                benefit: benefits[i],
+                ratio: ratios[i],
             });
         }
-        Ok(Materialization::new(shortcuts, self.overlapping).with_epoch(self.epoch))
+        let mat = Materialization::new(shortcuts, overlapping).with_epoch(epoch);
+        Ok((engine, mat))
     }
 }
 
-/// Rehydrates a full serving artifact from a stored epoch in O(memcpy):
-/// reattach the calibrated arena slab (skipping initialization
-/// and both Hugin passes), rebuild the materialization structurally
-/// (skipping the selection DP), and return an engine answering
-/// bit-identically to the one that was persisted. A file that does not
-/// fit `tree` is a [`PgmError::CorruptStore`] naming that file.
+/// Rehydrates a full serving artifact from a stored epoch: the calibrated
+/// arena slab reattached (skipping initialization and both Hugin passes)
+/// and the materialization rebuilt structurally (skipping the selection
+/// DP), returning an engine answering bit-identically to the one that was
+/// persisted. This is [`StoredEpoch::rehydrate`] with the structure built
+/// from `tree` — rooting, arena layout, every shortcut — on a copy of
+/// `stored`'s tables. A file that does not fit `tree` is a
+/// [`PgmError::CorruptStore`] naming that file.
 pub fn rehydrate_engine<'t>(
     tree: &'t JunctionTree,
     stored: &StoredEpoch,
 ) -> Result<(QueryEngine<'t>, Materialization), PgmError> {
-    let ns =
-        NumericState::from_calibrated_slab(tree, stored.arena_slab()).map_err(|e| match e {
-            PgmError::CorruptStore { detail, .. } => corrupt(stored.path(), detail),
-            e => e,
-        })?;
-    let engine = QueryEngine::from_calibrated(tree, ns);
-    let mat = stored.rebuild_materialization(tree, engine.rooted())?;
-    Ok((engine, mat))
+    stored
+        .clone()
+        .rehydrate(&QueryEngine::symbolic(tree), Vec::new())
 }
 
 #[cfg(test)]

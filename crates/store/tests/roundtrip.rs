@@ -345,6 +345,80 @@ fn failed_save_leaves_no_temp_file() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Set in the child [`under_file_size_limit`] starts.
+#[cfg(target_os = "linux")]
+const FILE_LIMIT_ENV: &str = "PEANUT_TEST_FILE_SIZE_LIMIT";
+
+/// Runs this binary's test `name` again in a child whose file-size limit
+/// is `blocks` 512-byte blocks, with `SIGXFSZ` ignored, so a write past the
+/// limit fails with `EFBIG` instead of killing it. The child's output is
+/// piped, so the limit never reaches a log file it would print to.
+#[cfg(target_os = "linux")]
+fn under_file_size_limit(name: &str, blocks: u64) {
+    let exe = std::env::current_exe().unwrap();
+    let script =
+        format!("trap '' XFSZ; ulimit -f {blocks}; exec \"$0\" --exact {name} --nocapture");
+    let out = std::process::Command::new("sh")
+        .args(["-c", &script])
+        .arg(&exe)
+        .env(FILE_LIMIT_ENV, "1")
+        .output()
+        .unwrap();
+    let text = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{name} under the limit:\n{text}");
+    assert!(text.contains("1 passed"), "{name} did not run:\n{text}");
+}
+
+/// ROADMAP item 8's short write, injected: under a file-size limit of 16
+/// blocks (8 KiB) an epoch file below it saves, and one past it fails at
+/// the write (`EFBIG`) with `StoreIo`, leaving nothing under its name and
+/// no temp file; the first file still opens and verifies. The unlimited
+/// run pins both file sizes first, so a layout change cannot void the
+/// test.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_save_past_the_disk_limit_fails_and_leaves_no_file() {
+    const BLOCKS: u64 = 16;
+    let epoch = |bn: &BayesianNetwork, path: &Path| {
+        let tree = build_junction_tree(bn).unwrap();
+        let engine = QueryEngine::numeric(&tree, bn).unwrap();
+        let mat = Materialization::default().with_epoch(1);
+        let slab = engine.numeric_state().unwrap().arena().slab();
+        save(path, &mat, &FlatMaterialization::pack(&mat), slab)
+    };
+    let (small, large) = (fixtures::sprinkler(), fixtures::chain(8, 20, 5));
+    let limited = std::env::var_os(FILE_LIMIT_ENV).is_some();
+    let dir = temp_dir(if limited {
+        "short-write"
+    } else {
+        "short-write-sizes"
+    });
+    let (first, second) = (dir.join("small.pnut"), dir.join("large.pnut"));
+    epoch(&small, &first).unwrap();
+    if !limited {
+        epoch(&large, &second).unwrap();
+        let len = |p: &Path| std::fs::metadata(p).unwrap().len();
+        assert_eq!([len(&first), len(&second)], [248, 23_448]);
+        assert!(len(&first) < BLOCKS * 512 && len(&second) > BLOCKS * 512);
+        std::fs::remove_dir_all(&dir).ok();
+        return under_file_size_limit(
+            "a_save_past_the_disk_limit_fails_and_leaves_no_file",
+            BLOCKS,
+        );
+    }
+    let err = epoch(&large, &second).unwrap_err();
+    assert!(matches!(err, PgmError::StoreIo { .. }), "{err}");
+    let names: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(names, ["small.pnut"], "a partial file was left behind");
+    let stored = StoredEpoch::open(&first, true).unwrap();
+    assert_eq!(stored.epoch(), 1);
+    rehydrate_engine(&build_junction_tree(&small).unwrap(), &stored).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Word `w` of a store file (the header's counts are words 5 to 8).
 fn word(bytes: &[u8], w: usize) -> usize {
     u64::from_le_bytes(bytes[w * 8..w * 8 + 8].try_into().unwrap()) as usize

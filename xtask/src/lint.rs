@@ -39,6 +39,7 @@ const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/serving/src/pool.rs",
     "crates/core/tests/alloc_budget.rs",
     "crates/pgm/tests/kernel_allocs.rs",
+    "crates/serving/tests/fault_allocs.rs",
 ];
 
 /// Atomic memory-ordering variants that constitute an R3 site.
