@@ -22,6 +22,7 @@ mod fig6;
 mod fig7;
 mod fig8;
 mod fig9;
+mod ledger;
 mod pivot_study;
 mod table1;
 mod table2;
@@ -29,7 +30,7 @@ mod table3;
 mod table4;
 
 /// Every experiment, in the order the bare run executes them.
-const EXPERIMENTS: [(&str, fn()); 14] = [
+const EXPERIMENTS: [(&str, fn()); 15] = [
     ("table1", table1::run),
     ("table2", table2::run),
     ("table3", table3::run),
@@ -44,9 +45,10 @@ const EXPERIMENTS: [(&str, fn()); 14] = [
     ("fig10", fig10::run),
     ("ablation", ablation::run),
     ("pivot_study", pivot_study::run),
+    ("ledger", ledger::run),
 ];
 
-fn names() -> [&'static str; 14] {
+fn names() -> [&'static str; 15] {
     EXPERIMENTS.map(|(name, _)| name)
 }
 
@@ -119,7 +121,7 @@ mod tests {
         let mut unique = names().to_vec();
         unique.sort_unstable();
         unique.dedup();
-        assert_eq!(unique.len(), 14, "duplicate experiment name");
+        assert_eq!(unique.len(), 15, "duplicate experiment name");
         // the rows of the `| experiment | reproduces |` table in src/lib.rs
         let documented: Vec<&str> = include_str!("../../lib.rs")
             .lines()

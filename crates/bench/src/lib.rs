@@ -21,12 +21,13 @@
 //! | `fig10`  | Figure 10 — impact of the query-log size |
 //! | `ablation` | beyond the paper — workload-awareness and ε ablations |
 //! | `pivot_study` | beyond the paper (§6 future work) — sensitivity to the pivot |
+//! | `ledger` | beyond the paper — exact work counts of two serving shapes (`LEDGER.json`) |
 //!
-//! This crate is the paper layer only — operation counts on the symbolic
-//! engine (`fig3` alone runs numeric queries) — and does not depend on the
-//! serving stack. What a serving phase *costs* is timed by the repository
-//! benchmark (`benchmark/`); what the serving stack *claims* is asserted
-//! exactly by tier-1 tests in `crates/serving` (README, "Acceptance
-//! ratios").
+//! The paper experiments are operation counts on the symbolic engine
+//! (`fig3` alone runs numeric queries). `ledger` alone drives the serving
+//! stack and the store, counting what they do and timing nothing. What a
+//! serving phase *costs* is timed by the repository benchmark
+//! (`benchmark/`); what the serving stack *claims* is asserted exactly by
+//! tier-1 tests in `crates/serving` (README, "Acceptance ratios").
 
 pub mod harness;

@@ -17,6 +17,6 @@ fn unknown_experiment_exits_non_zero_and_names_the_known_ones() {
         .expect("spawn repro");
     assert!(listed.status.success());
     let names = String::from_utf8(listed.stdout).expect("utf-8");
-    assert_eq!(names.lines().count(), 14);
+    assert_eq!(names.lines().count(), 15);
     assert!(String::from_utf8_lossy(&out.stderr).ends_with(&names));
 }

@@ -30,7 +30,8 @@ pub struct NumericState {
     arena: TreeArena,
     calibrated: bool,
     /// Messages of these tables; empty wherever the tables are made, a
-    /// clone's included.
+    /// clone's included, until a page cycle's fault-in adopts the ones
+    /// sent over the same tables ([`adopt_memo`](Self::adopt_memo)).
     memo: MessageMemo,
 }
 
@@ -223,6 +224,12 @@ impl NumericState {
     #[inline]
     pub(crate) fn memo(&self) -> &MessageMemo {
         &self.memo
+    }
+
+    /// Makes `memo` the memo of these tables. The caller vouches that its
+    /// messages were sent over tables bit-identical to these (`crate::memo`).
+    pub(crate) fn adopt_memo(&mut self, memo: MessageMemo) {
+        self.memo = memo;
     }
 
     /// These tables with an empty memo of `cap` entries, for tests that

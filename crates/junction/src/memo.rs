@@ -50,8 +50,18 @@
 //! and only while the message fits in what is left. A state's memo lives
 //! exactly as long as the tables: a state starts with an empty memo
 //! wherever its tables are made — initialized, calibrated, reattached from
-//! a slab or cloned — so a state restricted to evidence, rehydrated or
-//! faulted in starts empty, and page-out drops it with the engine.
+//! a slab or cloned — so a state restricted to evidence or rehydrated
+//! starts empty. The one exception is a page cycle of a serving tenant:
+//! page-out moves the state's messages out, trimmed to at most the entries
+//! the page-out frees ([`MessageMemo::take_trimmed`]), and a fault-in that
+//! rehydrates the same epoch — tables bit-identical to the ones the
+//! messages were sent over, read back from the checksummed file the
+//! engine saved — adopts them; any other fault-in starts empty.
+//!
+//! Each message is filed with its price: the product entries its
+//! subtree's kernels walked when it was computed, the walk a later pass
+//! saves by taking it. The trim keeps the messages that save the most walk
+//! per entry held (Query the model's price for a precomputed factor).
 //!
 //! One `Mutex` guards each memo; a pass takes each it deals with once for
 //! its lookups, never both at a time, and once for what it files. A
@@ -63,6 +73,8 @@ use peanut_pgm::{Potential, Size, Var};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
+
+mod trim;
 
 /// A memo holds at most this many table entries: 8 MiB of message values.
 pub(crate) const MEMO_ENTRIES: usize = 1 << 20;
@@ -85,10 +97,29 @@ pub struct MessageMemo {
 /// What the lock guards.
 #[derive(Default)]
 struct Filed {
-    /// Key (module docs) → the divided message.
-    messages: HashMap<Box<[u32]>, Arc<Potential>>,
+    /// Key (module docs) → the divided message and its price.
+    messages: HashMap<Box<[u32]>, Priced>,
     /// Table entries of `messages`.
     entries: usize,
+}
+
+/// A filed message and the product entries its subtree's kernels walked
+/// to compute it: what a pass that takes it saves.
+struct Priced {
+    message: Arc<Potential>,
+    walked: Size,
+    /// Whether the last trim kept it.
+    kept: bool,
+}
+
+impl Priced {
+    fn new(message: Potential, walked: Size) -> Self {
+        Priced {
+            message: Arc::new(message),
+            walked,
+            kept: false,
+        }
+    }
 }
 
 impl MessageMemo {
@@ -120,19 +151,20 @@ impl MessageMemo {
         })
     }
 
-    /// Files `(key, message)` pairs one pass computed, each while it fits
-    /// and its key is not filed yet (another pass may have filed it since).
-    pub(crate) fn file(&self, sent: Vec<(Box<[u32]>, Potential)>) {
+    /// Files `(key, message, walked)` triples one pass computed, each
+    /// while it fits and its key is not filed yet (another pass may have
+    /// filed it since); `walked` is the message's price (module docs).
+    pub(crate) fn file(&self, sent: Vec<(Box<[u32]>, Potential, Size)>) {
         let Ok(mut filed) = self.filed.lock() else {
             return;
         };
-        for (key, message) in sent {
+        for (key, message, walked) in sent {
             let entries = message.len();
             if filed.entries + entries > self.cap || filed.messages.contains_key(&key) {
                 continue;
             }
             filed.entries += entries;
-            filed.messages.insert(key, Arc::new(message));
+            filed.messages.insert(key, Priced::new(message, walked));
         }
     }
 
@@ -142,7 +174,7 @@ impl MessageMemo {
     pub(crate) fn plant(&self, key: Vec<u32>, message: Potential) {
         if let Ok(mut filed) = self.filed.lock() {
             filed.entries += message.len();
-            filed.messages.insert(key.into(), Arc::new(message));
+            filed.messages.insert(key.into(), Priced::new(message, 0));
         }
     }
 }
@@ -181,7 +213,7 @@ pub(crate) struct Shelf<'m> {
 impl Shelf<'_> {
     /// The message filed under `key`.
     pub(crate) fn get(&self, key: &[u32]) -> Option<Arc<Potential>> {
-        self.filed.messages.get(key).cloned()
+        self.filed.messages.get(key).map(|p| Arc::clone(&p.message))
     }
 }
 
@@ -209,4 +241,95 @@ pub(crate) fn push_key(
 #[inline]
 pub(crate) fn admits(walked: Size, entries: usize) -> bool {
     walked >= (entries as Size).saturating_mul(MIN_WALK_PER_ENTRY)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use peanut_pgm::Scope;
+
+    /// A message of `entries` entries.
+    fn message(entries: u32) -> Potential {
+        let values = vec![1.0; entries as usize];
+        Potential::new(Scope::from_indices(&[0]), vec![entries], values).unwrap()
+    }
+
+    /// The keys `memo` holds, ascending, and its entries.
+    fn held(memo: &MessageMemo) -> (Vec<Vec<u32>>, usize) {
+        let filed = memo.filed.lock().unwrap();
+        let mut keys: Vec<Vec<u32>> = filed.messages.keys().map(|k| k.to_vec()).collect();
+        keys.sort_unstable();
+        (keys, filed.entries)
+    }
+
+    /// Every order of `0..n`, by Heap's algorithm.
+    fn orders(n: usize) -> Vec<Vec<usize>> {
+        fn heap(k: usize, a: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+            if k <= 1 {
+                out.push(a.clone());
+                return;
+            }
+            for i in 0..k {
+                heap(k - 1, a, out);
+                a.swap(if k % 2 == 0 { i } else { 0 }, k - 1);
+            }
+        }
+        let mut out = Vec::new();
+        heap(n, &mut (0..n).collect(), &mut out);
+        out
+    }
+
+    /// The trim keeps messages by walk saved per entry, highest first,
+    /// ties by key, each while it fits: whatever order they were filed
+    /// in, the same messages, never more entries than the budget, and the
+    /// source memo left empty with its cap.
+    #[test]
+    fn the_trim_keeps_the_most_walk_per_entry_within_the_budget() {
+        // (key, entries, walked): per entry 50, 25, 25, 20, 10
+        let planted: [(u32, u32, Size); 5] = [
+            (1, 2, 100),
+            (2, 4, 100),
+            (3, 2, 50),
+            (0, 8, 160),
+            (4, 1, 10),
+        ];
+        // budget → the keys kept: 7 takes 1 and 2, skips 3 and 0 (they no
+        // longer fit) and takes 4; 6 takes 2 before 3, the tie going to the
+        // smaller key; 17 holds everything
+        let want: [(usize, &[u32]); 4] = [
+            (7, &[1, 2, 4]),
+            (6, &[1, 2]),
+            (1, &[4]),
+            (17, &[0, 1, 2, 3, 4]),
+        ];
+        let orders = orders(planted.len());
+        assert_eq!(orders.len(), 120);
+        for (budget, keys) in want {
+            for order in &orders {
+                let memo = MessageMemo::with_cap(64);
+                let sent = order
+                    .iter()
+                    .map(|&i| {
+                        let (key, entries, walked) = planted[i];
+                        (vec![key].into(), message(entries), walked)
+                    })
+                    .collect();
+                memo.file(sent);
+                assert_eq!(memo.usage(), (17, 64));
+                let kept = memo.take_trimmed(budget);
+                let (got, entries) = held(&kept);
+                let want: Vec<Vec<u32>> = keys.iter().map(|&k| vec![k]).collect();
+                assert_eq!(got, want, "budget {budget}, filed in order {order:?}");
+                assert!(entries <= budget);
+                assert_eq!(kept.usage(), (entries, 64));
+                assert_eq!(memo.usage(), (0, 64), "the source is left empty");
+                // a kept message is the one filed, with its price
+                let shelf = kept.open().unwrap();
+                for key in &got {
+                    let (_, n, _) = planted.iter().find(|p| p.0 == key[0]).unwrap();
+                    assert_eq!(shelf.get(key).unwrap().len(), *n as usize);
+                }
+            }
+        }
+    }
 }

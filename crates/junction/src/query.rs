@@ -6,6 +6,7 @@
 use crate::arena::{ArenaLayout, TreeArena};
 use crate::calibrate::NumericState;
 use crate::cost::QueryCost;
+use crate::memo::MessageMemo;
 use crate::reduced::ReducedTree;
 use crate::rooted::RootedTree;
 use crate::steiner::SteinerTree;
@@ -39,7 +40,8 @@ pub enum QueryPlan {
 /// every numeric pass over them sends (`crate::reduced`, "The message
 /// memo"), so an engine's answers share messages for as long as it lives.
 /// An engine restricted to evidence or rebuilt from a slab starts with an
-/// empty one.
+/// empty one, unless it adopts the memo a page-out took from an engine
+/// over the same tables ([`adopt_memo`](Self::adopt_memo)).
 pub struct QueryEngine<'t> {
     tree: &'t JunctionTree,
     rooted: Arc<RootedTree>,
@@ -153,6 +155,27 @@ impl<'t> QueryEngine<'t> {
     /// one constant for every table set (`(0, 0)` when symbolic).
     pub fn memo_usage(&self) -> (usize, usize) {
         self.numeric.as_ref().map_or((0, 0), |ns| ns.memo().usage())
+    }
+
+    /// The messages of this engine's tables, moved out into a memo that
+    /// keeps at most `budget` entries of them: by decreasing product
+    /// entries walked per entry held, ties by key, each while it fits
+    /// (`crate::memo`). This engine's memo is left empty, and a pass still
+    /// running on it files there. `None` when symbolic.
+    pub fn take_memo(&self, budget: usize) -> Option<MessageMemo> {
+        Some(self.numeric.as_ref()?.memo().take_trimmed(budget))
+    }
+
+    /// Makes `memo` the message memo of this engine's tables, moving it
+    /// in; a symbolic engine drops it. The caller vouches that its
+    /// messages were sent over tables bit-identical to these — a page
+    /// cycle's fault-in adopts the memo [`take_memo`](Self::take_memo)
+    /// took at page-out only when it rehydrates the file of that same
+    /// epoch.
+    pub fn adopt_memo(&mut self, memo: MessageMemo) {
+        if let Some(ns) = &mut self.numeric {
+            ns.adopt_memo(memo);
+        }
     }
 
     /// Classifies a query (paper §3.1): in-clique vs out-of-clique.

@@ -830,8 +830,9 @@ struct Recall<'m> {
 /// A memo as one pass deals with it.
 struct Owner<'m> {
     memo: &'m MessageMemo,
-    /// What to file: keys and copies of the messages.
-    filing: Vec<(Box<[u32]>, Potential)>,
+    /// What to file: keys, copies of the messages, and what their
+    /// subtrees walked.
+    filing: Vec<(Box<[u32]>, Potential, Size)>,
     /// Entries the memo has room for, less what is to be filed.
     room: usize,
 }
@@ -981,7 +982,7 @@ impl<'m> Recall<'m> {
             // larger pooled one, and goes back to the scratch
             owner
                 .filing
-                .push((self.keys[start..end].into(), message.clone()));
+                .push((self.keys[start..end].into(), message.clone(), walked));
         }
     }
 

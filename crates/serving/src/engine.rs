@@ -42,11 +42,11 @@
 //! the pipeline records every answered unique request once, weighted by
 //! its arrivals (fresh, duplicate and cached alike), so the lifecycle
 //! layer can watch the epoch's *observed* benefit decay under workload
-//! drift. A fleet's page-out parks an epoch's cache and accumulator, and
-//! the engine a fault-in rebuilds for that same epoch resumes them
-//! (`shard.rs`). What is on disk is the tenant's, not the epoch's: one
-//! record of the newest epoch saved, shared by every engine built for the
-//! tenant.
+//! drift. A fleet's page-out parks an epoch's cache and accumulator, with
+//! the most valuable messages of its tables' memo, and the engine a
+//! fault-in rebuilds for that same epoch resumes them (`shard.rs`). What
+//! is on disk is the tenant's, not the epoch's: one record of the newest
+//! epoch saved, shared by every engine built for the tenant.
 //!
 //! [`publish`]: ServingEngine::publish
 
@@ -62,7 +62,7 @@ use peanut_core::{
     ByHash, FlatMaterialization, Materialization, ServeRequest, Shortcut, WorkloadStats,
 };
 use peanut_junction::cost::QueryCost;
-use peanut_junction::QueryEngine;
+use peanut_junction::{MessageMemo, QueryEngine};
 use peanut_pgm::{PgmError, Potential, Size};
 use peanut_store::StoreConfig;
 use std::collections::VecDeque;
@@ -267,15 +267,21 @@ impl EpochState {
 /// keeps the structure a page cycle cannot change: the engine without its
 /// tables (the tree's rooting and arena layout,
 /// [`QueryEngine::without_tables`]) and the epoch's shortcut structures.
-/// The tables (the calibrated slab, the shortcut tables, both message
-/// memos) are not part of it: the store file holds them, and the tenant's
-/// record, parked with the front, says which file that is. A fault-in
-/// rebuilds only those tables on the kept structure, and resumes the
-/// front when it rehydrates this same epoch ([`ServingEngine::resume`]).
+/// The tables (the calibrated slab, the shortcut tables) are not part of
+/// it: the store file holds them, and the tenant's record, parked with the
+/// front, says which file that is. Of the messages sent over the
+/// calibrated tables it keeps at most as many entries as dropping the
+/// tables frees, those saving the most walk per entry
+/// ([`QueryEngine::take_memo`]); the materialization's memo is dropped. A
+/// fault-in rebuilds only the tables on the kept structure, and resumes
+/// the front and its messages when it rehydrates this same epoch
+/// ([`ServingEngine::resume`]).
 pub(crate) struct ParkedEpoch<'t> {
     epoch: u64,
     stats: Arc<WorkloadStats>,
     cache: Option<Arc<Mutex<AnswerCache>>>,
+    /// The calibrated tables' messages, trimmed; a resume takes them.
+    memo: Option<MessageMemo>,
     store: Arc<EngineStore>,
     frame: QueryEngine<'t>,
     /// The parked epoch's shortcuts, in its order; a fault-in takes them.
@@ -299,15 +305,21 @@ impl<'t> ParkedEpoch<'t> {
 }
 
 /// A tenant's one record of what it has on disk, shared by every engine
-/// built for the tenant: where its epochs are saved, the newest one saved
-/// and the saves that failed.
+/// built for the tenant: where its epochs are saved, the newest one saved,
+/// the oldest one not yet removed and the store writes that failed.
 struct EngineStore {
     cfg: StoreConfig,
     tenant: u32,
     /// One past the newest epoch durably saved (after the rename and the
     /// directory sync); `0` while none is. Only grows.
     saved: AtomicU64,
-    /// Persists that failed (telemetry; the epoch keeps serving from RAM).
+    /// Every epoch below this one has no file: removed, or never saved
+    /// by this record (the epoch served when the record was attached).
+    /// Only grows.
+    kept_from: AtomicU64,
+    /// Persists, and removals of old epochs, that failed (telemetry; the
+    /// epoch keeps serving from RAM, the old file stays until the next
+    /// page-out).
     errors: AtomicUsize,
 }
 
@@ -316,6 +328,33 @@ impl EngineStore {
     fn newest(&self) -> Option<u64> {
         // ordering: Acquire pairs with the AcqRel in `persist_current`.
         self.saved.load(Ordering::Acquire).checked_sub(1)
+    }
+
+    /// Unlinks the files of the epochs older than the newest one saved,
+    /// from the oldest not yet removed up, without listing the directory.
+    /// No fault-in opens them: a fault-in opens the newest. A file already
+    /// gone is fine; a failed unlink is counted in `errors` and retried at
+    /// the next call. Callers hold the tenant's shard write lock, which a
+    /// fault-in also takes, so two calls never race.
+    fn remove_older(&self) {
+        let Some(newest) = self.newest() else {
+            return;
+        };
+        // ordering: the shard's write lock orders every call; Relaxed
+        // suffices for a counter only this path moves.
+        let mut low = self.kept_from.load(Ordering::Relaxed);
+        while low < newest {
+            match std::fs::remove_file(self.cfg.epoch_path(self.tenant, low)) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    // ordering: telemetry counter only.
+                    self.errors.fetch_add(1, Ordering::Relaxed);
+                    break;
+                }
+                _ => low += 1,
+            }
+        }
+        // ordering: see the load above.
+        self.kept_from.store(low, Ordering::Relaxed);
     }
 }
 
@@ -369,15 +408,20 @@ impl<'t> ServingEngine<'t> {
     /// An engine serving the rehydrated `mat` on the record `parked`
     /// carries, resuming `parked` when it is the front of `mat`'s own
     /// epoch: every answer in the cache is then an answer of that epoch,
-    /// filed under the hashes this engine computes. Any other front is
-    /// dropped, as a publish drops it.
+    /// filed under the hashes this engine computes, and every parked
+    /// message one sent over the tables `engine` rehydrated from that
+    /// epoch's file, bit for bit; `engine` adopts them. Any other front is
+    /// dropped, as a publish drops it, and its messages with it.
     pub(crate) fn resume(
-        engine: QueryEngine<'t>,
+        mut engine: QueryEngine<'t>,
         mat: Materialization,
         cfg: ServingConfig,
-        parked: &ParkedEpoch<'t>,
+        parked: &mut ParkedEpoch<'t>,
     ) -> Self {
         let mut serving = if mat.epoch == parked.epoch {
+            if let Some(memo) = parked.memo.take() {
+                engine.adopt_memo(memo);
+            }
             let state = EpochState {
                 mat: Arc::new(mat),
                 stats: Arc::clone(&parked.stats),
@@ -411,17 +455,30 @@ impl<'t> ServingEngine<'t> {
     /// The served epoch's front and the tenant's record, for a page-out to
     /// park, once the record holds the served epoch (saved here if not).
     /// It shares the window and the cache, so a batch still draining on
-    /// this engine files into the parked ones.
+    /// this engine files into the parked ones. The tables' messages move
+    /// to the front, trimmed to the entries of the calibrated slab and the
+    /// shortcut tables that dropping this engine frees; a batch still
+    /// draining here files into an emptied memo, which the front never
+    /// sees. The tenant's epoch files older than the record's newest are
+    /// unlinked ([`EngineStore::remove_older`]): the caller holds the
+    /// tenant's shard write lock.
     pub(crate) fn park(&self) -> Result<ParkedEpoch<'t>, PgmError> {
         let store = Arc::clone(self.record()?);
         if self.persisted_epoch().is_none() {
             self.persist_current()?;
         }
+        store.remove_older();
         let state = self.state.read();
+        let slab = self
+            .engine
+            .numeric_state()
+            .map_or(0, |ns| ns.arena().slab().len());
+        let shortcut_tables = usize::try_from(state.mat.total_size()).unwrap_or(usize::MAX);
         Ok(ParkedEpoch {
             epoch: state.mat.epoch,
             stats: Arc::clone(&state.stats),
             cache: state.cache.clone(),
+            memo: self.engine.take_memo(slab.saturating_add(shortcut_tables)),
             store,
             frame: self.engine.without_tables(),
             shortcuts: state
@@ -450,6 +507,7 @@ impl<'t> ServingEngine<'t> {
             cfg,
             tenant,
             saved: AtomicU64::new(0),
+            kept_from: AtomicU64::new(self.epoch()),
             errors: AtomicUsize::new(0),
         }));
     }
@@ -469,8 +527,9 @@ impl<'t> ServingEngine<'t> {
         (self.store.as_ref()?.newest()? >= epoch).then_some(epoch)
     }
 
-    /// The tenant's persists that failed, on this engine and on every
-    /// engine built for the tenant before it.
+    /// The tenant's store writes that failed — persists, and page-outs'
+    /// removals of old epoch files — on this engine and on every engine
+    /// built for the tenant before it.
     pub fn persist_errors(&self) -> usize {
         // ordering: telemetry counter, advisory read.
         self.store

@@ -39,29 +39,38 @@
 //! Under skewed traffic, where nearly every batch touches every tenant,
 //! this keeps the busy tenants resident.
 //!
-//! A page-out drops the tenant's **tables** — the calibrated slab, the
-//! shortcut tables and both message memos, all of which the store file
-//! holds — and parks its epoch's **front**: the epoch number, the answer
-//! cache (at most [`cache_capacity`](ServingConfig::cache_capacity)
+//! A page-out drops the tenant's **tables** — the calibrated slab and the
+//! shortcut tables, which the store file holds, and the materialization's
+//! message memo — and parks its epoch's **front**: the epoch number, the
+//! answer cache (at most [`cache_capacity`](ServingConfig::cache_capacity)
 //! answers) and the observation window, both filed under the engine's
 //! keyed hasher, with the tenant's one record of what it has on disk,
 //! shared by every engine built for the tenant. The front also keeps the
 //! structure no page cycle changes: the tree's rooting and arena layout
 //! (shared, not copied) and the epoch's shortcut structures, without
-//! their tables. A paged-out tenant's next arrival faults it back in by
-//! rehydrating the newest epoch the record holds (one file read, no
-//! directory listing, no calibration, no selection DP). The fault-in
-//! rebuilds only the tables, each decoded once from the file into the
-//! `Vec` that serves it; a persisted shortcut whose node list is the kept
-//! one's at its position is taken from the front, every other one is
-//! derived from the file and validated against the tree. The tenant
-//! answers bit-identically to an always-resident fleet. When the file is
-//! the parked epoch, the engine resumes the front: the epoch's answers
-//! hit again, and its window keeps the arrivals served before the
-//! page-out. A newer one (a publish on an engine handle held across the
-//! page-out) drops the front, as a publish drops it, and a resident
-//! engine older than its record is rebuilt the same way at its next
-//! access.
+//! their tables. Of the calibrated tables' message memo it keeps at most
+//! as many entries as the dropped tables held, the messages that save the
+//! most walk per entry ([`QueryEngine::take_memo`]). The page-out also
+//! unlinks the tenant's epoch files older than the newest one its record
+//! holds, which no fault-in opens, so a store directory holds one file
+//! per paged tenant however often it publishes.
+//!
+//! A paged-out tenant's next arrival faults it back in by rehydrating the
+//! newest epoch the record holds (one file read, no directory listing, no
+//! calibration, no selection DP). The fault-in rebuilds only the tables,
+//! each decoded once from the file into the `Vec` that serves it; a
+//! persisted shortcut whose node list is the kept one's at its position
+//! is taken from the front, every other one is derived from the file and
+//! validated against the tree. The tenant answers bit-identically to an
+//! always-resident fleet. When the file is the parked epoch, the engine
+//! resumes the front: the epoch's answers hit again, its window keeps the
+//! arrivals served before the page-out, and its calibrated tables —
+//! bit-identical to the ones the parked messages were sent over — adopt
+//! those messages (counted in [`PagingStats::memo_resumed`]). A newer one
+//! (a publish on an engine handle held across the page-out) drops the
+//! front and its messages, as a publish drops them, and starts with empty
+//! memos; a resident engine older than its record is rebuilt the same way
+//! at its next access.
 //! Fault/page-out telemetry lands in
 //! [`MixedBatchStats`] per batch and in [`PagingStats`] cumulatively.
 
@@ -177,6 +186,10 @@ pub struct PagingStats {
     pub fault_errors: u64,
     /// Tenants paged out since construction.
     pub page_outs: u64,
+    /// Table entries of the message memos fault-ins resumed since
+    /// construction: what the page-outs parked of the calibrated tables'
+    /// messages, for the fault-ins that rehydrated the parked epoch.
+    pub memo_resumed: u64,
     /// Total wall-clock time spent faulting tenants in.
     pub fault_wall: Duration,
 }
@@ -195,8 +208,9 @@ enum Residency<'t> {
     /// The whole engine.
     Resident(Arc<ServingEngine<'t>>),
     /// Paged out: the tables are in the store only, and the epoch's front
-    /// waits for the next fault-in.
-    Parked(ParkedEpoch<'t>),
+    /// waits for the next fault-in (boxed: it is many times the size of
+    /// the resident handle).
+    Parked(Box<ParkedEpoch<'t>>),
 }
 
 impl<'t> Residency<'t> {
@@ -259,6 +273,7 @@ pub struct ShardedServingEngine<'t> {
     faults: AtomicU64,
     fault_errors: AtomicU64,
     page_outs: AtomicU64,
+    memo_resumed: AtomicU64,
     fault_nanos: AtomicU64,
 }
 
@@ -277,6 +292,7 @@ impl<'t> ShardedServingEngine<'t> {
             faults: AtomicU64::new(0),
             fault_errors: AtomicU64::new(0),
             page_outs: AtomicU64::new(0),
+            memo_resumed: AtomicU64::new(0),
             fault_nanos: AtomicU64::new(0),
         }
     }
@@ -391,9 +407,10 @@ impl<'t> ShardedServingEngine<'t> {
     /// telemetry) works the hot set, not the archive; ask for a cold
     /// tenant by id ([`tenant`](Self::tenant)) to fault it in. A skipped
     /// tenant holds only its parked epoch front: at most
-    /// [`cache_capacity`](ServingConfig::cache_capacity) answers and its
+    /// [`cache_capacity`](ServingConfig::cache_capacity) answers, its
     /// observation window, which keeps the arrivals it counted until the
-    /// tenant is resident again.
+    /// tenant is resident again, and messages of at most as many entries
+    /// as its dropped tables held.
     pub fn tenants(&self) -> Vec<(TenantId, Arc<ServingEngine<'t>>)> {
         self.shards
             .iter()
@@ -415,6 +432,7 @@ impl<'t> ShardedServingEngine<'t> {
         let faults = self.faults.load(Ordering::Relaxed);
         let fault_errors = self.fault_errors.load(Ordering::Relaxed);
         let page_outs = self.page_outs.load(Ordering::Relaxed);
+        let memo_resumed = self.memo_resumed.load(Ordering::Relaxed);
         // ordering: same — advisory read of the fault wall-time counter.
         let fault_wall = Duration::from_nanos(self.fault_nanos.load(Ordering::Relaxed));
         PagingStats {
@@ -424,6 +442,7 @@ impl<'t> ShardedServingEngine<'t> {
             faults,
             fault_errors,
             page_outs,
+            memo_resumed,
             fault_wall,
         }
     }
@@ -463,7 +482,7 @@ impl<'t> ShardedServingEngine<'t> {
         // double-check: another thread may have faulted it in while we
         // waited for the write lock
         let mut retired;
-        let parked = match &mut *resident {
+        let parked: &mut ParkedEpoch<'t> = match &mut *resident {
             Residency::Resident(engine) if !engine.is_stale() => return Ok(Arc::clone(engine)),
             Residency::Resident(engine) => {
                 retired = engine.park()?;
@@ -497,34 +516,39 @@ impl<'t> ShardedServingEngine<'t> {
     /// front kept — the rooting, the arena layout and the parked epoch's
     /// shortcut structures, which the file's node lists are checked
     /// against ([`StoredEpoch::rehydrate`]) — with no calibration pass and
-    /// no selection DP. The front is resumed when the file is its epoch
-    /// ([`ServingEngine::resume`]). A failed fault-in leaves it parked;
+    /// no selection DP. The front, and the calibrated tables' messages it
+    /// parked, are resumed when the file is its epoch
+    /// ([`ServingEngine::resume`]); the entries resumed land in
+    /// [`PagingStats::memo_resumed`]. A failed fault-in leaves it parked;
     /// its shortcut structures are then derived from the file next time.
     fn fault_in(&self, parked: &mut ParkedEpoch<'t>) -> Result<Arc<ServingEngine<'t>>, PgmError> {
         let stored = StoredEpoch::open(&parked.path(), true)?;
         let (frame, kept) = parked.take_structure();
         let (engine, mat) = stored.rehydrate(frame, kept)?;
-        Ok(Arc::new(ServingEngine::resume(
-            engine,
-            mat,
-            self.tenant_config(),
-            parked,
-        )))
+        let serving = ServingEngine::resume(engine, mat, self.tenant_config(), parked);
+        // ordering: telemetry counter only.
+        self.memo_resumed
+            .fetch_add(serving.engine().memo_usage().0 as u64, Ordering::Relaxed);
+        Ok(Arc::new(serving))
     }
 
     /// Pages `slot` out: saves its current epoch unless the tenant's
     /// record holds it, then drops the engine's tables and parks its
-    /// epoch's front with the record ([`ParkedEpoch`]). Returns whether the
-    /// slot was resident. Publishes already persist write-behind, so the
-    /// common page-out writes nothing: it swaps the engine `Arc` for the
-    /// front, which shares the epoch's cache and window.
+    /// epoch's front with the record ([`ParkedEpoch`]), and the calibrated
+    /// tables' messages trimmed to the entries the dropped tables held.
+    /// Returns whether the slot was resident. Publishes already persist
+    /// write-behind, so the common page-out writes nothing: it swaps the
+    /// engine `Arc` for the front, which shares the epoch's cache and
+    /// window. Under the same write lock it unlinks the tenant's epoch
+    /// files older than the record's newest; a failed unlink is counted in
+    /// [`ServingEngine::persist_errors`], never as a fault error.
     fn page_out(&self, slot: usize) -> Result<bool, PgmError> {
         let shard = &self.shards[slot];
         let mut resident = shard.resident.write();
         let Residency::Resident(engine) = &*resident else {
             return Ok(false);
         };
-        *resident = Residency::Parked(engine.park()?);
+        *resident = Residency::Parked(Box::new(engine.park()?));
         // ordering: telemetry counter only.
         self.page_outs.fetch_add(1, Ordering::Relaxed);
         Ok(true)

@@ -19,6 +19,12 @@
 //! * a page-out parks the epoch's answer cache and observation window: a
 //!   fault-in of the same epoch resumes both, bit for bit, while a
 //!   fault-in of a newer epoch starts with an empty cache;
+//! * a page-out parks the calibrated tables' messages, trimmed to at most
+//!   the entries it frees: a fault-in of the same epoch adopts exactly
+//!   those and answers through them bit for bit, while a fault-in of a
+//!   newer epoch starts with an empty memo;
+//! * a page-out unlinks the tenant's epoch files older than its newest,
+//!   so every paged tenant keeps one file however often it publishes;
 //! * a corrupt epoch file fails only its own tenant, and fails it closed.
 
 mod common;
@@ -900,5 +906,237 @@ fn a_publish_past_the_disk_limit_keeps_serving_from_ram() {
     assert_eq!(t0.persist_errors(), 2);
     let (outcomes, _) = fleet.serve_mixed(&tenant0(&batch));
     check(&outcomes);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A page-out parks the calibrated tables' messages, trimmed to the
+/// entries it frees (fewer than the memo held here), and a fault-in of the
+/// same epoch adopts exactly them:
+/// the same trim of an always-resident engine that served the same batch
+/// holds as many entries. The next batch answers through them bit for bit
+/// like a cold engine.
+#[test]
+fn a_fault_in_of_the_same_epoch_resumes_its_state_memo() {
+    let bns: Vec<BayesianNetwork> = (0..2).map(|i| fixtures::chain(12, 3, 5 + i)).collect();
+    let trees: Vec<JunctionTree> = bns
+        .iter()
+        .map(|bn| build_junction_tree(bn).unwrap())
+        .collect();
+    let batches: Vec<Vec<ServeRequest>> = bns
+        .iter()
+        .enumerate()
+        .map(|(i, bn)| random_batch(bn, 96, 113 + i as u64))
+        .collect();
+    let dir = temp_dir("memo-resume");
+    let fleet = build_fleet(&trees, &bns, &batches, Some(StoreConfig::new(&dir)), 1);
+    let t0 = fleet.tenant(TenantId(0)).unwrap();
+    let (first, _) = t0.serve_batch(&batches[0]);
+    let (held, _) = t0.engine().memo_usage();
+    assert!(held > 0, "test premise: the tables' memo filed messages");
+    // what a page-out frees: the calibrated slab and the shortcut tables
+    let slab = t0.engine().numeric_state().unwrap().arena().slab().len();
+    let budget = slab + t0.materialization().total_size() as usize;
+    drop(t0);
+
+    // the same tables, selected on and serving the same batch, never paged
+    let engine = QueryEngine::numeric(&trees[0], &bns[0]).unwrap();
+    let mat = train_mat(&trees[0], &engine, &batches[0], 256);
+    let resident = ServingEngine::new(engine, mat, ServingConfig::default().with_workers(1));
+    let (want, _) = resident.serve_batch(&batches[0]);
+    for (a, b) in first.iter().zip(&want) {
+        assert_eq!(bits(a), bits(b));
+    }
+    assert_eq!(resident.engine().memo_usage().0, held);
+
+    // touching tenant 1 under a cap of 1 pages tenant 0 out
+    fleet.tenant(TenantId(1)).unwrap();
+    let before = fleet.paging_stats();
+    let t0 = fleet.tenant(TenantId(0)).unwrap();
+    let after = fleet.paging_stats();
+    assert_eq!(after.faults, before.faults + 1, "tenant 0 faulted in");
+    assert_eq!(t0.epoch(), 0);
+    let resumed = (after.memo_resumed - before.memo_resumed) as usize;
+    assert!(resumed > 0, "test premise: the page-out parked messages");
+    assert!(
+        resumed <= budget,
+        "{resumed} entries parked, {budget} freed"
+    );
+    assert!(resumed < held, "test premise: the trim drops messages");
+    assert_eq!(t0.engine().memo_usage().0, resumed, "adopted as parked");
+    let trimmed = resident.engine().take_memo(budget).unwrap();
+    assert_eq!(trimmed.usage().0, resumed, "the trim is the resident one's");
+    assert_eq!(
+        t0.materialization().memo_usage().0,
+        0,
+        "the materialization's memo starts empty"
+    );
+
+    // a new batch, so nothing is cached: it answers through the resumed
+    // messages as a cold engine answers without them
+    let cold = ServingEngine::new(
+        QueryEngine::numeric(&trees[0], &bns[0]).unwrap(),
+        (*t0.materialization()).clone(),
+        ServingConfig::default().with_workers(1),
+    );
+    let next = random_batch(&bns[0], 24, 7);
+    let (got, _) = t0.serve_batch(&next);
+    let (want, _) = cold.serve_batch(&next);
+    for (a, b) in got.iter().zip(&want) {
+        assert_eq!(bits(a), bits(b));
+        let (a, b) = (a.served().unwrap(), b.served().unwrap());
+        assert_eq!(a.cost.ops, b.cost.ops);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A publish on a handle held across the page-out makes the fault-in
+/// rehydrate a newer epoch: the messages parked with epoch 0 are dropped
+/// with its front, and the tables start with an empty memo.
+#[test]
+fn a_fault_in_of_a_newer_epoch_starts_its_state_memo_empty() {
+    let (bns, trees, batches) = two_tenants(127);
+    let dir = temp_dir("memo-newer");
+    let fleet = build_fleet(&trees, &bns, &batches, Some(StoreConfig::new(&dir)), 1);
+    let held = fleet.tenant(TenantId(0)).unwrap();
+    held.serve_batch(&batches[0]);
+    assert!(
+        held.engine().memo_usage().0 > 0,
+        "test premise: the tables' memo filed messages"
+    );
+
+    fleet.tenant(TenantId(1)).unwrap();
+    assert_eq!(fleet.resident_len(), 1, "tenant 0 is paged out");
+    let mat = (*held.materialization()).clone();
+    assert_eq!(held.publish(mat), 1);
+    drop(held);
+
+    let before = fleet.paging_stats();
+    let t0 = fleet.tenant(TenantId(0)).unwrap();
+    let after = fleet.paging_stats();
+    assert_eq!(after.faults, before.faults + 1, "tenant 0 faulted in");
+    assert_eq!(t0.epoch(), 1);
+    assert_eq!(after.memo_resumed, before.memo_resumed, "nothing resumed");
+    assert_eq!(t0.engine().memo_usage().0, 0, "the tables' memo is empty");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// With the answer caches off, every repeated request of a capped fleet
+/// is computed again, through the messages its page-outs parked and its
+/// fault-ins resumed: it answers bit for bit, and at the same count, as
+/// an uncapped fleet whose tenants never leave RAM.
+#[test]
+fn a_capped_fleet_answers_through_resumed_messages_like_an_uncapped_one() {
+    let bns = fleet_models(4);
+    let trees: Vec<JunctionTree> = bns
+        .iter()
+        .map(|bn| build_junction_tree(bn).unwrap())
+        .collect();
+    let batches: Vec<Vec<ServeRequest>> = bns
+        .iter()
+        .enumerate()
+        .map(|(i, bn)| random_batch(bn, 12, 131 + i as u64))
+        .collect();
+    let dir = temp_dir("memo-replay");
+    let uncached = |store: Option<StoreConfig>, max_resident: usize| {
+        let mut fleet = ShardedServingEngine::new(
+            ShardConfig::default()
+                .with_workers(2)
+                .with_cache_capacity(0)
+                .with_max_resident(max_resident),
+        );
+        if let Some(store) = store {
+            fleet.set_store(store);
+        }
+        for (i, (tree, bn)) in trees.iter().zip(&bns).enumerate() {
+            let engine = QueryEngine::numeric(tree, bn).unwrap();
+            let mat = train_mat(tree, &engine, &batches[i], 256);
+            fleet.register(TenantId(i as u32), engine, mat).unwrap();
+        }
+        fleet
+    };
+    let capped = uncached(Some(StoreConfig::new(&dir)), 1);
+    let uncapped = uncached(None, 0);
+    for _ in 0..3 {
+        for (t, batch) in batches.iter().enumerate() {
+            let mixed: Vec<(TenantId, ServeRequest)> = batch
+                .iter()
+                .map(|q| (TenantId(t as u32), q.clone()))
+                .collect();
+            let (got, stats) = capped.serve_mixed(&mixed);
+            let (want, _) = uncapped.serve_mixed(&mixed);
+            assert_eq!(stats.cache_hits, 0, "caching is off");
+            for (a, b) in got.iter().zip(&want) {
+                assert_eq!(bits(a), bits(b));
+                let (a, b) = (a.served().unwrap(), b.served().unwrap());
+                assert_eq!(a.cost.ops, b.cost.ops);
+            }
+        }
+    }
+    let paging = capped.paging_stats();
+    assert!(paging.faults > 0 && paging.page_outs > 0);
+    assert!(
+        paging.memo_resumed > 0,
+        "test premise: fault-ins resumed messages"
+    );
+    assert_eq!(paging.fault_errors, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `.pnut` files and leftover `.tmp` files of `tenant` in `dir`.
+fn files_of(dir: &std::path::Path, tenant: u32) -> (usize, usize) {
+    let prefix = format!("tenant{tenant}-");
+    let mut counts = (0, 0);
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        if name.starts_with(&prefix) && name.ends_with(".pnut") {
+            counts.0 += 1;
+        } else if name.ends_with(".tmp") {
+            counts.1 += 1;
+        }
+    }
+    counts
+}
+
+/// Every publish saves a new epoch file; a page-out unlinks the tenant's
+/// older ones. After several publishes and page cycles each tenant holds
+/// exactly one `.pnut` file, its newest epoch's, and no `.tmp` file is
+/// left.
+#[test]
+fn a_page_out_leaves_each_tenant_one_epoch_file() {
+    let bns = fleet_models(3);
+    let trees: Vec<JunctionTree> = bns
+        .iter()
+        .map(|bn| build_junction_tree(bn).unwrap())
+        .collect();
+    let batches: Vec<Vec<ServeRequest>> = bns
+        .iter()
+        .enumerate()
+        .map(|(i, bn)| random_batch(bn, 8, 137 + i as u64))
+        .collect();
+    let dir = temp_dir("one-file");
+    let store = StoreConfig::new(&dir);
+    let fleet = build_fleet(&trees, &bns, &batches, Some(store.clone()), 1);
+    for round in 0..3 {
+        for t in 0..3u32 {
+            let engine = fleet.tenant(TenantId(t)).unwrap();
+            for _ in 0..=round {
+                engine.publish((*engine.materialization()).clone());
+            }
+            let (outcomes, _) = fleet.serve_mixed(&tenant0(&batches[0]));
+            assert!(outcomes.iter().all(ServeOutcome::is_served));
+        }
+    }
+    // tenant 0 is resident; touching 1 and then 2 pages it and 1 out
+    fleet.tenant(TenantId(1)).unwrap();
+    fleet.tenant(TenantId(2)).unwrap();
+    fleet.tenant(TenantId(0)).unwrap();
+    assert!(fleet.paging_stats().page_outs > 0);
+    for t in 0..3u32 {
+        let engine = fleet.tenant(TenantId(t)).unwrap();
+        assert_eq!(engine.epoch(), 6, "six publishes");
+        assert_eq!(files_of(&dir, t), (1, 0), "tenant {t}");
+        assert!(store.epoch_path(t, 6).exists());
+        assert_eq!(engine.persist_errors(), 0);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
