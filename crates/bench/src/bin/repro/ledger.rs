@@ -1,6 +1,6 @@
-//! The work ledger: exact counts of what two serving shapes do, one
-//! repetition each, with nothing timed — so two runs of one build write
-//! the same bytes, and a change that moves the work moves the file.
+//! The work ledger: exact counts of what four of the benchmark's shapes
+//! do, one repetition each, with nothing timed — so two runs of one build
+//! write the same bytes, and a change that moves the work moves the file.
 //!
 //! * `fleet_paging`: 8 tenants over HeparII / Child / Hailfinder behind 3
 //!   resident slots of a store-backed `ShardedServingEngine` on one
@@ -10,15 +10,26 @@
 //!   turn, seven times per repetition.
 //! * `direct_small`: Child, paper-skewed 1–5-variable queries answered one
 //!   at a time by `OnlineEngine::answer_in`.
+//! * `direct_large`: TPC-H, every 2-variable scope answered once by
+//!   `OnlineEngine::answer_in`.
+//! * `serve_distinct`: HeparII behind one `ServingEngine` on one worker,
+//!   distinct 1–3-variable requests, a quarter of them with evidence, in
+//!   batches of 64.
 //!
 //! Each is rebuilt from `peanut_datasets` and `peanut_workload`, seeded,
-//! in the benchmark's shape, not its exact stream. Both run a warm-up of
-//! an eighth of the stream, then one repetition of the whole stream, over
-//! which a row sums: requests, answers computed, operations charged and
-//! their plain-tree baseline, cache hits, faults, page-outs, the memo
-//! entries held when it ends (calibrated tables and materializations, of
-//! the engines resident then), the memo entries fault-ins resumed, and the
-//! store bytes fault-ins read.
+//! in the benchmark's shape, not its exact stream. Each runs a warm-up —
+//! an eighth of the stream; `direct_large` the whole stream;
+//! `serve_distinct` a quarter as many distinct requests of its own — then
+//! one repetition of the whole stream, over which a row sums: requests,
+//! answers computed, operations charged and their plain-tree baseline,
+//! cache hits, faults, page-outs, the memo entries held when it ends
+//! (calibrated tables and materializations, of the engines resident then),
+//! the memo entries fault-ins resumed, the store bytes fault-ins read, the
+//! plans the materializations' plan memos hold when it ends and the
+//! answers that ran a filed plan (`plans_taken`). On `fleet_paging` the
+//! latter counts the materializations resident at a batch or publish,
+//! watched until the next one: a tenant faulted in and paged out inside
+//! one batch is not seen.
 //!
 //! `repro ledger` prints the ledger and writes it to `LEDGER.json`;
 //! `--quick` shrinks every stream and writes `LEDGER.quick.json`, the file
@@ -29,7 +40,8 @@ use peanut_core::{Materialization, OfflineContext, OnlineEngine, Peanut, PeanutC
 use peanut_junction::{JunctionTree, QueryEngine, RootedTree};
 use peanut_pgm::{Scope, Scratch};
 use peanut_serving::{
-    Answer, ServeOutcome, ServeRequest, ShardConfig, ShardedServingEngine, StoreConfig, TenantId,
+    Answer, ServeOutcome, ServeRequest, ServingConfig, ServingEngine, ShardConfig,
+    ShardedServingEngine, StoreConfig, TenantId,
 };
 use peanut_workload::{
     skewed_queries, tenant_queries, uniform_queries, with_evidence, zipf_weights, QuerySpec,
@@ -38,6 +50,7 @@ use peanut_workload::{
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::Arc;
 
 const SEED: u64 = 1;
 const DATASETS: [&str; 3] = ["HeparII", "Child", "Hailfinder"];
@@ -67,6 +80,8 @@ struct Row {
     mat_memo_entries: u64,
     memo_resumed: u64,
     store_bytes_read: u64,
+    plans_held: u64,
+    plans_taken: u64,
 }
 
 impl Row {
@@ -96,7 +111,7 @@ impl Row {
 
     fn json(&self, shape: &str) -> String {
         let mut out = format!("    {{\n      \"shape\": \"{shape}\",\n      \"seed\": {SEED}");
-        let fields: [(&str, u128); 12] = [
+        let fields: [(&str, u128); 14] = [
             ("requests", self.requests.into()),
             ("failed", self.failed.into()),
             ("answers_computed", self.computed.into()),
@@ -109,6 +124,8 @@ impl Row {
             ("mat_memo_entries", self.mat_memo_entries.into()),
             ("memo_entries_resumed", self.memo_resumed.into()),
             ("store_bytes_read", self.store_bytes_read.into()),
+            ("plans_held", self.plans_held.into()),
+            ("plans_taken", self.plans_taken.into()),
         ];
         for (name, value) in fields {
             let _ = write!(out, ",\n      \"{name}\": {value}");
@@ -126,6 +143,33 @@ fn select(tree: &JunctionTree, engine: &QueryEngine<'_>, train: &[Scope]) -> Mat
     Peanut::offline_numeric(&ctx, &cfg, numeric)
         .expect("shortcut tables fit")
         .0
+}
+
+/// The plan-memo hits of a fleet's materializations (module docs): those
+/// resident at one boundary of the stream are held to the next, and one
+/// first seen at a boundary was made since the last, so every hit it took
+/// counts.
+#[derive(Default)]
+struct PlanWatch {
+    held: Vec<(Arc<Materialization>, u64)>,
+    taken: u64,
+}
+
+impl PlanWatch {
+    fn boundary(&mut self, fleet: &ShardedServingEngine<'_>) {
+        let before = std::mem::take(&mut self.held);
+        for (mat, at) in &before {
+            self.taken += mat.plan_usage().1 - at;
+        }
+        for (_, engine) in fleet.tenants() {
+            let mat = engine.materialization();
+            let (_, taken) = mat.plan_usage();
+            if !before.iter().any(|(seen, _)| Arc::ptr_eq(seen, &mat)) {
+                self.taken += taken;
+            }
+            self.held.push((mat, taken));
+        }
+    }
 }
 
 /// A seed per tenant and stream.
@@ -230,8 +274,10 @@ fn fleet_paging(quick: bool, store_dir: &Path) -> Row {
             row.store_bytes_read += sizes[&(t, newest[t])];
         }
     };
-    let mut serve = |row: &mut Row, range: std::ops::Range<usize>| {
+    let mut watch = PlanWatch::default();
+    let mut serve = |row: &mut Row, watch: &mut PlanWatch, range: std::ops::Range<usize>| {
         for b in range {
+            watch.boundary(&fleet);
             if b % publish_every == 0 && b > 0 {
                 // tenants in turn, alternating between their two
                 let turn = b / publish_every - 1;
@@ -242,6 +288,7 @@ fn fleet_paging(quick: bool, store_dir: &Path) -> Row {
                 let engine = fleet.tenant(id).expect("tenant faults in");
                 newest[t] = engine.publish(mats[t][which].clone());
                 sizes.insert((t, newest[t]), size(t, newest[t]));
+                watch.boundary(&fleet);
             }
             let batch = &arrivals[b * BATCH..(b + 1) * BATCH];
             let touched: Vec<TenantId> = batch.iter().map(|(id, _)| *id).collect();
@@ -251,10 +298,14 @@ fn fleet_paging(quick: bool, store_dir: &Path) -> Row {
         }
     };
     // warm-up: an eighth of the stream, before any publish
-    serve(&mut Row::default(), 0..batches / 8);
+    serve(&mut Row::default(), &mut watch, 0..batches / 8);
+    watch.boundary(&fleet);
+    watch.taken = 0;
     let mut row = Row::default();
     let before = fleet.paging_stats();
-    serve(&mut row, 0..batches);
+    serve(&mut row, &mut watch, 0..batches);
+    watch.boundary(&fleet);
+    row.plans_taken = watch.taken;
     let after = fleet.paging_stats();
     assert_eq!(
         row.faults,
@@ -265,9 +316,12 @@ fn fleet_paging(quick: bool, store_dir: &Path) -> Row {
     row.memo_resumed = after.memo_resumed - before.memo_resumed;
     assert_eq!(after.fault_errors, 0, "no fault-in failed");
     for (_, engine) in fleet.tenants() {
+        let mat = engine.materialization();
         row.state_memo_entries += engine.engine().memo_usage().0 as u64;
-        row.mat_memo_entries += engine.materialization().memo_usage().0 as u64;
+        row.mat_memo_entries += mat.memo_usage().0 as u64;
+        row.plans_held += mat.plan_usage().0 as u64;
     }
+    drop(watch);
     drop(fleet);
     let _ = std::fs::remove_dir_all(store_dir);
     row
@@ -284,17 +338,39 @@ fn direct_small(quick: bool) -> Row {
         max_vars: 5,
     };
     let child = Prepared::by_name("Child");
-    let tree = &child.tree;
-    let rooted = RootedTree::new(tree);
-    let engine = QueryEngine::numeric(tree, &child.bn).expect("tables fit");
-    let mat = select(
-        tree,
-        &engine,
-        &skewed_queries(tree, &rooted, train, spec, seed_of(0, 5)),
-    );
+    let (tree, rooted) = (&child.tree, RootedTree::new(&child.tree));
+    let train = skewed_queries(tree, &rooted, train, spec, seed_of(0, 5));
+    let stream = skewed_queries(tree, &rooted, test, spec, seed_of(0, 6));
+    direct(&child, &train, &stream, test / 8)
+}
+
+fn direct_large(quick: bool) -> Row {
+    let (train, every) = if quick { (2_000, 8) } else { (20_000, 1) };
+    let spec = QuerySpec {
+        min_vars: 2,
+        max_vars: 2,
+    };
+    let tpch = Prepared::by_name("TPC-H");
+    let (tree, rooted) = (&tpch.tree, RootedTree::new(&tpch.tree));
+    let train = skewed_queries(tree, &rooted, train, spec, seed_of(0, 11));
+    // every pair, in order (`--quick`: every eighth)
+    let n = tree.domain().len() as u32;
+    let stream: Vec<Scope> = (0..n)
+        .flat_map(|a| (a + 1..n).map(move |b| Scope::from_indices(&[a, b])))
+        .step_by(every)
+        .collect();
+    direct(&tpch, &train, &stream, stream.len())
+}
+
+/// A direct shape: `stream` answered one at a time over the
+/// materialization selected for `train`, after a warm-up over its first
+/// `warm` queries.
+fn direct(model: &Prepared, train: &[Scope], stream: &[Scope], warm: usize) -> Row {
+    let tree = &model.tree;
+    let engine = QueryEngine::numeric(tree, &model.bn).expect("tables fit");
+    let mat = select(tree, &engine, train);
     let online = OnlineEngine::new(&engine, &mat);
     let symbolic = QueryEngine::symbolic(tree);
-    let stream = skewed_queries(tree, &rooted, test, spec, seed_of(0, 6));
     let mut scratch = Scratch::new();
     let mut row = Row::default();
     let mut answer = |row: &mut Row, q: &Scope| match online.answer_in(q, &mut scratch) {
@@ -306,15 +382,63 @@ fn direct_small(quick: bool) -> Row {
         }
         Err(_) => row.failed += 1,
     };
-    for q in &stream[..test / 8] {
+    for q in &stream[..warm] {
         answer(&mut Row::default(), q);
     }
-    for q in &stream {
+    let (_, taken) = mat.plan_usage();
+    for q in stream {
         row.requests += 1;
         answer(&mut row, q);
     }
     row.state_memo_entries = engine.memo_usage().0 as u64;
     row.mat_memo_entries = mat.memo_usage().0 as u64;
+    (row.plans_held, row.plans_taken) = (mat.plan_usage().0 as u64, mat.plan_usage().1 - taken);
+    row
+}
+
+fn serve_distinct(quick: bool) -> Row {
+    let (train, n) = if quick { (500, 512) } else { (2_000, 2_048) };
+    let hepar = Prepared::by_name("HeparII");
+    let (tree, rooted) = (&hepar.tree, RootedTree::new(&hepar.tree));
+    let engine = QueryEngine::numeric(tree, &hepar.bn).expect("tables fit");
+    let train = skewed_queries(tree, &rooted, train, FLEET_SPEC, seed_of(0, 7));
+    let mat = select(tree, &engine, &train);
+    // distinct requests over seven skewed scopes in ten and three uniform,
+    // a quarter with evidence: the warm-up's, then the repetition's
+    let total = n + n / 4;
+    let mut skewed = skewed_queries(tree, &rooted, 2 * total, FLEET_SPEC, seed_of(0, 8));
+    let mut uniform = uniform_queries(tree.domain(), 2 * total, FLEET_SPEC, seed_of(0, 9));
+    let scopes: Vec<Scope> = (0..2 * total)
+        .filter_map(|i| {
+            if i % 10 < 7 {
+                skewed.pop()
+            } else {
+                uniform.pop()
+            }
+        })
+        .collect();
+    let mut seen = HashSet::new();
+    let requests: Vec<ServeRequest> = with_evidence(tree.domain(), &scopes, 0.25, seed_of(0, 10))
+        .into_iter()
+        .filter(|r| seen.insert(r.clone()))
+        .take(total)
+        .collect();
+    assert_eq!(requests.len(), total, "enough distinct requests");
+    let serving = ServingEngine::new(engine, mat, ServingConfig::default().with_workers(1));
+    let (warm, stream) = requests.split_at(n / 4);
+    for batch in warm.chunks(BATCH) {
+        serving.serve_batch(batch);
+    }
+    let mat = serving.materialization();
+    let (_, taken) = mat.plan_usage();
+    let mut row = Row::default();
+    for batch in stream.chunks(BATCH) {
+        let (outcomes, stats) = serving.serve_batch(batch);
+        row.served(&outcomes, stats.cache_hits);
+    }
+    row.state_memo_entries = serving.engine().memo_usage().0 as u64;
+    row.mat_memo_entries = mat.memo_usage().0 as u64;
+    (row.plans_held, row.plans_taken) = (mat.plan_usage().0 as u64, mat.plan_usage().1 - taken);
     row
 }
 
@@ -324,6 +448,8 @@ pub fn run() {
     let rows = [
         fleet_paging(quick, &store_dir).json("fleet_paging"),
         direct_small(quick).json("direct_small"),
+        direct_large(quick).json("direct_large"),
+        serve_distinct(quick).json("serve_distinct"),
     ];
     let ledger = format!(
         "{{\n  \"quick\": {quick},\n  \"rows\": [\n{}\n  ]\n}}\n",

@@ -40,6 +40,7 @@ pub mod gwmin;
 pub mod lrdp;
 pub mod online;
 pub mod peanut;
+mod plans;
 pub mod plus;
 pub mod request;
 pub mod shortcut;

@@ -4,11 +4,18 @@
 //! run (or cost) message passing on the reduced tree.
 //!
 //! Every entry point — `answer*`, `conditional*`,
-//! [`reduce`](OnlineEngine::reduce), [`cost`](OnlineEngine::cost) — goes
-//! through one private planning routine, `planned`: it extracts the Steiner
-//! tree once, answers "in clique `u`" or plans the tree as a
+//! [`reduce`](OnlineEngine::reduce), [`cost`](OnlineEngine::cost) — that
+//! plans goes through one private planning routine, `planned`: it extracts
+//! the Steiner tree once, answers "in clique `u`" or plans the tree as a
 //! [`ReducedTree`] of borrowed clique and separator tables, and builds at
-//! most one more tree, the one that runs. Its answer takes and files
+//! most one more tree, the one that runs. The answer doors (`answer*`,
+//! and `conditional*` through the joint they answer) first ask the
+//! materialization's **plan memo** (`plans`): a scope answered before runs
+//! the plan filed then — hung from its cheapest root, with the count and
+//! baseline it reported — rebuilt over the same tables, so it skips
+//! `planned`, the count toward `r_q` and the re-hang; a scope not held is
+//! planned, hung, run and filed. `reduce` and `cost` always plan afresh,
+//! the reference the memo is tested against. An answer takes and files
 //! messages of plain subtrees in the memo of the engine's calibrated
 //! tables, which outlives every epoch — a branch sending into a shortcut
 //! included, whose message is the one a plain plan sends into the
@@ -38,6 +45,7 @@
 
 use crate::context::SteinerCover;
 use crate::gwmin::gwmin_by;
+use crate::plans::{FiledPlan, PlanMemo};
 use crate::shortcut::Shortcut;
 use peanut_junction::cost::{node_ops_of_size, QueryCost};
 use peanut_junction::tree::CliqueId;
@@ -60,18 +68,26 @@ pub struct MaterializedShortcut {
 }
 
 /// The outcome of an offline phase: the set of materialized shortcut
-/// potentials, and the memo of the messages made of their tables.
+/// potentials, and two memos of what answering over them computed.
 ///
-/// The memo keeps every message a contracted plan sends from a subtree that
-/// holds a shortcut node (`peanut_junction::reduced`, "The message memo"),
-/// keyed by the cliques and the shortcuts' positions here. So it must be
-/// read only by plans over the tables its shortcuts were built from — the
-/// calibrated tables and these shortcut tables — or a bit-identical copy
-/// (a clone, a slab reattached, a rehydrated epoch). It lives and dies with
-/// this value: [`new`](Self::new), [`Default`] and a clone start empty, so
-/// a published epoch starts empty and a retired one drops its messages. A
-/// caller that edits `shortcuts` after answering builds a new
-/// `Materialization` rather than reusing this one.
+/// * The **message memo** keeps every message a contracted plan sends from
+///   a subtree that holds a shortcut node (`peanut_junction::reduced`, "The
+///   message memo"), keyed by the cliques and the shortcuts' positions
+///   here. So it must be read only by plans over the tables its shortcuts
+///   were built from — the calibrated tables and these shortcut tables — or
+///   a bit-identical copy (a clone, a slab reattached, a rehydrated epoch).
+/// * The **plan memo** keeps, per exact query scope, the plan the answer
+///   doors ran, hung from its cheapest root, with the count and baseline it
+///   reports (`plans` module docs); a repeat runs it without planning.
+///   [`reduce`](OnlineEngine::reduce) and [`cost`](OnlineEngine::cost)
+///   always plan afresh.
+///
+/// Both live and die with this value: [`new`](Self::new), [`Default`] and
+/// a clone start empty, so a published epoch and a faulted-in one start
+/// empty, and a retired or paged-out one drops them. A caller that edits
+/// `shortcuts` after answering builds a new `Materialization` rather than
+/// reusing this one; a filed plan naming a shortcut no longer held is
+/// planned afresh, never indexed.
 #[derive(Clone, Debug, Default)]
 pub struct Materialization {
     /// Materialized shortcuts, in decreasing ratio order.
@@ -89,17 +105,20 @@ pub struct Materialization {
     pub epoch: u64,
     /// Messages of subtrees holding a shortcut (type docs).
     memo: MessageMemo,
+    /// The plans the answer doors ran, by query scope (type docs).
+    plans: PlanMemo,
 }
 
 impl Materialization {
     /// Materializes `shortcuts` (decreasing ratio order) as epoch 0, with
-    /// an empty memo.
+    /// empty memos.
     pub fn new(shortcuts: Vec<MaterializedShortcut>, overlapping: bool) -> Self {
         Materialization {
             shortcuts,
             overlapping,
             epoch: 0,
             memo: MessageMemo::new(),
+            plans: PlanMemo::new(),
         }
     }
 
@@ -130,6 +149,12 @@ impl Materialization {
     pub fn memo_usage(&self) -> (usize, usize) {
         self.memo.usage()
     }
+
+    /// The plans the plan memo holds, and the answers that ran one of them
+    /// instead of planning.
+    pub fn plan_usage(&self) -> (usize, u64) {
+        self.plans.usage()
+    }
 }
 
 /// An answer traced with the baseline it is measured against: what the
@@ -146,7 +171,7 @@ pub struct TracedAnswer {
     pub baseline_ops: Size,
 }
 
-/// What [`OnlineEngine::planned`] hands every entry point.
+/// What [`OnlineEngine::planned`] hands every entry point that plans.
 enum Planned<'e> {
     /// Every query variable lies in this clique: one marginalization.
     InClique(CliqueId),
@@ -154,6 +179,29 @@ enum Planned<'e> {
     /// of the *unreduced* plan when shortcuts were priced against it. With
     /// `None` nothing was priced and the plan's own cost is the baseline.
     Tree(ReducedTree<'e>, Option<Size>),
+}
+
+/// What an answer door runs.
+enum Runnable<'e> {
+    /// Every query variable lies in this clique: one marginalization.
+    InClique(CliqueId),
+    /// The plan hung from its cheapest root, the count toward `r_q` it
+    /// reports, and the plain-tree baseline.
+    Tree(ReducedTree<'e>, QueryCost, Size),
+}
+
+impl Runnable<'_> {
+    /// What the plan memo keeps of it.
+    fn filed(&self) -> FiledPlan {
+        match self {
+            Runnable::InClique(u) => FiledPlan::InClique(*u),
+            Runnable::Tree(plan, cost, baseline_ops) => FiledPlan::Tree {
+                shape: plan.shape(),
+                cost: *cost,
+                baseline_ops: *baseline_ops,
+            },
+        }
+    }
 }
 
 /// Query processor that exploits a [`Materialization`].
@@ -292,28 +340,86 @@ impl<'e, 't> OnlineEngine<'e, 't> {
     /// query: the unreduced plan's count where shortcuts were priced
     /// against it, the answer's own charged cost otherwise (the two are
     /// equal on a plan nothing was substituted into).
+    ///
+    /// The plan comes from the materialization's plan memo when it holds
+    /// one for this exact scope; otherwise it is planned, hung from its
+    /// cheapest root, run, and — once the answer succeeded — filed.
     pub fn answer_traced_in(
         &self,
         query: &Scope,
         scratch: &mut Scratch,
     ) -> Result<TracedAnswer, PgmError> {
         let tree = self.engine.tree();
-        let ((potential, cost), unreduced) = match self.planned(query)? {
-            Planned::InClique(u) => {
+        let (run, taken) = match self.mat.plans.recall(query, |plan| self.rebuilt(plan)) {
+            Some(run) => (run, true),
+            None => (self.runnable(query)?, false),
+        };
+        let (potential, cost, baseline_ops) = match &run {
+            Runnable::InClique(u) => {
                 let ns = self.engine.numeric_state();
-                let table = ns.ok_or(PgmError::SymbolicEngine)?.clique_table(u);
-                let cost = QueryCost::in_clique(tree.clique(u), tree.domain());
-                ((table.marginalize_in(query, scratch)?, cost), None)
+                let table = ns.ok_or(PgmError::SymbolicEngine)?.clique_table(*u);
+                let cost = QueryCost::in_clique(tree.clique(*u), tree.domain());
+                (table.marginalize_in(query, scratch)?, cost, cost.ops)
             }
-            Planned::Tree(rt, unreduced) => {
-                (rt.answer_in(query, tree.domain(), scratch)?, unreduced)
+            Runnable::Tree(plan, cost, baseline_ops) => {
+                let potential = plan.run_in(query, tree.domain(), scratch)?;
+                (potential, *cost, *baseline_ops)
             }
         };
+        if !taken {
+            self.mat.plans.file(query, run.filed());
+        }
         Ok(TracedAnswer {
             potential,
             cost,
-            baseline_ops: unreduced.unwrap_or(cost.ops),
+            baseline_ops,
         })
+    }
+
+    /// The plan for `query`, planned now: hung from its cheapest root
+    /// (`ReducedTree::hung_cheapest`), with the count toward `r_q` and the
+    /// baseline it reports.
+    fn runnable(&self, query: &Scope) -> Result<Runnable<'e>, PgmError> {
+        Ok(match self.planned(query)? {
+            Planned::InClique(u) => Runnable::InClique(u),
+            Planned::Tree(rt, unreduced) => {
+                let (rehung, cost) = rt.hung_cheapest(query, self.engine.tree().domain());
+                let baseline_ops = unreduced.unwrap_or(cost.ops);
+                Runnable::Tree(rehung.unwrap_or(rt), cost, baseline_ops)
+            }
+        })
+    }
+
+    /// A filed plan rebuilt over the engine's and the materialization's
+    /// tables; `None` when it does not fit them — a clique the tree lacks,
+    /// or a shortcut no longer held — and the scope is planned afresh.
+    fn rebuilt(&self, plan: &FiledPlan) -> Option<Runnable<'e>> {
+        let (engine, mat) = (self.engine, self.mat);
+        let tree = engine.tree();
+        match plan {
+            FiledPlan::InClique(u) => (*u < tree.n_cliques()).then_some(Runnable::InClique(*u)),
+            FiledPlan::Tree {
+                shape,
+                cost,
+                baseline_ops,
+            } => {
+                let lent = |i: usize| {
+                    let ms = mat.shortcuts.get(i)?;
+                    Some((
+                        ms.shortcut.scope(),
+                        ms.potential.as_ref().map(Potential::view),
+                    ))
+                };
+                let ns = engine.numeric_state();
+                let rt = ReducedTree::from_shape(tree, engine.rooted(), shape, ns, lent)?;
+                let rt = if rt.shortcuts_used() > 0 {
+                    rt.with_shortcut_memo(&mat.memo)
+                } else {
+                    rt
+                };
+                Some(Runnable::Tree(rt, *cost, *baseline_ops))
+            }
+        }
     }
 
     /// Conditional distribution `P(targets | evidence)` answered through the
@@ -824,6 +930,197 @@ mod tests {
             online.conditional(&targets, &[(i, 0), (i, 1)]),
             Err(PgmError::ImpossibleEvidence(_))
         ));
+    }
+
+    /// A numeric engine on a generated network under a random pivot, a
+    /// pool of materialized shortcuts over random connected regions
+    /// (overlapping, nested, tied ratios), and a stream of requests — `(targets,
+    /// evidence)`, one to four targets, a third with one evidence variable
+    /// — whose joint scopes repeat, so marginals and conditionals share
+    /// plans. `None` when the generator declines the seed.
+    #[allow(clippy::type_complexity)]
+    fn generated(
+        seed: u64,
+    ) -> Option<(
+        BayesianNetwork,
+        QueryEngine<'static>,
+        Vec<MaterializedShortcut>,
+        Vec<(Scope, Vec<(peanut_pgm::Var, u32)>)>,
+    )> {
+        use peanut_pgm::generate::{generate_network, DagConfig};
+        use proptest::test_runner::TestRng;
+        let n = 9 + seed as usize % 6;
+        let cfg = DagConfig {
+            n_nodes: n,
+            n_edges: n - 1 + n / 5,
+            max_in_degree: 2,
+            window: 3,
+            cardinalities: vec![2, 3],
+        };
+        let bn = generate_network(&cfg, seed).ok()?;
+        let mut rng = TestRng::seed_from_u64(seed);
+        let mut tree = build_junction_tree(&bn).unwrap();
+        tree.set_pivot(rng.sample(0..tree.n_cliques()));
+        let tree: &'static JunctionTree = Box::leak(Box::new(tree));
+        let engine = QueryEngine::numeric(tree, &bn).unwrap();
+        let shortcuts = (0..rng.sample(2..9usize))
+            .map(|_| {
+                let mut region = vec![rng.sample(0..tree.n_cliques())];
+                for _ in 0..rng.sample(0..4usize) {
+                    let from = region[rng.sample(0..region.len())];
+                    let around = tree.neighbors(from);
+                    region.push(around[rng.sample(0..around.len())].0);
+                }
+                let shortcut = Shortcut::from_nodes(tree, engine.rooted(), region).unwrap();
+                let ns = engine.numeric_state().unwrap();
+                let (table, _) = shortcut.materialize(tree, engine.rooted(), ns).unwrap();
+                let ratio = [0.5, 1.0, 1.0, 2.0][rng.sample(0..4usize)];
+                MaterializedShortcut {
+                    benefit: ratio * shortcut.size() as f64,
+                    ratio,
+                    potential: Some(table),
+                    shortcut,
+                }
+            })
+            .collect();
+        let scopes: Vec<Scope> = (0..12)
+            .map(|_| {
+                let k = rng.sample(1..5usize);
+                Scope::from_indices(&(0..k).map(|_| rng.sample(0..n as u32)).collect::<Vec<_>>())
+            })
+            .collect();
+        let requests = (0..36)
+            .map(|_| {
+                let joint = &scopes[rng.sample(0..scopes.len())];
+                match joint.vars() {
+                    [evidence, targets @ ..] if !targets.is_empty() && rng.sample(0..3u32) == 0 => {
+                        let value = rng.sample(0..bn.domain().card(*evidence));
+                        (
+                            Scope::from_iter(targets.iter().copied()),
+                            vec![(*evidence, value)],
+                        )
+                    }
+                    _ => (joint.clone(), Vec::new()),
+                }
+            })
+            .collect();
+        Some((bn, engine, shortcuts, requests))
+    }
+
+    /// One request through the traced doors.
+    fn traced(
+        online: &OnlineEngine<'_, '_>,
+        (targets, evidence): &(Scope, Vec<(peanut_pgm::Var, u32)>),
+    ) -> Result<TracedAnswer, PgmError> {
+        let mut scratch = Scratch::new();
+        if evidence.is_empty() {
+            online.answer_traced_in(targets, &mut scratch)
+        } else {
+            online.conditional_traced_in(targets, evidence, &mut scratch)
+        }
+    }
+
+    /// The same request answered by the plain tree, the oracle.
+    fn plain(
+        engine: &QueryEngine<'_>,
+        (targets, evidence): &(Scope, Vec<(peanut_pgm::Var, u32)>),
+    ) -> Result<Potential, PgmError> {
+        if evidence.is_empty() {
+            engine.answer(targets).map(|(p, _)| p)
+        } else {
+            engine.conditional(targets, evidence).map(|(p, _)| p)
+        }
+    }
+
+    fn bits(p: &Potential) -> Vec<u64> {
+        p.values().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The plan memo changes no answer. On generated trees under
+    /// overlapping shortcut pools, each request asked a second time runs the
+    /// plan its joint scope filed, and answers as a materialization with the
+    /// same shortcuts that never answered: the same bits, `QueryCost` and
+    /// baseline — marginals, conditionals (whose joint may be a marginal's
+    /// scope) and in-clique scopes alike. A memo at its bound files nothing
+    /// more and answers the same; and a `shortcuts` vector truncated after
+    /// answering drops every plan naming a shortcut it lost, which is
+    /// planned afresh: nothing panics, and every answer matches the plain
+    /// tree.
+    #[test]
+    fn a_filed_plan_answers_as_a_fresh_plan() {
+        let (mut tree_hits, mut clique_hits, mut conditional_hits, mut shortcut_hits) =
+            (0, 0, 0, 0);
+        let mut truncated_hits = 0;
+        for seed in 0..32u64 {
+            let Some((_bn, engine, shortcuts, requests)) = generated(seed) else {
+                continue;
+            };
+            let mut mat = Materialization::new(shortcuts.clone(), true);
+            let full = Materialization {
+                plans: PlanMemo::with_cap(0),
+                ..Materialization::new(shortcuts.clone(), true)
+            };
+            let online = OnlineEngine::new(&engine, &mat);
+            let at_bound = OnlineEngine::new(&engine, &full);
+            for r in &requests {
+                let (before, taken) = mat.plan_usage();
+                let got = traced(&online, r);
+                let hit = mat.plan_usage().1 > taken;
+                let fresh_mat = Materialization::new(shortcuts.clone(), true);
+                let want = traced(&OnlineEngine::new(&engine, &fresh_mat), r);
+                let bounded = traced(&at_bound, r);
+                for (got, door) in [(got, "memo"), (bounded, "bound")] {
+                    match (&got, &want) {
+                        (Ok(got), Ok(want)) => {
+                            assert_eq!(bits(&got.potential), bits(&want.potential), "{door} {r:?}");
+                            assert_eq!(got.cost, want.cost, "{door} {r:?}");
+                            assert_eq!(got.baseline_ops, want.baseline_ops, "{door} {r:?}");
+                        }
+                        (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+                        _ => panic!("{door} {r:?}: {got:?} against {want:?}"),
+                    }
+                }
+                assert_eq!(full.plan_usage(), (0, 0), "a full memo files nothing");
+                if hit {
+                    let cost = want.as_ref().unwrap().cost;
+                    tree_hits += usize::from(cost.messages > 0);
+                    clique_hits += usize::from(cost.messages == 0);
+                    shortcut_hits += usize::from(cost.shortcuts_used > 0);
+                    conditional_hits += usize::from(!r.1.is_empty());
+                } else {
+                    assert!(mat.plan_usage().0 <= before + 1);
+                }
+            }
+            let (held, _) = mat.plan_usage();
+            assert!(mat.plans.bytes().0 <= mat.plans.bytes().1);
+
+            // drop the shortcuts past the first: plans that ran one of them
+            // are planned afresh, the rest run as filed
+            mat.shortcuts.truncate(1);
+            let online = OnlineEngine::new(&engine, &mat);
+            let taken = mat.plan_usage().1;
+            for r in &requests {
+                match (traced(&online, r), plain(&engine, r)) {
+                    (Ok(got), Ok(want)) => {
+                        let diff = got.potential.max_abs_diff(&want).unwrap();
+                        assert!(diff < 1e-9, "truncated {r:?}: {diff}");
+                        assert!(got.cost.shortcuts_used <= 1);
+                    }
+                    (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+                    (got, want) => panic!("truncated {r:?}: {got:?} against {want:?}"),
+                }
+            }
+            truncated_hits += (mat.plan_usage().1 - taken) as usize;
+            assert!(mat.plan_usage().0 >= held);
+        }
+        let seen = [
+            tree_hits,
+            clique_hits,
+            conditional_hits,
+            shortcut_hits,
+            truncated_hits,
+        ];
+        assert!(seen.iter().all(|&c| c >= 100), "coverage {seen:?}");
     }
 
     /// Empty materialization behaves exactly like the plain engine.

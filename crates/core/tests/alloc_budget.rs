@@ -272,3 +272,55 @@ fn answering_never_materializes_the_product() {
         8 * t
     );
 }
+
+/// A repeated scope runs the plan its first answer filed: on Child, under
+/// the PEANUT+ materialization trained on every variable pair, one warm
+/// `Scratch` answers every pair twice through `OnlineEngine::answer_in`.
+/// The second pass takes every plan from the materialization's plan memo,
+/// so per answer it allocates the plan's rebuilt view and the pass's own
+/// bookkeeping, not a Steiner tree, a conflict graph, a contraction or a
+/// re-hang: fewer allocator calls than the first pass, and fewer than the
+/// same warm answers planned afresh (`reduce`, then
+/// `ReducedTree::answer_in`).
+#[test]
+fn a_plan_memo_hit_allocates_less_than_planning() {
+    let bn = peanut_datasets::dataset("Child").unwrap().build().unwrap();
+    let tree = build_junction_tree(&bn).unwrap();
+    let engine = QueryEngine::numeric(&tree, &bn).unwrap();
+    let n = bn.n_vars() as u32;
+    let pairs: Vec<Scope> = (0..n)
+        .flat_map(|a| (a + 1..n).map(move |b| Scope::from_indices(&[a, b])))
+        .collect();
+    let ctx = OfflineContext::new(&tree, &Workload::from_queries(pairs.iter().cloned())).unwrap();
+    let cfg = PeanutConfig::plus(tree.total_separator_size().max(1) * 10);
+    let (mat, _) = Peanut::offline_numeric(&ctx, &cfg, engine.numeric_state().unwrap()).unwrap();
+    let online = OnlineEngine::new(&engine, &mat);
+    let mut scratch = Scratch::new();
+    let mut pass = |answer: &mut dyn FnMut(&Scope, &mut Scratch) -> Potential| {
+        let mut calls = 0;
+        for q in &pairs {
+            let (p, _, c) = counted(|| answer(q, &mut scratch));
+            scratch.recycle(p);
+            calls += c;
+        }
+        calls as f64 / pairs.len() as f64
+    };
+    let first = pass(&mut |q, s| online.answer_in(q, s).unwrap().0);
+    assert_eq!(mat.plan_usage(), (pairs.len(), 0), "one plan per scope");
+    let hit = pass(&mut |q, s| online.answer_in(q, s).unwrap().0);
+    assert_eq!(mat.plan_usage(), (pairs.len(), pairs.len() as u64));
+    let planned = pass(&mut |q, s| match online.reduce(q).unwrap() {
+        Some(rt) => rt.answer_in(q, tree.domain(), s).unwrap().0,
+        None => engine.answer_in(q, s).unwrap().0,
+    });
+    println!(
+        "Child: answer_in makes {first:.1} allocator calls per answer planning cold, \
+         {hit:.1} on a plan-memo hit; reduce + answer_in, warm: {planned:.1} ({} pairs)",
+        pairs.len()
+    );
+    assert!(
+        hit < first && hit < planned,
+        "{hit:.1} against {first:.1} / {planned:.1}"
+    );
+    assert!(hit <= 16.0, "{hit:.1} allocator calls per plan-memo hit");
+}

@@ -43,6 +43,27 @@
 //! endpoint that is now the child). [`region_joints`] keeps each region's
 //! own root.
 //!
+//! An answer is two halves, and there is no other pass:
+//! [`ReducedTree::hung_cheapest`] hangs the plan from that member and
+//! reports the count toward `r_q`, and [`ReducedTree::run_in`] runs the
+//! pass toward whatever root a plan has. A plan kept already hung (the
+//! online phase's plan memo, `peanut_core::online`) runs the second half
+//! alone, and its pass is bit for bit the one the first answer ran: the
+//! pass reads the plan's rooting, its nodes' tables and the memos, never
+//! how the plan was made.
+//!
+//! # A plan's shape
+//!
+//! A [`PlanShape`] is a plan without its tables: per node, its label (a
+//! clique id, or a shortcut's position in its materialization), its
+//! junction-tree edge as two clique ids, and its parent. Every non-root
+//! node's separator is its edge's — a clique's own, a shortcut node's the
+//! one above its region, re-hanging turning both around together — so
+//! [`ReducedTree::from_shape`] rebuilds the same view from the shape, the
+//! tree and the tables: the same nodes in the same order, borrowing the
+//! same scopes and tables, and so the same pass. A shape that names a
+//! clique, an edge or a shortcut the tables at hand lack rebuilds nothing.
+//!
 //! # The message memo
 //!
 //! The calibrated tables a plan borrows come with a memo of the directed
@@ -467,19 +488,115 @@ impl<'a> ReducedTree<'a> {
         domain: &Domain,
         scratch: &mut Scratch,
     ) -> Result<(Potential, QueryCost), PgmError> {
-        let memo = self.memo.ok_or(PgmError::SymbolicEngine)?;
+        let (rehung, cost) = self.hung_cheapest(query, domain);
+        let plan = rehung.as_ref().unwrap_or(self);
+        Ok((plan.run_in(query, domain, scratch)?, cost))
+    }
+
+    /// The first half of [`answer_in`](Self::answer_in): this plan re-hung
+    /// from the member a pass for `query` is cheapest toward — `None` when
+    /// that is this plan's root, a tie included — and the count toward
+    /// `r_q`, [`cost`](Self::cost)'s, that every answer reports (module
+    /// docs, "Where a query's pass runs to").
+    pub fn hung_cheapest(
+        &self,
+        query: &Scope,
+        domain: &Domain,
+    ) -> (Option<ReducedTree<'a>>, QueryCost) {
         let mut anatomy = self.anatomy(query, domain);
         let cost = anatomy.cost();
         let (root, _) = anatomy.cheapest_root(self, query, domain);
-        let rehung;
-        let plan = if root == self.root {
-            self
-        } else {
-            rehung = self.rehung(root);
-            anatomy.recount(&rehung, query);
-            &rehung
-        };
-        Ok((plan.pass(memo, query, &anatomy, domain, scratch)?, cost))
+        ((root != self.root).then(|| self.rehung(root)), cost)
+    }
+
+    /// The second half of [`answer_in`](Self::answer_in): the numeric pass
+    /// toward this plan's own root, whatever root that is, through the
+    /// memos it carries; a size-only plan fails with
+    /// [`PgmError::SymbolicEngine`].
+    pub fn run_in(
+        &self,
+        query: &Scope,
+        domain: &Domain,
+        scratch: &mut Scratch,
+    ) -> Result<Potential, PgmError> {
+        let memo = self.memo.ok_or(PgmError::SymbolicEngine)?;
+        // the pass reads sizes and the query variables held below, which a
+        // rooting's own walk counts
+        let anatomy = self.anatomy(query, domain);
+        self.pass(memo, query, &anatomy, domain, scratch)
+    }
+
+    /// The plan without its tables (module docs, "A plan's shape").
+    pub fn shape(&self) -> PlanShape {
+        let nodes = self.nodes.iter().enumerate().map(|(i, n)| ShapeNode {
+            label: match n.label {
+                NodeLabel::Clique(u) => u as u32,
+                NodeLabel::Shortcut(i) => (memo::SHORTCUT_TAG | i) as u32,
+            },
+            edge: n.edge,
+            parent: n.parent.unwrap_or(i) as u32,
+        });
+        PlanShape(nodes.collect())
+    }
+
+    /// The plan `shape` describes, rebuilt as a view over `tree`'s tables —
+    /// `numeric`'s, as [`from_steiner`](Self::from_steiner) borrows them —
+    /// and the shortcut tables `shortcut` lends by position: every node's
+    /// scope and table, and a non-root's the separator of its
+    /// junction-tree edge. `None` when the shape does not fit: a clique
+    /// `tree` lacks, an edge that is not one of `rooted`'s, or a shortcut
+    /// `shortcut` does not hold. The plan carries the tables' memo, not a
+    /// materialization's ([`with_shortcut_memo`](Self::with_shortcut_memo)).
+    pub fn from_shape(
+        tree: &'a JunctionTree,
+        rooted: &RootedTree,
+        shape: &PlanShape,
+        numeric: Option<&'a NumericState>,
+        shortcut: impl Fn(usize) -> Option<(&'a Scope, Option<TableRef<'a>>)>,
+    ) -> Option<Self> {
+        let n = shape.0.len();
+        let (mut root, mut used) = (None, 0);
+        let mut nodes = Vec::with_capacity(n);
+        for (i, s) in shape.0.iter().enumerate() {
+            let at = s.label as usize;
+            let (label, scope, potential) = if at & memo::SHORTCUT_TAG != 0 {
+                let id = at & !memo::SHORTCUT_TAG;
+                let (scope, table) = shortcut(id)?;
+                used += 1;
+                (NodeLabel::Shortcut(id), scope, table)
+            } else if at < tree.n_cliques() {
+                let table = numeric.map(|ns| ns.clique_table(at));
+                (NodeLabel::Clique(at), tree.clique(at), table)
+            } else {
+                return None;
+            };
+            let parent = (s.parent as usize != i).then_some(s.parent as usize);
+            let sep_to_parent = match parent {
+                // one root
+                None => {
+                    if root.replace(i).is_some() {
+                        return None;
+                    }
+                    None
+                }
+                Some(p) if p < n => {
+                    let e = tree_edge(rooted, s.edge)?;
+                    numeric.map(|ns| ns.separator_table(e))
+                }
+                Some(_) => return None,
+            };
+            nodes.push(RNode {
+                scope,
+                label,
+                potential,
+                sep_to_parent,
+                edge: s.edge,
+                parent,
+                children: (0, 0),
+            });
+        }
+        let memos = (numeric.map(NumericState::memo), None);
+        Some(Self::linked(nodes, root?, used, memos))
     }
 
     /// The numeric pass toward this plan's root that
@@ -550,6 +667,44 @@ impl<'a> ReducedTree<'a> {
         {
             unreachable!("the root's answer")
         }
+    }
+}
+
+/// A plan without its tables: per node, in node order, its label, its
+/// junction-tree edge and its parent (module docs, "A plan's shape").
+#[derive(Clone, Debug)]
+pub struct PlanShape(Box<[ShapeNode]>);
+
+impl PlanShape {
+    /// Heap bytes the shape holds.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.0)
+    }
+}
+
+/// One node of a [`PlanShape`].
+#[derive(Clone, Copy, Debug)]
+struct ShapeNode {
+    /// A clique id, or a shortcut's position tagged with
+    /// [`memo::SHORTCUT_TAG`].
+    label: u32,
+    /// [`RNode`]'s junction-tree edge.
+    edge: (u32, u32),
+    /// The parent's node index; the root's own.
+    parent: u32,
+}
+
+/// The index of the junction-tree edge between the two cliques of `edge`,
+/// in either direction; `None` when they are not adjacent in `rooted`.
+fn tree_edge(rooted: &RootedTree, (a, b): (u32, u32)) -> Option<usize> {
+    let (a, b) = (a as usize, b as usize);
+    let n = rooted.len();
+    if a < n && rooted.parent(a) == Some(b) {
+        rooted.parent_edge(a)
+    } else if b < n && rooted.parent(b) == Some(a) {
+        rooted.parent_edge(b)
+    } else {
+        None
     }
 }
 
@@ -629,8 +784,7 @@ impl QueryAnatomy {
     }
 
     /// Counts the query variables each node's subtree holds under `plan`'s
-    /// rooting — the plan counted, or the same nodes re-hung; sizes,
-    /// charges and prices stay.
+    /// rooting.
     fn recount(&mut self, plan: &ReducedTree<'_>, query: &Scope) {
         let width = self.width;
         for row in self.rows.chunks_exact_mut(width) {
@@ -1240,6 +1394,71 @@ mod tests {
                 chain = chain.contract(&one_region(&chain, &region), &[(scope, table, id)]).unwrap();
             }
             assert_same_tree(&rt.contract(&region_of, &shortcuts).unwrap(), &chain);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// A plan's shape rebuilds the plan field by field — the same
+        /// scopes, tables, separators, edges and links — whether it was
+        /// planned from a Steiner tree, contracted, or re-hung from its
+        /// cheapest root, and the rebuilt plan's pass is the answer bit for
+        /// bit. A shape naming a shortcut the lender lacks, or cliques of
+        /// another tree, rebuilds nothing.
+        #[test]
+        fn a_shape_rebuilds_its_plan(seed in 0u64..10_000, n in 8usize..16) {
+            use peanut_pgm::generate::{generate_network, DagConfig};
+            use proptest::test_runner::TestRng;
+            let cfg = DagConfig {
+                n_nodes: n,
+                n_edges: n - 1 + n / 4,
+                max_in_degree: 2,
+                window: 3,
+                cardinalities: vec![2, 3],
+            };
+            let Ok(bn) = generate_network(&cfg, seed) else { return Ok(()) };
+            let mut rng = TestRng::seed_from_u64(seed);
+            let (tree, rooted, ns) = setup(&bn, None);
+            let picks: Vec<u32> = (0..3).map(|_| rng.sample(0..n as u32)).collect();
+            let q = Scope::from_indices(&picks);
+            let st = SteinerTree::extract(&tree, &rooted, &q).unwrap();
+            let rt = ReducedTree::from_steiner(&tree, &rooted, &st, Some(&ns));
+            // one region below the root, replaced by its own joint
+            let k = (0..rt.len()).find(|&k| k != rt.root());
+            let region: Vec<usize> = k.into_iter().collect();
+            let mut cut = Scope::empty();
+            if let Some(k) = k {
+                cut = rt.node(k).scope.intersect(rt.node(rt.parent(k).unwrap()).scope);
+                for &c in rt.children(k) {
+                    cut = cut.union(&rt.node(c).scope.intersect(rt.node(k).scope));
+                }
+                cut = cut.union(&rt.node(k).scope.intersect(&q));
+            }
+            let joint = joint::marginal(&bn, &cut).unwrap();
+            let contracted = match k {
+                Some(_) => rt.contract(&one_region(&rt, &region), &[(&cut, Some(joint.view()), 4)]).unwrap(),
+                None => rt.clone(),
+            };
+            let lend = |i: usize| (i == 4).then_some((&cut, Some(joint.view())));
+            let (rehung, _) = contracted.hung_cheapest(&q, tree.domain());
+            let small = build_junction_tree(&fixtures::chain(2, 2, 0)).unwrap();
+            let other = RootedTree::new(&small);
+            for plan in [&rt, &contracted].into_iter().chain(rehung.as_ref()) {
+                let shape = plan.shape();
+                let rebuilt = ReducedTree::from_shape(&tree, &rooted, &shape, Some(&ns), lend).unwrap();
+                assert_same_tree(&rebuilt, plan);
+                let (a, b) = (plan.run_in(&q, tree.domain(), &mut Scratch::new()).unwrap(),
+                    rebuilt.run_in(&q, tree.domain(), &mut Scratch::new()).unwrap());
+                let bits = |p: &Potential| p.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a), bits(&b));
+                if plan.shortcuts_used() > 0 {
+                    let none = ReducedTree::from_shape(&tree, &rooted, &shape, Some(&ns), |_| None);
+                    assert!(none.is_none(), "a shortcut the lender lacks");
+                }
+                let misfit = ReducedTree::from_shape(&small, &other, &shape, None, lend);
+                assert!(misfit.is_none() || plan.len() == 1, "another tree's cliques");
+            }
         }
     }
 

@@ -626,10 +626,16 @@ pub fn product_marginalize_views(
         [f] => return f.marginalize_in(keep, scratch),
         _ => {}
     }
-    // the product is never built, but one over the dense limit is refused
-    let (scope, cards, _) = product_axes(factors)?;
+    // the product is never built, but one over the dense limit is refused;
+    // its scope and cardinalities live in the scratch
+    let Scratch {
+        axes: scope,
+        axis_cards: cards,
+        ..
+    } = scratch;
+    product_axes_into(factors, scope, cards)?;
     let target_scope = scope.intersect(keep);
-    let t_cards = cards_within(&target_scope, &scope, &cards);
+    let t_cards = cards_within(&target_scope, scope, cards);
     let total = checked_len(&t_cards)? as usize;
     let mut values = scratch.take_buf_empty(total);
 
@@ -639,9 +645,11 @@ pub fn product_marginalize_views(
         bases,
         work,
         fused: plan,
+        axes: scope,
+        axis_cards: cards,
         ..
     } = scratch;
-    plan.build(&scope, &cards, &target_scope, factors, cursors);
+    plan.build(scope, cards, &target_scope, factors, cursors);
     let (k, w) = (factors.len(), plan.width);
     digits.clear();
     digits.resize(plan.n_axes(), 0);
@@ -1109,17 +1117,26 @@ fn strides_of(cards: &[u32]) -> Vec<u64> {
 /// The table the product of `factors` spans: the union of their scopes, its
 /// cardinalities (shared variables must agree) and its — checked — length.
 fn product_axes(factors: &[TableRef<'_>]) -> Result<(Scope, Vec<u32>, usize)> {
-    let mut scope = Scope::empty();
-    for f in factors {
-        scope = scope.union(f.scope);
-    }
-    let cards = resolve_cards(&scope, factors)?;
-    let total = checked_len(&cards)? as usize;
+    let (mut scope, mut cards) = (Scope::empty(), Vec::new());
+    let total = product_axes_into(factors, &mut scope, &mut cards)?;
     Ok((scope, cards, total))
 }
 
-fn resolve_cards(scope: &Scope, factors: &[TableRef<'_>]) -> Result<Vec<u32>> {
-    let mut cards = Vec::with_capacity(scope.len());
+/// [`product_axes`] into `scope` and `cards`, on their allocations; returns
+/// the length.
+fn product_axes_into(
+    factors: &[TableRef<'_>],
+    scope: &mut Scope,
+    cards: &mut Vec<u32>,
+) -> Result<usize> {
+    scope.assign_union(factors.iter().map(|f| f.scope));
+    resolve_cards(scope, factors, cards)?;
+    Ok(checked_len(cards)? as usize)
+}
+
+fn resolve_cards(scope: &Scope, factors: &[TableRef<'_>], cards: &mut Vec<u32>) -> Result<()> {
+    cards.clear();
+    cards.reserve(scope.len());
     for v in scope.iter() {
         let mut seen = factors.iter().filter_map(|f| f.card_of(v));
         // a variable of the factors' union is some factor's
@@ -1133,7 +1150,7 @@ fn resolve_cards(scope: &Scope, factors: &[TableRef<'_>]) -> Result<Vec<u32>> {
         }
         cards.push(left);
     }
-    Ok(cards)
+    Ok(())
 }
 
 /// Reusable scratch state for the stride-walk kernels.
@@ -1157,6 +1174,9 @@ pub struct Scratch {
     /// Slot totals, chains and product runs of the fused kernel: a few KiB.
     work: Vec<f64>,
     fused: FusedPlan,
+    /// The fused kernel's product: its scope and cardinalities.
+    axes: Scope,
+    axis_cards: Vec<u32>,
     pool: Vec<Vec<f64>>,
 }
 

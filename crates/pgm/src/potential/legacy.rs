@@ -136,7 +136,8 @@ pub fn product_many_in(factors: &[&Potential], scratch: &mut Scratch) -> Result<
         scope = scope.union(&f.scope);
     }
     let views: Vec<TableRef<'_>> = factors.iter().map(|f| f.view()).collect();
-    let cards = resolve_cards(&scope, &views)?;
+    let mut cards = Vec::new();
+    resolve_cards(&scope, &views, &mut cards)?;
     let total = checked_len(&cards)?;
     let steps: Vec<Vec<u64>> = factors
         .iter()

@@ -107,6 +107,17 @@ impl Scope {
         true
     }
 
+    /// Makes this scope the union of `scopes`, on its own allocation.
+    pub(crate) fn assign_union<'s>(&mut self, scopes: impl Iterator<Item = &'s Scope> + Clone) {
+        self.vars.clear();
+        self.vars.reserve(scopes.clone().map(Scope::len).sum());
+        for scope in scopes {
+            self.vars.extend_from_slice(&scope.vars);
+        }
+        self.vars.sort_unstable();
+        self.vars.dedup();
+    }
+
     /// Set union (merge join).
     pub fn union(&self, other: &Scope) -> Scope {
         let mut out = Vec::with_capacity(self.vars.len() + other.vars.len());

@@ -130,9 +130,10 @@ fn a_warm_kernel_allocates_only_its_result() {
     // the result's scope and cardinalities
     assert_eq!(divide, 2, "divide_views");
     assert_eq!(marginalize, [2, 2], "marginalize_in");
-    // plus the product's scope (one union per factor) and cardinalities,
-    // which size-check a product that is never built
-    assert_eq!(fused, 5, "product_marginalize_views");
+    // the product's scope and cardinalities, which size-check a product
+    // that is never built, are built in the scratch: 5 while they were one
+    // union per factor and a fresh list
+    assert_eq!(fused, 2, "product_marginalize_views");
 }
 
 /// What message passing allocates per query: `ReducedTree::answer_in` over
@@ -142,9 +143,11 @@ fn a_warm_kernel_allocates_only_its_result() {
 /// *Cold* answers each pair over a fresh copy of the tables, whose memo is
 /// empty: every message is computed, and a copy of each admitted one is
 /// filed. *Warm* answers the pairs again over tables that answered them
-/// all once. Printed for the ledger, not asserted: cold 78.2 calls per
-/// query (10.97 per node), warm 18.2 (2.56), over 157 queries of 7.1
-/// nodes, with each message divided in its own buffer; 90.5 (12.68) and
+/// all once. Printed for the ledger, not asserted: cold 61.0 calls per
+/// query (8.56 per node), warm 15.8 (2.22), over 157 queries of 7.1
+/// nodes, with the fused kernel's product axes in the scratch; 78.2
+/// (10.97) and 18.2 (2.56) while they were allocated per message, with
+/// each message divided in its own buffer; 90.5 (12.68) and
 /// 18.8 (2.63) when the division allocated a quotient. A pass without the
 /// memo made 59.3 (8.31) once it lent one factor list to every node, 71.4
 /// (10.01) when each node built its own.

@@ -502,10 +502,12 @@ fn an_epochs_message_memo_starts_empty_at_publish_and_fault_in() {
     let t0 = served(&batches[0]);
     let retired = t0.materialization();
     let (held, _) = retired.memo_usage();
+    let (plans, _) = retired.plan_usage();
     assert!(
         held > 0,
         "test premise: the epoch files shortcut-holding messages"
     );
+    assert!(plans > 0, "test premise: the epoch files plans");
     t0.publish((*retired).clone());
     assert_eq!(
         t0.materialization().memo_usage().0,
@@ -513,14 +515,28 @@ fn an_epochs_message_memo_starts_empty_at_publish_and_fault_in() {
         "a publish starts empty"
     );
     assert_eq!(
+        t0.materialization().plan_usage().0,
+        0,
+        "a publish starts its plan memo empty"
+    );
+    assert_eq!(
         retired.memo_usage().0,
         held,
         "the retired epoch keeps its own"
+    );
+    assert_eq!(
+        retired.plan_usage().0,
+        plans,
+        "the retired epoch keeps its own plans"
     );
     served(&batches[0]);
     assert!(
         t0.materialization().memo_usage().0 > 0,
         "the new epoch files"
+    );
+    assert!(
+        t0.materialization().plan_usage().0 > 0,
+        "the new epoch files plans"
     );
     drop(t0);
 
@@ -538,6 +554,11 @@ fn an_epochs_message_memo_starts_empty_at_publish_and_fault_in() {
         t0.materialization().memo_usage().0,
         0,
         "a fault-in starts empty"
+    );
+    assert_eq!(
+        t0.materialization().plan_usage(),
+        (0, 0),
+        "a fault-in starts its plan memo empty"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

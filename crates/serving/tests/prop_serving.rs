@@ -120,9 +120,25 @@ fn check_every_door(seed: u64, n: usize, budget: u64) {
 
     // OnlineEngine, one engine for the whole stream
     let online = OnlineEngine::new(&engine, &mat);
+    let mut first = Vec::new();
     for (q, want) in stream.iter().zip(&want) {
-        close("OnlineEngine", q, &answer_online(&online, q), want);
+        let got = answer_online(&online, q);
+        close("OnlineEngine", q, &got, want);
+        first.push(got);
     }
+    // the stream asked again: every answer runs the plan its scope filed
+    let bits = |p: &Potential| p.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let (held, taken) = mat.plan_usage();
+    for ((q, want), first) in stream.iter().zip(&want).zip(&first) {
+        let got = answer_online(&online, q);
+        close("OnlineEngine, filed plan", q, &got, want);
+        assert_eq!(bits(&got), bits(first), "seed {seed}: filed plan on {q:?}");
+    }
+    assert_eq!(
+        mat.plan_usage(),
+        (held, taken + stream.len() as u64),
+        "seed {seed}: every repeat takes its plan"
+    );
 
     // ServingEngine::serve_batch
     let serving = ServingEngine::new(
