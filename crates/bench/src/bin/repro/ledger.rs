@@ -1,4 +1,4 @@
-//! The work ledger: exact counts of what four of the benchmark's shapes
+//! The work ledger: exact counts of what five of the benchmark's shapes
 //! do, one repetition each, with nothing timed — so two runs of one build
 //! write the same bytes, and a change that moves the work moves the file.
 //!
@@ -15,6 +15,11 @@
 //! * `serve_distinct`: HeparII behind one `ServingEngine` on one worker,
 //!   distinct 1–3-variable requests, a quarter of them with evidence, in
 //!   batches of 64.
+//! * `evidence_sessions`: Hailfinder behind one `ServingEngine` on one
+//!   worker; each session pins 2–3 variables at the values of one
+//!   ancestral sample, answers its first target (`serve_one`) and then the
+//!   other 31 in one batch, its targets drawn from the two- and
+//!   three-variable scopes whose plain cost is 100 k–2 M operations.
 //!
 //! Each is rebuilt from `peanut_datasets` and `peanut_workload`, seeded,
 //! in the benchmark's shape, not its exact stream. Each runs a warm-up —
@@ -25,8 +30,11 @@
 //! cache hits, faults, page-outs, the memo entries held when it ends
 //! (calibrated tables and materializations, of the engines resident then),
 //! the memo entries fault-ins resumed, the store bytes fault-ins read, the
-//! plans the materializations' plan memos hold when it ends and the
-//! answers that ran a filed plan (`plans_taken`). On `fleet_paging` the
+//! plans the materializations' plan memos hold when it ends, the
+//! answers that ran a filed plan (`plans_taken`), and the answers evidence
+//! sessions sent to pruned variable elimination (`eliminated`, read from
+//! `EvidenceSession::eliminated`; 0 on every shape without sessions). On
+//! `fleet_paging` the
 //! latter counts the materializations resident at a batch or publish,
 //! watched until the next one: a tenant faulted in and paged out inside
 //! one batch is not seen.
@@ -38,7 +46,8 @@
 use peanut_bench::harness::{is_quick, Prepared};
 use peanut_core::{Materialization, OfflineContext, OnlineEngine, Peanut, PeanutConfig, Workload};
 use peanut_junction::{JunctionTree, QueryEngine, RootedTree};
-use peanut_pgm::{Scope, Scratch};
+use peanut_pgm::sampling::ancestral_sample;
+use peanut_pgm::{Scope, Scratch, Var};
 use peanut_serving::{
     Answer, ServeOutcome, ServeRequest, ServingConfig, ServingEngine, ShardConfig,
     ShardedServingEngine, StoreConfig, TenantId,
@@ -47,6 +56,8 @@ use peanut_workload::{
     skewed_queries, tenant_queries, uniform_queries, with_evidence, zipf_weights, QuerySpec,
     TenantTraffic,
 };
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -82,6 +93,7 @@ struct Row {
     store_bytes_read: u64,
     plans_held: u64,
     plans_taken: u64,
+    eliminated: u64,
 }
 
 impl Row {
@@ -111,7 +123,7 @@ impl Row {
 
     fn json(&self, shape: &str) -> String {
         let mut out = format!("    {{\n      \"shape\": \"{shape}\",\n      \"seed\": {SEED}");
-        let fields: [(&str, u128); 14] = [
+        let fields: [(&str, u128); 15] = [
             ("requests", self.requests.into()),
             ("failed", self.failed.into()),
             ("answers_computed", self.computed.into()),
@@ -126,6 +138,7 @@ impl Row {
             ("store_bytes_read", self.store_bytes_read.into()),
             ("plans_held", self.plans_held.into()),
             ("plans_taken", self.plans_taken.into()),
+            ("eliminated", self.eliminated.into()),
         ];
         for (name, value) in fields {
             let _ = write!(out, ",\n      \"{name}\": {value}");
@@ -442,6 +455,77 @@ fn serve_distinct(quick: bool) -> Row {
     row
 }
 
+/// One session's evidence and targets.
+type Session = (Vec<(Var, u32)>, Vec<Scope>);
+
+fn evidence_sessions(quick: bool) -> Row {
+    const TARGETS: usize = 32;
+    const TARGET_OPS: std::ops::RangeInclusive<u64> = 100_000..=2_000_000;
+    let sessions = if quick { 16 } else { 100 };
+    let hail = Prepared::by_name("Hailfinder");
+    let (tree, bn) = (&hail.tree, &hail.bn);
+    let symbolic = QueryEngine::symbolic(tree);
+    let vars: Vec<Var> = tree.domain().all_vars().collect();
+    let mut pool: Vec<Scope> = Vec::new();
+    for (i, &a) in vars.iter().enumerate() {
+        for (j, &b) in vars.iter().enumerate().skip(i + 1) {
+            pool.push(Scope::from_iter([a, b]));
+            pool.extend(vars[j + 1..].iter().map(|&c| Scope::from_iter([a, b, c])));
+        }
+    }
+    pool.retain(|q| symbolic.cost(q).is_ok_and(|c| TARGET_OPS.contains(&c.ops)));
+    // the warm-up's sessions, then the repetition's
+    let mut rng = StdRng::seed_from_u64(seed_of(0, 12));
+    let inputs: Vec<Session> = (0..sessions + sessions / 8)
+        .map(|_| {
+            let sample = ancestral_sample(bn, &mut rng);
+            let k = rng.gen_range(2..=3);
+            let mut pinned = Scope::empty();
+            while pinned.len() < k {
+                pinned.insert(vars[rng.gen_range(0..vars.len())]);
+            }
+            let evidence = pinned.iter().map(|v| (v, sample[v.index()])).collect();
+            let mut targets = Vec::with_capacity(TARGETS);
+            while targets.len() < TARGETS {
+                let t = &pool[rng.gen_range(0..pool.len())];
+                if t.is_disjoint_from(&pinned) {
+                    targets.push(t.clone());
+                }
+            }
+            (evidence, targets)
+        })
+        .collect();
+    let engine = QueryEngine::numeric(tree, bn).expect("tables fit");
+    let serving = ServingEngine::new(
+        engine,
+        Materialization::default(),
+        ServingConfig::default().with_workers(1),
+    );
+    let serve = |row: &mut Row, inputs: &[Session]| {
+        for (evidence, targets) in inputs {
+            let Ok(session) = serving.open_session(evidence.clone()) else {
+                row.requests += TARGETS as u64;
+                row.failed += TARGETS as u64;
+                continue;
+            };
+            let first = session.serve_one(&targets[0]);
+            row.served(std::slice::from_ref(&first), 0);
+            let (outcomes, stats) = session.serve_batch(&targets[1..]);
+            row.served(&outcomes, stats.cache_hits);
+            row.eliminated += session.eliminated();
+        }
+    };
+    let (warm, stream) = inputs.split_at(sessions / 8);
+    serve(&mut Row::default(), warm);
+    let mut row = Row::default();
+    serve(&mut row, stream);
+    let mat = serving.materialization();
+    row.state_memo_entries = serving.engine().memo_usage().0 as u64;
+    row.mat_memo_entries = mat.memo_usage().0 as u64;
+    (row.plans_held, row.plans_taken) = (mat.plan_usage().0 as u64, mat.plan_usage().1);
+    row
+}
+
 pub fn run() {
     let quick = is_quick();
     let store_dir = std::env::temp_dir().join(format!("peanut-ledger-{}", std::process::id()));
@@ -450,6 +534,7 @@ pub fn run() {
         direct_small(quick).json("direct_small"),
         direct_large(quick).json("direct_large"),
         serve_distinct(quick).json("serve_distinct"),
+        evidence_sessions(quick).json("evidence_sessions"),
     ];
     let ledger = format!(
         "{{\n  \"quick\": {quick},\n  \"rows\": [\n{}\n  ]\n}}\n",

@@ -13,9 +13,19 @@ use crate::memo::MessageMemo;
 use crate::rooted::RootedTree;
 use crate::tree::{CliqueId, EdgeId, JunctionTree};
 use peanut_pgm::{
-    divide_views, mul_assign_bcast, product_onto, BayesianNetwork, PgmError, Scratch, TableRef, Var,
+    divide_views, mul_assign_bcast, product_onto, BayesianNetwork, NetworkBuilder, PgmError, Scope,
+    Scratch, TableRef, Var,
 };
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// What tables made from a network keep of it: each variable's parents,
+/// and the network with its CPTs recovered from the calibrated tables, made
+/// on first use ([`NumericState::network`]).
+#[derive(Debug)]
+struct KeptNetwork {
+    parents: Vec<Vec<Var>>,
+    recovered: OnceLock<Option<Arc<BayesianNetwork>>>,
+}
 
 /// Dense clique and separator potentials attached to a junction tree,
 /// stored as spans of one flat arena slab, with the message memo every
@@ -25,10 +35,19 @@ use std::sync::Arc;
 /// the dense-materialization limit; callers then fall back to the symbolic
 /// (size-only) pipeline, exactly as the paper runs TPC-H, Munin and Barley
 /// uncalibrated.
+///
+/// Tables made from a network ([`initialize`](Self::initialize)) keep its
+/// parent lists, in one `Arc` that every clone shares, and recover its
+/// CPTs from the calibrated tables on first use ([`network`](Self::network)),
+/// so an engine over them can answer from the CPTs directly (pruned
+/// variable elimination: `peanut_ve::VePlan`). Tables reattached from a
+/// slab, or restricted to evidence, have none.
 #[derive(Clone, Debug)]
 pub struct NumericState {
     arena: TreeArena,
     calibrated: bool,
+    /// What these tables keep of the network they were initialized from.
+    network: Option<Arc<KeptNetwork>>,
     /// Messages of these tables; empty wherever the tables are made, a
     /// clone's included, until a page cycle's fault-in adopts the ones
     /// sent over the same tables ([`adopt_memo`](Self::adopt_memo)).
@@ -58,6 +77,14 @@ impl NumericState {
             memo: MessageMemo::new(),
             arena,
             calibrated: false,
+            network: Some(Arc::new(KeptNetwork {
+                parents: bn
+                    .domain()
+                    .all_vars()
+                    .map(|v| bn.parents(v).to_vec())
+                    .collect(),
+                recovered: OnceLock::new(),
+            })),
         })
     }
 
@@ -156,7 +183,11 @@ impl NumericState {
                 });
             }
         }
-        let mut restricted = self.clone();
+        // the restricted tables hold `P(X_u, e)`: no CPT is read off them
+        let mut restricted = NumericState {
+            network: None,
+            ..self.clone()
+        };
         for &(v, value) in evidence {
             // the running-intersection property guarantees some clique
             // contains every domain variable the factor assignment touched;
@@ -199,13 +230,59 @@ impl NumericState {
         )?))
     }
 
-    /// Calibrated tables held in `arena`, with an empty memo.
+    /// Calibrated tables held in `arena`, with an empty memo and no
+    /// network.
     pub(crate) fn calibrated(arena: TreeArena) -> Self {
         NumericState {
             memo: MessageMemo::new(),
             arena,
             calibrated: true,
+            network: None,
         }
+    }
+
+    /// The network these tables were initialized from, its CPTs recovered
+    /// from the calibrated tables, once for every clone: `P(v | pa(v))` is
+    /// the family's marginal, read off the clique its CPT was assigned to,
+    /// divided by the parents' — the CPT up to rounding. `None` for tables
+    /// reattached from a slab or restricted to evidence, before
+    /// calibration, and where a parent configuration has probability zero
+    /// (its CPT row is not in the tables).
+    pub fn network(&self, tree: &JunctionTree) -> Option<Arc<BayesianNetwork>> {
+        let kept = self.network.as_ref().filter(|_| self.calibrated)?;
+        kept.recovered
+            .get_or_init(|| self.recover(tree, &kept.parents).ok().map(Arc::new))
+            .clone()
+    }
+
+    fn recover(
+        &self,
+        tree: &JunctionTree,
+        parents: &[Vec<Var>],
+    ) -> Result<BayesianNetwork, PgmError> {
+        let domain = tree.domain();
+        let mut network = NetworkBuilder::new();
+        for v in domain.all_vars() {
+            network.try_var(domain.name(v), domain.card(v))?;
+        }
+        let mut scratch = Scratch::new();
+        for u in 0..tree.n_cliques() {
+            for &v in tree.assigned_factors(u) {
+                let above = &parents[v.index()];
+                let mut family = Scope::from_iter(above.iter().copied());
+                family.insert(v);
+                let joint = self.clique_table(u).marginalize_in(&family, &mut scratch)?;
+                let below =
+                    joint.marginalize_in(&Scope::from_iter(above.iter().copied()), &mut scratch)?;
+                let cpt = divide_views(joint.view(), below.view(), &mut scratch)?;
+                scratch.recycle(joint);
+                scratch.recycle(below);
+                network.cpt_potential(v, above, cpt)?;
+            }
+        }
+        // a parent configuration of probability zero leaves an all-zero
+        // row, which fails the builder's normalization check
+        network.build()
     }
 
     /// True once [`calibrate`](Self::calibrate) has run.
@@ -538,6 +615,35 @@ mod tests {
         assert!(st.local_consistency_error(&tree).unwrap() < 1e-9);
         let total: f64 = st.clique_table(0).to_potential().sum();
         assert!((total - 1.0).abs() < 1e-9, "prior tables still normalized");
+    }
+
+    /// The network is recovered from the calibrated tables: the same
+    /// structure, each CPT within rounding of the original; tables that do
+    /// not hold the prior (uncalibrated, restricted, reattached) recover
+    /// none.
+    #[test]
+    fn the_network_is_recovered_from_calibrated_tables() {
+        for bn in [
+            fixtures::sprinkler(),
+            fixtures::figure1(),
+            fixtures::chain(8, 3, 4),
+        ] {
+            let (tree, rooted, st) = calibrated(&bn);
+            let got = st.network(&tree).unwrap();
+            assert!(Arc::ptr_eq(&got, &st.clone().network(&tree).unwrap()));
+            for v in bn.domain().all_vars() {
+                assert_eq!(got.parents(v), bn.parents(v));
+                let diff = got.cpt(v).max_abs_diff(bn.cpt(v)).unwrap();
+                assert!(diff < 1e-12, "CPT of {v:?} off by {diff}");
+            }
+            let fresh = NumericState::initialize(&tree, &bn).unwrap();
+            assert!(fresh.network(&tree).is_none());
+            let pinned = [(Var(0), 1)];
+            let restricted = st.with_evidence(&tree, &rooted, &pinned).unwrap();
+            assert!(restricted.network(&tree).is_none());
+            let slab = NumericState::from_calibrated_slab(&tree, st.arena().slab()).unwrap();
+            assert!(slab.network(&tree).is_none());
+        }
     }
 
     #[test]

@@ -682,7 +682,7 @@ impl<'t> ServingEngine<'t> {
             mat: Arc::clone(&state.mat),
             stats: Arc::clone(&state.stats),
             cache: state.cache.clone(),
-            normalize: false,
+            session: None,
         }
     }
 

@@ -36,14 +36,18 @@
 //!   (wave, task and park counters).
 //! * [`session`](mod@session) — stateful evidence sessions: an
 //!   [`EvidenceSession`] pins an evidence assignment once
-//!   ([`ServingEngine::open_session`]), absorbing it into a session-local
-//!   restricted engine and re-calibrating a single time, then streams
-//!   plain target marginals against it — amortizing the evidence cost the
-//!   per-query conditional path re-pays on every request. Sessions
-//!   snapshot their epoch at open (publish-isolated), fan out on the
-//!   serving-priority lane, and record the *restricted* target scopes
-//!   into the epoch's [`WorkloadStats`](peanut_core::WorkloadStats), which
-//!   is what re-selection trains on.
+//!   ([`ServingEngine::open_session`]) on the network's CPTs — slicing the
+//!   families that hold an evidence variable and checking `P(e) > 0` —
+//!   then answers each target marginal `P(t | e)` by whichever route it
+//!   prices cheaper in operations: pruned variable elimination over the
+//!   ancestral set of `t ∪ vars(e)` (`peanut_ve::VePlan`), or the
+//!   evidence-restricted, re-calibrated tree, built once per session on
+//!   first need. Either way the evidence cost the per-query conditional
+//!   path re-pays on every request is paid once. Sessions snapshot their
+//!   epoch at open (publish-isolated), fan out on the serving-priority
+//!   lane, and record the *restricted* target scopes into the epoch's
+//!   [`WorkloadStats`](peanut_core::WorkloadStats), which is what
+//!   re-selection trains on.
 //! * [`shard`] — multi-tenant sharded serving: a
 //!   [`ShardedServingEngine`] registry of
 //!   tenants (each a calibrated tree with its own epoch-versioned

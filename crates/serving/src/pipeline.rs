@@ -32,8 +32,10 @@
 use crate::engine::{Answer, AnswerCache, BatchStats, Served};
 use crate::overload::ServeOutcome;
 use crate::pool::PoolCell;
+use crate::session::Door;
 use peanut_core::sync::{Arc, Mutex, OnceLock};
 use peanut_core::{ByHash, Materialization, OnlineEngine, ServeRequest, WorkloadStats};
+use peanut_junction::cost::QueryCost;
 use peanut_junction::QueryEngine;
 use peanut_pgm::{PgmError, Scope, Scratch};
 use std::collections::hash_map::Entry;
@@ -53,9 +55,9 @@ pub(crate) struct Target<'t> {
     pub(crate) stats: Arc<WorkloadStats>,
     /// The epoch's cross-batch answer cache; `None` serves uncached.
     pub(crate) cache: Option<Arc<Mutex<AnswerCache>>>,
-    /// Normalize every answer table: set by evidence sessions, whose
-    /// restricted engine holds `P(·, e)` where the caller wants `P(· | e)`.
-    pub(crate) normalize: bool,
+    /// An evidence session's door: set, every request is a target the door
+    /// answers as `P(targets | e)`.
+    pub(crate) session: Option<Arc<Door<'t>>>,
 }
 
 /// One target's share of a batch, from arrivals to outcomes.
@@ -154,22 +156,21 @@ impl<'a, 't> BatchRun<'a, 't> {
     }
 
     /// Computes unique request `u` — the paper's online routine (Steiner
-    /// tree, shortcut substitution, reduce) through an [`OnlineEngine`].
-    /// Touches no shared state: workers of one wave never contend.
+    /// tree, shortcut substitution, reduce) through an [`OnlineEngine`],
+    /// or a session's door. Touches no shared state but a session's lazily
+    /// built restricted tree and its tally: workers of one wave never
+    /// contend otherwise.
     pub(crate) fn compute(&self, u: usize, scratch: &mut Scratch) -> Computed {
         let t = Instant::now();
         let online = OnlineEngine::new(&self.target.engine, &self.target.mat);
         let req = self.uniques[u];
-        let mut traced = if req.is_marginal() {
+        let traced = if let Some(door) = &self.target.session {
+            door.answer(&self.target.mat, &req.targets, scratch)?
+        } else if req.is_marginal() {
             online.answer_traced_in(&req.targets, scratch)?
         } else {
             online.conditional_traced_in(&req.targets, &req.evidence, scratch)?
         };
-        if self.target.normalize {
-            // a session only opens on evidence of positive probability, so
-            // the restricted answer has mass to normalize
-            traced.potential.normalize();
-        }
         Ok(Arc::new(Answer {
             potential: traced.potential,
             cost: traced.cost,
@@ -231,9 +232,24 @@ impl<'a, 't> BatchRun<'a, 't> {
             .filter(|&u| self.uniques[u].is_marginal())
             .map(|u| (u, self.hashes[u], &self.uniques[u].targets));
         let observed = marginals.chain(joints.iter().map(|(u, h, s)| (*u, *h, s)));
+        // a session's answers are filed at their plain-tree count, whichever
+        // route answered: the epoch's materialization served none of them,
+        // so they show none of its savings (empty for any other target)
+        let unsaved: Vec<QueryCost> = match &self.target.session {
+            Some(_) => (0..self.uniques.len())
+                .map(|u| {
+                    answered(u).map_or_else(QueryCost::default, |a| QueryCost {
+                        ops: a.baseline_ops,
+                        ..a.cost
+                    })
+                })
+                .collect(),
+            None => Vec::new(),
+        };
         stats.record(observed.filter_map(|(u, h, scope)| {
             let a = answered(u)?;
-            Some((h, scope, &a.cost, a.baseline_ops, self.uses[u]))
+            let cost = unsaved.get(u).unwrap_or(&a.cost);
+            Some((h, scope, cost, a.baseline_ops, self.uses[u]))
         }));
         self.bstats
     }
