@@ -1,4 +1,4 @@
-//! The work ledger: exact counts of what five of the benchmark's shapes
+//! The work ledger: exact counts of what six of the benchmark's shapes
 //! do, one repetition each, with nothing timed — so two runs of one build
 //! write the same bytes, and a change that moves the work moves the file.
 //!
@@ -12,6 +12,10 @@
 //!   at a time by `OnlineEngine::answer_in`.
 //! * `direct_large`: TPC-H, every 2-variable scope answered once by
 //!   `OnlineEngine::answer_in`.
+//! * `serve_repeat`: HeparII behind one `ServingEngine` on one worker, a
+//!   pool of 1024 distinct 1–3-variable requests (a quarter with evidence)
+//!   drawn with Zipf(1.1) popularity, in batches of 64: after the pool's
+//!   first computations nearly every arrival is a dedup or cache hit.
 //! * `serve_distinct`: HeparII behind one `ServingEngine` on one worker,
 //!   distinct 1–3-variable requests, a quarter of them with evidence, in
 //!   batches of 64.
@@ -31,13 +35,15 @@
 //! (calibrated tables and materializations, of the engines resident then),
 //! the memo entries fault-ins resumed, the store bytes fault-ins read, the
 //! plans the materializations' plan memos hold when it ends, the
-//! answers that ran a filed plan (`plans_taken`), and the answers evidence
+//! answers that ran a filed plan (`plans_taken`), the answers evidence
 //! sessions sent to pruned variable elimination (`eliminated`, read from
-//! `EvidenceSession::eliminated`; 0 on every shape without sessions). On
-//! `fleet_paging` the
-//! latter counts the materializations resident at a batch or publish,
-//! watched until the next one: a tenant faulted in and paged out inside
-//! one batch is not seen.
+//! `EvidenceSession::eliminated`), and the elimination steps sessions took
+//! from their pinnings' factor memos (`factors_taken`, read from
+//! `EvidenceSession::factors_taken`); the last two are 0 on every shape
+//! without sessions. On `fleet_paging`, `plans_taken` counts the hits of
+//! the materializations resident at a batch or publish, watched until the
+//! next one: a tenant faulted in and paged out inside one batch is not
+//! seen.
 //!
 //! `repro ledger` prints the ledger and writes it to `LEDGER.json`;
 //! `--quick` shrinks every stream and writes `LEDGER.quick.json`, the file
@@ -94,6 +100,7 @@ struct Row {
     plans_held: u64,
     plans_taken: u64,
     eliminated: u64,
+    factors_taken: u64,
 }
 
 impl Row {
@@ -123,7 +130,7 @@ impl Row {
 
     fn json(&self, shape: &str) -> String {
         let mut out = format!("    {{\n      \"shape\": \"{shape}\",\n      \"seed\": {SEED}");
-        let fields: [(&str, u128); 15] = [
+        let fields: [(&str, u128); 16] = [
             ("requests", self.requests.into()),
             ("failed", self.failed.into()),
             ("answers_computed", self.computed.into()),
@@ -139,6 +146,7 @@ impl Row {
             ("plans_held", self.plans_held.into()),
             ("plans_taken", self.plans_taken.into()),
             ("eliminated", self.eliminated.into()),
+            ("factors_taken", self.factors_taken.into()),
         ];
         for (name, value) in fields {
             let _ = write!(out, ",\n      \"{name}\": {value}");
@@ -409,18 +417,16 @@ fn direct(model: &Prepared, train: &[Scope], stream: &[Scope], warm: usize) -> R
     row
 }
 
-fn serve_distinct(quick: bool) -> Row {
-    let (train, n) = if quick { (500, 512) } else { (2_000, 2_048) };
-    let hepar = Prepared::by_name("HeparII");
-    let (tree, rooted) = (&hepar.tree, RootedTree::new(&hepar.tree));
-    let engine = QueryEngine::numeric(tree, &hepar.bn).expect("tables fit");
-    let train = skewed_queries(tree, &rooted, train, FLEET_SPEC, seed_of(0, 7));
-    let mat = select(tree, &engine, &train);
-    // distinct requests over seven skewed scopes in ten and three uniform,
-    // a quarter with evidence: the warm-up's, then the repetition's
-    let total = n + n / 4;
-    let mut skewed = skewed_queries(tree, &rooted, 2 * total, FLEET_SPEC, seed_of(0, 8));
-    let mut uniform = uniform_queries(tree.domain(), 2 * total, FLEET_SPEC, seed_of(0, 9));
+/// `total` distinct HeparII-shaped requests: seven skewed scopes in ten
+/// and three uniform, a quarter with evidence, drawn with the three seeds.
+fn distinct_requests(
+    tree: &JunctionTree,
+    rooted: &RootedTree,
+    total: usize,
+    [skewed_seed, uniform_seed, evidence_seed]: [u64; 3],
+) -> Vec<ServeRequest> {
+    let mut skewed = skewed_queries(tree, rooted, 2 * total, FLEET_SPEC, skewed_seed);
+    let mut uniform = uniform_queries(tree.domain(), 2 * total, FLEET_SPEC, uniform_seed);
     let scopes: Vec<Scope> = (0..2 * total)
         .filter_map(|i| {
             if i % 10 < 7 {
@@ -431,27 +437,81 @@ fn serve_distinct(quick: bool) -> Row {
         })
         .collect();
     let mut seen = HashSet::new();
-    let requests: Vec<ServeRequest> = with_evidence(tree.domain(), &scopes, 0.25, seed_of(0, 10))
+    let requests: Vec<ServeRequest> = with_evidence(tree.domain(), &scopes, 0.25, evidence_seed)
         .into_iter()
         .filter(|r| seen.insert(r.clone()))
         .take(total)
         .collect();
     assert_eq!(requests.len(), total, "enough distinct requests");
+    requests
+}
+
+/// The memo entries and plans of a serving engine's tables and
+/// materialization, and the plans taken since `taken`.
+fn serving_usage(row: &mut Row, serving: &ServingEngine<'_>, taken: u64) {
+    let mat = serving.materialization();
+    row.state_memo_entries = serving.engine().memo_usage().0 as u64;
+    row.mat_memo_entries = mat.memo_usage().0 as u64;
+    (row.plans_held, row.plans_taken) = (mat.plan_usage().0 as u64, mat.plan_usage().1 - taken);
+}
+
+fn serve_repeat(quick: bool) -> Row {
+    const POOL: usize = 1024;
+    let (train, batches) = if quick { (500, 32) } else { (2_000, 256) };
+    let hepar = Prepared::by_name("HeparII");
+    let (tree, rooted) = (&hepar.tree, RootedTree::new(&hepar.tree));
+    let engine = QueryEngine::numeric(tree, &hepar.bn).expect("tables fit");
+    let train = skewed_queries(tree, &rooted, train, FLEET_SPEC, seed_of(0, 13));
+    let mat = select(tree, &engine, &train);
+    let pool = distinct_requests(tree, &rooted, POOL, [14, 15, 16].map(|s| seed_of(0, s)));
+    // Zipf(1.1) popularity over the pool, most popular first
+    let mut cumulative = zipf_weights(POOL, 1.1);
+    for i in 1..POOL {
+        cumulative[i] += cumulative[i - 1];
+    }
+    let mut rng = StdRng::seed_from_u64(seed_of(0, 17));
+    let arrivals: Vec<ServeRequest> = (0..batches * BATCH)
+        .map(|_| {
+            let t = rng.gen_range(0.0..cumulative[POOL - 1]);
+            pool[cumulative.partition_point(|&c| c <= t).min(POOL - 1)].clone()
+        })
+        .collect();
     let serving = ServingEngine::new(engine, mat, ServingConfig::default().with_workers(1));
-    let (warm, stream) = requests.split_at(n / 4);
+    let (warm, stream) = arrivals.split_at(batches / 8 * BATCH);
     for batch in warm.chunks(BATCH) {
         serving.serve_batch(batch);
     }
-    let mat = serving.materialization();
-    let (_, taken) = mat.plan_usage();
+    let (_, taken) = serving.materialization().plan_usage();
     let mut row = Row::default();
     for batch in stream.chunks(BATCH) {
         let (outcomes, stats) = serving.serve_batch(batch);
         row.served(&outcomes, stats.cache_hits);
     }
-    row.state_memo_entries = serving.engine().memo_usage().0 as u64;
-    row.mat_memo_entries = mat.memo_usage().0 as u64;
-    (row.plans_held, row.plans_taken) = (mat.plan_usage().0 as u64, mat.plan_usage().1 - taken);
+    serving_usage(&mut row, &serving, taken);
+    row
+}
+
+fn serve_distinct(quick: bool) -> Row {
+    let (train, n) = if quick { (500, 512) } else { (2_000, 2_048) };
+    let hepar = Prepared::by_name("HeparII");
+    let (tree, rooted) = (&hepar.tree, RootedTree::new(&hepar.tree));
+    let engine = QueryEngine::numeric(tree, &hepar.bn).expect("tables fit");
+    let train = skewed_queries(tree, &rooted, train, FLEET_SPEC, seed_of(0, 7));
+    let mat = select(tree, &engine, &train);
+    // distinct requests: the warm-up's, then the repetition's
+    let requests = distinct_requests(tree, &rooted, n + n / 4, [8, 9, 10].map(|s| seed_of(0, s)));
+    let serving = ServingEngine::new(engine, mat, ServingConfig::default().with_workers(1));
+    let (warm, stream) = requests.split_at(n / 4);
+    for batch in warm.chunks(BATCH) {
+        serving.serve_batch(batch);
+    }
+    let (_, taken) = serving.materialization().plan_usage();
+    let mut row = Row::default();
+    for batch in stream.chunks(BATCH) {
+        let (outcomes, stats) = serving.serve_batch(batch);
+        row.served(&outcomes, stats.cache_hits);
+    }
+    serving_usage(&mut row, &serving, taken);
     row
 }
 
@@ -513,16 +573,14 @@ fn evidence_sessions(quick: bool) -> Row {
             let (outcomes, stats) = session.serve_batch(&targets[1..]);
             row.served(&outcomes, stats.cache_hits);
             row.eliminated += session.eliminated();
+            row.factors_taken += session.factors_taken();
         }
     };
     let (warm, stream) = inputs.split_at(sessions / 8);
     serve(&mut Row::default(), warm);
     let mut row = Row::default();
     serve(&mut row, stream);
-    let mat = serving.materialization();
-    row.state_memo_entries = serving.engine().memo_usage().0 as u64;
-    row.mat_memo_entries = mat.memo_usage().0 as u64;
-    (row.plans_held, row.plans_taken) = (mat.plan_usage().0 as u64, mat.plan_usage().1);
+    serving_usage(&mut row, &serving, 0);
     row
 }
 
@@ -533,6 +591,7 @@ pub fn run() {
         fleet_paging(quick, &store_dir).json("fleet_paging"),
         direct_small(quick).json("direct_small"),
         direct_large(quick).json("direct_large"),
+        serve_repeat(quick).json("serve_repeat"),
         serve_distinct(quick).json("serve_distinct"),
         evidence_sessions(quick).json("evidence_sessions"),
     ];

@@ -48,6 +48,12 @@ pub enum PgmError {
         /// What is wrong with the region.
         detail: String,
     },
+    /// A variable-elimination plan read a table its run does not hold: a
+    /// step's table a second time, or one no earlier step made.
+    InvalidPlan {
+        /// Which read failed.
+        detail: String,
+    },
     /// An I/O failure while reading or writing a materialization-store
     /// file (open, read, write, sync).
     StoreIo {
@@ -119,6 +125,9 @@ impl fmt::Display for PgmError {
             PgmError::InvalidRegion { detail } => {
                 write!(f, "invalid replacement region: {detail}")
             }
+            PgmError::InvalidPlan { detail } => {
+                write!(f, "invalid elimination plan: {detail}")
+            }
             PgmError::StoreIo { path, msg } => {
                 write!(f, "store I/O failure on {path}: {msg}")
             }
@@ -185,6 +194,10 @@ mod tests {
         };
         assert!(e.to_string().contains("region"));
         assert!(e.to_string().contains("2 tops"));
+        let e = PgmError::InvalidPlan {
+            detail: "step 3 read twice".into(),
+        };
+        assert!(e.to_string().contains("elimination plan"));
     }
 
     #[test]

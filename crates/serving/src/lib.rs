@@ -42,10 +42,13 @@
 //!   prices cheaper in operations: pruned variable elimination over the
 //!   ancestral set of `t ∪ vars(e)` (`peanut_ve::VePlan`), or the
 //!   evidence-restricted, re-calibrated tree, built once per session on
-//!   first need. Either way the evidence cost the per-query conditional
-//!   path re-pays on every request is paid once. Sessions snapshot their
-//!   epoch at open (publish-isolated), fan out on the serving-priority
-//!   lane, and record the *restricted* target scopes into the epoch's
+//!   first need. The pinning files the factors its eliminations make, so
+//!   a target takes, bit for bit, every step an earlier target (or the
+//!   open's `P(e)` check) already ran. Either way the evidence cost the
+//!   per-query conditional path re-pays on every request is paid once.
+//!   Sessions snapshot their epoch at open (publish-isolated), fan out on
+//!   the serving-priority lane, and record the *restricted* target
+//!   scopes into the epoch's
 //!   [`WorkloadStats`](peanut_core::WorkloadStats), which is what
 //!   re-selection trains on.
 //! * [`shard`] — multi-tenant sharded serving: a

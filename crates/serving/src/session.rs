@@ -49,6 +49,25 @@
 //! what the lifecycle layer's re-selection trains on (it reads the scope
 //! counts only).
 //!
+//! # The factor memo
+//!
+//! The pinning owns a memo of the factors its eliminations made
+//! (`peanut_ve::plan`, "The factor memo"): each step of a plan — one
+//! variable summed out of the product of its inputs — is filed under its
+//! ordered inputs and kept scope, and a later target of the session whose
+//! plan reaches a step of that key takes the filed table instead of
+//! running the kernel. The open's `P(e)` check eliminates every ancestor
+//! of the evidence, so its steps are filed first; targets then share
+//! whatever sub-eliminations their plans have in common with it and with
+//! each other. A taken table is bit for bit the one the step would
+//! compute, so a target answers the same bits whichever targets the
+//! session served before it, and on any number of workers. An answer is
+//! still charged its plan's full count ([`VePlan::ops`]), so route choice
+//! and the reported operations do not depend on what the memo holds.
+//! The memo is bounded by one entry count, never evicts, and is dropped
+//! with the session; [`EvidenceSession::factors_taken`] counts the steps
+//! it served.
+//!
 //! The restricted tables carry their own message memo
 //! (`peanut_junction::reduced`, "The message memo"), empty when built: the
 //! memo belongs to the tables it was filled from, and the serving engine's
@@ -265,6 +284,16 @@ impl<'s, 't> EvidenceSession<'s, 't> {
     pub fn eliminated(&self) -> u64 {
         // ordering: a tally; the batches that fed it have returned
         self.door.eliminated.load(Ordering::Relaxed)
+    }
+
+    /// The elimination steps this session took from its pinning's factor
+    /// memo instead of computing them (module docs, "The factor memo"); 0
+    /// when the engine holds no CPTs.
+    pub fn factors_taken(&self) -> u64 {
+        self.door
+            .pinned
+            .as_ref()
+            .map_or(0, |(_, pinned)| pinned.factors_taken())
     }
 
     /// Serves one marginal `P(targets | evidence)` under the pinned

@@ -1,0 +1,115 @@
+//! Evidence sessions on Hailfinder answer from their pinning's factor
+//! memo: a target's bits do not depend on which targets the session served
+//! before it, nor on how many workers served its batch.
+
+use peanut_core::Materialization;
+use peanut_junction::{build_junction_tree, JunctionTree, QueryEngine};
+use peanut_pgm::{BayesianNetwork, Scope, Var};
+use peanut_serving::{ServeOutcome, ServingConfig, ServingEngine};
+
+fn hailfinder() -> (BayesianNetwork, JunctionTree) {
+    let bn = peanut_datasets::dataset("Hailfinder")
+        .unwrap()
+        .build()
+        .unwrap();
+    let tree = build_junction_tree(&bn).unwrap();
+    (bn, tree)
+}
+
+fn serving<'t>(tree: &'t JunctionTree, bn: &BayesianNetwork, workers: usize) -> ServingEngine<'t> {
+    ServingEngine::new(
+        QueryEngine::numeric(tree, bn).unwrap(),
+        Materialization::default(),
+        ServingConfig::default().with_workers(workers),
+    )
+}
+
+/// Three pinned variables (every assignment of the stand-in has positive
+/// probability) and two-variable targets disjoint from them.
+fn evidence_and_targets(bn: &BayesianNetwork) -> (Vec<(Var, u32)>, Vec<Scope>) {
+    let evidence: Vec<(Var, u32)> = [7u32, 23, 41]
+        .into_iter()
+        .map(|v| (Var(v), v % bn.domain().card(Var(v))))
+        .collect();
+    let pinned = Scope::from_iter(evidence.iter().map(|&(v, _)| v));
+    let n = bn.n_vars() as u32;
+    let targets = (0..n)
+        .step_by(2)
+        .map(|a| Scope::from_indices(&[a, (a * 7 + 3) % n]))
+        .filter(|t| t.len() == 2 && t.is_disjoint_from(&pinned))
+        .collect();
+    (evidence, targets)
+}
+
+fn bits(outcome: &ServeOutcome) -> Vec<u64> {
+    let served = outcome.served().expect("served");
+    served
+        .potential
+        .values()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// Each target of a session that served every target before it answers
+/// the bits a fresh session gives it alone, in either order, though the
+/// long sessions take steps that the single ones compute.
+#[test]
+fn a_target_answers_the_same_bits_whatever_the_session_served_before() {
+    let (bn, tree) = hailfinder();
+    let serving = serving(&tree, &bn, 1);
+    let (evidence, targets) = evidence_and_targets(&bn);
+    let (mut alone, mut alone_taken, mut eliminated) = (Vec::new(), 0, 0);
+    for t in &targets {
+        let session = serving.open_session(evidence.clone()).unwrap();
+        alone.push(bits(&session.serve_one(t)));
+        eliminated += session.eliminated();
+        alone_taken += session.factors_taken();
+    }
+    assert!(
+        eliminated > targets.len() as u64 / 2,
+        "{eliminated} by elimination"
+    );
+    let order: Vec<usize> = (0..targets.len()).collect();
+    for order in [order.clone(), order.into_iter().rev().collect()] {
+        let session = serving.open_session(evidence.clone()).unwrap();
+        for &i in &order {
+            assert_eq!(
+                bits(&session.serve_one(&targets[i])),
+                alone[i],
+                "target {}",
+                targets[i]
+            );
+        }
+        assert_eq!(session.eliminated(), eliminated);
+        assert!(
+            session.factors_taken() > alone_taken,
+            "{} steps taken in one session, {alone_taken} in single ones",
+            session.factors_taken()
+        );
+    }
+}
+
+/// A session batch served on four workers — whose targets race to file
+/// the steps they share — answers bit for bit as on one.
+#[test]
+fn a_four_worker_session_batch_equals_a_one_worker_batch() {
+    let (bn, tree) = hailfinder();
+    let (evidence, targets) = evidence_and_targets(&bn);
+    let batch: Vec<Scope> = targets
+        .iter()
+        .chain(targets.iter().rev())
+        .cloned()
+        .collect();
+    let (mut answers, mut eliminated) = (Vec::new(), Vec::new());
+    for workers in [1, 4] {
+        let serving = serving(&tree, &bn, workers);
+        let session = serving.open_session(evidence.clone()).unwrap();
+        let (outcomes, _) = session.serve_batch(&batch);
+        assert!(session.eliminated() > 0 && session.factors_taken() > 0);
+        eliminated.push(session.eliminated());
+        answers.push(outcomes.iter().map(bits).collect::<Vec<_>>());
+    }
+    assert_eq!(eliminated[0], eliminated[1]);
+    assert_eq!(answers[0], answers[1]);
+}

@@ -16,13 +16,50 @@
 //! over `U` of `k` factors costs `|table(U)| · k + |table(U)|`, and so does
 //! the final combination onto the targets.
 //!
+//! # The factor memo
+//!
+//! A [`Pinned`] owns a memo of the factors its plans' eliminations made:
+//! a factor is valid for one network and one evidence assignment, which is
+//! exactly what a pinning is. Each step but the final combination is filed
+//! under its key — its inputs in the plan's order, each a CPT's variable or
+//! the memo id of a filed factor, then the scope it sums onto — and a
+//! later run of any plan under the same pinning that reaches a step of
+//! that key takes the filed table instead of computing it. A step that
+//! reads a table the memo does not hold is neither looked up nor filed.
+//! By induction on the key a taken table is bit for bit the one the step
+//! would compute: a CPT input names one table of the pinning, a filed id
+//! one table the memo holds, and the kernel's result depends only on its
+//! ordered inputs and the kept scope.
+//!
+//! The memo holds at most `FACTOR_ENTRIES` (2¹⁸) table entries and never
+//! evicts: a step is filed while its table fits. One `Mutex` guards it,
+//! taken for each lookup and each filing and never across a kernel call;
+//! a poisoned lock reads as a miss and files nothing. A clone of a
+//! [`Pinned`] starts with an empty memo, and the memo is dropped with the
+//! pinning. A plan is charged [`VePlan::ops`] whatever it takes from the
+//! memo, as the junction tree's message memos leave the paper's count
+//! alone.
+//!
 //! This module shares no code with [`ve_answer`](crate::ve_answer) and
 //! [`ve_cost`](crate::ve_cost), which stay the tests' independent oracle.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use peanut_pgm::{
     product_marginalize_views, BayesianNetwork, PgmError, Potential, Scope, Scratch, Size,
     TableRef, Var,
 };
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+
+/// A factor memo holds at most this many table entries: 2 MiB of values.
+const FACTOR_ENTRIES: usize = 1 << 18;
+
+/// Set on a key input that is a filed factor's id; variable indices stay
+/// below it.
+const FILED: u32 = 1 << 31;
 
 /// Bits per bitset word.
 const WORD: usize = 64;
@@ -59,11 +96,12 @@ fn ones(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
 }
 
 /// A network pinned to one evidence assignment: each variable's parents
-/// as a bitset, and the CPT of every family that holds an evidence
-/// variable, sliced to the evidence values (the evidence variables leave
-/// its scope). Made once per assignment; every [`VePlan`] under it borrows
-/// the sliced tables and the network's other CPTs.
-#[derive(Clone, Debug)]
+/// as a bitset, the CPT of every family that holds an evidence variable,
+/// sliced to the evidence values (the evidence variables leave its scope),
+/// and the memo of the factors its plans made (module docs). Made once per
+/// assignment; every [`VePlan`] under it borrows the sliced tables and the
+/// network's other CPTs.
+#[derive(Debug)]
 pub struct Pinned {
     /// Words per variable bitset.
     words: usize,
@@ -74,15 +112,39 @@ pub struct Pinned {
     /// Per variable, its CPT sliced to the evidence where its family holds
     /// an evidence variable.
     sliced: Vec<Option<Potential>>,
+    memo: FactorMemo,
+}
+
+/// A clone starts with an empty memo of the same bound.
+impl Clone for Pinned {
+    fn clone(&self) -> Self {
+        Pinned {
+            words: self.words,
+            parents: self.parents.clone(),
+            pinned: self.pinned.clone(),
+            sliced: self.sliced.clone(),
+            memo: FactorMemo::with_cap(self.memo.cap),
+        }
+    }
 }
 
 impl Pinned {
-    /// Pins `evidence` on `bn`. Unknown variables and out-of-range values
-    /// fail with [`PgmError::UnknownVar`] / [`PgmError::ValueOutOfRange`];
-    /// two values for one variable fail with
-    /// [`PgmError::ImpossibleEvidence`]. A zero-probability assignment is
-    /// not detected here: [`probability`](Self::probability) is `0` then.
+    /// Pins `evidence` on `bn`, with an empty factor memo. Unknown
+    /// variables and out-of-range values fail with
+    /// [`PgmError::UnknownVar`] / [`PgmError::ValueOutOfRange`]; two values
+    /// for one variable fail with [`PgmError::ImpossibleEvidence`]. A
+    /// zero-probability assignment is not detected here:
+    /// [`probability`](Self::probability) is `0` then.
     pub fn new(bn: &BayesianNetwork, evidence: &[(Var, u32)]) -> Result<Self, PgmError> {
+        Self::with_cap(bn, evidence, FACTOR_ENTRIES)
+    }
+
+    /// [`new`](Self::new) with a memo that holds at most `cap` entries.
+    fn with_cap(
+        bn: &BayesianNetwork,
+        evidence: &[(Var, u32)],
+        cap: usize,
+    ) -> Result<Self, PgmError> {
         let domain = bn.domain();
         let n = domain.len();
         for &(v, value) in evidence {
@@ -135,6 +197,7 @@ impl Pinned {
             parents,
             pinned,
             sliced,
+            memo: FactorMemo::with_cap(cap),
         })
     }
 
@@ -143,7 +206,21 @@ impl Pinned {
         v.index() < self.sliced.len() && has(&self.pinned, v.index())
     }
 
+    /// The steps whose tables runs under this pinning took from its memo.
+    pub fn factors_taken(&self) -> u64 {
+        // ordering: a tally; the runs that fed it have returned
+        self.memo.taken.load(Ordering::Relaxed)
+    }
+
+    /// The table entries the memo holds and its bound.
+    #[cfg(test)]
+    fn memo_usage(&self) -> (usize, usize) {
+        let held = self.memo.filed.lock().map_or(0, |f| f.entries);
+        (held, self.memo.cap)
+    }
+
     /// `P(e)`: every variable of the evidence's ancestral set eliminated.
+    /// Its steps are filed in the memo like any plan's.
     pub fn probability(
         &self,
         bn: &BayesianNetwork,
@@ -159,6 +236,94 @@ impl Pinned {
             .as_ref()
             .unwrap_or_else(|| bn.cpt(v))
             .view()
+    }
+}
+
+/// The factors a pinning's plans made, filed by key (module docs).
+struct FactorMemo {
+    /// Entries the memo may hold.
+    cap: usize,
+    filed: Mutex<Filed>,
+    /// Steps that took a filed table.
+    taken: AtomicU64,
+}
+
+/// What the lock guards.
+#[derive(Default)]
+struct Filed {
+    /// Key (module docs) → the factor's id and table.
+    factors: HashMap<Box<[u32]>, (u32, Arc<Potential>)>,
+    /// Table entries of `factors`.
+    entries: usize,
+}
+
+impl FactorMemo {
+    fn with_cap(cap: usize) -> Self {
+        FactorMemo {
+            cap,
+            filed: Mutex::default(),
+            taken: AtomicU64::new(0),
+        }
+    }
+
+    /// The table filed under `key`, counted as taken.
+    fn take(&self, key: &[u32]) -> Option<Made> {
+        let filed = self.filed.lock().ok()?;
+        let (id, table) = filed.factors.get(key)?;
+        let made = Made::Filed(*id, Arc::clone(table));
+        drop(filed);
+        // ordering: a tally read once the runs are back; Relaxed
+        self.taken.fetch_add(1, Ordering::Relaxed);
+        Some(made)
+    }
+
+    /// Files `table` under `key` if it fits; a key another run filed since
+    /// the lookup keeps the table filed first, bit for bit this one.
+    fn file(&self, key: &[u32], table: Potential) -> Made {
+        let Ok(mut filed) = self.filed.lock() else {
+            return Made::Own(table);
+        };
+        if let Some((id, held)) = filed.factors.get(key) {
+            return Made::Filed(*id, Arc::clone(held));
+        }
+        if filed.entries + table.len() > self.cap {
+            return Made::Own(table);
+        }
+        // at most `cap` factors of one entry or more, far below the tag
+        let id = filed.factors.len() as u32;
+        let table = Arc::new(table);
+        filed.entries += table.len();
+        filed.factors.insert(key.into(), (id, Arc::clone(&table)));
+        Made::Filed(id, table)
+    }
+}
+
+/// The bound only: formatting never takes the lock.
+impl fmt::Debug for FactorMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FactorMemo")
+            .field("cap", &self.cap)
+            .finish_non_exhaustive()
+    }
+}
+
+/// A table a run made or took, until the step that reads it.
+enum Made {
+    /// Computed by this run and filed nowhere: recycled once read.
+    Own(Potential),
+    /// Filed in the memo under this id: held there, never recycled.
+    Filed(u32, Arc<Potential>),
+    /// Read by its step.
+    Spent,
+}
+
+impl Made {
+    fn table(&self) -> Option<&Potential> {
+        match self {
+            Made::Own(p) => Some(p),
+            Made::Filed(_, p) => Some(p),
+            Made::Spent => None,
+        }
     }
 }
 
@@ -371,44 +536,104 @@ impl VePlan {
 
     /// Runs the plan: `P(targets, e)`, unnormalized, over the sorted
     /// targets. `bn` and `pinned` must be the ones it was planned with.
-    /// Intermediate tables are recycled into `scratch` as soon as the step
-    /// that reads them has run.
+    /// Each step but the last is taken from `pinned`'s memo where it is
+    /// filed, and filed there once computed while it fits (module docs,
+    /// "The factor memo"); filed tables are held by the memo, not
+    /// recycled. Any other intermediate table is recycled into `scratch`
+    /// as soon as the step that reads it has run. A plan that reads a
+    /// table twice fails with [`PgmError::InvalidPlan`].
     pub fn run(
         &self,
         bn: &BayesianNetwork,
         pinned: &Pinned,
         scratch: &mut Scratch,
     ) -> Result<Potential, PgmError> {
-        let mut made: Vec<Option<Potential>> = Vec::with_capacity(self.steps.len());
+        let Some((last, steps)) = self.steps.split_last() else {
+            return Ok(Potential::scalar(1.0));
+        };
+        let mut made: Vec<Made> = Vec::with_capacity(steps.len());
+        let mut key: Vec<u32> = Vec::new();
         let mut start = 0;
-        for step in &self.steps {
+        for step in steps {
             let inputs = &self.inputs[start..step.end];
             start = step.end;
-            let views: Vec<TableRef<'_>> = inputs
-                .iter()
-                .map(|&input| match input {
-                    Input::Cpt(v) => pinned.factor(bn, v),
-                    Input::Made(i) => made[i]
-                        .as_ref()
-                        .expect("a step's table is read by one later step")
-                        .view(),
-                })
-                .collect();
-            let out = product_marginalize_views(&views, &step.keep, scratch)?;
-            drop(views);
-            for &input in inputs {
-                if let Input::Made(i) = input {
-                    if let Some(spent) = made[i].take() {
-                        scratch.recycle(spent);
+            let keyed = Self::key(inputs, &made, &step.keep, &mut key);
+            let out = match keyed.then(|| pinned.memo.take(&key)).flatten() {
+                Some(taken) => taken,
+                None => {
+                    let out = Self::compute(bn, pinned, inputs, &made, &step.keep, scratch)?;
+                    if keyed {
+                        pinned.memo.file(&key, out)
+                    } else {
+                        Made::Own(out)
                     }
                 }
-            }
-            made.push(Some(out));
+            };
+            Self::spend(inputs, &mut made, scratch);
+            made.push(out);
         }
-        Ok(made
-            .pop()
-            .flatten()
-            .unwrap_or_else(|| Potential::scalar(1.0)))
+        let inputs = &self.inputs[start..last.end];
+        let out = Self::compute(bn, pinned, inputs, &made, &last.keep, scratch)?;
+        Self::spend(inputs, &mut made, scratch);
+        Ok(out)
+    }
+
+    /// One fused product → marginalize pass over `inputs` onto `keep`.
+    fn compute(
+        bn: &BayesianNetwork,
+        pinned: &Pinned,
+        inputs: &[Input],
+        made: &[Made],
+        keep: &Scope,
+        scratch: &mut Scratch,
+    ) -> Result<Potential, PgmError> {
+        let views = inputs
+            .iter()
+            .map(|&input| match input {
+                Input::Cpt(v) => Ok(pinned.factor(bn, v)),
+                Input::Made(i) => made
+                    .get(i)
+                    .and_then(Made::table)
+                    .map(Potential::view)
+                    .ok_or_else(|| PgmError::InvalidPlan {
+                        detail: format!("step {i}'s table is read but not held"),
+                    }),
+            })
+            .collect::<Result<Vec<TableRef<'_>>, PgmError>>()?;
+        product_marginalize_views(&views, keep, scratch)
+    }
+
+    /// Marks the tables `inputs` read as spent, recycling those this run
+    /// owns into `scratch`.
+    fn spend(inputs: &[Input], made: &mut [Made], scratch: &mut Scratch) {
+        for &input in inputs {
+            if let Input::Made(i) = input {
+                if let Some(Made::Own(spent)) =
+                    made.get_mut(i).map(|m| std::mem::replace(m, Made::Spent))
+                {
+                    scratch.recycle(spent);
+                }
+            }
+        }
+    }
+
+    /// Writes into `key` the memo key of a step over `inputs` onto `keep`
+    /// (module docs), and returns true, when every input is a CPT or a
+    /// filed factor; otherwise false.
+    fn key(inputs: &[Input], made: &[Made], keep: &Scope, key: &mut Vec<u32>) -> bool {
+        key.clear();
+        key.push(inputs.len() as u32);
+        for &input in inputs {
+            key.push(match input {
+                Input::Cpt(v) => v.0,
+                Input::Made(i) => match made.get(i) {
+                    Some(Made::Filed(id, _)) => id | FILED,
+                    _ => return false,
+                },
+            });
+        }
+        key.extend(keep.iter().map(|v| v.0));
+        true
     }
 }
 
@@ -557,5 +782,200 @@ mod tests {
         let bits = |p: &Potential| p.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a), bits(&b));
         assert_eq!(bits(&a), bits(&c));
+    }
+
+    fn bits(p: &Potential) -> Vec<u64> {
+        p.values().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A second run of one plan under one pinning takes every step but
+    /// the final combination, and answers bit for bit as the first.
+    #[test]
+    fn a_second_run_takes_every_step_from_the_memo() {
+        let bn = fixtures::figure1();
+        let pinned = Pinned::new(&bn, &[(Var(0), 1), (Var(9), 0)]).unwrap();
+        let plan = VePlan::new(&bn, &pinned, &Scope::from_indices(&[3, 6])).unwrap();
+        assert!(plan.eliminations() > 0);
+        let mut scratch = Scratch::new();
+        let first = plan.run(&bn, &pinned, &mut scratch).unwrap();
+        assert_eq!(pinned.factors_taken(), 0);
+        let filed = pinned.memo_usage().0;
+        assert!(filed > 0);
+        let second = plan.run(&bn, &pinned, &mut scratch).unwrap();
+        assert_eq!(pinned.factors_taken(), plan.eliminations() as u64);
+        assert_eq!(pinned.memo_usage().0, filed, "nothing filed twice");
+        assert_eq!(bits(&first), bits(&second));
+    }
+
+    /// On a chain pinned at x8, the plans for x5 and for x6 both start by
+    /// summing out x0, x1, …: the second plan takes those steps, and its
+    /// answer is the one a fresh pinning computes.
+    #[test]
+    fn a_plan_takes_a_step_another_target_ran() {
+        let bn = fixtures::chain(12, 3, 7);
+        let evidence = [(Var(8), 2)];
+        let pinned = Pinned::new(&bn, &evidence).unwrap();
+        let mut scratch = Scratch::new();
+        let five = VePlan::new(&bn, &pinned, &Scope::from_indices(&[5])).unwrap();
+        five.run(&bn, &pinned, &mut scratch).unwrap();
+        assert_eq!(pinned.factors_taken(), 0);
+        let six = VePlan::new(&bn, &pinned, &Scope::from_indices(&[6])).unwrap();
+        let got = six.run(&bn, &pinned, &mut scratch).unwrap();
+        assert!(pinned.factors_taken() >= 4, "x0..x3 are shared");
+        assert!(pinned.factors_taken() < six.eliminations() as u64);
+        let fresh = Pinned::new(&bn, &evidence).unwrap();
+        let want = six.run(&bn, &fresh, &mut Scratch::new()).unwrap();
+        assert_eq!(bits(&got), bits(&want));
+        // the open's P(e) check files its steps for the targets too
+        let checked = Pinned::new(&bn, &evidence).unwrap();
+        checked.probability(&bn, &mut scratch).unwrap();
+        let again = six.run(&bn, &checked, &mut scratch).unwrap();
+        assert!(checked.factors_taken() > 0);
+        assert_eq!(bits(&again), bits(&want));
+    }
+
+    /// With wet pinned, both `P(sprinkler, e)` and `P(rain, e)` first sum
+    /// cloudy out of its three families, then combine that factor with
+    /// wet's sliced CPT — the same ordered inputs, kept onto sprinkler in
+    /// one plan and onto rain in the other. Only the first step is taken.
+    #[test]
+    fn a_step_onto_another_scope_is_not_taken() {
+        let bn = fixtures::sprinkler();
+        let evidence = [(Var(3), 1)];
+        let pinned = Pinned::new(&bn, &evidence).unwrap();
+        let mut scratch = Scratch::new();
+        for target in [1, 2] {
+            let plan = VePlan::new(&bn, &pinned, &Scope::from_indices(&[target])).unwrap();
+            let got = plan.run(&bn, &pinned, &mut scratch).unwrap();
+            let fresh = Pinned::new(&bn, &evidence).unwrap();
+            let want = plan.run(&bn, &fresh, &mut scratch).unwrap();
+            assert_eq!(got.scope(), &Scope::from_indices(&[target]));
+            assert_eq!(bits(&got), bits(&want));
+        }
+        assert_eq!(pinned.factors_taken(), 1);
+    }
+
+    /// A key names each input: a CPT by its variable, a filed factor by
+    /// its id, the two kept apart by the tag; a step that reads an unfiled
+    /// table has no key.
+    #[test]
+    fn keys_name_every_input() {
+        let table = || Arc::new(Potential::scalar(1.0));
+        let made = [
+            Made::Filed(0, table()),
+            Made::Filed(1, table()),
+            Made::Own(Potential::scalar(1.0)),
+        ];
+        let keep = Scope::from_indices(&[4]);
+        let key = |inputs: &[Input]| {
+            let mut key = Vec::new();
+            VePlan::key(inputs, &made, &keep, &mut key).then_some(key)
+        };
+        let keys = [
+            key(&[Input::Cpt(Var(0)), Input::Made(0)]),
+            key(&[Input::Cpt(Var(0)), Input::Made(1)]),
+            key(&[Input::Cpt(Var(0)), Input::Cpt(Var(1))]),
+            key(&[Input::Made(0), Input::Cpt(Var(0))]),
+        ];
+        for (i, a) in keys.iter().enumerate() {
+            assert!(a.is_some());
+            for b in &keys[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+        assert_eq!(key(&[Input::Cpt(Var(0)), Input::Made(2)]), None);
+    }
+
+    #[test]
+    fn a_cloned_pinning_starts_with_an_empty_memo() {
+        let bn = fixtures::figure1();
+        let pinned = Pinned::new(&bn, &[(Var(0), 1)]).unwrap();
+        let plan = VePlan::new(&bn, &pinned, &Scope::from_indices(&[5])).unwrap();
+        let mut scratch = Scratch::new();
+        let want = plan.run(&bn, &pinned, &mut scratch).unwrap();
+        plan.run(&bn, &pinned, &mut scratch).unwrap();
+        assert!(pinned.factors_taken() > 0 && pinned.memo_usage().0 > 0);
+        let clone = pinned.clone();
+        assert_eq!(clone.memo_usage(), (0, FACTOR_ENTRIES));
+        assert_eq!(clone.factors_taken(), 0);
+        let got = plan.run(&bn, &clone, &mut scratch).unwrap();
+        assert_eq!(
+            clone.factors_taken(),
+            0,
+            "the first run on the clone computes"
+        );
+        assert_eq!(bits(&got), bits(&want));
+    }
+
+    /// A memo at its bound files nothing more, and what a bounded pinning
+    /// answers is bit for bit what an unbounded one does; a bound of 0
+    /// files nothing at all.
+    #[test]
+    fn a_full_memo_files_nothing_more() {
+        let bn = fixtures::chain(12, 3, 7);
+        let evidence = [(Var(8), 2), (Var(2), 0)];
+        let unbounded = Pinned::new(&bn, &evidence).unwrap();
+        let mut scratch = Scratch::new();
+        let plans: Vec<VePlan> = [[5u32, 6], [0, 11], [3, 9], [4, 7]]
+            .iter()
+            .map(|t| VePlan::new(&bn, &unbounded, &Scope::from_indices(t)).unwrap())
+            .collect();
+        let want: Vec<Vec<u64>> = plans
+            .iter()
+            .map(|p| bits(&p.run(&bn, &unbounded, &mut scratch).unwrap()))
+            .collect();
+        let first = Pinned::new(&bn, &evidence).unwrap();
+        plans[0].run(&bn, &first, &mut scratch).unwrap();
+        let cap = first.memo_usage().0;
+        assert!(cap > 0 && cap < unbounded.memo_usage().0);
+        for bound in [0, cap] {
+            let bounded = Pinned::with_cap(&bn, &evidence, bound).unwrap();
+            for _ in 0..2 {
+                for (plan, want) in plans.iter().zip(&want) {
+                    let got = plan.run(&bn, &bounded, &mut scratch).unwrap();
+                    assert_eq!(&bits(&got), want);
+                    assert_eq!(bounded.memo_usage(), (bound, bound));
+                }
+            }
+            if bound == 0 {
+                assert_eq!(bounded.factors_taken(), 0);
+            } else {
+                // only the first plan's steps are held, and its repeat
+                // takes them
+                assert!(bounded.factors_taken() >= plans[0].eliminations() as u64);
+            }
+        }
+    }
+
+    /// A malformed plan fails typed instead of panicking.
+    #[test]
+    fn a_plan_that_reads_a_table_twice_fails_typed() {
+        let bn = fixtures::chain(3, 2, 1);
+        let pinned = Pinned::new(&bn, &[]).unwrap();
+        let keep = Scope::from_indices(&[1]);
+        let plan = VePlan {
+            steps: vec![
+                Step {
+                    end: 2,
+                    keep: keep.clone(),
+                },
+                Step {
+                    end: 3,
+                    keep: keep.clone(),
+                },
+                Step { end: 4, keep },
+            ],
+            inputs: vec![
+                Input::Cpt(Var(0)),
+                Input::Cpt(Var(1)),
+                Input::Made(0),
+                Input::Made(0),
+            ],
+            ops: 0,
+        };
+        assert!(matches!(
+            plan.run(&bn, &pinned, &mut Scratch::new()),
+            Err(PgmError::InvalidPlan { .. })
+        ));
     }
 }
