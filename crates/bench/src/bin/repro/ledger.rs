@@ -37,13 +37,19 @@
 //! plans the materializations' plan memos hold when it ends, the
 //! answers that ran a filed plan (`plans_taken`), the answers evidence
 //! sessions sent to pruned variable elimination (`eliminated`, read from
-//! `EvidenceSession::eliminated`), and the elimination steps sessions took
+//! `EvidenceSession::eliminated`), the elimination steps sessions took
 //! from their pinnings' factor memos (`factors_taken`, read from
-//! `EvidenceSession::factors_taken`); the last two are 0 on every shape
-//! without sessions. On `fleet_paging`, `plans_taken` counts the hits of
-//! the materializations resident at a batch or publish, watched until the
-//! next one: a tenant faulted in and paged out inside one batch is not
-//! seen.
+//! `EvidenceSession::factors_taken`) — these two are 0 on every shape
+//! without sessions — and the messages passes took from the message
+//! memos of the calibrated tables and of the materializations
+//! (`messages_taken`). Every memo is read through one shape,
+//! `MemoUsage`. On `fleet_paging`, `plans_taken` and `messages_taken`
+//! count the takes of the materializations and engines resident at a
+//! batch or publish, watched until the next one. The watch misses every
+//! take of a tenant faulted in and paged out inside one batch: its engine
+//! and materialization are made and dropped between two looks. The
+//! messages a fault-in resumes count their takes from 0 on the new
+//! engine.
 //!
 //! `repro ledger` prints the ledger and writes it to `LEDGER.json`;
 //! `--quick` shrinks every stream and writes `LEDGER.quick.json`, the file
@@ -101,6 +107,7 @@ struct Row {
     plans_taken: u64,
     eliminated: u64,
     factors_taken: u64,
+    messages_taken: u64,
 }
 
 impl Row {
@@ -130,7 +137,7 @@ impl Row {
 
     fn json(&self, shape: &str) -> String {
         let mut out = format!("    {{\n      \"shape\": \"{shape}\",\n      \"seed\": {SEED}");
-        let fields: [(&str, u128); 16] = [
+        let fields: [(&str, u128); 17] = [
             ("requests", self.requests.into()),
             ("failed", self.failed.into()),
             ("answers_computed", self.computed.into()),
@@ -147,6 +154,7 @@ impl Row {
             ("plans_taken", self.plans_taken.into()),
             ("eliminated", self.eliminated.into()),
             ("factors_taken", self.factors_taken.into()),
+            ("messages_taken", self.messages_taken.into()),
         ];
         for (name, value) in fields {
             let _ = write!(out, ",\n      \"{name}\": {value}");
@@ -166,29 +174,40 @@ fn select(tree: &JunctionTree, engine: &QueryEngine<'_>, train: &[Scope]) -> Mat
         .0
 }
 
-/// The plan-memo hits of a fleet's materializations (module docs): those
-/// resident at one boundary of the stream are held to the next, and one
-/// first seen at a boundary was made since the last, so every hit it took
-/// counts.
-#[derive(Default)]
-struct PlanWatch {
-    held: Vec<(Arc<Materialization>, u64)>,
+/// The plans and the messages an engine's tables' and a
+/// materialization's memos took.
+fn taken(engine: &QueryEngine<'_>, mat: &Materialization) -> (u64, u64) {
+    let messages = mat.memo_usage().taken + engine.memo_usage().taken;
+    (mat.plan_usage().taken, messages)
+}
+
+/// The takes of a fleet's memos (module docs): the owners resident at one
+/// boundary of the stream are held to the next, and one first seen at a
+/// boundary was made since the last, so every take it counted counts.
+struct Watch<T> {
+    held: Vec<(Arc<T>, u64)>,
     taken: u64,
 }
 
-impl PlanWatch {
-    fn boundary(&mut self, fleet: &ShardedServingEngine<'_>) {
-        let before = std::mem::take(&mut self.held);
-        for (mat, at) in &before {
-            self.taken += mat.plan_usage().1 - at;
+impl<T> Watch<T> {
+    fn new() -> Self {
+        Watch {
+            held: Vec::new(),
+            taken: 0,
         }
-        for (_, engine) in fleet.tenants() {
-            let mat = engine.materialization();
-            let (_, taken) = mat.plan_usage();
-            if !before.iter().any(|(seen, _)| Arc::ptr_eq(seen, &mat)) {
-                self.taken += taken;
+    }
+
+    fn boundary(&mut self, now: Vec<Arc<T>>, taken: impl Fn(&T) -> u64) {
+        let before = std::mem::take(&mut self.held);
+        for (seen, at) in &before {
+            self.taken += taken(seen) - at;
+        }
+        for owner in now {
+            let count = taken(&owner);
+            if !before.iter().any(|(seen, _)| Arc::ptr_eq(seen, &owner)) {
+                self.taken += count;
             }
-            self.held.push((mat, taken));
+            self.held.push((owner, count));
         }
     }
 }
@@ -295,10 +314,21 @@ fn fleet_paging(quick: bool, store_dir: &Path) -> Row {
             row.store_bytes_read += sizes[&(t, newest[t])];
         }
     };
-    let mut watch = PlanWatch::default();
-    let mut serve = |row: &mut Row, watch: &mut PlanWatch, range: std::ops::Range<usize>| {
+    // the plans and messages the materializations' memos took, and the
+    // messages the engines' tables' memos took
+    let (mut mat_plans, mut mat_messages, mut state_messages) =
+        (Watch::new(), Watch::new(), Watch::new());
+    let mut watch = || {
+        let engines: Vec<_> = fleet.tenants().into_iter().map(|(_, e)| e).collect();
+        let mats: Vec<_> = engines.iter().map(|e| e.materialization()).collect();
+        mat_plans.boundary(mats.clone(), |m| m.plan_usage().taken);
+        mat_messages.boundary(mats, |m| m.memo_usage().taken);
+        state_messages.boundary(engines, |e| e.engine().memo_usage().taken);
+        (mat_plans.taken, mat_messages.taken + state_messages.taken)
+    };
+    let mut serve = |row: &mut Row, range: std::ops::Range<usize>| {
         for b in range {
-            watch.boundary(&fleet);
+            watch();
             if b % publish_every == 0 && b > 0 {
                 // tenants in turn, alternating between their two
                 let turn = b / publish_every - 1;
@@ -309,7 +339,7 @@ fn fleet_paging(quick: bool, store_dir: &Path) -> Row {
                 let engine = fleet.tenant(id).expect("tenant faults in");
                 newest[t] = engine.publish(mats[t][which].clone());
                 sizes.insert((t, newest[t]), size(t, newest[t]));
-                watch.boundary(&fleet);
+                watch();
             }
             let batch = &arrivals[b * BATCH..(b + 1) * BATCH];
             let touched: Vec<TenantId> = batch.iter().map(|(id, _)| *id).collect();
@@ -317,16 +347,14 @@ fn fleet_paging(quick: bool, store_dir: &Path) -> Row {
             let (outcomes, stats) = fleet.serve_mixed(batch);
             row.served(&outcomes, stats.cache_hits);
         }
+        watch()
     };
     // warm-up: an eighth of the stream, before any publish
-    serve(&mut Row::default(), &mut watch, 0..batches / 8);
-    watch.boundary(&fleet);
-    watch.taken = 0;
+    let warm = serve(&mut Row::default(), 0..batches / 8);
     let mut row = Row::default();
     let before = fleet.paging_stats();
-    serve(&mut row, &mut watch, 0..batches);
-    watch.boundary(&fleet);
-    row.plans_taken = watch.taken;
+    let (plans, messages) = serve(&mut row, 0..batches);
+    (row.plans_taken, row.messages_taken) = (plans - warm.0, messages - warm.1);
     let after = fleet.paging_stats();
     assert_eq!(
         row.faults,
@@ -338,11 +366,11 @@ fn fleet_paging(quick: bool, store_dir: &Path) -> Row {
     assert_eq!(after.fault_errors, 0, "no fault-in failed");
     for (_, engine) in fleet.tenants() {
         let mat = engine.materialization();
-        row.state_memo_entries += engine.engine().memo_usage().0 as u64;
-        row.mat_memo_entries += mat.memo_usage().0 as u64;
-        row.plans_held += mat.plan_usage().0 as u64;
+        row.state_memo_entries += engine.engine().memo_usage().held as u64;
+        row.mat_memo_entries += mat.memo_usage().held as u64;
+        row.plans_held += mat.plan_usage().filed as u64;
     }
-    drop(watch);
+    drop((mat_plans, mat_messages, state_messages));
     drop(fleet);
     let _ = std::fs::remove_dir_all(store_dir);
     row
@@ -406,14 +434,16 @@ fn direct(model: &Prepared, train: &[Scope], stream: &[Scope], warm: usize) -> R
     for q in &stream[..warm] {
         answer(&mut Row::default(), q);
     }
-    let (_, taken) = mat.plan_usage();
+    let before = taken(&engine, &mat);
     for q in stream {
         row.requests += 1;
         answer(&mut row, q);
     }
-    row.state_memo_entries = engine.memo_usage().0 as u64;
-    row.mat_memo_entries = mat.memo_usage().0 as u64;
-    (row.plans_held, row.plans_taken) = (mat.plan_usage().0 as u64, mat.plan_usage().1 - taken);
+    row.state_memo_entries = engine.memo_usage().held as u64;
+    row.mat_memo_entries = mat.memo_usage().held as u64;
+    row.plans_held = mat.plan_usage().filed as u64;
+    let (plans, messages) = taken(&engine, &mat);
+    (row.plans_taken, row.messages_taken) = (plans - before.0, messages - before.1);
     row
 }
 
@@ -446,13 +476,20 @@ fn distinct_requests(
     requests
 }
 
+/// The plans and the messages a serving engine's memos took.
+fn serving_taken(serving: &ServingEngine<'_>) -> (u64, u64) {
+    taken(serving.engine(), &serving.materialization())
+}
+
 /// The memo entries and plans of a serving engine's tables and
-/// materialization, and the plans taken since `taken`.
-fn serving_usage(row: &mut Row, serving: &ServingEngine<'_>, taken: u64) {
+/// materialization, and the plans and messages taken since `before`.
+fn serving_usage(row: &mut Row, serving: &ServingEngine<'_>, before: (u64, u64)) {
     let mat = serving.materialization();
-    row.state_memo_entries = serving.engine().memo_usage().0 as u64;
-    row.mat_memo_entries = mat.memo_usage().0 as u64;
-    (row.plans_held, row.plans_taken) = (mat.plan_usage().0 as u64, mat.plan_usage().1 - taken);
+    row.state_memo_entries = serving.engine().memo_usage().held as u64;
+    row.mat_memo_entries = mat.memo_usage().held as u64;
+    row.plans_held = mat.plan_usage().filed as u64;
+    let (plans, messages) = serving_taken(serving);
+    (row.plans_taken, row.messages_taken) = (plans - before.0, messages - before.1);
 }
 
 fn serve_repeat(quick: bool) -> Row {
@@ -481,13 +518,13 @@ fn serve_repeat(quick: bool) -> Row {
     for batch in warm.chunks(BATCH) {
         serving.serve_batch(batch);
     }
-    let (_, taken) = serving.materialization().plan_usage();
+    let before = serving_taken(&serving);
     let mut row = Row::default();
     for batch in stream.chunks(BATCH) {
         let (outcomes, stats) = serving.serve_batch(batch);
         row.served(&outcomes, stats.cache_hits);
     }
-    serving_usage(&mut row, &serving, taken);
+    serving_usage(&mut row, &serving, before);
     row
 }
 
@@ -505,13 +542,13 @@ fn serve_distinct(quick: bool) -> Row {
     for batch in warm.chunks(BATCH) {
         serving.serve_batch(batch);
     }
-    let (_, taken) = serving.materialization().plan_usage();
+    let before = serving_taken(&serving);
     let mut row = Row::default();
     for batch in stream.chunks(BATCH) {
         let (outcomes, stats) = serving.serve_batch(batch);
         row.served(&outcomes, stats.cache_hits);
     }
-    serving_usage(&mut row, &serving, taken);
+    serving_usage(&mut row, &serving, before);
     row
 }
 
@@ -578,9 +615,10 @@ fn evidence_sessions(quick: bool) -> Row {
     };
     let (warm, stream) = inputs.split_at(sessions / 8);
     serve(&mut Row::default(), warm);
+    let before = serving_taken(&serving);
     let mut row = Row::default();
     serve(&mut row, stream);
-    serving_usage(&mut row, &serving, 0);
+    serving_usage(&mut row, &serving, before);
     row
 }
 

@@ -81,7 +81,7 @@ fn fault_in_page_out_and_publish_race_under_the_cap() {
             let cfg = ServingConfig::default().with_workers(1);
             let serving = ServingEngine::new(engine, Materialization::default(), cfg);
             let (outcomes, _) = serving.serve_batch(std::slice::from_ref(&q));
-            assert!(serving.engine().memo_usage().0 > 0, "the request files");
+            assert!(serving.engine().memo_usage().held > 0, "the request files");
             bits(&outcomes[0])
         };
         let mut fleet =
@@ -139,7 +139,7 @@ fn fault_in_page_out_and_publish_race_under_the_cap() {
         let resumed = after.memo_resumed - before.memo_resumed;
         if faulted {
             assert_eq!(
-                t0.engine().memo_usage().0 as u64,
+                t0.engine().memo_usage().held as u64,
                 resumed,
                 "the tables hold exactly the messages resumed"
             );

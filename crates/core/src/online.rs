@@ -52,7 +52,7 @@ use peanut_junction::tree::CliqueId;
 use peanut_junction::{
     MessageMemo, NodeLabel, QueryAnatomy, QueryEngine, QueryPlan, ReducedTree, SteinerTree,
 };
-use peanut_pgm::{Domain, PgmError, Potential, Scope, Scratch, Size};
+use peanut_pgm::{Domain, MemoUsage, PgmError, Potential, Scope, Scratch, Size};
 
 /// A shortcut potential chosen for materialization.
 #[derive(Clone, Debug)]
@@ -145,14 +145,15 @@ impl Materialization {
         self.shortcuts.is_empty()
     }
 
-    /// The table entries the memo holds and its cap.
-    pub fn memo_usage(&self) -> (usize, usize) {
+    /// What the message memo holds: messages, their table entries against
+    /// its cap, and the messages passes took.
+    pub fn memo_usage(&self) -> MemoUsage {
         self.memo.usage()
     }
 
-    /// The plans the plan memo holds, and the answers that ran one of them
-    /// instead of planning.
-    pub fn plan_usage(&self) -> (usize, u64) {
+    /// What the plan memo holds: plans, their bytes against its cap, and
+    /// the answers that ran a filed plan instead of planning.
+    pub fn plan_usage(&self) -> MemoUsage {
         self.plans.usage()
     }
 }
@@ -1063,9 +1064,13 @@ mod tests {
             let online = OnlineEngine::new(&engine, &mat);
             let at_bound = OnlineEngine::new(&engine, &full);
             for r in &requests {
-                let (before, taken) = mat.plan_usage();
+                let MemoUsage {
+                    filed: before,
+                    taken,
+                    ..
+                } = mat.plan_usage();
                 let got = traced(&online, r);
-                let hit = mat.plan_usage().1 > taken;
+                let hit = mat.plan_usage().taken > taken;
                 let fresh_mat = Materialization::new(shortcuts.clone(), true);
                 let want = traced(&OnlineEngine::new(&engine, &fresh_mat), r);
                 let bounded = traced(&at_bound, r);
@@ -1080,7 +1085,11 @@ mod tests {
                         _ => panic!("{door} {r:?}: {got:?} against {want:?}"),
                     }
                 }
-                assert_eq!(full.plan_usage(), (0, 0), "a full memo files nothing");
+                assert_eq!(
+                    (full.plan_usage().filed, full.plan_usage().taken),
+                    (0, 0),
+                    "a full memo files nothing"
+                );
                 if hit {
                     let cost = want.as_ref().unwrap().cost;
                     tree_hits += usize::from(cost.messages > 0);
@@ -1088,17 +1097,17 @@ mod tests {
                     shortcut_hits += usize::from(cost.shortcuts_used > 0);
                     conditional_hits += usize::from(!r.1.is_empty());
                 } else {
-                    assert!(mat.plan_usage().0 <= before + 1);
+                    assert!(mat.plan_usage().filed <= before + 1);
                 }
             }
-            let (held, _) = mat.plan_usage();
-            assert!(mat.plans.bytes().0 <= mat.plans.bytes().1);
+            let held = mat.plan_usage().filed;
+            assert!(mat.plans.usage().held <= mat.plans.usage().cap);
 
             // drop the shortcuts past the first: plans that ran one of them
             // are planned afresh, the rest run as filed
             mat.shortcuts.truncate(1);
             let online = OnlineEngine::new(&engine, &mat);
-            let taken = mat.plan_usage().1;
+            let taken = mat.plan_usage().taken;
             for r in &requests {
                 match (traced(&online, r), plain(&engine, r)) {
                     (Ok(got), Ok(want)) => {
@@ -1110,8 +1119,8 @@ mod tests {
                     (got, want) => panic!("truncated {r:?}: {got:?} against {want:?}"),
                 }
             }
-            truncated_hits += (mat.plan_usage().1 - taken) as usize;
-            assert!(mat.plan_usage().0 >= held);
+            truncated_hits += (mat.plan_usage().taken - taken) as usize;
+            assert!(mat.plan_usage().filed >= held);
         }
         let seen = [
             tree_hits,

@@ -20,12 +20,10 @@
 //! materialization no longer holds, is a miss, and the scope is planned
 //! afresh.
 //!
-//! The memo keeps the message memo's discipline: one exact key, one
-//! constant bound ([`PLAN_BYTES`]), no eviction and no admission rule — a
-//! plan is filed while it fits. One `Mutex` guards it, taken once to look
-//! up and once to file; a poisoned lock reads as a miss and files
-//! nothing. It is a cache, not a protocol, so it takes `std`'s lock, as
-//! the message memo does, and the interleaving models do not schedule it.
+//! The memo is an [`ExactMemo`], whose module states the cache
+//! discipline. This module decides the key — the query scope — and the
+//! bound, [`PLAN_BYTES`]; it admits every plan that fits. It is a cache,
+//! not a protocol, so the interleaving models do not schedule it.
 //!
 //! [`ReducedTree::from_shape`]: peanut_junction::ReducedTree::from_shape
 //! [`ReducedTree::run_in`]: peanut_junction::ReducedTree::run_in
@@ -35,10 +33,8 @@
 use peanut_junction::cost::QueryCost;
 use peanut_junction::tree::CliqueId;
 use peanut_junction::PlanShape;
-use peanut_pgm::{Scope, Size, Var};
-use std::collections::HashMap;
-use std::fmt;
-use std::sync::Mutex;
+use peanut_pgm::memo::Weigh;
+use peanut_pgm::{ExactMemo, MemoUsage, Scope, Size, Var};
 
 /// A memo holds plans of at most this many bytes, counting each entry's
 /// map slot (64 bytes), its key and its shape (16 bytes a node). With the
@@ -61,9 +57,9 @@ pub(crate) enum FiledPlan {
     },
 }
 
-impl FiledPlan {
-    /// The bytes an entry of this plan under `key` is counted.
-    fn bytes(&self, key: &[Var]) -> usize {
+/// An entry weighs its bytes: its map slot, its key and its shape.
+impl Weigh<Var> for FiledPlan {
+    fn weight(&self, key: &[Var]) -> usize {
         let shape = match self {
             FiledPlan::InClique(_) => 0,
             FiledPlan::Tree { shape, .. } => shape.heap_bytes(),
@@ -73,21 +69,8 @@ impl FiledPlan {
 }
 
 /// A materialization's plans, by exact query scope (module docs).
-pub(crate) struct PlanMemo {
-    /// Bytes the memo may hold.
-    cap: usize,
-    filed: Mutex<Filed>,
-}
-
-/// What the lock guards.
-#[derive(Default)]
-struct Filed {
-    plans: HashMap<Box<[Var]>, FiledPlan>,
-    /// Bytes of `plans`, as [`FiledPlan::bytes`] counts them.
-    bytes: usize,
-    /// Answers that ran a filed plan.
-    taken: u64,
-}
+#[derive(Clone, Debug)]
+pub(crate) struct PlanMemo(ExactMemo<Var, FiledPlan>);
 
 impl PlanMemo {
     /// An empty memo that may hold [`PLAN_BYTES`].
@@ -97,24 +80,13 @@ impl PlanMemo {
 
     /// An empty memo that may hold `cap` bytes.
     pub(crate) fn with_cap(cap: usize) -> Self {
-        PlanMemo {
-            cap,
-            filed: Mutex::default(),
-        }
+        PlanMemo(ExactMemo::new(cap))
     }
 
-    /// The plans held and the answers that ran one.
-    pub(crate) fn usage(&self) -> (usize, u64) {
-        self.filed
-            .lock()
-            .map_or((0, 0), |f| (f.plans.len(), f.taken))
-    }
-
-    /// The bytes held and the cap.
-    #[cfg(test)]
-    pub(crate) fn bytes(&self) -> (usize, usize) {
-        let held = self.filed.lock().map_or(0, |f| f.bytes);
-        (held, self.cap)
+    /// The plans and bytes held, the cap, and the answers that ran a
+    /// filed plan.
+    pub(crate) fn usage(&self) -> MemoUsage {
+        self.0.usage()
     }
 
     /// What `rebuild` makes of the plan filed for `query`, counted as
@@ -125,47 +97,21 @@ impl PlanMemo {
         query: &Scope,
         rebuild: impl FnOnce(&FiledPlan) -> Option<R>,
     ) -> Option<R> {
-        let mut filed = self.filed.lock().ok()?;
-        let run = rebuild(filed.plans.get(query.vars())?)?;
-        filed.taken += 1;
-        Some(run)
+        self.0.take(query.vars(), rebuild)
     }
 
     /// Files `plan` for `query` while it fits, unless a plan is filed for
     /// it already (another answer may have filed one since).
     pub(crate) fn file(&self, query: &Scope, plan: FiledPlan) {
-        let Ok(mut filed) = self.filed.lock() else {
-            return;
-        };
-        let bytes = plan.bytes(query.vars());
-        if filed.bytes + bytes > self.cap || filed.plans.contains_key(query.vars()) {
-            return;
+        if let Some(mut shelf) = self.0.open() {
+            let _ = shelf.file(query.vars(), plan);
         }
-        filed.bytes += bytes;
-        filed.plans.insert(query.vars().into(), plan);
-    }
-}
-
-/// A clone is a new materialization's: it starts empty, with the same
-/// cap.
-impl Clone for PlanMemo {
-    fn clone(&self) -> Self {
-        Self::with_cap(self.cap)
     }
 }
 
 impl Default for PlanMemo {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// The cap only: formatting never takes the lock.
-impl fmt::Debug for PlanMemo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PlanMemo")
-            .field("cap", &self.cap)
-            .finish_non_exhaustive()
     }
 }
 
@@ -185,7 +131,7 @@ mod tests {
         memo.file(&ab, FiledPlan::InClique(4));
         memo.file(&bc, FiledPlan::InClique(5));
         assert_eq!(
-            memo.bytes(),
+            (memo.usage().held, memo.usage().cap),
             (72, 100),
             "one entry: the second scope does not fit"
         );
@@ -204,8 +150,9 @@ mod tests {
             None,
             "a plan that does not fit"
         );
-        assert_eq!(memo.usage(), (1, 1));
-        assert_eq!(memo.clone().usage(), (0, 0), "a clone starts empty");
+        assert_eq!((memo.usage().filed, memo.usage().taken), (1, 1));
+        let clone = memo.clone().usage();
+        assert_eq!((clone.filed, clone.taken), (0, 0), "a clone starts empty");
     }
 
     /// A lock poisoned by a panic under it reads as a miss and files
@@ -221,6 +168,6 @@ mod tests {
         assert!(poisoned.is_err());
         assert_eq!(memo.recall(&q, |_| Some(())), None);
         memo.file(&Scope::from_indices(&[1]), FiledPlan::InClique(0));
-        assert_eq!(memo.usage(), (0, 0));
+        assert_eq!((memo.usage().filed, memo.usage().taken), (0, 0));
     }
 }

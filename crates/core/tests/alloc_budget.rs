@@ -5,8 +5,9 @@
 //! allocated inside `ReducedTree::from_steiner(.., Some(ns))` and inside
 //! `OnlineEngine::reduce` are bookkeeping (node lists, a Steiner bitset, a
 //! few index vectors) — bounded by the number of nodes, independent of how
-//! many table entries those nodes hold. This binary carries its own
-//! counting global allocator to keep it that way: when plans still copied
+//! many table entries those nodes hold. This binary installs the
+//! workspace's counting global allocator (`counting-alloc`) to keep it
+//! that way: when plans still copied
 //! their tables the same measurements read megabytes per query. Answering
 //! is held to the same kind of line: a message is summed straight out of
 //! its factors, so the bytes a query allocates follow its messages, not the
@@ -17,82 +18,25 @@
 //!
 //! Run with `--nocapture` to see bytes/query and allocations/query.
 
-// the counting allocator below is this binary's one unsafe site
-#![allow(unsafe_code)]
-
+use counting_alloc::{Allocs, CountingAlloc};
 use peanut_core::{
     Materialization, MaterializedShortcut, OfflineContext, OnlineEngine, Peanut, PeanutConfig,
     Shortcut, Workload,
 };
 use peanut_junction::{build_junction_tree, QueryEngine, QueryPlan, ReducedTree};
 use peanut_pgm::{fixtures, BayesianNetwork, Potential, Scope, Scratch};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
 /// Per-query ceiling on plan-construction bytes.
 const BUDGET_BYTES: usize = 64 << 10;
 
-thread_local! {
-    // const-initialized and destructor-free: reading them inside the
-    // allocator neither allocates nor re-enters it
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static BYTES: Cell<usize> = const { Cell::new(0) };
-    static CALLS: Cell<usize> = const { Cell::new(0) };
-}
-
-/// `System`, plus per-thread byte and call counts while `COUNTING` is set
-/// on the allocating thread (so parallel tests do not see each other).
-struct CountingAlloc;
-
-impl CountingAlloc {
-    fn note(bytes: usize) {
-        if COUNTING.with(Cell::get) {
-            BYTES.with(|b| b.set(b.get() + bytes));
-            CALLS.with(|c| c.set(c.get() + 1));
-        }
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters are plain thread-local
-// cells that never allocate.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: the caller's layout obligations are exactly `System`'s.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::note(layout.size());
-        // SAFETY: forwarded unchanged.
-        unsafe { System.alloc(layout) }
-    }
-    // SAFETY: the caller's layout obligations are exactly `System`'s.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::note(layout.size());
-        // SAFETY: forwarded unchanged.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::note(new_size.saturating_sub(layout.size()));
-        // SAFETY: forwarded unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarded unchanged.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Bytes and allocation calls made by `f` on this thread.
+/// The value of `f`, and the bytes and allocation calls it made on this
+/// thread.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
-    BYTES.with(|b| b.set(0));
-    CALLS.with(|c| c.set(0));
-    COUNTING.with(|c| c.set(true));
-    let out = f();
-    COUNTING.with(|c| c.set(false));
-    (out, BYTES.with(Cell::get), CALLS.with(Cell::get))
+    let (out, Allocs { calls, bytes }) = counting_alloc::counted(f);
+    (out, bytes, calls)
 }
 
 /// Plan-construction cost of the chain `x0 → … → x7` at cardinality
@@ -306,9 +250,16 @@ fn a_plan_memo_hit_allocates_less_than_planning() {
         calls as f64 / pairs.len() as f64
     };
     let first = pass(&mut |q, s| online.answer_in(q, s).unwrap().0);
-    assert_eq!(mat.plan_usage(), (pairs.len(), 0), "one plan per scope");
+    assert_eq!(
+        (mat.plan_usage().filed, mat.plan_usage().taken),
+        (pairs.len(), 0),
+        "one plan per scope"
+    );
     let hit = pass(&mut |q, s| online.answer_in(q, s).unwrap().0);
-    assert_eq!(mat.plan_usage(), (pairs.len(), pairs.len() as u64));
+    assert_eq!(
+        (mat.plan_usage().filed, mat.plan_usage().taken),
+        (pairs.len(), pairs.len() as u64)
+    );
     let planned = pass(&mut |q, s| match online.reduce(q).unwrap() {
         Some(rt) => rt.answer_in(q, tree.domain(), s).unwrap().0,
         None => engine.answer_in(q, s).unwrap().0,

@@ -28,7 +28,7 @@ use peanut_core::{
 };
 use peanut_junction::{build_junction_tree, JunctionTree, NumericState, QueryEngine};
 use peanut_pgm::generate::{generate_network, DagConfig};
-use peanut_pgm::{BayesianNetwork, Potential, Scope, Var};
+use peanut_pgm::{BayesianNetwork, MemoUsage, Potential, Scope, Var};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
@@ -125,7 +125,7 @@ fn fresh_answer(
         NumericState::from_calibrated_slab(tree, slab).unwrap(),
     );
     let cold = mat.clone();
-    assert_eq!((fresh.memo_usage().0, cold.memo_usage().0), (0, 0));
+    assert_eq!((fresh.memo_usage().held, cold.memo_usage().held), (0, 0));
     answer(&OnlineEngine::new(&fresh, &cold), request)
 }
 
@@ -147,7 +147,7 @@ proptest! {
                 prop_assert_eq!(answer(&online, request), want, "round {}: {:?}", round, request);
             }
         }
-        let (held, cap) = engine.memo_usage();
+        let MemoUsage { held, cap, .. } = engine.memo_usage();
         prop_assert!(held <= cap, "{} entries over a cap of {}", held, cap);
     }
 }
@@ -191,7 +191,7 @@ fn two_threads_sharing_a_memo_answer_as_fresh_engines() {
             });
         }
     });
-    let (held, cap) = engine.memo_usage();
+    let MemoUsage { held, cap, .. } = engine.memo_usage();
     assert!(0 < held && held <= cap, "{held} entries, cap {cap}");
 }
 
@@ -268,9 +268,9 @@ fn a_dataset_stream_replayed_answers_as_fresh_engines() {
         for request in &pairs {
             answer(&online, request);
         }
-        let (filed, _) = engine.memo_usage();
+        let filed = engine.memo_usage().held;
         assert!(filed > 0, "{name}: test premise: the first pass files");
-        let (filed, _) = mat.memo_usage();
+        let filed = mat.memo_usage().held;
         assert!(
             filed > 0,
             "{name}: test premise: the first pass files shortcut-holding messages"

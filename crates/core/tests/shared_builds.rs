@@ -145,7 +145,7 @@ fn a_selection_after_a_query_stream_is_the_cold_build() {
         for q in &queries {
             engine.answer(q).unwrap();
         }
-        let warmed = engine.memo_usage().0;
+        let warmed = engine.memo_usage().held;
         let ctx = OfflineContext::new(&tree, &Workload::from_queries(queries)).unwrap();
         let ns = engine.numeric_state().unwrap();
         let (mat, ops) = Peanut::offline_numeric(&ctx, &PeanutConfig::plus(256), ns).unwrap();

@@ -41,40 +41,34 @@
 //! to, and checks that premise (`crate::reduced`, "The message memo"); this
 //! module stores.
 //!
-//! A memo is bounded and never evicts. It holds at most [`MEMO_ENTRIES`]
-//! table entries, whatever the size of the tables: what a stream files
-//! follows its separators and its traffic, not the calibrated slab, so one
-//! constant bounds every memo alike — each session, resident tenant,
-//! rehydrated engine and epoch. It files a message only when the kernels of
-//! its subtree walked at least [`MIN_WALK_PER_ENTRY`] times its entries,
-//! and only while the message fits in what is left. A state's memo lives
-//! exactly as long as the tables: a state starts with an empty memo
-//! wherever its tables are made — initialized, calibrated, reattached from
-//! a slab or cloned — so a state restricted to evidence or rehydrated
-//! starts empty. The one exception is a page cycle of a serving tenant:
-//! page-out moves the state's messages out, trimmed to at most the entries
-//! the page-out frees ([`MessageMemo::take_trimmed`]), and a fault-in that
-//! rehydrates the same epoch — tables bit-identical to the ones the
-//! messages were sent over, read back from the checksummed file the
-//! engine saved — adopts them; any other fault-in starts empty.
+//! A memo is an [`ExactMemo`] (its module states the cache discipline)
+//! bounded by [`MEMO_ENTRIES`] table entries, whatever the size of the
+//! tables: what a stream files follows its separators and its traffic, not
+//! the calibrated slab, so one constant bounds every memo alike. It admits
+//! a message whose subtree's kernels walked at least
+//! [`MIN_WALK_PER_ENTRY`] times its entries. A state's memo lives as long
+//! as its tables: wherever they are made — initialized, calibrated,
+//! reattached from a slab or cloned — it starts empty. The one exception
+//! is a page cycle of a serving tenant: page-out moves the state's
+//! messages out, trimmed to at most the entries the page-out frees
+//! ([`MessageMemo::take_trimmed`]), and a fault-in that rehydrates the
+//! same epoch — tables bit-identical to the ones the messages were sent
+//! over, read back from the checksummed file the engine saved — adopts
+//! them; any other fault-in starts empty.
 //!
 //! Each message is filed with its price: the product entries its
 //! subtree's kernels walked when it was computed, the walk a later pass
 //! saves by taking it. The trim keeps the messages that save the most walk
 //! per entry held (Query the model's price for a precomputed factor).
 //!
-//! One `Mutex` guards each memo; a pass takes each it deals with once for
-//! its lookups, never both at a time, and once for what it files. A
-//! poisoned lock reads as a miss and files nothing.
+//! A pass opens each memo it deals with once for its lookups, never both
+//! at a time, and once for what it files.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-use peanut_pgm::{Potential, Size, Var};
-use std::collections::HashMap;
-use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-mod trim;
+use peanut_pgm::memo::{self, Saves, Weigh};
+use peanut_pgm::{ExactMemo, MemoUsage, Potential, Size, Var};
+use std::sync::Arc;
 
 /// A memo holds at most this many table entries: 8 MiB of message values.
 pub(crate) const MEMO_ENTRIES: usize = 1 << 20;
@@ -88,37 +82,25 @@ pub(crate) const SHORTCUT_TAG: usize = 1 << 31;
 
 /// Directed messages, filed by key: a calibrated state's, or an epoch's
 /// materialization's (module docs).
-pub struct MessageMemo {
-    /// Entries the memo may hold.
-    cap: usize,
-    filed: Mutex<Filed>,
-}
-
-/// What the lock guards.
-#[derive(Default)]
-struct Filed {
-    /// Key (module docs) → the divided message and its price.
-    messages: HashMap<Box<[u32]>, Priced>,
-    /// Table entries of `messages`.
-    entries: usize,
-}
+#[derive(Clone, Debug)]
+pub struct MessageMemo(ExactMemo<u32, Priced>);
 
 /// A filed message and the product entries its subtree's kernels walked
 /// to compute it: what a pass that takes it saves.
 struct Priced {
     message: Arc<Potential>,
     walked: Size,
-    /// Whether the last trim kept it.
-    kept: bool,
 }
 
-impl Priced {
-    fn new(message: Potential, walked: Size) -> Self {
-        Priced {
-            message: Arc::new(message),
-            walked,
-            kept: false,
-        }
+impl Weigh<u32> for Priced {
+    fn weight(&self, _: &[u32]) -> usize {
+        self.message.len()
+    }
+}
+
+impl Saves for Priced {
+    fn saved(&self) -> Size {
+        self.walked
     }
 }
 
@@ -130,52 +112,42 @@ impl MessageMemo {
 
     /// An empty memo that may hold `cap` entries.
     pub(crate) fn with_cap(cap: usize) -> Self {
-        MessageMemo {
-            cap,
-            filed: Mutex::default(),
-        }
+        MessageMemo(ExactMemo::new(cap))
     }
 
-    /// The entries held and the cap.
-    pub fn usage(&self) -> (usize, usize) {
-        let held = self.filed.lock().map_or(0, |f| f.entries);
-        (held, self.cap)
+    /// The messages and entries held, the cap, and the messages passes
+    /// took.
+    pub fn usage(&self) -> MemoUsage {
+        self.0.usage()
     }
 
     /// The memo locked for a pass's lookups; `None` when poisoned.
     pub(crate) fn open(&self) -> Option<Shelf<'_>> {
-        let filed = self.filed.lock().ok()?;
-        Some(Shelf {
-            room: self.cap.saturating_sub(filed.entries),
-            filed,
-        })
+        self.0.open().map(Shelf)
     }
 
     /// Files `(key, message, walked)` triples one pass computed, each
     /// while it fits and its key is not filed yet (another pass may have
     /// filed it since); `walked` is the message's price (module docs).
     pub(crate) fn file(&self, sent: Vec<(Box<[u32]>, Potential, Size)>) {
-        let Ok(mut filed) = self.filed.lock() else {
-            return;
-        };
-        for (key, message, walked) in sent {
-            let entries = message.len();
-            if filed.entries + entries > self.cap || filed.messages.contains_key(&key) {
-                continue;
-            }
-            filed.entries += entries;
-            filed.messages.insert(key, Priced::new(message, walked));
-        }
+        self.0.file(sent.into_iter().map(|(key, message, walked)| {
+            let message = Arc::new(message);
+            (key, Priced { message, walked })
+        }));
     }
 
-    /// Files `message` under `key` whatever it holds, for tests that
-    /// check who reads the memo.
+    /// Files `message` under `key`, for tests that check who reads the
+    /// memo.
     #[cfg(test)]
     pub(crate) fn plant(&self, key: Vec<u32>, message: Potential) {
-        if let Ok(mut filed) = self.filed.lock() {
-            filed.entries += message.len();
-            filed.messages.insert(key.into(), Priced::new(message, 0));
-        }
+        self.file(vec![(key.into(), message, 0)]);
+    }
+
+    /// Moves every filed message out into a new memo that keeps at most
+    /// `budget` entries of them, by walk saved per entry held
+    /// ([`ExactMemo::take_trimmed`]).
+    pub(crate) fn take_trimmed(&self, budget: usize) -> MessageMemo {
+        MessageMemo(self.0.take_trimmed(budget))
     }
 }
 
@@ -185,35 +157,18 @@ impl Default for MessageMemo {
     }
 }
 
-/// A clone's tables are a copy about to be changed or kept apart: it starts
-/// with an empty memo of the same cap.
-impl Clone for MessageMemo {
-    fn clone(&self) -> Self {
-        Self::with_cap(self.cap)
-    }
-}
-
-/// The cap only: formatting never takes the lock, so a plan can be printed
-/// while its pass holds it.
-impl fmt::Debug for MessageMemo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MessageMemo")
-            .field("cap", &self.cap)
-            .finish_non_exhaustive()
-    }
-}
-
 /// The memo as one pass's lookups see it, locked.
-pub(crate) struct Shelf<'m> {
-    filed: MutexGuard<'m, Filed>,
-    /// Entries the memo could still take when the pass looked.
-    pub(crate) room: usize,
-}
+pub(crate) struct Shelf<'m>(memo::Shelf<'m, u32, Priced>);
 
 impl Shelf<'_> {
-    /// The message filed under `key`.
-    pub(crate) fn get(&self, key: &[u32]) -> Option<Arc<Potential>> {
-        self.filed.messages.get(key).map(|p| Arc::clone(&p.message))
+    /// Entries the memo could still take.
+    pub(crate) fn room(&self) -> usize {
+        self.0.room()
+    }
+
+    /// The message filed under `key`, counted as taken.
+    pub(crate) fn get(&mut self, key: &[u32]) -> Option<Arc<Potential>> {
+        self.0.take(key, |p| Some(Arc::clone(&p.message)))
     }
 }
 
@@ -256,10 +211,14 @@ mod tests {
 
     /// The keys `memo` holds, ascending, and its entries.
     fn held(memo: &MessageMemo) -> (Vec<Vec<u32>>, usize) {
-        let filed = memo.filed.lock().unwrap();
-        let mut keys: Vec<Vec<u32>> = filed.messages.keys().map(|k| k.to_vec()).collect();
+        let mut shelf = memo.open().unwrap();
+        let mut keys: Vec<Vec<u32>> = (0..5)
+            .map(|k| vec![k])
+            .filter(|k| shelf.get(k).is_some())
+            .collect();
+        drop(shelf);
         keys.sort_unstable();
-        (keys, filed.entries)
+        (keys, memo.usage().held)
     }
 
     /// Every order of `0..n`, by Heap's algorithm.
@@ -315,16 +274,20 @@ mod tests {
                     })
                     .collect();
                 memo.file(sent);
-                assert_eq!(memo.usage(), (17, 64));
+                assert_eq!((memo.usage().held, memo.usage().cap), (17, 64));
                 let kept = memo.take_trimmed(budget);
                 let (got, entries) = held(&kept);
                 let want: Vec<Vec<u32>> = keys.iter().map(|&k| vec![k]).collect();
                 assert_eq!(got, want, "budget {budget}, filed in order {order:?}");
                 assert!(entries <= budget);
-                assert_eq!(kept.usage(), (entries, 64));
-                assert_eq!(memo.usage(), (0, 64), "the source is left empty");
+                assert_eq!((kept.usage().held, kept.usage().cap), (entries, 64));
+                assert_eq!(
+                    (memo.usage().held, memo.usage().cap),
+                    (0, 64),
+                    "the source is left empty"
+                );
                 // a kept message is the one filed, with its price
-                let shelf = kept.open().unwrap();
+                let mut shelf = kept.open().unwrap();
                 for key in &got {
                     let (_, n, _) = planted.iter().find(|p| p.0 == key[0]).unwrap();
                     assert_eq!(shelf.get(key).unwrap().len(), *n as usize);

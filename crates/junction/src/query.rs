@@ -11,7 +11,7 @@ use crate::reduced::ReducedTree;
 use crate::rooted::RootedTree;
 use crate::steiner::SteinerTree;
 use crate::tree::{CliqueId, JunctionTree};
-use peanut_pgm::{BayesianNetwork, PgmError, Potential, Scope, Scratch, Var};
+use peanut_pgm::{BayesianNetwork, MemoUsage, PgmError, Potential, Scope, Scratch, Var};
 use std::sync::Arc;
 
 /// How a query will be processed.
@@ -151,10 +151,13 @@ impl<'t> QueryEngine<'t> {
         self.numeric.as_ref()
     }
 
-    /// The table entries the message memo holds, and the most it may hold:
-    /// one constant for every table set (`(0, 0)` when symbolic).
-    pub fn memo_usage(&self) -> (usize, usize) {
-        self.numeric.as_ref().map_or((0, 0), |ns| ns.memo().usage())
+    /// What the message memo holds: its table entries against one cap for
+    /// every table set, and the messages passes took (all 0 when
+    /// symbolic).
+    pub fn memo_usage(&self) -> MemoUsage {
+        self.numeric
+            .as_ref()
+            .map_or(MemoUsage::default(), |ns| ns.memo().usage())
     }
 
     /// The messages of this engine's tables, moved out into a memo that
@@ -515,7 +518,7 @@ mod tests {
         let eng = QueryEngine::symbolic(&tree);
         let q = Scope::from_indices(&[0]);
         assert!(matches!(eng.answer(&q), Err(PgmError::SymbolicEngine)));
-        assert_eq!(eng.memo_usage(), (0, 0));
+        assert_eq!((eng.memo_usage().held, eng.memo_usage().cap), (0, 0));
     }
 
     fn bits(p: &Potential) -> Vec<u64> {
@@ -550,7 +553,7 @@ mod tests {
         for q in &scopes {
             warm.answer(q).unwrap();
         }
-        let (held, cap) = warm.memo_usage();
+        let MemoUsage { held, cap, .. } = warm.memo_usage();
         assert!(0 < held && held <= cap, "{held} entries, cap {cap}");
         for q in &scopes {
             let (got, cost) = warm.answer(q).unwrap();
@@ -561,7 +564,7 @@ mod tests {
         let evidence = [(Var(9), 1), (Var(3), 0)];
         let session = warm.restricted_to_evidence(&evidence).unwrap();
         let reference = cold(&warm).restricted_to_evidence(&evidence).unwrap();
-        assert_eq!(session.memo_usage().0, 0);
+        assert_eq!(session.memo_usage().held, 0);
         for q in &scopes {
             let (got, _) = session.answer(q).unwrap();
             let (want, _) = reference.answer(q).unwrap();
@@ -675,12 +678,14 @@ mod tests {
             let (want, _) = roomy.answer(&q).unwrap();
             assert_eq!(bits(&got), bits(&want), "{q}");
         }
-        let (held, cap) = tight.memo_usage();
+        let MemoUsage { held, cap, .. } = tight.memo_usage();
         assert!(
             0 < held && held <= cap && cap == 100,
             "{held} entries, cap {cap}"
         );
-        let (filed, cap) = roomy.memo_usage();
+        let MemoUsage {
+            held: filed, cap, ..
+        } = roomy.memo_usage();
         assert!(100 < filed && filed <= cap, "{filed} entries, cap {cap}");
     }
 
@@ -704,32 +709,38 @@ mod tests {
             }
         }
         assert!(
-            ns.memo().usage().0 > 0,
+            ns.memo().usage().held > 0,
             "test premise: uncalibrated messages"
         );
         ns.calibrate(&tree, &rooted).unwrap();
         let warm = QueryEngine::from_calibrated(&tree, ns);
-        assert_eq!(warm.memo_usage().0, 0);
+        assert_eq!(warm.memo_usage().held, 0);
         for q in &scopes {
             let (got, cost) = warm.answer(q).unwrap();
             let (want, want_cost) = cold(&warm).answer(q).unwrap();
             assert_eq!(bits(&got), bits(&want), "{q}");
             assert_eq!(cost, want_cost, "{q}");
         }
-        assert!(warm.memo_usage().0 > 0, "test premise: a warm memo");
+        assert!(warm.memo_usage().held > 0, "test premise: a warm memo");
         let cap = 1 << 20;
         let copy = QueryEngine::from_calibrated(&tree, warm.numeric_state().unwrap().clone());
-        assert_eq!(copy.memo_usage(), (0, cap));
+        assert_eq!((copy.memo_usage().held, copy.memo_usage().cap), (0, cap));
         let session = warm.restricted_to_evidence(&[(Var(4), 2)]).unwrap();
-        assert_eq!(session.memo_usage(), (0, cap));
-        assert_eq!(warm.memo_usage().1, cap);
-        assert_eq!(cold(&warm).memo_usage(), (0, cap));
+        assert_eq!(
+            (session.memo_usage().held, session.memo_usage().cap),
+            (0, cap)
+        );
+        assert_eq!(warm.memo_usage().cap, cap);
+        assert_eq!(
+            (cold(&warm).memo_usage().held, cold(&warm).memo_usage().cap),
+            (0, cap)
+        );
         // one bound whatever the slab
         let other_bn = fixtures::chain(6, 2, 3);
         let other_tree = build_junction_tree(&other_bn).unwrap();
         let other = QueryEngine::numeric(&other_tree, &other_bn).unwrap();
         let slab_len = |e: &QueryEngine<'_>| e.numeric_state().unwrap().arena().slab().len();
         assert_ne!(slab_len(&other), slab_len(&warm), "test premise");
-        assert_eq!(other.memo_usage().1, cap);
+        assert_eq!(other.memo_usage().cap, cap);
     }
 }

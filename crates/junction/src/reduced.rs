@@ -1069,8 +1069,8 @@ impl<'m> Recall<'m> {
         plain: bool,
     ) -> Owner<'m> {
         // a poisoned memo is a miss everywhere, and files nothing
-        let shelf = memo.open();
-        let room = shelf.as_ref().map_or(0, |shelf| shelf.room);
+        let mut shelf = memo.open();
+        let room = shelf.as_ref().map_or(0, |shelf| shelf.room());
         let tagged = |v: &usize| match plan.nodes[*v].label {
             NodeLabel::Clique(c) => c,
             NodeLabel::Shortcut(i) => memo::SHORTCUT_TAG | i,
@@ -1086,7 +1086,7 @@ impl<'m> Recall<'m> {
                 self.slots[u].step = Step::Skip;
                 continue;
             }
-            let Some(shelf) = &shelf else { continue };
+            let Some(shelf) = &mut shelf else { continue };
             // the message goes to the clique at the far end of the edge: the
             // parent, or one in a shortcut's region. Under a shortcut it is
             // the message sent there when the shortcut's scope meets the
@@ -1578,7 +1578,7 @@ mod tests {
             checked += 1;
         }
         assert!(checked >= 3, "{checked} nested pairs");
-        assert_eq!(ns.memo().usage().0, 0, "no clone filed into the source");
+        assert_eq!(ns.memo().usage().held, 0, "no clone filed into the source");
         // a region that is no subtree is refused, not planned: its root
         // outside it, its members out of order, a member off the pivot's
         // side of its root

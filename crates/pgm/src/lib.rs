@@ -24,7 +24,9 @@
 //! * [`fixtures`] — small hand-built networks, including the running example
 //!   of the paper's Figure 1;
 //! * [`io`] — plain-text model serialization, so users can export the
-//!   synthetic datasets or import their own networks.
+//!   synthetic datasets or import their own networks;
+//! * [`memo`] — the one bounded, never-evicting cache every memo of the
+//!   workspace holds ([`ExactMemo`]).
 
 #[cfg(test)]
 mod difftests;
@@ -35,6 +37,7 @@ pub mod generate;
 pub mod io;
 pub mod joint;
 mod lanes;
+pub mod memo;
 pub mod network;
 pub mod potential;
 pub mod sampling;
@@ -43,6 +46,7 @@ pub mod var;
 
 pub use domain::Domain;
 pub use error::PgmError;
+pub use memo::{ExactMemo, MemoUsage};
 pub use network::{BayesianNetwork, NetworkBuilder};
 pub use potential::{
     div_assign_bcast, divide_views, mul_assign_bcast, product_marginalize_views, product_onto,

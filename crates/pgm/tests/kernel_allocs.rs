@@ -1,84 +1,24 @@
 //! Allocation guard for the kernels: on a warm `Scratch` (its walk rows
 //! and odometer sized, its pool holding a recycled result) a kernel call
 //! allocates its result's own scope and cardinalities and nothing else.
-//! Counted by a global allocator of this binary's own, the pattern of
-//! `crates/core/tests/alloc_budget.rs`. Run with `--nocapture` to see what
-//! message passing allocates per query.
+//! Counted by the workspace's counting global allocator
+//! (`counting-alloc`). Run with `--nocapture` to see what message passing
+//! allocates per query.
 
-// the counting allocator below is this binary's one unsafe site
-#![allow(unsafe_code)]
-
+use counting_alloc::{counted, CountingAlloc};
 use peanut_junction::{build_junction_tree, NumericState, QueryEngine};
 use peanut_pgm::{
     div_assign_bcast, divide_views, mul_assign_bcast, product_marginalize_views, product_onto,
     Domain, Potential, Scope, Scratch,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    // const-initialized and destructor-free: reading them inside the
-    // allocator neither allocates nor re-enters it
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static CALLS: Cell<usize> = const { Cell::new(0) };
-}
-
-/// `System`, plus a per-thread count of allocating calls while `COUNTING`
-/// is set on the allocating thread (so parallel tests do not see each
-/// other).
-struct CountingAlloc;
-
-fn note() {
-    if COUNTING.with(Cell::get) {
-        CALLS.with(|c| c.set(c.get() + 1));
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters are plain thread-local
-// cells that never allocate.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: the caller's layout obligations are exactly `System`'s.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: forwarded unchanged.
-        unsafe { System.alloc(layout) }
-    }
-    // SAFETY: the caller's layout obligations are exactly `System`'s.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: forwarded unchanged.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        // SAFETY: forwarded unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarded unchanged.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Allocator calls `f` makes on this thread.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    CALLS.with(|c| c.set(0));
-    COUNTING.with(|c| c.set(true));
-    let out = f();
-    COUNTING.with(|c| c.set(false));
-    (out, CALLS.with(Cell::get))
-}
-
 /// Allocator calls of the second of two identical calls.
 fn warm_calls(mut f: impl FnMut()) -> usize {
     f();
-    counted(f).1
+    counted(f).1.calls
 }
 
 #[test]
@@ -179,6 +119,7 @@ fn child_answer_in_allocations() {
                 continue;
             };
             let (answer, c) = counted(|| rt.answer_in(q, tree.domain(), &mut s).unwrap().0);
+            let c = c.calls;
             s.recycle(answer);
             queries += 1;
             nodes += rt.len();

@@ -539,27 +539,43 @@ impl<'t> ServingEngine<'t> {
 
     /// Persists the currently served epoch to the attached store,
     /// returning the epoch written. Errors are typed ([`PgmError`]) and
-    /// also counted in [`persist_errors`](Self::persist_errors).
+    /// also counted in [`persist_errors`](Self::persist_errors). An epoch
+    /// older than the oldest one the tenant's record keeps — served by a
+    /// retired handle after a page-out removed the files below a newer
+    /// one — fails without writing: the page-outs' removal never
+    /// visits below that mark again, so its file would stay on disk for
+    /// good. The mark is read once, before the write, so a page-out that
+    /// moves it past the epoch during the write is not caught.
     pub fn persist_current(&self) -> Result<u64, PgmError> {
         let store = self.record()?;
         let mat = self.materialization();
-        let Some(ns) = self.engine.numeric_state() else {
-            // ordering: telemetry counter only.
-            store.errors.fetch_add(1, Ordering::Relaxed);
-            return Err(PgmError::StoreIo {
-                path: store
-                    .cfg
-                    .epoch_path(store.tenant, mat.epoch)
-                    .display()
-                    .to_string(),
-                msg: "symbolic engine has no calibrated slab to persist".into(),
-            });
+        let path = || {
+            let path = store.cfg.epoch_path(store.tenant, mat.epoch);
+            path.display().to_string()
         };
-        let flat = FlatMaterialization::pack(&mat);
-        match store
-            .cfg
-            .save_epoch(store.tenant, &mat, &flat, ns.arena().slab())
-        {
+        // ordering: page-outs move the mark under the shard's write lock;
+        // this read is advisory (see the docs above).
+        let kept_from = store.kept_from.load(Ordering::Relaxed);
+        let saved = if mat.epoch < kept_from {
+            Err(PgmError::StoreIo {
+                path: path(),
+                msg: format!(
+                    "epoch {} is older than epoch {kept_from}, the oldest the tenant keeps",
+                    mat.epoch
+                ),
+            })
+        } else if let Some(ns) = self.engine.numeric_state() {
+            let flat = FlatMaterialization::pack(&mat);
+            store
+                .cfg
+                .save_epoch(store.tenant, &mat, &flat, ns.arena().slab())
+        } else {
+            Err(PgmError::StoreIo {
+                path: path(),
+                msg: "symbolic engine has no calibrated slab to persist".into(),
+            })
+        };
+        match saved {
             Ok(_) => {
                 // ordering: AcqRel pairs with the Acquire in `newest` — the
                 // rename above happens-before any reader of this epoch.

@@ -528,7 +528,7 @@ impl<'t> ShardedServingEngine<'t> {
         let serving = ServingEngine::resume(engine, mat, self.tenant_config(), parked);
         // ordering: telemetry counter only.
         self.memo_resumed
-            .fetch_add(serving.engine().memo_usage().0 as u64, Ordering::Relaxed);
+            .fetch_add(serving.engine().memo_usage().held as u64, Ordering::Relaxed);
         Ok(Arc::new(serving))
     }
 

@@ -4,89 +4,27 @@
 //! rebuilds only what the store file holds: the calibrated slab and the
 //! shortcut tables, each decoded once into the `Vec` that serves it. The
 //! tree's rooting, its arena layout and the epoch's shortcut structures
-//! are kept by the parked front. This binary carries its own counting
-//! global allocator and holds a same-epoch fault-in to at most 60 % of the
-//! allocator calls of a cold `StoredEpoch::open` + `rehydrate_engine` of
-//! the same file, which builds all of that structure from the tree; when
+//! are kept by the parked front. This binary installs the workspace's
+//! counting global allocator (`counting-alloc`) and holds a same-epoch
+//! fault-in to at most 60 % of the allocator calls of a cold
+//! `StoredEpoch::open` + `rehydrate_engine` of the same file, which builds all of that structure from the tree; when
 //! a fault-in was that cold rebuild, the two counts were about equal.
 //!
 //! Run with `--nocapture` to see both counts.
 
-// the counting allocator below is this binary's one unsafe site
-#![allow(unsafe_code)]
-
 mod common;
 
 use common::{random_batch, train_mat};
+use counting_alloc::{counted, CountingAlloc};
 use peanut_core::Materialization;
 use peanut_junction::{build_junction_tree, QueryEngine};
 use peanut_pgm::fixtures;
 use peanut_pgm::generate::{generate_network, DagConfig};
 use peanut_serving::{ShardConfig, ShardedServingEngine, TenantId};
 use peanut_store::{rehydrate_engine, StoreConfig, StoredEpoch};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    // const-initialized and destructor-free: reading them inside the
-    // allocator neither allocates nor re-enters it
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static CALLS: Cell<usize> = const { Cell::new(0) };
-}
-
-/// `System`, plus a per-thread count of allocator calls while `COUNTING`
-/// is set on the allocating thread (so parallel tests do not see each
-/// other).
-struct CountingAlloc;
-
-impl CountingAlloc {
-    fn note() {
-        if COUNTING.with(Cell::get) {
-            CALLS.with(|c| c.set(c.get() + 1));
-        }
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a plain thread-local
-// cell that never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: the caller's layout obligations are exactly `System`'s.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::note();
-        // SAFETY: forwarded unchanged.
-        unsafe { System.alloc(layout) }
-    }
-    // SAFETY: the caller's layout obligations are exactly `System`'s.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::note();
-        // SAFETY: forwarded unchanged.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::note();
-        // SAFETY: forwarded unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarded unchanged.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// The value of `f` and the allocator calls it made on this thread.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    CALLS.with(|c| c.set(0));
-    COUNTING.with(|c| c.set(true));
-    let out = f();
-    COUNTING.with(|c| c.set(false));
-    (out, CALLS.with(Cell::get))
-}
 
 #[test]
 fn a_same_epoch_fault_in_allocates_a_fraction_of_a_cold_rehydrate() {
@@ -119,14 +57,15 @@ fn a_same_epoch_fault_in_allocates_a_fraction_of_a_cold_rehydrate() {
         let stored = StoredEpoch::open(&store.epoch_path(0, 0), true).unwrap();
         rehydrate_engine(&tree, &stored).unwrap()
     };
-    let (_, cold_calls) = counted(cold);
+    let cold_calls = counted(cold).1.calls;
 
     let mut faults = Vec::new();
     for _ in 0..3 {
         // tenant 1 in, tenant 0 out; then tenant 0 back, the same epoch
         fleet.tenant(TenantId(1)).unwrap();
         let faults_before = fleet.paging_stats().faults;
-        let (tenant, calls) = counted(|| fleet.tenant(TenantId(0)));
+        let (tenant, allocs) = counted(|| fleet.tenant(TenantId(0)));
+        let calls = allocs.calls;
         let tenant = tenant.expect("tenant 0 faults in");
         assert_eq!(fleet.paging_stats().faults, faults_before + 1);
         assert_eq!(tenant.epoch(), 0);

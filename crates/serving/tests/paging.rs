@@ -12,6 +12,8 @@
 //!   per batch and cumulatively;
 //! * a failed write-behind persist is retried by the tenant's page-out,
 //!   and the tenant's failed-persist count survives the page cycle;
+//! * a retired handle's epoch below the files a page-out removed is not
+//!   persisted again: the call fails typed, counted, and writes no file;
 //! * a fault-in reads back only the epochs its own fleet saved, so a
 //!   store directory an earlier fleet used changes no answer;
 //! * an epoch's message memo starts empty at a publish and at a fault-in,
@@ -245,6 +247,52 @@ fn a_failed_persist_is_retried_at_page_out() {
     let t0 = fleet.tenant(TenantId(0)).unwrap();
     assert_eq!(t0.epoch(), 1);
     assert_eq!(t0.persist_errors(), 1, "the count survives the page cycle");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A handle retired by a page-out still serves its epoch. Once a later
+/// page-out has removed the tenant's files below a newer epoch, persisting
+/// that old epoch again writes no file — the removal never visits below
+/// its mark again — and fails typed, counted in the tenant's errors.
+#[test]
+fn a_retired_epoch_below_the_removed_files_is_not_persisted() {
+    let bns = fleet_models(2);
+    let trees: Vec<JunctionTree> = bns
+        .iter()
+        .map(|bn| build_junction_tree(bn).unwrap())
+        .collect();
+    let batches: Vec<Vec<ServeRequest>> = bns
+        .iter()
+        .enumerate()
+        .map(|(i, bn)| random_batch(bn, 4, 53 + i as u64))
+        .collect();
+    let dir = temp_dir("watermark");
+    let store = StoreConfig::new(&dir);
+    let fleet = build_fleet(&trees, &bns, &batches, Some(store.clone()), 1);
+    let retired = fleet.tenant(TenantId(0)).unwrap();
+    // touching tenant 1 under a cap of 1 pages tenant 0 out; its new
+    // engine publishes epochs 1 and 2, and the next page-out removes the
+    // files of epochs 0 and 1
+    fleet.tenant(TenantId(1)).unwrap();
+    let t0 = fleet.tenant(TenantId(0)).unwrap();
+    t0.publish((*t0.materialization()).clone());
+    t0.publish((*t0.materialization()).clone());
+    drop(t0);
+    fleet.tenant(TenantId(1)).unwrap();
+    assert_eq!(files_of(&dir, 0), (1, 0), "test premise: epoch 2 only");
+    assert!(store.epoch_path(0, 2).exists());
+    assert_eq!((retired.epoch(), retired.persist_errors()), (0, 0));
+
+    assert!(matches!(
+        retired.persist_current(),
+        Err(PgmError::StoreIo { .. })
+    ));
+    assert!(!store.epoch_path(0, 0).exists(), "no file below the mark");
+    assert_eq!(files_of(&dir, 0), (1, 0));
+    assert_eq!(retired.persist_errors(), 1, "the failure is counted");
+    let t0 = fleet.tenant(TenantId(0)).unwrap();
+    assert_eq!(t0.epoch(), 2);
+    assert_eq!(t0.persist_errors(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -501,8 +549,8 @@ fn an_epochs_message_memo_starts_empty_at_publish_and_fault_in() {
 
     let t0 = served(&batches[0]);
     let retired = t0.materialization();
-    let (held, _) = retired.memo_usage();
-    let (plans, _) = retired.plan_usage();
+    let held = retired.memo_usage().held;
+    let plans = retired.plan_usage().filed;
     assert!(
         held > 0,
         "test premise: the epoch files shortcut-holding messages"
@@ -510,32 +558,32 @@ fn an_epochs_message_memo_starts_empty_at_publish_and_fault_in() {
     assert!(plans > 0, "test premise: the epoch files plans");
     t0.publish((*retired).clone());
     assert_eq!(
-        t0.materialization().memo_usage().0,
+        t0.materialization().memo_usage().held,
         0,
         "a publish starts empty"
     );
     assert_eq!(
-        t0.materialization().plan_usage().0,
+        t0.materialization().plan_usage().filed,
         0,
         "a publish starts its plan memo empty"
     );
     assert_eq!(
-        retired.memo_usage().0,
+        retired.memo_usage().held,
         held,
         "the retired epoch keeps its own"
     );
     assert_eq!(
-        retired.plan_usage().0,
+        retired.plan_usage().filed,
         plans,
         "the retired epoch keeps its own plans"
     );
     served(&batches[0]);
     assert!(
-        t0.materialization().memo_usage().0 > 0,
+        t0.materialization().memo_usage().held > 0,
         "the new epoch files"
     );
     assert!(
-        t0.materialization().plan_usage().0 > 0,
+        t0.materialization().plan_usage().filed > 0,
         "the new epoch files plans"
     );
     drop(t0);
@@ -551,12 +599,15 @@ fn an_epochs_message_memo_starts_empty_at_publish_and_fault_in() {
     );
     assert_eq!(t0.epoch(), 1);
     assert_eq!(
-        t0.materialization().memo_usage().0,
+        t0.materialization().memo_usage().held,
         0,
         "a fault-in starts empty"
     );
     assert_eq!(
-        t0.materialization().plan_usage(),
+        (
+            t0.materialization().plan_usage().filed,
+            t0.materialization().plan_usage().taken
+        ),
         (0, 0),
         "a fault-in starts its plan memo empty"
     );
@@ -952,7 +1003,7 @@ fn a_fault_in_of_the_same_epoch_resumes_its_state_memo() {
     let fleet = build_fleet(&trees, &bns, &batches, Some(StoreConfig::new(&dir)), 1);
     let t0 = fleet.tenant(TenantId(0)).unwrap();
     let (first, _) = t0.serve_batch(&batches[0]);
-    let (held, _) = t0.engine().memo_usage();
+    let held = t0.engine().memo_usage().held;
     assert!(held > 0, "test premise: the tables' memo filed messages");
     // what a page-out frees: the calibrated slab and the shortcut tables
     let slab = t0.engine().numeric_state().unwrap().arena().slab().len();
@@ -967,7 +1018,7 @@ fn a_fault_in_of_the_same_epoch_resumes_its_state_memo() {
     for (a, b) in first.iter().zip(&want) {
         assert_eq!(bits(a), bits(b));
     }
-    assert_eq!(resident.engine().memo_usage().0, held);
+    assert_eq!(resident.engine().memo_usage().held, held);
 
     // touching tenant 1 under a cap of 1 pages tenant 0 out
     fleet.tenant(TenantId(1)).unwrap();
@@ -983,11 +1034,15 @@ fn a_fault_in_of_the_same_epoch_resumes_its_state_memo() {
         "{resumed} entries parked, {budget} freed"
     );
     assert!(resumed < held, "test premise: the trim drops messages");
-    assert_eq!(t0.engine().memo_usage().0, resumed, "adopted as parked");
+    assert_eq!(t0.engine().memo_usage().held, resumed, "adopted as parked");
     let trimmed = resident.engine().take_memo(budget).unwrap();
-    assert_eq!(trimmed.usage().0, resumed, "the trim is the resident one's");
     assert_eq!(
-        t0.materialization().memo_usage().0,
+        trimmed.usage().held,
+        resumed,
+        "the trim is the resident one's"
+    );
+    assert_eq!(
+        t0.materialization().memo_usage().held,
         0,
         "the materialization's memo starts empty"
     );
@@ -1021,7 +1076,7 @@ fn a_fault_in_of_a_newer_epoch_starts_its_state_memo_empty() {
     let held = fleet.tenant(TenantId(0)).unwrap();
     held.serve_batch(&batches[0]);
     assert!(
-        held.engine().memo_usage().0 > 0,
+        held.engine().memo_usage().held > 0,
         "test premise: the tables' memo filed messages"
     );
 
@@ -1037,7 +1092,11 @@ fn a_fault_in_of_a_newer_epoch_starts_its_state_memo_empty() {
     assert_eq!(after.faults, before.faults + 1, "tenant 0 faulted in");
     assert_eq!(t0.epoch(), 1);
     assert_eq!(after.memo_resumed, before.memo_resumed, "nothing resumed");
-    assert_eq!(t0.engine().memo_usage().0, 0, "the tables' memo is empty");
+    assert_eq!(
+        t0.engine().memo_usage().held,
+        0,
+        "the tables' memo is empty"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

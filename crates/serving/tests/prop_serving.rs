@@ -10,7 +10,7 @@ use common::{random_batch, train_mat, ve_conditional};
 use peanut_core::{OnlineEngine, StatsSnapshot};
 use peanut_junction::{build_junction_tree, QueryEngine};
 use peanut_pgm::generate::{generate_network, DagConfig};
-use peanut_pgm::{fixtures, BayesianNetwork, Potential, Scope, Var};
+use peanut_pgm::{fixtures, BayesianNetwork, MemoUsage, Potential, Scope, Var};
 use peanut_serving::{
     ServeOutcome, ServeRequest, ServingConfig, ServingEngine, ShardConfig, ShardedServingEngine,
     StoreConfig, TenantId,
@@ -128,14 +128,16 @@ fn check_every_door(seed: u64, n: usize, budget: u64) {
     }
     // the stream asked again: every answer runs the plan its scope filed
     let bits = |p: &Potential| p.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let (held, taken) = mat.plan_usage();
+    let MemoUsage {
+        filed: held, taken, ..
+    } = mat.plan_usage();
     for ((q, want), first) in stream.iter().zip(&want).zip(&first) {
         let got = answer_online(&online, q);
         close("OnlineEngine, filed plan", q, &got, want);
         assert_eq!(bits(&got), bits(first), "seed {seed}: filed plan on {q:?}");
     }
     assert_eq!(
-        mat.plan_usage(),
+        (mat.plan_usage().filed, mat.plan_usage().taken),
         (held, taken + stream.len() as u64),
         "seed {seed}: every repeat takes its plan"
     );

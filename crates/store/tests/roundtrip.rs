@@ -135,7 +135,10 @@ fn assert_rehydrates_identically(
 ) {
     let bits = |p: &Potential| p.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let (rengine, rmat) = rehydrate_engine(tree, stored).unwrap();
-    assert_eq!(rengine.memo_usage(), (0, engine.memo_usage().1));
+    assert_eq!(
+        (rengine.memo_usage().held, rengine.memo_usage().cap),
+        (0, engine.memo_usage().cap)
+    );
     // the second oracle: the rehydrated tables are a consistent tree
     let ns = rengine.numeric_state().unwrap();
     assert!(ns.local_consistency_error(tree).unwrap() <= 1e-9);
@@ -199,7 +202,7 @@ fn a_rehydrated_engine_starts_with_an_empty_memo() {
             online.answer(&Scope::from_indices(&[a, b])).unwrap();
         }
     }
-    assert!(engine.memo_usage().0 > 0, "test premise: a warm memo");
+    assert!(engine.memo_usage().held > 0, "test premise: a warm memo");
     assert_round_trip(&bn, &tree, &engine, &mat, &dir.join("warm.pnut"), 5);
     std::fs::remove_dir_all(&dir).ok();
 }

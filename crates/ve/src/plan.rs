@@ -31,28 +31,24 @@
 //! one table the memo holds, and the kernel's result depends only on its
 //! ordered inputs and the kept scope.
 //!
-//! The memo holds at most `FACTOR_ENTRIES` (2¹⁸) table entries and never
-//! evicts: a step is filed while its table fits. One `Mutex` guards it,
-//! taken for each lookup and each filing and never across a kernel call;
-//! a poisoned lock reads as a miss and files nothing. A clone of a
-//! [`Pinned`] starts with an empty memo, and the memo is dropped with the
-//! pinning. A plan is charged [`VePlan::ops`] whatever it takes from the
-//! memo, as the junction tree's message memos leave the paper's count
-//! alone.
+//! The memo is an [`ExactMemo`], whose module states the cache
+//! discipline; its bound is `FACTOR_ENTRIES` (2¹⁸) table entries, and it
+//! admits every step that fits. It is locked for each lookup and each
+//! filing, never across a kernel call. A plan is charged [`VePlan::ops`]
+//! whatever it takes from the memo, as the junction tree's message memos
+//! leave the paper's count alone.
 //!
 //! This module shares no code with [`ve_answer`](crate::ve_answer) and
 //! [`ve_cost`](crate::ve_cost), which stay the tests' independent oracle.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
+use peanut_pgm::memo::Weigh;
 use peanut_pgm::{
-    product_marginalize_views, BayesianNetwork, PgmError, Potential, Scope, Scratch, Size,
-    TableRef, Var,
+    product_marginalize_views, BayesianNetwork, ExactMemo, PgmError, Potential, Scope, Scratch,
+    Size, TableRef, Var,
 };
-use std::collections::HashMap;
-use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A factor memo holds at most this many table entries: 2 MiB of values.
 const FACTOR_ENTRIES: usize = 1 << 18;
@@ -100,8 +96,9 @@ fn ones(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
 /// sliced to the evidence values (the evidence variables leave its scope),
 /// and the memo of the factors its plans made (module docs). Made once per
 /// assignment; every [`VePlan`] under it borrows the sliced tables and the
-/// network's other CPTs.
-#[derive(Debug)]
+/// network's other CPTs. A clone starts with an empty memo of the same
+/// bound.
+#[derive(Clone, Debug)]
 pub struct Pinned {
     /// Words per variable bitset.
     words: usize,
@@ -113,19 +110,6 @@ pub struct Pinned {
     /// an evidence variable.
     sliced: Vec<Option<Potential>>,
     memo: FactorMemo,
-}
-
-/// A clone starts with an empty memo of the same bound.
-impl Clone for Pinned {
-    fn clone(&self) -> Self {
-        Pinned {
-            words: self.words,
-            parents: self.parents.clone(),
-            pinned: self.pinned.clone(),
-            sliced: self.sliced.clone(),
-            memo: FactorMemo::with_cap(self.memo.cap),
-        }
-    }
 }
 
 impl Pinned {
@@ -197,7 +181,7 @@ impl Pinned {
             parents,
             pinned,
             sliced,
-            memo: FactorMemo::with_cap(cap),
+            memo: FactorMemo(ExactMemo::new(cap)),
         })
     }
 
@@ -208,15 +192,13 @@ impl Pinned {
 
     /// The steps whose tables runs under this pinning took from its memo.
     pub fn factors_taken(&self) -> u64 {
-        // ordering: a tally; the runs that fed it have returned
-        self.memo.taken.load(Ordering::Relaxed)
+        self.memo.0.usage().taken
     }
 
-    /// The table entries the memo holds and its bound.
+    /// What the memo holds.
     #[cfg(test)]
-    fn memo_usage(&self) -> (usize, usize) {
-        let held = self.memo.filed.lock().map_or(0, |f| f.entries);
-        (held, self.memo.cap)
+    fn memo_usage(&self) -> peanut_pgm::MemoUsage {
+        self.memo.0.usage()
     }
 
     /// `P(e)`: every variable of the evidence's ancestral set eliminated.
@@ -240,70 +222,38 @@ impl Pinned {
 }
 
 /// The factors a pinning's plans made, filed by key (module docs).
-struct FactorMemo {
-    /// Entries the memo may hold.
-    cap: usize,
-    filed: Mutex<Filed>,
-    /// Steps that took a filed table.
-    taken: AtomicU64,
-}
+#[derive(Clone, Debug)]
+struct FactorMemo(ExactMemo<u32, Factor>);
 
-/// What the lock guards.
-#[derive(Default)]
-struct Filed {
-    /// Key (module docs) → the factor's id and table.
-    factors: HashMap<Box<[u32]>, (u32, Arc<Potential>)>,
-    /// Table entries of `factors`.
-    entries: usize,
+/// A filed factor: its id, and its table.
+struct Factor(u32, Arc<Potential>);
+
+impl Weigh<u32> for Factor {
+    fn weight(&self, _: &[u32]) -> usize {
+        self.1.len()
+    }
 }
 
 impl FactorMemo {
-    fn with_cap(cap: usize) -> Self {
-        FactorMemo {
-            cap,
-            filed: Mutex::default(),
-            taken: AtomicU64::new(0),
-        }
-    }
-
     /// The table filed under `key`, counted as taken.
     fn take(&self, key: &[u32]) -> Option<Made> {
-        let filed = self.filed.lock().ok()?;
-        let (id, table) = filed.factors.get(key)?;
-        let made = Made::Filed(*id, Arc::clone(table));
-        drop(filed);
-        // ordering: a tally read once the runs are back; Relaxed
-        self.taken.fetch_add(1, Ordering::Relaxed);
-        Some(made)
+        self.0.take(key, |Factor(id, table)| {
+            Some(Made::Filed(*id, Arc::clone(table)))
+        })
     }
 
     /// Files `table` under `key` if it fits; a key another run filed since
     /// the lookup keeps the table filed first, bit for bit this one.
     fn file(&self, key: &[u32], table: Potential) -> Made {
-        let Ok(mut filed) = self.filed.lock() else {
+        let Some(mut shelf) = self.0.open() else {
             return Made::Own(table);
         };
-        if let Some((id, held)) = filed.factors.get(key) {
-            return Made::Filed(*id, Arc::clone(held));
-        }
-        if filed.entries + table.len() > self.cap {
-            return Made::Own(table);
-        }
         // at most `cap` factors of one entry or more, far below the tag
-        let id = filed.factors.len() as u32;
-        let table = Arc::new(table);
-        filed.entries += table.len();
-        filed.factors.insert(key.into(), (id, Arc::clone(&table)));
-        Made::Filed(id, table)
-    }
-}
-
-/// The bound only: formatting never takes the lock.
-impl fmt::Debug for FactorMemo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FactorMemo")
-            .field("cap", &self.cap)
-            .finish_non_exhaustive()
+        let id = shelf.filed() as u32;
+        match shelf.file(key, Factor(id, Arc::new(table))) {
+            Ok(Factor(id, held)) => Made::Filed(*id, Arc::clone(held)),
+            Err(Factor(_, table)) => Made::Own(Arc::unwrap_or_clone(table)),
+        }
     }
 }
 
@@ -799,11 +749,11 @@ mod tests {
         let mut scratch = Scratch::new();
         let first = plan.run(&bn, &pinned, &mut scratch).unwrap();
         assert_eq!(pinned.factors_taken(), 0);
-        let filed = pinned.memo_usage().0;
+        let filed = pinned.memo_usage().held;
         assert!(filed > 0);
         let second = plan.run(&bn, &pinned, &mut scratch).unwrap();
         assert_eq!(pinned.factors_taken(), plan.eliminations() as u64);
-        assert_eq!(pinned.memo_usage().0, filed, "nothing filed twice");
+        assert_eq!(pinned.memo_usage().held, filed, "nothing filed twice");
         assert_eq!(bits(&first), bits(&second));
     }
 
@@ -894,9 +844,10 @@ mod tests {
         let mut scratch = Scratch::new();
         let want = plan.run(&bn, &pinned, &mut scratch).unwrap();
         plan.run(&bn, &pinned, &mut scratch).unwrap();
-        assert!(pinned.factors_taken() > 0 && pinned.memo_usage().0 > 0);
+        assert!(pinned.factors_taken() > 0 && pinned.memo_usage().held > 0);
         let clone = pinned.clone();
-        assert_eq!(clone.memo_usage(), (0, FACTOR_ENTRIES));
+        let usage = clone.memo_usage();
+        assert_eq!((usage.held, usage.cap), (0, FACTOR_ENTRIES));
         assert_eq!(clone.factors_taken(), 0);
         let got = plan.run(&bn, &clone, &mut scratch).unwrap();
         assert_eq!(
@@ -926,15 +877,16 @@ mod tests {
             .collect();
         let first = Pinned::new(&bn, &evidence).unwrap();
         plans[0].run(&bn, &first, &mut scratch).unwrap();
-        let cap = first.memo_usage().0;
-        assert!(cap > 0 && cap < unbounded.memo_usage().0);
+        let cap = first.memo_usage().held;
+        assert!(cap > 0 && cap < unbounded.memo_usage().held);
         for bound in [0, cap] {
             let bounded = Pinned::with_cap(&bn, &evidence, bound).unwrap();
             for _ in 0..2 {
                 for (plan, want) in plans.iter().zip(&want) {
                     let got = plan.run(&bn, &bounded, &mut scratch).unwrap();
                     assert_eq!(&bits(&got), want);
-                    assert_eq!(bounded.memo_usage(), (bound, bound));
+                    let usage = bounded.memo_usage();
+                    assert_eq!((usage.held, usage.cap), (bound, bound));
                 }
             }
             if bound == 0 {

@@ -7,7 +7,9 @@
 //!   the files listed in [`UNSAFE_ALLOWLIST`]. The compiler already
 //!   rejects `unsafe` without an `#[allow(unsafe_code)]`; this rule also
 //!   covers `benchmark/`, a workspace the lint table does not reach, and
-//!   keeps the audited files in one list.
+//!   keeps the audited files in one list. An entry that names no file, or
+//!   a file without the word `unsafe`, is itself a violation, so the list
+//!   cannot outlive the code it audits.
 //! * **R3 — atomic ordering justifications.** Every atomic
 //!   `Ordering::{Relaxed,Acquire,Release,AcqRel,SeqCst}` site must carry
 //!   an `ordering:` comment on the same line or within the
@@ -33,13 +35,11 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Files allowed to contain `unsafe` (R1): the worker pool's
-/// lifetime-erasure site and the counting `GlobalAlloc`s of the plan and
-/// kernel allocation-guard tests.
+/// lifetime-erasure site and the counting `GlobalAlloc` of the
+/// allocation-guard tests.
 const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/serving/src/pool.rs",
-    "crates/core/tests/alloc_budget.rs",
-    "crates/pgm/tests/kernel_allocs.rs",
-    "crates/serving/tests/fault_allocs.rs",
+    "crates/counting-alloc/src/lib.rs",
 ];
 
 /// Atomic memory-ordering variants that constitute an R3 site.
@@ -292,6 +292,28 @@ fn rel_str(rel: &Path) -> String {
     rel.to_string_lossy().replace('\\', "/")
 }
 
+/// The entries of `allowlist` that are stale (R1): `read` gives no file
+/// for them, or a file without the word `unsafe` in its code.
+fn stale_allowlist(allowlist: &[&str], read: impl Fn(&str) -> Option<String>) -> Vec<Violation> {
+    let stale = |path: &str| {
+        read(path).is_none_or(|content| {
+            !content
+                .lines()
+                .any(|line| contains_word(code_part(line), "unsafe"))
+        })
+    };
+    allowlist
+        .iter()
+        .filter(|path| stale(path))
+        .map(|path| Violation {
+            file: path.to_string(),
+            line: 0,
+            rule: "R1/unsafe-allowlist",
+            msg: "allowlisted, but no such file holds `unsafe`: remove the entry".into(),
+        })
+        .collect()
+}
+
 /// Every violation in the repository under `root`, and the number of
 /// `.rs` files scanned.
 fn scan_repo(root: &Path) -> Result<(Vec<Violation>, usize), String> {
@@ -300,7 +322,9 @@ fn scan_repo(root: &Path) -> Result<(Vec<Violation>, usize), String> {
         .map(|p| rel_str(p))
         .collect();
     let files = collect_files(root, ".rs");
-    let mut violations = Vec::new();
+    let mut violations = stale_allowlist(UNSAFE_ALLOWLIST, |path| {
+        std::fs::read_to_string(root.join(path)).ok()
+    });
     for rel in &files {
         let path = rel_str(rel);
         let content = std::fs::read_to_string(root.join(rel))
@@ -363,6 +387,31 @@ mod tests {
         assert_eq!(
             rules("crates/junction/src/tree.rs", src),
             ["R1/unsafe-allowlist"]
+        );
+    }
+
+    #[test]
+    fn a_stale_allowlist_entry_is_flagged() {
+        let read = |path: &str| match path {
+            "crates/a/src/pool.rs" => Some("let x = unsafe { *p };\n".to_string()),
+            "crates/a/tests/allocs.rs" => Some("// unsafe was here\nfn f() {}\n".to_string()),
+            _ => None,
+        };
+        let allowlist = [
+            "crates/a/src/pool.rs",
+            "crates/a/tests/allocs.rs",
+            "crates/a/tests/gone.rs",
+        ];
+        let stale: Vec<String> = stale_allowlist(&allowlist, read)
+            .into_iter()
+            .map(|v| format!("{} {}", v.rule, v.file))
+            .collect();
+        assert_eq!(
+            stale,
+            [
+                "R1/unsafe-allowlist crates/a/tests/allocs.rs",
+                "R1/unsafe-allowlist crates/a/tests/gone.rs"
+            ]
         );
     }
 
