@@ -32,24 +32,19 @@
 //! one repetition of the whole stream, over which a row sums: requests,
 //! answers computed, operations charged and their plain-tree baseline,
 //! cache hits, faults, page-outs, the memo entries held when it ends
-//! (calibrated tables and materializations, of the engines resident then),
-//! the memo entries fault-ins resumed, the store bytes fault-ins read, the
-//! plans the materializations' plan memos hold when it ends, the
-//! answers that ran a filed plan (`plans_taken`), the answers evidence
-//! sessions sent to pruned variable elimination (`eliminated`, read from
-//! `EvidenceSession::eliminated`), the elimination steps sessions took
-//! from their pinnings' factor memos (`factors_taken`, read from
-//! `EvidenceSession::factors_taken`) — these two are 0 on every shape
-//! without sessions — and the messages passes took from the message
-//! memos of the calibrated tables and of the materializations
-//! (`messages_taken`). Every memo is read through one shape,
-//! `MemoUsage`. On `fleet_paging`, `plans_taken` and `messages_taken`
-//! count the takes of the materializations and engines resident at a
-//! batch or publish, watched until the next one. The watch misses every
-//! take of a tenant faulted in and paged out inside one batch: its engine
-//! and materialization are made and dropped between two looks. The
-//! messages a fault-in resumes count their takes from 0 on the new
-//! engine.
+//! (calibrated tables and materializations, of the engines resident then,
+//! read through each memo's `MemoUsage`), the memo entries fault-ins
+//! resumed, the store bytes fault-ins read, and the plans the
+//! materializations' plan memos hold when it ends. The rest is what the
+//! answers computed in the repetition executed, summed over each answer's
+//! own `Work`: the answers that ran a filed plan (`plans_taken`), the
+//! answers evidence sessions sent to pruned variable elimination
+//! (`eliminated`), the elimination steps they took from their pinnings'
+//! factor memos (`factors_taken`) — these two are 0 on every shape without
+//! sessions — the messages passes took from the message memos of the
+//! calibrated tables and of the materializations (`messages_taken`), the
+//! messages they computed, answers included (`messages_computed`), and
+//! the product entries their kernels walked (`entries_walked`).
 //!
 //! `repro ledger` prints the ledger and writes it to `LEDGER.json`;
 //! `--quick` shrinks every stream and writes `LEDGER.quick.json`, the file
@@ -59,7 +54,7 @@ use peanut_bench::harness::{is_quick, Prepared};
 use peanut_core::{Materialization, OfflineContext, OnlineEngine, Peanut, PeanutConfig, Workload};
 use peanut_junction::{JunctionTree, QueryEngine, RootedTree};
 use peanut_pgm::sampling::ancestral_sample;
-use peanut_pgm::{Scope, Scratch, Var};
+use peanut_pgm::{Scope, Scratch, Var, Work};
 use peanut_serving::{
     Answer, ServeOutcome, ServeRequest, ServingConfig, ServingEngine, ShardConfig,
     ShardedServingEngine, StoreConfig, TenantId,
@@ -73,7 +68,6 @@ use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::Arc;
 
 const SEED: u64 = 1;
 const DATASETS: [&str; 3] = ["HeparII", "Child", "Hailfinder"];
@@ -108,6 +102,8 @@ struct Row {
     eliminated: u64,
     factors_taken: u64,
     messages_taken: u64,
+    messages_computed: u64,
+    entries_walked: u64,
 }
 
 impl Row {
@@ -129,15 +125,34 @@ impl Row {
             }
         }
         for a in fresh {
-            self.computed += 1;
-            self.ops += u128::from(a.cost.ops);
-            self.baseline_ops += u128::from(a.baseline_ops);
+            self.computed(a.cost.ops, a.baseline_ops, &a.work);
         }
+    }
+
+    /// Adds one computed answer: its charge, its baseline and its work.
+    fn computed(&mut self, ops: u64, baseline_ops: u64, work: &Work) {
+        self.computed += 1;
+        self.ops += u128::from(ops);
+        self.baseline_ops += u128::from(baseline_ops);
+        self.plans_taken += u64::from(work.plan_taken);
+        self.eliminated += u64::from(work.eliminated);
+        self.factors_taken += work.factors_taken;
+        self.messages_taken += work.messages_taken;
+        self.messages_computed += work.messages_computed;
+        self.entries_walked += work.entries_walked;
+    }
+
+    /// The memo entries and plans an engine's tables and a
+    /// materialization hold.
+    fn memos(&mut self, engine: &QueryEngine<'_>, mat: &Materialization) {
+        self.state_memo_entries = engine.memo_usage().held as u64;
+        self.mat_memo_entries = mat.memo_usage().held as u64;
+        self.plans_held = mat.plan_usage().filed as u64;
     }
 
     fn json(&self, shape: &str) -> String {
         let mut out = format!("    {{\n      \"shape\": \"{shape}\",\n      \"seed\": {SEED}");
-        let fields: [(&str, u128); 17] = [
+        let fields: [(&str, u128); 19] = [
             ("requests", self.requests.into()),
             ("failed", self.failed.into()),
             ("answers_computed", self.computed.into()),
@@ -155,6 +170,8 @@ impl Row {
             ("eliminated", self.eliminated.into()),
             ("factors_taken", self.factors_taken.into()),
             ("messages_taken", self.messages_taken.into()),
+            ("messages_computed", self.messages_computed.into()),
+            ("entries_walked", self.entries_walked.into()),
         ];
         for (name, value) in fields {
             let _ = write!(out, ",\n      \"{name}\": {value}");
@@ -172,44 +189,6 @@ fn select(tree: &JunctionTree, engine: &QueryEngine<'_>, train: &[Scope]) -> Mat
     Peanut::offline_numeric(&ctx, &cfg, numeric)
         .expect("shortcut tables fit")
         .0
-}
-
-/// The plans and the messages an engine's tables' and a
-/// materialization's memos took.
-fn taken(engine: &QueryEngine<'_>, mat: &Materialization) -> (u64, u64) {
-    let messages = mat.memo_usage().taken + engine.memo_usage().taken;
-    (mat.plan_usage().taken, messages)
-}
-
-/// The takes of a fleet's memos (module docs): the owners resident at one
-/// boundary of the stream are held to the next, and one first seen at a
-/// boundary was made since the last, so every take it counted counts.
-struct Watch<T> {
-    held: Vec<(Arc<T>, u64)>,
-    taken: u64,
-}
-
-impl<T> Watch<T> {
-    fn new() -> Self {
-        Watch {
-            held: Vec::new(),
-            taken: 0,
-        }
-    }
-
-    fn boundary(&mut self, now: Vec<Arc<T>>, taken: impl Fn(&T) -> u64) {
-        let before = std::mem::take(&mut self.held);
-        for (seen, at) in &before {
-            self.taken += taken(seen) - at;
-        }
-        for owner in now {
-            let count = taken(&owner);
-            if !before.iter().any(|(seen, _)| Arc::ptr_eq(seen, &owner)) {
-                self.taken += count;
-            }
-            self.held.push((owner, count));
-        }
-    }
 }
 
 /// A seed per tenant and stream.
@@ -314,21 +293,8 @@ fn fleet_paging(quick: bool, store_dir: &Path) -> Row {
             row.store_bytes_read += sizes[&(t, newest[t])];
         }
     };
-    // the plans and messages the materializations' memos took, and the
-    // messages the engines' tables' memos took
-    let (mut mat_plans, mut mat_messages, mut state_messages) =
-        (Watch::new(), Watch::new(), Watch::new());
-    let mut watch = || {
-        let engines: Vec<_> = fleet.tenants().into_iter().map(|(_, e)| e).collect();
-        let mats: Vec<_> = engines.iter().map(|e| e.materialization()).collect();
-        mat_plans.boundary(mats.clone(), |m| m.plan_usage().taken);
-        mat_messages.boundary(mats, |m| m.memo_usage().taken);
-        state_messages.boundary(engines, |e| e.engine().memo_usage().taken);
-        (mat_plans.taken, mat_messages.taken + state_messages.taken)
-    };
     let mut serve = |row: &mut Row, range: std::ops::Range<usize>| {
         for b in range {
-            watch();
             if b % publish_every == 0 && b > 0 {
                 // tenants in turn, alternating between their two
                 let turn = b / publish_every - 1;
@@ -339,7 +305,6 @@ fn fleet_paging(quick: bool, store_dir: &Path) -> Row {
                 let engine = fleet.tenant(id).expect("tenant faults in");
                 newest[t] = engine.publish(mats[t][which].clone());
                 sizes.insert((t, newest[t]), size(t, newest[t]));
-                watch();
             }
             let batch = &arrivals[b * BATCH..(b + 1) * BATCH];
             let touched: Vec<TenantId> = batch.iter().map(|(id, _)| *id).collect();
@@ -347,14 +312,12 @@ fn fleet_paging(quick: bool, store_dir: &Path) -> Row {
             let (outcomes, stats) = fleet.serve_mixed(batch);
             row.served(&outcomes, stats.cache_hits);
         }
-        watch()
     };
     // warm-up: an eighth of the stream, before any publish
-    let warm = serve(&mut Row::default(), 0..batches / 8);
+    serve(&mut Row::default(), 0..batches / 8);
     let mut row = Row::default();
     let before = fleet.paging_stats();
-    let (plans, messages) = serve(&mut row, 0..batches);
-    (row.plans_taken, row.messages_taken) = (plans - warm.0, messages - warm.1);
+    serve(&mut row, 0..batches);
     let after = fleet.paging_stats();
     assert_eq!(
         row.faults,
@@ -370,7 +333,6 @@ fn fleet_paging(quick: bool, store_dir: &Path) -> Row {
         row.mat_memo_entries += mat.memo_usage().held as u64;
         row.plans_held += mat.plan_usage().filed as u64;
     }
-    drop((mat_plans, mat_messages, state_messages));
     drop(fleet);
     let _ = std::fs::remove_dir_all(store_dir);
     row
@@ -419,31 +381,23 @@ fn direct(model: &Prepared, train: &[Scope], stream: &[Scope], warm: usize) -> R
     let engine = QueryEngine::numeric(tree, &model.bn).expect("tables fit");
     let mat = select(tree, &engine, train);
     let online = OnlineEngine::new(&engine, &mat);
-    let symbolic = QueryEngine::symbolic(tree);
     let mut scratch = Scratch::new();
     let mut row = Row::default();
-    let mut answer = |row: &mut Row, q: &Scope| match online.answer_in(q, &mut scratch) {
-        Ok((p, cost)) => {
-            row.computed += 1;
-            row.ops += u128::from(cost.ops);
-            row.baseline_ops += u128::from(symbolic.cost(q).expect("query fits").ops);
-            scratch.recycle(p);
+    let mut answer = |row: &mut Row, q: &Scope| match online.answer_traced_in(q, &mut scratch) {
+        Ok(t) => {
+            row.computed(t.cost.ops, t.baseline_ops, &t.work);
+            scratch.recycle(t.potential);
         }
         Err(_) => row.failed += 1,
     };
     for q in &stream[..warm] {
         answer(&mut Row::default(), q);
     }
-    let before = taken(&engine, &mat);
     for q in stream {
         row.requests += 1;
         answer(&mut row, q);
     }
-    row.state_memo_entries = engine.memo_usage().held as u64;
-    row.mat_memo_entries = mat.memo_usage().held as u64;
-    row.plans_held = mat.plan_usage().filed as u64;
-    let (plans, messages) = taken(&engine, &mat);
-    (row.plans_taken, row.messages_taken) = (plans - before.0, messages - before.1);
+    row.memos(&engine, &mat);
     row
 }
 
@@ -476,22 +430,6 @@ fn distinct_requests(
     requests
 }
 
-/// The plans and the messages a serving engine's memos took.
-fn serving_taken(serving: &ServingEngine<'_>) -> (u64, u64) {
-    taken(serving.engine(), &serving.materialization())
-}
-
-/// The memo entries and plans of a serving engine's tables and
-/// materialization, and the plans and messages taken since `before`.
-fn serving_usage(row: &mut Row, serving: &ServingEngine<'_>, before: (u64, u64)) {
-    let mat = serving.materialization();
-    row.state_memo_entries = serving.engine().memo_usage().held as u64;
-    row.mat_memo_entries = mat.memo_usage().held as u64;
-    row.plans_held = mat.plan_usage().filed as u64;
-    let (plans, messages) = serving_taken(serving);
-    (row.plans_taken, row.messages_taken) = (plans - before.0, messages - before.1);
-}
-
 fn serve_repeat(quick: bool) -> Row {
     const POOL: usize = 1024;
     let (train, batches) = if quick { (500, 32) } else { (2_000, 256) };
@@ -518,13 +456,12 @@ fn serve_repeat(quick: bool) -> Row {
     for batch in warm.chunks(BATCH) {
         serving.serve_batch(batch);
     }
-    let before = serving_taken(&serving);
     let mut row = Row::default();
     for batch in stream.chunks(BATCH) {
         let (outcomes, stats) = serving.serve_batch(batch);
         row.served(&outcomes, stats.cache_hits);
     }
-    serving_usage(&mut row, &serving, before);
+    row.memos(serving.engine(), &serving.materialization());
     row
 }
 
@@ -542,13 +479,12 @@ fn serve_distinct(quick: bool) -> Row {
     for batch in warm.chunks(BATCH) {
         serving.serve_batch(batch);
     }
-    let before = serving_taken(&serving);
     let mut row = Row::default();
     for batch in stream.chunks(BATCH) {
         let (outcomes, stats) = serving.serve_batch(batch);
         row.served(&outcomes, stats.cache_hits);
     }
-    serving_usage(&mut row, &serving, before);
+    row.memos(serving.engine(), &serving.materialization());
     row
 }
 
@@ -609,16 +545,13 @@ fn evidence_sessions(quick: bool) -> Row {
             row.served(std::slice::from_ref(&first), 0);
             let (outcomes, stats) = session.serve_batch(&targets[1..]);
             row.served(&outcomes, stats.cache_hits);
-            row.eliminated += session.eliminated();
-            row.factors_taken += session.factors_taken();
         }
     };
     let (warm, stream) = inputs.split_at(sessions / 8);
     serve(&mut Row::default(), warm);
-    let before = serving_taken(&serving);
     let mut row = Row::default();
     serve(&mut row, stream);
-    serving_usage(&mut row, &serving, before);
+    row.memos(serving.engine(), &serving.materialization());
     row
 }
 

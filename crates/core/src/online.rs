@@ -52,7 +52,7 @@ use peanut_junction::tree::CliqueId;
 use peanut_junction::{
     MessageMemo, NodeLabel, QueryAnatomy, QueryEngine, QueryPlan, ReducedTree, SteinerTree,
 };
-use peanut_pgm::{Domain, MemoUsage, PgmError, Potential, Scope, Scratch, Size};
+use peanut_pgm::{Domain, MemoUsage, PgmError, Potential, Scope, Scratch, Size, Work};
 
 /// A shortcut potential chosen for materialization.
 #[derive(Clone, Debug)]
@@ -166,10 +166,15 @@ impl Materialization {
 pub struct TracedAnswer {
     /// `P(query)` (or `P(targets | evidence)`).
     pub potential: Potential,
-    /// Cost actually charged, shortcuts included.
+    /// Cost actually charged, shortcuts included: the paper's count.
     pub cost: QueryCost,
     /// Operation count of the same query on the plain junction tree.
     pub baseline_ops: Size,
+    /// What the answer's own pass executed: messages computed and taken,
+    /// product entries walked, whether its plan came from the plan memo
+    /// (and, for a session's answer by elimination, the factor-memo steps
+    /// it took). Unlike `cost`, it moves with what the memos hold.
+    pub work: Work,
 }
 
 /// What [`OnlineEngine::planned`] hands every entry point that plans.
@@ -344,7 +349,10 @@ impl<'e, 't> OnlineEngine<'e, 't> {
     ///
     /// The plan comes from the materialization's plan memo when it holds
     /// one for this exact scope; otherwise it is planned, hung from its
-    /// cheapest root, run, and — once the answer succeeded — filed.
+    /// cheapest root, run, and — once the answer succeeded — filed. The
+    /// answer's [`work`](TracedAnswer::work) says which, with what its
+    /// pass executed; an answer inside one clique computes one message,
+    /// walking the clique's table.
     pub fn answer_traced_in(
         &self,
         query: &Scope,
@@ -355,25 +363,32 @@ impl<'e, 't> OnlineEngine<'e, 't> {
             Some(run) => (run, true),
             None => (self.runnable(query)?, false),
         };
-        let (potential, cost, baseline_ops) = match &run {
+        let (potential, cost, baseline_ops, mut work) = match &run {
             Runnable::InClique(u) => {
                 let ns = self.engine.numeric_state();
                 let table = ns.ok_or(PgmError::SymbolicEngine)?.clique_table(*u);
                 let cost = QueryCost::in_clique(tree.clique(*u), tree.domain());
-                (table.marginalize_in(query, scratch)?, cost, cost.ops)
+                let work = Work {
+                    messages_computed: 1,
+                    entries_walked: table.len() as Size,
+                    ..Work::default()
+                };
+                (table.marginalize_in(query, scratch)?, cost, cost.ops, work)
             }
             Runnable::Tree(plan, cost, baseline_ops) => {
-                let potential = plan.run_in(query, tree.domain(), scratch)?;
-                (potential, *cost, *baseline_ops)
+                let (potential, work) = plan.run_in(query, tree.domain(), scratch)?;
+                (potential, *cost, *baseline_ops, work)
             }
         };
         if !taken {
             self.mat.plans.file(query, run.filed());
         }
+        work.plan_taken = taken;
         Ok(TracedAnswer {
             potential,
             cost,
             baseline_ops,
+            work,
         })
     }
 
@@ -445,17 +460,18 @@ impl<'e, 't> OnlineEngine<'e, 't> {
         evidence: &[(peanut_pgm::Var, u32)],
         scratch: &mut Scratch,
     ) -> Result<TracedAnswer, PgmError> {
-        let mut baseline_ops: Size = 0;
+        let (mut baseline_ops, mut work) = (0, Work::default());
         let (potential, cost) =
             peanut_junction::query::conditional_from_joint(targets, evidence, scratch, |q, s| {
                 let t = self.answer_traced_in(q, s)?;
-                baseline_ops = t.baseline_ops;
+                (baseline_ops, work) = (t.baseline_ops, t.work);
                 Ok((t.potential, t.cost))
             })?;
         Ok(TracedAnswer {
             potential,
             cost,
             baseline_ops,
+            work,
         })
     }
 

@@ -99,7 +99,9 @@
 //! would compute on any plan over the same tables (the memo module's
 //! docs). A plan's root message, the answer or a region's table, is never
 //! filed. The charge is untouched: a taken message is still counted in
-//! `QueryCost.ops`.
+//! `QueryCost.ops`. What a pass executed — the messages it computed and
+//! took, and the product entries its kernels walked — is the [`Work`]
+//! [`ReducedTree::run_in`] returns beside the answer.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
@@ -111,7 +113,7 @@ use crate::steiner::SteinerTree;
 use crate::tree::{CliqueId, JunctionTree};
 use peanut_pgm::{
     div_assign_bcast, product_marginalize_views, table_size, Domain, PgmError, Potential, Scope,
-    Scratch, Size, TableRef,
+    Scratch, Size, TableRef, Work,
 };
 use std::sync::Arc;
 
@@ -490,7 +492,7 @@ impl<'a> ReducedTree<'a> {
     ) -> Result<(Potential, QueryCost), PgmError> {
         let (rehung, cost) = self.hung_cheapest(query, domain);
         let plan = rehung.as_ref().unwrap_or(self);
-        Ok((plan.run_in(query, domain, scratch)?, cost))
+        Ok((plan.run_in(query, domain, scratch)?.0, cost))
     }
 
     /// The first half of [`answer_in`](Self::answer_in): this plan re-hung
@@ -511,14 +513,15 @@ impl<'a> ReducedTree<'a> {
 
     /// The second half of [`answer_in`](Self::answer_in): the numeric pass
     /// toward this plan's own root, whatever root that is, through the
-    /// memos it carries; a size-only plan fails with
-    /// [`PgmError::SymbolicEngine`].
+    /// memos it carries, and what it executed: the messages it computed
+    /// and took, and the product entries its kernels walked. A size-only
+    /// plan fails with [`PgmError::SymbolicEngine`].
     pub fn run_in(
         &self,
         query: &Scope,
         domain: &Domain,
         scratch: &mut Scratch,
-    ) -> Result<Potential, PgmError> {
+    ) -> Result<(Potential, Work), PgmError> {
         let memo = self.memo.ok_or(PgmError::SymbolicEngine)?;
         // the pass reads sizes and the query variables held below, which a
         // rooting's own walk counts
@@ -601,7 +604,7 @@ impl<'a> ReducedTree<'a> {
 
     /// The numeric pass toward this plan's root that
     /// [`answer_in`](Self::answer_in) and [`region_joints`] share, given
-    /// the counts of this rooting, through `memo`.
+    /// the counts of this rooting, through `memo`, and what it executed.
     fn pass(
         &self,
         memo: &MessageMemo,
@@ -609,8 +612,9 @@ impl<'a> ReducedTree<'a> {
         anatomy: &QueryAnatomy,
         domain: &Domain,
         scratch: &mut Scratch,
-    ) -> Result<Potential, PgmError> {
+    ) -> Result<(Potential, Work), PgmError> {
         let mut recall = Recall::new(self, memo, query, anatomy, domain);
+        let mut work = Work::default();
         // the post-order keeps subtrees contiguous and runs a node's children
         // last to first, so its incoming messages are the top of this stack,
         // the first child's uppermost
@@ -622,11 +626,14 @@ impl<'a> ReducedTree<'a> {
             match &recall.slots[u].step {
                 Step::Send => {}
                 Step::Known(message) => {
+                    work.messages_taken += 1;
                     messages.push(Sent::Taken(Arc::clone(message)));
                     continue;
                 }
                 Step::Skip => continue,
             }
+            work.messages_computed += 1;
+            work.entries_walked += recall.slots[u].product;
             // what goes up: the separator with the parent plus the query
             // variables held below — from the root, the answer itself
             let target = match n.parent {
@@ -654,7 +661,7 @@ impl<'a> ReducedTree<'a> {
             // the root closes the post-order, and its message is the answer
             if u == self.root {
                 recall.file();
-                return Ok(message);
+                return Ok((message, work));
             }
             if let Some(sep) = n.sep_to_parent {
                 let (scope, cards, values) = message.parts_mut();
@@ -928,7 +935,8 @@ pub fn region_joints(
             }
             let plan = ReducedTree::from_members(tree, rooted, members, root, Some(numeric));
             let anatomy = plan.anatomy(scope, tree.domain());
-            let joint = plan.pass(numeric.memo(), scope, &anatomy, tree.domain(), &mut scratch)?;
+            let (joint, _) =
+                plan.pass(numeric.memo(), scope, &anatomy, tree.domain(), &mut scratch)?;
             // the kernel may have written into a larger pooled buffer, and
             // the table outlives the call (a whole epoch): keep a copy that
             // holds only its entries
@@ -999,6 +1007,8 @@ struct Slot {
     size: usize,
     /// Product entries the kernels of the node's subtree walk.
     walked: Size,
+    /// Product entries the node's own kernel walks.
+    product: Size,
     /// Whether the node's subtree holds only cliques.
     plain: bool,
     /// The node's key in [`Recall::keys`], when a memo may file its
@@ -1020,6 +1030,7 @@ impl<'m> Recall<'m> {
             step: Step::Send,
             size: 1,
             walked: 0,
+            product: 0,
             plain: true,
             key: None,
         };
@@ -1030,6 +1041,7 @@ impl<'m> Recall<'m> {
             let node = &plan.nodes[u];
             let product = anatomy.carried(u, anatomy.size(u), node.scope, query, domain);
             let slot = &mut slots[u];
+            slot.product = product;
             slot.walked = slot.walked.saturating_add(product);
             slot.plain &= matches!(node.label, NodeLabel::Clique(_));
             let (size, walked, plain) = (slot.size, slot.walked, slot.plain);
@@ -1448,8 +1460,8 @@ mod tests {
                 let shape = plan.shape();
                 let rebuilt = ReducedTree::from_shape(&tree, &rooted, &shape, Some(&ns), lend).unwrap();
                 assert_same_tree(&rebuilt, plan);
-                let (a, b) = (plan.run_in(&q, tree.domain(), &mut Scratch::new()).unwrap(),
-                    rebuilt.run_in(&q, tree.domain(), &mut Scratch::new()).unwrap());
+                let (a, b) = (plan.run_in(&q, tree.domain(), &mut Scratch::new()).unwrap().0,
+                    rebuilt.run_in(&q, tree.domain(), &mut Scratch::new()).unwrap().0);
                 let bits = |p: &Potential| p.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&a), bits(&b));
                 if plan.shortcuts_used() > 0 {
@@ -1511,7 +1523,7 @@ mod tests {
         let sends = recall.slots.iter().filter(|s| matches!(s.step, Step::Send));
         let kernels = sends.count();
         let table = plan.pass(ns.memo(), scope, &anatomy, d, &mut Scratch::new());
-        (kernels, table.unwrap())
+        (kernels, table.unwrap().0)
     }
 
     /// The memo fires exactly where the key says it may: over tables that
@@ -1676,7 +1688,7 @@ mod tests {
         });
         let taken = taken.collect();
         let answer = plan.pass(ns.memo(), q, &anatomy, d, &mut Scratch::new());
-        (taken, answer.unwrap())
+        (taken, answer.unwrap().0)
     }
 
     /// What `ns`'s memo holds for the message node `i` of the plain plan
@@ -2202,6 +2214,7 @@ mod tests {
         let memo = MessageMemo::with_cap(0);
         plan.pass(&memo, q, &anatomy, d, &mut Scratch::new())
             .unwrap()
+            .0
     }
 
     /// Checks every rooting of `plan` for `q` against the root choice, and

@@ -26,7 +26,8 @@
 //! * [`io`] — plain-text model serialization, so users can export the
 //!   synthetic datasets or import their own networks;
 //! * [`memo`] — the one bounded, never-evicting cache every memo of the
-//!   workspace holds ([`ExactMemo`]).
+//!   workspace holds ([`ExactMemo`]), and [`Work`], what one answer's pass
+//!   executed.
 
 #[cfg(test)]
 mod difftests;
@@ -46,7 +47,7 @@ pub mod var;
 
 pub use domain::Domain;
 pub use error::PgmError;
-pub use memo::{ExactMemo, MemoUsage};
+pub use memo::{ExactMemo, MemoUsage, Work};
 pub use network::{BayesianNetwork, NetworkBuilder};
 pub use potential::{
     div_assign_bcast, divide_views, mul_assign_bcast, product_marginalize_views, product_onto,

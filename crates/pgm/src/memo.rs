@@ -65,6 +65,31 @@ pub struct MemoUsage {
     pub taken: u64,
 }
 
+/// What one answer's own pass executed, counted where the work happens —
+/// the junction tree's pass, the plan memo's lookup, a variable-elimination
+/// run — and carried with the answer. The memos count their takes too
+/// ([`MemoUsage::taken`]): between two reads of a memo that only answers
+/// read (no region build of a re-selection, say), the takes summed over
+/// the answers computed equal its count.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Work {
+    /// Messages the pass computed, the root's — the answer — included; an
+    /// answer inside one table computes one.
+    pub messages_computed: u64,
+    /// Messages the pass took from a message memo, the calibrated tables'
+    /// or a materialization's.
+    pub messages_taken: u64,
+    /// Product entries the kernels walked: per message computed, or per
+    /// elimination step computed, the entries of the product it sums.
+    pub entries_walked: Size,
+    /// Whether the plan came from a materialization's plan memo.
+    pub plan_taken: bool,
+    /// Whether the answer was computed by pruned variable elimination.
+    pub eliminated: bool,
+    /// Elimination steps taken from a pinning's factor memo.
+    pub factors_taken: u64,
+}
+
 /// A bounded, never-evicting cache with an exact key ([module
 /// docs](self)).
 pub struct ExactMemo<K, V> {

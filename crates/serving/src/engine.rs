@@ -63,7 +63,7 @@ use peanut_core::{
 };
 use peanut_junction::cost::QueryCost;
 use peanut_junction::{MessageMemo, QueryEngine};
-use peanut_pgm::{PgmError, Potential, Size};
+use peanut_pgm::{PgmError, Potential, Size, Work};
 use peanut_store::StoreConfig;
 use std::collections::VecDeque;
 use std::hash::RandomState;
@@ -84,6 +84,12 @@ pub struct Answer {
     /// charged for the same query — the baseline the epoch's observed
     /// benefit is measured against.
     pub baseline_ops: Size,
+    /// What the computation's own pass executed: messages computed and
+    /// taken from the message memos, product entries walked, whether the
+    /// plan came from the plan memo, and, for a session's answer by
+    /// elimination, the steps taken from the factor memo
+    /// ([`TracedAnswer::work`](peanut_core::TracedAnswer::work)).
+    pub work: Work,
     /// Materialization epoch this answer was computed under.
     pub epoch: u64,
     /// Time spent computing this answer when it was first computed —

@@ -158,7 +158,7 @@ impl<'a, 't> BatchRun<'a, 't> {
     /// Computes unique request `u` — the paper's online routine (Steiner
     /// tree, shortcut substitution, reduce) through an [`OnlineEngine`],
     /// or a session's door. Touches no shared state but a session's lazily
-    /// built restricted tree and its tally: workers of one wave never
+    /// built restricted tree and the memos: workers of one wave never
     /// contend otherwise.
     pub(crate) fn compute(&self, u: usize, scratch: &mut Scratch) -> Computed {
         let t = Instant::now();
@@ -175,6 +175,7 @@ impl<'a, 't> BatchRun<'a, 't> {
             potential: traced.potential,
             cost: traced.cost,
             baseline_ops: traced.baseline_ops,
+            work: traced.work,
             epoch: self.bstats.epoch,
             service_time: t.elapsed(),
         }))

@@ -37,7 +37,11 @@
 //! configuration of probability zero), which is then also where impossible
 //! evidence is caught. A target that names an evidence variable
 //! always takes the tree, whose answer keeps that variable in its scope.
-//! [`EvidenceSession::eliminated`] counts the answers sent to elimination.
+//! An answer sent to elimination says so in its work
+//! ([`Answer::work`](crate::Answer::work)'s `eliminated`). A joint that
+//! sums to zero — `P(e) > 0` at open, yet every entry of the target's
+//! joint underflowing — fails with [`PgmError::ImpossibleEvidence`], as
+//! the per-query conditional path does, on either route.
 //!
 //! Both routes answer on the *plain* model, without shortcuts:
 //! materialized shortcut potentials hold prior-joint marginals, which are
@@ -65,8 +69,8 @@
 //! still charged its plan's full count ([`VePlan::ops`]), so route choice
 //! and the reported operations do not depend on what the memo holds.
 //! The memo is bounded by one entry count, never evicts, and is dropped
-//! with the session; [`EvidenceSession::factors_taken`] counts the steps
-//! it served.
+//! with the session; each answer's work counts the steps it took
+//! (`factors_taken`).
 //!
 //! The restricted tables carry their own message memo
 //! (`peanut_junction::reduced`, "The message memo"), empty when built: the
@@ -91,7 +95,6 @@
 use crate::engine::{BatchStats, ServingEngine};
 use crate::overload::ServeOutcome;
 use crate::pipeline::Target;
-use peanut_core::sync::atomic::{AtomicU64, Ordering};
 use peanut_core::sync::{Arc, OnceLock};
 use peanut_core::{Materialization, OnlineEngine, ServeRequest, TracedAnswer};
 use peanut_junction::cost::QueryCost;
@@ -134,8 +137,6 @@ pub(crate) struct Door<'t> {
     evidence: Vec<(Var, u32)>,
     /// The evidence-restricted, re-calibrated tree, built on first need.
     restricted: OnceLock<Restricted<'t>>,
-    /// Answers sent to pruned variable elimination.
-    eliminated: AtomicU64,
 }
 
 /// The restricted tree, or why it could not be built: then a table-less
@@ -161,8 +162,10 @@ impl<'t> Door<'t> {
             })
     }
 
-    /// `P(targets | e)` by the cheaper route, with the charged count and
-    /// the plain tree's.
+    /// `P(targets | e)` by the cheaper route, with the charged count, the
+    /// plain tree's, and what the route executed. A joint that sums to
+    /// zero — `P(e) > 0` at open, yet every entry underflowing — fails
+    /// with [`PgmError::ImpossibleEvidence`], as the conditional door does.
     pub(crate) fn answer(
         &self,
         mat: &Materialization,
@@ -170,34 +173,40 @@ impl<'t> Door<'t> {
         scratch: &mut Scratch,
     ) -> Result<TracedAnswer, PgmError> {
         let baseline_ops = self.plain.cost(targets)?.ops;
-        if let Some((bn, pinned)) = &self.pinned {
-            if !targets.iter().any(|v| pinned.is_pinned(v)) {
+        let eliminated = match &self.pinned {
+            Some((bn, pinned)) if !targets.iter().any(|v| pinned.is_pinned(v)) => {
                 let plan = VePlan::new(bn, pinned, targets)?;
-                if plan.ops() < baseline_ops {
-                    let mut potential = plan.run(bn, pinned, scratch)?;
-                    // open checked P(e) > 0, so the joint has mass
-                    potential.normalize();
-                    // ordering: a tally read once the batch is back; Relaxed
-                    self.eliminated.fetch_add(1, Ordering::Relaxed);
-                    return Ok(TracedAnswer {
-                        potential,
-                        cost: QueryCost {
-                            ops: plan.ops(),
-                            messages: 0,
-                            shortcuts_used: 0,
-                        },
-                        baseline_ops,
-                    });
+                (plan.ops() < baseline_ops).then_some((plan, bn, pinned))
+            }
+            _ => None,
+        };
+        let mut traced = match eliminated {
+            Some((plan, bn, pinned)) => {
+                let (potential, work) = plan.run(bn, pinned, scratch)?;
+                let cost = QueryCost {
+                    ops: plan.ops(),
+                    ..QueryCost::default()
+                };
+                TracedAnswer {
+                    potential,
+                    cost,
+                    baseline_ops,
+                    work,
                 }
             }
+            None => {
+                let restricted = self.restricted();
+                if let Some(e) = &restricted.failed {
+                    return Err(e.clone());
+                }
+                OnlineEngine::new(&restricted.engine, mat).answer_traced_in(targets, scratch)?
+            }
+        };
+        // the joint sums to P(e): nothing to condition on when every entry
+        // underflowed to zero
+        if traced.potential.normalize() <= 0.0 {
+            return Err(PgmError::ImpossibleEvidence(self.evidence.clone()));
         }
-        let restricted = self.restricted();
-        if let Some(e) = &restricted.failed {
-            return Err(e.clone());
-        }
-        let online = OnlineEngine::new(&restricted.engine, mat);
-        let mut traced = online.answer_traced_in(targets, scratch)?;
-        traced.potential.normalize();
         Ok(traced)
     }
 }
@@ -243,7 +252,6 @@ impl<'t> ServingEngine<'t> {
             pinned,
             evidence,
             restricted,
-            eliminated: AtomicU64::new(0),
         });
         Ok(EvidenceSession {
             serving: self,
@@ -277,23 +285,6 @@ impl<'s, 't> EvidenceSession<'s, 't> {
     /// answer fail with the build's error.
     pub fn engine(&self) -> &QueryEngine<'t> {
         &self.door.restricted().engine
-    }
-
-    /// The answers this session sent to pruned variable elimination, of
-    /// every target it computed (coalesced duplicates count once).
-    pub fn eliminated(&self) -> u64 {
-        // ordering: a tally; the batches that fed it have returned
-        self.door.eliminated.load(Ordering::Relaxed)
-    }
-
-    /// The elimination steps this session took from its pinning's factor
-    /// memo instead of computing them (module docs, "The factor memo"); 0
-    /// when the engine holds no CPTs.
-    pub fn factors_taken(&self) -> u64 {
-        self.door
-            .pinned
-            .as_ref()
-            .map_or(0, |(_, pinned)| pinned.factors_taken())
     }
 
     /// Serves one marginal `P(targets | evidence)` under the pinned
@@ -417,6 +408,90 @@ mod tests {
         // joint targets∪evidence scope the per-query path would log
         let counts = stats.scope_counts();
         assert_eq!(counts, vec![(t, 2)]);
+    }
+
+    /// `x0 → x1 → x2 → x3 → x4`, `P(x1 = 0 | x0) = ¾`, and
+    /// `P(x2 = 1 | x1)` the least subnormal, 2⁻¹⁰⁷⁴; `x3` and `x4` copy
+    /// their parents. Under `x2 = 1`, `P(e)` rounds to that subnormal, but
+    /// `P(x0, e)` is under half of it in each entry and rounds to zero.
+    fn underflowing_chain() -> (peanut_pgm::BayesianNetwork, Vec<Var>) {
+        let tiny = f64::from_bits(1);
+        let mut b = peanut_pgm::NetworkBuilder::new();
+        let x: Vec<Var> = (0..5).map(|i| b.var(&format!("x{i}"), 2)).collect();
+        b.cpt(x[0], &[], &[&[0.5, 0.5]]).unwrap();
+        b.cpt(x[1], &[x[0]], &[&[0.75, 0.25], &[0.75, 0.25]])
+            .unwrap();
+        b.cpt(x[2], &[x[1]], &[&[1.0, tiny], &[1.0, tiny]]).unwrap();
+        let copy: &[&[f64]] = &[&[1.0, 0.0], &[0.0, 1.0]];
+        b.cpt(x[3], &[x[0]], copy).unwrap();
+        b.cpt(x[4], &[x[3]], copy).unwrap();
+        (b.build().unwrap(), x)
+    }
+
+    /// A target whose joint with the evidence underflows to zero in every
+    /// entry, though `P(e)` does not, fails closed with
+    /// [`PgmError::ImpossibleEvidence`] on either route, as the
+    /// conditional door does, instead of serving a table of zeros.
+    #[test]
+    fn an_underflowing_joint_fails_closed_on_both_routes() {
+        let (bn, x) = underflowing_chain();
+        let serving = serving_for(&bn);
+        let session = serving.open_session(vec![(x[2], 1)]).unwrap();
+        let door = &session.door;
+        let (net, pinned) = door.pinned.as_ref().expect("CPTs recovered");
+        let by_ve = |t: &Scope| {
+            let plan = VePlan::new(net, pinned, t).unwrap();
+            plan.ops() < door.plain.cost(t).unwrap().ops
+        };
+        let (tree, ve) = (Scope::singleton(x[0]), Scope::from_iter([x[0], x[4]]));
+        assert!(!by_ve(&tree) && by_ve(&ve), "one target per route");
+        for t in [tree, ve] {
+            let outcome = session.serve_one(&t);
+            assert!(
+                matches!(outcome.failure(), Some(PgmError::ImpossibleEvidence(_))),
+                "{t}: {outcome:?}"
+            );
+        }
+    }
+
+    /// Summed over the answers a Hailfinder session computed, the steps
+    /// they say they took from the factor memo are the pinning's own count
+    /// of its takes, and each answer by elimination says so.
+    #[test]
+    fn summed_work_equals_the_factor_memos_takes() {
+        let bn = peanut_datasets::dataset("Hailfinder")
+            .unwrap()
+            .build()
+            .unwrap();
+        let serving = serving_for(&bn);
+        let evidence: Vec<(Var, u32)> = [7u32, 23, 41].map(|v| (Var(v), 0)).into();
+        let session = serving.open_session(evidence).unwrap();
+        let pinned = &session.door.pinned.as_ref().expect("CPTs recovered").1;
+        let before = pinned.factors_taken();
+        let n = bn.n_vars() as u32;
+        let mut targets: Vec<Scope> = (0..n)
+            .map(|a| Scope::from_indices(&[a, (a * 7 + 3) % n]))
+            .filter(|t| t.len() == 2 && !t.iter().any(|v| pinned.is_pinned(v)))
+            .collect();
+        targets.sort_unstable();
+        targets.dedup();
+        // each target twice: duplicates coalesce onto one computation
+        let batch: Vec<Scope> = targets.iter().chain(&targets).cloned().collect();
+        let (outcomes, _) = session.serve_batch(&batch);
+        let mut computed: Vec<&Arc<crate::Answer>> = Vec::new();
+        for served in outcomes.iter().map(|o| o.served().expect("served")) {
+            if !computed.iter().any(|a| Arc::ptr_eq(a, &served.answer)) {
+                computed.push(&served.answer);
+            }
+        }
+        assert_eq!(computed.len(), targets.len());
+        let taken: u64 = computed.iter().map(|a| a.work.factors_taken).sum();
+        assert_eq!(taken, pinned.factors_taken() - before);
+        let eliminated = computed.iter().filter(|a| a.work.eliminated);
+        assert!(taken > 0 && eliminated.count() > targets.len() / 2);
+        for a in computed {
+            assert_eq!(a.work.eliminated, a.cost.ops < a.baseline_ops, "{a:?}");
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@
 use peanut_pgm::memo::Weigh;
 use peanut_pgm::{
     product_marginalize_views, BayesianNetwork, ExactMemo, PgmError, Potential, Scope, Scratch,
-    Size, TableRef, Var,
+    Size, TableRef, Var, Work,
 };
 use std::sync::Arc;
 
@@ -208,7 +208,7 @@ impl Pinned {
         bn: &BayesianNetwork,
         scratch: &mut Scratch,
     ) -> Result<f64, PgmError> {
-        let joint = VePlan::new(bn, self, &Scope::empty())?.run(bn, self, scratch)?;
+        let (joint, _) = VePlan::new(bn, self, &Scope::empty())?.run(bn, self, scratch)?;
         Ok(joint.values()[0])
     }
 
@@ -294,6 +294,8 @@ struct Step {
     end: usize,
     /// The scope it sums onto.
     keep: Scope,
+    /// Entries of the product it sums.
+    product: Size,
 }
 
 /// A pruned variable-elimination plan for `P(targets, e)`: the steps, each
@@ -433,6 +435,7 @@ impl VePlan {
             plan.steps.push(Step {
                 end: plan.inputs.len(),
                 keep: Scope::from_iter(ones(&row).map(|i| locals[i])),
+                product: table,
             });
             let f = factor_input.len();
             factor_input.push(made);
@@ -458,10 +461,12 @@ impl VePlan {
             }
             plan.inputs.push(factor_input[f]);
         }
-        plan.charge(size_of(&row, None), live.len());
+        let product = size_of(&row, None);
+        plan.charge(product, live.len());
         plan.steps.push(Step {
             end: plan.inputs.len(),
             keep: targets.clone(),
+            product,
         });
         Ok(plan)
     }
@@ -485,7 +490,9 @@ impl VePlan {
     }
 
     /// Runs the plan: `P(targets, e)`, unnormalized, over the sorted
-    /// targets. `bn` and `pinned` must be the ones it was planned with.
+    /// targets, and what the run executed — eliminated, the steps it took
+    /// from the memo and the product entries of those it computed. `bn`
+    /// and `pinned` must be the ones it was planned with.
     /// Each step but the last is taken from `pinned`'s memo where it is
     /// filed, and filed there once computed while it fits (module docs,
     /// "The factor memo"); filed tables are held by the memo, not
@@ -497,9 +504,13 @@ impl VePlan {
         bn: &BayesianNetwork,
         pinned: &Pinned,
         scratch: &mut Scratch,
-    ) -> Result<Potential, PgmError> {
+    ) -> Result<(Potential, Work), PgmError> {
+        let mut work = Work {
+            eliminated: true,
+            ..Work::default()
+        };
         let Some((last, steps)) = self.steps.split_last() else {
-            return Ok(Potential::scalar(1.0));
+            return Ok((Potential::scalar(1.0), work));
         };
         let mut made: Vec<Made> = Vec::with_capacity(steps.len());
         let mut key: Vec<u32> = Vec::new();
@@ -509,8 +520,12 @@ impl VePlan {
             start = step.end;
             let keyed = Self::key(inputs, &made, &step.keep, &mut key);
             let out = match keyed.then(|| pinned.memo.take(&key)).flatten() {
-                Some(taken) => taken,
+                Some(taken) => {
+                    work.factors_taken += 1;
+                    taken
+                }
                 None => {
+                    work.entries_walked = work.entries_walked.saturating_add(step.product);
                     let out = Self::compute(bn, pinned, inputs, &made, &step.keep, scratch)?;
                     if keyed {
                         pinned.memo.file(&key, out)
@@ -525,7 +540,8 @@ impl VePlan {
         let inputs = &self.inputs[start..last.end];
         let out = Self::compute(bn, pinned, inputs, &made, &last.keep, scratch)?;
         Self::spend(inputs, &mut made, scratch);
-        Ok(out)
+        work.entries_walked = work.entries_walked.saturating_add(last.product);
+        Ok((out, work))
     }
 
     /// One fused product → marginalize pass over `inputs` onto `keep`.
@@ -605,7 +621,7 @@ mod tests {
     fn assert_matches(bn: &BayesianNetwork, targets: &Scope, evidence: &[(Var, u32)]) {
         let pinned = Pinned::new(bn, evidence).unwrap();
         let plan = VePlan::new(bn, &pinned, targets).unwrap();
-        let got = plan.run(bn, &pinned, &mut Scratch::new()).unwrap();
+        let got = plan.run(bn, &pinned, &mut Scratch::new()).unwrap().0;
         let want = enumerated(bn, targets, evidence);
         let diff = got.max_abs_diff(&want).unwrap();
         assert!(diff < 1e-12, "P({targets}, {evidence:?}) off by {diff}");
@@ -725,10 +741,10 @@ mod tests {
         let targets = Scope::from_indices(&[3, 6]);
         let plan = VePlan::new(&bn, &pinned, &targets).unwrap();
         let mut scratch = Scratch::new();
-        let a = plan.run(&bn, &pinned, &mut scratch).unwrap();
-        let b = plan.run(&bn, &pinned, &mut scratch).unwrap();
+        let a = plan.run(&bn, &pinned, &mut scratch).unwrap().0;
+        let b = plan.run(&bn, &pinned, &mut scratch).unwrap().0;
         let replanned = VePlan::new(&bn, &pinned, &targets).unwrap();
-        let c = replanned.run(&bn, &pinned, &mut Scratch::new()).unwrap();
+        let c = replanned.run(&bn, &pinned, &mut Scratch::new()).unwrap().0;
         let bits = |p: &Potential| p.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a), bits(&b));
         assert_eq!(bits(&a), bits(&c));
@@ -747,11 +763,11 @@ mod tests {
         let plan = VePlan::new(&bn, &pinned, &Scope::from_indices(&[3, 6])).unwrap();
         assert!(plan.eliminations() > 0);
         let mut scratch = Scratch::new();
-        let first = plan.run(&bn, &pinned, &mut scratch).unwrap();
+        let first = plan.run(&bn, &pinned, &mut scratch).unwrap().0;
         assert_eq!(pinned.factors_taken(), 0);
         let filed = pinned.memo_usage().held;
         assert!(filed > 0);
-        let second = plan.run(&bn, &pinned, &mut scratch).unwrap();
+        let second = plan.run(&bn, &pinned, &mut scratch).unwrap().0;
         assert_eq!(pinned.factors_taken(), plan.eliminations() as u64);
         assert_eq!(pinned.memo_usage().held, filed, "nothing filed twice");
         assert_eq!(bits(&first), bits(&second));
@@ -770,16 +786,16 @@ mod tests {
         five.run(&bn, &pinned, &mut scratch).unwrap();
         assert_eq!(pinned.factors_taken(), 0);
         let six = VePlan::new(&bn, &pinned, &Scope::from_indices(&[6])).unwrap();
-        let got = six.run(&bn, &pinned, &mut scratch).unwrap();
+        let got = six.run(&bn, &pinned, &mut scratch).unwrap().0;
         assert!(pinned.factors_taken() >= 4, "x0..x3 are shared");
         assert!(pinned.factors_taken() < six.eliminations() as u64);
         let fresh = Pinned::new(&bn, &evidence).unwrap();
-        let want = six.run(&bn, &fresh, &mut Scratch::new()).unwrap();
+        let want = six.run(&bn, &fresh, &mut Scratch::new()).unwrap().0;
         assert_eq!(bits(&got), bits(&want));
         // the open's P(e) check files its steps for the targets too
         let checked = Pinned::new(&bn, &evidence).unwrap();
         checked.probability(&bn, &mut scratch).unwrap();
-        let again = six.run(&bn, &checked, &mut scratch).unwrap();
+        let again = six.run(&bn, &checked, &mut scratch).unwrap().0;
         assert!(checked.factors_taken() > 0);
         assert_eq!(bits(&again), bits(&want));
     }
@@ -796,9 +812,9 @@ mod tests {
         let mut scratch = Scratch::new();
         for target in [1, 2] {
             let plan = VePlan::new(&bn, &pinned, &Scope::from_indices(&[target])).unwrap();
-            let got = plan.run(&bn, &pinned, &mut scratch).unwrap();
+            let got = plan.run(&bn, &pinned, &mut scratch).unwrap().0;
             let fresh = Pinned::new(&bn, &evidence).unwrap();
-            let want = plan.run(&bn, &fresh, &mut scratch).unwrap();
+            let want = plan.run(&bn, &fresh, &mut scratch).unwrap().0;
             assert_eq!(got.scope(), &Scope::from_indices(&[target]));
             assert_eq!(bits(&got), bits(&want));
         }
@@ -842,14 +858,14 @@ mod tests {
         let pinned = Pinned::new(&bn, &[(Var(0), 1)]).unwrap();
         let plan = VePlan::new(&bn, &pinned, &Scope::from_indices(&[5])).unwrap();
         let mut scratch = Scratch::new();
-        let want = plan.run(&bn, &pinned, &mut scratch).unwrap();
+        let want = plan.run(&bn, &pinned, &mut scratch).unwrap().0;
         plan.run(&bn, &pinned, &mut scratch).unwrap();
         assert!(pinned.factors_taken() > 0 && pinned.memo_usage().held > 0);
         let clone = pinned.clone();
         let usage = clone.memo_usage();
         assert_eq!((usage.held, usage.cap), (0, FACTOR_ENTRIES));
         assert_eq!(clone.factors_taken(), 0);
-        let got = plan.run(&bn, &clone, &mut scratch).unwrap();
+        let got = plan.run(&bn, &clone, &mut scratch).unwrap().0;
         assert_eq!(
             clone.factors_taken(),
             0,
@@ -873,7 +889,7 @@ mod tests {
             .collect();
         let want: Vec<Vec<u64>> = plans
             .iter()
-            .map(|p| bits(&p.run(&bn, &unbounded, &mut scratch).unwrap()))
+            .map(|p| bits(&p.run(&bn, &unbounded, &mut scratch).unwrap().0))
             .collect();
         let first = Pinned::new(&bn, &evidence).unwrap();
         plans[0].run(&bn, &first, &mut scratch).unwrap();
@@ -883,7 +899,7 @@ mod tests {
             let bounded = Pinned::with_cap(&bn, &evidence, bound).unwrap();
             for _ in 0..2 {
                 for (plan, want) in plans.iter().zip(&want) {
-                    let got = plan.run(&bn, &bounded, &mut scratch).unwrap();
+                    let got = plan.run(&bn, &bounded, &mut scratch).unwrap().0;
                     assert_eq!(&bits(&got), want);
                     let usage = bounded.memo_usage();
                     assert_eq!((usage.held, usage.cap), (bound, bound));
@@ -910,12 +926,18 @@ mod tests {
                 Step {
                     end: 2,
                     keep: keep.clone(),
+                    product: 0,
                 },
                 Step {
                     end: 3,
                     keep: keep.clone(),
+                    product: 0,
                 },
-                Step { end: 4, keep },
+                Step {
+                    end: 4,
+                    keep,
+                    product: 0,
+                },
             ],
             inputs: vec![
                 Input::Cpt(Var(0)),

@@ -248,7 +248,7 @@ pub fn scan(path: &str, content: &str, md_files: &[String]) -> Vec<Violation> {
 /// Collect every file with extension `ext` (`".rs"`, `".md"`) under `root`,
 /// skipping build output and third-party vendor trees. Returned paths are
 /// repo-relative.
-fn collect_files(root: &Path, ext: &str) -> Vec<PathBuf> {
+pub(crate) fn collect_files(root: &Path, ext: &str) -> Vec<PathBuf> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
@@ -280,7 +280,7 @@ fn collect_files(root: &Path, ext: &str) -> Vec<PathBuf> {
 }
 
 /// Repo root: the xtask crate lives one level below it.
-fn repo_root() -> PathBuf {
+pub(crate) fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .expect("xtask sits inside the repo")
@@ -288,7 +288,7 @@ fn repo_root() -> PathBuf {
 }
 
 /// Repo-relative, `/`-separated form of a collected path.
-fn rel_str(rel: &Path) -> String {
+pub(crate) fn rel_str(rel: &Path) -> String {
     rel.to_string_lossy().replace('\\', "/")
 }
 
