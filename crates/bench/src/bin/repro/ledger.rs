@@ -1,4 +1,4 @@
-//! The work ledger: exact counts of what six of the benchmark's shapes
+//! The work ledger: exact counts of what seven of the benchmark's shapes
 //! do, one repetition each, with nothing timed — so two runs of one build
 //! write the same bytes, and a change that moves the work moves the file.
 //!
@@ -24,11 +24,20 @@
 //!   ancestral sample, answers its first target (`serve_one`) and then the
 //!   other 31 in one batch, its targets drawn from the two- and
 //!   three-variable scopes whose plain cost is 100 k–2 M operations.
+//! * `drift_remat`: TPC-H behind one `ServingEngine` on one worker, a
+//!   stream that steps between three regions of the tree every 32 batches
+//!   of 64 (three cycles; `--quick` one), each regime drawing 1–2-variable
+//!   scopes of plain cost up to 1 M operations from its region's pool,
+//!   with a `RematerializationController` (windows of 256 arrivals)
+//!   ticked every 2 batches, so each step decays the benefit and the
+//!   controller re-selects and publishes.
 //!
 //! Each is rebuilt from `peanut_datasets` and `peanut_workload`, seeded,
 //! in the benchmark's shape, not its exact stream. Each runs a warm-up —
 //! an eighth of the stream; `direct_large` the whole stream;
-//! `serve_distinct` a quarter as many distinct requests of its own — then
+//! `serve_distinct` a quarter as many distinct requests of its own;
+//! `drift_remat` half a regime of the training region, before the
+//! controller starts — then
 //! one repetition of the whole stream, over which a row sums: requests,
 //! answers computed, operations charged and their plain-tree baseline,
 //! cache hits, faults, page-outs, the memo entries held when it ends
@@ -56,8 +65,8 @@ use peanut_junction::{JunctionTree, QueryEngine, RootedTree};
 use peanut_pgm::sampling::ancestral_sample;
 use peanut_pgm::{Scope, Scratch, Var, Work};
 use peanut_serving::{
-    Answer, ServeOutcome, ServeRequest, ServingConfig, ServingEngine, ShardConfig,
-    ShardedServingEngine, StoreConfig, TenantId,
+    Answer, LifecycleConfig, RematerializationController, ServeOutcome, ServeRequest,
+    ServingConfig, ServingEngine, ShardConfig, ShardedServingEngine, StoreConfig, TenantId,
 };
 use peanut_workload::{
     skewed_queries, tenant_queries, uniform_queries, with_evidence, zipf_weights, QuerySpec,
@@ -555,6 +564,111 @@ fn evidence_sessions(quick: bool) -> Row {
     row
 }
 
+/// The `drift_remat` stream's three regions: the tree cut into connected
+/// parts of about equal clique count (the subtree closest to an equal
+/// share of the cliques left, peeled off one part at a time), each with
+/// the variables that live in it only, so a shortcut selected for one
+/// region never serves another.
+fn regions(tree: &JunctionTree) -> Vec<Vec<Var>> {
+    const REGIONS: usize = 3;
+    let rooted = RootedTree::new(tree);
+    let n = tree.n_cliques();
+    let mut part_of = vec![REGIONS - 1; n];
+    let mut cut = vec![false; n];
+    for part in 0..REGIONS - 1 {
+        let left = |u: usize| rooted.subtree_nodes(u).iter().filter(|&&w| !cut[w]).count();
+        let share = cut.iter().filter(|&&c| !c).count() / (REGIONS - part);
+        let root = (0..n)
+            .filter(|&u| u != rooted.root() && !cut[u])
+            .min_by_key(|&u| left(u).abs_diff(share))
+            .expect("more cliques than regions");
+        for &w in rooted.subtree_nodes(root) {
+            if !cut[w] {
+                (part_of[w], cut[w]) = (part, true);
+            }
+        }
+    }
+    let mut vars = vec![Vec::new(); REGIONS];
+    for v in tree.domain().all_vars() {
+        let mut homes = tree.cliques_with(v).map(|u| part_of[u]);
+        let first = homes.next().expect("every variable is in a clique");
+        if homes.all(|h| h == first) {
+            vars[first].push(v);
+        }
+    }
+    vars
+}
+
+fn drift_remat(quick: bool) -> Row {
+    const MAX_PLAIN_OPS: u64 = 1_000_000;
+    const POOL: usize = 256;
+    const REGIME: usize = 32 * BATCH;
+    const TICK_EVERY: usize = 2 * BATCH;
+    const WINDOW: u64 = 256;
+    let cycles = if quick { 1 } else { 3 };
+    let tpch = Prepared::by_name("TPC-H");
+    let tree = &tpch.tree;
+    let symbolic = QueryEngine::symbolic(tree);
+    let spec = QuerySpec {
+        min_vars: 1,
+        max_vars: 2,
+    };
+    // per region, its distinct 1–2-variable scopes of bounded plain cost
+    let pools: Vec<Vec<Scope>> = regions(tree)
+        .iter()
+        .enumerate()
+        .map(|(r, vars)| {
+            let mut rng = StdRng::seed_from_u64(seed_of(r, 18));
+            let mut seen = HashSet::new();
+            (0..POOL * 64)
+                .map(|_| {
+                    let k = rng.gen_range(spec.min_vars..=spec.max_vars).min(vars.len());
+                    Scope::from_iter((0..k).map(|_| vars[rng.gen_range(0..vars.len())]))
+                })
+                .filter(|q| seen.insert(q.clone()))
+                .take(POOL)
+                .filter(|q| symbolic.cost(q).is_ok_and(|c| c.ops <= MAX_PLAIN_OPS))
+                .collect()
+        })
+        .collect();
+    let mut rng = StdRng::seed_from_u64(seed_of(0, 19));
+    let train: Vec<Scope> = (0..2_000)
+        .map(|_| pools[0][rng.gen_range(0..pools[0].len())].clone())
+        .collect();
+    // regime after regime, the regions in turn
+    let arrivals: Vec<ServeRequest> = (0..cycles * pools.len() * REGIME)
+        .map(|i| {
+            let pool = &pools[(i / REGIME) % pools.len()];
+            ServeRequest::marginal(pool[rng.gen_range(0..pool.len())].clone())
+        })
+        .collect();
+    let engine = QueryEngine::numeric(tree, &tpch.bn).expect("tables fit");
+    let mat = select(tree, &engine, &train);
+    let serving = ServingEngine::new(engine, mat, ServingConfig::default().with_workers(1));
+    // warm-up: half a regime of the training region, then a fresh
+    // observation window for the controller
+    for batch in arrivals[..REGIME / 2].chunks(BATCH) {
+        serving.serve_batch(batch);
+    }
+    serving.reset_stats();
+    let budget = tree.total_separator_size().max(1) * 10;
+    let mut controller = RematerializationController::new(
+        &serving,
+        &Workload::from_queries(train),
+        LifecycleConfig::new(budget).with_min_window(WINDOW),
+    );
+    let mut row = Row::default();
+    for (b, batch) in arrivals.chunks(BATCH).enumerate() {
+        if b > 0 && (b * BATCH) % TICK_EVERY == 0 {
+            controller.tick().expect("re-selection fits");
+        }
+        let (outcomes, stats) = serving.serve_batch(batch);
+        row.served(&outcomes, stats.cache_hits);
+    }
+    row.memos(serving.engine(), &serving.materialization());
+    row
+}
+
 pub fn run() {
     let quick = is_quick();
     let store_dir = std::env::temp_dir().join(format!("peanut-ledger-{}", std::process::id()));
@@ -565,6 +679,7 @@ pub fn run() {
         serve_repeat(quick).json("serve_repeat"),
         serve_distinct(quick).json("serve_distinct"),
         evidence_sessions(quick).json("evidence_sessions"),
+        drift_remat(quick).json("drift_remat"),
     ];
     let ledger = format!(
         "{{\n  \"quick\": {quick},\n  \"rows\": [\n{}\n  ]\n}}\n",

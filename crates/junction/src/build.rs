@@ -24,7 +24,7 @@ pub fn build_junction_tree(bn: &BayesianNetwork) -> Result<JunctionTree, PgmErro
             .filter(|&u| fam.is_subset_of(tree.clique(u)))
             .min_by_key(|&u| (tree.clique_size(u), u))
             .ok_or(PgmError::BadCptScope { var: v })?;
-        tree.assign_factor(target, v);
+        tree.assign_factor(target, v, bn.parents(v));
     }
     Ok(tree)
 }

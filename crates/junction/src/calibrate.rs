@@ -18,15 +18,6 @@ use peanut_pgm::{
 };
 use std::sync::{Arc, OnceLock};
 
-/// What tables made from a network keep of it: each variable's parents,
-/// and the network with its CPTs recovered from the calibrated tables, made
-/// on first use ([`NumericState::network`]).
-#[derive(Debug)]
-struct KeptNetwork {
-    parents: Vec<Vec<Var>>,
-    recovered: OnceLock<Option<Arc<BayesianNetwork>>>,
-}
-
 /// Dense clique and separator potentials attached to a junction tree,
 /// stored as spans of one flat arena slab, with the message memo every
 /// numeric pass over them shares (`crate::memo`).
@@ -36,18 +27,20 @@ struct KeptNetwork {
 /// (size-only) pipeline, exactly as the paper runs TPC-H, Munin and Barley
 /// uncalibrated.
 ///
-/// Tables made from a network ([`initialize`](Self::initialize)) keep its
-/// parent lists, in one `Arc` that every clone shares, and recover its
-/// CPTs from the calibrated tables on first use ([`network`](Self::network)),
-/// so an engine over them can answer from the CPTs directly (pruned
-/// variable elimination: `peanut_ve::VePlan`). Tables reattached from a
-/// slab, or restricted to evidence, have none.
+/// Calibrated prior tables, whether made by
+/// [`initialize`](Self::initialize) or reattached from a slab, recover the
+/// network's CPTs on first use ([`network`](Self::network)) from the
+/// families the tree records, so an engine over them can answer from the
+/// CPTs directly (pruned variable elimination: `peanut_ve::VePlan`).
+/// Tables restricted to evidence recover none.
 #[derive(Clone, Debug)]
 pub struct NumericState {
     arena: TreeArena,
     calibrated: bool,
-    /// What these tables keep of the network they were initialized from.
-    network: Option<Arc<KeptNetwork>>,
+    /// The network recovered from these tables, made on first use; a clone
+    /// made after that shares it. Set to `None` when the tables are
+    /// restricted to evidence.
+    network: OnceLock<Option<Arc<BayesianNetwork>>>,
     /// Messages of these tables; empty wherever the tables are made, a
     /// clone's included, until a page cycle's fault-in adopts the ones
     /// sent over the same tables ([`adopt_memo`](Self::adopt_memo)).
@@ -77,14 +70,7 @@ impl NumericState {
             memo: MessageMemo::new(),
             arena,
             calibrated: false,
-            network: Some(Arc::new(KeptNetwork {
-                parents: bn
-                    .domain()
-                    .all_vars()
-                    .map(|v| bn.parents(v).to_vec())
-                    .collect(),
-                recovered: OnceLock::new(),
-            })),
+            network: OnceLock::new(),
         })
     }
 
@@ -185,7 +171,7 @@ impl NumericState {
         }
         // the restricted tables hold `P(X_u, e)`: no CPT is read off them
         let mut restricted = NumericState {
-            network: None,
+            network: OnceLock::from(None),
             ..self.clone()
         };
         for &(v, value) in evidence {
@@ -230,36 +216,34 @@ impl NumericState {
         )?))
     }
 
-    /// Calibrated tables held in `arena`, with an empty memo and no
-    /// network.
+    /// Calibrated tables held in `arena`, with an empty memo.
     pub(crate) fn calibrated(arena: TreeArena) -> Self {
         NumericState {
             memo: MessageMemo::new(),
             arena,
             calibrated: true,
-            network: None,
+            network: OnceLock::new(),
         }
     }
 
-    /// The network these tables were initialized from, its CPTs recovered
-    /// from the calibrated tables, once for every clone: `P(v | pa(v))` is
-    /// the family's marginal, read off the clique its CPT was assigned to,
-    /// divided by the parents' — the CPT up to rounding. `None` for tables
-    /// reattached from a slab or restricted to evidence, before
-    /// calibration, and where a parent configuration has probability zero
-    /// (its CPT row is not in the tables).
+    /// The network the tree was built from, its CPTs recovered from these
+    /// calibrated tables on first use: `P(v | pa(v))` is the family's
+    /// marginal, read off the clique its CPT was assigned to, divided by
+    /// the parents' — the CPT up to rounding. A parent configuration of
+    /// probability 0 in the tables gets a uniform row: the joint the
+    /// network defines is the tables' either way. `None` for tables
+    /// restricted to evidence, before calibration, and over a tree that
+    /// records no families (assembled from cliques alone).
     pub fn network(&self, tree: &JunctionTree) -> Option<Arc<BayesianNetwork>> {
-        let kept = self.network.as_ref().filter(|_| self.calibrated)?;
-        kept.recovered
-            .get_or_init(|| self.recover(tree, &kept.parents).ok().map(Arc::new))
+        if !self.calibrated {
+            return None;
+        }
+        self.network
+            .get_or_init(|| self.recover(tree).ok().map(Arc::new))
             .clone()
     }
 
-    fn recover(
-        &self,
-        tree: &JunctionTree,
-        parents: &[Vec<Var>],
-    ) -> Result<BayesianNetwork, PgmError> {
+    fn recover(&self, tree: &JunctionTree) -> Result<BayesianNetwork, PgmError> {
         let domain = tree.domain();
         let mut network = NetworkBuilder::new();
         for v in domain.all_vars() {
@@ -268,20 +252,32 @@ impl NumericState {
         let mut scratch = Scratch::new();
         for u in 0..tree.n_cliques() {
             for &v in tree.assigned_factors(u) {
-                let above = &parents[v.index()];
+                let above = tree.parents(v);
                 let mut family = Scope::from_iter(above.iter().copied());
                 family.insert(v);
                 let joint = self.clique_table(u).marginalize_in(&family, &mut scratch)?;
                 let below =
                     joint.marginalize_in(&Scope::from_iter(above.iter().copied()), &mut scratch)?;
-                let cpt = divide_views(joint.view(), below.view(), &mut scratch)?;
+                let mut cpt = divide_views(joint.view(), below.view(), &mut scratch)?;
+                // row-major, last variable fastest: entry `i` of the CPT
+                // has `v`'s value at `(i / inner) % card` and its parents'
+                // configuration at `(i / (card * inner)) * inner + i % inner`
+                let axis = family.position(v).ok_or(PgmError::UnknownVar(v))?;
+                let card = cpt.cards()[axis] as usize;
+                let inner: usize = cpt.cards()[axis + 1..]
+                    .iter()
+                    .map(|&c| c as usize)
+                    .product();
+                for (i, p) in cpt.values_mut().iter_mut().enumerate() {
+                    if below.values()[i / (card * inner) * inner + i % inner] == 0.0 {
+                        *p = 1.0 / card as f64;
+                    }
+                }
                 scratch.recycle(joint);
                 scratch.recycle(below);
                 network.cpt_potential(v, above, cpt)?;
             }
         }
-        // a parent configuration of probability zero leaves an all-zero
-        // row, which fails the builder's normalization check
         network.build()
     }
 
@@ -617,10 +613,10 @@ mod tests {
         assert!((total - 1.0).abs() < 1e-9, "prior tables still normalized");
     }
 
-    /// The network is recovered from the calibrated tables: the same
-    /// structure, each CPT within rounding of the original; tables that do
-    /// not hold the prior (uncalibrated, restricted, reattached) recover
-    /// none.
+    /// The network is recovered from the calibrated tables, also from a
+    /// slab reattached to the tree: the same structure, each CPT within
+    /// rounding of the original; tables that do not hold the prior
+    /// (uncalibrated, restricted) recover none.
     #[test]
     fn the_network_is_recovered_from_calibrated_tables() {
         for bn in [
@@ -642,8 +638,38 @@ mod tests {
             let restricted = st.with_evidence(&tree, &rooted, &pinned).unwrap();
             assert!(restricted.network(&tree).is_none());
             let slab = NumericState::from_calibrated_slab(&tree, st.arena().slab()).unwrap();
-            assert!(slab.network(&tree).is_none());
+            let from_slab = slab.network(&tree).unwrap();
+            for v in bn.domain().all_vars() {
+                assert_eq!(from_slab.parents(v), bn.parents(v));
+                assert_eq!(from_slab.cpt(v).values(), got.cpt(v).values());
+            }
         }
+    }
+
+    /// `x0 → x1 → x2` with `x1 ≡ 0`: the parent configuration `x1 = 1` has
+    /// probability 0, so the tables hold no row of `x2`'s CPT there. The
+    /// recovered network gets a uniform row in its place and keeps every
+    /// other row; its joint is the tables'.
+    #[test]
+    fn a_parent_configuration_of_probability_zero_recovers_a_uniform_row() {
+        let tiny = f64::from_bits(1);
+        let mut b = peanut_pgm::NetworkBuilder::new();
+        let x: Vec<Var> = (0..3).map(|i| b.var(&format!("x{i}"), 2)).collect();
+        b.cpt(x[0], &[], &[&[0.5, 0.5]]).unwrap();
+        b.cpt(x[1], &[x[0]], &[&[1.0, 0.0], &[1.0, 0.0]]).unwrap();
+        b.cpt(x[2], &[x[1]], &[&[1.0, tiny], &[0.25, 0.75]])
+            .unwrap();
+        let bn = b.build().unwrap();
+        let (tree, _, st) = calibrated(&bn);
+        let got = st.network(&tree).expect("recovered");
+        assert_eq!(got.cpt(x[2]).values(), &[1.0, tiny, 0.5, 0.5]);
+        assert_eq!(got.cpt(x[1]).values(), bn.cpt(x[1]).values());
+        let all = Scope::from_iter(x.iter().copied());
+        let diff = joint::marginal(&got, &all)
+            .unwrap()
+            .max_abs_diff(&joint::marginal(&bn, &all).unwrap())
+            .unwrap();
+        assert_eq!(diff, 0.0);
     }
 
     #[test]

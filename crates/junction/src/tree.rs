@@ -29,6 +29,11 @@ pub struct JunctionTree {
     /// Factors (variables, since each variable owns one CPT) assigned to each
     /// clique.
     assigned: Vec<Vec<Var>>,
+    /// Each assigned variable's parents in the network, as one flat list:
+    /// those of `v` are `parents[parents_first[v]..parents_first[v + 1]]`.
+    /// No variable has any in a tree assembled from cliques alone.
+    parents_first: Vec<u32>,
+    parents: Vec<Var>,
     pivot: CliqueId,
 }
 
@@ -94,6 +99,8 @@ impl JunctionTree {
         let tree = JunctionTree {
             domain,
             assigned: vec![Vec::new(); n],
+            parents_first: vec![0],
+            parents: Vec::new(),
             cliques,
             edges,
             separators,
@@ -184,10 +191,21 @@ impl JunctionTree {
         &self.assigned[u]
     }
 
-    /// Records that variable `v`'s CPT is multiplied into clique `u`
-    /// (performed by [`build`](crate::build)).
-    pub(crate) fn assign_factor(&mut self, u: CliqueId, v: Var) {
+    /// The parents of `v` in the network this tree was built from; `v`'s
+    /// CPT must be assigned to a clique.
+    pub(crate) fn parents(&self, v: Var) -> &[Var] {
+        let first = &self.parents_first[v.index()..];
+        &self.parents[first[0] as usize..first[1] as usize]
+    }
+
+    /// Records that variable `v`'s CPT, over `v` and `parents`, is
+    /// multiplied into clique `u` (performed by [`build`](crate::build), in
+    /// variable order).
+    pub(crate) fn assign_factor(&mut self, u: CliqueId, v: Var, parents: &[Var]) {
+        debug_assert_eq!(v.index() + 1, self.parents_first.len(), "variable order");
         self.assigned[u].push(v);
+        self.parents.extend_from_slice(parents);
+        self.parents_first.push(self.parents.len() as u32);
     }
 
     /// Treewidth of this tree: max clique size − 1.

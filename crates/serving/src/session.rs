@@ -12,10 +12,12 @@
 //! # Two routes, one price list
 //!
 //! Opening a session pins the evidence on the network's CPTs, which the
-//! calibrated tables recover once for all sessions
-//! ([`NumericState::network`]): the families that hold an evidence
-//! variable are sliced to its value ([`Pinned`]), and `P(e) > 0` is
-//! checked by eliminating every variable. No tree is cloned.
+//! engine's calibrated tables recover once for all sessions from the
+//! families the tree records ([`NumericState::network`]), also when the
+//! tables were reattached from a store slab: the families that hold an
+//! evidence variable are sliced to its value ([`Pinned`]), and
+//! `P(e) > 0` is checked by eliminating every variable. No tree is
+//! cloned.
 //! Each target is then priced both ways, in operations of the workspace
 //! model:
 //!
@@ -31,11 +33,9 @@
 //!
 //! The cheaper route answers; a tie goes to the tree. There is no ns/op
 //! constant and no knob. The restricted tree is built lazily, once per
-//! session: the first time a target prices it cheaper, when
-//! [`EvidenceSession::engine`] is called, or at open when the engine holds
-//! no CPTs (tables reattached from a slab, or a network with a parent
-//! configuration of probability zero), which is then also where impossible
-//! evidence is caught. A target that names an evidence variable
+//! session, the first time a target takes it; should its `P(e)` underflow
+//! where elimination's did not, every target it would answer fails with
+//! that build's error. A target that names an evidence variable
 //! always takes the tree, whose answer keeps that variable in its scope.
 //! An answer sent to elimination says so in its work
 //! ([`Answer::work`](crate::Answer::work)'s `eliminated`). A joint that
@@ -130,38 +130,17 @@ pub struct EvidenceSession<'s, 't> {
 pub(crate) struct Door<'t> {
     /// The serving engine at open: the tree every target is priced on.
     plain: Arc<QueryEngine<'t>>,
-    /// The network and the evidence pinned on it; `None` when the engine
-    /// holds no CPTs.
-    pinned: Option<(Arc<BayesianNetwork>, Pinned)>,
+    /// The network recovered from the engine's tables, and the evidence
+    /// pinned on it.
+    pinned: (Arc<BayesianNetwork>, Pinned),
     /// The pinned assignment, sorted by variable, each pair once.
     evidence: Vec<(Var, u32)>,
-    /// The evidence-restricted, re-calibrated tree, built on first need.
-    restricted: OnceLock<Restricted<'t>>,
-}
-
-/// The restricted tree, or why it could not be built: then a table-less
-/// copy of the plain engine stands in, and every target the tree would
-/// answer fails with the build's error.
-struct Restricted<'t> {
-    engine: QueryEngine<'t>,
-    failed: Option<PgmError>,
+    /// The evidence-restricted, re-calibrated tree, or why it could not be
+    /// built, on first need.
+    restricted: OnceLock<Result<QueryEngine<'t>, PgmError>>,
 }
 
 impl<'t> Door<'t> {
-    fn restricted(&self) -> &Restricted<'t> {
-        self.restricted
-            .get_or_init(|| match self.plain.restricted_to_evidence(&self.evidence) {
-                Ok(engine) => Restricted {
-                    engine,
-                    failed: None,
-                },
-                Err(e) => Restricted {
-                    engine: self.plain.without_tables(),
-                    failed: Some(e),
-                },
-            })
-    }
-
     /// `P(targets | e)` by the cheaper route, with the charged count, the
     /// plain tree's, and what the route executed. A joint that sums to
     /// zero — `P(e) > 0` at open, yet every entry underflowing — fails
@@ -173,15 +152,14 @@ impl<'t> Door<'t> {
         scratch: &mut Scratch,
     ) -> Result<TracedAnswer, PgmError> {
         let baseline_ops = self.plain.cost(targets)?.ops;
-        let eliminated = match &self.pinned {
-            Some((bn, pinned)) if !targets.iter().any(|v| pinned.is_pinned(v)) => {
-                let plan = VePlan::new(bn, pinned, targets)?;
-                (plan.ops() < baseline_ops).then_some((plan, bn, pinned))
-            }
-            _ => None,
+        let (bn, pinned) = &self.pinned;
+        let eliminated = if targets.iter().any(|v| pinned.is_pinned(v)) {
+            None
+        } else {
+            Some(VePlan::new(bn, pinned, targets)?).filter(|plan| plan.ops() < baseline_ops)
         };
         let mut traced = match eliminated {
-            Some((plan, bn, pinned)) => {
+            Some(plan) => {
                 let (potential, work) = plan.run(bn, pinned, scratch)?;
                 let cost = QueryCost {
                     ops: plan.ops(),
@@ -195,11 +173,12 @@ impl<'t> Door<'t> {
                 }
             }
             None => {
-                let restricted = self.restricted();
-                if let Some(e) = &restricted.failed {
-                    return Err(e.clone());
-                }
-                OnlineEngine::new(&restricted.engine, mat).answer_traced_in(targets, scratch)?
+                let restricted = self
+                    .restricted
+                    .get_or_init(|| self.plain.restricted_to_evidence(&self.evidence))
+                    .as_ref()
+                    .map_err(PgmError::clone)?;
+                OnlineEngine::new(restricted, mat).answer_traced_in(targets, scratch)?
             }
         };
         // the joint sums to P(e): nothing to condition on when every entry
@@ -212,15 +191,15 @@ impl<'t> Door<'t> {
 }
 
 impl<'t> ServingEngine<'t> {
-    /// Opens an evidence session: pins `evidence` on the network's CPTs
-    /// and checks `P(e) > 0`, so the marginal stream served through
-    /// [`EvidenceSession::serve_batch`] never re-pays the evidence; where
-    /// the engine holds no CPTs, absorbs it into a session-local clone of
-    /// the calibrated tree and re-propagates instead. Evidence of
-    /// probability zero (under the model, or two values for one variable)
-    /// fails closed with [`PgmError::ImpossibleEvidence`], as do unknown
-    /// variables and out-of-range values with their own errors, and a
-    /// symbolic engine with [`PgmError::SymbolicEngine`].
+    /// Opens an evidence session: pins `evidence` on the CPTs the engine's
+    /// calibrated tables recover and checks `P(e) > 0` by elimination, so
+    /// the marginal stream served through [`EvidenceSession::serve_batch`]
+    /// never re-pays the evidence. Evidence of probability zero (under the
+    /// model, or two values for one variable) fails closed with
+    /// [`PgmError::ImpossibleEvidence`], as do unknown variables and
+    /// out-of-range values with their own errors, and an engine whose
+    /// tables recover no network (a symbolic one, or one over a tree that
+    /// records no families) with [`PgmError::SymbolicEngine`].
     pub fn open_session(
         &self,
         mut evidence: Vec<(Var, u32)>,
@@ -229,29 +208,20 @@ impl<'t> ServingEngine<'t> {
         evidence.dedup();
         let snapshot = self.target();
         let plain = Arc::clone(&snapshot.engine);
-        let network = plain
+        let bn = plain
             .numeric_state()
-            .and_then(|ns| ns.network(plain.tree()));
-        let (pinned, restricted) = match network {
-            Some(bn) => {
-                let pinned = Pinned::new(&bn, &evidence)?;
-                let p = pinned.probability(&bn, &mut Scratch::new())?;
-                if p.is_nan() || p <= 0.0 {
-                    return Err(PgmError::ImpossibleEvidence(evidence));
-                }
-                (Some((bn, pinned)), OnceLock::new())
-            }
-            None => {
-                let engine = plain.restricted_to_evidence(&evidence)?;
-                let failed = None;
-                (None, OnceLock::from(Restricted { engine, failed }))
-            }
-        };
+            .and_then(|ns| ns.network(plain.tree()))
+            .ok_or(PgmError::SymbolicEngine)?;
+        let pinned = Pinned::new(&bn, &evidence)?;
+        let p = pinned.probability(&bn, &mut Scratch::new())?;
+        if p.is_nan() || p <= 0.0 {
+            return Err(PgmError::ImpossibleEvidence(evidence));
+        }
         let door = Arc::new(Door {
             plain,
-            pinned,
+            pinned: (bn, pinned),
             evidence,
-            restricted,
+            restricted: OnceLock::new(),
         });
         Ok(EvidenceSession {
             serving: self,
@@ -276,15 +246,6 @@ impl<'s, 't> EvidenceSession<'s, 't> {
     /// answer it produces carries this tag, across concurrent publishes.
     pub fn epoch(&self) -> u64 {
         self.target.mat.epoch
-    }
-
-    /// The session-local restricted engine (for diagnostics/tests), built
-    /// here if no target has needed it yet. Should that build fail — the
-    /// tree's `P(e)` underflowing where elimination's did not — this is a
-    /// table-less engine over the tree, and the targets the tree would
-    /// answer fail with the build's error.
-    pub fn engine(&self) -> &QueryEngine<'t> {
-        &self.door.restricted().engine
     }
 
     /// Serves one marginal `P(targets | evidence)` under the pinned
@@ -438,7 +399,7 @@ mod tests {
         let serving = serving_for(&bn);
         let session = serving.open_session(vec![(x[2], 1)]).unwrap();
         let door = &session.door;
-        let (net, pinned) = door.pinned.as_ref().expect("CPTs recovered");
+        let (net, pinned) = &door.pinned;
         let by_ve = |t: &Scope| {
             let plan = VePlan::new(net, pinned, t).unwrap();
             plan.ops() < door.plain.cost(t).unwrap().ops
@@ -454,6 +415,48 @@ mod tests {
         }
     }
 
+    /// `x0 → x1 → x2` with `x1 ≡ 0` and `P(x2 = 1 | x1)` the least
+    /// subnormal: the tables hold no row of `x2`'s CPT at `x1 = 1`, yet
+    /// recover a network, and a session opens on every assignment that
+    /// elimination on the model's own CPTs gives positive probability —
+    /// `x2 = 1` included, whose restricted tree underflows to zero — and
+    /// on no other.
+    #[test]
+    fn a_deterministic_cpt_opens_wherever_the_model_gives_evidence_mass() {
+        let tiny = f64::from_bits(1);
+        let mut b = peanut_pgm::NetworkBuilder::new();
+        let x: Vec<Var> = (0..3).map(|i| b.var(&format!("x{i}"), 2)).collect();
+        b.cpt(x[0], &[], &[&[0.5, 0.5]]).unwrap();
+        b.cpt(x[1], &[x[0]], &[&[1.0, 0.0], &[1.0, 0.0]]).unwrap();
+        b.cpt(x[2], &[x[1]], &[&[1.0, tiny], &[1.0, tiny]]).unwrap();
+        let bn = b.build().unwrap();
+        let serving = serving_for(&bn);
+        let engine = serving.engine();
+        let tables = engine.numeric_state().unwrap();
+        assert!(tables.network(engine.tree()).is_some());
+        let pairs = (0..3).flat_map(|i| (i..3).flat_map(move |j| (0..4).map(move |k| (i, j, k))));
+        for (i, j, k) in pairs {
+            let evidence = vec![(x[i], k & 1), (x[j], k >> 1)];
+            let pinned = Pinned::new(&bn, &evidence);
+            let p = pinned.map_or(0.0, |p| p.probability(&bn, &mut Scratch::new()).unwrap());
+            match serving.open_session(evidence.clone()) {
+                Ok(_) => assert!(p > 0.0, "{evidence:?} opened at P(e) = {p}"),
+                Err(PgmError::ImpossibleEvidence(_)) => {
+                    assert!(p <= 0.0, "{evidence:?} refused at P(e) = {p}")
+                }
+                Err(e) => panic!("{evidence:?}: {e}"),
+            }
+        }
+        // a target the restricted tree answers fails closed on its
+        // underflow
+        let session = serving.open_session(vec![(x[2], 1)]).unwrap();
+        let outcome = session.serve_one(&Scope::singleton(x[1]));
+        assert!(
+            matches!(outcome.failure(), Some(PgmError::ImpossibleEvidence(_))),
+            "{outcome:?}"
+        );
+    }
+
     /// Summed over the answers a Hailfinder session computed, the steps
     /// they say they took from the factor memo are the pinning's own count
     /// of its takes, and each answer by elimination says so.
@@ -466,7 +469,7 @@ mod tests {
         let serving = serving_for(&bn);
         let evidence: Vec<(Var, u32)> = [7u32, 23, 41].map(|v| (Var(v), 0)).into();
         let session = serving.open_session(evidence).unwrap();
-        let pinned = &session.door.pinned.as_ref().expect("CPTs recovered").1;
+        let pinned = &session.door.pinned.1;
         let before = pinned.factors_taken();
         let n = bn.n_vars() as u32;
         let mut targets: Vec<Scope> = (0..n)

@@ -86,8 +86,9 @@ fn case_dir() -> std::path::PathBuf {
 /// warm engine, `ServingEngine::serve_batch`, a two-tenant
 /// `ShardedServingEngine` that holds one tenant in RAM and pages the other
 /// through a store, `rehydrate_engine` on the persisted epoch, and one
-/// `EvidenceSession` per distinct evidence assignment. Each answer is VE's
-/// within 1e-9, and a session's restricted tree is calibrated within 1e-9.
+/// `EvidenceSession` per distinct evidence assignment, on the engine and on
+/// the rehydrated one. Each answer is VE's within 1e-9, and the tree
+/// restricted to each assignment is calibrated within 1e-9.
 fn check_every_door(seed: u64, n: usize, budget: u64) {
     let Ok(bn) = generate_network(&small_dag(n), seed) else {
         return;
@@ -220,14 +221,15 @@ fn check_every_door(seed: u64, n: usize, budget: u64) {
     }
     let _ = std::fs::remove_dir_all(&dir);
 
-    // one session per distinct evidence assignment
+    // one session per distinct evidence assignment, on the engine and on
+    // the rehydrated one
     let mut by_evidence: BTreeMap<Vec<(Var, u32)>, Vec<usize>> = BTreeMap::new();
     for (i, q) in stream.iter().enumerate().filter(|(_, q)| !q.is_marginal()) {
         by_evidence.entry(q.evidence.clone()).or_default().push(i);
     }
+    let from_store = ServingEngine::new(rehydrated, stored_mat, ServingConfig::default());
     for (evidence, at) in by_evidence {
-        let session = serving.open_session(evidence).unwrap();
-        let restricted = session.engine();
+        let restricted = serving.engine().restricted_to_evidence(&evidence).unwrap();
         let drift = restricted
             .numeric_state()
             .unwrap()
@@ -238,14 +240,15 @@ fn check_every_door(seed: u64, n: usize, budget: u64) {
             "seed {seed}: session calibrated within {drift}"
         );
         let targets: Vec<Scope> = at.iter().map(|&i| stream[i].targets.clone()).collect();
-        let (outcomes, _) = session.serve_batch(&targets);
-        for (&i, o) in at.iter().zip(&outcomes) {
-            close(
-                "EvidenceSession",
-                &stream[i],
-                &served("EvidenceSession", &stream[i], o),
-                &want[i],
-            );
+        for (door, engine) in [
+            ("EvidenceSession", &serving),
+            ("rehydrated session", &from_store),
+        ] {
+            let session = engine.open_session(evidence.clone()).unwrap();
+            let (outcomes, _) = session.serve_batch(&targets);
+            for (&i, o) in at.iter().zip(&outcomes) {
+                close(door, &stream[i], &served(door, &stream[i], o), &want[i]);
+            }
         }
     }
 }

@@ -3,9 +3,10 @@
 //! raw restricted engine, plus epoch-swap isolation for in-flight sessions.
 
 use peanut::junction::{build_junction_tree, NumericState, QueryEngine};
-use peanut::materialize::Materialization;
+use peanut::materialize::{FlatMaterialization, Materialization};
 use peanut::pgm::{fixtures, joint, PgmError, Scope, Var};
 use peanut::serving::{ServeOutcome, ServeRequest, ServingConfig, ServingEngine};
+use peanut::store::{rehydrate_engine, save, StoredEpoch};
 use std::collections::BTreeSet;
 
 /// Brute-force conditional: P(t | e) from the full joint.
@@ -67,29 +68,23 @@ fn session_answers_match_brute_force_oracle() {
 fn session_bit_identical_to_direct_restricted_engine() {
     // on the tree route the session answers on the evidence-restricted,
     // re-calibrated tree — so against that engine the answers must be
-    // bit-identical, not merely close. An engine rebuilt from its
-    // calibrated slab holds no CPTs, so every target takes that route.
+    // bit-identical, not merely close. A single-variable target lies in
+    // one clique, which the tree prices below any elimination.
     let bn = fixtures::chain(16, 2, 41);
     let tree = build_junction_tree(&bn).unwrap();
-    let calibrated = QueryEngine::numeric(&tree, &bn).unwrap();
-    let slab = calibrated.numeric_state().unwrap().arena().slab();
-    let engine = QueryEngine::from_calibrated(
-        &tree,
-        NumericState::from_calibrated_slab(&tree, slab).unwrap(),
-    );
+    let engine = QueryEngine::numeric(&tree, &bn).unwrap();
     let evidence = vec![(Var(15), 1u32), (Var(0), 0u32)];
     let restricted = engine.restricted_to_evidence(&evidence).unwrap();
 
     let serving = ServingEngine::new(engine, Materialization::default(), ServingConfig::default());
     let session = serving.open_session(evidence.clone()).unwrap();
-    let targets = targets_for(16, &evidence);
-    assert!(!targets.is_empty());
+    let targets: Vec<Scope> = (1..15).map(|v| Scope::from_indices(&[v])).collect();
     let (outcomes, _) = session.serve_batch(&targets);
     assert!(
         outcomes
             .iter()
             .all(|o| !o.served().expect("served").work.eliminated),
-        "no CPTs, no elimination"
+        "in-clique targets take the tree"
     );
     for (t, o) in targets.iter().zip(&outcomes) {
         let got = &o.served().expect("served").potential;
@@ -100,7 +95,8 @@ fn session_bit_identical_to_direct_restricted_engine() {
             assert_eq!(x.to_bits(), y.to_bits(), "target {t}");
         }
     }
-    // impossible evidence is still caught at open, by the restricted tree
+    // impossible evidence is caught at open on a slab engine too, by
+    // elimination's P(e) over the CPTs its tables recover
     let d = fixtures::sprinkler();
     let sprinkler_tree = build_junction_tree(&d).unwrap();
     let slab_engine = |e: &QueryEngine<'_>| {
@@ -191,6 +187,59 @@ fn both_routes_match_the_restricted_engine_on_hailfinder() {
     let snap = serving.stats().snapshot();
     assert_eq!(snap.queries, targets.len() as u64);
     assert_eq!(snap.observed_ops, snap.baseline_ops);
+}
+
+/// An engine reattached from its calibrated slab — moved onto a layout
+/// (`with_calibrated_slab`) or rehydrated from a store file
+/// (`rehydrate_engine`) — recovers the CPTs its tables hold, so its
+/// sessions eliminate too, and answer every target bit for bit as a
+/// session on the engine the slab came from.
+#[test]
+fn a_session_on_a_reattached_slab_eliminates_as_its_source_does() {
+    let bn = peanut::datasets::dataset("Hailfinder")
+        .unwrap()
+        .build()
+        .unwrap();
+    let tree = build_junction_tree(&bn).unwrap();
+    let source = QueryEngine::numeric(&tree, &bn).unwrap();
+    let slab = source.numeric_state().unwrap().arena().slab().to_vec();
+    let moved = QueryEngine::symbolic(&tree)
+        .with_calibrated_slab(slab.clone())
+        .unwrap();
+    let dir = std::env::temp_dir().join(format!("peanut-slab-session-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("epoch.pnut");
+    let mat = Materialization::default();
+    save(&path, &mat, &FlatMaterialization::pack(&mat), &slab).unwrap();
+    let (rehydrated, _) =
+        rehydrate_engine(&tree, &StoredEpoch::open(&path, true).unwrap()).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let evidence: Vec<(Var, u32)> = [7u32, 23, 41].map(|v| (Var(v), 0)).into();
+    let pinned = Scope::from_iter(evidence.iter().map(|&(v, _)| v));
+    let n = bn.n_vars() as u32;
+    let targets: Vec<Scope> = (0..n)
+        .map(|a| Scope::from_indices(&[a, (a * 7 + 3) % n]))
+        .filter(|t| t.is_disjoint_from(&pinned))
+        .collect();
+    let serve = |engine: QueryEngine<'_>| -> Vec<(bool, Vec<u64>)> {
+        let serving =
+            ServingEngine::new(engine, Materialization::default(), ServingConfig::default());
+        let session = serving.open_session(evidence.clone()).unwrap();
+        let (outcomes, _) = session.serve_batch(&targets);
+        outcomes
+            .iter()
+            .map(|o| {
+                let served = o.served().expect("served");
+                let bits = served.potential.values().iter().map(|v| v.to_bits());
+                (served.work.eliminated, bits.collect())
+            })
+            .collect()
+    };
+    let want = serve(source);
+    assert!(want.iter().any(|(eliminated, _)| *eliminated));
+    assert_eq!(serve(moved), want, "with_calibrated_slab");
+    assert_eq!(serve(rehydrated), want, "rehydrate_engine");
 }
 
 #[test]
