@@ -53,12 +53,20 @@
 //! sessions — the messages passes took from the message memos of the
 //! calibrated tables and of the materializations (`messages_taken`), the
 //! messages they computed, answers included (`messages_computed`), and
-//! the product entries their kernels walked (`entries_walked`).
+//! the product entries their kernels walked (`entries_walked`). Last,
+//! the allocator calls the repetition made on the ledger's thread
+//! (`alloc_calls`; `counting_alloc::counted`, which `repro` can read
+//! because it installs `CountingAlloc`): every shape serves on that one
+//! thread, and the count includes the ledger's own bookkeeping.
 //!
 //! `repro ledger` prints the ledger and writes it to `LEDGER.json`;
 //! `--quick` shrinks every stream and writes `LEDGER.quick.json`, the file
-//! `tests/work_ledger.rs` regenerates and compares byte for byte.
+//! `tests/work_ledger.rs` regenerates and compares byte for byte. Every
+//! column but `alloc_calls` is the same in every build; debug assertions
+//! allocate, so the committed `LEDGER.json` holds a release build's
+//! count and `LEDGER.quick.json` the test profile's.
 
+use counting_alloc::counted;
 use peanut_bench::harness::{is_quick, Prepared};
 use peanut_core::{Materialization, OfflineContext, OnlineEngine, Peanut, PeanutConfig, Workload};
 use peanut_junction::{JunctionTree, QueryEngine, RootedTree};
@@ -113,9 +121,19 @@ struct Row {
     messages_taken: u64,
     messages_computed: u64,
     entries_walked: u64,
+    alloc_calls: u64,
 }
 
 impl Row {
+    /// One repetition summed into a fresh row, with the allocator calls
+    /// it made on this thread.
+    fn repetition(run: impl FnOnce(&mut Row)) -> Row {
+        let mut row = Row::default();
+        let ((), allocs) = counted(|| run(&mut row));
+        row.alloc_calls = allocs.calls as u64;
+        row
+    }
+
     /// Adds one batch's outcomes: a computed answer counts once however
     /// many arrivals share it.
     fn served(&mut self, outcomes: &[ServeOutcome], cache_hits: usize) {
@@ -161,7 +179,7 @@ impl Row {
 
     fn json(&self, shape: &str) -> String {
         let mut out = format!("    {{\n      \"shape\": \"{shape}\",\n      \"seed\": {SEED}");
-        let fields: [(&str, u128); 19] = [
+        let fields: [(&str, u128); 20] = [
             ("requests", self.requests.into()),
             ("failed", self.failed.into()),
             ("answers_computed", self.computed.into()),
@@ -181,6 +199,7 @@ impl Row {
             ("messages_taken", self.messages_taken.into()),
             ("messages_computed", self.messages_computed.into()),
             ("entries_walked", self.entries_walked.into()),
+            ("alloc_calls", self.alloc_calls.into()),
         ];
         for (name, value) in fields {
             let _ = write!(out, ",\n      \"{name}\": {value}");
@@ -324,9 +343,8 @@ fn fleet_paging(quick: bool, store_dir: &Path) -> Row {
     };
     // warm-up: an eighth of the stream, before any publish
     serve(&mut Row::default(), 0..batches / 8);
-    let mut row = Row::default();
     let before = fleet.paging_stats();
-    serve(&mut row, 0..batches);
+    let mut row = Row::repetition(|row| serve(row, 0..batches));
     let after = fleet.paging_stats();
     assert_eq!(
         row.faults,
@@ -391,7 +409,6 @@ fn direct(model: &Prepared, train: &[Scope], stream: &[Scope], warm: usize) -> R
     let mat = select(tree, &engine, train);
     let online = OnlineEngine::new(&engine, &mat);
     let mut scratch = Scratch::new();
-    let mut row = Row::default();
     let mut answer = |row: &mut Row, q: &Scope| match online.answer_traced_in(q, &mut scratch) {
         Ok(t) => {
             row.computed(t.cost.ops, t.baseline_ops, &t.work);
@@ -402,10 +419,12 @@ fn direct(model: &Prepared, train: &[Scope], stream: &[Scope], warm: usize) -> R
     for q in &stream[..warm] {
         answer(&mut Row::default(), q);
     }
-    for q in stream {
-        row.requests += 1;
-        answer(&mut row, q);
-    }
+    let mut row = Row::repetition(|row| {
+        for q in stream {
+            row.requests += 1;
+            answer(row, q);
+        }
+    });
     row.memos(&engine, &mat);
     row
 }
@@ -465,11 +484,12 @@ fn serve_repeat(quick: bool) -> Row {
     for batch in warm.chunks(BATCH) {
         serving.serve_batch(batch);
     }
-    let mut row = Row::default();
-    for batch in stream.chunks(BATCH) {
-        let (outcomes, stats) = serving.serve_batch(batch);
-        row.served(&outcomes, stats.cache_hits);
-    }
+    let mut row = Row::repetition(|row| {
+        for batch in stream.chunks(BATCH) {
+            let (outcomes, stats) = serving.serve_batch(batch);
+            row.served(&outcomes, stats.cache_hits);
+        }
+    });
     row.memos(serving.engine(), &serving.materialization());
     row
 }
@@ -488,11 +508,12 @@ fn serve_distinct(quick: bool) -> Row {
     for batch in warm.chunks(BATCH) {
         serving.serve_batch(batch);
     }
-    let mut row = Row::default();
-    for batch in stream.chunks(BATCH) {
-        let (outcomes, stats) = serving.serve_batch(batch);
-        row.served(&outcomes, stats.cache_hits);
-    }
+    let mut row = Row::repetition(|row| {
+        for batch in stream.chunks(BATCH) {
+            let (outcomes, stats) = serving.serve_batch(batch);
+            row.served(&outcomes, stats.cache_hits);
+        }
+    });
     row.memos(serving.engine(), &serving.materialization());
     row
 }
@@ -558,8 +579,7 @@ fn evidence_sessions(quick: bool) -> Row {
     };
     let (warm, stream) = inputs.split_at(sessions / 8);
     serve(&mut Row::default(), warm);
-    let mut row = Row::default();
-    serve(&mut row, stream);
+    let mut row = Row::repetition(|row| serve(row, stream));
     row.memos(serving.engine(), &serving.materialization());
     row
 }
@@ -657,14 +677,15 @@ fn drift_remat(quick: bool) -> Row {
         &Workload::from_queries(train),
         LifecycleConfig::new(budget).with_min_window(WINDOW),
     );
-    let mut row = Row::default();
-    for (b, batch) in arrivals.chunks(BATCH).enumerate() {
-        if b > 0 && (b * BATCH) % TICK_EVERY == 0 {
-            controller.tick().expect("re-selection fits");
+    let mut row = Row::repetition(|row| {
+        for (b, batch) in arrivals.chunks(BATCH).enumerate() {
+            if b > 0 && (b * BATCH) % TICK_EVERY == 0 {
+                controller.tick().expect("re-selection fits");
+            }
+            let (outcomes, stats) = serving.serve_batch(batch);
+            row.served(&outcomes, stats.cache_hits);
         }
-        let (outcomes, stats) = serving.serve_batch(batch);
-        row.served(&outcomes, stats.cache_hits);
-    }
+    });
     row.memos(serving.engine(), &serving.materialization());
     row
 }

@@ -29,6 +29,11 @@ mod table2;
 mod table3;
 mod table4;
 
+// counts what `repro ledger`'s `alloc_calls` reads; every other experiment
+// runs on `System` as before, one thread-local read per allocation added
+#[global_allocator]
+static ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
+
 /// Every experiment, in the order the bare run executes them.
 const EXPERIMENTS: [(&str, fn()); 15] = [
     ("table1", table1::run),

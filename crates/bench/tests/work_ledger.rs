@@ -1,9 +1,11 @@
 //! The work ledger is exact: `repro ledger --quick` writes the committed
 //! `LEDGER.quick.json` byte for byte. A change that moves the work one of
 //! its shapes does — requests computed, operations, cache hits, faults,
-//! page-outs, memo entries held or resumed, store bytes read — fails this
-//! check until the file is regenerated (`repro ledger --quick` at the
-//! repository root) and the difference is explained.
+//! page-outs, memo entries held or resumed, store bytes read, allocator
+//! calls — fails this check until the file is regenerated (`cargo run -p
+//! peanut-bench --bin repro -- ledger --quick` at the repository root: the
+//! test profile's build, whose debug assertions allocate) and the
+//! difference is explained.
 
 use std::process::Command;
 

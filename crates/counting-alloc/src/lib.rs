@@ -7,9 +7,12 @@
 //! ```
 //!
 //! reads what a closure allocates on its own thread with [`counted`], so
-//! parallel tests do not see each other. It is a dev-dependency only, and
-//! depends on nothing: a crate that enabled features of the workspace's
-//! crates here would change what every test binary using it compiles.
+//! parallel tests do not see each other. The allocation tests take it as
+//! a dev-dependency; the one other binary that installs it is `repro`
+//! (`peanut-bench`), whose work ledger counts each row's allocator calls.
+//! It depends on nothing: a crate that enabled features of the
+//! workspace's crates here would change what every binary using it
+//! compiles.
 
 // the allocator below is the workspace's one audited test `unsafe` site
 #![allow(unsafe_code)]

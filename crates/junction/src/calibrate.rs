@@ -137,11 +137,12 @@ impl NumericState {
     /// the entries inconsistent with `value` are zeroed in *one* clique
     /// containing `var`, then the two calibration passes propagate the
     /// restriction through the whole tree. The caller pays two full passes
-    /// **once** per evidence context — the seam the serving layer's
-    /// evidence sessions amortize a pinned-evidence query stream over —
-    /// after which marginals of the restricted state are plain
-    /// single-table or Steiner-tree work, never a joint over
-    /// `targets ∪ vars(evidence)`.
+    /// **once** per evidence context, after which marginals of the
+    /// restricted state are plain single-table or Steiner-tree work, never
+    /// a joint over `targets ∪ vars(evidence)`. The serving layer's
+    /// evidence sessions do not take this route (they eliminate on the
+    /// recovered CPTs); it is the Hugin reference their answers are
+    /// tested against.
     ///
     /// Impossible evidence (probability zero under the model, or two pairs
     /// contradicting each other on one variable) fails with

@@ -258,9 +258,11 @@ impl<'t> QueryEngine<'t> {
     /// recalibration passes are paid here, once; a stream of queries under
     /// the same pinned evidence then runs as plain marginals: each charged
     /// its plain count toward `r_q`, each pass run toward its cheapest
-    /// Steiner member. The restricted tables' message memo starts empty:
-    /// none of this engine's messages holds for them. Requires numeric
-    /// mode; evidence of probability zero fails with
+    /// Steiner member. Evidence sessions answer by elimination instead
+    /// (`peanut_serving::session`); this engine is the reference their
+    /// answers are tested against. The restricted tables' message memo
+    /// starts empty: none of this engine's messages holds for them.
+    /// Requires numeric mode; evidence of probability zero fails with
     /// [`PgmError::ImpossibleEvidence`].
     pub fn restricted_to_evidence(
         &self,

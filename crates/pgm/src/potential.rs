@@ -229,13 +229,21 @@ impl Potential {
     }
 
     /// Scales all entries so they sum to one and returns the sum it
-    /// divided by. No-op on an all-zero table (the returned sum is 0).
+    /// divided by. No-op on an all-zero table (the returned sum is 0). A
+    /// sum so small that its inverse overflows (a subnormal) divides each
+    /// entry instead of multiplying by the inverse.
     pub fn normalize(&mut self) -> f64 {
         let s = self.sum();
         if s > 0.0 {
             let inv = 1.0 / s;
-            for v in &mut self.values {
-                *v *= inv;
+            if inv.is_finite() {
+                for v in &mut self.values {
+                    *v *= inv;
+                }
+            } else {
+                for v in &mut self.values {
+                    *v /= s;
+                }
             }
         }
         s
@@ -1530,6 +1538,20 @@ mod tests {
         let mut z = pot(&d, &[0], &[0., 0.]);
         z.normalize(); // must not NaN
         assert_eq!(z.values(), &[0., 0.]);
+    }
+
+    /// A subnormal sum, whose inverse overflows to infinity, still
+    /// normalizes to a distribution, not to `[NaN, inf]`.
+    #[test]
+    fn normalize_by_a_subnormal_sum_stays_finite() {
+        let d = dom();
+        let tiny = f64::from_bits(1);
+        let mut f = pot(&d, &[0], &[0., tiny]);
+        assert_eq!(f.normalize(), tiny);
+        assert_eq!(f.values(), &[0., 1.]);
+        let mut g = pot(&d, &[0], &[tiny, 2. * tiny]);
+        g.normalize();
+        assert_eq!(g.values(), &[1. / 3., 2. / 3.]);
     }
 
     #[test]

@@ -38,14 +38,14 @@
 //!   [`EvidenceSession`] pins an evidence assignment once
 //!   ([`ServingEngine::open_session`]) on the network's CPTs — slicing the
 //!   families that hold an evidence variable and checking `P(e) > 0` —
-//!   then answers each target marginal `P(t | e)` by whichever route it
-//!   prices cheaper in operations: pruned variable elimination over the
-//!   ancestral set of `t ∪ vars(e)` (`peanut_ve::VePlan`), or the
-//!   evidence-restricted, re-calibrated tree, built once per session on
-//!   first need. The pinning files the factors its eliminations make, so
-//!   a target takes, bit for bit, every step an earlier target (or the
-//!   open's `P(e)` check) already ran. Either way the evidence cost the
-//!   per-query conditional path re-pays on every request is paid once.
+//!   then answers each target marginal `P(t | e)` by pruned variable
+//!   elimination over the ancestral set of `t ∪ vars(e)`
+//!   (`peanut_ve::VePlan`); a target's evidence variables hold a point
+//!   mass at their pinned values. The pinning files the factors its
+//!   eliminations make, so a target takes, bit for bit, every step an
+//!   earlier target (or the open's `P(e)` check) already ran. The
+//!   evidence cost the per-query conditional path re-pays on every
+//!   request is paid once.
 //!   Sessions snapshot their epoch at open (publish-isolated), fan out on
 //!   the serving-priority lane, and record the *restricted* target
 //!   scopes into the epoch's

@@ -57,7 +57,7 @@ pub(crate) struct Target<'t> {
     pub(crate) cache: Option<Arc<Mutex<AnswerCache>>>,
     /// An evidence session's door: set, every request is a target the door
     /// answers as `P(targets | e)`.
-    pub(crate) session: Option<Arc<Door<'t>>>,
+    pub(crate) session: Option<Arc<Door>>,
 }
 
 /// One target's share of a batch, from arrivals to outcomes.
@@ -157,15 +157,14 @@ impl<'a, 't> BatchRun<'a, 't> {
 
     /// Computes unique request `u` — the paper's online routine (Steiner
     /// tree, shortcut substitution, reduce) through an [`OnlineEngine`],
-    /// or a session's door. Touches no shared state but a session's lazily
-    /// built restricted tree and the memos: workers of one wave never
-    /// contend otherwise.
+    /// or a session's door. Touches no shared state but the memos: workers
+    /// of one wave never contend otherwise.
     pub(crate) fn compute(&self, u: usize, scratch: &mut Scratch) -> Computed {
         let t = Instant::now();
         let online = OnlineEngine::new(&self.target.engine, &self.target.mat);
         let req = self.uniques[u];
         let traced = if let Some(door) = &self.target.session {
-            door.answer(&self.target.mat, &req.targets, scratch)?
+            door.answer(&self.target.engine, &req.targets, scratch)?
         } else if req.is_marginal() {
             online.answer_traced_in(&req.targets, scratch)?
         } else {
@@ -233,9 +232,9 @@ impl<'a, 't> BatchRun<'a, 't> {
             .filter(|&u| self.uniques[u].is_marginal())
             .map(|u| (u, self.hashes[u], &self.uniques[u].targets));
         let observed = marginals.chain(joints.iter().map(|(u, h, s)| (*u, *h, s)));
-        // a session's answers are filed at their plain-tree count, whichever
-        // route answered: the epoch's materialization served none of them,
-        // so they show none of its savings (empty for any other target)
+        // a session's answers are filed at their plain-tree count: the
+        // epoch's materialization served none of them, so they show none of
+        // its savings (empty for any other target)
         let unsaved: Vec<QueryCost> = match &self.target.session {
             Some(_) => (0..self.uniques.len())
                 .map(|u| {
@@ -486,7 +485,7 @@ mod tests {
                 queries: 5,
                 shortcut_queries: 0,
                 shortcuts_used: 0,
-                observed_ops: 3 * a1.cost.ops + 2 * a2.cost.ops,
+                observed_ops: 3 * a1.baseline_ops + 2 * a2.baseline_ops,
                 baseline_ops: 3 * a1.baseline_ops + 2 * a2.baseline_ops,
             }
         );

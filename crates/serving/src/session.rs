@@ -9,7 +9,7 @@
 //! pattern Darwiche's *Dynamic Jointrees* exploits), and
 //! [`ServingEngine::open_session`] amortizes it.
 //!
-//! # Two routes, one price list
+//! # One route: pruned elimination
 //!
 //! Opening a session pins the evidence on the network's CPTs, which the
 //! engine's calibrated tables recover once for all sessions from the
@@ -17,41 +17,29 @@
 //! tables were reattached from a store slab: the families that hold an
 //! evidence variable are sliced to its value ([`Pinned`]), and
 //! `P(e) > 0` is checked by eliminating every variable. No tree is
-//! cloned.
-//! Each target is then priced both ways, in operations of the workspace
-//! model:
+//! cloned or recalibrated.
 //!
-//! * **pruned variable elimination** ([`VePlan`]) over the ancestral set
-//!   of `targets ∪ vars(e)` — barren variables never enter;
-//! * **the restricted tree**: the plain tree's count for the targets, the
-//!   baseline every answer reports. That tree is the shared one with the
-//!   evidence absorbed and the two Hugin passes re-run
-//!   ([`QueryEngine::restricted_to_evidence`]); its answers are message
-//!   passes over the targets' Steiner tree toward the member where the
-//!   paper's count is smallest (`peanut_junction::reduced`, "Where a
-//!   query's pass runs to").
+//! Every target is then answered by pruned variable elimination
+//! ([`VePlan`]) over the ancestral set of `targets ∪ vars(e)` — barren
+//! variables never enter — and charged the plan's count, in operations of
+//! the workspace model. A target that names an evidence variable is
+//! eliminated over its free variables and multiplied by a point mass at
+//! the pinned values, so its answer keeps the target's scope. Every answer
+//! says so in its work ([`Answer::work`](crate::Answer::work)'s
+//! `eliminated`). A joint that sums to zero — `P(e) > 0` at open, yet
+//! every entry of the target's joint underflowing — fails with
+//! [`PgmError::ImpossibleEvidence`], as the per-query conditional path
+//! does.
 //!
-//! The cheaper route answers; a tie goes to the tree. There is no ns/op
-//! constant and no knob. The restricted tree is built lazily, once per
-//! session, the first time a target takes it; should its `P(e)` underflow
-//! where elimination's did not, every target it would answer fails with
-//! that build's error. A target that names an evidence variable
-//! always takes the tree, whose answer keeps that variable in its scope.
-//! An answer sent to elimination says so in its work
-//! ([`Answer::work`](crate::Answer::work)'s `eliminated`). A joint that
-//! sums to zero — `P(e) > 0` at open, yet every entry of the target's
-//! joint underflowing — fails with [`PgmError::ImpossibleEvidence`], as
-//! the per-query conditional path does, on either route.
-//!
-//! Both routes answer on the *plain* model, without shortcuts:
-//! materialized shortcut potentials hold prior-joint marginals, which are
-//! simply wrong under an evidence restriction. What the session records
-//! instead is per-target-scope arrivals at baseline cost, whichever route
-//! answered — the materialization saved none of it, so the lifecycle's
-//! observed savings must not count elimination's — while each answer
-//! reports the count of the route that ran. The *restricted* scopes are
-//! what the lifecycle layer's re-selection trains on (it reads the scope
-//! counts only).
+//! Each answer also reports the junction tree's count for its targets
+//! without shortcuts (its `baseline_ops`). Elimination answers on the
+//! model alone, without shortcuts either — materialized shortcut potentials hold prior-joint
+//! marginals, which are simply wrong under an evidence restriction. What
+//! the session records is per-target-scope arrivals at that baseline —
+//! the materialization saved none of it, so the lifecycle's observed
+//! savings must not count elimination's — while each answer reports the
+//! plan's count. The *restricted* scopes are what the lifecycle layer's
+//! re-selection trains on (it reads the scope counts only).
 //!
 //! # The factor memo
 //!
@@ -66,40 +54,31 @@
 //! each other. A taken table is bit for bit the one the step would
 //! compute, so a target answers the same bits whichever targets the
 //! session served before it, and on any number of workers. An answer is
-//! still charged its plan's full count ([`VePlan::ops`]), so route choice
-//! and the reported operations do not depend on what the memo holds.
-//! The memo is bounded by one entry count, never evicts, and is dropped
-//! with the session; each answer's work counts the steps it took
-//! (`factors_taken`).
-//!
-//! The restricted tables carry their own message memo
-//! (`peanut_junction::reduced`, "The message memo"), empty when built: the
-//! memo belongs to the tables it was filled from, and the serving engine's
-//! holds messages of the unrestricted ones, none of which is a message of
-//! the session's. Within the session, a query takes what earlier queries of
-//! the same session filed, bit for bit what it would compute; the memo is
-//! dropped with the session.
+//! still charged its plan's full count ([`VePlan::ops`]), so the reported
+//! operations do not depend on what the memo holds. The memo is bounded
+//! by one entry count, never evicts, and is dropped with the session;
+//! each answer's work counts the steps it took (`factors_taken`).
 //!
 //! # Epoch-swap semantics
 //!
 //! A session snapshots its epoch (and that epoch's stats accumulator) and
-//! the engine it prices on at open, and owns its pinned CPTs and its
-//! restricted tree outright, so a concurrent
-//! [`publish`](ServingEngine::publish) never touches an in-flight
-//! session: its answers keep their open-time epoch tag until the session
-//! is dropped. Sessions opened after the swap see the new epoch. Session
-//! queries fan out on the engine's serving-priority worker lane.
+//! the engine it prices on at open, and owns its pinned CPTs outright, so
+//! a concurrent [`publish`](ServingEngine::publish) never touches an
+//! in-flight session: its answers keep their open-time epoch tag until
+//! the session is dropped. Sessions opened after the swap see the new
+//! epoch. Session queries fan out on the engine's serving-priority worker
+//! lane.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use crate::engine::{BatchStats, ServingEngine};
 use crate::overload::ServeOutcome;
 use crate::pipeline::Target;
-use peanut_core::sync::{Arc, OnceLock};
-use peanut_core::{Materialization, OnlineEngine, ServeRequest, TracedAnswer};
+use peanut_core::sync::Arc;
+use peanut_core::{ServeRequest, TracedAnswer};
 use peanut_junction::cost::QueryCost;
 use peanut_junction::QueryEngine;
-use peanut_pgm::{BayesianNetwork, PgmError, Scope, Scratch, Var};
+use peanut_pgm::{BayesianNetwork, PgmError, Potential, Scope, Scratch, Var};
 use peanut_ve::{Pinned, VePlan};
 
 #[cfg(doc)]
@@ -111,82 +90,82 @@ use peanut_junction::NumericState;
 pub struct EvidenceSession<'s, 't> {
     serving: &'s ServingEngine<'t>,
     /// What every batch of this session is served against: the open-time
-    /// engine and [`Door`]. The materialization is empty (shortcut tables
-    /// hold prior-joint marginals, invalid under the restriction) and only
-    /// carries the open-time epoch; its plan memo serves the restricted
-    /// tree. The stats are the open-time epoch's accumulator; a publish
-    /// mid-session retires it, and this session keeps feeding the retired
-    /// window (exactly like an in-flight batch would) and hashing its
-    /// requests with that accumulator's hasher, the engine's. No answer
-    /// cache; duplicate targets of a batch coalesce onto one computation,
-    /// and every answer is normalized into `P(· | evidence)`.
+    /// engine, whose tree prices each target's baseline, the
+    /// epoch's materialization, of which only the epoch is read (its
+    /// shortcut tables hold prior-joint marginals, invalid under the
+    /// evidence), and the [`Door`]. The stats are the open-time epoch's
+    /// accumulator; a publish mid-session retires it, and this session
+    /// keeps feeding the retired window (exactly like an in-flight batch
+    /// would) and hashing its requests with that accumulator's hasher, the
+    /// engine's. No answer cache; duplicate targets of a batch coalesce
+    /// onto one computation, and every answer is normalized into
+    /// `P(· | evidence)`.
     target: Target<'t>,
     /// The target's door, which every answer of the session goes through.
-    door: Arc<Door<'t>>,
+    door: Arc<Door>,
 }
 
-/// How a session answers a target (module docs, "Two routes, one price
-/// list"). Shared by the workers of a batch.
-pub(crate) struct Door<'t> {
-    /// The serving engine at open: the tree every target is priced on.
-    plain: Arc<QueryEngine<'t>>,
+/// How a session answers a target (module docs, "One route: pruned
+/// elimination"). Shared by the workers of a batch.
+pub(crate) struct Door {
     /// The network recovered from the engine's tables, and the evidence
     /// pinned on it.
     pinned: (Arc<BayesianNetwork>, Pinned),
     /// The pinned assignment, sorted by variable, each pair once.
     evidence: Vec<(Var, u32)>,
-    /// The evidence-restricted, re-calibrated tree, or why it could not be
-    /// built, on first need.
-    restricted: OnceLock<Result<QueryEngine<'t>, PgmError>>,
 }
 
-impl<'t> Door<'t> {
-    /// `P(targets | e)` by the cheaper route, with the charged count, the
-    /// plain tree's, and what the route executed. A joint that sums to
-    /// zero — `P(e) > 0` at open, yet every entry underflowing — fails
-    /// with [`PgmError::ImpossibleEvidence`], as the conditional door does.
+impl Door {
+    /// `P(targets | e)` by pruned elimination, with the plan's count, the
+    /// count of `engine`'s tree without shortcuts, and what the plan
+    /// executed. A target's evidence variables hold a point mass at their
+    /// pinned values. A joint that sums to zero — `P(e) > 0` at open, yet
+    /// every entry underflowing — fails with
+    /// [`PgmError::ImpossibleEvidence`], as the conditional door does.
     pub(crate) fn answer(
         &self,
-        mat: &Materialization,
+        engine: &QueryEngine<'_>,
         targets: &Scope,
         scratch: &mut Scratch,
     ) -> Result<TracedAnswer, PgmError> {
-        let baseline_ops = self.plain.cost(targets)?.ops;
+        let baseline_ops = engine.cost(targets)?.ops;
         let (bn, pinned) = &self.pinned;
-        let eliminated = if targets.iter().any(|v| pinned.is_pinned(v)) {
-            None
+        // the evidence's pairs the targets name, in variable order
+        let (at, values): (Vec<Var>, Vec<u32>) = self
+            .evidence
+            .iter()
+            .filter(|&&(v, _)| targets.contains(v))
+            .copied()
+            .unzip();
+        let at = Scope::from_iter(at);
+        let plan = VePlan::new(bn, pinned, &targets.minus(&at))?;
+        let (free, work) = plan.run(bn, pinned, scratch)?;
+        let mut potential = if at.is_empty() {
+            free
         } else {
-            Some(VePlan::new(bn, pinned, targets)?).filter(|plan| plan.ops() < baseline_ops)
-        };
-        let mut traced = match eliminated {
-            Some(plan) => {
-                let (potential, work) = plan.run(bn, pinned, scratch)?;
-                let cost = QueryCost {
-                    ops: plan.ops(),
-                    ..QueryCost::default()
-                };
-                TracedAnswer {
-                    potential,
-                    cost,
-                    baseline_ops,
-                    work,
-                }
-            }
-            None => {
-                let restricted = self
-                    .restricted
-                    .get_or_init(|| self.plain.restricted_to_evidence(&self.evidence))
-                    .as_ref()
-                    .map_err(PgmError::clone)?;
-                OnlineEngine::new(restricted, mat).answer_traced_in(targets, scratch)?
-            }
+            // the pinned targets: a point mass at their evidence values
+            let mut mass = Potential::zeros(at, bn.domain())?;
+            let i = mass.index_of(&values);
+            mass.values_mut()[i] = 1.0;
+            let joint = free.product_in(&mass, scratch)?;
+            scratch.recycle(free);
+            joint
         };
         // the joint sums to P(e): nothing to condition on when every entry
         // underflowed to zero
-        if traced.potential.normalize() <= 0.0 {
+        if potential.normalize() <= 0.0 {
             return Err(PgmError::ImpossibleEvidence(self.evidence.clone()));
         }
-        Ok(traced)
+        let cost = QueryCost {
+            ops: plan.ops(),
+            ..QueryCost::default()
+        };
+        Ok(TracedAnswer {
+            potential,
+            cost,
+            baseline_ops,
+            work,
+        })
     }
 }
 
@@ -207,10 +186,10 @@ impl<'t> ServingEngine<'t> {
         evidence.sort_unstable();
         evidence.dedup();
         let snapshot = self.target();
-        let plain = Arc::clone(&snapshot.engine);
-        let bn = plain
+        let bn = snapshot
+            .engine
             .numeric_state()
-            .and_then(|ns| ns.network(plain.tree()))
+            .and_then(|ns| ns.network(snapshot.engine.tree()))
             .ok_or(PgmError::SymbolicEngine)?;
         let pinned = Pinned::new(&bn, &evidence)?;
         let p = pinned.probability(&bn, &mut Scratch::new())?;
@@ -218,15 +197,12 @@ impl<'t> ServingEngine<'t> {
             return Err(PgmError::ImpossibleEvidence(evidence));
         }
         let door = Arc::new(Door {
-            plain,
             pinned: (bn, pinned),
             evidence,
-            restricted: OnceLock::new(),
         });
         Ok(EvidenceSession {
             serving: self,
             target: Target {
-                mat: Arc::new(Materialization::default().with_epoch(snapshot.mat.epoch)),
                 cache: None,
                 session: Some(Arc::clone(&door)),
                 ..snapshot
@@ -261,8 +237,7 @@ impl<'s, 't> EvidenceSession<'s, 't> {
 
     /// Serves a batch of marginal target scopes under the pinned
     /// evidence, in submission order. Each answer is the normalized
-    /// `P(targets | evidence)`, by pruned elimination or on the
-    /// session-local restricted tree, whichever the target prices cheaper
+    /// `P(targets | evidence)`, by pruned elimination on the pinned CPTs
     /// — no joint over `targets ∪ vars(e)` is ever formed on the tree,
     /// which is where the amortization over the per-query conditional path
     /// comes from. Fans out on the engine's serving-priority lane.
@@ -282,9 +257,9 @@ impl<'s, 't> EvidenceSession<'s, 't> {
 mod tests {
     use super::*;
     use crate::engine::ServingConfig;
-    use peanut_core::ServeRequest;
+    use peanut_core::{Materialization, ServeRequest};
     use peanut_junction::build_junction_tree;
-    use peanut_pgm::fixtures;
+    use peanut_pgm::{fixtures, joint};
 
     fn serving_for(bn: &peanut_pgm::BayesianNetwork) -> ServingEngine<'static> {
         // leak the tree for 'static; tests only — the engines borrow it
@@ -391,36 +366,40 @@ mod tests {
 
     /// A target whose joint with the evidence underflows to zero in every
     /// entry, though `P(e)` does not, fails closed with
-    /// [`PgmError::ImpossibleEvidence`] on either route, as the
-    /// conditional door does, instead of serving a table of zeros.
+    /// [`PgmError::ImpossibleEvidence`], as the conditional door does,
+    /// instead of serving a table of zeros; so does one that also names
+    /// the evidence variable. A target of the evidence variable alone is
+    /// its point mass.
     #[test]
-    fn an_underflowing_joint_fails_closed_on_both_routes() {
+    fn an_underflowing_joint_fails_closed() {
         let (bn, x) = underflowing_chain();
         let serving = serving_for(&bn);
         let session = serving.open_session(vec![(x[2], 1)]).unwrap();
-        let door = &session.door;
-        let (net, pinned) = &door.pinned;
-        let by_ve = |t: &Scope| {
-            let plan = VePlan::new(net, pinned, t).unwrap();
-            plan.ops() < door.plain.cost(t).unwrap().ops
-        };
-        let (tree, ve) = (Scope::singleton(x[0]), Scope::from_iter([x[0], x[4]]));
-        assert!(!by_ve(&tree) && by_ve(&ve), "one target per route");
-        for t in [tree, ve] {
+        for t in [
+            Scope::singleton(x[0]),
+            Scope::from_iter([x[0], x[4]]),
+            Scope::from_iter([x[0], x[2]]),
+        ] {
             let outcome = session.serve_one(&t);
             assert!(
                 matches!(outcome.failure(), Some(PgmError::ImpossibleEvidence(_))),
                 "{t}: {outcome:?}"
             );
         }
+        let outcome = session.serve_one(&Scope::singleton(x[2]));
+        assert_eq!(
+            outcome.served().expect("served").potential.values(),
+            [0.0, 1.0]
+        );
     }
 
     /// `x0 → x1 → x2` with `x1 ≡ 0` and `P(x2 = 1 | x1)` the least
     /// subnormal: the tables hold no row of `x2`'s CPT at `x1 = 1`, yet
     /// recover a network, and a session opens on every assignment that
     /// elimination on the model's own CPTs gives positive probability —
-    /// `x2 = 1` included, whose restricted tree underflows to zero — and
-    /// on no other.
+    /// `x2 = 1` included, under which the restricted, re-calibrated tree
+    /// underflows to zero — and on no other. Under `x2 = 1` elimination
+    /// answers `P(x1 | e)` = [1, 0].
     #[test]
     fn a_deterministic_cpt_opens_wherever_the_model_gives_evidence_mass() {
         let tiny = f64::from_bits(1);
@@ -447,19 +426,17 @@ mod tests {
                 Err(e) => panic!("{evidence:?}: {e}"),
             }
         }
-        // a target the restricted tree answers fails closed on its
-        // underflow
         let session = serving.open_session(vec![(x[2], 1)]).unwrap();
         let outcome = session.serve_one(&Scope::singleton(x[1]));
-        assert!(
-            matches!(outcome.failure(), Some(PgmError::ImpossibleEvidence(_))),
-            "{outcome:?}"
-        );
+        let served = outcome.served().expect("served");
+        assert!(served.work.eliminated);
+        let want = Potential::new(Scope::singleton(x[1]), vec![2], vec![1.0, 0.0]).unwrap();
+        assert!(served.potential.max_abs_diff(&want).unwrap() <= 1e-12);
     }
 
     /// Summed over the answers a Hailfinder session computed, the steps
     /// they say they took from the factor memo are the pinning's own count
-    /// of its takes, and each answer by elimination says so.
+    /// of its takes, and every answer says it was eliminated.
     #[test]
     fn summed_work_equals_the_factor_memos_takes() {
         let bn = peanut_datasets::dataset("Hailfinder")
@@ -490,10 +467,9 @@ mod tests {
         assert_eq!(computed.len(), targets.len());
         let taken: u64 = computed.iter().map(|a| a.work.factors_taken).sum();
         assert_eq!(taken, pinned.factors_taken() - before);
-        let eliminated = computed.iter().filter(|a| a.work.eliminated);
-        assert!(taken > 0 && eliminated.count() > targets.len() / 2);
+        assert!(taken > 0);
         for a in computed {
-            assert_eq!(a.work.eliminated, a.cost.ops < a.baseline_ops, "{a:?}");
+            assert!(a.work.eliminated, "{a:?}");
         }
     }
 
@@ -502,11 +478,54 @@ mod tests {
         let bn = fixtures::sprinkler();
         let serving = serving_for(&bn);
         let session = serving.open_session(vec![(Var(0), 1)]).unwrap();
-        // a target overlapping the pinned evidence is answerable on the
-        // restricted tree (it is just a variable of the tree), so the
-        // interesting failure is an unknown variable
-        let (o, _) = session.serve_batch(&[Scope::from_indices(&[1]), Scope::from_indices(&[99])]);
+        // a target overlapping the pinned evidence is answerable (the
+        // evidence variable holds a point mass), so the interesting
+        // failure is an unknown variable
+        let (o, _) =
+            session.serve_batch(&[Scope::from_indices(&[0, 1]), Scope::from_indices(&[99])]);
         assert!(o[0].is_served());
         assert!(o[1].failure().is_some());
+    }
+
+    /// A target that names an evidence variable is eliminated over its
+    /// free variables: its answer keeps the target's scope, holds a point
+    /// mass at the pinned value, and the free part is `P(free | e)` by
+    /// enumeration of the joint.
+    #[test]
+    fn a_target_naming_evidence_holds_a_point_mass_there() {
+        let bn = fixtures::figure1();
+        let serving = serving_for(&bn);
+        let d = bn.domain();
+        let var = |name: &str| d.var(name).unwrap();
+        let evidence = vec![(var("a"), 1), (var("l"), 0)];
+        let session = serving.open_session(evidence.clone()).unwrap();
+        for names in [&["a", "d"][..], &["b", "e", "l"], &["a", "l"]] {
+            let t = Scope::from_iter(names.iter().map(|n| var(n)));
+            let outcome = session.serve_one(&t);
+            let served = outcome.served().expect("served");
+            assert!(served.work.eliminated, "{t}");
+            let mut got = served.potential.clone();
+            assert_eq!(got.scope(), &t);
+            let pinned_at = |i: usize| {
+                let assignment = got.assignment_of(i);
+                let mut pairs = t.iter().zip(assignment);
+                pairs.all(|(v, x)| evidence.iter().all(|&(e, value)| e != v || value == x))
+            };
+            for (i, &p) in got.values().iter().enumerate() {
+                assert!(pinned_at(i) || p == 0.0, "{t}: mass off the evidence");
+            }
+            let ev_scope = Scope::from_iter(evidence.iter().map(|&(v, _)| v));
+            for &(v, value) in evidence.iter().filter(|&&(v, _)| t.contains(v)) {
+                got = got.restrict(v, value).unwrap();
+            }
+            let free = t.minus(&ev_scope);
+            let mut want = joint::marginal(&bn, &free.union(&ev_scope)).unwrap();
+            for &(v, value) in &evidence {
+                want = want.restrict(v, value).unwrap();
+            }
+            want.normalize();
+            let diff = got.max_abs_diff(&want).unwrap();
+            assert!(diff <= 1e-9, "{t}: off by {diff}");
+        }
     }
 }
