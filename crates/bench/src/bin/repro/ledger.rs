@@ -42,15 +42,18 @@
 //! answers computed, operations charged and their plain-tree baseline,
 //! cache hits, faults, page-outs, the memo entries held when it ends
 //! (calibrated tables and materializations, of the engines resident then,
-//! read through each memo's `MemoUsage`), the memo entries fault-ins
-//! resumed, the store bytes fault-ins read, and the plans the
-//! materializations' plan memos hold when it ends. The rest is what the
+//! and the factor memo an engine's evidence sessions share, read through
+//! each memo's `MemoUsage`), the memo entries fault-ins resumed, the
+//! store bytes fault-ins read, the bytes of the epoch files publishes and
+//! page-outs wrote, and the plans the materializations' plan memos hold
+//! when it ends. The rest is what the
 //! answers computed in the repetition executed, summed over each answer's
 //! own `Work`: the answers that ran a filed plan (`plans_taken`), the
 //! answers evidence sessions sent to pruned variable elimination
-//! (`eliminated`), the elimination steps they took from their pinnings'
-//! factor memos (`factors_taken`) — these two are 0 on every shape without
-//! sessions — the messages passes took from the message memos of the
+//! (`eliminated`), the elimination steps they took from the factor memos,
+//! their pinnings' own and the one their network's pinnings share
+//! (`factors_taken`) — these two are 0 on every shape without sessions —
+//! the messages passes took from the message memos of the
 //! calibrated tables and of the materializations (`messages_taken`), the
 //! messages they computed, answers included (`messages_computed`), and
 //! the product entries their kernels walked (`entries_walked`). Last,
@@ -112,8 +115,10 @@ struct Row {
     page_outs: u64,
     state_memo_entries: u64,
     mat_memo_entries: u64,
+    factor_memo_entries: u64,
     memo_resumed: u64,
     store_bytes_read: u64,
+    store_bytes_written: u64,
     plans_held: u64,
     plans_taken: u64,
     eliminated: u64,
@@ -179,7 +184,7 @@ impl Row {
 
     fn json(&self, shape: &str) -> String {
         let mut out = format!("    {{\n      \"shape\": \"{shape}\",\n      \"seed\": {SEED}");
-        let fields: [(&str, u128); 20] = [
+        let fields: [(&str, u128); 22] = [
             ("requests", self.requests.into()),
             ("failed", self.failed.into()),
             ("answers_computed", self.computed.into()),
@@ -190,8 +195,10 @@ impl Row {
             ("page_outs", self.page_outs.into()),
             ("state_memo_entries", self.state_memo_entries.into()),
             ("mat_memo_entries", self.mat_memo_entries.into()),
+            ("factor_memo_entries", self.factor_memo_entries.into()),
             ("memo_entries_resumed", self.memo_resumed.into()),
             ("store_bytes_read", self.store_bytes_read.into()),
+            ("store_bytes_written", self.store_bytes_written.into()),
             ("plans_held", self.plans_held.into()),
             ("plans_taken", self.plans_taken.into()),
             ("eliminated", self.eliminated.into()),
@@ -291,9 +298,11 @@ fn fleet_paging(quick: bool, store_dir: &Path) -> Row {
             .with_max_resident(MAX_RESIDENT),
     );
     fleet.set_store(store.clone());
-    // the size of every epoch file a tenant saved, and its newest epoch
+    // the size of every epoch file a tenant saved, its newest epoch, and
+    // the tenants whose newest epoch is not on disk yet
     let mut sizes: BTreeMap<(usize, u64), u64> = BTreeMap::new();
     let mut newest = vec![0u64; TENANTS];
+    let mut unsaved: Vec<usize> = Vec::new();
     let size = |t: usize, epoch: u64| {
         std::fs::metadata(store.epoch_path(t as u32, epoch)).map_or(0, |m| m.len())
     };
@@ -332,13 +341,25 @@ fn fleet_paging(quick: bool, store_dir: &Path) -> Row {
                 reads(row, &[id], &newest, &sizes);
                 let engine = fleet.tenant(id).expect("tenant faults in");
                 newest[t] = engine.publish(mats[t][which].clone());
-                sizes.insert((t, newest[t]), size(t, newest[t]));
+                let written = size(t, newest[t]);
+                sizes.insert((t, newest[t]), written);
+                row.store_bytes_written += written;
+                if written == 0 {
+                    unsaved.push(t);
+                }
             }
             let batch = &arrivals[b * BATCH..(b + 1) * BATCH];
             let touched: Vec<TenantId> = batch.iter().map(|(id, _)| *id).collect();
             reads(row, &touched, &newest, &sizes);
             let (outcomes, stats) = fleet.serve_mixed(batch);
             row.served(&outcomes, stats.cache_hits);
+            // a page-out saves the served epoch its publish did not
+            unsaved.retain(|&t| {
+                let written = size(t, newest[t]);
+                sizes.insert((t, newest[t]), written);
+                row.store_bytes_written += written;
+                written == 0
+            });
         }
     };
     // warm-up: an eighth of the stream, before any publish
@@ -581,6 +602,7 @@ fn evidence_sessions(quick: bool) -> Row {
     serve(&mut Row::default(), warm);
     let mut row = Row::repetition(|row| serve(row, stream));
     row.memos(serving.engine(), &serving.materialization());
+    row.factor_memo_entries = serving.factor_memo_usage().held as u64;
     row
 }
 

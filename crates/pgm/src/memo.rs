@@ -86,7 +86,8 @@ pub struct Work {
     pub plan_taken: bool,
     /// Whether the answer was computed by pruned variable elimination.
     pub eliminated: bool,
-    /// Elimination steps taken from a pinning's factor memo.
+    /// Elimination steps taken from the factor memos: a pinning's own,
+    /// or the one its network's pinnings share.
     pub factors_taken: u64,
 }
 

@@ -57,14 +57,15 @@ use crate::pipeline::{fan_out, BatchRun, Target};
 use crate::pool::{PoolCell, PoolStats, WorkerPool};
 use peanut_core::exec::Executor;
 use peanut_core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use peanut_core::sync::{thread, Arc, Mutex, RwLock};
+use peanut_core::sync::{thread, Arc, Mutex, OnceLock, RwLock};
 use peanut_core::{
     ByHash, FlatMaterialization, Materialization, ServeRequest, Shortcut, WorkloadStats,
 };
 use peanut_junction::cost::QueryCost;
 use peanut_junction::{MessageMemo, QueryEngine};
-use peanut_pgm::{PgmError, Potential, Size, Work};
+use peanut_pgm::{BayesianNetwork, MemoUsage, PgmError, Potential, Size, Work};
 use peanut_store::StoreConfig;
+use peanut_ve::FactorMemo;
 use std::collections::VecDeque;
 use std::hash::RandomState;
 use std::ops::Deref;
@@ -398,6 +399,12 @@ pub struct ServingEngine<'t> {
     /// The tenant's on-disk record, if persistence is attached
     /// ([`set_store`](Self::set_store)).
     store: Option<Arc<EngineStore>>,
+    /// The network the engine's tables recover, with the memo of the
+    /// elimination steps over its unsliced CPTs that every evidence
+    /// session on this engine shares (`session.rs`, "The factor memos");
+    /// made by the first session, dropped with the engine, whose tables
+    /// never change. `None` inside when the tables recover no network.
+    network: OnceLock<Option<(Arc<BayesianNetwork>, Arc<FactorMemo>)>>,
 }
 
 impl<'t> ServingEngine<'t> {
@@ -455,6 +462,7 @@ impl<'t> ServingEngine<'t> {
             hasher,
             pool: PoolCell::new(),
             store: None,
+            network: OnceLock::new(),
         }
     }
 
@@ -631,6 +639,28 @@ impl<'t> ServingEngine<'t> {
     /// The wrapped query engine.
     pub fn engine(&self) -> &QueryEngine<'t> {
         &self.engine
+    }
+
+    /// The network the engine's calibrated tables recover, and the factor
+    /// memo its evidence sessions share, made on first use; `None` when
+    /// the tables recover none (a symbolic engine, or a tree that records
+    /// no families).
+    pub(crate) fn network(&self) -> Option<&(Arc<BayesianNetwork>, Arc<FactorMemo>)> {
+        self.network
+            .get_or_init(|| {
+                let bn = self.engine.numeric_state()?.network(self.engine.tree())?;
+                Some((bn, Arc::default()))
+            })
+            .as_ref()
+    }
+
+    /// What the factor memo the engine's evidence sessions share holds;
+    /// nothing, of no cap, before the first session opens.
+    pub fn factor_memo_usage(&self) -> MemoUsage {
+        match self.network.get() {
+            Some(Some((_, memo))) => memo.usage(),
+            _ => MemoUsage::default(),
+        }
     }
 
     /// Snapshot of the currently served materialization.

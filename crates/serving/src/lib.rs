@@ -41,9 +41,11 @@
 //!   then answers each target marginal `P(t | e)` by pruned variable
 //!   elimination over the ancestral set of `t ∪ vars(e)`
 //!   (`peanut_ve::VePlan`); a target's evidence variables hold a point
-//!   mass at their pinned values. The pinning files the factors its
-//!   eliminations make, so a target takes, bit for bit, every step an
-//!   earlier target (or the open's `P(e)` check) already ran. The
+//!   mass at their pinned values. The factors eliminations make are
+//!   filed — evidence-free steps in one memo every session on the engine
+//!   shares, the others in the session's own — so a target takes, bit for
+//!   bit, every step an earlier target (or the open's `P(e)` check), or an
+//!   earlier session's evidence-free step, already ran. The
 //!   evidence cost the per-query conditional path re-pays on every
 //!   request is paid once.
 //!   Sessions snapshot their epoch at open (publish-isolated), fan out on

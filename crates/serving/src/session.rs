@@ -41,23 +41,32 @@
 //! plan's count. The *restricted* scopes are what the lifecycle layer's
 //! re-selection trains on (it reads the scope counts only).
 //!
-//! # The factor memo
+//! # The factor memos
 //!
-//! The pinning owns a memo of the factors its eliminations made
-//! (`peanut_ve::plan`, "The factor memo"): each step of a plan — one
-//! variable summed out of the product of its inputs — is filed under its
-//! ordered inputs and kept scope, and a later target of the session whose
-//! plan reaches a step of that key takes the filed table instead of
-//! running the kernel. The open's `P(e)` check eliminates every ancestor
-//! of the evidence, so its steps are filed first; targets then share
-//! whatever sub-eliminations their plans have in common with it and with
-//! each other. A taken table is bit for bit the one the step would
-//! compute, so a target answers the same bits whichever targets the
-//! session served before it, and on any number of workers. An answer is
-//! still charged its plan's full count ([`VePlan::ops`]), so the reported
-//! operations do not depend on what the memo holds. The memo is bounded
-//! by one entry count, never evicts, and is dropped with the session;
-//! each answer's work counts the steps it took (`factors_taken`).
+//! Each step of a plan — one variable summed out of the product of its
+//! inputs — is filed under its ordered inputs and kept scope, and a later
+//! plan that reaches a step of that key takes the filed table instead of
+//! running the kernel (`peanut_ve::plan`, "The factor memos"). A step
+//! whose inputs are the network's unsliced CPTs, or factors made from
+//! them alone, makes the same table under every evidence assignment: it
+//! is filed in the one [`FactorMemo`] of the engine's recovered network,
+//! which every session on the engine shares. A step that reads a sliced
+//! CPT is filed in the session's own memo. The open's `P(e)` check
+//! eliminates every ancestor of the evidence, so its steps are filed
+//! first; targets then share whatever sub-eliminations their plans have
+//! in common with it, with each other, and — the evidence-free ones —
+//! with every earlier session's targets.
+//!
+//! A taken table is bit for bit the one the step would compute, so a
+//! target answers the same bits whichever sessions and targets the engine
+//! served before it, and on any number of workers. An answer is still
+//! charged its plan's full count ([`VePlan::ops`]), so the reported
+//! operations do not depend on what the memos hold. Each memo is bounded
+//! by one entry count and never evicts. The network's lives as long as
+//! the engine, whose tables, and so whose recovered CPTs, never change; a
+//! fleet's fault-in builds a new engine, and with it a new network and an
+//! empty memo. The session's own memo is dropped with the session. Each
+//! answer's work counts the steps it took from either (`factors_taken`).
 //!
 //! # Epoch-swap semantics
 //!
@@ -82,7 +91,7 @@ use peanut_pgm::{BayesianNetwork, PgmError, Potential, Scope, Scratch, Var};
 use peanut_ve::{Pinned, VePlan};
 
 #[cfg(doc)]
-use peanut_junction::NumericState;
+use {peanut_junction::NumericState, peanut_ve::FactorMemo};
 
 /// One open evidence session: the evidence pinned on the network's CPTs,
 /// the engine it prices on, and the epoch snapshot it was opened under.
@@ -186,18 +195,14 @@ impl<'t> ServingEngine<'t> {
         evidence.sort_unstable();
         evidence.dedup();
         let snapshot = self.target();
-        let bn = snapshot
-            .engine
-            .numeric_state()
-            .and_then(|ns| ns.network(snapshot.engine.tree()))
-            .ok_or(PgmError::SymbolicEngine)?;
-        let pinned = Pinned::new(&bn, &evidence)?;
-        let p = pinned.probability(&bn, &mut Scratch::new())?;
+        let (bn, factors) = self.network().ok_or(PgmError::SymbolicEngine)?;
+        let pinned = Pinned::sharing(bn, &evidence, factors)?;
+        let p = pinned.probability(bn, &mut Scratch::new())?;
         if p.is_nan() || p <= 0.0 {
             return Err(PgmError::ImpossibleEvidence(evidence));
         }
         let door = Arc::new(Door {
-            pinned: (bn, pinned),
+            pinned: (Arc::clone(bn), pinned),
             evidence,
         });
         Ok(EvidenceSession {
@@ -434,9 +439,11 @@ mod tests {
         assert!(served.potential.max_abs_diff(&want).unwrap() <= 1e-12);
     }
 
-    /// Summed over the answers a Hailfinder session computed, the steps
-    /// they say they took from the factor memo are the pinning's own count
-    /// of its takes, and every answer says it was eliminated.
+    /// Summed over the answers two Hailfinder sessions of different
+    /// evidence computed, the steps they say they took from the factor
+    /// memos are the two pinnings' own takes and the engine's network memo's
+    /// takes, of which each session has some; every answer says it was
+    /// eliminated.
     #[test]
     fn summed_work_equals_the_factor_memos_takes() {
         let bn = peanut_datasets::dataset("Hailfinder")
@@ -444,32 +451,36 @@ mod tests {
             .build()
             .unwrap();
         let serving = serving_for(&bn);
-        let evidence: Vec<(Var, u32)> = [7u32, 23, 41].map(|v| (Var(v), 0)).into();
-        let session = serving.open_session(evidence).unwrap();
-        let pinned = &session.door.pinned.1;
-        let before = pinned.factors_taken();
         let n = bn.n_vars() as u32;
-        let mut targets: Vec<Scope> = (0..n)
-            .map(|a| Scope::from_indices(&[a, (a * 7 + 3) % n]))
-            .filter(|t| t.len() == 2 && !t.iter().any(|v| pinned.is_pinned(v)))
-            .collect();
-        targets.sort_unstable();
-        targets.dedup();
-        // each target twice: duplicates coalesce onto one computation
-        let batch: Vec<Scope> = targets.iter().chain(&targets).cloned().collect();
-        let (outcomes, _) = session.serve_batch(&batch);
-        let mut computed: Vec<&Arc<crate::Answer>> = Vec::new();
-        for served in outcomes.iter().map(|o| o.served().expect("served")) {
-            if !computed.iter().any(|a| Arc::ptr_eq(a, &served.answer)) {
-                computed.push(&served.answer);
+        for pins in [[7u32, 23, 41], [7, 30, 52]] {
+            let evidence: Vec<(Var, u32)> = pins.map(|v| (Var(v), 0)).into();
+            let session = serving.open_session(evidence).unwrap();
+            let pinned = &session.door.pinned.1;
+            let own = pinned.memos().1;
+            let before = (own.usage().taken, serving.factor_memo_usage().taken);
+            let mut targets: Vec<Scope> = (0..n)
+                .map(|a| Scope::from_indices(&[a, (a * 7 + 3) % n]))
+                .filter(|t| t.len() == 2 && !t.iter().any(|v| pinned.is_pinned(v)))
+                .collect();
+            targets.sort_unstable();
+            targets.dedup();
+            // each target twice: duplicates coalesce onto one computation
+            let batch: Vec<Scope> = targets.iter().chain(&targets).cloned().collect();
+            let (outcomes, _) = session.serve_batch(&batch);
+            let mut computed: Vec<&Arc<crate::Answer>> = Vec::new();
+            for served in outcomes.iter().map(|o| o.served().expect("served")) {
+                if !computed.iter().any(|a| Arc::ptr_eq(a, &served.answer)) {
+                    computed.push(&served.answer);
+                }
             }
-        }
-        assert_eq!(computed.len(), targets.len());
-        let taken: u64 = computed.iter().map(|a| a.work.factors_taken).sum();
-        assert_eq!(taken, pinned.factors_taken() - before);
-        assert!(taken > 0);
-        for a in computed {
-            assert!(a.work.eliminated, "{a:?}");
+            assert_eq!(computed.len(), targets.len());
+            let taken: u64 = computed.iter().map(|a| a.work.factors_taken).sum();
+            let shared = serving.factor_memo_usage().taken - before.1;
+            assert_eq!(taken, own.usage().taken - before.0 + shared);
+            assert!(taken > 0 && shared > 0);
+            for a in computed {
+                assert!(a.work.eliminated, "{a:?}");
+            }
         }
     }
 

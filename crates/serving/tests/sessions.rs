@@ -1,9 +1,12 @@
 //! Evidence sessions on Hailfinder answer from their pinning's factor
-//! memo: a target's bits do not depend on which targets the session served
-//! before it, nor on how many workers served its batch.
+//! memo and the one their engine's network shares: a target's bits do not
+//! depend on which targets the session served before it, on which
+//! sessions the engine served before it, nor on how many workers served
+//! its batch.
 
 use peanut_core::Materialization;
 use peanut_junction::{build_junction_tree, JunctionTree, QueryEngine};
+use peanut_pgm::MemoUsage;
 use peanut_pgm::{BayesianNetwork, Scope, Var};
 use peanut_serving::{Answer, ServeOutcome, ServingConfig, ServingEngine};
 use std::sync::Arc;
@@ -133,4 +136,58 @@ fn a_four_worker_session_batch_equals_a_one_worker_batch() {
     }
     assert_eq!(eliminated[0], eliminated[1]);
     assert_eq!(answers[0], answers[1]);
+}
+
+/// Each target of a session answers the same bits on a fresh engine as on
+/// one that served twelve sessions of other evidence before it — one of
+/// them pinning the session's first variable to another value — on one
+/// worker and on two, though there it takes steps those sessions filed in
+/// the network's memo. An engine over a network built from the same
+/// dataset shares nothing with it: its memo starts empty.
+#[test]
+fn a_target_answers_the_same_bits_whatever_sessions_the_engine_served_before() {
+    let (bn, tree) = hailfinder();
+    let (evidence, targets) = evidence_and_targets(&bn);
+    let n = bn.n_vars() as u32;
+    let card = |v: u32| bn.domain().card(Var(v));
+    let (v, value) = evidence[0];
+    let mut others: Vec<Vec<(Var, u32)>> = (0..11u32)
+        .map(|k| {
+            let pins = [(5 * k + 2) % n, (3 * k + 11) % n];
+            pins.iter().map(|&p| (Var(p), k % card(p))).collect()
+        })
+        .collect();
+    let mut moved = evidence.clone();
+    moved[0] = (v, (value + 1) % card(v.0));
+    others.push(moved);
+    let served_as = |serving: &ServingEngine<'_>| {
+        let session = serving.open_session(evidence.clone()).unwrap();
+        let (outcomes, _) = session.serve_batch(&targets);
+        let answers: Vec<Vec<u64>> = outcomes.iter().map(bits).collect();
+        (answers, tally(&outcomes).1)
+    };
+    for workers in [1, 2] {
+        let warm = serving(&tree, &bn, workers);
+        for other in &others {
+            let session = warm.open_session(other.clone()).unwrap();
+            let pinned = Scope::from_iter(other.iter().map(|&(v, _)| v));
+            let theirs: Vec<Scope> = targets
+                .iter()
+                .filter(|t| t.is_disjoint_from(&pinned))
+                .cloned()
+                .collect();
+            let (outcomes, _) = session.serve_batch(&theirs);
+            assert!(outcomes.iter().all(ServeOutcome::is_served));
+        }
+        assert!(warm.factor_memo_usage().filed > 0);
+        let (after, warm_taken) = served_as(&warm);
+        let fresh = serving(&tree, &bn, workers);
+        assert_eq!(fresh.factor_memo_usage(), MemoUsage::default());
+        let (alone, fresh_taken) = served_as(&fresh);
+        assert_eq!(after, alone, "{workers} workers");
+        assert!(
+            warm_taken > fresh_taken,
+            "{warm_taken} steps taken after other sessions, {fresh_taken} alone"
+        );
+    }
 }

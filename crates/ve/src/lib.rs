@@ -12,7 +12,8 @@
 //! A [`VePlan`] ([`plan`]) is the serving form: pruned to the ancestral
 //! set of one query's targets and evidence, planned with an incremental
 //! min-degree rule, and run over borrowed CPTs. Evidence sessions answer
-//! by it where it costs fewer operations than the junction tree.
+//! every target by it, and share the factors of its evidence-free steps
+//! through one [`FactorMemo`] per network.
 //!
 //! The baseline ([`materialize`]) selects `n` marginal tables to cache,
 //! greedily maximizing expected workload savings. This is a
@@ -26,4 +27,4 @@ pub mod plan;
 
 pub use elimination::{ve_answer, ve_cost, EliminationRun};
 pub use materialize::{VeMaterialization, VeN};
-pub use plan::{Pinned, VePlan};
+pub use plan::{FactorMemo, Pinned, VePlan};

@@ -16,26 +16,40 @@
 //! over `U` of `k` factors costs `|table(U)| · k + |table(U)|`, and so does
 //! the final combination onto the targets.
 //!
-//! # The factor memo
+//! # The factor memos
 //!
-//! A [`Pinned`] owns a memo of the factors its plans' eliminations made:
-//! a factor is valid for one network and one evidence assignment, which is
-//! exactly what a pinning is. Each step but the final combination is filed
-//! under its key — its inputs in the plan's order, each a CPT's variable or
-//! the memo id of a filed factor, then the scope it sums onto — and a
-//! later run of any plan under the same pinning that reaches a step of
-//! that key takes the filed table instead of computing it. A step that
-//! reads a table the memo does not hold is neither looked up nor filed.
-//! By induction on the key a taken table is bit for bit the one the step
-//! would compute: a CPT input names one table of the pinning, a filed id
-//! one table the memo holds, and the kernel's result depends only on its
-//! ordered inputs and the kept scope.
+//! The factors a plan's eliminations make are filed in two memos. Each
+//! step but the final combination is filed under its key — its inputs in
+//! the plan's order, each a CPT's variable or the tagged memo id of a
+//! filed factor, then the scope it sums onto — and a later run of any
+//! plan that reaches a step of that key takes the filed table instead of
+//! computing it. A step that reads a table neither memo holds is neither
+//! looked up nor filed.
 //!
-//! The memo is an [`ExactMemo`], whose module states the cache
-//! discipline; its bound is `FACTOR_ENTRIES` (2¹⁸) table entries, and it
-//! admits every step that fits. It is locked for each lookup and each
+//! * A step whose every input is an unsliced CPT or a factor of the
+//!   network's memo makes the same table under every evidence assignment,
+//!   so it goes to the network's [`FactorMemo`], which every pinning of
+//!   one network shares (*Dynamic Jointrees*: these factors do not depend
+//!   on the evidence).
+//! * A step that reads a sliced CPT, or a factor the pinning's own memo
+//!   filed, is valid for this one evidence assignment: it goes to the
+//!   pinning's own memo.
+//!
+//! A factor's id carries its memo's tag, so an id of one memo never names
+//! a factor of the other inside a key. By induction on the key a taken
+//! table is bit for bit the one the step would compute: a CPT input of a
+//! network key names one unsliced CPT of the network, one of a pinning's
+//! key one table of the pinning, a tagged id one table its memo holds, and
+//! the kernel's result depends only on its ordered inputs and the kept
+//! scope. So a network memo is valid for exactly one network: whoever
+//! holds it keeps it beside that network's CPTs, and never hands it to a
+//! pinning of another network.
+//!
+//! Each memo is an [`ExactMemo`], whose module states the cache
+//! discipline; each is bounded by `FACTOR_ENTRIES` (2¹⁸) table entries,
+//! and admits every step that fits. It is locked for each lookup and each
 //! filing, never across a kernel call. A plan is charged [`VePlan::ops`]
-//! whatever it takes from the memo, as the junction tree's message memos
+//! whatever it takes from the memos, as the junction tree's message memos
 //! leave the paper's count alone.
 //!
 //! This module shares no code with [`ve_answer`](crate::ve_answer) and
@@ -45,8 +59,8 @@
 
 use peanut_pgm::memo::Weigh;
 use peanut_pgm::{
-    product_marginalize_views, BayesianNetwork, ExactMemo, PgmError, Potential, Scope, Scratch,
-    Size, TableRef, Var, Work,
+    product_marginalize_views, BayesianNetwork, ExactMemo, MemoUsage, PgmError, Potential, Scope,
+    Scratch, Size, TableRef, Var, Work,
 };
 use std::sync::Arc;
 
@@ -56,6 +70,10 @@ const FACTOR_ENTRIES: usize = 1 << 18;
 /// Set on a key input that is a filed factor's id; variable indices stay
 /// below it.
 const FILED: u32 = 1 << 31;
+
+/// The tag of a pinning's own memo, set on the ids it hands out; a
+/// network memo's ids, at most its bound, stay below it.
+const OWN: u32 = 1 << 30;
 
 /// Bits per bitset word.
 const WORD: usize = 64;
@@ -94,10 +112,10 @@ fn ones(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
 /// A network pinned to one evidence assignment: each variable's parents
 /// as a bitset, the CPT of every family that holds an evidence variable,
 /// sliced to the evidence values (the evidence variables leave its scope),
-/// and the memo of the factors its plans made (module docs). Made once per
-/// assignment; every [`VePlan`] under it borrows the sliced tables and the
-/// network's other CPTs. A clone starts with an empty memo of the same
-/// bound.
+/// the network's factor memo and the pinning's own (module docs). Made
+/// once per assignment; every [`VePlan`] under it borrows the sliced
+/// tables and the network's other CPTs. A clone shares the network's memo;
+/// its own starts empty, with the same bound.
 #[derive(Clone, Debug)]
 pub struct Pinned {
     /// Words per variable bitset.
@@ -109,25 +127,45 @@ pub struct Pinned {
     /// Per variable, its CPT sliced to the evidence where its family holds
     /// an evidence variable.
     sliced: Vec<Option<Potential>>,
-    memo: FactorMemo,
+    /// The steps over unsliced CPTs, shared by every pinning of the network.
+    network: Arc<FactorMemo>,
+    /// The steps that read a sliced CPT.
+    own: FactorMemo,
 }
 
 impl Pinned {
-    /// Pins `evidence` on `bn`, with an empty factor memo. Unknown
-    /// variables and out-of-range values fail with
-    /// [`PgmError::UnknownVar`] / [`PgmError::ValueOutOfRange`]; two values
-    /// for one variable fail with [`PgmError::ImpossibleEvidence`]. A
-    /// zero-probability assignment is not detected here:
-    /// [`probability`](Self::probability) is `0` then.
+    /// Pins `evidence` on `bn`, with empty factor memos: the network's
+    /// is this pinning's alone. Unknown variables and out-of-range values
+    /// fail with [`PgmError::UnknownVar`] / [`PgmError::ValueOutOfRange`];
+    /// two values for one variable fail with
+    /// [`PgmError::ImpossibleEvidence`]. A zero-probability assignment is
+    /// not detected here: [`probability`](Self::probability) is `0` then.
     pub fn new(bn: &BayesianNetwork, evidence: &[(Var, u32)]) -> Result<Self, PgmError> {
-        Self::with_cap(bn, evidence, FACTOR_ENTRIES)
+        Self::sharing(bn, evidence, &Arc::default())
     }
 
-    /// [`new`](Self::new) with a memo that holds at most `cap` entries.
-    fn with_cap(
+    /// [`new`](Self::new), sharing `network` — the memo of `bn`'s steps
+    /// over unsliced CPTs — with every other pinning of `bn`, and an empty
+    /// memo of its own. `network` must be `bn`'s alone (module docs).
+    pub fn sharing(
         bn: &BayesianNetwork,
         evidence: &[(Var, u32)],
-        cap: usize,
+        network: &Arc<FactorMemo>,
+    ) -> Result<Self, PgmError> {
+        Self::pin(
+            bn,
+            evidence,
+            Arc::clone(network),
+            FactorMemo::with(OWN, FACTOR_ENTRIES),
+        )
+    }
+
+    /// [`sharing`](Self::sharing) `network`, with `own` as its own memo.
+    fn pin(
+        bn: &BayesianNetwork,
+        evidence: &[(Var, u32)],
+        network: Arc<FactorMemo>,
+        own: FactorMemo,
     ) -> Result<Self, PgmError> {
         let domain = bn.domain();
         let n = domain.len();
@@ -181,7 +219,8 @@ impl Pinned {
             parents,
             pinned,
             sliced,
-            memo: FactorMemo(ExactMemo::new(cap)),
+            network,
+            own,
         })
     }
 
@@ -190,19 +229,14 @@ impl Pinned {
         v.index() < self.sliced.len() && has(&self.pinned, v.index())
     }
 
-    /// The steps whose tables runs under this pinning took from its memo.
-    pub fn factors_taken(&self) -> u64 {
-        self.memo.0.usage().taken
-    }
-
-    /// What the memo holds.
-    #[cfg(test)]
-    fn memo_usage(&self) -> peanut_pgm::MemoUsage {
-        self.memo.0.usage()
+    /// The network's memo, which other pinnings may share, and this
+    /// pinning's own.
+    pub fn memos(&self) -> (&FactorMemo, &FactorMemo) {
+        (&self.network, &self.own)
     }
 
     /// `P(e)`: every variable of the evidence's ancestral set eliminated.
-    /// Its steps are filed in the memo like any plan's.
+    /// Its steps are filed in the memos like any plan's.
     pub fn probability(
         &self,
         bn: &BayesianNetwork,
@@ -221,11 +255,18 @@ impl Pinned {
     }
 }
 
-/// The factors a pinning's plans made, filed by key (module docs).
+/// The factors plans made, filed by key (module docs, "The factor
+/// memos"): one network's steps over unsliced CPTs, shared by its
+/// pinnings ([`Pinned::sharing`]), or one pinning's own. The default is an
+/// empty network memo bounded by `FACTOR_ENTRIES`.
 #[derive(Clone, Debug)]
-struct FactorMemo(ExactMemo<u32, Factor>);
+pub struct FactorMemo {
+    /// Set on every id it hands out.
+    tag: u32,
+    memo: ExactMemo<u32, Factor>,
+}
 
-/// A filed factor: its id, and its table.
+/// A filed factor: its tagged id, and its table.
 struct Factor(u32, Arc<Potential>);
 
 impl Weigh<u32> for Factor {
@@ -234,10 +275,30 @@ impl Weigh<u32> for Factor {
     }
 }
 
+impl Default for FactorMemo {
+    fn default() -> Self {
+        Self::with(0, FACTOR_ENTRIES)
+    }
+}
+
 impl FactorMemo {
+    /// An empty memo tagging its ids with `tag`, holding at most `cap`
+    /// entries.
+    fn with(tag: u32, cap: usize) -> Self {
+        FactorMemo {
+            tag,
+            memo: ExactMemo::new(cap),
+        }
+    }
+
+    /// What the memo holds.
+    pub fn usage(&self) -> MemoUsage {
+        self.memo.usage()
+    }
+
     /// The table filed under `key`, counted as taken.
     fn take(&self, key: &[u32]) -> Option<Made> {
-        self.0.take(key, |Factor(id, table)| {
+        self.memo.take(key, |Factor(id, table)| {
             Some(Made::Filed(*id, Arc::clone(table)))
         })
     }
@@ -245,11 +306,11 @@ impl FactorMemo {
     /// Files `table` under `key` if it fits; a key another run filed since
     /// the lookup keeps the table filed first, bit for bit this one.
     fn file(&self, key: &[u32], table: Potential) -> Made {
-        let Some(mut shelf) = self.0.open() else {
+        let Some(mut shelf) = self.memo.open() else {
             return Made::Own(table);
         };
-        // at most `cap` factors of one entry or more, far below the tag
-        let id = shelf.filed() as u32;
+        // at most `cap` factors of one entry or more, far below the tags
+        let id = shelf.filed() as u32 | self.tag;
         match shelf.file(key, Factor(id, Arc::new(table))) {
             Ok(Factor(id, held)) => Made::Filed(*id, Arc::clone(held)),
             Err(Factor(_, table)) => Made::Own(Arc::unwrap_or_clone(table)),
@@ -261,7 +322,7 @@ impl FactorMemo {
 enum Made {
     /// Computed by this run and filed nowhere: recycled once read.
     Own(Potential),
-    /// Filed in the memo under this id: held there, never recycled.
+    /// Filed in a memo under this tagged id: held there, never recycled.
     Filed(u32, Arc<Potential>),
     /// Read by its step.
     Spent,
@@ -493,9 +554,9 @@ impl VePlan {
     /// targets, and what the run executed — eliminated, the steps it took
     /// from the memo and the product entries of those it computed. `bn`
     /// and `pinned` must be the ones it was planned with.
-    /// Each step but the last is taken from `pinned`'s memo where it is
+    /// Each step but the last is taken from `pinned`'s memos where it is
     /// filed, and filed there once computed while it fits (module docs,
-    /// "The factor memo"); filed tables are held by the memo, not
+    /// "The factor memos"); filed tables are held by their memo, not
     /// recycled. Any other intermediate table is recycled into `scratch`
     /// as soon as the step that reads it has run. A plan that reads a
     /// table twice fails with [`PgmError::InvalidPlan`].
@@ -518,8 +579,8 @@ impl VePlan {
         for step in steps {
             let inputs = &self.inputs[start..step.end];
             start = step.end;
-            let keyed = Self::key(inputs, &made, &step.keep, &mut key);
-            let out = match keyed.then(|| pinned.memo.take(&key)).flatten() {
+            let memo = Self::key(pinned, inputs, &made, &step.keep, &mut key);
+            let out = match memo.and_then(|m| m.take(&key)) {
                 Some(taken) => {
                     work.factors_taken += 1;
                     taken
@@ -527,10 +588,9 @@ impl VePlan {
                 None => {
                     work.entries_walked = work.entries_walked.saturating_add(step.product);
                     let out = Self::compute(bn, pinned, inputs, &made, &step.keep, scratch)?;
-                    if keyed {
-                        pinned.memo.file(&key, out)
-                    } else {
-                        Made::Own(out)
+                    match memo {
+                        Some(m) => m.file(&key, out),
+                        None => Made::Own(out),
                     }
                 }
             };
@@ -584,22 +644,37 @@ impl VePlan {
     }
 
     /// Writes into `key` the memo key of a step over `inputs` onto `keep`
-    /// (module docs), and returns true, when every input is a CPT or a
-    /// filed factor; otherwise false.
-    fn key(inputs: &[Input], made: &[Made], keep: &Scope, key: &mut Vec<u32>) -> bool {
+    /// (module docs), and returns the memo of `pinned` it goes to, when
+    /// every input is a CPT or a filed factor: the network's when each
+    /// input is an unsliced CPT or one of its factors, else the pinning's
+    /// own. `None` otherwise.
+    fn key<'p>(
+        pinned: &'p Pinned,
+        inputs: &[Input],
+        made: &[Made],
+        keep: &Scope,
+        key: &mut Vec<u32>,
+    ) -> Option<&'p FactorMemo> {
         key.clear();
         key.push(inputs.len() as u32);
+        let mut shared = true;
         for &input in inputs {
             key.push(match input {
-                Input::Cpt(v) => v.0,
+                Input::Cpt(v) => {
+                    shared &= pinned.sliced[v.index()].is_none();
+                    v.0
+                }
                 Input::Made(i) => match made.get(i) {
-                    Some(Made::Filed(id, _)) => id | FILED,
-                    _ => return false,
+                    Some(Made::Filed(id, _)) => {
+                        shared &= id & OWN == 0;
+                        id | FILED
+                    }
+                    _ => return None,
                 },
             });
         }
         key.extend(keep.iter().map(|v| v.0));
-        true
+        Some(if shared { &pinned.network } else { &pinned.own })
     }
 }
 
@@ -754,6 +829,40 @@ mod tests {
         p.values().iter().map(|v| v.to_bits()).collect()
     }
 
+    impl Pinned {
+        /// The steps runs took from both memos.
+        fn factors_taken(&self) -> u64 {
+            self.network.usage().taken + self.own.usage().taken
+        }
+
+        /// What both memos hold, summed.
+        fn memo_usage(&self) -> MemoUsage {
+            let (a, b) = (self.network.usage(), self.own.usage());
+            MemoUsage {
+                filed: a.filed + b.filed,
+                held: a.held + b.held,
+                cap: a.cap + b.cap,
+                taken: a.taken + b.taken,
+            }
+        }
+    }
+
+    /// The steps of `plan` but the last whose inputs are all unsliced CPTs
+    /// of `pinned` or such steps: those the network's memo files.
+    fn network_steps(plan: &VePlan, pinned: &Pinned) -> usize {
+        let mut shared: Vec<bool> = Vec::new();
+        let mut start = 0;
+        for step in &plan.steps[..plan.steps.len() - 1] {
+            let inputs = &plan.inputs[start..step.end];
+            start = step.end;
+            shared.push(inputs.iter().all(|&input| match input {
+                Input::Cpt(v) => pinned.sliced[v.index()].is_none(),
+                Input::Made(i) => shared[i],
+            }));
+        }
+        shared.iter().filter(|&&s| s).count()
+    }
+
     /// A second run of one plan under one pinning takes every step but
     /// the final combination, and answers bit for bit as the first.
     #[test]
@@ -822,29 +931,40 @@ mod tests {
     }
 
     /// A key names each input: a CPT by its variable, a filed factor by
-    /// its id, the two kept apart by the tag; a step that reads an unfiled
-    /// table has no key.
+    /// its tagged id — the network's id 0 and the pinning's own id 0 are
+    /// two inputs — the two kept apart by the `FILED` tag; a step that
+    /// reads an unfiled table has no key. A step over unsliced CPTs and
+    /// the network's factors goes to the network's memo, any other to the
+    /// pinning's own.
     #[test]
     fn keys_name_every_input() {
+        // x2 pinned: its CPT is sliced, x0's and x1's are not
+        let bn = fixtures::chain(3, 2, 1);
+        let pinned = Pinned::new(&bn, &[(Var(2), 0)]).unwrap();
         let table = || Arc::new(Potential::scalar(1.0));
         let made = [
             Made::Filed(0, table()),
             Made::Filed(1, table()),
             Made::Own(Potential::scalar(1.0)),
+            Made::Filed(OWN, table()),
         ];
-        let keep = Scope::from_indices(&[4]);
+        let keep = Scope::from_indices(&[1]);
         let key = |inputs: &[Input]| {
             let mut key = Vec::new();
-            VePlan::key(inputs, &made, &keep, &mut key).then_some(key)
+            let memo = VePlan::key(&pinned, inputs, &made, &keep, &mut key)?;
+            Some((key, std::ptr::eq(memo, &*pinned.network)))
         };
         let keys = [
             key(&[Input::Cpt(Var(0)), Input::Made(0)]),
             key(&[Input::Cpt(Var(0)), Input::Made(1)]),
             key(&[Input::Cpt(Var(0)), Input::Cpt(Var(1))]),
             key(&[Input::Made(0), Input::Cpt(Var(0))]),
+            key(&[Input::Cpt(Var(0)), Input::Made(3)]),
+            key(&[Input::Cpt(Var(2)), Input::Made(0)]),
         ];
+        let network: Vec<bool> = keys.iter().flatten().map(|&(_, n)| n).collect();
+        assert_eq!(network, [true, true, true, true, false, false]);
         for (i, a) in keys.iter().enumerate() {
-            assert!(a.is_some());
             for b in &keys[i + 1..] {
                 assert_ne!(a, b);
             }
@@ -852,31 +972,81 @@ mod tests {
         assert_eq!(key(&[Input::Cpt(Var(0)), Input::Made(2)]), None);
     }
 
+    /// A clone shares the network's memo, and its own starts empty with
+    /// the same bound: on a chain pinned at x8, its first run for x5 takes
+    /// the steps summing out x0..x4 and computes those over x8's CPT.
     #[test]
     fn a_cloned_pinning_starts_with_an_empty_memo() {
-        let bn = fixtures::figure1();
-        let pinned = Pinned::new(&bn, &[(Var(0), 1)]).unwrap();
+        let bn = fixtures::chain(12, 3, 7);
+        let pinned = Pinned::new(&bn, &[(Var(8), 2)]).unwrap();
         let plan = VePlan::new(&bn, &pinned, &Scope::from_indices(&[5])).unwrap();
         let mut scratch = Scratch::new();
         let want = plan.run(&bn, &pinned, &mut scratch).unwrap().0;
         plan.run(&bn, &pinned, &mut scratch).unwrap();
-        assert!(pinned.factors_taken() > 0 && pinned.memo_usage().held > 0);
+        let (network, own) = pinned.memos();
+        assert!(network.usage().filed > 0 && own.usage().filed > 0);
         let clone = pinned.clone();
-        let usage = clone.memo_usage();
-        assert_eq!((usage.held, usage.cap), (0, FACTOR_ENTRIES));
-        assert_eq!(clone.factors_taken(), 0);
+        assert!(std::ptr::eq(clone.memos().0, network), "one network memo");
+        let usage = clone.memos().1.usage();
+        assert_eq!(
+            (usage.filed, usage.held, usage.taken, usage.cap),
+            (0, 0, 0, FACTOR_ENTRIES)
+        );
+        let taken = network.usage().taken;
         let got = plan.run(&bn, &clone, &mut scratch).unwrap().0;
         assert_eq!(
-            clone.factors_taken(),
-            0,
-            "the first run on the clone computes"
+            network.usage().taken - taken,
+            network.usage().filed as u64,
+            "the network's steps are taken"
         );
+        assert_eq!(clone.memos().1.usage().taken, 0, "its own are computed");
+        assert_eq!(clone.memos().1.usage().filed, own.usage().filed);
         assert_eq!(bits(&got), bits(&want));
     }
 
-    /// A memo at its bound files nothing more, and what a bounded pinning
-    /// answers is bit for bit what an unbounded one does; a bound of 0
-    /// files nothing at all.
+    /// One network memo serves pinnings of other evidence values: after
+    /// plans under `x8 = 2`, a pinning at `x8 = 0` sharing the memo answers
+    /// bit for bit what one with a fresh network memo does, taking the
+    /// steps below x8 and filing nothing new there. The network's memo
+    /// files only the steps over unsliced CPTs. A pinning of another
+    /// network built from the same dataset starts with a memo of its own.
+    #[test]
+    fn pinnings_share_only_the_steps_over_unsliced_cpts() {
+        let bn = fixtures::chain(12, 3, 7);
+        let targets: Vec<Scope> = [&[5u32][..], &[6], &[10], &[11], &[3, 10], &[0, 9]]
+            .iter()
+            .map(|t| Scope::from_indices(t))
+            .collect();
+        let network = Arc::new(FactorMemo::default());
+        let mut scratch = Scratch::new();
+        let two = Pinned::sharing(&bn, &[(Var(8), 2)], &network).unwrap();
+        for t in &targets {
+            let plan = VePlan::new(&bn, &two, t).unwrap();
+            plan.run(&bn, &two, &mut scratch).unwrap();
+        }
+        assert!(network.usage().filed > 0 && two.memos().1.usage().filed > 0);
+        let (filed, taken) = (network.usage().filed, network.usage().taken);
+        let zero = Pinned::sharing(&bn, &[(Var(8), 0)], &network).unwrap();
+        for t in &targets {
+            let plan = VePlan::new(&bn, &zero, t).unwrap();
+            let got = plan.run(&bn, &zero, &mut scratch).unwrap().0;
+            let fresh = Pinned::new(&bn, &[(Var(8), 0)]).unwrap();
+            let want = plan.run(&bn, &fresh, &mut scratch).unwrap().0;
+            assert_eq!(bits(&got), bits(&want), "{t}");
+            let usage = fresh.memos().0.usage();
+            assert_eq!(usage.filed, network_steps(&plan, &fresh), "{t}");
+        }
+        assert_eq!(network.usage().filed, filed, "nothing new is shared");
+        assert!(network.usage().taken > taken, "the steps below x8 are");
+        let other = fixtures::chain(12, 3, 7);
+        let elsewhere = Pinned::new(&other, &[(Var(8), 0)]).unwrap();
+        assert!(!std::ptr::eq(elsewhere.memos().0, &*network));
+        assert_eq!(elsewhere.memos().0.usage().filed, 0);
+    }
+
+    /// Memos at their bounds file nothing more, and what a bounded
+    /// pinning answers is bit for bit what an unbounded one does; bounds
+    /// of 0 file nothing at all.
     #[test]
     fn a_full_memo_files_nothing_more() {
         let bn = fixtures::chain(12, 3, 7);
@@ -893,19 +1063,29 @@ mod tests {
             .collect();
         let first = Pinned::new(&bn, &evidence).unwrap();
         plans[0].run(&bn, &first, &mut scratch).unwrap();
-        let cap = first.memo_usage().held;
-        assert!(cap > 0 && cap < unbounded.memo_usage().held);
-        for bound in [0, cap] {
-            let bounded = Pinned::with_cap(&bn, &evidence, bound).unwrap();
+        let (network, own) = first.memos();
+        let caps = [network.usage().held, own.usage().held];
+        assert!(caps.iter().all(|&c| c > 0));
+        assert!(caps[0] + caps[1] < unbounded.memo_usage().held);
+        for bounds in [[0, 0], caps] {
+            let bounded = Pinned::pin(
+                &bn,
+                &evidence,
+                Arc::new(FactorMemo::with(0, bounds[0])),
+                FactorMemo::with(OWN, bounds[1]),
+            )
+            .unwrap();
             for _ in 0..2 {
                 for (plan, want) in plans.iter().zip(&want) {
                     let got = plan.run(&bn, &bounded, &mut scratch).unwrap().0;
                     assert_eq!(&bits(&got), want);
-                    let usage = bounded.memo_usage();
-                    assert_eq!((usage.held, usage.cap), (bound, bound));
+                    let (network, own) = bounded.memos();
+                    for (usage, bound) in [network.usage(), own.usage()].iter().zip(bounds) {
+                        assert_eq!((usage.held, usage.cap), (bound, bound));
+                    }
                 }
             }
-            if bound == 0 {
+            if bounds == [0, 0] {
                 assert_eq!(bounded.factors_taken(), 0);
             } else {
                 // only the first plan's steps are held, and its repeat
