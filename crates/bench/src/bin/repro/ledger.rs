@@ -62,6 +62,16 @@
 //! because it installs `CountingAlloc`): every shape serves on that one
 //! thread, and the count includes the ledger's own bookkeeping.
 //!
+//! Beside the rows, the `paper` section holds the paper's own metric
+//! (Figure 5's setting): per dataset, method (PEANUT, PEANUT+) and budget
+//! (b_T/10, 10·b_T and 10⁴·b_T at ε = 1.2, one thread), the entries
+//! the materialization selected for the skewed training stream holds,
+//! and, over the skewed test stream, each query's ops saved against the
+//! plain tree — the count the paper charges (toward `r_q`) and the count
+//! its pass executes (toward its cheapest root) — as a mean and
+//! quartiles, in percent. `--quick` keeps the rows' three datasets at
+//! 10·b_T.
+//!
 //! `repro ledger` prints the ledger and writes it to `LEDGER.json`;
 //! `--quick` shrinks every stream and writes `LEDGER.quick.json`, the file
 //! `tests/work_ledger.rs` regenerates and compares byte for byte. Every
@@ -70,11 +80,13 @@
 //! count and `LEDGER.quick.json` the test profile's.
 
 use counting_alloc::counted;
-use peanut_bench::harness::{is_quick, Prepared};
+use peanut_bench::harness::{
+    is_quick, mean, percentile, saving_percent, savings_percent, skewed_counts, Prepared,
+};
 use peanut_core::{Materialization, OfflineContext, OnlineEngine, Peanut, PeanutConfig, Workload};
 use peanut_junction::{JunctionTree, QueryEngine, RootedTree};
 use peanut_pgm::sampling::ancestral_sample;
-use peanut_pgm::{Scope, Scratch, Var, Work};
+use peanut_pgm::{Scope, Scratch, Size, Var, Work};
 use peanut_serving::{
     Answer, LifecycleConfig, RematerializationController, ServeOutcome, ServeRequest,
     ServingConfig, ServingEngine, ShardConfig, ShardedServingEngine, StoreConfig, TenantId,
@@ -712,6 +724,81 @@ fn drift_remat(quick: bool) -> Row {
     row
 }
 
+/// The count of `query`'s pass under `online`, toward its cheapest root.
+fn executed(online: &OnlineEngine<'_, '_>, tree: &JunctionTree, query: &Scope) -> Size {
+    let domain = tree.domain();
+    match online.reduce(query).expect("skewed queries fit the tree") {
+        None => online.cost(query).expect("in-clique cost").ops,
+        Some(plan) => {
+            plan.anatomy(query, domain)
+                .cheapest_root(&plan, query, domain)
+                .1
+        }
+    }
+}
+
+/// Per-query percentages as `{mean, p25, p50, p75}`.
+fn spread(pct: &[f64]) -> String {
+    format!(
+        "{{\"mean\": {:.4}, \"p25\": {:.4}, \"p50\": {:.4}, \"p75\": {:.4}}}",
+        mean(pct),
+        percentile(pct, 25.0),
+        percentile(pct, 50.0),
+        percentile(pct, 75.0)
+    )
+}
+
+/// The `paper` section's entries (module docs): `repro fig5`'s streams,
+/// and its per-query savings for the count the paper charges.
+fn paper(quick: bool) -> Vec<String> {
+    const BUDGETS: [(&str, f64); 3] = [("b_T/10", 0.1), ("10*b_T", 10.0), ("10^4*b_T", 10_000.0)];
+    type Method = (&'static str, fn(Size) -> PeanutConfig);
+    const METHODS: [Method; 2] = [
+        ("PEANUT", PeanutConfig::disjoint),
+        ("PEANUT+", PeanutConfig::plus),
+    ];
+    let (models, budgets) = if quick {
+        let models = DATASETS.iter().map(|d| Prepared::by_name(d)).collect();
+        (models, &BUDGETS[1..2])
+    } else {
+        (Prepared::all(), &BUDGETS[..])
+    };
+    let (n_train, n_test) = skewed_counts();
+    let mut entries = Vec::new();
+    for model in models {
+        let tree = &model.tree;
+        let workload = Workload::from_queries(model.skewed(n_train, 11));
+        let ctx = OfflineContext::new(tree, &workload).expect("training queries fit the tree");
+        let test = model.skewed(n_test, 12);
+        let engine = QueryEngine::symbolic(tree);
+        let none = Materialization::default();
+        let plain = OnlineEngine::new(&engine, &none);
+        let base: Vec<Size> = test.iter().map(|q| executed(&plain, tree, q)).collect();
+        for (method, config) in METHODS {
+            for &(label, times) in budgets {
+                let budget = ((model.b_t() as f64) * times).max(1.0) as Size;
+                let mat = Peanut::offline(&ctx, &config(budget));
+                let online = OnlineEngine::new(&engine, &mat);
+                let run: Vec<f64> = test
+                    .iter()
+                    .zip(&base)
+                    .map(|(q, &b)| saving_percent(b, executed(&online, tree, q)))
+                    .collect();
+                entries.push(format!(
+                    "    {{\"dataset\": \"{}\", \"method\": \"{method}\", \"budget\": \"{label}\", \
+                     \"budget_entries\": {budget}, \"entries_materialized\": {},\n      \
+                     \"paper_ops_saved_pct\": {},\n      \"executed_ops_saved_pct\": {}}}",
+                    model.spec.name,
+                    mat.total_size(),
+                    spread(&savings_percent(&model, &mat, &test)),
+                    spread(&run),
+                ));
+            }
+        }
+    }
+    entries
+}
+
 pub fn run() {
     let quick = is_quick();
     let store_dir = std::env::temp_dir().join(format!("peanut-ledger-{}", std::process::id()));
@@ -725,8 +812,9 @@ pub fn run() {
         drift_remat(quick).json("drift_remat"),
     ];
     let ledger = format!(
-        "{{\n  \"quick\": {quick},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
+        "{{\n  \"quick\": {quick},\n  \"rows\": [\n{}\n  ],\n  \"paper\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n"),
+        paper(quick).join(",\n")
     );
     print!("{ledger}");
     let file = if quick {

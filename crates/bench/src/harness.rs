@@ -141,15 +141,20 @@ pub fn savings_percent(prepared: &Prepared, mat: &Materialization, test: &[Scope
     let online = OnlineEngine::new(&engine, mat);
     test.iter()
         .map(|q| {
-            let base = online.baseline_cost(q).expect("cost").ops as f64;
-            let with = online.cost(q).expect("cost").ops as f64;
-            if base > 0.0 {
-                100.0 * (base - with) / base
-            } else {
-                0.0
-            }
+            let base = online.baseline_cost(q).expect("cost").ops;
+            saving_percent(base, online.cost(q).expect("cost").ops)
         })
         .collect()
+}
+
+/// The percent of `base` operations that a count of `with` saves (0 when
+/// `base` is).
+pub fn saving_percent(base: Size, with: Size) -> f64 {
+    if base > 0 {
+        100.0 * (base as f64 - with as f64) / base as f64
+    } else {
+        0.0
+    }
 }
 
 /// The INDSEP block-size candidates of §5.1.

@@ -38,6 +38,15 @@ impl Scope {
         Scope { vars }
     }
 
+    /// Replaces the variables with `iter`'s (sorted and deduplicated),
+    /// keeping the allocation.
+    pub fn refill<I: IntoIterator<Item = Var>>(&mut self, iter: I) {
+        self.vars.clear();
+        self.vars.extend(iter);
+        self.vars.sort_unstable();
+        self.vars.dedup();
+    }
+
     /// Builds a scope from a slice of raw indices (test convenience).
     pub fn from_indices(ix: &[u32]) -> Self {
         Self::from_iter(ix.iter().copied().map(Var))

@@ -9,12 +9,20 @@
 //! does for a query.
 //!
 //! The elimination order is min-degree, then the smaller table, then the
-//! lower variable index, kept incrementally over neighbour bitsets: only
-//! the neighbours of an eliminated variable are re-keyed. Each step is one
-//! fused product → marginalize pass ([`product_marginalize_views`]) over
-//! borrowed tables, charged with the workspace operation model: a product
-//! over `U` of `k` factors costs `|table(U)| · k + |table(U)|`, and so does
-//! the final combination onto the targets.
+//! lower variable index. The planner sizes its buffers once, from the
+//! ancestral set, so a plan costs the same few allocations whatever its
+//! length: every scope is a bitset row over the set's free variables, and
+//! each variable keeps the set of live factors over it, so no step scans
+//! the live factors. Each candidate's key is packed into one `u128`, and
+//! only the neighbours of an eliminated variable are re-keyed; the next
+//! variable is the least key. With no key recomputed, a scan of the
+//! packed keys finds it faster than a binary heap did on the plans of
+//! the six datasets timed, whose ancestral sets are at most a few
+//! hundred variables. Each step is one fused product →
+//! marginalize pass ([`product_marginalize_views`]) over borrowed tables,
+//! charged with the workspace operation model: a product over `U` of `k`
+//! factors costs `|table(U)| · k + |table(U)|`, and so does the final
+//! combination onto the targets.
 //!
 //! # The factor memos
 //!
@@ -95,18 +103,50 @@ fn has(bits: &[u64], i: usize) -> bool {
     bits[i / WORD] >> (i % WORD) & 1 == 1
 }
 
+/// The lowest set bit of `bits`.
+fn first(bits: &[u64]) -> Option<usize> {
+    ones(bits).next()
+}
+
 /// The set bits of `bits`, ascending.
-fn ones(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    bits.iter().enumerate().flat_map(|(w, &word)| {
-        let mut left = word;
-        std::iter::from_fn(move || {
-            (left != 0).then(|| {
-                let b = left.trailing_zeros() as usize;
-                left &= left - 1;
-                w * WORD + b
-            })
-        })
-    })
+fn ones(bits: &[u64]) -> Ones<'_> {
+    Ones {
+        words: bits,
+        at: 0,
+        left: bits.first().copied().unwrap_or(0),
+    }
+}
+
+/// The iterator of [`ones`].
+struct Ones<'a> {
+    words: &'a [u64],
+    /// The word `left` was read from.
+    at: usize,
+    /// Its bits not yet yielded.
+    left: u64,
+}
+
+impl Iterator for Ones<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.left == 0 {
+            self.at += 1;
+            self.left = *self.words.get(self.at)?;
+        }
+        let b = self.left.trailing_zeros() as usize;
+        self.left &= self.left - 1;
+        Some(self.at * WORD + b)
+    }
+
+    // exact, so that a `Scope` refilled from a row reserves once
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let rest = self.words.get(self.at + 1..).unwrap_or_default();
+        let n = rest
+            .iter()
+            .fold(self.left.count_ones(), |n, w| n + w.count_ones()) as usize;
+        (n, Some(n))
+    }
 }
 
 /// A network pinned to one evidence assignment: each variable's parents
@@ -340,6 +380,7 @@ impl Made {
 
 /// What a step multiplies in.
 #[derive(Clone, Copy, Debug)]
+#[cfg_attr(test, derive(PartialEq, Eq))]
 enum Input {
     /// A variable's factor ([`Pinned::factor`]).
     Cpt(Var),
@@ -347,14 +388,14 @@ enum Input {
     Made(usize),
 }
 
-/// One fused product → marginalize pass.
-#[derive(Clone, Debug)]
+/// One fused product → marginalize pass; the scope it sums onto is its
+/// row of [`VePlan::keeps`].
+#[derive(Clone, Copy, Debug)]
+#[cfg_attr(test, derive(PartialEq, Eq))]
 struct Step {
     /// Its inputs end here in [`VePlan::inputs`] (they start where the
     /// previous step's end).
     end: usize,
-    /// The scope it sums onto.
-    keep: Scope,
     /// Entries of the product it sums.
     product: Size,
 }
@@ -364,10 +405,92 @@ struct Step {
 /// charged (module docs). Plan it with the network and the [`Pinned`]
 /// evidence it is [`run`](Self::run) with.
 #[derive(Clone, Debug)]
+#[cfg_attr(test, derive(PartialEq, Eq))]
 pub struct VePlan {
+    /// The free variables of the ancestral set, ascending: bit `i` of a
+    /// row of `keeps` is `locals[i]`.
+    locals: Vec<Var>,
+    /// Words per row of `keeps`.
+    words: usize,
+    /// `words` words per step: the scope it sums onto (the last step's,
+    /// the targets).
+    keeps: Vec<u64>,
     steps: Vec<Step>,
     inputs: Vec<Input>,
     ops: Size,
+}
+
+/// No slot: a variable eliminated, or never queued.
+const NONE: u32 = u32::MAX;
+
+/// The variables left to eliminate: their keys ([`key_of`]), unordered,
+/// and each variable's slot among them.
+struct Queue {
+    keys: Vec<u128>,
+    /// Per local variable, the index of its key in `keys`, or [`NONE`].
+    slot: Vec<u32>,
+}
+
+impl Queue {
+    fn push(&mut self, key: u128) {
+        self.slot[var_of(key)] = self.keys.len() as u32;
+        self.keys.push(key);
+    }
+
+    /// The least key, taken out.
+    fn pop(&mut self) -> Option<u128> {
+        let (at, &top) = self.keys.iter().enumerate().min_by_key(|&(_, &k)| k)?;
+        self.keys.swap_remove(at);
+        if let Some(&moved) = self.keys.get(at) {
+            self.slot[var_of(moved)] = at as u32;
+        }
+        self.slot[var_of(top)] = NONE;
+        Some(top)
+    }
+
+    fn queued(&self, i: usize) -> bool {
+        self.slot[i] != NONE
+    }
+
+    /// Replaces the key of a queued variable.
+    fn rekey(&mut self, key: u128) {
+        self.keys[self.slot[var_of(key)] as usize] = key;
+    }
+}
+
+/// Charges to `ops` one product over a table of `table` entries of `k`
+/// factors.
+fn charge(ops: &mut Size, table: Size, k: usize) {
+    *ops = ops.saturating_add(table.saturating_mul(k as Size).saturating_add(table));
+}
+
+/// The entries of a table over the variables of `row`, and `extra`.
+fn size_of(cards: &[u64], row: &[u64], extra: Option<usize>) -> Size {
+    // saturating: `min(product, Size::MAX)` in any order
+    let mut t: Size = extra.map_or(1, |i| cards[i]);
+    for i in ones(row) {
+        t = t.saturating_mul(cards[i]);
+    }
+    t
+}
+
+/// The elimination key of local variable `i`, whose neighbours are `row`:
+/// its degree, then the entries of the table over it and them, then `i`,
+/// packed from the high bits down, so that the least key is the variable
+/// eliminated next.
+fn key_of(cards: &[u64], row: &[u64], i: usize) -> u128 {
+    let degree: u32 = row.iter().map(|x| x.count_ones()).sum();
+    u128::from(degree) << 96 | u128::from(size_of(cards, row, Some(i))) << 32 | i as u128
+}
+
+/// The variable of a key.
+fn var_of(key: u128) -> usize {
+    key as u32 as usize
+}
+
+/// The table entries of a key.
+fn table_of(key: u128) -> Size {
+    (key >> 32) as Size
 }
 
 impl VePlan {
@@ -379,7 +502,12 @@ impl VePlan {
         let domain = bn.domain();
         let n = domain.len();
         let w = pinned.words;
-        let mut wanted = vec![0u64; w];
+        // bitsets over the network: the ancestral set; the variables whose
+        // parents are left to visit, then the free variables of the set;
+        // per word, the free variables below it
+        let mut sets = vec![0u64; 3 * w];
+        let (ancestral, rest) = sets.split_at_mut(w);
+        let (todo, below) = rest.split_at_mut(w);
         for t in targets {
             domain.try_card(t)?;
             if pinned.is_pinned(t) {
@@ -388,154 +516,180 @@ impl VePlan {
                     sup: "the unpinned variables".to_string(),
                 });
             }
-            set(&mut wanted, t.index());
+            set(todo, t.index());
         }
-        // the ancestral set, closed over the parent bitsets
-        let mut ancestral = wanted.clone();
-        for (a, p) in ancestral.iter_mut().zip(&pinned.pinned) {
-            *a |= p;
+        for (t, p) in todo.iter_mut().zip(&pinned.pinned) {
+            *t |= p;
         }
-        let mut stack: Vec<usize> = ones(&ancestral).collect();
-        while let Some(v) = stack.pop() {
-            for (i, &parents) in pinned.parents[v * w..][..w].iter().enumerate() {
-                let mut fresh = parents & !ancestral[i];
-                ancestral[i] |= fresh;
-                while fresh != 0 {
-                    stack.push(i * WORD + fresh.trailing_zeros() as usize);
-                    fresh &= fresh - 1;
-                }
+        ancestral.copy_from_slice(todo);
+        while let Some(v) = first(todo) {
+            clear(todo, v);
+            for ((a, t), &parents) in ancestral
+                .iter_mut()
+                .zip(todo.iter_mut())
+                .zip(&pinned.parents[v * w..][..w])
+            {
+                let fresh = parents & !*a;
+                *a |= fresh;
+                *t |= fresh;
             }
         }
-
-        // the free variables of the set, renumbered densely (ascending, so
-        // local order is variable order)
-        let mut locals: Vec<Var> = Vec::new();
-        let mut local_of = vec![u32::MAX; n];
-        for v in ones(&ancestral) {
-            if !has(&pinned.pinned, v) {
-                local_of[v] = locals.len() as u32;
-                locals.push(Var(v as u32));
-            }
+        let free = todo;
+        let mut m = 0;
+        for ((f, b), (&a, &p)) in free
+            .iter_mut()
+            .zip(below.iter_mut())
+            .zip(ancestral.iter().zip(&pinned.pinned))
+        {
+            *f = a & !p;
+            *b = m as u64;
+            m += f.count_ones() as usize;
         }
-        let m = locals.len();
-        let lw = words_for(m).max(1);
-        let cards: Vec<Size> = locals.iter().map(|&v| Size::from(domain.card(v))).collect();
-        let size_of = |bits: &[u64], extra: Option<usize>| -> Size {
-            ones(bits)
-                .chain(extra)
-                .fold(1, |t: Size, i| t.saturating_mul(cards[i]))
+        let (free, below) = (&*free, &*below);
+        // the free variables, renumbered densely in variable order
+        let local = |v: Var| {
+            let (word, bit) = (v.index() / WORD, v.index() % WORD);
+            below[word] as usize + (free[word] & ((1 << bit) - 1)).count_ones() as usize
         };
+        let mut locals = Vec::with_capacity(m);
+        locals.extend(ones(free).map(|v| Var(v as u32)));
 
-        // factors: one per variable of the set, then one per step; each a
-        // local-scope bitset of `lw` words
-        let mut scopes: Vec<u64> = Vec::new();
-        let mut factor_input: Vec<Input> = Vec::new();
-        let mut live: Vec<usize> = Vec::new();
-        for v in ones(&ancestral) {
-            let f = factor_input.len();
-            factor_input.push(Input::Cpt(Var(v as u32)));
-            scopes.resize((f + 1) * lw, 0);
-            for u in pinned.factor(bn, Var(v as u32)).scope() {
-                set(&mut scopes[f * lw..][..lw], local_of[u.index()] as usize);
+        // factors: one per variable of the set, with the variable's index
+        // for id; then one per step, with id `n` + the step's index
+        let eliminated = m - targets.len();
+        let factors = n + eliminated;
+        let lw = words_for(m).max(1);
+        let fw = words_for(factors);
+        let cpts: usize = ancestral.iter().map(|a| a.count_ones() as usize).sum();
+        let mut keeps = vec![0; (eliminated + 1) * lw];
+        let mut steps = Vec::with_capacity(eliminated + 1);
+        // each factor is read by exactly one step
+        let mut inputs = Vec::with_capacity(cpts + eliminated);
+        let mut ops: Size = 0;
+        let input = |g: usize| {
+            if g < n {
+                Input::Cpt(Var(g as u32))
+            } else {
+                Input::Made(g - n)
             }
-            live.push(f);
+        };
+        // per local variable: its cardinality, its neighbours in the
+        // interaction graph, and the live factors over it; then the live
+        // factors
+        let mut buf = vec![0u64; m + m * lw + m * fw + fw];
+        let (cards, rest) = buf.split_at_mut(m);
+        let (nbrs, rest) = rest.split_at_mut(m * lw);
+        let (over, alive) = rest.split_at_mut(m * fw);
+        for (c, &v) in cards.iter_mut().zip(&locals) {
+            *c = Size::from(domain.card(v));
         }
-
-        // neighbour bitsets of the interaction graph, and each candidate's
-        // key: (degree, table over it and its neighbours)
-        let mut nbrs = vec![0u64; m * lw];
-        for &f in &live {
-            for i in ones(&scopes[f * lw..][..lw]) {
-                for (x, s) in nbrs[i * lw..][..lw].iter_mut().zip(&scopes[f * lw..][..lw]) {
+        // the last row of `keeps` holds each factor's scope in turn
+        let (made, last) = keeps.split_at_mut(eliminated * lw);
+        for v in ones(ancestral) {
+            set(alive, v);
+            last.fill(0);
+            for u in pinned.factor(bn, Var(v as u32)).scope() {
+                set(last, local(u));
+            }
+            for i in ones(last) {
+                set(&mut over[i * fw..][..fw], v);
+                for (x, s) in nbrs[i * lw..][..lw].iter_mut().zip(&*last) {
                     *x |= s;
                 }
             }
         }
-        for i in 0..m {
-            clear(&mut nbrs[i * lw..][..lw], i);
+        let mut queue = Queue {
+            keys: Vec::with_capacity(eliminated),
+            slot: vec![0; m],
+        };
+        for t in targets {
+            queue.slot[local(t)] = NONE;
         }
-        let key = |nbrs: &[u64], i: usize| -> (u32, Size) {
-            let row = &nbrs[i * lw..][..lw];
-            (
-                row.iter().map(|x| x.count_ones()).sum(),
-                size_of(row, Some(i)),
-            )
-        };
-        let mut candidates: Vec<usize> = (0..m)
-            .filter(|&i| !has(&wanted, locals[i].index()))
-            .collect();
-        let mut keys: Vec<(u32, Size)> = (0..m).map(|i| key(&nbrs, i)).collect();
+        for i in 0..m {
+            let row = &mut nbrs[i * lw..][..lw];
+            clear(row, i);
+            if queue.queued(i) {
+                queue.push(key_of(cards, row, i));
+            }
+        }
 
-        let mut plan = VePlan {
-            steps: Vec::with_capacity(candidates.len() + 1),
-            inputs: Vec::new(),
-            ops: 0,
-        };
-        let mut row = vec![0u64; lw];
         // min key, ties to the lower index
-        while let Some((at, &x)) = candidates
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &i)| (keys[i], i))
-        {
-            candidates.swap_remove(at);
+        while let Some(key) = queue.pop() {
+            let (x, s) = (var_of(key), steps.len());
+            let row = &mut made[s * lw..][..lw];
             row.copy_from_slice(&nbrs[x * lw..][..lw]);
-            // gather every live factor over x
-            let mut k = 0usize;
-            live.retain(|&f| {
-                let over_x = has(&scopes[f * lw..][..lw], x);
-                if over_x {
-                    plan.inputs.push(factor_input[f]);
-                    k += 1;
+            let row = &*row;
+            // the live factors over x, ascending, are its inputs
+            let start = inputs.len();
+            for (i, (&o, a)) in over[x * fw..][..fw]
+                .iter()
+                .zip(alive.iter_mut())
+                .enumerate()
+            {
+                let mut live = o & *a;
+                *a &= !o;
+                while live != 0 {
+                    inputs.push(input(i * WORD + live.trailing_zeros() as usize));
+                    live &= live - 1;
                 }
-                !over_x
-            });
-            let table = size_of(&row, Some(x));
-            plan.charge(table, k);
-            let made = Input::Made(plan.steps.len());
-            plan.steps.push(Step {
-                end: plan.inputs.len(),
-                keep: Scope::from_iter(ones(&row).map(|i| locals[i])),
+            }
+            // the table over x and its neighbours
+            let table = table_of(key);
+            charge(&mut ops, table, inputs.len() - start);
+            steps.push(Step {
+                end: inputs.len(),
                 product: table,
             });
-            let f = factor_input.len();
-            factor_input.push(made);
-            scopes.extend_from_slice(&row);
-            live.push(f);
-            // x's neighbours become each other's, and lose x
-            for y in ones(&row) {
+            set(alive, n + s);
+            // x's neighbours hold the step's factor, become each other's,
+            // and lose x
+            for y in ones(row) {
+                set(&mut over[y * fw..][..fw], n + s);
                 let ny = &mut nbrs[y * lw..][..lw];
-                for (a, b) in ny.iter_mut().zip(&row) {
+                for (a, b) in ny.iter_mut().zip(row) {
                     *a |= b;
                 }
                 clear(ny, y);
                 clear(ny, x);
-                keys[y] = key(&nbrs, y);
+                if queue.queued(y) {
+                    queue.rekey(key_of(cards, ny, y));
+                }
             }
         }
 
         // the final combination onto the targets
-        row.fill(0);
-        for &f in &live {
-            for (a, b) in row.iter_mut().zip(&scopes[f * lw..][..lw]) {
-                *a |= b;
+        last.fill(0);
+        let start = inputs.len();
+        for g in ones(alive) {
+            inputs.push(input(g));
+            if g < n {
+                for u in pinned.factor(bn, Var(g as u32)).scope() {
+                    set(last, local(u));
+                }
+            } else {
+                for (a, b) in last.iter_mut().zip(&made[(g - n) * lw..][..lw]) {
+                    *a |= b;
+                }
             }
-            plan.inputs.push(factor_input[f]);
         }
-        let product = size_of(&row, None);
-        plan.charge(product, live.len());
-        plan.steps.push(Step {
-            end: plan.inputs.len(),
-            keep: targets.clone(),
+        let product = size_of(cards, last, None);
+        last.fill(0);
+        for t in targets {
+            set(last, local(t));
+        }
+        charge(&mut ops, product, inputs.len() - start);
+        steps.push(Step {
+            end: inputs.len(),
             product,
         });
-        Ok(plan)
-    }
-
-    /// Charges one product over a table of `table` entries of `k` factors.
-    fn charge(&mut self, table: Size, k: usize) {
-        let ops = table.saturating_mul(k as Size).saturating_add(table);
-        self.ops = self.ops.saturating_add(ops);
+        Ok(VePlan {
+            locals,
+            words: lw,
+            keeps,
+            steps,
+            inputs,
+            ops,
+        })
     }
 
     /// The operations the plan is charged.
@@ -548,6 +702,11 @@ impl VePlan {
     #[cfg(test)]
     fn eliminations(&self) -> usize {
         self.steps.len() - 1
+    }
+
+    /// The scope step `s` sums onto, ascending.
+    fn kept(&self, s: usize) -> impl Iterator<Item = Var> + '_ {
+        ones(&self.keeps[s * self.words..][..self.words]).map(|i| self.locals[i])
     }
 
     /// Runs the plan: `P(targets, e)`, unnormalized, over the sorted
@@ -574,12 +733,15 @@ impl VePlan {
             return Ok((Potential::scalar(1.0), work));
         };
         let mut made: Vec<Made> = Vec::with_capacity(steps.len());
-        let mut key: Vec<u32> = Vec::new();
+        // no step's key is longer: its inputs, then its kept scope
+        let mut key: Vec<u32> = Vec::with_capacity(1 + self.inputs.len() + self.locals.len());
+        let mut keep = Scope::empty();
         let mut start = 0;
-        for step in steps {
+        for (s, step) in steps.iter().enumerate() {
             let inputs = &self.inputs[start..step.end];
             start = step.end;
-            let memo = Self::key(pinned, inputs, &made, &step.keep, &mut key);
+            keep.refill(self.kept(s));
+            let memo = Self::key(pinned, inputs, &made, &keep, &mut key);
             let out = match memo.and_then(|m| m.take(&key)) {
                 Some(taken) => {
                     work.factors_taken += 1;
@@ -587,7 +749,7 @@ impl VePlan {
                 }
                 None => {
                     work.entries_walked = work.entries_walked.saturating_add(step.product);
-                    let out = Self::compute(bn, pinned, inputs, &made, &step.keep, scratch)?;
+                    let out = Self::compute(bn, pinned, inputs, &made, &keep, scratch)?;
                     match memo {
                         Some(m) => m.file(&key, out),
                         None => Made::Own(out),
@@ -598,7 +760,8 @@ impl VePlan {
             made.push(out);
         }
         let inputs = &self.inputs[start..last.end];
-        let out = Self::compute(bn, pinned, inputs, &made, &last.keep, scratch)?;
+        keep.refill(self.kept(steps.len()));
+        let out = Self::compute(bn, pinned, inputs, &made, &keep, scratch)?;
         Self::spend(inputs, &mut made, scratch);
         work.entries_walked = work.entries_walked.saturating_add(last.product);
         Ok((out, work))
@@ -1095,29 +1258,243 @@ mod tests {
         }
     }
 
+    /// The planner before per-variable factor sets and packed keys, kept
+    /// as the reference its replacement must match decision for decision:
+    /// every live factor rescanned per step, the least key found over
+    /// (degree, table) pairs, each kept scope built on its own. It writes the
+    /// plan's layout of today.
+    fn reference(
+        bn: &BayesianNetwork,
+        pinned: &Pinned,
+        targets: &Scope,
+    ) -> Result<VePlan, PgmError> {
+        let domain = bn.domain();
+        let n = domain.len();
+        let w = pinned.words;
+        let mut wanted = vec![0u64; w];
+        for t in targets {
+            domain.try_card(t)?;
+            if pinned.is_pinned(t) {
+                return Err(PgmError::ScopeNotContained {
+                    sub: targets.to_string(),
+                    sup: "the unpinned variables".to_string(),
+                });
+            }
+            set(&mut wanted, t.index());
+        }
+        let mut ancestral = wanted.clone();
+        for (a, p) in ancestral.iter_mut().zip(&pinned.pinned) {
+            *a |= p;
+        }
+        let mut stack: Vec<usize> = ones(&ancestral).collect();
+        while let Some(v) = stack.pop() {
+            for (i, &parents) in pinned.parents[v * w..][..w].iter().enumerate() {
+                let mut fresh = parents & !ancestral[i];
+                ancestral[i] |= fresh;
+                while fresh != 0 {
+                    stack.push(i * WORD + fresh.trailing_zeros() as usize);
+                    fresh &= fresh - 1;
+                }
+            }
+        }
+        let mut locals: Vec<Var> = Vec::new();
+        let mut local_of = vec![u32::MAX; n];
+        for v in ones(&ancestral) {
+            if !has(&pinned.pinned, v) {
+                local_of[v] = locals.len() as u32;
+                locals.push(Var(v as u32));
+            }
+        }
+        let m = locals.len();
+        let lw = words_for(m).max(1);
+        let cards: Vec<Size> = locals.iter().map(|&v| Size::from(domain.card(v))).collect();
+        let size_of = |bits: &[u64], extra: Option<usize>| -> Size {
+            ones(bits)
+                .chain(extra)
+                .fold(1, |t: Size, i| t.saturating_mul(cards[i]))
+        };
+        let mut scopes: Vec<u64> = Vec::new();
+        let mut factor_input: Vec<Input> = Vec::new();
+        let mut live: Vec<usize> = Vec::new();
+        for v in ones(&ancestral) {
+            let f = factor_input.len();
+            factor_input.push(Input::Cpt(Var(v as u32)));
+            scopes.resize((f + 1) * lw, 0);
+            for u in pinned.factor(bn, Var(v as u32)).scope() {
+                set(&mut scopes[f * lw..][..lw], local_of[u.index()] as usize);
+            }
+            live.push(f);
+        }
+        let mut nbrs = vec![0u64; m * lw];
+        for &f in &live {
+            for i in ones(&scopes[f * lw..][..lw]) {
+                for (x, s) in nbrs[i * lw..][..lw].iter_mut().zip(&scopes[f * lw..][..lw]) {
+                    *x |= s;
+                }
+            }
+        }
+        for i in 0..m {
+            clear(&mut nbrs[i * lw..][..lw], i);
+        }
+        let key = |nbrs: &[u64], i: usize| -> (u32, Size) {
+            let row = &nbrs[i * lw..][..lw];
+            (
+                row.iter().map(|x| x.count_ones()).sum(),
+                size_of(row, Some(i)),
+            )
+        };
+        let mut candidates: Vec<usize> = (0..m)
+            .filter(|&i| !has(&wanted, locals[i].index()))
+            .collect();
+        let mut keys: Vec<(u32, Size)> = (0..m).map(|i| key(&nbrs, i)).collect();
+        let (mut steps, mut inputs, mut keeps, mut ops) = (Vec::new(), Vec::new(), Vec::new(), 0);
+        let mut row = vec![0u64; lw];
+        while let Some((at, &x)) = candidates
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &i)| (keys[i], i))
+        {
+            candidates.swap_remove(at);
+            row.copy_from_slice(&nbrs[x * lw..][..lw]);
+            let mut k = 0usize;
+            live.retain(|&f| {
+                let over_x = has(&scopes[f * lw..][..lw], x);
+                if over_x {
+                    inputs.push(factor_input[f]);
+                    k += 1;
+                }
+                !over_x
+            });
+            let table = size_of(&row, Some(x));
+            charge(&mut ops, table, k);
+            let made = Input::Made(steps.len());
+            steps.push(Step {
+                end: inputs.len(),
+                product: table,
+            });
+            keeps.extend_from_slice(&row);
+            let f = factor_input.len();
+            factor_input.push(made);
+            scopes.extend_from_slice(&row);
+            live.push(f);
+            for y in ones(&row) {
+                let ny = &mut nbrs[y * lw..][..lw];
+                for (a, b) in ny.iter_mut().zip(&row) {
+                    *a |= b;
+                }
+                clear(ny, y);
+                clear(ny, x);
+                keys[y] = key(&nbrs, y);
+            }
+        }
+        row.fill(0);
+        for &f in &live {
+            for (a, b) in row.iter_mut().zip(&scopes[f * lw..][..lw]) {
+                *a |= b;
+            }
+            inputs.push(factor_input[f]);
+        }
+        let product = size_of(&row, None);
+        charge(&mut ops, product, live.len());
+        steps.push(Step {
+            end: inputs.len(),
+            product,
+        });
+        row.fill(0);
+        for t in targets {
+            set(&mut row, local_of[t.index()] as usize);
+        }
+        keeps.extend_from_slice(&row);
+        Ok(VePlan {
+            locals,
+            words: lw,
+            keeps,
+            steps,
+            inputs,
+            ops,
+        })
+    }
+
+    /// On every dataset, seeded 1–3-variable targets (and none, the
+    /// `P(e)` check's plan) under 0–3 pinned variables: the planner makes
+    /// the reference's plan — its steps, inputs in order, kept scopes,
+    /// products and ops — and `Pinned::probability` is the reference
+    /// plan's, bit for bit.
+    #[test]
+    fn the_planner_decides_as_the_reference() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |below: usize| {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % below as u64) as usize
+        };
+        let (mut checked, mut eliminations, mut widest) = (0, 0, 0);
+        for spec in peanut_datasets::all_datasets() {
+            let bn = spec.build().unwrap();
+            let n = bn.n_vars();
+            for _ in 0..24 {
+                let mut evidence = Vec::new();
+                for _ in 0..next(4) {
+                    let v = Var(next(n) as u32);
+                    evidence.push((v, next(bn.domain().card(v) as usize) as u32));
+                }
+                evidence.sort_unstable_by_key(|&(v, _)| v);
+                evidence.dedup_by_key(|&mut (v, _)| v);
+                let pinned = Pinned::new(&bn, &evidence).unwrap();
+                let mut targets = Scope::empty();
+                for _ in 0..1 + next(3) {
+                    let v = Var(next(n) as u32);
+                    if !pinned.is_pinned(v) {
+                        targets.insert(v);
+                    }
+                }
+                for t in [&targets, &Scope::empty()] {
+                    let plan = VePlan::new(&bn, &pinned, t).unwrap();
+                    let want = reference(&bn, &pinned, t).unwrap();
+                    // the same free variables, steps, inputs in order, kept
+                    // rows, products and ops
+                    assert_eq!(plan, want, "{} {t} | {evidence:?}", spec.name);
+                    checked += 1;
+                    eliminations += plan.eliminations();
+                    widest = widest.max(plan.eliminations());
+                }
+                let got = pinned.probability(&bn, &mut Scratch::new()).unwrap();
+                let fresh = Pinned::new(&bn, &evidence).unwrap();
+                let plan = reference(&bn, &fresh, &Scope::empty()).unwrap();
+                let want = plan.run(&bn, &fresh, &mut Scratch::new()).unwrap().0;
+                assert_eq!(
+                    got.to_bits(),
+                    want.values()[0].to_bits(),
+                    "{} {evidence:?}",
+                    spec.name
+                );
+            }
+        }
+        assert_eq!(checked, 8 * 24 * 2);
+        // thousands of steps, and plans whose rows span two words
+        assert!(
+            eliminations > 5_000 && widest > WORD,
+            "{eliminations}, {widest}"
+        );
+    }
+
     /// A malformed plan fails typed instead of panicking.
     #[test]
     fn a_plan_that_reads_a_table_twice_fails_typed() {
         let bn = fixtures::chain(3, 2, 1);
         let pinned = Pinned::new(&bn, &[]).unwrap();
-        let keep = Scope::from_indices(&[1]);
+        // every step sums onto x1
         let plan = VePlan {
+            locals: vec![Var(0), Var(1), Var(2)],
+            words: 1,
+            keeps: vec![0b010; 3],
             steps: vec![
-                Step {
-                    end: 2,
-                    keep: keep.clone(),
-                    product: 0,
-                },
-                Step {
-                    end: 3,
-                    keep: keep.clone(),
-                    product: 0,
-                },
-                Step {
-                    end: 4,
-                    keep,
-                    product: 0,
-                },
+                Step { end: 2, product: 0 },
+                Step { end: 3, product: 0 },
+                Step { end: 4, product: 0 },
             ],
             inputs: vec![
                 Input::Cpt(Var(0)),
