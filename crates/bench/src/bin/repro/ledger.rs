@@ -37,30 +37,29 @@
 //! an eighth of the stream; `direct_large` the whole stream;
 //! `serve_distinct` a quarter as many distinct requests of its own;
 //! `drift_remat` half a regime of the training region, before the
-//! controller starts — then
-//! one repetition of the whole stream, over which a row sums: requests,
-//! answers computed, operations charged and their plain-tree baseline,
-//! cache hits, faults, page-outs, the memo entries held when it ends
-//! (calibrated tables and materializations, of the engines resident then,
-//! and the factor memo an engine's evidence sessions share, read through
-//! each memo's `MemoUsage`), the memo entries fault-ins resumed, the
-//! store bytes fault-ins read, the bytes of the epoch files publishes and
-//! page-outs wrote, and the plans the materializations' plan memos hold
-//! when it ends. The rest is what the
-//! answers computed in the repetition executed, summed over each answer's
-//! own `Work`: the answers that ran a filed plan (`plans_taken`), the
-//! answers evidence sessions sent to pruned variable elimination
-//! (`eliminated`), the elimination steps they took from the factor memos,
-//! their pinnings' own and the one their network's pinnings share
-//! (`factors_taken`) — these two are 0 on every shape without sessions —
-//! the messages passes took from the message memos of the
-//! calibrated tables and of the materializations (`messages_taken`), the
-//! messages they computed, answers included (`messages_computed`), and
-//! the product entries their kernels walked (`entries_walked`). Last,
-//! the allocator calls the repetition made on the ledger's thread
-//! (`alloc_calls`; `counting_alloc::counted`, which `repro` can read
-//! because it installs `CountingAlloc`): every shape serves on that one
-//! thread, and the count includes the ledger's own bookkeeping.
+//! controller starts — then one repetition of the whole stream.
+//!
+//! A row is two snapshots subtracted: the engine's
+//! `peanut_serving::Counters` after the repetition minus before it (the
+//! direct shapes fold each answer into a value of their own, as the
+//! serving engines do). That gives requests, failed arrivals, answers
+//! computed, operations charged and their plain-tree baseline, cache hits,
+//! faults, page-outs, the memo entries fault-ins resumed, the store bytes
+//! fault-ins read and persists wrote, and the summed `Work` of the answers
+//! computed: the answers that ran a filed plan (`plans_taken`), the
+//! session answers sent to pruned variable elimination (`eliminated`), the
+//! elimination steps taken from the factor memos (`factors_taken`), the
+//! messages passes took from the message memos (`messages_taken`), the
+//! messages they computed, answers included (`messages_computed`), and the
+//! product entries their kernels walked (`entries_walked`). Beside them
+//! stand four gauges read when the repetition ends, each from a memo's
+//! `MemoUsage`, over the engines resident then: the entries the
+//! calibrated tables' and the materializations' message memos hold, the
+//! entries of the factor memo an engine's evidence sessions share, and the
+//! plans the plan memos hold. Last, the allocator calls the repetition made
+//! on the ledger's thread (`alloc_calls`; `counting_alloc::counted`, which
+//! `repro` can read because it installs `CountingAlloc`): every shape
+//! serves on that one thread.
 //!
 //! Beside the rows, the `paper` section holds the paper's own metric
 //! (Figure 5's setting): per dataset, method (PEANUT, PEANUT+) and budget
@@ -69,8 +68,11 @@
 //! and, over the skewed test stream, each query's ops saved against the
 //! plain tree — the count the paper charges (toward `r_q`) and the count
 //! its pass executes (toward its cheapest root) — as a mean and
-//! quartiles, in percent. `--quick` keeps the rows' three datasets at
-//! 10·b_T.
+//! quartiles, in percent; and where a query's charge lies, as the mean of
+//! its three shares (`QueryAnatomy::shares`, in percent): the cliques
+//! that hold a query variable, the inflation of carried query variables,
+//! and the cliques free of them, the only share a shortcut can replace.
+//! `--quick` keeps the rows' three datasets at 10·b_T.
 //!
 //! `repro ledger` prints the ledger and writes it to `LEDGER.json`;
 //! `--quick` shrinks every stream and writes `LEDGER.quick.json`, the file
@@ -86,10 +88,10 @@ use peanut_bench::harness::{
 use peanut_core::{Materialization, OfflineContext, OnlineEngine, Peanut, PeanutConfig, Workload};
 use peanut_junction::{JunctionTree, QueryEngine, RootedTree};
 use peanut_pgm::sampling::ancestral_sample;
-use peanut_pgm::{Scope, Scratch, Size, Var, Work};
+use peanut_pgm::{MemoUsage, Scope, Scratch, Size, Var};
 use peanut_serving::{
-    Answer, LifecycleConfig, RematerializationController, ServeOutcome, ServeRequest,
-    ServingConfig, ServingEngine, ShardConfig, ShardedServingEngine, StoreConfig, TenantId,
+    Counters, LifecycleConfig, RematerializationController, ServeRequest, ServingConfig,
+    ServingEngine, ShardConfig, ShardedServingEngine, StoreConfig, TenantId,
 };
 use peanut_workload::{
     skewed_queries, tenant_queries, uniform_queries, with_evidence, zipf_weights, QuerySpec,
@@ -97,7 +99,7 @@ use peanut_workload::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -114,117 +116,61 @@ const FLEET_SPEC: QuerySpec = QuerySpec {
 /// the benchmark leaves out Hailfinder's heaviest joints.
 const MAX_PLAIN_OPS: u64 = 250_000;
 
-/// One shape's sums over its repetition.
-#[derive(Default)]
-struct Row {
-    requests: u64,
-    failed: u64,
-    computed: u64,
-    ops: u128,
-    baseline_ops: u128,
-    cache_hits: u64,
-    faults: u64,
-    page_outs: u64,
-    state_memo_entries: u64,
-    mat_memo_entries: u64,
-    factor_memo_entries: u64,
-    memo_resumed: u64,
-    store_bytes_read: u64,
-    store_bytes_written: u64,
-    plans_held: u64,
-    plans_taken: u64,
-    eliminated: u64,
-    factors_taken: u64,
-    messages_taken: u64,
-    messages_computed: u64,
-    entries_walked: u64,
-    alloc_calls: u64,
+/// What `counters` counted over `run`, a snapshot after it minus one
+/// before, and the allocator calls `run` made on this thread.
+fn repetition(counters: impl Fn() -> Counters, run: impl FnOnce()) -> (Counters, u64) {
+    let before = counters();
+    let ((), allocs) = counted(run);
+    (counters() - before, allocs.calls as u64)
 }
 
-impl Row {
-    /// One repetition summed into a fresh row, with the allocator calls
-    /// it made on this thread.
-    fn repetition(run: impl FnOnce(&mut Row)) -> Row {
-        let mut row = Row::default();
-        let ((), allocs) = counted(|| run(&mut row));
-        row.alloc_calls = allocs.calls as u64;
-        row
-    }
+/// The memo gauges, in column order: the entries the calibrated tables'
+/// message memo, the materialization's and the factor memo hold, and the
+/// plans the materialization's plan memo holds.
+type Gauges = [u64; 4];
 
-    /// Adds one batch's outcomes: a computed answer counts once however
-    /// many arrivals share it.
-    fn served(&mut self, outcomes: &[ServeOutcome], cache_hits: usize) {
-        self.requests += outcomes.len() as u64;
-        self.cache_hits += cache_hits as u64;
-        let mut fresh: Vec<&Answer> = Vec::new();
-        for o in outcomes {
-            match o.served() {
-                Some(s) if !s.from_cache => {
-                    if !fresh.iter().any(|&a| std::ptr::eq(a, &*s.answer)) {
-                        fresh.push(&*s.answer);
-                    }
-                }
-                Some(_) => {}
-                None => self.failed += 1,
-            }
-        }
-        for a in fresh {
-            self.computed(a.cost.ops, a.baseline_ops, &a.work);
-        }
-    }
+fn gauges(engine: &QueryEngine<'_>, mat: &Materialization, factors: MemoUsage) -> Gauges {
+    let held = [engine.memo_usage(), mat.memo_usage(), factors].map(|m| m.held as u64);
+    [held[0], held[1], held[2], mat.plan_usage().filed as u64]
+}
 
-    /// Adds one computed answer: its charge, its baseline and its work.
-    fn computed(&mut self, ops: u64, baseline_ops: u64, work: &Work) {
-        self.computed += 1;
-        self.ops += u128::from(ops);
-        self.baseline_ops += u128::from(baseline_ops);
-        self.plans_taken += u64::from(work.plan_taken);
-        self.eliminated += u64::from(work.eliminated);
-        self.factors_taken += work.factors_taken;
-        self.messages_taken += work.messages_taken;
-        self.messages_computed += work.messages_computed;
-        self.entries_walked += work.entries_walked;
-    }
+fn serving_gauges(serving: &ServingEngine<'_>) -> Gauges {
+    let mat = serving.materialization();
+    gauges(serving.engine(), &mat, serving.factor_memo_usage())
+}
 
-    /// The memo entries and plans an engine's tables and a
-    /// materialization hold.
-    fn memos(&mut self, engine: &QueryEngine<'_>, mat: &Materialization) {
-        self.state_memo_entries = engine.memo_usage().held as u64;
-        self.mat_memo_entries = mat.memo_usage().held as u64;
-        self.plans_held = mat.plan_usage().filed as u64;
+/// One row: the repetition's counts and the gauges, in column order.
+fn json(shape: &str, c: &Counters, gauges: Gauges, alloc_calls: u64) -> String {
+    let [state, mat, factor, plans] = gauges;
+    let mut out = format!("    {{\n      \"shape\": \"{shape}\",\n      \"seed\": {SEED}");
+    let fields: [(&str, u64); 22] = [
+        ("requests", c.requests),
+        ("failed", c.failed),
+        ("answers_computed", c.computed),
+        ("ops", c.ops),
+        ("baseline_ops", c.baseline_ops),
+        ("cache_hits", c.cache_hits),
+        ("faults", c.faults),
+        ("page_outs", c.page_outs),
+        ("state_memo_entries", state),
+        ("mat_memo_entries", mat),
+        ("factor_memo_entries", factor),
+        ("memo_entries_resumed", c.memo_resumed),
+        ("store_bytes_read", c.store_bytes_read),
+        ("store_bytes_written", c.store_bytes_written),
+        ("plans_held", plans),
+        ("plans_taken", c.plans_taken),
+        ("eliminated", c.eliminated),
+        ("factors_taken", c.factors_taken),
+        ("messages_taken", c.messages_taken),
+        ("messages_computed", c.messages_computed),
+        ("entries_walked", c.entries_walked),
+        ("alloc_calls", alloc_calls),
+    ];
+    for (name, value) in fields {
+        let _ = write!(out, ",\n      \"{name}\": {value}");
     }
-
-    fn json(&self, shape: &str) -> String {
-        let mut out = format!("    {{\n      \"shape\": \"{shape}\",\n      \"seed\": {SEED}");
-        let fields: [(&str, u128); 22] = [
-            ("requests", self.requests.into()),
-            ("failed", self.failed.into()),
-            ("answers_computed", self.computed.into()),
-            ("ops", self.ops),
-            ("baseline_ops", self.baseline_ops),
-            ("cache_hits", self.cache_hits.into()),
-            ("faults", self.faults.into()),
-            ("page_outs", self.page_outs.into()),
-            ("state_memo_entries", self.state_memo_entries.into()),
-            ("mat_memo_entries", self.mat_memo_entries.into()),
-            ("factor_memo_entries", self.factor_memo_entries.into()),
-            ("memo_entries_resumed", self.memo_resumed.into()),
-            ("store_bytes_read", self.store_bytes_read.into()),
-            ("store_bytes_written", self.store_bytes_written.into()),
-            ("plans_held", self.plans_held.into()),
-            ("plans_taken", self.plans_taken.into()),
-            ("eliminated", self.eliminated.into()),
-            ("factors_taken", self.factors_taken.into()),
-            ("messages_taken", self.messages_taken.into()),
-            ("messages_computed", self.messages_computed.into()),
-            ("entries_walked", self.entries_walked.into()),
-            ("alloc_calls", self.alloc_calls.into()),
-        ];
-        for (name, value) in fields {
-            let _ = write!(out, ",\n      \"{name}\": {value}");
-        }
-        out + "\n    }"
-    }
+    out + "\n    }"
 }
 
 /// PEANUT+ at 10·b_T, ε = 1.2, on one thread, with numeric tables.
@@ -243,7 +189,7 @@ fn seed_of(tenant: usize, stream: u64) -> u64 {
     SEED * 1_000 + tenant as u64 * 10 + stream
 }
 
-fn fleet_paging(quick: bool, store_dir: &Path) -> Row {
+fn fleet_paging(quick: bool, store_dir: &Path) -> String {
     let (train, pool, batches) = if quick {
         (150, 64, 16)
     } else {
@@ -303,102 +249,45 @@ fn fleet_paging(quick: bool, store_dir: &Path) -> Row {
             .collect();
 
     let _ = std::fs::remove_dir_all(store_dir);
-    let store = StoreConfig::new(store_dir);
     let mut fleet = ShardedServingEngine::new(
         ShardConfig::default()
             .with_workers(1)
             .with_max_resident(MAX_RESIDENT),
     );
-    fleet.set_store(store.clone());
-    // the size of every epoch file a tenant saved, its newest epoch, and
-    // the tenants whose newest epoch is not on disk yet
-    let mut sizes: BTreeMap<(usize, u64), u64> = BTreeMap::new();
-    let mut newest = vec![0u64; TENANTS];
-    let mut unsaved: Vec<usize> = Vec::new();
-    let size = |t: usize, epoch: u64| {
-        std::fs::metadata(store.epoch_path(t as u32, epoch)).map_or(0, |m| m.len())
-    };
+    fleet.set_store(StoreConfig::new(store_dir));
     for (t, engine) in engines.into_iter().enumerate() {
         fleet
             .register(TenantId(t as u32), engine, mats[t][0].clone())
             .expect("fresh tenant id, writable store");
-        sizes.insert((t, 0), size(t, 0));
     }
     fleet.enforce_residency();
 
     let publish_every = (batches / TENANTS).max(1);
-    // a fault-in reads the newest file of a tenant that is touched while
-    // not resident: counted before each call, and checked against the
-    // fleet's own count of fault-ins
-    let reads = |row: &mut Row, touched: &[TenantId], newest: &[u64], sizes: &BTreeMap<_, _>| {
-        let resident: Vec<TenantId> = fleet.tenants().into_iter().map(|(id, _)| id).collect();
-        let mut seen = HashSet::new();
-        for id in touched
-            .iter()
-            .filter(|&&id| seen.insert(id) && !resident.contains(&id))
-        {
-            let t = id.0 as usize;
-            row.faults += 1;
-            row.store_bytes_read += sizes[&(t, newest[t])];
-        }
-    };
-    let mut serve = |row: &mut Row, range: std::ops::Range<usize>| {
+    let serve = |range: std::ops::Range<usize>| {
         for b in range {
             if b % publish_every == 0 && b > 0 {
                 // tenants in turn, alternating between their two
                 let turn = b / publish_every - 1;
                 let t = turn % TENANTS;
-                let which = 1 - (turn / TENANTS) % 2;
-                let id = TenantId(t as u32);
-                reads(row, &[id], &newest, &sizes);
-                let engine = fleet.tenant(id).expect("tenant faults in");
-                newest[t] = engine.publish(mats[t][which].clone());
-                let written = size(t, newest[t]);
-                sizes.insert((t, newest[t]), written);
-                row.store_bytes_written += written;
-                if written == 0 {
-                    unsaved.push(t);
-                }
+                let engine = fleet.tenant(TenantId(t as u32)).expect("tenant faults in");
+                engine.publish(mats[t][1 - (turn / TENANTS) % 2].clone());
             }
-            let batch = &arrivals[b * BATCH..(b + 1) * BATCH];
-            let touched: Vec<TenantId> = batch.iter().map(|(id, _)| *id).collect();
-            reads(row, &touched, &newest, &sizes);
-            let (outcomes, stats) = fleet.serve_mixed(batch);
-            row.served(&outcomes, stats.cache_hits);
-            // a page-out saves the served epoch its publish did not
-            unsaved.retain(|&t| {
-                let written = size(t, newest[t]);
-                sizes.insert((t, newest[t]), written);
-                row.store_bytes_written += written;
-                written == 0
-            });
+            fleet.serve_mixed(&arrivals[b * BATCH..(b + 1) * BATCH]);
         }
     };
     // warm-up: an eighth of the stream, before any publish
-    serve(&mut Row::default(), 0..batches / 8);
-    let before = fleet.paging_stats();
-    let mut row = Row::repetition(|row| serve(row, 0..batches));
-    let after = fleet.paging_stats();
-    assert_eq!(
-        row.faults,
-        after.faults - before.faults,
-        "every fault-in read"
-    );
-    row.page_outs = after.page_outs - before.page_outs;
-    row.memo_resumed = after.memo_resumed - before.memo_resumed;
-    assert_eq!(after.fault_errors, 0, "no fault-in failed");
-    for (_, engine) in fleet.tenants() {
-        let mat = engine.materialization();
-        row.state_memo_entries += engine.engine().memo_usage().held as u64;
-        row.mat_memo_entries += mat.memo_usage().held as u64;
-        row.plans_held += mat.plan_usage().filed as u64;
-    }
+    serve(0..batches / 8);
+    let (counters, allocs) = repetition(|| fleet.counters(), || serve(0..batches));
+    let held = (fleet.tenants().into_iter()).fold([0; 4], |sum, (_, engine)| {
+        let gauges = serving_gauges(&engine);
+        std::array::from_fn(|i| sum[i] + gauges[i])
+    });
     drop(fleet);
     let _ = std::fs::remove_dir_all(store_dir);
-    row
+    json("fleet_paging", &counters, held, allocs)
 }
 
-fn direct_small(quick: bool) -> Row {
+fn direct_small(quick: bool) -> String {
     let (train, test) = if quick {
         (2_000, 1_000)
     } else {
@@ -412,10 +301,10 @@ fn direct_small(quick: bool) -> Row {
     let (tree, rooted) = (&child.tree, RootedTree::new(&child.tree));
     let train = skewed_queries(tree, &rooted, train, spec, seed_of(0, 5));
     let stream = skewed_queries(tree, &rooted, test, spec, seed_of(0, 6));
-    direct(&child, &train, &stream, test / 8)
+    direct("direct_small", &child, &train, &stream, test / 8)
 }
 
-fn direct_large(quick: bool) -> Row {
+fn direct_large(quick: bool) -> String {
     let (train, every) = if quick { (2_000, 8) } else { (20_000, 1) };
     let spec = QuerySpec {
         min_vars: 2,
@@ -430,36 +319,48 @@ fn direct_large(quick: bool) -> Row {
         .flat_map(|a| (a + 1..n).map(move |b| Scope::from_indices(&[a, b])))
         .step_by(every)
         .collect();
-    direct(&tpch, &train, &stream, stream.len())
+    direct("direct_large", &tpch, &train, &stream, stream.len())
 }
 
 /// A direct shape: `stream` answered one at a time over the
 /// materialization selected for `train`, after a warm-up over its first
-/// `warm` queries.
-fn direct(model: &Prepared, train: &[Scope], stream: &[Scope], warm: usize) -> Row {
+/// `warm` queries; each answer is folded into the row's counts here.
+fn direct(shape: &str, model: &Prepared, train: &[Scope], stream: &[Scope], warm: usize) -> String {
     let tree = &model.tree;
     let engine = QueryEngine::numeric(tree, &model.bn).expect("tables fit");
     let mat = select(tree, &engine, train);
     let online = OnlineEngine::new(&engine, &mat);
     let mut scratch = Scratch::new();
-    let mut answer = |row: &mut Row, q: &Scope| match online.answer_traced_in(q, &mut scratch) {
-        Ok(t) => {
-            row.computed(t.cost.ops, t.baseline_ops, &t.work);
-            scratch.recycle(t.potential);
+    let mut answer = |c: &mut Counters, q: &Scope| {
+        c.requests += 1;
+        match online.answer_traced_in(q, &mut scratch) {
+            Ok(t) => {
+                c.add_answer(&t.cost, t.baseline_ops, &t.work);
+                scratch.recycle(t.potential);
+            }
+            Err(_) => c.failed += 1,
         }
-        Err(_) => row.failed += 1,
     };
     for q in &stream[..warm] {
-        answer(&mut Row::default(), q);
+        answer(&mut Counters::default(), q);
     }
-    let mut row = Row::repetition(|row| {
-        for q in stream {
-            row.requests += 1;
-            answer(row, q);
-        }
-    });
-    row.memos(&engine, &mat);
-    row
+    let mut counters = Counters::default();
+    let ((), allocs) = counted(|| stream.iter().for_each(|q| answer(&mut counters, q)));
+    let gauges = gauges(&engine, &mat, MemoUsage::default());
+    json(shape, &counters, gauges, allocs.calls as u64)
+}
+
+/// One repetition of `serving` answering `stream` in batches, as a row.
+fn batched(shape: &str, serving: &ServingEngine<'_>, stream: &[ServeRequest]) -> String {
+    let (counters, allocs) = repetition(
+        || serving.counters(),
+        || {
+            for batch in stream.chunks(BATCH) {
+                serving.serve_batch(batch);
+            }
+        },
+    );
+    json(shape, &counters, serving_gauges(serving), allocs)
 }
 
 /// `total` distinct HeparII-shaped requests: seven skewed scopes in ten
@@ -491,7 +392,7 @@ fn distinct_requests(
     requests
 }
 
-fn serve_repeat(quick: bool) -> Row {
+fn serve_repeat(quick: bool) -> String {
     const POOL: usize = 1024;
     let (train, batches) = if quick { (500, 32) } else { (2_000, 256) };
     let hepar = Prepared::by_name("HeparII");
@@ -517,17 +418,10 @@ fn serve_repeat(quick: bool) -> Row {
     for batch in warm.chunks(BATCH) {
         serving.serve_batch(batch);
     }
-    let mut row = Row::repetition(|row| {
-        for batch in stream.chunks(BATCH) {
-            let (outcomes, stats) = serving.serve_batch(batch);
-            row.served(&outcomes, stats.cache_hits);
-        }
-    });
-    row.memos(serving.engine(), &serving.materialization());
-    row
+    batched("serve_repeat", &serving, stream)
 }
 
-fn serve_distinct(quick: bool) -> Row {
+fn serve_distinct(quick: bool) -> String {
     let (train, n) = if quick { (500, 512) } else { (2_000, 2_048) };
     let hepar = Prepared::by_name("HeparII");
     let (tree, rooted) = (&hepar.tree, RootedTree::new(&hepar.tree));
@@ -541,20 +435,13 @@ fn serve_distinct(quick: bool) -> Row {
     for batch in warm.chunks(BATCH) {
         serving.serve_batch(batch);
     }
-    let mut row = Row::repetition(|row| {
-        for batch in stream.chunks(BATCH) {
-            let (outcomes, stats) = serving.serve_batch(batch);
-            row.served(&outcomes, stats.cache_hits);
-        }
-    });
-    row.memos(serving.engine(), &serving.materialization());
-    row
+    batched("serve_distinct", &serving, stream)
 }
 
 /// One session's evidence and targets.
 type Session = (Vec<(Var, u32)>, Vec<Scope>);
 
-fn evidence_sessions(quick: bool) -> Row {
+fn evidence_sessions(quick: bool) -> String {
     const TARGETS: usize = 32;
     const TARGET_OPS: std::ops::RangeInclusive<u64> = 100_000..=2_000_000;
     let sessions = if quick { 16 } else { 100 };
@@ -597,25 +484,24 @@ fn evidence_sessions(quick: bool) -> Row {
         Materialization::default(),
         ServingConfig::default().with_workers(1),
     );
-    let serve = |row: &mut Row, inputs: &[Session]| {
+    let serve = |inputs: &[Session]| {
         for (evidence, targets) in inputs {
-            let Ok(session) = serving.open_session(evidence.clone()) else {
-                row.requests += TARGETS as u64;
-                row.failed += TARGETS as u64;
-                continue;
-            };
-            let first = session.serve_one(&targets[0]);
-            row.served(std::slice::from_ref(&first), 0);
-            let (outcomes, stats) = session.serve_batch(&targets[1..]);
-            row.served(&outcomes, stats.cache_hits);
+            let session = serving
+                .open_session(evidence.clone())
+                .expect("an ancestral sample's values are possible evidence");
+            session.serve_one(&targets[0]);
+            session.serve_batch(&targets[1..]);
         }
     };
     let (warm, stream) = inputs.split_at(sessions / 8);
-    serve(&mut Row::default(), warm);
-    let mut row = Row::repetition(|row| serve(row, stream));
-    row.memos(serving.engine(), &serving.materialization());
-    row.factor_memo_entries = serving.factor_memo_usage().held as u64;
-    row
+    serve(warm);
+    let (counters, allocs) = repetition(|| serving.counters(), || serve(stream));
+    json(
+        "evidence_sessions",
+        &counters,
+        serving_gauges(&serving),
+        allocs,
+    )
 }
 
 /// The `drift_remat` stream's three regions: the tree cut into connected
@@ -653,7 +539,7 @@ fn regions(tree: &JunctionTree) -> Vec<Vec<Var>> {
     vars
 }
 
-fn drift_remat(quick: bool) -> Row {
+fn drift_remat(quick: bool) -> String {
     const MAX_PLAIN_OPS: u64 = 1_000_000;
     const POOL: usize = 256;
     const REGIME: usize = 32 * BATCH;
@@ -711,30 +597,35 @@ fn drift_remat(quick: bool) -> Row {
         &Workload::from_queries(train),
         LifecycleConfig::new(budget).with_min_window(WINDOW),
     );
-    let mut row = Row::repetition(|row| {
-        for (b, batch) in arrivals.chunks(BATCH).enumerate() {
-            if b > 0 && (b * BATCH) % TICK_EVERY == 0 {
-                controller.tick().expect("re-selection fits");
+    let (counters, allocs) = repetition(
+        || serving.counters(),
+        || {
+            for (b, batch) in arrivals.chunks(BATCH).enumerate() {
+                if b > 0 && (b * BATCH) % TICK_EVERY == 0 {
+                    controller.tick().expect("re-selection fits");
+                }
+                serving.serve_batch(batch);
             }
-            let (outcomes, stats) = serving.serve_batch(batch);
-            row.served(&outcomes, stats.cache_hits);
-        }
-    });
-    row.memos(serving.engine(), &serving.materialization());
-    row
+        },
+    );
+    json("drift_remat", &counters, serving_gauges(&serving), allocs)
 }
 
-/// The count of `query`'s pass under `online`, toward its cheapest root.
-fn executed(online: &OnlineEngine<'_, '_>, tree: &JunctionTree, query: &Scope) -> Size {
+/// The count of `query`'s pass under `online`, toward its cheapest root,
+/// and the shares of its charge toward `r_q` in percent (`[held, carried,
+/// free]`, `QueryAnatomy::shares`; an in-clique answer's is all held).
+fn executed(online: &OnlineEngine<'_, '_>, tree: &JunctionTree, query: &Scope) -> (Size, [f64; 3]) {
     let domain = tree.domain();
-    match online.reduce(query).expect("skewed queries fit the tree") {
-        None => online.cost(query).expect("in-clique cost").ops,
-        Some(plan) => {
-            plan.anatomy(query, domain)
-                .cheapest_root(&plan, query, domain)
-                .1
-        }
-    }
+    let Some(plan) = online.reduce(query).expect("skewed queries fit the tree") else {
+        return (
+            online.cost(query).expect("in-clique cost").ops,
+            [100.0, 0.0, 0.0],
+        );
+    };
+    let mut anatomy = plan.anatomy(query, domain);
+    let (shares, charge) = (anatomy.shares(&plan, query), anatomy.cost().ops);
+    let pct = shares.map(|share| 100.0 * share as f64 / charge.max(1) as f64);
+    (anatomy.cheapest_root(&plan, query, domain).1, pct)
 }
 
 /// Per-query percentages as `{mean, p25, p50, p75}`.
@@ -773,25 +664,30 @@ fn paper(quick: bool) -> Vec<String> {
         let engine = QueryEngine::symbolic(tree);
         let none = Materialization::default();
         let plain = OnlineEngine::new(&engine, &none);
-        let base: Vec<Size> = test.iter().map(|q| executed(&plain, tree, q)).collect();
+        let base: Vec<Size> = test.iter().map(|q| executed(&plain, tree, q).0).collect();
         for (method, config) in METHODS {
             for &(label, times) in budgets {
                 let budget = ((model.b_t() as f64) * times).max(1.0) as Size;
                 let mat = Peanut::offline(&ctx, &config(budget));
                 let online = OnlineEngine::new(&engine, &mat);
-                let run: Vec<f64> = test
-                    .iter()
-                    .zip(&base)
-                    .map(|(q, &b)| saving_percent(b, executed(&online, tree, q)))
-                    .collect();
+                let (mut run, mut shares) = (Vec::new(), [Vec::new(), Vec::new(), Vec::new()]);
+                for (q, &b) in test.iter().zip(&base) {
+                    let (ops, pct) = executed(&online, tree, q);
+                    run.push(saving_percent(b, ops));
+                    shares.iter_mut().zip(pct).for_each(|(s, p)| s.push(p));
+                }
                 entries.push(format!(
                     "    {{\"dataset\": \"{}\", \"method\": \"{method}\", \"budget\": \"{label}\", \
                      \"budget_entries\": {budget}, \"entries_materialized\": {},\n      \
-                     \"paper_ops_saved_pct\": {},\n      \"executed_ops_saved_pct\": {}}}",
+                     \"paper_ops_saved_pct\": {},\n      \"executed_ops_saved_pct\": {},\n      \
+                     \"charge_shares_pct\": {{\"held\": {:.4}, \"carried\": {:.4}, \"free\": {:.4}}}}}",
                     model.spec.name,
                     mat.total_size(),
                     spread(&savings_percent(&model, &mat, &test)),
                     spread(&run),
+                    mean(&shares[0]),
+                    mean(&shares[1]),
+                    mean(&shares[2]),
                 ));
             }
         }
@@ -803,13 +699,13 @@ pub fn run() {
     let quick = is_quick();
     let store_dir = std::env::temp_dir().join(format!("peanut-ledger-{}", std::process::id()));
     let rows = [
-        fleet_paging(quick, &store_dir).json("fleet_paging"),
-        direct_small(quick).json("direct_small"),
-        direct_large(quick).json("direct_large"),
-        serve_repeat(quick).json("serve_repeat"),
-        serve_distinct(quick).json("serve_distinct"),
-        evidence_sessions(quick).json("evidence_sessions"),
-        drift_remat(quick).json("drift_remat"),
+        fleet_paging(quick, &store_dir),
+        direct_small(quick),
+        direct_large(quick),
+        serve_repeat(quick),
+        serve_distinct(quick),
+        evidence_sessions(quick),
+        drift_remat(quick),
     ];
     let ledger = format!(
         "{{\n  \"quick\": {quick},\n  \"rows\": [\n{}\n  ],\n  \"paper\": [\n{}\n  ]\n}}\n",

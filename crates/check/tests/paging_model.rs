@@ -27,7 +27,9 @@
 //!   engine of tenant 0 that serves epoch 1 has counted an arrival by
 //!   then, and a fresh window has not);
 //! * every answer tenant 0 serves, during the race and after it, through
-//!   resumed messages or not, is bit-identical to a cold engine's.
+//!   resumed messages or not, is bit-identical to a cold engine's;
+//! * the batch reports only the fault-ins and page-outs it made itself,
+//!   at most one of each, whatever the pager does meanwhile.
 
 #![cfg(not(feature = "mutation-lost-wakeup"))]
 
@@ -101,8 +103,17 @@ fn fault_in_page_out_and_publish_race_under_the_cap() {
         let server = {
             let (fleet, q, cold) = (Arc::clone(&fleet), q.clone(), cold.clone());
             thread::spawn(move || {
-                let (outcomes, _) = fleet.serve_mixed(&[(TenantId(0), q)]);
+                let (outcomes, stats) = fleet.serve_mixed(&[(TenantId(0), q)]);
                 assert_eq!(bits(&outcomes[0]), cold);
+                // the batch is charged only what it made: its one
+                // tenant's fault-in, and the one page-out that brings
+                // the fleet back under the cap
+                assert!(
+                    stats.faults <= 1 && stats.page_outs <= 1,
+                    "charged {} faults, {} page-outs",
+                    stats.faults,
+                    stats.page_outs
+                );
                 assert!(fleet.resident_len() <= 2, "one racing fault-in at most");
             })
         };

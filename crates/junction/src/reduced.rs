@@ -828,6 +828,28 @@ impl QueryAnatomy {
         self.rows[u * self.width + CHARGE]
     }
 
+    /// The charge toward the plan's root in three shares, `[held,
+    /// carried, free]`: each node's charge at its own table size, for the
+    /// nodes whose scope holds a query variable (`held`) and for those
+    /// that hold none (`free`, the only share a shortcut can replace),
+    /// and what the query variables carried into nodes add to their
+    /// charges (`carried`). Unsaturated, they sum to
+    /// [`cost`](Self::cost)`().ops`.
+    pub fn shares(&self, plan: &ReducedTree<'_>, query: &Scope) -> [Size; 3] {
+        let mut shares: [Size; 3] = [0; 3];
+        for (u, node) in plan.nodes.iter().enumerate() {
+            let base = node_ops_of_size(self.size(u), plan.degree(u));
+            let own = if node.scope.is_disjoint_from(query) {
+                2
+            } else {
+                0
+            };
+            shares[own] = shares[own].saturating_add(base);
+            shares[1] = shares[1].saturating_add(self.charge(u) - base);
+        }
+        shares
+    }
+
     /// The node of `plan` a pass for `query` is cheapest toward and that
     /// pass's count, the executed count, every rooting priced in one
     /// pre-order walk: the first cheapest in pre-order, which starts at the
@@ -2349,6 +2371,40 @@ mod tests {
             }
         }
         assert!(moved > 0 && moved < checked, "{moved} of {checked} moved");
+    }
+
+    /// Over every pair and triple of each fixture's variables on the plain
+    /// tree, the three shares of the charge sum to the plan's count
+    /// exactly, and each share is non-zero for some query.
+    #[test]
+    fn the_charge_shares_sum_to_the_count() {
+        for bn in [
+            fixtures::figure1(),
+            fixtures::asia(),
+            fixtures::chain(8, 3, 5),
+        ] {
+            let (tree, rooted, _) = setup(&bn, None);
+            let (d, n) = (bn.domain(), bn.n_vars() as u32);
+            let mut seen = [false; 3];
+            for a in 0..n {
+                for b in a + 1..n {
+                    for q in [
+                        Scope::from_indices(&[a, b]),
+                        Scope::from_indices(&[a, b, (a + b + 1) % n]),
+                    ] {
+                        let st = SteinerTree::extract(&tree, &rooted, &q).unwrap();
+                        let rt = ReducedTree::from_steiner(&tree, &rooted, &st, None);
+                        let anatomy = rt.anatomy(&q, d);
+                        let shares = anatomy.shares(&rt, &q);
+                        assert_eq!(shares.iter().sum::<Size>(), anatomy.cost().ops, "{q}");
+                        for (seen, &share) in seen.iter_mut().zip(&shares) {
+                            *seen |= share > 0;
+                        }
+                    }
+                }
+            }
+            assert_eq!(seen, [true; 3]);
+        }
     }
 
     proptest::proptest! {

@@ -52,11 +52,12 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
+use crate::counters::Counters;
 use crate::overload::ServeOutcome;
 use crate::pipeline::{fan_out, BatchRun, Target};
 use crate::pool::{PoolCell, PoolStats, WorkerPool};
 use peanut_core::exec::Executor;
-use peanut_core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use peanut_core::sync::atomic::{AtomicU64, Ordering};
 use peanut_core::sync::{thread, Arc, Mutex, OnceLock, RwLock};
 use peanut_core::{
     ByHash, FlatMaterialization, Materialization, ServeRequest, Shortcut, WorkloadStats,
@@ -64,7 +65,7 @@ use peanut_core::{
 use peanut_junction::cost::QueryCost;
 use peanut_junction::{MessageMemo, QueryEngine};
 use peanut_pgm::{BayesianNetwork, MemoUsage, PgmError, Potential, Size, Work};
-use peanut_store::StoreConfig;
+use peanut_store::{StoreConfig, StoredEpoch};
 use peanut_ve::FactorMemo;
 use std::collections::VecDeque;
 use std::hash::RandomState;
@@ -142,10 +143,9 @@ pub struct BatchStats {
     pub epoch: u64,
     /// Wall-clock time of the whole batch.
     pub wall: Duration,
-    /// Summed operation count over freshly computed queries.
-    pub total_ops: u64,
-    /// Summed shortcut uses over freshly computed queries.
-    pub shortcuts_used: usize,
+    /// What the batch counted: its arrivals, failures, cache hits and the
+    /// answers it computed, with their charges and work.
+    pub counters: Counters,
 }
 
 /// Serving knobs.
@@ -304,6 +304,14 @@ impl<'t> ParkedEpoch<'t> {
         self.store.cfg.epoch_path(self.store.tenant, epoch)
     }
 
+    /// Opens the file a fault-in rehydrates ([`path`](Self::path)), its
+    /// bytes counted on the tenant's record.
+    pub(crate) fn open(&self) -> Result<StoredEpoch, PgmError> {
+        let stored = StoredEpoch::open(&self.path(), true)?;
+        self.store.counts.lock().store_bytes_read += stored.file_len();
+        Ok(stored)
+    }
+
     /// The structure a rehydrate builds on: the table-less engine, and the
     /// parked shortcut structures, handed over (a second call gets none).
     pub(crate) fn take_structure(&mut self) -> (&QueryEngine<'t>, Vec<Shortcut>) {
@@ -313,8 +321,8 @@ impl<'t> ParkedEpoch<'t> {
 
 /// A tenant's one record of what it has on disk, shared by every engine
 /// built for the tenant: where its epochs are saved, the newest one saved,
-/// the oldest one not yet removed and the store writes that failed.
-struct EngineStore {
+/// the oldest one not yet removed and the tenant's store traffic.
+pub(crate) struct EngineStore {
     cfg: StoreConfig,
     tenant: u32,
     /// One past the newest epoch durably saved (after the rename and the
@@ -324,10 +332,11 @@ struct EngineStore {
     /// by this record (the epoch served when the record was attached).
     /// Only grows.
     kept_from: AtomicU64,
-    /// Persists, and removals of old epochs, that failed (telemetry; the
-    /// epoch keeps serving from RAM, the old file stays until the next
-    /// page-out).
-    errors: AtomicUsize,
+    /// The store's counts of [`Counters`]: bytes read by fault-ins,
+    /// bytes persists wrote, and the writes that failed — persists, and
+    /// removals of old epochs (the epoch keeps serving from RAM, the old
+    /// file stays until the next page-out).
+    pub(crate) counts: Mutex<Counters>,
 }
 
 impl EngineStore {
@@ -340,9 +349,9 @@ impl EngineStore {
     /// Unlinks the files of the epochs older than the newest one saved,
     /// from the oldest not yet removed up, without listing the directory.
     /// No fault-in opens them: a fault-in opens the newest. A file already
-    /// gone is fine; a failed unlink is counted in `errors` and retried at
-    /// the next call. Callers hold the tenant's shard write lock, which a
-    /// fault-in also takes, so two calls never race.
+    /// gone is fine; a failed unlink is counted in `store_errors` and
+    /// retried at the next call. Callers hold the tenant's shard write
+    /// lock, which a fault-in also takes, so two calls never race.
     fn remove_older(&self) {
         let Some(newest) = self.newest() else {
             return;
@@ -353,8 +362,7 @@ impl EngineStore {
         while low < newest {
             match std::fs::remove_file(self.cfg.epoch_path(self.tenant, low)) {
                 Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
-                    // ordering: telemetry counter only.
-                    self.errors.fetch_add(1, Ordering::Relaxed);
+                    self.counts.lock().store_errors += 1;
                     break;
                 }
                 _ => low += 1,
@@ -399,6 +407,9 @@ pub struct ServingEngine<'t> {
     /// The tenant's on-disk record, if persistence is attached
     /// ([`set_store`](Self::set_store)).
     store: Option<Arc<EngineStore>>,
+    /// What this engine's batches counted; the store's counts are the
+    /// record's.
+    counters: Mutex<Counters>,
     /// The network the engine's tables recover, with the memo of the
     /// elimination steps over its unsliced CPTs that every evidence
     /// session on this engine shares (`session.rs`, "The factor memos");
@@ -462,6 +473,7 @@ impl<'t> ServingEngine<'t> {
             hasher,
             pool: PoolCell::new(),
             store: None,
+            counters: Mutex::default(),
             network: OnceLock::new(),
         }
     }
@@ -513,21 +525,21 @@ impl<'t> ServingEngine<'t> {
     /// Attaches epoch persistence: every [`publish`](Self::publish) (and
     /// explicit [`persist_current`](Self::persist_current) call) writes
     /// the epoch's store file for `tenant` under `cfg.dir`. Persistence
-    /// on publish is write-behind and best-effort — a failed write bumps
-    /// [`persist_errors`](Self::persist_errors) and the epoch keeps
-    /// serving from RAM.
+    /// on publish is write-behind and best-effort — a failed write is
+    /// counted in [`store_errors`](Counters::store_errors) and the epoch
+    /// keeps serving from RAM.
     pub fn set_store(&mut self, cfg: StoreConfig, tenant: u32) {
         self.store = Some(Arc::new(EngineStore {
             cfg,
             tenant,
             saved: AtomicU64::new(0),
             kept_from: AtomicU64::new(self.epoch()),
-            errors: AtomicUsize::new(0),
+            counts: Mutex::default(),
         }));
     }
 
     /// The tenant's record, or the error of an engine without a store.
-    fn record(&self) -> Result<&Arc<EngineStore>, PgmError> {
+    pub(crate) fn record(&self) -> Result<&Arc<EngineStore>, PgmError> {
         self.store.as_ref().ok_or_else(|| PgmError::StoreIo {
             path: "<unconfigured>".into(),
             msg: "engine has no store attached".into(),
@@ -541,19 +553,22 @@ impl<'t> ServingEngine<'t> {
         (self.store.as_ref()?.newest()? >= epoch).then_some(epoch)
     }
 
-    /// The tenant's store writes that failed — persists, and page-outs'
-    /// removals of old epoch files — on this engine and on every engine
-    /// built for the tenant before it.
-    pub fn persist_errors(&self) -> usize {
-        // ordering: telemetry counter, advisory read.
-        self.store
-            .as_ref()
-            .map_or(0, |s| s.errors.load(Ordering::Relaxed))
+    /// What this engine counted: its batches and its sessions' batches,
+    /// with the tenant's store traffic, which the tenant's record keeps for
+    /// every engine built for the tenant, so it survives a page cycle.
+    pub fn counters(&self) -> Counters {
+        let mut counters = *self.counters.lock();
+        if let Some(store) = &self.store {
+            counters += *store.counts.lock();
+        }
+        counters
     }
 
     /// Persists the currently served epoch to the attached store,
-    /// returning the epoch written. Errors are typed ([`PgmError`]) and
-    /// also counted in [`persist_errors`](Self::persist_errors). An epoch
+    /// returning the epoch written, whose bytes are counted in
+    /// [`store_bytes_written`](Counters::store_bytes_written). Errors are
+    /// typed ([`PgmError`]) and also counted in
+    /// [`store_errors`](Counters::store_errors). An epoch
     /// older than the oldest one the tenant's record keeps — served by a
     /// retired handle after a page-out removed the files below a newer
     /// one — fails without writing: the page-outs' removal never
@@ -590,7 +605,9 @@ impl<'t> ServingEngine<'t> {
             })
         };
         match saved {
-            Ok(_) => {
+            Ok(file) => {
+                let bytes = std::fs::metadata(file).map_or(0, |m| m.len());
+                store.counts.lock().store_bytes_written += bytes;
                 // ordering: AcqRel pairs with the Acquire in `newest` — the
                 // rename above happens-before any reader of this epoch.
                 let _ = store
@@ -601,8 +618,7 @@ impl<'t> ServingEngine<'t> {
                 Ok(mat.epoch)
             }
             Err(e) => {
-                // ordering: telemetry counter only.
-                store.errors.fetch_add(1, Ordering::Relaxed);
+                store.counts.lock().store_errors += 1;
                 Err(e)
             }
         }
@@ -696,7 +712,7 @@ impl<'t> ServingEngine<'t> {
         // the retired epoch's cache is freed outside the write lock
         drop(retired);
         if self.store.is_some() {
-            // write-behind: failures are counted (persist_errors) and the
+            // write-behind: failures are counted (store_errors) and the
             // epoch serves from RAM regardless
             let _ = self.persist_current();
         }
@@ -755,6 +771,7 @@ impl<'t> ServingEngine<'t> {
         });
         let mut bstats = run.finish(computed.into_iter());
         let outcomes = assign.into_iter().map(|u| run.outcome(u)).collect();
+        *self.counters.lock() += bstats.counters;
         bstats.wall = start.elapsed();
         (outcomes, bstats)
     }
@@ -957,7 +974,7 @@ mod tests {
         assert_eq!(s1.cache_hits, 0);
         let (second, s2) = serving.serve_batch(&batch);
         assert_eq!(s2.cache_hits, s2.unique, "second pass fully cached");
-        assert_eq!(s2.total_ops, 0, "cache hits charge no fresh ops");
+        assert_eq!(s2.counters.ops, 0, "cache hits charge no fresh ops");
         for (a, b) in first.iter().zip(&second) {
             let (a, b) = (a.served().unwrap(), b.served().unwrap());
             // the warm path must share the first pass's table, not copy it

@@ -62,6 +62,14 @@
 //!   [`StoreConfig`] attached, the registry doubles as an LRU resident
 //!   set: cold tenants page out to epoch files and fault back
 //!   in on their next arrival (`peanut-store`).
+//! * [`counters`](mod@counters) — [`Counters`], the one counted value:
+//!   arrivals, failures, answers computed and cached with their charged
+//!   and baseline operations, shortcut uses and summed
+//!   [`Work`](peanut_pgm::Work), fault-ins, page-outs and store bytes.
+//!   `BatchRun::finish` folds the answers in, the paging calls their
+//!   fault-ins and page-outs, a tenant's store record its file traffic;
+//!   [`ServingEngine::counters`] and [`ShardedServingEngine::counters`]
+//!   return the cumulative value, so a delta is two snapshots subtracted.
 //! * [`replay`](mod@replay) — the workload-replay driver: [`replay()`]
 //!   streams `peanut_workload` query mixes through an engine and reports
 //!   throughput, service and sojourn percentiles; [`replay_mixed`] does
@@ -84,6 +92,7 @@
 //!   traffic, and splits one global budget across tenants by observed
 //!   benefit (greedy knapsack over candidate shortcut sets).
 
+pub mod counters;
 pub mod engine;
 pub mod lifecycle;
 pub mod overload;
@@ -95,6 +104,7 @@ pub mod replay;
 pub mod session;
 pub mod shard;
 
+pub use counters::Counters;
 pub use engine::{Answer, BatchStats, Served, ServingConfig, ServingEngine};
 pub use lifecycle::{
     expected_savings, FleetController, FleetRebalance, LifecycleConfig,

@@ -15,11 +15,12 @@
 //!    single task or a single worker, as one serving-lane wave of the
 //!    persistent [`WorkerPool`](crate::pool::WorkerPool) otherwise;
 //! 3. [`finish`](BatchRun::finish) admits the fresh answers to the cache,
-//!    totals the [`BatchStats`] and — the one place an observation is
-//!    recorded — enters every answered unique request into the epoch's
-//!    [`WorkloadStats`] once, weighted by its arrivals, in one call: one
-//!    histogram lock per batch, a marginal filed under the hash it was
-//!    pushed with, a conditional under its joint scope's;
+//!    totals the [`BatchStats`] and its [`Counters`](crate::Counters)
+//!    and — the one place an observation is recorded — enters every
+//!    answered unique request into the epoch's [`WorkloadStats`] once,
+//!    weighted by its arrivals, in one call: one histogram lock per
+//!    batch, a marginal filed under the hash it was pushed with, a
+//!    conditional under its joint scope's;
 //!    [`outcome`](BatchRun::outcome) hands every arrival a zero-copy handle
 //!    on its (possibly shared) answer.
 //!
@@ -181,14 +182,18 @@ impl<'a, 't> BatchRun<'a, 't> {
     }
 
     /// Takes the computed answers (one per [`work`](Self::work) entry, in
-    /// order), admits them to the cache, and records the batch into the
-    /// epoch's stats. Returns the run's stats; `wall` is the caller's to
-    /// set.
+    /// order), counts them — the one place an answer is folded into
+    /// [`Counters`](crate::Counters) — admits them to the cache, and
+    /// records the batch into the epoch's stats. Returns the run's stats;
+    /// `wall` is the caller's to set.
     pub(crate) fn finish(&mut self, computed: impl Iterator<Item = Computed>) -> BatchStats {
+        let counters = &mut self.bstats.counters;
+        counters.requests = self.bstats.queries as u64;
+        counters.cache_hits = self.bstats.cache_hits as u64;
         for (&u, r) in self.work.iter().zip(computed) {
-            if let Ok(a) = &r {
-                self.bstats.total_ops = self.bstats.total_ops.saturating_add(a.cost.ops);
-                self.bstats.shortcuts_used += a.cost.shortcuts_used;
+            match &r {
+                Ok(a) => counters.add_answer(&a.cost, a.baseline_ops, &a.work),
+                Err(_) => counters.failed += self.uses[u],
             }
             self.results[u] = Some(r);
         }

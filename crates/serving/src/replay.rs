@@ -31,7 +31,8 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-use crate::engine::{BatchStats, ServingEngine};
+use crate::counters::Counters;
+use crate::engine::ServingEngine;
 use crate::overload::{AdmissionConfig, ServeOutcome, ShedReason};
 use crate::pool::PoolStats;
 use crate::shard::{ShardedServingEngine, TenantId};
@@ -99,10 +100,6 @@ pub struct ReplayReport {
     /// Peak backlog length observed right after an admission round (the
     /// whole stream in a closed loop).
     pub peak_backlog: usize,
-    /// Unique computations after in-batch coalescing.
-    pub unique: usize,
-    /// Unique queries served from the cross-batch answer cache.
-    pub cache_hits: usize,
     /// Materialization epochs observed: (first batch, last batch) on one
     /// engine, (min, max) across tenants and batches on a fleet. They
     /// differ when a re-materialization was published mid-replay.
@@ -122,19 +119,12 @@ pub struct ReplayReport {
     /// began) — the figure shedding keeps bounded while the FIFO
     /// baseline's grows with the backlog.
     pub sojourn_p99: Duration,
-    /// Summed operation count (cost-model ops) over unique computations.
-    pub total_ops: u64,
-    /// Summed shortcut uses over unique computations.
-    pub shortcuts_used: usize,
-    /// Tenants faulted in from the store over the run (mixed replays on a
-    /// paging fleet; zero otherwise).
-    pub faults: usize,
-    /// Tenants paged out over the run.
-    pub page_outs: usize,
+    /// What the dispatched waves counted, summed: answers computed and
+    /// cached, their operations and shortcut uses, and on a paging fleet
+    /// the fault-ins and page-outs the waves made.
+    pub counters: Counters,
     /// Peak resident tenants observed at any batch end.
     pub max_resident: usize,
-    /// Total wall-clock time spent faulting tenants in.
-    pub fault_wall: Duration,
     /// Worker-pool activity **attributable to this replay**: the pool's
     /// counter deltas over the run window ([`PoolStats::delta_since`]),
     /// not pool-lifetime totals — so warmup, and every earlier replay on
@@ -144,9 +134,15 @@ pub struct ReplayReport {
 }
 
 impl ReplayReport {
+    /// Unique queries answered after in-batch coalescing: computed or
+    /// served from the cross-batch answer cache.
+    pub fn unique(&self) -> usize {
+        self.computed() + self.counters.cache_hits as usize
+    }
+
     /// Unique queries actually computed (cache hits excluded).
     pub fn computed(&self) -> usize {
-        self.unique.saturating_sub(self.cache_hits)
+        self.counters.computed as usize
     }
 }
 
@@ -200,8 +196,8 @@ impl ClockState {
 /// offset per item; `None` makes every item due at time zero (the closed
 /// loop). `tenant_of` names the arriving tenant where per-tenant caps
 /// apply (mixed replays). `serve` answers one wave and returns the
-/// counters every engine reports; what only its engine reports (epochs,
-/// paging) it folds into the report itself. `pool_stats` reads the
+/// wave's [`Counters`]; what only its engine reports (epochs, residency)
+/// it folds into the report itself. `pool_stats` reads the
 /// engine's (already warmed) pool, so the report carries the run window's
 /// deltas.
 fn drive<T: Clone>(
@@ -210,7 +206,7 @@ fn drive<T: Clone>(
     cfg: &ReplayConfig,
     pool_stats: &dyn Fn() -> Option<PoolStats>,
     tenant_of: &dyn Fn(&T) -> Option<TenantId>,
-    mut serve: impl FnMut(&[T], &mut ReplayReport) -> (Vec<ServeOutcome>, BatchStats),
+    mut serve: impl FnMut(&[T], &mut ReplayReport) -> (Vec<ServeOutcome>, Counters),
 ) -> (Vec<ServeOutcome>, ReplayReport) {
     let n = items.len();
     if let Some(schedule) = schedule {
@@ -307,7 +303,7 @@ fn drive<T: Clone>(
         };
         // a wave nothing was shed out of is one slice of the stream and is
         // served in place; a gapped one is gathered first
-        let (results, stats) = if hi - lo + 1 == wave.len() {
+        let (results, counters) = if hi - lo + 1 == wave.len() {
             serve(&items[lo..=hi], &mut report)
         } else {
             gathered.clear();
@@ -317,10 +313,7 @@ fn drive<T: Clone>(
         clock.charge(wave.len());
         let done = clock.now();
         report.batches += 1;
-        report.unique += stats.unique;
-        report.cache_hits += stats.cache_hits;
-        report.total_ops = report.total_ops.saturating_add(stats.total_ops);
-        report.shortcuts_used += stats.shortcuts_used;
+        report.counters += counters;
         for (&i, r) in wave.iter().zip(results) {
             match &r {
                 ServeOutcome::Served(served) => {
@@ -386,7 +379,7 @@ pub fn replay(
                 report.epochs.0 = stats.epoch;
             }
             report.epochs.1 = stats.epoch;
-            (answers, stats)
+            (answers, stats.counters)
         },
     )
 }
@@ -414,23 +407,13 @@ pub fn replay_mixed(
         &|(tenant, _)| Some(*tenant),
         |batch, report| {
             let (answers, stats) = engine.serve_mixed(batch);
-            report.faults += stats.faults;
-            report.page_outs += stats.page_outs;
             report.max_resident = report.max_resident.max(stats.resident);
-            report.fault_wall += stats.fault_wall;
             for (_, b) in &stats.per_tenant {
                 let (lo, hi) = epochs.get_or_insert((b.epoch, b.epoch));
                 *lo = (*lo).min(b.epoch);
                 *hi = (*hi).max(b.epoch);
             }
-            let totals = BatchStats {
-                unique: stats.unique,
-                cache_hits: stats.cache_hits,
-                total_ops: stats.total_ops,
-                shortcuts_used: stats.shortcuts_used,
-                ..BatchStats::default()
-            };
-            (answers, totals)
+            (answers, stats.counters)
         },
     );
     report.epochs = epochs.unwrap_or_default();
@@ -475,16 +458,20 @@ mod tests {
         // the closed loop's counters are a pure function of the seeded
         // stream: 4 slices of 32, pool sampling repeats queries
         assert_eq!(report.batches, 4);
-        assert_eq!(report.unique, 57);
-        assert_eq!(report.cache_hits, 34);
-        assert_eq!(report.total_ops, 5100);
-        assert_eq!(report.shortcuts_used, 0);
+        assert_eq!(report.unique(), 57);
+        assert_eq!(report.counters.cache_hits, 34);
+        assert_eq!(report.counters.ops, 5100);
+        assert_eq!(report.counters.shortcuts_used, 0);
         assert_eq!(report.epochs, (0, 0));
         assert_eq!(
-            (report.faults, report.page_outs, report.max_resident),
+            (
+                report.counters.faults,
+                report.counters.page_outs,
+                report.max_resident
+            ),
             (0, 0, 0)
         );
-        assert_eq!(report.fault_wall, Duration::ZERO);
+        assert_eq!(report.counters.fault_wall(), Duration::ZERO);
         assert!(report.throughput_qps > 0.0);
         assert!(report.latency_p50 <= report.latency_p99);
     }
@@ -539,11 +526,11 @@ mod tests {
             let cold = ServingEngine::new(engine, mat.clone(), ServingConfig::default());
             let (_, report) = replay(&cold, &queries, None, &cfg);
             assert_eq!((report.served, report.errors), (256, 0));
-            assert_eq!((report.unique, report.cache_hits), (87, 41));
+            assert_eq!((report.unique(), report.counters.cache_hits), (87, 41));
             assert_eq!(report.computed(), 46);
-            assert_eq!((loop_ops, report.total_ops), (78_300, 13_452));
+            assert_eq!((loop_ops, report.counters.ops), (78_300, 13_452));
             // 5.82×; the claim is "at least half the loop's work is saved"
-            assert!(loop_ops >= 2 * report.total_ops);
+            assert!(loop_ops >= 2 * report.counters.ops);
         }
     }
 
@@ -589,21 +576,28 @@ mod tests {
         assert_eq!(report.queries, 60);
         assert_eq!(report.errors, 0);
         assert_eq!(report.batches, 3);
-        assert_eq!(report.unique, 38);
-        assert_eq!(report.cache_hits, 17);
-        assert_eq!(report.total_ops, 3764);
-        assert_eq!(report.shortcuts_used, 0);
+        assert_eq!(report.unique(), 38);
+        assert_eq!(report.counters.cache_hits, 17);
+        assert_eq!(report.counters.ops, 3764);
+        assert_eq!(report.counters.shortcuts_used, 0);
         assert_eq!(report.epochs, (0, 0));
         // no store: both tenants stay resident, nothing pages
         assert_eq!(
-            (report.faults, report.page_outs, report.max_resident),
+            (
+                report.counters.faults,
+                report.counters.page_outs,
+                report.max_resident
+            ),
             (0, 0, 2)
         );
-        assert_eq!(report.fault_wall, Duration::ZERO);
+        assert_eq!(report.counters.fault_wall(), Duration::ZERO);
         // a second pass over the same stream is served from the caches
         let (_, warm) = replay_mixed(&sharded, &arrivals, None, &cfg);
-        assert_eq!((warm.batches, warm.unique, warm.cache_hits), (3, 38, 38));
-        assert_eq!(warm.total_ops, 0);
+        assert_eq!(
+            (warm.batches, warm.unique(), warm.counters.cache_hits),
+            (3, 38, 38)
+        );
+        assert_eq!(warm.counters.ops, 0);
     }
 
     #[test]

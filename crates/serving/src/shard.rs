@@ -71,22 +71,25 @@
 //! front and its messages, as a publish drops them, and starts with empty
 //! memos; a resident engine older than its record is rebuilt the same way
 //! at its next access.
-//! Fault/page-out telemetry lands in
-//! [`MixedBatchStats`] per batch and in [`PagingStats`] cumulatively.
+//! Fault-ins and page-outs are counted in the [`Counters`] of the call
+//! that made them ([`MixedBatchStats::counters`] for a batch), and in the
+//! fleet's cumulative [`counters`](ShardedServingEngine::counters), which
+//! [`PagingStats`] reads.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-use crate::engine::{BatchStats, ParkedEpoch, ServingConfig, ServingEngine};
+use crate::counters::Counters;
+use crate::engine::{BatchStats, EngineStore, ParkedEpoch, ServingConfig, ServingEngine};
 use crate::overload::ServeOutcome;
 use crate::pipeline::{fan_out, BatchRun};
 use crate::pool::{PoolCell, PoolStats, WorkerPool};
 use peanut_core::exec::Executor;
 use peanut_core::sync::atomic::{AtomicU64, Ordering};
-use peanut_core::sync::{Arc, RwLock};
+use peanut_core::sync::{Arc, Mutex, RwLock};
 use peanut_core::{Materialization, ServeRequest};
 use peanut_junction::QueryEngine;
 use peanut_pgm::PgmError;
-use peanut_store::{StoreConfig, StoredEpoch};
+use peanut_store::StoreConfig;
 use std::time::{Duration, Instant};
 
 /// Identifies one tenant (one model) of a sharded engine.
@@ -147,30 +150,31 @@ pub struct MixedBatchStats {
     pub unique: usize,
     /// Unique queries served from a shard's answer cache.
     pub cache_hits: usize,
-    /// Summed operation count over freshly computed queries, all shards.
-    pub total_ops: u64,
-    /// Summed shortcut uses over freshly computed queries, all shards.
-    pub shortcuts_used: usize,
     /// Wall-clock time of the whole mixed batch.
     pub wall: Duration,
-    /// Tenants faulted in from the store during this batch.
+    /// Tenants this batch faulted in from the store.
     pub faults: usize,
-    /// Fault-ins that failed (all of the tenant's arrivals errored), and
-    /// page-outs after the batch whose persist failed (the tenant stayed
+    /// Fault-ins of this batch that failed (all of the tenant's arrivals
+    /// errored), and its page-outs whose persist failed (the tenant stayed
     /// resident).
     pub fault_errors: usize,
-    /// Tenants paged out at the end of this batch.
+    /// Tenants this batch paged out at its end.
     pub page_outs: usize,
     /// Tenants resident after this batch (and its evictions).
     pub resident: usize,
-    /// Wall-clock time spent faulting tenants in during this batch.
+    /// Wall-clock time this batch spent faulting tenants in.
     pub fault_wall: Duration,
+    /// What the batch counted: its arrivals (those of unknown tenants and
+    /// of failed fault-ins as failed), its shards' answers, and the
+    /// fault-ins and page-outs it made — not a concurrent call's.
+    pub counters: Counters,
     /// Per-tenant breakdown (only tenants with arrivals in this batch),
     /// in registry order. `wall` on the entries is the whole batch's.
     pub per_tenant: Vec<(TenantId, BatchStats)>,
 }
 
-/// Cumulative paging telemetry of a sharded engine.
+/// Cumulative paging telemetry of a sharded engine, read from its
+/// [`counters`](ShardedServingEngine::counters).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PagingStats {
     /// Registered tenants.
@@ -196,6 +200,9 @@ pub struct PagingStats {
 
 struct TenantShard<'t> {
     id: TenantId,
+    /// The tenant's on-disk record, which every engine built for it
+    /// shares; `None` without a store.
+    record: Option<Arc<EngineStore>>,
     /// The engine while resident, its epoch's front while paged out.
     resident: RwLock<Residency<'t>>,
     /// [`stamp`] of the last access: its fleet-clock tick, then the
@@ -270,11 +277,9 @@ pub struct ShardedServingEngine<'t> {
     /// their arrivals in it) and one per lone [`tenant`](Self::tenant)
     /// access.
     clock: AtomicU64,
-    faults: AtomicU64,
-    fault_errors: AtomicU64,
-    page_outs: AtomicU64,
-    memo_resumed: AtomicU64,
-    fault_nanos: AtomicU64,
+    /// What mixed batches and paging counted; the store's counts are the
+    /// tenants' records'.
+    counters: Mutex<Counters>,
 }
 
 impl<'t> ShardedServingEngine<'t> {
@@ -289,11 +294,7 @@ impl<'t> ShardedServingEngine<'t> {
             pool: PoolCell::new(),
             store: None,
             clock: AtomicU64::new(0),
-            faults: AtomicU64::new(0),
-            fault_errors: AtomicU64::new(0),
-            page_outs: AtomicU64::new(0),
-            memo_resumed: AtomicU64::new(0),
-            fault_nanos: AtomicU64::new(0),
+            counters: Mutex::default(),
         }
     }
 
@@ -366,6 +367,7 @@ impl<'t> ShardedServingEngine<'t> {
             at,
             TenantShard {
                 id,
+                record: serving.record().ok().cloned(),
                 resident: RwLock::new(Residency::Resident(Arc::new(serving))),
                 // ordering: registration happens under `&mut self`.
                 last_used: AtomicU64::new(stamp(self.clock.load(Ordering::Relaxed), 0)),
@@ -397,9 +399,10 @@ impl<'t> ShardedServingEngine<'t> {
     pub fn tenant(&self, id: TenantId) -> Option<Arc<ServingEngine<'t>>> {
         let slot = self.slot(id)?;
         self.touch(slot, self.tick(), 1);
-        let engine = self.shard_engine(slot).ok()?;
-        self.enforce_residency();
-        Some(engine)
+        let mut counters = Counters::default();
+        let engine = self.shard_engine(slot, &mut counters);
+        self.settle(counters);
+        engine.ok()
     }
 
     /// All **resident** tenants with their engines, in id order. Paged-out
@@ -428,23 +431,28 @@ impl<'t> ShardedServingEngine<'t> {
 
     /// Cumulative paging telemetry.
     pub fn paging_stats(&self) -> PagingStats {
-        // ordering: telemetry counters, advisory reads.
-        let faults = self.faults.load(Ordering::Relaxed);
-        let fault_errors = self.fault_errors.load(Ordering::Relaxed);
-        let page_outs = self.page_outs.load(Ordering::Relaxed);
-        let memo_resumed = self.memo_resumed.load(Ordering::Relaxed);
-        // ordering: same — advisory read of the fault wall-time counter.
-        let fault_wall = Duration::from_nanos(self.fault_nanos.load(Ordering::Relaxed));
+        let counters = self.counters();
         PagingStats {
             registered: self.shards.len(),
             resident: self.resident_len(),
             max_resident: self.cfg.max_resident,
-            faults,
-            fault_errors,
-            page_outs,
-            memo_resumed,
-            fault_wall,
+            faults: counters.faults,
+            fault_errors: counters.fault_errors,
+            page_outs: counters.page_outs,
+            memo_resumed: counters.memo_resumed,
+            fault_wall: counters.fault_wall(),
         }
+    }
+
+    /// What the fleet counted: its mixed batches, its fault-ins and
+    /// page-outs, and the store traffic of every tenant's record. A
+    /// tenant's own [`ServingEngine::serve_batch`] calls are its engine's.
+    pub fn counters(&self) -> Counters {
+        let mut counters = *self.counters.lock();
+        for record in self.shards.iter().filter_map(|s| s.record.as_ref()) {
+            counters += *record.counts.lock();
+        }
+        counters
     }
 
     /// The per-tenant engine configuration: shards inherit the fleet's
@@ -472,8 +480,12 @@ impl<'t> ShardedServingEngine<'t> {
 
     /// The engine of `slot`, faulting it in from the store when paged out
     /// or older than the tenant's record (a publish on a handle a page-out
-    /// retired). Fault-ins and their wall time land in the paging counters.
-    fn shard_engine(&self, slot: usize) -> Result<Arc<ServingEngine<'t>>, PgmError> {
+    /// retired). Fault-ins and their wall time are counted in `counters`.
+    fn shard_engine(
+        &self,
+        slot: usize,
+        counters: &mut Counters,
+    ) -> Result<Arc<ServingEngine<'t>>, PgmError> {
         let shard = &self.shards[slot];
         if let Some(engine) = shard.resident.read().engine().filter(|e| !e.is_stale()) {
             return Ok(Arc::clone(engine));
@@ -492,19 +504,16 @@ impl<'t> ShardedServingEngine<'t> {
         };
         let t0 = Instant::now();
         let faulted = self.fault_in(parked);
-        // ordering: telemetry counters only.
-        self.fault_nanos
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        counters.fault_nanos += t0.elapsed().as_nanos() as u64;
         match faulted {
             Ok(engine) => {
-                // ordering: telemetry counter only.
-                self.faults.fetch_add(1, Ordering::Relaxed);
+                counters.faults += 1;
+                counters.memo_resumed += engine.engine().memo_usage().held as u64;
                 *resident = Residency::Resident(Arc::clone(&engine));
                 Ok(engine)
             }
             Err(e) => {
-                // ordering: telemetry counter only.
-                self.fault_errors.fetch_add(1, Ordering::Relaxed);
+                counters.fault_errors += 1;
                 Err(e)
             }
         }
@@ -518,17 +527,14 @@ impl<'t> ShardedServingEngine<'t> {
     /// against ([`StoredEpoch::rehydrate`]) — with no calibration pass and
     /// no selection DP. The front, and the calibrated tables' messages it
     /// parked, are resumed when the file is its epoch
-    /// ([`ServingEngine::resume`]); the entries resumed land in
-    /// [`PagingStats::memo_resumed`]. A failed fault-in leaves it parked;
-    /// its shortcut structures are then derived from the file next time.
+    /// ([`ServingEngine::resume`]): the entries its tables hold then are
+    /// the ones resumed. A failed fault-in leaves it parked; its shortcut
+    /// structures are then derived from the file next time.
     fn fault_in(&self, parked: &mut ParkedEpoch<'t>) -> Result<Arc<ServingEngine<'t>>, PgmError> {
-        let stored = StoredEpoch::open(&parked.path(), true)?;
+        let stored = parked.open()?;
         let (frame, kept) = parked.take_structure();
         let (engine, mat) = stored.rehydrate(frame, kept)?;
         let serving = ServingEngine::resume(engine, mat, self.tenant_config(), parked);
-        // ordering: telemetry counter only.
-        self.memo_resumed
-            .fetch_add(serving.engine().memo_usage().held as u64, Ordering::Relaxed);
         Ok(Arc::new(serving))
     }
 
@@ -541,7 +547,8 @@ impl<'t> ShardedServingEngine<'t> {
     /// engine `Arc` for the front, which shares the epoch's cache and
     /// window. Under the same write lock it unlinks the tenant's epoch
     /// files older than the record's newest; a failed unlink is counted in
-    /// [`ServingEngine::persist_errors`], never as a fault error.
+    /// the record's [`store_errors`](Counters::store_errors), never as a
+    /// fault error.
     fn page_out(&self, slot: usize) -> Result<bool, PgmError> {
         let shard = &self.shards[slot];
         let mut resident = shard.resident.write();
@@ -549,8 +556,6 @@ impl<'t> ShardedServingEngine<'t> {
             return Ok(false);
         };
         *resident = Residency::Parked(Box::new(engine.park()?));
-        // ordering: telemetry counter only.
-        self.page_outs.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
 
@@ -561,11 +566,17 @@ impl<'t> ShardedServingEngine<'t> {
     /// tenant whose persist fails stays resident (never drop the only
     /// copy); the error is counted in [`PagingStats::fault_errors`].
     pub fn enforce_residency(&self) {
-        if self.store.is_none() || self.cfg.max_resident == 0 {
-            return;
-        }
+        self.settle(Counters::default());
+    }
+
+    /// Ends a call that counted `counters`: evicts as
+    /// [`enforce_residency`](Self::enforce_residency) does, its page-outs
+    /// and failed saves counted too, and folds the call's counts into the
+    /// fleet's under one lock. Returns them.
+    fn settle(&self, mut counters: Counters) -> Counters {
+        let paging = self.store.is_some() && self.cfg.max_resident > 0;
         let mut skip: Vec<usize> = Vec::new();
-        while self.resident_len() > self.cfg.max_resident {
+        while paging && self.resident_len() > self.cfg.max_resident {
             let coldest = self
                 .shards
                 .iter()
@@ -574,12 +585,18 @@ impl<'t> ShardedServingEngine<'t> {
                 // ordering: advisory recency stamp; see `touch`.
                 .min_by_key(|(_, s)| s.last_used.load(Ordering::Relaxed));
             let Some((slot, _)) = coldest else { break };
-            if self.page_out(slot).is_err() {
-                // ordering: telemetry counter only.
-                self.fault_errors.fetch_add(1, Ordering::Relaxed);
-                skip.push(slot);
+            match self.page_out(slot) {
+                Ok(paged) => counters.page_outs += u64::from(paged),
+                Err(_) => {
+                    counters.fault_errors += 1;
+                    skip.push(slot);
+                }
             }
         }
+        if counters != Counters::default() {
+            *self.counters.lock() += counters;
+        }
+        counters
     }
 
     /// The worker count a mixed batch will actually use (before capping by
@@ -605,7 +622,8 @@ impl<'t> ShardedServingEngine<'t> {
         if batch.is_empty() {
             return (Vec::new(), mstats);
         }
-        let paging0 = self.paging_stats();
+        // this call's own counts, fault-ins and page-outs included
+        let mut counters = Counters::default();
         let now = self.tick();
 
         // --- route arrivals to shards ---
@@ -635,7 +653,7 @@ impl<'t> ShardedServingEngine<'t> {
             .map(|(slot, &n)| {
                 (n > 0).then(|| {
                     self.touch(slot, now, n);
-                    let engine = self.shard_engine(slot)?;
+                    let engine = self.shard_engine(slot, &mut counters)?;
                     Ok(BatchRun::new(engine.target(), n))
                 })
             })
@@ -675,8 +693,7 @@ impl<'t> ShardedServingEngine<'t> {
             let bstats = run.finish(computed.by_ref().take(fresh));
             mstats.unique += bstats.unique;
             mstats.cache_hits += bstats.cache_hits;
-            mstats.total_ops = mstats.total_ops.saturating_add(bstats.total_ops);
-            mstats.shortcuts_used += bstats.shortcuts_used;
+            counters += bstats.counters;
             mstats.per_tenant.push((shard.id, bstats));
         }
 
@@ -694,19 +711,23 @@ impl<'t> ShardedServingEngine<'t> {
                 }
             })
             .collect();
+        // every arrival, and every failed one: the runs' own, unknown
+        // tenants' and failed fault-ins'
+        counters.requests = batch.len() as u64;
+        counters.failed = answers.iter().filter(|o| o.failure().is_some()).count() as u64;
         mstats.wall = start.elapsed();
         for (_, bstats) in &mut mstats.per_tenant {
             bstats.wall = mstats.wall;
         }
 
-        // --- paging: evict past the cap, attribute this batch's activity ---
-        self.enforce_residency();
-        let paging1 = self.paging_stats();
-        mstats.faults = paging1.faults.saturating_sub(paging0.faults) as usize;
-        mstats.fault_errors = paging1.fault_errors.saturating_sub(paging0.fault_errors) as usize;
-        mstats.page_outs = paging1.page_outs.saturating_sub(paging0.page_outs) as usize;
-        mstats.fault_wall = paging1.fault_wall.saturating_sub(paging0.fault_wall);
-        mstats.resident = paging1.resident;
+        // --- paging: evict past the cap, count this batch's activity ---
+        let counters = self.settle(counters);
+        mstats.faults = counters.faults as usize;
+        mstats.fault_errors = counters.fault_errors as usize;
+        mstats.page_outs = counters.page_outs as usize;
+        mstats.fault_wall = counters.fault_wall();
+        mstats.resident = self.resident_len();
+        mstats.counters = counters;
         (answers, mstats)
     }
 }

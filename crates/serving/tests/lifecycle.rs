@@ -223,7 +223,7 @@ fn swap_improves_drifted_cost_exactly() {
     };
     let (_, stale) = replay(&trained(), &stream[DRIFT_AT..], None, &cfg);
     assert_eq!(stale.errors, 0);
-    assert_eq!((stale.total_ops, stale.computed()), (1_760, 8));
+    assert_eq!((stale.counters.ops, stale.computed()), (1_760, 8));
 
     for _ in 0..2 {
         let serving = trained();
@@ -239,7 +239,7 @@ fn swap_improves_drifted_cost_exactly() {
             assert!(answers.iter().all(ServeOutcome::is_served));
             if i >= DRIFT_AT / BATCH {
                 let on_epoch = &mut drifted[stats.epoch as usize];
-                on_epoch.0 += stats.total_ops;
+                on_epoch.0 += stats.counters.ops;
                 on_epoch.1 += stats.unique - stats.cache_hits;
             }
             ctl.tick().unwrap();
@@ -252,7 +252,7 @@ fn swap_improves_drifted_cost_exactly() {
             .collect();
         assert_eq!(swaps, [(1, 384)]);
         let [on_stale, on_fresh] = drifted;
-        assert_eq!(on_stale, (stale.total_ops, stale.computed()));
+        assert_eq!(on_stale, (stale.counters.ops, stale.computed()));
         assert_eq!(on_fresh, (960, 8));
         // 220 vs 120 ops per computed query: 1.83×
         let per_query = |(ops, n): (u64, usize)| ops as f64 / n as f64;

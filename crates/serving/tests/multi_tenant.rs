@@ -126,8 +126,8 @@ proptest! {
                     "{} pass, {}: queries/unique/cache_hits", pass, tid
                 );
                 prop_assert_eq!(
-                    (got.epoch, got.total_ops, got.shortcuts_used),
-                    (want.epoch, want.total_ops, want.shortcuts_used),
+                    (got.epoch, got.counters.ops, got.counters.shortcuts_used),
+                    (want.epoch, want.counters.ops, want.counters.shortcuts_used),
                     "{} pass, {}: epoch/total_ops/shortcuts_used", pass, tid
                 );
                 match pass {

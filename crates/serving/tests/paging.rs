@@ -180,7 +180,7 @@ fn publish_survives_a_page_out() {
         Some(1),
         "publish persists write-behind"
     );
-    assert_eq!(t0.persist_errors(), 0);
+    assert_eq!(t0.counters().store_errors, 0);
     drop(t0);
 
     // touching the other tenants under a cap of 1 evicts tenant 0
@@ -233,7 +233,7 @@ fn a_failed_persist_is_retried_at_page_out() {
     std::fs::write(&dir, b"not a directory").unwrap();
     assert_eq!(t0.publish(Materialization::default()), 1);
     assert_eq!(t0.persisted_epoch(), None, "epoch 1 is not on disk");
-    assert_eq!(t0.persist_errors(), 1);
+    assert_eq!(t0.counters().store_errors, 1);
     std::fs::remove_file(&dir).unwrap();
     std::fs::rename(&aside, &dir).unwrap();
 
@@ -246,7 +246,11 @@ fn a_failed_persist_is_retried_at_page_out() {
     drop(t0);
     let t0 = fleet.tenant(TenantId(0)).unwrap();
     assert_eq!(t0.epoch(), 1);
-    assert_eq!(t0.persist_errors(), 1, "the count survives the page cycle");
+    assert_eq!(
+        t0.counters().store_errors,
+        1,
+        "the count survives the page cycle"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -281,7 +285,7 @@ fn a_retired_epoch_below_the_removed_files_is_not_persisted() {
     fleet.tenant(TenantId(1)).unwrap();
     assert_eq!(files_of(&dir, 0), (1, 0), "test premise: epoch 2 only");
     assert!(store.epoch_path(0, 2).exists());
-    assert_eq!((retired.epoch(), retired.persist_errors()), (0, 0));
+    assert_eq!((retired.epoch(), retired.counters().store_errors), (0, 0));
 
     assert!(matches!(
         retired.persist_current(),
@@ -289,10 +293,10 @@ fn a_retired_epoch_below_the_removed_files_is_not_persisted() {
     ));
     assert!(!store.epoch_path(0, 0).exists(), "no file below the mark");
     assert_eq!(files_of(&dir, 0), (1, 0));
-    assert_eq!(retired.persist_errors(), 1, "the failure is counted");
+    assert_eq!(retired.counters().store_errors, 1, "the failure is counted");
     let t0 = fleet.tenant(TenantId(0)).unwrap();
     assert_eq!(t0.epoch(), 2);
-    assert_eq!(t0.persist_errors(), 1);
+    assert_eq!(t0.counters().store_errors, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -673,7 +677,7 @@ fn a_fault_in_of_the_same_epoch_resumes_its_answers() {
         stats.cache_hits, stats.unique,
         "the parked answers hit after the fault-in"
     );
-    assert_eq!(stats.total_ops, 0, "nothing was recomputed");
+    assert_eq!(stats.counters.ops, 0, "nothing was recomputed");
     for (a, b) in first.iter().zip(&again) {
         assert_eq!(bits(a), bits(b));
         let (a, b) = (a.served().unwrap(), b.served().unwrap());
@@ -948,7 +952,7 @@ fn a_publish_past_the_disk_limit_keeps_serving_from_ram() {
 
     let intervals = every_interval(&trees[0], t0.engine());
     assert_eq!(t0.publish(intervals), 1);
-    assert_eq!(t0.persist_errors(), 1);
+    assert_eq!(t0.counters().store_errors, 1);
     assert_eq!(t0.persisted_epoch(), None, "epoch 1 is not on disk");
     assert!(!store.epoch_path(0, 1).exists());
     let leftovers = std::fs::read_dir(&dir)
@@ -968,14 +972,17 @@ fn a_publish_past_the_disk_limit_keeps_serving_from_ram() {
     };
     let (outcomes, stats) = fleet.serve_mixed(&tenant0(&batch));
     check(&outcomes);
-    assert!(stats.shortcuts_used > 0, "the published shortcuts answer");
+    assert!(
+        stats.counters.shortcuts_used > 0,
+        "the published shortcuts answer"
+    );
 
     // tenant 1 faults in and tenant 0, the colder one, cannot be saved
     let (_, stats) = fleet.serve_mixed(&[(TenantId(1), batch[0].clone())]);
     assert_eq!(stats.fault_errors, 1, "the failed page-out is counted");
     assert_eq!(fleet.paging_stats().fault_errors, 1);
     assert!(fleet.tenants().iter().any(|(id, _)| *id == TenantId(0)));
-    assert_eq!(t0.persist_errors(), 2);
+    assert_eq!(t0.counters().store_errors, 2);
     let (outcomes, _) = fleet.serve_mixed(&tenant0(&batch));
     check(&outcomes);
     let _ = std::fs::remove_dir_all(&dir);
@@ -1216,7 +1223,7 @@ fn a_page_out_leaves_each_tenant_one_epoch_file() {
         assert_eq!(engine.epoch(), 6, "six publishes");
         assert_eq!(files_of(&dir, t), (1, 0), "tenant {t}");
         assert!(store.epoch_path(t, 6).exists());
-        assert_eq!(engine.persist_errors(), 0);
+        assert_eq!(engine.counters().store_errors, 0);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -357,6 +357,7 @@ fn le_words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
 #[derive(Clone)]
 pub struct StoredEpoch {
     path: PathBuf,
+    file_len: u64,
     epoch: u64,
     overlapping: bool,
     arena: Vec<f64>,
@@ -496,6 +497,7 @@ impl StoredEpoch {
             .collect();
         Ok(StoredEpoch {
             path: path.to_path_buf(),
+            file_len: buf.len() as u64,
             epoch,
             overlapping: flags & 1 != 0,
             arena,
@@ -510,6 +512,11 @@ impl StoredEpoch {
     /// The file this epoch was opened from.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// Bytes of the file as it was read.
+    pub fn file_len(&self) -> u64 {
+        self.file_len
     }
 
     /// Lifecycle epoch stamped in the header.
@@ -568,6 +575,7 @@ impl StoredEpoch {
     ) -> Result<(QueryEngine<'t>, Materialization), PgmError> {
         let StoredEpoch {
             path,
+            file_len: _,
             epoch,
             overlapping,
             arena,
