@@ -72,6 +72,12 @@
 //! its three shares (`QueryAnatomy::shares`, in percent): the cliques
 //! that hold a query variable, the inflation of carried query variables,
 //! and the cliques free of them, the only share a shortcut can replace.
+//! Two fields weigh the selection against its use: the share of the
+//! entries materialized held by shortcuts that no test query's plan
+//! contains (`entries_untaken_pct`), and on the training stream, in
+//! expected ops per query, the benefit the selection modeled (`Σ B(S, Q)`)
+//! beside the one it realized: the mean plain-tree count less the mean
+//! charged count (`train_benefit`).
 //! `--quick` keeps the rows' three datasets at 10·b_T.
 //!
 //! `repro ledger` prints the ledger and writes it to `LEDGER.json`;
@@ -86,7 +92,7 @@ use peanut_bench::harness::{
     is_quick, mean, percentile, saving_percent, savings_percent, skewed_counts, Prepared,
 };
 use peanut_core::{Materialization, OfflineContext, OnlineEngine, Peanut, PeanutConfig, Workload};
-use peanut_junction::{JunctionTree, QueryEngine, RootedTree};
+use peanut_junction::{JunctionTree, NodeLabel, QueryEngine, RootedTree};
 use peanut_pgm::sampling::ancestral_sample;
 use peanut_pgm::{MemoUsage, Scope, Scratch, Size, Var};
 use peanut_serving::{
@@ -614,7 +620,13 @@ fn drift_remat(quick: bool) -> String {
 /// The count of `query`'s pass under `online`, toward its cheapest root,
 /// and the shares of its charge toward `r_q` in percent (`[held, carried,
 /// free]`, `QueryAnatomy::shares`; an in-clique answer's is all held).
-fn executed(online: &OnlineEngine<'_, '_>, tree: &JunctionTree, query: &Scope) -> (Size, [f64; 3]) {
+/// Marks in `taken` the shortcuts its plan contains.
+fn executed(
+    online: &OnlineEngine<'_, '_>,
+    tree: &JunctionTree,
+    query: &Scope,
+    taken: &mut [bool],
+) -> (Size, [f64; 3]) {
     let domain = tree.domain();
     let Some(plan) = online.reduce(query).expect("skewed queries fit the tree") else {
         return (
@@ -622,6 +634,11 @@ fn executed(online: &OnlineEngine<'_, '_>, tree: &JunctionTree, query: &Scope) -
             [100.0, 0.0, 0.0],
         );
     };
+    for node in plan.nodes() {
+        if let NodeLabel::Shortcut(i) = node.label {
+            taken[i] = true;
+        }
+    }
     let mut anatomy = plan.anatomy(query, domain);
     let (shares, charge) = (anatomy.shares(&plan, query), anatomy.cost().ops);
     let pct = shares.map(|share| 100.0 * share as f64 / charge.max(1) as f64);
@@ -658,29 +675,48 @@ fn paper(quick: bool) -> Vec<String> {
     let mut entries = Vec::new();
     for model in models {
         let tree = &model.tree;
-        let workload = Workload::from_queries(model.skewed(n_train, 11));
+        let train = model.skewed(n_train, 11);
+        let workload = Workload::from_queries(train.iter().cloned());
         let ctx = OfflineContext::new(tree, &workload).expect("training queries fit the tree");
         let test = model.skewed(n_test, 12);
         let engine = QueryEngine::symbolic(tree);
         let none = Materialization::default();
         let plain = OnlineEngine::new(&engine, &none);
-        let base: Vec<Size> = test.iter().map(|q| executed(&plain, tree, q).0).collect();
+        let base: Vec<Size> = test
+            .iter()
+            .map(|q| executed(&plain, tree, q, &mut []).0)
+            .collect();
+        // the training stream's summed count under `online`, exact
+        let charged = |online: &OnlineEngine<'_, '_>| -> u128 {
+            let cost = |q| u128::from(online.cost(q).expect("training queries fit").ops);
+            train.iter().map(cost).sum()
+        };
+        let train_base = charged(&plain);
         for (method, config) in METHODS {
             for &(label, times) in budgets {
                 let budget = ((model.b_t() as f64) * times).max(1.0) as Size;
                 let mat = Peanut::offline(&ctx, &config(budget));
                 let online = OnlineEngine::new(&engine, &mat);
                 let (mut run, mut shares) = (Vec::new(), [Vec::new(), Vec::new(), Vec::new()]);
+                let mut taken = vec![false; mat.len()];
                 for (q, &b) in test.iter().zip(&base) {
-                    let (ops, pct) = executed(&online, tree, q);
+                    let (ops, pct) = executed(&online, tree, q, &mut taken);
                     run.push(saving_percent(b, ops));
                     shares.iter_mut().zip(pct).for_each(|(s, p)| s.push(p));
                 }
+                let untaken: Size = (mat.shortcuts.iter().zip(&taken))
+                    .filter(|(_, &t)| !t)
+                    .map(|(s, _)| s.shortcut.size())
+                    .sum();
+                let modeled: f64 = mat.shortcuts.iter().map(|s| s.benefit).sum();
+                let realized = (train_base - charged(&online)) as f64 / train.len() as f64;
                 entries.push(format!(
                     "    {{\"dataset\": \"{}\", \"method\": \"{method}\", \"budget\": \"{label}\", \
                      \"budget_entries\": {budget}, \"entries_materialized\": {},\n      \
                      \"paper_ops_saved_pct\": {},\n      \"executed_ops_saved_pct\": {},\n      \
-                     \"charge_shares_pct\": {{\"held\": {:.4}, \"carried\": {:.4}, \"free\": {:.4}}}}}",
+                     \"charge_shares_pct\": {{\"held\": {:.4}, \"carried\": {:.4}, \"free\": {:.4}}},\n      \
+                     \"entries_untaken_pct\": {:.4}, \
+                     \"train_benefit\": {{\"modeled\": {modeled:.4e}, \"realized\": {realized:.4e}}}}}",
                     model.spec.name,
                     mat.total_size(),
                     spread(&savings_percent(&model, &mat, &test)),
@@ -688,6 +724,7 @@ fn paper(quick: bool) -> Vec<String> {
                     mean(&shares[0]),
                     mean(&shares[1]),
                     mean(&shares[2]),
+                    100.0 * untaken as f64 / mat.total_size().max(1) as f64,
                 ));
             }
         }

@@ -26,6 +26,8 @@
 //!   `ServingEngine::serve_batch` — the one serve pipeline, fanned out
 //!   over two workers — racing a `publish`, asserting the batch is served
 //!   whole under one epoch and older-epoch cache entries never serve;
+//!   and a `WorkloadStats` snapshot racing a batch's `record`, asserting
+//!   the window's totals are never torn;
 //! * `paging_model.rs` — the real `ShardedServingEngine` with a store and
 //!   a resident-set cap of 1: a mixed batch, a fault-in that pages the
 //!   other tenant out, and a publish on a held engine race, asserting the

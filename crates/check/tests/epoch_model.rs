@@ -20,7 +20,8 @@
 
 use peanut_check::{explore, Config};
 use peanut_core::sync::{thread, Arc, RwLock};
-use peanut_core::Materialization;
+use peanut_core::{Materialization, WorkloadStats};
+use peanut_junction::cost::QueryCost;
 use peanut_junction::{build_junction_tree, JunctionTree, QueryEngine};
 use peanut_pgm::{fixtures, Scope};
 use peanut_serving::{ServeRequest, ServingConfig, ServingEngine, WorkerPool};
@@ -161,6 +162,46 @@ fn serve_batch_races_publish_under_one_epoch_per_batch() {
     println!(
         "serve_batch vs publish bound=1: {} interleavings ({old} before the publish, {new} \
          after), longest trail {} decisions",
+        report.schedules, report.max_decisions
+    );
+}
+
+/// The observation window's totals are one value: a batch recorded by
+/// [`WorkloadStats::record`] moves all of them under one lock, and
+/// `snapshot` copies them under the same lock. Every batch below is
+/// charged 7 ops and a plain-tree baseline of 10 per arrival, so a
+/// snapshot that paired one batch's arrivals with another's operation
+/// counts would break one of the two ratios.
+#[test]
+fn a_window_snapshot_is_never_torn() {
+    let out = explore(&Config::with_preemption_bound(2), || {
+        let stats = Arc::new(WorkloadStats::new());
+        let recorder = {
+            let stats = Arc::clone(&stats);
+            thread::spawn(move || {
+                let scope = Scope::from_indices(&[0]);
+                let cost = QueryCost {
+                    ops: 7,
+                    messages: 0,
+                    shortcuts_used: 1,
+                };
+                for n in [1, 2] {
+                    stats.record([(0, &scope, &cost, 10, n)]);
+                }
+            })
+        };
+        for _ in 0..2 {
+            let s = stats.snapshot();
+            assert_eq!(s.observed_ops, 7 * s.queries, "torn snapshot: {s:?}");
+            assert_eq!(s.baseline_ops, 10 * s.queries, "torn snapshot: {s:?}");
+        }
+        recorder.join().unwrap();
+        assert_eq!(stats.snapshot().queries, 3);
+    });
+    let report = out.assert_pass();
+    assert!(report.complete, "bounded space must be fully enumerated");
+    println!(
+        "window snapshot vs record bound=2: {} interleavings, longest trail {} decisions",
         report.schedules, report.max_decisions
     );
 }

@@ -109,10 +109,10 @@ fn fault_in_page_out_and_publish_race_under_the_cap() {
                 // tenant's fault-in, and the one page-out that brings
                 // the fleet back under the cap
                 assert!(
-                    stats.faults <= 1 && stats.page_outs <= 1,
+                    stats.faults <= 1 && stats.counters.page_outs <= 1,
                     "charged {} faults, {} page-outs",
                     stats.faults,
-                    stats.page_outs
+                    stats.counters.page_outs
                 );
                 assert!(fleet.resident_len() <= 2, "one racing fault-in at most");
             })
@@ -143,9 +143,9 @@ fn fault_in_page_out_and_publish_race_under_the_cap() {
             }
         }
 
-        let before = fleet.paging_stats();
+        let before = fleet.counters();
         let t0 = fleet.tenant(TenantId(0)).unwrap();
-        let after = fleet.paging_stats();
+        let after = fleet.counters();
         let faulted = after.faults > before.faults;
         let resumed = after.memo_resumed - before.memo_resumed;
         if faulted {

@@ -14,9 +14,12 @@
 //! Observation has one site: the serve pipeline records a batch's answered
 //! unique requests in **one call** per batch ([`WorkloadStats::record`]),
 //! each with its arrival multiplicity, after the workers' wave has drained.
-//! The call takes the histogram mutex once and updates each counter once;
-//! the counters saturate, like [`StatsSnapshot`]'s `+=`. The accumulator is
-//! shared across concurrent batches and sessions behind an `Arc`.
+//! The call takes the accumulator's one mutex once and adds the batch to
+//! the histogram and to the window's totals under it; the totals saturate,
+//! like [`StatsSnapshot`]'s `+=`. [`snapshot`](WorkloadStats::snapshot)
+//! copies the totals under the same lock, so it never pairs one batch's
+//! arrivals with another's operation counts. The accumulator is shared
+//! across concurrent batches and sessions behind an `Arc`.
 //!
 //! The histogram files each scope under its hash by the accumulator's
 //! keyed [`hasher`](WorkloadStats::hasher), which the pipeline already
@@ -28,7 +31,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use crate::request::ByHash;
-use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
 use crate::workload::Workload;
 use peanut_junction::cost::QueryCost;
@@ -36,25 +38,18 @@ use peanut_pgm::{Scope, Size};
 use std::collections::hash_map::Entry;
 use std::hash::RandomState;
 
-// ordering: every atomic below is an independent monotone counter; readers
-// only need window-scale accuracy (see `StatsSnapshot`), and the per-scope
-// histogram is separately mutex-protected, so all accesses are Relaxed.
-
 /// Concurrent accumulator of per-epoch serving observations.
 #[derive(Debug, Default)]
 pub struct WorkloadStats {
-    queries: AtomicU64,
-    shortcut_queries: AtomicU64,
-    shortcuts_used: AtomicU64,
-    observed_ops: AtomicU64,
-    baseline_ops: AtomicU64,
     hasher: RandomState,
     scopes: Mutex<Histogram>,
 }
 
-/// Arrivals per scope, filed by the scope's keyed hash.
+/// Arrivals per scope, filed by the scope's keyed hash, and the window's
+/// totals.
 #[derive(Debug, Default)]
 struct Histogram {
+    totals: StatsSnapshot,
     by_hash: ByHash<(Scope, u64)>,
     /// Scopes whose hash slot holds a different scope, each with its own
     /// count.
@@ -88,8 +83,7 @@ impl Histogram {
     }
 }
 
-/// A consistent-enough point-in-time copy of the counters (individual loads
-/// are relaxed; the lifecycle layer only needs window-scale accuracy).
+/// The window's totals at one point in time: the sum of whole batches.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StatsSnapshot {
     /// Queries recorded (arrival-weighted, not distinct).
@@ -165,53 +159,30 @@ impl WorkloadStats {
     /// Records one batch's answered requests. Identical arrivals that
     /// shared one computation (in-batch duplicates, answer cache hits)
     /// come as one record and weigh the observed distribution like that
-    /// many separate arrivals would. Takes the histogram lock once and
-    /// updates each counter once; every counter saturates at `u64::MAX`.
+    /// many separate arrivals would. Takes the lock once; every total
+    /// saturates at `u64::MAX`.
     pub fn record<'a>(&self, records: impl IntoIterator<Item = Record<'a>>) {
-        let mut sum = StatsSnapshot::default();
-        {
-            let mut scopes = self.scopes.lock();
-            for (h, scope, cost, baseline_ops, n) in records {
-                if n == 0 {
-                    continue;
-                }
-                let shortcuts = cost.shortcuts_used as u64;
-                sum += StatsSnapshot {
-                    queries: n,
-                    shortcut_queries: if shortcuts > 0 { n } else { 0 },
-                    shortcuts_used: shortcuts.saturating_mul(n),
-                    observed_ops: cost.ops.saturating_mul(n),
-                    baseline_ops: baseline_ops.saturating_mul(n),
-                };
-                scopes.add(h, scope, n);
+        let mut scopes = self.scopes.lock();
+        for (h, scope, cost, baseline_ops, n) in records {
+            if n == 0 {
+                continue;
             }
-        }
-        for (counter, n) in [
-            (&self.queries, sum.queries),
-            (&self.shortcut_queries, sum.shortcut_queries),
-            (&self.shortcuts_used, sum.shortcuts_used),
-            (&self.observed_ops, sum.observed_ops),
-            (&self.baseline_ops, sum.baseline_ops),
-        ] {
-            if n > 0 {
-                // `fetch_update` with a closure that always returns `Some`
-                // cannot fail
-                let _ = counter.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                    Some(v.saturating_add(n))
-                });
-            }
+            let shortcuts = cost.shortcuts_used as u64;
+            scopes.totals += StatsSnapshot {
+                queries: n,
+                shortcut_queries: if shortcuts > 0 { n } else { 0 },
+                shortcuts_used: shortcuts.saturating_mul(n),
+                observed_ops: cost.ops.saturating_mul(n),
+                baseline_ops: baseline_ops.saturating_mul(n),
+            };
+            scopes.add(h, scope, n);
         }
     }
 
-    /// Point-in-time copy of the aggregate counters.
+    /// Point-in-time copy of the window's totals, taken under the lock
+    /// [`record`](Self::record) holds for a whole batch.
     pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            queries: self.queries.load(Ordering::Relaxed),
-            shortcut_queries: self.shortcut_queries.load(Ordering::Relaxed),
-            shortcuts_used: self.shortcuts_used.load(Ordering::Relaxed),
-            observed_ops: self.observed_ops.load(Ordering::Relaxed),
-            baseline_ops: self.baseline_ops.load(Ordering::Relaxed),
-        }
+        self.scopes.lock().totals
     }
 
     /// Number of distinct scopes recorded so far.

@@ -76,8 +76,8 @@ counters! {
     entries_walked,
     /// Tenants faulted in from the store.
     faults,
-    /// Fault-ins that failed, and page-outs whose save failed (the tenant
-    /// stayed resident).
+    /// Fault-ins that failed. A page-out whose save failed (the tenant
+    /// stayed resident) is a failed write, counted in `store_errors`.
     fault_errors,
     /// Tenants paged out.
     page_outs,
@@ -89,8 +89,8 @@ counters! {
     store_bytes_read,
     /// Bytes of the epoch files persists wrote.
     store_bytes_written,
-    /// Store writes that failed: persists, and page-outs' removals of old
-    /// epoch files.
+    /// Store writes that failed: persists, a page-out's save included,
+    /// and page-outs' removals of old epoch files.
     store_errors,
 }
 

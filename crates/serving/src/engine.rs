@@ -133,18 +133,17 @@ impl Deref for Served {
 /// Per-batch aggregate telemetry.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BatchStats {
-    /// Queries submitted.
-    pub queries: usize,
     /// Unique queries after in-batch coalescing.
     pub unique: usize,
-    /// Unique queries served from the cross-batch answer cache.
+    /// Unique queries served from the cross-batch answer cache: the
+    /// batch's [`Counters::cache_hits`].
     pub cache_hits: usize,
     /// Materialization epoch the batch was served under.
     pub epoch: u64,
     /// Wall-clock time of the whole batch.
     pub wall: Duration,
-    /// What the batch counted: its arrivals, failures, cache hits and the
-    /// answers it computed, with their charges and work.
+    /// What the batch counted: its arrivals (`requests`), failures, cache
+    /// hits and the answers it computed, with their charges and work.
     pub counters: Counters,
 }
 
@@ -831,7 +830,7 @@ mod tests {
         let batch = queries(&bn);
         let (answers, stats) = serving.serve_batch(&batch);
         assert_eq!(answers.len(), batch.len());
-        assert_eq!(stats.queries, batch.len());
+        assert_eq!(stats.counters.requests, batch.len() as u64);
         assert_eq!(stats.epoch, 0);
         assert!(stats.unique < batch.len(), "duplicate must coalesce");
         for (q, o) in batch.iter().zip(&answers) {
@@ -1186,6 +1185,6 @@ mod tests {
             ServingEngine::new(engine, Materialization::default(), ServingConfig::default());
         let (answers, stats) = serving.serve_batch(&[]);
         assert!(answers.is_empty());
-        assert_eq!(stats.queries, 0);
+        assert_eq!(stats.counters.requests, 0);
     }
 }

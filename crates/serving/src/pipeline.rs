@@ -15,8 +15,10 @@
 //!    single task or a single worker, as one serving-lane wave of the
 //!    persistent [`WorkerPool`](crate::pool::WorkerPool) otherwise;
 //! 3. [`finish`](BatchRun::finish) admits the fresh answers to the cache,
-//!    totals the [`BatchStats`] and its [`Counters`](crate::Counters)
-//!    and — the one place an observation is recorded — enters every
+//!    folds them into the run's [`Counters`](crate::Counters) — which
+//!    `push` and `probe` already counted the arrivals and cache hits into
+//!    — builds the [`BatchStats`] from them, and — the one place an
+//!    observation is recorded — enters every
 //!    answered unique request into the epoch's [`WorkloadStats`] once,
 //!    weighted by its arrivals, in one call: one histogram lock per
 //!    batch, a marginal filed under the hash it was pushed with, a
@@ -30,6 +32,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
+use crate::counters::Counters;
 use crate::engine::{Answer, AnswerCache, BatchStats, Served};
 use crate::overload::ServeOutcome;
 use crate::pool::PoolCell;
@@ -75,7 +78,7 @@ pub(crate) struct BatchRun<'a, 't> {
     from_cache: Vec<bool>,
     /// Unique indices the cache did not answer.
     work: Vec<usize>,
-    bstats: BatchStats,
+    counters: Counters,
 }
 
 impl<'a, 't> BatchRun<'a, 't> {
@@ -89,10 +92,7 @@ impl<'a, 't> BatchRun<'a, 't> {
             results: Vec::new(),
             from_cache: Vec::new(),
             work: Vec::new(),
-            bstats: BatchStats {
-                epoch: target.mat.epoch,
-                ..BatchStats::default()
-            },
+            counters: Counters::default(),
             target,
         }
     }
@@ -110,7 +110,7 @@ impl<'a, 't> BatchRun<'a, 't> {
     /// whose hash is filed under a *different* request (a collision) opens
     /// a unique of its own: a recomputation, never a shared answer.
     fn push_hashed(&mut self, req: &'a ServeRequest, h: u64) -> usize {
-        self.bstats.queries += 1;
+        self.counters.requests += 1;
         let next = self.uniques.len();
         let u = match self.first_of.entry(h) {
             Entry::Occupied(e) if self.uniques[*e.get()] == req => *e.get(),
@@ -131,7 +131,6 @@ impl<'a, 't> BatchRun<'a, 't> {
     /// from memory, the rest becomes [`work`](Self::work).
     pub(crate) fn probe(&mut self) {
         let n = self.uniques.len();
-        self.bstats.unique = n;
         self.results.resize_with(n, || None);
         self.from_cache.resize(n, false);
         let Some(cache) = &self.target.cache else {
@@ -144,7 +143,7 @@ impl<'a, 't> BatchRun<'a, 't> {
                 Some(hit) => {
                     self.results[u] = Some(Ok(hit));
                     self.from_cache[u] = true;
-                    self.bstats.cache_hits += 1;
+                    self.counters.cache_hits += 1;
                 }
                 None => self.work.push(u),
             }
@@ -176,7 +175,7 @@ impl<'a, 't> BatchRun<'a, 't> {
             cost: traced.cost,
             baseline_ops: traced.baseline_ops,
             work: traced.work,
-            epoch: self.bstats.epoch,
+            epoch: self.target.mat.epoch,
             service_time: t.elapsed(),
         }))
     }
@@ -187,9 +186,7 @@ impl<'a, 't> BatchRun<'a, 't> {
     /// records the batch into the epoch's stats. Returns the run's stats;
     /// `wall` is the caller's to set.
     pub(crate) fn finish(&mut self, computed: impl Iterator<Item = Computed>) -> BatchStats {
-        let counters = &mut self.bstats.counters;
-        counters.requests = self.bstats.queries as u64;
-        counters.cache_hits = self.bstats.cache_hits as u64;
+        let counters = &mut self.counters;
         for (&u, r) in self.work.iter().zip(computed) {
             match &r {
                 Ok(a) => counters.add_answer(&a.cost, a.baseline_ops, &a.work),
@@ -256,7 +253,13 @@ impl<'a, 't> BatchRun<'a, 't> {
             let cost = unsaved.get(u).unwrap_or(&a.cost);
             Some((h, scope, cost, a.baseline_ops, self.uses[u]))
         }));
-        self.bstats
+        BatchStats {
+            unique: self.uniques.len(),
+            cache_hits: self.counters.cache_hits as usize,
+            epoch: self.target.mat.epoch,
+            counters: self.counters,
+            ..BatchStats::default()
+        }
     }
 
     /// The outcome of an arrival served by unique request `u`: a
@@ -378,7 +381,7 @@ mod tests {
         .map(Clone::clone);
         let (outcomes, bstats) = serving.serve_batch(&batch);
         assert_eq!(
-            (bstats.queries, bstats.unique, bstats.cache_hits),
+            (bstats.counters.requests, bstats.unique, bstats.cache_hits),
             (10, 5, 1)
         );
         assert!(outcomes[3].failure().is_some());
@@ -473,7 +476,7 @@ mod tests {
         let batch = [&t1, &t2, &bad, &t1, &t2, &t1].map(Clone::clone);
         let (outcomes, bstats) = session.serve_batch(&batch);
         assert_eq!(
-            (bstats.queries, bstats.unique, bstats.cache_hits),
+            (bstats.counters.requests, bstats.unique, bstats.cache_hits),
             (6, 3, 0)
         );
         assert!(outcomes[2].failure().is_some());

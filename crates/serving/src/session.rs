@@ -288,7 +288,7 @@ mod tests {
             .map(|i| Scope::from_indices(&[i, i + 1]))
             .collect();
         let (outcomes, bstats) = session.serve_batch(&targets);
-        assert_eq!(bstats.queries, targets.len());
+        assert_eq!(bstats.counters.requests, targets.len() as u64);
         let requests: Vec<ServeRequest> = targets
             .iter()
             .map(|t| ServeRequest::new(t.clone(), evidence.clone()))

@@ -66,7 +66,7 @@
 //! resumes the front: the epoch's answers hit again, its window keeps the
 //! arrivals served before the page-out, and its calibrated tables —
 //! bit-identical to the ones the parked messages were sent over — adopt
-//! those messages (counted in [`PagingStats::memo_resumed`]). A newer one
+//! those messages (counted in [`Counters::memo_resumed`]). A newer one
 //! (a publish on an engine handle held across the page-out) drops the
 //! front and its messages, as a publish drops them, and starts with empty
 //! memos; a resident engine older than its record is rebuilt the same way
@@ -142,27 +142,19 @@ impl ShardConfig {
 /// Fleet-level telemetry of one mixed batch.
 #[derive(Clone, Debug, Default)]
 pub struct MixedBatchStats {
-    /// Arrivals submitted.
-    pub arrivals: usize,
-    /// Arrivals rejected because their tenant is not registered.
-    pub unknown_tenant: usize,
     /// Unique `(tenant, query)` computations after per-tenant coalescing.
     pub unique: usize,
-    /// Unique queries served from a shard's answer cache.
+    /// Unique queries served from a shard's answer cache
+    /// ([`Counters::cache_hits`]).
     pub cache_hits: usize,
     /// Wall-clock time of the whole mixed batch.
     pub wall: Duration,
-    /// Tenants this batch faulted in from the store.
+    /// Tenants this batch faulted in from the store ([`Counters::faults`]).
     pub faults: usize,
-    /// Fault-ins of this batch that failed (all of the tenant's arrivals
-    /// errored), and its page-outs whose persist failed (the tenant stayed
-    /// resident).
-    pub fault_errors: usize,
-    /// Tenants this batch paged out at its end.
-    pub page_outs: usize,
     /// Tenants resident after this batch (and its evictions).
     pub resident: usize,
-    /// Wall-clock time this batch spent faulting tenants in.
+    /// Wall-clock time this batch spent faulting tenants in
+    /// ([`Counters::fault_wall`]).
     pub fault_wall: Duration,
     /// What the batch counted: its arrivals (those of unknown tenants and
     /// of failed fault-ins as failed), its shards' answers, and the
@@ -185,17 +177,10 @@ pub struct PagingStats {
     pub max_resident: usize,
     /// Tenants faulted in from the store since construction.
     pub faults: u64,
-    /// Fault-ins that failed, and page-outs whose persist failed (the
-    /// tenant stayed resident).
+    /// Fault-ins that failed since construction.
     pub fault_errors: u64,
     /// Tenants paged out since construction.
     pub page_outs: u64,
-    /// Table entries of the message memos fault-ins resumed since
-    /// construction: what the page-outs parked of the calibrated tables'
-    /// messages, for the fault-ins that rehydrated the parked epoch.
-    pub memo_resumed: u64,
-    /// Total wall-clock time spent faulting tenants in.
-    pub fault_wall: Duration,
 }
 
 struct TenantShard<'t> {
@@ -439,8 +424,6 @@ impl<'t> ShardedServingEngine<'t> {
             faults: counters.faults,
             fault_errors: counters.fault_errors,
             page_outs: counters.page_outs,
-            memo_resumed: counters.memo_resumed,
-            fault_wall: counters.fault_wall(),
         }
     }
 
@@ -564,15 +547,16 @@ impl<'t> ShardedServingEngine<'t> {
     /// oldest tick, then the fewest arrivals under it, then registry
     /// order. A no-op without a store or a cap. A
     /// tenant whose persist fails stays resident (never drop the only
-    /// copy); the error is counted in [`PagingStats::fault_errors`].
+    /// copy); the failed write is counted once, in the tenant's record
+    /// ([`Counters::store_errors`]), not as a fault error.
     pub fn enforce_residency(&self) {
         self.settle(Counters::default());
     }
 
     /// Ends a call that counted `counters`: evicts as
     /// [`enforce_residency`](Self::enforce_residency) does, its page-outs
-    /// and failed saves counted too, and folds the call's counts into the
-    /// fleet's under one lock. Returns them.
+    /// counted too, and folds the call's counts into the fleet's under one
+    /// lock. Returns them.
     fn settle(&self, mut counters: Counters) -> Counters {
         let paging = self.store.is_some() && self.cfg.max_resident > 0;
         let mut skip: Vec<usize> = Vec::new();
@@ -587,10 +571,7 @@ impl<'t> ShardedServingEngine<'t> {
             let Some((slot, _)) = coldest else { break };
             match self.page_out(slot) {
                 Ok(paged) => counters.page_outs += u64::from(paged),
-                Err(_) => {
-                    counters.fault_errors += 1;
-                    skip.push(slot);
-                }
+                Err(_) => skip.push(slot),
             }
         }
         if counters != Counters::default() {
@@ -615,10 +596,7 @@ impl<'t> ShardedServingEngine<'t> {
         batch: &[(TenantId, ServeRequest)],
     ) -> (Vec<ServeOutcome>, MixedBatchStats) {
         let start = Instant::now();
-        let mut mstats = MixedBatchStats {
-            arrivals: batch.len(),
-            ..MixedBatchStats::default()
-        };
+        let mut mstats = MixedBatchStats::default();
         if batch.is_empty() {
             return (Vec::new(), mstats);
         }
@@ -633,12 +611,9 @@ impl<'t> ShardedServingEngine<'t> {
         let mut assign: Vec<Option<(usize, usize)>> = batch
             .iter()
             .map(|(tid, _)| {
-                let slot = self.slot(*tid);
-                match slot {
-                    Some(slot) => arrivals[slot] += 1,
-                    None => mstats.unknown_tenant += 1,
-                }
-                slot.map(|slot| (slot, 0))
+                let slot = self.slot(*tid)?;
+                arrivals[slot] += 1;
+                Some((slot, 0))
             })
             .collect();
 
@@ -692,7 +667,6 @@ impl<'t> ShardedServingEngine<'t> {
             let fresh = run.work().len();
             let bstats = run.finish(computed.by_ref().take(fresh));
             mstats.unique += bstats.unique;
-            mstats.cache_hits += bstats.cache_hits;
             counters += bstats.counters;
             mstats.per_tenant.push((shard.id, bstats));
         }
@@ -722,9 +696,8 @@ impl<'t> ShardedServingEngine<'t> {
 
         // --- paging: evict past the cap, count this batch's activity ---
         let counters = self.settle(counters);
+        mstats.cache_hits = counters.cache_hits as usize;
         mstats.faults = counters.faults as usize;
-        mstats.fault_errors = counters.fault_errors as usize;
-        mstats.page_outs = counters.page_outs as usize;
         mstats.fault_wall = counters.fault_wall();
         mstats.resident = self.resident_len();
         mstats.counters = counters;
@@ -779,7 +752,7 @@ mod tests {
             (TenantId(0), ServeRequest::marginal(s.clone())),
         ];
         let (answers, stats) = sharded.serve_mixed(&batch);
-        assert_eq!(stats.arrivals, 3);
+        assert_eq!(stats.counters.requests, 3);
         assert_eq!(stats.unique, 2, "dedup is per tenant, never across");
         assert_eq!(stats.per_tenant.len(), 2);
         for (i, bn) in bns.iter().enumerate() {
@@ -812,7 +785,7 @@ mod tests {
         let (answers, stats) = sharded.serve_mixed(&batch);
         assert!(answers[0].is_served());
         assert_eq!(answers[1].failure(), Some(&PgmError::UnknownTenant(9)));
-        assert_eq!(stats.unknown_tenant, 1);
+        assert_eq!(stats.counters.failed, 1);
         assert_eq!(stats.unique, 1);
     }
 
@@ -887,13 +860,13 @@ mod tests {
         assert!(sharded.is_empty());
         let (answers, stats) = sharded.serve_mixed(&[]);
         assert!(answers.is_empty());
-        assert_eq!(stats.arrivals, 0);
+        assert_eq!(stats.counters.requests, 0);
         let (answers, stats) = sharded.serve_mixed(&[(
             TenantId(0),
             ServeRequest::marginal(Scope::from_indices(&[0])),
         )]);
         assert_eq!(answers[0].failure(), Some(&PgmError::UnknownTenant(0)));
-        assert_eq!(stats.unknown_tenant, 1);
+        assert_eq!(stats.counters.failed, 1);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!   (what brought the resident set back down), by the bytes of the files
 //!   the fault-ins read and the publishes wrote, as the file system
 //!   reports them, and by the arrivals of unknown tenants and of a failed
-//!   fault-in as failed.
+//!   fault-in as failed;
+//! * the stats structs that show some of those counts (`BatchStats`,
+//!   `MixedBatchStats`, `PagingStats`) against the `Counters` they read.
 
 mod common;
 
@@ -19,8 +21,8 @@ use peanut_core::sync::Arc;
 use peanut_junction::{build_junction_tree, JunctionTree, QueryEngine};
 use peanut_pgm::{fixtures, BayesianNetwork, Scope, Var};
 use peanut_serving::{
-    Answer, Counters, ServeOutcome, ServeRequest, ServingConfig, ServingEngine, ShardConfig,
-    ShardedServingEngine, StoreConfig, TenantId,
+    Answer, Counters, MixedBatchStats, ServeOutcome, ServeRequest, ServingConfig, ServingEngine,
+    ShardConfig, ShardedServingEngine, StoreConfig, TenantId,
 };
 
 /// What the calls that returned `batches` counted, recounted from their
@@ -119,32 +121,58 @@ fn paged<R>(
     out
 }
 
-#[test]
-fn a_paging_fleet_counts_its_fault_ins_page_outs_and_store_traffic() {
+/// Three chain networks, their trees, and a batch of 8 requests for each.
+type Tenants = (
+    Vec<BayesianNetwork>,
+    Vec<JunctionTree>,
+    Vec<Vec<ServeRequest>>,
+);
+
+/// Three chain networks, one tenant each, with a batch of 8 requests per
+/// tenant.
+fn tenants() -> Tenants {
     let bns: Vec<BayesianNetwork> = (0..3)
         .map(|i| fixtures::chain(8 + i, 2, 13 + 2 * i as u64))
         .collect();
-    let trees: Vec<JunctionTree> = bns
+    let trees = bns
         .iter()
         .map(|bn| build_junction_tree(bn).unwrap())
         .collect();
-    let batches: Vec<Vec<ServeRequest>> = bns
+    let batches = bns
         .iter()
         .enumerate()
         .map(|(i, bn)| random_batch(bn, 8, 71 + i as u64))
         .collect();
-    let dir = std::env::temp_dir().join(format!("peanut-counters-{}", std::process::id()));
+    (bns, trees, batches)
+}
+
+/// A fleet of the three tenants, each trained on its batch, paging to a
+/// fresh store under `tag` with one resident slot.
+fn paging_fleet<'t>(
+    (bns, trees, batches): &'t Tenants,
+    tag: &str,
+) -> (ShardedServingEngine<'t>, StoreConfig) {
+    let dir = std::env::temp_dir().join(format!("peanut-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = StoreConfig::new(&dir);
     let mut fleet =
         ShardedServingEngine::new(ShardConfig::default().with_workers(2).with_max_resident(1));
     fleet.set_store(store.clone());
-    for (i, (tree, bn)) in trees.iter().zip(&bns).enumerate() {
+    for (i, (tree, bn)) in trees.iter().zip(bns).enumerate() {
         let engine = QueryEngine::numeric(tree, bn).unwrap();
         let mat = train_mat(tree, &engine, &batches[i], 256);
         fleet.register(TenantId(i as u32), engine, mat).unwrap();
     }
     fleet.enforce_residency();
+    (fleet, store)
+}
+
+#[test]
+fn a_paging_fleet_counts_its_fault_ins_page_outs_and_store_traffic() {
+    let tenants = tenants();
+    let batches = &tenants.2;
+    let (fleet, store) = paging_fleet(&tenants, "counters");
+    let dir = store.dir.clone();
 
     let (before, paging_before) = (fleet.counters(), fleet.paging_stats());
     // the paging and store counts the calls should make
@@ -216,4 +244,50 @@ fn a_paging_fleet_counts_its_fault_ins_page_outs_and_store_traffic() {
         "unknown tenants and a failed fault-in"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The counts a mixed batch's stats show beside its `Counters`.
+fn views_agree(stats: &MixedBatchStats) {
+    let per_tenant = stats.per_tenant.iter().map(|(_, b)| b);
+    for b in per_tenant.clone() {
+        assert_eq!(b.cache_hits as u64, b.counters.cache_hits);
+    }
+    let unique: usize = per_tenant.clone().map(|b| b.unique).sum();
+    let cache_hits: usize = per_tenant.map(|b| b.cache_hits).sum();
+    assert_eq!((stats.unique, stats.cache_hits), (unique, cache_hits));
+    let c = &stats.counters;
+    assert_eq!(
+        (
+            stats.cache_hits as u64,
+            stats.faults as u64,
+            stats.fault_wall
+        ),
+        (c.cache_hits, c.faults, c.fault_wall())
+    );
+}
+
+#[test]
+fn the_stats_structs_show_their_counters() {
+    let tenants = tenants();
+    let (fleet, store) = paging_fleet(&tenants, "views");
+    // every tenant in each batch, the second pass from the caches
+    let mixed: Vec<(TenantId, ServeRequest)> = (0..8)
+        .flat_map(|k| (0..3u32).map(move |t| (t, k)))
+        .map(|(t, k)| (TenantId(t), tenants.2[t as usize][k].clone()))
+        .collect();
+    let mut seen = Counters::default();
+    for _ in 0..2 {
+        let (_, stats) = fleet.serve_mixed(&mixed);
+        assert_eq!(stats.per_tenant.len(), 3);
+        views_agree(&stats);
+        seen += stats.counters;
+    }
+    assert!(seen.cache_hits > 0 && seen.faults > 0 && seen.fault_nanos > 0);
+    let (paging, counters) = (fleet.paging_stats(), fleet.counters());
+    assert_eq!(
+        (paging.faults, paging.page_outs, paging.fault_errors),
+        (counters.faults, counters.page_outs, counters.fault_errors)
+    );
+    assert!(counters.page_outs > 0);
+    let _ = std::fs::remove_dir_all(&store.dir);
 }

@@ -94,7 +94,7 @@ proptest! {
                 }
             }
             let (served, stats) = sharded.serve_mixed(&mixed);
-            prop_assert_eq!(stats.arrivals, mixed.len());
+            prop_assert_eq!(stats.counters.requests, mixed.len() as u64);
             prop_assert_eq!(stats.per_tenant.len(), 2);
 
             // (a) byte-identical to each tenant served alone, and the
@@ -121,8 +121,8 @@ proptest! {
                 }
                 let (_, got) = stats.per_tenant.iter().find(|(t, _)| *t == tid).unwrap();
                 prop_assert_eq!(
-                    (got.queries, got.unique, got.cache_hits),
-                    (want.queries, want.unique, want.cache_hits),
+                    (got.counters.requests, got.unique, got.cache_hits),
+                    (want.counters.requests, want.unique, want.cache_hits),
                     "{} pass, {}: queries/unique/cache_hits", pass, tid
                 );
                 prop_assert_eq!(
@@ -131,7 +131,9 @@ proptest! {
                     "{} pass, {}: epoch/total_ops/shortcuts_used", pass, tid
                 );
                 match pass {
-                    "cold" => prop_assert!(want.unique < want.queries && want.cache_hits == 0),
+                    "cold" => prop_assert!(
+                        (want.unique as u64) < want.counters.requests && want.cache_hits == 0
+                    ),
                     "warm" => prop_assert_eq!(want.cache_hits, want.unique),
                     _ => prop_assert_eq!((want.cache_hits, want.epoch), (0, 1)),
                 }

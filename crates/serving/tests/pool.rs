@@ -53,7 +53,7 @@ fn worker_panic_does_not_poison_the_pool() {
     let queries = batch(&bn);
     for _ in 0..3 {
         let (answers, stats) = serving.serve_batch(&queries);
-        assert_eq!(stats.queries, queries.len());
+        assert_eq!(stats.counters.requests, queries.len() as u64);
         for (q, a) in queries.iter().zip(&answers) {
             let a = a.served().expect("served after panic");
             let (mut want, _) = ve_answer(&bn, &q.targets).unwrap();

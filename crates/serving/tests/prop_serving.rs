@@ -280,7 +280,7 @@ proptest! {
         let serving = ServingEngine::new(engine, mat, ServingConfig::default().with_workers(4));
         let (answers, stats) = serving.serve_batch(&batch);
         prop_assert_eq!(answers.len(), batch.len());
-        prop_assert!(stats.unique <= stats.queries);
+        prop_assert!(stats.unique as u64 <= stats.counters.requests);
 
         for (q, a) in batch.iter().zip(&answers) {
             let a = a.served().expect("batch query must succeed");
