@@ -50,10 +50,11 @@
 //! session answers sent to pruned variable elimination (`eliminated`), the
 //! elimination steps taken from the factor memos (`factors_taken`), the
 //! messages passes took from the message memos (`messages_taken`), the
-//! messages they computed, answers included (`messages_computed`), and the
-//! product entries their kernels walked (`entries_walked`). Beside them
-//! stand four gauges read when the repetition ends, each from a memo's
-//! `MemoUsage`, over the engines resident then: the entries the
+//! messages they computed, answers included (`messages_computed`), the
+//! product entries their kernels walked (`entries_walked`) and, of those,
+//! the entries the fused kernel's short-run walk summed (`short_walked`).
+//! Beside them stand four gauges read when the repetition ends, each from
+//! a memo's `MemoUsage`, over the engines resident then: the entries the
 //! calibrated tables' and the materializations' message memos hold, the
 //! entries of the factor memo an engine's evidence sessions share, and the
 //! plans the plan memos hold. Last, the allocator calls the repetition made
@@ -77,7 +78,15 @@
 //! contains (`entries_untaken_pct`), and on the training stream, in
 //! expected ops per query, the benefit the selection modeled (`Σ B(S, Q)`)
 //! beside the one it realized: the mean plain-tree count less the mean
-//! charged count (`train_benefit`).
+//! charged count (`train_benefit`). Last, per test query, the most any
+//! materialization saves it under an unlimited budget, in percent of its
+//! plain count (`ceiling_ops_saved_pct`): the least `OnlineEngine::cost`
+//! over every region LRDP can express inside the query's Steiner tree,
+//! each materialized alone, and over the set of them no two of which share
+//! a clique whose savings alone sum highest, priced together. It depends
+//! on the dataset alone, so each of a dataset's entries repeats it. A
+//! region reaching outside the Steiner tree contracts the same cliques of
+//! the plan under another scope, and is not tried.
 //! `--quick` keeps the rows' three datasets at 10·b_T.
 //!
 //! `repro ledger` prints the ledger and writes it to `LEDGER.json`;
@@ -91,8 +100,11 @@ use counting_alloc::counted;
 use peanut_bench::harness::{
     is_quick, mean, percentile, saving_percent, savings_percent, skewed_counts, Prepared,
 };
-use peanut_core::{Materialization, OfflineContext, OnlineEngine, Peanut, PeanutConfig, Workload};
-use peanut_junction::{JunctionTree, NodeLabel, QueryEngine, RootedTree};
+use peanut_core::{
+    Materialization, MaterializedShortcut, OfflineContext, OnlineEngine, Peanut, PeanutConfig,
+    Shortcut, Workload,
+};
+use peanut_junction::{JunctionTree, NodeLabel, QueryEngine, QueryPlan, RootedTree, SteinerTree};
 use peanut_pgm::sampling::ancestral_sample;
 use peanut_pgm::{MemoUsage, Scope, Scratch, Size, Var};
 use peanut_serving::{
@@ -149,7 +161,7 @@ fn serving_gauges(serving: &ServingEngine<'_>) -> Gauges {
 fn json(shape: &str, c: &Counters, gauges: Gauges, alloc_calls: u64) -> String {
     let [state, mat, factor, plans] = gauges;
     let mut out = format!("    {{\n      \"shape\": \"{shape}\",\n      \"seed\": {SEED}");
-    let fields: [(&str, u64); 22] = [
+    let fields: [(&str, u64); 23] = [
         ("requests", c.requests),
         ("failed", c.failed),
         ("answers_computed", c.computed),
@@ -171,6 +183,7 @@ fn json(shape: &str, c: &Counters, gauges: Gauges, alloc_calls: u64) -> String {
         ("messages_taken", c.messages_taken),
         ("messages_computed", c.messages_computed),
         ("entries_walked", c.entries_walked),
+        ("short_walked", c.short_walked),
         ("alloc_calls", alloc_calls),
     ];
     for (name, value) in fields {
@@ -645,6 +658,126 @@ fn executed(
     (anatomy.cheapest_root(&plan, query, domain).1, pct)
 }
 
+/// The connected sets of `st`'s cliques whose top is `u`, `u` first.
+fn hung_from(rooted: &RootedTree, st: &SteinerTree, u: usize) -> Vec<Vec<usize>> {
+    let mut sets = vec![vec![u]];
+    for &c in rooted.children(u).iter().filter(|&&c| st.contains(c)) {
+        let below = hung_from(rooted, st, c);
+        let grown: Vec<Vec<usize>> = (sets.iter())
+            .flat_map(|set| below.iter().map(move |b| [&set[..], b].concat()))
+            .collect();
+        sets.extend(grown);
+    }
+    sets
+}
+
+/// The regions LRDP can express inside `st` (`lrdp.rs`): connected sets
+/// of its cliques, top first, whose lowest members each have a child in
+/// the tree to cut — so no member is a leaf of the tree; short of all of
+/// `st`, which no plan contracts.
+fn steiner_regions(rooted: &RootedTree, st: &SteinerTree) -> Vec<Vec<usize>> {
+    (st.nodes().iter())
+        .flat_map(|&u| hung_from(rooted, st, u))
+        .filter(|set| set.len() < st.len())
+        .filter(|set| set.iter().all(|&v| !rooted.children(v).is_empty()))
+        .collect()
+}
+
+/// A region that saves a query ops alone: its cliques (top first), its
+/// shortcut, and the ops saved.
+struct Saving {
+    set: Vec<usize>,
+    shortcut: Shortcut,
+    saved: Size,
+}
+
+/// Per test query, in percent of its plain count, the most a
+/// materialization saves it under an unlimited budget: the least
+/// `OnlineEngine::cost` over every region LRDP can express inside the
+/// query's Steiner tree, each materialized alone, and over the best set of
+/// them no two of which share a clique (GWMIN keeps such a set whole).
+fn ceiling(engine: &QueryEngine<'_>, test: &[Scope]) -> Vec<f64> {
+    let (tree, rooted) = (engine.tree(), engine.rooted());
+    let cost = |shortcuts: Vec<Shortcut>, q: &Scope| {
+        let shortcuts = (shortcuts.into_iter())
+            .map(|shortcut| MaterializedShortcut {
+                shortcut,
+                potential: None,
+                benefit: 1.0,
+                ratio: 1.0,
+            })
+            .collect();
+        let mat = Materialization::new(shortcuts, false);
+        let online = OnlineEngine::new(engine, &mat);
+        online.cost(q).expect("test queries fit the tree").ops
+    };
+    let saving = |q: &Scope| {
+        let base = cost(Vec::new(), q);
+        let plan = engine.plan(q).expect("test queries fit the tree");
+        let QueryPlan::OutOfClique(st) = plan else {
+            return 0.0;
+        };
+        let mut saves = Vec::new();
+        for set in steiner_regions(rooted, &st) {
+            let shortcut = Shortcut::from_nodes(tree, rooted, set.clone()).expect("connected");
+            let ops = cost(vec![shortcut.clone()], q);
+            if ops < base {
+                let saved = base - ops;
+                saves.push(Saving {
+                    set,
+                    shortcut,
+                    saved,
+                });
+            }
+        }
+        let alone = saves.iter().map(|s| base - s.saved).min().unwrap_or(base);
+        let together = packed(rooted, &st, &saves);
+        let best = if together.len() > 1 {
+            alone.min(cost(together, q))
+        } else {
+            alone
+        };
+        saving_percent(base, best)
+    };
+    test.iter().map(saving).collect()
+}
+
+/// The shortcuts of the disjoint regions of `saves` (regions of `st`)
+/// whose savings sum highest; the planner prices them together again. One
+/// pass bottom up: a clique's subtree either keeps it out of every region,
+/// or holds one of the regions hung from it.
+fn packed(rooted: &RootedTree, st: &SteinerTree, saves: &[Saving]) -> Vec<Shortcut> {
+    let kids = |v: usize| (rooted.children(v).iter().copied()).filter(|&c| st.contains(c));
+    let below = |set: &[usize]| {
+        let kids = set.iter().flat_map(move |&v| kids(v));
+        kids.filter(|c| !set.contains(c)).collect::<Vec<_>>()
+    };
+    // per clique, the best sum in its subtree, and the region hung from it
+    let (mut best, mut chosen) = (vec![0; rooted.len()], vec![None; rooted.len()]);
+    let mut order = st.nodes().to_vec();
+    order.sort_by_key(|&u| std::cmp::Reverse(rooted.depth(u)));
+    for u in order {
+        best[u] = kids(u).map(|c| best[c]).sum::<Size>();
+        for (i, s) in saves.iter().enumerate().filter(|(_, s)| s.set[0] == u) {
+            let with = s.saved + below(&s.set).iter().map(|&c| best[c]).sum::<Size>();
+            if with > best[u] {
+                (best[u], chosen[u]) = (with, Some(i));
+            }
+        }
+    }
+    let (mut set, mut stack) = (Vec::new(), vec![st.root()]);
+    while let Some(u) = stack.pop() {
+        match chosen[u] {
+            Some(i) => {
+                set.push(saves[i].shortcut.clone());
+                stack.extend(below(&saves[i].set));
+            }
+            None => stack.extend(kids(u)),
+        }
+    }
+    set
+}
+
 /// Per-query percentages as `{mean, p25, p50, p75}`.
 fn spread(pct: &[f64]) -> String {
     format!(
@@ -680,6 +813,7 @@ fn paper(quick: bool) -> Vec<String> {
         let ctx = OfflineContext::new(tree, &workload).expect("training queries fit the tree");
         let test = model.skewed(n_test, 12);
         let engine = QueryEngine::symbolic(tree);
+        let ceiling = spread(&ceiling(&engine, &test));
         let none = Materialization::default();
         let plain = OnlineEngine::new(&engine, &none);
         let base: Vec<Size> = test
@@ -716,7 +850,8 @@ fn paper(quick: bool) -> Vec<String> {
                      \"paper_ops_saved_pct\": {},\n      \"executed_ops_saved_pct\": {},\n      \
                      \"charge_shares_pct\": {{\"held\": {:.4}, \"carried\": {:.4}, \"free\": {:.4}}},\n      \
                      \"entries_untaken_pct\": {:.4}, \
-                     \"train_benefit\": {{\"modeled\": {modeled:.4e}, \"realized\": {realized:.4e}}}}}",
+                     \"train_benefit\": {{\"modeled\": {modeled:.4e}, \"realized\": {realized:.4e}}},\n      \
+                     \"ceiling_ops_saved_pct\": {ceiling}}}",
                     model.spec.name,
                     mat.total_size(),
                     spread(&savings_percent(&model, &mat, &test)),

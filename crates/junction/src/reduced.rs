@@ -615,6 +615,7 @@ impl<'a> ReducedTree<'a> {
     ) -> Result<(Potential, Work), PgmError> {
         let mut recall = Recall::new(self, memo, query, anatomy, domain);
         let mut work = Work::default();
+        let short_walked = scratch.short_walked();
         // the post-order keeps subtrees contiguous and runs a node's children
         // last to first, so its incoming messages are the top of this stack,
         // the first child's uppermost
@@ -661,6 +662,7 @@ impl<'a> ReducedTree<'a> {
             // the root closes the post-order, and its message is the answer
             if u == self.root {
                 recall.file();
+                work.short_walked = scratch.short_walked() - short_walked;
                 return Ok((message, work));
             }
             if let Some(sep) = n.sep_to_parent {

@@ -289,6 +289,120 @@ proptest! {
     }
 }
 
+/// The legacy two-pass form of [`product_marginalize_views`]: the product
+/// table, then its marginal.
+fn legacy_two_pass(factors: &[&Potential], keep: &Scope) -> Potential {
+    let mut s = Scratch::new();
+    let product = legacy::product_many_in(factors, &mut s).unwrap();
+    legacy::marginalize_in(&product, keep, &mut s).unwrap()
+}
+
+proptest! {
+    /// The fused kernel's short-run walk against the legacy two-pass form,
+    /// bit for bit, with the run kernel on the shapes beside it: 2–5
+    /// factors over six variables, the innermost's card 1–4 or 15–17 (both
+    /// sides of the walk's rule), the others 1–4 (unit kept axes inside
+    /// summed chains, chains longer than the walk's 64-entry block),
+    /// `0.0` and `-0.0` cells throughout, any target, the empty one too.
+    /// The default case count, or `PROPTEST_CASES`.
+    #[test]
+    fn short_walk_bit_identical(
+        cards in prop::collection::vec(1u32..=4, 5),
+        inner in 0usize..7,
+        scopes in prop::collection::vec(scope_strategy(6), 2..=5),
+        keep in scope_strategy(6),
+        seed in 0u64..10_000,
+    ) {
+        let mut d = Domain::new();
+        let inner = [1, 2, 3, 4, 15, 16, 17][inner];
+        for (i, c) in cards.into_iter().chain([inner]).enumerate() {
+            d.add(&format!("v{i}"), c).unwrap();
+        }
+        let pots: Vec<Potential> = scopes
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| potential_with_zeros(&d, s, seed + i as u64))
+            .collect();
+        let views: Vec<_> = pots.iter().map(Potential::view).collect();
+        let refs: Vec<&Potential> = pots.iter().collect();
+        let got = product_marginalize_views(&views, &keep, &mut Scratch::new()).unwrap();
+        assert_bit_identical(&got, &legacy_two_pass(&refs, &keep));
+    }
+}
+
+/// The short-run walk on chosen shapes, each checked against the legacy
+/// two-pass form bit for bit and for the walk it takes: the innermost
+/// card on both sides of the rule (15; 16 and 17), a summed chain longer
+/// than the 64-entry block, unit kept axes inside a chain, a block that
+/// takes part of an axis, an empty target, four factors and a product
+/// over 2¹⁶ entries.
+#[test]
+fn short_walk_shapes_bit_identical() {
+    let d = Domain::from_pairs([
+        ("a", 3),
+        ("b", 40),
+        ("u", 1),
+        ("c", 2),
+        ("e", 2),
+        ("f", 2),
+        ("g", 2),
+        ("h", 2),
+        ("i", 2),
+        ("j", 15),
+        ("k", 16),
+        ("l", 17),
+        ("m", 300),
+    ])
+    .unwrap();
+    let table = |ix: &[u32], seed| potential_with_zeros(&d, Scope::from_indices(ix), seed);
+    let (a, b, u, c, e, f, g, h, i, j, k, l, m) = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12);
+    let wide = table(&[c, e, f, g, h, i], 1); // folds into one row of 64
+    let (ac, ae, fg, hi) = (
+        table(&[a, c], 2),
+        table(&[a, e], 3),
+        table(&[f, g], 4),
+        table(&[h, i], 5),
+    );
+    let (uc, ui) = (table(&[u, c, e], 6), table(&[a, u, i], 7));
+    let (aj, ak, al, bj, bk, bl) = (
+        table(&[a, j], 8),
+        table(&[a, k], 9),
+        table(&[a, l], 10),
+        table(&[b, j], 11),
+        table(&[b, k], 12),
+        table(&[b, l], 13),
+    );
+    let (ab, bc, ce) = (table(&[a, b], 14), table(&[b, c], 15), table(&[c, e], 16));
+    let (bm, mj) = (table(&[b, m], 17), table(&[m, j], 18));
+    type Case<'a> = (&'a [&'a Potential], &'a [u32], bool);
+    let cases: [Case; 14] = [
+        (&[&aj, &bj], &[a, b], true),         // innermost card 15: the walk
+        (&[&ak, &bk], &[a, b], false),        // 16: the run kernel
+        (&[&al, &bl], &[a, b], false),        // 17
+        (&[&aj, &bj], &[a], true),            // a chain of 600 over 10 blocks
+        (&[&ac, &wide, &fg], &[a], true),     // a chain of 64 per slot
+        (&[&ac, &wide], &[], true),           // one chain, the empty target
+        (&[&uc, &ui, &ac], &[u, a], true),    // a unit kept axis in the chain
+        (&[&uc, &ui], &[a, u, c], true),      // entry by entry, unit axis kept
+        (&[&ab, &bc, &ce], &[a, e], true),    // a block of 2 · 2 · 10 of 40
+        (&[&ab, &bc, &ce], &[b], true),       // summed both sides of the slot
+        (&[&ac, &ae, &fg, &hi], &[a], false), // four factors
+        (&[&ac, &ae, &fg], &[c, f], true),    // three, entry by entry
+        (&[&bm, &mj], &[b], false),           // 180,000 entries: over 2¹⁶
+        (&[&ab, &aj], &[b, j], true),         // slots from a block's rows
+    ];
+    for (n, (factors, keep, short)) in cases.into_iter().enumerate() {
+        let views: Vec<_> = factors.iter().map(|f| f.view()).collect();
+        let keep = Scope::from_indices(keep);
+        let mut s = Scratch::new();
+        let got = product_marginalize_views(&views, &keep, &mut s).unwrap();
+        assert_bit_identical(&got, &legacy_two_pass(factors, &keep));
+        let entries: usize = Potential::product_many(factors).unwrap().len();
+        let want = if short { entries as u64 } else { 0 };
+        assert_eq!(s.short_walked(), want, "case {n}: the walk taken");
+    }
+}
+
 /// The fused kernel on shapes the random 2..=4 cardinalities never reach:
 /// summed-out runs longer than one chunk, rows of result slots wider than
 /// one block, blocks that span rows, and an empty target.

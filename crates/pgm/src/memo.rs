@@ -82,6 +82,9 @@ pub struct Work {
     /// Product entries the kernels walked: per message computed, or per
     /// elimination step computed, the entries of the product it sums.
     pub entries_walked: Size,
+    /// Of those, the entries the fused kernel's short-run walk summed
+    /// ([`product_marginalize_views`](crate::product_marginalize_views)).
+    pub short_walked: Size,
     /// Whether the plan came from a materialization's plan memo.
     pub plan_taken: bool,
     /// Whether the answer was computed by pruned variable elimination.

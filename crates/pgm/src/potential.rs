@@ -613,14 +613,29 @@ pub fn divide_views(
 /// [`TableRef::marginalize_in`] returns, without the product table.
 ///
 /// The product is never stored, so the order it is visited in is free as
-/// long as every result slot sees its additions in the two-pass order. The
-/// kernel goes by result slot: for a block of neighbouring slots it walks
-/// the summed-out axes of the product in row-major order, multiplies the
-/// factors' entries left to right (as the product kernel does) and adds
-/// them up per slot — a trailing stretch of summed-out axes as one chain
+/// long as every result slot sees its additions in the two-pass order: a
+/// trailing stretch of summed-out axes as one chain, summed from zero and
 /// added to the slot's total once per stretch (what the marginalization's
-/// coalesced walk does), anything else entry by entry. The chains of a
-/// block's slots advance side by side; each stays sequential.
+/// coalesced walk does), anything else entry by entry. Entries are the
+/// factors' multiplied left to right, as the product kernel does. Two
+/// walks keep that order, and one predicate of the product's axes
+/// (`short_runs`) picks between them:
+///
+/// * **The short-run walk** takes a product of 2 or 3 factors, at most
+///   2¹⁶ entries, whose innermost iterating axis has fewer than 16
+///   values: the small messages of networks with cards of 2–4, where no
+///   run is long enough to pay for a loop's set-up. It walks the product
+///   in its own row-major order, through a table of each factor's and the
+///   result's offsets over an inner block of at most 64 entries, laid out
+///   once per call (`ShortWalk`).
+/// * **The run kernel** takes every other shape. It goes by result slot:
+///   for a block of neighbouring slots it walks the summed-out axes in
+///   row-major order, computes products a run at a time and carries the
+///   block's chains side by side, each sequential (`FusedPlan`). On
+///   long runs its loops vectorize and the walk's gathers do not: timed
+///   alone on products whose innermost axis has 110 values (TPC-H's
+///   widest), the walk took 1.6–2.4 ns/entry where the run kernel took
+///   0.8–1.2. Hence the innermost axis's card in the rule.
 ///
 /// The product's size is still checked: a query whose product exceeds the
 /// dense limit fails with the same `TableTooLarge`.
@@ -641,10 +656,44 @@ pub fn product_marginalize_views(
         axis_cards: cards,
         ..
     } = scratch;
-    product_axes_into(factors, scope, cards)?;
+    let entries = product_axes_into(factors, scope, cards)?;
     let target_scope = scope.intersect(keep);
     let t_cards = cards_within(&target_scope, scope, cards);
     let total = checked_len(&t_cards)? as usize;
+    if short_runs(factors.len(), entries, cards) {
+        let mut values = scratch.take_buf(total);
+        let Scratch {
+            rows,
+            cursors,
+            digits,
+            bases,
+            axes: scope,
+            axis_cards: cards,
+            short_walked,
+            ..
+        } = scratch;
+        let target = (&target_scope, &t_cards[..]);
+        let walk = ShortWalk::new(
+            (scope, cards),
+            target,
+            factors,
+            rows,
+            cursors,
+            digits,
+            bases,
+        );
+        let fs = |i: usize| factors[i].values;
+        match factors.len() {
+            2 => walk.sweep([fs(0), fs(1)], &mut values, rows, digits, bases),
+            _ => walk.sweep([fs(0), fs(1), fs(2)], &mut values, rows, digits, bases),
+        }
+        *short_walked += entries as Size;
+        return Ok(Potential {
+            scope: target_scope,
+            cards: t_cards,
+            values,
+        });
+    }
     let mut values = scratch.take_buf_empty(total);
 
     let Scratch {
@@ -695,14 +744,193 @@ const RUN_CHUNK: usize = 512;
 /// A run this long pays for the set-up of the loop over it.
 const LONG_RUN: u64 = 16;
 
-/// The iteration plan of [`product_marginalize_views`], rebuilt per call in
-/// storage a [`Scratch`] keeps. The product's non-unit axes fall in three
-/// parts — `kept` (result axes), `group` (the summed-out axes after the
-/// last kept one: one add chain per result slot and `upper` position) and
-/// `upper` (the summed-out axes before it) — each coalesced on its own and
-/// stored innermost axis first, one row `[card, step in factor 0, …, step
-/// in factor k-1]` per axis. `kept` and `group` always have a first row, a
-/// unit one if need be.
+/// Entries of a product the short-run walk takes at most.
+const SHORT_PRODUCT: usize = 1 << 16;
+
+/// Entries of the short-run walk's inner block at most.
+const SHORT_BLOCK: u64 = 64;
+
+/// Words per entry of the short-run walk's table, and the result's.
+const TABLE_WIDTH: usize = 4;
+const TABLE_LAST: usize = TABLE_WIDTH - 1;
+
+/// Whether [`product_marginalize_views`] sends the product of `k` factors,
+/// `entries` long over axes of `cards`, to the short-run walk: 2 or 3
+/// factors, a small product, and an innermost iterating axis too short
+/// for a run. The one dispatch rule between the two walks.
+fn short_runs(k: usize, entries: usize, cards: &[u32]) -> bool {
+    let innermost = cards.iter().rev().find(|&&card| card > 1);
+    (2..=3).contains(&k)
+        && entries <= SHORT_PRODUCT
+        && innermost.is_none_or(|&card| u64::from(card) < LONG_RUN)
+}
+
+/// The short-run walk of [`product_marginalize_views`], planned per call in
+/// storage a [`Scratch`] keeps: the product in its own row-major order, an
+/// inner block (at most [`SHORT_BLOCK`] entries) through a table of
+/// offsets, the axes outside it by an odometer. Both live in
+/// `Scratch::rows`: the rows, `[card, step in factor 0, …, step in factor
+/// k-1, step in the result]`, innermost first and folded by `push_axis` —
+/// the block's, then from `outer` on those outside it — and from `table`
+/// on, per block entry in row-major order, its offset in each factor (at
+/// most three) and, fourth, in the result. The block holds the innermost
+/// rows that fit whole, then the largest part of the next row that fits
+/// and divides its card.
+///
+/// Per result slot the additions come in the two-pass order. The chain of
+/// trailing summed-out axes (`chain` entries of a block, over `blocks`
+/// blocks) is summed from zero and added to its slot once; with no such
+/// axes, `chain` is 1 and every entry is added on its own.
+struct ShortWalk {
+    /// Where the rows outside the block, and the table, start.
+    outer: usize,
+    table: usize,
+    /// Entries of a block one chain spans, and blocks it spans.
+    chain: usize,
+    blocks: u64,
+}
+
+impl ShortWalk {
+    /// Plans the walk of the product of `factors` over (`scope`, `cards`)
+    /// summed onto `target` (a scope and its cardinalities) into `rows`,
+    /// with the walk's cursors and, to lay out the table, an odometer.
+    fn new(
+        (scope, cards): (&Scope, &[u32]),
+        target: (&Scope, &[u32]),
+        factors: &[TableRef<'_>],
+        rows: &mut Vec<u64>,
+        cursors: &mut Vec<(usize, u64)>,
+        digits: &mut Vec<u64>,
+        bases: &mut Vec<u64>,
+    ) -> Self {
+        let k = factors.len();
+        let w = k + 2;
+        // every axis a row, one split in two, and the table
+        rows.clear();
+        rows.reserve((cards.len() + 1) * w + TABLE_WIDTH * SHORT_BLOCK as usize);
+        cursors.clear();
+        cursors.extend(factors.iter().map(|f| (f.scope.len(), 1)));
+        cursors.push((target.0.len(), 1));
+        let operands = || {
+            let factors = factors.iter().map(|f| (f.scope, f.cards));
+            factors.chain(std::iter::once(target))
+        };
+        for (&v, &card) in scope.vars().iter().zip(cards).rev() {
+            push_axis(rows, v, card, operands(), cursors);
+        }
+        // the block: the rows that fit whole, then the largest part of the
+        // next that fits, its outer part the first row outside
+        let mut len = 1;
+        let inside = rows.chunks_exact(w).take_while(|row| {
+            let fits = len * row[0] <= SHORT_BLOCK;
+            len *= if fits { row[0] } else { 1 };
+            fits
+        });
+        let mut outer = inside.count() * w;
+        let split = rows
+            .get(outer)
+            .and_then(|&card| (2..=SHORT_BLOCK / len).rev().find(|&part| card % part == 0));
+        if let Some(part) = split {
+            // the row twice over: its inner part, then its outer one
+            let at = outer;
+            rows.extend_from_within(at..at + w);
+            rows[at..].rotate_right(w);
+            rows[at] = part;
+            rows[at + w] /= part;
+            rows[at + w + 1..at + 2 * w]
+                .iter_mut()
+                .for_each(|step| *step *= part);
+            outer += w;
+            len *= part;
+        }
+        // the chain: the rows, from the innermost, along which the result
+        // holds still
+        let still = rows.chunks_exact(w).take_while(|row| row[w - 1] == 0);
+        let chain: u64 = still.map(|row| row[0]).product();
+        // the block's offsets, entry by entry
+        let table = rows.len();
+        digits.clear();
+        digits.resize(outer / w, 0);
+        bases.clear();
+        bases.resize(k + 1, 0);
+        loop {
+            let entry: [u64; TABLE_WIDTH] = std::array::from_fn(|i| match i {
+                _ if i < k => bases[i],
+                TABLE_LAST => bases[k],
+                _ => 0,
+            });
+            rows.extend_from_slice(&entry);
+            if !odometer_step(&rows[..outer], w, digits, bases) {
+                break;
+            }
+        }
+        digits.clear();
+        digits.resize((table - outer) / w, 0);
+        ShortWalk {
+            outer,
+            table,
+            chain: chain.min(len) as usize,
+            blocks: (chain / len).max(1),
+        }
+    }
+
+    /// Adds the product of the `K` factors' values `fs` onto `values`, the
+    /// result (zeros), block by block; `rows` are the walk's, `digits`
+    /// and `bases` the odometer over those outside the block, at its start.
+    fn sweep<const K: usize>(
+        &self,
+        fs: [&[f64]; K],
+        values: &mut [f64],
+        rows: &[u64],
+        digits: &mut [u64],
+        bases: &mut [u64],
+    ) {
+        let w = K + 2;
+        let (outer, table) = (&rows[self.outer..self.table], &rows[self.table..]);
+        let (mut acc, mut left) = (0.0, self.blocks);
+        loop {
+            let at: [&[f64]; K] = std::array::from_fn(|i| &fs[i][bases[i] as usize..]);
+            let out = &mut values[bases[K] as usize..];
+            // left to right, as the product kernel multiplies
+            let entry =
+                |e: &[u64]| (1..K).fold(at[0][e[0] as usize], |p, i| p * at[i][e[i] as usize]);
+            if self.blocks > 1 {
+                // one chain over `blocks` blocks, into the slot at the base
+                let entries = table.chunks_exact(TABLE_WIDTH);
+                acc = entries.fold(acc, |sum, e| sum + entry(e));
+                left -= 1;
+                if left == 0 {
+                    out[0] += acc;
+                    (acc, left) = (0.0, self.blocks);
+                }
+            } else if self.chain == 1 {
+                for e in table.chunks_exact(TABLE_WIDTH) {
+                    out[e[TABLE_LAST] as usize] += entry(e);
+                }
+            } else {
+                for link in table.chunks_exact(TABLE_WIDTH * self.chain) {
+                    let sum = (link.chunks_exact(TABLE_WIDTH)).fold(0.0, |sum, e| sum + entry(e));
+                    out[link[TABLE_LAST] as usize] += sum;
+                }
+            }
+            if !odometer_step(outer, w, digits, bases) {
+                return;
+            }
+        }
+    }
+}
+
+/// The iteration plan of [`product_marginalize_views`]'s run kernel — for
+/// products with a long innermost run, more than 3 factors or more than
+/// 2¹⁶ entries, the shapes the short-run walk leaves (long runs are where
+/// its vectorized loops beat the walk's gathers about twice over) —
+/// rebuilt per call in storage a [`Scratch`] keeps. The product's non-unit
+/// axes fall in three parts — `kept` (result axes), `group` (the
+/// summed-out axes after the last kept one: one add chain per result slot
+/// and `upper` position) and `upper` (the summed-out axes before it) —
+/// each coalesced on its own and stored innermost axis first, one row
+/// `[card, step in factor 0, …, step in factor k-1]` per axis. `kept` and
+/// `group` always have a first row, a unit one if need be.
 #[derive(Debug, Default)]
 struct FusedPlan {
     /// Row length: one more than the number of factors.
@@ -1164,7 +1392,8 @@ fn resolve_cards(scope: &Scope, factors: &[TableRef<'_>], cards: &mut Vec<u32>) 
 /// Reusable scratch state for the stride-walk kernels.
 ///
 /// Holds the current walk's rows and the odometer stepping them, the fused
-/// kernel's plan and working space, and a pool of recycled `f64` buffers.
+/// kernel's run plan and working space, a count of the entries its
+/// short-run walk summed, and a pool of recycled `f64` buffers.
 /// One `Scratch` is single-threaded state: give each worker its own.
 /// Creating one is free (no allocation until first use), so the non-`_in`
 /// kernel methods just instantiate a fresh one per call.
@@ -1172,7 +1401,7 @@ fn resolve_cards(scope: &Scope, factors: &[TableRef<'_>], cards: &mut Vec<u32>) 
 pub struct Scratch {
     /// The walk of an elementwise kernel or a marginalization: rows
     /// `[card, step per operand…]`, innermost first, the first one the
-    /// inner run (`plan_walk`).
+    /// inner run (`plan_walk`); or the fused kernel's short-run walk.
     rows: Vec<u64>,
     /// Per operand, while a walk is planned: axes not yet placed, stride
     /// of the next (`push_axis`).
@@ -1182,6 +1411,8 @@ pub struct Scratch {
     /// Slot totals, chains and product runs of the fused kernel: a few KiB.
     work: Vec<f64>,
     fused: FusedPlan,
+    /// Product entries the short-run walk has summed through this scratch.
+    short_walked: Size,
     /// The fused kernel's product: its scope and cardinalities.
     axes: Scope,
     axis_cards: Vec<u32>,
@@ -1192,6 +1423,13 @@ impl Scratch {
     /// An empty scratch (allocates nothing).
     pub fn new() -> Self {
         Scratch::default()
+    }
+
+    /// Product entries [`product_marginalize_views`] has summed through
+    /// this scratch by its short-run walk, ever: the difference across a
+    /// pass is [`Work::short_walked`](crate::Work::short_walked).
+    pub fn short_walked(&self) -> Size {
+        self.short_walked
     }
 
     /// Plans the walk of the table over (`scope`, `cards`) in row-major

@@ -63,6 +63,21 @@ fn a_warm_kernel_allocates_only_its_result() {
         let m = product_marginalize_views(&[abc.view(), be.view()], &keep, &mut s).unwrap();
         s.recycle(m);
     });
+    // the same product with an innermost axis of 17 values, too long for
+    // the short-run walk that takes the one above: the run kernel
+    let d17 = Domain::from_pairs([("a", 3), ("b", 3), ("c", 3), ("e", 17)]).unwrap();
+    let be17 = {
+        let scope = Scope::from_indices(&[1, 3]);
+        let values = (0..3 * 17).map(|i| 0.25 + i as f64).collect();
+        Potential::new(scope.clone(), d17.cards_of(&scope), values).unwrap()
+    };
+    let walked = s.short_walked();
+    assert_eq!(walked, 2 * 81, "the short-run walk took both calls above");
+    let fused_runs = warm_calls(|| {
+        let m = product_marginalize_views(&[abc.view(), be17.view()], &keep, &mut s).unwrap();
+        s.recycle(m);
+    });
+    assert_eq!(s.short_walked(), walked, "the run kernel took it");
     // each read 6, 10, 8 and [9, 9] when every call planned a fresh walk
     assert_eq!(mul_assign, 0, "mul_assign_bcast");
     assert_eq!(div_assign, 0, "div_assign_bcast");
@@ -74,6 +89,7 @@ fn a_warm_kernel_allocates_only_its_result() {
     // that is never built, are built in the scratch: 5 while they were one
     // union per factor and a fresh list
     assert_eq!(fused, 2, "product_marginalize_views");
+    assert_eq!(fused_runs, 2, "product_marginalize_views, long runs");
 }
 
 /// What message passing allocates per query: `ReducedTree::answer_in` over

@@ -74,6 +74,9 @@ counters! {
     messages_computed,
     /// Product entries the kernels walked.
     entries_walked,
+    /// Of those, the entries the fused kernel's short-run walk summed
+    /// ([`Work::short_walked`]).
+    short_walked,
     /// Tenants faulted in from the store.
     faults,
     /// Fault-ins that failed. A page-out whose save failed (the tenant
@@ -109,6 +112,7 @@ impl Counters {
             messages_taken: work.messages_taken,
             messages_computed: work.messages_computed,
             entries_walked: work.entries_walked,
+            short_walked: work.short_walked,
             ..Counters::default()
         };
     }

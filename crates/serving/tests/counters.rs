@@ -58,6 +58,7 @@ fn recount(batches: &[Vec<ServeOutcome>]) -> Counters {
             want.messages_taken += a.work.messages_taken;
             want.messages_computed += a.work.messages_computed;
             want.entries_walked += a.work.entries_walked;
+            want.short_walked += a.work.short_walked;
         }
     }
     want

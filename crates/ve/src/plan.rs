@@ -729,6 +729,7 @@ impl VePlan {
             eliminated: true,
             ..Work::default()
         };
+        let short_walked = scratch.short_walked();
         let Some((last, steps)) = self.steps.split_last() else {
             return Ok((Potential::scalar(1.0), work));
         };
@@ -764,6 +765,7 @@ impl VePlan {
         let out = Self::compute(bn, pinned, inputs, &made, &keep, scratch)?;
         Self::spend(inputs, &mut made, scratch);
         work.entries_walked = work.entries_walked.saturating_add(last.product);
+        work.short_walked = scratch.short_walked() - short_walked;
         Ok((out, work))
     }
 
