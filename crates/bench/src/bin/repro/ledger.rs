@@ -51,8 +51,11 @@
 //! elimination steps taken from the factor memos (`factors_taken`), the
 //! messages passes took from the message memos (`messages_taken`), the
 //! messages they computed, answers included (`messages_computed`), the
-//! product entries their kernels walked (`entries_walked`) and, of those,
-//! the entries the fused kernel's short-run walk summed (`short_walked`).
+//! product entries their kernels walked (`entries_walked`), of those the
+//! entries the fused kernel's short-run walk summed (`short_walked`), and
+//! the query anatomies the answers built (`anatomies_walked`: one for a
+//! plan planned now, two for a shortcut-reduced one, none for a filed
+//! plan).
 //! Beside them stand four gauges read when the repetition ends, each from
 //! a memo's `MemoUsage`, over the engines resident then: the entries the
 //! calibrated tables' and the materializations' message memos hold, the
@@ -161,7 +164,7 @@ fn serving_gauges(serving: &ServingEngine<'_>) -> Gauges {
 fn json(shape: &str, c: &Counters, gauges: Gauges, alloc_calls: u64) -> String {
     let [state, mat, factor, plans] = gauges;
     let mut out = format!("    {{\n      \"shape\": \"{shape}\",\n      \"seed\": {SEED}");
-    let fields: [(&str, u64); 23] = [
+    let fields: [(&str, u64); 24] = [
         ("requests", c.requests),
         ("failed", c.failed),
         ("answers_computed", c.computed),
@@ -184,6 +187,7 @@ fn json(shape: &str, c: &Counters, gauges: Gauges, alloc_calls: u64) -> String {
         ("messages_computed", c.messages_computed),
         ("entries_walked", c.entries_walked),
         ("short_walked", c.short_walked),
+        ("anatomies_walked", c.anatomies_walked),
         ("alloc_calls", alloc_calls),
     ];
     for (name, value) in fields {

@@ -11,53 +11,89 @@
 /// `adj[i]` lists the neighbors of vertex `i` (a simple undirected graph:
 /// `j ∈ adj[i]` iff `i ∈ adj[j]`); `weights[i] ≥ 0`. Returns the chosen
 /// vertex indices in selection order. GWMIN guarantees a total weight of at
-/// least `Σ_v w(v)/(deg(v)+1)`.
+/// least `Σ_v w(v)/(deg(v)+1)`. The adjacency-list form, for references
+/// and tests: it lays the lists out as bit rows and runs the online
+/// phase's GWMIN (`gwmin_rows`) over every vertex.
 pub fn gwmin(weights: &[f64], adj: &[Vec<usize>]) -> Vec<usize> {
     debug_assert_eq!(adj.len(), weights.len());
-    gwmin_by(weights, |i, j| adj[i].contains(&j))
+    let rows = ConflictRows::new(weights.len(), |i, j| adj[i].contains(&j));
+    let mut alive = vec![u64::MAX; rows.stride];
+    if weights.len() % 64 != 0 {
+        alive[rows.stride - 1] = (1 << (weights.len() % 64)) - 1;
+    }
+    gwmin_rows(|v| weights[v], &rows, &mut alive)
 }
 
-/// [`gwmin`] on the graph whose edges `conflict(i, j)` reports, asked once
-/// per pair `i < j`.
-///
-/// The graph is held as an `n × ⌈n/64⌉` bit matrix in one vector, and a
-/// live vertex's degree is `popcount(row & alive)` — its number of live
-/// neighbors, so deleting a vertex is clearing a bit and nothing is kept
-/// up to date.
-pub fn gwmin_by(weights: &[f64], mut conflict: impl FnMut(usize, usize) -> bool) -> Vec<usize> {
-    let n = weights.len();
-    let stride = n.div_ceil(64);
-    let mut rows = vec![0u64; n * stride];
-    for i in 0..n {
-        for j in i + 1..n {
-            if conflict(i, j) {
-                rows[i * stride + j / 64] |= 1 << (j % 64);
-                rows[j * stride + i / 64] |= 1 << (i % 64);
+/// A conflict graph as an `n × ⌈n/64⌉` bit matrix in one vector: row `i`
+/// holds the vertices `i` conflicts with.
+#[derive(Clone, Debug)]
+pub(crate) struct ConflictRows {
+    rows: Vec<u64>,
+    /// Words per row.
+    stride: usize,
+}
+
+impl ConflictRows {
+    /// The graph on `n` vertices whose edges `conflict(i, j)` reports,
+    /// asked once per pair `i < j`.
+    pub(crate) fn new(n: usize, mut conflict: impl FnMut(usize, usize) -> bool) -> Self {
+        let stride = n.div_ceil(64);
+        let mut rows = vec![0u64; n * stride];
+        for i in 0..n {
+            for j in i + 1..n {
+                if conflict(i, j) {
+                    rows[i * stride + j / 64] |= 1 << (j % 64);
+                    rows[j * stride + i / 64] |= 1 << (i % 64);
+                }
             }
         }
+        ConflictRows { rows, stride }
     }
-    let mut alive = vec![u64::MAX; stride];
-    if n % 64 != 0 {
-        alive[stride - 1] = (1 << (n % 64)) - 1;
+
+    /// Words of a vertex set over this graph's vertices.
+    pub(crate) fn stride(&self) -> usize {
+        self.stride
     }
+
+    fn row(&self, v: usize) -> &[u64] {
+        &self.rows[v * self.stride..][..self.stride]
+    }
+}
+
+/// GWMIN ([`gwmin`]'s rule) over the vertices set in `alive` (`rows`'
+/// stride of words) of the graph `rows` holds, vertex `v` weighing
+/// `weight(v)`; `alive` ends empty. A live vertex's degree is
+/// `popcount(row & alive)` — its number of live neighbors, so deleting a
+/// vertex is clearing a bit and nothing is kept up to date — and the
+/// vertices outside `alive` at the start are as if absent: the picks and
+/// their order are those of GWMIN on the subgraph `alive` induces.
+pub(crate) fn gwmin_rows(
+    weight: impl Fn(usize) -> f64,
+    rows: &ConflictRows,
+    alive: &mut [u64],
+) -> Vec<usize> {
     let mut chosen = Vec::new();
     loop {
         let mut best: Option<(f64, usize)> = None;
-        for v in (0..n).filter(|v| alive[v / 64] >> (v % 64) & 1 == 1) {
-            let row = &rows[v * stride..][..stride];
-            let live = |(r, a): (&u64, &u64)| (r & a).count_ones();
-            let degree: u32 = row.iter().zip(&alive).map(live).sum();
-            let score = weights[v] / f64::from(degree + 1);
-            // vertices come in ascending order, so a tie stays with the
-            // lower index
-            if best.is_none_or(|(bs, _)| score > bs) {
-                best = Some((score, v));
+        for w in 0..alive.len() {
+            let mut word = alive[w];
+            while word != 0 {
+                let v = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let live = |(r, a): (&u64, &u64)| (r & a).count_ones();
+                let degree: u32 = rows.row(v).iter().zip(&*alive).map(live).sum();
+                let score = weight(v) / f64::from(degree + 1);
+                // vertices come in ascending order, so a tie stays with the
+                // lower index
+                if best.is_none_or(|(bs, _)| score > bs) {
+                    best = Some((score, v));
+                }
             }
         }
         let Some((_, v)) = best else { break };
         chosen.push(v);
         alive[v / 64] &= !(1 << (v % 64));
-        for (a, r) in alive.iter_mut().zip(&rows[v * stride..][..stride]) {
+        for (a, r) in alive.iter_mut().zip(rows.row(v)) {
             *a &= !r;
         }
     }
@@ -71,7 +107,7 @@ mod tests {
     use proptest::test_runner::TestRng;
 
     /// GWMIN over neighbor lists with decrement bookkeeping — the form
-    /// [`gwmin_by`] replaced, kept as its reference.
+    /// [`gwmin_rows`] replaced, kept as its reference.
     fn gwmin_lists(weights: &[f64], adj: &[Vec<usize>]) -> Vec<usize> {
         let n = weights.len();
         let mut alive = vec![true; n];
@@ -128,6 +164,21 @@ mod tests {
             }
             let want = gwmin_lists(&weights, &adj);
             prop_assert_eq!(gwmin(&weights, &adj), want.clone());
+            // a live subset picks as the lists do on the subgraph it induces
+            let subset: Vec<usize> = (0..n).filter(|_| rng.sample(0..3u32) > 0).collect();
+            let sub_adj: Vec<Vec<usize>> = subset
+                .iter()
+                .map(|&i| (0..subset.len()).filter(|&k| adj[i].contains(&subset[k])).collect())
+                .collect();
+            let sub_weights: Vec<f64> = subset.iter().map(|&i| weights[i]).collect();
+            let rows = ConflictRows::new(n, |i, j| adj[i].contains(&j));
+            let mut alive = vec![0u64; rows.stride()];
+            for &i in &subset {
+                alive[i / 64] |= 1 << (i % 64);
+            }
+            let picked: Vec<usize> =
+                gwmin_lists(&sub_weights, &sub_adj).into_iter().map(|k| subset[k]).collect();
+            prop_assert_eq!(gwmin_rows(|v| weights[v], &rows, &mut alive), picked);
             for (i, &a) in want.iter().enumerate() {
                 prop_assert!(want[i + 1..].iter().all(|b| !adj[a].contains(b)));
             }

@@ -25,16 +25,28 @@
 //! those are made of the epoch's shortcut tables, so they live and die
 //! with the epoch ([`Materialization`]; `peanut_junction::reduced`, "The
 //! message memo").
-//! Usefulness is word operations between the shortcut's bitsets and the
-//! query's [`SteinerCover`]; the conflict graph of the useful shortcuts is
-//! built for every materialization and thinned by GWMIN; each survivor is
-//! priced *in place* — a substitution changes what its own region is
-//! charged and nothing else (`substituted`) — so a rejected candidate costs
-//! no allocation, and the accepted ones are contracted together
-//! ([`ReducedTree::contract`]). The unreduced plan is priced once, node by
-//! node ([`ReducedTree::anatomy`]), when there is a candidate to compare it
-//! with; that count is also the plain-tree baseline a traced answer
-//! reports, so tracing costs no pass of its own.
+//! The unreduced plan is always priced, node by node, once
+//! ([`ReducedTree::anatomy`]); its count is the plain-tree baseline a
+//! traced answer reports, so tracing costs no pass of its own. Usefulness
+//! is word operations between the shortcut's bitsets and the query's
+//! [`SteinerCover`], and a useful shortcut is priced *in place* on that
+//! anatomy — a substitution changes what its own region is charged and
+//! nothing else (`substituted`) — so a rejected candidate costs no
+//! allocation. The price is local: a shortcut lowers the exact count iff
+//! its node is charged less than the region it removes, whatever else was
+//! accepted, and only one that lowers it is accepted. So the useful
+//! shortcuts are priced until one pays, and when none does the plan is the
+//! unreduced one: GWMIN, the ratio sort and the contraction are skipped,
+//! and the same anatomy goes on to the cheapest-root walk and the pass —
+//! one anatomy an answer. Otherwise GWMIN
+//! thins the useful shortcuts over the materialization's conflict rows
+//! (laid out once per materialization, the useful set GWMIN's live
+//! vertices), the survivors are accepted in decreasing ratio order while
+//! they pay, and the accepted ones are contracted together
+//! ([`ReducedTree::contract`]) into a plan that prices itself once more.
+//! A re-hang from the cheapest root recounts the anatomy's held counts on
+//! the path it turns around, in place, and a memo hit runs on the shape
+//! it was filed as: no anatomy.
 //!
 //! A plan is a view over the arena and the materialization; nothing is
 //! copied until a kernel writes, and it cannot outlive either
@@ -44,15 +56,18 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use crate::context::SteinerCover;
-use crate::gwmin::gwmin_by;
+use crate::gwmin::{gwmin_rows, ConflictRows};
 use crate::plans::{FiledPlan, PlanMemo};
 use crate::shortcut::Shortcut;
+use crate::util::BitSet;
 use peanut_junction::cost::{node_ops_of_size, QueryCost};
 use peanut_junction::tree::CliqueId;
 use peanut_junction::{
-    MessageMemo, NodeLabel, QueryAnatomy, QueryEngine, QueryPlan, ReducedTree, SteinerTree,
+    MessageMemo, NodeLabel, PassRows, PlanShape, QueryAnatomy, QueryEngine, QueryPlan, ReducedTree,
+    SteinerTree,
 };
 use peanut_pgm::{Domain, MemoUsage, PgmError, Potential, Scope, Scratch, Size, Work};
+use std::sync::OnceLock;
 
 /// A shortcut potential chosen for materialization.
 #[derive(Clone, Debug)]
@@ -88,14 +103,18 @@ pub struct MaterializedShortcut {
 /// `shortcuts` after answering builds a new `Materialization` rather than
 /// reusing this one; a filed plan naming a shortcut no longer held is
 /// planned afresh, never indexed.
+///
+/// The shortcuts' conflict graph, GWMIN's bit rows, is laid out once, by
+/// the first plan that thins shortcuts, and kept with each row's node set:
+/// a plan whose useful shortcuts do not all match theirs lays out its own.
 #[derive(Clone, Debug, Default)]
 pub struct Materialization {
     /// Materialized shortcuts, in decreasing ratio order.
     pub shortcuts: Vec<MaterializedShortcut>,
     /// Whether the method that selected the shortcuts lets them share
     /// cliques (PEANUT+ / INDSEP). Metadata — stored, reported, carried
-    /// across epochs: the online phase builds each query's conflict graph
-    /// from the shortcuts themselves, so a wrong value here cannot make it
+    /// across epochs: the online phase lays out the conflict graph from
+    /// the shortcuts themselves, so a wrong value here cannot make it
     /// substitute two shortcuts over one clique.
     pub overlapping: bool,
     /// Lifecycle version of this artifact. A freshly selected
@@ -107,6 +126,8 @@ pub struct Materialization {
     memo: MessageMemo,
     /// The plans the answer doors ran, by query scope (type docs).
     plans: PlanMemo,
+    /// The shortcuts' conflict graph (type docs).
+    conflicts: OnceLock<Conflicts>,
 }
 
 impl Materialization {
@@ -119,6 +140,7 @@ impl Materialization {
             epoch: 0,
             memo: MessageMemo::new(),
             plans: PlanMemo::new(),
+            conflicts: OnceLock::new(),
         }
     }
 
@@ -156,6 +178,43 @@ impl Materialization {
     pub fn plan_usage(&self) -> MemoUsage {
         self.plans.usage()
     }
+
+    /// The shortcuts' conflict graph, if it fits the `useful` shortcuts as
+    /// they are now; else `None`, and the caller lays out its own.
+    fn conflicts(&self, useful: &[usize]) -> Option<&Conflicts> {
+        let conflicts = self
+            .conflicts
+            .get_or_init(|| Conflicts::new(&self.shortcuts));
+        let fits = |&i: &usize| {
+            let now = self.shortcuts[i].shortcut.node_set();
+            conflicts.sets.get(i) == Some(now)
+        };
+        useful.iter().all(fits).then_some(conflicts)
+    }
+}
+
+/// Which shortcuts share a clique ([`Shortcut::overlaps`]), as GWMIN's bit
+/// rows, with the node sets they were laid out from: a row counts only
+/// for a shortcut whose node set is still the one it was built from, so a
+/// `shortcuts` vector edited after answering never puts a stale edge into
+/// a plan.
+#[derive(Clone, Debug)]
+struct Conflicts {
+    rows: ConflictRows,
+    sets: Vec<BitSet>,
+}
+
+impl Conflicts {
+    fn new(shortcuts: &[MaterializedShortcut]) -> Self {
+        let overlap = |i: usize, j: usize| shortcuts[i].shortcut.overlaps(&shortcuts[j].shortcut);
+        Conflicts {
+            rows: ConflictRows::new(shortcuts.len(), overlap),
+            sets: shortcuts
+                .iter()
+                .map(|ms| ms.shortcut.node_set().clone())
+                .collect(),
+        }
+    }
 }
 
 /// An answer traced with the baseline it is measured against: what the
@@ -181,32 +240,61 @@ pub struct TracedAnswer {
 enum Planned<'e> {
     /// Every query variable lies in this clique: one marginalization.
     InClique(CliqueId),
-    /// The plan, shortcut-reduced where that pays, and the operation count
-    /// of the *unreduced* plan when shortcuts were priced against it. With
-    /// `None` nothing was priced and the plan's own cost is the baseline.
-    Tree(ReducedTree<'e>, Option<Size>),
+    /// The plan, shortcut-reduced where that pays, its anatomy toward
+    /// `r_q`, the unreduced plan's count (the plain-tree baseline), and the
+    /// anatomies planning built: 1, or 2 for a reduced plan.
+    Tree {
+        plan: ReducedTree<'e>,
+        anatomy: QueryAnatomy,
+        baseline_ops: Size,
+        anatomies: u64,
+    },
 }
 
 /// What an answer door runs.
 enum Runnable<'e> {
     /// Every query variable lies in this clique: one marginalization.
     InClique(CliqueId),
-    /// The plan hung from its cheapest root, the count toward `r_q` it
-    /// reports, and the plain-tree baseline.
-    Tree(ReducedTree<'e>, QueryCost, Size),
+    /// The plan hung from its cheapest root, what its pass reads of that
+    /// rooting, the count toward `r_q` it reports, and the plain-tree
+    /// baseline.
+    Tree {
+        plan: ReducedTree<'e>,
+        rows: Rows,
+        cost: QueryCost,
+        baseline_ops: Size,
+    },
+}
+
+/// What a runnable plan's pass reads ([`PassRows`]).
+enum Rows {
+    /// The anatomy planning built, hung with the plan, and the anatomies
+    /// planning built.
+    Fresh(QueryAnatomy, u64),
+    /// The shape the plan was filed as.
+    Filed(PlanShape),
 }
 
 impl Runnable<'_> {
-    /// What the plan memo keeps of it.
-    fn filed(&self) -> FiledPlan {
-        match self {
+    /// What the plan memo keeps of it; `None` for a plan whose shape
+    /// cannot name its held variables (`ReducedTree::shape`).
+    fn filed(&self, query: &Scope) -> Option<FiledPlan> {
+        Some(match self {
             Runnable::InClique(u) => FiledPlan::InClique(*u),
-            Runnable::Tree(plan, cost, baseline_ops) => FiledPlan::Tree {
-                shape: plan.shape(),
+            Runnable::Tree {
+                plan,
+                rows,
+                cost,
+                baseline_ops,
+            } => FiledPlan::Tree {
+                shape: match rows {
+                    Rows::Fresh(anatomy, _) => plan.shape(anatomy, query)?,
+                    Rows::Filed(shape) => shape.clone(),
+                },
                 cost: *cost,
                 baseline_ops: *baseline_ops,
             },
-        }
+        })
     }
 }
 
@@ -223,11 +311,21 @@ impl<'e, 't> OnlineEngine<'e, 't> {
     }
 
     /// The one planning routine (§4.5–4.6): one Steiner-tree extraction,
-    /// then the applicable shortcuts substituted in decreasing ratio order,
-    /// keeping only those that strictly reduce the operation count. Sums
-    /// are exact (`u128`) and compared as charged — saturated to [`Size`] —
-    /// so a plan whose count saturates is weighed as a full pass over each
-    /// candidate tree would weigh it.
+    /// the unreduced plan and its anatomy, the useful shortcuts priced in
+    /// place on it, then the shortcuts GWMIN keeps substituted in
+    /// decreasing ratio order, keeping only those that strictly reduce the
+    /// operation count. Sums are exact (`u128`) and compared as charged —
+    /// saturated to [`Size`] — so a plan whose count saturates is weighed
+    /// as a full pass over each candidate tree would weigh it.
+    ///
+    /// A price is local: a shortcut lowers the exact count iff its node is
+    /// charged less than the region it removes, whatever else was accepted
+    /// (`substituted`), and one that does not lower it is never accepted,
+    /// saturated or not. So the useful shortcuts are priced until one pays;
+    /// when none does, no survivor of GWMIN would, and the plan is the
+    /// unreduced one — GWMIN, the sort and the contraction are skipped, and
+    /// its one anatomy goes on to the hang and the pass. Once one pays, the
+    /// loop runs over GWMIN's picks, pricing those not priced yet.
     fn planned(&self, query: &Scope) -> Result<Planned<'e>, PgmError> {
         let (engine, mat) = (self.engine, self.mat);
         let domain = engine.tree().domain();
@@ -237,42 +335,69 @@ impl<'e, 't> OnlineEngine<'e, 't> {
         };
         let ns = engine.numeric_state();
         let rt = ReducedTree::from_steiner(engine.tree(), engine.rooted(), &st, ns);
-        let order = self.applicable(query, &st);
-        if order.is_empty() {
-            return Ok(Planned::Tree(rt, None));
-        }
         let anatomy = rt.anatomy(query, domain);
         let unreduced: u128 = (0..rt.len()).map(|u| u128::from(anatomy.charge(u))).sum();
-        let mut cost = unreduced;
-        let mut region_of = vec![None; rt.len()];
-        let mut accepted = Vec::new();
-        for i in order {
-            let ms = &mat.shortcuts[i];
-            let Some(new_cost) = substituted(&rt, query, domain, &anatomy, cost, &ms.shortcut)
-            else {
-                continue;
-            };
-            if saturated(new_cost) < saturated(cost) {
-                for k in (0..rt.len()).filter(|&k| in_region(&rt, &ms.shortcut, k)) {
-                    region_of[k] = Some(accepted.len());
-                }
-                let table = ms.potential.as_ref().map(Potential::view);
-                accepted.push((ms.shortcut.scope(), table, i));
-                cost = new_cost;
+        let baseline_ops = saturated(unreduced);
+        // each useful shortcut's count, substituted alone: priced until one
+        // pays, the rest when GWMIN keeps them
+        let useful = self.useful(query, &st);
+        let price = |i: usize| {
+            let s = &mat.shortcuts[i].shortcut;
+            substituted(&rt, query, domain, &anatomy, unreduced, s)
+        };
+        let mut prices: Vec<Option<Option<u128>>> = vec![None; useful.len()];
+        let mut pays = false;
+        for (at, &i) in useful.iter().enumerate() {
+            let priced = price(i);
+            prices[at] = Some(priced);
+            if priced.is_some_and(|priced| priced < unreduced) {
+                pays = true;
+                break;
             }
         }
-        let rt = if accepted.is_empty() {
-            rt
-        } else {
-            rt.contract(&region_of, &accepted)?
-                .with_shortcut_memo(&mat.memo)
-        };
-        debug_assert_eq!(
-            rt.cost(query, domain).ops,
-            saturated(cost),
-            "price of {query}"
-        );
-        Ok(Planned::Tree(rt, Some(saturated(unreduced))))
+        let (mut cost, mut region_of, mut accepted) = (unreduced, Vec::new(), Vec::new());
+        // no survivor of GWMIN pays when no useful shortcut does
+        if pays {
+            region_of.resize(rt.len(), None);
+            for i in self.thinned(&useful) {
+                let ms = &mat.shortcuts[i];
+                // `useful` is ascending, and GWMIN picks from it
+                let priced = useful.binary_search(&i).ok().and_then(|at| prices[at]);
+                let Some(price) = priced.unwrap_or_else(|| price(i)) else {
+                    continue;
+                };
+                // the regions GWMIN keeps share no clique: the price moves by
+                // what this one saves on the unreduced plan
+                let new_cost = cost + price - unreduced;
+                if saturated(new_cost) < saturated(cost) {
+                    for k in (0..rt.len()).filter(|&k| in_region(&rt, &ms.shortcut, k)) {
+                        region_of[k] = Some(accepted.len());
+                    }
+                    let table = ms.potential.as_ref().map(Potential::view);
+                    accepted.push((ms.shortcut.scope(), table, i));
+                    cost = new_cost;
+                }
+            }
+        }
+        if accepted.is_empty() {
+            return Ok(Planned::Tree {
+                plan: rt,
+                anatomy,
+                baseline_ops,
+                anatomies: 1,
+            });
+        }
+        let rt = rt
+            .contract(&region_of, &accepted)?
+            .with_shortcut_memo(&mat.memo);
+        let anatomy = rt.anatomy(query, domain);
+        debug_assert_eq!(anatomy.cost().ops, saturated(cost), "price of {query}");
+        Ok(Planned::Tree {
+            plan: rt,
+            anatomy,
+            baseline_ops,
+            anatomies: 2,
+        })
     }
 
     /// Builds the shortcut-reduced plan for an out-of-clique query — a view
@@ -281,16 +406,13 @@ impl<'e, 't> OnlineEngine<'e, 't> {
     pub fn reduce(&self, query: &Scope) -> Result<Option<ReducedTree<'e>>, PgmError> {
         Ok(match self.planned(query)? {
             Planned::InClique(_) => None,
-            Planned::Tree(rt, _) => Some(rt),
+            Planned::Tree { plan, .. } => Some(plan),
         })
     }
 
-    /// The shortcuts worth trying on a query with Steiner tree `st`, in
-    /// decreasing ratio order: the useful ones (Def. 3.1), thinned by GWMIN
-    /// to a set no two of which share a clique. The conflict graph is built
-    /// from the shortcuts' own clique sets, whatever the materialization
-    /// says about overlap; without an edge GWMIN keeps every vertex.
-    fn applicable(&self, query: &Scope, st: &SteinerTree) -> Vec<usize> {
+    /// The shortcuts useful (Def. 3.1) to a query with Steiner tree `st`,
+    /// ascending.
+    fn useful(&self, query: &Scope, st: &SteinerTree) -> Vec<usize> {
         let shortcuts = &self.mat.shortcuts;
         if shortcuts.is_empty() {
             return Vec::new();
@@ -299,15 +421,42 @@ impl<'e, 't> OnlineEngine<'e, 't> {
         let mut useful = Vec::with_capacity(shortcuts.len());
         useful
             .extend((0..shortcuts.len()).filter(|&i| cover.useful(&shortcuts[i].shortcut, query)));
-        let weights: Vec<f64> = useful.iter().map(|&i| shortcuts[i].ratio).collect();
-        let overlap = |a: usize, b: usize| {
-            let (a, b) = (&shortcuts[useful[a]], &shortcuts[useful[b]]);
-            a.shortcut.overlaps(&b.shortcut)
+        useful
+    }
+
+    /// The `useful` shortcuts worth trying, in decreasing ratio order:
+    /// thinned by GWMIN to a set no two of which share a clique. GWMIN runs
+    /// on the materialization's conflict rows, `useful` its live vertices;
+    /// the conflicts come from the shortcuts' own clique sets, whatever the
+    /// materialization says about overlap, and without an edge GWMIN keeps
+    /// every vertex.
+    fn thinned(&self, useful: &[usize]) -> Vec<usize> {
+        let shortcuts = &self.mat.shortcuts;
+        if useful.is_empty() {
+            return Vec::new();
+        }
+        let laid_out;
+        let conflicts = match self.mat.conflicts(useful) {
+            Some(conflicts) => conflicts,
+            None => {
+                laid_out = Conflicts::new(shortcuts);
+                &laid_out
+            }
         };
-        let mut order: Vec<usize> = gwmin_by(&weights, overlap)
-            .into_iter()
-            .map(|k| useful[k])
-            .collect();
+        // the live set: on the stack up to 256 shortcuts
+        let (mut words, mut wide) = ([0u64; 4], Vec::new());
+        let stride = conflicts.rows.stride();
+        let alive = match words.get_mut(..stride) {
+            Some(alive) => alive,
+            None => {
+                wide.resize(stride, 0);
+                &mut wide[..]
+            }
+        };
+        for &i in useful {
+            alive[i / 64] |= 1 << (i % 64);
+        }
+        let mut order = gwmin_rows(|i| shortcuts[i].ratio, &conflicts.rows, alive);
         order.sort_by(|&a, &b| {
             shortcuts[b]
                 .ratio
@@ -317,12 +466,19 @@ impl<'e, 't> OnlineEngine<'e, 't> {
         order
     }
 
+    /// The shortcuts worth trying on a query with Steiner tree `st`: the
+    /// useful ones, thinned (`thinned`).
+    #[cfg(test)]
+    fn applicable(&self, query: &Scope, st: &SteinerTree) -> Vec<usize> {
+        self.thinned(&self.useful(query, st))
+    }
+
     /// Operation count for answering `query` with the materialization.
     pub fn cost(&self, query: &Scope) -> Result<QueryCost, PgmError> {
         let tree = self.engine.tree();
         Ok(match self.planned(query)? {
             Planned::InClique(u) => QueryCost::in_clique(tree.clique(u), tree.domain()),
-            Planned::Tree(rt, _) => rt.cost(query, tree.domain()),
+            Planned::Tree { anatomy, .. } => anatomy.cost(),
         })
     }
 
@@ -375,13 +531,33 @@ impl<'e, 't> OnlineEngine<'e, 't> {
                 };
                 (table.marginalize_in(query, scratch)?, cost, cost.ops, work)
             }
-            Runnable::Tree(plan, cost, baseline_ops) => {
-                let (potential, work) = plan.run_in(query, tree.domain(), scratch)?;
+            Runnable::Tree {
+                plan,
+                rows,
+                cost,
+                baseline_ops,
+            } => {
+                let domain = tree.domain();
+                let (potential, work) = match rows {
+                    Rows::Fresh(anatomy, anatomies) => {
+                        let (potential, work) = plan.run_in(query, anatomy, domain, scratch)?;
+                        (
+                            potential,
+                            Work {
+                                anatomies_walked: *anatomies,
+                                ..work
+                            },
+                        )
+                    }
+                    Rows::Filed(shape) => plan.run_in(query, shape, domain, scratch)?,
+                };
                 (potential, *cost, *baseline_ops, work)
             }
         };
         if !taken {
-            self.mat.plans.file(query, run.filed());
+            if let Some(filed) = run.filed(query) {
+                self.mat.plans.file(query, filed);
+            }
         }
         work.plan_taken = taken;
         Ok(TracedAnswer {
@@ -392,23 +568,35 @@ impl<'e, 't> OnlineEngine<'e, 't> {
         })
     }
 
-    /// The plan for `query`, planned now: hung from its cheapest root
-    /// (`ReducedTree::hung_cheapest`), with the count toward `r_q` and the
-    /// baseline it reports.
+    /// The plan for `query`, planned now and hung from its cheapest root
+    /// (`ReducedTree::hung_cheapest`) with the anatomy planning built, with
+    /// the count toward `r_q` and the baseline it reports.
     fn runnable(&self, query: &Scope) -> Result<Runnable<'e>, PgmError> {
         Ok(match self.planned(query)? {
             Planned::InClique(u) => Runnable::InClique(u),
-            Planned::Tree(rt, unreduced) => {
-                let (rehung, cost) = rt.hung_cheapest(query, self.engine.tree().domain());
-                let baseline_ops = unreduced.unwrap_or(cost.ops);
-                Runnable::Tree(rehung.unwrap_or(rt), cost, baseline_ops)
+            Planned::Tree {
+                plan,
+                anatomy,
+                baseline_ops,
+                anatomies,
+            } => {
+                let domain = self.engine.tree().domain();
+                let (plan, anatomy, cost) = plan.hung_cheapest(anatomy, query, domain);
+                let rows = Rows::Fresh(anatomy, anatomies);
+                Runnable::Tree {
+                    plan,
+                    rows,
+                    cost,
+                    baseline_ops,
+                }
             }
         })
     }
 
     /// A filed plan rebuilt over the engine's and the materialization's
-    /// tables; `None` when it does not fit them — a clique the tree lacks,
-    /// or a shortcut no longer held — and the scope is planned afresh.
+    /// tables, with the shape its pass reads; `None` when it does not fit
+    /// them — a clique the tree lacks, or a shortcut no longer held — and
+    /// the scope is planned afresh.
     fn rebuilt(&self, plan: &FiledPlan) -> Option<Runnable<'e>> {
         let (engine, mat) = (self.engine, self.mat);
         let tree = engine.tree();
@@ -433,7 +621,12 @@ impl<'e, 't> OnlineEngine<'e, 't> {
                 } else {
                     rt
                 };
-                Some(Runnable::Tree(rt, *cost, *baseline_ops))
+                Some(Runnable::Tree {
+                    plan: rt,
+                    rows: Rows::Filed(shape.clone()),
+                    cost: *cost,
+                    baseline_ops: *baseline_ops,
+                })
             }
         }
     }
@@ -495,8 +688,10 @@ fn in_region(rt: &ReducedTree<'_>, s: &Shortcut, k: usize) -> bool {
 
 /// The exact operation count of the plan that charges `cost` once the
 /// cliques of `s` are contracted into its shortcut node, priced on the
-/// unreduced plan `rt` and its [`anatomy`](ReducedTree::anatomy); `None`
-/// when `s` covers no node of `rt` or all of them.
+/// unreduced plan `rt` — whose nodes are its Steiner tree's cliques in
+/// ascending id order — and its [`anatomy`](ReducedTree::anatomy); `None`
+/// when `s` covers no node of `rt` or all of them. The region's nodes are
+/// found from the shortcut's cliques, each by a search of `rt`'s.
 ///
 /// Locality: by running intersection and condition 3 of usefulness a query
 /// variable held in a region clique is in `X_S`, and one in `X_S` is held in
@@ -514,9 +709,15 @@ fn substituted(
     cost: u128,
     s: &Shortcut,
 ) -> Option<u128> {
+    let clique = |node: &peanut_junction::reduced::RNode<'_>| match node.label {
+        NodeLabel::Clique(u) => u,
+        NodeLabel::Shortcut(_) => usize::MAX,
+    };
     let inside = |k: usize| in_region(rt, s, k);
     let (mut size, mut removed, mut n_in, mut top) = (0, 0u128, 0, rt.root());
-    for u in (0..rt.len()).filter(|&u| inside(u)) {
+    let region =
+        (s.node_set().iter()).filter_map(|c| rt.nodes().binary_search_by_key(&c, clique).ok());
+    for u in region {
         size += 1;
         removed += u128::from(anatomy.charge(u));
         n_in += rt.children(u).iter().filter(|&&c| !inside(c)).count();
@@ -732,6 +933,29 @@ mod tests {
         Some((rt, priced, accepted))
     }
 
+    /// Whether a useful shortcut pays on `query`'s unreduced plan, priced
+    /// in place; `None` for an in-clique query.
+    fn a_useful_shortcut_pays(online: &OnlineEngine<'_, '_>, query: &Scope) -> Option<bool> {
+        let (engine, mat) = (online.engine, online.mat);
+        let domain = engine.tree().domain();
+        let QueryPlan::OutOfClique(st) = engine.plan(query).unwrap() else {
+            return None;
+        };
+        let rt = ReducedTree::from_steiner(engine.tree(), engine.rooted(), &st, None);
+        let anatomy = rt.anatomy(query, domain);
+        let unreduced: u128 = (0..rt.len()).map(|u| u128::from(anatomy.charge(u))).sum();
+        let price = |i: usize| {
+            let s = &mat.shortcuts[i].shortcut;
+            substituted(&rt, query, domain, &anatomy, unreduced, s)
+        };
+        let useful = online.useful(query, &st);
+        Some(
+            useful
+                .into_iter()
+                .any(|i| price(i).is_some_and(|p| p < unreduced)),
+        )
+    }
+
     /// `planned` builds the tree the sequential loop arrives at.
     fn assert_plans_as_reference(online: &OnlineEngine<'_, '_>, query: &Scope) -> (usize, usize) {
         let got = online.reduce(query).unwrap();
@@ -780,6 +1004,7 @@ mod tests {
         use peanut_pgm::generate::{generate_network, DagConfig};
         use proptest::test_runner::TestRng;
         let (mut priced, mut accepted, mut plans_with_two) = (0, 0, 0);
+        let (mut none_pays, mut one_pays) = (0, 0);
         for seed in 0..48u64 {
             let n = 10 + seed as usize % 10;
             let cfg = DagConfig {
@@ -819,13 +1044,26 @@ mod tests {
             for _ in 0..24 {
                 let k = rng.sample(1..6usize);
                 let picks: Vec<u32> = (0..k).map(|_| rng.sample(0..n as u32)).collect();
-                let (p, a) = assert_plans_as_reference(&online, &Scope::from_indices(&picks));
+                let q = Scope::from_indices(&picks);
+                let (p, a) = assert_plans_as_reference(&online, &q);
                 priced += p;
                 accepted += a;
                 plans_with_two += usize::from(a >= 2);
+                match a_useful_shortcut_pays(&online, &q) {
+                    Some(false) => none_pays += 1,
+                    Some(true) => one_pays += 1,
+                    None => {}
+                }
             }
         }
-        let seen = [priced, accepted, priced - accepted, plans_with_two];
+        let seen = [
+            priced,
+            accepted,
+            priced - accepted,
+            plans_with_two,
+            none_pays,
+            one_pays,
+        ];
         assert!(seen.iter().all(|&c| c >= 50), "coverage {seen:?}");
     }
 
@@ -1146,6 +1384,90 @@ mod tests {
             truncated_hits,
         ];
         assert!(seen.iter().all(|&c| c >= 100), "coverage {seen:?}");
+    }
+
+    /// The conflict rows a materialization laid out are not read for
+    /// shortcuts edited after planning: with the vector reversed, every
+    /// count is the one a fresh materialization of the reversed vector
+    /// plans.
+    #[test]
+    fn edited_shortcuts_never_read_stale_conflict_rows() {
+        let mut reduced = 0;
+        for seed in 0..32u64 {
+            let Some((_bn, engine, shortcuts, requests)) = generated(seed) else {
+                continue;
+            };
+            let mut mat = Materialization::new(shortcuts, true);
+            let joint = |r: &(Scope, Vec<(peanut_pgm::Var, u32)>)| {
+                Scope::from_iter(r.0.iter().chain(r.1.iter().map(|&(v, _)| v)))
+            };
+            let joints: Vec<Scope> = requests.iter().map(joint).collect();
+            for q in &joints {
+                let _ = OnlineEngine::new(&engine, &mat).cost(q);
+            }
+            mat.shortcuts.reverse();
+            let fresh = Materialization::new(mat.shortcuts.clone(), true);
+            let (edited, fresh) = (
+                OnlineEngine::new(&engine, &mat),
+                OnlineEngine::new(&engine, &fresh),
+            );
+            for q in &joints {
+                match (edited.cost(q), fresh.cost(q)) {
+                    (Ok(got), Ok(want)) => {
+                        assert_eq!(got, want, "{q}");
+                        reduced += usize::from(want.shortcuts_used > 0);
+                    }
+                    (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+                    (got, want) => panic!("{q}: {got:?} against {want:?}"),
+                }
+            }
+        }
+        assert!(reduced >= 100, "coverage {reduced}");
+    }
+
+    /// A filed plan carries what its pass reads: on the generated pools of
+    /// [`a_filed_plan_answers_as_a_fresh_plan`], every plan a hit rebuilds
+    /// reads, node by node, the table size and held query variables of a
+    /// fresh anatomy of the rebuilt plan.
+    #[test]
+    fn a_filed_plan_reads_as_a_fresh_anatomy() {
+        let (mut hits, mut shortcut_hits, mut rehung_hits) = (0, 0, 0);
+        for seed in 0..32u64 {
+            let Some((_bn, engine, shortcuts, requests)) = generated(seed) else {
+                continue;
+            };
+            let mat = Materialization::new(shortcuts, true);
+            let online = OnlineEngine::new(&engine, &mat);
+            let domain = engine.tree().domain();
+            for r in &requests {
+                if traced(&online, r).is_err() {
+                    continue;
+                }
+                let joint = Scope::from_iter(r.0.iter().chain(r.1.iter().map(|&(v, _)| v)));
+                let Some(Runnable::Tree { plan, rows, .. }) =
+                    mat.plans.recall(&joint, |filed| online.rebuilt(filed))
+                else {
+                    continue;
+                };
+                let Rows::Filed(shape) = rows else {
+                    panic!("{joint}: a rebuilt plan reads its shape");
+                };
+                let fresh = plan.anatomy(&joint, domain);
+                for u in 0..plan.len() {
+                    assert_eq!(shape.size(u), fresh.size(u), "{joint}: size of {u}");
+                    for i in 0..joint.len() {
+                        let (filed, want) = (shape.holds(u, i), fresh.holds(u, i));
+                        assert_eq!(filed, want, "{joint}: node {u}, variable {i}");
+                    }
+                }
+                hits += 1;
+                shortcut_hits += usize::from(plan.shortcuts_used() > 0);
+                let plain = online.reduce(&joint).unwrap().expect("out of clique");
+                rehung_hits += usize::from(plan.root() != plain.root());
+            }
+        }
+        let seen = [hits, shortcut_hits, rehung_hits];
+        assert!(seen.iter().all(|&c| c >= 30), "coverage {seen:?}");
     }
 
     /// Empty materialization behaves exactly like the plain engine.

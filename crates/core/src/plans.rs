@@ -10,15 +10,19 @@
 //! with it: a new one, a clone, a published epoch and a fault-in start
 //! empty, and a page-out drops it. An entry is the plan hung from the
 //! member its pass is cheapest toward, as a
-//! [`PlanShape`] — clique ids, shortcut positions, junction-tree edges and
-//! parents — together with the count toward `r_q` the answer reports and
-//! the plain tree's baseline; or, for a scope inside one clique, that
-//! clique. A hit rebuilds the view from the entry over the engine's and
-//! the materialization's tables ([`ReducedTree::from_shape`]) and runs the
-//! pass toward the plan's root ([`ReducedTree::run_in`]); an entry that
-//! does not fit the tables at hand, such as one naming a shortcut the
-//! materialization no longer holds, is a miss, and the scope is planned
-//! afresh.
+//! [`PlanShape`] — per node, in plan order, its clique id or shortcut
+//! position, its junction-tree edge and its parent, and what its pass
+//! reads of that rooting: the node's table size and, as bits, the query
+//! variables its subtree holds — together with the count toward `r_q` the
+//! answer reports and the plain tree's baseline; or, for a scope inside
+//! one clique, that clique. A hit rebuilds the view from the entry over
+//! the engine's and the materialization's tables
+//! ([`ReducedTree::from_shape`]) and runs the pass toward the plan's root
+//! ([`ReducedTree::run_in`]) reading the shape, so it walks no anatomy;
+//! an entry that does not fit the tables at hand, such as one naming a
+//! shortcut the materialization no longer holds, is a miss, and the scope
+//! is planned afresh. A plan of more than 32 query variables, which a
+//! node's word cannot name, is not filed.
 //!
 //! The memo is an [`ExactMemo`], whose module states the cache
 //! discipline. This module decides the key — the query scope — and the
@@ -37,7 +41,8 @@ use peanut_pgm::memo::Weigh;
 use peanut_pgm::{ExactMemo, MemoUsage, Scope, Size, Var};
 
 /// A memo holds plans of at most this many bytes, counting each entry's
-/// map slot (64 bytes), its key and its shape (16 bytes a node). With the
+/// map slot (64 bytes), its key and its shape (24 bytes a node — 16 of
+/// links, 8 of what the pass reads — and 16 of reference counts). With the
 /// map's spare slots and the allocator's rounding, the worst case — every
 /// entry an in-clique scope of one variable, 30,840 of them — holds under
 /// 5.5 MiB, below the message memo's 8 MiB.
@@ -48,8 +53,9 @@ pub(crate) const PLAN_BYTES: usize = 2 << 20;
 pub(crate) enum FiledPlan {
     /// Every query variable lies in this clique.
     InClique(CliqueId),
-    /// The plan hung from its cheapest root, the count toward `r_q` its
-    /// answers report, and the plain tree's count for the same scope.
+    /// The plan hung from its cheapest root with what its pass reads, the
+    /// count toward `r_q` its answers report, and the plain tree's count
+    /// for the same scope.
     Tree {
         shape: PlanShape,
         cost: QueryCost,
@@ -124,6 +130,7 @@ mod tests {
     /// as taken.
     #[test]
     fn a_plan_is_filed_once_while_it_fits() {
+        // a shape is a shared slice, as wide as the boxed one it replaced
         assert_eq!(size_of::<(Box<[Var]>, FiledPlan)>(), 64, "PLAN_BYTES' docs");
         let (ab, bc) = (Scope::from_indices(&[0, 1]), Scope::from_indices(&[1, 2]));
         let memo = PlanMemo::with_cap(100);

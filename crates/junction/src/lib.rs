@@ -39,7 +39,7 @@ pub use build::build_junction_tree;
 pub use calibrate::NumericState;
 pub use memo::MessageMemo;
 pub use query::{QueryEngine, QueryPlan};
-pub use reduced::{region_joints, NodeLabel, PlanShape, QueryAnatomy, ReducedTree};
+pub use reduced::{region_joints, NodeLabel, PassRows, PlanShape, QueryAnatomy, ReducedTree};
 pub use rooted::RootedTree;
 pub use steiner::SteinerTree;
 pub use tree::JunctionTree;

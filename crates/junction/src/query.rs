@@ -245,8 +245,11 @@ impl<'t> QueryEngine<'t> {
                 Ok((pot, cost))
             }
             QueryPlan::OutOfClique(st) => {
+                let domain = self.tree.domain();
                 let rt = ReducedTree::from_steiner(self.tree, &self.rooted, &st, Some(ns));
-                rt.answer_in(query, self.tree.domain(), scratch)
+                let anatomy = rt.anatomy(query, domain);
+                let (rt, anatomy, cost) = rt.hung_cheapest(anatomy, query, domain);
+                Ok((rt.run_in(query, &anatomy, domain, scratch)?.0, cost))
             }
         }
     }

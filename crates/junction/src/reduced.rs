@@ -44,19 +44,28 @@
 //! own root.
 //!
 //! An answer is two halves, and there is no other pass:
-//! [`ReducedTree::hung_cheapest`] hangs the plan from that member and
-//! reports the count toward `r_q`, and [`ReducedTree::run_in`] runs the
-//! pass toward whatever root a plan has. A plan kept already hung (the
-//! online phase's plan memo, `peanut_core::online`) runs the second half
-//! alone, and its pass is bit for bit the one the first answer ran: the
-//! pass reads the plan's rooting, its nodes' tables and the memos, never
-//! how the plan was made.
+//! [`ReducedTree::hung_cheapest`] takes the plan and its anatomy by value,
+//! hangs the plan from that member in place — no node is copied; the
+//! links on the path between the two roots turn around, and so do the
+//! held counts of the nodes on it, the only ones that change — and
+//! reports the count toward `r_q`; and
+//! [`ReducedTree::run_in`] runs the pass toward whatever root a plan has.
+//! What the pass reads of the rooting is per node the table size and the
+//! query variables the subtree holds ([`PassRows`]): the anatomy the hang
+//! handed on, or the [`PlanShape`] a plan was filed as. A plan kept already
+//! hung (the online phase's plan memo, `peanut_core::online`) runs the
+//! second half alone on its shape, and its pass is bit for bit the one the
+//! first answer ran: the pass reads the plan's rooting, its nodes' tables
+//! and the memos, never how the plan was made. [`ReducedTree::answer_in`]
+//! and [`region_joints`] go through the same two.
 //!
 //! # A plan's shape
 //!
-//! A [`PlanShape`] is a plan without its tables: per node, its label (a
+//! A [`PlanShape`] is a plan without its tables, with what its pass reads
+//! ([`ReducedTree::shape`]): per node, its label (a
 //! clique id, or a shortcut's position in its materialization), its
-//! junction-tree edge as two clique ids, and its parent. Every non-root
+//! junction-tree edge as two clique ids, its parent, its table's size and
+//! the query variables its subtree holds, as bits. Every non-root
 //! node's separator is its edge's — a clique's own, a shortcut node's the
 //! one above its region, re-hanging turning both around together — so
 //! [`ReducedTree::from_shape`] rebuilds the same view from the shape, the
@@ -113,7 +122,7 @@ use crate::steiner::SteinerTree;
 use crate::tree::{CliqueId, JunctionTree};
 use peanut_pgm::{
     div_assign_bcast, product_marginalize_views, table_size, Domain, PgmError, Potential, Scope,
-    Scratch, Size, TableRef, Work,
+    Scratch, Size, TableRef, Var, Work,
 };
 use std::sync::Arc;
 
@@ -143,7 +152,7 @@ pub struct RNode<'a> {
     /// a shortcut node, the edge above its top clique.
     edge: (u32, u32),
     parent: Option<usize>,
-    /// This node's span of [`ReducedTree::child_list`].
+    /// This node's span of the child lists in [`ReducedTree::links`].
     children: (usize, usize),
 }
 
@@ -153,12 +162,11 @@ pub struct ReducedTree<'a> {
     nodes: Vec<RNode<'a>>,
     root: usize,
     shortcuts_used: usize,
-    /// Every node's children, ascending, back to back (see
-    /// [`RNode::children`]).
-    child_list: Vec<usize>,
-    /// Post-order of the nodes: every subtree contiguous, a node's child
-    /// subtrees last child first, the root last. Computed once per tree.
-    order: Vec<usize>,
+    /// In one buffer: every node's children, ascending, back to back (see
+    /// [`RNode::children`]), then the post-order of the nodes — every
+    /// subtree contiguous, a node's child subtrees last child first, the
+    /// root last ([`order`](Self::order)). Laid out once per tree.
+    links: Vec<usize>,
     /// The message memo of the calibrated tables the plan borrows (none: a
     /// size-only plan; module docs, "The message memo").
     memo: Option<&'a MessageMemo>,
@@ -223,51 +231,77 @@ impl<'a> ReducedTree<'a> {
     /// (ascending node index) and the post-order. `memos` are the tables'
     /// and the materialization's.
     fn linked(
-        mut nodes: Vec<RNode<'a>>,
+        nodes: Vec<RNode<'a>>,
         root: usize,
         shortcuts_used: usize,
         (memo, shortcut_memo): (Option<&'a MessageMemo>, Option<&'a MessageMemo>),
     ) -> Self {
-        let n = nodes.len();
-        // counting sort of the non-root nodes by parent: count children,
-        // lay the spans out, then fill them in ascending node order
-        let mut count = vec![0usize; n];
-        for node in &nodes {
-            if let Some(p) = node.parent {
-                count[p] += 1;
+        let mut tree = ReducedTree {
+            nodes,
+            root,
+            shortcuts_used,
+            links: Vec::new(),
+            memo,
+            shortcut_memo,
+        };
+        tree.link();
+        tree
+    }
+
+    /// Lays out the child lists and the post-order from the nodes' parent
+    /// pointers and the root, on the tree's own allocation.
+    fn link(&mut self) {
+        let n = self.nodes.len();
+        let nodes = &mut self.nodes;
+        // counting sort of the non-root nodes by parent: count children
+        // (in each span's end), lay the spans out, then fill them in
+        // ascending node order
+        for node in nodes.iter_mut() {
+            node.children = (0, 0);
+        }
+        for i in 0..n {
+            if let Some(p) = nodes[i].parent {
+                nodes[p].children.1 += 1;
             }
         }
         let mut end = 0;
-        for (node, &c) in nodes.iter_mut().zip(&count) {
+        for node in nodes.iter_mut() {
+            let count = node.children.1;
             node.children = (end, end); // grows as the children arrive
-            end += c;
+            end += count;
         }
-        let mut child_list = vec![0usize; end];
+        let links = &mut self.links;
+        links.clear();
+        links.resize(end + n, 0);
+        let (child_list, order) = links.split_at_mut(end);
         for i in 0..n {
             if let Some(p) = nodes[i].parent {
                 child_list[nodes[p].children.1] = i;
                 nodes[p].children.1 += 1;
             }
         }
-        // a pre-order that descends into the first child first, reversed
-        let mut order = Vec::with_capacity(n);
-        let mut stack = vec![root];
-        while let Some(u) = stack.pop() {
-            order.push(u);
+        // a pre-order that descends into the first child first, reversed;
+        // its stack is the tail of the same buffer (top at `top`): nodes
+        // placed, stacked and not yet reached are distinct, so the two
+        // never meet
+        if n == 0 {
+            return;
+        }
+        let (mut placed, mut top) = (0, n - 1);
+        order[top] = self.root;
+        while top < n {
+            let u = order[top];
+            top += 1;
+            order[placed] = u;
+            placed += 1;
             let (lo, hi) = nodes[u].children;
-            stack.extend(child_list[lo..hi].iter().rev());
+            for &c in child_list[lo..hi].iter().rev() {
+                top -= 1;
+                order[top] = c;
+            }
         }
+        debug_assert_eq!(placed, n, "every node hangs off the root");
         order.reverse();
-        debug_assert_eq!(order.len(), n, "every node hangs off the root");
-        ReducedTree {
-            nodes,
-            root,
-            shortcuts_used,
-            child_list,
-            order,
-            memo,
-            shortcut_memo,
-        }
     }
 
     /// The plan with its shortcut nodes' messages, and every message whose
@@ -314,7 +348,13 @@ impl<'a> ReducedTree<'a> {
     #[inline]
     pub fn children(&self, i: usize) -> &[usize] {
         let (lo, hi) = self.nodes[i].children;
-        &self.child_list[lo..hi]
+        &self.links[lo..hi]
+    }
+
+    /// The post-order of the nodes (see [`links`](Self::links)).
+    #[inline]
+    fn order(&self) -> &[usize] {
+        &self.links[self.links.len() - self.nodes.len()..]
     }
 
     /// Parent of node `i`.
@@ -336,13 +376,13 @@ impl<'a> ReducedTree<'a> {
         self.children(u).len() + usize::from(self.nodes[u].parent.is_some())
     }
 
-    /// The same plan hung from node `root`: the parent links on the path
-    /// from `root` up to the current root turn around, and each edge's
-    /// separator and its junction-tree edge, turned around, go to the
-    /// endpoint that is now the child. Every node keeps its index, scope,
-    /// label and table.
-    fn rehung(&self, root: usize) -> ReducedTree<'a> {
-        let mut nodes = self.nodes.clone();
+    /// Hangs the plan from node `root`, in place: the parent links on the
+    /// path from `root` up to the current root turn around, and each
+    /// edge's separator and its junction-tree edge, turned around, go to
+    /// the endpoint that is now the child. Every node keeps its index,
+    /// scope, label and table.
+    fn rehang(&mut self, root: usize) {
+        let nodes = &mut self.nodes;
         let near = nodes[root].edge.0;
         let (mut below, mut u) = ((None, None, (near, near)), root);
         loop {
@@ -354,7 +394,16 @@ impl<'a> ReducedTree<'a> {
             below = (Some(u), up.1, (far, near));
             u = p;
         }
-        Self::linked(nodes, root, self.shortcuts_used, self.memos())
+        self.root = root;
+        self.link();
+    }
+
+    /// The plan hung from node `root`, as a copy.
+    #[cfg(test)]
+    fn rehung(&self, root: usize) -> ReducedTree<'a> {
+        let mut plan = self.clone();
+        plan.rehang(root);
+        plan
     }
 
     /// The tables' memo and the materialization's.
@@ -490,56 +539,79 @@ impl<'a> ReducedTree<'a> {
         domain: &Domain,
         scratch: &mut Scratch,
     ) -> Result<(Potential, QueryCost), PgmError> {
-        let (rehung, cost) = self.hung_cheapest(query, domain);
-        let plan = rehung.as_ref().unwrap_or(self);
-        Ok((plan.run_in(query, domain, scratch)?.0, cost))
+        let anatomy = self.anatomy(query, domain);
+        let (plan, anatomy, cost) = self.clone().hung_cheapest(anatomy, query, domain);
+        Ok((plan.run_in(query, &anatomy, domain, scratch)?.0, cost))
     }
 
-    /// The first half of [`answer_in`](Self::answer_in): this plan re-hung
-    /// from the member a pass for `query` is cheapest toward — `None` when
-    /// that is this plan's root, a tie included — and the count toward
-    /// `r_q`, [`cost`](Self::cost)'s, that every answer reports (module
-    /// docs, "Where a query's pass runs to").
+    /// The first half of [`answer_in`](Self::answer_in), given the plan's
+    /// [`anatomy`](Self::anatomy) for `query`: the plan hung, in place,
+    /// from the member a pass is cheapest toward — left as it is when that
+    /// is its root, a tie included — with the anatomy of that rooting, and
+    /// the count toward `r_q`, [`cost`](Self::cost)'s, that every answer
+    /// reports (module docs, "Where a query's pass runs to"). A re-hang
+    /// moves no node and builds no anatomy: the held counts of the nodes
+    /// on the path between the two roots are recounted in place, and
+    /// sizes and charges stay (the charges are still those toward `r_q`).
     pub fn hung_cheapest(
-        &self,
+        mut self,
+        mut anatomy: QueryAnatomy,
         query: &Scope,
         domain: &Domain,
-    ) -> (Option<ReducedTree<'a>>, QueryCost) {
-        let mut anatomy = self.anatomy(query, domain);
+    ) -> (ReducedTree<'a>, QueryAnatomy, QueryCost) {
+        debug_assert_eq!(anatomy.rows.len(), self.len() * anatomy.width);
         let cost = anatomy.cost();
-        let (root, _) = anatomy.cheapest_root(self, query, domain);
-        ((root != self.root).then(|| self.rehung(root)), cost)
+        let (root, _) = anatomy.cheapest_root(&self, query, domain);
+        if root != self.root {
+            anatomy.rehang(&self, root);
+            self.rehang(root);
+        }
+        (self, anatomy, cost)
     }
 
     /// The second half of [`answer_in`](Self::answer_in): the numeric pass
     /// toward this plan's own root, whatever root that is, through the
     /// memos it carries, and what it executed: the messages it computed
-    /// and took, and the product entries its kernels walked. A size-only
-    /// plan fails with [`PgmError::SymbolicEngine`].
+    /// and took, and the product entries its kernels walked. `rows` is
+    /// what the pass reads of this rooting ([`PassRows`]): the plan's
+    /// anatomy, or the shape it was filed as. A size-only plan fails with
+    /// [`PgmError::SymbolicEngine`].
     pub fn run_in(
         &self,
         query: &Scope,
+        rows: &impl PassRows,
         domain: &Domain,
         scratch: &mut Scratch,
     ) -> Result<(Potential, Work), PgmError> {
         let memo = self.memo.ok_or(PgmError::SymbolicEngine)?;
-        // the pass reads sizes and the query variables held below, which a
-        // rooting's own walk counts
-        let anatomy = self.anatomy(query, domain);
-        self.pass(memo, query, &anatomy, domain, scratch)
+        self.pass(memo, query, rows, domain, scratch)
     }
 
-    /// The plan without its tables (module docs, "A plan's shape").
-    pub fn shape(&self) -> PlanShape {
-        let nodes = self.nodes.iter().enumerate().map(|(i, n)| ShapeNode {
-            label: match n.label {
-                NodeLabel::Clique(u) => u as u32,
-                NodeLabel::Shortcut(i) => (memo::SHORTCUT_TAG | i) as u32,
-            },
-            edge: n.edge,
-            parent: n.parent.unwrap_or(i) as u32,
-        });
-        PlanShape(nodes.collect())
+    /// The plan without its tables, with what its pass reads of `rows`,
+    /// the plan's anatomy for `query` (module docs, "A plan's shape");
+    /// `None` for a query of more than 32 variables, whose held variables
+    /// a node's word cannot name, or a table of 2³² entries or more (no
+    /// numeric plan has one: every table is dense).
+    pub fn shape(&self, rows: &impl PassRows, query: &Scope) -> Option<PlanShape> {
+        let n = self.nodes.len();
+        if query.len() > HELD_BITS || (0..n).any(|i| rows.size(i) > Size::from(u32::MAX)) {
+            return None;
+        }
+        let node = |i: usize| {
+            let n = &self.nodes[i];
+            let held = (0..query.len()).fold(0, |held, k| held | u32::from(rows.holds(i, k)) << k);
+            ShapeNode {
+                label: match n.label {
+                    NodeLabel::Clique(u) => u as u32,
+                    NodeLabel::Shortcut(i) => (memo::SHORTCUT_TAG | i) as u32,
+                },
+                edge: n.edge,
+                parent: n.parent.unwrap_or(i) as u32,
+                size: rows.size(i) as u32,
+                held,
+            }
+        };
+        Some(PlanShape((0..n).map(node).collect()))
     }
 
     /// The plan `shape` describes, rebuilt as a view over `tree`'s tables —
@@ -609,20 +681,22 @@ impl<'a> ReducedTree<'a> {
         &self,
         memo: &MessageMemo,
         query: &Scope,
-        anatomy: &QueryAnatomy,
+        rows: &impl PassRows,
         domain: &Domain,
         scratch: &mut Scratch,
     ) -> Result<(Potential, Work), PgmError> {
-        let mut recall = Recall::new(self, memo, query, anatomy, domain);
+        let mut recall = Recall::new(self, memo, query, rows, domain);
         let mut work = Work::default();
         let short_walked = scratch.short_walked();
         // the post-order keeps subtrees contiguous and runs a node's children
         // last to first, so its incoming messages are the top of this stack,
         // the first child's uppermost
-        let mut messages: Vec<Sent> = Vec::new();
-        // one factor list for the pass, emptied and lent to each node
-        let mut spare: Vec<TableRef<'static>> = Vec::new();
-        for &u in &self.order {
+        let mut messages: Vec<Sent> = Vec::with_capacity(self.len());
+        // one factor list for the pass, emptied and lent to each node, and
+        // one buffer for what a non-root node sends up
+        let mut spare: Vec<TableRef<'static>> = Vec::with_capacity(self.len());
+        let mut up = Scope::empty();
+        for &u in self.order() {
             let n = &self.nodes[u];
             match &recall.slots[u].step {
                 Step::Send => {}
@@ -640,17 +714,18 @@ impl<'a> ReducedTree<'a> {
             let target = match n.parent {
                 Some(p) => {
                     let sep = n.scope.iter().filter(|&x| self.nodes[p].scope.contains(x));
-                    let below = (0..query.len()).filter(|&i| anatomy.holds(u, i));
-                    Scope::from_iter(sep.chain(below.map(|i| query.vars()[i])))
+                    let below = (0..query.len()).filter(|&i| rows.holds(u, i));
+                    up.refill(sep.chain(below.map(|i| query.vars()[i])));
+                    &up
                 }
-                None => query.clone(),
+                None => query,
             };
             let first = messages.len() - self.children(u).len();
             let mut message = {
                 let mut factors = relent(std::mem::take(&mut spare));
                 factors.push(n.potential.ok_or(PgmError::SymbolicEngine)?);
                 factors.extend(messages[first..].iter().rev().map(Sent::view));
-                let message = product_marginalize_views(&factors, &target, scratch);
+                let message = product_marginalize_views(&factors, target, scratch);
                 spare = relent(factors);
                 message?
             };
@@ -680,18 +755,20 @@ impl<'a> ReducedTree<'a> {
 }
 
 /// A plan without its tables: per node, in node order, its label, its
-/// junction-tree edge and its parent (module docs, "A plan's shape").
+/// junction-tree edge and its parent, and what the plan's pass reads of
+/// its rooting — the node's table size and the query variables its subtree
+/// holds (module docs, "A plan's shape"). Cloning shares the nodes.
 #[derive(Clone, Debug)]
-pub struct PlanShape(Box<[ShapeNode]>);
+pub struct PlanShape(Arc<[ShapeNode]>);
 
 impl PlanShape {
-    /// Heap bytes the shape holds.
+    /// Heap bytes the shape holds: its nodes and the two reference counts.
     pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.0)
+        std::mem::size_of_val(&*self.0) + 2 * std::mem::size_of::<usize>()
     }
 }
 
-/// One node of a [`PlanShape`].
+/// One node of a [`PlanShape`]: 24 bytes.
 #[derive(Clone, Copy, Debug)]
 struct ShapeNode {
     /// A clique id, or a shortcut's position tagged with
@@ -701,6 +778,62 @@ struct ShapeNode {
     edge: (u32, u32),
     /// The parent's node index; the root's own.
     parent: u32,
+    /// Entries of the node's table.
+    size: u32,
+    /// Bit `i`: the node's subtree holds the `i`-th query variable.
+    held: u32,
+}
+
+/// Query variables a [`ShapeNode`]'s `held` word names at most.
+const HELD_BITS: usize = u32::BITS as usize;
+
+/// What a numeric pass reads of its plan's rooting, per node: the entries
+/// of its table, and whether its subtree holds each query variable. The
+/// plan's [`QueryAnatomy`] has both, and so does the [`PlanShape`] it was
+/// filed as, which lets a filed plan run with no anatomy walk.
+pub trait PassRows {
+    /// Entries of node `u`'s table.
+    fn size(&self, u: usize) -> Size;
+    /// Whether node `u`'s subtree holds the `i`-th query variable.
+    fn holds(&self, u: usize, i: usize) -> bool;
+
+    /// Entries of node `u`'s product, given its table of `size` entries
+    /// over `scope`: times each query variable held below that `scope`
+    /// lacks (an incoming separator already lies inside it). No table.
+    fn carried(&self, u: usize, size: Size, scope: &Scope, query: &Scope, domain: &Domain) -> Size {
+        let mut product = size;
+        for (i, x, inside) in flags(scope, query) {
+            if !inside && self.holds(u, i) {
+                product = product.saturating_mul(u64::from(domain.card(x)));
+            }
+        }
+        product
+    }
+}
+
+/// Each query variable with its position and whether `scope` holds it,
+/// in query order: one merge of the two sorted lists.
+#[inline]
+fn flags<'s>(scope: &'s Scope, query: &'s Scope) -> impl Iterator<Item = (usize, Var, bool)> + 's {
+    let (vars, mut at) = (scope.vars(), 0);
+    query.vars().iter().enumerate().map(move |(i, &x)| {
+        while vars.get(at).is_some_and(|&v| v < x) {
+            at += 1;
+        }
+        (i, x, vars.get(at) == Some(&x))
+    })
+}
+
+impl PassRows for PlanShape {
+    #[inline]
+    fn size(&self, u: usize) -> Size {
+        Size::from(self.0[u].size)
+    }
+
+    #[inline]
+    fn holds(&self, u: usize, i: usize) -> bool {
+        self.0[u].held >> i & 1 == 1
+    }
 }
 
 /// The index of the junction-tree edge between the two cliques of `edge`,
@@ -746,19 +879,33 @@ impl QueryAnatomy {
     /// Counts, sizes and charges every node of `plan` for `query`.
     fn new(plan: &ReducedTree<'_>, query: &Scope, domain: &Domain) -> QueryAnatomy {
         let width = HELD + query.len();
-        let mut anatomy = QueryAnatomy {
-            width,
-            rows: vec![0; plan.len() * width],
-            shortcuts_used: plan.shortcuts_used,
-        };
-        anatomy.recount(plan, query);
-        for (u, node) in plan.nodes.iter().enumerate() {
+        let mut rows = vec![0; plan.len() * width];
+        // children precede parents: a node's held counts are whole once its
+        // own are added, and its product is priced then
+        for &u in plan.order() {
+            let node = &plan.nodes[u];
             let size = table_size(node.scope, domain);
-            let product = anatomy.carried(u, size, node.scope, query, domain);
-            anatomy.rows[u * width + SIZE] = size;
-            anatomy.rows[u * width + CHARGE] = node_ops_of_size(product, plan.degree(u));
+            let mut product = size;
+            for (i, x, inside) in flags(node.scope, query) {
+                let held = &mut rows[u * width + HELD + i];
+                *held += Size::from(inside);
+                if !inside && *held > 0 {
+                    product = product.saturating_mul(u64::from(domain.card(x)));
+                }
+            }
+            rows[u * width + SIZE] = size;
+            rows[u * width + CHARGE] = node_ops_of_size(product, plan.degree(u));
+            if let Some(p) = node.parent {
+                for i in HELD..width {
+                    rows[p * width + i] += rows[u * width + i];
+                }
+            }
         }
-        anatomy
+        QueryAnatomy {
+            width,
+            rows,
+            shortcuts_used: plan.shortcuts_used,
+        }
     }
 
     /// What answering on the plan is charged: the charges' saturating sum,
@@ -772,56 +919,26 @@ impl QueryAnatomy {
         }
     }
 
-    /// Entries of node `u`'s product, given its table of `size` entries
-    /// over `scope`: times each query variable held below that `scope`
-    /// lacks (an incoming separator already lies inside it). No table.
-    pub fn carried(
-        &self,
-        u: usize,
-        size: Size,
-        scope: &Scope,
-        query: &Scope,
-        domain: &Domain,
-    ) -> Size {
-        let mut product = size;
-        for (i, x) in query.iter().enumerate() {
-            if self.holds(u, i) && !scope.contains(x) {
-                product = product.saturating_mul(u64::from(domain.card(x)));
-            }
-        }
-        product
-    }
-
-    /// Counts the query variables each node's subtree holds under `plan`'s
-    /// rooting.
-    fn recount(&mut self, plan: &ReducedTree<'_>, query: &Scope) {
+    /// The held counts of `plan` hung from node `root`, counted before the
+    /// plan is: only the nodes on the path from `root` up to the plan's
+    /// root change. With that path `p₀ = root, p₁, …`, `p₀` comes to hold
+    /// everything and `p_j` everything outside `p_{j−1}`'s old subtree,
+    /// which is now the one part of the plan not below it. Sizes and
+    /// charges stay.
+    fn rehang(&mut self, plan: &ReducedTree<'_>, root: usize) {
         let width = self.width;
-        for row in self.rows.chunks_exact_mut(width) {
-            row[HELD..].fill(0);
-        }
-        // children precede parents, so `u`'s counts are whole here
-        for &u in &plan.order {
-            let node = &plan.nodes[u];
-            for (i, x) in query.iter().enumerate() {
-                let held = self.rows[u * width + HELD + i] + Size::from(node.scope.contains(x));
-                self.rows[u * width + HELD + i] = held;
-                if let Some(p) = node.parent {
-                    self.rows[p * width + HELD + i] += held;
-                }
+        let total = plan.root * width;
+        for i in HELD..width {
+            let mut below = self.rows[root * width + i];
+            self.rows[root * width + i] = self.rows[total + i];
+            let mut up = plan.nodes[root].parent;
+            while let Some(u) = up {
+                let held = self.rows[u * width + i];
+                self.rows[u * width + i] = self.rows[total + i] - below;
+                below = held;
+                up = plan.nodes[u].parent;
             }
         }
-    }
-
-    /// Entries of node `u`'s table.
-    #[inline]
-    fn size(&self, u: usize) -> Size {
-        self.rows[u * self.width + SIZE]
-    }
-
-    /// Whether node `u`'s subtree holds the `i`-th query variable.
-    #[inline]
-    fn holds(&self, u: usize, i: usize) -> bool {
-        self.rows[u * self.width + HELD + i] > 0
     }
 
     /// What node `u` is charged toward the plan's root.
@@ -877,7 +994,7 @@ impl QueryAnatomy {
         let total = plan.root * width + HELD;
         rows[plan.root * width + PRICE] = ops.saturating_sub(rows[plan.root * width + CHARGE]);
         let mut best = (ops, plan.root);
-        for &u in plan.order.iter().rev() {
+        for &u in plan.order().iter().rev() {
             let (node, children) = (&plan.nodes[u], plan.children(u));
             let size = rows[u * width + SIZE];
             // `u`'s product as the root, and across the edge to each child,
@@ -886,9 +1003,9 @@ impl QueryAnatomy {
             for &c in children {
                 rows[c * width + PRICE] = size;
             }
-            for (i, x) in query.iter().enumerate() {
+            for (i, x, inside) in flags(node.scope, query) {
                 let held = rows[total + i];
-                if held == 0 || node.scope.contains(x) {
+                if held == 0 || inside {
                     continue;
                 }
                 let card = u64::from(domain.card(x));
@@ -919,6 +1036,19 @@ impl QueryAnatomy {
     #[cfg(test)]
     fn price(&self, u: usize) -> Size {
         self.rows[u * self.width + PRICE]
+    }
+}
+
+/// Sizes and held counts, as the pass reads them.
+impl PassRows for QueryAnatomy {
+    #[inline]
+    fn size(&self, u: usize) -> Size {
+        self.rows[u * self.width + SIZE]
+    }
+
+    #[inline]
+    fn holds(&self, u: usize, i: usize) -> bool {
+        self.rows[u * self.width + HELD + i] > 0
     }
 }
 
@@ -959,8 +1089,7 @@ pub fn region_joints(
             }
             let plan = ReducedTree::from_members(tree, rooted, members, root, Some(numeric));
             let anatomy = plan.anatomy(scope, tree.domain());
-            let (joint, _) =
-                plan.pass(numeric.memo(), scope, &anatomy, tree.domain(), &mut scratch)?;
+            let (joint, _) = plan.run_in(scope, &anatomy, tree.domain(), &mut scratch)?;
             // the kernel may have written into a larger pooled buffer, and
             // the table outlives the call (a whole epoch): keep a copy that
             // holds only its entries
@@ -1047,7 +1176,7 @@ impl<'m> Recall<'m> {
         plan: &ReducedTree<'m>,
         memo: &'m MessageMemo,
         query: &Scope,
-        anatomy: &QueryAnatomy,
+        rows: &impl PassRows,
         domain: &Domain,
     ) -> Self {
         let slot = Slot {
@@ -1061,9 +1190,9 @@ impl<'m> Recall<'m> {
         let mut slots = vec![slot; plan.len()];
         // children precede parents: each subtree's size, what its kernels
         // walk, and whether it holds only cliques
-        for &u in &plan.order {
+        for &u in plan.order() {
             let node = &plan.nodes[u];
-            let product = anatomy.carried(u, anatomy.size(u), node.scope, query, domain);
+            let product = rows.carried(u, rows.size(u), node.scope, query, domain);
             let slot = &mut slots[u];
             slot.product = product;
             slot.walked = slot.walked.saturating_add(product);
@@ -1076,9 +1205,16 @@ impl<'m> Recall<'m> {
                 up.plain &= plain;
             }
         }
+        // room for every non-root node's key (`memo::push_key`): its edge's
+        // far end, a count, its subtree's members and the held variables
+        let keys = slots
+            .iter()
+            .map(|slot| 2 + slot.size + query.len())
+            .sum::<usize>();
+        let keys = Vec::with_capacity(keys - (2 + plan.len() + query.len()));
         let mut recall = Recall {
             slots,
-            keys: Vec::new(),
+            keys,
             owners: [None, None],
         };
         // every ancestor of a node whose subtree holds a shortcut holds it
@@ -1086,9 +1222,9 @@ impl<'m> Recall<'m> {
         // subtrees hanging off them after: one memo locked at a time
         let holds_shortcut = !recall.slots[plan.root].plain;
         if let Some(shortcut_memo) = plan.shortcut_memo.filter(|_| holds_shortcut) {
-            recall.owners[0] = Some(recall.look_up(plan, query, anatomy, shortcut_memo, false));
+            recall.owners[0] = Some(recall.look_up(plan, query, rows, shortcut_memo, false));
         }
-        recall.owners[1] = Some(recall.look_up(plan, query, anatomy, memo, true));
+        recall.owners[1] = Some(recall.look_up(plan, query, rows, memo, true));
         recall
     }
 
@@ -1100,7 +1236,7 @@ impl<'m> Recall<'m> {
         &mut self,
         plan: &ReducedTree<'_>,
         query: &Scope,
-        anatomy: &QueryAnatomy,
+        rows: &impl PassRows,
         memo: &'m MessageMemo,
         plain: bool,
     ) -> Owner<'m> {
@@ -1111,7 +1247,7 @@ impl<'m> Recall<'m> {
             NodeLabel::Clique(c) => c,
             NodeLabel::Shortcut(i) => memo::SHORTCUT_TAG | i,
         };
-        for (at, &u) in plan.order.iter().enumerate().rev() {
+        for (at, &u) in plan.order().iter().enumerate().rev() {
             if self.slots[u].plain != plain {
                 continue;
             }
@@ -1138,8 +1274,8 @@ impl<'m> Recall<'m> {
                 NodeLabel::Shortcut(_) => continue,
             }
             // the subtree is the span of the post-order ending at `u`
-            let members = plan.order[at + 1 - self.slots[u].size..=at].iter();
-            let held = (0..query.len()).filter(|&i| anatomy.holds(u, i));
+            let members = plan.order()[at + 1 - self.slots[u].size..=at].iter();
+            let held = (0..query.len()).filter(|&i| rows.holds(u, i));
             let start = self.keys.len();
             let held = held.map(|i| query.vars()[i]);
             memo::push_key(&mut self.keys, far, members.map(tagged), held);
@@ -1367,8 +1503,7 @@ mod tests {
         }
         assert_eq!(got.root, want.root);
         assert_eq!(got.shortcuts_used, want.shortcuts_used);
-        assert_eq!(got.child_list, want.child_list);
-        assert_eq!(got.order, want.order);
+        assert_eq!(got.links, want.links);
     }
 
     proptest::proptest! {
@@ -1477,15 +1612,26 @@ mod tests {
                 None => rt.clone(),
             };
             let lend = |i: usize| (i == 4).then_some((&cut, Some(joint.view())));
-            let (rehung, _) = contracted.hung_cheapest(&q, tree.domain());
+            let d = tree.domain();
+            let (hung, hung_rows, _) = contracted.clone().hung_cheapest(contracted.anatomy(&q, d), &q, d);
             let small = build_junction_tree(&fixtures::chain(2, 2, 0)).unwrap();
             let other = RootedTree::new(&small);
-            for plan in [&rt, &contracted].into_iter().chain(rehung.as_ref()) {
-                let shape = plan.shape();
+            for plan in [&rt, &contracted, &hung] {
+                let anatomy = plan.anatomy(&q, d);
+                let shape = plan.shape(&anatomy, &q).unwrap();
+                for u in 0..plan.len() {
+                    assert_eq!(shape.size(u), anatomy.size(u));
+                    for i in 0..q.len() {
+                        assert_eq!(shape.holds(u, i), anatomy.holds(u, i));
+                        if std::ptr::eq(plan, &hung) {
+                            assert_eq!(hung_rows.holds(u, i), anatomy.holds(u, i), "recounted");
+                        }
+                    }
+                }
                 let rebuilt = ReducedTree::from_shape(&tree, &rooted, &shape, Some(&ns), lend).unwrap();
                 assert_same_tree(&rebuilt, plan);
-                let (a, b) = (plan.run_in(&q, tree.domain(), &mut Scratch::new()).unwrap().0,
-                    rebuilt.run_in(&q, tree.domain(), &mut Scratch::new()).unwrap().0);
+                let (a, b) = (plan.run_in(&q, &anatomy, d, &mut Scratch::new()).unwrap().0,
+                    rebuilt.run_in(&q, &shape, d, &mut Scratch::new()).unwrap().0);
                 let bits = |p: &Potential| p.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&a), bits(&b));
                 if plan.shortcuts_used() > 0 {
@@ -1915,7 +2061,7 @@ mod tests {
             panic!("a plain plan");
         };
         let below = |v: usize| std::iter::successors(Some(v), |&w| plan.parent(w)).any(|w| w == u);
-        let members: Vec<usize> = plan.order.iter().copied().filter(|&v| below(v)).collect();
+        let members: Vec<usize> = plan.order().iter().copied().filter(|&v| below(v)).collect();
         let id = |v: usize| match plan.nodes[v].label {
             NodeLabel::Clique(c) => c,
             NodeLabel::Shortcut(i) => 1 << 31 | i,
@@ -2209,9 +2355,9 @@ mod tests {
         let q = Scope::from_iter(["a", "f", "h", "l"].iter().map(|n| d.var(n).unwrap()));
         let st = SteinerTree::extract(&tree, &rooted, &q).unwrap();
         let rt = ReducedTree::from_steiner(&tree, &rooted, &st, None);
-        assert_eq!(rt.order.len(), rt.len());
-        assert_eq!(*rt.order.last().unwrap(), rt.root());
-        let pos = |u: usize| rt.order.iter().position(|&v| v == u).unwrap();
+        assert_eq!(rt.order().len(), rt.len());
+        assert_eq!(*rt.order().last().unwrap(), rt.root());
+        let pos = |u: usize| rt.order().iter().position(|&v| v == u).unwrap();
         fn size(rt: &ReducedTree<'_>, u: usize) -> usize {
             1 + rt.children(u).iter().map(|&c| size(rt, c)).sum::<usize>()
         }

@@ -2,14 +2,16 @@
 //! scopes — the coordinate system for Steiner trees and both DP algorithms.
 
 use crate::tree::{CliqueId, EdgeId, JunctionTree};
-use peanut_pgm::Scope;
+use peanut_pgm::{Scope, Var};
 
 /// A junction tree rooted at a pivot clique.
 ///
 /// Precomputes everything the query engine and the offline DPs consult per
 /// node: parent, connecting edge, depth, children, a left-to-right DFS
 /// numbering (the order LRDP visits nodes), and the subtree variable scope
-/// `X_{T_v}` used by the benefit definition (Def. 3.2).
+/// `X_{T_v}` used by the benefit definition (Def. 3.2) — and, per
+/// variable, the cliques that hold it and the shallowest of them, which
+/// Steiner extraction reads instead of scanning the cliques.
 #[derive(Clone, Debug)]
 pub struct RootedTree {
     root: CliqueId,
@@ -25,6 +27,12 @@ pub struct RootedTree {
     subtree_scope: Vec<Scope>,
     /// Nodes of each subtree, contiguous in `dfs_order` starting at the node.
     subtree_size: Vec<usize>,
+    /// Per variable, `words` words of bits: the cliques that hold it.
+    holders: Vec<u64>,
+    words: usize,
+    /// Per variable, its shallowest holder: the least depth, then the
+    /// least id (`None`: no clique holds it).
+    shallowest: Vec<Option<CliqueId>>,
 }
 
 impl RootedTree {
@@ -86,6 +94,23 @@ impl RootedTree {
             }
         }
 
+        // the variables' holders, by ascending clique id
+        let words = n.div_ceil(64);
+        let n_vars = tree.domain().len();
+        let mut holders = vec![0u64; n_vars * words];
+        let mut shallowest: Vec<Option<CliqueId>> = vec![None; n_vars];
+        for u in 0..n {
+            for x in tree.clique(u).iter() {
+                let Some(least) = shallowest.get_mut(x.index()) else {
+                    continue;
+                };
+                holders[x.index() * words + u / 64] |= 1 << (u % 64);
+                if least.is_none_or(|l| depth[u] < depth[l]) {
+                    *least = Some(u);
+                }
+            }
+        }
+
         RootedTree {
             root,
             parent,
@@ -96,6 +121,9 @@ impl RootedTree {
             dfs_pos,
             subtree_scope,
             subtree_size,
+            holders,
+            words,
+            shallowest,
         }
     }
 
@@ -170,6 +198,29 @@ impl RootedTree {
     pub fn subtree_nodes(&self, u: CliqueId) -> &[CliqueId] {
         let start = self.dfs_pos[u];
         &self.dfs_order[start..start + self.subtree_size[u]]
+    }
+
+    /// Bit words over clique ids, per variable in [`holders`](Self::holders).
+    #[inline]
+    pub(crate) fn words(&self) -> usize {
+        self.words
+    }
+
+    /// Word `w` of the cliques holding `x`, bit `u % 64` of word `u / 64`
+    /// for clique `u`; 0 for a variable outside the tree's domain.
+    #[inline]
+    pub(crate) fn holders(&self, x: Var, w: usize) -> u64 {
+        self.holders
+            .get(x.index() * self.words + w)
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// The shallowest clique holding `x`: the least depth, then the least
+    /// id; `None` when no clique holds it.
+    #[inline]
+    pub(crate) fn shallowest(&self, x: Var) -> Option<CliqueId> {
+        self.shallowest.get(x.index()).copied().flatten()
     }
 
     /// Lowest common ancestor by depth walking (trees here are small; no

@@ -13,7 +13,10 @@ use peanut_pgm::{PgmError, Scope, Var};
 /// Covering-clique choice: for each query variable we pick the containing
 /// clique closest to the pivot (ties broken by clique id) — a deterministic
 /// heuristic that favors small trees (listed under "Deviations from the
-/// paper" in `ARCHITECTURE.md`).
+/// paper" in `ARCHITECTURE.md`). Both that choice and the in-clique test
+/// read the [`RootedTree`]'s per-variable index — the cliques holding each
+/// variable as bits, and its shallowest holder — rather than scanning the
+/// cliques.
 #[derive(Clone, Debug)]
 pub struct SteinerTree {
     /// Member cliques, ascending id.
@@ -33,53 +36,59 @@ impl SteinerTree {
         if query.is_empty() {
             return Err(PgmError::UnknownName("empty query".into()));
         }
-        // single covering clique? (in-clique query)
-        if let Some(u) = (0..tree.n_cliques())
-            .filter(|&u| query.is_subset_of(tree.clique(u)))
-            .min_by_key(|&u| (tree.clique_size(u), u))
-        {
+        // single covering clique? (in-clique query): the cliques holding
+        // every query variable, the least (size, id) of them
+        let mut inside: Option<(u64, CliqueId)> = None;
+        for w in 0..rooted.words() {
+            let mut word = query
+                .iter()
+                .fold(u64::MAX, |word, x| word & rooted.holders(x, w));
+            while word != 0 {
+                let u = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let key = (tree.clique_size(u), u);
+                if inside.is_none_or(|least| key < least) {
+                    inside = Some(key);
+                }
+            }
+        }
+        if let Some((_, u)) = inside {
             return Ok(SteinerTree {
                 nodes: vec![u],
                 root: u,
             });
         }
         // per-variable covering cliques, nearest the pivot
-        let mut terminals: Vec<CliqueId> = Vec::with_capacity(query.len());
+        let mut nodes: Vec<CliqueId> = Vec::with_capacity(2 * query.len());
         for v in query.iter() {
-            let u = tree
-                .cliques_with(v)
-                .min_by_key(|&u| (rooted.depth(u), u))
-                .ok_or(PgmError::UnknownVar(v))?;
-            terminals.push(u);
+            nodes.push(rooted.shallowest(v).ok_or(PgmError::UnknownVar(v))?);
         }
-        terminals.sort_unstable();
-        terminals.dedup();
+        nodes.sort_unstable();
+        nodes.dedup();
 
-        // r_q = LCA of all terminals; Steiner nodes = union of paths to it
-        let mut root = terminals[0];
-        for &t in &terminals[1..] {
+        // r_q = LCA of all terminals; Steiner nodes = union of paths to it,
+        // each walked up until it meets a member (few: a linear search)
+        let terminals = nodes.len();
+        let mut root = nodes[0];
+        for &t in &nodes[1..] {
             root = rooted.lca(root, t);
         }
-        let mut marked = vec![false; tree.n_cliques()];
-        for &t in &terminals {
-            let mut u = t;
+        for k in 0..terminals {
+            let mut u = nodes[k];
             #[expect(
                 clippy::expect_used,
                 reason = "`root` is the terminals' LCA, an ancestor of `t`: the walk up from \
                           `t` meets it before the pivot"
             )]
-            loop {
-                if marked[u] {
-                    break;
-                }
-                marked[u] = true;
-                if u == root {
-                    break;
-                }
+            while u != root {
                 u = rooted.parent(u).expect("root is an ancestor");
+                if nodes.contains(&u) {
+                    break;
+                }
+                nodes.push(u);
             }
         }
-        let nodes: Vec<CliqueId> = (0..tree.n_cliques()).filter(|&u| marked[u]).collect();
+        nodes.sort_unstable();
         Ok(SteinerTree { nodes, root })
     }
 
@@ -160,8 +169,8 @@ impl SteinerTree {
 
 /// Depth of a variable: the depth of its shallowest containing clique.
 /// Drives the paper's *skewed* workload (probability ∝ distance from pivot).
-pub fn var_depth(tree: &JunctionTree, rooted: &RootedTree, v: Var) -> Option<usize> {
-    tree.cliques_with(v).map(|u| rooted.depth(u)).min()
+pub fn var_depth(rooted: &RootedTree, v: Var) -> Option<usize> {
+    rooted.shallowest(v).map(|u| rooted.depth(u))
 }
 
 #[cfg(test)]
@@ -245,6 +254,108 @@ mod tests {
         assert_eq!(st.diameter(&rooted), 4);
     }
 
+    /// The extraction's first half as it scanned the cliques — every
+    /// clique for the in-clique test, every clique again per query
+    /// variable — kept as the reference of the index: the covering clique,
+    /// or the terminals before they are sorted.
+    fn scanned(
+        tree: &JunctionTree,
+        rooted: &RootedTree,
+        query: &Scope,
+    ) -> Result<Result<CliqueId, Vec<CliqueId>>, PgmError> {
+        if let Some(u) = (0..tree.n_cliques())
+            .filter(|&u| query.is_subset_of(tree.clique(u)))
+            .min_by_key(|&u| (tree.clique_size(u), u))
+        {
+            return Ok(Ok(u));
+        }
+        let mut terminals = Vec::new();
+        for v in query.iter() {
+            let u = tree
+                .cliques_with(v)
+                .min_by_key(|&u| (rooted.depth(u), u))
+                .ok_or(PgmError::UnknownVar(v))?;
+            terminals.push(u);
+        }
+        Ok(Err(terminals))
+    }
+
+    /// The index decides as the scan did: on generated trees under random
+    /// pivots, for every scope of one to three variables and for scopes
+    /// holding a variable outside the domain, the same in-clique decision
+    /// and clique, the same members and root, the same error.
+    #[test]
+    fn steiner_index_matches_the_scan() {
+        use peanut_pgm::generate::{generate_network, DagConfig};
+        use proptest::test_runner::TestRng;
+        let (mut in_clique, mut out_of_clique, mut errors) = (0, 0, 0);
+        for seed in 0..24u64 {
+            let n = 8 + seed as usize % 9;
+            let cfg = DagConfig {
+                n_nodes: n,
+                n_edges: n - 1 + n / 4,
+                max_in_degree: 3,
+                window: 4,
+                cardinalities: vec![2, 3, 4],
+            };
+            let Ok(bn) = generate_network(&cfg, seed) else {
+                continue;
+            };
+            let mut rng = TestRng::seed_from_u64(seed);
+            let mut tree = build_junction_tree(&bn).unwrap();
+            tree.set_pivot(rng.sample(0..tree.n_cliques()));
+            let rooted = RootedTree::new(&tree);
+            let n = n as u32;
+            let mut scopes = Vec::new();
+            for a in 0..n {
+                for b in a..n {
+                    for c in b..n {
+                        scopes.push(Scope::from_indices(&[a, b, c]));
+                    }
+                }
+                scopes.push(Scope::from_indices(&[a, n + a]));
+            }
+            scopes.push(Scope::from_indices(&[n]));
+            for q in &scopes {
+                let got = SteinerTree::extract(&tree, &rooted, q);
+                match (scanned(&tree, &rooted, q), got) {
+                    (Ok(Ok(u)), Ok(st)) => {
+                        assert_eq!((st.nodes(), st.root()), (&[u][..], u), "{q}");
+                        in_clique += 1;
+                    }
+                    (Ok(Err(terminals)), Ok(st)) => {
+                        let mut root = terminals[0];
+                        for &t in &terminals[1..] {
+                            root = rooted.lca(root, t);
+                        }
+                        let mut members: Vec<CliqueId> = Vec::new();
+                        for &t in &terminals {
+                            let mut u = t;
+                            while !members.contains(&u) {
+                                members.push(u);
+                                if u == root {
+                                    break;
+                                }
+                                u = rooted.parent(u).unwrap();
+                            }
+                        }
+                        members.sort_unstable();
+                        assert!(st.len() > 1, "{q}: out of clique");
+                        assert_eq!((st.nodes(), st.root()), (&members[..], root), "{q}");
+                        out_of_clique += 1;
+                    }
+                    (Err(want), Err(got)) => {
+                        assert_eq!(got.to_string(), want.to_string(), "{q}");
+                        errors += 1;
+                    }
+                    (want, got) => panic!("{q}: {got:?} against {want:?}"),
+                }
+            }
+        }
+        let seen = [in_clique, out_of_clique, errors];
+        assert!(seen.iter().all(|&c| c >= 100), "coverage {seen:?}");
+    }
+
     #[test]
     fn empty_query_rejected() {
         let (_, tree, rooted) = fig1();
@@ -253,10 +364,10 @@ mod tests {
 
     #[test]
     fn var_depths_increase_down_the_tree() {
-        let (bn, tree, rooted) = fig1();
+        let (bn, _, rooted) = fig1();
         let d = bn.domain();
-        let depth_b = var_depth(&tree, &rooted, d.var("b").unwrap()).unwrap();
-        let depth_l = var_depth(&tree, &rooted, d.var("l").unwrap()).unwrap();
+        let depth_b = var_depth(&rooted, d.var("b").unwrap()).unwrap();
+        let depth_l = var_depth(&rooted, d.var("l").unwrap()).unwrap();
         assert_eq!(depth_b, 0);
         assert!(depth_l >= 2);
     }

@@ -85,6 +85,11 @@ pub struct Work {
     /// Of those, the entries the fused kernel's short-run walk summed
     /// ([`product_marginalize_views`](crate::product_marginalize_views)).
     pub short_walked: Size,
+    /// Query anatomies (`peanut_junction::QueryAnatomy`) built for the
+    /// answer, in planning, re-hanging and the pass: one for a plan
+    /// planned now, one more for a shortcut-reduced one, none for a plan
+    /// taken from the plan memo.
+    pub anatomies_walked: u64,
     /// Whether the plan came from a materialization's plan memo.
     pub plan_taken: bool,
     /// Whether the answer was computed by pruned variable elimination.

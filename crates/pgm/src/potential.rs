@@ -430,7 +430,8 @@ impl<'a> TableRef<'a> {
     /// no cross-run add latency chain.
     pub fn marginalize_in(&self, keep: &Scope, scratch: &mut Scratch) -> Result<Potential> {
         let target_scope = self.scope.intersect(keep);
-        let t_cards = cards_within(&target_scope, self.scope, self.cards);
+        let mut t_cards = Vec::with_capacity(target_scope.len());
+        cards_within(&target_scope, self.scope, self.cards, &mut t_cards);
         let total = checked_len(&t_cards)?;
         // the source in row-major order; the one operand is the target
         scratch.plan_walk(self.scope, self.cards, &[(&target_scope, &t_cards[..])])?;
@@ -650,15 +651,17 @@ pub fn product_marginalize_views(
         _ => {}
     }
     // the product is never built, but one over the dense limit is refused;
-    // its scope and cardinalities live in the scratch
+    // its scope and cardinalities live in the scratch, and the result's
+    // are a recycled result's allocations
+    let (mut target_scope, mut t_cards) = scratch.take_axes();
     let Scratch {
         axes: scope,
         axis_cards: cards,
         ..
     } = scratch;
     let entries = product_axes_into(factors, scope, cards)?;
-    let target_scope = scope.intersect(keep);
-    let t_cards = cards_within(&target_scope, scope, cards);
+    target_scope.assign_intersection(scope, keep);
+    cards_within(&target_scope, scope, cards, &mut t_cards);
     let total = checked_len(&t_cards)? as usize;
     if short_runs(factors.len(), entries, cards) {
         let mut values = scratch.take_buf(total);
@@ -768,7 +771,9 @@ fn short_runs(k: usize, entries: usize, cards: &[u32]) -> bool {
 /// The short-run walk of [`product_marginalize_views`], planned per call in
 /// storage a [`Scratch`] keeps: the product in its own row-major order, an
 /// inner block (at most [`SHORT_BLOCK`] entries) through a table of
-/// offsets, the axes outside it by an odometer. Both live in
+/// offsets, the axes outside it by an odometer. The table is laid out by
+/// expanding the block's rows ([`block_table`]): the words an odometer
+/// stepped once per entry would write, at a few stores an entry. Both live in
 /// `Scratch::rows`: the rows, `[card, step in factor 0, …, step in factor
 /// k-1, step in the result]`, innermost first and folded by `push_axis` —
 /// the block's, then from `outer` on those outside it — and from `table`
@@ -793,7 +798,8 @@ struct ShortWalk {
 impl ShortWalk {
     /// Plans the walk of the product of `factors` over (`scope`, `cards`)
     /// summed onto `target` (a scope and its cardinalities) into `rows`,
-    /// with the walk's cursors and, to lay out the table, an odometer.
+    /// with the walk's cursors, and sets the odometer over the rows outside
+    /// the block (`digits`, `bases`) at its start.
     fn new(
         (scope, cards): (&Scope, &[u32]),
         target: (&Scope, &[u32]),
@@ -847,25 +853,13 @@ impl ShortWalk {
         // holds still
         let still = rows.chunks_exact(w).take_while(|row| row[w - 1] == 0);
         let chain: u64 = still.map(|row| row[0]).product();
-        // the block's offsets, entry by entry
+        // the block's offsets, and the odometer over the rows outside it
         let table = rows.len();
-        digits.clear();
-        digits.resize(outer / w, 0);
-        bases.clear();
-        bases.resize(k + 1, 0);
-        loop {
-            let entry: [u64; TABLE_WIDTH] = std::array::from_fn(|i| match i {
-                _ if i < k => bases[i],
-                TABLE_LAST => bases[k],
-                _ => 0,
-            });
-            rows.extend_from_slice(&entry);
-            if !odometer_step(&rows[..outer], w, digits, bases) {
-                break;
-            }
-        }
+        block_table(rows, outer, k);
         digits.clear();
         digits.resize((table - outer) / w, 0);
+        bases.clear();
+        bases.resize(k + 1, 0);
         ShortWalk {
             outer,
             table,
@@ -915,6 +909,35 @@ impl ShortWalk {
             }
             if !odometer_step(outer, w, digits, bases) {
                 return;
+            }
+        }
+    }
+}
+
+/// Appends to `rows` the short-run walk's table over its first `outer`
+/// words — the block's rows, `[card, step in factor 0, …, step in factor
+/// k-1, step in the result]` each, innermost first —: per block entry in
+/// row-major order, its offset in each of the `k` factors, zeros up to
+/// [`TABLE_LAST`], and its offset in the result. The first entry is all
+/// zeros; each row, from the innermost out, repeats the entries so far
+/// once per further value of its own, shifted by its steps — the order an
+/// odometer over the rows visits them in, without stepping one per entry.
+fn block_table(rows: &mut Vec<u64>, outer: usize, k: usize) {
+    let (w, table) = (k + 2, rows.len());
+    rows.extend_from_slice(&[0; TABLE_WIDTH]);
+    for at in (0..outer).step_by(w) {
+        let card = rows[at];
+        let step: [u64; TABLE_WIDTH] = std::array::from_fn(|i| match i {
+            _ if i < k => rows[at + 1 + i],
+            TABLE_LAST => rows[at + w - 1],
+            _ => 0,
+        });
+        let so_far = rows.len() - table;
+        for value in 1..card {
+            for e in (table..table + so_far).step_by(TABLE_WIDTH) {
+                let entry: [u64; TABLE_WIDTH] =
+                    std::array::from_fn(|i| rows[e + i] + value * step[i]);
+                rows.extend_from_slice(&entry);
             }
         }
     }
@@ -1320,12 +1343,12 @@ fn restrict_view(
     Potential::new(scope, cards, values)
 }
 
-/// The cardinalities of `sub`'s variables, read off (`scope`, `cards`).
-fn cards_within(sub: &Scope, scope: &Scope, cards: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(sub.len());
+/// The cardinalities of `sub`'s variables, read off (`scope`, `cards`),
+/// into `out`.
+fn cards_within(sub: &Scope, scope: &Scope, cards: &[u32], out: &mut Vec<u32>) {
+    out.clear();
     let kept = scope.iter().zip(cards).filter(|(v, _)| sub.contains(*v));
     out.extend(kept.map(|(_, &c)| c));
-    out
 }
 
 fn checked_len(cards: &[u32]) -> Result<u64> {
@@ -1389,11 +1412,15 @@ fn resolve_cards(scope: &Scope, factors: &[TableRef<'_>], cards: &mut Vec<u32>) 
     Ok(())
 }
 
+/// Recycled buffers a [`Scratch`] keeps at most, of each kind.
+const POOLED: usize = 32;
+
 /// Reusable scratch state for the stride-walk kernels.
 ///
 /// Holds the current walk's rows and the odometer stepping them, the fused
 /// kernel's run plan and working space, a count of the entries its
-/// short-run walk summed, and a pool of recycled `f64` buffers.
+/// short-run walk summed, and pools of recycled results' buffers: their
+/// values, and their scopes and cardinalities.
 /// One `Scratch` is single-threaded state: give each worker its own.
 /// Creating one is free (no allocation until first use), so the non-`_in`
 /// kernel methods just instantiate a fresh one per call.
@@ -1417,6 +1444,9 @@ pub struct Scratch {
     axes: Scope,
     axis_cards: Vec<u32>,
     pool: Vec<Vec<f64>>,
+    /// Recycled results' scopes and cardinalities, which the fused
+    /// kernel's results are filled into.
+    scopes: Vec<(Scope, Vec<u32>)>,
 }
 
 impl Scratch {
@@ -1497,9 +1527,18 @@ impl Scratch {
     /// can reuse the allocation. Call this on intermediates (messages,
     /// superseded clique tables) once they are dead.
     pub fn recycle(&mut self, p: Potential) {
-        if p.values.capacity() > 0 && self.pool.len() < 32 {
+        if p.values.capacity() > 0 && self.pool.len() < POOLED {
             self.pool.push(p.values);
         }
+        if p.scope.capacity() > 0 && p.cards.capacity() > 0 && self.scopes.len() < POOLED {
+            self.scopes.push((p.scope, p.cards));
+        }
+    }
+
+    /// A recycled result's scope and cardinalities (whatever they hold),
+    /// for a kernel to fill; new empty ones when none is pooled.
+    fn take_axes(&mut self) -> (Scope, Vec<u32>) {
+        self.scopes.pop().unwrap_or_default()
     }
 
     /// Picks the pooled buffer that best fits `len` entries: the smallest
@@ -1923,6 +1962,61 @@ mod tests {
         assert_eq!(v.card_of(Var(1)), Some(3));
         let back = v.to_potential();
         assert_eq!(back, f);
+    }
+
+    /// The odometer the short-run walk's table was laid out with, one step
+    /// an entry: the reference [`block_table`] replaced.
+    fn block_table_by_odometer(rows: &[u64], outer: usize, k: usize) -> Vec<u64> {
+        let w = k + 2;
+        let (mut digits, mut bases) = (vec![0; outer / w], vec![0; k + 1]);
+        let mut table = Vec::new();
+        loop {
+            let entry: [u64; TABLE_WIDTH] = std::array::from_fn(|i| match i {
+                _ if i < k => bases[i],
+                TABLE_LAST => bases[k],
+                _ => 0,
+            });
+            table.extend_from_slice(&entry);
+            if !odometer_step(&rows[..outer], w, &mut digits, &mut bases) {
+                return table;
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// `block_table` writes the words the odometer wrote, and leaves the
+        /// rows before them alone: blocks of one to six rows of 1–4 values
+        /// (at most 64 entries), 2 or 3 factors, any steps, up to two rows
+        /// outside the block after them. The default case count, or
+        /// `PROPTEST_CASES`.
+        #[test]
+        fn short_walk_table_matches_the_odometer(
+            k in 2usize..=3,
+            cards in proptest::collection::vec(1u64..=4, 1..=6),
+            steps in proptest::collection::vec(0u64..1000, 32),
+            outside in 0usize..3,
+        ) {
+            let mut rows = Vec::new();
+            let mut len = 1;
+            for (r, &card) in cards.iter().enumerate() {
+                if len * card > SHORT_BLOCK {
+                    break;
+                }
+                len *= card;
+                rows.push(card);
+                rows.extend((0..=k).map(|i| steps[r * 4 + i]));
+            }
+            let outer = rows.len();
+            for r in 0..outside {
+                rows.push(2);
+                rows.extend((0..=k).map(|i| steps[24 + r * 4 + i]));
+            }
+            let want = block_table_by_odometer(&rows, outer, k);
+            let mut got = rows.clone();
+            block_table(&mut got, outer, k);
+            proptest::prop_assert_eq!(&got[..rows.len()], &rows[..]);
+            proptest::prop_assert_eq!(&got[rows.len()..], &want[..]);
+        }
     }
 
     proptest::proptest! {

@@ -155,20 +155,35 @@ impl Scope {
 
     /// Set intersection (merge join).
     pub fn intersect(&self, other: &Scope) -> Scope {
-        let mut out = Vec::with_capacity(self.vars.len().min(other.vars.len()));
+        let mut out = Scope {
+            vars: Vec::with_capacity(self.vars.len().min(other.vars.len())),
+        };
+        out.assign_intersection(self, other);
+        out
+    }
+
+    /// Replaces the variables with `a ∩ b` (merge join), keeping the
+    /// allocation.
+    pub(crate) fn assign_intersection(&mut self, a: &Scope, b: &Scope) {
+        let out = &mut self.vars;
+        out.clear();
         let (mut i, mut j) = (0, 0);
-        while i < self.vars.len() && j < other.vars.len() {
-            match self.vars[i].cmp(&other.vars[j]) {
+        while i < a.vars.len() && j < b.vars.len() {
+            match a.vars[i].cmp(&b.vars[j]) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
-                    out.push(self.vars[i]);
+                    out.push(a.vars[i]);
                     i += 1;
                     j += 1;
                 }
             }
         }
-        Scope { vars: out }
+    }
+
+    /// Variables the scope's allocation holds room for.
+    pub(crate) fn capacity(&self) -> usize {
+        self.vars.capacity()
     }
 
     /// Set difference `self \ other` (merge join).

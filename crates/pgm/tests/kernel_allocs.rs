@@ -1,6 +1,7 @@
 //! Allocation guard for the kernels: on a warm `Scratch` (its walk rows
 //! and odometer sized, its pool holding a recycled result) a kernel call
-//! allocates its result's own scope and cardinalities and nothing else.
+//! allocates its result's own scope and cardinalities and nothing else —
+//! and the fused kernel not even those: it fills a recycled result's.
 //! Counted by the workspace's counting global allocator
 //! (`counting-alloc`). Run with `--nocapture` to see what message passing
 //! allocates per query.
@@ -86,10 +87,11 @@ fn a_warm_kernel_allocates_only_its_result() {
     assert_eq!(divide, 2, "divide_views");
     assert_eq!(marginalize, [2, 2], "marginalize_in");
     // the product's scope and cardinalities, which size-check a product
-    // that is never built, are built in the scratch: 5 while they were one
-    // union per factor and a fresh list
-    assert_eq!(fused, 2, "product_marginalize_views");
-    assert_eq!(fused_runs, 2, "product_marginalize_views, long runs");
+    // that is never built, are built in the scratch, and the result's are
+    // the recycled result's: 2 while those were allocated per call, 5
+    // while the product's were one union per factor and a fresh list
+    assert_eq!(fused, 0, "product_marginalize_views");
+    assert_eq!(fused_runs, 0, "product_marginalize_views, long runs");
 }
 
 /// What message passing allocates per query: `ReducedTree::answer_in` over
@@ -99,9 +101,12 @@ fn a_warm_kernel_allocates_only_its_result() {
 /// *Cold* answers each pair over a fresh copy of the tables, whose memo is
 /// empty: every message is computed, and a copy of each admitted one is
 /// filed. *Warm* answers the pairs again over tables that answered them
-/// all once. Printed for the ledger, not asserted: cold 61.0 calls per
-/// query (8.56 per node), warm 15.8 (2.22), over 157 queries of 7.1
-/// nodes, with the fused kernel's product axes in the scratch; 78.2
+/// all once. Printed for the ledger, not asserted: cold 41.5 calls per
+/// query (5.82 per node), warm 10.2 (1.43), over 157 queries of 7.1
+/// nodes, with one anatomy per answer, plans linked and re-hung on their
+/// own buffers and the fused kernel's results on recycled scopes and
+/// cardinalities; 61.0 (8.56) and 15.8 (2.22) with three anatomies and
+/// the product axes in the scratch; 78.2
 /// (10.97) and 18.2 (2.56) while they were allocated per message, with
 /// each message divided in its own buffer; 90.5 (12.68) and
 /// 18.8 (2.63) when the division allocated a quotient. A pass without the

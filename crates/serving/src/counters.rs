@@ -77,6 +77,9 @@ counters! {
     /// Of those, the entries the fused kernel's short-run walk summed
     /// ([`Work::short_walked`]).
     short_walked,
+    /// Query anatomies the answers built, in planning, re-hanging and
+    /// their passes ([`Work::anatomies_walked`]).
+    anatomies_walked,
     /// Tenants faulted in from the store.
     faults,
     /// Fault-ins that failed. A page-out whose save failed (the tenant
@@ -113,6 +116,7 @@ impl Counters {
             messages_computed: work.messages_computed,
             entries_walked: work.entries_walked,
             short_walked: work.short_walked,
+            anatomies_walked: work.anatomies_walked,
             ..Counters::default()
         };
     }

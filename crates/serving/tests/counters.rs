@@ -59,6 +59,7 @@ fn recount(batches: &[Vec<ServeOutcome>]) -> Counters {
             want.messages_computed += a.work.messages_computed;
             want.entries_walked += a.work.entries_walked;
             want.short_walked += a.work.short_walked;
+            want.anatomies_walked += a.work.anatomies_walked;
         }
     }
     want

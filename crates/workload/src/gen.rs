@@ -68,7 +68,7 @@ pub fn skewed_queries(
     let mut weights: Vec<f64> = tree
         .domain()
         .all_vars()
-        .map(|v| var_depth(tree, rooted, v).unwrap_or(0) as f64)
+        .map(|v| var_depth(rooted, v).unwrap_or(0) as f64)
         .collect();
     if weights.iter().all(|&w| w == 0.0) {
         weights.fill(1.0);

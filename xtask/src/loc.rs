@@ -12,8 +12,19 @@
 //! An item under `#[cfg(any(test, …))]` also builds outside tests, and
 //! counts. Like the lint pass it is lexical: braces are matched outside
 //! string and character literals, and a block comment counts as comment
-//! only from a line that opens it. It prints one line per crate and the
-//! total, and fails only when a file cannot be read.
+//! only from a line that opens it.
+//!
+//! Beside the lines it counts each library's public items: the items its
+//! users can name from the crate root ([`public_items`]). An item counts
+//! when it is declared `pub` — not `pub(crate)` or any other restricted
+//! form — at the level of a module reachable from `lib.rs` through `pub
+//! mod` declarations, or inside an `impl` block there; and each name a
+//! reachable module's `pub use` re-exports counts, unless it comes from a
+//! `pub mod` of the same file, whose items count where they are declared.
+//! Items under `#[cfg(test)]` or `#[doc(hidden)]` do not count, nor do
+//! fields, variants and trait members; both arms of a `cfg` alternative
+//! do. It prints one line per crate and the totals, and fails only when a
+//! file cannot be read.
 
 use crate::lint::{collect_files, rel_str};
 use std::collections::BTreeMap;
@@ -125,9 +136,197 @@ fn mod_file(src: &Path, file: &Path, name: &str) -> PathBuf {
     }
 }
 
-/// Non-test lines per crate under `root`: each `crates/<name>/src`, and
-/// `src` as `peanut`.
-fn per_crate(root: &Path) -> Result<BTreeMap<String, usize>, String> {
+/// What an open brace of [`public_items`]'s walk belongs to.
+#[derive(Clone, Copy, PartialEq)]
+enum Block {
+    /// An inline module, public or not.
+    Module(bool),
+    /// An `impl` block.
+    Impl,
+    /// Anything else: a body, an initializer, a type's fields.
+    Other,
+}
+
+/// The public items `content`, a module file whose own module is
+/// reachable from its crate's root, declares (module docs), and the `pub
+/// mod name;` declarations at its reachable levels, whose files hold more.
+pub fn public_items(content: &str) -> (usize, Vec<String>) {
+    let lines: Vec<String> = content.lines().map(code_of).collect();
+    // the file's `pub mod`s: a `pub use` of their items counts nothing
+    let pub_mods: Vec<&str> = lines
+        .iter()
+        .filter_map(|l| l.trim().strip_prefix("pub mod "))
+        .map(|rest| {
+            rest.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .next()
+                .unwrap_or("")
+        })
+        .collect();
+    let (mut items, mut files) = (0, Vec::new());
+    let mut blocks: Vec<Block> = Vec::new();
+    // the kind of the next block to open, once its header is read
+    let mut pending: Option<Block> = None;
+    // `Some(depth)` while skipping an item under `#[cfg(test)]` or
+    // `#[doc(hidden)]`: the blocks open before it
+    let mut skipping: Option<usize> = None;
+    let mut hide_next = false;
+    // a `pub use` spanning lines, until its `;`
+    let mut re_export: Option<String> = None;
+    let mut in_block_comment = false;
+    for (line, raw) in lines.iter().zip(content.lines()) {
+        let t = line.trim();
+        let raw = raw.trim();
+        if in_block_comment {
+            in_block_comment = !raw.contains("*/");
+            continue;
+        }
+        if raw.starts_with("/*") {
+            in_block_comment = !raw.contains("*/");
+            continue;
+        }
+        if t.is_empty() {
+            continue;
+        }
+        if let Some(text) = &mut re_export {
+            text.push_str(t);
+            if t.ends_with(';') {
+                items += re_exported(text, &pub_mods);
+                re_export = None;
+            }
+            continue;
+        }
+        let reachable = skipping.is_none()
+            && blocks
+                .iter()
+                .all(|b| !matches!(b, Block::Module(false) | Block::Other));
+        if skipping.is_none() && (t.starts_with("#[cfg(test)]") || t.starts_with("#[doc(hidden)]"))
+        {
+            hide_next = true;
+        }
+        if hide_next && !t.starts_with("#[") {
+            hide_next = false;
+            skipping = Some(blocks.len());
+        }
+        if reachable && skipping.is_none() && !t.starts_with("#[") {
+            let kind = item_kind(t);
+            if let Some(rest) = t.strip_prefix("pub ") {
+                match kind {
+                    Some("use") => {
+                        let text = rest.to_string();
+                        if t.ends_with(';') {
+                            items += re_exported(&text, &pub_mods);
+                        } else {
+                            re_export = Some(text);
+                        }
+                    }
+                    Some("mod") if t.ends_with(';') => {
+                        items += 1;
+                        files.extend(declared_mod(t).map(str::to_string));
+                    }
+                    Some(_) => items += 1,
+                    None => {}
+                }
+            }
+            pending = match kind {
+                Some("mod") => Some(Block::Module(t.starts_with("pub "))),
+                Some("impl") => Some(Block::Impl),
+                _ => None,
+            };
+        }
+        for c in t.chars() {
+            match c {
+                '{' => blocks.push(pending.take().unwrap_or(Block::Other)),
+                '}' => {
+                    blocks.pop();
+                }
+                ';' if pending.is_some() && blocks.is_empty() => pending = None,
+                _ => {}
+            }
+        }
+        if skipping
+            .is_some_and(|depth| blocks.len() <= depth && (t.ends_with('}') || t.ends_with(';')))
+        {
+            skipping = None;
+        }
+    }
+    (items, files)
+}
+
+/// The item keyword a line opens with, after `pub ` and qualifiers:
+/// `"fn"`, `"struct"`, `"mod"`, `"use"`, `"impl"` and so on — the first
+/// keyword among its first words not followed by another (`const fn` is
+/// a function); `None` for any other line.
+fn item_kind(line: &str) -> Option<&'static str> {
+    const KINDS: [&str; 12] = [
+        "fn",
+        "struct",
+        "enum",
+        "union",
+        "trait",
+        "type",
+        "const",
+        "static",
+        "mod",
+        "use",
+        "impl",
+        "macro_rules!",
+    ];
+    let kind = |word: &str| {
+        let word = word.split(['<', '(', '{', ':']).next().unwrap_or("");
+        KINDS.iter().find(|&&k| k == word).copied()
+    };
+    let kinds: Vec<Option<&'static str>> = line
+        .split_whitespace()
+        .take(5)
+        .map(kind)
+        .chain([None])
+        .collect();
+    kinds
+        .windows(2)
+        .find_map(|pair| pair[0].filter(|_| pair[1].is_none()))
+}
+
+/// The names a `pub use` statement (its text after `pub `) re-exports:
+/// one per path leaf, none when its path starts at one of `pub_mods`.
+fn re_exported(text: &str, pub_mods: &[&str]) -> usize {
+    let path = text.trim_start_matches("use ").trim_end_matches(';').trim();
+    let first = path.split("::").next().unwrap_or("");
+    let first = first.strip_prefix("self::").unwrap_or(first);
+    if pub_mods.contains(&first) {
+        return 0;
+    }
+    match path.find('{') {
+        None => 1,
+        Some(open) => path[open..]
+            .split([',', '{', '}'])
+            .filter(|leaf| !leaf.trim().is_empty() && !leaf.trim().ends_with("::"))
+            .count(),
+    }
+}
+
+/// The public items of the library whose source root is `src`: its
+/// `lib.rs` and the files of its reachable `pub mod`s (0 without a
+/// `lib.rs`).
+fn crate_items(src: &Path) -> Result<usize, String> {
+    let mut total = 0;
+    let mut queue = vec![PathBuf::from("lib.rs")];
+    while let Some(file) = queue.pop() {
+        let path = src.join(&file);
+        if !path.exists() {
+            continue;
+        }
+        let content =
+            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let (items, mods) = public_items(&content);
+        total += items;
+        queue.extend(mods.iter().map(|m| mod_file(src, &file, m)));
+    }
+    Ok(total)
+}
+
+/// Non-test lines and public items per crate under `root`: each
+/// `crates/<name>/src`, and `src` as `peanut`.
+fn per_crate(root: &Path) -> Result<BTreeMap<String, (usize, usize)>, String> {
     let mut srcs = vec![("peanut".to_string(), root.join("src"))];
     let crates = std::fs::read_dir(root.join("crates")).map_err(|e| format!("crates/: {e}"))?;
     for entry in crates.flatten() {
@@ -153,7 +352,7 @@ fn per_crate(root: &Path) -> Result<BTreeMap<String, usize>, String> {
             .filter(|(file, _)| !test_files.iter().any(|t| rel_str(t) == rel_str(file)))
             .map(|(_, lines)| lines)
             .sum();
-        out.insert(name, total);
+        out.insert(name, (total, crate_items(&src)?));
     }
     Ok(out)
 }
@@ -163,10 +362,13 @@ pub fn run(root: Option<PathBuf>) -> ExitCode {
     let root = root.unwrap_or_else(crate::lint::repo_root);
     match per_crate(&root) {
         Ok(counts) => {
-            for (name, lines) in &counts {
-                println!("{name:<16} {lines:>7}");
+            println!("{:<16} {:>7} {:>7}", "crate", "lines", "items");
+            for (name, (lines, items)) in &counts {
+                println!("{name:<16} {lines:>7} {items:>7}");
             }
-            println!("{:<16} {:>7}", "total", counts.values().sum::<usize>());
+            let lines = counts.values().map(|c| c.0).sum::<usize>();
+            let items = counts.values().map(|c| c.1).sum::<usize>();
+            println!("{:<16} {lines:>7} {items:>7}", "total");
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -229,6 +431,39 @@ mod tests {
     fn the_repo_counts_every_crate() {
         let counts = per_crate(&crate::lint::repo_root()).unwrap();
         assert!(counts.len() >= 10, "{counts:?}");
-        assert!(counts.values().all(|&n| n > 0), "{counts:?}");
+        assert!(counts.values().all(|&(n, _)| n > 0), "{counts:?}");
+        assert!(counts["pgm"].1 > 0 && counts["peanut"].1 > 0, "{counts:?}");
+    }
+
+    /// The fixture's public items: `f`, `S` and its method `m`, the trait
+    /// `T`, the pub modules `file` (whose file is named), `inner` and
+    /// `inner::deep`, `inner::g`, `Deep`, and the two names re-exported
+    /// from the private `hidden`. Not counted: restricted, private and test-only
+    /// items, a `#[doc(hidden)]` one, fields, trait members, what lies
+    /// inside a private module or a function body, and a re-export from
+    /// a `pub mod` of the same file.
+    #[test]
+    fn public_items_are_the_ones_a_user_can_name() {
+        let src = "//! docs\n\
+                   pub mod file;\n\
+                   mod hidden;\n\
+                   pub use hidden::{A, b::B};\n\
+                   pub use inner::g;\n\
+                   pub fn f(\n    x: u32,\n) -> u32 {\n    x\n}\n\
+                   pub(crate) fn restricted() {}\n\
+                   fn private() { pub struct InBody; }\n\
+                   #[doc(hidden)]\n\
+                   pub fn undocumented() {}\n\
+                   pub struct S {\n    pub field: u32,\n}\n\
+                   impl S {\n    pub fn m(&self) {}\n    fn n(&self) {}\n}\n\
+                   pub trait T {\n    fn t(&self);\n}\n\
+                   pub mod inner {\n    pub fn g() {}\n    pub mod deep {\n        pub struct Deep;\n    }\n}\n\
+                   mod private_mod {\n    pub fn unreachable() {}\n}\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n    pub fn helper() {}\n}\n";
+        let (items, files) = public_items(src);
+        assert_eq!(files, vec!["file".to_string()]);
+        // f, S, m, T, file, inner, g, deep, Deep, A, B
+        assert_eq!(items, 11);
     }
 }
